@@ -1,0 +1,1 @@
+//! Empty stand-in: only resolved, never compiled into the benchmark.
