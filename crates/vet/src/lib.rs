@@ -193,78 +193,8 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
         }
     }
 
-    // V007: Mendlovic & Matias — does the fabric still admit *any*
-    // single-layer deadlock-free routing? A network-level verdict: the
-    // artifact under analysis neither helps nor hurts it. A refutation
-    // condemns *single-layer* artifacts outright; an artifact already
-    // on multiple layers took the one escape hatch the theorem leaves
-    // open, so for it the refutation is a (citable) warning that the
-    // extra layers are provably necessary, not optional.
     if cfg.check_existence {
-        let refuted_sev = if routes.num_layers() <= 1 {
-            Severity::Error
-        } else {
-            Severity::Warning
-        };
-        match existence::existence(net) {
-            Existence::Exists { roots, pairs } => {
-                stats.existence = Some(format!(
-                    "certified: up*/down* orientation from {} root(s) covers all {pairs} \
-                     required pair(s) with an acyclic dependency graph",
-                    roots.len()
-                ));
-            }
-            Existence::NotExists(ExistenceWitness::OneWayPair { src, dst }) => {
-                stats.existence = Some(format!("refuted: one-way pair {src:?} -> {dst:?}"));
-                em.emit(
-                    LintCode::DeadlockExistence,
-                    // One-way pairs are unservable at *any* layer count.
-                    Severity::Error,
-                    format!(
-                        "no routing can serve {src:?} -> {dst:?}: the pair is cabled but \
-                         directed reachability holds only the other way (half-dead link?)"
-                    ),
-                    Witness::OneWayPair { src, dst },
-                );
-            }
-            Existence::NotExists(ExistenceWitness::ForcedCycle { channels }) => {
-                stats.existence = Some(format!(
-                    "refuted: forced dependency cycle of {} channel(s)",
-                    channels.len()
-                ));
-                em.emit(
-                    LintCode::DeadlockExistence,
-                    refuted_sev,
-                    format!(
-                        "no single-layer deadlock-free routing exists: unique paths force a \
-                         dependency cycle of {} channel(s) into every routing{}",
-                        channels.len(),
-                        if refuted_sev == Severity::Warning {
-                            format!(
-                                " (this artifact's {} layers are provably necessary)",
-                                routes.num_layers()
-                            )
-                        } else {
-                            String::new()
-                        }
-                    ),
-                    Witness::ForcedCycle { channels },
-                );
-            }
-            Existence::Undecided { src, dst } => {
-                stats.existence = Some(format!("undecided: pair {src:?} -> {dst:?} uncertified"));
-                em.emit(
-                    LintCode::DeadlockExistence,
-                    Severity::Warning,
-                    format!(
-                        "existence of a single-layer deadlock-free routing is undecided: \
-                         {src:?} -> {dst:?} is routable only over channels the up*/down* \
-                         certificate cannot order"
-                    ),
-                    Witness::UncertifiedPair { src, dst },
-                );
-            }
-        }
+        report_existence(net, routes, &mut em, &mut stats);
     }
 
     finish(net, routes, em, stats)
@@ -366,15 +296,21 @@ pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Con
     }
 
     if cfg.check_existence {
-        scoped_existence(net, routes, &mut em, &mut stats);
+        report_existence(net, routes, &mut em, &mut stats);
     }
 
     finish(net, routes, em, stats)
 }
 
-/// The V007 judgement shared by [`analyze_scoped`]: network-level, so
-/// scoping does not change what it looks at.
-fn scoped_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stats: &mut Stats) {
+/// V007: Mendlovic & Matias — does the fabric still admit *any*
+/// single-layer deadlock-free routing? A network-level verdict, so
+/// scoping does not change what it looks at and the artifact under
+/// analysis neither helps nor hurts it. A refutation condemns
+/// *single-layer* artifacts outright; an artifact already on multiple
+/// layers took the one escape hatch the theorem leaves open, so for it
+/// the refutation is a (citable) warning that the extra layers are
+/// provably necessary, not optional.
+fn report_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stats: &mut Stats) {
     let refuted_sev = if routes.num_layers() <= 1 {
         Severity::Error
     } else {
@@ -392,6 +328,7 @@ fn scoped_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stat
             stats.existence = Some(format!("refuted: one-way pair {src:?} -> {dst:?}"));
             em.emit(
                 LintCode::DeadlockExistence,
+                // One-way pairs are unservable at *any* layer count.
                 Severity::Error,
                 format!(
                     "no routing can serve {src:?} -> {dst:?}: the pair is cabled but \
