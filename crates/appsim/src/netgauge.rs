@@ -6,10 +6,10 @@
 //! charge each pair the congestion-shared bandwidth the fabric gives it.
 
 use crate::alloc::Allocation;
+use dfsssp_core::pool::map_stealing;
 use fabric::{Network, Routes};
 use orcs::report::Summary;
 use orcs::Pattern;
-use rayon::prelude::*;
 
 /// Simulated Netgauge eBB: mean per-pair bandwidth (in `link_mibs`
 /// units, e.g. 946 MiB/s for Deimos' PCIe 1.1 hosts) over `partitions`
@@ -23,15 +23,14 @@ pub fn netgauge_ebb(
     link_mibs: f64,
     seed: u64,
 ) -> Result<Summary, fabric::RoutesError> {
-    let samples: Result<Vec<f64>, fabric::RoutesError> = (0..partitions)
-        .into_par_iter()
-        .map(|i| {
-            let pattern = Pattern::random_bisection(cores, seed.wrapping_add(i as u64));
-            let mapped = alloc.map_pattern(net, cores, &pattern);
-            let bws = orcs::flow_bandwidths(net, routes, &mapped)?;
-            Ok(bws.iter().sum::<f64>() / bws.len().max(1) as f64 * link_mibs)
-        })
-        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (samples, _) = map_stealing(partitions, threads, |i| {
+        let pattern = Pattern::random_bisection(cores, seed.wrapping_add(i as u64));
+        let mapped = alloc.map_pattern(net, cores, &pattern);
+        let bws = orcs::flow_bandwidths(net, routes, &mapped)?;
+        Ok(bws.iter().sum::<f64>() / bws.len().max(1) as f64 * link_mibs)
+    });
+    let samples: Result<Vec<f64>, fabric::RoutesError> = samples.into_iter().collect();
     Ok(Summary::of(&samples?))
 }
 

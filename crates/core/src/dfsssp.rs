@@ -148,7 +148,7 @@ impl DfSssp {
         guard.admit(net)?;
         let max_layers = guard.clamp_layers(self.max_layers);
         let sssp = Sssp::new();
-        let mut routes = telemetry::timed(rec, phases::SSSP, || {
+        let routes = telemetry::timed(rec, phases::SSSP, || {
             let (routes, weights) = sssp.route_with_weights_in(net, &guard, cx, rec)?;
             if rec.enabled() {
                 let w0 = sssp.base_weight(net);
@@ -157,6 +157,41 @@ impl DfSssp {
             }
             Ok(routes)
         })?;
+        Layering {
+            heuristic: self.heuristic,
+            mode: self.mode,
+            max_layers,
+            compact: self.compact,
+            balance: self.balance,
+        }
+        .apply(net, routes, self.name(), rec, &guard, cx)
+    }
+}
+
+/// The layer-assignment half of a deadlock-free engine's configuration,
+/// shared by [`DfSssp`] and [`crate::DeadlockFree`].
+pub(crate) struct Layering {
+    pub heuristic: CycleBreakHeuristic,
+    pub mode: LayerAssignMode,
+    /// Layer budget, already clamped by the run's [`BudgetGuard`].
+    pub max_layers: usize,
+    pub compact: bool,
+    pub balance: bool,
+}
+
+impl Layering {
+    /// Algorithm 2 over whatever computed `routes`: extract the paths,
+    /// assign and balance layers, report the counters, and write the
+    /// layers back under the label `engine`.
+    pub(crate) fn apply(
+        &self,
+        net: &Network,
+        mut routes: Routes,
+        engine: impl Into<String>,
+        rec: &dyn Recorder,
+        guard: &BudgetGuard,
+        cx: &ComputeCtx,
+    ) -> Result<(Routes, DfStats), RouteError> {
         let ps = telemetry::timed(rec, phases::CDG_BUILD, || {
             PathSet::extract_in(net, &routes, cx)
         })?;
@@ -164,17 +199,19 @@ impl DfSssp {
             LayerAssignMode::Offline => assign_layers_budgeted_in(
                 &ps,
                 self.heuristic,
-                max_layers,
+                self.max_layers,
                 self.compact,
                 rec,
-                &guard,
+                guard,
                 cx,
             )?,
-            LayerAssignMode::Online => assign_layers_online_budgeted(&ps, max_layers, rec, &guard)?,
+            LayerAssignMode::Online => {
+                assign_layers_online_budgeted(&ps, self.max_layers, rec, guard)?
+            }
         };
         stats.layers_final = telemetry::timed(rec, phases::BALANCE, || {
             if self.balance {
-                balance_layers(&mut path_layer, stats.layers_used, max_layers)
+                balance_layers(&mut path_layer, stats.layers_used, self.max_layers)
             } else {
                 stats.layers_used
             }
@@ -188,7 +225,7 @@ impl DfSssp {
             routes.set_layer(s as usize, d as usize, path_layer[p as usize]);
         }
         routes.recompute_num_layers();
-        routes.set_engine(self.name());
+        routes.set_engine(engine);
         Ok((routes, stats))
     }
 }
@@ -243,59 +280,35 @@ pub fn assign_layers_offline(
     max_layers: usize,
     compact: bool,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_recorded(ps, heuristic, max_layers, compact, &Noop)
-}
-
-/// [`assign_layers_offline`] with phase telemetry: initial CDG
-/// population reports as `cdg_build`, the resumable search as
-/// `cycle_search`, victim moves and compaction as `layer_assign`. The
-/// loop phases report once per call (via [`telemetry::Acc`]) even when
-/// zero cycles were found, so manifests always carry all phases.
-pub fn assign_layers_recorded(
-    ps: &PathSet,
-    heuristic: CycleBreakHeuristic,
-    max_layers: usize,
-    compact: bool,
-    rec: &dyn Recorder,
-) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_budgeted(
-        ps,
-        heuristic,
-        max_layers,
-        compact,
-        rec,
-        &BudgetGuard::unlimited(),
-    )
-}
-
-/// [`assign_layers_recorded`] under a [`BudgetGuard`]: the initial CDG
-/// population is held against the edge cap, and the deadline is checked
-/// before every cycle break, so degenerate instances (adversarially
-/// dense dependency graphs) abort promptly with
-/// [`RouteError::BudgetExceeded`] instead of grinding.
-pub fn assign_layers_budgeted(
-    ps: &PathSet,
-    heuristic: CycleBreakHeuristic,
-    max_layers: usize,
-    compact: bool,
-    rec: &dyn Recorder,
-    guard: &BudgetGuard,
-) -> Result<(Vec<u8>, DfStats), RouteError> {
     assign_layers_budgeted_in(
         ps,
         heuristic,
         max_layers,
         compact,
-        rec,
-        guard,
+        &Noop,
+        &BudgetGuard::unlimited(),
         &ComputeCtx::seq(),
     )
 }
 
-/// [`assign_layers_budgeted`] under an explicit compute context: the
-/// initial layer-0 CDG population fans contiguous path-id ranges across
-/// the pool workers and absorbs the partial CDGs back in range order
-/// ([`Cdg::absorb`]), which reproduces the sequential build bit for bit.
+/// [`assign_layers_offline`] with phase telemetry, under a
+/// [`BudgetGuard`] and an explicit compute context.
+///
+/// Telemetry: initial CDG population reports as `cdg_build`, the
+/// resumable search as `cycle_search`, victim moves and compaction as
+/// `layer_assign`. The loop phases report once per call (via
+/// [`telemetry::Acc`]) even when zero cycles were found, so manifests
+/// always carry all phases.
+///
+/// Budget: the initial CDG population is held against the edge cap, and
+/// the deadline is checked before every cycle break, so degenerate
+/// instances (adversarially dense dependency graphs) abort promptly with
+/// [`RouteError::BudgetExceeded`] instead of grinding.
+///
+/// Compute: the initial layer-0 CDG population fans contiguous path-id
+/// ranges across the pool workers and absorbs the partial CDGs back in
+/// range order ([`Cdg::absorb`]), which reproduces the sequential build
+/// bit for bit.
 /// The cycle search itself stays sequential — it is inherently ordered
 /// (each break changes what the next search sees).
 pub fn assign_layers_budgeted_in(
@@ -491,24 +504,15 @@ pub fn assign_layers_online(
     ps: &PathSet,
     max_layers: usize,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_online_recorded(ps, max_layers, &Noop)
+    assign_layers_online_budgeted(ps, max_layers, &Noop, &BudgetGuard::unlimited())
 }
 
-/// [`assign_layers_online`] with phase telemetry: the per-placement
+/// [`assign_layers_online`] with phase telemetry (the per-placement
 /// acyclicity checks report as `cycle_search`, the add/remove traffic
-/// as `layer_assign`.
-pub fn assign_layers_online_recorded(
-    ps: &PathSet,
-    max_layers: usize,
-    rec: &dyn Recorder,
-) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_online_budgeted(ps, max_layers, rec, &BudgetGuard::unlimited())
-}
-
-/// [`assign_layers_online_recorded`] under a [`BudgetGuard`]: the
-/// deadline is checked before each path placement (the unit of work
-/// whose count makes the online mode quadratic), and the growing CDGs
-/// are held against the edge cap.
+/// as `layer_assign`) under a [`BudgetGuard`]: the deadline is checked
+/// before each path placement (the unit of work whose count makes the
+/// online mode quadratic), and the growing CDGs are held against the
+/// edge cap.
 pub fn assign_layers_online_budgeted(
     ps: &PathSet,
     max_layers: usize,

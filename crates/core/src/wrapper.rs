@@ -12,16 +12,12 @@
 //! with path-level layers); `DeadlockFree<MinHop>` upgrades OpenSM's
 //! default engine.
 
-use crate::balance::balance_layers;
 use crate::budget::{record_trip, Budget};
-use crate::dfsssp::{
-    assign_layers_budgeted_in, assign_layers_online_budgeted, DfStats, LayerAssignMode,
-};
+use crate::dfsssp::{DfStats, LayerAssignMode, Layering};
 use crate::engine::{ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
-use crate::paths::PathSet;
 use fabric::{Network, Routes};
-use telemetry::{counters, phases, Recorder, RecorderHandle};
+use telemetry::{phases, Recorder, RecorderHandle};
 
 /// A deadlock-freedom wrapper around any routing engine.
 #[derive(Clone, Debug)]
@@ -91,42 +87,23 @@ impl<E: RoutingEngine> DeadlockFree<E> {
         let guard = self.budget.start();
         guard.admit(net)?;
         let max_layers = guard.clamp_layers(self.max_layers);
-        let mut routes =
-            telemetry::timed(rec, phases::INNER_ROUTE, || self.inner.route_in(net, cx))?;
+        let routes = telemetry::timed(rec, phases::INNER_ROUTE, || self.inner.route_in(net, cx))?;
         guard.check_deadline()?;
-        let ps = telemetry::timed(rec, phases::CDG_BUILD, || {
-            PathSet::extract_in(net, &routes, cx)
-        })?;
-        let (mut path_layer, mut stats) = match self.mode {
-            LayerAssignMode::Offline => assign_layers_budgeted_in(
-                &ps,
-                self.heuristic,
-                max_layers,
-                self.compact,
-                rec,
-                &guard,
-                cx,
-            )?,
-            LayerAssignMode::Online => assign_layers_online_budgeted(&ps, max_layers, rec, &guard)?,
-        };
-        stats.layers_final = telemetry::timed(rec, phases::BALANCE, || {
-            if self.balance {
-                balance_layers(&mut path_layer, stats.layers_used, max_layers)
-            } else {
-                stats.layers_used
-            }
-        });
-        if rec.enabled() {
-            rec.add(counters::CYCLES_BROKEN, stats.cycles_broken as u64);
-            rec.add(counters::PATHS_MOVED, stats.paths_moved as u64);
+        Layering {
+            heuristic: self.heuristic,
+            mode: self.mode,
+            max_layers,
+            compact: self.compact,
+            balance: self.balance,
         }
-        for p in ps.ids() {
-            let (s, d) = ps.pair(p);
-            routes.set_layer(s as usize, d as usize, path_layer[p as usize]);
-        }
-        routes.recompute_num_layers();
-        routes.set_engine(format!("DF-{}", self.inner.name()));
-        Ok((routes, stats))
+        .apply(
+            net,
+            routes,
+            format!("DF-{}", self.inner.name()),
+            rec,
+            &guard,
+            cx,
+        )
     }
 }
 

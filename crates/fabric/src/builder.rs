@@ -288,12 +288,6 @@ impl NetworkBuilder {
     /// Finalize into an immutable [`Network`].
     pub fn build(self) -> Network {
         let n = self.nodes.len();
-        let mut out_adj: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
-        for (i, ch) in self.channels.iter().enumerate() {
-            out_adj[ch.src.idx()].push(ChannelId(i as u32));
-            in_adj[ch.dst.idx()].push(ChannelId(i as u32));
-        }
         let mut switches = Vec::new();
         let mut terminals = Vec::new();
         let mut switch_index = vec![NONE_U32; n];
@@ -310,17 +304,11 @@ impl NetworkBuilder {
                 }
             }
         }
-        let out_csr = CsrAdj::from_lists(&out_adj);
-        let in_csr = CsrAdj::from_lists(&in_adj);
-        debug_assert!(out_csr.agrees_with(&out_adj));
-        debug_assert!(in_csr.agrees_with(&in_adj));
         Network {
+            out_csr: CsrAdj::from_channels(n, &self.channels, |ch| ch.src),
+            in_csr: CsrAdj::from_channels(n, &self.channels, |ch| ch.dst),
             nodes: self.nodes,
             channels: self.channels,
-            out_adj,
-            in_adj,
-            out_csr,
-            in_csr,
             switches,
             terminals,
             terminal_index,

@@ -75,7 +75,7 @@ pub enum ParseErrorKind {
     },
     /// The JSON layer itself rejected the input (syntax or schema).
     Json {
-        /// The underlying serde-level description.
+        /// The JSON parser's description.
         detail: String,
     },
 }

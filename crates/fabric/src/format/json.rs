@@ -1,14 +1,12 @@
 //! JSON round-tripping for [`Network`] and [`Routes`].
 //!
-//! The workspace's serde/serde_json are offline stand-ins (see DESIGN.md
-//! §4), so this module carries its own strict JSON reader/writer. That
-//! turns out to be the right shape for hardening anyway: a JSON artifact
-//! is untrusted input, and instead of deserializing the graph's internal
-//! arrays verbatim (index maps, adjacency lists, reverse-channel ids — a
-//! hostile document can make all of them lie), the reader re-derives the
-//! network through [`crate::NetworkBuilder`], so every invariant is
-//! re-established or the document is rejected with a typed
-//! [`ParseError`].
+//! Syntax is [`telemetry::json`]'s job (the workspace's one JSON
+//! module); this file owns the two schemas. A JSON artifact is untrusted
+//! input, and instead of reading the graph's internal arrays verbatim
+//! (index maps, adjacency rows, reverse-channel ids — a hostile document
+//! can make all of them lie), the reader re-derives the network through
+//! [`crate::NetworkBuilder`], so every invariant is re-established or
+//! the document is rejected with a typed [`ParseError`].
 //!
 //! Schema (`network_to_json`):
 //!
@@ -36,32 +34,11 @@ use super::error::{FormatLimits, ParseError, ParseErrorKind};
 use crate::{Network, NetworkBuilder, NodeId, NodeKind, Routes};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Maximum nesting depth accepted by the reader. The schema needs 3;
-/// anything deeper is a hostile `[[[[…` stack-overflow attempt.
-const MAX_DEPTH: usize = 64;
+use telemetry::json::{write_str, Value};
 
 // ---------------------------------------------------------------------
 // Writers
 // ---------------------------------------------------------------------
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Serialize a network to a JSON string (inverse of
 /// [`network_from_json`]).
@@ -369,283 +346,12 @@ fn want_u64(
         .ok_or_else(|| s_err(format!("entry {i}: missing or out-of-range `{key}`")))
 }
 
-// ---------------------------------------------------------------------
-// The JSON value parser
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep the last value for duplicate keys.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document; trailing non-whitespace is an error. Syntax
-/// errors carry the 1-based line/column of the offending byte.
+/// Parse one document, mapping the positioned syntax error onto
+/// [`ParseErrorKind::Json`].
 fn parse_value(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser<'_> {
-    /// A positioned syntax error at the current byte.
-    fn err(&self, detail: impl Into<String>) -> ParseError {
-        let upto = &self.input[..self.pos.min(self.input.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
-        let col = upto
-            .rsplit('\n')
-            .next()
-            .map_or(1, |tail| tail.chars().count() + 1);
-        ParseError::new(
-            line,
-            ParseErrorKind::Json {
-                detail: detail.into(),
-            },
-        )
-        .at_column(col)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected byte `{}`", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn enter(&mut self) -> Result<(), ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        Ok(())
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.enter()?;
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.enter()?;
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(out));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Lone surrogates map to U+FFFD; our writer
-                            // never produces surrogate pairs.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(self.err(format!("bad escape \\{}", other as char))),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar; `input` is a &str, so the
-                    // current position sits on a boundary whenever we get
-                    // here (escapes and quotes are single bytes).
-                    let Some(c) = self.input.get(self.pos..).and_then(|s| s.chars().next()) else {
-                        return Err(self.err("malformed UTF-8 sequence"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = self.input.get(start..self.pos).unwrap_or_default();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err(format!("bad number `{text}`")))
-    }
+    telemetry::json::parse(input).map_err(|e| {
+        ParseError::new(e.line, ParseErrorKind::Json { detail: e.detail }).at_column(e.column)
+    })
 }
 
 #[cfg(test)]
@@ -700,6 +406,12 @@ mod tests {
         let e = network_from_json("{\"label\": \"x\",\n  ?}").unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(e.column, Some(3));
+
+        // Columns count characters, also when a rejected escape leaves
+        // the parser inside a multi-byte scalar.
+        let e = network_from_json("{\n\"é\\é\"").unwrap_err();
+        assert!(matches!(e.kind, ParseErrorKind::Json { .. }));
+        assert_eq!((e.line, e.column), (2, Some(5)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! * [`text`] — a minimal human-editable cabling format.
 //! * [`ibnetdiscover`] — a parser for the real `ibnetdiscover` dump
 //!   format the authors' tools consumed.
-//! * [`json`] — serde/JSON round-tripping of [`crate::Network`] and
+//! * [`json`] — JSON round-tripping of [`crate::Network`] and
 //!   [`crate::Routes`] for the repro harness.
 //!
 //! All three parsers treat input as untrusted: every rejection is a

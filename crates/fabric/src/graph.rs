@@ -9,14 +9,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node (switch or terminal) in a [`Network`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Index of a unidirectional channel in a [`Network`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub u32);
 
 impl NodeId {
@@ -48,7 +46,7 @@ impl fmt::Debug for ChannelId {
 }
 
 /// Kind of a network node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NodeKind {
     /// A routing element; holds a forwarding table.
     Switch,
@@ -58,7 +56,7 @@ pub enum NodeKind {
 }
 
 /// A node of the network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// Switch or terminal.
     pub kind: NodeKind,
@@ -75,7 +73,7 @@ pub struct Node {
 }
 
 /// A unidirectional communication channel between two nodes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Channel {
     /// Transmitting node.
     pub src: NodeId,
@@ -93,29 +91,40 @@ pub struct Channel {
 /// array plus per-node offsets. The routing hot loops (Dijkstra
 /// relaxation, BFS sweeps, reachability walks) iterate adjacency
 /// millions of times per run; a CSR row is one pointer-width slice into
-/// a single allocation, where the `Vec<Vec<_>>` view costs a dependent
-/// load per node and scatters rows across the heap. Built once by
-/// [`crate::NetworkBuilder::build`] and rebuilt on every degrade/restore
-/// (those rebuild the whole `Network`), so the two views never drift —
-/// [`Network::validate`] and debug assertions check the agreement.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// a single allocation. Built once by [`crate::NetworkBuilder::build`]
+/// straight from the channel list (degrade/restore rebuild the whole
+/// `Network` the same way); [`Network::validate`] re-checks it against
+/// `channels`.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct CsrAdj {
     /// `channel_offsets[v]..channel_offsets[v+1]` indexes
     /// `channel_ids` for node `v`; length `num_nodes + 1`.
     pub(crate) channel_offsets: Vec<u32>,
-    /// Concatenated per-node channel rows.
+    /// Concatenated per-node channel rows, each ascending.
     pub(crate) channel_ids: Vec<ChannelId>,
 }
 
 impl CsrAdj {
-    /// Flatten a `Vec<Vec<_>>` adjacency into CSR form.
-    pub(crate) fn from_lists(lists: &[Vec<ChannelId>]) -> CsrAdj {
-        let mut channel_offsets = Vec::with_capacity(lists.len() + 1);
-        let mut channel_ids = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        channel_offsets.push(0);
-        for row in lists {
-            channel_ids.extend_from_slice(row);
-            channel_offsets.push(channel_ids.len() as u32);
+    /// Group `channels` by `end(channel)` over `n` nodes with a counting
+    /// pass; every row lists its channels in ascending id order.
+    pub(crate) fn from_channels(
+        n: usize,
+        channels: &[Channel],
+        end: impl Fn(&Channel) -> NodeId,
+    ) -> CsrAdj {
+        let mut channel_offsets = vec![0u32; n + 1];
+        for ch in channels {
+            channel_offsets[end(ch).idx() + 1] += 1;
+        }
+        for v in 0..n {
+            channel_offsets[v + 1] += channel_offsets[v];
+        }
+        let mut cursor = channel_offsets.clone();
+        let mut channel_ids = vec![ChannelId(0); channels.len()];
+        for (i, ch) in channels.iter().enumerate() {
+            let at = &mut cursor[end(ch).idx()];
+            channel_ids[*at as usize] = ChannelId(i as u32);
+            *at += 1;
         }
         CsrAdj {
             channel_offsets,
@@ -131,27 +140,46 @@ impl CsrAdj {
         &self.channel_ids[s..e]
     }
 
-    /// Whether this CSR is exactly the flattening of `lists` (same rows,
-    /// same order). Used by [`Network::validate`] and the degrade-path
-    /// debug assertions.
-    pub(crate) fn agrees_with(&self, lists: &[Vec<ChannelId>]) -> bool {
-        if self.channel_offsets.len() != lists.len() + 1 {
-            return false;
+    /// Drift check against the channel list this CSR was built from:
+    /// offsets start at 0, are monotone and end at `channels.len()`;
+    /// every row is ascending and holds only channels whose `end` is the
+    /// row's node. With `channels.len()` slots in total that places every
+    /// channel exactly once. Bounds-checked throughout.
+    fn check(
+        &self,
+        name: &str,
+        n: usize,
+        channels: &[Channel],
+        end: impl Fn(&Channel) -> NodeId,
+    ) -> Result<(), String> {
+        let offs = &self.channel_offsets;
+        if offs.len() != n + 1
+            || offs.first() != Some(&0)
+            || offs.last().map(|&o| o as usize) != Some(channels.len())
+            || self.channel_ids.len() != channels.len()
+        {
+            return Err(format!("{name} offsets do not span the channel list"));
         }
-        if self.channel_offsets.first() != Some(&0) {
-            return false;
-        }
-        let mut at = 0usize;
-        for (i, row) in lists.iter().enumerate() {
-            at += row.len();
-            if self.channel_offsets.get(i + 1).map(|&o| o as usize) != Some(at) {
-                return false;
+        for (v, w) in offs.windows(2).enumerate() {
+            // `get` is `None` for a decreasing pair as well as an overrun.
+            let row = self
+                .channel_ids
+                .get(w[0] as usize..w[1] as usize)
+                .ok_or_else(|| format!("{name} offsets of n{v} are not monotone"))?;
+            if !row.windows(2).all(|p| p[0] < p[1]) {
+                return Err(format!("{name} row of n{v} is not ascending"));
             }
-            if self.channel_ids.get(at - row.len()..at) != Some(&row[..]) {
-                return false;
+            for &c in row {
+                match channels.get(c.idx()) {
+                    None => return Err(format!("{name} of n{v} lists missing channel c{}", c.0)),
+                    Some(ch) if end(ch).idx() != v => {
+                        return Err(format!("{name} of n{v} lists foreign channel c{}", c.0))
+                    }
+                    Some(_) => {}
+                }
             }
         }
-        self.channel_ids.len() == at
+        Ok(())
     }
 }
 
@@ -160,20 +188,14 @@ impl CsrAdj {
 /// Built via [`crate::NetworkBuilder`] or one of the [`crate::topo`]
 /// generators. Provides O(1) access to per-node adjacency and cached
 /// switch/terminal index maps used by routing engines and simulators.
-/// Adjacency is served from flat [`CsrAdj`] arrays; the `Vec<Vec<_>>`
-/// lists are kept as the construction-order source of truth the CSR is
-/// derived from (and checked against).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Adjacency is held as flat [`CsrAdj`] arrays derived from `channels`.
+#[derive(Clone, Debug)]
 pub struct Network {
     pub(crate) nodes: Vec<Node>,
     pub(crate) channels: Vec<Channel>,
-    /// Outgoing channels per node (source of truth for `out_csr`).
-    pub(crate) out_adj: Vec<Vec<ChannelId>>,
-    /// Incoming channels per node (source of truth for `in_csr`).
-    pub(crate) in_adj: Vec<Vec<ChannelId>>,
-    /// Flat CSR view of `out_adj` — what the hot loops read.
+    /// Outgoing channels per node, grouped by `Channel::src`.
     pub(crate) out_csr: CsrAdj,
-    /// Flat CSR view of `in_adj` — what the hot loops read.
+    /// Incoming channels per node, grouped by `Channel::dst`.
     pub(crate) in_csr: CsrAdj,
     /// All switch node ids, in id order.
     pub(crate) switches: Vec<NodeId>,
@@ -447,39 +469,21 @@ impl Network {
         dist
     }
 
-    /// Internal consistency check: adjacency lists, index maps and port
-    /// assignments all agree. Used by tests and after file parsing.
+    /// Internal consistency check: adjacency rows, index maps and port
+    /// assignments all agree with the node and channel lists. Used by
+    /// tests and after file parsing.
     ///
-    /// This must never panic, whatever the contents: a `Network`
-    /// deserialized from untrusted JSON can be arbitrarily inconsistent
-    /// (short index maps, dangling channel ids, foreign adjacency), so
-    /// every array length is checked before any indexed access.
+    /// This must never panic, whatever the contents (short index maps,
+    /// dangling channel ids, foreign adjacency), so every array length
+    /// is checked before any indexed access.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.nodes.len();
-        let nc = self.channels.len();
-        if self.out_adj.len() != n || self.in_adj.len() != n {
-            return Err(format!(
-                "adjacency arrays cover {}/{} nodes, expected {n}",
-                self.out_adj.len(),
-                self.in_adj.len()
-            ));
-        }
         if self.terminal_index.len() != n || self.switch_index.len() != n {
             return Err(format!(
                 "index maps cover {}/{} nodes, expected {n}",
                 self.terminal_index.len(),
                 self.switch_index.len()
             ));
-        }
-        // The flat CSR views must be exact flattenings of the adjacency
-        // lists — hot loops read the CSR, so any drift silently changes
-        // routing. `agrees_with` is bounds-checked throughout, safe on
-        // arbitrarily inconsistent deserialized input.
-        if !self.out_csr.agrees_with(&self.out_adj) {
-            return Err("out_csr disagrees with out_adj".to_string());
-        }
-        if !self.in_csr.agrees_with(&self.in_adj) {
-            return Err("in_csr disagrees with in_adj".to_string());
         }
         for (i, ch) in self.channels.iter().enumerate() {
             if ch.src.idx() >= n || ch.dst.idx() >= n {
@@ -497,42 +501,12 @@ impl Network {
                 }
             }
         }
-        // Every channel must appear exactly once in out_adj (at its src)
-        // and once in in_adj (at its dst).
-        let mut out_seen = vec![false; nc];
-        for (u, outs) in self.out_adj.iter().enumerate() {
-            for &c in outs {
-                let Some(ch) = self.channels.get(c.idx()) else {
-                    return Err(format!("out_adj of n{u} lists missing channel c{}", c.0));
-                };
-                if ch.src.idx() != u {
-                    return Err(format!("out_adj of n{u} lists foreign channel"));
-                }
-                if std::mem::replace(&mut out_seen[c.idx()], true) {
-                    return Err(format!("channel c{} listed twice in out_adj", c.0));
-                }
-            }
-        }
-        let mut in_seen = vec![false; nc];
-        for (u, ins) in self.in_adj.iter().enumerate() {
-            for &c in ins {
-                let Some(ch) = self.channels.get(c.idx()) else {
-                    return Err(format!("in_adj of n{u} lists missing channel c{}", c.0));
-                };
-                if ch.dst.idx() != u {
-                    return Err(format!("in_adj of n{u} lists foreign channel"));
-                }
-                if std::mem::replace(&mut in_seen[c.idx()], true) {
-                    return Err(format!("channel c{} listed twice in in_adj", c.0));
-                }
-            }
-        }
-        if let Some(c) = out_seen.iter().position(|&s| !s) {
-            return Err(format!("channel c{c} missing from out_adj"));
-        }
-        if let Some(c) = in_seen.iter().position(|&s| !s) {
-            return Err(format!("channel c{c} missing from in_adj"));
-        }
+        // Hot loops read the CSR rows, so any drift from `channels`
+        // silently changes routing.
+        self.out_csr
+            .check("out_csr", n, &self.channels, |ch| ch.src)?;
+        self.in_csr
+            .check("in_csr", n, &self.channels, |ch| ch.dst)?;
         // Port usage per node must be within max_ports and unique per
         // direction pair (a bidirectional cable uses the same port number
         // for both of its channels).
@@ -688,12 +662,20 @@ mod tests {
     #[test]
     fn csr_matches_adjacency_lists() {
         let net = tiny();
-        assert!(net.out_csr.agrees_with(&net.out_adj));
-        assert!(net.in_csr.agrees_with(&net.in_adj));
-        for (id, _) in net.nodes() {
-            assert_eq!(net.out_channels(id), &net.out_adj[id.idx()][..]);
-            assert_eq!(net.in_channels(id), &net.in_adj[id.idx()][..]);
-        }
+        net.validate().unwrap();
+        let s0 = net.node_by_name("s0").unwrap();
+        let t1 = net.node_by_name("t1").unwrap();
+        assert_eq!(net.out_channels(s0), &[ChannelId(0), ChannelId(3)]);
+        assert_eq!(net.in_channels(s0), &[ChannelId(1), ChannelId(2)]);
+        assert_eq!(net.out_channels(t1), &[ChannelId(4)]);
+        assert_eq!(net.in_channels(t1), &[ChannelId(5)]);
+        // No nodes, and a node without channels, are valid rows too.
+        NetworkBuilder::new().build().validate().unwrap();
+        let mut b = NetworkBuilder::new();
+        b.add_switch("lonely", 4);
+        let net = b.build();
+        net.validate().unwrap();
+        assert!(net.out_channels(NodeId(0)).is_empty());
     }
 
     #[test]
@@ -708,21 +690,16 @@ mod tests {
         let mut net = tiny();
         net.in_csr.channel_offsets.pop();
         assert!(net.validate().is_err());
-    }
-
-    #[test]
-    fn csr_agrees_with_edge_cases() {
-        let empty = CsrAdj::from_lists(&[]);
-        assert!(empty.agrees_with(&[]));
-        let lists = vec![vec![ChannelId(0)], vec![], vec![ChannelId(1), ChannelId(2)]];
-        let csr = CsrAdj::from_lists(&lists);
-        assert!(csr.agrees_with(&lists));
-        assert_eq!(csr.row(0), &[ChannelId(0)]);
-        assert_eq!(csr.row(1), &[] as &[ChannelId]);
-        assert_eq!(csr.row(2), &[ChannelId(1), ChannelId(2)]);
-        // Extra trailing ids are drift even when offsets look plausible.
-        let mut fat = csr.clone();
-        fat.channel_ids.push(ChannelId(9));
-        assert!(!fat.agrees_with(&lists));
+        // With plausible offsets: a channel under the wrong node, one
+        // listed twice at the expense of another, an id past the list.
+        let mut net = tiny();
+        net.out_csr.channel_ids.swap(1, 2);
+        assert!(net.validate().unwrap_err().contains("foreign"));
+        let mut net = tiny();
+        net.out_csr.channel_ids[1] = ChannelId(0);
+        assert!(net.validate().unwrap_err().contains("ascending"));
+        let mut net = tiny();
+        net.out_csr.channel_ids[4] = ChannelId(9);
+        assert!(net.validate().unwrap_err().contains("missing channel"));
     }
 }

@@ -7,7 +7,6 @@
 //! service level / virtual lane of the path record).
 
 use crate::graph::{ChannelId, Network, NodeId, NONE_U32};
-use serde::{Deserialize, Serialize};
 
 /// Errors raised when constructing or querying [`Routes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +55,7 @@ impl std::fmt::Display for RoutesError {
 impl std::error::Error for RoutesError {}
 
 /// Destination-based forwarding tables plus per-path virtual layers.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Routes {
     /// `next[node][t]` = channel to take at `node` toward terminal index
     /// `t`, or `u32::MAX` when unset (at the destination itself, or for
@@ -545,8 +544,9 @@ mod tests {
         src.set_layer(2, 0, 1);
 
         // Identity translation, nothing dirty: a verbatim copy.
-        let ident: Vec<Option<ChannelId>> =
-            (0..net.num_channels() as u32).map(|c| Some(ChannelId(c))).collect();
+        let ident: Vec<Option<ChannelId>> = (0..net.num_channels() as u32)
+            .map(|c| Some(ChannelId(c)))
+            .collect();
         let dirty = vec![false; net.num_terminals()];
         let mut out = Routes::new(&net, "copy");
         assert!(out.copy_clean_columns_translated(&src, &dirty, &ident));

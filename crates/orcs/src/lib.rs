@@ -10,8 +10,8 @@
 //!
 //! * [`patterns`] — pattern generators: random bisections, permutations,
 //!   shifts, transpose/bit-complement, stencils and all-to-all phases.
-//! * [`sim`] — congestion accounting and the eBB driver (rayon-parallel
-//!   over patterns, deterministic per seed).
+//! * [`sim`] — congestion accounting and the eBB driver (parallel over
+//!   patterns on `dfsssp_core::pool`, deterministic per seed).
 //! * [`report`] — small summary-statistics helpers shared by the
 //!   reproduction binaries.
 

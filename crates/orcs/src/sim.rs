@@ -2,8 +2,8 @@
 
 use crate::patterns::Pattern;
 use crate::report::Summary;
+use dfsssp_core::pool::map_stealing;
 use fabric::{Network, Routes, RoutesError};
-use rayon::prelude::*;
 
 /// Per-flow relative bandwidths under `pattern`: every channel's
 /// congestion is the number of flows crossing it, and a flow's bandwidth
@@ -85,25 +85,23 @@ pub fn effective_bisection_bandwidth_recorded(
     rec: &dyn telemetry::Recorder,
 ) -> Result<Summary, RoutesError> {
     let nt = net.num_terminals();
-    let per_pattern: Result<Vec<f64>, RoutesError> =
-        telemetry::timed(rec, telemetry::phases::EBB, || {
-            (0..opts.patterns)
-                .into_par_iter()
-                .map(|i| {
-                    let pattern = Pattern::random_bisection(nt, opts.seed.wrapping_add(i as u64));
-                    let bws = flow_bandwidths(net, routes, &pattern)?;
-                    let mean = bws.iter().sum::<f64>() / bws.len().max(1) as f64;
-                    if rec.enabled() {
-                        rec.add(telemetry::counters::PATTERNS_SIMULATED, 1);
-                        rec.observe(
-                            telemetry::hists::PATTERN_BW_MILLI,
-                            (mean * 1000.0).round() as u64,
-                        );
-                    }
-                    Ok(mean * opts.link_bandwidth)
-                })
-                .collect()
-        });
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (per_pattern, _) = telemetry::timed(rec, telemetry::phases::EBB, || {
+        map_stealing(opts.patterns, threads, |i| {
+            let pattern = Pattern::random_bisection(nt, opts.seed.wrapping_add(i as u64));
+            let bws = flow_bandwidths(net, routes, &pattern)?;
+            let mean = bws.iter().sum::<f64>() / bws.len().max(1) as f64;
+            if rec.enabled() {
+                rec.add(telemetry::counters::PATTERNS_SIMULATED, 1);
+                rec.observe(
+                    telemetry::hists::PATTERN_BW_MILLI,
+                    (mean * 1000.0).round() as u64,
+                );
+            }
+            Ok(mean * opts.link_bandwidth)
+        })
+    });
+    let per_pattern: Result<Vec<f64>, RoutesError> = per_pattern.into_iter().collect();
     Ok(Summary::of(&per_pattern?))
 }
 

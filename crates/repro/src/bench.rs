@@ -5,6 +5,7 @@
 //! (`BENCH_pr3.json` in CI).
 
 use baselines::{Lash, MinHop};
+use dfsssp_core::pool::map_stealing;
 use dfsssp_core::{DfSssp, EngineConfig, Recorded, RoutingEngine, Sssp};
 use fabric::{topo, Network};
 use std::fmt::Write as _;
@@ -108,17 +109,14 @@ fn measure(net: &Network, seed: u64) -> Vec<BenchCase> {
 /// Run the sweep: every engine in the lineup against every topology
 /// (three small fabrics under `quick`, six otherwise). Topologies are
 /// measured on worker threads — each cell has its own collector, and
-/// [`serve::pool::scoped_map`] preserves sweep order, so the report is
-/// identical to the sequential one modulo the timings it measures.
+/// [`map_stealing`] places results by index, so the report is identical
+/// to the sequential one modulo the timings it measures.
 pub fn run(quick: bool, seed: u64) -> BenchReport {
-    let cases = serve::pool::scoped_map(
-        topologies(quick, seed),
-        serve::pool::default_workers(),
-        |net| measure(&net, seed),
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+    let nets = topologies(quick, seed);
+    let (cases, _) = map_stealing(nets.len(), serve::pool::default_workers(), |i| {
+        measure(&nets[i], seed)
+    });
+    let cases = cases.into_iter().flatten().collect();
     BenchReport {
         schema: SCHEMA.to_string(),
         quick,

@@ -3,9 +3,9 @@
 //! LASH vs DFSSSP, min/avg/max over seeds.
 
 use baselines::Lash;
+use dfsssp_core::pool::map_stealing;
 use dfsssp_core::DfSssp;
 use fabric::topo::{random_topology, RandomTopoSpec};
-use rayon::prelude::*;
 
 fn main() {
     let cli = repro::Cli::parse("fig09_random_vls");
@@ -14,30 +14,27 @@ fn main() {
     let mut rows = Vec::new();
     for links in [130usize, 140, 150, 175, 200, 225, 250, 275, 300] {
         let spec = RandomTopoSpec::fig9(links);
-        let results: Vec<(usize, usize)> = (0..seeds as u64)
-            .into_par_iter()
-            .map(|seed| {
-                let net = random_topology(&spec, seed);
-                let dfsssp = DfSssp {
-                    max_layers: 64,
-                    balance: false,
-                    compact: false, // measure the unmodified Algorithm 2
-                    ..DfSssp::new()
-                };
-                let df = dfsssp
-                    .route_with_stats(&net)
-                    .map(|(_, s)| s.layers_used)
-                    .unwrap_or(64);
-                let lash = Lash {
-                    max_layers: 64,
-                    ..Lash::new()
-                }
-                .route_with_layers(&net)
-                .map(|(_, l)| l)
+        let (results, _) = map_stealing(seeds, serve::pool::default_workers(), |seed| {
+            let net = random_topology(&spec, seed as u64);
+            let dfsssp = DfSssp {
+                max_layers: 64,
+                balance: false,
+                compact: false, // measure the unmodified Algorithm 2
+                ..DfSssp::new()
+            };
+            let df = dfsssp
+                .route_with_stats(&net)
+                .map(|(_, s)| s.layers_used)
                 .unwrap_or(64);
-                (df, lash)
-            })
-            .collect();
+            let lash = Lash {
+                max_layers: 64,
+                ..Lash::new()
+            }
+            .route_with_layers(&net)
+            .map(|(_, l)| l)
+            .unwrap_or(64);
+            (df, lash)
+        });
         let stats = |xs: Vec<usize>| {
             let min = *xs.iter().min().unwrap();
             let max = *xs.iter().max().unwrap();

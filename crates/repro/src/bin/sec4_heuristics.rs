@@ -2,9 +2,9 @@
 //! (64 switches, 1024 terminals, 128 inter-switch links): layer counts
 //! per heuristic (paper: weakest 3-5, first-edge 4-8, heaviest 4-16).
 
+use dfsssp_core::pool::map_stealing;
 use dfsssp_core::{CycleBreakHeuristic, DfSssp};
 use fabric::topo::{random_topology, RandomTopoSpec};
-use rayon::prelude::*;
 
 fn main() {
     let cli = repro::Cli::parse("sec4_heuristics");
@@ -13,23 +13,20 @@ fn main() {
     let spec = RandomTopoSpec::heuristic_study();
     let mut rows = Vec::new();
     for h in CycleBreakHeuristic::ALL {
-        let layers: Vec<usize> = (0..seeds as u64)
-            .into_par_iter()
-            .map(|seed| {
-                let net = random_topology(&spec, seed);
-                let engine = DfSssp {
-                    heuristic: h,
-                    max_layers: 64,
-                    balance: false,
-                    compact: false, // raw heuristic quality
-                    ..DfSssp::new()
-                };
-                engine
-                    .route_with_stats(&net)
-                    .map(|(_, s)| s.layers_used)
-                    .unwrap_or(64)
-            })
-            .collect();
+        let (layers, _) = map_stealing(seeds, serve::pool::default_workers(), |seed| {
+            let net = random_topology(&spec, seed as u64);
+            let engine = DfSssp {
+                heuristic: h,
+                max_layers: 64,
+                balance: false,
+                compact: false, // raw heuristic quality
+                ..DfSssp::new()
+            };
+            engine
+                .route_with_stats(&net)
+                .map(|(_, s)| s.layers_used)
+                .unwrap_or(64)
+        });
         let min = *layers.iter().min().unwrap();
         let max = *layers.iter().max().unwrap();
         let avg = layers.iter().sum::<usize>() as f64 / layers.len() as f64;

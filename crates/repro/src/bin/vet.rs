@@ -74,13 +74,7 @@ fn main() -> ExitCode {
     };
     let report = vet::analyze_with(&net, &routes, &config);
     if cli.json {
-        match report.to_json() {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        println!("{}", report.to_json());
     } else {
         print!("{}", report.render_human());
     }

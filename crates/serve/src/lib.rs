@@ -32,8 +32,8 @@
 //! * [`RouteServer`] — the writer loop: fabric events run through
 //!   [`subnet::SmLoop`]'s escalation ladder under panic containment,
 //!   and each successful reroute is offered to the store's vet gate.
-//! * [`pool`] — the `std`-only plumbing ([`pool::ShardedQueue`],
-//!   [`pool::scoped_map`]) other crates reuse for data-parallel sweeps.
+//! * [`pool`] — the `std`-only plumbing ([`pool::ShardedQueue`]) under
+//!   the query engine's shard workers.
 //!
 //! The concurrent cores take their primitives from the [`sync`] shim, so
 //! `--features loom-tests` compiles the exact production protocols against

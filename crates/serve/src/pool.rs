@@ -1,10 +1,9 @@
-//! Worker-pool plumbing: sharded blocking queues and a scoped parallel
-//! map, both `std::thread`-only.
+//! Worker-pool plumbing: sharded blocking queues, `std::thread`-only.
 //!
-//! The query engine builds its shard workers on [`ShardedQueue`]; batch
-//! jobs that just want data parallelism (the bench sweeps) use
-//! [`scoped_map`]. Pool sizes default to
-//! [`std::thread::available_parallelism`] via [`default_workers`].
+//! The query engine builds its shard workers on [`ShardedQueue`]. Pool
+//! sizes default to [`std::thread::available_parallelism`] via
+//! [`default_workers`]. (Data-parallel sweeps use
+//! `dfsssp_core::pool::map_stealing`.)
 
 use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -100,47 +99,6 @@ impl<T> ShardedQueue<T> {
     }
 }
 
-/// Map `f` over `items` on `workers` threads, preserving order.
-///
-/// Threads claim items through a shared cursor, so an expensive item
-/// does not stall the rest of the sweep behind it. The output is
-/// position-for-position with the input — callers' reports stay
-/// byte-identical to the sequential sweep (modulo whatever timing the
-/// items themselves measure).
-pub fn scoped_map<I, O>(items: Vec<I>, workers: usize, f: impl Fn(I) -> O + Sync) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let work: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let out: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = work[i].lock().unwrap().take().expect("claimed once");
-                *out[i].lock().unwrap() = Some(f(item));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("worker filled every slot")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,15 +147,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert!(!h.join().unwrap());
-    }
-
-    #[test]
-    fn scoped_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let doubled = scoped_map(items, 4, |x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        // Degenerate worker counts still work.
-        assert_eq!(scoped_map(vec![1, 2, 3], 0, |x| x + 1), vec![2, 3, 4]);
-        assert_eq!(scoped_map(Vec::<u8>::new(), 8, |x| x), Vec::<u8>::new());
     }
 }

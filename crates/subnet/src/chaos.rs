@@ -21,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 use rustc_hash::FxHashSet;
-use serde::Serialize;
 
 /// What kind of campaign [`schedule`] generates.
 #[derive(Clone, Debug)]
@@ -237,7 +236,7 @@ pub fn schedule(net: &Network, spec: &CampaignSpec) -> Vec<Batch> {
 }
 
 /// One line of the campaign report: what handling a batch cost.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct EventRecord {
     /// Batch label (`bring-up` for the initial programming).
     pub label: String,
@@ -268,7 +267,7 @@ pub struct EventRecord {
 }
 
 /// The full result of a campaign run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Topology label of the reference network.
     pub topology: String,
@@ -368,8 +367,7 @@ impl CampaignReport {
         out
     }
 
-    /// Serialize the report as JSON. Hand-rolled: the report is flat
-    /// and this keeps the output identical across serde backends.
+    /// Serialize the report as JSON.
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             s.replace('\\', "\\\\").replace('"', "\\\"")

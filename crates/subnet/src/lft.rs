@@ -13,10 +13,9 @@
 
 use crate::lid::{Lid, LidMap};
 use fabric::{ChannelId, Network, NodeId, Routes};
-use serde::{Deserialize, Serialize};
 
 /// Path record: what the SM answers to a path query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathRecord {
     /// Destination LID to put on the wire.
     pub dlid: Lid,
@@ -67,7 +66,7 @@ pub struct LftDiff {
 }
 
 /// All programmed hardware state of the fabric.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FabricTables {
     /// `lft[switch_index][lid]` = output port (0 = no entry).
     lfts: Vec<Vec<u8>>,

@@ -5,11 +5,10 @@
 //! first — so terminal LIDs are dense, which keeps the LFTs compact.
 
 use fabric::{Network, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A local identifier. Valid unicast LIDs are `1..=0xBFFF`; 0 means
 /// unassigned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lid(pub u16);
 
 impl Lid {
@@ -20,7 +19,7 @@ impl Lid {
 }
 
 /// Bidirectional node ↔ LID mapping.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LidMap {
     by_node: Vec<u16>,
     node_by_lid: Vec<u32>,

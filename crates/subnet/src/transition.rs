@@ -18,7 +18,6 @@
 
 use fabric::{Network, NodeId, Routes};
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::Serialize;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
 /// greedy batching is not worth it; the plan falls back to one drained
@@ -26,7 +25,7 @@ use serde::Serialize;
 const MAX_GREEDY_DESTS: usize = 64;
 
 /// One stage of a staged update: swap the table columns of `dests`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct UpdateStage {
     /// Terminal indices whose columns this stage reprograms.
     pub dests: Vec<usize>,
@@ -39,7 +38,7 @@ pub struct UpdateStage {
 }
 
 /// A plan for moving the fabric from one programmed state to another.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct UpdatePlan {
     /// The union CDG was acyclic: all entries can be pushed in one
     /// unsynchronized sweep.

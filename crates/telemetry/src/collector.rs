@@ -19,7 +19,7 @@ struct Inner {
 /// A thread-safe in-memory aggregator. One mutex guards everything —
 /// hot paths report aggregates (an accumulated phase, a batch counter),
 /// not per-iteration events, so contention is not a concern; the
-/// rayon-parallel simulators report per work item and stay well under
+/// pool-parallel simulators report per work item and stay well under
 /// the lock's capacity.
 #[derive(Debug, Default)]
 pub struct Collector {

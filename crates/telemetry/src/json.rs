@@ -1,11 +1,14 @@
-//! A minimal JSON reader/writer.
+//! The workspace's one JSON reader/writer.
 //!
-//! The workspace pins its serialization to hand-rolled JSON (the
-//! build's serde is a non-functional offline stand-in — see
-//! DESIGN.md §4), so the manifest schema needs a real parser it can
-//! rely on in tests and CI. This is a strict-enough subset parser:
-//! objects, arrays, strings (with escapes), integers, floats, bools,
-//! null. Duplicate object keys keep the last value, like serde_json.
+//! Manifests, bench reports, trace lines and `fabric`'s topology and
+//! routes artifacts all go through this module, so it treats its input
+//! as untrusted: no `unsafe`, no panicking accessor on the input path,
+//! a nesting cap, and syntax errors that carry the line and column of
+//! the offending byte. This is a strict-enough subset parser: objects,
+//! arrays, strings (with escapes), integers, floats, bools, null.
+//! Duplicate object keys keep the last value.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -89,9 +92,41 @@ impl Value {
 /// instead of overflowing the stack on hostile input like `[[[[…`.
 pub const MAX_DEPTH: usize = 128;
 
+/// A syntax error, located at the offending byte.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Error {
+    /// 1-based line.
+    pub line: usize,
+    /// 1-based column, counted in characters.
+    pub column: usize,
+    /// What the parser expected or found.
+    pub detail: String,
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "line {}, col {}: {}",
+            self.line, self.column, self.detail
+        )
+    }
+}
+
+impl std::error::Error for Error {}
+
+/// Report validators return `Result<_, String>` and reach [`parse`]
+/// through `?`.
+impl From<Error> for String {
+    fn from(e: Error) -> String {
+        e.to_string()
+    }
+}
+
 /// Parse a JSON document. Trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Value, String> {
+pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -100,25 +135,45 @@ pub fn parse(input: &str) -> Result<Value, String> {
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+        return Err(p.err("trailing garbage after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl Parser<'_> {
+    /// A positioned syntax error at the current byte. Counts over bytes:
+    /// a rejected escape can leave `pos` inside a multi-byte scalar,
+    /// where slicing the `&str` would panic.
+    fn err(&self, detail: impl Into<String>) -> Error {
+        let upto = self.bytes.get(..self.pos).unwrap_or(self.bytes);
+        let line = upto.iter().filter(|&&b| b == b'\n').count() + 1;
+        // Characters since the last newline: every byte but UTF-8
+        // continuation bytes starts one.
+        let column = upto
+            .rsplit(|&b| b == b'\n')
+            .next()
+            .unwrap_or_default()
+            .iter()
+            .filter(|&&b| b & 0xC0 != 0x80)
+            .count()
+            + 1;
+        Error {
+            line,
+            column,
+            detail: detail.into(),
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
@@ -126,30 +181,26 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), Error> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
+            Err(self.err(format!("expected `{}`", b as char)))
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(self.err("invalid literal"))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
@@ -158,23 +209,14 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            Some(other) => Err(self.err(format!("unexpected byte `{}`", other as char))),
+            None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Value, String>,
-    ) -> Result<Value, String> {
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
         if self.depth >= MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.pos
-            ));
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
         }
         self.depth += 1;
         let v = container(self);
@@ -182,7 +224,7 @@ impl Parser<'_> {
         v
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -205,12 +247,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Obj(map));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(self.err("expected `,` or `}`")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -228,24 +270,24 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Arr(out));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
+                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -260,25 +302,25 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // writer; map lone surrogates to U+FFFD.
+                            // Lone surrogates map to U+FFFD; our writer
+                            // never produces surrogate pairs.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
-                        other => return Err(format!("bad escape \\{}", other as char)),
+                        other => return Err(self.err(format!("bad escape \\{}", other as char))),
                     }
                 }
                 Some(_) => {
-                    // SAFETY: `self.bytes` came from a `&str` and `self.pos`
-                    // only ever advances past complete scalars (ASCII matches
-                    // above, `len_utf8` here), so the tail is valid UTF-8.
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar; `input` is a &str, so the
+                    // current position sits on a boundary whenever we get
+                    // here (escapes and quotes are single bytes).
+                    let Some(c) = self.input.get(self.pos..).and_then(|s| s.chars().next()) else {
+                        return Err(self.err("malformed UTF-8 sequence"));
+                    };
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -286,7 +328,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -297,10 +339,10 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = self.input.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+            .map_err(|_| self.err(format!("bad number `{text}`")))
     }
 }
 
@@ -354,6 +396,24 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+        // Hostile strings: every one is a positioned error, never a panic.
+        for (doc, line, column, detail) in [
+            (r#""\u12"#, 1, 4, "truncated \\u escape"),
+            // The 4-byte window splits the two-byte `é`.
+            (r#""\u123é""#, 1, 4, "truncated \\u escape"),
+            (r#""\uzzzz""#, 1, 4, "bad \\u escape"),
+            (r#""\"#, 1, 3, "unterminated escape"),
+            // A multi-byte scalar right after the backslash: the error
+            // position lands inside it.
+            ("\"é\\é\"", 1, 5, "bad escape"),
+            ("[\n \"é\\q\"]", 2, 6, "bad escape \\q"),
+            ("{not json", 1, 2, "expected `\"`"),
+            ("{\"label\": \"x\",\n  ?}", 2, 3, "expected `\"`"),
+        ] {
+            let e = parse(doc).unwrap_err();
+            assert_eq!((e.line, e.column), (line, column), "{doc:?} -> {e}");
+            assert!(e.detail.contains(detail), "{doc:?} -> {e}");
+        }
     }
 
     #[test]
@@ -373,9 +433,11 @@ mod tests {
 
     #[test]
     fn hostile_nesting_is_rejected_not_a_stack_overflow() {
-        let deep = "[".repeat(100_000);
-        let err = parse(&deep).unwrap_err();
-        assert!(err.contains("nesting"), "got {err}");
+        for deep in ["[".repeat(10_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.detail.contains("nesting"), "got {err}");
+            assert_eq!(err.line, 1);
+        }
         // The cap itself is usable: depth exactly MAX_DEPTH parses.
         let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&ok).is_ok());

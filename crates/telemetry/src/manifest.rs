@@ -7,9 +7,8 @@
 //! instrumentation evolves. Consumers must key on names, not positions
 //! (maps serialize ordered — `BTreeMap` — so diffs stay readable).
 //!
-//! Serialization is hand-rolled on [`crate::json`] — the workspace's
-//! serde is a non-functional offline stand-in, so derive would produce
-//! placeholders, not manifests.
+//! Serialization is hand-rolled on [`crate::json`], the workspace's one
+//! JSON module.
 
 use crate::hist::Hist;
 use crate::json::{self, Value};

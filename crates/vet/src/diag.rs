@@ -2,11 +2,11 @@
 //! [`crate::analyze`] run produces.
 
 use fabric::{ChannelId, NodeId};
-use serde::{Deserialize, Serialize};
+use telemetry::json;
 
 /// Stable identifier of one lint. The numeric codes are part of the tool's
 /// interface (CI greps for them; docs list them) — never renumber.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LintCode {
     /// `V001`: walking the forwarding tables toward some destination
     /// revisits a node — packets cycle forever.
@@ -96,7 +96,7 @@ impl std::fmt::Display for LintCode {
 
 /// How bad a finding is. `Error` findings make the `vet` binary exit
 /// non-zero; `Warning` and `Info` are advisory.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Severity {
     Info,
     Warning,
@@ -129,7 +129,7 @@ impl std::fmt::Display for Severity {
 /// Machine-checkable evidence attached to a diagnostic. Every lint has a
 /// witness shape that lets a reader (or a test) reproduce the finding
 /// without re-running the analysis.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Witness {
     /// V001: the channel cycle a table walk toward `dst` falls into.
     /// Consecutive channels chain head-to-tail and the last feeds the
@@ -186,8 +186,68 @@ pub enum Witness {
     UncertifiedPair { src: NodeId, dst: NodeId },
 }
 
+impl Witness {
+    /// The variant name and its fields as rendered JSON values, in
+    /// declaration order — the shape [`Report::to_json`] emits.
+    fn json_fields(&self) -> (&'static str, Vec<(&'static str, String)>) {
+        macro_rules! fields {
+            ($($key:ident = $value:expr),*) => {
+                vec![$((stringify!($key), $value.to_string())),*]
+            };
+        }
+        let ids = |cs: &[ChannelId]| list(cs.iter().map(|c| c.0));
+        match self {
+            Witness::TableLoop { dst, channels } => {
+                ("TableLoop", fields![dst = dst.0, channels = ids(channels)])
+            }
+            Witness::Entry { node, dst } => ("Entry", fields![node = node.0, dst = dst.0]),
+            Witness::NextHop { node, dst, channel } => (
+                "NextHop",
+                fields![node = node.0, dst = dst.0, channel = channel],
+            ),
+            Witness::Shape {
+                table_nodes,
+                net_nodes,
+                table_terminals,
+                net_terminals,
+            } => (
+                "Shape",
+                fields![
+                    table_nodes = table_nodes,
+                    net_nodes = net_nodes,
+                    table_terminals = table_terminals,
+                    net_terminals = net_terminals
+                ],
+            ),
+            Witness::CdgCycle { layer, channels } => {
+                ("CdgCycle", fields![layer = layer, channels = ids(channels)])
+            }
+            Witness::Layer { src, dst, layer } => {
+                ("Layer", fields![src = src.0, dst = dst.0, layer = layer])
+            }
+            Witness::LayerHistogram { populations } => {
+                ("LayerHistogram", fields![populations = list(populations)])
+            }
+            Witness::Stretch {
+                src,
+                dst,
+                hops,
+                minimal,
+            } => (
+                "Stretch",
+                fields![src = src.0, dst = dst.0, hops = hops, minimal = minimal],
+            ),
+            Witness::OneWayPair { src, dst } => ("OneWayPair", fields![src = src.0, dst = dst.0]),
+            Witness::ForcedCycle { channels } => ("ForcedCycle", fields![channels = ids(channels)]),
+            Witness::UncertifiedPair { src, dst } => {
+                ("UncertifiedPair", fields![src = src.0, dst = dst.0])
+            }
+        }
+    }
+}
+
 /// One finding: a lint code, its severity, a human message and a witness.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Diagnostic {
     pub code: LintCode,
     pub severity: Severity,
@@ -209,7 +269,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Aggregate facts about the artifact, computed alongside the lints.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Stats {
     pub num_nodes: usize,
     pub num_switches: usize,
@@ -246,7 +306,7 @@ impl Stats {
 }
 
 /// The outcome of one [`crate::analyze`] run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Report {
     /// Engine name recorded in the routes artifact.
     pub engine: String,
@@ -342,10 +402,78 @@ impl Report {
         out
     }
 
-    /// JSON rendering of the full report.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
+    /// JSON rendering of the full report: structs as objects, node and
+    /// channel ids as numbers, `code` and `severity` as their variant
+    /// names, witnesses tagged by variant (`{"Entry":{"node":3,"dst":0}}`).
+    pub fn to_json(&self) -> String {
+        use std::fmt::Write;
+        let s = &self.stats;
+        let mut out = String::from("{\n  \"engine\": ");
+        json::write_str(&mut out, &self.engine);
+        out.push_str(",\n  \"network\": ");
+        json::write_str(&mut out, &self.network);
+        out.push_str(",\n  \"stats\": {");
+        for (key, value) in [
+            ("num_nodes", s.num_nodes.to_string()),
+            ("num_switches", s.num_switches.to_string()),
+            ("num_terminals", s.num_terminals.to_string()),
+            ("num_channels", s.num_channels.to_string()),
+            ("pairs", s.pairs.to_string()),
+            ("pairs_routed", s.pairs_routed.to_string()),
+            ("pairs_broken", s.pairs_broken.to_string()),
+            ("pairs_unreachable", s.pairs_unreachable.to_string()),
+            ("num_layers", s.num_layers.to_string()),
+            ("paths_per_layer", list(&s.paths_per_layer)),
+            ("edges_per_layer", list(&s.edges_per_layer)),
+            ("cyclic_layers", list(&s.cyclic_layers)),
+            ("max_hops", s.max_hops.to_string()),
+            (
+                "broken_pairs",
+                list(s.broken_pairs.iter().map(|(a, b)| list([a.0, b.0]))),
+            ),
+        ] {
+            let _ = write!(out, "\n    \"{key}\": {value},");
+        }
+        out.push_str("\n    \"existence\": ");
+        match &s.existence {
+            Some(verdict) => json::write_str(&mut out, verdict),
+            None => out.push_str("null"),
+        }
+        out.push_str("\n  },\n  \"diagnostics\": [");
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            let _ = write!(
+                out,
+                "{{\"code\": \"{:?}\", \"severity\": \"{:?}\", \"message\": ",
+                d.code, d.severity
+            );
+            json::write_str(&mut out, &d.message);
+            let (variant, fields) = d.witness.json_fields();
+            let _ = write!(out, ", \"witness\": {{\"{variant}\": {{");
+            for (j, (key, value)) in fields.iter().enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}\"{key}\": {value}");
+            }
+            out.push_str("}}}");
+        }
+        if !self.diagnostics.is_empty() {
+            out.push_str("\n  ");
+        }
+        let _ = write!(
+            out,
+            "],\n  \"counts\": {},\n  \"severity_counts\": {},\n  \"suppressed\": {}\n}}",
+            list(self.counts),
+            list(self.severity_counts),
+            self.suppressed
+        );
+        out
     }
+}
+
+/// A JSON array of already-rendered values (numbers, nested arrays).
+fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|x| x.to_string()).collect();
+    format!("[{}]", items.join(", "))
 }
 
 /// Collects diagnostics during analysis, enforcing the per-code cap.
@@ -394,6 +522,183 @@ mod tests {
             assert_eq!(code.index(), i);
             assert_eq!(code.as_str(), format!("V{:03}", i + 1));
         }
+    }
+
+    /// `to_json` keeps the document serde's default representation used
+    /// to produce; consumers key on these names.
+    #[test]
+    fn json_shape_is_pinned() {
+        let (n, c) = (NodeId, ChannelId);
+        let witnesses = [
+            (
+                Witness::TableLoop {
+                    dst: n(2),
+                    channels: vec![c(4), c(5)],
+                },
+                r#"{"TableLoop":{"dst":2,"channels":[4,5]}}"#,
+            ),
+            (
+                Witness::Entry {
+                    node: n(3),
+                    dst: n(0),
+                },
+                r#"{"Entry":{"node":3,"dst":0}}"#,
+            ),
+            (
+                Witness::NextHop {
+                    node: n(1),
+                    dst: n(2),
+                    channel: u32::MAX,
+                },
+                r#"{"NextHop":{"node":1,"dst":2,"channel":4294967295}}"#,
+            ),
+            (
+                Witness::Shape {
+                    table_nodes: 4,
+                    net_nodes: 5,
+                    table_terminals: 2,
+                    net_terminals: 3,
+                },
+                r#"{"Shape":{"table_nodes":4,"net_nodes":5,"table_terminals":2,"net_terminals":3}}"#,
+            ),
+            (
+                Witness::CdgCycle {
+                    layer: 1,
+                    channels: vec![c(0)],
+                },
+                r#"{"CdgCycle":{"layer":1,"channels":[0]}}"#,
+            ),
+            (
+                Witness::Layer {
+                    src: n(0),
+                    dst: n(1),
+                    layer: 9,
+                },
+                r#"{"Layer":{"src":0,"dst":1,"layer":9}}"#,
+            ),
+            (
+                Witness::LayerHistogram {
+                    populations: vec![7, 0],
+                },
+                r#"{"LayerHistogram":{"populations":[7,0]}}"#,
+            ),
+            (
+                Witness::Stretch {
+                    src: n(0),
+                    dst: n(1),
+                    hops: 5,
+                    minimal: 3,
+                },
+                r#"{"Stretch":{"src":0,"dst":1,"hops":5,"minimal":3}}"#,
+            ),
+            (
+                Witness::OneWayPair {
+                    src: n(6),
+                    dst: n(7),
+                },
+                r#"{"OneWayPair":{"src":6,"dst":7}}"#,
+            ),
+            (
+                Witness::ForcedCycle { channels: vec![] },
+                r#"{"ForcedCycle":{"channels":[]}}"#,
+            ),
+            (
+                Witness::UncertifiedPair {
+                    src: n(8),
+                    dst: n(9),
+                },
+                r#"{"UncertifiedPair":{"src":8,"dst":9}}"#,
+            ),
+        ];
+        let report = Report {
+            engine: "dfsssp".into(),
+            network: "ring \"5\"".into(),
+            stats: Stats {
+                num_nodes: 4,
+                paths_per_layer: vec![2, 0],
+                cyclic_layers: vec![1],
+                broken_pairs: vec![(n(2), n(3))],
+                existence: Some("certified".into()),
+                ..Stats::default()
+            },
+            diagnostics: witnesses
+                .iter()
+                .map(|(w, _)| Diagnostic {
+                    code: LintCode::DeadlockExistence,
+                    severity: Severity::Warning,
+                    message: "line\nbreak".into(),
+                    witness: w.clone(),
+                })
+                .collect(),
+            counts: [0, 0, 0, 0, 0, 0, 11],
+            severity_counts: [0, 11, 0],
+            suppressed: 1,
+        };
+        let doc = json::parse(&report.to_json()).unwrap();
+        let keys = |v: &json::Value| v.as_obj().unwrap().keys().cloned().collect::<Vec<_>>();
+        assert_eq!(
+            keys(&doc),
+            [
+                "counts",
+                "diagnostics",
+                "engine",
+                "network",
+                "severity_counts",
+                "stats",
+                "suppressed"
+            ]
+        );
+        assert_eq!(
+            keys(doc.get("stats").unwrap()),
+            [
+                "broken_pairs",
+                "cyclic_layers",
+                "edges_per_layer",
+                "existence",
+                "max_hops",
+                "num_channels",
+                "num_layers",
+                "num_nodes",
+                "num_switches",
+                "num_terminals",
+                "pairs",
+                "pairs_broken",
+                "pairs_routed",
+                "pairs_unreachable",
+                "paths_per_layer",
+            ]
+        );
+        let expect = |text: &str| json::parse(text).unwrap();
+        assert_eq!(doc.get("network"), Some(&expect(r#""ring \"5\"""#)));
+        assert_eq!(doc.get("counts"), Some(&expect("[0,0,0,0,0,0,11]")));
+        assert_eq!(doc.get("severity_counts"), Some(&expect("[0,11,0]")));
+        assert_eq!(doc.get("suppressed"), Some(&expect("1")));
+        let stats = doc.get("stats").unwrap();
+        assert_eq!(stats.get("broken_pairs"), Some(&expect("[[2,3]]")));
+        assert_eq!(stats.get("cyclic_layers"), Some(&expect("[1]")));
+        assert_eq!(stats.get("edges_per_layer"), Some(&expect("[]")));
+        assert_eq!(stats.get("existence"), Some(&expect(r#""certified""#)));
+        let diags = doc.get("diagnostics").unwrap().as_arr().unwrap();
+        assert_eq!(diags.len(), witnesses.len());
+        for (d, (_, witness)) in diags.iter().zip(&witnesses) {
+            assert_eq!(keys(d), ["code", "message", "severity", "witness"]);
+            assert_eq!(d.get("code"), Some(&expect(r#""DeadlockExistence""#)));
+            assert_eq!(d.get("severity"), Some(&expect(r#""Warning""#)));
+            assert_eq!(d.get("message"), Some(&expect(r#""line\nbreak""#)));
+            assert_eq!(d.get("witness"), Some(&expect(witness)));
+        }
+        // An absent verdict is `null`, an empty diagnostics list `[]`.
+        let empty = Report {
+            stats: Stats::default(),
+            diagnostics: Vec::new(),
+            ..report
+        };
+        let doc = json::parse(&empty.to_json()).unwrap();
+        assert_eq!(
+            doc.get("stats").unwrap().get("existence"),
+            Some(&json::Value::Null)
+        );
+        assert_eq!(doc.get("diagnostics"), Some(&expect("[]")));
     }
 
     #[test]

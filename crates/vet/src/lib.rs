@@ -784,6 +784,16 @@ mod tests {
         let human = report.render_human();
         assert!(human.contains("V002"));
         assert!(human.contains("summary:"));
-        assert!(report.to_json().is_ok());
+        let json = telemetry::json::parse(&report.to_json()).unwrap();
+        let first = &json.get("diagnostics").unwrap().as_arr().unwrap()[0];
+        assert_eq!(first.get("code").unwrap().as_str(), Some("MissingEntry"));
+        assert_eq!(
+            json.get("stats")
+                .unwrap()
+                .get("pairs_broken")
+                .unwrap()
+                .as_u64(),
+            Some(report.stats.pairs_broken as u64)
+        );
     }
 }

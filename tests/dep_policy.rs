@@ -1,0 +1,140 @@
+//! Repo lint: the workspace's third-party surface is a short, argued list
+//! (DESIGN.md §4). Every dependency of every member must be first-party
+//! (a `path`) or one of [`ALLOWED`], and every `[workspace.dependencies]`
+//! entry must be named by some member — a pin nobody uses is how unused
+//! crates linger in the lock file.
+//!
+//! Like `unsafe_lint.rs` the scanner is deliberately dumb: line-based,
+//! one inline `name = …` entry per line under a `[…dependencies]` header.
+//! If it misfires on exotic manifest syntax (`[dependencies.foo]` tables,
+//! multi-line inline tables), reformat the manifest.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Registry crates a manifest may name, with why.
+const ALLOWED: &[(&str, &str)] = &[
+    (
+        "rand",
+        "seeded generators and samplers for topologies, patterns, chaos",
+    ),
+    (
+        "rustc-hash",
+        "FxHash for small integer keys on routing hot paths",
+    ),
+    ("smallvec", "inline short paths and port lists"),
+    ("proptest", "dev-only: property tests"),
+    ("criterion", "dev-only: the repro benches"),
+];
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The root manifest plus `crates/*/Cargo.toml`. The offline stand-ins
+/// under `crates/perf/stubs/` sit one level deeper and are not members.
+fn manifests(root: &Path) -> Vec<PathBuf> {
+    let mut out = vec![root.join("Cargo.toml")];
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .flatten()
+        .map(|e| e.path().join("Cargo.toml"))
+        .filter(|p| p.is_file())
+        .collect();
+    crates.sort();
+    out.extend(crates);
+    out
+}
+
+/// One `name = spec` line under a dependency table.
+struct Dep {
+    table: String,
+    name: String,
+    spec: String,
+}
+
+fn deps(manifest: &str) -> Vec<Dep> {
+    let mut table = String::new();
+    let mut out = Vec::new();
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        if let Some(header) = line.strip_prefix('[') {
+            table = header.trim_matches(|c| c == '[' || c == ']').to_string();
+        } else if table.ends_with("dependencies") {
+            if let Some((name, spec)) = line.split_once('=') {
+                out.push(Dep {
+                    table: table.clone(),
+                    name: name.trim().to_string(),
+                    spec: spec.trim().to_string(),
+                });
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn dependencies_are_first_party_or_allowlisted() {
+    let root = repo_root();
+    let mut violations = Vec::new();
+    // `[workspace.dependencies]` name -> whether it is a path entry.
+    let mut pinned: BTreeMap<String, bool> = BTreeMap::new();
+    let mut named: BTreeSet<String> = BTreeSet::new();
+    let mut members = Vec::new();
+    for path in manifests(&root) {
+        let rel = path
+            .strip_prefix(&root)
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        let text = fs::read_to_string(&path).expect("manifest is readable");
+        for dep in deps(&text) {
+            if dep.table == "workspace.dependencies" {
+                pinned.insert(dep.name, dep.spec.contains("path"));
+            } else {
+                members.push((rel.clone(), dep));
+            }
+        }
+    }
+    for (rel, dep) in members {
+        let first_party = if dep.spec.contains("workspace") {
+            named.insert(dep.name.clone());
+            match pinned.get(&dep.name) {
+                Some(&is_path) => is_path,
+                None => {
+                    violations.push(format!(
+                        "{rel}: `{}` is not pinned by the workspace",
+                        dep.name
+                    ));
+                    continue;
+                }
+            }
+        } else {
+            dep.spec.contains("path")
+        };
+        if !first_party && !ALLOWED.iter().any(|(name, _)| *name == dep.name) {
+            violations.push(format!(
+                "{rel}: [{}] names registry crate `{}`, which DESIGN.md §4 does not allow",
+                dep.table, dep.name
+            ));
+        }
+    }
+    for name in pinned.keys().filter(|name| !named.contains(*name)) {
+        violations.push(format!(
+            "Cargo.toml: [workspace.dependencies] pins `{name}` but no member names it"
+        ));
+    }
+    // Self-pruning, like the unsafe allowlist: an allowed name nobody
+    // uses any more must leave the list (and DESIGN.md §4).
+    for (name, _) in ALLOWED {
+        if !named.contains(*name) {
+            violations.push(format!("ALLOWED lists `{name}` but no member names it"));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "dependency policy violations:\n  {}",
+        violations.join("\n  ")
+    );
+}

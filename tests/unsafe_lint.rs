@@ -29,8 +29,8 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "seeded-fault replicas of Swap for the weave mutation tests",
     ),
     (
-        "crates/telemetry/src/json.rs",
-        "from_utf8_unchecked on a tail that is valid UTF-8 by construction",
+        "crates/perf/src/affinity.rs",
+        "sched_getaffinity/sched_setaffinity FFI pinning the benchmark's query threads",
     ),
     (
         "crates/weave/src/sync.rs",
