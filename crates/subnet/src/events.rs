@@ -305,25 +305,10 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// pair (cheap check against the unchanged fabric view). Returns the
     /// pair count.
     pub fn light_sweep(&self) -> Result<usize, SmError> {
-        let mut pairs = 0;
-        for &src in self.net.terminals() {
-            for &dst in self.net.terminals() {
-                if src == dst {
-                    continue;
-                }
-                self.current
-                    .tables
-                    .walk(
-                        &self.net,
-                        &self.current.lids,
-                        src,
-                        self.current.lids.lid(dst),
-                    )
-                    .map_err(SmError::Walk)?;
-                pairs += 1;
-            }
-        }
-        Ok(pairs)
+        self.current
+            .tables
+            .validate(&self.net, &self.current.lids)
+            .map_err(SmError::Walk)
     }
 
     /// React to one fabric event. See [`Self::handle_batch`].
@@ -498,7 +483,9 @@ impl<E: RoutingEngine> SmLoop<E> {
         // certificate (cited in the outcome), a proof that one layer
         // cannot possibly suffice (recorded as its own rung), or
         // undecided (the engine settles it empirically).
-        let existence = match vet::existence(&view) {
+        let rec = self.recorder.clone();
+        let verdict = telemetry::timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view));
+        let existence = match verdict {
             vet::Existence::Exists { roots, pairs } => format!(
                 "certified: up*/down* from {} root(s) covers {pairs} pair(s)",
                 roots.len()
@@ -529,7 +516,6 @@ impl<E: RoutingEngine> SmLoop<E> {
         // while it is open, the loop serves straight from the fallback.
         let mut on_fallback = false;
         let mut retries = 0usize;
-        let rec = self.recorder.clone();
         if self.fallback.is_some() {
             let was_open = self.breaker.state() == BreakerState::Open;
             if !self.breaker.allow() {
@@ -542,12 +528,14 @@ impl<E: RoutingEngine> SmLoop<E> {
                 rec.add(counters::BREAKER_PROBES, 1);
             }
         }
-        let fabric = loop {
+        // A run hands back the guard's walk of the routing it deployed
+        // (none with the guard off); the planner below reads it.
+        let (fabric, new_walk) = loop {
             let result = if on_fallback {
                 let fb = self.fallback.as_deref().expect("fallback engaged");
-                contain(|| self.sm.run_with(fb, &view, sm_node))
+                contain(|| self.sm.run_walked(fb, &view, sm_node, &*rec))
             } else {
-                contain(|| self.sm.run(&view, sm_node))
+                contain(|| self.sm.run_walked(&self.sm.engine, &view, sm_node, &*rec))
             };
             match result {
                 Ok(f) => {
@@ -599,25 +587,35 @@ impl<E: RoutingEngine> SmLoop<E> {
         // and plan an update window that cannot deadlock. On first boot
         // there is no prior programming: no in-flight traffic, no diff.
         let first_boot = self.current.discovery.nodes.is_empty();
-        let (plan, diff) = if first_boot {
-            (
-                transition::plan_update(&view, None, &fabric.routes, self.sm.hardware_vls),
-                LftDiff::default(),
-            )
-        } else {
+        let hw_vls = self.sm.hardware_vls;
+        let (plan, diff) = telemetry::timed(&*rec, phases::SM_PLAN, || {
+            if first_boot {
+                let plan = transition::plan_update(&view, None, &fabric.routes, hw_vls);
+                return (plan, LftDiff::default());
+            }
             let old = transition::remap_routes(&self.net, &self.current.routes, &view);
             // A plan provider holding a valid certificate for exactly
             // this (old, new) pair answers in O(change); otherwise the
-            // full planner re-derives safety from scratch.
+            // full planner re-derives safety from one walk of `old` and
+            // the guard's walk of the new routing.
             let plan = self
                 .plan_provider
                 .as_deref()
-                .and_then(|p| p.diff_plan(&view, &old, &fabric.routes, self.sm.hardware_vls))
+                .and_then(|p| p.diff_plan(&view, &old, &fabric.routes, hw_vls))
                 .unwrap_or_else(|| {
-                    transition::plan_update(&view, Some(&old), &fabric.routes, self.sm.hardware_vls)
+                    transition::plan_update_walked(
+                        &view,
+                        Some(&old),
+                        &fabric.routes,
+                        new_walk.as_ref(),
+                        hw_vls,
+                    )
                 });
-            (plan, fabric.tables.diff(&view, &self.current.tables, &self.net))
-        };
+            (
+                plan,
+                fabric.tables.diff(&view, &self.current.tables, &self.net),
+            )
+        });
         let outcome = EventOutcome {
             rungs,
             diff,
@@ -683,12 +681,13 @@ impl<E: RoutingEngine> SmLoop<E> {
 }
 
 /// Errors the fallback engine can plausibly fix: the engine could not
-/// produce a deployable routing (or crashed trying). Sweep and walk
+/// produce a deployable routing (or crashed trying). Sweep and LFT-walk
 /// failures are fabric problems no engine swap will cure.
 fn engine_failure(e: &SmError) -> bool {
     matches!(
         e,
         SmError::Routing(_)
+            | SmError::BrokenTables(_)
             | SmError::CyclicLayers(_)
             | SmError::TooManyVls { .. }
             | SmError::EnginePanicked(_)
@@ -1025,12 +1024,114 @@ mod tests {
         assert!(hist.max >= 50_000_000, "max {} too small", hist.max);
         // Every observation covers at least the reroute itself.
         assert!(hist.min >= outcome.elapsed.as_nanos() as u64);
+        // The reroute says where its time went: each inner block is
+        // timed once, and together they fit inside the reroute.
+        let inner = [
+            phases::SM_EXISTENCE,
+            phases::SM_GUARD,
+            phases::SM_VALIDATE,
+            phases::SM_PLAN,
+        ];
+        for name in inner {
+            assert_eq!(snap.phases[name].count, 1, "{name}");
+        }
+        let inner_ns: u64 = inner.iter().map(|&name| snap.phases[name].nanos).sum();
+        assert_eq!(snap.phases[phases::REROUTE].count, 1);
+        assert!(inner_ns <= snap.phases[phases::REROUTE].nanos);
         // A plain handle_batch stamps all events "now": still one
         // observation each.
         let outcome = sm.handle_batch(&[FabricEvent::CableUp(ups[0])]).unwrap();
         assert!(outcome.rerouted);
         let snap = collector.snapshot();
         assert_eq!(snap.histograms[hists::REROUTE_NS].count, 4);
+        for name in inner {
+            assert_eq!(snap.phases[name].count, 2, "{name}");
+        }
+    }
+
+    /// `DfSssp` with one used switch entry scrubbed from its answer: the
+    /// leaf of terminal 0 forgets the way to the last terminal.
+    struct Scrubbing(DfSssp);
+
+    impl RoutingEngine for Scrubbing {
+        fn name(&self) -> &'static str {
+            "scrubbing"
+        }
+        fn route_in(
+            &self,
+            net: &Network,
+            cx: &dfsssp_core::ComputeCtx,
+        ) -> Result<fabric::Routes, RouteError> {
+            let mut routes = self.0.route_in(net, cx)?;
+            let leaf = net.channel(net.out_channels(net.terminals()[0])[0]).dst;
+            routes.clear_next(leaf, net.num_terminals() - 1);
+            Ok(routes)
+        }
+        fn deadlock_free(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn broken_engine_tables_reach_the_fallback_rung() {
+        let net = fat_tree();
+        let sm_node = net.terminals()[0];
+        let mut sm = SmLoop::bring_up(Scrubbing(DfSssp::new()), net.clone(), sm_node).unwrap();
+        assert!(matches!(sm.outcome().resolved_by(), Rung::Fallback { .. }));
+        let victim = uplinks(&net)[0];
+        let outcome = sm.handle(FabricEvent::CableDown(victim)).unwrap();
+        assert!(matches!(outcome.resolved_by(), Rung::Fallback { .. }));
+        assert_eq!(sm.programmed().routes.engine(), "Up*/Down*");
+        let nt = net.num_terminals();
+        assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
+        // Without a fallback the event fails, and says what the guard
+        // found rather than inventing a forwarding loop.
+        sm.set_fallback(None);
+        match sm.handle(FabricEvent::CableUp(victim)) {
+            Err(SmError::BrokenTables(d)) => {
+                assert_eq!(d.code, vet::LintCode::MissingEntry);
+                assert!(SmError::BrokenTables(d).to_string().contains("V002"));
+            }
+            other => panic!(
+                "expected the V002 finding, got {:?}",
+                other.map(|o| o.rungs)
+            ),
+        }
+        assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
+    }
+
+    /// Walks one handled `event` costs: `[new, old, hybrid]` full-table
+    /// walks and per-pair LFT walks.
+    fn walks_of(sm: &mut SmLoop<DfSssp>, event: FabricEvent) -> ([usize; 3], usize, UpdatePlan) {
+        use crate::lft::PAIR_WALKS;
+        use crate::transition::WALKS;
+        let (full, pair) = (WALKS.with(|w| w.get()), PAIR_WALKS.with(|n| n.get()));
+        let plan = sm.handle(event).unwrap().plan;
+        let after = WALKS.with(|w| w.get());
+        (
+            [0, 1, 2].map(|i| after[i] - full[i]),
+            PAIR_WALKS.with(|n| n.get()) - pair,
+            plan,
+        )
+    }
+
+    #[test]
+    fn an_event_walks_each_artifact_once() {
+        // Staged + bulk drain: the torus changes every column, so the
+        // only hybrid vetted is the broken-columns stage.
+        let net = topo::torus(&[8, 8], 2);
+        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
+        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(uplinks(&net)[0]));
+        assert!(plan.describe().ends_with("+drain"), "{}", plan.describe());
+        assert_eq!((full[0], full[1], pair), (1, 1, 0), "new, old, per-pair");
+        assert!(full[2] <= 1, "{} hybrid walks", full[2]);
+
+        // Direct: the union is acyclic, no hybrid exists.
+        let net = topo::kary_ntree(16, 2);
+        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
+        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(uplinks(&net)[0]));
+        assert_eq!(plan.describe(), "direct");
+        assert_eq!((full, pair), ([1, 1, 0], 0));
     }
 
     #[test]

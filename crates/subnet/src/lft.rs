@@ -5,7 +5,10 @@
 //! source-destination pair gets a *service level* (its virtual layer),
 //! and switches map SL→VL identically (the paper's DFSSSP deployment
 //! programs exactly this). Walking the programmed tables port-by-port is
-//! the authoritative connectivity check.
+//! the authoritative connectivity check: [`FabricTables::validate`] does
+//! it for the whole fabric with one colored pass per destination LID
+//! (every node's programmed port is followed once, O(T·V)), and
+//! [`FabricTables::walk`] answers for one pair, channel by channel.
 //!
 //! Everything here is reachable from parsed (possibly hostile) input,
 //! so the non-test code must stay free of `unwrap`/`expect`.
@@ -191,6 +194,8 @@ impl FabricTables {
         src: NodeId,
         dlid: Lid,
     ) -> Result<Vec<ChannelId>, WalkError> {
+        #[cfg(test)]
+        PAIR_WALKS.with(|n| n.set(n.get() + 1));
         let dst = lids.node(dlid).ok_or(WalkError::BadLid(dlid))?;
         let mut at = src;
         let mut out = Vec::new();
@@ -200,45 +205,119 @@ impl FabricTables {
                 return Err(WalkError::Loop);
             }
             budget -= 1;
-            let c = match net.switch_index(at) {
-                Some(si) => {
-                    // `.get` twice: tables programmed for a different
-                    // fabric (stale walk) must report, not panic.
-                    let port = self
-                        .lfts
-                        .get(si)
-                        .and_then(|lft| lft.get(dlid.0 as usize))
-                        .copied()
-                        .unwrap_or(0);
-                    if port == 0 {
-                        return Err(WalkError::NoEntry { switch: at, dlid });
-                    }
-                    net.out_channels(at)
-                        .iter()
-                        .copied()
-                        .find(|&c| net.channel(c).src_port == port as u16)
-                        .ok_or(WalkError::DeadPort { switch: at, port })?
-                }
-                None => {
-                    // Terminals inject through their (first) switch port;
-                    // multi-homed terminals follow the routing tables via
-                    // the same LFT-free rule OpenSM uses (host source
-                    // routing picks the port of the path record).
-                    net.out_channels(at)
-                        .iter()
-                        .copied()
-                        .min_by_key(|&c| net.channel(c).src_port)
-                        .ok_or(WalkError::DeadPort {
-                            switch: at,
-                            port: 0,
-                        })?
-                }
-            };
+            let c = self.hop(net, at, dlid)?;
             out.push(c);
             at = net.channel(c).dst;
         }
         Ok(out)
     }
+
+    /// The channel a packet for `dlid` leaves `at` on.
+    fn hop(&self, net: &Network, at: NodeId, dlid: Lid) -> Result<ChannelId, WalkError> {
+        match net.switch_index(at) {
+            Some(si) => {
+                // `.get` twice: tables programmed for a different
+                // fabric (stale walk) must report, not panic.
+                let port = self
+                    .lfts
+                    .get(si)
+                    .and_then(|lft| lft.get(dlid.0 as usize))
+                    .copied()
+                    .unwrap_or(0);
+                if port == 0 {
+                    return Err(WalkError::NoEntry { switch: at, dlid });
+                }
+                net.out_channels(at)
+                    .iter()
+                    .copied()
+                    .find(|&c| net.channel(c).src_port == port as u16)
+                    .ok_or(WalkError::DeadPort { switch: at, port })
+            }
+            None => {
+                // Terminals inject through their (first) switch port;
+                // multi-homed terminals follow the routing tables via
+                // the same LFT-free rule OpenSM uses (host source
+                // routing picks the port of the path record).
+                net.out_channels(at)
+                    .iter()
+                    .copied()
+                    .min_by_key(|&c| net.channel(c).src_port)
+                    .ok_or(WalkError::DeadPort {
+                        switch: at,
+                        port: 0,
+                    })
+            }
+        }
+    }
+
+    /// Validate that the programmed tables connect every ordered
+    /// terminal pair; returns the pair count.
+    ///
+    /// For a fixed destination LID the tables induce one next-hop
+    /// function over nodes, so a pair's walk succeeds iff it never
+    /// revisits a node. One colored pass per destination follows each
+    /// node's programmed port once — O(T·V) for the fabric instead of
+    /// O(T²·hops), and nothing is allocated per pair. On failure the
+    /// pairs are re-walked one by one in source-major order, so the
+    /// error is the first one [`Self::walk`] reports in that order.
+    pub fn validate(&self, net: &Network, lids: &LidMap) -> Result<usize, WalkError> {
+        if let Some(pairs) = self.validate_by_destination(net, lids) {
+            return Ok(pairs);
+        }
+        let mut pairs = 0;
+        for &src in net.terminals() {
+            for &dst in net.terminals() {
+                if src != dst {
+                    self.walk(net, lids, src, lids.lid(dst))?;
+                    pairs += 1;
+                }
+            }
+        }
+        Ok(pairs)
+    }
+
+    /// The colored pass of [`Self::validate`]: the pair count, or `None`
+    /// as soon as any pair's walk would fail.
+    fn validate_by_destination(&self, net: &Network, lids: &LidMap) -> Option<usize> {
+        // `state[v]` is `2·g` while `v` is on the current walk's stack
+        // and `2·g + 1` once it is known to reach destination number `g`
+        // (1-based, so stale stamps of earlier destinations never match).
+        let mut state = vec![0u32; net.num_nodes()];
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut pairs = 0;
+        for (g, &dst) in (1u32..).zip(net.terminals()) {
+            let (on_stack, ok) = (2 * g, 2 * g + 1);
+            let dlid = lids.lid(dst);
+            let target = lids.node(dlid)?;
+            state[target.idx()] = ok;
+            for &src in net.terminals() {
+                if src == dst {
+                    continue;
+                }
+                let mut at = src;
+                while state[at.idx()] != ok {
+                    if state[at.idx()] == on_stack {
+                        return None;
+                    }
+                    state[at.idx()] = on_stack;
+                    stack.push(at);
+                    at = net.channel(self.hop(net, at, dlid).ok()?).dst;
+                }
+                for v in stack.drain(..) {
+                    state[v.idx()] = ok;
+                }
+                pairs += 1;
+            }
+        }
+        Some(pairs)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Per-pair [`FabricTables::walk`] calls on this thread — the
+    /// deterministic pin that a handled event makes none.
+    pub(crate) static PAIR_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -383,5 +462,99 @@ mod tests {
             .walk(&net, &lids, net.terminals()[0], Lid(999))
             .unwrap_err();
         assert_eq!(err, WalkError::BadLid(Lid(999)));
+    }
+
+    /// The validation loop as the manager and the light sweep used to
+    /// run it: every ordered pair, source-major, first error wins.
+    fn validate_per_pair(
+        tables: &FabricTables,
+        net: &Network,
+        lids: &LidMap,
+    ) -> Result<usize, WalkError> {
+        let mut pairs = 0;
+        for &src in net.terminals() {
+            for &dst in net.terminals() {
+                if src == dst {
+                    continue;
+                }
+                tables.walk(net, lids, src, lids.lid(dst))?;
+                pairs += 1;
+            }
+        }
+        Ok(pairs)
+    }
+
+    /// The port at `from` whose cable leads to `to`.
+    fn port_toward(net: &Network, from: NodeId, to: NodeId) -> u8 {
+        net.channel(net.channel_between(from, to).unwrap()).src_port as u8
+    }
+
+    #[test]
+    fn validate_equals_the_per_pair_loop_across_the_zoo() {
+        let (mut no_entry, mut dead, mut looped) = (0, 0, 0);
+        for net in crate::transition::reference::zoo() {
+            let lids = LidMap::assign(&net);
+            let pristine =
+                FabricTables::program(&net, &crate::transition::reference::route(&net), &lids);
+            let nt = net.num_terminals();
+            assert_eq!(
+                pristine.validate(&net, &lids),
+                Ok(nt * (nt - 1)),
+                "{}",
+                net.label()
+            );
+            assert_eq!(validate_per_pair(&pristine, &net, &lids), Ok(nt * (nt - 1)));
+
+            // Corrupt one slot at a time, at spread-out (switch, LID)
+            // positions so the first failing pair moves around.
+            let ns = net.num_switches();
+            for k in 0..6 {
+                let si = (k * 7 + 1) % ns;
+                let sw = net.switches()[si];
+                let lid = lids.lid(net.terminals()[(k * 13 + 2) % nt]).0 as usize;
+                let neighbour = net
+                    .out_channels(sw)
+                    .iter()
+                    .map(|&c| net.channel(c).dst)
+                    .find(|&n| net.is_switch(n))
+                    .expect("every zoo switch has a switch neighbour");
+                let ni = net.switch_index(neighbour).unwrap();
+
+                let mut zeroed = pristine.clone();
+                zeroed.lfts[si][lid] = 0;
+                let mut dead_port = pristine.clone();
+                dead_port.lfts[si][lid] = u8::MAX;
+                let mut ping_pong = pristine.clone();
+                ping_pong.lfts[si][lid] = port_toward(&net, sw, neighbour);
+                ping_pong.lfts[ni][lid] = port_toward(&net, neighbour, sw);
+
+                for (what, tables) in [
+                    ("zeroed", zeroed),
+                    ("dead port", dead_port),
+                    ("ping-pong", ping_pong),
+                ] {
+                    let want = validate_per_pair(&tables, &net, &lids);
+                    assert_eq!(
+                        tables.validate(&net, &lids),
+                        want,
+                        "{} {what} at switch {si} lid {lid}",
+                        net.label()
+                    );
+                    // A slot no terminal's walk crosses may stay clean;
+                    // the three shapes must still be told apart when hit.
+                    match want {
+                        Ok(pairs) => assert_eq!(pairs, nt * (nt - 1)),
+                        Err(WalkError::NoEntry { .. }) => no_entry += 1,
+                        Err(WalkError::DeadPort { .. }) => dead += 1,
+                        Err(WalkError::Loop) => looped += 1,
+                        Err(e) => panic!("{} {what}: unexpected {e}", net.label()),
+                    }
+                }
+            }
+        }
+        assert!(
+            no_entry > 0 && dead > 0 && looped > 0,
+            "{no_entry} {dead} {looped}"
+        );
     }
 }

@@ -1,11 +1,22 @@
 //! The subnet manager: sweep, route, program, validate.
+//!
+//! A run checks the engine's answer twice, each with one pass over the
+//! tables. The *guard* walks the engine's [`Routes`] by destination
+//! (`vet`'s colored walk): broken tables and cyclic layers are refused
+//! before anything is programmed. The *validation* then walks the
+//! compiled LFTs port by port ([`FabricTables::validate`]) — hardware
+//! semantics, the check that programming lost nothing. The guard's walk
+//! is handed back to [`crate::events::SmLoop`], whose transition planner
+//! reads the new routing's dependency edges from it instead of walking
+//! the same tables again.
 
 use crate::discovery::{discover, DiscoveredFabric};
 use crate::lft::{FabricTables, WalkError};
 use crate::lid::LidMap;
-use dfsssp_core::verify::deadlock_report;
+use crate::transition::{walk_artifact, Artifact};
 use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{Network, NodeId, Routes};
+use telemetry::{phases, timed, Recorder};
 
 /// Errors of a subnet-manager run.
 #[derive(Debug)]
@@ -19,6 +30,10 @@ pub enum SmError {
     },
     /// The routing engine failed.
     Routing(RouteError),
+    /// The engine's tables are broken (loop, missing entry, unusable
+    /// next hop) before deadlock freedom is even a question. Carries the
+    /// analyzer's first error finding with its witness.
+    BrokenTables(vet::Diagnostic),
     /// The programmed tables fail the connectivity walk.
     Walk(WalkError),
     /// The routing needs more VLs than the hardware has.
@@ -47,6 +62,7 @@ impl std::fmt::Display for SmError {
                 write!(f, "sweep found {found} of {total} nodes")
             }
             SmError::Routing(e) => write!(f, "routing failed: {e}"),
+            SmError::BrokenTables(d) => write!(f, "engine emitted broken tables: {d}"),
             SmError::Walk(e) => write!(f, "LFT validation failed: {e}"),
             SmError::TooManyVls {
                 required,
@@ -112,14 +128,28 @@ impl<E: RoutingEngine> SubnetManager<E> {
     }
 
     /// Like [`Self::run`], but deploying `engine` instead of the
-    /// configured one — the hook the fault-tolerance loop uses to push a
-    /// fallback engine through the same sweep/program/validate cycle.
+    /// configured one: a fallback engine goes through the same
+    /// sweep/program/validate cycle.
     pub fn run_with(
         &self,
         engine: &dyn RoutingEngine,
         net: &Network,
         sm_node: NodeId,
     ) -> Result<ProgrammedFabric, SmError> {
+        self.run_walked(engine, net, sm_node, &telemetry::Noop)
+            .map(|(fabric, _)| fabric)
+    }
+
+    /// [`Self::run_with`], also returning the guard's walk of the new
+    /// routing (`None` when the guard is off) and timing the guard and
+    /// the LFT validation as `sm_guard` / `sm_validate` on `rec`.
+    pub(crate) fn run_walked(
+        &self,
+        engine: &dyn RoutingEngine,
+        net: &Network,
+        sm_node: NodeId,
+        rec: &dyn Recorder,
+    ) -> Result<(ProgrammedFabric, Option<vet::TableWalk>), SmError> {
         let discovery = discover(net, sm_node);
         if !discovery.complete(net) {
             return Err(SmError::PartialDiscovery {
@@ -137,35 +167,46 @@ impl<E: RoutingEngine> SubnetManager<E> {
                 available: self.hardware_vls,
             });
         }
-        if self.require_deadlock_free {
-            let report =
-                deadlock_report(net, &routes).map_err(|_| SmError::Walk(WalkError::Loop))?;
-            if !report.is_deadlock_free() {
-                return Err(SmError::CyclicLayers(report.cyclic_layers));
-            }
-        }
+        let walk = if self.require_deadlock_free {
+            Some(timed(rec, phases::SM_GUARD, || guard(net, &routes))?)
+        } else {
+            None
+        };
         let lids = LidMap::assign(net);
         let tables = FabricTables::program(net, &routes, &lids);
-        let mut pairs_validated = 0;
-        for &src in net.terminals() {
-            for &dst in net.terminals() {
-                if src == dst {
-                    continue;
-                }
-                tables
-                    .walk(net, &lids, src, lids.lid(dst))
-                    .map_err(SmError::Walk)?;
-                pairs_validated += 1;
-            }
-        }
-        Ok(ProgrammedFabric {
+        let pairs_validated = timed(rec, phases::SM_VALIDATE, || tables.validate(net, &lids))
+            .map_err(SmError::Walk)?;
+        let fabric = ProgrammedFabric {
             discovery,
             lids,
             routes,
             tables,
             pairs_validated,
-        })
+        };
+        Ok((fabric, walk))
     }
+}
+
+/// The deploy guard: walk the engine's tables once; refuse broken tables
+/// (with the analyzer's first error finding) and cyclic layers.
+fn guard(net: &Network, routes: &Routes) -> Result<vet::TableWalk, SmError> {
+    let walk = walk_artifact(net, routes, Artifact::New);
+    if let Some(d) = walk
+        .diagnostics()
+        .iter()
+        .find(|d| d.severity == vet::Severity::Error)
+    {
+        return Err(SmError::BrokenTables(d.clone()));
+    }
+    let cyclic: Vec<u8> = walk
+        .cyclic_layers(net)
+        .into_iter()
+        .map(|(l, _)| l)
+        .collect();
+    if !cyclic.is_empty() {
+        return Err(SmError::CyclicLayers(cyclic));
+    }
+    Ok(walk)
 }
 
 #[cfg(test)]

@@ -15,9 +15,20 @@
 //! during a stage's window the *active* dependency edges are a subset
 //! of the stage's post-state edges — and every post-state is checked
 //! acyclic with `vet` before the plan is emitted.
+//!
+//! The planner reads two table walks ([`vet::TableWalk`]), one per end
+//! of the transition: the union hazards come from both walks' edge
+//! sets, the already-broken destinations from the old walk, and the
+//! bulk-drain stage's verdict from the new walk — which, inside
+//! [`crate::events::SmLoop`], is the walk the deploy guard already made
+//! of the same tables. Only the hybrid states in between are distinct
+//! artifacts, and each of those is walked once by [`vet_ok`]. Every full
+//! walk in this crate goes through [`walk_artifact`], so a test can
+//! count them.
 
 use fabric::{Network, NodeId, Routes};
 use rustc_hash::{FxHashMap, FxHashSet};
+use vet::TableWalk;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
 /// greedy batching is not worth it; the plan falls back to one drained
@@ -25,7 +36,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 const MAX_GREEDY_DESTS: usize = 64;
 
 /// One stage of a staged update: swap the table columns of `dests`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateStage {
     /// Terminal indices whose columns this stage reprograms.
     pub dests: Vec<usize>,
@@ -38,7 +49,7 @@ pub struct UpdateStage {
 }
 
 /// A plan for moving the fabric from one programmed state to another.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdatePlan {
     /// The union CDG was acyclic: all entries can be pushed in one
     /// unsynchronized sweep.
@@ -168,12 +179,71 @@ pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Route
     routes
 }
 
+/// Which end of a transition a walked artifact is — what
+/// [`walk_artifact`] counts by.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Artifact {
+    /// The routing being deployed.
+    New,
+    /// The serving routing, remapped onto the new view.
+    Old,
+    /// A mix of old and new columns: one stage's post-state.
+    Hybrid,
+}
+
+/// The one full-table walk of this crate: the deploy guard, the planner
+/// and every hybrid vetting call it, so the walks of an event can be
+/// counted. Minimality is nobody's question here, which also keeps the
+/// per-destination hop distances unread on clean tables.
+#[cfg_attr(not(test), allow(unused_variables))]
+pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> TableWalk {
+    #[cfg(test)]
+    WALKS.with(|w| {
+        let mut counts = w.get();
+        counts[which as usize] += 1;
+        w.set(counts);
+    });
+    let cfg = vet::Config {
+        check_minimal: false,
+        ..vet::Config::default()
+    };
+    vet::walk_tables(net, routes, &cfg)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full-table walks on this thread, indexed by [`Artifact`] — the
+    /// deterministic cost pin of a handled event.
+    pub(crate) static WALKS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Whether a walked artifact is deployable: walkable, within the VL
+/// budget, and — the point of the exercise — acyclic per layer.
+fn deployable(net: &Network, walk: &TableWalk, hw_vls: usize) -> bool {
+    walk.num_layers as usize <= hw_vls
+        && walk.num_errors() == 0
+        && walk.cyclic_layers(net).is_empty()
+}
+
 /// Plan the transition from `old` to `new` on `net`.
 ///
 /// `old` must already be expressed against `net` (see
 /// [`remap_routes`]); pass `None` for an initial bring-up. `hw_vls` is
 /// the hardware VL budget the per-stage vetting enforces.
 pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: usize) -> UpdatePlan {
+    plan_update_walked(net, old, new, None, hw_vls)
+}
+
+/// [`plan_update`] for a caller that has already walked `new` on `net`
+/// (the deploy guard): `new_walk` is read instead of walking the same
+/// tables again. `None` walks them here, if the plan needs a walk at all.
+pub(crate) fn plan_update_walked(
+    net: &Network,
+    old: Option<&Routes>,
+    new: &Routes,
+    new_walk: Option<&TableWalk>,
+    hw_vls: usize,
+) -> UpdatePlan {
     let nt = net.num_terminals();
     let old = old.filter(|o| o.num_nodes() == net.num_nodes() && o.num_terminals() == nt);
     let Some(old) = old else {
@@ -199,7 +269,21 @@ pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: us
         return UpdatePlan::noop();
     }
 
-    let hazards = vet::union_cycles(net, &[old, new]);
+    let walked_here;
+    let new_walk = match new_walk {
+        Some(walk) => walk,
+        None => {
+            walked_here = walk_artifact(net, new, Artifact::New);
+            &walked_here
+        }
+    };
+    // The old walk's edge sets are dead weight once the union is
+    // searched; only its per-destination verdicts live on.
+    let (hazards, old_broken) = {
+        let old_walk = walk_artifact(net, old, Artifact::Old);
+        let hazards = vet::union_cycles_of(net, &[&old_walk, new_walk]);
+        (hazards, old_walk.broken)
+    };
     if hazards.is_empty() {
         let entries = changed
             .iter()
@@ -224,11 +308,7 @@ pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: us
     let mut stages = Vec::new();
     let mut swapped: FxHashSet<usize> = FxHashSet::default();
     let mut hybrid = old.clone();
-    let broken: Vec<usize> = changed
-        .iter()
-        .copied()
-        .filter(|&d| dest_broken(net, old, d))
-        .collect();
+    let broken: Vec<usize> = changed.iter().copied().filter(|&d| old_broken[d]).collect();
     let mut stalled = false;
     if !broken.is_empty() {
         for &d in &broken {
@@ -292,9 +372,7 @@ pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: us
     if stalled && !remaining.is_empty() {
         // Bulk drain: with traffic toward every remaining destination
         // drained, only the post-state's edges are active — and the
-        // post-state is the full new routing, which the SM verified.
-        let mut full = new.clone();
-        let clean = vet_ok(net, &mut full, hw_vls);
+        // post-state is the full new routing, whose walk is in hand.
         stages.push(UpdateStage {
             entries: remaining
                 .iter()
@@ -302,7 +380,7 @@ pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: us
                 .sum(),
             dests: remaining,
             drained: true,
-            vetted: clean,
+            vetted: deployable(net, new_walk, hw_vls),
         });
     }
     UpdatePlan {
@@ -336,25 +414,6 @@ pub fn column_swap_entries(net: &Network, old: &Routes, new: &Routes, d: usize) 
         .iter()
         .filter(|&&s| old.next_hop(s, d) != new.next_hop(s, d))
         .count()
-}
-
-/// Whether any source's walk toward destination `d` fails under `r`.
-fn dest_broken(net: &Network, r: &Routes, d: usize) -> bool {
-    let dst = net.terminals()[d];
-    for &src in net.terminals() {
-        if src == dst {
-            continue;
-        }
-        match r.path(net, src, dst) {
-            Ok(iter) => {
-                if iter.collect::<Result<Vec<_>, _>>().is_err() {
-                    return true;
-                }
-            }
-            Err(_) => return true,
-        }
-    }
-    false
 }
 
 /// One destination column of `r`: next hops per node + layers per source.
@@ -394,25 +453,20 @@ fn restore_column(net: &Network, r: &mut Routes, col: &Column, d: usize) {
     }
 }
 
-/// Vet one intermediate state: walkable, within the VL budget, and —
-/// the point of the exercise — acyclic per layer.
+/// Vet one intermediate (hybrid) state with a walk of its own. The
+/// network is constant across an update window, so its V007 verdict is
+/// decided once by the ladder and the publish gate, not per stage.
 fn vet_ok(net: &Network, r: &mut Routes, hw_vls: usize) -> bool {
     r.recompute_num_layers();
-    let cfg = vet::Config {
-        hw_vls: Some(hw_vls.min(u8::MAX as usize) as u8),
-        deadlock_error: true,
-        check_minimal: false,
-        // The network is constant across an update window; its V007
-        // verdict is decided once by the ladder and the publish gate,
-        // not re-derived for every drain-and-swap stage.
-        check_existence: false,
-        ..vet::Config::default()
-    };
-    vet::analyze_with(net, r, &cfg).clean()
+    deployable(net, &walk_artifact(net, r, Artifact::Hybrid), hw_vls)
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::dest_broken;
     use super::*;
     use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
     use fabric::{degrade, topo, ChannelId};
@@ -513,7 +567,7 @@ mod tests {
     /// All-clockwise routing on ring(4,1), with destination layers as
     /// given. Clockwise means following each switch's channel to the
     /// next higher-index switch (wrapping).
-    fn clockwise(net: &fabric::Network, dest_layer: &[u8]) -> Routes {
+    pub(super) fn clockwise(net: &fabric::Network, dest_layer: &[u8]) -> Routes {
         let sw: Vec<_> = net.switches().to_vec();
         let step: Vec<ChannelId> = (0..sw.len())
             .map(|i| net.channel_between(sw[i], sw[(i + 1) % sw.len()]).unwrap())

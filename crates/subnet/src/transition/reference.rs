@@ -1,0 +1,346 @@
+//! The planner as it stood before it read table walks, kept verbatim
+//! as the test reference (two `union_cycles` walks, a per-pair
+//! `dest_broken`, a full re-analysis of `new` for the bulk stage), and
+//! the fabric × event matrix both planners are compared over.
+
+use super::*;
+use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+use fabric::{degrade, topo, ChannelId};
+
+pub(crate) fn plan_update_reference(
+    net: &Network,
+    old: Option<&Routes>,
+    new: &Routes,
+    hw_vls: usize,
+) -> UpdatePlan {
+    let nt = net.num_terminals();
+    let old = old.filter(|o| o.num_nodes() == net.num_nodes() && o.num_terminals() == nt);
+    let Some(old) = old else {
+        // Nothing programmed yet: no in-flight traffic, direct is safe.
+        let dests: Vec<usize> = (0..nt).collect();
+        let entries = dests.iter().map(|&d| column_entries(net, new, d)).sum();
+        return UpdatePlan {
+            direct: true,
+            stages: vec![UpdateStage {
+                dests,
+                entries,
+                drained: false,
+                vetted: true,
+            }],
+            hazard_layers: Vec::new(),
+        };
+    };
+
+    let changed: Vec<usize> = (0..nt)
+        .filter(|&d| column_differs(net, old, new, d))
+        .collect();
+    if changed.is_empty() {
+        return UpdatePlan::noop();
+    }
+
+    let hazards = vet::union_cycles(net, &[old, new]);
+    if hazards.is_empty() {
+        let entries = changed
+            .iter()
+            .map(|&d| column_swap_entries(net, old, new, d))
+            .sum();
+        return UpdatePlan {
+            direct: true,
+            stages: vec![UpdateStage {
+                dests: changed,
+                entries,
+                drained: false,
+                vetted: true,
+            }],
+            hazard_layers: Vec::new(),
+        };
+    }
+    let hazard_layers: Vec<u8> = hazards.iter().map(|(l, _)| *l).collect();
+
+    // Staged drain-and-swap. Stage 0: destinations whose old routes are
+    // already broken — no working traffic toward them exists, so their
+    // columns swap first (drained trivially).
+    let mut stages = Vec::new();
+    let mut swapped: FxHashSet<usize> = FxHashSet::default();
+    let mut hybrid = old.clone();
+    let broken: Vec<usize> = changed
+        .iter()
+        .copied()
+        .filter(|&d| dest_broken(net, old, d))
+        .collect();
+    let mut stalled = false;
+    if !broken.is_empty() {
+        for &d in &broken {
+            apply_column(net, &mut hybrid, new, d);
+        }
+        if vet_ok(net, &mut hybrid, hw_vls) {
+            swapped.extend(broken.iter().copied());
+            stages.push(UpdateStage {
+                entries: broken
+                    .iter()
+                    .map(|&d| column_swap_entries(net, old, new, d))
+                    .sum(),
+                dests: broken,
+                drained: true,
+                vetted: true,
+            });
+        } else {
+            // Swapping only the broken columns still leaves a hazardous
+            // mix; fold them into the bulk drain below instead.
+            hybrid = old.clone();
+            stalled = true;
+        }
+    }
+
+    let mut remaining: Vec<usize> = changed
+        .iter()
+        .copied()
+        .filter(|d| !swapped.contains(d))
+        .collect();
+    if remaining.len() > MAX_GREEDY_DESTS {
+        stalled = true;
+    }
+    while !stalled && !remaining.is_empty() {
+        let mut batch = Vec::new();
+        let mut deferred = Vec::new();
+        for &d in &remaining {
+            let before = snapshot_column(net, &hybrid, d);
+            apply_column(net, &mut hybrid, new, d);
+            if vet_ok(net, &mut hybrid, hw_vls) {
+                batch.push(d);
+            } else {
+                restore_column(net, &mut hybrid, &before, d);
+                deferred.push(d);
+            }
+        }
+        if batch.is_empty() {
+            stalled = true;
+            break;
+        }
+        stages.push(UpdateStage {
+            entries: batch
+                .iter()
+                .map(|&d| column_swap_entries(net, old, new, d))
+                .sum(),
+            dests: batch,
+            drained: true,
+            vetted: true,
+        });
+        remaining = deferred;
+    }
+    if stalled && !remaining.is_empty() {
+        // Bulk drain: with traffic toward every remaining destination
+        // drained, only the post-state's edges are active — and the
+        // post-state is the full new routing, which the SM verified.
+        let mut full = new.clone();
+        let clean = vet_ok(net, &mut full, hw_vls);
+        stages.push(UpdateStage {
+            entries: remaining
+                .iter()
+                .map(|&d| column_swap_entries(net, old, new, d))
+                .sum(),
+            dests: remaining,
+            drained: true,
+            vetted: clean,
+        });
+    }
+    UpdatePlan {
+        direct: false,
+        stages,
+        hazard_layers,
+    }
+}
+
+/// Whether any source's walk toward destination `d` fails under `r`.
+pub(crate) fn dest_broken(net: &Network, r: &Routes, d: usize) -> bool {
+    let dst = net.terminals()[d];
+    for &src in net.terminals() {
+        if src == dst {
+            continue;
+        }
+        match r.path(net, src, dst) {
+            Ok(iter) => {
+                if iter.collect::<Result<Vec<_>, _>>().is_err() {
+                    return true;
+                }
+            }
+            Err(_) => return true,
+        }
+    }
+    false
+}
+
+/// Vet one intermediate state: walkable, within the VL budget, and —
+/// the point of the exercise — acyclic per layer.
+fn vet_ok(net: &Network, r: &mut Routes, hw_vls: usize) -> bool {
+    r.recompute_num_layers();
+    let cfg = vet::Config {
+        hw_vls: Some(hw_vls.min(u8::MAX as usize) as u8),
+        deadlock_error: true,
+        check_minimal: false,
+        // The network is constant across an update window; its V007
+        // verdict is decided once by the ladder and the publish gate,
+        // not re-derived for every drain-and-swap stage.
+        check_existence: false,
+        ..vet::Config::default()
+    };
+    vet::analyze_with(net, r, &cfg).clean()
+}
+
+/// The fabrics every reference comparison in this crate runs over.
+pub(crate) fn zoo() -> Vec<Network> {
+    let irregular = topo::RandomTopoSpec {
+        switches: 12,
+        radix: 12,
+        terminals_per_switch: 3,
+        interswitch_links: 22,
+    };
+    vec![
+        topo::ring(8, 1),
+        topo::torus(&[4, 4], 1),
+        topo::torus(&[8, 8], 2),
+        topo::kary_ntree(4, 2),
+        topo::kary_ntree(16, 2),
+        topo::dragonfly(4, 2, 2),
+        topo::random_topology(&irregular, 7),
+    ]
+}
+
+/// `DfSssp` as the benchmark stack runs it: one snapshot chunk spanning
+/// every destination.
+pub(crate) fn route(net: &Network) -> Routes {
+    DfSssp::new()
+        .route_in(net, &ComputeCtx::new(1, net.num_terminals()))
+        .expect("DfSssp routes every zoo fabric within 8 layers")
+}
+
+/// `net` without cable `c` (both directions).
+fn without(net: &Network, c: ChannelId) -> Network {
+    let dead = [Some(c), net.channel(c).rev]
+        .into_iter()
+        .flatten()
+        .collect();
+    degrade::remove(net, &FxHashSet::default(), &dead)
+}
+
+/// Up to `count` switch-switch cables of `net` whose loss keeps it
+/// connected, spread evenly over the candidates.
+fn victims(net: &Network, count: usize) -> Vec<ChannelId> {
+    let bridges = degrade::cable_bridges(net);
+    let cables: Vec<ChannelId> = net
+        .channels()
+        .filter(|(id, ch)| {
+            net.is_switch(ch.src)
+                && net.is_switch(ch.dst)
+                && ch.rev.is_some_and(|r| r.0 > id.0)
+                && !bridges.contains(id)
+        })
+        .map(|(id, _)| id)
+        .collect();
+    let stride = (cables.len() / count).max(1);
+    cables.into_iter().step_by(stride).take(count).collect()
+}
+
+/// Every `(view, old remapped onto view, new)` transition of the matrix
+/// on `net`: 8 single-cable downs, the matching ups, one 3-cable burst.
+pub(crate) fn transitions(net: &Network) -> Vec<(Network, Routes, Routes)> {
+    let pristine = route(net);
+    let mut out = Vec::new();
+    for c in victims(net, 8) {
+        let degraded = without(net, c);
+        let rerouted = route(&degraded);
+        out.push((
+            degraded.clone(),
+            remap_routes(net, &pristine, &degraded),
+            rerouted.clone(),
+        ));
+        out.push((
+            net.clone(),
+            remap_routes(&degraded, &rerouted, net),
+            pristine.clone(),
+        ));
+    }
+    let (burst, removed) = degrade::fail_random_cables(net, 3, 11);
+    assert!(removed > 0, "{}: no cable could fail", net.label());
+    let rerouted = route(&burst);
+    out.push((
+        burst.clone(),
+        remap_routes(net, &pristine, &burst),
+        rerouted,
+    ));
+    out
+}
+
+/// Both entry points against the reference on one transition; returns
+/// the plan.
+fn assert_matches_reference(
+    net: &Network,
+    old: &Routes,
+    new: &Routes,
+    hw_vls: usize,
+    what: &str,
+) -> UpdatePlan {
+    let want = plan_update_reference(net, Some(old), new, hw_vls);
+    assert_eq!(plan_update(net, Some(old), new, hw_vls), want, "{what}");
+    let guard_walk = walk_artifact(net, new, Artifact::New);
+    assert_eq!(
+        plan_update_walked(net, Some(old), new, Some(&guard_walk), hw_vls),
+        want,
+        "{what} (guard's walk handed in)"
+    );
+    want
+}
+
+#[test]
+fn plans_equal_the_reference_planner_across_the_zoo() {
+    let (mut direct, mut staged, mut bulk) = (0, 0, 0);
+    for net in zoo() {
+        for (i, (view, old, new)) in transitions(&net).iter().enumerate() {
+            let what = format!("{} transition {i}", net.label());
+            // The one place the walk-derived `broken` could differ from
+            // the per-pair definition is a foreign channel or terminal
+            // transit in `old`, which `remap_routes` cannot produce.
+            let old_walk = walk_artifact(view, old, Artifact::Old);
+            for d in 0..view.num_terminals() {
+                assert_eq!(
+                    old_walk.broken[d],
+                    dest_broken(view, old, d),
+                    "{what} dest {d}"
+                );
+            }
+            let plan = assert_matches_reference(view, old, new, 8, &what);
+            direct += usize::from(plan.direct);
+            staged += usize::from(!plan.direct);
+            bulk += usize::from(plan.stages.iter().any(|s| s.dests.len() > MAX_GREEDY_DESTS));
+        }
+    }
+    // The matrix exercises every branch of the planner.
+    assert!(direct > 0 && staged > 0, "direct {direct}, staged {staged}");
+    assert!(
+        bulk > 0,
+        "no transition changed more than {MAX_GREEDY_DESTS} columns"
+    );
+}
+
+#[test]
+fn hand_built_cyclic_union_equals_the_reference() {
+    let net = topo::ring(4, 1);
+    let old = super::tests::clockwise(&net, &[0, 0, 1, 1]);
+    let new = super::tests::clockwise(&net, &[1, 1, 0, 0]);
+    let plan = assert_matches_reference(&net, &old, &new, 8, "layer-split swap on ring(4,1)");
+    assert!(!plan.direct && plan.all_vetted());
+    // One VL short: no hybrid and not `new` itself fits, so everything
+    // lands in an unvetted bulk drain — read off the new walk here, off
+    // a re-analysis of `new` in the reference.
+    let plan = assert_matches_reference(&net, &old, &new, 1, "the same swap on 1 VL");
+    assert_eq!((plan.stages.len(), plan.all_vetted()), (1, false));
+    // And the degenerate ends: bring-up and no-op never walk anything.
+    assert_eq!(
+        plan_update(&net, None, &new, 8),
+        plan_update_reference(&net, None, &new, 8)
+    );
+    assert_eq!(
+        plan_update(&net, Some(&new), &new, 8),
+        plan_update_reference(&net, Some(&new), &new, 8)
+    );
+}

@@ -58,6 +58,16 @@ pub mod phases {
     pub const INNER_ROUTE: &str = "inner_route";
     /// One subnet-manager reroute (event handling or bring-up).
     pub const REROUTE: &str = "reroute";
+    /// Inside a reroute: the V007 existence verdict on the degraded view.
+    pub const SM_EXISTENCE: &str = "sm_existence";
+    /// Inside a reroute: the deploy guard — one destination-colored walk
+    /// of the engine's tables plus the per-layer cycle search.
+    pub const SM_GUARD: &str = "sm_guard";
+    /// Inside a reroute: port-by-port validation of the compiled LFTs.
+    pub const SM_VALIDATE: &str = "sm_validate";
+    /// Inside a reroute: remapping the serving tables onto the new view
+    /// and planning the update window.
+    pub const SM_PLAN: &str = "sm_plan";
     /// One effective-bisection-bandwidth simulation.
     pub const EBB: &str = "ebb";
     /// One buffer-level simulation.

@@ -5,18 +5,18 @@
 //! reported with its actual channel sequence as the witness.
 
 use fabric::ChannelId;
-use rustc_hash::FxHashSet;
 
-/// Find a cycle in the dependency edge set, if any. Returns the channel
+/// Find a cycle among the dependency edges, if any. Returns the channel
 /// sequence `c_0 → c_1 → … → c_k → c_0` (without repeating `c_0` at the
-/// end); deterministic for a given edge set.
-pub(crate) fn find_cycle(
+/// end); deterministic for a given edge *set* — repeated edges (the
+/// union of several artifacts' sets, chained) change nothing, so no
+/// union set has to be materialised.
+pub(crate) fn find_cycle<'a>(
     num_channels: usize,
-    edges: &FxHashSet<(u32, u32)>,
+    edges: impl IntoIterator<Item = &'a (u32, u32)>,
 ) -> Option<Vec<ChannelId>> {
-    if edges.is_empty() {
-        return None;
-    }
+    let mut edges = edges.into_iter().peekable();
+    edges.peek()?;
     // Sorted adjacency so the reported cycle does not depend on hash order.
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); num_channels];
     for &(from, to) in edges {
@@ -24,6 +24,7 @@ pub(crate) fn find_cycle(
     }
     for outs in &mut adj {
         outs.sort_unstable();
+        outs.dedup();
     }
 
     const WHITE: u8 = 0;
@@ -70,6 +71,7 @@ pub(crate) fn find_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rustc_hash::FxHashSet;
 
     fn set(edges: &[(u32, u32)]) -> FxHashSet<(u32, u32)> {
         edges.iter().copied().collect()

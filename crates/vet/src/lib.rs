@@ -32,6 +32,7 @@ mod walk;
 
 pub use diag::{Diagnostic, LintCode, Report, Severity, Stats, Witness};
 pub use existence::{existence, Existence, ExistenceWitness};
+pub use walk::TableWalk;
 
 use fabric::{ChannelId, Network, Routes};
 use rustc_hash::FxHashSet;
@@ -89,49 +90,72 @@ pub fn check(net: &Network, routes: &Routes) -> Report {
 
 /// Analyze `routes` against `net` with explicit settings.
 pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
-    let mut em = diag::Emitter::new(cfg.max_diagnostics_per_code);
+    analyze_inner(net, routes, cfg, None)
+}
+
+/// [`analyze_with`] restricted to a destination subset — the scoped
+/// re-check incremental rerouting uses: only the listed destination
+/// terminal indices' columns are walked (V001–V003, V006 over the
+/// scope; V004 over the scope's dependency edges; the V005 hardware
+/// budget and the network-level V007 judgement are global and run as
+/// usual). Costs O(|dests| · V) instead of O(T · V).
+///
+/// The caller owns the claim that the unscoped columns are unchanged
+/// since their last full analysis; this function verifies exactly the
+/// scope it is given. Out-of-range indices are ignored; per-layer
+/// population stats cover only the scope, so the layer-imbalance
+/// heuristic is skipped (its denominators would be misleading).
+pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> Report {
+    analyze_inner(net, routes, cfg, Some(dests))
+}
+
+/// Walk `routes`' tables on `net` once and return everything the walk
+/// learned as a value: pair statistics, per-layer dependency edges,
+/// which destinations are broken, and the V001–V003/V005/V006 findings
+/// (only `check_minimal` and `max_diagnostics_per_code` of `cfg` apply
+/// to a walk). [`analyze_with`] is this walk plus the per-layer cycle
+/// search and the artifact- and network-level summary checks; a caller
+/// that needs several of a walk's answers — a deploy guard that then
+/// plans an update window, say — walks once and reads them all (see
+/// [`union_cycles_of`], [`TableWalk::cyclic_layers`]).
+///
+/// Minimal hop distances (one reverse BFS per destination) are computed
+/// only when a check reads them: with `check_minimal` off, a clean
+/// artifact never pays for them.
+pub fn walk_tables(net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
+    walk::walk(net, routes, cfg, None)
+}
+
+/// Whether `routes` is sized for `net` (tables for a different network
+/// cannot be indexed safely).
+fn shape_matches(net: &Network, routes: &Routes) -> bool {
+    routes.num_nodes() == net.num_nodes() && routes.num_terminals() == net.num_terminals()
+}
+
+fn analyze_inner(net: &Network, routes: &Routes, cfg: &Config, scope: Option<&[usize]>) -> Report {
+    let walked = walk::walk(net, routes, cfg, scope);
+    let cycles = walked.cyclic_layers(net);
     let mut stats = Stats {
         num_nodes: net.num_nodes(),
         num_switches: net.num_switches(),
         num_terminals: net.num_terminals(),
         num_channels: net.num_channels(),
         num_layers: routes.num_layers(),
+        pairs: walked.pairs,
+        pairs_routed: walked.pairs_routed,
+        pairs_broken: walked.pairs_broken,
+        pairs_unreachable: walked.pairs_unreachable,
+        max_hops: walked.max_hops,
+        paths_per_layer: walked.paths_per_layer,
+        edges_per_layer: walked.edges.iter().map(|e| e.len()).collect(),
+        broken_pairs: walked.broken_pairs,
         ..Stats::default()
     };
-
-    // Shape guard: tables sized for a different network cannot be indexed
-    // safely — one V003 and out (degraded fabrics renumber everything).
-    if routes.num_nodes() != net.num_nodes() || routes.num_terminals() != net.num_terminals() {
-        em.emit(
-            LintCode::InvalidNextHop,
-            Severity::Error,
-            format!(
-                "tables sized for {} node(s) / {} terminal(s), network has {} / {} — \
-                 artifact does not match this network",
-                routes.num_nodes(),
-                routes.num_terminals(),
-                net.num_nodes(),
-                net.num_terminals()
-            ),
-            Witness::Shape {
-                table_nodes: routes.num_nodes(),
-                net_nodes: net.num_nodes(),
-                table_terminals: routes.num_terminals(),
-                net_terminals: net.num_terminals(),
-            },
-        );
+    let mut em = walked.em;
+    if !shape_matches(net, routes) {
+        // The walk's one V003 says it all.
         return finish(net, routes, em, stats);
     }
-
-    let walked = walk::walk_tables(net, routes, cfg, &mut em);
-    stats.pairs = walked.pairs;
-    stats.pairs_routed = walked.pairs_routed;
-    stats.pairs_broken = walked.pairs_broken;
-    stats.pairs_unreachable = walked.pairs_unreachable;
-    stats.max_hops = walked.max_hops;
-    stats.paths_per_layer = walked.paths_per_layer;
-    stats.edges_per_layer = walked.edges.iter().map(|e| e.len()).collect();
-    stats.broken_pairs = walked.broken_pairs;
 
     // V004: Dally & Seitz — every layer's dependency graph must be acyclic.
     let cdg_sev = if cfg.deadlock_error {
@@ -139,23 +163,21 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
     } else {
         Severity::Warning
     };
-    for (layer, edges) in walked.edges.iter().enumerate() {
-        if let Some(channels) = cdg_lint::find_cycle(net.num_channels(), edges) {
-            stats.cyclic_layers.push(layer as u8);
-            em.emit(
-                LintCode::CdgCycle,
-                cdg_sev,
-                format!(
-                    "layer {layer} channel dependency graph has a cycle of {} channel(s) — \
-                     routes on this layer can deadlock",
-                    channels.len()
-                ),
-                Witness::CdgCycle {
-                    layer: layer as u8,
-                    channels,
-                },
-            );
-        }
+    let scoped = scope.map_or(String::new(), |dests| {
+        format!(" (scoped to {} destination(s))", dests.len())
+    });
+    for (layer, channels) in cycles {
+        stats.cyclic_layers.push(layer);
+        em.emit(
+            LintCode::CdgCycle,
+            cdg_sev,
+            format!(
+                "layer {layer} channel dependency graph{scoped} has a cycle of {} \
+                 channel(s) — routes on this layer can deadlock",
+                channels.len()
+            ),
+            Witness::CdgCycle { layer, channels },
+        );
     }
 
     // V005 summary checks: hardware budget and population balance.
@@ -174,7 +196,7 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
             );
         }
     }
-    if stats.num_layers > 1 && stats.pairs_routed > 0 {
+    if scope.is_none() && stats.num_layers > 1 && stats.pairs_routed > 0 {
         let max = *stats.paths_per_layer.iter().max().unwrap_or(&0);
         let mean = stats.pairs_routed as f64 / stats.num_layers as f64;
         if max as f64 > cfg.imbalance_factor * mean {
@@ -185,108 +207,6 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
                     "layer population imbalanced: busiest layer carries {max} of {} routed \
                      path(s) across {} layers (mean {mean:.1})",
                     stats.pairs_routed, stats.num_layers
-                ),
-                Witness::LayerHistogram {
-                    populations: stats.paths_per_layer.clone(),
-                },
-            );
-        }
-    }
-
-    if cfg.check_existence {
-        report_existence(net, routes, &mut em, &mut stats);
-    }
-
-    finish(net, routes, em, stats)
-}
-
-/// [`analyze_with`] restricted to a destination subset — the scoped
-/// re-check incremental rerouting uses: only the listed destination
-/// terminal indices' columns are walked (V001–V003, V006 over the
-/// scope; V004 over the scope's dependency edges; the V005 hardware
-/// budget and the network-level V007 judgement are global and run as
-/// usual). Costs O(|dests| · V) instead of O(T · V).
-///
-/// The caller owns the claim that the unscoped columns are unchanged
-/// since their last full analysis; this function verifies exactly the
-/// scope it is given. Out-of-range indices are ignored; per-layer
-/// population stats cover only the scope, so the layer-imbalance
-/// heuristic is skipped (its denominators would be misleading).
-pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> Report {
-    let mut em = diag::Emitter::new(cfg.max_diagnostics_per_code);
-    let mut stats = Stats {
-        num_nodes: net.num_nodes(),
-        num_switches: net.num_switches(),
-        num_terminals: net.num_terminals(),
-        num_channels: net.num_channels(),
-        num_layers: routes.num_layers(),
-        ..Stats::default()
-    };
-    if routes.num_nodes() != net.num_nodes() || routes.num_terminals() != net.num_terminals() {
-        em.emit(
-            LintCode::InvalidNextHop,
-            Severity::Error,
-            format!(
-                "tables sized for {} node(s) / {} terminal(s), network has {} / {} — \
-                 artifact does not match this network",
-                routes.num_nodes(),
-                routes.num_terminals(),
-                net.num_nodes(),
-                net.num_terminals()
-            ),
-            Witness::Shape {
-                table_nodes: routes.num_nodes(),
-                net_nodes: net.num_nodes(),
-                table_terminals: routes.num_terminals(),
-                net_terminals: net.num_terminals(),
-            },
-        );
-        return finish(net, routes, em, stats);
-    }
-
-    let walked = walk::walk_tables_scoped(net, routes, cfg, &mut em, Some(dests));
-    stats.pairs = walked.pairs;
-    stats.pairs_routed = walked.pairs_routed;
-    stats.pairs_broken = walked.pairs_broken;
-    stats.pairs_unreachable = walked.pairs_unreachable;
-    stats.max_hops = walked.max_hops;
-    stats.paths_per_layer = walked.paths_per_layer;
-    stats.edges_per_layer = walked.edges.iter().map(|e| e.len()).collect();
-    stats.broken_pairs = walked.broken_pairs;
-
-    let cdg_sev = if cfg.deadlock_error {
-        Severity::Error
-    } else {
-        Severity::Warning
-    };
-    for (layer, edges) in walked.edges.iter().enumerate() {
-        if let Some(channels) = cdg_lint::find_cycle(net.num_channels(), edges) {
-            stats.cyclic_layers.push(layer as u8);
-            em.emit(
-                LintCode::CdgCycle,
-                cdg_sev,
-                format!(
-                    "layer {layer} channel dependency graph (scoped to {} destination(s)) \
-                     has a cycle of {} channel(s) — routes on this layer can deadlock",
-                    dests.len(),
-                    channels.len()
-                ),
-                Witness::CdgCycle {
-                    layer: layer as u8,
-                    channels,
-                },
-            );
-        }
-    }
-
-    if let Some(hw) = cfg.hw_vls {
-        if routes.num_layers() > hw {
-            em.emit(
-                LintCode::VlOutOfRange,
-                Severity::Error,
-                format!(
-                    "routes use {} virtual layers but the hardware provides {hw} VLs",
-                    routes.num_layers()
                 ),
                 Witness::LayerHistogram {
                     populations: stats.paths_per_layer.clone(),
@@ -383,15 +303,17 @@ fn report_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stat
 /// Pairs that do not walk cleanly contribute no edges; an artifact sized
 /// for a different network yields an empty vector.
 pub fn dependency_edges(net: &Network, routes: &Routes) -> Vec<FxHashSet<(u32, u32)>> {
-    if routes.num_nodes() != net.num_nodes() || routes.num_terminals() != net.num_terminals() {
-        return Vec::new();
-    }
-    let cfg = Config {
+    walk::walk(net, routes, &edges_only(), None).edges
+}
+
+/// The walk behind [`dependency_edges`]: no minimality check (so no hop
+/// distances on a clean artifact) and no retained findings.
+fn edges_only() -> Config {
+    Config {
         check_minimal: false,
+        max_diagnostics_per_code: 0,
         ..Config::default()
-    };
-    let mut em = diag::Emitter::new(0);
-    walk::walk_tables(net, routes, &cfg, &mut em).edges
+    }
 }
 
 /// Check the union of several artifacts' per-layer CDGs for cycles.
@@ -404,21 +326,26 @@ pub fn dependency_edges(net: &Network, routes: &Routes) -> Vec<FxHashSet<(u32, u
 /// (shorter artifacts simply contribute nothing to higher layers).
 /// Returns each cyclic layer with a witness cycle.
 pub fn union_cycles(net: &Network, artifacts: &[&Routes]) -> Vec<(u8, Vec<ChannelId>)> {
-    let per_artifact: Vec<_> = artifacts.iter().map(|r| dependency_edges(net, r)).collect();
-    let layers = per_artifact.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::new();
-    for layer in 0..layers {
-        let mut union: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for edges in &per_artifact {
-            if let Some(e) = edges.get(layer) {
-                union.extend(e.iter().copied());
-            }
-        }
-        if let Some(channels) = cdg_lint::find_cycle(net.num_channels(), &union) {
-            out.push((layer as u8, channels));
-        }
-    }
-    out
+    let walks: Vec<TableWalk> = artifacts
+        .iter()
+        .map(|r| walk::walk(net, r, &edges_only(), None))
+        .collect();
+    union_cycles_of(net, &walks.iter().collect::<Vec<_>>())
+}
+
+/// [`union_cycles`] over artifacts that have already been walked (see
+/// [`walk_tables`]): the cycle search alone, no table is touched.
+pub fn union_cycles_of(net: &Network, walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
+    let layers = walks.iter().map(|w| w.edges.len()).max().unwrap_or(0);
+    (0..layers)
+        .filter_map(|layer| {
+            let edges = walks
+                .iter()
+                .filter_map(|w| w.edges.get(layer))
+                .flat_map(|e| e.iter());
+            cdg_lint::find_cycle(net.num_channels(), edges).map(|c| (layer as u8, c))
+        })
+        .collect()
 }
 
 fn finish(net: &Network, routes: &Routes, em: diag::Emitter, stats: Stats) -> Report {
@@ -773,6 +700,59 @@ mod tests {
         assert_eq!(hazards.len(), 1, "the union closes the ring on layer 0");
         assert_eq!(hazards[0].0, 0);
         assert!(!hazards[0].1.is_empty());
+        // The same search over artifacts already walked.
+        let cfg = Config::default();
+        let (wa, wb) = (walk_tables(&ring, &a, &cfg), walk_tables(&ring, &b, &cfg));
+        assert_eq!(union_cycles_of(&ring, &[&wa, &wb]), hazards);
+        assert!(union_cycles_of(&ring, &[&wa]).is_empty());
+    }
+
+    #[test]
+    fn a_walk_answers_what_the_analysis_reads_off_it() {
+        let net = line();
+        let mut r = bfs_routes(&net);
+        let quiet = Config {
+            check_minimal: false,
+            ..Config::default()
+        };
+        let searches = || walk::HOP_SEARCHES.with(|n| n.get());
+
+        // Clean tables: nothing is broken, the counters are the
+        // report's, and without V006 no hop distance is ever computed.
+        let before = searches();
+        let walked = walk_tables(&net, &r, &quiet);
+        assert_eq!(searches(), before, "clean walk read hop distances");
+        assert_eq!(walked.broken, vec![false; 3]);
+        assert_eq!((walked.num_errors(), walked.diagnostics().len()), (0, 0));
+        assert!(walked.cyclic_layers(&net).is_empty());
+        let report = analyze(&net, &r);
+        assert_eq!(searches(), before + 3, "V006 reads one BFS per destination");
+        assert_eq!(walked.pairs_routed, report.stats.pairs_routed);
+        assert_eq!(walked.edges, dependency_edges(&net, &r));
+        assert_eq!(walked.num_layers, r.num_layers());
+
+        // s0 forgets t1: exactly that destination is broken, and
+        // classifying the failed walk is what reads the distances.
+        r.clear_next(net.node_by_name("s0").unwrap(), 1);
+        let before = searches();
+        let walked = walk_tables(&net, &r, &quiet);
+        assert_eq!(searches(), before + 1);
+        assert_eq!(walked.broken, vec![false, true, false]);
+        assert_eq!(walked.num_errors(), 1);
+        assert_eq!(walked.diagnostics()[0].code, LintCode::MissingEntry);
+        assert_eq!(walked.pairs_broken, 1);
+
+        // A walk of foreign tables is one V003 and nothing else.
+        let other = {
+            let mut b = NetworkBuilder::new();
+            let s0 = b.add_switch("s0", 4);
+            let t0 = b.add_terminal("t0");
+            b.link(t0, s0).unwrap();
+            b.build()
+        };
+        let walked = walk_tables(&other, &r, &quiet);
+        assert_eq!((walked.num_errors(), walked.pairs), (1, 0));
+        assert!(walked.edges.is_empty() && walked.broken.is_empty());
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! source/destination pair separately. Dependency-graph edges are also
 //! collected here, memoized per (destination, layer) so shared path
 //! suffixes are traversed once.
+//!
+//! The walk's product is a value, [`TableWalk`]: one pass over an
+//! artifact answers every question later checks ask of it (pair
+//! statistics, per-layer dependency edges, which destinations are
+//! broken, the findings), so a caller that needs several answers walks
+//! once and reads them all.
 
 use fabric::{ChannelId, Network, NodeId, Routes};
 use rustc_hash::FxHashSet;
 
-use crate::diag::{Emitter, LintCode, Severity, Witness};
+use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
 use crate::Config;
 
 const UNVISITED: u8 = 0;
@@ -19,8 +25,12 @@ const ON_STACK: u8 = 1;
 const OK: u8 = 2;
 const BROKEN: u8 = 3;
 
-/// Everything the per-destination walks learned, for the report.
-pub(crate) struct WalkResult {
+/// Everything one destination-colored walk of an artifact learned (see
+/// [`crate::walk_tables`]). The pair counters mean what the fields of
+/// the same name in [`crate::Stats`] mean.
+pub struct TableWalk {
+    /// Virtual layers the artifact declares (`Routes::num_layers`).
+    pub num_layers: u8,
     pub pairs: usize,
     pub pairs_routed: usize,
     pub pairs_broken: usize,
@@ -28,10 +38,62 @@ pub(crate) struct WalkResult {
     pub max_hops: u32,
     /// Routed paths per virtual layer.
     pub paths_per_layer: Vec<usize>,
-    /// Per-layer dependency edges between channel ids.
+    /// Per-layer dependency edges between channel ids. Pairs that do not
+    /// walk cleanly contribute none; empty (no layers at all) when the
+    /// artifact is sized for a different network.
     pub edges: Vec<FxHashSet<(u32, u32)>>,
     /// Sample of failed terminal pairs (see [`crate::Stats::broken_pairs`]).
     pub broken_pairs: Vec<(NodeId, NodeId)>,
+    /// Per destination terminal index: whether some terminal's walk
+    /// toward it failed (loop, missing entry, unusable next hop).
+    pub broken: Vec<bool>,
+    /// The walk's findings (V001–V003, V005 per-pair, V006).
+    pub(crate) em: Emitter,
+}
+
+impl TableWalk {
+    /// Retained findings of the walk, in emission order (capped per code
+    /// by [`Config::max_diagnostics_per_code`]).
+    pub fn diagnostics(&self) -> &[Diagnostic] {
+        &self.em.diagnostics
+    }
+
+    /// Error-severity findings of the walk, suppressed ones included.
+    pub fn num_errors(&self) -> usize {
+        self.em.severity_counts[Severity::Error.index()]
+    }
+
+    /// Each layer whose dependency edges close a cycle, with a witness
+    /// (the V004 search, run on demand).
+    pub fn cyclic_layers(&self, net: &Network) -> Vec<(u8, Vec<ChannelId>)> {
+        crate::union_cycles_of(net, &[self])
+    }
+}
+
+/// `hops_to(dst)` on first use: one reverse BFS per destination is a
+/// large share of a walk, and a clean artifact walked without
+/// `check_minimal` never reads it.
+struct LazyHops<'a> {
+    net: &'a Network,
+    dst: NodeId,
+    hops: Option<Vec<u32>>,
+}
+
+impl LazyHops<'_> {
+    fn get(&mut self) -> &[u32] {
+        self.hops.get_or_insert_with(|| {
+            #[cfg(test)]
+            HOP_SEARCHES.with(|n| n.set(n.get() + 1));
+            self.net.hops_to(self.dst)
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Reverse BFS runs on this thread — the pin that a clean walk
+    /// without `check_minimal` makes none.
+    pub(crate) static HOP_SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Why one walk stopped.
@@ -42,39 +104,62 @@ enum Stop {
     Failed,
 }
 
-pub(crate) fn walk_tables(
+/// Walk `routes`' tables on `net`, one colored pass per destination.
+/// With `scope = Some(dests)` only the listed destination terminal
+/// indices are walked (each still against every source), so
+/// re-verifying an incrementally patched artifact costs O(scope · V)
+/// instead of O(T · V); out-of-range indices are ignored. `None` walks
+/// everything.
+///
+/// Tables sized for a different network cannot be indexed safely
+/// (degraded fabrics renumber everything): that is one V003 and an
+/// otherwise empty walk.
+pub(crate) fn walk(
     net: &Network,
     routes: &Routes,
     cfg: &Config,
-    em: &mut Emitter,
-) -> WalkResult {
-    walk_tables_scoped(net, routes, cfg, em, None)
-}
-
-/// [`walk_tables`] restricted to a destination subset: with
-/// `scope = Some(dests)` only the listed destination terminal indices
-/// are walked (each still against every source), so re-verifying an
-/// incrementally patched artifact costs O(scope · V) instead of
-/// O(T · V). `None` walks everything.
-pub(crate) fn walk_tables_scoped(
-    net: &Network,
-    routes: &Routes,
-    cfg: &Config,
-    em: &mut Emitter,
     scope: Option<&[usize]>,
-) -> WalkResult {
+) -> TableWalk {
     let n = net.num_nodes();
     let nl = routes.num_layers() as usize;
-    let mut res = WalkResult {
+    let mut res = TableWalk {
+        num_layers: routes.num_layers(),
         pairs: 0,
         pairs_routed: 0,
         pairs_broken: 0,
         pairs_unreachable: 0,
         max_hops: 0,
-        paths_per_layer: vec![0; nl],
-        edges: vec![FxHashSet::default(); nl],
+        paths_per_layer: Vec::new(),
+        edges: Vec::new(),
         broken_pairs: Vec::new(),
+        broken: Vec::new(),
+        em: Emitter::new(cfg.max_diagnostics_per_code),
     };
+    if !crate::shape_matches(net, routes) {
+        res.em.emit(
+            LintCode::InvalidNextHop,
+            Severity::Error,
+            format!(
+                "tables sized for {} node(s) / {} terminal(s), network has {} / {} — \
+                 artifact does not match this network",
+                routes.num_nodes(),
+                routes.num_terminals(),
+                net.num_nodes(),
+                net.num_terminals()
+            ),
+            Witness::Shape {
+                table_nodes: routes.num_nodes(),
+                net_nodes: net.num_nodes(),
+                table_terminals: routes.num_terminals(),
+                net_terminals: net.num_terminals(),
+            },
+        );
+        return res;
+    }
+    res.paths_per_layer = vec![0; nl];
+    res.edges = vec![FxHashSet::default(); nl];
+    res.broken = vec![false; net.num_terminals()];
+    let em = &mut res.em;
 
     // Reused across destinations.
     let mut state = vec![UNVISITED; n];
@@ -99,7 +184,11 @@ pub(crate) fn walk_tables_scoped(
         srcs_by_layer.iter_mut().for_each(Vec::clear);
         state[dst.idx()] = OK;
         tdist[dst.idx()] = 0;
-        let hops = net.hops_to(dst);
+        let mut hops = LazyHops {
+            net,
+            dst,
+            hops: None,
+        };
 
         // Terminal sources first (broken walks here are reachable-pair
         // errors), then leftover switches (latent findings, warnings).
@@ -110,15 +199,15 @@ pub(crate) fn walk_tables_scoped(
             res.pairs += 1;
             let src_t = net.terminal_index(src).expect("terminal list entry");
             match walk_one(
-                net, routes, dst, dst_t, src, true, &hops, &mut state, &mut stack, em,
+                net, routes, dst, dst_t, src, true, &mut hops, &mut state, &mut stack, em,
             ) {
                 Stop::Reached => {
                     unwind(net, routes, dst_t, &stack, &mut state, &mut tdist);
                     res.pairs_routed += 1;
                     let routed = tdist[src.idx()];
                     res.max_hops = res.max_hops.max(routed);
-                    let minimal = hops[src.idx()];
-                    if cfg.check_minimal && minimal != u32::MAX && routed > minimal {
+                    let minimal = cfg.check_minimal.then(|| hops.get()[src.idx()]);
+                    if let Some(minimal) = minimal.filter(|&m| m != u32::MAX && routed > m) {
                         em.emit(
                             LintCode::NonMinimalPath,
                             Severity::Warning,
@@ -153,7 +242,8 @@ pub(crate) fn walk_tables_scoped(
                 }
                 Stop::Failed => {
                     fail(&stack, &mut state);
-                    if hops[src.idx()] == u32::MAX {
+                    res.broken[dst_t] = true;
+                    if hops.get()[src.idx()] == u32::MAX {
                         res.pairs_unreachable += 1;
                     } else {
                         res.pairs_broken += 1;
@@ -169,7 +259,7 @@ pub(crate) fn walk_tables_scoped(
                 continue;
             }
             match walk_one(
-                net, routes, dst, dst_t, sw, false, &hops, &mut state, &mut stack, em,
+                net, routes, dst, dst_t, sw, false, &mut hops, &mut state, &mut stack, em,
             ) {
                 Stop::Reached => unwind(net, routes, dst_t, &stack, &mut state, &mut tdist),
                 Stop::Failed => fail(&stack, &mut state),
@@ -218,7 +308,7 @@ fn walk_one(
     dst_t: usize,
     start: NodeId,
     terminal_pass: bool,
-    hops: &[u32],
+    hops: &mut LazyHops,
     state: &mut [u8],
     stack: &mut Vec<NodeId>,
     em: &mut Emitter,
@@ -262,7 +352,7 @@ fn walk_one(
             _ => {}
         }
         let Some(c) = routes.next_hop(at, dst_t) else {
-            let (sev, why) = if hops[at.idx()] == u32::MAX {
+            let (sev, why) = if hops.get()[at.idx()] == u32::MAX {
                 // No physical path either: a coverage gap, not a bug.
                 (Severity::Warning, "no entry and no physical path")
             } else {
