@@ -6,11 +6,9 @@
 //! cores"); we provide the two canonical schedulers plus a seeded random
 //! one.
 
+use fabric::rng::Rng;
 use fabric::Network;
 use orcs::Pattern;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// How ranks map onto terminals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,9 +34,8 @@ impl Allocation {
             Allocation::Packed => (0..cores as u32).collect(),
             Allocation::Spread => (0..cores).map(|i| ((i * nt) / cores) as u32).collect(),
             Allocation::Random(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
                 let mut ids: Vec<u32> = (0..nt as u32).collect();
-                ids.shuffle(&mut rng);
+                Rng::seed_from_u64(seed).shuffle(&mut ids);
                 ids.truncate(cores);
                 ids
             }

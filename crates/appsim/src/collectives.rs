@@ -153,11 +153,11 @@ mod tests {
     use baselines::MinHop;
     use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
     use fabric::topo;
-    use rustc_hash::FxHashSet;
+    use std::collections::HashSet;
 
     #[test]
     fn alltoall_phases_cover_all_pairs() {
-        let mut seen = FxHashSet::default();
+        let mut seen = HashSet::new();
         for (p, _) in Collective::AllToAll.phases(6) {
             for f in p.flows {
                 assert!(seen.insert(f));
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_once() {
-        let mut received: FxHashSet<u32> = [0].into_iter().collect();
+        let mut received: HashSet<u32> = [0].into_iter().collect();
         for (p, _) in Collective::Broadcast.phases(13) {
             for (s, d) in p.flows {
                 assert!(received.contains(&s), "sender {s} must already hold data");
@@ -188,7 +188,7 @@ mod tests {
             assert_eq!(pb.flows, mirrored);
         }
         // And every rank's contribution arrives at the root exactly once.
-        let mut absorbed: FxHashSet<u32> = (1..8).collect();
+        let mut absorbed: HashSet<u32> = (1..8).collect();
         for (p, _) in r {
             for (s, _) in p.flows {
                 assert!(absorbed.remove(&s), "rank {s} combined twice");

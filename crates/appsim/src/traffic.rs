@@ -22,11 +22,12 @@
 //!   window.
 //!
 //! Generation uses Lewis–Shedler thinning at the peak rate, entirely
-//! from a seeded [`splitmix64`] stream: the same spec and seed produce
+//! from a seeded [`SplitMix64`] stream: the same spec and seed produce
 //! byte-identical traces on every platform — benches replay, CI gates.
 
 use crate::alloc::Allocation;
 use crate::nas::NasBenchmark;
+use fabric::rng::{unit_f64, SplitMix64};
 use fabric::{Network, NodeId};
 
 /// The admission class a trace query should be submitted under. Mirrors
@@ -137,19 +138,6 @@ pub struct TraceSpec {
     pub shape: Shape,
 }
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from one splitmix64 draw (53 mantissa bits).
-fn uniform(rng: &mut u64) -> f64 {
-    (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The shape's instantaneous rate multiplier at `t_us` (≤ its peak).
 fn shape_factor(shape: &Shape, t_us: u64) -> f64 {
     match *shape {
@@ -243,7 +231,7 @@ pub fn generate(net: &Network, spec: &TraceSpec) -> Vec<TraceQuery> {
         _ => Vec::new(),
     };
 
-    let mut rng = spec.seed;
+    let mut rng = SplitMix64(spec.seed);
     let peak_per_us =
         spec.rate_qps * shape_peak(&spec.shape) * burst_peak(&spec.arrivals) / 1_000_000.0;
     let horizon_us = spec.duration_ms * 1000;
@@ -252,14 +240,16 @@ pub fn generate(net: &Network, spec: &TraceSpec) -> Vec<TraceQuery> {
     loop {
         // Exponential gap at the peak rate; thinning keeps the sub-peak
         // intervals honest (Lewis–Shedler).
-        let u = uniform(&mut rng).max(f64::MIN_POSITIVE);
+        let u = unit_f64(rng.next_u64()).max(f64::MIN_POSITIVE);
         t += -u.ln() / peak_per_us;
         let at_us = t as u64;
         if at_us >= horizon_us {
             break;
         }
         let intensity = shape_factor(&spec.shape, at_us) * burst_gate(&spec.arrivals, at_us);
-        if uniform(&mut rng) * shape_peak(&spec.shape) * burst_peak(&spec.arrivals) >= intensity {
+        if unit_f64(rng.next_u64()) * shape_peak(&spec.shape) * burst_peak(&spec.arrivals)
+            >= intensity
+        {
             continue; // thinned: this instant's rate is below peak
         }
         let (src, dst) = match &spec.mix {
@@ -268,11 +258,11 @@ pub fn generate(net: &Network, spec: &TraceSpec) -> Vec<TraceQuery> {
                 hot_permille,
                 targets,
             } => {
-                if splitmix64(&mut rng) % 1000 < u64::from(*hot_permille) {
+                if rng.next_u64() % 1000 < u64::from(*hot_permille) {
                     let hot = (*targets).clamp(1, terminals.len());
-                    let dst = terminals[(splitmix64(&mut rng) % hot as u64) as usize];
+                    let dst = terminals[(rng.next_u64() % hot as u64) as usize];
                     let src = loop {
-                        let s = terminals[(splitmix64(&mut rng) % terminals.len() as u64) as usize];
+                        let s = terminals[(rng.next_u64() % terminals.len() as u64) as usize];
                         if s != dst {
                             break s;
                         }
@@ -282,9 +272,9 @@ pub fn generate(net: &Network, spec: &TraceSpec) -> Vec<TraceQuery> {
                     pick_distinct(terminals, &mut rng)
                 }
             }
-            Mix::Nas { .. } => nas_pairs[(splitmix64(&mut rng) % nas_pairs.len() as u64) as usize],
+            Mix::Nas { .. } => nas_pairs[(rng.next_u64() % nas_pairs.len() as u64) as usize],
         };
-        let class = if splitmix64(&mut rng) % 1000 < u64::from(spec.bulk_permille) {
+        let class = if rng.next_u64() % 1000 < u64::from(spec.bulk_permille) {
             TrafficClass::Bulk
         } else {
             TrafficClass::Interactive
@@ -299,10 +289,10 @@ pub fn generate(net: &Network, spec: &TraceSpec) -> Vec<TraceQuery> {
     queries
 }
 
-fn pick_distinct(terminals: &[NodeId], rng: &mut u64) -> (NodeId, NodeId) {
-    let src = terminals[(splitmix64(rng) % terminals.len() as u64) as usize];
+fn pick_distinct(terminals: &[NodeId], rng: &mut SplitMix64) -> (NodeId, NodeId) {
+    let src = terminals[(rng.next_u64() % terminals.len() as u64) as usize];
     loop {
-        let dst = terminals[(splitmix64(rng) % terminals.len() as u64) as usize];
+        let dst = terminals[(rng.next_u64() % terminals.len() as u64) as usize];
         if dst != src {
             return (src, dst);
         }

@@ -17,7 +17,7 @@ use dfsssp_core::dfsssp::assign_layers_online_budgeted;
 use dfsssp_core::paths::PathSet;
 use dfsssp_core::{Budget, ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, Network, NodeId, Routes};
-use rustc_hash::FxHashMap;
+use telemetry::fx::FxHashMap;
 use telemetry::{phases, Recorder, RecorderHandle};
 
 /// The LASH engine.

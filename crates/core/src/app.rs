@@ -12,7 +12,7 @@
 //!   ([`coloring_to_app`]) together with the two directions of its
 //!   correctness argument as executable checks.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use telemetry::fx::{FxHashMap, FxHashSet};
 
 /// A path in the channel dependency graph: a sequence of distinct nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! No cycle search is needed: **every subset of an acyclic layer's paths
 //! generates a subgraph of that layer's CDG, and subgraphs of acyclic
 //! graphs are acyclic** — the property the paper's balancing step relies
-//! on (and which `proptest` checks in `dfsssp`'s integration tests).
+//! on (and which the seeded sweeps in `dfsssp`'s `tests/props.rs` check).
 
 /// Spread paths from `used` layers over `available` layers.
 ///

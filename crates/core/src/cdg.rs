@@ -22,8 +22,7 @@
 //!    tree edge must be re-opened.
 
 use crate::paths::{PathId, PathSet};
-use rustc_hash::FxHashMap;
-use smallvec::SmallVec;
+use telemetry::fx::FxHashMap;
 
 /// Index of a CDG edge within its [`Cdg`].
 pub type EdgeId = u32;
@@ -47,7 +46,7 @@ pub struct Edge {
 /// The channel dependency graph of one virtual layer.
 pub struct Cdg {
     /// Outgoing edge ids per channel (append-only; dead edges skipped).
-    out: Vec<SmallVec<[EdgeId; 4]>>,
+    out: Vec<Vec<EdgeId>>,
     edges: Vec<Edge>,
     index: FxHashMap<u64, EdgeId>,
     live_edges: usize,
@@ -63,7 +62,7 @@ impl Cdg {
     /// An empty CDG over `num_channels` channels.
     pub fn new(num_channels: usize) -> Cdg {
         Cdg {
-            out: vec![SmallVec::new(); num_channels],
+            out: vec![Vec::new(); num_channels],
             edges: Vec::new(),
             index: FxHashMap::default(),
             live_edges: 0,

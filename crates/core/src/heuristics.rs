@@ -7,6 +7,7 @@
 //! its random networks, vs 4–8 for pseudo-random and 4–16 for heaviest).
 
 use crate::cdg::{Cdg, EdgeId};
+use fabric::rng::splitmix64;
 
 /// Which edge of a discovered cycle to break.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -75,16 +76,6 @@ impl CycleBreakHeuristic {
     pub fn pick(self, cdg: &Cdg, cycle: &[EdgeId]) -> EdgeId {
         self.pick_counted(cdg, cycle, 0)
     }
-}
-
-/// SplitMix64: tiny, stateless, well-distributed — exactly enough for
-/// reproducible random edge picks without threading an RNG through the
-/// assignment loop.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -38,7 +38,8 @@ pub mod paths;
 pub mod pool;
 pub mod quality;
 pub mod sssp;
-pub mod sync;
+/// The workspace's one `std`-or-model-checker switch over sync primitives.
+pub use weave::shim as sync;
 pub mod verify;
 pub mod wrapper;
 

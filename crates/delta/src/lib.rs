@@ -53,8 +53,8 @@ use dfsssp_core::dijkstra::spt_to;
 use dfsssp_core::paths::PathSet;
 use dfsssp_core::{ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, Network, ReverseIndex, Routes};
-use rustc_hash::FxHashMap;
 use subnet::transition::{self, DiffPlanProvider, UpdatePlan, UpdateStage};
+use telemetry::fx::FxHashMap;
 use telemetry::{counters, phases, Recorder, RecorderHandle};
 
 /// Tuning knobs for the delta engine.

@@ -1,7 +1,7 @@
 //! Incremental network construction with port bookkeeping.
 
 use crate::graph::{Channel, ChannelId, CsrAdj, Network, Node, NodeId, NodeKind, NONE_U32};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// Error raised while wiring a network.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,11 +12,9 @@
 //! across rebuilds.
 
 use crate::graph::{ChannelId, NodeId, NodeKind};
+use crate::rng::Rng;
 use crate::{Network, NetworkBuilder};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rustc_hash::{FxHashMap, FxHashSet};
+use telemetry::fx::{FxHashMap, FxHashSet};
 
 /// Rebuild `net` without the channels in `dead_channels` and without the
 /// nodes in `dead_nodes` (and all channels touching them). Names, kinds,
@@ -288,7 +286,7 @@ pub fn cable_bridges(net: &Network) -> FxHashSet<ChannelId> {
 /// Returns the degraded network and the number of cables actually removed
 /// (which can be lower than `count` on sparse networks).
 pub fn fail_random_cables(net: &Network, count: usize, seed: u64) -> (Network, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut current = net.clone();
     let mut removed = 0;
     // With unidirectional channels around, undirected bridges are too
@@ -316,7 +314,7 @@ pub fn fail_random_cables(net: &Network, count: usize, seed: u64) -> (Network, u
         if cables.is_empty() {
             break; // every remaining cable is a bridge
         }
-        cables.shuffle(&mut rng);
+        rng.shuffle(&mut cables);
         let mut progressed = false;
         for cand in cables {
             let rev = current.channel(cand).rev.unwrap();
@@ -340,7 +338,7 @@ pub fn fail_random_cables(net: &Network, count: usize, seed: u64) -> (Network, u
 /// with terminals attached are skipped). Returns `None` if no switch can
 /// be removed without disconnecting the network or stranding terminals.
 pub fn fail_random_switch(net: &Network, seed: u64) -> Option<Network> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut candidates: Vec<NodeId> = net
         .switches()
         .iter()
@@ -351,7 +349,7 @@ pub fn fail_random_switch(net: &Network, seed: u64) -> Option<Network> {
                 .all(|&c| net.node(net.channel(c).dst).kind == NodeKind::Switch)
         })
         .collect();
-    candidates.shuffle(&mut rng);
+    rng.shuffle(&mut candidates);
     for s in candidates {
         let dead: FxHashSet<NodeId> = [s].into_iter().collect();
         let candidate = remove(net, &dead, &FxHashSet::default());

@@ -28,7 +28,7 @@
 use super::error::{clip, FormatLimits, ParseError, ParseErrorKind};
 use crate::builder::NetworkBuilder;
 use crate::graph::{Network, NodeId, NodeKind};
-use rustc_hash::FxHashMap;
+use telemetry::fx::FxHashMap;
 
 fn err(line: usize, kind: ParseErrorKind) -> ParseError {
     ParseError::new(line, kind)
@@ -163,7 +163,7 @@ pub fn parse_ibnetdiscover_with(input: &str, limits: &FormatLimits) -> Result<Ne
 
     // Pair up the two sides of each cable. Each side looks up its mirror
     // through the (node, port) index — O(1) per cable end.
-    let mut done: rustc_hash::FxHashSet<(u32, u16)> = rustc_hash::FxHashSet::default();
+    let mut done: telemetry::fx::FxHashSet<(u32, u16)> = telemetry::fx::FxHashSet::default();
     for link in &pending {
         if done.contains(&(link.from.0, link.from_port)) {
             continue;

@@ -18,8 +18,8 @@
 
 use super::error::{clip, column_of, FormatLimits, ParseError, ParseErrorKind};
 use crate::{Network, NetworkBuilder, NodeId};
-use rustc_hash::FxHashMap;
 use std::fmt::Write as _;
+use telemetry::fx::FxHashMap;
 
 fn err(line: usize, kind: ParseErrorKind) -> ParseError {
     ParseError::new(line, kind)

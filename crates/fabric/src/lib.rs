@@ -27,6 +27,7 @@ pub mod degrade;
 pub mod format;
 pub mod graph;
 pub mod reverse;
+pub mod rng;
 pub mod stats;
 pub mod tables;
 pub mod topo;

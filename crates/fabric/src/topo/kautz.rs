@@ -70,7 +70,7 @@ pub fn kautz(b: usize, n: usize, terminals: usize, bidirectional: bool) -> Netwo
         .map(|i| bld.add_switch(format!("s{i}"), radix))
         .collect();
 
-    let mut cabled = rustc_hash::FxHashSet::default();
+    let mut cabled = telemetry::fx::FxHashSet::default();
     for u in 0..num {
         let s = string_of(u);
         for x in 0..=(b as u8) {

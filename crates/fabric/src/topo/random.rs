@@ -9,11 +9,9 @@
 
 use super::attach_terminals;
 use crate::graph::NodeId;
+use crate::rng::Rng;
 use crate::{Network, NetworkBuilder};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// Parameters of a random topology.
 #[derive(Clone, Debug)]
@@ -75,7 +73,7 @@ pub fn random_topology(spec: &RandomTopoSpec, seed: u64) -> Network {
         "not enough free ports for the requested links"
     );
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = NetworkBuilder::new();
     b.label(format!(
         "random(s{},r{},t{},l{};seed{seed})",
@@ -94,15 +92,15 @@ pub fn random_topology(spec: &RandomTopoSpec, seed: u64) -> Network {
     // Random spanning tree: random permutation, attach each new switch to
     // a random predecessor that still has free ports.
     let mut order: Vec<usize> = (0..spec.switches).collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     let mut cabled: FxHashSet<(usize, usize)> = FxHashSet::default();
     for i in 1..order.len() {
         // Pick a random earlier switch with a free port; the tree uses at
         // most 2 ports per switch on average, so one always exists.
-        let mut j = rng.random_range(0..i);
+        let mut j = rng.range(0..i);
         let mut tries = 0;
         while b.free_ports(switches[order[j]]) == 0 {
-            j = rng.random_range(0..i);
+            j = rng.range(0..i);
             tries += 1;
             assert!(tries < 10_000, "spanning tree construction starved");
         }
@@ -121,8 +119,8 @@ pub fn random_topology(spec: &RandomTopoSpec, seed: u64) -> Network {
             tries < try_budget,
             "random link placement starved; spec too dense for no-parallel-cables rule"
         );
-        let u = rng.random_range(0..spec.switches);
-        let v = rng.random_range(0..spec.switches);
+        let u = rng.range(0..spec.switches);
+        let v = rng.range(0..spec.switches);
         if u == v || cabled.contains(&(u.min(v), u.max(v))) {
             continue;
         }

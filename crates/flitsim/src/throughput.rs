@@ -10,9 +10,8 @@
 //! reports per point.
 
 use crate::sim::SimConfig;
+use fabric::rng::Rng;
 use fabric::{ChannelId, Network, Routes};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// One measured point of a load sweep.
 #[derive(Clone, Copy, Debug)]
@@ -66,7 +65,7 @@ pub fn open_loop(
     let num_vls = routes.num_layers() as usize;
     let nc = net.num_channels();
     let nt = net.num_terminals();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
 
     #[derive(Clone, Copy)]
     struct Pkt {
@@ -92,10 +91,10 @@ pub fn open_loop(
     for cycle in 0..total_cycles {
         // Inject new offered traffic.
         for (src_t, q) in inject.iter_mut().enumerate() {
-            if rng.random_range(0.0..1.0) < offered {
-                let mut dst = rng.random_range(0..nt as u32);
+            if rng.chance(offered) {
+                let mut dst = rng.range(0..nt as u32);
                 while dst == src_t as u32 {
-                    dst = rng.random_range(0..nt as u32);
+                    dst = rng.range(0..nt as u32);
                 }
                 let id = packets.len() as u32;
                 packets.push(Pkt {

@@ -1,7 +1,6 @@
 //! Workloads: the packets each terminal will inject, in order.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use fabric::rng::Rng;
 
 /// A packet injection plan: per source terminal, an ordered list of
 /// destination terminal indices.
@@ -48,13 +47,13 @@ impl Workload {
     /// Uniform random traffic: every source sends `count` packets to
     /// uniformly random other terminals.
     pub fn uniform_random(num_terminals: usize, count: usize, seed: u64) -> Workload {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut w = Workload::new(num_terminals);
         for s in 0..num_terminals {
             for _ in 0..count {
-                let mut d = rng.random_range(0..num_terminals as u32);
+                let mut d = rng.range(0..num_terminals as u32);
                 while d == s as u32 {
-                    d = rng.random_range(0..num_terminals as u32);
+                    d = rng.range(0..num_terminals as u32);
                 }
                 w.queues[s].push(d);
             }

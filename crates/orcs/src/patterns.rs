@@ -4,9 +4,7 @@
 //! The central one for the paper is [`Pattern::random_bisection`]; the
 //! others serve the application models and the wider test surface.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use fabric::rng::Rng;
 
 /// A traffic pattern: simultaneous flows between terminal indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,9 +19,9 @@ impl Pattern {
     /// both directions (Netgauge's eBB benchmark does 1 MiB ping-pongs).
     /// With an odd terminal count one endpoint sits out.
     pub fn random_bisection(num_terminals: usize, seed: u64) -> Pattern {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut ids: Vec<u32> = (0..num_terminals as u32).collect();
-        ids.shuffle(&mut rng);
+        rng.shuffle(&mut ids);
         let half = num_terminals / 2;
         let mut flows = Vec::with_capacity(2 * half);
         for i in 0..half {
@@ -37,9 +35,9 @@ impl Pattern {
     /// A random permutation: every terminal sends to a distinct target
     /// (fixed-point-free where possible).
     pub fn random_permutation(num_terminals: usize, seed: u64) -> Pattern {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut targets: Vec<u32> = (0..num_terminals as u32).collect();
-        targets.shuffle(&mut rng);
+        rng.shuffle(&mut targets);
         // Remove fixed points by rotating them onto their neighbor.
         for i in 0..targets.len() {
             if targets[i] == i as u32 {
@@ -155,7 +153,7 @@ impl Pattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustc_hash::FxHashSet;
+    use telemetry::fx::FxHashSet;
 
     #[test]
     fn bisection_is_perfect_matching_both_ways() {

@@ -1,7 +1,15 @@
 //! Sec IV: online vs offline DFSSSP layer-assignment runtime (the paper:
 //! ~170 s offline vs ~2 h online at 4096 nodes; we sweep smaller sizes).
+//! A third column times the restart-search ablation — the same SSSP
+//! sweep and path extraction, then the offline algorithm with its cycle
+//! search restarted from scratch after every break — which is what the
+//! paper's resumable search saves.
 
-use dfsssp_core::{DfSssp, LayerAssignMode};
+use dfsssp_core::dfsssp::{assign_layers_offline_restart, DfStats};
+use dfsssp_core::paths::PathSet;
+use dfsssp_core::{
+    ComputeCtx, CycleBreakHeuristic, DfSssp, LayerAssignMode, RouteError, RoutingEngine, Sssp,
+};
 use std::time::Instant;
 
 fn main() {
@@ -20,6 +28,16 @@ fn main() {
             continue;
         }
         let mut row = vec![n.to_string(), net.label().to_string()];
+        // One timed cell: run `f`, print its wall clock and layer count.
+        let mut cell = |f: &dyn Fn() -> Result<DfStats, RouteError>| {
+            let t = Instant::now();
+            let res = f();
+            let dt = t.elapsed().as_secs_f64();
+            row.push(match res {
+                Ok(stats) => format!("{dt:.3} ({} VLs)", stats.layers_used),
+                Err(e) => repro::failure_label(&e),
+            });
+        };
         for mode in [LayerAssignMode::Offline, LayerAssignMode::Online] {
             let engine = DfSssp {
                 mode,
@@ -27,17 +45,26 @@ fn main() {
                 recorder: rec.clone(),
                 ..DfSssp::new()
             };
-            let t = Instant::now();
-            let res = engine.route_with_stats(&net);
-            let dt = t.elapsed().as_secs_f64();
-            row.push(match res {
-                Ok((_, stats)) => format!("{dt:.3} ({} VLs)", stats.layers_used),
-                Err(e) => repro::failure_label(&e),
-            });
+            cell(&|| engine.route_with_stats(&net).map(|(_, stats)| stats));
         }
+        cell(&|| {
+            let routes = Sssp::new().route_in(&net, &ComputeCtx::seq())?;
+            let ps = PathSet::extract(&net, &routes)?;
+            assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 16)
+                .map(|(_, stats)| stats)
+        });
         rows.push(row);
         eprintln!("  done: {n}");
     }
-    cli.table(&["endpoints", "topology", "offline", "online"], &rows);
+    cli.table(
+        &[
+            "endpoints",
+            "topology",
+            "offline",
+            "online",
+            "offline-restart",
+        ],
+        &rows,
+    );
     cli.finish().expect("write metrics");
 }

@@ -16,9 +16,8 @@
 
 use dfsssp_core::{Budget, DfSssp, RouteError, RoutingEngine};
 use fabric::format::{self, ParseError};
+use fabric::rng::Rng;
 use fabric::Network;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -223,10 +222,10 @@ impl FuzzReport {
 
 /// Run one deterministic campaign over `seeds`.
 pub fn run(seeds: &[Seed], cfg: &FuzzConfig) -> FuzzReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut report = FuzzReport::default();
     for iter in 0..cfg.iters {
-        let seed = &seeds[rng.random_range(0..seeds.len())];
+        let seed = &seeds[rng.range(0..seeds.len())];
         let mutated = mutate(&mut rng, seed);
         let input = String::from_utf8_lossy(&mutated).into_owned();
         check_one(seed.kind, &input, cfg, &mut report, |r| {
@@ -334,9 +333,9 @@ fn save_crasher(cfg: &FuzzConfig, kind: Kind, iter: usize, data: &[u8], report: 
 }
 
 /// Apply 1–4 random mutations to a seed.
-pub fn mutate(rng: &mut StdRng, seed: &Seed) -> Vec<u8> {
+pub fn mutate(rng: &mut Rng, seed: &Seed) -> Vec<u8> {
     let mut data = seed.data.clone();
-    for _ in 0..rng.random_range(1usize..=4) {
+    for _ in 0..rng.range(1usize..=4) {
         data = mutate_once(rng, seed.kind, data);
         if data.len() > 1 << 20 {
             data.truncate(1 << 20);
@@ -345,28 +344,28 @@ pub fn mutate(rng: &mut StdRng, seed: &Seed) -> Vec<u8> {
     data
 }
 
-fn mutate_once(rng: &mut StdRng, kind: Kind, mut data: Vec<u8>) -> Vec<u8> {
-    match rng.random_range(0u32..8) {
+fn mutate_once(rng: &mut Rng, kind: Kind, mut data: Vec<u8>) -> Vec<u8> {
+    match rng.range(0u32..8) {
         // Flip one byte.
         0 if !data.is_empty() => {
-            let i = rng.random_range(0..data.len());
-            data[i] = rng.random_range(0u8..=255);
+            let i = rng.range(0..data.len());
+            data[i] = rng.range(0u8..=255);
             data
         }
         // Insert one byte.
         1 => {
-            let i = rng.random_range(0..=data.len());
-            data.insert(i, rng.random_range(0u8..=255));
+            let i = rng.range(0..=data.len());
+            data.insert(i, rng.range(0u8..=255));
             data
         }
         // Delete one byte.
         2 if !data.is_empty() => {
-            data.remove(rng.random_range(0..data.len()));
+            data.remove(rng.range(0..data.len()));
             data
         }
         // Truncate.
         3 if !data.is_empty() => {
-            data.truncate(rng.random_range(0..data.len()));
+            data.truncate(rng.range(0..data.len()));
             data
         }
         // Duplicate or delete a random line.
@@ -375,8 +374,8 @@ fn mutate_once(rng: &mut StdRng, kind: Kind, mut data: Vec<u8>) -> Vec<u8> {
             if lines.is_empty() {
                 return data;
             }
-            let i = rng.random_range(0..lines.len());
-            if rng.random_bool(0.5) {
+            let i = rng.range(0..lines.len());
+            if rng.chance(0.5) {
                 let line = lines[i];
                 lines.insert(i, line);
             } else {
@@ -387,17 +386,17 @@ fn mutate_once(rng: &mut StdRng, kind: Kind, mut data: Vec<u8>) -> Vec<u8> {
         // Splice a dictionary token at a random offset.
         5 => {
             let dict = kind.dictionary();
-            let token = dict[rng.random_range(0..dict.len())].as_bytes();
-            let i = rng.random_range(0..=data.len());
+            let token = dict[rng.range(0..dict.len())].as_bytes();
+            let i = rng.range(0..=data.len());
             data.splice(i..i, token.iter().copied());
             data
         }
         // Repeat a random chunk (amplifies nesting and list lengths).
         6 if !data.is_empty() => {
-            let start = rng.random_range(0..data.len());
-            let len = rng.random_range(1..=((data.len() - start).min(64)));
+            let start = rng.range(0..data.len());
+            let len = rng.range(1..=((data.len() - start).min(64)));
             let chunk: Vec<u8> = data[start..start + len].to_vec();
-            let times = rng.random_range(2usize..=64);
+            let times = rng.range(2usize..=64);
             let at = start + len;
             data.splice(
                 at..at,
@@ -451,11 +450,11 @@ mod tests {
     fn mutation_is_deterministic_per_seed() {
         let seed = text_seed();
         let a: Vec<Vec<u8>> = {
-            let mut rng = StdRng::seed_from_u64(42);
+            let mut rng = Rng::seed_from_u64(42);
             (0..10).map(|_| mutate(&mut rng, &seed)).collect()
         };
         let b: Vec<Vec<u8>> = {
-            let mut rng = StdRng::seed_from_u64(42);
+            let mut rng = Rng::seed_from_u64(42);
             (0..10).map(|_| mutate(&mut rng, &seed)).collect()
         };
         assert_eq!(a, b);

@@ -14,6 +14,7 @@
 //! the per-query handoff cost.
 
 use dfsssp_core::{DfSssp, RoutingEngine};
+use fabric::rng::splitmix64;
 use fabric::{Network, NodeId};
 use serve::{PathQuery, QueryEngine, QueryOpts, RouteServer, ServedOutcome};
 use std::fmt::Write as _;
@@ -75,13 +76,6 @@ pub struct ServeBenchReport {
     pub scaling_milli: u64,
     /// The concurrent chaos campaign.
     pub chaos: ChaosPhase,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// All ordered terminal pairs of `net` (reference ids).
@@ -154,7 +148,7 @@ fn measure_point(
 /// chaos phase only breaks redundant hardware, so zero failed queries
 /// is a *requirement*, not luck). Shared with the loadgen bench.
 pub(crate) fn safe_cables(net: &Network) -> Vec<fabric::ChannelId> {
-    use rustc_hash::FxHashSet;
+    use telemetry::fx::FxHashSet;
     net.channels()
         .filter(|(id, ch)| {
             net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)

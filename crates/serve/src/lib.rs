@@ -50,7 +50,8 @@ pub mod shed;
 pub mod slo;
 pub mod snapshot;
 pub mod swap;
-pub mod sync;
+/// The workspace's one `std`-or-model-checker switch over sync primitives.
+pub use weave::shim as sync;
 
 pub use query::{
     Admission, ClassPolicy, PathAnswer, PathQuery, QueryClass, QueryEngine, QueryOpts, ServeError,

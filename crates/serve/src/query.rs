@@ -54,10 +54,10 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use dfsssp_core::{Budget, BudgetGuard, RouteError};
 use fabric::{ChannelId, NodeId};
-use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::fx::FxHashMap;
 use telemetry::{counters, hists, phases, RecorderHandle};
 
 /// One path question: how do I get from `src` to `dst`? Ids are

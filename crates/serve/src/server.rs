@@ -90,8 +90,8 @@ impl<E: RoutingEngine> RouteServer<E> {
         sm_node: NodeId,
         recorder: RecorderHandle,
     ) -> Result<Self, ServerError> {
-        let mut sm = SmLoop::bring_up(engine, net, sm_node).map_err(ServerError::Sm)?;
-        sm.set_recorder(recorder.clone());
+        let sm = SmLoop::bring_up_recorded(engine, net, sm_node, recorder.clone())
+            .map_err(ServerError::Sm)?;
         let mut store = SnapshotStore::open(
             sm.network().clone(),
             sm.programmed().routes.clone(),
@@ -230,6 +230,32 @@ mod tests {
         for &t in net.terminals() {
             assert!(snap.resolve(t).is_some());
         }
+    }
+
+    #[test]
+    fn bring_up_records_epoch_zeros_reroute() {
+        use telemetry::phases;
+        let net = fat_tree();
+        let collector = std::sync::Arc::new(telemetry::Collector::new());
+        let _server = RouteServer::bring_up_recorded(
+            DfSssp::new(),
+            net.clone(),
+            net.terminals()[0],
+            collector.clone(),
+        )
+        .unwrap();
+        let snap = collector.snapshot();
+        for name in [
+            phases::REROUTE,
+            phases::SM_EXISTENCE,
+            phases::SM_GUARD,
+            phases::SM_VALIDATE,
+            phases::SM_PLAN,
+        ] {
+            let count = snap.phases.get(name).map_or(0, |p| p.count);
+            assert_eq!(count, 1, "{name} after bring-up alone");
+        }
+        assert_eq!(snap.counters[telemetry::counters::REROUTES], 1);
     }
 
     #[test]

@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn reference_map_tracks_degraded_views() {
-        use rustc_hash::FxHashSet;
+        use telemetry::fx::FxHashSet;
         let reference = topo::kary_ntree(4, 2);
         // Kill one leaf switch: its terminals leave the view.
         let leaf = *reference

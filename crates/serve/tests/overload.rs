@@ -14,8 +14,8 @@
 //!   mid-run chaos epoch publishes normally.
 
 use dfsssp_core::{DfSssp, RouteError};
+use fabric::rng::splitmix64;
 use fabric::{topo, ChannelId, Network, NodeId};
-use rustc_hash::FxHashSet;
 use serve::sync::Arc;
 use serve::{
     Admission, ClassPolicy, PathAnswer, PathQuery, QueryClass, QueryOpts, RouteServer, ServeError,
@@ -25,14 +25,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use subnet::{FabricEvent, Rung};
+use telemetry::fx::FxHashSet;
 use telemetry::Collector;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Switch-switch cables whose loss keeps the fabric strongly connected,
 /// so the chaos schedule never unserves a terminal.

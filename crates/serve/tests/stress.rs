@@ -6,22 +6,16 @@
 //! snapshot any reader could have observed is vet-clean.
 
 use dfsssp_core::DfSssp;
+use fabric::rng::splitmix64;
 use fabric::{topo, ChannelId, Network, NodeId};
-use rustc_hash::FxHashSet;
 use serve::{PathAnswer, PathQuery, QueryEngine, QueryOpts, RouteServer, ServedOutcome, Snapshot};
+use telemetry::fx::FxHashSet;
 // `serve::sync::Arc` so `store.read()`'s type matches under both the std
 // build and `--features loom-tests` (where it is weave's tracked Arc).
 use serve::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use subnet::FabricEvent;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Switch-switch cables whose loss keeps the fabric strongly connected,
 /// so the chaos schedule never unserves a terminal.

@@ -22,6 +22,7 @@
 
 use crate::manager::SmError;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use fabric::rng::{splitmix64, unit_f64};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -256,7 +257,7 @@ impl RetryPolicy {
             .min(self.max_backoff);
         let half = exp / 2;
         // Jitter fraction in [0, 1) from a splitmix64 step.
-        let frac = (splitmix64(self.seed ^ attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
+        let frac = unit_f64(splitmix64(self.seed ^ attempt as u64));
         half + Duration::from_nanos((half.as_nanos() as f64 * frac) as u64)
     }
 
@@ -268,13 +269,6 @@ impl RetryPolicy {
         }
         d
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

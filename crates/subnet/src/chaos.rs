@@ -16,11 +16,9 @@
 use crate::events::{FabricEvent, SmLoop};
 use crate::manager::SmError;
 use dfsssp_core::RoutingEngine;
+use fabric::rng::Rng;
 use fabric::{ChannelId, Network, NodeId};
-use rand::rngs::StdRng;
-use rand::RngExt;
-use rand::SeedableRng;
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// What kind of campaign [`schedule`] generates.
 #[derive(Clone, Debug)]
@@ -66,7 +64,7 @@ pub struct Batch {
 /// of the switch-switch cables and a quarter of the switches down at
 /// once — so the campaign degrades the fabric without demolishing it.
 pub fn schedule(net: &Network, spec: &CampaignSpec) -> Vec<Batch> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Rng::seed_from_u64(spec.seed);
     // Canonical (lower-id direction) switch-switch cables.
     let uplinks: Vec<ChannelId> = net
         .channels()
@@ -85,7 +83,7 @@ pub fn schedule(net: &Network, spec: &CampaignSpec) -> Vec<Batch> {
     let mut total = 0usize;
     let mut flap_done = !spec.flap_burst;
 
-    let pick = |rng: &mut StdRng, n: usize| rng.random_range(0..n);
+    let pick = |rng: &mut Rng, n: usize| rng.range(0..n);
 
     while total < spec.events {
         // The flap burst goes second, after at least one plain event.

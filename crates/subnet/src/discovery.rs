@@ -6,7 +6,7 @@
 //! ports (reading the far end of each cable) until no new nodes appear.
 
 use fabric::{ChannelId, Network, NodeId};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// Result of a sweep.
 #[derive(Clone, Debug, Default)]

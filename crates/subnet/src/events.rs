@@ -46,8 +46,8 @@ use crate::transition::{self, UpdatePlan};
 use baselines::UpDown;
 use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{degrade, ChannelId, Network, NodeId};
-use rustc_hash::FxHashSet;
 use std::time::{Duration, Instant};
+use telemetry::fx::FxHashSet;
 use telemetry::{counters, hists, phases, RecorderHandle};
 
 /// A fabric event the SM reacts to. Channel and node ids refer to the
@@ -195,6 +195,17 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// through the same escalation ladder events use (so a fabric that
     /// is *born* partitioned or VL-starved still comes up degraded).
     pub fn bring_up(engine: E, net: Network, sm_node: NodeId) -> Result<Self, SmError> {
+        Self::bring_up_recorded(engine, net, sm_node, telemetry::noop())
+    }
+
+    /// [`SmLoop::bring_up`] with `recorder` attached from the start, so
+    /// the boot's own reroute (epoch 0) is reported like any later one.
+    pub fn bring_up_recorded(
+        engine: E,
+        net: Network,
+        sm_node: NodeId,
+        recorder: RecorderHandle,
+    ) -> Result<Self, SmError> {
         let sm = SubnetManager::new(engine);
         let mut looped = SmLoop {
             sm,
@@ -227,7 +238,7 @@ impl<E: RoutingEngine> SmLoop<E> {
             },
             breaker: CircuitBreaker::default(),
             retry: RetryPolicy::default(),
-            recorder: telemetry::noop(),
+            recorder,
         };
         let outcome = looped.reroute(0, &[], Some(sm_node))?;
         looped.last = outcome;

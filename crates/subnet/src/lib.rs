@@ -31,7 +31,8 @@ pub mod events;
 pub mod lft;
 pub mod lid;
 pub mod manager;
-pub mod sync;
+/// The workspace's one `std`-or-model-checker switch over sync primitives.
+pub use weave::shim as sync;
 pub mod transition;
 
 pub use armor::{BreakerState, CircuitBreaker, RetryPolicy};

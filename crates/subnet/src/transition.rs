@@ -27,7 +27,7 @@
 //! count them.
 
 use fabric::{Network, NodeId, Routes};
-use rustc_hash::{FxHashMap, FxHashSet};
+use telemetry::fx::{FxHashMap, FxHashSet};
 use vet::TableWalk;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
@@ -470,7 +470,7 @@ mod tests {
     use super::*;
     use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
     use fabric::{degrade, topo, ChannelId};
-    use rustc_hash::FxHashSet;
+    use telemetry::fx::FxHashSet;
 
     #[test]
     fn remap_onto_the_same_network_is_identity() {

@@ -1,10 +1,10 @@
 //! Recorder implementations: the in-memory [`Collector`] and the
 //! streaming [`JsonlSink`].
 
+use crate::fx::FxHashMap;
 use crate::hist::Hist;
 use crate::manifest::{PhaseStat, Snapshot};
 use crate::Recorder;
-use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;

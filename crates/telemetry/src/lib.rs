@@ -27,6 +27,7 @@
 //! [`phases`], [`counters`] and [`hists`].
 
 pub mod collector;
+pub mod fx;
 pub mod hist;
 pub mod json;
 pub mod manifest;

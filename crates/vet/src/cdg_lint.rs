@@ -71,7 +71,7 @@ pub(crate) fn find_cycle<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustc_hash::FxHashSet;
+    use telemetry::fx::FxHashSet;
 
     fn set(edges: &[(u32, u32)]) -> FxHashSet<(u32, u32)> {
         edges.iter().copied().collect()

@@ -45,7 +45,7 @@
 
 use crate::cdg_lint;
 use fabric::{ChannelId, Network, NodeId};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// The V007 verdict for a fabric. See the module docs for semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1004,14 +1004,9 @@ mod tests {
                 let what = format!("{name} minus cable {c:?}/{rev:?}");
                 assert_matches_reference(&what, &without(net, &[c, rev]));
             }
-            // Seeded kills (splitmix64 draws; duplicates just kill fewer).
-            let mut state = 0x9e37_79b9_7f4a_7c15u64;
-            let mut draw = || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                channels[((z ^ (z >> 31)) % channels.len() as u64) as usize]
-            };
+            // Seeded kills (duplicates just kill fewer).
+            let mut stream = fabric::rng::SplitMix64(0x9e37_79b9_7f4a_7c15);
+            let mut draw = || channels[(stream.next_u64() % channels.len() as u64) as usize];
             for _ in 0..(24 / stride).max(2) {
                 let dead = [draw(), draw(), draw()];
                 assert_matches_reference(&format!("{name} minus {dead:?}"), &without(net, &dead));

@@ -35,7 +35,7 @@ pub use existence::{existence, Existence, ExistenceWitness};
 pub use walk::TableWalk;
 
 use fabric::{ChannelId, Network, Routes};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 /// Tunables for one analysis run.
 #[derive(Clone, Debug)]

@@ -15,7 +15,7 @@
 //! once and reads them all.
 
 use fabric::{ChannelId, Network, NodeId, Routes};
-use rustc_hash::FxHashSet;
+use telemetry::fx::FxHashSet;
 
 use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
 use crate::Config;

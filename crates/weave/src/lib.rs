@@ -56,9 +56,12 @@
 //! to its `std` counterpart, so production code can be compiled against
 //! `weave::sync` under a test-only cfg without behavioural change when no
 //! model is running.
+//! [`shim`] is that switch, written once for the workspace: `std`'s
+//! primitives by default, this crate's under the `weave` feature.
 
 pub mod hint;
 mod sched;
+pub mod shim;
 pub mod sync;
 pub mod thread;
 

@@ -1,28 +1,37 @@
-//! Property tests on the channel-dependency-graph machinery: the
+//! Property sweeps on the channel-dependency-graph machinery: the
 //! resumable cycle search against its from-scratch counterpart, and the
 //! interchange formats against generated networks.
 
+mod common;
+
+use common::{sweep, Case};
 use dfsssp::core::cdg::{Cdg, CycleSearch};
 use dfsssp::core::dfsssp::{assign_layers_offline, assign_layers_offline_restart};
 use dfsssp::core::paths::PathSet;
 use dfsssp::prelude::*;
-use proptest::prelude::*;
 
-/// Random digraph as an edge list over `n` nodes.
-fn arb_digraph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
-    (3usize..16).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32).prop_filter("no self-loops", |(a, b)| a != b);
-        proptest::collection::vec(edge, 0..40).prop_map(move |edges| (n, edges))
-    })
+/// Random digraph as an edge list over `n` nodes, without self-loops.
+fn random_digraph(c: &mut Case) -> (usize, Vec<(u32, u32)>) {
+    let n = c.draw("n", 3usize..16);
+    let len = c.rng.range(0usize..40);
+    let edges: Vec<(u32, u32)> = (0..len)
+        .map(|_| {
+            let a = c.rng.range(0..n as u32);
+            // Skip `a` itself: uniform over the other n - 1 nodes.
+            let b = c.rng.range(0..n as u32 - 1);
+            (a, b + u32::from(b >= a))
+        })
+        .collect();
+    c.note("edges", &edges);
+    (n, edges)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Draining cycles with the resumable search always terminates with an
-    /// acyclic graph, and it never reports a cycle containing dead edges.
-    #[test]
-    fn resumable_search_drains_arbitrary_digraphs((n, edges) in arb_digraph()) {
+/// Draining cycles with the resumable search always terminates with an
+/// acyclic graph, and it never reports a cycle containing dead edges.
+#[test]
+fn resumable_search_drains_arbitrary_digraphs() {
+    sweep(0..64, |c| {
+        let (n, edges) = random_digraph(c);
         let mut cdg = Cdg::new(n);
         for &(a, b) in &edges {
             cdg.add_dependency(a, b);
@@ -31,33 +40,34 @@ proptest! {
         let mut rounds = 0;
         while let Some(cycle) = search.next_cycle(&cdg) {
             rounds += 1;
-            prop_assert!(rounds <= edges.len() + 1, "non-termination");
-            prop_assert!(!cycle.is_empty());
+            assert!(rounds <= edges.len() + 1, "non-termination");
+            assert!(!cycle.is_empty());
             // The reported cycle chains and is live.
             for w in cycle.windows(2) {
-                prop_assert_eq!(cdg.edge(w[0]).to, cdg.edge(w[1]).from);
+                assert_eq!(cdg.edge(w[0]).to, cdg.edge(w[1]).from);
             }
             let first = cdg.edge(cycle[0]).from;
             let last = cdg.edge(*cycle.last().unwrap()).to;
-            prop_assert_eq!(first, last);
+            assert_eq!(first, last);
             for &e in &cycle {
-                prop_assert!(cdg.edge(e).count > 0, "dead edge in reported cycle");
+                assert!(cdg.edge(e).count > 0, "dead edge in reported cycle");
             }
             // Break the cycle like the offline algorithm would: kill one
             // edge entirely.
             let victim = cycle[0];
             cdg.remove_edge(victim);
         }
-        prop_assert!(cdg.is_acyclic());
-    }
+        assert!(cdg.is_acyclic());
+    });
+}
 
-    /// Resumable and restart-based offline assignment agree on validity
-    /// (both produce covers) for SSSP paths on random topologies.
-    #[test]
-    fn offline_variants_both_produce_covers(
-        switches in 4usize..10,
-        seed in any::<u64>(),
-    ) {
+/// Resumable and restart-based offline assignment agree on validity
+/// (both produce covers) for SSSP paths on random topologies.
+#[test]
+fn offline_variants_both_produce_covers() {
+    sweep(0..64, |c| {
+        let switches = c.draw("switches", 4usize..10);
+        let seed = c.draw("seed", 0..=u64::MAX);
         let spec = dfsssp::topo::RandomTopoSpec {
             switches,
             radix: 16,
@@ -68,8 +78,12 @@ proptest! {
         let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
         let ps = PathSet::extract(&net, &routes).unwrap();
         for assignment in [
-            assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, 32, false).unwrap().0,
-            assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 32).unwrap().0,
+            assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, 32, false)
+                .unwrap()
+                .0,
+            assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 32)
+                .unwrap()
+                .0,
         ] {
             let mut r = routes.clone();
             for p in ps.ids() {
@@ -77,29 +91,35 @@ proptest! {
                 r.set_layer(s as usize, d as usize, assignment[p as usize]);
             }
             r.recompute_num_layers();
-            prop_assert!(dfsssp::verify::verify_deadlock_free(&net, &r).is_ok());
+            assert!(dfsssp::verify::verify_deadlock_free(&net, &r).is_ok());
         }
-    }
+    });
+}
 
-    /// The ibnetdiscover writer/parser round-trips random topologies with
-    /// exact port preservation.
-    #[test]
-    fn ibnetdiscover_round_trips(switches in 3usize..8, seed in any::<u64>()) {
+/// The ibnetdiscover writer/parser round-trips random topologies with
+/// exact port preservation.
+#[test]
+fn ibnetdiscover_round_trips() {
+    sweep(0..64, |c| {
+        let switches = c.draw("switches", 3usize..8);
+        let seed = c.draw("seed", 0..=u64::MAX);
         let spec = dfsssp::topo::RandomTopoSpec {
             switches,
             radix: 12,
             terminals_per_switch: 2,
-            interswitch_links: (switches - 1).max(switches).min(switches * (switches - 1) / 2),
+            interswitch_links: (switches - 1)
+                .max(switches)
+                .min(switches * (switches - 1) / 2),
         };
         let net = dfsssp::topo::random_topology(&spec, seed);
         let dump = dfsssp::fabric::format::write_ibnetdiscover(&net);
         let back = dfsssp::fabric::format::parse_ibnetdiscover(&dump).unwrap();
-        prop_assert_eq!(back.num_nodes(), net.num_nodes());
-        prop_assert_eq!(back.num_cables(), net.num_cables());
-        back.validate().map_err(TestCaseError::fail)?;
+        assert_eq!(back.num_nodes(), net.num_nodes());
+        assert_eq!(back.num_cables(), net.num_cables());
+        back.validate().unwrap();
         // Routing the reparsed fabric behaves identically.
         let a = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
         let b = DfSssp::new().route_in(&back, &ComputeCtx::seq()).unwrap();
-        prop_assert_eq!(a.num_layers(), b.num_layers());
-    }
+        assert_eq!(a.num_layers(), b.num_layers());
+    });
 }

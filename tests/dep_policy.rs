@@ -1,8 +1,8 @@
-//! Repo lint: the workspace's third-party surface is a short, argued list
+//! Repo lint: the workspace depends on nothing outside itself
 //! (DESIGN.md §4). Every dependency of every member must be first-party
-//! (a `path`) or one of [`ALLOWED`], and every `[workspace.dependencies]`
-//! entry must be named by some member — a pin nobody uses is how unused
-//! crates linger in the lock file.
+//! (a `path`), and every `[workspace.dependencies]` entry must be named
+//! by some member — a pin nobody uses is how unused crates linger in the
+//! lock file.
 //!
 //! Like `unsafe_lint.rs` the scanner is deliberately dumb: line-based,
 //! one inline `name = …` entry per line under a `[…dependencies]` header.
@@ -12,21 +12,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Registry crates a manifest may name, with why.
-const ALLOWED: &[(&str, &str)] = &[
-    (
-        "rand",
-        "seeded generators and samplers for topologies, patterns, chaos",
-    ),
-    (
-        "rustc-hash",
-        "FxHash for small integer keys on routing hot paths",
-    ),
-    ("smallvec", "inline short paths and port lists"),
-    ("proptest", "dev-only: property tests"),
-    ("criterion", "dev-only: the repro benches"),
-];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -75,7 +60,7 @@ fn deps(manifest: &str) -> Vec<Dep> {
 }
 
 #[test]
-fn dependencies_are_first_party_or_allowlisted() {
+fn dependencies_are_first_party() {
     let root = repo_root();
     let mut violations = Vec::new();
     // `[workspace.dependencies]` name -> whether it is a path entry.
@@ -113,9 +98,9 @@ fn dependencies_are_first_party_or_allowlisted() {
         } else {
             dep.spec.contains("path")
         };
-        if !first_party && !ALLOWED.iter().any(|(name, _)| *name == dep.name) {
+        if !first_party {
             violations.push(format!(
-                "{rel}: [{}] names registry crate `{}`, which DESIGN.md §4 does not allow",
+                "{rel}: [{}] names registry crate `{}`; DESIGN.md §4 allows none",
                 dep.table, dep.name
             ));
         }
@@ -124,13 +109,6 @@ fn dependencies_are_first_party_or_allowlisted() {
         violations.push(format!(
             "Cargo.toml: [workspace.dependencies] pins `{name}` but no member names it"
         ));
-    }
-    // Self-pruning, like the unsafe allowlist: an allowed name nobody
-    // uses any more must leave the list (and DESIGN.md §4).
-    for (name, _) in ALLOWED {
-        if !named.contains(*name) {
-            violations.push(format!("ALLOWED lists `{name}` but no member names it"));
-        }
     }
     assert!(
         violations.is_empty(),

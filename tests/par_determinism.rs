@@ -1,74 +1,72 @@
 //! The parallel-compute determinism contract, end to end: at a fixed
 //! `chunk`, the routes DFSSSP produces are a pure function of the
-//! network — never of the worker count. Property tests sweep seeded
+//! network — never of the worker count. Property sweeps draw seeded
 //! dragonfly / fat-tree / torus fabrics (pristine and degraded) and
 //! compare the 2- and 4-worker tables bit for bit (`Routes: Eq`)
 //! against the single-worker run.
 
+mod common;
+
+use common::{sweep, Case};
 use dfsssp::prelude::*;
-use proptest::prelude::*;
 
 /// Route `net` at 1, 2 and 4 workers under `chunk` and require all
 /// three tables identical (and deadlock-free).
-fn assert_thread_invariant(net: &Network, chunk: usize) -> Result<(), TestCaseError> {
+fn assert_thread_invariant(net: &Network, chunk: usize) {
     let engine = DfSssp::new();
-    let baseline = engine
-        .route_in(net, &ComputeCtx::new(1, chunk))
-        .map_err(|e| TestCaseError::fail(format!("{}: {e}", net.label())))?;
-    dfsssp::verify::verify_deadlock_free(net, &baseline)
-        .map_err(|e| TestCaseError::fail(format!("{}: {e}", net.label())))?;
-    for threads in [2usize, 4] {
-        let routes = engine
+    let route = |threads| {
+        engine
             .route_in(net, &ComputeCtx::new(threads, chunk))
-            .map_err(|e| TestCaseError::fail(format!("{}: {e}", net.label())))?;
-        prop_assert_eq!(
-            &routes,
-            &baseline,
+            .unwrap_or_else(|e| panic!("{}: {e}", net.label()))
+    };
+    let baseline = route(1);
+    dfsssp::verify::verify_deadlock_free(net, &baseline)
+        .unwrap_or_else(|e| panic!("{}: {e}", net.label()));
+    for threads in [2usize, 4] {
+        assert_eq!(
+            route(threads),
+            baseline,
             "{} diverged at threads={} chunk={}",
             net.label(),
             threads,
             chunk
         );
     }
-    Ok(())
 }
 
-/// `net` with `cables` redundant cables failed (seeded); falls back to
-/// the pristine network when nothing can be removed safely.
-fn degraded(net: &Network, cables: usize, seed: u64) -> Network {
+/// Draw a chunk size, a cable-failure count and a seed, and check `net`
+/// with that many redundant cables failed (the pristine network when
+/// nothing can be removed safely).
+fn assert_degraded_thread_invariant(c: &mut Case, net: &Network) {
+    let chunk = [1usize, 4, 16][c.draw("chunk_ix", 0usize..3)];
+    let cables = c.draw("cables", 0usize..3);
+    let seed = c.draw("seed", 0u64..1024);
     let (worn, _removed) = dfsssp::fabric::degrade::fail_random_cables(net, cables, seed);
-    worn
+    assert_thread_invariant(&worn, chunk);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+#[test]
+fn torus_routes_ignore_worker_count() {
+    sweep(0..8, |c| {
+        let (a, b) = (c.draw("a", 3u16..6), c.draw("b", 3u16..6));
+        assert_degraded_thread_invariant(c, &dfsssp::topo::torus(&[a, b], 1));
+    });
+}
 
-    #[test]
-    fn torus_routes_ignore_worker_count(
-        a in 3u16..6, b in 3u16..6, chunk_ix in 0usize..3,
-        cables in 0usize..3, seed in 0u64..1024,
-    ) {
-        let net = dfsssp::topo::torus(&[a, b], 1);
-        assert_thread_invariant(&degraded(&net, cables, seed), [1usize, 4, 16][chunk_ix])?;
-    }
+#[test]
+fn fat_tree_routes_ignore_worker_count() {
+    sweep(0..8, |c| {
+        let k = c.draw("k", 3usize..7);
+        assert_degraded_thread_invariant(c, &dfsssp::topo::kary_ntree(k, 2));
+    });
+}
 
-    #[test]
-    fn fat_tree_routes_ignore_worker_count(
-        k in 3usize..7, chunk_ix in 0usize..3,
-        cables in 0usize..3, seed in 0u64..1024,
-    ) {
-        let net = dfsssp::topo::kary_ntree(k, 2);
-        assert_thread_invariant(&degraded(&net, cables, seed), [1usize, 4, 16][chunk_ix])?;
-    }
-
-    #[test]
-    fn dragonfly_routes_ignore_worker_count(
-        a in 3usize..5, h in 1usize..3, chunk_ix in 0usize..3,
-        cables in 0usize..3, seed in 0u64..1024,
-    ) {
-        let net = dfsssp::topo::dragonfly(a, 1, h);
-        assert_thread_invariant(&degraded(&net, cables, seed), [1usize, 4, 16][chunk_ix])?;
-    }
+#[test]
+fn dragonfly_routes_ignore_worker_count() {
+    sweep(0..8, |c| {
+        let (a, h) = (c.draw("a", 3usize..5), c.draw("h", 1usize..3));
+        assert_degraded_thread_invariant(c, &dfsssp::topo::dragonfly(a, 1, h));
+    });
 }
 
 /// The non-property anchor: one deterministic sweep that always runs
@@ -82,7 +80,7 @@ fn example_topologies_are_thread_invariant() {
         dfsssp::topo::kautz(3, 2, 36, true),
     ] {
         for chunk in [1usize, 16] {
-            assert_thread_invariant(&net, chunk).unwrap();
+            assert_thread_invariant(&net, chunk);
         }
     }
 }

@@ -2,14 +2,14 @@
 //! with a typed [`ParseError`] — no panics, no overflows, no hangs.
 //!
 //! Deterministic exhaustive single-byte mutations run on every corpus
-//! seed (they always run, even under the offline proptest stand-in);
-//! a proptest block covers random multi-byte damage where the real
-//! crate is available; and the committed regression corpus — inputs
-//! that once crashed (or would have crashed) a parser — is replayed
-//! unmutated on every test run.
+//! seed; a seeded sweep adds random byte damage at random positions;
+//! and the committed regression corpus — inputs that once crashed (or
+//! would have crashed) a parser — is replayed unmutated on every test
+//! run.
+
+mod common;
 
 use fabric::format::{self, ParseError};
-use proptest::prelude::*;
 use repro::fuzz::{self, FuzzConfig, Kind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -129,21 +129,24 @@ fn seeded_mutation_campaign_smoke() {
     assert_eq!(report.parse_ok + report.parse_err, 500);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random single-byte damage on the text format (runs under the
-    /// real proptest; the offline stand-in compiles it away — the
-    /// deterministic exhaustive test above keeps coverage either way).
-    #[test]
-    fn random_byte_damage_is_typed(pos in 0usize..1024, byte in any::<u8>()) {
-        let seeds = fuzz::load_corpus(Path::new("tests/corpus")).unwrap();
+/// Random single-byte damage on every corpus seed.
+#[test]
+fn random_byte_damage_is_typed() {
+    quiet_panics();
+    let seeds = fuzz::load_corpus(Path::new("tests/corpus")).unwrap();
+    common::sweep(0..64, |c| {
+        let pos = c.draw("pos", 0usize..1024);
+        let byte = c.draw("byte", 0u8..=255);
         for seed in &seeds {
             let mut data = seed.data.clone();
             let i = pos % data.len();
             data[i] = byte;
             let input = String::from_utf8_lossy(&data).into_owned();
-            prop_assert!(parse_no_panic(seed.kind, &input).is_ok());
+            assert!(
+                parse_no_panic(seed.kind, &input).is_ok(),
+                "PANIC on {} byte {i}",
+                seed.path.display()
+            );
         }
-    }
+    });
 }

@@ -1,93 +1,121 @@
-//! Property-based tests (proptest) on the core invariants.
+//! Seeded property sweeps on the core invariants.
 
+mod common;
+
+use common::{sweep, Case};
 use dfsssp::core::app::{coloring_to_app, is_k_colorable};
 use dfsssp::core::balance::balance_layers;
 use dfsssp::core::paths::PathSet;
 use dfsssp::prelude::*;
 use dfsssp::verify::{deadlock_report, verify_minimal};
-use proptest::prelude::*;
 
 /// Random connected topology specs small enough for exhaustive checks.
-fn arb_random_net() -> impl Strategy<Value = Network> {
-    (4usize..12, 2usize..4, 0usize..20, any::<u64>()).prop_map(
-        |(switches, terminals_per_switch, extra_links, seed)| {
-            // No parallel cables: total links bounded by distinct pairs.
-            let max_links = switches * (switches - 1) / 2;
-            let spec = dfsssp::topo::RandomTopoSpec {
-                switches,
-                radix: 24,
-                terminals_per_switch,
-                interswitch_links: ((switches - 1) + extra_links).min(max_links),
-            };
-            dfsssp::topo::random_topology(&spec, seed)
-        },
-    )
+fn random_net(c: &mut Case) -> Network {
+    let switches = c.draw("switches", 4usize..12);
+    let terminals_per_switch = c.draw("terminals_per_switch", 2usize..4);
+    let extra_links = c.draw("extra_links", 0usize..20);
+    let seed = c.draw("seed", 0..=u64::MAX);
+    // No parallel cables: total links bounded by distinct pairs.
+    let max_links = switches * (switches - 1) / 2;
+    let spec = dfsssp::topo::RandomTopoSpec {
+        switches,
+        radix: 24,
+        terminals_per_switch,
+        interswitch_links: ((switches - 1) + extra_links).min(max_links),
+    };
+    dfsssp::topo::random_topology(&spec, seed)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// SSSP paths are hop-minimal on every random topology.
-    #[test]
-    fn sssp_is_minimal(net in arb_random_net()) {
+/// SSSP paths are hop-minimal on every random topology.
+#[test]
+fn sssp_is_minimal() {
+    sweep(0..48, |c| {
+        let net = random_net(c);
         let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        prop_assert!(verify_minimal(&net, &routes).is_ok());
-    }
+        assert!(verify_minimal(&net, &routes).is_ok());
+    });
+}
 
-    /// DFSSSP always yields per-layer acyclic CDGs and full connectivity.
-    #[test]
-    fn dfsssp_is_deadlock_free_and_connected(net in arb_random_net()) {
+/// DFSSSP always yields per-layer acyclic CDGs and full connectivity.
+#[test]
+fn dfsssp_is_deadlock_free_and_connected() {
+    sweep(0..48, |c| {
+        let net = random_net(c);
         let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
-        prop_assert!(report.is_deadlock_free());
+        assert!(report.is_deadlock_free());
         let nt = net.num_terminals();
-        prop_assert_eq!(routes.validate_connectivity(&net).unwrap(), nt * (nt - 1));
-        prop_assert!(routes.num_layers() <= 8);
-    }
+        assert_eq!(routes.validate_connectivity(&net).unwrap(), nt * (nt - 1));
+        assert!(routes.num_layers() <= 8);
+    });
+}
 
-    /// Offline and online layer assignment both produce valid covers;
-    /// the offline algorithm never uses more layers than paths.
-    #[test]
-    fn online_assignment_is_also_safe(net in arb_random_net()) {
-        let engine = DfSssp { mode: LayerAssignMode::Online, ..DfSssp::new() };
+/// Offline and online layer assignment both produce valid covers;
+/// the offline algorithm never uses more layers than paths.
+#[test]
+fn online_assignment_is_also_safe() {
+    sweep(0..48, |c| {
+        let net = random_net(c);
+        let engine = DfSssp {
+            mode: LayerAssignMode::Online,
+            ..DfSssp::new()
+        };
         let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
-        prop_assert!(deadlock_report(&net, &routes).unwrap().is_deadlock_free());
-    }
+        assert!(deadlock_report(&net, &routes).unwrap().is_deadlock_free());
+    });
+}
 
-    /// The balancing step preserves acyclicity: any split of an acyclic
-    /// layer is acyclic (checked end-to-end through the verifier).
-    #[test]
-    fn balancing_preserves_safety(net in arb_random_net()) {
-        let balanced = DfSssp { balance: true, ..DfSssp::new() }.route_in(&net, &ComputeCtx::seq()).unwrap();
-        prop_assert!(deadlock_report(&net, &balanced).unwrap().is_deadlock_free());
-        let unbalanced = DfSssp { balance: false, ..DfSssp::new() }.route_in(&net, &ComputeCtx::seq()).unwrap();
-        prop_assert!(balanced.num_layers() >= unbalanced.num_layers());
-    }
+/// The balancing step preserves acyclicity: any split of an acyclic
+/// layer is acyclic (checked end-to-end through the verifier).
+#[test]
+fn balancing_preserves_safety() {
+    sweep(0..48, |c| {
+        let net = random_net(c);
+        let route = |balance| {
+            DfSssp {
+                balance,
+                ..DfSssp::new()
+            }
+            .route_in(&net, &ComputeCtx::seq())
+            .unwrap()
+        };
+        let balanced = route(true);
+        assert!(deadlock_report(&net, &balanced).unwrap().is_deadlock_free());
+        assert!(balanced.num_layers() >= route(false).num_layers());
+    });
+}
 
-    /// PathSet extraction is consistent with per-channel load counting.
-    #[test]
-    fn pathset_matches_loads(net in arb_random_net()) {
+/// PathSet extraction is consistent with per-channel load counting.
+#[test]
+fn pathset_matches_loads() {
+    sweep(0..48, |c| {
+        let net = random_net(c);
         let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
         let ps = PathSet::extract(&net, &routes).unwrap();
         let loads = routes.channel_loads(&net).unwrap();
-        prop_assert_eq!(ps.total_hops() as u32, loads.iter().sum::<u32>());
+        assert_eq!(ps.total_hops() as u32, loads.iter().sum::<u32>());
         let nt = net.num_terminals();
-        prop_assert_eq!(ps.len(), nt * (nt - 1));
-    }
+        assert_eq!(ps.len(), nt * (nt - 1));
+    });
+}
 
-    /// Layer balancing keeps every path in its original layer's group and
-    /// spreads counts within one of each other.
-    #[test]
-    fn balance_layers_is_a_partition_refinement(
-        n in 1usize..200,
-        used in 1usize..5,
-        available in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let available = available.max(used);
+/// Layer balancing keeps every path in its original layer's group and
+/// spreads counts within one of each other.
+#[test]
+fn balance_layers_is_a_partition_refinement() {
+    sweep(0..48, |c| {
+        let n = c.draw("n", 1usize..200);
+        let used = c.draw("used", 1usize..5);
+        let available = c.draw("available", 1usize..9).max(used);
+        let seed = c.draw("seed", 0..=u64::MAX);
         // Deterministic pseudo-random original layers.
         let mut layers: Vec<u8> = (0..n)
-            .map(|i| ((seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64) >> 33) % used as u64) as u8)
+            .map(|i| {
+                let x = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(i as u64);
+                ((x >> 33) % used as u64) as u8
+            })
             .collect();
         // Ensure every layer < used occurs (precondition of `used`).
         for (l, slot) in layers.iter_mut().enumerate().take(used) {
@@ -95,20 +123,51 @@ proptest! {
         }
         let before = layers.clone();
         let out = balance_layers(&mut layers, used, available);
-        prop_assert!(out <= available);
-        for (b, a) in before.iter().zip(layers.iter()) {
-            // Group ranges are monotone: layer i's group sits before
-            // layer i+1's, so ordering of original layers is preserved.
-            prop_assert!(*a < available as u8);
-            let _ = b;
+        assert!(out <= available);
+        // The documented grouping, recomputed: layer i's group is the
+        // next `1 + extra/used (+1 for the first extra % used)` layers,
+        // so the groups partition `0..available` in layer order.
+        let extra = available - used;
+        let mut group_base = vec![0usize; used + 1];
+        for i in 0..used {
+            group_base[i + 1] = group_base[i] + 1 + extra / used + usize::from(i < extra % used);
         }
-    }
+        assert_eq!(group_base[used], available, "groups partition 0..available");
+        let mut counts = vec![0usize; available];
+        for (path, (&b, &a)) in before.iter().zip(&layers).enumerate() {
+            let group = group_base[b as usize]..group_base[b as usize + 1];
+            assert!(
+                group.contains(&(a as usize)),
+                "path {path}: layer {b} -> {a} left its group {group:?}"
+            );
+            counts[a as usize] += 1;
+        }
+        for i in 0..used {
+            let group = &counts[group_base[i]..group_base[i + 1]];
+            let (min, max) = (group.iter().min().unwrap(), group.iter().max().unwrap());
+            assert!(max - min <= 1, "layer {i}'s group is uneven: {group:?}");
+        }
+    });
+}
 
-    /// The NP-completeness reduction: on random small graphs, the minimum
-    /// APP cover equals the chromatic number.
-    #[test]
-    fn app_reduction_matches_chromatic_number(edge_mask in 0u32..1024) {
-        let all_edges = [(0u32,1u32),(0,2),(0,3),(0,4),(1,2),(1,3),(1,4),(2,3),(2,4),(3,4)];
+/// The NP-completeness reduction: on random small graphs, the minimum
+/// APP cover equals the chromatic number.
+#[test]
+fn app_reduction_matches_chromatic_number() {
+    sweep(0..48, |c| {
+        let edge_mask = c.draw("edge_mask", 0u32..1024);
+        let all_edges = [
+            (0u32, 1u32),
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (2, 3),
+            (2, 4),
+            (3, 4),
+        ];
         let edges: Vec<(u32, u32)> = all_edges
             .iter()
             .enumerate()
@@ -118,7 +177,7 @@ proptest! {
         let chromatic = (1..=5).find(|&k| is_k_colorable(5, &edges, k)).unwrap();
         let g = coloring_to_app(5, &edges);
         let (k, assignment) = g.min_cover(5).unwrap();
-        prop_assert_eq!(k, chromatic);
-        prop_assert!(g.is_cover(&assignment, k));
-    }
+        assert_eq!(k, chromatic);
+        assert!(g.is_cover(&assignment, k));
+    });
 }

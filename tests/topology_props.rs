@@ -1,129 +1,163 @@
-//! Property-based tests on the topology generators: structural
-//! invariants every network family must satisfy.
+//! Property sweeps on the topology generators: structural invariants
+//! every network family must satisfy.
 
+mod common;
+
+use common::sweep;
 use dfsssp::prelude::*;
-use proptest::prelude::*;
 
-fn check_basics(net: &Network) -> Result<(), TestCaseError> {
-    net.validate().map_err(TestCaseError::fail)?;
-    prop_assert!(net.is_strongly_connected(), "{} disconnected", net.label());
+fn check_basics(net: &Network) {
+    net.validate().unwrap();
+    assert!(net.is_strongly_connected(), "{} disconnected", net.label());
     // Every terminal has at least one attachment and at most 2 ports.
     for &t in net.terminals() {
-        prop_assert!(!net.out_channels(t).is_empty());
+        assert!(!net.out_channels(t).is_empty());
     }
     // Channel endpoints consistent with num_cables.
-    prop_assert!(net.num_cables() * 2 >= net.num_channels());
-    Ok(())
+    assert!(net.num_cables() * 2 >= net.num_channels());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn rings_are_sound(n in 3usize..24, t in 1usize..4) {
+#[test]
+fn rings_are_sound() {
+    sweep(0..32, |c| {
+        let n = c.draw("n", 3usize..24);
+        let t = c.draw("t", 1usize..4);
         let net = dfsssp::topo::ring(n, t);
-        check_basics(&net)?;
-        prop_assert_eq!(net.num_switches(), n);
-        prop_assert_eq!(net.num_terminals(), n * t);
+        check_basics(&net);
+        assert_eq!(net.num_switches(), n);
+        assert_eq!(net.num_terminals(), n * t);
         // Ring diameter: floor(n/2) switch hops + 2 terminal hops.
-        prop_assert_eq!(net.diameter(), Some(n / 2 + 2));
-    }
+        assert_eq!(net.diameter(), Some(n / 2 + 2));
+    });
+}
 
-    #[test]
-    fn tori_are_sound(a in 2u16..6, b in 2u16..6, t in 1usize..3) {
+#[test]
+fn tori_are_sound() {
+    sweep(0..32, |c| {
+        let a = c.draw("a", 2u16..6);
+        let b = c.draw("b", 2u16..6);
+        let t = c.draw("t", 1usize..3);
         let net = dfsssp::topo::torus(&[a, b], t);
-        check_basics(&net)?;
-        prop_assert_eq!(net.num_switches(), (a * b) as usize);
+        check_basics(&net);
+        assert_eq!(net.num_switches(), (a * b) as usize);
         // Torus switch diameter: sum of per-dim half-extents.
         let d = (a / 2 + b / 2) as usize + 2;
-        prop_assert_eq!(net.diameter(), Some(d));
-    }
+        assert_eq!(net.diameter(), Some(d));
+    });
+}
 
-    #[test]
-    fn meshes_are_sound(a in 2u16..6, b in 2u16..6) {
+#[test]
+fn meshes_are_sound() {
+    sweep(0..32, |c| {
+        let a = c.draw("a", 2u16..6);
+        let b = c.draw("b", 2u16..6);
         let net = dfsssp::topo::mesh(&[a, b], 1);
-        check_basics(&net)?;
+        check_basics(&net);
         let d = (a + b - 2) as usize + 2;
-        prop_assert_eq!(net.diameter(), Some(d));
-    }
+        assert_eq!(net.diameter(), Some(d));
+    });
+}
 
-    #[test]
-    fn kary_ntrees_are_sound(k in 2usize..6, n in 1usize..4) {
+#[test]
+fn kary_ntrees_are_sound() {
+    sweep(0..32, |c| {
+        let k = c.draw("k", 2usize..6);
+        let n = c.draw("n", 1usize..4);
         let net = dfsssp::topo::kary_ntree(k, n);
-        check_basics(&net)?;
-        prop_assert_eq!(net.num_terminals(), k.pow(n as u32));
-        prop_assert_eq!(net.num_switches(), n * k.pow((n - 1) as u32));
-    }
+        check_basics(&net);
+        assert_eq!(net.num_terminals(), k.pow(n as u32));
+        assert_eq!(net.num_switches(), n * k.pow((n - 1) as u32));
+    });
+}
 
-    #[test]
-    fn xgfts_are_sound(
-        m1 in 2usize..6, m2 in 2usize..6,
-        w1 in 1usize..3, w2 in 1usize..3,
-    ) {
+#[test]
+fn xgfts_are_sound() {
+    sweep(0..32, |c| {
+        let (m1, m2) = (c.draw("m1", 2usize..6), c.draw("m2", 2usize..6));
+        let (w1, w2) = (c.draw("w1", 1usize..3), c.draw("w2", 1usize..3));
         let net = dfsssp::topo::xgft(2, &[m1, m2], &[w1, w2]);
-        check_basics(&net)?;
-        prop_assert_eq!(net.num_terminals(), m1 * m2);
+        check_basics(&net);
+        assert_eq!(net.num_terminals(), m1 * m2);
         // Terminals have exactly w1 attachments.
         for &t in net.terminals() {
-            prop_assert_eq!(net.out_channels(t).len(), w1);
+            assert_eq!(net.out_channels(t).len(), w1);
         }
-    }
+    });
+}
 
-    #[test]
-    fn kautz_graphs_are_sound(b in 2usize..5, n in 1usize..4, bidir in any::<bool>()) {
+#[test]
+fn kautz_graphs_are_sound() {
+    sweep(0..32, |c| {
+        let b = c.draw("b", 2usize..5);
+        let n = c.draw("n", 1usize..4);
+        let bidir = c.draw("bidir", 0u8..=1) == 1;
         let terms = (b + 1) * b.pow(n as u32); // one per switch
         let net = dfsssp::topo::kautz(b, n, terms, bidir);
-        check_basics(&net)?;
-        prop_assert_eq!(net.num_switches(), (b + 1) * b.pow(n as u32));
-        prop_assert_eq!(net.num_terminals(), terms);
-    }
+        check_basics(&net);
+        assert_eq!(net.num_switches(), (b + 1) * b.pow(n as u32));
+        assert_eq!(net.num_terminals(), terms);
+    });
+}
 
-    #[test]
-    fn dragonflies_are_sound(a in 2usize..5, p in 1usize..3, h in 1usize..3) {
+#[test]
+fn dragonflies_are_sound() {
+    sweep(0..32, |c| {
+        let a = c.draw("a", 2usize..5);
+        let p = c.draw("p", 1usize..3);
+        let h = c.draw("h", 1usize..3);
         let net = dfsssp::topo::dragonfly(a, p, h);
-        check_basics(&net)?;
+        check_basics(&net);
         let g = a * h + 1;
-        prop_assert_eq!(net.num_switches(), g * a);
-        prop_assert_eq!(net.num_terminals(), g * a * p);
+        assert_eq!(net.num_switches(), g * a);
+        assert_eq!(net.num_terminals(), g * a * p);
         // Dragonfly diameter <= 2 (terminal) + local+global+local.
-        prop_assert!(net.diameter().unwrap() <= 5 + 2);
-    }
+        assert!(net.diameter().unwrap() <= 5 + 2);
+    });
+}
 
-    #[test]
-    fn degradation_preserves_what_it_claims(
-        a in 3u16..6, b in 3u16..6, cuts in 1usize..8, seed in any::<u64>(),
-    ) {
+#[test]
+fn degradation_preserves_what_it_claims() {
+    sweep(0..32, |c| {
+        let a = c.draw("a", 3u16..6);
+        let b = c.draw("b", 3u16..6);
+        let cuts = c.draw("cuts", 1usize..8);
+        let seed = c.draw("seed", 0..=u64::MAX);
         let net = dfsssp::topo::torus(&[a, b], 1);
-        let (degraded, removed) =
-            dfsssp::fabric::degrade::fail_random_cables(&net, cuts, seed);
-        prop_assert!(removed <= cuts);
-        prop_assert!(degraded.is_strongly_connected());
-        prop_assert_eq!(degraded.num_terminals(), net.num_terminals());
-        prop_assert_eq!(degraded.num_cables(), net.num_cables() - removed);
-        degraded.validate().map_err(TestCaseError::fail)?;
+        let (degraded, removed) = dfsssp::fabric::degrade::fail_random_cables(&net, cuts, seed);
+        assert!(removed <= cuts);
+        assert!(degraded.is_strongly_connected());
+        assert_eq!(degraded.num_terminals(), net.num_terminals());
+        assert_eq!(degraded.num_cables(), net.num_cables() - removed);
+        degraded.validate().unwrap();
         // The degraded network is still routable deadlock-free.
-        let routes = DfSssp::new().route_in(&degraded, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new()
+            .route_in(&degraded, &ComputeCtx::seq())
+            .unwrap();
         dfsssp::verify::verify_deadlock_free(&degraded, &routes).unwrap();
-    }
+    });
+}
 
-    #[test]
-    fn text_format_round_trips_random_networks(
-        switches in 3usize..10, t in 1usize..3, seed in any::<u64>(),
-    ) {
+#[test]
+fn text_format_round_trips_random_networks() {
+    sweep(0..32, |c| {
+        let switches = c.draw("switches", 3usize..10);
+        let t = c.draw("t", 1usize..3);
+        let seed = c.draw("seed", 0..=u64::MAX);
         let spec = dfsssp::topo::RandomTopoSpec {
             switches,
             radix: 16,
             terminals_per_switch: t,
-            interswitch_links: (switches - 1).max(switches * 3 / 2)
+            interswitch_links: (switches - 1)
+                .max(switches * 3 / 2)
                 .min(switches * (switches - 1) / 2),
         };
         let net = dfsssp::topo::random_topology(&spec, seed);
         let text = dfsssp::fabric::format::write_network(&net);
         let back = dfsssp::fabric::format::parse_network(&text).unwrap();
-        prop_assert_eq!(back.num_nodes(), net.num_nodes());
-        prop_assert_eq!(back.num_channels(), net.num_channels());
+        assert_eq!(back.num_nodes(), net.num_nodes());
+        assert_eq!(back.num_channels(), net.num_channels());
         let json = dfsssp::fabric::format::network_to_json(&net);
         let back2 = dfsssp::fabric::format::network_from_json(&json).unwrap();
-        prop_assert_eq!(back2.num_cables(), net.num_cables());
-    }
+        assert_eq!(back2.num_cables(), net.num_cables());
+    });
 }

@@ -4,8 +4,10 @@
 //! back clean — the analyzer has no false positives on correct tables;
 //! (2) deliberately corrupted tables must trigger the matching lint code —
 //! the analyzer has no false negatives for the defect classes it claims
-//! to catch. The proptest block at the bottom repeats the corruptions at
+//! to catch. The seeded sweeps at the bottom repeat the corruptions at
 //! random positions on random topologies.
+
+mod common;
 
 use dfsssp::prelude::*;
 use fabric::topo::realworld::RealSystem;
@@ -288,7 +290,7 @@ fn detour_is_v006_with_stretch() {
 
 mod random_mutations {
     use super::*;
-    use proptest::prelude::*;
+    use common::{sweep, Case};
 
     fn small_random(seed: u64) -> Network {
         topo::random_topology(
@@ -321,103 +323,132 @@ mod random_mutations {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Redraw until the case satisfies the assumption its property needs.
+    fn draw_until<T>(c: &mut Case, draw: impl Fn(&mut Case) -> Option<T>) -> T {
+        (0..64)
+            .find_map(|_| draw(c))
+            .expect("assumption never held in 64 draws")
+    }
 
-        #[test]
-        fn dfsssp_on_random_topologies_is_clean(seed in 0u64..64) {
-            let net = small_random(seed);
+    #[test]
+    fn dfsssp_on_random_topologies_is_clean() {
+        sweep(0..24, |c| {
+            let net = small_random(c.draw("seed", 0u64..64));
             let report = vet::analyze(&net, &df(&net));
-            prop_assert_eq!(report.num_errors(), 0);
-            prop_assert!(!report.has(LintCode::CdgCycle));
-        }
+            assert_eq!(report.num_errors(), 0);
+            assert!(!report.has(LintCode::CdgCycle));
+        });
+    }
 
-        #[test]
-        fn dropping_any_used_entry_is_caught(seed in 0u64..64, pick in 0usize..10_000) {
-            let net = small_random(seed);
+    #[test]
+    fn dropping_any_used_entry_is_caught() {
+        sweep(0..24, |c| {
+            let net = small_random(c.draw("seed", 0u64..64));
             let mut routes = df(&net);
-            let (src, dst) = pick_pair(&net, pick);
+            let (src, dst) = pick_pair(&net, c.draw("pick", 0usize..10_000));
             let (path, dst_t) = routed_path(&net, &routes, src, dst);
             routes.clear_next(net.channel(path[0]).dst, dst_t);
             let report = vet::analyze(&net, &routes);
-            prop_assert!(report.has(LintCode::MissingEntry));
-            prop_assert!(report.num_errors() > 0);
-            prop_assert!(report.stats.pairs_broken >= 1);
-        }
+            assert!(report.has(LintCode::MissingEntry));
+            assert!(report.num_errors() > 0);
+            assert!(report.stats.pairs_broken >= 1);
+        });
+    }
 
-        #[test]
-        fn any_garbage_next_hop_is_caught(seed in 0u64..64, pick in 0usize..10_000) {
-            let net = small_random(seed);
+    #[test]
+    fn any_garbage_next_hop_is_caught() {
+        sweep(0..24, |c| {
+            let net = small_random(c.draw("seed", 0u64..64));
             let mut routes = df(&net);
+            let pick = c.draw("pick", 0usize..10_000);
             let (src, dst) = pick_pair(&net, pick);
             let (path, dst_t) = routed_path(&net, &routes, src, dst);
             let garbage = ChannelId((net.num_channels() + 1 + pick % 100) as u32);
             routes.set_next(net.channel(path[0]).dst, dst_t, garbage);
             let report = vet::analyze(&net, &routes);
-            prop_assert!(report.has(LintCode::InvalidNextHop));
-            prop_assert!(report.num_errors() > 0);
-        }
+            assert!(report.has(LintCode::InvalidNextHop));
+            assert!(report.num_errors() > 0);
+        });
+    }
 
-        #[test]
-        fn any_induced_ping_pong_is_caught(seed in 0u64..64, pick in 0usize..10_000) {
-            let net = small_random(seed);
+    #[test]
+    fn any_induced_ping_pong_is_caught() {
+        sweep(0..24, |c| {
+            let net = small_random(c.draw("seed", 0u64..64));
             let mut routes = df(&net);
-            let (src, dst) = pick_pair(&net, pick);
-            let (path, dst_t) = routed_path(&net, &routes, src, dst);
             // Need a switch-to-switch hop to reverse; direct neighbors
             // (terminal -> switch -> terminal) have none.
-            prop_assume!(path.len() >= 3);
+            let (path, dst_t) = draw_until(c, |c| {
+                let (src, dst) = pick_pair(&net, c.draw("pick", 0usize..10_000));
+                Some(routed_path(&net, &routes, src, dst)).filter(|(path, _)| path.len() >= 3)
+            });
             let hop = net.channel(path[1]);
             let back = net.channel_between(hop.dst, hop.src).unwrap();
             routes.set_next(hop.dst, dst_t, back);
             let report = vet::analyze(&net, &routes);
-            prop_assert!(report.has(LintCode::ForwardingLoop));
-            prop_assert!(report.num_errors() > 0);
-        }
+            assert!(report.has(LintCode::ForwardingLoop));
+            assert!(report.num_errors() > 0);
+        });
+    }
 
-        #[test]
-        fn any_single_detour_is_at_worst_a_warning(seed in 0u64..32) {
-            // Rerouting one pair over a longer (loop-free) path must never
-            // produce an *error*: vet separates "broken" from "wasteful".
-            let net = small_random(seed);
-            let mut routes = df(&net);
-            let (src, dst) = pick_pair(&net, seed as usize);
-            let (path, dst_t) = routed_path(&net, &routes, src, dst);
-            let first_switch = net.channel(path[0]).dst;
-            // Choose a sideways neighbor: same or larger distance to dst,
-            // whose own route does not come back through first_switch.
-            let hops = net.hops_to(dst);
-            let detour = net.out_channels(first_switch).iter().copied().find(|&c| {
-                let ch = net.channel(c);
-                if !net.is_switch(ch.dst) || hops[ch.dst.idx()] != hops[first_switch.idx()] {
+    /// A sideways first hop for `src -> dst`: a neighbor switch of the
+    /// first switch at the same distance to `dst` whose own route does
+    /// not come back through the first switch.
+    fn sideways_detour(
+        net: &Network,
+        routes: &fabric::Routes,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<(NodeId, usize, ChannelId)> {
+        let (path, dst_t) = routed_path(net, routes, src, dst);
+        let first_switch = net.channel(path[0]).dst;
+        let hops = net.hops_to(dst);
+        let detour = net.out_channels(first_switch).iter().copied().find(|&c| {
+            let ch = net.channel(c);
+            if !net.is_switch(ch.dst) || hops[ch.dst.idx()] != hops[first_switch.idx()] {
+                return false;
+            }
+            // The neighbor's existing path must avoid first_switch.
+            let mut at = ch.dst;
+            loop {
+                match routes.next_hop(at, dst_t) {
+                    Some(n) => at = net.channel(n).dst,
+                    None => return false,
+                }
+                if at == first_switch {
                     return false;
                 }
-                // The neighbor's existing path must avoid first_switch.
-                let mut at = ch.dst;
-                loop {
-                    match routes.next_hop(at, dst_t) {
-                        Some(n) => at = net.channel(n).dst,
-                        None => return false,
-                    }
-                    if at == first_switch {
-                        return false;
-                    }
-                    if at == dst {
-                        return true;
-                    }
+                if at == dst {
+                    return true;
                 }
+            }
+        })?;
+        Some((first_switch, dst_t, detour))
+    }
+
+    #[test]
+    fn any_single_detour_is_at_worst_a_warning() {
+        // Rerouting one pair over a longer (loop-free) path must never
+        // produce an *error*: vet separates "broken" from "wasteful".
+        sweep(0..24, |c| {
+            let (net, mut routes, (first_switch, dst_t, detour)) = draw_until(c, |c| {
+                let seed = c.draw("seed", 0u64..32);
+                let net = small_random(seed);
+                let routes = df(&net);
+                let (src, dst) = pick_pair(&net, seed as usize);
+                let found = sideways_detour(&net, &routes, src, dst)?;
+                Some((net, routes, found))
             });
-            prop_assume!(detour.is_some());
-            routes.set_next(first_switch, dst_t, detour.unwrap());
+            routes.set_next(first_switch, dst_t, detour);
             let report = vet::analyze(&net, &routes);
-            prop_assert!(report.has(LintCode::NonMinimalPath));
-            prop_assert_eq!(
+            assert!(report.has(LintCode::NonMinimalPath));
+            assert_eq!(
                 report
                     .diagnostics_for(LintCode::NonMinimalPath)
                     .filter(|d| d.severity == Severity::Error)
                     .count(),
                 0
             );
-        }
+        });
     }
 }
