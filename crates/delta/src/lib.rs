@@ -51,7 +51,9 @@ use dfsssp_core::budget::{record_trip, Budget};
 use dfsssp_core::dfsssp::{assign_layers_budgeted_in, LayerAssignMode};
 use dfsssp_core::dijkstra::spt_to;
 use dfsssp_core::paths::PathSet;
-use dfsssp_core::{ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine};
+use dfsssp_core::{
+    ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine,
+};
 use fabric::{ChannelId, Network, ReverseIndex, Routes};
 use subnet::transition::{self, DiffPlanProvider, UpdatePlan, UpdateStage};
 use telemetry::fx::FxHashMap;
@@ -175,7 +177,7 @@ enum Cert {
     /// already decided: it is one cheap DFS and [`DeltaOutcome`]
     /// reports it at route time.
     Pending {
-        prev_net: Network,
+        prev_net: Box<Network>,
         prev_routes: Routes,
         union_acyclic: bool,
     },
@@ -349,7 +351,7 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
                         continue;
                     }
                     let row = &prev.hopdist[d];
-                    if row[b] != u32::MAX && row[a] >= row[b] + 1 {
+                    if row[b] != u32::MAX && row[a] > row[b] {
                         *flag = true;
                     }
                 }
@@ -368,7 +370,9 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
 
         // ---- Patch: trees, tables, CDG counts, layers. ----
         let patch = telemetry::timed(rec, phases::DELTA_PATCH, || {
-            self.patch(prev, params, net, cx, &guard, max_layers, &dirty, &translate)
+            self.patch(
+                prev, params, net, cx, &guard, max_layers, &dirty, &translate,
+            )
         })?;
         let Some((routes, l0, l0_acyclic, union_acyclic, dirty_rows)) = patch else {
             // Cache inconsistent with the diff (should not happen); a
@@ -392,8 +396,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             // room for this event's dirty appends (removals only leave
             // slack the loose CSR tolerates).
             let mut off = vec![0u32; n + 1];
-            for oc in 0..prev.rindex.num_channels() {
-                if let Some(nc) = translate[oc] {
+            for (oc, nc) in translate.iter().enumerate() {
+                if let Some(nc) = nc {
                     off[nc.idx() + 1] = prev.rindex.dests_of(ChannelId(oc as u32)).len() as u32;
                 }
             }
@@ -411,8 +415,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             // O(incidences) of memcpy, no per-entry dirty test.
             let mut len = vec![0u32; n];
             let mut dests = vec![0u32; off[n] as usize];
-            for oc in 0..prev.rindex.num_channels() {
-                if let Some(nc) = translate[oc] {
+            for (oc, nc) in translate.iter().enumerate() {
+                if let Some(nc) = nc {
                     let src = prev.rindex.dests_of(ChannelId(oc as u32));
                     let lo = off[nc.idx()] as usize;
                     dests[lo..lo + src.len()].copy_from_slice(src);
@@ -458,11 +462,11 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         let prev = g.state.take().expect("present since the diff began");
         let mut hopdist: Vec<Arc<Vec<u32>>> = Vec::with_capacity(nt);
         let mut fresh = dirty_rows.into_iter();
-        for d in 0..nt {
-            hopdist.push(if dirty[d] {
+        for (&is_dirty, old_row) in dirty.iter().zip(&prev.hopdist) {
+            hopdist.push(if is_dirty {
                 Arc::new(fresh.next().expect("one row per dirty dest"))
             } else {
-                Arc::clone(&prev.hopdist[d])
+                Arc::clone(old_row)
             });
         }
         let routes_copy = routes.clone();
@@ -476,7 +480,7 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             l0_acyclic,
             layer_cfg: Some((max_layers, params.balance)),
             cert: Cert::Pending {
-                prev_net: prev.net,
+                prev_net: Box::new(prev.net),
                 prev_routes: prev.routes,
                 union_acyclic,
             },
@@ -503,7 +507,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         max_layers: usize,
         dirty: &[bool],
         translate: &[Option<ChannelId>],
-    ) -> Result<Option<(Routes, Vec<((u32, u32), u32)>, bool, bool, Vec<Vec<u32>>)>, RouteError> {
+    ) -> Result<Option<(Routes, Vec<((u32, u32), u32)>, bool, bool, Vec<Vec<u32>>)>, RouteError>
+    {
         let nt = net.num_terminals();
         let terminals = net.terminals();
         let rec: &dyn Recorder = &*params.recorder;
@@ -560,26 +565,24 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             if !dirty[d] {
                 continue;
             }
-            for s in 0..nt {
+            for (s, &src) in terminals.iter().enumerate() {
                 if s == d {
                     continue;
                 }
-                let Ok(walk) = prev.routes.path(&prev.net, terminals[s], t) else {
+                let Ok(walk) = prev.routes.path(&prev.net, src, t) else {
                     return Ok(None);
                 };
                 let mut last: Option<u32> = None;
                 for step in walk {
                     let Ok(c) = step else { return Ok(None) };
                     if let Some(p) = last {
-                        if let (Some(nf), Some(nt2)) =
-                            (translate[p as usize], translate[c.idx()])
-                        {
+                        if let (Some(nf), Some(nt2)) = (translate[p as usize], translate[c.idx()]) {
                             decs.push((nf.0, nt2.0));
                         }
                     }
                     last = Some(c.0);
                 }
-                let Ok(walk) = routes.path(net, terminals[s], t) else {
+                let Ok(walk) = routes.path(net, src, t) else {
                     return Ok(None);
                 };
                 let mut last: Option<u32> = None;
@@ -665,8 +668,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         // its matrix is bit-identical and one memcpy replaces the
         // per-pair rewrite. Otherwise run the real thing on the real
         // path set.
-        let l0_acyclic = union_acyclic
-            || dense_acyclic(net.num_channels(), l0.iter().map(|&(k, _)| k));
+        let l0_acyclic =
+            union_acyclic || dense_acyclic(net.num_channels(), l0.iter().map(|&(k, _)| k));
         if l0_acyclic {
             if prev.l0_acyclic && prev.layer_cfg == Some((max_layers, params.balance)) {
                 routes.copy_layers_from(&prev.routes);
@@ -859,15 +862,14 @@ impl DiffPlanProvider for DeltaPlanner {
 /// `layer_cfg` is the layer-assignment regime the recompute ran under
 /// (see [`DeltaState::layer_cfg`]).
 fn rebuild_state(net: &Network, routes: &Routes, layer_cfg: (usize, bool)) -> Option<DeltaState> {
-    let nt = net.num_terminals();
     let terminals = net.terminals();
     let mut l0: FxHashMap<(u32, u32), u32> = FxHashMap::default();
     for (d, &t) in terminals.iter().enumerate() {
-        for s in 0..nt {
+        for (s, &src) in terminals.iter().enumerate() {
             if s == d {
                 continue;
             }
-            let chans = routes.path_channels(net, terminals[s], t).ok()?;
+            let chans = routes.path_channels(net, src, t).ok()?;
             for w in chans.windows(2) {
                 *l0.entry((w[0].0, w[1].0)).or_insert(0) += 1;
             }
@@ -880,7 +882,10 @@ fn rebuild_state(net: &Network, routes: &Routes, layer_cfg: (usize, bool)) -> Op
         net: net.clone(),
         routes: routes.clone(),
         rindex: ReverseIndex::build(net, routes),
-        hopdist: terminals.iter().map(|&t| Arc::new(net.hops_to(t))).collect(),
+        hopdist: terminals
+            .iter()
+            .map(|&t| Arc::new(net.hops_to(t)))
+            .collect(),
         l0,
         l0_acyclic,
         layer_cfg: Some(layer_cfg),
@@ -984,7 +989,10 @@ mod tests {
         let degraded = fail_one_cable(&net, 7);
         let fast = engine.route_in(&degraded, &cx).unwrap();
         let outcome = engine.last_outcome().unwrap();
-        assert!(outcome.delta, "single cable failure must take the delta path");
+        assert!(
+            outcome.delta,
+            "single cable failure must take the delta path"
+        );
         assert!(!outcome.dirty_dests.is_empty());
         assert!(
             outcome.dirty_dests.len() < net.num_terminals(),
@@ -1018,8 +1026,12 @@ mod tests {
     fn zero_threshold_forces_full_recompute() {
         let net = topo::torus(&[4, 4], 1);
         let cx = snap_cx(&net);
-        let engine =
-            DeltaEngine::with_delta_config(DfSssp::new(), DeltaConfig { max_dirty_fraction: 0.0 });
+        let engine = DeltaEngine::with_delta_config(
+            DfSssp::new(),
+            DeltaConfig {
+                max_dirty_fraction: 0.0,
+            },
+        );
         engine.route_in(&net, &cx).unwrap();
         let degraded = fail_one_cable(&net, 7);
         let routes = engine.route_in(&degraded, &cx).unwrap();
@@ -1031,7 +1043,10 @@ mod tests {
     fn chunked_context_passes_through() {
         let net = topo::torus(&[3, 3], 1);
         let engine = DeltaEngine::new(DfSssp::new());
-        let cx = ComputeCtx { threads: 1, chunk: 1 };
+        let cx = ComputeCtx {
+            threads: 1,
+            chunk: 1,
+        };
         let routes = engine.route_in(&net, &cx).unwrap();
         assert_eq!(routes, DfSssp::new().route_in(&net, &cx).unwrap());
         assert!(!engine.last_outcome().unwrap().delta);
@@ -1080,7 +1095,10 @@ mod tests {
         }
         // The plan agrees with the from-scratch planner about safety.
         let scratch = transition::plan_update(&degraded, Some(&remapped), &new, 8);
-        assert!(scratch.direct, "scratch planner must agree the union is safe");
+        assert!(
+            scratch.direct,
+            "scratch planner must agree the union is safe"
+        );
     }
 
     #[test]

@@ -1,24 +1,25 @@
-//! The shared command-line surface of the reproduction binaries.
+//! The shared command-line surface of the `repro` binary's commands.
 //!
-//! Every binary under `src/bin/` parses the same common flags through
-//! [`Cli::parse`] (or [`Cli::parse_with`] for binary-specific extras),
-//! so `--topo`, `--gen`, `--format`, `--engine`, `--seed`, `--json` and
-//! `--metrics` spell and behave identically everywhere:
+//! Every command under `src/cmd/` (run as `repro <command> [flags]`)
+//! parses the same common flags through [`Cli::parse`] (or
+//! [`Cli::parse_with`] for command-specific extras), so `--topo`,
+//! `--gen`, `--format`, `--engine`, `--seed`, `--json` and `--metrics`
+//! spell and behave identically everywhere:
 //!
 //! * `--topo <file> [--format text|ibnetdiscover|json]` / `--gen
 //!   torus:<X>x<Y>|kary:<k>,<n>|ring:<N>` — the input fabric, consumed
-//!   by binaries that route one topology ([`Cli::network`]). Binaries
+//!   by commands that route one topology ([`Cli::network`]). Commands
 //!   that sweep their own topology series (the figure repros) accept
 //!   but do not consume these.
 //! * `--engine <name>` — engine selection ([`Cli::engine`] /
 //!   [`Cli::engine_with`]).
 //! * `--seed <N>` — RNG seed; recorded in the manifest.
-//! * `--json` — machine-readable stdout where the binary supports it
+//! * `--json` — machine-readable stdout where the command supports it
 //!   ([`Cli::table`] switches the shared table printer to JSON rows).
 //! * `--metrics <out.json>` — attach an in-memory [`Collector`] to
 //!   everything this CLI constructs and, at [`Cli::finish`], write a
 //!   versioned [`RunManifest`] (`dfsssp-metrics/v1`) including the
-//!   whole-binary `total` phase.
+//!   whole-command `total` phase and the command's name as `binary`.
 
 use baselines::{Dor, FatTree, Lash, MinHop, UpDown};
 use dfsssp_core::{ComputeCtx, ComputeOpts, DfSssp, EngineConfig, Recorded, RoutingEngine, Sssp};
@@ -27,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{Collector, Recorder, RecorderHandle, RunManifest, TopologySummary};
 
-/// Parsed common flags plus the telemetry session of one binary run.
+/// Parsed common flags plus the telemetry session of one command run.
 #[derive(Debug)]
 pub struct Cli {
     /// `--topo <file>`: topology file to load.
@@ -50,7 +51,7 @@ pub struct Cli {
     /// `--chunk <N>`: balanced-sweep wavefront width (`0` = auto).
     /// Routes depend on this value, never on `--threads`.
     pub chunk: usize,
-    binary: &'static str,
+    binary: String,
     start: Instant,
     collector: Option<Arc<Collector>>,
     topology: Option<TopologySummary>,
@@ -59,7 +60,7 @@ pub struct Cli {
 
 fn usage(binary: &str, extra: &str) -> ! {
     eprintln!(
-        "usage: {binary} [--topo <file> [--format text|ibnetdiscover|json] | \
+        "usage: repro {binary} [--topo <file> [--format text|ibnetdiscover|json] | \
          --gen torus:<X>x<Y>|kary:<k>,<n>|ring:<N>] \
          [--engine minhop|updown|dor|lash|fattree|sssp|dfsssp] \
          [--seed <N>] [--json] [--metrics <out.json>] \
@@ -70,18 +71,21 @@ fn usage(binary: &str, extra: &str) -> ! {
 
 impl Cli {
     /// Parse the common flags only; any other flag is a usage error.
-    pub fn parse(binary: &'static str) -> Cli {
-        Self::parse_with(binary, "", |_, _| false)
+    pub fn parse() -> Cli {
+        Self::parse_with("", |_, _| false)
     }
 
     /// Parse the common flags, deferring unknown flags to `extra`: it
     /// gets the flag and a value puller, and returns whether it consumed
     /// the flag (false exits with usage, including `extra_usage`).
     pub fn parse_with(
-        binary: &'static str,
         extra_usage: &str,
         mut extra: impl FnMut(&str, &mut dyn FnMut() -> String) -> bool,
     ) -> Cli {
+        // argv[0] is `repro`, argv[1] the command that is calling us; its
+        // name is what the manifest records as `binary`.
+        let mut it = std::env::args().skip(1);
+        let binary = &it.next().unwrap_or_default();
         let mut cli = Cli {
             topo: None,
             gen: None,
@@ -92,13 +96,12 @@ impl Cli {
             metrics: None,
             threads: 1,
             chunk: 0,
-            binary,
+            binary: binary.clone(),
             start: Instant::now(),
             collector: None,
             topology: None,
             engine_name: None,
         };
-        let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             let mut val = || it.next().unwrap_or_else(|| usage(binary, extra_usage));
             match flag.as_str() {
@@ -260,7 +263,7 @@ impl Cli {
         println!("{out}");
     }
 
-    /// Close the run: record the whole-binary `total` phase and, when
+    /// Close the run: record the whole-command `total` phase and, when
     /// `--metrics` was given, write the [`RunManifest`].
     pub fn finish(self) -> Result<(), String> {
         let Some(path) = &self.metrics else {
@@ -274,7 +277,7 @@ impl Cli {
             telemetry::phases::TOTAL,
             self.start.elapsed().as_nanos() as u64,
         );
-        let mut manifest = RunManifest::new(self.binary).metrics(collector.snapshot());
+        let mut manifest = RunManifest::new(self.binary.as_str()).metrics(collector.snapshot());
         if let Some(t) = self.topology.clone() {
             manifest = manifest.topology(t);
         }

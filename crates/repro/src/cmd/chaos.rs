@@ -1,13 +1,13 @@
-//! `chaos` — replay a seeded failure/recovery campaign against a
+//! `repro chaos` — replay a seeded failure/recovery campaign against a
 //! topology and routing engine, vetting every intermediate programmed
 //! state (see `subnet::chaos`).
 //!
 //! ```text
-//! chaos --topo fabric.topo [--format text|ibnetdiscover|json]
-//!       | --gen torus:4x4 | --gen kary:4,2 | --gen ring:5
-//!       [--engine dfsssp] [--events 10] [--seed 7] [--hw-vls 8]
-//!       [--no-flap] [--no-switch-bursts] [--no-heal] [--json]
-//!       [--metrics metrics.json]
+//! repro chaos --topo fabric.topo [--format text|ibnetdiscover|json]
+//!             | --gen torus:4x4 | --gen kary:4,2 | --gen ring:5
+//!             [--engine dfsssp] [--events 10] [--seed 7] [--hw-vls 8]
+//!             [--no-flap] [--no-switch-bursts] [--no-heal] [--json]
+//!             [--metrics metrics.json]
 //! ```
 //!
 //! Exit status is non-zero when any intermediate state failed vetting or
@@ -21,11 +21,11 @@ use subnet::{run_campaign_recorded, schedule, CampaignSpec};
 const EXTRA_USAGE: &str = " [--events N] [--hw-vls N] \
     [--no-flap] [--no-switch-bursts] [--no-heal]";
 
-fn main() -> ExitCode {
+pub fn main() -> Result<ExitCode, String> {
     let mut spec = CampaignSpec::default();
     let mut hw_vls = 8usize;
     let mut bad = false;
-    let mut cli = repro::Cli::parse_with("chaos", EXTRA_USAGE, |flag, val| match flag {
+    let mut cli = repro::Cli::parse_with(EXTRA_USAGE, |flag, val| match flag {
         "--events" => {
             spec.events = val().parse().unwrap_or_else(|_| {
                 bad = true;
@@ -55,8 +55,7 @@ fn main() -> ExitCode {
         _ => false,
     });
     if bad {
-        eprintln!("chaos: bad arguments (see --help)");
-        return ExitCode::FAILURE;
+        return Err("chaos: bad arguments (see --help)".into());
     }
     if let Some(seed) = cli.seed {
         spec.seed = seed;
@@ -64,44 +63,21 @@ fn main() -> ExitCode {
         cli.seed = Some(spec.seed);
     }
 
-    let net = match cli.network() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = cli.network().map_err(|e| format!("error: {e}"))?;
     if !cli.json {
         println!("fabric: {}", TopologyStats::of(&net));
     }
     let batches = schedule(&net, &spec);
-    let engine = match cli.engine(EngineConfig::new().max_layers(hw_vls)) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match run_campaign_recorded(engine, &net, &batches, spec.seed, cli.recorder()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign aborted: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let engine = cli
+        .engine(EngineConfig::new().max_layers(hw_vls))
+        .map_err(|e| format!("error: {e}"))?;
+    let report = run_campaign_recorded(engine, &net, &batches, spec.seed, cli.recorder())
+        .map_err(|e| format!("campaign aborted: {e}"))?;
     if cli.json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_human());
     }
-    let ok = report.ok();
-    if let Err(e) = cli.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    cli.finish()?;
+    Ok(crate::gate(report.ok()))
 }

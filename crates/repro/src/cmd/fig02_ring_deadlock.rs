@@ -5,8 +5,8 @@
 use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine, Sssp};
 use flitsim::{simulate_recorded, SimConfig, Workload};
 
-fn main() {
-    let mut cli = repro::Cli::parse("fig02_ring_deadlock");
+pub fn main() {
+    let mut cli = repro::Cli::parse();
     let cx = cli.ctx();
     let rec = cli.recorder();
     let net = fabric::topo::ring(5, 1);

@@ -7,8 +7,8 @@ use dfsssp_core::pool::map_stealing;
 use dfsssp_core::DfSssp;
 use fabric::topo::{random_topology, RandomTopoSpec};
 
-fn main() {
-    let cli = repro::Cli::parse("fig09_random_vls");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let seeds = repro::seeds();
     println!("Figure 9: #virtual layers on random topologies ({seeds} seeds per point)\n");
     let mut rows = Vec::new();

@@ -5,8 +5,8 @@ use baselines::Lash;
 use dfsssp_core::DfSssp;
 use fabric::topo::realworld::RealSystem;
 
-fn main() {
-    let cli = repro::Cli::parse("fig10_realworld_vls");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let scale = repro::scale();
     println!("Figure 10: #virtual layers on real systems (scale={scale})\n");
     let mut rows = Vec::new();

@@ -6,8 +6,8 @@ use baselines::{Lash, MinHop};
 use dfsssp_core::{DfSssp, RoutingEngine};
 use fabric::topo::realworld::RealSystem;
 
-fn main() {
-    let mut cli = repro::Cli::parse("fig12_netgauge_deimos");
+pub fn main() {
+    let mut cli = repro::Cli::parse();
     let cx = cli.ctx();
     let rec = cli.recorder();
     let scale = repro::scale();

@@ -6,8 +6,8 @@ use baselines::MinHop;
 use dfsssp_core::{DfSssp, RoutingEngine};
 use fabric::topo::realworld::RealSystem;
 
-fn main() {
-    let mut cli = repro::Cli::parse("fig14_16_nas");
+pub fn main() {
+    let mut cli = repro::Cli::parse();
     let cx = cli.ctx();
     let scale = repro::scale();
     let net = RealSystem::Deimos.build(scale);

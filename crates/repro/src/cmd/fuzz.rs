@@ -1,4 +1,4 @@
-//! `fuzz` — deterministic structure-aware fuzzing of every parser and
+//! `repro fuzz` — deterministic structure-aware fuzzing of every parser and
 //! the budgeted routing path behind them.
 //!
 //! Replays `<corpus>/regressions/` first (past crashers must stay
@@ -7,21 +7,21 @@
 //! `--crashers` for triage and for promotion into the regression set.
 //!
 //! ```text
-//! fuzz [--corpus tests/corpus] [--iters 10000] [--seed N]
-//!      [--crashers fuzz-crashers] [--parse-only]
+//! repro fuzz [--corpus tests/corpus] [--iters 10000] [--seed N]
+//!            [--crashers fuzz-crashers] [--parse-only]
 //! ```
 
 use repro::fuzz::{self, FuzzConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
+pub fn main() -> Result<ExitCode, String> {
     let mut corpus = PathBuf::from("tests/corpus");
     let mut cfg = FuzzConfig {
         crashers_dir: Some(PathBuf::from("fuzz-crashers")),
         ..FuzzConfig::default()
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = std::env::args().skip(2);
     while let Some(flag) = it.next() {
         let mut val = || {
             it.next().unwrap_or_else(|| {
@@ -34,28 +34,22 @@ fn main() -> ExitCode {
             "--iters" => {
                 cfg.iters = match val().parse() {
                     Ok(n) => n,
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             "--seed" => {
                 cfg.seed = match val().parse() {
                     Ok(n) => n,
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             "--crashers" => cfg.crashers_dir = Some(PathBuf::from(val())),
             "--parse-only" => cfg.route_budget = None,
-            _ => return usage(),
+            _ => return Ok(usage()),
         }
     }
 
-    let seeds = match fuzz::load_corpus(&corpus) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let seeds = fuzz::load_corpus(&corpus).map_err(|e| format!("error: {e}"))?;
 
     // Panics are expected to be *caught*; silence the default hook so a
     // campaign's output is the report, not backtrace noise.
@@ -64,16 +58,9 @@ fn main() -> ExitCode {
     let mut failed = false;
     let regressions = corpus.join("regressions");
     if regressions.is_dir() {
-        match fuzz::replay(&regressions, &cfg) {
-            Ok(report) => {
-                println!("regressions: {}", report.summary());
-                failed |= report.panics > 0;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let report = fuzz::replay(&regressions, &cfg).map_err(|e| format!("error: {e}"))?;
+        println!("regressions: {}", report.summary());
+        failed |= report.panics > 0;
     }
 
     let report = fuzz::run(&seeds, &cfg);
@@ -89,15 +76,13 @@ fn main() -> ExitCode {
     failed |= report.panics > 0;
     if failed {
         eprintln!("FUZZ FAILED: panics detected");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
+    Ok(crate::gate(!failed))
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: fuzz [--corpus <dir>] [--iters <N>] [--seed <N>] \
+        "usage: repro fuzz [--corpus <dir>] [--iters <N>] [--seed <N>] \
          [--crashers <dir>] [--parse-only]"
     );
     ExitCode::from(2)

@@ -1,24 +1,23 @@
-//! `loadgen` — the open-loop overload benchmark: replay a timestamped
+//! `repro loadgen` — the open-loop overload benchmark: replay a timestamped
 //! traffic trace at 4x measured serving capacity, judge per-class SLOs,
 //! verify every response was an epoch-consistent answer or a typed
 //! shed, and gate on the robustness invariants (CI's overload-smoke
 //! job). Written as a versioned `dfsssp-loadgen/v1` report.
 //!
 //! ```text
-//! loadgen --gen kary:8,2 [--quick] [--mix flash|uniform|hotspot|nas] \
-//!         [--out BENCH_pr7.json] [--seed 7]
-//! loadgen --validate BENCH_pr7.json    # parse + schema check only
+//! repro loadgen --gen kary:8,2 [--quick] [--mix flash|uniform|hotspot|nas] \
+//!               [--out BENCH_pr7.json] [--seed 7]
+//! repro loadgen --validate BENCH_pr7.json    # parse + schema check only
 //! ```
 
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
+pub fn main() -> Result<ExitCode, String> {
     let mut quick = false;
     let mut out = "BENCH_pr7.json".to_string();
     let mut mix = "flash".to_string();
     let mut validate: Option<String> = None;
     let mut cli = repro::Cli::parse_with(
-        "loadgen",
         " [--quick] [--mix <name>] [--out <file>] [--validate <file>]",
         |flag, val| match flag {
             "--quick" => {
@@ -42,48 +41,28 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = validate {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match repro::loadgen::LoadgenReport::from_json(&text) {
-            Ok(report) => {
-                println!(
-                    "{path}: valid {} report, {} mix at {} qps offered / {} answered, \
-                     {} chaos epochs, {} malformed",
-                    report.schema,
-                    report.mix,
-                    report.offered_qps,
-                    report.admitted_qps,
-                    report.chaos_epochs,
-                    report.malformed,
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let report =
+            repro::loadgen::LoadgenReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "{path}: valid {} report, {} mix at {} qps offered / {} answered, \
+             {} chaos epochs, {} malformed",
+            report.schema,
+            report.mix,
+            report.offered_qps,
+            report.admitted_qps,
+            report.chaos_epochs,
+            report.malformed,
+        );
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let net = match cli.network() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = cli.network()?;
     let seed = cli.seed.unwrap_or(7);
     cli.seed = Some(seed);
     let report = repro::loadgen::run(&net, &mix, quick, seed);
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
     for c in &report.classes {
         println!(
             "loadgen: {:<11} offered {:>7}  answered {:>7}  rejected {:>6}  expired {:>6}  \
@@ -110,14 +89,10 @@ fn main() -> ExitCode {
         report.chaos_epochs,
         report.malformed,
     );
-    if let Err(why) = report.gate() {
-        eprintln!("loadgen: GATE FAILED: {why}");
-        return ExitCode::FAILURE;
-    }
+    report
+        .gate()
+        .map_err(|why| format!("loadgen: GATE FAILED: {why}"))?;
     println!("loadgen: gate passed");
-    if let Err(e) = cli.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    cli.finish()?;
+    Ok(ExitCode::SUCCESS)
 }

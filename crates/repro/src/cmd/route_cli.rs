@@ -1,13 +1,13 @@
-//! `route_cli` — an `opensm -R <engine>`-flavored command line: load a
+//! `repro route_cli` — an `opensm -R <engine>`-flavored command line: load a
 //! topology file, run a routing engine, verify, report, and optionally
 //! export tables and a metrics manifest.
 //!
 //! ```text
-//! route_cli --topo fabric.topo [--format text|ibnetdiscover|json]
-//!           [--engine dfsssp]           minhop|updown|dor|lash|fattree|sssp|dfsssp
-//!           [--max-vls 8] [--heuristic weakest|heaviest|first|random:<seed>]
-//!           [--no-balance] [--no-compact] [--ebb <patterns>]
-//!           [--out-routes routes.json] [--metrics metrics.json]
+//! repro route_cli --topo fabric.topo [--format text|ibnetdiscover|json]
+//!                 [--engine dfsssp]     minhop|updown|dor|lash|fattree|sssp|dfsssp
+//!                 [--max-vls 8] [--heuristic weakest|heaviest|first|random:<seed>]
+//!                 [--no-balance] [--no-compact] [--ebb <patterns>]
+//!                 [--out-routes routes.json] [--metrics metrics.json]
 //! ```
 
 use dfsssp_core::quality::route_quality;
@@ -20,7 +20,7 @@ const EXTRA_USAGE: &str = " [--max-vls N] \
     [--heuristic weakest|heaviest|first|random:<seed>] [--no-balance] \
     [--no-compact] [--ebb <patterns>] [--quality] [--out-routes <file>]";
 
-fn main() -> ExitCode {
+pub fn main() -> Result<ExitCode, String> {
     let mut max_vls = 8usize;
     let mut heuristic = CycleBreakHeuristic::WeakestEdge;
     let mut balance = true;
@@ -29,7 +29,7 @@ fn main() -> ExitCode {
     let mut quality = false;
     let mut out_routes: Option<String> = None;
     let mut bad = false;
-    let mut cli = repro::Cli::parse_with("route_cli", EXTRA_USAGE, |flag, val| match flag {
+    let mut cli = repro::Cli::parse_with(EXTRA_USAGE, |flag, val| match flag {
         "--max-vls" => {
             max_vls = val().parse().unwrap_or_else(|_| {
                 bad = true;
@@ -79,39 +79,25 @@ fn main() -> ExitCode {
         _ => false,
     });
     if bad || cli.topo.is_none() {
-        eprintln!("route_cli: bad or missing arguments (see --help)");
-        return ExitCode::FAILURE;
+        return Err("route_cli: bad or missing arguments (see --help)".into());
     }
 
-    let net = match cli.network() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = cli.network().map_err(|e| format!("error: {e}"))?;
     println!("fabric: {}", TopologyStats::of(&net));
 
     let config = EngineConfig::new().max_layers(max_vls).balance(balance);
-    let engine = match cli.engine_with(config, |d| DfSssp {
+    let tune = |d| DfSssp {
         heuristic,
         compact,
         ..d
-    }) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     };
+    let engine = cli
+        .engine_with(config, tune)
+        .map_err(|e| format!("error: {e}"))?;
     let t = std::time::Instant::now();
-    let routes = match engine.route_in(&net, &cli.ctx()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("routing failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let routes = engine
+        .route_in(&net, &cli.ctx())
+        .map_err(|e| format!("routing failed: {e}"))?;
     println!(
         "routed by {} in {:.3}s: {} virtual layer(s)",
         routes.engine(),
@@ -119,29 +105,21 @@ fn main() -> ExitCode {
         routes.num_layers()
     );
 
-    match deadlock_report(&net, &routes) {
-        Ok(report) if report.is_deadlock_free() => {
-            println!("deadlock check: PASS (all layers acyclic)");
-        }
-        Ok(report) => {
-            println!(
-                "deadlock check: HAZARD — cyclic dependency layers {:?}",
-                report.cyclic_layers
-            );
-        }
-        Err(e) => {
-            eprintln!("deadlock check failed to run: {e}");
-            return ExitCode::FAILURE;
-        }
+    let report =
+        deadlock_report(&net, &routes).map_err(|e| format!("deadlock check failed to run: {e}"))?;
+    if report.is_deadlock_free() {
+        println!("deadlock check: PASS (all layers acyclic)");
+    } else {
+        println!(
+            "deadlock check: HAZARD — cyclic dependency layers {:?}",
+            report.cyclic_layers
+        );
     }
     let nt = net.num_terminals();
-    match routes.validate_connectivity(&net) {
-        Ok(pairs) => println!("connectivity: {pairs}/{} ordered pairs", nt * (nt - 1)),
-        Err(e) => {
-            eprintln!("connectivity check failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let pairs = routes
+        .validate_connectivity(&net)
+        .map_err(|e| format!("connectivity check failed: {e}"))?;
+    println!("connectivity: {pairs}/{} ordered pairs", nt * (nt - 1));
 
     if quality {
         match route_quality(&net, &routes) {
@@ -164,16 +142,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &out_routes {
-        let json = format::routes_to_json(&routes);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, format::routes_to_json(&routes))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("routes written to {path}");
     }
-    if let Err(e) = cli.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    cli.finish()?;
+    Ok(ExitCode::SUCCESS)
 }

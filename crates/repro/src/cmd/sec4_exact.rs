@@ -1,7 +1,7 @@
 //! Sec III/IV: heuristics vs the exact APP optimum on networks small
 //! enough for the exponential solver (the paper proves finding the
 //! optimum is NP-complete — Theorem 1 — which is exactly why it ships
-//! heuristics; this binary quantifies how far the heuristics land from
+//! heuristics; this command quantifies how far the heuristics land from
 //! optimal on tractable instances).
 
 use dfsssp_core::app::{from_pathset, lower_bound_layers};
@@ -9,8 +9,8 @@ use dfsssp_core::dfsssp::assign_layers_offline;
 use dfsssp_core::paths::PathSet;
 use dfsssp_core::{CycleBreakHeuristic, RoutingEngine, Sssp};
 
-fn main() {
-    let cli = repro::Cli::parse("sec4_exact");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let cx = cli.ctx();
     println!("Sec III/IV: heuristic layers vs exact APP minimum (tiny networks)\n");
     let nets = vec![

@@ -6,8 +6,8 @@ use dfsssp_core::pool::map_stealing;
 use dfsssp_core::{CycleBreakHeuristic, DfSssp};
 use fabric::topo::{random_topology, RandomTopoSpec};
 
-fn main() {
-    let cli = repro::Cli::parse("sec4_heuristics");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let seeds = repro::seeds();
     println!("Sec IV: heuristic comparison ({seeds} random topologies)\n");
     let spec = RandomTopoSpec::heuristic_study();

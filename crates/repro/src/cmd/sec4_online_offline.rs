@@ -12,8 +12,8 @@ use dfsssp_core::{
 };
 use std::time::Instant;
 
-fn main() {
-    let cli = repro::Cli::parse("sec4_online_offline");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let rec = cli.recorder();
     println!("Sec IV: online vs offline DFSSSP runtime (seconds)\n");
     let cap = repro::max_endpoints();

@@ -1,7 +1,7 @@
 //! One-shot summary: a fast battery of the paper's headline claims,
 //! suitable for CI and for a first look after building. Each section
 //! names the figure/table it corresponds to; the full-size runs live in
-//! the dedicated per-figure binaries.
+//! the dedicated per-figure commands.
 
 use appsim::{netgauge_ebb, Allocation};
 use baselines::{Lash, MinHop};
@@ -10,8 +10,8 @@ use fabric::topo::realworld::RealSystem;
 use flitsim::{simulate_recorded, SimConfig, Workload};
 use orcs::{effective_bisection_bandwidth_recorded, EbbOptions};
 
-fn main() {
-    let cli = repro::Cli::parse("summary");
+pub fn main() {
+    let cli = repro::Cli::parse();
     let cx = cli.ctx();
     let rec = cli.recorder();
     println!("DFSSSP reproduction summary\n===========================\n");

@@ -3,8 +3,8 @@
 
 use fabric::TopologyStats;
 
-fn main() {
-    let cli = repro::Cli::parse("table1_topologies");
+pub fn main() {
+    let cli = repro::Cli::parse();
     println!(
         "Table I: topology parameters (REPRO_MAX_ENDPOINTS={})\n",
         repro::max_endpoints()

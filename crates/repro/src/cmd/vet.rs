@@ -1,4 +1,4 @@
-//! `vet` — static analysis of a routing artifact from the command line.
+//! `repro vet` — static analysis of a routing artifact from the command line.
 //!
 //! Loads a topology file and a routes artifact (as written by
 //! `route_cli --out-routes`), runs the [`vet`] analyzer, and prints the
@@ -6,9 +6,9 @@
 //! CI can gate on it.
 //!
 //! ```text
-//! vet --topo fabric.topo [--format text|ibnetdiscover|json]
-//!     --routes routes.json [--hw-vls 8] [--allow-cycles] [--no-minimal]
-//!     [--max-diags N] [--json] [--metrics metrics.json]
+//! repro vet --topo fabric.topo [--format text|ibnetdiscover|json]
+//!           --routes routes.json [--hw-vls 8] [--allow-cycles] [--no-minimal]
+//!           [--max-diags N] [--json] [--metrics metrics.json]
 //! ```
 
 use fabric::format;
@@ -17,11 +17,11 @@ use std::process::ExitCode;
 const EXTRA_USAGE: &str =
     " --routes <routes.json> [--hw-vls N] [--allow-cycles] [--no-minimal] [--max-diags N]";
 
-fn main() -> ExitCode {
+pub fn main() -> Result<ExitCode, String> {
     let mut routes_path = String::new();
     let mut config = vet::Config::default();
     let mut bad = false;
-    let mut cli = repro::Cli::parse_with("vet", EXTRA_USAGE, |flag, val| match flag {
+    let mut cli = repro::Cli::parse_with(EXTRA_USAGE, |flag, val| match flag {
         "--routes" => {
             routes_path = val();
             true
@@ -52,40 +52,20 @@ fn main() -> ExitCode {
     });
     if bad || cli.topo.is_none() || routes_path.is_empty() {
         eprintln!("vet: bad or missing arguments (need --topo and --routes; see --help)");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
 
-    let net = match cli.network() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let routes = match std::fs::read_to_string(&routes_path)
+    let net = cli.network().map_err(|e| format!("error: {e}"))?;
+    let routes = std::fs::read_to_string(&routes_path)
         .map_err(|e| format!("cannot read {routes_path}: {e}"))
         .and_then(|json| format::routes_from_json(&json).map_err(|e| e.to_string()))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        .map_err(|e| format!("error: {e}"))?;
     let report = vet::analyze_with(&net, &routes, &config);
     if cli.json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_human());
     }
-    let clean = report.clean();
-    if let Err(e) = cli.finish() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    cli.finish()?;
+    Ok(crate::gate(report.clean()))
 }

@@ -11,7 +11,7 @@
 //! stage further and routed under a tight [`Budget`], where the same
 //! no-panic rule applies.
 //!
-//! The driver binary (`fuzz`) replays `tests/corpus/regressions/`
+//! The driver (`repro fuzz`) replays `tests/corpus/regressions/`
 //! before fuzzing, so every crasher ever found stays fixed.
 
 use dfsssp_core::{Budget, DfSssp, RouteError, RoutingEngine};
@@ -206,7 +206,7 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// One-line summary for the driver binary.
+    /// One-line summary for the driver.
     pub fn summary(&self) -> String {
         format!(
             "{} inputs: {} parsed ({} routed, {} route-rejected), {} rejected, {} PANICS",

@@ -1,5 +1,7 @@
-//! Shared plumbing for the reproduction binaries (one per paper table /
-//! figure; see DESIGN.md §2 for the index).
+//! Shared plumbing for the `repro` binary's commands (one per paper
+//! table / figure plus the operator tools; see DESIGN.md §2 for the
+//! index): the common [`Cli`], the Table I sweeps, eBB cells and the
+//! table printer, the fuzz campaign and the open-loop overload bench.
 //!
 //! Environment knobs (all optional):
 //!
@@ -13,13 +15,9 @@
 //! * `REPRO_SEEDS` — seeds per random-topology point (default 20; the
 //!   paper uses 100).
 
-pub mod bench;
 pub mod cli;
 pub mod fuzz;
 pub mod loadgen;
-pub mod reroute_bench;
-pub mod route_par;
-pub mod serve_bench;
 
 pub use cli::Cli;
 
@@ -147,7 +145,7 @@ pub fn ebb_cell_recorded(engine: &dyn RoutingEngine, net: &Network, rec: &dyn Re
 pub fn failure_label(e: &RouteError) -> String {
     match e {
         RouteError::Disconnected => "disconnected".into(),
-        RouteError::NeedMoreLayers { .. } => "needs>8VL".into(),
+        RouteError::NeedMoreLayers { allowed, .. } => format!("needs>{allowed}VL"),
         RouteError::UnsupportedTopology(_) => "n/a".into(),
         RouteError::BudgetExceeded { .. } => "budget".into(),
     }
@@ -218,5 +216,14 @@ mod tests {
             failure_label(&RouteError::UnsupportedTopology("x".into())),
             "n/a"
         );
+        // The label names the budget the run had, not a constant:
+        // `sec4_online_offline` allows 16 layers, `fig10` 64.
+        for (allowed, label) in [(8, "needs>8VL"), (16, "needs>16VL")] {
+            let e = RouteError::NeedMoreLayers {
+                required: allowed + 1,
+                allowed,
+            };
+            assert_eq!(failure_label(&e), label);
+        }
     }
 }

@@ -1,17 +1,16 @@
-//! The open-loop overload benchmark behind the `loadgen` binary and
-//! CI's overload-smoke job: replay a timestamped [`appsim::traffic`]
+//! The open-loop overload benchmark behind `repro loadgen` and CI's
+//! overload-smoke job: replay a timestamped [`appsim::traffic`]
 //! trace at a multiple of the serving stack's measured capacity, judge
 //! per-class SLOs from recorded latency histograms, and verify every
 //! response was either an epoch-consistent answer or a typed shed.
 //! Serialized as a versioned `dfsssp-loadgen/v1` report
 //! (`BENCH_pr7.json` in CI).
 //!
-//! Unlike `serve_bench`, **qps here is offered, not achieved**: the
-//! dispatchers submit at the trace's arrival times whether or not the
-//! engine kept up, so the report separates `offered_qps` (the trace)
-//! from `admitted_qps` (what got answered). The gap between them — the
-//! typed rejections, the deadline expiries, the shed floor — *is* the
-//! measurement.
+//! **qps here is offered, not achieved**: the dispatchers submit at the
+//! trace's arrival times whether or not the engine kept up, so the
+//! report separates `offered_qps` (the trace) from `admitted_qps` (what
+//! got answered). The gap between them — the typed rejections, the
+//! deadline expiries, the shed floor — *is* the measurement.
 //!
 //! A chaos epoch is published mid-trace (a redundant cable down, later
 //! back up), so the report also witnesses the tentpole interaction:
@@ -184,6 +183,27 @@ fn calibrate(engine: &serve::QueryEngine, pairs: &[(NodeId, NodeId)]) -> u64 {
     (n as f64 / started.elapsed().as_secs_f64()) as u64
 }
 
+/// Switch-switch cables whose loss keeps every terminal served: the
+/// chaos writer only breaks redundant hardware, so zero malformed
+/// responses is a *requirement*, not luck.
+fn safe_cables(net: &Network) -> Vec<fabric::ChannelId> {
+    use telemetry::fx::FxHashSet;
+    net.channels()
+        .filter(|(id, ch)| {
+            net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
+        })
+        .filter(|&(id, ch)| {
+            let mut dead: FxHashSet<fabric::ChannelId> = FxHashSet::default();
+            dead.insert(id);
+            if let Some(r) = ch.rev {
+                dead.insert(r);
+            }
+            fabric::degrade::remove(net, &FxHashSet::default(), &dead).is_strongly_connected()
+        })
+        .map(|(id, _)| id)
+        .collect()
+}
+
 struct InFlight {
     ticket: Ticket,
     class: TrafficClass,
@@ -225,7 +245,7 @@ pub(crate) fn run_inner(
         collector.clone(),
     )
     .expect("bring-up on the bench topology");
-    let safe = crate::serve_bench::safe_cables(net);
+    let safe = safe_cables(net);
     assert!(!safe.is_empty(), "bench topology needs redundant cables");
     let engine = server.query_engine(QueryOpts {
         workers: 2,
@@ -615,6 +635,13 @@ mod tests {
         assert_eq!(offered, handled, "every offered query classified");
         let back = LoadgenReport::from_json(&report.to_json()).unwrap();
         assert_eq!(report, back);
+    }
+
+    #[test]
+    fn safe_cables_keep_the_fabric_connected() {
+        let net = topo::kary_ntree(4, 2);
+        let safe = safe_cables(&net);
+        assert!(!safe.is_empty());
     }
 
     #[test]

@@ -1,0 +1,95 @@
+//! The command table of the one `repro` binary, driven as a user would.
+
+use std::process::{Command, Output};
+
+/// Every command, under the name its former `src/bin/<name>.rs` had
+/// (`RunManifest.binary` and CI spell these).
+const NAMES: [&str; 22] = [
+    "summary",
+    "fig02_ring_deadlock",
+    "table1_topologies",
+    "fig04_realworld_ebb",
+    "fig05_xgft_ebb",
+    "fig06_kautz_ebb",
+    "fig07_runtime_trees",
+    "fig08_runtime_realworld",
+    "fig09_random_vls",
+    "fig10_realworld_vls",
+    "fig12_netgauge_deimos",
+    "fig13_alltoall",
+    "fig14_16_nas",
+    "table2_nas_1024",
+    "sec4_exact",
+    "sec4_heuristics",
+    "sec4_online_offline",
+    "route_cli",
+    "vet",
+    "chaos",
+    "fuzz",
+    "loadgen",
+];
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+/// The `  <name>  <about>` lines of a command listing.
+fn listed(text: &str) -> Vec<(&str, &str)> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .filter_map(|line| line.split_once(' '))
+        .map(|(name, about)| (name, about.trim()))
+        .collect()
+}
+
+#[test]
+fn help_lists_every_command_once_with_its_about() {
+    let out = repro(&["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let rows = listed(&text);
+    let names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, NAMES, "names are the old bin names, each once");
+    for (name, about) in rows {
+        assert!(!about.is_empty(), "{name} has no about line");
+    }
+}
+
+#[test]
+fn unknown_command_exits_2_with_the_list() {
+    for args in [&["serve_bench"][..], &["--help"], &[]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let text = String::from_utf8(out.stderr).unwrap();
+        let names: Vec<&str> = listed(&text).iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, NAMES, "{args:?}");
+    }
+}
+
+/// A command parses what follows its name — its flags reach it, its
+/// manifest records the name as `binary`, and a flag it does not know
+/// is its own usage error.
+#[test]
+fn flags_after_the_command_name_reach_the_command() {
+    let metrics = concat!(env!("CARGO_TARGET_TMPDIR"), "/fig02.metrics.json");
+    let out = repro(&["fig02_ring_deadlock", "--metrics", metrics]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("cdg-cyclic=true"), "{text}");
+    assert!(text.contains("Completed"), "{text}");
+    let manifest = std::fs::read_to_string(metrics).unwrap();
+    assert!(
+        manifest.contains(r#""binary": "fig02_ring_deadlock""#),
+        "{manifest}"
+    );
+
+    let out = repro(&["vet", "--no-such-flag"]);
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(text.starts_with("usage: repro vet "), "{text}");
+    assert!(text.contains("--routes"), "{text}");
+}

@@ -184,8 +184,7 @@ impl RunManifest {
     }
 
     /// [`RunManifest::from_json`] for an already-parsed [`Value`] (e.g.
-    /// a manifest embedded inside a larger document, as the bench report
-    /// does).
+    /// a manifest embedded inside a larger document).
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let schema = v
             .get("schema")

@@ -71,7 +71,10 @@ fn delta_matches_full_across_families_and_failure_chains() {
         for seed in 0..4u64 {
             let engine = eager();
             let mut net = base.clone();
-            assert!(assert_equivalent(&engine, &net, name), "{name}: base fabric must route");
+            assert!(
+                assert_equivalent(&engine, &net, name),
+                "{name}: base fabric must route"
+            );
             for step in 0..3u64 {
                 let (degraded, removed) = degrade::fail_random_cables(&net, 1, seed * 31 + step);
                 if removed == 0 {
@@ -92,6 +95,31 @@ fn delta_matches_full_across_families_and_failure_chains() {
         delta_hits > 0,
         "sweep never exercised the incremental path; the equivalence claim was vacuous"
     );
+}
+
+/// Where the 13-15x of the old wall-clock reroute bench on `full(96,4)`
+/// came from, pinned without a clock: a failed cable dirties only the
+/// trees rooted at the terminals of the two switches it joined — 8 of
+/// 384 — so the delta path, at the production threshold, re-sweeps 2 %
+/// of the destinations and copies the rest. (`delta.vs_cold_ratio` in
+/// `perf` carries the timing.) The seeds are that bench's four events.
+#[test]
+fn full_mesh_cable_failures_dirty_eight_trees_of_384() {
+    let base = topo::fully_connected(96, 4);
+    assert_eq!(base.num_terminals(), 384);
+    for k in 0..4u64 {
+        let engine = DeltaEngine::new(DfSssp::new());
+        engine
+            .route_in(&base, &snap_cx(&base))
+            .expect("the pristine mesh routes");
+        let (net, removed) = degrade::fail_random_cables(&base, 1, 7 * 97 + k);
+        assert_eq!(removed, 1);
+        let label = format!("full(96,4) cable#{k}");
+        assert!(assert_equivalent(&engine, &net, &label), "{label}");
+        let outcome = engine.last_outcome().expect("route recorded an outcome");
+        assert!(outcome.delta, "{label}: fell back to the full sweep");
+        assert_eq!(outcome.dirty_dests.len(), 8, "{label}");
+    }
 }
 
 #[test]

@@ -116,3 +116,20 @@ fn dependencies_are_first_party() {
         violations.join("\n  ")
     );
 }
+
+/// `repro` is one link step, not one per figure: `src/main.rs` is its
+/// only bin target and new commands are rows of its table.
+#[test]
+fn repro_is_one_binary() {
+    let krate = repo_root().join("crates/repro");
+    assert!(krate.join("src/main.rs").is_file());
+    assert!(
+        !krate.join("src/bin").exists(),
+        "crates/repro/src/bin/ is back: add a row to COMMANDS in src/main.rs instead"
+    );
+    let manifest = fs::read_to_string(krate.join("Cargo.toml")).expect("manifest is readable");
+    assert!(
+        !manifest.lines().any(|l| l.trim() == "[[bin]]"),
+        "crates/repro/Cargo.toml declares an extra [[bin]] target"
+    );
+}

@@ -1,6 +1,6 @@
 //! End-to-end checks of the telemetry layer: the zero-cost-when-disabled
-//! property, phase coverage of a recorded DFSSSP run, manifest schema
-//! stability, and the bench report round-trip.
+//! property, phase coverage of a recorded DFSSSP run and manifest schema
+//! stability.
 
 use dfsssp::prelude::*;
 use dfsssp::telemetry::{self, hists, phases};
@@ -110,22 +110,6 @@ fn recorded_ebb_matches_plain_ebb() {
     assert_eq!(snap.counters["patterns_simulated"], 50);
     assert_eq!(snap.histograms["pattern_bw_milli"].count, 50);
     assert_eq!(snap.phases[phases::EBB].count, 1);
-}
-
-/// The bench sweep's report round-trips and its DFSSSP cells embed full
-/// per-phase manifests.
-#[test]
-fn bench_quick_report_round_trips() {
-    let report = repro::bench::run(true, 3);
-    assert_eq!(report.schema, repro::bench::SCHEMA);
-    let back = repro::bench::BenchReport::from_json(&report.to_json()).unwrap();
-    assert_eq!(report, back);
-    let df = back
-        .cases
-        .iter()
-        .find(|c| c.engine == "DFSSSP" && c.ok)
-        .expect("a successful DFSSSP cell");
-    assert!(df.manifest.metrics.phases.contains_key(phases::SSSP));
 }
 
 /// The subnet-manager loop reports reroute latency and rung counters.
