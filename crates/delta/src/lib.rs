@@ -6,12 +6,14 @@
 //! cycle search — O(fabric) work for an O(change) event. This crate adds
 //! a delta-compute layer over a [`RoutingEngine`]:
 //!
-//! * [`DeltaEngine`] caches the last published epoch (network, routes, a
-//!   [`fabric::ReverseIndex`] from channels to the destination trees using
-//!   them, per-destination hop distances, and the layer-0 CDG edge
-//!   counts). On the next route request it diffs the networks, extracts
-//!   the *affected set* of destinations, re-sweeps only those trees, and
-//!   patches the CDG counts instead of rebuilding them.
+//! * [`DeltaEngine`] caches the last epoch it routed — the network, the
+//!   routes, the layer regime they were assigned under and, **only while
+//!   the all-paths CDG is acyclic**, its layer-0 window counts. Nothing
+//!   else: the cached tables *are* the channel → tree reverse index (a
+//!   row scan), and hop distances are two BFSs on the cached network
+//!   when an event needs them. On the next route request it diffs the
+//!   networks, extracts the *affected set* of destinations, re-sweeps
+//!   only those trees, and patches the counts instead of rebuilding them.
 //! * The result is **bit-identical** to a full recompute under a
 //!   snapshot-chunk compute context (`cx.chunk >= |T|`): clean trees are
 //!   provably unchanged (see the dirty rules below), dirty trees are
@@ -28,8 +30,8 @@
 //! With uniform weights (what a snapshot chunk uses), destination `d`'s
 //! tree can only change if
 //!
-//! * a **removed** channel was a tree edge of `d` (found via the reverse
-//!   index), or
+//! * a **removed** channel `c` was a tree edge of `d`, i.e.
+//!   `next[c.src][d] == c` in the cached tables, or
 //! * an **added** channel `a → b` satisfies `hop(a,d) >= hop(b,d) + 1`
 //!   on the *old* network — i.e. the edge offers a path at least as short
 //!   as the incumbent. Equality is included because a tie can flip the
@@ -38,11 +40,15 @@
 //!   the new path triggers the rule for `d` anyway.
 //!
 //! Both rules compose across multi-event diffs because clean
-//! destinations' hop-distance rows remain valid by the same argument.
+//! destinations' hop distances remain valid by the same argument.
 //!
-//! When the dirty fraction exceeds [`DeltaConfig::max_dirty_fraction`],
-//! the engine falls back to a full recompute (the delta would not pay for
-//! itself) and rebuilds its cache from the result.
+//! # When the engine falls back
+//!
+//! A patch costs a cold route minus the clean trees' sweeps, so the
+//! engine runs the full pipeline only when there is nothing to reuse:
+//! no cached epoch, a changed node roster, or **every** destination
+//! dirty. A fallback costs that cold route, two clones and — on an
+//! acyclic fabric — one O(|N|)-per-tree pass for the counts.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -54,7 +60,7 @@ use dfsssp_core::paths::PathSet;
 use dfsssp_core::{
     ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine,
 };
-use fabric::{ChannelId, Network, ReverseIndex, Routes};
+use fabric::{ChannelId, Network, Routes};
 use subnet::transition::{self, DiffPlanProvider, UpdatePlan, UpdateStage};
 use telemetry::fx::FxHashMap;
 use telemetry::{counters, phases, Recorder, RecorderHandle};
@@ -63,16 +69,18 @@ use telemetry::{counters, phases, Recorder, RecorderHandle};
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaConfig {
     /// Fall back to a full recompute when more than this fraction of the
-    /// destinations is dirty. The patch path is linear in the dirty
-    /// count; past roughly half the fabric a fresh sweep is cheaper and
-    /// produces the identical result anyway.
+    /// destinations is dirty (strictly more). Inert at the default of
+    /// 1.0: the engine already falls back when *every* destination is
+    /// dirty and patches otherwise, because a patch is a cold route
+    /// minus the clean trees' sweeps. Tests lower it to force the
+    /// fallback path.
     pub max_dirty_fraction: f64,
 }
 
 impl Default for DeltaConfig {
     fn default() -> Self {
         DeltaConfig {
-            max_dirty_fraction: 0.5,
+            max_dirty_fraction: 1.0,
         }
     }
 }
@@ -102,6 +110,11 @@ pub struct DeltaParams {
 pub trait DeltaCapable: RoutingEngine {
     /// The parameters of the replicable pipeline, if any.
     fn delta_params(&self) -> Option<DeltaParams>;
+
+    /// A full route that also says whether the all-paths CDG came out
+    /// acyclic — what the engine itself observed (it broke no cycle),
+    /// so the cache never re-derives it from the tables.
+    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<(Routes, bool), RouteError>;
 }
 
 impl DeltaCapable for DfSssp {
@@ -121,45 +134,52 @@ impl DeltaCapable for DfSssp {
             recorder: self.recorder.clone(),
         })
     }
+
+    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<(Routes, bool), RouteError> {
+        let (routes, stats) = self.route_with_stats_in(net, cx)?;
+        Ok((routes, stats.cycles_broken == 0))
+    }
 }
 
 /// What the last [`DeltaEngine`] route request did.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaOutcome {
     /// Whether the delta path produced the routes (false = full
     /// recompute, passthrough, or error).
     pub delta: bool,
-    /// Destination terminal indices whose trees were re-swept.
+    /// Destination terminal indices the diff against the cached epoch
+    /// dirtied: the trees a patch re-swept, or what made a diffable
+    /// request fall back. Empty when there was nothing to diff (first
+    /// route, roster change, passthrough, error).
     pub dirty_dests: Vec<usize>,
-    /// Whether the patched layer-0 CDG is acyclic (all paths fit one
-    /// layer before balancing).
+    /// Whether the all-paths (layer-0) CDG of the result is acyclic (all
+    /// paths fit one layer before balancing).
     pub layer0_acyclic: bool,
     /// Whether the old∪new all-paths CDG union is acyclic — the direct
     /// transition certificate [`DeltaPlanner`] hands out.
     pub union_acyclic: bool,
 }
 
-/// Cached epoch: everything needed to diff the next network against.
+/// One all-paths CDG window: two consecutive channels `(from, to)` and
+/// the number of terminal-to-terminal paths crossing them in that order.
+type Window = ((u32, u32), u32);
+
+/// Cached epoch: what the next network is diffed against, and nothing
+/// that cannot be brought forward in O(change).
 struct DeltaState {
     net: Network,
     routes: Routes,
-    rindex: ReverseIndex,
-    /// Per destination terminal index: hop distances from every node
-    /// (terminal-sink metric, `u32::MAX` when unreachable).
-    hopdist: Vec<Arc<Vec<u32>>>,
-    /// All-paths (layer-0) CDG edge counts as a flat vector sorted by
-    /// consecutive channel pair. Mirrors `Cdg::add_path` over every
-    /// extracted path; kept sorted so the per-epoch patch is a linear
-    /// merge with no hashing on the reroute's critical path.
-    l0: Vec<((u32, u32), u32)>,
-    /// Whether `l0` is acyclic.
-    l0_acyclic: bool,
+    /// The all-paths (layer-0) CDG as window counts, sorted by channel
+    /// pair, one entry per pair. Mirrors `Cdg::add_path` over every
+    /// extracted path. Held only while that CDG is known acyclic — the
+    /// counts' one use is certifying the next epoch acyclic without the
+    /// real assignment, which a cyclic fabric can never skip.
+    l0: Option<Vec<Window>>,
     /// `(clamped layer budget, balance)` the cached epoch's layer
-    /// assignment ran under. When `l0_acyclic` holds, the assignment is
-    /// a pure function of the pair index and these two knobs, so a later
-    /// epoch in the same regime can bulk-copy the layer matrix instead
-    /// of recomputing it.
-    layer_cfg: Option<(usize, bool)>,
+    /// assignment ran under. While `l0` is held, the assignment is a
+    /// pure function of the pair index and these two knobs, so a later
+    /// acyclic epoch in the same regime bulk-copies the layer matrix.
+    layer_cfg: (usize, bool),
     /// The planner's transition certificate.
     cert: Cert,
 }
@@ -196,6 +216,33 @@ enum Cert {
 struct Shared {
     state: Option<DeltaState>,
     last: Option<DeltaOutcome>,
+}
+
+/// What changed between the cached fabric and the requested one.
+struct Diff {
+    /// Old channel id → new channel id (`None` = removed).
+    translate: Vec<Option<ChannelId>>,
+    /// Per destination terminal index: must its tree be re-swept?
+    dirty: Vec<bool>,
+    /// The indices flagged in `dirty`, ascending.
+    dirty_dests: Vec<usize>,
+}
+
+/// What a delta attempt came to.
+enum Attempt {
+    /// Patched; the outcome and the new cache are already recorded.
+    Patched(Routes),
+    /// Nothing to reuse — run the full pipeline. Carries the dirty set
+    /// when there was a cached epoch to diff against.
+    Fallback(Vec<usize>),
+}
+
+/// A patch's products: the routes, the counts to cache with them (if
+/// acyclic) and the planner's union certificate.
+struct Patched {
+    routes: Routes,
+    l0: Option<Vec<Window>>,
+    union_acyclic: bool,
 }
 
 /// A delta-compute wrapper around a [`DeltaCapable`] routing engine.
@@ -248,46 +295,56 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
     }
 
     /// Full recompute through the inner engine, then rebuild the cache
-    /// from the result (only meaningful under a snapshot chunk — other
-    /// chunkings use balanced weights the dirty rules don't model).
+    /// from the result: two clones, plus the window counts when the
+    /// engine broke no cycle. Tables the kernel cannot walk leave the
+    /// cache empty rather than poisoned. An engine error leaves the
+    /// cache (and the caller's reset outcome) as they were.
     fn full_recompute(
         &self,
         g: &mut Shared,
         params: &DeltaParams,
         net: &Network,
         cx: &ComputeCtx,
+        dirty_dests: Vec<usize>,
     ) -> Result<Routes, RouteError> {
-        let routes = self.inner.route_in(net, cx)?;
-        if cx.chunk.max(1) >= net.num_terminals() {
-            let layer_cfg = (
-                params.budget.start().clamp_layers(params.max_layers),
-                params.balance,
-            );
-            g.state = rebuild_state(net, &routes, layer_cfg);
-        } else {
-            g.state = None;
-        }
+        let (routes, acyclic) = self.inner.route_cold_in(net, cx)?;
+        g.state = telemetry::timed(&*params.recorder, phases::DELTA_REBUILD, || {
+            let l0 = if acyclic {
+                Some(tree_windows(net, &routes, 0..net.num_terminals())?)
+            } else {
+                None
+            };
+            Some(DeltaState {
+                net: net.clone(),
+                routes: routes.clone(),
+                l0,
+                layer_cfg: (
+                    params.budget.start().clamp_layers(params.max_layers),
+                    params.balance,
+                ),
+                cert: Cert::None,
+            })
+        });
         g.last = Some(DeltaOutcome {
             delta: false,
-            dirty_dests: Vec::new(),
-            layer0_acyclic: g.state.as_ref().is_some_and(|s| s.l0_acyclic),
+            dirty_dests,
+            layer0_acyclic: g.state.as_ref().is_some_and(|s| s.l0.is_some()),
             union_acyclic: false,
         });
         Ok(routes)
     }
 
-    /// The delta path. `Ok(None)` means "not eligible, run the full
-    /// pipeline"; errors are exactly the ones the full pipeline would
-    /// raise on the same input.
+    /// The delta path. Errors are exactly the ones the full pipeline
+    /// would raise on the same input.
     fn try_delta(
         &self,
         g: &mut Shared,
         params: &DeltaParams,
         net: &Network,
         cx: &ComputeCtx,
-    ) -> Result<Option<Routes>, RouteError> {
+    ) -> Result<Attempt, RouteError> {
         let Some(prev) = g.state.as_ref() else {
-            return Ok(None);
+            return Ok(Attempt::Fallback(Vec::new()));
         };
         let nt = net.num_terminals();
         // The diff assumes an identical node roster (degrade preserves
@@ -300,7 +357,7 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
                 .zip(prev.net.nodes())
                 .any(|((_, a), (_, b))| a.name != b.name)
         {
-            return Ok(None);
+            return Ok(Attempt::Fallback(Vec::new()));
         }
 
         let rec: &dyn Recorder = &*params.recorder;
@@ -312,191 +369,58 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         guard.check_deadline()?;
         let max_layers = guard.clamp_layers(params.max_layers);
 
-        // ---- Channel diff: match by (source node, source port). ----
-        let mut new_by_key: FxHashMap<(u32, u16), ChannelId> = FxHashMap::default();
-        for (cid, ch) in net.channels() {
-            new_by_key.insert((ch.src.0, ch.src_port), cid);
-        }
-        let mut translate: Vec<Option<ChannelId>> = vec![None; prev.net.num_channels()];
-        let mut matched = vec![false; net.num_channels()];
-        let mut removed: Vec<ChannelId> = Vec::new();
-        for (cid, ch) in prev.net.channels() {
-            match new_by_key.get(&(ch.src.0, ch.src_port)) {
-                Some(&nc) if net.channel(nc).dst == ch.dst => {
-                    translate[cid.idx()] = Some(nc);
-                    matched[nc.idx()] = true;
-                }
-                _ => removed.push(cid),
-            }
-        }
-        let added: Vec<ChannelId> = net
-            .channels()
-            .filter(|&(c, _)| !matched[c.idx()])
-            .map(|(c, _)| c)
-            .collect();
-
-        // ---- Affected set. ----
-        let mut dirty = vec![false; nt];
-        telemetry::timed(rec, phases::DELTA_DIRTY, || {
-            for &c in &removed {
-                for &d in prev.rindex.dests_of(c) {
-                    dirty[d as usize] = true;
-                }
-            }
-            for &c in &added {
-                let ch = net.channel(c);
-                let (a, b) = (ch.src.idx(), ch.dst.idx());
-                for (d, flag) in dirty.iter_mut().enumerate() {
-                    if *flag {
-                        continue;
-                    }
-                    let row = &prev.hopdist[d];
-                    if row[b] != u32::MAX && row[a] > row[b] {
-                        *flag = true;
-                    }
-                }
-            }
-        });
-        let dirty_dests: Vec<usize> = (0..nt).filter(|&d| dirty[d]).collect();
-        if rec.enabled() {
-            rec.add(counters::DELTA_DIRTY_DSTS, dirty_dests.len() as u64);
-        }
-        if dirty_dests.len() as f64 > self.cfg.max_dirty_fraction * nt as f64 {
+        let diff = telemetry::timed(rec, phases::DELTA_DIRTY, || diff(prev, net));
+        let fall_back = |dirty_dests| {
             if rec.enabled() {
                 rec.add(counters::DELTA_FALLBACKS, 1);
             }
-            return Ok(None);
+            Ok(Attempt::Fallback(dirty_dests))
+        };
+        let dirty_count = diff.dirty_dests.len();
+        if rec.enabled() {
+            rec.add(counters::DELTA_DIRTY_DSTS, dirty_count as u64);
+        }
+        // Every tree dirty: nothing to reuse, the cold route is the
+        // patch. (The configured fraction is inert at its default.)
+        if dirty_count == nt || dirty_count as f64 > self.cfg.max_dirty_fraction * nt as f64 {
+            return fall_back(diff.dirty_dests);
         }
 
-        // ---- Patch: trees, tables, CDG counts, layers. ----
-        let patch = telemetry::timed(rec, phases::DELTA_PATCH, || {
-            self.patch(
-                prev, params, net, cx, &guard, max_layers, &dirty, &translate,
-            )
+        let patched = telemetry::timed(rec, phases::DELTA_PATCH, || {
+            self.patch(prev, params, net, cx, &guard, max_layers, &diff)
         })?;
-        let Some((routes, l0, l0_acyclic, union_acyclic, dirty_rows)) = patch else {
+        let Some(patched) = patched else {
             // Cache inconsistent with the diff (should not happen); a
             // full recompute both serves the request and repairs it.
-            if rec.enabled() {
-                rec.add(counters::DELTA_FALLBACKS, 1);
-            }
-            return Ok(None);
+            return fall_back(diff.dirty_dests);
         };
 
-        // ---- Commit the new cache; the previous epoch's artifacts move
-        // into the pending certificate. ----
-        // Reverse index by translation: clean destinations keep their
-        // incidences (renamed into the new id space), dirty destinations
-        // re-walk their fresh columns — O(incidences), not O(fabric²).
-        // Ascending order per channel is restored by sorting only the
-        // lists the dirty walk touched.
-        let rindex = {
-            let n = net.num_channels();
-            // Capacity per new channel: the translated old list plus
-            // room for this event's dirty appends (removals only leave
-            // slack the loose CSR tolerates).
-            let mut off = vec![0u32; n + 1];
-            for (oc, nc) in translate.iter().enumerate() {
-                if let Some(nc) = nc {
-                    off[nc.idx() + 1] = prev.rindex.dests_of(ChannelId(oc as u32)).len() as u32;
-                }
-            }
-            for &d in &dirty_dests {
-                for (id, _) in net.nodes() {
-                    if let Some(c) = routes.next_hop(id, d) {
-                        off[c.idx() + 1] += 1;
-                    }
-                }
-            }
-            for i in 1..off.len() {
-                off[i] += off[i - 1];
-            }
-            // Bulk-copy every surviving channel's list into its slot —
-            // O(incidences) of memcpy, no per-entry dirty test.
-            let mut len = vec![0u32; n];
-            let mut dests = vec![0u32; off[n] as usize];
-            for (oc, nc) in translate.iter().enumerate() {
-                if let Some(nc) = nc {
-                    let src = prev.rindex.dests_of(ChannelId(oc as u32));
-                    let lo = off[nc.idx()] as usize;
-                    dests[lo..lo + src.len()].copy_from_slice(src);
-                    len[nc.idx()] = src.len() as u32;
-                }
-            }
-            // Reconcile each dirty destination by walking its column
-            // once: most nodes keep their next hop (and so their slot in
-            // the index); only the handful that changed need an ordered
-            // removal from the old channel's slice and an ordered insert
-            // into the new one.
-            for &d in &dirty_dests {
-                for (id, _) in net.nodes() {
-                    let new_c = routes.next_hop(id, d);
-                    let old_c = prev
-                        .routes
-                        .next_hop(id, d)
-                        .and_then(|oc| translate.get(oc.idx()).copied().flatten());
-                    if new_c == old_c {
-                        continue;
-                    }
-                    if let Some(c) = old_c {
-                        let lo = off[c.idx()] as usize;
-                        let l = len[c.idx()] as usize;
-                        if let Ok(pos) = dests[lo..lo + l].binary_search(&(d as u32)) {
-                            dests.copy_within(lo + pos + 1..lo + l, lo + pos);
-                            len[c.idx()] -= 1;
-                        }
-                    }
-                    if let Some(c) = new_c {
-                        let lo = off[c.idx()] as usize;
-                        let l = len[c.idx()] as usize;
-                        if let Err(pos) = dests[lo..lo + l].binary_search(&(d as u32)) {
-                            dests.copy_within(lo + pos..lo + l, lo + pos + 1);
-                            dests[lo + pos] = d as u32;
-                            len[c.idx()] += 1;
-                        }
-                    }
-                }
-            }
-            ReverseIndex::from_loose_csr(off, len, dests)
-        };
+        // Commit the new cache; the previous epoch's artifacts move into
+        // the pending certificate.
         let prev = g.state.take().expect("present since the diff began");
-        let mut hopdist: Vec<Arc<Vec<u32>>> = Vec::with_capacity(nt);
-        let mut fresh = dirty_rows.into_iter();
-        for (&is_dirty, old_row) in dirty.iter().zip(&prev.hopdist) {
-            hopdist.push(if is_dirty {
-                Arc::new(fresh.next().expect("one row per dirty dest"))
-            } else {
-                Arc::clone(old_row)
-            });
-        }
-        let routes_copy = routes.clone();
-        let net_copy = net.clone();
+        g.last = Some(DeltaOutcome {
+            delta: true,
+            dirty_dests: diff.dirty_dests,
+            layer0_acyclic: patched.l0.is_some(),
+            union_acyclic: patched.union_acyclic,
+        });
         g.state = Some(DeltaState {
-            net: net_copy,
-            routes: routes_copy,
-            rindex,
-            hopdist,
-            l0,
-            l0_acyclic,
-            layer_cfg: Some((max_layers, params.balance)),
+            net: net.clone(),
+            routes: patched.routes.clone(),
+            l0: patched.l0,
+            layer_cfg: (max_layers, params.balance),
             cert: Cert::Pending {
                 prev_net: Box::new(prev.net),
                 prev_routes: prev.routes,
-                union_acyclic,
+                union_acyclic: patched.union_acyclic,
             },
         });
-        g.last = Some(DeltaOutcome {
-            delta: true,
-            dirty_dests,
-            layer0_acyclic: l0_acyclic,
-            union_acyclic,
-        });
-        Ok(Some(routes))
+        Ok(Attempt::Patched(patched.routes))
     }
 
-    /// Assemble the new routes and patched CDG counts. `Ok(None)` means
-    /// the cache disagrees with the diff (fall back defensively).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// Assemble the new routes, counts and layers. `Ok(None)` means the
+    /// cache disagrees with the diff (fall back defensively).
+    #[allow(clippy::too_many_arguments)]
     fn patch(
         &self,
         prev: &DeltaState,
@@ -505,13 +429,10 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         cx: &ComputeCtx,
         guard: &dfsssp_core::BudgetGuard,
         max_layers: usize,
-        dirty: &[bool],
-        translate: &[Option<ChannelId>],
-    ) -> Result<Option<(Routes, Vec<((u32, u32), u32)>, bool, bool, Vec<Vec<u32>>)>, RouteError>
-    {
-        let nt = net.num_terminals();
-        let terminals = net.terminals();
+        diff: &Diff,
+    ) -> Result<Option<Patched>, RouteError> {
         let rec: &dyn Recorder = &*params.recorder;
+        let dirty_dests = || diff.dirty_dests.iter().copied();
 
         // New tables: clean columns translate in one row-major bulk
         // pass, dirty columns re-sweep. Any uniform weight reproduces
@@ -519,179 +440,65 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         // scale-invariant), so sweep with 1s and skip the diameter-sized
         // base weight entirely.
         let mut routes = Routes::new(net, self.inner.name());
-        if !routes.copy_clean_columns_translated(&prev.routes, dirty, translate) {
+        if !telemetry::timed(rec, phases::DELTA_DIFF, || {
+            routes.copy_clean_columns_translated(&prev.routes, &diff.dirty, &diff.translate)
+        }) {
             return Ok(None); // clean tree through a removed channel
         }
-        let ones = vec![1u64; net.num_channels()];
-        let mut dirty_rows: Vec<Vec<u32>> = Vec::new();
-        for d in 0..nt {
-            if dirty[d] {
-                let spt = spt_to(net, terminals[d], &ones);
+        telemetry::timed(rec, phases::DELTA_SWEEP, || {
+            let ones = vec![1u64; net.num_channels()];
+            for d in dirty_dests() {
+                let spt = spt_to(net, net.terminals()[d], &ones);
                 for (id, _) in net.nodes() {
                     if let Some(c) = spt.parent[id.idx()] {
                         routes.set_next(id, d, c);
                     }
                 }
-                dirty_rows.push(
-                    spt.dist
-                        .iter()
-                        .map(|&x| if x == u64::MAX { u32::MAX } else { x as u32 })
-                        .collect(),
-                );
             }
-        }
+        });
 
-        // CDG counts, all flat: rename the survivors — windows through a
-        // removed channel drop out, which is exact because only dirty
-        // trees' paths used them — collect the dirty destinations' old
-        // windows (skipping dropped ones for the same reason) and their
-        // new windows as sorted delta lists, then apply both in one
-        // three-way merge. The channel translation is monotone for the
-        // event diffs this path serves (degrade preserves relative
-        // order), so the renamed vector is already sorted; the linear
-        // re-sort check below covers any exotic pairing.
-        let mut base: Vec<((u32, u32), u32)> = Vec::with_capacity(prev.l0.len());
-        for &((f, t), c) in &prev.l0 {
-            if let (Some(nf), Some(nt2)) = (translate[f as usize], translate[t as usize]) {
-                base.push(((nf.0, nt2.0), c));
-            }
-        }
-        if !base.windows(2).all(|w| w[0].0 < w[1].0) {
-            base.sort_unstable_by_key(|e| e.0);
-        }
-        let mut decs: Vec<(u32, u32)> = Vec::new();
-        let mut incs: Vec<(u32, u32)> = Vec::new();
-        for (d, &t) in terminals.iter().enumerate() {
-            if !dirty[d] {
-                continue;
-            }
-            for (s, &src) in terminals.iter().enumerate() {
-                if s == d {
-                    continue;
-                }
-                let Ok(walk) = prev.routes.path(&prev.net, src, t) else {
-                    return Ok(None);
-                };
-                let mut last: Option<u32> = None;
-                for step in walk {
-                    let Ok(c) = step else { return Ok(None) };
-                    if let Some(p) = last {
-                        if let (Some(nf), Some(nt2)) = (translate[p as usize], translate[c.idx()]) {
-                            decs.push((nf.0, nt2.0));
-                        }
-                    }
-                    last = Some(c.0);
-                }
-                let Ok(walk) = routes.path(net, src, t) else {
-                    return Ok(None);
-                };
-                let mut last: Option<u32> = None;
-                for step in walk {
-                    let Ok(c) = step else { return Ok(None) };
-                    if let Some(p) = last {
-                        incs.push((p, c.0));
-                    }
-                    last = Some(c.0);
-                }
-            }
-        }
-        decs.sort_unstable();
-        incs.sort_unstable();
-
-        // Union-first acyclicity: the old∪new all-paths CDG union is
-        // both the planner's direct-transition certificate and a
-        // superset of the patched graph, so when it is acyclic — the
-        // common case for a cable event on a path-diverse fabric — one
-        // DFS settles both questions. (`base ∪ incs` covers the union:
-        // every patched window survives from `base` or was added by a
-        // dirty tree.)
-        let union_acyclic = prev.l0_acyclic
-            && dense_acyclic(
-                net.num_channels(),
-                base.iter().map(|&(k, _)| k).chain(incs.iter().copied()),
-            );
-
-        // Apply the delta: one merge pass in key order. A decrement of a
-        // missing key (or below zero) means the cache disagrees with the
-        // diff — bail and let the full pipeline repair it.
-        let mut l0: Vec<((u32, u32), u32)> = Vec::with_capacity(base.len() + incs.len());
-        let (mut bi, mut di, mut ii) = (0, 0, 0);
-        while bi < base.len() || di < decs.len() || ii < incs.len() {
-            let mut k = (u32::MAX, u32::MAX);
-            if let Some(&(bk, _)) = base.get(bi) {
-                k = k.min(bk);
-            }
-            if let Some(&dk) = decs.get(di) {
-                k = k.min(dk);
-            }
-            if let Some(&ik) = incs.get(ii) {
-                k = k.min(ik);
-            }
-            let mut count: i64 = 0;
-            let mut in_base = false;
-            if let Some(&(bk, c)) = base.get(bi) {
-                if bk == k {
-                    count = i64::from(c);
-                    in_base = true;
-                    bi += 1;
-                }
-            }
-            let mut removed_here: i64 = 0;
-            while decs.get(di) == Some(&k) {
-                removed_here += 1;
-                di += 1;
-            }
-            // Decrements must be covered by the old count alone; the
-            // increments only land afterwards, as in a map-based patch.
-            if removed_here > 0 && (!in_base || removed_here > count) {
+        // Counts, only if the cached epoch holds them: rename the
+        // survivors — windows through a removed channel drop out, which
+        // is exact because only dirty trees' paths used them — take the
+        // dirty trees' old windows out (renamed and dropped the same
+        // way) and put their new windows in. The old∪new union is both
+        // the planner's direct-transition certificate and a superset of
+        // the patched graph, so when it is acyclic — the common case for
+        // a cable event on a path-diverse fabric — one DFS settles both
+        // questions. (`base ∪ incs` covers the union: every patched
+        // window survives from `base` or was added by a dirty tree.)
+        let (mut l0, mut union_acyclic) = (None, false);
+        if let Some(old) = &prev.l0 {
+            let counted = telemetry::timed(rec, phases::DELTA_COUNTS, || {
+                let base = translate_windows(old, &diff.translate);
+                let decs = tree_windows(&prev.net, &prev.routes, dirty_dests())?;
+                let decs = translate_windows(&decs, &diff.translate);
+                let incs = tree_windows(net, &routes, dirty_dests())?;
+                let union = dense_acyclic(net.num_channels(), edges(&base).chain(edges(&incs)));
+                let l0 = merge_windows(&base, &decs, &incs)?;
+                let acyclic = union || dense_acyclic(net.num_channels(), edges(&l0));
+                Some((l0, acyclic, union))
+            });
+            let Some((counts, acyclic, union)) = counted else {
                 return Ok(None);
-            }
-            count -= removed_here;
-            while incs.get(ii) == Some(&k) {
-                count += 1;
-                ii += 1;
-            }
-            if count > 0 {
-                l0.push((k, count as u32));
-            }
+            };
+            // Same budget the full pipeline holds layer 0 against.
+            guard.check_cdg_edges(counts.len())?;
+            l0 = acyclic.then_some(counts);
+            union_acyclic = union;
         }
-        // Same budget the full pipeline holds layer 0 against.
-        guard.check_cdg_edges(l0.len())?;
 
-        // Layer assignment. Fast path: the patched all-paths CDG is
-        // acyclic (it is a subgraph of an acyclic union, or its own DFS
-        // says so), so the budgeted assignment would break no cycles,
-        // every path stays in layer 0, and only the balancing spread
-        // remains. In that regime the assignment is a pure function of
-        // the pair index and the (budget, balance) knobs — when the
-        // cached epoch ran under the same knobs with an acyclic layer 0,
-        // its matrix is bit-identical and one memcpy replaces the
-        // per-pair rewrite. Otherwise run the real thing on the real
-        // path set.
-        let l0_acyclic =
-            union_acyclic || dense_acyclic(net.num_channels(), l0.iter().map(|&(k, _)| k));
-        if l0_acyclic {
-            if prev.l0_acyclic && prev.layer_cfg == Some((max_layers, params.balance)) {
+        // Layers. Patched all-paths CDG acyclic: the budgeted assignment
+        // would break no cycle, every path stays in layer 0 and only the
+        // balancing spread remains — a pure function of the pair index
+        // and the (budget, balance) regime, so in the cached epoch's
+        // regime its matrix is bit-identical and one memcpy replaces the
+        // assignment. Otherwise run the real thing on the real path set.
+        let broke_none = telemetry::timed(rec, phases::DELTA_LAYERS, || {
+            if l0.is_some() && prev.layer_cfg == (max_layers, params.balance) {
                 routes.copy_layers_from(&prev.routes);
-            } else {
-                let mut layers = vec![0u8; nt * (nt - 1)];
-                telemetry::timed(rec, phases::BALANCE, || {
-                    if params.balance {
-                        balance_layers(&mut layers, 1, max_layers);
-                    }
-                });
-                let mut p = 0usize;
-                for s in 0..nt {
-                    for d in 0..nt {
-                        if s == d {
-                            continue;
-                        }
-                        routes.set_layer(s, d, layers[p]);
-                        p += 1;
-                    }
-                }
+                return Ok(true);
             }
-        } else {
             let ps = PathSet::extract_in(net, &routes, cx)?;
             let (mut layers, stats) = assign_layers_budgeted_in(
                 &ps,
@@ -711,13 +518,22 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
                 let (s, d) = ps.pair(p);
                 routes.set_layer(s as usize, d as usize, layers[p as usize]);
             }
-            // The DFS and the budgeted assignment agree on acyclicity:
-            // a cyclic all-paths CDG forces at least one break.
-            debug_assert!(stats.cycles_broken > 0);
+            routes.recompute_num_layers();
+            // The DFS and the budgeted assignment agree on acyclicity.
+            debug_assert!(prev.l0.is_none() || (stats.cycles_broken == 0) == l0.is_some());
+            Ok::<_, RouteError>(stats.cycles_broken == 0)
+        })?;
+        // A fabric that just became acyclic starts holding counts.
+        if broke_none && l0.is_none() {
+            l0 = telemetry::timed(rec, phases::DELTA_COUNTS, || {
+                tree_windows(net, &routes, 0..net.num_terminals())
+            });
         }
-        routes.recompute_num_layers();
-        routes.set_engine(self.inner.name());
-        Ok(Some((routes, l0, l0_acyclic, union_acyclic, dirty_rows)))
+        Ok(Some(Patched {
+            routes,
+            l0,
+            union_acyclic,
+        }))
     }
 }
 
@@ -727,32 +543,28 @@ impl<E: RoutingEngine + DeltaCapable> RoutingEngine for DeltaEngine<E> {
     }
 
     fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
+        let mut g = self.lock();
+        // Whatever this request comes to — passthrough and every error
+        // path included — the previous request's outcome is not its own.
+        g.last = Some(DeltaOutcome::default());
         let Some(params) = self.inner.delta_params() else {
             // Not replicable (e.g. online mode): plain passthrough, and
             // the cache no longer describes what this engine produces.
-            let mut g = self.lock();
             g.state = None;
-            g.last = Some(DeltaOutcome::default());
             drop(g);
             return self.inner.route_in(net, cx);
         };
         if cx.chunk.max(1) < net.num_terminals() {
             // Chunked wavefronts use balanced weights; the dirty rules
             // only hold for the single-snapshot schedule.
-            let mut g = self.lock();
-            g.last = Some(DeltaOutcome::default());
             drop(g);
             return self.inner.route_in(net, cx);
         }
-        let mut g = self.lock();
-        let rec = params.recorder.clone();
-        let res = self.try_delta(&mut g, &params, net, cx);
-        match record_trip(&*rec, res) {
-            Ok(Some(routes)) => Ok(routes),
-            Ok(None) => self.full_recompute(&mut g, &params, net, cx),
-            Err(e) => {
-                g.last = Some(DeltaOutcome::default());
-                Err(e)
+        let attempt = self.try_delta(&mut g, &params, net, cx);
+        match record_trip(&*params.recorder, attempt)? {
+            Attempt::Patched(routes) => Ok(routes),
+            Attempt::Fallback(dirty_dests) => {
+                self.full_recompute(&mut g, &params, net, cx, dirty_dests)
             }
         }
     }
@@ -857,40 +669,183 @@ impl DiffPlanProvider for DeltaPlanner {
     }
 }
 
-/// Rebuild the cache from a full recompute's output. `None` if the
-/// routes cannot be walked (leave the cache empty rather than poisoned).
-/// `layer_cfg` is the layer-assignment regime the recompute ran under
-/// (see [`DeltaState::layer_cfg`]).
-fn rebuild_state(net: &Network, routes: &Routes, layer_cfg: (usize, bool)) -> Option<DeltaState> {
-    let terminals = net.terminals();
-    let mut l0: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-    for (d, &t) in terminals.iter().enumerate() {
-        for (s, &src) in terminals.iter().enumerate() {
-            if s == d {
-                continue;
+/// Diff `net` against the cached epoch: match channels by (source node,
+/// source port, destination node), then apply the two dirty rules of the
+/// module docs. The cached tables are the reverse index — a removed
+/// channel's users are one scan of its source node's row — and an added
+/// channel is judged from two forward BFSs on the cached network.
+fn diff(prev: &DeltaState, net: &Network) -> Diff {
+    let mut new_by_key: FxHashMap<(u32, u16), ChannelId> = FxHashMap::default();
+    for (cid, ch) in net.channels() {
+        new_by_key.insert((ch.src.0, ch.src_port), cid);
+    }
+    let nt = net.num_terminals();
+    let mut translate: Vec<Option<ChannelId>> = vec![None; prev.net.num_channels()];
+    let mut matched = vec![false; net.num_channels()];
+    let mut dirty = vec![false; nt];
+    for (cid, ch) in prev.net.channels() {
+        match new_by_key.get(&(ch.src.0, ch.src_port)) {
+            Some(&nc) if net.channel(nc).dst == ch.dst => {
+                translate[cid.idx()] = Some(nc);
+                matched[nc.idx()] = true;
             }
-            let chans = routes.path_channels(net, src, t).ok()?;
-            for w in chans.windows(2) {
-                *l0.entry((w[0].0, w[1].0)).or_insert(0) += 1;
+            _ => {
+                for (d, flag) in dirty.iter_mut().enumerate() {
+                    *flag |= prev.routes.next_hop(ch.src, d) == Some(cid);
+                }
             }
         }
     }
-    let mut l0: Vec<((u32, u32), u32)> = l0.into_iter().collect();
-    l0.sort_unstable_by_key(|e| e.0);
-    let l0_acyclic = dense_acyclic(net.num_channels(), l0.iter().map(|&(k, _)| k));
-    Some(DeltaState {
-        net: net.clone(),
-        routes: routes.clone(),
-        rindex: ReverseIndex::build(net, routes),
-        hopdist: terminals
-            .iter()
-            .map(|&t| Arc::new(net.hops_to(t)))
-            .collect(),
-        l0,
-        l0_acyclic,
-        layer_cfg: Some(layer_cfg),
-        cert: Cert::None,
-    })
+    for (_, ch) in net.channels().filter(|&(c, _)| !matched[c.idx()]) {
+        let (from_a, from_b) = (prev.net.hops_from(ch.src), prev.net.hops_from(ch.dst));
+        for (flag, t) in dirty.iter_mut().zip(net.terminals()) {
+            *flag |= from_b[t.idx()] != u32::MAX && from_a[t.idx()] > from_b[t.idx()];
+        }
+    }
+    Diff {
+        translate,
+        dirty_dests: (0..nt).filter(|&d| dirty[d]).collect(),
+        dirty,
+    }
+}
+
+/// The window kernel: the all-paths CDG windows the trees of `dests`
+/// contribute, sorted by channel pair with one entry per pair, in
+/// O(|N|) per tree. A destination's in-tree is peeled leaves-first
+/// carrying the number of terminal sources at or below each node; a
+/// node `v` peeled with `k` sources below it and next hop `c` into `p`
+/// puts `k` paths on the window `(c, next[p][d])`. `None` when a source
+/// cannot reach the destination — a missing entry, a channel the
+/// network does not have or that does not leave the node it is
+/// programmed at, a forwarding loop — or the tables have another
+/// network's shape.
+fn tree_windows(
+    net: &Network,
+    routes: &Routes,
+    dests: impl Iterator<Item = usize>,
+) -> Option<Vec<Window>> {
+    let n = net.num_nodes();
+    if routes.num_nodes() != n || routes.num_terminals() != net.num_terminals() {
+        return None;
+    }
+    // Counted in place, not sorted out of |N|·|dests| emissions: window
+    // `(c, next)` owns slot `base[c] + rank[next]`, one per out-channel
+    // of `c`'s far end. Only the distinct windows are sorted at the end.
+    let mut rank = vec![0usize; net.num_channels()];
+    for (v, _) in net.nodes() {
+        for (i, c) in net.out_channels(v).iter().enumerate() {
+            rank[c.idx()] = i;
+        }
+    }
+    let mut base = Vec::with_capacity(net.num_channels());
+    let mut slots = 0;
+    for (_, ch) in net.channels() {
+        base.push(slots);
+        slots += net.out_channels(ch.dst).len();
+    }
+    let mut counts = vec![0u32; slots];
+    let mut out: Vec<Window> = Vec::new();
+
+    let mut hop = vec![u32::MAX; n]; // this tree's column: next-hop channel…
+    let mut up = vec![0usize; n]; // …and the node it leads to
+    let mut unpeeled = vec![0u32; n]; // children still to peel
+    let mut below = vec![0u32; n]; // terminal sources at or below
+    let mut ready: Vec<usize> = Vec::with_capacity(n);
+    for d in dests {
+        let dst = net.terminals()[d];
+        unpeeled.fill(0);
+        for (v, _) in net.nodes() {
+            below[v.idx()] = u32::from(net.is_terminal(v));
+            hop[v.idx()] = u32::MAX;
+            if let Some(c) = routes.next_hop(v, d).filter(|_| v != dst) {
+                let ch = (c.idx() < net.num_channels()).then(|| net.channel(c))?;
+                if ch.src != v {
+                    return None;
+                }
+                hop[v.idx()] = c.0;
+                up[v.idx()] = ch.dst.idx();
+                unpeeled[ch.dst.idx()] += 1;
+            }
+        }
+        ready.extend((0..n).filter(|&v| unpeeled[v] == 0));
+        let mut peeled = 0;
+        while let Some(v) = ready.pop() {
+            peeled += 1;
+            if v == dst.idx() {
+                continue;
+            }
+            let (sources, c, p) = (below[v], hop[v], up[v]);
+            if c == u32::MAX {
+                if sources > 0 {
+                    return None; // their walks dead-end here
+                }
+                continue;
+            }
+            // A missing entry at `p` is reported when `p` is peeled.
+            if sources > 0 && hop[p] != u32::MAX {
+                let count = &mut counts[base[c as usize] + rank[hop[p] as usize]];
+                if *count == 0 {
+                    out.push(((c, hop[p]), 0));
+                }
+                *count += sources;
+            }
+            below[p] += sources;
+            unpeeled[p] -= 1;
+            if unpeeled[p] == 0 {
+                ready.push(p);
+            }
+        }
+        if peeled != n {
+            return None; // a loop's nodes never become leaves
+        }
+    }
+    out.sort_unstable_by_key(|w| w.0);
+    for ((c, next), count) in &mut out {
+        *count = counts[base[*c as usize] + rank[*next as usize]];
+    }
+    Some(out)
+}
+
+/// The channel pairs of a window list, as CDG edges.
+fn edges(windows: &[Window]) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+    windows.iter().map(|w| w.0)
+}
+
+/// Rename windows into the new channel-id space, dropping those through
+/// a removed channel. The translation is monotone for the event diffs
+/// this path serves (degrade preserves relative order), so the result is
+/// normally still sorted; the linear check covers any exotic pairing.
+fn translate_windows(windows: &[Window], translate: &[Option<ChannelId>]) -> Vec<Window> {
+    let mut out: Vec<Window> = windows
+        .iter()
+        .filter_map(|&((f, t), n)| Some(((translate[f as usize]?.0, translate[t as usize]?.0), n)))
+        .collect();
+    if !out.windows(2).all(|w| w[0].0 < w[1].0) {
+        out.sort_unstable_by_key(|w| w.0);
+    }
+    out
+}
+
+/// `base − decs + incs` in one merge pass over three sorted window
+/// lists. A decrement the old count alone does not cover means the cache
+/// disagrees with the diff: `None`, and the full pipeline repairs it.
+fn merge_windows(base: &[Window], decs: &[Window], incs: &[Window]) -> Option<Vec<Window>> {
+    let mut out = Vec::with_capacity(base.len() + incs.len());
+    let mut lists = [base, decs, incs];
+    while let Some(key) = lists.iter().filter_map(|l| l.first()).map(|w| w.0).min() {
+        let [b, d, i] = lists.each_mut().map(|l| match l.split_first() {
+            Some((&(k, n), rest)) if k == key => {
+                *l = rest;
+                n
+            }
+            _ => 0,
+        });
+        let count = b.checked_sub(d)? + i;
+        if count > 0 {
+            out.push((key, count));
+        }
+    }
+    Some(out)
 }
 
 /// Iterative three-color DFS over channel-id edges. Channel ids are
@@ -951,7 +906,9 @@ where
 mod tests {
     use super::*;
     use dfsssp_core::verify::verify_deadlock_free;
+    use dfsssp_core::Sssp;
     use fabric::{degrade, topo};
+    use telemetry::Collector;
 
     fn snap_cx(net: &Network) -> ComputeCtx {
         ComputeCtx {
@@ -966,22 +923,209 @@ mod tests {
         degraded
     }
 
-    /// Engine that never falls back on dirty fraction — the test
-    /// topologies are small enough that one cable can dirty most trees.
-    fn eager() -> DeltaEngine {
-        DeltaEngine::with_delta_config(
-            DfSssp::new(),
-            DeltaConfig {
-                max_dirty_fraction: 1.0,
-            },
-        )
+    fn delta_engine() -> DeltaEngine {
+        DeltaEngine::new(DfSssp::new())
+    }
+
+    /// The code [`tree_windows`] replaced, kept as its oracle: walk every
+    /// source's path toward each destination and count its consecutive
+    /// channel pairs.
+    fn path_windows(
+        net: &Network,
+        routes: &Routes,
+        dests: impl Iterator<Item = usize>,
+    ) -> Option<Vec<Window>> {
+        let terminals = net.terminals();
+        let mut l0: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+        for d in dests {
+            for (s, &src) in terminals.iter().enumerate() {
+                if s == d {
+                    continue;
+                }
+                let chans = routes.path_channels(net, src, terminals[d]).ok()?;
+                for w in chans.windows(2) {
+                    *l0.entry((w[0].0, w[1].0)).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut l0: Vec<Window> = l0.into_iter().collect();
+        l0.sort_unstable_by_key(|e| e.0);
+        Some(l0)
+    }
+
+    #[test]
+    fn window_kernel_matches_the_per_path_walk_it_replaced() {
+        let irregular = topo::RandomTopoSpec {
+            switches: 12,
+            radix: 12,
+            terminals_per_switch: 3,
+            interswitch_links: 22,
+        };
+        let zoo = [
+            topo::ring(5, 2),
+            topo::torus(&[4, 4], 1),
+            topo::torus(&[8, 8], 2),
+            topo::kary_ntree(4, 2),
+            topo::kary_ntree(16, 2),
+            topo::dragonfly(3, 2, 2),
+            topo::fully_connected(8, 2),
+            topo::random_topology(&irregular, 17),
+        ];
+        for base in zoo {
+            let mut net = base;
+            // Pristine, then after each of four chained cable failures
+            // (fewer where only bridges are left: the ring has one).
+            for step in 0..5u64 {
+                if step > 0 {
+                    let (degraded, removed) = degrade::fail_random_cables(&net, 1, 100 + step);
+                    if removed == 0 {
+                        break;
+                    }
+                    net = degraded;
+                }
+                let label = format!("{} after {step} failures", net.label());
+                let routes = Sssp::new().route_in(&net, &snap_cx(&net)).expect(&label);
+                let nt = net.num_terminals();
+                let all = tree_windows(&net, &routes, 0..nt).expect(&label);
+                assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "{label}: sorted");
+                assert_eq!(Some(all), path_windows(&net, &routes, 0..nt), "{label}");
+                let some = || (0..nt).step_by(3);
+                assert_eq!(
+                    tree_windows(&net, &routes, some()),
+                    path_windows(&net, &routes, some()),
+                    "{label}: a subset of the trees"
+                );
+            }
+        }
+    }
+
+    /// A way to damage tables in place.
+    type Corrupt = Box<dyn Fn(&mut Routes) + Send + Sync>;
+
+    /// Three ways to break destination column `d` of `routes` so that
+    /// some source no longer reaches it: a two-switch loop, a cleared
+    /// terminal entry, a channel the network does not have.
+    fn corruptions(net: &Network, d: usize) -> [(&'static str, Corrupt); 3] {
+        let dst = net.terminals()[d];
+        let src = *net.terminals().iter().find(|&&t| t != dst).unwrap();
+        let bogus = ChannelId(net.num_channels() as u32 + 7);
+        let net = net.clone();
+        let looped = move |r: &mut Routes| {
+            // The first switch-to-switch tree edge a → b gains b → a.
+            let (b, back) = net
+                .switches()
+                .iter()
+                .filter_map(|&a| r.next_hop(a, d))
+                .map(|c| net.channel(c))
+                .find_map(|ch| Some((ch.dst, ch.rev?)).filter(|_| net.is_switch(ch.dst)))
+                .expect("a tree edge between two switches");
+            r.set_next(b, d, back);
+        };
+        [
+            ("two-switch loop", Box::new(looped)),
+            (
+                "cleared terminal entry",
+                Box::new(move |r| r.clear_next(src, d)),
+            ),
+            (
+                "out-of-range channel",
+                Box::new(move |r| r.set_next(src, d, bogus)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn corrupt_tables_fail_the_kernel_and_never_poison_the_engine() {
+        let net = topo::kary_ntree(4, 2);
+        let cx = snap_cx(&net);
+        let degraded = fail_one_cable(&net, 3);
+        // Which trees that failure dirties, from an untouched engine.
+        let probe = delta_engine();
+        probe.route_in(&net, &cx).unwrap();
+        probe.route_in(&degraded, &cx).unwrap();
+        let outcome = probe.last_outcome().unwrap();
+        assert!(outcome.delta && outcome.layer0_acyclic);
+        let d = outcome.dirty_dests[0];
+
+        for (what, corrupt) in corruptions(&net, d) {
+            let mut routes = DfSssp::new().route_in(&net, &cx).unwrap();
+            corrupt(&mut routes);
+            let nt = net.num_terminals();
+            assert_eq!(tree_windows(&net, &routes, 0..nt), None, "{what}");
+            assert_eq!(path_windows(&net, &routes, 0..nt), None, "{what}: oracle");
+
+            // The same damage inside a warm engine's cache: the patch
+            // notices, the cache is dropped for the full pipeline's,
+            // and the answers stay the cold ones.
+            let engine = delta_engine();
+            engine.route_in(&net, &cx).unwrap();
+            corrupt(&mut engine.lock().state.as_mut().unwrap().routes);
+            let served = engine.route_in(&degraded, &cx).unwrap();
+            assert!(!engine.last_outcome().unwrap().delta, "{what}: patched");
+            assert_eq!(served, DfSssp::new().route_in(&degraded, &cx).unwrap());
+            let cache_ok = engine.lock().state.as_ref().map(|s| s.routes == served);
+            assert_eq!(cache_ok, Some(true), "{what}: cache not rebuilt");
+            assert_eq!(
+                engine.route_in(&net, &cx).unwrap(),
+                DfSssp::new().route_in(&net, &cx).unwrap(),
+                "{what}: the event after"
+            );
+        }
+    }
+
+    /// A delta-capable engine that serves tables broken by `corrupt`,
+    /// claiming it broke no cycle.
+    struct Broken(Corrupt);
+
+    impl RoutingEngine for Broken {
+        fn name(&self) -> &'static str {
+            "broken"
+        }
+        fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
+            self.route_cold_in(net, cx).map(|(r, _)| r)
+        }
+        fn deadlock_free(&self) -> bool {
+            true
+        }
+    }
+
+    impl DeltaCapable for Broken {
+        fn delta_params(&self) -> Option<DeltaParams> {
+            DfSssp::new().delta_params()
+        }
+        fn route_cold_in(
+            &self,
+            net: &Network,
+            cx: &ComputeCtx,
+        ) -> Result<(Routes, bool), RouteError> {
+            let mut routes = DfSssp::new().route_in(net, cx)?;
+            (self.0)(&mut routes);
+            Ok((routes, true))
+        }
+    }
+
+    #[test]
+    fn unwalkable_tables_leave_the_cache_empty() {
+        let net = topo::kary_ntree(4, 2);
+        let cx = snap_cx(&net);
+        let src = net.terminals()[0];
+        let engine = DeltaEngine::new(Broken(Box::new(move |r| r.clear_next(src, 1))));
+        let first = engine.route_in(&net, &cx).unwrap();
+        assert!(
+            engine.lock().state.is_none(),
+            "cache built over broken tables"
+        );
+        assert!(!engine.last_outcome().unwrap().layer0_acyclic);
+        // With nothing cached every request is the inner engine's own.
+        assert_eq!(engine.route_in(&net, &cx).unwrap(), first);
+        assert!(!engine.last_outcome().unwrap().delta);
     }
 
     #[test]
     fn delta_matches_full_recompute_on_cable_failure() {
         let net = topo::torus(&[4, 4], 1);
         let cx = snap_cx(&net);
-        let engine = eager();
+        let engine = delta_engine();
         let warm = engine.route_in(&net, &cx).unwrap();
         assert_eq!(warm, DfSssp::new().route_in(&net, &cx).unwrap());
         assert!(!engine.last_outcome().unwrap().delta);
@@ -1007,7 +1151,7 @@ mod tests {
     fn delta_chains_across_consecutive_failures() {
         let net = topo::dragonfly(3, 1, 1);
         let cx = snap_cx(&net);
-        let engine = eager();
+        let engine = delta_engine();
         engine.route_in(&net, &cx).unwrap();
         let mut current = net;
         for seed in 1..4u64 {
@@ -1042,7 +1186,7 @@ mod tests {
     #[test]
     fn chunked_context_passes_through() {
         let net = topo::torus(&[3, 3], 1);
-        let engine = DeltaEngine::new(DfSssp::new());
+        let engine = delta_engine();
         let cx = ComputeCtx {
             threads: 1,
             chunk: 1,
@@ -1072,7 +1216,7 @@ mod tests {
     fn planner_certifies_direct_transition() {
         let net = topo::kary_ntree(2, 3); // tree: layer-0 CDG stays acyclic
         let cx = snap_cx(&net);
-        let engine = eager();
+        let engine = delta_engine();
         let planner = engine.planner();
         let old = engine.route_in(&net, &cx).unwrap();
         let degraded = fail_one_cable(&net, 3);
@@ -1105,7 +1249,7 @@ mod tests {
     fn planner_rejects_foreign_pairs() {
         let net = topo::torus(&[4, 4], 1);
         let cx = snap_cx(&net);
-        let engine = eager();
+        let engine = delta_engine();
         let planner = engine.planner();
         let routes = engine.route_in(&net, &cx).unwrap();
         // Full recompute holds no certificate.
@@ -1119,10 +1263,12 @@ mod tests {
     #[test]
     fn recovery_readd_is_handled() {
         // Remove a cable, then restore it: the second delta must match a
-        // fresh full recompute on the restored (original) network.
-        let net = topo::torus(&[4, 4], 1);
+        // fresh full recompute on the restored (original) network. (On a
+        // full mesh the re-added cable leaves most trees clean; on a
+        // small torus it dirties every one, which is a fallback.)
+        let net = topo::fully_connected(8, 2);
         let cx = snap_cx(&net);
-        let engine = eager();
+        let engine = delta_engine();
         engine.route_in(&net, &cx).unwrap();
         let degraded = fail_one_cable(&net, 7);
         engine.route_in(&degraded, &cx).unwrap();
@@ -1130,5 +1276,107 @@ mod tests {
         let outcome = engine.last_outcome().unwrap();
         assert!(outcome.delta, "re-add must take the delta path");
         assert_eq!(fast, DfSssp::new().route_in(&net, &cx).unwrap());
+    }
+
+    #[test]
+    fn a_failed_full_recompute_resets_the_outcome() {
+        let net = topo::kary_ntree(4, 2);
+        let cx = snap_cx(&net);
+        let mut engine = delta_engine();
+        engine.route_in(&net, &cx).unwrap();
+        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        assert!(engine.last_outcome().unwrap().delta);
+
+        // A roster change goes straight to the full pipeline, which
+        // trips the edge cap while building layer 0.
+        let smaller = degrade::fail_random_switch(&net, 7).expect("a removable switch");
+        let unlimited = engine.config();
+        engine.set_config(EngineConfig::new().budget(Budget::new().max_cdg_edges(1)));
+        let err = engine.route_in(&smaller, &snap_cx(&smaller)).unwrap_err();
+        assert!(matches!(err, RouteError::BudgetExceeded { .. }), "{err}");
+        assert_eq!(engine.last_outcome(), Some(DeltaOutcome::default()));
+
+        engine.set_config(unlimited);
+        let cx = snap_cx(&smaller);
+        let good = engine.route_in(&smaller, &cx).unwrap();
+        assert_eq!(good, DfSssp::new().route_in(&smaller, &cx).unwrap());
+    }
+
+    #[test]
+    fn each_stage_reports_its_phase_once() {
+        let net = topo::kary_ntree(4, 2);
+        let cx = snap_cx(&net);
+        let rec = Arc::new(Collector::new());
+        let engine =
+            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone())));
+        engine.route_in(&net, &cx).unwrap();
+        const STAGES: [&str; 4] = [
+            phases::DELTA_DIFF,
+            phases::DELTA_SWEEP,
+            phases::DELTA_COUNTS,
+            phases::DELTA_LAYERS,
+        ];
+        let spans = |names: &[&str]| -> Vec<(u64, u64)> {
+            let snap = rec.snapshot();
+            let stat = |n: &&str| snap.phases.get(*n).cloned().unwrap_or_default();
+            names.iter().map(stat).map(|p| (p.count, p.nanos)).collect()
+        };
+        let counts = |names: &[&str]| -> Vec<u64> { spans(names).iter().map(|s| s.0).collect() };
+        assert_eq!(
+            counts(&[phases::DELTA_REBUILD, phases::DELTA_DIRTY]),
+            [1, 0]
+        );
+
+        // A leaf cable down: patched, with counts held (acyclic fabric).
+        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        assert!(engine.last_outcome().unwrap().delta);
+        assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
+        let outer = [
+            phases::DELTA_DIRTY,
+            phases::DELTA_PATCH,
+            phases::DELTA_REBUILD,
+        ];
+        assert_eq!(counts(&outer), [1, 1, 1]);
+        let nested: u64 = spans(&STAGES).iter().map(|s| s.1).sum();
+        assert!(nested <= spans(&[phases::DELTA_PATCH])[0].1);
+
+        // The cable back up dirties every tree: fallback, cache rebuilt.
+        engine.route_in(&net, &cx).unwrap();
+        assert!(!engine.last_outcome().unwrap().delta);
+        assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
+        assert_eq!(counts(&outer), [2, 1, 2]);
+    }
+
+    /// A recorder nobody listens to: reporting to it is a bug.
+    #[derive(Debug)]
+    struct Deaf;
+
+    impl Recorder for Deaf {
+        fn enabled(&self) -> bool {
+            false
+        }
+        fn phase(&self, name: &'static str, _: u64) {
+            panic!("phase {name} timed for a disabled recorder");
+        }
+        fn add(&self, name: &'static str, _: u64) {
+            panic!("counter {name} reported to a disabled recorder");
+        }
+        fn observe(&self, name: &'static str, _: u64) {
+            panic!("histogram {name} reported to a disabled recorder");
+        }
+    }
+
+    #[test]
+    fn a_disabled_recorder_is_never_timed_for() {
+        let net = topo::kary_ntree(4, 2);
+        let cx = snap_cx(&net);
+        let engine = DeltaEngine::new(
+            DfSssp::new().with_config(EngineConfig::new().recorder(Arc::new(Deaf))),
+        );
+        engine.route_in(&net, &cx).unwrap();
+        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        assert!(engine.last_outcome().unwrap().delta);
+        engine.route_in(&net, &cx).unwrap();
+        assert!(!engine.last_outcome().unwrap().delta);
     }
 }

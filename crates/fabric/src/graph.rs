@@ -429,23 +429,16 @@ impl Network {
     /// expanded. This is the metric every routing engine's minimality is
     /// measured against.
     pub fn hops_to(&self, dst: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[dst.idx()] = 0;
-        queue.push_back(dst);
-        while let Some(u) = queue.pop_front() {
-            if u != dst && self.nodes[u.idx()].kind == NodeKind::Terminal {
-                continue; // terminals sink traffic; they never forward
-            }
-            for &c in self.in_csr.row(u.idx()) {
-                let v = self.channels[c.idx()].src;
-                if dist[v.idx()] == u32::MAX {
-                    dist[v.idx()] = dist[u.idx()] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
+        self.bfs_hops(dst, false, false)
+    }
+
+    /// The same metric from the other end: `hops_from(src)[v]` is the
+    /// length of a shortest directed path src→v that transits switches
+    /// only, so `hops_from(a)[d] == hops_to(d)[a]` for every pair. One
+    /// BFS answers "how far is `src` from every destination" where
+    /// [`Self::hops_to`] would need one BFS per destination.
+    pub fn hops_from(&self, src: NodeId) -> Vec<u32> {
+        self.bfs_hops(src, true, false)
     }
 
     /// Raw minimum hop distances from every node to `dst` over the full
@@ -453,13 +446,26 @@ impl Network {
     /// the routable metric see [`Self::hops_to`]). Used for orientation
     /// ranking (Up*/Down* levels) and diagnostics.
     pub fn hops_to_raw(&self, dst: NodeId) -> Vec<u32> {
+        self.bfs_hops(dst, false, true)
+    }
+
+    /// BFS hop counts around `root`, along out-channels when `forward`
+    /// and against in-channels otherwise (`u32::MAX` = unreached).
+    /// Terminals other than `root` are reached but expanded only when
+    /// `relay` is set.
+    fn bfs_hops(&self, root: NodeId, forward: bool, relay: bool) -> Vec<u32> {
+        let adj = if forward { &self.out_csr } else { &self.in_csr };
         let mut dist = vec![u32::MAX; self.nodes.len()];
         let mut queue = std::collections::VecDeque::new();
-        dist[dst.idx()] = 0;
-        queue.push_back(dst);
+        dist[root.idx()] = 0;
+        queue.push_back(root);
         while let Some(u) = queue.pop_front() {
-            for &c in self.in_csr.row(u.idx()) {
-                let v = self.channels[c.idx()].src;
+            if !relay && u != root && self.nodes[u.idx()].kind == NodeKind::Terminal {
+                continue; // terminals sink traffic; they never forward
+            }
+            for &c in adj.row(u.idx()) {
+                let ch = &self.channels[c.idx()];
+                let v = if forward { ch.dst } else { ch.src };
                 if dist[v.idx()] == u32::MAX {
                     dist[v.idx()] = dist[u.idx()] + 1;
                     queue.push_back(v);
@@ -640,6 +646,22 @@ mod tests {
         assert_eq!(hops[net.node_by_name("s0").unwrap().idx()], 2);
         assert_eq!(hops[net.node_by_name("s1").unwrap().idx()], 1);
         assert_eq!(hops[t1.idx()], 0);
+    }
+
+    #[test]
+    fn hops_from_is_hops_to_transposed() {
+        for net in [
+            tiny(),
+            crate::topo::torus(&[3, 3], 2),
+            crate::topo::kary_ntree(2, 3),
+        ] {
+            for (a, _) in net.nodes() {
+                let from_a = net.hops_from(a);
+                for (d, _) in net.nodes() {
+                    assert_eq!(from_a[d.idx()], net.hops_to(d)[a.idx()], "{a:?} -> {d:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,15 +18,11 @@
 //! * [`format`] — text and JSON interchange formats for networks and routes.
 //! * [`degrade`] — link/switch failure injection to create the irregular
 //!   networks the paper's introduction motivates.
-//! * [`reverse`] — channel → destination-tree reverse index, the lookup
-//!   structure incremental rerouting uses to map a failed cable to the
-//!   destination columns it dirties.
 
 pub mod builder;
 pub mod degrade;
 pub mod format;
 pub mod graph;
-pub mod reverse;
 pub mod rng;
 pub mod stats;
 pub mod tables;
@@ -35,6 +31,5 @@ pub mod viz;
 
 pub use builder::NetworkBuilder;
 pub use graph::{Channel, ChannelId, Network, Node, NodeId, NodeKind};
-pub use reverse::ReverseIndex;
 pub use stats::TopologyStats;
 pub use tables::{PathIter, Routes, RoutesError};

@@ -82,10 +82,23 @@ pub mod phases {
     pub const EPOCH_SWAP: &str = "epoch_swap";
     /// One drained query batch answered by a serve worker.
     pub const SERVE_BATCH: &str = "serve_batch";
-    /// Delta reroute: dirty-set extraction + dirty-destination re-sweep.
+    /// Delta reroute: channel diff + affected-set (dirty destination)
+    /// extraction. Reported by every diffable request, patched or not.
     pub const DELTA_DIRTY: &str = "delta_dirty";
-    /// Delta reroute: incremental CDG patch + scoped re-verification.
+    /// Delta reroute: the whole patch — the four `delta_*` stages below.
     pub const DELTA_PATCH: &str = "delta_patch";
+    /// Inside a patch: clean destination columns carried across the
+    /// channel diff (translated copy of the cached tables).
+    pub const DELTA_DIFF: &str = "delta_diff";
+    /// Inside a patch: the dirty destinations' trees re-swept.
+    pub const DELTA_SWEEP: &str = "delta_sweep";
+    /// Inside a patch: layer-0 window counts patched (or rebuilt) and
+    /// the acyclicity DFS — absent while the all-paths CDG is cyclic.
+    pub const DELTA_COUNTS: &str = "delta_counts";
+    /// Inside a patch: layer matrix copied, rebalanced or reassigned.
+    pub const DELTA_LAYERS: &str = "delta_layers";
+    /// After a full recompute: the delta cache rebuilt from its output.
+    pub const DELTA_REBUILD: &str = "delta_rebuild";
 }
 
 /// Well-known counter names.

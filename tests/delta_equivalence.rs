@@ -8,10 +8,13 @@
 //! tests sweep that claim over torus / fat-tree / dragonfly fabrics,
 //! chained cable failures, whole-switch failures (which change the node
 //! roster and must fall back), and both sides of the dirty-fraction
-//! fallback boundary.
+//! fallback boundary. The dirty set itself is pinned too — without a
+//! clock, and re-derived here from the documented rule with no code of
+//! `delta`'s ([`expected_dirty`]).
 
 use dfsssp::prelude::*;
-use fabric::{degrade, topo, Network};
+use fabric::{degrade, topo, Network, Routes};
+use std::collections::HashSet;
 
 /// The snapshot compute context the delta path requires: a single chunk
 /// spanning every terminal, i.e. all destination trees swept against one
@@ -64,6 +67,52 @@ fn assert_equivalent(warm: &DeltaEngine, net: &Network, label: &str) -> bool {
     }
 }
 
+/// The documented dirty rule, recomputed from public API only: a
+/// destination is dirty when any `(node, destination)` entry of the old
+/// tables names a channel the new fabric lacks, or when a channel
+/// `a → b` the old fabric lacks has `hop(a,d) > hop(b,d)` in the old
+/// fabric's `hops_to(d)` row. A channel is "the same" when it leaves the
+/// same port of the same node for the same node.
+fn expected_dirty(old: &Network, old_routes: &Routes, new: &Network) -> Vec<usize> {
+    let key = |ch: &fabric::Channel| (ch.src.0, ch.src_port, ch.dst.0);
+    let keys = |net: &Network| -> HashSet<_> { net.channels().map(|(_, ch)| key(ch)).collect() };
+    let (old_keys, new_keys) = (keys(old), keys(new));
+    (0..old.num_terminals())
+        .filter(|&d| {
+            let lost_edge = old.nodes().any(|(v, _)| {
+                old_routes
+                    .next_hop(v, d)
+                    .is_some_and(|c| !new_keys.contains(&key(old.channel(c))))
+            });
+            let hops = old.hops_to(old.terminals()[d]);
+            let shortcut = new.channels().any(|(_, ch)| {
+                !old_keys.contains(&key(ch))
+                    && hops[ch.dst.idx()] != u32::MAX
+                    && hops[ch.src.idx()] > hops[ch.dst.idx()]
+            });
+            lost_edge || shortcut
+        })
+        .collect()
+}
+
+/// After `warm` (whose cache held `old`) routed `new`: the dirty set it
+/// reports must be the rule's.
+fn dirty_by_the_rule(
+    warm: &DeltaEngine,
+    old: &Network,
+    new: &Network,
+    label: &str,
+) -> DeltaOutcome {
+    let old_routes = DfSssp::new().route_in(old, &snap_cx(old)).expect(label);
+    let outcome = warm.last_outcome().expect("route recorded an outcome");
+    assert_eq!(
+        outcome.dirty_dests,
+        expected_dirty(old, &old_routes, new),
+        "{label}: dirty set is not the documented rule's"
+    );
+    outcome
+}
+
 #[test]
 fn delta_matches_full_across_families_and_failure_chains() {
     let mut delta_hits = 0usize;
@@ -80,11 +129,12 @@ fn delta_matches_full_across_families_and_failure_chains() {
                 if removed == 0 {
                     break;
                 }
-                net = degraded;
+                let before = std::mem::replace(&mut net, degraded);
                 let label = format!("{name} seed={seed} step={step}");
                 if !assert_equivalent(&engine, &net, &label) {
                     break; // disconnected: both paths refused identically
                 }
+                dirty_by_the_rule(&engine, &before, &net, &label);
                 if engine.last_outcome().is_some_and(|o| o.delta) {
                     delta_hits += 1;
                 }
@@ -180,5 +230,65 @@ fn cable_recovery_is_equivalent_too() {
         // Recovery: route the original fabric again with the warm cache
         // built on the degraded epoch.
         assert!(assert_equivalent(&engine, &base, "recovered"));
+    }
+}
+
+/// One cable down, then back up, on a warm production-default engine.
+fn down_then_up(base: &Network, seed: u64) -> [DeltaOutcome; 2] {
+    let engine = DeltaEngine::new(DfSssp::new());
+    assert!(assert_equivalent(&engine, base, "warmup"));
+    let (down, removed) = degrade::fail_random_cables(base, 1, seed);
+    assert_eq!(removed, 1, "seed {seed} must fail exactly one cable");
+    let label = format!("{} seed={seed}", base.label());
+    [(base, &down, "down"), (&down, base, "up")].map(|(old, new, event)| {
+        let label = format!("{label} {event}");
+        assert!(
+            assert_equivalent(&engine, new, &label),
+            "{label}: must route"
+        );
+        dirty_by_the_rule(&engine, old, new, &label)
+    })
+}
+
+#[test]
+fn fat_tree_leaf_cable_dirties_sixteen_trees_down_and_every_tree_up() {
+    // The benchmark's fat tree. Down: the 16 trees rooted under the leaf
+    // switch lose a downlink, nothing else moves. Up: the restored link
+    // ties an incumbent in every tree, so there is nothing to reuse.
+    let [down, up] = down_then_up(&topo::kary_ntree(16, 2), 1);
+    assert!(down.delta, "16 of 256 dirty must patch");
+    assert_eq!(down.dirty_dests.len(), 16);
+    assert!(!up.delta, "every tree dirty must fall back");
+    assert_eq!(up.dirty_dests.len(), 256);
+}
+
+#[test]
+fn events_that_leave_any_tree_clean_are_patched_at_the_default_config() {
+    // A patch is a cold route minus the clean trees' sweeps, so every
+    // event that leaves a tree clean patches — the ones that dirty more
+    // than half of them included.
+    let irregular = topo::RandomTopoSpec {
+        switches: 64,
+        radix: 24,
+        terminals_per_switch: 8,
+        interswitch_links: 160,
+    };
+    let fabrics = [
+        topo::torus(&[8, 8], 2),
+        topo::random_topology(&irregular, 7),
+    ];
+    for base in fabrics {
+        let nt = base.num_terminals();
+        let outcomes = down_then_up(&base, 0);
+        for o in &outcomes {
+            let dirty = o.dirty_dests.len();
+            assert_eq!(o.delta, dirty < nt, "{}: {dirty} of {nt}", base.label());
+        }
+        let patched_above_half = |o: &DeltaOutcome| o.delta && 2 * o.dirty_dests.len() > nt;
+        assert!(
+            outcomes.iter().any(patched_above_half),
+            "{}: seed 0 no longer dirties more than half the trees",
+            base.label()
+        );
     }
 }
