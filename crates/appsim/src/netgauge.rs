@@ -23,8 +23,7 @@ pub fn netgauge_ebb(
     link_mibs: f64,
     seed: u64,
 ) -> Result<Summary, fabric::RoutesError> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (samples, _) = map_stealing(partitions, threads, |i| {
+    let samples = map_stealing(partitions, |i| {
         let pattern = Pattern::random_bisection(cores, seed.wrapping_add(i as u64));
         let mapped = alloc.map_pattern(net, cores, &pattern);
         let bws = orcs::flow_bandwidths(net, routes, &mapped)?;

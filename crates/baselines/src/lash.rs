@@ -30,10 +30,9 @@ pub struct Lash {
     pub recorder: RecorderHandle,
     /// Resource bounds for each run (see [`Budget`]).
     pub budget: Budget,
-    /// Parallelism request, kept so configs round-trip through
-    /// [`RoutingEngine::set_config`]. LASH's online assignment is
-    /// inherently sequential (each placement depends on all earlier
-    /// ones), so the engine runs single-threaded regardless.
+    /// The config's chunk width, kept so configs round-trip through
+    /// [`RoutingEngine::set_config`]; LASH has no balanced sweep and
+    /// ignores it.
     pub compute: ComputeOpts,
 }
 

@@ -99,6 +99,13 @@ pub struct BudgetGuard {
     max_layers: Option<usize>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Deadline checkpoints hit on this thread — the pin that the sweep
+    /// looks at its deadline before every tree, whatever the chunk.
+    pub(crate) static DEADLINE_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl BudgetGuard {
     /// A guard that never trips (for the non-budgeted entry points).
     pub fn unlimited() -> Self {
@@ -128,6 +135,8 @@ impl BudgetGuard {
     /// (per destination, per cycle, per placement).
     #[inline]
     pub fn check_deadline(&self) -> Result<(), RouteError> {
+        #[cfg(test)]
+        DEADLINE_CHECKS.with(|n| n.set(n.get() + 1));
         if let Some((at, total)) = self.deadline {
             if Instant::now() >= at {
                 return Err(RouteError::BudgetExceeded {

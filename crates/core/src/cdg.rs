@@ -130,41 +130,6 @@ impl Cdg {
         self.live_paths += 1;
     }
 
-    /// Merge `other`'s edges and path bookkeeping into this CDG.
-    ///
-    /// Absorbing partial CDGs built over *contiguous, increasing* path-id
-    /// ranges, in range order, reproduces a sequential
-    /// [`Cdg::add_path`]-loop over the concatenated ranges exactly: edge
-    /// ids come out in global first-occurrence order (every edge first
-    /// seen in an earlier range precedes every edge first seen in a later
-    /// one, and ties within a range keep the range's insertion order),
-    /// and per-edge path lists concatenate in ascending path id. This is
-    /// what lets the parallel layer-0 build be bit-identical to the
-    /// sequential one.
-    pub fn absorb(&mut self, other: &Cdg) {
-        debug_assert_eq!(self.num_channels(), other.num_channels());
-        for oe in &other.edges {
-            let e = *self.index.entry(key(oe.from, oe.to)).or_insert_with(|| {
-                let id = self.edges.len() as EdgeId;
-                self.edges.push(Edge {
-                    from: oe.from,
-                    to: oe.to,
-                    count: 0,
-                    paths: Vec::new(),
-                });
-                self.out[oe.from as usize].push(id);
-                id
-            });
-            let edge = &mut self.edges[e as usize];
-            if edge.count == 0 && oe.count > 0 {
-                self.live_edges += 1;
-            }
-            edge.count += oe.count;
-            edge.paths.extend_from_slice(&oe.paths);
-        }
-        self.live_paths += other.live_paths;
-    }
-
     /// Remove path `p`'s contribution from this layer. The path must have
     /// been added before (counts underflow otherwise, caught in debug).
     pub fn remove_path(&mut self, ps: &PathSet, p: PathId) {
@@ -509,43 +474,6 @@ mod tests {
         assert_eq!(cdg.num_paths(), 0);
         assert_eq!(cdg.num_edges(), 0);
         assert!(cdg.is_acyclic());
-    }
-
-    #[test]
-    fn absorb_matches_sequential_build() {
-        // Absorbing contiguous path-range partials in range order must
-        // reproduce the sequential build bit for bit: same edge ids,
-        // counts, path lists and adjacency rows.
-        use crate::engine::{ComputeCtx, RoutingEngine};
-        use crate::paths::PathSet;
-        let net = fabric::topo::torus(&[3, 3], 1);
-        let routes = crate::sssp::Sssp::new()
-            .route_in(&net, &ComputeCtx::seq())
-            .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut seq = Cdg::new(net.num_channels());
-        for p in ps.ids() {
-            seq.add_path(&ps, p);
-        }
-        for blocks in [1usize, 3, 4, ps.len()] {
-            let mut merged = Cdg::new(net.num_channels());
-            let per = ps.len().div_ceil(blocks);
-            for start in (0..ps.len()).step_by(per) {
-                let mut part = Cdg::new(net.num_channels());
-                for p in start..(start + per).min(ps.len()) {
-                    part.add_path(&ps, p as PathId);
-                }
-                merged.absorb(&part);
-            }
-            assert_eq!(merged.num_paths(), seq.num_paths());
-            assert_eq!(merged.num_edges(), seq.num_edges());
-            assert_eq!(merged.edges.len(), seq.edges.len());
-            for (a, b) in merged.edges.iter().zip(&seq.edges) {
-                assert_eq!((a.from, a.to, a.count), (b.from, b.to, b.count));
-                assert_eq!(a.paths, b.paths);
-            }
-            assert_eq!(merged.out, seq.out);
-        }
     }
 
     #[test]

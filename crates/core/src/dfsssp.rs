@@ -25,12 +25,9 @@
 use crate::balance::balance_layers;
 use crate::budget::{record_trip, Budget, BudgetGuard};
 use crate::cdg::{Cdg, CycleSearch};
-use crate::engine::{
-    record_par_stats, ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine,
-};
+use crate::engine::{ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
 use crate::paths::{PathId, PathSet};
-use crate::pool::map_stealing;
 use crate::sssp::Sssp;
 use fabric::{Network, Routes};
 use telemetry::{counters, phases, Acc, Noop, Recorder, RecorderHandle};
@@ -82,9 +79,9 @@ pub struct DfSssp {
     /// Resource bounds for each run (deadline, admitted size, CDG
     /// edges, layer cap). Default: unlimited.
     pub budget: Budget,
-    /// Parallelism request for the SSSP sweep, path extraction and the
-    /// initial CDG population. Default: sequential. Routes depend on the
-    /// resolved `chunk` only, never on the thread count.
+    /// Chunk width of the SSSP sweep that [`DfSssp::route_with_stats`]
+    /// runs under (an explicit `route_in` context overrides it).
+    /// Default: the paper's `1`.
     pub compute: ComputeOpts,
 }
 
@@ -149,7 +146,7 @@ impl DfSssp {
         let max_layers = guard.clamp_layers(self.max_layers);
         let sssp = Sssp::new();
         let routes = telemetry::timed(rec, phases::SSSP, || {
-            let (routes, weights) = sssp.route_with_weights_in(net, &guard, cx, rec)?;
+            let (routes, weights) = sssp.route_with_weights_in(net, &guard, cx)?;
             if rec.enabled() {
                 let w0 = sssp.base_weight(net);
                 let grown = weights.iter().filter(|&&w| w > w0).count() as u64;
@@ -164,7 +161,7 @@ impl DfSssp {
             compact: self.compact,
             balance: self.balance,
         }
-        .apply(net, routes, self.name(), rec, &guard, cx)
+        .apply(net, routes, self.name(), rec, &guard)
     }
 }
 
@@ -190,20 +187,16 @@ impl Layering {
         engine: impl Into<String>,
         rec: &dyn Recorder,
         guard: &BudgetGuard,
-        cx: &ComputeCtx,
     ) -> Result<(Routes, DfStats), RouteError> {
-        let ps = telemetry::timed(rec, phases::CDG_BUILD, || {
-            PathSet::extract_in(net, &routes, cx)
-        })?;
+        let ps = telemetry::timed(rec, phases::CDG_BUILD, || PathSet::extract(net, &routes))?;
         let (mut path_layer, mut stats) = match self.mode {
-            LayerAssignMode::Offline => assign_layers_budgeted_in(
+            LayerAssignMode::Offline => assign_layers_budgeted(
                 &ps,
                 self.heuristic,
                 self.max_layers,
                 self.compact,
                 rec,
                 guard,
-                cx,
             )?,
             LayerAssignMode::Online => {
                 assign_layers_online_budgeted(&ps, self.max_layers, rec, guard)?
@@ -280,19 +273,18 @@ pub fn assign_layers_offline(
     max_layers: usize,
     compact: bool,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_budgeted_in(
+    assign_layers_budgeted(
         ps,
         heuristic,
         max_layers,
         compact,
         &Noop,
         &BudgetGuard::unlimited(),
-        &ComputeCtx::seq(),
     )
 }
 
 /// [`assign_layers_offline`] with phase telemetry, under a
-/// [`BudgetGuard`] and an explicit compute context.
+/// [`BudgetGuard`].
 ///
 /// Telemetry: initial CDG population reports as `cdg_build`, the
 /// resumable search as `cycle_search`, victim moves and compaction as
@@ -304,21 +296,13 @@ pub fn assign_layers_offline(
 /// the deadline is checked before every cycle break, so degenerate
 /// instances (adversarially dense dependency graphs) abort promptly with
 /// [`RouteError::BudgetExceeded`] instead of grinding.
-///
-/// Compute: the initial layer-0 CDG population fans contiguous path-id
-/// ranges across the pool workers and absorbs the partial CDGs back in
-/// range order ([`Cdg::absorb`]), which reproduces the sequential build
-/// bit for bit.
-/// The cycle search itself stays sequential — it is inherently ordered
-/// (each break changes what the next search sees).
-pub fn assign_layers_budgeted_in(
+pub fn assign_layers_budgeted(
     ps: &PathSet,
     heuristic: CycleBreakHeuristic,
     max_layers: usize,
     compact: bool,
     rec: &dyn Recorder,
     guard: &BudgetGuard,
-    cx: &ComputeCtx,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
     assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
     let work_budget = if compact {
@@ -329,7 +313,11 @@ pub fn assign_layers_budgeted_in(
     let num_channels = num_channels_of(ps);
     let mut path_layer = vec![0u8; ps.len()];
     let mut layers: Vec<Cdg> = telemetry::timed(rec, phases::CDG_BUILD, || {
-        vec![build_layer0(ps, num_channels, rec, cx)]
+        let mut l0 = Cdg::new(num_channels);
+        for p in ps.ids() {
+            l0.add_path(ps, p);
+        }
+        vec![l0]
     });
     guard.check_cdg_edges(layers[0].num_edges())?;
     let mut stats = DfStats::default();
@@ -560,38 +548,6 @@ pub fn assign_layers_online_budgeted(
     Ok((path_layer, stats))
 }
 
-/// Populate a layer-0 CDG with every path of `ps`. Parallel contexts
-/// build partial CDGs over contiguous path-id blocks (a few blocks per
-/// worker so stealing can rebalance skew) and absorb them in block
-/// order; the result is identical to the sequential loop for every
-/// thread count.
-fn build_layer0(ps: &PathSet, num_channels: usize, rec: &dyn Recorder, cx: &ComputeCtx) -> Cdg {
-    let n = ps.len();
-    if !cx.parallel() || n < 2 {
-        let mut l0 = Cdg::new(num_channels);
-        for p in ps.ids() {
-            l0.add_path(ps, p);
-        }
-        return l0;
-    }
-    let blocks = (cx.threads * 4).min(n);
-    let per = n.div_ceil(blocks);
-    let nblocks = n.div_ceil(per);
-    let (partials, stats) = map_stealing(nblocks, cx.threads, |b| {
-        let mut part = Cdg::new(num_channels);
-        for p in b * per..((b + 1) * per).min(n) {
-            part.add_path(ps, p as PathId);
-        }
-        part
-    });
-    record_par_stats(rec, &stats);
-    let mut l0 = Cdg::new(num_channels);
-    for part in &partials {
-        l0.absorb(part);
-    }
-    l0
-}
-
 /// The channel-id space of a path set (1 + max channel index used; CDG
 /// nodes must cover every channel any path touches).
 fn num_channels_of(ps: &PathSet) -> usize {
@@ -780,30 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn routes_do_not_depend_on_thread_count() {
-        // The trait's determinism contract: at a fixed chunk, every
-        // thread count yields bit-identical routes and stats.
-        for chunk in [1usize, 4] {
-            for net in [topo::torus(&[4, 4], 1), topo::dragonfly(3, 1, 1)] {
-                let engine = DfSssp::new();
-                let (r1, s1) = engine
-                    .route_with_stats_in(&net, &ComputeCtx { threads: 1, chunk })
-                    .unwrap();
-                for threads in [2usize, 4] {
-                    let (rn, sn) = engine
-                        .route_with_stats_in(&net, &ComputeCtx { threads, chunk })
-                        .unwrap();
-                    assert_eq!(r1, rn, "{} threads={threads} chunk={chunk}", net.label());
-                    assert_eq!(s1.layers_used, sn.layers_used);
-                    assert_eq!(s1.cycles_broken, sn.cycles_broken);
-                    assert_eq!(s1.paths_moved, sn.paths_moved);
-                }
-                verify_deadlock_free(&net, &r1).unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn chunked_wavefront_stays_deadlock_free() {
         // Wider chunks change the balanced-weight schedule (a declared
         // algorithm parameter) but must keep every guarantee.
@@ -811,7 +743,7 @@ mod tests {
         for chunk in [2usize, 16, 1024] {
             let engine = DfSssp::new();
             let (routes, _) = engine
-                .route_with_stats_in(&net, &ComputeCtx { threads: 2, chunk })
+                .route_with_stats_in(&net, &ComputeCtx { chunk })
                 .unwrap();
             verify_deadlock_free(&net, &routes).unwrap();
             assert_eq!(

@@ -51,112 +51,68 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// Fallback chunk width when a parallel run leaves the wavefront width
-/// on auto: wide enough to keep a handful of workers busy per chunk,
-/// narrow enough that the balanced SSSP's weight feedback still steers
-/// path spreading within a few destinations of the sequential schedule.
-pub const DEFAULT_PAR_CHUNK: usize = 16;
-
-/// Parallelism *request*: what the caller asked for, zeros meaning
-/// "decide for me". Part of [`EngineConfig`] so every engine, CLI and
-/// the subnet manager plumb the same knob. [`ComputeOpts::resolve`]
-/// turns it into a concrete [`ComputeCtx`].
-///
-/// The default (`threads: 1, chunk: 0`) resolves to the exact
-/// sequential algorithm — existing callers see byte-identical routes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The compute request an engine carries in its [`EngineConfig`]: the
+/// balanced sweep's chunk width. Route computation is sequential; the
+/// chunk is the one schedule parameter, and [`ComputeOpts::resolve`]
+/// turns the request into the [`ComputeCtx`] handed to `route_in`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComputeOpts {
-    /// Worker threads for the parallel sweeps; `0` = one per available
-    /// core.
-    pub threads: usize,
-    /// Destinations per deterministic wavefront chunk of the balanced
-    /// SSSP sweep (see DESIGN.md §15); `0` = auto: `1` when the
-    /// resolved thread count is 1, [`DEFAULT_PAR_CHUNK`] otherwise.
+    /// Destinations per chunk of the balanced SSSP sweep (DESIGN.md
+    /// §15); `0` is read as `1`, the paper's schedule.
     pub chunk: usize,
 }
 
-impl Default for ComputeOpts {
-    fn default() -> Self {
-        ComputeOpts {
-            threads: 1,
-            chunk: 0,
-        }
-    }
-}
-
 impl ComputeOpts {
-    /// Sequential compute (the default).
+    /// The paper's schedule (the default).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Request `threads` workers (`0` = one per available core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// No-op: route computation is sequential. Kept only because
+    /// `crates/perf/src/stack.rs:152` spells `.threads(1)`; delete it
+    /// with that call.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Pin the wavefront chunk width (`0` = auto).
+    /// Set the chunk width.
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
         self
     }
 
-    /// Resolve the request against this host into concrete values.
+    /// The context this request asks for (`chunk` 0 read as 1).
     pub fn resolve(&self) -> ComputeCtx {
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            t => t,
-        };
-        let chunk = match self.chunk {
-            0 if threads <= 1 => 1,
-            0 => DEFAULT_PAR_CHUNK,
-            c => c,
-        };
-        ComputeCtx { threads, chunk }
+        ComputeCtx {
+            chunk: self.chunk.max(1),
+        }
     }
 }
 
-/// Resolved compute context handed down the routing call tree: both
-/// fields are concrete (≥ 1). Routes are a function of `chunk` alone —
-/// `threads` changes wall-clock, never output — so reproducing a run on
+/// Compute context handed down the routing call tree. Routes are a
+/// function of the network and `chunk` alone, so reproducing a run on
 /// any machine takes only the chunk value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ComputeCtx {
-    /// Worker threads (≥ 1).
-    pub threads: usize,
-    /// Balanced-sweep wavefront width (≥ 1); `1` reproduces the paper's
-    /// sequential weight-update schedule exactly.
+    /// Chunk width of the balanced sweep (≥ 1): every tree of a chunk
+    /// is computed against the chunk-start weights. `1` is the paper's
+    /// schedule, the terminal count the serving one.
     pub chunk: usize,
 }
 
 impl ComputeCtx {
-    /// Strictly sequential: one thread, chunk 1 — the paper's algorithm
-    /// byte for byte.
+    /// Chunk 1 — the paper's algorithm byte for byte.
     pub fn seq() -> Self {
-        ComputeCtx {
-            threads: 1,
-            chunk: 1,
-        }
-    }
-
-    /// Resolve explicit requests (zeros allowed, meaning auto).
-    pub fn new(threads: usize, chunk: usize) -> Self {
-        ComputeOpts { threads, chunk }.resolve()
-    }
-
-    /// Whether this context fans work across more than one worker.
-    pub fn parallel(&self) -> bool {
-        self.threads > 1
+        ComputeCtx { chunk: 1 }
     }
 }
 
 /// Uniform configuration for configurable routing engines: the
 /// virtual-layer budget, the post-assignment balancing toggle, the
-/// telemetry sink, and the compute (parallelism) request. One struct
-/// instead of one setter per knob, so the subnet manager's escalation
-/// ladder, the CLIs and the benches all tune engines the same way
-/// ([`RoutingEngine::with_config`]).
+/// telemetry sink, and the compute request (the sweep's chunk width).
+/// One struct instead of one setter per knob, so the subnet manager's
+/// escalation ladder, the CLIs and the benches all tune engines the same
+/// way ([`RoutingEngine::with_config`]).
 ///
 /// Engines apply the fields they understand and ignore the rest (a
 /// balancing toggle means nothing to LASH); [`RoutingEngine::config`]
@@ -171,7 +127,7 @@ pub struct EngineConfig {
     pub recorder: RecorderHandle,
     /// Resource bounds for each `route()` call; unlimited by default.
     pub budget: crate::Budget,
-    /// Parallelism request; sequential by default.
+    /// Chunk width of the balanced sweep; the paper's `1` by default.
     pub compute: ComputeOpts,
 }
 
@@ -217,7 +173,7 @@ impl EngineConfig {
         self
     }
 
-    /// Set the parallelism request.
+    /// Set the compute request.
     pub fn compute(mut self, compute: ComputeOpts) -> Self {
         self.compute = compute;
         self
@@ -228,20 +184,17 @@ impl EngineConfig {
 /// plus a virtual-layer assignment.
 ///
 /// The entry point is [`RoutingEngine::route_in`], which takes a
-/// resolved [`ComputeCtx`]; engines that cannot parallelize simply
-/// ignore it. (The legacy `route(&net)` shim from the engine-API
-/// redesign has been removed; resolve the engine's own request with
-/// `engine.config().compute.resolve()` when no explicit context is at
-/// hand.)
+/// [`ComputeCtx`]; engines without a balanced sweep ignore it. Resolve
+/// the engine's own request with `engine.config().compute.resolve()`
+/// when no explicit context is at hand.
 pub trait RoutingEngine {
     /// Engine name, as reported in tables/figures (e.g. `"DFSSSP"`).
     fn name(&self) -> &'static str;
 
     /// Compute routes for `net` under the given compute context.
     ///
-    /// Determinism contract: the routes may depend on `cx.chunk` (a
-    /// declared algorithm parameter) but never on `cx.threads` — any
-    /// thread count must produce bit-for-bit identical routes.
+    /// Determinism contract: the routes are a function of `net` and
+    /// `cx.chunk` (a declared algorithm parameter) and nothing else.
     fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError>;
 
     /// Whether the routes this engine produces are guaranteed
@@ -360,20 +313,6 @@ impl<E: RoutingEngine> RoutingEngine for Recorded<E> {
     }
 }
 
-/// Record one parallel phase's pool counters: items fanned out, steals,
-/// and the per-worker wall-time spread. A no-op when the recorder is
-/// disabled, and entirely skipped by the engines' sequential fast paths.
-pub(crate) fn record_par_stats(rec: &dyn Recorder, stats: &crate::pool::RunStats) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.add(counters::PAR_TASKS, stats.tasks);
-    rec.add(counters::STEAL_COUNT, stats.steals);
-    for &ns in &stats.worker_ns {
-        rec.observe(hists::PAR_WORKER_US, ns / 1_000);
-    }
-}
-
 /// Record the standard quality metrics of a finished routing: the
 /// `paths_routed` / `vls_used` counters and the `path_length` /
 /// `vl_channels` / `edge_load` histograms. A no-op (not even a table
@@ -435,52 +374,16 @@ mod tests {
     }
 
     #[test]
-    fn compute_opts_resolve_zeros() {
-        // Defaults are the exact sequential algorithm.
-        let cx = ComputeOpts::default().resolve();
-        assert_eq!(cx, ComputeCtx::seq());
-        assert!(!cx.parallel());
-        // threads=0 resolves to this host's core count (>= 1); chunk
-        // auto widens only when the run is actually parallel.
-        let cx = ComputeOpts::new().threads(0).resolve();
-        assert!(cx.threads >= 1);
-        if cx.threads > 1 {
-            assert_eq!(cx.chunk, DEFAULT_PAR_CHUNK);
-        } else {
-            assert_eq!(cx.chunk, 1);
-        }
-        let cx = ComputeOpts::new().threads(4).chunk(0).resolve();
+    fn compute_opts_resolve_to_the_chunk_alone() {
+        // The default is the paper's schedule, and 0 reads as 1.
+        assert_eq!(EngineConfig::default().compute.resolve(), ComputeCtx::seq());
+        assert_eq!(ComputeOpts::new().chunk(0).resolve().chunk, 1);
+        assert_eq!(ComputeOpts::new().chunk(5).resolve().chunk, 5);
+        // `threads` is the pinned no-op: it changes nothing.
         assert_eq!(
-            cx,
-            ComputeCtx {
-                threads: 4,
-                chunk: DEFAULT_PAR_CHUNK
-            }
+            ComputeOpts::new().threads(4).chunk(5),
+            ComputeOpts::new().chunk(5)
         );
-        // Explicit values pass through untouched.
-        let cx = ComputeOpts::new().threads(3).chunk(5).resolve();
-        assert_eq!(
-            cx,
-            ComputeCtx {
-                threads: 3,
-                chunk: 5
-            }
-        );
-        assert_eq!(
-            ComputeCtx::new(2, 7),
-            ComputeCtx {
-                threads: 2,
-                chunk: 7
-            }
-        );
-    }
-
-    #[test]
-    fn config_defaults_are_sequential() {
-        let config = EngineConfig::default();
-        assert_eq!(config.compute, ComputeOpts::default());
-        let config = config.compute(ComputeOpts::new().threads(2));
-        assert_eq!(config.compute.threads, 2);
     }
 
     #[test]

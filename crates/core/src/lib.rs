@@ -47,7 +47,7 @@ pub use budget::{Budget, BudgetGuard};
 pub use dfsssp::{DfSssp, LayerAssignMode};
 pub use engine::{
     record_route_metrics, ComputeCtx, ComputeOpts, EngineConfig, Recorded, RouteError,
-    RoutingEngine, DEFAULT_PAR_CHUNK,
+    RoutingEngine,
 };
 pub use heuristics::CycleBreakHeuristic;
 pub use quality::{route_quality, RouteQuality};

@@ -7,8 +7,7 @@
 //! with offsets (the paper reports ~340 MB for a 4096-node network — this
 //! layout is what keeps that figure practical).
 
-use crate::engine::{ComputeCtx, RouteError};
-use crate::pool::map_stealing;
+use crate::engine::RouteError;
 use fabric::{ChannelId, Network, Routes};
 
 /// Identifier of one terminal-to-terminal path in a [`PathSet`].
@@ -24,62 +23,27 @@ pub struct PathSet {
     pairs: Vec<(u32, u32)>,
 }
 
-/// Per-source extraction result: `(channels, path lengths, pairs)`.
-type SourcePaths = (Vec<ChannelId>, Vec<u32>, Vec<(u32, u32)>);
-
 impl PathSet {
     /// Extract every ordered terminal pair's route from `routes`.
     /// Paths are extracted in `(src_t, dst_t)` lexicographic order.
     pub fn extract(net: &Network, routes: &Routes) -> Result<PathSet, RouteError> {
-        Self::extract_in(net, routes, &ComputeCtx::seq())
-    }
-
-    /// [`PathSet::extract`] fanned across `cx.threads` pool workers, one
-    /// task per source terminal. Per-source results are flattened in
-    /// source order, so the set is identical for every thread count.
-    pub fn extract_in(
-        net: &Network,
-        routes: &Routes,
-        cx: &ComputeCtx,
-    ) -> Result<PathSet, RouteError> {
         let terminals = net.terminals();
-        // Parallel per-source extraction, then flatten.
-        let (per_src, _) = map_stealing(
-            terminals.len(),
-            cx.threads,
-            |src_t| -> Result<SourcePaths, RouteError> {
-                let src = terminals[src_t];
-                let mut chans = Vec::new();
-                let mut lens = Vec::new();
-                let mut pairs = Vec::new();
-                for (dst_t, &dst) in terminals.iter().enumerate() {
-                    if src == dst {
-                        continue;
-                    }
-                    let before = chans.len();
-                    for step in routes
-                        .path(net, src, dst)
-                        .map_err(|_| RouteError::Disconnected)?
-                    {
-                        chans.push(step.map_err(|_| RouteError::Disconnected)?);
-                    }
-                    lens.push((chans.len() - before) as u32);
-                    pairs.push((src_t as u32, dst_t as u32));
-                }
-                Ok((chans, lens, pairs))
-            },
-        );
         let mut channels = Vec::new();
         let mut offsets = vec![0u64];
         let mut pairs = Vec::new();
-        for res in per_src {
-            let (chans, lens, prs) = res?;
-            let mut at = channels.len() as u64;
-            channels.extend_from_slice(&chans);
-            pairs.extend_from_slice(&prs);
-            for len in lens {
-                at += len as u64;
-                offsets.push(at);
+        for (src_t, &src) in terminals.iter().enumerate() {
+            for (dst_t, &dst) in terminals.iter().enumerate() {
+                if src == dst {
+                    continue;
+                }
+                for step in routes
+                    .path(net, src, dst)
+                    .map_err(|_| RouteError::Disconnected)?
+                {
+                    channels.push(step.map_err(|_| RouteError::Disconnected)?);
+                }
+                offsets.push(channels.len() as u64);
+                pairs.push((src_t as u32, dst_t as u32));
             }
         }
         Ok(PathSet {

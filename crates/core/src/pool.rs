@@ -1,10 +1,12 @@
 //! A small work-stealing pool for deterministic parallel sweeps.
 //!
-//! The routing engines fan fixed-size index ranges (destinations, path
-//! ranges) across worker threads with [`map_stealing`]: item `i`'s result
-//! lands in output slot `i`, so the merged output is *identical to the
-//! sequential map regardless of thread count or scheduling* — determinism
-//! comes from the slot discipline, not from the schedule.
+//! Route computation itself is sequential (DESIGN.md §15). What fans out
+//! are the embarrassingly parallel sweeps around it — eBB patterns,
+//! Netgauge partitions, per-seed figure runs — with [`map_stealing`]:
+//! item `i`'s result lands in output slot `i`, so the merged output is
+//! *identical to the sequential map whatever the host's core count or
+//! the schedule* — determinism comes from the slot discipline, not from
+//! the schedule.
 //!
 //! Work distribution is deque-based: every worker is pre-loaded with a
 //! contiguous block of indices and walks it front-to-back (streaming
@@ -18,21 +20,8 @@
 //! `--features loom-tests` the exact steal/pop protocol runs inside the
 //! [`weave`] model checker (`src/models.rs`).
 
-use crate::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use crate::sync::Mutex;
 use std::collections::VecDeque;
-
-/// Counters from one [`map_stealing`] run, fed into telemetry by the
-/// engines (`par_tasks`, `steal_count`, per-worker phase time).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Items executed (equals the input length on every successful run).
-    pub tasks: u64,
-    /// Items claimed from another worker's deque.
-    pub steals: u64,
-    /// Wall time each worker spent in its drain loop, in nanoseconds.
-    pub worker_ns: Vec<u64>,
-}
 
 /// The index deques of one work-stealing run: worker `w` owns deque `w`,
 /// pre-filled with a contiguous block of `0..n` in ascending order.
@@ -42,7 +31,6 @@ pub struct RunStats {
 /// deque mutex, so each index is handed out exactly once.
 pub struct StealQueues {
     deques: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicU64,
 }
 
 impl StealQueues {
@@ -59,10 +47,7 @@ impl StealQueues {
             start += len;
         }
         debug_assert_eq!(start, n);
-        StealQueues {
-            deques,
-            steals: AtomicU64::new(0),
-        }
+        StealQueues { deques }
     }
 
     /// Number of worker deques.
@@ -81,76 +66,61 @@ impl StealQueues {
         for k in 1..self.deques.len() {
             let victim = (w + k) % self.deques.len();
             if let Some(i) = self.deques[victim].lock().unwrap().pop_back() {
-                self.steals.fetch_add(1, Relaxed);
                 return Some(i);
             }
         }
         None
     }
-
-    /// Total successful steals so far.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Relaxed)
-    }
 }
 
-/// Map `f` over `0..n` on `threads` workers; `f(i)`'s result is placed in
-/// output slot `i`, so the returned vector equals the sequential
-/// `(0..n).map(f).collect()` bit for bit, whatever the schedule did.
+/// Map `f` over `0..n` on one worker per available core; `f(i)`'s result
+/// is placed in output slot `i`, so the returned vector equals the
+/// sequential `(0..n).map(f).collect()` bit for bit, whatever the
+/// schedule did.
 ///
 /// `f` runs on borrowed scoped threads — it may capture references to the
-/// caller's stack (networks, weight snapshots) without `'static` bounds.
-/// With `threads <= 1` or `n <= 1` no threads are spawned at all and `f`
+/// caller's stack (networks, route tables) without `'static` bounds. On
+/// a one-core host or with `n <= 1` no threads are spawned at all and `f`
 /// runs inline, in order.
-pub fn map_stealing<O, F>(n: usize, threads: usize, f: F) -> (Vec<O>, RunStats)
+pub fn map_stealing<O, F>(n: usize, f: F) -> Vec<O>
 where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    if threads <= 1 || n <= 1 {
-        let start = std::time::Instant::now();
-        let out: Vec<O> = (0..n).map(f).collect();
-        let stats = RunStats {
-            tasks: n as u64,
-            steals: 0,
-            worker_ns: vec![start.elapsed().as_nanos() as u64],
-        };
-        return (out, stats);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    map_on(n, workers, f)
+}
+
+/// [`map_stealing`] at an explicit width.
+fn map_on<O, F>(n: usize, workers: usize, f: F) -> Vec<O>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
     }
-    let workers = threads.min(n);
-    let queues = StealQueues::new(n, workers);
+    let queues = StealQueues::new(n, workers.min(n));
     let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let worker_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let worker_ns = &worker_ns;
-            let f = &f;
+        for w in 0..queues.workers() {
+            let (queues, slots, f) = (&queues, &slots, &f);
             scope.spawn(move || {
-                let start = std::time::Instant::now();
                 while let Some(i) = queues.next(w) {
                     let out = f(i);
                     *slots[i].lock().unwrap() = Some(out);
                 }
-                worker_ns[w].store(start.elapsed().as_nanos() as u64, Relaxed);
             });
         }
     });
-    let out: Vec<O> = slots
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap()
                 .expect("every index claimed exactly once")
         })
-        .collect();
-    let stats = RunStats {
-        tasks: n as u64,
-        steals: queues.steals(),
-        worker_ns: worker_ns.iter().map(|t| t.load(Relaxed)).collect(),
-    };
-    (out, stats)
+        .collect()
 }
 
 #[cfg(test)]
@@ -159,36 +129,26 @@ mod tests {
 
     #[test]
     fn sequential_fast_path_is_in_order() {
-        let (out, stats) = map_stealing(5, 1, |i| i * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40]);
-        assert_eq!(stats.tasks, 5);
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.worker_ns.len(), 1);
+        assert_eq!(map_on(5, 1, |i| i * 10), vec![0, 10, 20, 30, 40]);
     }
 
     #[test]
     fn parallel_output_equals_sequential() {
-        for threads in [2, 3, 4, 7] {
-            let (seq, _) = map_stealing(100, 1, |i| i * i + 1);
-            let (par, stats) = map_stealing(100, threads, |i| i * i + 1);
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(stats.tasks, 100);
-            assert_eq!(stats.worker_ns.len(), threads.min(100));
+        let seq = map_on(100, 1, |i| i * i + 1);
+        for workers in [2, 3, 4, 7] {
+            assert_eq!(map_on(100, workers, |i| i * i + 1), seq, "{workers}");
         }
+        assert_eq!(map_stealing(100, |i| i * i + 1), seq);
     }
 
     #[test]
     fn more_threads_than_items_caps_workers() {
-        let (out, stats) = map_stealing(3, 16, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(stats.worker_ns.len(), 3);
+        assert_eq!(map_on(3, 16, |i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let (out, stats) = map_stealing(0, 4, |i| i);
-        assert!(out.is_empty());
-        assert_eq!(stats.tasks, 0);
+        assert!(map_on(0, 4, |i| i).is_empty());
     }
 
     #[test]
@@ -196,7 +156,7 @@ mod tests {
         // Worker 0 owns the heavy front half; with 2 workers the other
         // must steal to finish. The output stays slot-ordered.
         let n = 64;
-        let (out, _) = map_stealing(n, 2, |i| {
+        let out = map_on(n, 2, |i| {
             if i < n / 2 {
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }

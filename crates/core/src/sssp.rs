@@ -18,23 +18,19 @@
 //! terminals in index order, and weight updates count terminal-to-terminal
 //! paths (switch-sourced traffic does not exist in operation).
 //!
-//! **Parallelism.** Each destination's tree depends on the weights left
-//! by all previous destinations, so the sweep is not embarrassingly
-//! parallel. [`Sssp::route_with_weights_in`] runs a *chunked
-//! deterministic wavefront*: destinations are processed in chunks of
-//! [`ComputeCtx::chunk`]; the trees of one chunk are computed in
-//! parallel against the chunk-start weight snapshot, then tables and
-//! weight updates are applied sequentially in destination order. The
-//! output is a function of the chunk width alone — never of the thread
-//! count or the schedule — and `chunk = 1` reproduces the paper's
-//! sequential algorithm byte for byte.
+//! **Chunk schedule.** Each destination's tree depends on the weights
+//! left by all previous destinations; [`ComputeCtx::chunk`] coarsens that
+//! feedback: the trees of one `chunk`-wide run of destinations are all
+//! computed against the weights at the run's start, and tables and weight
+//! updates are applied in destination order. The output is a function of
+//! the network and the chunk width alone; `chunk = 1` is the paper's
+//! algorithm byte for byte, `chunk = |T|` the snapshot schedule
+//! `delta` patches under (DESIGN.md §15).
 
 use crate::budget::BudgetGuard;
 use crate::dijkstra::spt_to;
-use crate::engine::{record_par_stats, ComputeCtx, RouteError, RoutingEngine};
-use crate::pool::map_stealing;
+use crate::engine::{ComputeCtx, RouteError, RoutingEngine};
 use fabric::{Network, Routes};
-use telemetry::Recorder;
 
 /// The SSSP routing engine (not deadlock-free; see [`crate::DfSssp`]).
 #[derive(Clone, Debug)]
@@ -68,36 +64,19 @@ impl Sssp {
     /// Run Algorithm 1, returning the tables and the final channel
     /// weights (the weights are exposed for tests and diagnostics).
     pub fn route_with_weights(&self, net: &Network) -> Result<(Routes, Vec<u64>), RouteError> {
-        self.route_with_weights_budgeted(net, &BudgetGuard::unlimited())
+        self.route_with_weights_in(net, &BudgetGuard::unlimited(), &ComputeCtx::seq())
     }
 
-    /// [`Sssp::route_with_weights`] under a [`BudgetGuard`]: the
-    /// deadline is checked before each destination chunk's shortest-path
-    /// trees (the expensive unit of Algorithm 1), so a run over a
-    /// hostile or oversized network stops within one chunk of its
-    /// deadline.
-    pub fn route_with_weights_budgeted(
-        &self,
-        net: &Network,
-        guard: &BudgetGuard,
-    ) -> Result<(Routes, Vec<u64>), RouteError> {
-        self.route_with_weights_in(net, guard, &ComputeCtx::seq(), &*telemetry::noop())
-    }
-
-    /// The chunked deterministic wavefront (see the module docs): the
-    /// shortest-path trees of each `cx.chunk`-wide destination chunk are
-    /// fanned across `cx.threads` pool workers against the chunk-start
-    /// weight snapshot; table programming and weight updates then run
-    /// sequentially in destination order, so the routes depend only on
-    /// `cx.chunk`. Pool counters land on `rec` (`par_tasks`,
-    /// `steal_count`, `par_worker_us`), only when a chunk actually fans
-    /// out.
+    /// [`Sssp::route_with_weights`] under a [`BudgetGuard`] and the chunk
+    /// schedule of `cx` (see the module docs). The deadline is checked
+    /// before every destination's shortest-path tree (the expensive unit
+    /// of Algorithm 1), so a run over a hostile or oversized network
+    /// stops within one tree of its deadline.
     pub fn route_with_weights_in(
         &self,
         net: &Network,
         guard: &BudgetGuard,
         cx: &ComputeCtx,
-        rec: &dyn Recorder,
     ) -> Result<(Routes, Vec<u64>), RouteError> {
         guard.admit(net)?;
         if !net.is_strongly_connected() {
@@ -105,47 +84,39 @@ impl Sssp {
         }
         let w0 = self.base_weight(net);
         let mut weights = vec![w0; net.num_channels()];
+        // What the trees of the current chunk see: `weights` as they
+        // stood when the chunk began.
+        let mut chunk_start = Vec::new();
         let mut routes = Routes::new(net, self.name());
         let mut subtree = vec![0u64; net.num_nodes()];
-        let terminals = net.terminals();
         let chunk = cx.chunk.max(1);
-        for start in (0..terminals.len()).step_by(chunk) {
+        for (dst_t, &dst) in net.terminals().iter().enumerate() {
             guard.check_deadline()?;
-            let end = (start + chunk).min(terminals.len());
-            // All trees of this chunk see the same weight snapshot; the
-            // slot discipline of `map_stealing` returns them in
-            // destination order whatever the workers did.
-            let (spts, stats) = map_stealing(end - start, cx.threads, |i| {
-                spt_to(net, terminals[start + i], &weights)
-            });
-            if end - start > 1 && cx.parallel() {
-                record_par_stats(rec, &stats);
+            if dst_t % chunk == 0 {
+                chunk_start.clone_from(&weights);
             }
-            for (i, spt) in spts.iter().enumerate() {
-                let dst_t = start + i;
-                let dst = terminals[dst_t];
-                // Program tables along the tree.
-                for (id, _) in net.nodes() {
-                    if let Some(c) = spt.parent[id.idx()] {
-                        routes.set_next(id, dst_t, c);
-                    }
+            let spt = spt_to(net, dst, &chunk_start);
+            // Program tables along the tree.
+            for (id, _) in net.nodes() {
+                if let Some(c) = spt.parent[id.idx()] {
+                    routes.set_next(id, dst_t, c);
                 }
-                // Weight update: each channel gains the number of
-                // terminal-to-dst paths crossing it. Accumulate subtree
-                // sizes in reverse settle order (children strictly after
-                // parents in pop order, so reverse order sees children
-                // first).
-                subtree.iter_mut().for_each(|s| *s = 0);
-                for &v in spt.pop_order.iter().rev() {
-                    if net.is_terminal(v) && v != dst {
-                        subtree[v.idx()] += 1;
-                    }
-                    if let Some(c) = spt.parent[v.idx()] {
-                        let u = net.channel(c).dst;
-                        let count = subtree[v.idx()];
-                        subtree[u.idx()] += count;
-                        weights[c.idx()] += count;
-                    }
+            }
+            // Weight update: each channel gains the number of
+            // terminal-to-dst paths crossing it. Accumulate subtree
+            // sizes in reverse settle order (children strictly after
+            // parents in pop order, so reverse order sees children
+            // first).
+            subtree.iter_mut().for_each(|s| *s = 0);
+            for &v in spt.pop_order.iter().rev() {
+                if net.is_terminal(v) && v != dst {
+                    subtree[v.idx()] += 1;
+                }
+                if let Some(c) = spt.parent[v.idx()] {
+                    let u = net.channel(c).dst;
+                    let count = subtree[v.idx()];
+                    subtree[u.idx()] += count;
+                    weights[c.idx()] += count;
                 }
             }
         }
@@ -159,7 +130,7 @@ impl RoutingEngine for Sssp {
     }
 
     fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        self.route_with_weights_in(net, &BudgetGuard::unlimited(), cx, &*telemetry::noop())
+        self.route_with_weights_in(net, &BudgetGuard::unlimited(), cx)
             .map(|(r, _)| r)
     }
 
@@ -170,25 +141,15 @@ impl RoutingEngine for Sssp {
 
 /// Per-destination loads under plain (unbalanced, unit-weight) shortest
 /// paths, used as a comparison point in tests and ablations: runs the same
-/// table construction with constant weights and no updates. Uses every
-/// available core; with no weight feedback the destinations really are
-/// independent, so any thread count yields identical routes.
+/// table construction with constant weights and no updates.
 pub fn unbalanced_shortest_paths(net: &Network) -> Result<Routes, RouteError> {
-    unbalanced_shortest_paths_in(net, &ComputeCtx::new(0, 0))
-}
-
-/// [`unbalanced_shortest_paths`] under an explicit compute context.
-pub fn unbalanced_shortest_paths_in(net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
     if !net.is_strongly_connected() {
         return Err(RouteError::Disconnected);
     }
     let weights = vec![1u64; net.num_channels()];
-    let terminals = net.terminals();
-    let (parents, _) = map_stealing(terminals.len(), cx.threads, |dst_t| {
-        spt_to(net, terminals[dst_t], &weights).parent
-    });
     let mut routes = Routes::new(net, "ShortestPath");
-    for (dst_t, parents) in parents.into_iter().enumerate() {
+    for (dst_t, &dst) in net.terminals().iter().enumerate() {
+        let parents = spt_to(net, dst, &weights).parent;
         for (id, _) in net.nodes() {
             if let Some(c) = parents[id.idx()] {
                 routes.set_next(id, dst_t, c);
@@ -342,6 +303,21 @@ mod tests {
         // other terminals... only t1 exists, so +1; s0->t0 carries t1->t0.
         let inj = net.channel_between(t0, s0).unwrap();
         assert_eq!(weights[inj.idx()], w0 + 1);
+    }
+
+    #[test]
+    fn deadline_is_checked_before_every_tree() {
+        // The serving schedule is one chunk wide; a deadline looked at
+        // once per chunk would be looked at once per run.
+        use crate::budget::DEADLINE_CHECKS;
+        let net = topo::kary_ntree(4, 2);
+        let terminals = net.num_terminals();
+        let before = DEADLINE_CHECKS.with(|n| n.get());
+        Sssp::new()
+            .route_in(&net, &ComputeCtx { chunk: terminals })
+            .unwrap();
+        let checks = DEADLINE_CHECKS.with(|n| n.get()) - before;
+        assert!(checks >= terminals, "{checks} checks for {terminals} trees");
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct DeadlockFree<E> {
     /// engine is not interrupted mid-call, but the deadline is checked
     /// when it returns and throughout the layer assignment.
     pub budget: Budget,
-    /// Parallelism request, forwarded to the inner engine's `route_in`
-    /// and used for path extraction and the initial CDG population.
+    /// Chunk width forwarded to the inner engine's `route_in` by
+    /// [`DeadlockFree::route_with_stats`]; engines without a balanced
+    /// sweep ignore it.
     pub compute: ComputeOpts,
 }
 
@@ -102,7 +103,6 @@ impl<E: RoutingEngine> DeadlockFree<E> {
             format!("DF-{}", self.inner.name()),
             rec,
             &guard,
-            cx,
         )
     }
 }

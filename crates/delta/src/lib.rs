@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use dfsssp_core::balance::balance_layers;
 use dfsssp_core::budget::{record_trip, Budget};
-use dfsssp_core::dfsssp::{assign_layers_budgeted_in, LayerAssignMode};
+use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
 use dfsssp_core::dijkstra::spt_to;
 use dfsssp_core::paths::PathSet;
 use dfsssp_core::{
@@ -341,7 +341,6 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         g: &mut Shared,
         params: &DeltaParams,
         net: &Network,
-        cx: &ComputeCtx,
     ) -> Result<Attempt, RouteError> {
         let Some(prev) = g.state.as_ref() else {
             return Ok(Attempt::Fallback(Vec::new()));
@@ -387,7 +386,7 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         }
 
         let patched = telemetry::timed(rec, phases::DELTA_PATCH, || {
-            self.patch(prev, params, net, cx, &guard, max_layers, &diff)
+            self.patch(prev, params, net, &guard, max_layers, &diff)
         })?;
         let Some(patched) = patched else {
             // Cache inconsistent with the diff (should not happen); a
@@ -420,13 +419,11 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
 
     /// Assemble the new routes, counts and layers. `Ok(None)` means the
     /// cache disagrees with the diff (fall back defensively).
-    #[allow(clippy::too_many_arguments)]
     fn patch(
         &self,
         prev: &DeltaState,
         params: &DeltaParams,
         net: &Network,
-        cx: &ComputeCtx,
         guard: &dfsssp_core::BudgetGuard,
         max_layers: usize,
         diff: &Diff,
@@ -499,15 +496,14 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
                 routes.copy_layers_from(&prev.routes);
                 return Ok(true);
             }
-            let ps = PathSet::extract_in(net, &routes, cx)?;
-            let (mut layers, stats) = assign_layers_budgeted_in(
+            let ps = PathSet::extract(net, &routes)?;
+            let (mut layers, stats) = assign_layers_budgeted(
                 &ps,
                 params.heuristic,
                 max_layers,
                 params.compact,
                 rec,
                 guard,
-                cx,
             )?;
             telemetry::timed(rec, phases::BALANCE, || {
                 if params.balance {
@@ -555,12 +551,12 @@ impl<E: RoutingEngine + DeltaCapable> RoutingEngine for DeltaEngine<E> {
             return self.inner.route_in(net, cx);
         };
         if cx.chunk.max(1) < net.num_terminals() {
-            // Chunked wavefronts use balanced weights; the dirty rules
+            // Narrower chunks use balanced weights; the dirty rules
             // only hold for the single-snapshot schedule.
             drop(g);
             return self.inner.route_in(net, cx);
         }
-        let attempt = self.try_delta(&mut g, &params, net, cx);
+        let attempt = self.try_delta(&mut g, &params, net);
         match record_trip(&*params.recorder, attempt)? {
             Attempt::Patched(routes) => Ok(routes),
             Attempt::Fallback(dirty_dests) => {
@@ -912,7 +908,6 @@ mod tests {
 
     fn snap_cx(net: &Network) -> ComputeCtx {
         ComputeCtx {
-            threads: 1,
             chunk: net.num_terminals().max(1),
         }
     }
@@ -1187,10 +1182,7 @@ mod tests {
     fn chunked_context_passes_through() {
         let net = topo::torus(&[3, 3], 1);
         let engine = delta_engine();
-        let cx = ComputeCtx {
-            threads: 1,
-            chunk: 1,
-        };
+        let cx = ComputeCtx::seq();
         let routes = engine.route_in(&net, &cx).unwrap();
         assert_eq!(routes, DfSssp::new().route_in(&net, &cx).unwrap());
         assert!(!engine.last_outcome().unwrap().delta);

@@ -429,7 +429,7 @@ impl Network {
     /// expanded. This is the metric every routing engine's minimality is
     /// measured against.
     pub fn hops_to(&self, dst: NodeId) -> Vec<u32> {
-        self.bfs_hops(dst, false, false)
+        self.bfs_hops(dst, false)
     }
 
     /// The same metric from the other end: `hops_from(src)[v]` is the
@@ -438,29 +438,20 @@ impl Network {
     /// BFS answers "how far is `src` from every destination" where
     /// [`Self::hops_to`] would need one BFS per destination.
     pub fn hops_from(&self, src: NodeId) -> Vec<u32> {
-        self.bfs_hops(src, true, false)
-    }
-
-    /// Raw minimum hop distances from every node to `dst` over the full
-    /// graph, terminals included as transit (a pure graph metric — for
-    /// the routable metric see [`Self::hops_to`]). Used for orientation
-    /// ranking (Up*/Down* levels) and diagnostics.
-    pub fn hops_to_raw(&self, dst: NodeId) -> Vec<u32> {
-        self.bfs_hops(dst, false, true)
+        self.bfs_hops(src, true)
     }
 
     /// BFS hop counts around `root`, along out-channels when `forward`
     /// and against in-channels otherwise (`u32::MAX` = unreached).
-    /// Terminals other than `root` are reached but expanded only when
-    /// `relay` is set.
-    fn bfs_hops(&self, root: NodeId, forward: bool, relay: bool) -> Vec<u32> {
+    /// Terminals other than `root` are reached but never expanded.
+    fn bfs_hops(&self, root: NodeId, forward: bool) -> Vec<u32> {
         let adj = if forward { &self.out_csr } else { &self.in_csr };
         let mut dist = vec![u32::MAX; self.nodes.len()];
         let mut queue = std::collections::VecDeque::new();
         dist[root.idx()] = 0;
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
-            if !relay && u != root && self.nodes[u.idx()].kind == NodeKind::Terminal {
+            if u != root && self.nodes[u.idx()].kind == NodeKind::Terminal {
                 continue; // terminals sink traffic; they never forward
             }
             for &c in adj.row(u.idx()) {

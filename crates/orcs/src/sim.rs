@@ -85,9 +85,8 @@ pub fn effective_bisection_bandwidth_recorded(
     rec: &dyn telemetry::Recorder,
 ) -> Result<Summary, RoutesError> {
     let nt = net.num_terminals();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (per_pattern, _) = telemetry::timed(rec, telemetry::phases::EBB, || {
-        map_stealing(opts.patterns, threads, |i| {
+    let per_pattern = telemetry::timed(rec, telemetry::phases::EBB, || {
+        map_stealing(opts.patterns, |i| {
             let pattern = Pattern::random_bisection(nt, opts.seed.wrapping_add(i as u64));
             let bws = flow_bandwidths(net, routes, &pattern)?;
             let mean = bws.iter().sum::<f64>() / bws.len().max(1) as f64;

@@ -45,11 +45,9 @@ pub struct Cli {
     pub json: bool,
     /// `--metrics <out.json>`: manifest destination, when given.
     pub metrics: Option<String>,
-    /// `--threads <N>`: route-compute workers (`0` = one per core;
-    /// default `1`, the sequential algorithm).
-    pub threads: usize,
-    /// `--chunk <N>`: balanced-sweep wavefront width (`0` = auto).
-    /// Routes depend on this value, never on `--threads`.
+    /// `--chunk <N>`: chunk width of the balanced sweep (default and
+    /// `0`: the paper's `1`). Routes are a function of the fabric and
+    /// this value.
     pub chunk: usize,
     binary: String,
     start: Instant,
@@ -64,7 +62,7 @@ fn usage(binary: &str, extra: &str) -> ! {
          --gen torus:<X>x<Y>|kary:<k>,<n>|ring:<N>] \
          [--engine minhop|updown|dor|lash|fattree|sssp|dfsssp] \
          [--seed <N>] [--json] [--metrics <out.json>] \
-         [--threads <N>] [--chunk <N>]{extra}"
+         [--chunk <N>]{extra}"
     );
     std::process::exit(2);
 }
@@ -94,7 +92,6 @@ impl Cli {
             seed: None,
             json: false,
             metrics: None,
-            threads: 1,
             chunk: 0,
             binary: binary.clone(),
             start: Instant::now(),
@@ -114,9 +111,6 @@ impl Cli {
                 }
                 "--json" => cli.json = true,
                 "--metrics" => cli.metrics = Some(val()),
-                "--threads" => {
-                    cli.threads = val().parse().unwrap_or_else(|_| usage(binary, extra_usage))
-                }
                 "--chunk" => {
                     cli.chunk = val().parse().unwrap_or_else(|_| usage(binary, extra_usage))
                 }
@@ -134,12 +128,12 @@ impl Cli {
         cli
     }
 
-    /// The `--threads`/`--chunk` request of this run.
+    /// The `--chunk` request of this run.
     pub fn compute(&self) -> ComputeOpts {
-        ComputeOpts::new().threads(self.threads).chunk(self.chunk)
+        ComputeOpts::new().chunk(self.chunk)
     }
 
-    /// The request resolved against this host ([`ComputeOpts::resolve`]).
+    /// The context that request resolves to ([`ComputeOpts::resolve`]).
     pub fn ctx(&self) -> ComputeCtx {
         self.compute().resolve()
     }

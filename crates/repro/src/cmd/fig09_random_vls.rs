@@ -14,7 +14,7 @@ pub fn main() {
     let mut rows = Vec::new();
     for links in [130usize, 140, 150, 175, 200, 225, 250, 275, 300] {
         let spec = RandomTopoSpec::fig9(links);
-        let (results, _) = map_stealing(seeds, serve::pool::default_workers(), |seed| {
+        let results = map_stealing(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let dfsssp = DfSssp {
                 max_layers: 64,

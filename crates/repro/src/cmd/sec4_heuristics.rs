@@ -13,7 +13,7 @@ pub fn main() {
     let spec = RandomTopoSpec::heuristic_study();
     let mut rows = Vec::new();
     for h in CycleBreakHeuristic::ALL {
-        let (layers, _) = map_stealing(seeds, serve::pool::default_workers(), |seed| {
+        let layers = map_stealing(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let engine = DfSssp {
                 heuristic: h,

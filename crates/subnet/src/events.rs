@@ -141,7 +141,8 @@ pub struct EventOutcome {
     /// Virtual layers of the serving routing after the event.
     pub vls: usize,
     /// The V007 existence verdict for the served view, one line — the
-    /// proof the admission decision cites (`None` for no-op batches).
+    /// proof the admission decision cites. A no-op batch carries the
+    /// previous verdict forward; `None` only before the first reroute.
     pub existence: Option<String>,
     /// Wall-clock reroute time.
     pub elapsed: Duration,

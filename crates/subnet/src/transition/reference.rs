@@ -209,8 +209,9 @@ pub(crate) fn zoo() -> Vec<Network> {
 /// `DfSssp` as the benchmark stack runs it: one snapshot chunk spanning
 /// every destination.
 pub(crate) fn route(net: &Network) -> Routes {
+    let chunk = net.num_terminals();
     DfSssp::new()
-        .route_in(net, &ComputeCtx::new(1, net.num_terminals()))
+        .route_in(net, &ComputeCtx { chunk })
         .expect("DfSssp routes every zoo fabric within 8 layers")
 }
 

@@ -1,12 +1,10 @@
-//! Recorder implementations: the in-memory [`Collector`] and the
-//! streaming [`JsonlSink`].
+//! The in-memory [`Collector`], the one recording [`Recorder`].
 
 use crate::fx::FxHashMap;
 use crate::hist::Hist;
 use crate::manifest::{PhaseStat, Snapshot};
 use crate::Recorder;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::Mutex;
 
 #[derive(Debug, Default)]
@@ -84,70 +82,9 @@ impl Recorder for Collector {
     }
 }
 
-/// Streams every event as one JSON object per line — the raw-trace
-/// alternative to aggregation, for piping into external tooling.
-/// Lines look like `{"t":"phase","name":"sssp","nanos":1234}`.
-pub struct JsonlSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").finish_non_exhaustive()
-    }
-}
-
-impl JsonlSink {
-    /// Stream to an arbitrary writer.
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonlSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Stream to a file at `path` (truncates).
-    pub fn create(path: &str) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    fn emit(&self, kind: &str, name: &str, field: &str, value: u64) {
-        let mut out = self.out.lock().unwrap();
-        // Names are workspace-internal identifiers (no quoting needed).
-        let _ = writeln!(
-            out,
-            "{{\"t\":\"{kind}\",\"name\":\"{name}\",\"{field}\":{value}}}"
-        );
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().unwrap().flush()
-    }
-}
-
-impl Recorder for JsonlSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn phase(&self, name: &'static str, nanos: u64) {
-        self.emit("phase", name, "nanos", nanos);
-    }
-
-    fn add(&self, name: &'static str, delta: u64) {
-        self.emit("count", name, "delta", delta);
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        self.emit("observe", name, "value", value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn collector_aggregates_phases_counters_hists() {
@@ -175,7 +112,6 @@ mod tests {
         // shared handle, and the sink-carrying engine config.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Collector>();
-        assert_send_sync::<JsonlSink>();
         assert_send_sync::<crate::Noop>();
         assert_send_sync::<crate::RecorderHandle>();
 
@@ -199,33 +135,5 @@ mod tests {
         c.add("n", 1);
         c.reset();
         assert!(c.snapshot().counters.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_emits_valid_lines() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonlSink::new(Box::new(Shared(buf.clone())));
-        sink.phase("sssp", 42);
-        sink.add("paths_routed", 7);
-        sink.observe("path_length", 3);
-        sink.flush().unwrap();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let v = crate::json::parse(line).unwrap();
-            assert!(v.get("t").is_some() && v.get("name").is_some());
-        }
-        assert_eq!(lines[0], r#"{"t":"phase","name":"sssp","nanos":42}"#);
     }
 }

@@ -16,8 +16,7 @@
 //!   in `tests/telemetry_e2e.rs` pins down).
 //! * [`Collector`] — a thread-safe in-memory aggregator whose
 //!   [`Collector::snapshot`] turns into the `metrics` section of a
-//!   [`RunManifest`]; [`JsonlSink`] streams raw events to a writer
-//!   instead, one JSON object per line.
+//!   [`RunManifest`].
 //! * [`RunManifest`] — the versioned JSON artifact (`dfsssp-metrics/v1`)
 //!   the `--metrics <out.json>` flag of every reproduction binary emits:
 //!   topology, engine, seed, phase timings, counters, histograms.
@@ -32,7 +31,7 @@ pub mod hist;
 pub mod json;
 pub mod manifest;
 
-pub use collector::{Collector, JsonlSink};
+pub use collector::Collector;
 pub use hist::Hist;
 pub use manifest::{PhaseStat, RunManifest, Snapshot, TopologySummary, SCHEMA};
 
@@ -164,10 +163,12 @@ pub mod counters {
     /// See [`RUNG_QUARANTINE`] — a reroute published while the serving
     /// path was actively shedding best-effort load.
     pub const RUNG_OVERLOAD_SHED: &str = "rung_overload_shed";
-    /// Items fanned across the work-stealing compute pool (parallel SSSP
-    /// destinations + CDG path ranges).
+    /// Never recorded: route compute no longer fans out. Kept only
+    /// because `crates/perf/src/run.rs:869` names it; delete it with
+    /// that line.
     pub const PAR_TASKS: &str = "par_tasks";
-    /// Items a pool worker claimed from another worker's deque.
+    /// Never recorded; pinned by `crates/perf/src/run.rs:870` like
+    /// [`PAR_TASKS`].
     pub const STEAL_COUNT: &str = "steal_count";
     /// Destinations dirtied (re-swept) by delta reroutes.
     pub const DELTA_DIRTY_DSTS: &str = "delta_dirty_dsts";
@@ -206,10 +207,6 @@ pub mod hists {
     pub const WAIT_US_INTERACTIVE: &str = "wait_us_interactive";
     /// See [`WAIT_US_INTERACTIVE`]; the bulk class.
     pub const WAIT_US_BULK: &str = "wait_us_bulk";
-    /// Per-worker wall time inside one parallel compute phase,
-    /// microseconds; the spread shows how well stealing balanced the
-    /// sweep.
-    pub const PAR_WORKER_US: &str = "par_worker_us";
 }
 
 /// A metrics sink. Implementations must be cheap to call; hot paths
@@ -262,30 +259,6 @@ pub fn timed<T>(rec: &dyn Recorder, name: &'static str, f: impl FnOnce() -> T) -
     let out = f();
     rec.phase(name, start.elapsed().as_nanos() as u64);
     out
-}
-
-/// An RAII phase span: reports the elapsed time on drop. Does not read
-/// the clock when the recorder is disabled.
-pub struct Span<'a> {
-    rec: &'a dyn Recorder,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl<'a> Span<'a> {
-    /// Open a span of phase `name`.
-    pub fn enter(rec: &'a dyn Recorder, name: &'static str) -> Self {
-        let start = rec.enabled().then(Instant::now);
-        Span { rec, name, start }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.rec.phase(self.name, start.elapsed().as_nanos() as u64);
-        }
-    }
 }
 
 /// Accumulates many short intervals into one phase report — for timing
@@ -356,16 +329,6 @@ mod tests {
         let c = Collector::default();
         assert_eq!(timed(&c, "x", || 42), 42);
         assert_eq!(c.snapshot().phases["x"].count, 1);
-    }
-
-    #[test]
-    fn span_reports_on_drop() {
-        let c = Collector::default();
-        {
-            let _s = Span::enter(&c, "p");
-        }
-        let snap = c.snapshot();
-        assert_eq!(snap.phases["p"].count, 1);
     }
 
     #[test]

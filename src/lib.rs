@@ -14,9 +14,8 @@
 //! // A 2D torus: minimal routing deadlocks here without virtual lanes.
 //! let net = dfsssp::topo::torus(&[4, 4], 1);
 //!
-//! // Route it deadlock-free (sequentially; `ComputeOpts::new()
-//! // .threads(0).resolve()` fans the sweep across every core with
-//! // bit-for-bit identical output).
+//! // Route it deadlock-free under the paper's schedule (chunk 1; the
+//! // serving stack uses `ComputeCtx { chunk: net.num_terminals() }`).
 //! let engine = DfSssp::new();
 //! let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
 //! assert!(routes.num_layers() >= 2);

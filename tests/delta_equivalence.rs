@@ -21,7 +21,6 @@ use std::collections::HashSet;
 /// uniform weight snapshot.
 fn snap_cx(net: &Network) -> ComputeCtx {
     ComputeCtx {
-        threads: 1,
         chunk: net.num_terminals().max(1),
     }
 }

@@ -4,6 +4,9 @@
 //! by some member — a pin nobody uses is how unused crates linger in the
 //! lock file.
 //!
+//! Two structural tripwires ride along: `repro` stays one binary, and
+//! route compute stays sequential (DESIGN.md §15).
+//!
 //! Like `unsafe_lint.rs` the scanner is deliberately dumb: line-based,
 //! one inline `name = …` entry per line under a `[…dependencies]` header.
 //! If it misfires on exotic manifest syntax (`[dependencies.foo]` tables,
@@ -131,5 +134,58 @@ fn repro_is_one_binary() {
     assert!(
         !manifest.lines().any(|l| l.trim() == "[[bin]]"),
         "crates/repro/Cargo.toml declares an extra [[bin]] target"
+    );
+}
+
+/// Every `.rs` file under `dir`, build output and dot-directories aside.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                rust_sources(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Route compute is sequential. `ComputeOpts::threads` survives as a
+/// no-op only because `crates/perf/src/stack.rs` spells it, so nothing
+/// first-party may call it; and `crates/core` may not reach for the pool
+/// again, which exists for the sweeps *around* routing.
+#[test]
+fn compute_fan_out_stays_deleted() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    rust_sources(&root, &mut sources);
+    // Spelled in two halves so this file does not match itself.
+    let call = concat!(".thre", "ads(");
+    let mut violations = Vec::new();
+    for path in sources {
+        let rel = path.strip_prefix(&root).unwrap_or(&path);
+        let text = fs::read_to_string(&path).expect("source is readable");
+        // The no-op's own doc comment and unit test live in engine.rs.
+        if text.contains(call)
+            && !rel.starts_with("crates/perf")
+            && rel != Path::new("crates/core/src/engine.rs")
+        {
+            violations.push(format!("{}: calls the `threads` no-op", rel.display()));
+        }
+        if text.contains("map_stealing")
+            && rel.starts_with("crates/core/src")
+            && !rel.ends_with("pool.rs")
+            && !rel.ends_with("models.rs")
+        {
+            violations.push(format!("{}: core fans work over the pool", rel.display()));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "route compute is sequential by construction:\n  {}",
+        violations.join("\n  ")
     );
 }

@@ -1,36 +1,54 @@
-//! The parallel-compute determinism contract, end to end: at a fixed
-//! `chunk`, the routes DFSSSP produces are a pure function of the
-//! network — never of the worker count. Property sweeps draw seeded
-//! dragonfly / fat-tree / torus fabrics (pristine and degraded) and
-//! compare the 2- and 4-worker tables bit for bit (`Routes: Eq`)
-//! against the single-worker run.
+//! The determinism contract that is left now that route compute is
+//! sequential: at a fixed `chunk`, the routes DFSSSP produces are a pure
+//! function of the network — whatever else the process is doing.
+//! Property sweeps draw seeded dragonfly / fat-tree / torus fabrics
+//! (pristine and degraded), route one shared engine from 1, 2 and 4
+//! concurrent caller threads, and compare every table bit for bit
+//! (`Routes: Eq`) against a lone call's. This is also the only place
+//! chunk 4 and 16 meet degraded dragonflies.
 
 mod common;
 
 use common::{sweep, Case};
 use dfsssp::prelude::*;
+use std::sync::Barrier;
 
-/// Route `net` at 1, 2 and 4 workers under `chunk` and require all
-/// three tables identical (and deadlock-free).
+/// Route `net` under `chunk` alone, then from 1, 2 and 4 threads that
+/// share the engine and start together, and require every table
+/// identical to the lone call's (and deadlock-free).
 fn assert_thread_invariant(net: &Network, chunk: usize) {
     let engine = DfSssp::new();
-    let route = |threads| {
+    let route = || {
         engine
-            .route_in(net, &ComputeCtx::new(threads, chunk))
+            .route_in(net, &ComputeCtx { chunk })
             .unwrap_or_else(|e| panic!("{}: {e}", net.label()))
     };
-    let baseline = route(1);
+    let baseline = route();
     dfsssp::verify::verify_deadlock_free(net, &baseline)
         .unwrap_or_else(|e| panic!("{}: {e}", net.label()));
-    for threads in [2usize, 4] {
-        assert_eq!(
-            route(threads),
-            baseline,
-            "{} diverged at threads={} chunk={}",
-            net.label(),
-            threads,
-            chunk
-        );
+    for callers in [1usize, 2, 4] {
+        let start = Barrier::new(callers);
+        let tables: Vec<Routes> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..callers)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        route()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller thread panicked"))
+                .collect()
+        });
+        for routes in tables {
+            assert!(
+                routes == baseline,
+                "{} diverged with {callers} concurrent callers at chunk={chunk}",
+                net.label()
+            );
+        }
     }
 }
 
