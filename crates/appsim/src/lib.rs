@@ -20,14 +20,12 @@
 
 pub mod alloc;
 pub mod alltoall;
-pub mod collectives;
 pub mod nas;
 pub mod netgauge;
 pub mod traffic;
 
 pub use alloc::Allocation;
 pub use alltoall::alltoall_time;
-pub use collectives::Collective;
 pub use nas::{NasBenchmark, NasResult};
 pub use netgauge::{netgauge_ebb, point_to_point_reference};
 pub use traffic::{Arrivals, Mix, Shape, TraceQuery, TraceSpec, TrafficClass};

@@ -488,19 +488,11 @@ pub fn assign_layers_offline_restart(
 /// Online layer assignment: greedily place each path into the first layer
 /// whose CDG stays acyclic. One full cycle check per placement attempt —
 /// the `O(|N|² · (|C| + |E|))` cost the paper's offline algorithm avoids.
-pub fn assign_layers_online(
-    ps: &PathSet,
-    max_layers: usize,
-) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_online_budgeted(ps, max_layers, &Noop, &BudgetGuard::unlimited())
-}
-
-/// [`assign_layers_online`] with phase telemetry (the per-placement
-/// acyclicity checks report as `cycle_search`, the add/remove traffic
-/// as `layer_assign`) under a [`BudgetGuard`]: the deadline is checked
-/// before each path placement (the unit of work whose count makes the
-/// online mode quadratic), and the growing CDGs are held against the
-/// edge cap.
+/// The per-placement acyclicity checks report as `cycle_search`, the
+/// add/remove traffic as `layer_assign`; under the [`BudgetGuard`] the
+/// deadline is checked before each path placement (the unit of work
+/// whose count makes the online mode quadratic), and the growing CDGs
+/// are held against the edge cap.
 pub fn assign_layers_online_budgeted(
     ps: &PathSet,
     max_layers: usize,

@@ -1,6 +1,7 @@
-//! Failure injection and recovery: remove cables or switches from a
-//! network, restore them, and carve out the serving core of a
-//! partitioned fabric.
+//! Failure injection: remove cables or switches from a network, and
+//! carve out the serving core of a partitioned fabric. (Recovery is a
+//! fresh [`remove`] from the pristine network with a smaller dead set —
+//! how the subnet manager's loop rebuilds every view.)
 //!
 //! The paper's introduction motivates DFSSSP with networks that grew or
 //! degraded away from their ideal structure ("supercomputers are extended
@@ -14,7 +15,7 @@
 use crate::graph::{ChannelId, NodeId, NodeKind};
 use crate::rng::Rng;
 use crate::{Network, NetworkBuilder};
-use telemetry::fx::{FxHashMap, FxHashSet};
+use telemetry::fx::FxHashSet;
 
 /// Rebuild `net` without the channels in `dead_channels` and without the
 /// nodes in `dead_nodes` (and all channels touching them). Names, kinds,
@@ -63,70 +64,6 @@ pub fn remove(
         }
     }
     b.build()
-}
-
-/// Rebuild `degraded` with hardware of `reference` brought back:
-/// the nodes in `revive_nodes` and the channels in `revive_channels`
-/// (both identified by their *reference* ids). `reference` must be the
-/// pristine network `degraded` was derived from via [`remove`] — node
-/// names and port numbers identify the surviving hardware.
-///
-/// A channel absent from `degraded` between two *live* endpoints is an
-/// individually failed cable and stays down unless revived; a channel
-/// that was down only because an endpoint node was dead comes back
-/// automatically when that node is revived (switch recovery restores its
-/// cabling, cable failures persist).
-pub fn restore(
-    degraded: &Network,
-    reference: &Network,
-    revive_nodes: &FxHashSet<NodeId>,
-    revive_channels: &FxHashSet<ChannelId>,
-) -> Network {
-    let mut alive_name: FxHashMap<&str, NodeId> = FxHashMap::default();
-    for (id, node) in degraded.nodes() {
-        alive_name.insert(node.name.as_str(), id);
-    }
-    // Reference nodes still missing after revival.
-    let mut dead_nodes = FxHashSet::default();
-    let mut alive = vec![false; reference.num_nodes()];
-    for (id, node) in reference.nodes() {
-        if alive_name.contains_key(node.name.as_str()) || revive_nodes.contains(&id) {
-            alive[id.idx()] = true;
-        } else {
-            dead_nodes.insert(id);
-        }
-    }
-    // A reference channel is present in `degraded` iff its source node
-    // survives and still transmits on the same port.
-    let present = |id: ChannelId| -> bool {
-        let ch = reference.channel(id);
-        let Some(&src) = alive_name.get(reference.node(ch.src).name.as_str()) else {
-            return false;
-        };
-        degraded
-            .out_channels(src)
-            .iter()
-            .any(|&c| degraded.channel(c).src_port == ch.src_port)
-    };
-    let mut dead_channels = FxHashSet::default();
-    for (id, ch) in reference.channels() {
-        if present(id) || revive_channels.contains(&id) {
-            continue;
-        }
-        if let Some(r) = ch.rev {
-            if revive_channels.contains(&r) {
-                continue; // either direction's id revives the cable
-            }
-        }
-        let both_were_alive = alive_name.contains_key(reference.node(ch.src).name.as_str())
-            && alive_name.contains_key(reference.node(ch.dst).name.as_str());
-        if both_were_alive {
-            dead_channels.insert(id); // individually failed cable
-        }
-        // Otherwise the channel was down because an endpoint was: it
-        // follows its endpoints (absent while dead, back when revived).
-    }
-    remove(reference, &dead_nodes, &dead_channels)
 }
 
 /// Carve the largest serving core out of a (possibly disconnected)
@@ -281,6 +218,16 @@ pub fn cable_bridges(net: &Network) -> FxHashSet<ChannelId> {
     bridges
 }
 
+/// The switch-to-switch cables whose loss keeps `net` connected: the
+/// bidirectional [`Network::switch_cables`] that are not
+/// [`cable_bridges`]. O(V + E), where trying each removal is O(E²).
+pub fn redundant_cables(net: &Network) -> Vec<ChannelId> {
+    let bridges = cable_bridges(net);
+    let mut cables = net.switch_cables();
+    cables.retain(|c| net.channel(*c).rev.is_some() && !bridges.contains(c));
+    cables
+}
+
 /// Remove `count` random cables (bidirectional channel pairs), skipping
 /// any removal that would disconnect the network or isolate a terminal.
 /// Returns the degraded network and the number of cables actually removed
@@ -402,46 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_round_trips() {
-        let net = topo::torus(&[3, 3], 1);
-        let victim = net
-            .channels()
-            .find(|(_, c)| net.is_switch(c.src) && net.is_switch(c.dst))
-            .map(|(id, _)| id)
-            .unwrap();
-        let rev = net.channel(victim).rev.unwrap();
-        let dead_ch: FxHashSet<ChannelId> = [victim, rev].into_iter().collect();
-        let sw = net.switches()[4];
-        let dead_n: FxHashSet<NodeId> = [sw].into_iter().collect();
-        let degraded = remove(&net, &dead_n, &dead_ch);
-
-        // Reviving only the switch brings back its cables, not the
-        // individually failed one.
-        let half = restore(&degraded, &net, &dead_n, &FxHashSet::default());
-        assert_eq!(half.num_nodes(), net.num_nodes());
-        assert_eq!(half.num_cables(), net.num_cables() - 1);
-
-        // Reviving both restores the reference exactly.
-        let whole = restore(&half, &net, &FxHashSet::default(), &dead_ch);
-        assert_eq!(whole.num_nodes(), net.num_nodes());
-        assert_eq!(whole.num_channels(), net.num_channels());
-        whole.validate().unwrap();
-        for (id, ch) in net.channels() {
-            let r = whole
-                .node_by_name(&net.node(ch.src).name)
-                .and_then(|src| {
-                    whole
-                        .out_channels(src)
-                        .iter()
-                        .find(|&&c| whole.channel(c).src_port == ch.src_port)
-                        .map(|&c| whole.channel(c))
-                })
-                .unwrap_or_else(|| panic!("channel {id:?} missing after restore"));
-            assert_eq!(whole.node(r.dst).name, net.node(ch.dst).name);
-        }
-    }
-
-    #[test]
     fn extract_core_keeps_the_bigger_side() {
         // Two islands: a 3-ring with 3 terminals and a lone switch with 1.
         let mut b = NetworkBuilder::new();
@@ -504,6 +411,79 @@ mod tests {
         degraded.validate().unwrap();
     }
 
+    /// `Network::switch_cables` against the definition the seven inline
+    /// enumerations it replaced shared: each switch-to-switch channel is
+    /// named by the lower id of its pair, or by itself when it has no
+    /// reverse — over the generator zoo, directed Kautz included.
+    #[test]
+    fn switch_cables_name_each_cable_by_its_lower_direction() {
+        let random = topo::RandomTopoSpec {
+            switches: 16,
+            radix: 16,
+            terminals_per_switch: 4,
+            interswitch_links: 40,
+        };
+        let zoo = [
+            topo::ring(5, 1),
+            topo::torus(&[4, 4], 1),
+            topo::mesh(&[3, 3], 1),
+            topo::kary_ntree(4, 2),
+            topo::xgft(2, &[4, 4], &[1, 2]),
+            topo::dragonfly(3, 1, 1),
+            topo::kautz(3, 2, 36, true),
+            topo::kautz(2, 2, 12, false),
+            topo::random_topology(&random, 7),
+        ];
+        for net in &zoo {
+            let mut expected: Vec<ChannelId> = net
+                .channels()
+                .filter(|(_, ch)| net.is_switch(ch.src) && net.is_switch(ch.dst))
+                .map(|(id, ch)| ch.rev.map_or(id, |r| id.min(r)))
+                .collect();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(net.switch_cables(), expected, "{}", net.label());
+            assert!(!expected.is_empty(), "{}", net.label());
+        }
+        let directed = &zoo[7];
+        assert!(directed
+            .switch_cables()
+            .iter()
+            .all(|&c| directed.channel(c).rev.is_none()));
+    }
+
+    /// On the fabrics the chaos writers run, "not a bridge" and "the
+    /// fabric stays strongly connected without it" pick the same cables.
+    #[test]
+    fn redundant_cables_are_exactly_the_removable_ones() {
+        for net in [
+            topo::kary_ntree(4, 2),
+            topo::kary_ntree(8, 2),
+            topo::torus(&[4, 4], 1),
+        ] {
+            let by_removal: Vec<ChannelId> = net
+                .switch_cables()
+                .into_iter()
+                .filter(|&c| {
+                    let dead = [Some(c), net.channel(c).rev]
+                        .into_iter()
+                        .flatten()
+                        .collect();
+                    remove(&net, &FxHashSet::default(), &dead).is_strongly_connected()
+                })
+                .collect();
+            assert_eq!(redundant_cables(&net), by_removal, "{}", net.label());
+            assert!(!by_removal.is_empty(), "{}", net.label());
+        }
+        // A line of switches is all bridges; one-way links are not cables.
+        let mut b = NetworkBuilder::new();
+        let s: Vec<_> = (0..3).map(|i| b.add_switch(format!("s{i}"), 8)).collect();
+        b.link(s[0], s[1]).unwrap();
+        b.link(s[1], s[2]).unwrap();
+        assert!(redundant_cables(&b.build()).is_empty());
+        assert!(redundant_cables(&topo::kautz(2, 2, 12, false)).is_empty());
+    }
+
     #[test]
     fn bridges_are_never_removed() {
         // A ring: removing any single cable keeps it connected, but
@@ -535,12 +515,5 @@ mod tests {
         let net = topo::torus(&[3, 3], 1);
         let (degraded, _) = fail_random_cables(&net, 3, 11);
         degraded.validate().unwrap();
-        let restored = restore(
-            &degraded,
-            &net,
-            &FxHashSet::default(),
-            &FxHashSet::default(),
-        );
-        restored.validate().unwrap();
     }
 }

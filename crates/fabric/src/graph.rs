@@ -92,7 +92,7 @@ pub struct Channel {
 /// relaxation, BFS sweeps, reachability walks) iterate adjacency
 /// millions of times per run; a CSR row is one pointer-width slice into
 /// a single allocation. Built once by [`crate::NetworkBuilder::build`]
-/// straight from the channel list (degrade/restore rebuild the whole
+/// straight from the channel list (`degrade` rebuilds the whole
 /// `Network` the same way); [`Network::validate`] re-checks it against
 /// `channels`.
 #[derive(Clone, Debug, Default)]
@@ -568,6 +568,21 @@ impl Network {
         let bidir = self.channels.iter().filter(|c| c.rev.is_some()).count();
         let unidir = self.channels.len() - bidir;
         bidir / 2 + unidir
+    }
+
+    /// Every switch-to-switch cable once, as its canonical (lower-id)
+    /// direction, in channel order; a unidirectional switch-to-switch
+    /// channel counts as a cable of its own. What failure schedules and
+    /// fabric events name a cable by.
+    pub fn switch_cables(&self) -> Vec<ChannelId> {
+        self.channels()
+            .filter(|(id, ch)| {
+                self.is_switch(ch.src)
+                    && self.is_switch(ch.dst)
+                    && ch.rev.is_none_or(|r| r.0 > id.0)
+            })
+            .map(|(id, _)| id)
+            .collect()
     }
 }
 

@@ -27,7 +27,6 @@ pub mod rng;
 pub mod stats;
 pub mod tables;
 pub mod topo;
-pub mod viz;
 
 pub use builder::NetworkBuilder;
 pub use graph::{Channel, ChannelId, Network, Node, NodeId, NodeKind};

@@ -14,11 +14,9 @@
 //! sides.
 
 pub mod sim;
-pub mod throughput;
 pub mod workload;
 
 pub use sim::{
     simulate, simulate_detailed, simulate_recorded, OccupancyStats, Outcome, SimConfig, SimStats,
 };
-pub use throughput::{load_sweep, open_loop, LoadPoint, OpenLoopConfig};
 pub use workload::Workload;

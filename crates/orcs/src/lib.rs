@@ -8,19 +8,21 @@
 //! bisection patterns (random perfect matchings between two random
 //! halves of the endpoints).
 //!
-//! * [`patterns`] — pattern generators: random bisections, permutations,
-//!   shifts, transpose/bit-complement, stencils and all-to-all phases.
+//! Like the paper's ORCS it reports that one number: every figure calls
+//! [`effective_bisection_bandwidth`] (or [`flow_bandwidths`] for one
+//! explicit pattern) and nothing else.
+//!
+//! * [`patterns`] — pattern generators: random bisections, shifts,
+//!   transpose, stencils, incast and all-to-all phases.
 //! * [`sim`] — congestion accounting and the eBB driver (parallel over
 //!   patterns on `dfsssp_core::pool`, deterministic per seed).
 //! * [`report`] — small summary-statistics helpers shared by the
 //!   reproduction binaries.
 
-pub mod metrics;
 pub mod patterns;
 pub mod report;
 pub mod sim;
 
-pub use metrics::{BandwidthHistogram, Metric};
 pub use patterns::Pattern;
 pub use report::Summary;
 pub use sim::{

@@ -32,46 +32,12 @@ impl Pattern {
         Pattern { flows }
     }
 
-    /// A random permutation: every terminal sends to a distinct target
-    /// (fixed-point-free where possible).
-    pub fn random_permutation(num_terminals: usize, seed: u64) -> Pattern {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut targets: Vec<u32> = (0..num_terminals as u32).collect();
-        rng.shuffle(&mut targets);
-        // Remove fixed points by rotating them onto their neighbor.
-        for i in 0..targets.len() {
-            if targets[i] == i as u32 {
-                let j = (i + 1) % targets.len();
-                targets.swap(i, j);
-            }
-        }
-        let flows = targets
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, t)| i as u32 != t)
-            .map(|(i, t)| (i as u32, t))
-            .collect();
-        Pattern { flows }
-    }
-
     /// Cyclic shift: terminal `i` sends to `i + k (mod n)`.
     pub fn shift(num_terminals: usize, k: usize) -> Pattern {
         let n = num_terminals as u32;
         let flows = (0..n)
             .filter(|&i| (i + k as u32) % n != i)
             .map(|i| (i, (i + k as u32) % n))
-            .collect();
-        Pattern { flows }
-    }
-
-    /// Bit complement on the nearest power-of-two prefix of terminals.
-    pub fn bit_complement(num_terminals: usize) -> Pattern {
-        let bits = usize::BITS - 1 - num_terminals.leading_zeros();
-        let n = 1u32 << bits;
-        let mask = n - 1;
-        let flows = (0..n)
-            .filter(|&i| (i ^ mask) != i)
-            .map(|i| (i, i ^ mask))
             .collect();
         Pattern { flows }
     }
@@ -117,16 +83,6 @@ impl Pattern {
     /// implementations use for large messages.
     pub fn alltoall_phase(n: usize, phase: usize) -> Pattern {
         Pattern::shift(n, phase)
-    }
-
-    /// Tornado pattern on a ring-ordered rank space: rank `i` sends to
-    /// `i + ceil(n/2) - 1` — the classic adversary for minimal routing on
-    /// rings/tori.
-    pub fn tornado(num_terminals: usize) -> Pattern {
-        Pattern::shift(
-            num_terminals,
-            num_terminals.div_ceil(2).saturating_sub(1).max(1),
-        )
     }
 
     /// Hotspot: every rank sends to one victim (rank 0), modeling an
@@ -188,38 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn permutation_has_no_fixed_points() {
-        for seed in 0..10 {
-            let p = Pattern::random_permutation(17, seed);
-            for &(s, d) in &p.flows {
-                assert_ne!(s, d);
-            }
-            // All sources distinct, all destinations distinct.
-            let srcs: FxHashSet<u32> = p.flows.iter().map(|f| f.0).collect();
-            let dsts: FxHashSet<u32> = p.flows.iter().map(|f| f.1).collect();
-            assert_eq!(srcs.len(), p.len());
-            assert_eq!(dsts.len(), p.len());
-        }
-    }
-
-    #[test]
     fn shift_wraps() {
         let p = Pattern::shift(4, 1);
         assert_eq!(p.flows, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
         assert!(Pattern::shift(4, 0).is_empty());
         assert!(Pattern::shift(4, 4).is_empty());
-    }
-
-    #[test]
-    fn bit_complement_pairs_up() {
-        let p = Pattern::bit_complement(8);
-        assert_eq!(p.len(), 8);
-        for &(s, d) in &p.flows {
-            assert_eq!(s ^ d, 7);
-        }
-        // Non-power-of-two truncates to the prefix.
-        let p = Pattern::bit_complement(10);
-        assert_eq!(p.len(), 8);
     }
 
     #[test]
@@ -238,15 +167,6 @@ mod tests {
         // 3x3 grid: 12 undirected neighbor pairs => 24 flows.
         let p = Pattern::stencil2d(3, 3);
         assert_eq!(p.len(), 24);
-    }
-
-    #[test]
-    fn tornado_is_half_ring_shift() {
-        let p = Pattern::tornado(8);
-        assert_eq!(p.flows[0], (0, 3));
-        assert_eq!(p.len(), 8);
-        let p = Pattern::tornado(9);
-        assert_eq!(p.flows[0], (0, 4));
     }
 
     #[test]

@@ -104,58 +104,6 @@ pub fn effective_bisection_bandwidth_recorded(
     Ok(Summary::of(&per_pattern?))
 }
 
-/// Per-channel congestion profile of one pattern: how many flows cross
-/// each channel. The raw material for hotspot analysis and the
-/// `channel_loads`-style reports of the repro binaries.
-pub fn congestion_profile(
-    net: &Network,
-    routes: &Routes,
-    pattern: &Pattern,
-) -> Result<Vec<u32>, RoutesError> {
-    let mut congestion = vec![0u32; net.num_channels()];
-    let terminals = net.terminals();
-    for &(s, d) in &pattern.flows {
-        let (src, dst) = (terminals[s as usize], terminals[d as usize]);
-        for step in routes.path(net, src, dst)? {
-            congestion[step?.idx()] += 1;
-        }
-    }
-    Ok(congestion)
-}
-
-/// Hotspot summary of a pattern: `(max congestion, mean congestion over
-/// used channels, number of used channels)`. The paper's balancing claim
-/// is precisely that SSSP-based routing lowers the max while raising the
-/// used-channel count.
-pub fn hotspots(
-    net: &Network,
-    routes: &Routes,
-    pattern: &Pattern,
-) -> Result<(u32, f64, usize), RoutesError> {
-    let profile = congestion_profile(net, routes, pattern)?;
-    let used: Vec<u32> = profile.into_iter().filter(|&c| c > 0).collect();
-    if used.is_empty() {
-        return Ok((0, 0.0, 0));
-    }
-    let max = *used.iter().max().unwrap();
-    let mean = used.iter().map(|&c| c as f64).sum::<f64>() / used.len() as f64;
-    Ok((max, mean, used.len()))
-}
-
-/// Mean flow bandwidth for one explicit pattern (building block for the
-/// application models).
-pub fn pattern_bandwidth(
-    net: &Network,
-    routes: &Routes,
-    pattern: &Pattern,
-) -> Result<f64, RoutesError> {
-    if pattern.is_empty() {
-        return Ok(1.0);
-    }
-    let bws = flow_bandwidths(net, routes, pattern)?;
-    Ok(bws.iter().sum::<f64>() / bws.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,62 +217,5 @@ mod tests {
         )
         .unwrap();
         assert!((scaled.mean - rel.mean * 946.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn congestion_profile_counts_hops() {
-        let net = topo::kary_ntree(2, 2);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let p = Pattern {
-            flows: vec![(0, 3), (1, 2)],
-        };
-        let profile = congestion_profile(&net, &routes, &p).unwrap();
-        let total: u32 = profile.iter().sum();
-        let hops: usize = p
-            .flows
-            .iter()
-            .map(|&(s, d)| {
-                routes
-                    .path_channels(
-                        &net,
-                        net.terminals()[s as usize],
-                        net.terminals()[d as usize],
-                    )
-                    .unwrap()
-                    .len()
-            })
-            .sum();
-        assert_eq!(total as usize, hops);
-    }
-
-    #[test]
-    fn hotspot_analysis_shows_incast() {
-        let net = topo::kary_ntree(4, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let incast = Pattern::hotspot(net.num_terminals(), 0);
-        let (max, mean, used) = hotspots(&net, &routes, &incast).unwrap();
-        // All 15 flows funnel into terminal 0's ejection channel.
-        assert_eq!(max, 15);
-        assert!(mean >= 1.0 && used > 0);
-    }
-
-    #[test]
-    fn balanced_routing_spreads_hotspots() {
-        let net = topo::kary_ntree(4, 2);
-        let balanced = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let plain = dfsssp_core::sssp::unbalanced_shortest_paths(&net).unwrap();
-        let p = Pattern::random_permutation(net.num_terminals(), 3);
-        let (max_b, _, used_b) = hotspots(&net, &balanced, &p).unwrap();
-        let (max_u, _, used_u) = hotspots(&net, &plain, &p).unwrap();
-        assert!(max_b <= max_u, "balanced max {max_b} > unbalanced {max_u}");
-        assert!(used_b >= used_u, "balanced uses fewer channels");
-    }
-
-    #[test]
-    fn pattern_bandwidth_empty_is_full() {
-        let net = topo::kary_ntree(2, 2);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let p = Pattern { flows: vec![] };
-        assert_eq!(pattern_bandwidth(&net, &routes, &p).unwrap(), 1.0);
     }
 }

@@ -240,21 +240,17 @@ impl Cli {
             crate::print_table(headers, rows);
             return;
         }
-        let mut out = String::from("[");
-        for (r, row) in rows.iter().enumerate() {
-            out.push_str(if r == 0 { "\n  {" } else { ",\n  {" });
-            for (i, (header, cell)) in headers.iter().zip(row).enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                telemetry::json::write_str(&mut out, header);
-                out.push_str(": ");
-                telemetry::json::write_str(&mut out, cell);
+        let mut w = telemetry::json::Writer::default();
+        w.arr();
+        for row in rows {
+            w.obj();
+            for (header, cell) in headers.iter().zip(row) {
+                w.key(header).str(cell);
             }
-            out.push('}');
+            w.end();
         }
-        out.push_str(if rows.is_empty() { "]" } else { "\n]" });
-        println!("{out}");
+        w.end();
+        println!("{}", w.finish());
     }
 
     /// Close the run: record the whole-command `total` phase and, when
@@ -289,30 +285,55 @@ impl Cli {
     }
 }
 
-/// Synthesize a topology from a `--gen` spec.
+/// Synthesize a topology from a `--gen` spec. The numbers are outside
+/// input and the generators `assert!` their preconditions, so shape and
+/// size are checked here first — the size against
+/// [`format::FormatLimits`], the bound a topology *file* has to meet.
 pub fn generate(spec: &str) -> Result<Network, String> {
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("malformed --gen {spec}"))?;
+    let limits = format::FormatLimits::default();
+    let max_k = usize::from(limits.max_ports / 2);
+    let bad = || {
+        format!(
+            "bad --gen {spec}: want torus:<X>x<Y>[x...] (extents >= 2), kary:<k>,<n> \
+             (2 <= k <= {max_k}, n >= 1) or ring:<N> (N >= 3), of at most {} switches \
+             and {} terminals",
+            limits.max_switches, limits.max_terminals
+        )
+    };
+    // `None` is a count that overflowed `usize`.
+    let fits = |switches: Option<usize>, terminals: Option<usize>| {
+        let ok = switches.is_some_and(|s| s <= limits.max_switches)
+            && terminals.is_some_and(|t| t <= limits.max_terminals);
+        ok.then_some(()).ok_or_else(bad)
+    };
+    let num = |s: &str| s.parse::<usize>().map_err(|_| bad());
+    let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
     match kind {
         "torus" => {
-            let dims: Result<Vec<u16>, _> = rest.split('x').map(str::parse).collect();
-            let dims = dims.map_err(|_| format!("bad torus extents {rest}"))?;
-            Ok(topo::torus(&dims, 1))
+            let extent = |d: &str| d.parse().ok().filter(|&d: &u16| d >= 2);
+            let dims: Option<Vec<u16>> = rest.split('x').map(extent).collect();
+            let dims = dims.ok_or_else(bad)?;
+            let switches = dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d.into()));
+            fits(switches, switches).map(|()| topo::torus(&dims, 1))
         }
         "kary" => {
-            let (k, n) = rest
-                .split_once(',')
-                .ok_or_else(|| format!("bad kary spec {rest}"))?;
-            let k = k.parse().map_err(|_| format!("bad k {k}"))?;
-            let n = n.parse().map_err(|_| format!("bad n {n}"))?;
-            Ok(topo::kary_ntree(k, n))
+            let (k, n) = rest.split_once(',').ok_or_else(bad)?;
+            let (k, n) = (num(k)?, num(n)?);
+            if !(2..=max_k).contains(&k) || n < 1 {
+                return Err(bad());
+            }
+            let per_level = u32::try_from(n - 1).ok().and_then(|e| k.checked_pow(e));
+            let switches = per_level.and_then(|l| l.checked_mul(n));
+            let terminals = per_level.and_then(|l| l.checked_mul(k));
+            fits(switches, terminals).map(|()| topo::kary_ntree(k, n))
         }
         "ring" => {
-            let n = rest.parse().map_err(|_| format!("bad ring size {rest}"))?;
-            Ok(topo::ring(n, 1))
+            let n = num(rest).ok().filter(|&n| n >= 3).ok_or_else(bad)?;
+            fits(Some(n), Some(n)).map(|()| topo::ring(n, 1))
         }
-        other => Err(format!("unknown generator {other}")),
+        _ => Err(bad()),
     }
 }
 
@@ -327,5 +348,27 @@ mod tests {
         assert_eq!(generate("kary:2,2").unwrap().num_terminals(), 4);
         assert!(generate("blob:7").is_err());
         assert!(generate("ring").is_err());
+        // Out of range is a diagnostic, not a generator's `assert!` or an
+        // allocation the size of the spec's arithmetic.
+        for spec in [
+            "ring:2",
+            "ring:0",
+            "ring:99999999",
+            "kary:1,1",
+            "kary:2,0",
+            "kary:99,9",
+            "kary:2,64",
+            "kary:2,99999999999",
+            "kary:40000,1",
+            "torus:1x1",
+            "torus:0x0",
+            "torus:",
+            "torus:60000x60000",
+            "torus:65535x65535x65535x65535x65535",
+        ] {
+            let err = generate(spec).expect_err(spec);
+            assert!(!err.contains('\n'), "{spec}: {err}");
+        }
+        assert_eq!(generate("kary:2,1").unwrap().num_terminals(), 2);
     }
 }

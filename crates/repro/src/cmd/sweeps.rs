@@ -55,7 +55,7 @@ fn lineup_table(
 }
 
 fn ebb(cli: &repro::Cli, engine: &dyn RoutingEngine, net: &Network) -> String {
-    repro::ebb_cell_recorded(engine, net, &*cli.recorder())
+    repro::ebb_cell(engine, net, &*cli.recorder())
 }
 
 fn runtime(cli: &repro::Cli, engine: &dyn RoutingEngine, net: &Network) -> String {

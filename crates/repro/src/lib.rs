@@ -118,14 +118,9 @@ pub fn tree_series() -> Vec<(usize, Network)> {
 }
 
 /// Route `net` with `engine`, returning the eBB mean or a failure label
-/// (the paper's "missing bar").
-pub fn ebb_cell(engine: &dyn RoutingEngine, net: &Network) -> String {
-    ebb_cell_recorded(engine, net, &telemetry::Noop)
-}
-
-/// [`ebb_cell`] with the eBB sweep reporting to `rec` (the engine's own
-/// phases go to whatever recorder the engine carries).
-pub fn ebb_cell_recorded(engine: &dyn RoutingEngine, net: &Network, rec: &dyn Recorder) -> String {
+/// (the paper's "missing bar"). The eBB sweep reports to `rec`; the
+/// engine's own phases go to whatever recorder the engine carries.
+pub fn ebb_cell(engine: &dyn RoutingEngine, net: &Network, rec: &dyn Recorder) -> String {
     match engine.route_in(net, &engine.config().compute.resolve()) {
         Err(e) => failure_label(&e),
         Ok(routes) => {

@@ -93,3 +93,15 @@ fn flags_after_the_command_name_reach_the_command() {
     assert!(text.starts_with("usage: repro vet "), "{text}");
     assert!(text.contains("--routes"), "{text}");
 }
+
+/// An out-of-range `--gen` is a one-line diagnostic and exit 1, like a
+/// malformed `--topo` file — not a generator's `assert!`.
+#[test]
+fn out_of_range_gen_spec_is_a_diagnostic() {
+    let out = repro(&["chaos", "--gen", "ring:2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(text.contains("ring:<N> (N >= 3)"), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+}

@@ -32,8 +32,6 @@
 //! * [`RouteServer`] — the writer loop: fabric events run through
 //!   [`subnet::SmLoop`]'s escalation ladder under panic containment,
 //!   and each successful reroute is offered to the store's vet gate.
-//! * [`pool`] — the `std`-only plumbing ([`pool::ShardedQueue`]) under
-//!   the query engine's shard workers.
 //!
 //! The concurrent cores take their primitives from the [`sync`] shim, so
 //! `--features loom-tests` compiles the exact production protocols against
@@ -43,7 +41,6 @@
 
 #[cfg(all(test, feature = "loom-tests"))]
 mod models;
-pub mod pool;
 pub mod query;
 pub mod server;
 pub mod shed;

@@ -9,8 +9,8 @@
 //!    recycling, retired-slot drain, the raw-`Arc` round trip);
 //! 2. [`AnswerCell`]'s in-flight coalescing (exactly one fulfiller, every
 //!    sleeper woken, first-write-wins stability);
-//! 3. the shard worker's parked/wake-elision handshake and the pool
-//!    queue's park/close protocol (no lost wakeup, clean shutdown).
+//! 3. the shard worker's parked/wake-elision handshake and its close
+//!    path (no lost wakeup, clean shutdown).
 //!
 //! Each protocol is accompanied by *mutants*: minimally broken variants
 //! (a dropped reader-count decrement, a drop-before-drain, an elided
@@ -21,7 +21,6 @@
 //! pointer provenance — is covered by the Miri and TSan CI jobs; see
 //! DESIGN.md §13 for the full division of labour.
 
-use crate::pool::ShardedQueue;
 use crate::query::{AnswerCell, Key, QueryClass, QueueEntry, ServeError, Shard};
 use crate::swap::Swap;
 use crate::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
@@ -361,7 +360,7 @@ fn mutant_elided_notify_is_refuted() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Parked/wake-elision handshake (shard worker) and pool queue
+// 3. Parked/wake-elision handshake (shard worker)
 // ---------------------------------------------------------------------
 
 /// The worker side of the handshake, verbatim from `Engine::worker`'s
@@ -564,39 +563,4 @@ fn mutant_cursor_only_pop_is_refuted() {
         })
         .expect_err("ignoring non-cursor classes must strand their work");
     assert!(failure.message.contains("deadlock"), "{failure}");
-}
-
-#[test]
-fn pool_queue_push_wakes_blocked_consumer() {
-    exhaustive()
-        .check(|| {
-            let q = Arc::new(ShardedQueue::<u32>::new(1));
-            let q2 = Arc::clone(&q);
-            let consumer = thread::spawn(move || {
-                let mut out = Vec::new();
-                let live = q2.pop_batch(0, 4, &mut out);
-                (live, out)
-            });
-            q.push(0, 7).unwrap();
-            let (live, out) = consumer.join().unwrap();
-            assert!(live);
-            assert_eq!(out, vec![7]);
-        })
-        .expect("pool queue push/pop handshake");
-}
-
-#[test]
-fn pool_queue_close_releases_blocked_consumer() {
-    exhaustive()
-        .check(|| {
-            let q = Arc::new(ShardedQueue::<u32>::new(1));
-            let q2 = Arc::clone(&q);
-            let consumer = thread::spawn(move || {
-                let mut out = Vec::new();
-                q2.pop_batch(0, 4, &mut out)
-            });
-            q.close();
-            assert!(!consumer.join().unwrap(), "closed+empty must report false");
-        })
-        .expect("pool queue close handshake");
 }

@@ -1,9 +1,9 @@
 //! The batched path-query engine.
 //!
 //! [`QueryEngine`] answers [`PathQuery`]s from the store's current
-//! [`Snapshot`] on a pool of shard workers (`std::thread`, sized from
-//! [`crate::pool::default_workers`]). Three serving techniques carry
-//! the load:
+//! [`Snapshot`] on a pool of shard workers (`std::thread`, one per
+//! available core unless [`QueryOpts::workers`] says otherwise). Three
+//! serving techniques carry the load:
 //!
 //! * **Sharding** — a query is routed to a shard by `(src, dst)` hash;
 //!   each worker owns one shard's queues, so unrelated queries never
@@ -47,7 +47,6 @@
 //! `retry_after` derived from the observed queue delay, so callers can
 //! back off deterministically instead of hammering a saturated shard.
 
-use crate::pool;
 use crate::shed::{ShedConfig, ShedController};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::sync::atomic::{AtomicUsize, Ordering};
@@ -278,7 +277,7 @@ impl Admission {
 /// Engine tunables.
 #[derive(Clone, Debug)]
 pub struct QueryOpts {
-    /// Worker threads / shards (0 = [`pool::default_workers`]).
+    /// Worker threads / shards (0 = [`std::thread::available_parallelism`]).
     pub workers: usize,
     /// Maximum queries a worker drains per batch.
     pub batch: usize,
@@ -506,10 +505,9 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Spawn the shard workers over `store`'s snapshots.
     pub fn new(store: Arc<SnapshotStore>, opts: QueryOpts) -> Self {
-        let shards = if opts.workers == 0 {
-            pool::default_workers()
-        } else {
-            opts.workers
+        let shards = match opts.workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
         };
         let inner = Arc::new(Engine {
             store,

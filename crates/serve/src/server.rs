@@ -204,20 +204,11 @@ mod tests {
     use super::*;
     use crate::query::PathQuery;
     use dfsssp_core::{DfSssp, EngineConfig};
-    use fabric::{topo, ChannelId};
+    use fabric::topo;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fat_tree() -> Network {
         topo::kary_ntree(4, 2)
-    }
-
-    fn uplinks(net: &Network) -> Vec<ChannelId> {
-        net.channels()
-            .filter(|(id, ch)| {
-                net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
-            })
-            .map(|(id, _)| id)
-            .collect()
     }
 
     #[test]
@@ -263,14 +254,14 @@ mod tests {
         let net = fat_tree();
         let mut server =
             RouteServer::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let c = uplinks(&net)[0];
+        let c = net.switch_cables()[0];
         let served = server.handle(FabricEvent::CableDown(c)).unwrap();
         assert_eq!(served.epoch, Some(1));
         assert_eq!(server.snapshot().epoch, 1);
         assert_eq!(server.snapshot().source, "event");
         assert!(!server.snapshot().plan.is_empty());
         // Flap of a healthy cable with no net change: no reroute, no epoch.
-        let flapper = uplinks(&net)[1];
+        let flapper = net.switch_cables()[1];
         let served = server
             .handle_batch(&[
                 FabricEvent::CableDown(flapper),
@@ -364,7 +355,7 @@ mod tests {
         };
         let mut server = RouteServer::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
         server.sm().set_fallback(None); // no rung to hide behind
-        let c = uplinks(&net)[0];
+        let c = net.switch_cables()[0];
         let err = server.handle(FabricEvent::CableDown(c)).unwrap_err();
         std::panic::set_hook(hook);
         assert!(matches!(err, ServerError::Sm(SmError::EnginePanicked(_))));
@@ -383,7 +374,7 @@ mod tests {
         let mut server =
             RouteServer::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let store = server.store();
-        let c = uplinks(&net)[0];
+        let c = net.switch_cables()[0];
         let writer = std::thread::spawn(move || {
             server.handle(FabricEvent::CableDown(c)).unwrap();
             server.handle(FabricEvent::CableUp(c)).unwrap();

@@ -15,7 +15,7 @@
 
 use dfsssp_core::{DfSssp, RouteError};
 use fabric::rng::splitmix64;
-use fabric::{topo, ChannelId, Network, NodeId};
+use fabric::{topo, NodeId};
 use serve::sync::Arc;
 use serve::{
     Admission, ClassPolicy, PathAnswer, PathQuery, QueryClass, QueryOpts, RouteServer, ServeError,
@@ -25,27 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use subnet::{FabricEvent, Rung};
-use telemetry::fx::FxHashSet;
 use telemetry::Collector;
-
-/// Switch-switch cables whose loss keeps the fabric strongly connected,
-/// so the chaos schedule never unserves a terminal.
-fn safe_cables(net: &Network) -> Vec<ChannelId> {
-    net.channels()
-        .filter(|(id, ch)| {
-            net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
-        })
-        .filter(|&(id, ch)| {
-            let mut dead: FxHashSet<ChannelId> = FxHashSet::default();
-            dead.insert(id);
-            if let Some(r) = ch.rev {
-                dead.insert(r);
-            }
-            fabric::degrade::remove(net, &FxHashSet::default(), &dead).is_strongly_connected()
-        })
-        .map(|(id, _)| id)
-        .collect()
-}
 
 /// What one client observed, tallied post-hoc.
 #[derive(Default)]
@@ -98,7 +78,7 @@ fn four_x_overload_sheds_typed_and_answers_stay_epoch_consistent() {
         collector.clone(),
     )
     .expect("bring-up");
-    let safe = safe_cables(&net);
+    let safe = fabric::degrade::redundant_cables(&net);
     assert!(!safe.is_empty(), "test topology must have redundant cables");
 
     // One worker, small queues, a tight shed servo: the point is to be
@@ -276,7 +256,7 @@ fn publishing_while_shedding_carries_the_overload_rung() {
         shed.on_queue_full(&telemetry::Noop);
     }
     assert!(shed.shedding());
-    let cable = safe_cables(&net)[0];
+    let cable = fabric::degrade::redundant_cables(&net)[0];
     let served = server.handle(FabricEvent::CableDown(cable)).expect("chaos");
     assert!(served.epoch.is_some());
     let rung = served

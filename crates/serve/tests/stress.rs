@@ -7,7 +7,7 @@
 
 use dfsssp_core::DfSssp;
 use fabric::rng::splitmix64;
-use fabric::{topo, ChannelId, Network, NodeId};
+use fabric::{topo, NodeId};
 use serve::{PathAnswer, PathQuery, QueryEngine, QueryOpts, RouteServer, ServedOutcome, Snapshot};
 use telemetry::fx::FxHashSet;
 // `serve::sync::Arc` so `store.read()`'s type matches under both the std
@@ -17,25 +17,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use subnet::FabricEvent;
 
-/// Switch-switch cables whose loss keeps the fabric strongly connected,
-/// so the chaos schedule never unserves a terminal.
-fn safe_cables(net: &Network) -> Vec<ChannelId> {
-    net.channels()
-        .filter(|(id, ch)| {
-            net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
-        })
-        .filter(|&(id, ch)| {
-            let mut dead: FxHashSet<ChannelId> = FxHashSet::default();
-            dead.insert(id);
-            if let Some(r) = ch.rev {
-                dead.insert(r);
-            }
-            fabric::degrade::remove(net, &FxHashSet::default(), &dead).is_strongly_connected()
-        })
-        .map(|(id, _)| id)
-        .collect()
-}
-
 #[test]
 fn readers_never_observe_inconsistent_or_unvetted_epochs() {
     const EPOCHS: u64 = 12;
@@ -44,7 +25,7 @@ fn readers_never_observe_inconsistent_or_unvetted_epochs() {
     let net = topo::kary_ntree(4, 2);
     let mut server =
         RouteServer::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).expect("bring-up");
-    let safe = safe_cables(&net);
+    let safe = fabric::degrade::redundant_cables(&net);
     assert!(!safe.is_empty(), "test topology must have redundant cables");
 
     let store = server.store();

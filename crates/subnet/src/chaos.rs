@@ -65,14 +65,7 @@ pub struct Batch {
 /// once — so the campaign degrades the fabric without demolishing it.
 pub fn schedule(net: &Network, spec: &CampaignSpec) -> Vec<Batch> {
     let mut rng = Rng::seed_from_u64(spec.seed);
-    // Canonical (lower-id direction) switch-switch cables.
-    let uplinks: Vec<ChannelId> = net
-        .channels()
-        .filter(|(id, ch)| {
-            net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
-        })
-        .map(|(id, _)| id)
-        .collect();
+    let uplinks = net.switch_cables();
     let switches: Vec<NodeId> = net.switches().to_vec();
     let cable_cap = (uplinks.len() / 3).max(1);
     let switch_cap = (switches.len() / 4).max(1);
@@ -365,52 +358,35 @@ impl CampaignReport {
         out
     }
 
-    /// Serialize the report as JSON.
+    /// Serialize the report as JSON (times to three decimals).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
+        let milli = |v: f64| (v * 1e3).round() / 1e3;
+        let mut w = telemetry::json::Writer::default();
+        w.obj().key("topology").str(&self.topology);
+        w.key("engine").str(&self.engine);
+        w.key("seed").u64(self.seed);
+        w.key("records").arr();
+        for r in &self.records {
+            w.obj().key("label").str(&r.label);
+            w.key("events").u64(r.events as u64);
+            w.key("rerouted").bool(r.rerouted);
+            w.key("elapsed_ms").f64(milli(r.elapsed_ms));
+            w.key("reroute_ns").u64(r.reroute_ns);
+            w.key("entries_changed").u64(r.entries_changed as u64);
+            w.key("switches_touched").u64(r.switches_touched as u64);
+            w.key("vls").u64(r.vls as u64);
+            w.key("quarantined").u64(r.quarantined as u64);
+            w.key("resolved_by").str(&r.resolved_by);
+            w.key("plan").str(&r.plan);
+            w.key("vet_errors").u64(r.vet_errors as u64).end();
         }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"topology\": \"{}\",\n", esc(&self.topology)));
-        out.push_str(&format!("  \"engine\": \"{}\",\n", esc(&self.engine)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"events\": {}, \"rerouted\": {}, \
-                 \"elapsed_ms\": {:.3}, \"reroute_ns\": {}, \"entries_changed\": {}, \
-                 \"switches_touched\": {}, \
-                 \"vls\": {}, \"quarantined\": {}, \"resolved_by\": \"{}\", \
-                 \"plan\": \"{}\", \"vet_errors\": {}}}{}\n",
-                esc(&r.label),
-                r.events,
-                r.rerouted,
-                r.elapsed_ms,
-                r.reroute_ns,
-                r.entries_changed,
-                r.switches_touched,
-                r.vls,
-                r.quarantined,
-                esc(&r.resolved_by),
-                esc(&r.plan),
-                r.vet_errors,
-                if i + 1 < self.records.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"unsafe_states\": {},\n", self.unsafe_states));
-        out.push_str(&format!(
-            "  \"final_quarantined\": {},\n",
-            self.final_quarantined
-        ));
-        out.push_str(&format!("  \"max_vls\": {},\n", self.max_vls));
-        out.push_str(&format!(
-            "  \"epochs_per_sec\": {:.3},\n",
-            self.epochs_per_sec
-        ));
-        out.push_str(&format!("  \"ok\": {}\n", self.ok()));
-        out.push('}');
-        out
+        w.end().key("unsafe_states").u64(self.unsafe_states as u64);
+        w.key("final_quarantined")
+            .u64(self.final_quarantined as u64);
+        w.key("max_vls").u64(self.max_vls as u64);
+        w.key("epochs_per_sec").f64(milli(self.epochs_per_sec));
+        w.key("ok").bool(self.ok()).end();
+        w.finish()
     }
 }
 
@@ -547,6 +523,96 @@ mod tests {
             }
         }
         assert!(down_c.is_empty() && down_s.is_empty());
+    }
+
+    /// Four records with three-decimal times, as `run_campaign` builds them.
+    fn fixed_report() -> CampaignReport {
+        let record = |label: &str, events, rerouted, elapsed_ms: f64, plan: &str| EventRecord {
+            label: label.into(),
+            events,
+            rerouted,
+            elapsed_ms,
+            reroute_ns: (elapsed_ms * 1e6) as u64,
+            entries_changed: 40 * events,
+            switches_touched: 3 * events,
+            vls: 2,
+            quarantined: events / 5,
+            resolved_by: "baseline".into(),
+            plan: plan.into(),
+            vet_errors: 0,
+        };
+        CampaignReport {
+            topology: "kary_ntree(4,2)".into(),
+            engine: "DFSSSP".into(),
+            seed: u64::MAX,
+            records: vec![
+                record("bring-up", 0, true, 12.5, "direct"),
+                record("cable-down", 1, true, 3.125, "staged(2)+drain"),
+                record("flap-burst", 5, true, 2.75, "direct"),
+                record("heal-cable", 1, false, 0.0, "no-op"),
+            ],
+            unsafe_states: 0,
+            final_quarantined: 0,
+            max_vls: 2,
+            epochs_per_sec: 163.265,
+        }
+    }
+
+    /// What `fixed_report().to_json()` printed before the shared writer
+    /// (commit 3d6d1e6): the layout may move, the document may not.
+    #[test]
+    fn report_document_is_the_hand_rolled_writers() {
+        let parent = r#"{
+  "topology": "kary_ntree(4,2)",
+  "engine": "DFSSSP",
+  "seed": 18446744073709551615,
+  "records": [
+    {"label": "bring-up", "events": 0, "rerouted": true, "elapsed_ms": 12.500, "reroute_ns": 12500000, "entries_changed": 0, "switches_touched": 0, "vls": 2, "quarantined": 0, "resolved_by": "baseline", "plan": "direct", "vet_errors": 0},
+    {"label": "cable-down", "events": 1, "rerouted": true, "elapsed_ms": 3.125, "reroute_ns": 3125000, "entries_changed": 40, "switches_touched": 3, "vls": 2, "quarantined": 0, "resolved_by": "baseline", "plan": "staged(2)+drain", "vet_errors": 0},
+    {"label": "flap-burst", "events": 5, "rerouted": true, "elapsed_ms": 2.750, "reroute_ns": 2750000, "entries_changed": 200, "switches_touched": 15, "vls": 2, "quarantined": 1, "resolved_by": "baseline", "plan": "direct", "vet_errors": 0},
+    {"label": "heal-cable", "events": 1, "rerouted": false, "elapsed_ms": 0.000, "reroute_ns": 0, "entries_changed": 40, "switches_touched": 3, "vls": 2, "quarantined": 0, "resolved_by": "baseline", "plan": "no-op", "vet_errors": 0}
+  ],
+  "unsafe_states": 0,
+  "final_quarantined": 0,
+  "max_vls": 2,
+  "epochs_per_sec": 163.265,
+  "ok": true
+}"#;
+        let text = fixed_report().to_json();
+        let doc = telemetry::json::parse(&text).expect("valid JSON");
+        assert_eq!(doc, telemetry::json::parse(parent).unwrap(), "{text}");
+        assert!(text.contains("\"seed\": 18446744073709551615"), "{text}");
+    }
+
+    /// The parent escaped only `\\` and `"`: a tab in a topology label
+    /// made `repro chaos --json` print a document no parser accepts.
+    #[test]
+    fn report_is_json_whatever_the_label_says() {
+        let nasty = "a\tb\u{1}\"c\\";
+        let mut b = fabric::NetworkBuilder::new();
+        b.label(nasty);
+        let switches: Vec<_> = (0..3).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        for (i, &s) in switches.iter().enumerate() {
+            b.link(s, switches[(i + 1) % 3]).unwrap();
+            let t = b.add_terminal(format!("t{i}"));
+            b.link(t, s).unwrap();
+        }
+        let net = b.build();
+        let spec = CampaignSpec {
+            events: 2,
+            switch_bursts: false,
+            ..CampaignSpec::default()
+        };
+        let report = run_campaign(DfSssp::new(), &net, &schedule(&net, &spec), spec.seed).unwrap();
+        let text = report.to_json();
+        // Our own parser lets a raw control character inside a string
+        // pass (Python's `json.load` does not), so look at the bytes too.
+        assert!(!text.chars().any(|c| c.is_control() && c != '\n'), "{text}");
+        let doc = telemetry::json::parse(&text).expect("valid JSON");
+        let topology = doc.get("topology").and_then(telemetry::json::Value::as_str);
+        assert_eq!(topology, Some(nasty));
+        let records = doc.get("records").and_then(telemetry::json::Value::as_arr);
+        assert_eq!(records.map(<[_]>::len), Some(report.records.len()));
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl<E: RoutingEngine> SmLoop<E> {
             retry: RetryPolicy::default(),
             recorder,
         };
-        let outcome = looped.reroute(0, &[], Some(sm_node))?;
+        let outcome = looped.reroute(0, Some(sm_node))?;
         looped.last = outcome;
         Ok(looped)
     }
@@ -337,24 +337,9 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// exhausted) the loop's state — down-sets included — is rolled
     /// back, so a follow-up repair event can be handled.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<EventOutcome, SmError> {
-        let now = Instant::now();
-        let stamped: Vec<(FabricEvent, Instant)> = events.iter().map(|&e| (e, now)).collect();
-        self.handle_batch_at(&stamped)
-    }
-
-    /// [`Self::handle_batch`] with each event's own arrival timestamp
-    /// preserved. Coalescing still folds the batch into (at most) one
-    /// reroute, but the `reroute_ns` histogram gets one observation per
-    /// *original* event — measured from that event's arrival to the end
-    /// of the reroute that served it — so latency is attributed to the
-    /// burst that triggered it, not averaged away by the fold.
-    pub fn handle_batch_at(
-        &mut self,
-        events: &[(FabricEvent, Instant)],
-    ) -> Result<EventOutcome, SmError> {
         let cables_before = self.down_cables.clone();
         let switches_before = self.down_switches.clone();
-        for &(e, _) in events {
+        for &e in events {
             if let Err(err) = self.apply(e) {
                 self.down_cables = cables_before;
                 self.down_switches = switches_before;
@@ -377,8 +362,7 @@ impl<E: RoutingEngine> SmLoop<E> {
             self.last = outcome.clone();
             return Ok(outcome);
         }
-        let stamps: Vec<Instant> = events.iter().map(|&(_, at)| at).collect();
-        match self.reroute(events.len(), &stamps, None) {
+        match self.reroute(events.len(), None) {
             Ok(outcome) => {
                 self.last = outcome.clone();
                 Ok(outcome)
@@ -443,7 +427,6 @@ impl<E: RoutingEngine> SmLoop<E> {
     fn reroute(
         &mut self,
         coalesced: usize,
-        stamps: &[Instant],
         preferred_sm: Option<NodeId>,
     ) -> Result<EventOutcome, SmError> {
         let start = Instant::now();
@@ -643,15 +626,12 @@ impl<E: RoutingEngine> SmLoop<E> {
         self.net = view;
         self.current = fabric;
         self.quarantined = quarantined;
-        self.record(&outcome, stamps);
+        self.record(&outcome);
         Ok(outcome)
     }
 
-    /// Report one reroute to the attached recorder. `stamps` are the
-    /// arrival times of the events this reroute coalesced: each gets
-    /// its own `reroute_ns` observation (arrival → now), so a burst's
-    /// latency distribution survives the fold.
-    fn record(&self, outcome: &EventOutcome, stamps: &[Instant]) {
+    /// Report one reroute to the attached recorder.
+    fn record(&self, outcome: &EventOutcome) {
         let rec = &*self.recorder;
         if !rec.enabled() {
             return;
@@ -659,13 +639,6 @@ impl<E: RoutingEngine> SmLoop<E> {
         let nanos = outcome.elapsed.as_nanos() as u64;
         rec.phase(phases::REROUTE, nanos);
         rec.observe(hists::REROUTE_US, nanos / 1_000);
-        let end = Instant::now();
-        for &at in stamps {
-            rec.observe(
-                hists::REROUTE_NS,
-                end.saturating_duration_since(at).as_nanos() as u64,
-            );
-        }
         rec.add(counters::REROUTES, 1);
         rec.add(counters::EVENTS_COALESCED, outcome.coalesced as u64);
         for rung in &outcome.rungs {
@@ -715,16 +688,6 @@ mod tests {
     /// A redundant fabric where any single uplink can fail.
     fn fat_tree() -> Network {
         topo::kary_ntree(4, 2)
-    }
-
-    /// Distinct switch-switch cables of `net` (canonical direction).
-    fn uplinks(net: &Network) -> Vec<ChannelId> {
-        net.channels()
-            .filter(|(id, ch)| {
-                net.is_switch(ch.src) && net.is_switch(ch.dst) && ch.rev.is_none_or(|r| r.0 > id.0)
-            })
-            .map(|(id, _)| id)
-            .collect()
     }
 
     #[test]
@@ -777,7 +740,7 @@ mod tests {
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
-        let victim = uplinks(&net)[0];
+        let victim = net.switch_cables()[0];
         let outcome = sm.handle(FabricEvent::CableDown(victim)).unwrap();
         assert!(outcome.rerouted);
         assert!(outcome.diff.entries_changed > 0);
@@ -795,7 +758,7 @@ mod tests {
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
-        let victim = uplinks(&net)[0];
+        let victim = net.switch_cables()[0];
         sm.handle(FabricEvent::CableDown(victim)).unwrap();
         let outcome = sm.handle(FabricEvent::CableUp(victim)).unwrap();
         assert!(outcome.rerouted);
@@ -809,7 +772,7 @@ mod tests {
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
-        let c = uplinks(&net)[0];
+        let c = net.switch_cables()[0];
         // Down-up-down-up: net effect nothing. One no-op, zero reroutes.
         let outcome = sm
             .handle_batch(&[
@@ -989,7 +952,7 @@ mod tests {
         let nt = net.num_terminals();
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
         // Down-set rolled back: a valid follow-up still works.
-        let c = uplinks(&net)[0];
+        let c = net.switch_cables()[0];
         let outcome = sm.handle(FabricEvent::CableDown(c)).unwrap();
         assert!(outcome.rerouted);
     }
@@ -999,7 +962,7 @@ mod tests {
         let net = topo::kary_ntree(4, 3);
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
-        for &victim in uplinks(&net).iter().take(3) {
+        for &victim in net.switch_cables().iter().take(3) {
             sm.handle(FabricEvent::CableDown(victim)).unwrap();
         }
         assert_eq!(sm.network().num_cables(), net.num_cables() - 3);
@@ -1008,36 +971,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_timestamps_survive_coalescing() {
-        // Three events with distinct arrival times coalesce into one
-        // reroute, but the reroute_ns histogram must get one observation
-        // per original event — each at least the event's queueing delay.
+    fn a_coalesced_reroute_is_timed_once_and_says_where_the_time_went() {
+        // Three events coalesce into one reroute: one `reroute_us`
+        // observation, each inner block timed once, and together they
+        // fit inside the reroute.
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
         let collector = std::sync::Arc::new(telemetry::Collector::new());
         sm.set_recorder(collector.clone());
-        let ups = uplinks(&net);
-        let now = Instant::now();
-        let early = now - Duration::from_millis(50);
-        let outcome = sm
-            .handle_batch_at(&[
-                (FabricEvent::CableDown(ups[0]), early),
-                (FabricEvent::CableDown(ups[1]), early),
-                (FabricEvent::CableDown(ups[2]), now),
-            ])
-            .unwrap();
+        let ups = net.switch_cables();
+        let burst = ups[..3].iter().map(|&c| FabricEvent::CableDown(c));
+        let outcome = sm.handle_batch(&burst.collect::<Vec<_>>()).unwrap();
         assert!(outcome.rerouted);
         assert_eq!(outcome.coalesced, 3);
         let snap = collector.snapshot();
-        let hist = snap.histograms.get(hists::REROUTE_NS).expect("reroute_ns");
-        assert_eq!(hist.count, 3, "one observation per original event");
-        // The two early events waited ≥50ms before the reroute started.
-        assert!(hist.max >= 50_000_000, "max {} too small", hist.max);
-        // Every observation covers at least the reroute itself.
-        assert!(hist.min >= outcome.elapsed.as_nanos() as u64);
-        // The reroute says where its time went: each inner block is
-        // timed once, and together they fit inside the reroute.
+        assert_eq!(snap.histograms[hists::REROUTE_US].count, 1);
         let inner = [
             phases::SM_EXISTENCE,
             phases::SM_GUARD,
@@ -1050,12 +999,10 @@ mod tests {
         let inner_ns: u64 = inner.iter().map(|&name| snap.phases[name].nanos).sum();
         assert_eq!(snap.phases[phases::REROUTE].count, 1);
         assert!(inner_ns <= snap.phases[phases::REROUTE].nanos);
-        // A plain handle_batch stamps all events "now": still one
-        // observation each.
         let outcome = sm.handle_batch(&[FabricEvent::CableUp(ups[0])]).unwrap();
         assert!(outcome.rerouted);
         let snap = collector.snapshot();
-        assert_eq!(snap.histograms[hists::REROUTE_NS].count, 4);
+        assert_eq!(snap.histograms[hists::REROUTE_US].count, 2);
         for name in inner {
             assert_eq!(snap.phases[name].count, 2, "{name}");
         }
@@ -1090,7 +1037,7 @@ mod tests {
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(Scrubbing(DfSssp::new()), net.clone(), sm_node).unwrap();
         assert!(matches!(sm.outcome().resolved_by(), Rung::Fallback { .. }));
-        let victim = uplinks(&net)[0];
+        let victim = net.switch_cables()[0];
         let outcome = sm.handle(FabricEvent::CableDown(victim)).unwrap();
         assert!(matches!(outcome.resolved_by(), Rung::Fallback { .. }));
         assert_eq!(sm.programmed().routes.engine(), "Up*/Down*");
@@ -1133,7 +1080,7 @@ mod tests {
         // only hybrid vetted is the broken-columns stage.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(uplinks(&net)[0]));
+        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert!(plan.describe().ends_with("+drain"), "{}", plan.describe());
         assert_eq!((full[0], full[1], pair), (1, 1, 0), "new, old, per-pair");
         assert!(full[2] <= 1, "{} hybrid walks", full[2]);
@@ -1141,7 +1088,7 @@ mod tests {
         // Direct: the union is acyclic, no hybrid exists.
         let net = topo::kary_ntree(16, 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(uplinks(&net)[0]));
+        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert_eq!(plan.describe(), "direct");
         assert_eq!((full, pair), ([1, 1, 0], 0));
     }
@@ -1151,7 +1098,9 @@ mod tests {
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
-        let outcome = sm.handle(FabricEvent::CableDown(uplinks(&net)[0])).unwrap();
+        let outcome = sm
+            .handle(FabricEvent::CableDown(net.switch_cables()[0]))
+            .unwrap();
         assert!(outcome.plan.all_vetted());
         assert!(!outcome.plan.stages.is_empty());
     }

@@ -124,25 +124,15 @@ impl<E: RoutingEngine> SubnetManager<E> {
     /// program tables, validate by walking the LFTs for every ordered
     /// terminal pair.
     pub fn run(&self, net: &Network, sm_node: NodeId) -> Result<ProgrammedFabric, SmError> {
-        self.run_with(&self.engine, net, sm_node)
-    }
-
-    /// Like [`Self::run`], but deploying `engine` instead of the
-    /// configured one: a fallback engine goes through the same
-    /// sweep/program/validate cycle.
-    pub fn run_with(
-        &self,
-        engine: &dyn RoutingEngine,
-        net: &Network,
-        sm_node: NodeId,
-    ) -> Result<ProgrammedFabric, SmError> {
-        self.run_walked(engine, net, sm_node, &telemetry::Noop)
+        self.run_walked(&self.engine, net, sm_node, &telemetry::Noop)
             .map(|(fabric, _)| fabric)
     }
 
-    /// [`Self::run_with`], also returning the guard's walk of the new
-    /// routing (`None` when the guard is off) and timing the guard and
-    /// the LFT validation as `sm_guard` / `sm_validate` on `rec`.
+    /// [`Self::run`] deploying `engine` instead of the configured one (a
+    /// fallback engine goes through the same sweep/program/validate
+    /// cycle), also returning the guard's walk of the new routing
+    /// (`None` when the guard is off) and timing the guard and the LFT
+    /// validation as `sm_guard` / `sm_validate` on `rec`.
     pub(crate) fn run_walked(
         &self,
         engine: &dyn RoutingEngine,

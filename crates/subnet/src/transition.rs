@@ -350,7 +350,7 @@ pub(crate) fn plan_update_walked(
             if vet_ok(net, &mut hybrid, hw_vls) {
                 batch.push(d);
             } else {
-                restore_column(net, &mut hybrid, &before, d);
+                rollback_column(net, &mut hybrid, &before, d);
                 deferred.push(d);
             }
         }
@@ -441,7 +441,7 @@ fn apply_column(net: &Network, r: &mut Routes, from: &Routes, d: usize) {
     }
 }
 
-fn restore_column(net: &Network, r: &mut Routes, col: &Column, d: usize) {
+fn rollback_column(net: &Network, r: &mut Routes, col: &Column, d: usize) {
     for (id, _) in net.nodes() {
         match col.next[id.idx()] {
             Some(c) => r.set_next(id, d, c),

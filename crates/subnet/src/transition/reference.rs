@@ -109,7 +109,7 @@ pub(crate) fn plan_update_reference(
             if vet_ok(net, &mut hybrid, hw_vls) {
                 batch.push(d);
             } else {
-                restore_column(net, &mut hybrid, &before, d);
+                rollback_column(net, &mut hybrid, &before, d);
                 deferred.push(d);
             }
         }
@@ -227,17 +227,7 @@ fn without(net: &Network, c: ChannelId) -> Network {
 /// Up to `count` switch-switch cables of `net` whose loss keeps it
 /// connected, spread evenly over the candidates.
 fn victims(net: &Network, count: usize) -> Vec<ChannelId> {
-    let bridges = degrade::cable_bridges(net);
-    let cables: Vec<ChannelId> = net
-        .channels()
-        .filter(|(id, ch)| {
-            net.is_switch(ch.src)
-                && net.is_switch(ch.dst)
-                && ch.rev.is_some_and(|r| r.0 > id.0)
-                && !bridges.contains(id)
-        })
-        .map(|(id, _)| id)
-        .collect();
+    let cables = degrade::redundant_cables(net);
     let stride = (cables.len() / count).max(1);
     cables.into_iter().step_by(stride).take(count).collect()
 }

@@ -8,7 +8,7 @@
 //! the paper's figures ask (is the edge-load tail long? are path
 //! lengths flat?).
 
-use crate::json::Value;
+use crate::json::{Value, Writer};
 
 /// Number of buckets: one for zero plus one per bit of `u64`.
 pub const NUM_BUCKETS: usize = 65;
@@ -104,21 +104,21 @@ impl Hist {
         Some(self.max)
     }
 
-    /// Append this histogram as a one-line JSON object to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"log2_buckets\": [",
-            self.count, self.sum, self.min, self.max
-        );
-        for (i, n) in self.log2_buckets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{n}");
+    /// Write this histogram as the next value of `w`: an object, the
+    /// exact `u64` statistics first, the buckets on one line.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.obj();
+        for (key, n) in [
+            ("count", self.count),
+            ("sum", self.sum),
+            ("min", self.min),
+            ("max", self.max),
+        ] {
+            w.key(key).u64(n);
         }
-        out.push_str("]}");
+        w.key("log2_buckets")
+            .u64s(self.log2_buckets.iter().copied());
+        w.end();
     }
 
     /// Rebuild from a parsed JSON object (inverse of [`Hist::write_json`]).
@@ -234,15 +234,12 @@ mod tests {
         for v in [0u64, 7, 7, 4096] {
             h.observe(v);
         }
-        let mut out = String::new();
-        h.write_json(&mut out);
-        let back = Hist::from_value(&json::parse(&out).unwrap()).unwrap();
-        assert_eq!(h, back);
         // Empty histograms round-trip too (min is the u64::MAX sentinel).
-        let empty = Hist::new();
-        let mut out = String::new();
-        empty.write_json(&mut out);
-        let back = Hist::from_value(&json::parse(&out).unwrap()).unwrap();
-        assert_eq!(empty, back);
+        for h in [h, Hist::new()] {
+            let mut w = Writer::default();
+            h.write_json(&mut w);
+            let back = Hist::from_value(&json::parse(&w.finish()).unwrap()).unwrap();
+            assert_eq!(h, back);
+        }
     }
 }

@@ -375,9 +375,174 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// The workspace's one report writer: a streaming pretty-printer that
+/// owns every comma, colon and indent, so no report spells them by hand.
+/// Members appear in the order written — an object's one per line, an
+/// array's scalars on one line. A value goes where the last
+/// [`Writer::key`] or open array put the cursor; closing more
+/// containers than were opened is ignored.
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// Per open container: its closer, and whether it broke onto lines.
+    open: Vec<(char, bool)>,
+}
+
+impl Writer {
+    /// The cursor, after whatever separates the next value (or key) from
+    /// what came before it. `breaks` puts it on a line of its own. The
+    /// text says where it stands: right after a key it ends in `": "`,
+    /// in a container still empty it ends in the opener, and no value
+    /// ends in either.
+    fn next(&mut self, breaks: bool) -> &mut String {
+        if self.out.ends_with(": ") {
+            return &mut self.out;
+        }
+        let more = !self.out.ends_with(['{', '[']);
+        let depth = self.open.len();
+        if let Some((_, lines)) = self.open.last_mut() {
+            if breaks {
+                *lines = true;
+                self.out.push_str(if more { ",\n" } else { "\n" });
+                self.out.push_str(&"  ".repeat(depth));
+            } else if more {
+                self.out.push_str(", ");
+            }
+        }
+        &mut self.out
+    }
+
+    fn begin(&mut self, opener: char, closer: char) -> &mut Self {
+        self.next(true).push(opener);
+        self.open.push((closer, false));
+        self
+    }
+
+    /// Open an object.
+    pub fn obj(&mut self) -> &mut Self {
+        self.begin('{', '}')
+    }
+
+    /// Open an array.
+    pub fn arr(&mut self) -> &mut Self {
+        self.begin('[', ']')
+    }
+
+    /// Close the innermost open object or array.
+    pub fn end(&mut self) -> &mut Self {
+        if let Some((closer, lines)) = self.open.pop() {
+            if lines {
+                self.out.push('\n');
+                self.out.push_str(&"  ".repeat(self.open.len()));
+            }
+            self.out.push(closer);
+        }
+        self
+    }
+
+    /// The next member's key, inside an object.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        write_str(self.next(true), key);
+        self.out.push_str(": ");
+        self
+    }
+
+    /// A string value ([`write_str`]).
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        write_str(self.next(false), s);
+        self
+    }
+
+    /// An integer, exactly: seeds and nanosecond sums do not fit `f64`.
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        let _ = write!(self.next(false), "{n}");
+        self
+    }
+
+    /// A float value ([`write_f64`]).
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        write_f64(self.next(false), v);
+        self
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        let _ = write!(self.next(false), "{b}");
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.next(false).push_str("null");
+        self
+    }
+
+    /// An array of integers on one line.
+    pub fn u64s(&mut self, items: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.arr();
+        for n in items {
+            self.u64(n);
+        }
+        self.end()
+    }
+
+    /// The document so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writer_lays_out_objects_by_line_and_scalar_arrays_inline() {
+        let mut w = Writer::default();
+        w.obj().key("label").str("a\tb\u{1}\"c\\");
+        w.key("seed").u64(u64::MAX).key("nan").f64(f64::NAN);
+        w.key("half")
+            .f64(0.5)
+            .key("ok")
+            .bool(true)
+            .key("none")
+            .null();
+        w.key("buckets").u64s([0, 0, 1]).key("empty").obj().end();
+        w.key("rows")
+            .arr()
+            .obj()
+            .key("n")
+            .u64(1)
+            .end()
+            .u64s([2, 3])
+            .end();
+        w.end().end(); // one close too many is ignored
+        let text = w.finish();
+        let expected = r#"{
+  "label": "a\tb\u0001\"c\\",
+  "seed": 18446744073709551615,
+  "nan": null,
+  "half": 0.5,
+  "ok": true,
+  "none": null,
+  "buckets": [0, 0, 1],
+  "empty": {},
+  "rows": [
+    {
+      "n": 1
+    },
+    [2, 3]
+  ]
+}"#;
+        assert_eq!(text, expected);
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.get("label").unwrap().as_str(), Some("a\tb\u{1}\"c\\"));
+        assert_eq!(doc.get("seed").unwrap().as_u64(), Some(u64::MAX));
+        // A bare scalar is a document too.
+        let mut w = Writer::default();
+        w.str("x");
+        assert_eq!(w.finish(), "\"x\"");
+    }
 
     #[test]
     fn parses_the_usual_shapes() {

@@ -186,10 +186,6 @@ pub mod hists {
     pub const EDGE_LOAD: &str = "edge_load";
     /// Per-event reroute latency, microseconds.
     pub const REROUTE_US: &str = "reroute_us";
-    /// Per-event reroute latency, nanoseconds, measured from the event's
-    /// own arrival timestamp (so coalesced bursts attribute latency to
-    /// the triggering event, not the collapsed singleton).
-    pub const REROUTE_NS: &str = "reroute_ns";
     /// Per-pattern mean flow bandwidth, milli-units (ORCS).
     pub const PATTERN_BW_MILLI: &str = "pattern_bw_milli";
     /// Reader-visible pause per epoch swap, microseconds.

@@ -7,13 +7,12 @@
 //! instrumentation evolves. Consumers must key on names, not positions
 //! (maps serialize ordered — `BTreeMap` — so diffs stay readable).
 //!
-//! Serialization is hand-rolled on [`crate::json`], the workspace's one
-//! JSON module.
+//! Written with [`json::Writer`] and read back with [`json::parse`],
+//! the workspace's one JSON module.
 
 use crate::hist::Hist;
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Manifest schema identifier; bump only on breaking shape changes.
 pub const SCHEMA: &str = "dfsssp-metrics/v1";
@@ -116,66 +115,50 @@ impl RunManifest {
 
     /// Serialize (pretty, trailing newline — artifact-friendly).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": ");
-        json::write_str(&mut s, &self.schema);
-        s.push_str(",\n  \"binary\": ");
-        json::write_str(&mut s, &self.binary);
-        s.push_str(",\n  \"topology\": ");
+        let mut w = json::Writer::default();
+        w.obj().key("schema").str(&self.schema);
+        w.key("binary").str(&self.binary);
+        w.key("topology");
         match &self.topology {
-            None => s.push_str("null"),
+            None => w.null(),
             Some(t) => {
-                s.push_str("{\n    \"label\": ");
-                json::write_str(&mut s, &t.label);
-                let _ = write!(
-                    s,
-                    ",\n    \"nodes\": {},\n    \"switches\": {},\n    \"terminals\": {},\n    \"channels\": {}\n  }}",
-                    t.nodes, t.switches, t.terminals, t.channels
-                );
+                w.obj().key("label").str(&t.label);
+                for (key, n) in [
+                    ("nodes", t.nodes),
+                    ("switches", t.switches),
+                    ("terminals", t.terminals),
+                    ("channels", t.channels),
+                ] {
+                    w.key(key).u64(n as u64);
+                }
+                w.end()
             }
-        }
-        s.push_str(",\n  \"engine\": ");
+        };
+        w.key("engine");
         match &self.engine {
-            None => s.push_str("null"),
-            Some(e) => json::write_str(&mut s, e),
-        }
-        s.push_str(",\n  \"seed\": ");
+            None => w.null(),
+            Some(e) => w.str(e),
+        };
+        w.key("seed");
         match self.seed {
-            None => s.push_str("null"),
-            Some(seed) => {
-                let _ = write!(s, "{seed}");
-            }
+            None => w.null(),
+            Some(seed) => w.u64(seed),
+        };
+        w.key("metrics").obj().key("phases").obj();
+        for (name, p) in &self.metrics.phases {
+            w.key(name).obj().key("nanos").u64(p.nanos);
+            w.key("count").u64(p.count).end();
         }
-        s.push_str(",\n  \"metrics\": {\n    \"phases\": {");
-        for (i, (name, p)) in self.metrics.phases.iter().enumerate() {
-            s.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            json::write_str(&mut s, name);
-            let _ = write!(s, ": {{\"nanos\": {}, \"count\": {}}}", p.nanos, p.count);
+        w.end().key("counters").obj();
+        for (name, &v) in &self.metrics.counters {
+            w.key(name).u64(v);
         }
-        if !self.metrics.phases.is_empty() {
-            s.push_str("\n    ");
+        w.end().key("histograms").obj();
+        for (name, h) in &self.metrics.histograms {
+            h.write_json(w.key(name));
         }
-        s.push_str("},\n    \"counters\": {");
-        for (i, (name, v)) in self.metrics.counters.iter().enumerate() {
-            s.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            json::write_str(&mut s, name);
-            let _ = write!(s, ": {v}");
-        }
-        if !self.metrics.counters.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("},\n    \"histograms\": {");
-        for (i, (name, h)) in self.metrics.histograms.iter().enumerate() {
-            s.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            json::write_str(&mut s, name);
-            s.push_str(": ");
-            h.write_json(&mut s);
-        }
-        if !self.metrics.histograms.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("}\n  }\n}\n");
-        s
+        w.end().end().end();
+        w.finish() + "\n"
     }
 
     /// Parse a manifest back, verifying the schema version.
@@ -308,9 +291,47 @@ mod tests {
 
     #[test]
     fn round_trips_through_json() {
-        let m = sample();
-        let back = RunManifest::from_json(&m.to_json()).unwrap();
+        // Whatever the label says, and a seed no `f64` holds exactly.
+        let mut m = sample().seed(u64::MAX);
+        m.topology.as_mut().unwrap().label = "a\tb\u{1}\"c\\".into();
+        let text = m.to_json();
+        assert!(text.contains("18446744073709551615"), "{text}");
+        let back = RunManifest::from_json(&text).unwrap();
         assert_eq!(m, back);
+    }
+
+    /// What `sample().to_json()` printed before the shared writer
+    /// (commit 3d6d1e6): the layout may move, the document may not.
+    #[test]
+    fn document_is_the_hand_rolled_writers() {
+        let parent = r#"{
+  "schema": "dfsssp-metrics/v1",
+  "binary": "test",
+  "topology": {
+    "label": "torus(4x4)",
+    "nodes": 32,
+    "switches": 16,
+    "terminals": 16,
+    "channels": 96
+  },
+  "engine": "DFSSSP",
+  "seed": 7,
+  "metrics": {
+    "phases": {
+      "sssp": {"nanos": 1000, "count": 1}
+    },
+    "counters": {
+      "paths_routed": 72
+    },
+    "histograms": {
+      "path_length": {"count": 1, "sum": 3, "min": 3, "max": 3, "log2_buckets": [0, 0, 1]}
+    }
+  }
+}
+"#;
+        let text = sample().to_json();
+        assert_eq!(json::parse(&text), json::parse(parent), "{text}");
+        assert!(text.ends_with('\n'));
     }
 
     #[test]

@@ -187,62 +187,61 @@ pub enum Witness {
 }
 
 impl Witness {
-    /// The variant name and its fields as rendered JSON values, in
-    /// declaration order — the shape [`Report::to_json`] emits.
-    fn json_fields(&self) -> (&'static str, Vec<(&'static str, String)>) {
-        macro_rules! fields {
-            ($($key:ident = $value:expr),*) => {
-                vec![$((stringify!($key), $value.to_string())),*]
-            };
+    /// `{"Variant": {fields…}}` with the fields in declaration order —
+    /// the shape [`Report::to_json`] emits.
+    fn write_json(&self, w: &mut json::Writer) {
+        macro_rules! tagged {
+            ($variant:literal: $($key:ident = $value:expr),*) => {{
+                w.obj().key($variant).obj();
+                $(w.key(stringify!($key)).u64($value as u64);)*
+            }};
         }
-        let ids = |cs: &[ChannelId]| list(cs.iter().map(|c| c.0));
         match self {
             Witness::TableLoop { dst, channels } => {
-                ("TableLoop", fields![dst = dst.0, channels = ids(channels)])
+                tagged!("TableLoop": dst = dst.0);
+                w.key("channels").u64s(ids(channels));
             }
-            Witness::Entry { node, dst } => ("Entry", fields![node = node.0, dst = dst.0]),
-            Witness::NextHop { node, dst, channel } => (
-                "NextHop",
-                fields![node = node.0, dst = dst.0, channel = channel],
-            ),
+            Witness::Entry { node, dst } => tagged!("Entry": node = node.0, dst = dst.0),
+            Witness::NextHop { node, dst, channel } => {
+                tagged!("NextHop": node = node.0, dst = dst.0, channel = *channel)
+            }
             Witness::Shape {
                 table_nodes,
                 net_nodes,
                 table_terminals,
                 net_terminals,
-            } => (
-                "Shape",
-                fields![
-                    table_nodes = table_nodes,
-                    net_nodes = net_nodes,
-                    table_terminals = table_terminals,
-                    net_terminals = net_terminals
-                ],
-            ),
+            } => tagged!("Shape":
+                table_nodes = *table_nodes,
+                net_nodes = *net_nodes,
+                table_terminals = *table_terminals,
+                net_terminals = *net_terminals),
             Witness::CdgCycle { layer, channels } => {
-                ("CdgCycle", fields![layer = layer, channels = ids(channels)])
+                tagged!("CdgCycle": layer = *layer);
+                w.key("channels").u64s(ids(channels));
             }
             Witness::Layer { src, dst, layer } => {
-                ("Layer", fields![src = src.0, dst = dst.0, layer = layer])
+                tagged!("Layer": src = src.0, dst = dst.0, layer = *layer)
             }
             Witness::LayerHistogram { populations } => {
-                ("LayerHistogram", fields![populations = list(populations)])
+                tagged!("LayerHistogram":);
+                w.key("populations").u64s(counts(populations));
             }
             Witness::Stretch {
                 src,
                 dst,
                 hops,
                 minimal,
-            } => (
-                "Stretch",
-                fields![src = src.0, dst = dst.0, hops = hops, minimal = minimal],
-            ),
-            Witness::OneWayPair { src, dst } => ("OneWayPair", fields![src = src.0, dst = dst.0]),
-            Witness::ForcedCycle { channels } => ("ForcedCycle", fields![channels = ids(channels)]),
+            } => tagged!("Stretch": src = src.0, dst = dst.0, hops = *hops, minimal = *minimal),
+            Witness::OneWayPair { src, dst } => tagged!("OneWayPair": src = src.0, dst = dst.0),
+            Witness::ForcedCycle { channels } => {
+                tagged!("ForcedCycle":);
+                w.key("channels").u64s(ids(channels));
+            }
             Witness::UncertifiedPair { src, dst } => {
-                ("UncertifiedPair", fields![src = src.0, dst = dst.0])
+                tagged!("UncertifiedPair": src = src.0, dst = dst.0)
             }
         }
+        w.end().end();
     }
 }
 
@@ -406,74 +405,59 @@ impl Report {
     /// channel ids as numbers, `code` and `severity` as their variant
     /// names, witnesses tagged by variant (`{"Entry":{"node":3,"dst":0}}`).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
         let s = &self.stats;
-        let mut out = String::from("{\n  \"engine\": ");
-        json::write_str(&mut out, &self.engine);
-        out.push_str(",\n  \"network\": ");
-        json::write_str(&mut out, &self.network);
-        out.push_str(",\n  \"stats\": {");
-        for (key, value) in [
-            ("num_nodes", s.num_nodes.to_string()),
-            ("num_switches", s.num_switches.to_string()),
-            ("num_terminals", s.num_terminals.to_string()),
-            ("num_channels", s.num_channels.to_string()),
-            ("pairs", s.pairs.to_string()),
-            ("pairs_routed", s.pairs_routed.to_string()),
-            ("pairs_broken", s.pairs_broken.to_string()),
-            ("pairs_unreachable", s.pairs_unreachable.to_string()),
-            ("num_layers", s.num_layers.to_string()),
-            ("paths_per_layer", list(&s.paths_per_layer)),
-            ("edges_per_layer", list(&s.edges_per_layer)),
-            ("cyclic_layers", list(&s.cyclic_layers)),
-            ("max_hops", s.max_hops.to_string()),
-            (
-                "broken_pairs",
-                list(s.broken_pairs.iter().map(|(a, b)| list([a.0, b.0]))),
-            ),
+        let mut w = json::Writer::default();
+        w.obj().key("engine").str(&self.engine);
+        w.key("network").str(&self.network);
+        w.key("stats").obj();
+        for (key, n) in [
+            ("num_nodes", s.num_nodes),
+            ("num_switches", s.num_switches),
+            ("num_terminals", s.num_terminals),
+            ("num_channels", s.num_channels),
+            ("pairs", s.pairs),
+            ("pairs_routed", s.pairs_routed),
+            ("pairs_broken", s.pairs_broken),
+            ("pairs_unreachable", s.pairs_unreachable),
+            ("num_layers", usize::from(s.num_layers)),
         ] {
-            let _ = write!(out, "\n    \"{key}\": {value},");
+            w.key(key).u64(n as u64);
         }
-        out.push_str("\n    \"existence\": ");
+        w.key("paths_per_layer").u64s(counts(&s.paths_per_layer));
+        w.key("edges_per_layer").u64s(counts(&s.edges_per_layer));
+        w.key("cyclic_layers")
+            .u64s(s.cyclic_layers.iter().map(|&l| u64::from(l)));
+        w.key("max_hops").u64(u64::from(s.max_hops));
+        w.key("broken_pairs").arr();
+        for (a, b) in &s.broken_pairs {
+            w.u64s([u64::from(a.0), u64::from(b.0)]);
+        }
+        w.end().key("existence");
         match &s.existence {
-            Some(verdict) => json::write_str(&mut out, verdict),
-            None => out.push_str("null"),
+            Some(verdict) => w.str(verdict),
+            None => w.null(),
+        };
+        w.end().key("diagnostics").arr();
+        for d in &self.diagnostics {
+            w.obj().key("code").str(&format!("{:?}", d.code));
+            w.key("severity").str(&format!("{:?}", d.severity));
+            w.key("message").str(&d.message);
+            d.witness.write_json(w.key("witness"));
+            w.end();
         }
-        out.push_str("\n  },\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            let _ = write!(
-                out,
-                "{{\"code\": \"{:?}\", \"severity\": \"{:?}\", \"message\": ",
-                d.code, d.severity
-            );
-            json::write_str(&mut out, &d.message);
-            let (variant, fields) = d.witness.json_fields();
-            let _ = write!(out, ", \"witness\": {{\"{variant}\": {{");
-            for (j, (key, value)) in fields.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}\"{key}\": {value}");
-            }
-            out.push_str("}}}");
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"counts\": {},\n  \"severity_counts\": {},\n  \"suppressed\": {}\n}}",
-            list(self.counts),
-            list(self.severity_counts),
-            self.suppressed
-        );
-        out
+        w.end().key("counts").u64s(counts(&self.counts));
+        w.key("severity_counts").u64s(counts(&self.severity_counts));
+        w.key("suppressed").u64(self.suppressed as u64).end();
+        w.finish()
     }
 }
 
-/// A JSON array of already-rendered values (numbers, nested arrays).
-fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
-    let items: Vec<String> = items.into_iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(", "))
+fn ids(channels: &[ChannelId]) -> impl Iterator<Item = u64> + '_ {
+    channels.iter().map(|c| u64::from(c.0))
+}
+
+fn counts(items: &[usize]) -> impl Iterator<Item = u64> + '_ {
+    items.iter().map(|&n| n as u64)
 }
 
 /// Collects diagnostics during analysis, enforcing the per-code cap.
@@ -687,19 +671,64 @@ mod tests {
             assert_eq!(d.get("message"), Some(&expect(r#""line\nbreak""#)));
             assert_eq!(d.get("witness"), Some(&expect(witness)));
         }
-        // An absent verdict is `null`, an empty diagnostics list `[]`.
+        // The whole document is what the hand-rolled writer printed for
+        // this report before the shared one (commit 3d6d1e6).
+        assert_eq!(doc, expect(PARENT_DOCUMENT));
+        // An absent verdict is `null`, an empty diagnostics list `[]`,
+        // and the label is a JSON string whatever it holds.
         let empty = Report {
+            network: "a\tb\u{1}\"c\\".into(),
             stats: Stats::default(),
             diagnostics: Vec::new(),
             ..report
         };
         let doc = json::parse(&empty.to_json()).unwrap();
+        let network = doc.get("network").and_then(json::Value::as_str);
+        assert_eq!(network, Some("a\tb\u{1}\"c\\"));
         assert_eq!(
             doc.get("stats").unwrap().get("existence"),
             Some(&json::Value::Null)
         );
         assert_eq!(doc.get("diagnostics"), Some(&expect("[]")));
     }
+
+    const PARENT_DOCUMENT: &str = r#"{
+  "engine": "dfsssp",
+  "network": "ring \"5\"",
+  "stats": {
+    "num_nodes": 4,
+    "num_switches": 0,
+    "num_terminals": 0,
+    "num_channels": 0,
+    "pairs": 0,
+    "pairs_routed": 0,
+    "pairs_broken": 0,
+    "pairs_unreachable": 0,
+    "num_layers": 0,
+    "paths_per_layer": [2, 0],
+    "edges_per_layer": [],
+    "cyclic_layers": [1],
+    "max_hops": 0,
+    "broken_pairs": [[2, 3]],
+    "existence": "certified"
+  },
+  "diagnostics": [
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"TableLoop": {"dst": 2, "channels": [4, 5]}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"Entry": {"node": 3, "dst": 0}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"NextHop": {"node": 1, "dst": 2, "channel": 4294967295}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"Shape": {"table_nodes": 4, "net_nodes": 5, "table_terminals": 2, "net_terminals": 3}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"CdgCycle": {"layer": 1, "channels": [0]}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"Layer": {"src": 0, "dst": 1, "layer": 9}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"LayerHistogram": {"populations": [7, 0]}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"Stretch": {"src": 0, "dst": 1, "hops": 5, "minimal": 3}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"OneWayPair": {"src": 6, "dst": 7}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"ForcedCycle": {"channels": []}}},
+    {"code": "DeadlockExistence", "severity": "Warning", "message": "line\nbreak", "witness": {"UncertifiedPair": {"src": 8, "dst": 9}}}
+  ],
+  "counts": [0, 0, 0, 0, 0, 0, 11],
+  "severity_counts": [0, 11, 0],
+  "suppressed": 1
+}"#;
 
     #[test]
     fn emitter_caps_per_code() {

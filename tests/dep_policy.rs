@@ -7,6 +7,12 @@
 //! Two structural tripwires ride along: `repro` stays one binary, and
 //! route compute stays sequential (DESIGN.md §15).
 //!
+//! Three source scans follow them: a `pub mod` stays only while something
+//! outside it names one of its items (DESIGN.md §6), JSON keys are spelled
+//! only where `telemetry::json::Writer` is fed (§4), and the per-crate
+//! code-line ledger every EXPERIMENTS.md entry quotes is computed here,
+//! with a ceiling on the workspace total.
+//!
 //! Like `unsafe_lint.rs` the scanner is deliberately dumb: line-based,
 //! one inline `name = …` entry per line under a `[…dependencies]` header.
 //! If it misfires on exotic manifest syntax (`[dependencies.foo]` tables,
@@ -186,6 +192,258 @@ fn compute_fan_out_stays_deleted() {
     assert!(
         violations.is_empty(),
         "route compute is sequential by construction:\n  {}",
+        violations.join("\n  ")
+    );
+}
+
+/// `path` relative to the repository root, `/`-separated.
+fn rel(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// `text` without its `#[cfg(test)]` / `#[cfg(all(test, …))]` modules
+/// and without the lines carrying a bare `#[cfg(test)]` attribute —
+/// what PR 13's line rule and the key scan both call "not test code".
+/// Brace counting is textual; a `{` inside a string literal of a test
+/// module is counted like any other.
+fn without_test_modules(text: &str) -> Vec<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i].trim();
+        i += 1;
+        let bare = line.starts_with("#[cfg(test)]");
+        if bare || line.starts_with("#[cfg(all(test") {
+            // The item the attribute applies to, past further attributes.
+            let item = lines[i..]
+                .iter()
+                .map(|l| l.trim())
+                .find(|l| !(l.is_empty() || l.starts_with("//") || l.starts_with("#[")))
+                .unwrap_or_default();
+            let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+            if item
+                .strip_prefix("pub ")
+                .unwrap_or(item)
+                .starts_with("mod ")
+            {
+                // Skip to the module's closing brace (or its `;`).
+                let (mut depth, mut opened) = (0i64, false);
+                while i < lines.len() {
+                    let l = lines[i];
+                    i += 1;
+                    depth += l.matches('{').count() as i64 - l.matches('}').count() as i64;
+                    opened |= l.contains('{');
+                    if (opened && depth <= 0) || (!opened && l.trim().ends_with(';')) {
+                        break;
+                    }
+                }
+                continue;
+            }
+            if bare {
+                continue;
+            }
+        }
+        out.push(lines[i - 1]);
+    }
+    out
+}
+
+/// The first-party crates as `(name, src dir)`, the umbrella package
+/// last as `root`.
+fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
+    let mut out: Vec<(String, PathBuf)> = manifests(root)
+        .iter()
+        .skip(1)
+        .map(|m| m.parent().expect("manifest sits in its crate"))
+        .map(|dir| (rel(&root.join("crates"), dir), dir.join("src")))
+        .collect();
+    out.push(("root".into(), root.join("src")));
+    out
+}
+
+/// The workspace's code-line ledger (PR 13's rule, the one every
+/// EXPERIMENTS.md table since PR 16 uses): per crate, the lines under
+/// `src/` that are not blank, not `//` comments and not test code as
+/// [`without_test_modules`] defines it. Run with `--nocapture` for the
+/// table. The total only goes down: a PR that lowers it lowers
+/// `CEILING` to its own result, one that must raise it says why here.
+#[test]
+fn code_lines_ratchet() {
+    const CEILING: usize = 20_164;
+    let root = repo_root();
+    let mut total = 0;
+    println!("| crate | code lines |\n|---|---|");
+    for (name, src) in crate_sources(&root) {
+        let mut sources = Vec::new();
+        rust_sources(&src, &mut sources);
+        let lines: usize = sources
+            .iter()
+            .map(|path| fs::read_to_string(path).expect("source is readable"))
+            .map(|text| {
+                without_test_modules(&text)
+                    .iter()
+                    .map(|l| l.trim())
+                    .filter(|l| !l.is_empty() && !l.starts_with("//"))
+                    .count()
+            })
+            .sum();
+        println!("| {name} | {lines} |");
+        total += lines;
+    }
+    println!("| **total** | **{total}** |");
+    assert!(
+        total <= CEILING,
+        "the workspace grew to {total} code lines (ceiling {CEILING}): delete something, \
+         or raise the ceiling in this file with the reason"
+    );
+}
+
+/// Whether `text` names `word` as a whole identifier.
+fn names(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+}
+
+/// An extension stays while something calls it (DESIGN.md §6): every
+/// ungated `pub mod x;` of a first-party `lib.rs` (outside the frozen
+/// `crates/perf`) must have a top-level `pub` item that some other
+/// source file names — one of the same crate, or one that also names the
+/// crate. The module's own files and the `lib.rs` that re-exports it do
+/// not count. Dumb on purpose: a module used only through a glob import
+/// or a method goes in `USED_OTHERWISE` with the reason.
+#[test]
+fn no_orphan_modules() {
+    const USED_OTHERWISE: &[(&str, &str)] = &[(
+        "weave::shim",
+        "re-exports only; serve, subnet and core import it as their `sync`",
+    )];
+    let root = repo_root();
+    let mut all = Vec::new();
+    rust_sources(&root, &mut all);
+    let all: Vec<(String, String)> = all
+        .iter()
+        .map(|p| (rel(&root, p), fs::read_to_string(p).expect("readable")))
+        .collect();
+    let mut orphans = Vec::new();
+    for (krate, src) in crate_sources(&root) {
+        if krate == "perf" || krate == "root" {
+            continue;
+        }
+        let lib = rel(&root, &src.join("lib.rs"));
+        let lib_text = &all.iter().find(|(p, _)| *p == lib).expect("lib.rs").1;
+        let crate_dir = format!("crates/{krate}/");
+        // What other crates call this one (`dfsssp-core` is `dfsssp_core`,
+        // and `core` through the umbrella's re-export).
+        let manifest = fs::read_to_string(root.join(&crate_dir).join("Cargo.toml")).expect("toml");
+        let idents: Vec<String> = manifest
+            .lines()
+            .filter_map(|l| l.strip_prefix("name = "))
+            .map(|name| name.trim_matches('"').replace('-', "_"))
+            .chain([krate.clone()])
+            .collect();
+        let lines: Vec<&str> = lib_text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some(module) = line
+                .strip_prefix("pub mod ")
+                .and_then(|m| m.strip_suffix(';'))
+            else {
+                continue;
+            };
+            let id = format!("{krate}::{module}");
+            if (i > 0 && lines[i - 1].starts_with("#[cfg"))
+                || USED_OTHERWISE.iter().any(|(m, _)| *m == id)
+            {
+                continue;
+            }
+            let own = |p: &str| {
+                p == format!("{crate_dir}src/{module}.rs")
+                    || p.starts_with(&format!("{crate_dir}src/{module}/"))
+            };
+            let items: Vec<&str> = all
+                .iter()
+                .filter(|(p, _)| own(p))
+                .flat_map(|(_, text)| text.lines())
+                .filter_map(|l| l.strip_prefix("pub "))
+                .filter_map(|l| {
+                    [
+                        "fn ", "struct ", "enum ", "trait ", "const ", "static ", "type ",
+                    ]
+                    .iter()
+                    .find_map(|kw| l.strip_prefix(kw))
+                })
+                .map(|l| {
+                    l.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .next()
+                        .unwrap_or("")
+                })
+                .filter(|name| !name.is_empty())
+                .collect();
+            let called = all.iter().any(|(p, text)| {
+                !own(p)
+                    && *p != lib
+                    && (p.starts_with(&crate_dir) || idents.iter().any(|c| names(text, c)))
+                    && items.iter().any(|item| names(text, item))
+            });
+            if !called {
+                orphans.push(format!("{id} ({} pub items)", items.len()));
+            }
+        }
+    }
+    assert!(
+        orphans.is_empty(),
+        "pub modules nothing outside themselves names — delete them or give them a caller:\n  {}",
+        orphans.join("\n  ")
+    );
+}
+
+/// Reports are written by `telemetry::json::Writer`: outside test code,
+/// no first-party source spells a JSON key inside a string literal (the
+/// three-byte sequence backslash, quote, colon). The exceptions are the
+/// writer's own module and the three writers DESIGN.md §4 keeps, each
+/// for its stated reason.
+#[test]
+fn json_keys_go_through_the_writer() {
+    const MAY_SPELL_KEYS: &[&str] = &[
+        "crates/telemetry/src/json.rs",
+        // Bulk arrays whose bytes `tests/route_golden.rs` fingerprints.
+        "crates/fabric/src/format/json.rs",
+        // ROADMAP 1(c) deletes the module whole.
+        "crates/repro/src/loadgen.rs",
+        // A mutation dictionary of input fragments, not a writer.
+        "crates/repro/src/fuzz.rs",
+    ];
+    let root = repo_root();
+    let key = concat!("\\", "\":");
+    let mut violations = Vec::new();
+    for (krate, src) in crate_sources(&root) {
+        if krate == "perf" {
+            continue; // frozen; its report.rs writes `json::Value`s
+        }
+        let mut sources = Vec::new();
+        rust_sources(&src, &mut sources);
+        for path in sources {
+            let path_rel = rel(&root, &path);
+            if MAY_SPELL_KEYS.contains(&path_rel.as_str()) {
+                continue;
+            }
+            let text = fs::read_to_string(&path).expect("source is readable");
+            let hits = without_test_modules(&text)
+                .iter()
+                .filter(|l| l.contains(key))
+                .count();
+            if hits > 0 {
+                violations.push(format!("{path_rel}: {hits} line(s)"));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "hand-rolled JSON keys (use telemetry::json::Writer):\n  {}",
         violations.join("\n  ")
     );
 }
