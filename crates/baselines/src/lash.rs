@@ -157,7 +157,7 @@ impl Lash {
                 }
                 let index_of: FxHashMap<(u32, u32), usize> =
                     pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-                let ps = PathSet::from_parts(channels, offsets, pairs);
+                let ps = PathSet::from_parts(net, channels, offsets, pairs);
                 Ok((trees, terminal_tree, index_of, ps))
             })?;
         let (path_layer, stats) = assign_layers_online_budgeted(&ps, max_layers, rec, &guard)?;

@@ -12,6 +12,7 @@
 //!   ([`coloring_to_app`]) together with the two directions of its
 //!   correctness argument as executable checks.
 
+use crate::cdg::Cdg;
 use telemetry::fx::{FxHashMap, FxHashSet};
 
 /// A path in the channel dependency graph: a sequence of distinct nodes.
@@ -72,47 +73,12 @@ impl Generator {
     /// Whether the subset of paths selected by `member` induces an
     /// acyclic graph.
     pub fn subset_acyclic(&self, member: impl Fn(usize) -> bool) -> bool {
-        let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        let mut nodes: FxHashSet<u32> = FxHashSet::default();
-        for (i, p) in self.paths.iter().enumerate() {
-            if !member(i) {
-                continue;
-            }
-            for &n in p.nodes() {
-                nodes.insert(n);
-            }
-            for (a, b) in p.edges() {
-                adj.entry(a).or_default().push(b);
-            }
+        let nodes = self.paths.iter().flat_map(|p| p.nodes()).max();
+        let mut cdg = Cdg::new(nodes.map_or(0, |&n| n as usize + 1));
+        for (_, p) in self.paths.iter().enumerate().filter(|&(i, _)| member(i)) {
+            p.edges().for_each(|(a, b)| cdg.add_dependency(a, b));
         }
-        // Iterative 3-color DFS.
-        let mut color: FxHashMap<u32, u8> = FxHashMap::default();
-        for &start in &nodes {
-            if color.get(&start).copied().unwrap_or(0) != 0 {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            color.insert(start, 1);
-            while let Some(&mut (n, ref mut pos)) = stack.last_mut() {
-                let next = adj.get(&n).and_then(|v| v.get(*pos)).copied();
-                *pos += 1;
-                match next {
-                    None => {
-                        color.insert(n, 2);
-                        stack.pop();
-                    }
-                    Some(m) => match color.get(&m).copied().unwrap_or(0) {
-                        0 => {
-                            color.insert(m, 1);
-                            stack.push((m, 0));
-                        }
-                        1 => return false,
-                        _ => {}
-                    },
-                }
-            }
-        }
-        true
+        cdg.is_acyclic()
     }
 
     /// Whether `assignment` (class per path, values `< k`) is a valid

@@ -22,13 +22,17 @@
 //!    tree edge must be re-opened.
 
 use crate::paths::{PathId, PathSet};
-use telemetry::fx::FxHashMap;
+use fabric::DepSlots;
+use std::sync::Arc;
 
 /// Index of a CDG edge within its [`Cdg`].
 pub type EdgeId = u32;
 
-/// A CDG edge `from → to` (both are channel indices) with the list of
-/// paths that induce it.
+/// "No edge recorded at this dependency slot yet."
+const NO_EDGE: EdgeId = u32::MAX;
+
+/// A CDG edge `from → to` (both are channel indices). The paths that
+/// induce it are read through [`Cdg::live_paths_of`].
 #[derive(Debug)]
 pub struct Edge {
     /// Source channel index.
@@ -38,36 +42,88 @@ pub struct Edge {
     /// Number of *live* paths currently inducing this edge. The edge is
     /// part of the graph iff `count > 0`.
     pub count: u32,
-    /// Paths ever added to this edge (may contain stale entries for paths
-    /// that have since moved to another layer).
-    pub paths: Vec<PathId>,
+    /// Paths added one at a time ([`Cdg::add_path`]), after any the bulk
+    /// population listed; may hold stale entries for paths that have
+    /// since moved to another layer.
+    added: Vec<PathId>,
 }
 
 /// The channel dependency graph of one virtual layer.
+///
+/// A dependency is an address: edge ids live in a flat array indexed by
+/// [`DepSlots`], so recording or finding `(from, to)` is two small loads
+/// and an index, never a hash. Edge ids are handed out in first-recorded
+/// order and `out[from]` lists them in that order; the cycle search, the
+/// heuristics' tie-breaks and therefore every layer assignment depend on
+/// both, which is why the bulk population reproduces them exactly.
 pub struct Cdg {
+    slots: Arc<DepSlots>,
+    /// Edge id per dependency slot, [`NO_EDGE`] until first recorded.
+    edge_of_slot: Vec<EdgeId>,
     /// Outgoing edge ids per channel (append-only; dead edges skipped).
     out: Vec<Vec<EdgeId>>,
     edges: Vec<Edge>,
-    index: FxHashMap<u64, EdgeId>,
+    /// What [`Cdg::of_paths`] listed: edge `e`'s paths, ascending, are
+    /// `listed[listed_off[e]..listed_off[e + 1]]`. Empty in every other
+    /// CDG.
+    listed_off: Vec<usize>,
+    listed: Vec<PathId>,
     live_edges: usize,
     live_paths: usize,
 }
 
-#[inline]
-fn key(from: u32, to: u32) -> u64 {
-    ((from as u64) << 32) | to as u64
-}
-
 impl Cdg {
-    /// An empty CDG over `num_channels` channels.
+    /// An empty CDG over `num_channels` channels in which any ordered
+    /// pair may depend ([`DepSlots::complete`], `num_channels²` slots):
+    /// for small synthetic digraphs. A fabric's layers are [`Cdg::over`]
+    /// its path set's index.
     pub fn new(num_channels: usize) -> Cdg {
+        Cdg::over(DepSlots::complete(num_channels))
+    }
+
+    /// An empty CDG whose dependencies are addressed by `slots`.
+    pub fn over(slots: Arc<DepSlots>) -> Cdg {
         Cdg {
-            out: vec![Vec::new(); num_channels],
+            edge_of_slot: vec![NO_EDGE; slots.num_slots()],
+            out: vec![Vec::new(); slots.num_channels()],
+            slots,
             edges: Vec::new(),
-            index: FxHashMap::default(),
+            listed_off: Vec::new(),
+            listed: Vec::new(),
             live_edges: 0,
             live_paths: 0,
         }
+    }
+
+    /// The CDG of every path of `ps` — Algorithm 2's starting layer — in
+    /// two counting passes: the first creates the edges and counts each
+    /// one's paths, the second writes the path lists into one array of
+    /// exactly that size. Identical to calling [`Cdg::add_path`] for
+    /// every path in id order (edge ids, `out` order, counts, lists).
+    pub fn of_paths(ps: &PathSet) -> Cdg {
+        let mut cdg = Cdg::over(ps.slots().clone());
+        for p in ps.ids() {
+            for w in ps.channels(p).windows(2) {
+                cdg.bump(w[0].0, w[1].0);
+            }
+        }
+        cdg.live_paths = ps.len();
+        let mut total = 0;
+        for edge in &cdg.edges {
+            cdg.listed_off.push(total);
+            total += edge.count as usize;
+        }
+        let mut cursor = cdg.listed_off.clone();
+        cdg.listed_off.push(total);
+        cdg.listed = vec![0; total];
+        for p in ps.ids() {
+            for w in ps.channels(p).windows(2) {
+                let at = &mut cursor[cdg.edge_of_slot[cdg.slots.slot(w[0].0, w[1].0)] as usize];
+                cdg.listed[*at] = p;
+                *at += 1;
+            }
+        }
+        cdg
     }
 
     /// Number of channels (CDG nodes).
@@ -91,41 +147,36 @@ impl Cdg {
     }
 
     /// Record a single dependency `from → to` without path bookkeeping
-    /// (used by the verifier, which only needs acyclicity).
+    /// (for drivers that only need the digraph: tests, exact solvers).
     pub fn add_dependency(&mut self, from: u32, to: u32) {
-        self.bump(from, to, u32::MAX);
+        self.bump(from, to);
     }
 
-    fn bump(&mut self, from: u32, to: u32, path: PathId) -> EdgeId {
+    /// One more live path on the edge `from → to`, created on first use.
+    fn bump(&mut self, from: u32, to: u32) -> &mut Edge {
         debug_assert_ne!(from, to, "self-dependency");
-        let e = *self.index.entry(key(from, to)).or_insert_with(|| {
-            let id = self.edges.len() as EdgeId;
+        let slot = self.slots.slot(from, to);
+        if self.edge_of_slot[slot] == NO_EDGE {
+            self.edge_of_slot[slot] = self.edges.len() as EdgeId;
+            self.out[from as usize].push(self.edge_of_slot[slot]);
             self.edges.push(Edge {
                 from,
                 to,
                 count: 0,
-                paths: Vec::new(),
+                added: Vec::new(),
             });
-            self.out[from as usize].push(id);
-            id
-        });
-        let edge = &mut self.edges[e as usize];
-        if edge.count == 0 {
-            self.live_edges += 1;
         }
+        let edge = &mut self.edges[self.edge_of_slot[slot] as usize];
+        self.live_edges += usize::from(edge.count == 0);
         edge.count += 1;
-        if path != u32::MAX {
-            edge.paths.push(path);
-        }
-        e
+        edge
     }
 
     /// Add path `p` (all consecutive channel pairs) to this layer.
     /// Paths with fewer than two channels add no edges but still count.
     pub fn add_path(&mut self, ps: &PathSet, p: PathId) {
-        let chans = ps.channels(p);
-        for w in chans.windows(2) {
-            self.bump(w[0].0, w[1].0, p);
+        for w in ps.channels(p).windows(2) {
+            self.bump(w[0].0, w[1].0).added.push(p);
         }
         self.live_paths += 1;
     }
@@ -133,15 +184,12 @@ impl Cdg {
     /// Remove path `p`'s contribution from this layer. The path must have
     /// been added before (counts underflow otherwise, caught in debug).
     pub fn remove_path(&mut self, ps: &PathSet, p: PathId) {
-        let chans = ps.channels(p);
-        for w in chans.windows(2) {
-            let e = self.index[&key(w[0].0, w[1].0)];
+        for w in ps.channels(p).windows(2) {
+            let e = self.edge_of_slot[self.slots.slot(w[0].0, w[1].0)];
             let edge = &mut self.edges[e as usize];
             debug_assert!(edge.count > 0, "removing path not present");
             edge.count -= 1;
-            if edge.count == 0 {
-                self.live_edges -= 1;
-            }
+            self.live_edges -= usize::from(edge.count == 0);
         }
         self.live_paths -= 1;
     }
@@ -149,9 +197,11 @@ impl Cdg {
     /// The live paths inducing edge `e`: the recorded list filtered by the
     /// caller's current layer assignment (`path_layer[p] == layer`).
     pub fn live_paths_of(&self, e: EdgeId, path_layer: &[u8], layer: u8) -> Vec<PathId> {
-        self.edges[e as usize]
-            .paths
+        let listed = self.listed_off.get(e as usize..e as usize + 2);
+        listed
+            .map_or(&[][..], |w| &self.listed[w[0]..w[1]])
             .iter()
+            .chain(&self.edges[e as usize].added)
             .copied()
             .filter(|&p| path_layer[p as usize] == layer)
             .collect()
@@ -231,17 +281,6 @@ impl Cdg {
     pub fn find_cycle(&self) -> Option<Vec<EdgeId>> {
         let mut search = CycleSearch::new(self.num_channels());
         search.next_cycle(self)
-    }
-
-    /// Map an edge cycle (as returned by [`Cdg::find_cycle`] or
-    /// [`CycleSearch::next_cycle`]) to the channel sequence it traverses:
-    /// each edge contributes its source channel, so consecutive channels
-    /// hold a dependency and the last one feeds the first.
-    pub fn cycle_channels(&self, cycle: &[EdgeId]) -> Vec<fabric::ChannelId> {
-        cycle
-            .iter()
-            .map(|&e| fabric::ChannelId(self.edges[e as usize].from))
-            .collect()
     }
 }
 
@@ -414,12 +453,6 @@ mod tests {
         let first = cdg.edge(cycle[0]);
         let last = cdg.edge(*cycle.last().unwrap());
         assert_eq!(last.to, first.from);
-        // The channel view is the edge sources, in order.
-        let chans = cdg.cycle_channels(&cycle);
-        assert_eq!(chans.len(), cycle.len());
-        for (c, &e) in chans.iter().zip(&cycle) {
-            assert_eq!(c.0, cdg.edge(e).from);
-        }
     }
 
     #[test]
@@ -461,10 +494,7 @@ mod tests {
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
         let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut cdg = Cdg::new(net.num_channels());
-        for p in ps.ids() {
-            cdg.add_path(&ps, p);
-        }
+        let mut cdg = Cdg::of_paths(&ps);
         assert_eq!(cdg.num_paths(), ps.len());
         assert!(cdg.num_edges() > 0);
         // Removing everything empties the graph.
@@ -485,16 +515,12 @@ mod tests {
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
         let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut cdg = Cdg::new(net.num_channels());
+        let mut cdg = Cdg::of_paths(&ps);
         let mut path_layer = vec![0u8; ps.len()];
-        for p in ps.ids() {
-            cdg.add_path(&ps, p);
-        }
-        // Find an edge with at least one path; move one of them "away".
-        let e = (0..cdg.edges.len() as u32)
-            .find(|&e| cdg.edge(e).count > 0 && !cdg.edge(e).paths.is_empty())
-            .unwrap();
+        // Take any edge; move one of its paths "away".
+        let e = 0;
         let all = cdg.live_paths_of(e, &path_layer, 0);
+        assert_eq!(all.len(), cdg.edge(e).count as usize);
         let victim = all[0];
         cdg.remove_path(&ps, victim);
         path_layer[victim as usize] = 1;
@@ -529,10 +555,7 @@ mod tests {
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
         let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut cdg = Cdg::new(net.num_channels());
-        for p in ps.ids() {
-            cdg.add_path(&ps, p);
-        }
+        let cdg = Cdg::of_paths(&ps);
         assert!(!cdg.is_acyclic(), "5-ring SSSP must have a cyclic CDG");
     }
 }

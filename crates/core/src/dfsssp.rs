@@ -310,22 +310,15 @@ pub fn assign_layers_budgeted(
     } else {
         max_layers
     };
-    let num_channels = num_channels_of(ps);
     let mut path_layer = vec![0u8; ps.len()];
-    let mut layers: Vec<Cdg> = telemetry::timed(rec, phases::CDG_BUILD, || {
-        let mut l0 = Cdg::new(num_channels);
-        for p in ps.ids() {
-            l0.add_path(ps, p);
-        }
-        vec![l0]
-    });
+    let mut layers = telemetry::timed(rec, phases::CDG_BUILD, || vec![Cdg::of_paths(ps)]);
     guard.check_cdg_edges(layers[0].num_edges())?;
     let mut stats = DfStats::default();
     let mut search_acc = Acc::new(rec, phases::CYCLE_SEARCH);
     let mut assign_acc = Acc::new(rec, phases::LAYER_ASSIGN);
     let mut i = 0usize;
     while i < layers.len() {
-        let mut search = CycleSearch::new(num_channels);
+        let mut search = CycleSearch::new(layers[i].num_channels());
         while let Some(cycle) = search_acc.measure(|| search.next_cycle(&layers[i])) {
             guard.check_deadline()?;
             guard.check_cdg_edges_lazy(|| layers.iter().map(|l| l.num_edges()).sum())?;
@@ -340,7 +333,7 @@ pub fn assign_layers_budgeted(
                 });
             }
             if i + 1 >= layers.len() {
-                layers.push(Cdg::new(num_channels));
+                layers.push(Cdg::over(ps.slots().clone()));
             }
             assign_acc.measure(|| {
                 let (head, tail) = layers.split_at_mut(i + 1);
@@ -410,29 +403,16 @@ fn compact_layers(
         }
     }
     // Squeeze out layers that emptied: renumber densely.
-    let mut remap = vec![u8::MAX; layers.len()];
+    let mut remap = vec![0u8; layers.len()];
     let mut next = 0u8;
-    for (i, layer) in layers.iter().enumerate() {
-        if layer.num_paths() > 0 {
-            remap[i] = next;
-            next += 1;
-        }
+    for (to, layer) in remap.iter_mut().zip(layers.iter()) {
+        *to = next;
+        next += u8::from(layer.num_paths() > 0);
     }
-    let any_holes = remap
-        .iter()
-        .enumerate()
-        .any(|(i, &r)| r != u8::MAX && r as usize != i);
-    if any_holes {
-        for l in path_layer.iter_mut() {
-            *l = remap[*l as usize];
-        }
-        // Rebuild the CDG vector to match (cheap relative to assignment).
-        let mut rebuilt: Vec<Cdg> = (0..next as usize).map(|_| Cdg::new(num_channels)).collect();
-        for p in ps.ids() {
-            rebuilt[path_layer[p as usize] as usize].add_path(ps, p);
-        }
-        *layers = rebuilt;
+    for l in path_layer.iter_mut() {
+        *l = remap[*l as usize];
     }
+    layers.retain(|layer| layer.num_paths() > 0);
 }
 
 /// Ablation variant of [`assign_layers_offline`]: identical cycle
@@ -448,12 +428,8 @@ pub fn assign_layers_offline_restart(
     max_layers: usize,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
     assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
-    let num_channels = num_channels_of(ps);
     let mut path_layer = vec![0u8; ps.len()];
-    let mut layers: Vec<Cdg> = vec![Cdg::new(num_channels)];
-    for p in ps.ids() {
-        layers[0].add_path(ps, p);
-    }
+    let mut layers = vec![Cdg::of_paths(ps)];
     let mut stats = DfStats::default();
     let mut i = 0usize;
     while i < layers.len() {
@@ -468,7 +444,7 @@ pub fn assign_layers_offline_restart(
                 });
             }
             if i + 1 >= layers.len() {
-                layers.push(Cdg::new(num_channels));
+                layers.push(Cdg::over(ps.slots().clone()));
             }
             let (head, tail) = layers.split_at_mut(i + 1);
             let (cur, next) = (&mut head[i], &mut tail[0]);
@@ -500,11 +476,10 @@ pub fn assign_layers_online_budgeted(
     guard: &BudgetGuard,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
     assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
-    let num_channels = num_channels_of(ps);
     let mut path_layer = vec![0u8; ps.len()];
-    let mut layers: Vec<Cdg> = vec![Cdg::new(num_channels)];
+    let mut layers = vec![Cdg::over(ps.slots().clone())];
     let mut stats = DfStats::default();
-    let mut seen = vec![0u32; num_channels];
+    let mut seen = vec![0u32; ps.slots().num_channels()];
     let mut epoch = 0u32;
     let mut search_acc = Acc::new(rec, phases::CYCLE_SEARCH);
     let mut assign_acc = Acc::new(rec, phases::LAYER_ASSIGN);
@@ -514,7 +489,7 @@ pub fn assign_layers_online_budgeted(
         let mut placed = false;
         for l in 0..max_layers {
             if l >= layers.len() {
-                layers.push(Cdg::new(num_channels));
+                layers.push(Cdg::over(ps.slots().clone()));
             }
             assign_acc.measure(|| layers[l].add_path(ps, p));
             // Incremental check: the layer was acyclic before, so any
@@ -538,15 +513,6 @@ pub fn assign_layers_online_budgeted(
     }
     stats.layers_used = layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
     Ok((path_layer, stats))
-}
-
-/// The channel-id space of a path set (1 + max channel index used; CDG
-/// nodes must cover every channel any path touches).
-fn num_channels_of(ps: &PathSet) -> usize {
-    ps.ids()
-        .flat_map(|p| ps.channels(p).iter().map(|c| c.idx() + 1))
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

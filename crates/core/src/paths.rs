@@ -8,7 +8,8 @@
 //! layout is what keeps that figure practical).
 
 use crate::engine::RouteError;
-use fabric::{ChannelId, Network, Routes};
+use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
+use std::sync::Arc;
 
 /// Identifier of one terminal-to-terminal path in a [`PathSet`].
 pub type PathId = u32;
@@ -21,28 +22,79 @@ pub struct PathSet {
     offsets: Vec<u64>,
     /// `(src_t, dst_t)` terminal indices per path.
     pairs: Vec<(u32, u32)>,
+    /// Where the network the paths run on can hold a dependency: what
+    /// every layer's [`crate::cdg::Cdg`] over these paths is indexed by.
+    slots: Arc<DepSlots>,
 }
 
 impl PathSet {
-    /// Extract every ordered terminal pair's route from `routes`.
-    /// Paths are extracted in `(src_t, dst_t)` lexicographic order.
+    /// Extract every ordered terminal pair's route from `routes`, in
+    /// `(src_t, dst_t)` lexicographic order.
+    ///
+    /// One validated pass per destination walks each terminal toward it
+    /// until a node of known depth, so every table entry a route uses is
+    /// checked once — a missing entry, a channel the network does not
+    /// have or that leaves another node, and a loop are all
+    /// [`RouteError::Disconnected`] — and every path's length is known
+    /// before a channel is stored. The flat arrays are then allocated
+    /// exactly and filled without re-checking.
     pub fn extract(net: &Network, routes: &Routes) -> Result<PathSet, RouteError> {
+        let (n, nt) = (net.num_nodes(), net.num_terminals());
+        if routes.num_nodes() != n || routes.num_terminals() != nt {
+            return Err(RouteError::Disconnected);
+        }
         let terminals = net.terminals();
-        let mut channels = Vec::new();
-        let mut offsets = vec![0u64];
-        let mut pairs = Vec::new();
+        let num_paths = nt * nt.saturating_sub(1);
+        // Path lengths first (path `p`'s at `offsets[p + 1]`), summed in
+        // place after.
+        let mut offsets = vec![0u64; num_paths + 1];
+        const UNKNOWN: u32 = u32::MAX;
+        let mut depth = vec![UNKNOWN; n];
+        let mut stack: Vec<NodeId> = Vec::new();
+        for (dst_t, &dst) in terminals.iter().enumerate() {
+            depth.fill(UNKNOWN);
+            depth[dst.idx()] = 0;
+            for (src_t, &src) in terminals.iter().enumerate() {
+                let mut at = src;
+                while depth[at.idx()] == UNKNOWN {
+                    let c = routes
+                        .next_hop(at, dst_t)
+                        .filter(|c| c.idx() < net.num_channels());
+                    let ch = net.channel(c.ok_or(RouteError::Disconnected)?);
+                    // A walk longer than the node count has closed a loop.
+                    if ch.src != at || stack.len() == n {
+                        return Err(RouteError::Disconnected);
+                    }
+                    stack.push(at);
+                    at = ch.dst;
+                }
+                let mut hops = depth[at.idx()];
+                for v in stack.drain(..).rev() {
+                    hops += 1;
+                    depth[v.idx()] = hops;
+                }
+                if src != dst {
+                    let p = src_t * (nt - 1) + dst_t - usize::from(dst_t > src_t);
+                    offsets[p + 1] = u64::from(hops);
+                }
+            }
+        }
+        for p in 0..num_paths {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut channels = Vec::with_capacity(offsets[num_paths] as usize);
+        let mut pairs = Vec::with_capacity(num_paths);
         for (src_t, &src) in terminals.iter().enumerate() {
             for (dst_t, &dst) in terminals.iter().enumerate() {
                 if src == dst {
                     continue;
                 }
-                for step in routes
-                    .path(net, src, dst)
-                    .map_err(|_| RouteError::Disconnected)?
-                {
-                    channels.push(step.map_err(|_| RouteError::Disconnected)?);
+                let mut at = src;
+                while at != dst {
+                    let c = routes.next_hop(at, dst_t).expect("validated above");
+                    channels.push(c);
+                    at = net.channel(c).dst;
                 }
-                offsets.push(channels.len() as u64);
                 pairs.push((src_t as u32, dst_t as u32));
             }
         }
@@ -50,15 +102,17 @@ impl PathSet {
             channels,
             offsets,
             pairs,
+            slots: DepSlots::of(net),
         })
     }
 
-    /// Assemble a path set from raw parts — for engines whose layer
-    /// assignment granularity is not terminal pairs (e.g. LASH works on
-    /// switch pairs). `offsets` must have `pairs.len() + 1` monotone
-    /// entries ending at `channels.len()`; each path's channels must
-    /// chain head-to-tail.
+    /// Assemble a path set over `net` from raw parts — for engines whose
+    /// layer assignment granularity is not terminal pairs (e.g. LASH
+    /// works on switch pairs). `offsets` must have `pairs.len() + 1`
+    /// monotone entries ending at `channels.len()`; each path's channels
+    /// must chain head-to-tail in `net`.
     pub fn from_parts(
+        net: &Network,
         channels: Vec<ChannelId>,
         offsets: Vec<u64>,
         pairs: Vec<(u32, u32)>,
@@ -70,7 +124,13 @@ impl PathSet {
             channels,
             offsets,
             pairs,
+            slots: DepSlots::of(net),
         }
+    }
+
+    /// The dependency-slot index of the network these paths run on.
+    pub fn slots(&self) -> &Arc<DepSlots> {
+        &self.slots
     }
 
     /// Number of stored paths.

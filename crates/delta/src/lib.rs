@@ -60,7 +60,7 @@ use dfsssp_core::paths::PathSet;
 use dfsssp_core::{
     ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine,
 };
-use fabric::{ChannelId, Network, Routes};
+use fabric::{ChannelId, DepSlots, Network, Routes};
 use subnet::transition::{self, DiffPlanProvider, UpdatePlan, UpdateStage};
 use telemetry::fx::FxHashMap;
 use telemetry::{counters, phases, Recorder, RecorderHandle};
@@ -160,21 +160,18 @@ pub struct DeltaOutcome {
     pub union_acyclic: bool,
 }
 
-/// One all-paths CDG window: two consecutive channels `(from, to)` and
-/// the number of terminal-to-terminal paths crossing them in that order.
-type Window = ((u32, u32), u32);
-
 /// Cached epoch: what the next network is diffed against, and nothing
 /// that cannot be brought forward in O(change).
 struct DeltaState {
     net: Network,
     routes: Routes,
-    /// The all-paths (layer-0) CDG as window counts, sorted by channel
-    /// pair, one entry per pair. Mirrors `Cdg::add_path` over every
-    /// extracted path. Held only while that CDG is known acyclic — the
-    /// counts' one use is certifying the next epoch acyclic without the
-    /// real assignment, which a cyclic fabric can never skip.
-    l0: Option<Vec<Window>>,
+    /// The all-paths (layer-0) CDG as window counts: per dependency slot
+    /// of `net` ([`DepSlots`]), the number of terminal-to-terminal paths
+    /// taking its two channels in that order. Mirrors `Cdg::add_path`
+    /// over every extracted path. Held only while that CDG is known
+    /// acyclic — the counts' one use is certifying the next epoch acyclic
+    /// without the real assignment, which a cyclic fabric can never skip.
+    l0: Option<Vec<u32>>,
     /// `(clamped layer budget, balance)` the cached epoch's layer
     /// assignment ran under. While `l0` is held, the assignment is a
     /// pure function of the pair index and these two knobs, so a later
@@ -189,24 +186,23 @@ struct DeltaState {
 /// critical path — [`DeltaPlanner::diff_plan`] completes and caches it
 /// on first use.
 enum Cert {
-    /// No certificate (epoch came from a full recompute: there is no
-    /// vetted predecessor to transition from).
+    /// No certificate: the epoch came from a full recompute (there is no
+    /// vetted predecessor to transition from), or from a patch whose
+    /// old∪new all-paths CDG union is not acyclic — decided at route
+    /// time by one cheap DFS ([`DeltaOutcome::union_acyclic`]), so a
+    /// certificate nobody could use is never started, let alone finished.
     None,
-    /// Ingredients moved (not cloned) from the previous epoch's cache.
-    /// `union_acyclic` — old∪new all-paths CDG union acyclic — is
-    /// already decided: it is one cheap DFS and [`DeltaOutcome`]
-    /// reports it at route time.
+    /// The union is acyclic; ingredients moved (not cloned) from the
+    /// previous epoch's cache.
     Pending {
         prev_net: Box<Network>,
         prev_routes: Routes,
-        union_acyclic: bool,
     },
     /// Finished: what the subnet manager's remapped previous routes
     /// must look like (the planner's identity check), plus the changed
     /// destination columns and their switch-entry swap cost.
     Ready {
         expected_old: Routes,
-        union_acyclic: bool,
         plan_changed: Vec<usize>,
         plan_entries: usize,
     },
@@ -241,7 +237,7 @@ enum Attempt {
 /// acyclic) and the planner's union certificate.
 struct Patched {
     routes: Routes,
-    l0: Option<Vec<Window>>,
+    l0: Option<Vec<u32>>,
     union_acyclic: bool,
 }
 
@@ -310,7 +306,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         let (routes, acyclic) = self.inner.route_cold_in(net, cx)?;
         g.state = telemetry::timed(&*params.recorder, phases::DELTA_REBUILD, || {
             let l0 = if acyclic {
-                Some(tree_windows(net, &routes, 0..net.num_terminals())?)
+                let all = 0..net.num_terminals();
+                Some(tree_windows(net, &DepSlots::of(net), &routes, all)?)
             } else {
                 None
             };
@@ -408,10 +405,13 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             routes: patched.routes.clone(),
             l0: patched.l0,
             layer_cfg: (max_layers, params.balance),
-            cert: Cert::Pending {
-                prev_net: Box::new(prev.net),
-                prev_routes: prev.routes,
-                union_acyclic: patched.union_acyclic,
+            cert: if patched.union_acyclic {
+                Cert::Pending {
+                    prev_net: Box::new(prev.net),
+                    prev_routes: prev.routes,
+                }
+            } else {
+                Cert::None
             },
         });
         Ok(Attempt::Patched(patched.routes))
@@ -454,33 +454,39 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             }
         });
 
-        // Counts, only if the cached epoch holds them: rename the
+        // Counts, only if the cached epoch holds them: re-address the
         // survivors — windows through a removed channel drop out, which
         // is exact because only dirty trees' paths used them — take the
-        // dirty trees' old windows out (renamed and dropped the same
-        // way) and put their new windows in. The old∪new union is both
-        // the planner's direct-transition certificate and a superset of
-        // the patched graph, so when it is acyclic — the common case for
-        // a cable event on a path-diverse fabric — one DFS settles both
-        // questions. (`base ∪ incs` covers the union: every patched
-        // window survives from `base` or was added by a dirty tree.)
+        // dirty trees' old windows out (re-addressed and dropped the same
+        // way) and put their new windows in; a decrement the old count
+        // does not cover means the cache disagrees with the diff. The
+        // old∪new union is both the planner's direct-transition
+        // certificate and a superset of the patched graph, so when it is
+        // acyclic — the common case for a cable event on a path-diverse
+        // fabric — one DFS settles both questions. (`base ∪ incs` covers
+        // the union: every patched window survives from `base` or was
+        // added by a dirty tree.)
         let (mut l0, mut union_acyclic) = (None, false);
         if let Some(old) = &prev.l0 {
             let counted = telemetry::timed(rec, phases::DELTA_COUNTS, || {
-                let base = translate_windows(old, &diff.translate);
-                let decs = tree_windows(&prev.net, &prev.routes, dirty_dests())?;
-                let decs = translate_windows(&decs, &diff.translate);
-                let incs = tree_windows(net, &routes, dirty_dests())?;
-                let union = dense_acyclic(net.num_channels(), edges(&base).chain(edges(&incs)));
-                let l0 = merge_windows(&base, &decs, &incs)?;
-                let acyclic = union || dense_acyclic(net.num_channels(), edges(&l0));
+                let (old_slots, slots) = (DepSlots::of(&prev.net), DepSlots::of(net));
+                let carry =
+                    |counts: &[u32]| carry_over(counts, &old_slots, &slots, &diff.translate);
+                let base = carry(old);
+                let decs = tree_windows(&prev.net, &old_slots, &prev.routes, dirty_dests())?;
+                let decs = carry(&decs);
+                let incs = tree_windows(net, &slots, &routes, dirty_dests())?;
+                let union = acyclic(&slots, base.iter().zip(&incs).map(|(b, i)| b | i));
+                let l0 = (0..base.len()).map(|s| Some(base[s].checked_sub(decs[s])? + incs[s]));
+                let l0 = l0.collect::<Option<Vec<u32>>>()?;
+                let acyclic = union || acyclic(&slots, l0.iter().copied());
                 Some((l0, acyclic, union))
             });
             let Some((counts, acyclic, union)) = counted else {
                 return Ok(None);
             };
             // Same budget the full pipeline holds layer 0 against.
-            guard.check_cdg_edges(counts.len())?;
+            guard.check_cdg_edges(counts.iter().filter(|&&n| n > 0).count())?;
             l0 = acyclic.then_some(counts);
             union_acyclic = union;
         }
@@ -522,7 +528,7 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         // A fabric that just became acyclic starts holding counts.
         if broke_none && l0.is_none() {
             l0 = telemetry::timed(rec, phases::DELTA_COUNTS, || {
-                tree_windows(net, &routes, 0..net.num_terminals())
+                tree_windows(net, &DepSlots::of(net), &routes, 0..net.num_terminals())
             });
         }
         Ok(Some(Patched {
@@ -607,16 +613,12 @@ impl DiffPlanProvider for DeltaPlanner {
         let st = g.state.as_mut()?;
         // Finish a pending certificate once: the O(fabric) remap and
         // column diff were deferred off the reroute's critical path.
-        if matches!(st.cert, Cert::Pending { .. }) {
-            let Cert::Pending {
-                prev_net,
-                prev_routes,
-                union_acyclic,
-            } = std::mem::replace(&mut st.cert, Cert::None)
-            else {
-                unreachable!("matched Pending above");
-            };
-            let expected_old = transition::remap_routes(&prev_net, &prev_routes, &st.net);
+        if let Cert::Pending {
+            prev_net,
+            prev_routes,
+        } = &st.cert
+        {
+            let expected_old = transition::remap_routes(prev_net, prev_routes, &st.net);
             let plan_changed: Vec<usize> = (0..st.net.num_terminals())
                 .filter(|&d| transition::column_differs(&st.net, &expected_old, &st.routes, d))
                 .collect();
@@ -626,23 +628,18 @@ impl DiffPlanProvider for DeltaPlanner {
                 .sum();
             st.cert = Cert::Ready {
                 expected_old,
-                union_acyclic,
                 plan_changed,
                 plan_entries,
             };
         }
         let Cert::Ready {
             expected_old,
-            union_acyclic,
             plan_changed,
             plan_entries,
         } = &st.cert
         else {
             return None;
         };
-        if !union_acyclic {
-            return None;
-        }
         if old != expected_old || *new != st.routes {
             return None;
         }
@@ -706,8 +703,8 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
 }
 
 /// The window kernel: the all-paths CDG windows the trees of `dests`
-/// contribute, sorted by channel pair with one entry per pair, in
-/// O(|N|) per tree. A destination's in-tree is peeled leaves-first
+/// contribute, as a path count per dependency slot of `net`, in O(|N|)
+/// per tree. A destination's in-tree is peeled leaves-first
 /// carrying the number of terminal sources at or below each node; a
 /// node `v` peeled with `k` sources below it and next hop `c` into `p`
 /// puts `k` paths on the window `(c, next[p][d])`. `None` when a source
@@ -717,30 +714,15 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
 /// network's shape.
 fn tree_windows(
     net: &Network,
+    slots: &DepSlots,
     routes: &Routes,
     dests: impl Iterator<Item = usize>,
-) -> Option<Vec<Window>> {
+) -> Option<Vec<u32>> {
     let n = net.num_nodes();
     if routes.num_nodes() != n || routes.num_terminals() != net.num_terminals() {
         return None;
     }
-    // Counted in place, not sorted out of |N|·|dests| emissions: window
-    // `(c, next)` owns slot `base[c] + rank[next]`, one per out-channel
-    // of `c`'s far end. Only the distinct windows are sorted at the end.
-    let mut rank = vec![0usize; net.num_channels()];
-    for (v, _) in net.nodes() {
-        for (i, c) in net.out_channels(v).iter().enumerate() {
-            rank[c.idx()] = i;
-        }
-    }
-    let mut base = Vec::with_capacity(net.num_channels());
-    let mut slots = 0;
-    for (_, ch) in net.channels() {
-        base.push(slots);
-        slots += net.out_channels(ch.dst).len();
-    }
-    let mut counts = vec![0u32; slots];
-    let mut out: Vec<Window> = Vec::new();
+    let mut counts = vec![0u32; slots.num_slots()];
 
     let mut hop = vec![u32::MAX; n]; // this tree's column: next-hop channel…
     let mut up = vec![0usize; n]; // …and the node it leads to
@@ -779,11 +761,7 @@ fn tree_windows(
             }
             // A missing entry at `p` is reported when `p` is peeled.
             if sources > 0 && hop[p] != u32::MAX {
-                let count = &mut counts[base[c as usize] + rank[hop[p] as usize]];
-                if *count == 0 {
-                    out.push(((c, hop[p]), 0));
-                }
-                *count += sources;
+                counts[slots.slot(c, hop[p])] += sources;
             }
             below[p] += sources;
             unpeeled[p] -= 1;
@@ -795,107 +773,38 @@ fn tree_windows(
             return None; // a loop's nodes never become leaves
         }
     }
-    out.sort_unstable_by_key(|w| w.0);
-    for ((c, next), count) in &mut out {
-        *count = counts[base[*c as usize] + rank[*next as usize]];
-    }
-    Some(out)
+    Some(counts)
 }
 
-/// The channel pairs of a window list, as CDG edges.
-fn edges(windows: &[Window]) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
-    windows.iter().map(|w| w.0)
-}
-
-/// Rename windows into the new channel-id space, dropping those through
-/// a removed channel. The translation is monotone for the event diffs
-/// this path serves (degrade preserves relative order), so the result is
-/// normally still sorted; the linear check covers any exotic pairing.
-fn translate_windows(windows: &[Window], translate: &[Option<ChannelId>]) -> Vec<Window> {
-    let mut out: Vec<Window> = windows
-        .iter()
-        .filter_map(|&((f, t), n)| Some(((translate[f as usize]?.0, translate[t as usize]?.0), n)))
-        .collect();
-    if !out.windows(2).all(|w| w[0].0 < w[1].0) {
-        out.sort_unstable_by_key(|w| w.0);
+/// Re-address window counts from the cached network's dependency slots
+/// to the new one's; a window through a removed channel drops out. Both
+/// ends of a kept channel are the nodes they were, so a surviving window
+/// is still two adjacent channels.
+fn carry_over(
+    counts: &[u32],
+    from: &DepSlots,
+    to: &DepSlots,
+    translate: &[Option<ChannelId>],
+) -> Vec<u32> {
+    let mut out = vec![0; to.num_slots()];
+    for (slot, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let (c1, c2) = from.ends(slot);
+        if let (Some(c1), Some(c2)) = (translate[c1 as usize], translate[c2 as usize]) {
+            out[to.slot(c1.0, c2.0)] += n;
+        }
     }
     out
 }
 
-/// `base − decs + incs` in one merge pass over three sorted window
-/// lists. A decrement the old count alone does not cover means the cache
-/// disagrees with the diff: `None`, and the full pipeline repairs it.
-fn merge_windows(base: &[Window], decs: &[Window], incs: &[Window]) -> Option<Vec<Window>> {
-    let mut out = Vec::with_capacity(base.len() + incs.len());
-    let mut lists = [base, decs, incs];
-    while let Some(key) = lists.iter().filter_map(|l| l.first()).map(|w| w.0).min() {
-        let [b, d, i] = lists.each_mut().map(|l| match l.split_first() {
-            Some((&(k, n), rest)) if k == key => {
-                *l = rest;
-                n
-            }
-            _ => 0,
-        });
-        let count = b.checked_sub(d)? + i;
-        if count > 0 {
-            out.push((key, count));
-        }
+/// Whether the dependency slots that hold a count, as CDG edges, close
+/// no cycle.
+fn acyclic(slots: &Arc<DepSlots>, counts: impl Iterator<Item = u32>) -> bool {
+    let mut cdg = vet::EdgeSet::over(slots.clone());
+    for (slot, _) in counts.enumerate().filter(|&(_, n)| n > 0) {
+        let (from, to) = slots.ends(slot);
+        cdg.insert(from, to);
     }
-    Some(out)
-}
-
-/// Iterative three-color DFS over channel-id edges. Channel ids are
-/// dense (`< num_channels`), so the graph is a flat CSR and the colors
-/// a flat byte vector — this sits on the reroute's critical path, where
-/// both hashing and per-node adjacency allocations dominated. The edge
-/// iterator is walked twice (degree count, then fill); duplicate edges
-/// are harmless.
-fn dense_acyclic<I>(num_channels: usize, edges: I) -> bool
-where
-    I: Iterator<Item = (u32, u32)> + Clone,
-{
-    // CSR: off[c] .. off[c + 1] indexes c's successors in `heads`.
-    let mut off = vec![0u32; num_channels + 1];
-    for (f, _) in edges.clone() {
-        off[f as usize + 1] += 1;
-    }
-    for i in 1..off.len() {
-        off[i] += off[i - 1];
-    }
-    let mut cursor: Vec<u32> = off[..num_channels].to_vec();
-    let mut heads = vec![0u32; off[num_channels] as usize];
-    for (f, t) in edges {
-        let slot = &mut cursor[f as usize];
-        heads[*slot as usize] = t;
-        *slot += 1;
-    }
-    let mut color = vec![0u8; num_channels]; // 1 = open, 2 = done
-    let mut stack: Vec<(u32, u32)> = Vec::new(); // (node, next edge slot)
-    for start in 0..num_channels {
-        if color[start] != 0 {
-            continue;
-        }
-        color[start] = 1;
-        stack.push((start as u32, off[start]));
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if *i < off[u as usize + 1] {
-                let v = heads[*i as usize];
-                *i += 1;
-                match color[v as usize] {
-                    1 => return false,
-                    2 => {}
-                    _ => {
-                        color[v as usize] = 1;
-                        stack.push((v, off[v as usize]));
-                    }
-                }
-            } else {
-                color[u as usize] = 2;
-                stack.pop();
-            }
-        }
-    }
-    true
+    cdg.find_cycle().is_none()
 }
 
 #[cfg(test)]
@@ -929,7 +838,7 @@ mod tests {
         net: &Network,
         routes: &Routes,
         dests: impl Iterator<Item = usize>,
-    ) -> Option<Vec<Window>> {
+    ) -> Option<Vec<((u32, u32), u32)>> {
         let terminals = net.terminals();
         let mut l0: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         for d in dests {
@@ -943,9 +852,23 @@ mod tests {
                 }
             }
         }
-        let mut l0: Vec<Window> = l0.into_iter().collect();
+        let mut l0: Vec<_> = l0.into_iter().collect();
         l0.sort_unstable_by_key(|e| e.0);
         Some(l0)
+    }
+
+    /// The kernel's counts in the oracle's form: `((from, to), count)`
+    /// per window that has one, ascending.
+    fn kernel_windows(
+        net: &Network,
+        routes: &Routes,
+        dests: impl Iterator<Item = usize>,
+    ) -> Option<Vec<((u32, u32), u32)>> {
+        let slots = DepSlots::of(net);
+        let counts = tree_windows(net, &slots, routes, dests)?;
+        assert_eq!(counts.len(), slots.num_slots());
+        let counted = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+        Some(counted.map(|(slot, &n)| (slots.ends(slot), n)).collect())
     }
 
     #[test]
@@ -981,12 +904,11 @@ mod tests {
                 let label = format!("{} after {step} failures", net.label());
                 let routes = Sssp::new().route_in(&net, &snap_cx(&net)).expect(&label);
                 let nt = net.num_terminals();
-                let all = tree_windows(&net, &routes, 0..nt).expect(&label);
-                assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "{label}: sorted");
+                let all = kernel_windows(&net, &routes, 0..nt).expect(&label);
                 assert_eq!(Some(all), path_windows(&net, &routes, 0..nt), "{label}");
                 let some = || (0..nt).step_by(3);
                 assert_eq!(
-                    tree_windows(&net, &routes, some()),
+                    kernel_windows(&net, &routes, some()),
                     path_windows(&net, &routes, some()),
                     "{label}: a subset of the trees"
                 );
@@ -1046,7 +968,11 @@ mod tests {
             let mut routes = DfSssp::new().route_in(&net, &cx).unwrap();
             corrupt(&mut routes);
             let nt = net.num_terminals();
-            assert_eq!(tree_windows(&net, &routes, 0..nt), None, "{what}");
+            assert_eq!(
+                tree_windows(&net, &DepSlots::of(&net), &routes, 0..nt),
+                None,
+                "{what}"
+            );
             assert_eq!(path_windows(&net, &routes, 0..nt), None, "{what}: oracle");
 
             // The same damage inside a warm engine's cache: the patch
@@ -1235,6 +1161,43 @@ mod tests {
             scratch.direct,
             "scratch planner must agree the union is safe"
         );
+    }
+
+    #[test]
+    fn a_certificate_nobody_can_use_is_never_started() {
+        let cert_of =
+            |engine: &DeltaEngine| match engine.lock().state.as_ref().expect("a cached epoch").cert
+            {
+                Cert::None => "none",
+                Cert::Pending { .. } => "pending",
+                Cert::Ready { .. } => "ready",
+            };
+        // (fabric, whether a cable failure's old∪new union stays acyclic)
+        for (net, certifiable) in [
+            (topo::torus(&[5, 5], 1), false),
+            (topo::kary_ntree(2, 3), true),
+        ] {
+            let cx = snap_cx(&net);
+            let engine = delta_engine();
+            let old = engine.route_in(&net, &cx).unwrap();
+            assert_eq!(cert_of(&engine), "none", "a cold route has no predecessor");
+            let degraded = fail_one_cable(&net, 3);
+            let new = engine.route_in(&degraded, &cx).unwrap();
+            let outcome = engine.last_outcome().unwrap();
+            assert_eq!((outcome.delta, outcome.union_acyclic), (true, certifiable));
+            // Routing parks the previous epoch only where a planner could
+            // use it, and finishes nothing; the planner finishes what is
+            // parked and builds nothing (no remap, no column diff) where
+            // it must refuse anyway.
+            assert_eq!(
+                cert_of(&engine),
+                if certifiable { "pending" } else { "none" }
+            );
+            let remapped = transition::remap_routes(&net, &old, &degraded);
+            let plan = engine.planner().diff_plan(&degraded, &remapped, &new, 8);
+            assert_eq!(plan.is_some(), certifiable, "{}", net.label());
+            assert_eq!(cert_of(&engine), if certifiable { "ready" } else { "none" });
+        }
     }
 
     #[test]

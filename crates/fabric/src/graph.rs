@@ -8,6 +8,7 @@
 //! Kautz network) have `rev == None`.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node (switch or terminal) in a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -180,6 +181,89 @@ impl CsrAdj {
             }
         }
         Ok(())
+    }
+}
+
+/// Dense addressing of channel dependencies. A dependency `(c1, c2)` — a
+/// route takes `c2` directly after `c1` — can only exist where `c2`
+/// leaves the node `c1` enters, so a fabric has Σ_c outdeg(head(c))
+/// places one can be: a few per channel, not `|C|²`. [`DepSlots::of`]
+/// numbers them. Each `c1` owns one contiguous row holding its
+/// successors in ascending channel order, rows in channel order, so
+/// ascending slots are ascending `(c1, c2)` pairs. Whatever is kept per
+/// dependency (CDG edges, window counts, edge sets) is a flat array
+/// indexed by slot instead of a hash map keyed by the pair.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DepSlots {
+    /// `base[c1]..base[c1 + 1]` is `c1`'s row; length `num_channels + 1`.
+    base: Vec<u32>,
+    /// `rank[c2]`: where `c2` sits within every row that holds it.
+    rank: Vec<u32>,
+    /// The pair each slot stands for.
+    ends: Vec<(u32, u32)>,
+}
+
+impl DepSlots {
+    /// The slots of `net`: one per adjacent channel pair. Shared: every
+    /// structure built over an index holds on to it.
+    pub fn of(net: &Network) -> Arc<DepSlots> {
+        let n = net.num_channels();
+        let (mut base, mut rank) = (Vec::with_capacity(n + 1), vec![0u32; n]);
+        let mut ends = Vec::new();
+        for (c1, ch) in net.channels.iter().enumerate() {
+            base.push(ends.len() as u32);
+            for (i, c2) in net.out_csr.row(ch.dst.idx()).iter().enumerate() {
+                rank[c2.idx()] = i as u32;
+                ends.push((c1 as u32, c2.0));
+            }
+        }
+        base.push(u32::try_from(ends.len()).expect("slots are addressed by u32"));
+        Arc::new(DepSlots { base, rank, ends })
+    }
+
+    /// All `n²` ordered pairs over `n` channels, `slot = c1·n + c2`: for
+    /// small digraphs that are not a fabric's dependencies.
+    pub fn complete(n: usize) -> Arc<DepSlots> {
+        let n = u32::from(u16::try_from(n).expect("n² slots are addressed by u32"));
+        Arc::new(DepSlots {
+            base: (0..=n).map(|c1| c1 * n).collect(),
+            rank: (0..n).collect(),
+            ends: (0..n)
+                .flat_map(|c1| (0..n).map(move |c2| (c1, c2)))
+                .collect(),
+        })
+    }
+
+    /// Number of slots.
+    pub fn num_slots(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Number of channels the slots range over.
+    pub fn num_channels(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// The slot of `(c1, c2)`, which must be adjacent (`c2` leaves the
+    /// node `c1` enters): callers pass consecutive hops of a walk they
+    /// validated. Two loads, checked in debug builds only.
+    #[inline]
+    pub fn slot(&self, c1: u32, c2: u32) -> usize {
+        let slot = (self.base[c1 as usize] + self.rank[c2 as usize]) as usize;
+        debug_assert_eq!(self.ends.get(slot), Some(&(c1, c2)), "not adjacent");
+        slot
+    }
+
+    /// The slots of `c1`'s successors, ascending by successor.
+    #[inline]
+    pub fn row(&self, c1: u32) -> std::ops::Range<usize> {
+        self.base[c1 as usize] as usize..self.base[c1 as usize + 1] as usize
+    }
+
+    /// The pair `(c1, c2)` a slot stands for.
+    #[inline]
+    pub fn ends(&self, slot: usize) -> (u32, u32) {
+        self.ends[slot]
     }
 }
 

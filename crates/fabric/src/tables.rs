@@ -316,28 +316,6 @@ impl Routes {
         }
         Ok(loads)
     }
-
-    /// Longest path length (hops) over all ordered terminal pairs.
-    pub fn max_path_len(&self, net: &Network) -> Result<usize, RoutesError> {
-        let mut max = 0;
-        for &src in net.terminals() {
-            for &dst in net.terminals() {
-                if src == dst {
-                    continue;
-                }
-                let len = self.path(net, src, dst)?.count();
-                // count() consumed Results; re-walk to surface errors.
-                let mut n = 0;
-                for step in self.path(net, src, dst)? {
-                    step?;
-                    n += 1;
-                }
-                debug_assert_eq!(len, n);
-                max = max.max(n);
-            }
-        }
-        Ok(max)
-    }
 }
 
 /// Lazy iterator over the channels of one route (see [`Routes::path`]).
@@ -569,12 +547,5 @@ mod tests {
         let none: Vec<Option<ChannelId>> = vec![None; net.num_channels()];
         let mut broken = Routes::new(&net, "broken");
         assert!(!broken.copy_clean_columns_translated(&src, &dirty, &none));
-    }
-
-    #[test]
-    fn max_path_len_is_diameter_bound() {
-        let net = line();
-        let r = bfs_routes(&net);
-        assert_eq!(r.max_path_len(&net).unwrap(), 3);
     }
 }

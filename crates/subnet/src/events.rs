@@ -1059,17 +1059,22 @@ mod tests {
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
     }
 
-    /// Walks one handled `event` costs: `[new, old, hybrid]` full-table
-    /// walks and per-pair LFT walks.
-    fn walks_of(sm: &mut SmLoop<DfSssp>, event: FabricEvent) -> ([usize; 3], usize, UpdatePlan) {
+    /// What one handled `event` costs: `[new, old, hybrid]` full-table
+    /// walks, per-layer cycle searches of walked artifacts, and per-pair
+    /// LFT walks.
+    fn walks_of(
+        sm: &mut SmLoop<DfSssp>,
+        event: FabricEvent,
+    ) -> ([usize; 3], usize, usize, UpdatePlan) {
         use crate::lft::PAIR_WALKS;
-        use crate::transition::WALKS;
-        let (full, pair) = (WALKS.with(|w| w.get()), PAIR_WALKS.with(|n| n.get()));
+        use crate::transition::{SEARCHES, WALKS};
+        let before = (WALKS.get(), SEARCHES.get(), PAIR_WALKS.get());
         let plan = sm.handle(event).unwrap().plan;
-        let after = WALKS.with(|w| w.get());
+        let walks = WALKS.get();
         (
-            [0, 1, 2].map(|i| after[i] - full[i]),
-            PAIR_WALKS.with(|n| n.get()) - pair,
+            [0, 1, 2].map(|i| walks[i] - before.0[i]),
+            SEARCHES.get() - before.1,
+            PAIR_WALKS.get() - before.2,
             plan,
         )
     }
@@ -1077,20 +1082,26 @@ mod tests {
     #[test]
     fn an_event_walks_each_artifact_once() {
         // Staged + bulk drain: the torus changes every column, so the
-        // only hybrid vetted is the broken-columns stage.
+        // only hybrid vetted is the broken-columns stage. The guard and
+        // the bulk-drain stage both ask which layers of the new routing
+        // are cyclic: its walk is searched once for the two of them, the
+        // old walk (which only feeds the union) never, a hybrid once.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
+        let (full, searched, pair, plan) =
+            walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert!(plan.describe().ends_with("+drain"), "{}", plan.describe());
         assert_eq!((full[0], full[1], pair), (1, 1, 0), "new, old, per-pair");
         assert!(full[2] <= 1, "{} hybrid walks", full[2]);
+        assert_eq!(searched, 1 + full[2], "searches");
 
         // Direct: the union is acyclic, no hybrid exists.
         let net = topo::kary_ntree(16, 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, pair, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
+        let (full, searched, pair, plan) =
+            walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert_eq!(plan.describe(), "direct");
-        assert_eq!((full, pair), ([1, 1, 0], 0));
+        assert_eq!((full, searched, pair), ([1, 1, 0], 1, 0));
     }
 
     #[test]

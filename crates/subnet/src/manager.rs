@@ -13,7 +13,7 @@
 use crate::discovery::{discover, DiscoveredFabric};
 use crate::lft::{FabricTables, WalkError};
 use crate::lid::LidMap;
-use crate::transition::{walk_artifact, Artifact};
+use crate::transition::{walk_artifact, Artifact, Walked};
 use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{Network, NodeId, Routes};
 use telemetry::{phases, timed, Recorder};
@@ -139,7 +139,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
         net: &Network,
         sm_node: NodeId,
         rec: &dyn Recorder,
-    ) -> Result<(ProgrammedFabric, Option<vet::TableWalk>), SmError> {
+    ) -> Result<(ProgrammedFabric, Option<Walked>), SmError> {
         let discovery = discover(net, sm_node);
         if !discovery.complete(net) {
             return Err(SmError::PartialDiscovery {
@@ -178,22 +178,18 @@ impl<E: RoutingEngine> SubnetManager<E> {
 
 /// The deploy guard: walk the engine's tables once; refuse broken tables
 /// (with the analyzer's first error finding) and cyclic layers.
-fn guard(net: &Network, routes: &Routes) -> Result<vet::TableWalk, SmError> {
+fn guard(net: &Network, routes: &Routes) -> Result<Walked, SmError> {
     let walk = walk_artifact(net, routes, Artifact::New);
     if let Some(d) = walk
+        .table
         .diagnostics()
         .iter()
         .find(|d| d.severity == vet::Severity::Error)
     {
         return Err(SmError::BrokenTables(d.clone()));
     }
-    let cyclic: Vec<u8> = walk
-        .cyclic_layers(net)
-        .into_iter()
-        .map(|(l, _)| l)
-        .collect();
-    if !cyclic.is_empty() {
-        return Err(SmError::CyclicLayers(cyclic));
+    if !walk.cyclic_layers().is_empty() {
+        return Err(SmError::CyclicLayers(walk.cyclic_layers().to_vec()));
     }
     Ok(walk)
 }

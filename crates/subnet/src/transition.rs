@@ -23,8 +23,9 @@
 //! [`crate::events::SmLoop`], is the walk the deploy guard already made
 //! of the same tables. Only the hybrid states in between are distinct
 //! artifacts, and each of those is walked once by [`vet_ok`]. Every full
-//! walk in this crate goes through [`walk_artifact`], so a test can
-//! count them.
+//! walk in this crate goes through [`walk_artifact`], and every per-layer
+//! cycle search through the [`Walked`] it returns, which runs it at most
+//! once however many callers ask — so a test can count both.
 
 use fabric::{Network, NodeId, Routes};
 use telemetry::fx::{FxHashMap, FxHashSet};
@@ -191,12 +192,33 @@ pub(crate) enum Artifact {
     Hybrid,
 }
 
+/// A walked artifact that remembers which of its layers are cyclic once
+/// somebody asked: the deploy guard and the planner's bulk-drain stage
+/// both ask it of the new routing's walk.
+pub(crate) struct Walked {
+    pub(crate) table: TableWalk,
+    cyclic: std::cell::OnceCell<Vec<u8>>,
+}
+
+impl Walked {
+    /// The layers whose dependency edges close a cycle (the V004 search,
+    /// run on first use).
+    pub(crate) fn cyclic_layers(&self) -> &[u8] {
+        self.cyclic.get_or_init(|| {
+            #[cfg(test)]
+            SEARCHES.set(SEARCHES.get() + 1);
+            let cyclic = self.table.cyclic_layers();
+            cyclic.into_iter().map(|(layer, _)| layer).collect()
+        })
+    }
+}
+
 /// The one full-table walk of this crate: the deploy guard, the planner
 /// and every hybrid vetting call it, so the walks of an event can be
 /// counted. Minimality is nobody's question here, which also keeps the
 /// per-destination hop distances unread on clean tables.
 #[cfg_attr(not(test), allow(unused_variables))]
-pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> TableWalk {
+pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> Walked {
     #[cfg(test)]
     WALKS.with(|w| {
         let mut counts = w.get();
@@ -207,7 +229,10 @@ pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> 
         check_minimal: false,
         ..vet::Config::default()
     };
-    vet::walk_tables(net, routes, &cfg)
+    Walked {
+        table: vet::walk_tables(net, routes, &cfg),
+        cyclic: std::cell::OnceCell::new(),
+    }
 }
 
 #[cfg(test)]
@@ -215,14 +240,17 @@ thread_local! {
     /// Full-table walks on this thread, indexed by [`Artifact`] — the
     /// deterministic cost pin of a handled event.
     pub(crate) static WALKS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// Per-layer cycle searches of walked artifacts on this thread.
+    pub(crate) static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Whether a walked artifact is deployable: walkable, within the VL
 /// budget, and — the point of the exercise — acyclic per layer.
-fn deployable(net: &Network, walk: &TableWalk, hw_vls: usize) -> bool {
-    walk.num_layers as usize <= hw_vls
-        && walk.num_errors() == 0
-        && walk.cyclic_layers(net).is_empty()
+fn deployable(walk: &Walked, hw_vls: usize) -> bool {
+    let table = &walk.table;
+    table.num_layers as usize <= hw_vls
+        && table.num_errors() == 0
+        && walk.cyclic_layers().is_empty()
 }
 
 /// Plan the transition from `old` to `new` on `net`.
@@ -241,7 +269,7 @@ pub(crate) fn plan_update_walked(
     net: &Network,
     old: Option<&Routes>,
     new: &Routes,
-    new_walk: Option<&TableWalk>,
+    new_walk: Option<&Walked>,
     hw_vls: usize,
 ) -> UpdatePlan {
     let nt = net.num_terminals();
@@ -281,8 +309,8 @@ pub(crate) fn plan_update_walked(
     // searched; only its per-destination verdicts live on.
     let (hazards, old_broken) = {
         let old_walk = walk_artifact(net, old, Artifact::Old);
-        let hazards = vet::union_cycles_of(net, &[&old_walk, new_walk]);
-        (hazards, old_walk.broken)
+        let hazards = vet::union_cycles_of(&[&old_walk.table, &new_walk.table]);
+        (hazards, old_walk.table.broken)
     };
     if hazards.is_empty() {
         let entries = changed
@@ -380,7 +408,7 @@ pub(crate) fn plan_update_walked(
                 .sum(),
             dests: remaining,
             drained: true,
-            vetted: deployable(net, new_walk, hw_vls),
+            vetted: deployable(new_walk, hw_vls),
         });
     }
     UpdatePlan {
@@ -458,7 +486,7 @@ fn rollback_column(net: &Network, r: &mut Routes, col: &Column, d: usize) {
 /// decided once by the ladder and the publish gate, not per stage.
 fn vet_ok(net: &Network, r: &mut Routes, hw_vls: usize) -> bool {
     r.recompute_num_layers();
-    deployable(net, &walk_artifact(net, r, Artifact::Hybrid), hw_vls)
+    deployable(&walk_artifact(net, r, Artifact::Hybrid), hw_vls)
 }
 
 #[cfg(test)]

@@ -294,7 +294,7 @@ fn plans_equal_the_reference_planner_across_the_zoo() {
             let old_walk = walk_artifact(view, old, Artifact::Old);
             for d in 0..view.num_terminals() {
                 assert_eq!(
-                    old_walk.broken[d],
+                    old_walk.table.broken[d],
                     dest_broken(view, old, d),
                     "{what} dest {d}"
                 );

@@ -314,6 +314,7 @@ impl Parser<'_> {
                         other => return Err(self.err(format!("bad escape \\{}", other as char))),
                     }
                 }
+                Some(0..=0x1F) => return Err(self.err("unescaped control character in string")),
                 Some(_) => {
                     // Consume one UTF-8 scalar; `input` is a &str, so the
                     // current position sits on a boundary whenever we get
@@ -574,6 +575,10 @@ mod tests {
             ("[\n \"é\\q\"]", 2, 6, "bad escape \\q"),
             ("{not json", 1, 2, "expected `\"`"),
             ("{\"label\": \"x\",\n  ?}", 2, 3, "expected `\"`"),
+            // RFC 8259: U+0000–U+001F appear in a string only escaped.
+            ("[\"a\tb\"]", 1, 4, "unescaped control character"),
+            ("\"\u{0}\"", 1, 2, "unescaped control character"),
+            ("\"line\nbreak\"", 1, 6, "unescaped control character"),
         ] {
             let e = parse(doc).unwrap_err();
             assert_eq!((e.line, e.column), (line, column), "{doc:?} -> {e}");

@@ -43,9 +43,8 @@
 //! never search (see [`ForcedWalks`]) — `O(T · E)` on fabrics with path
 //! diversity, which a publish gate that runs on every epoch needs.
 
-use crate::cdg_lint;
-use fabric::{ChannelId, Network, NodeId};
-use telemetry::fx::FxHashSet;
+use crate::cdg_lint::EdgeSet;
+use fabric::{ChannelId, DepSlots, Network, NodeId};
 
 /// The V007 verdict for a fabric. See the module docs for semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,7 +110,7 @@ pub fn existence(net: &Network) -> Existence {
         <= FORCED_WALK_BUDGET;
     let mut cabling = Cabling::new(net);
     let mut walks = ForcedWalks::new(net.num_nodes());
-    let mut forced: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut forced = EdgeSet::over(DepSlots::of(net));
     let mut uncertified: Option<(NodeId, NodeId)> = None;
     let mut required_pairs = 0usize;
 
@@ -135,7 +134,7 @@ pub fn existence(net: &Network) -> Existence {
         }
     }
 
-    if let Some(channels) = cdg_lint::find_cycle(net.num_channels(), &forced) {
+    if let Some(channels) = forced.find_cycle() {
         return Existence::NotExists(ExistenceWitness::ForcedCycle { channels });
     }
     if let Some((src, dst)) = uncertified {
@@ -296,14 +295,7 @@ impl ForcedWalks {
 
     /// Add the dependency edges the pair `(s, d)` forces, if its walk is
     /// forced end to end. `dist` is `net.hops_to(d)`.
-    fn collect(
-        &mut self,
-        net: &Network,
-        dist: &[u32],
-        s: NodeId,
-        d: NodeId,
-        forced: &mut FxHashSet<(u32, u32)>,
-    ) {
+    fn collect(&mut self, net: &Network, dist: &[u32], s: NodeId, d: NodeId, forced: &mut EdgeSet) {
         let mut usable = net.out_channels(s).iter().copied().filter(|&c| {
             let head = net.channel(c).dst;
             dist[head.idx()] != u32::MAX && (head == d || net.is_switch(head))
@@ -326,7 +318,7 @@ impl ForcedWalks {
         if let Walk::Forced { start, len } = self.memo[entry.idx()] {
             let mut prev = first;
             for &c in &self.chains[start..start + len] {
-                forced.insert((prev.0, c.0));
+                forced.insert(prev.0, c.0);
                 prev = c;
             }
         }
@@ -503,7 +495,7 @@ impl Certificate {
     /// chain except a down-channel feeding an up-channel — must be
     /// acyclic, or the orientation proves nothing.
     fn allowed_graph_is_acyclic(&self, net: &Network) -> bool {
-        let mut allowed: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut allowed = EdgeSet::over(DepSlots::of(net));
         for &v in net.switches() {
             for &a in net.in_channels(v) {
                 let Some(a_up) = self.is_up(net, a) else {
@@ -514,12 +506,12 @@ impl Certificate {
                         continue;
                     };
                     if a_up || !b_up {
-                        allowed.insert((a.0, b.0));
+                        allowed.insert(a.0, b.0);
                     }
                 }
             }
         }
-        cdg_lint::find_cycle(net.num_channels(), &allowed).is_none()
+        allowed.find_cycle().is_none()
     }
 
     /// Does the certificate cover the ordered pair `(s, d)`? Yes when
@@ -547,6 +539,7 @@ fn paired(net: &Network, c: ChannelId) -> bool {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use telemetry::fx::FxHashSet;
 
     /// The per-pair procedure [`existence`] replaced, kept verbatim as its
     /// oracle: a fresh avoiding search at every step of every ordered
@@ -590,7 +583,9 @@ mod reference {
             }
         }
 
-        if let Some(channels) = cdg_lint::find_cycle(net.num_channels(), &forced) {
+        let mut cdg = EdgeSet::over(DepSlots::of(net));
+        forced.iter().for_each(|&(a, b)| cdg.insert(a, b));
+        if let Some(channels) = cdg.find_cycle() {
             return Existence::NotExists(ExistenceWitness::ForcedCycle { channels });
         }
         if let Some((src, dst)) = uncertified {
@@ -710,6 +705,7 @@ mod tests {
     use super::reference::existence_reference;
     use super::*;
     use fabric::{degrade, topo, NetworkBuilder};
+    use telemetry::fx::FxHashSet;
 
     /// t0 - s0 - s1 - t1 with everything bidirected.
     fn healthy_line() -> Network {
@@ -914,12 +910,25 @@ mod tests {
                 if s == d || dist[s.idx()] == u32::MAX {
                     continue;
                 }
-                let (mut new, mut old) = (FxHashSet::default(), FxHashSet::default());
-                walks.collect(net, &dist, s, d, &mut new);
+                let new = forced_edges(&mut walks, net, &dist, s, d);
+                let mut old = FxHashSet::default();
                 reference::collect_forced_edges(net, s, d, &mut old);
                 assert_eq!(new, old, "{what}: forced edges of {s:?} -> {d:?}");
             }
         }
+    }
+
+    /// What one pair's forced walk collects, as a plain set.
+    fn forced_edges(
+        walks: &mut ForcedWalks,
+        net: &Network,
+        dist: &[u32],
+        s: NodeId,
+        d: NodeId,
+    ) -> FxHashSet<(u32, u32)> {
+        let mut forced = EdgeSet::over(DepSlots::of(net));
+        walks.collect(net, dist, s, d, &mut forced);
+        forced.iter().collect()
     }
 
     fn without(net: &Network, dead: &[ChannelId]) -> Network {
@@ -1058,8 +1067,7 @@ mod tests {
 
         let dist = net.hops_to(t2);
         let mut walks = ForcedWalks::new(net.num_nodes());
-        let mut forced = FxHashSet::default();
-        walks.collect(&net, &dist, t0, t2, &mut forced);
+        let forced = forced_edges(&mut walks, &net, &dist, t0, t2);
         let c0 = net.channel_between(t0, s0).unwrap();
         let expect: FxHashSet<(u32, u32)> = [(c0.0, c01.0), (c01.0, c12.0), (c12.0, c2t.0)]
             .into_iter()
@@ -1078,8 +1086,8 @@ mod tests {
         b.link(t2, s[2]).unwrap();
         let net = b.build();
         assert_matches_reference("bidirected line", &net);
-        let mut forced = FxHashSet::default();
-        ForcedWalks::new(net.num_nodes()).collect(&net, &net.hops_to(t2), t0, t2, &mut forced);
+        let mut walks = ForcedWalks::new(net.num_nodes());
+        let forced = forced_edges(&mut walks, &net, &net.hops_to(t2), t0, t2);
         assert_eq!(forced.len(), 3, "t0 -> t2 is forced end to end");
     }
 
@@ -1108,8 +1116,8 @@ mod tests {
         for second_uplink in [false, true] {
             let (net, t0, t1) = build(second_uplink);
             assert_matches_reference("multi-homed source", &net);
-            let mut forced = FxHashSet::default();
-            ForcedWalks::new(net.num_nodes()).collect(&net, &net.hops_to(t1), t0, t1, &mut forced);
+            let mut walks = ForcedWalks::new(net.num_nodes());
+            let forced = forced_edges(&mut walks, &net, &net.hops_to(t1), t0, t1);
             assert_eq!(forced.is_empty(), second_uplink);
         }
     }

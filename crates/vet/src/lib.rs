@@ -30,12 +30,12 @@ mod diag;
 mod existence;
 mod walk;
 
+pub use cdg_lint::EdgeSet;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Stats, Witness};
 pub use existence::{existence, Existence, ExistenceWitness};
 pub use walk::TableWalk;
 
 use fabric::{ChannelId, Network, Routes};
-use telemetry::fx::FxHashSet;
 
 /// Tunables for one analysis run.
 #[derive(Clone, Debug)]
@@ -134,7 +134,7 @@ fn shape_matches(net: &Network, routes: &Routes) -> bool {
 
 fn analyze_inner(net: &Network, routes: &Routes, cfg: &Config, scope: Option<&[usize]>) -> Report {
     let walked = walk::walk(net, routes, cfg, scope);
-    let cycles = walked.cyclic_layers(net);
+    let cycles = walked.cyclic_layers();
     let mut stats = Stats {
         num_nodes: net.num_nodes(),
         num_switches: net.num_switches(),
@@ -302,7 +302,7 @@ fn report_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stat
 /// material for update-window hazard checks (see [`union_cycles`]).
 /// Pairs that do not walk cleanly contribute no edges; an artifact sized
 /// for a different network yields an empty vector.
-pub fn dependency_edges(net: &Network, routes: &Routes) -> Vec<FxHashSet<(u32, u32)>> {
+pub fn dependency_edges(net: &Network, routes: &Routes) -> Vec<EdgeSet> {
     walk::walk(net, routes, &edges_only(), None).edges
 }
 
@@ -330,20 +330,20 @@ pub fn union_cycles(net: &Network, artifacts: &[&Routes]) -> Vec<(u8, Vec<Channe
         .iter()
         .map(|r| walk::walk(net, r, &edges_only(), None))
         .collect();
-    union_cycles_of(net, &walks.iter().collect::<Vec<_>>())
+    union_cycles_of(&walks.iter().collect::<Vec<_>>())
 }
 
 /// [`union_cycles`] over artifacts that have already been walked (see
-/// [`walk_tables`]): the cycle search alone, no table is touched.
-pub fn union_cycles_of(net: &Network, walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
+/// [`walk_tables`], all on one network): the cycle search alone, no
+/// table is touched.
+pub fn union_cycles_of(walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
     let layers = walks.iter().map(|w| w.edges.len()).max().unwrap_or(0);
     (0..layers)
         .filter_map(|layer| {
-            let edges = walks
-                .iter()
-                .filter_map(|w| w.edges.get(layer))
-                .flat_map(|e| e.iter());
-            cdg_lint::find_cycle(net.num_channels(), edges).map(|c| (layer as u8, c))
+            let mut sets = walks.iter().filter_map(|w| w.edges.get(layer));
+            let mut union = sets.next()?.clone();
+            sets.for_each(|set| union.absorb(set));
+            union.find_cycle().map(|c| (layer as u8, c))
         })
         .collect()
 }
@@ -646,7 +646,7 @@ mod tests {
         assert_eq!(edges.len(), 1, "single-layer artifact");
         assert!(!edges[0].is_empty());
         // Every edge chains two channels through a node.
-        for &(a, b) in &edges[0] {
+        for (a, b) in edges[0].iter() {
             assert_eq!(net.channel(ChannelId(a)).dst, net.channel(ChannelId(b)).src);
         }
         // An artifact for a different network contributes nothing.
@@ -703,8 +703,8 @@ mod tests {
         // The same search over artifacts already walked.
         let cfg = Config::default();
         let (wa, wb) = (walk_tables(&ring, &a, &cfg), walk_tables(&ring, &b, &cfg));
-        assert_eq!(union_cycles_of(&ring, &[&wa, &wb]), hazards);
-        assert!(union_cycles_of(&ring, &[&wa]).is_empty());
+        assert_eq!(union_cycles_of(&[&wa, &wb]), hazards);
+        assert!(union_cycles_of(&[&wa]).is_empty());
     }
 
     #[test]
@@ -724,7 +724,7 @@ mod tests {
         assert_eq!(searches(), before, "clean walk read hop distances");
         assert_eq!(walked.broken, vec![false; 3]);
         assert_eq!((walked.num_errors(), walked.diagnostics().len()), (0, 0));
-        assert!(walked.cyclic_layers(&net).is_empty());
+        assert!(walked.cyclic_layers().is_empty());
         let report = analyze(&net, &r);
         assert_eq!(searches(), before + 3, "V006 reads one BFS per destination");
         assert_eq!(walked.pairs_routed, report.stats.pairs_routed);

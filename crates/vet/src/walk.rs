@@ -14,11 +14,10 @@
 //! broken, the findings), so a caller that needs several answers walks
 //! once and reads them all.
 
-use fabric::{ChannelId, Network, NodeId, Routes};
-use telemetry::fx::FxHashSet;
+use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
 
 use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
-use crate::Config;
+use crate::{Config, EdgeSet};
 
 const UNVISITED: u8 = 0;
 const ON_STACK: u8 = 1;
@@ -41,7 +40,7 @@ pub struct TableWalk {
     /// Per-layer dependency edges between channel ids. Pairs that do not
     /// walk cleanly contribute none; empty (no layers at all) when the
     /// artifact is sized for a different network.
-    pub edges: Vec<FxHashSet<(u32, u32)>>,
+    pub edges: Vec<EdgeSet>,
     /// Sample of failed terminal pairs (see [`crate::Stats::broken_pairs`]).
     pub broken_pairs: Vec<(NodeId, NodeId)>,
     /// Per destination terminal index: whether some terminal's walk
@@ -65,8 +64,8 @@ impl TableWalk {
 
     /// Each layer whose dependency edges close a cycle, with a witness
     /// (the V004 search, run on demand).
-    pub fn cyclic_layers(&self, net: &Network) -> Vec<(u8, Vec<ChannelId>)> {
-        crate::union_cycles_of(net, &[self])
+    pub fn cyclic_layers(&self) -> Vec<(u8, Vec<ChannelId>)> {
+        crate::union_cycles_of(&[self])
     }
 }
 
@@ -157,7 +156,7 @@ pub(crate) fn walk(
         return res;
     }
     res.paths_per_layer = vec![0; nl];
-    res.edges = vec![FxHashSet::default(); nl];
+    res.edges = vec![EdgeSet::over(DepSlots::of(net)); nl];
     res.broken = vec![false; net.num_terminals()];
     let em = &mut res.em;
 
@@ -282,7 +281,7 @@ pub(crate) fn walk(
                         .next_hop(at, dst_t)
                         .expect("entry exists on a routed path");
                     if let Some(p) = prev {
-                        res.edges[layer].insert((p.0, c.0));
+                        res.edges[layer].insert(p.0, c.0);
                     }
                     if mark[at.idx()] == generation {
                         break;

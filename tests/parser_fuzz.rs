@@ -150,3 +150,21 @@ fn random_byte_damage_is_typed() {
         }
     });
 }
+
+/// `telemetry::json::parse` rejects a raw U+0000–U+001F inside a string
+/// (see `regressions/raw-tab-in-string.json`); no committed benchmark
+/// report pays for the rule.
+#[test]
+fn committed_bench_reports_still_parse() {
+    let mut reports = 0;
+    for entry in std::fs::read_dir(env!("CARGO_MANIFEST_DIR")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            telemetry::json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            reports += 1;
+        }
+    }
+    assert!(reports >= 3, "found only {reports} BENCH_*.json");
+}
