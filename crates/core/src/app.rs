@@ -316,7 +316,8 @@ mod tests {
         assert_eq!(exact, 2, "the 5-ring needs exactly 2 layers");
         assert!(g.is_cover(&assignment, exact));
         let (_, stats) = crate::dfsssp::assign_layers_offline(
-            &ps,
+            &net,
+            &routes,
             crate::CycleBreakHeuristic::WeakestEdge,
             8,
             false,

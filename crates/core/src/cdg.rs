@@ -1,4 +1,4 @@
-//! Channel dependency graphs (CDGs) with path bookkeeping and a
+//! Channel dependency graphs (CDGs) with per-edge path counts and a
 //! resumable cycle search.
 //!
 //! Following Dally & Seitz, the CDG of a network and routing function has
@@ -9,11 +9,12 @@
 //!
 //! The offline DFSSSP algorithm needs two things beyond a plain digraph:
 //!
-//! 1. **Per-edge path lists** — to know which paths to move to the next
-//!    layer when an edge is chosen for removal. Lists are append-only;
-//!    entries become stale when a path moves on, and are filtered against
-//!    the caller's `path_layer` array (cheaper than eager removal, which
-//!    would make each move O(path length · edge degree)).
+//! 1. **How many paths induce each edge** — an edge lives while its count
+//!    is positive, and the heuristics weigh edges by it. *Which* paths
+//!    they are is not kept here: a layer knows no path, only the channel
+//!    sequences added to and removed from it, and the paths behind an
+//!    edge are read off the routing's destination trees when a cycle
+//!    break asks ([`crate::paths::TreePaths::paths_over`]).
 //! 2. **A resumable cycle search** — Algorithm 2's efficiency hinges on
 //!    "the cycle search is resumed on the same place where the search
 //!    aborted". [`CycleSearch`] keeps its DFS stack across edge removals:
@@ -21,8 +22,7 @@
 //!    nodes stay black, and only the stack suffix above the first dead
 //!    tree edge must be re-opened.
 
-use crate::paths::{PathId, PathSet};
-use fabric::DepSlots;
+use fabric::{ChannelId, DepSlots};
 use std::sync::Arc;
 
 /// Index of a CDG edge within its [`Cdg`].
@@ -31,8 +31,7 @@ pub type EdgeId = u32;
 /// "No edge recorded at this dependency slot yet."
 const NO_EDGE: EdgeId = u32::MAX;
 
-/// A CDG edge `from → to` (both are channel indices). The paths that
-/// induce it are read through [`Cdg::live_paths_of`].
+/// A CDG edge `from → to` (both are channel indices).
 #[derive(Debug)]
 pub struct Edge {
     /// Source channel index.
@@ -42,10 +41,6 @@ pub struct Edge {
     /// Number of *live* paths currently inducing this edge. The edge is
     /// part of the graph iff `count > 0`.
     pub count: u32,
-    /// Paths added one at a time ([`Cdg::add_path`]), after any the bulk
-    /// population listed; may hold stale entries for paths that have
-    /// since moved to another layer.
-    added: Vec<PathId>,
 }
 
 /// The channel dependency graph of one virtual layer.
@@ -55,7 +50,7 @@ pub struct Edge {
 /// and an index, never a hash. Edge ids are handed out in first-recorded
 /// order and `out[from]` lists them in that order; the cycle search, the
 /// heuristics' tie-breaks and therefore every layer assignment depend on
-/// both, which is why the bulk population reproduces them exactly.
+/// both, which is why [`Cdg::of_counts`] is handed the order to number in.
 pub struct Cdg {
     slots: Arc<DepSlots>,
     /// Edge id per dependency slot, [`NO_EDGE`] until first recorded.
@@ -63,11 +58,6 @@ pub struct Cdg {
     /// Outgoing edge ids per channel (append-only; dead edges skipped).
     out: Vec<Vec<EdgeId>>,
     edges: Vec<Edge>,
-    /// What [`Cdg::of_paths`] listed: edge `e`'s paths, ascending, are
-    /// `listed[listed_off[e]..listed_off[e + 1]]`. Empty in every other
-    /// CDG.
-    listed_off: Vec<usize>,
-    listed: Vec<PathId>,
     live_edges: usize,
     live_paths: usize,
 }
@@ -76,7 +66,7 @@ impl Cdg {
     /// An empty CDG over `num_channels` channels in which any ordered
     /// pair may depend ([`DepSlots::complete`], `num_channels²` slots):
     /// for small synthetic digraphs. A fabric's layers are [`Cdg::over`]
-    /// its path set's index.
+    /// its dependency-slot index.
     pub fn new(num_channels: usize) -> Cdg {
         Cdg::over(DepSlots::complete(num_channels))
     }
@@ -88,41 +78,23 @@ impl Cdg {
             out: vec![Vec::new(); slots.num_channels()],
             slots,
             edges: Vec::new(),
-            listed_off: Vec::new(),
-            listed: Vec::new(),
             live_edges: 0,
             live_paths: 0,
         }
     }
 
-    /// The CDG of every path of `ps` — Algorithm 2's starting layer — in
-    /// two counting passes: the first creates the edges and counts each
-    /// one's paths, the second writes the path lists into one array of
-    /// exactly that size. Identical to calling [`Cdg::add_path`] for
-    /// every path in id order (edge ids, `out` order, counts, lists).
-    pub fn of_paths(ps: &PathSet) -> Cdg {
-        let mut cdg = Cdg::over(ps.slots().clone());
-        for p in ps.ids() {
-            for w in ps.channels(p).windows(2) {
-                cdg.bump(w[0].0, w[1].0);
-            }
+    /// A CDG of `paths` paths given as path counts: the edges are
+    /// the slots listed in `order`, numbered (and pushed to `out`) in
+    /// that order, edge `slot` induced by `counts[slot]` paths. With the
+    /// slots in the order their dependencies first appear over all paths
+    /// in id order, this is [`Cdg::add_path`] called for every path.
+    pub fn of_counts(slots: Arc<DepSlots>, order: &[usize], counts: &[u32], paths: usize) -> Cdg {
+        let mut cdg = Cdg::over(slots);
+        for &slot in order {
+            let (from, to) = cdg.slots.ends(slot);
+            cdg.bump(from, to).count = counts[slot];
         }
-        cdg.live_paths = ps.len();
-        let mut total = 0;
-        for edge in &cdg.edges {
-            cdg.listed_off.push(total);
-            total += edge.count as usize;
-        }
-        let mut cursor = cdg.listed_off.clone();
-        cdg.listed_off.push(total);
-        cdg.listed = vec![0; total];
-        for p in ps.ids() {
-            for w in ps.channels(p).windows(2) {
-                let at = &mut cursor[cdg.edge_of_slot[cdg.slots.slot(w[0].0, w[1].0)] as usize];
-                cdg.listed[*at] = p;
-                *at += 1;
-            }
-        }
+        cdg.live_paths = paths;
         cdg
     }
 
@@ -159,12 +131,7 @@ impl Cdg {
         if self.edge_of_slot[slot] == NO_EDGE {
             self.edge_of_slot[slot] = self.edges.len() as EdgeId;
             self.out[from as usize].push(self.edge_of_slot[slot]);
-            self.edges.push(Edge {
-                from,
-                to,
-                count: 0,
-                added: Vec::new(),
-            });
+            self.edges.push(Edge { from, to, count: 0 });
         }
         let edge = &mut self.edges[self.edge_of_slot[slot] as usize];
         self.live_edges += usize::from(edge.count == 0);
@@ -172,19 +139,20 @@ impl Cdg {
         edge
     }
 
-    /// Add path `p` (all consecutive channel pairs) to this layer.
-    /// Paths with fewer than two channels add no edges but still count.
-    pub fn add_path(&mut self, ps: &PathSet, p: PathId) {
-        for w in ps.channels(p).windows(2) {
-            self.bump(w[0].0, w[1].0).added.push(p);
+    /// Add a path, given as its channel sequence (all consecutive pairs),
+    /// to this layer. Paths with fewer than two channels add no edges but
+    /// still count.
+    pub fn add_path(&mut self, path: &[ChannelId]) {
+        for w in path.windows(2) {
+            self.bump(w[0].0, w[1].0);
         }
         self.live_paths += 1;
     }
 
-    /// Remove path `p`'s contribution from this layer. The path must have
+    /// Remove a path's contribution from this layer. The path must have
     /// been added before (counts underflow otherwise, caught in debug).
-    pub fn remove_path(&mut self, ps: &PathSet, p: PathId) {
-        for w in ps.channels(p).windows(2) {
+    pub fn remove_path(&mut self, path: &[ChannelId]) {
+        for w in path.windows(2) {
             let e = self.edge_of_slot[self.slots.slot(w[0].0, w[1].0)];
             let edge = &mut self.edges[e as usize];
             debug_assert!(edge.count > 0, "removing path not present");
@@ -192,19 +160,6 @@ impl Cdg {
             self.live_edges -= usize::from(edge.count == 0);
         }
         self.live_paths -= 1;
-    }
-
-    /// The live paths inducing edge `e`: the recorded list filtered by the
-    /// caller's current layer assignment (`path_layer[p] == layer`).
-    pub fn live_paths_of(&self, e: EdgeId, path_layer: &[u8], layer: u8) -> Vec<PathId> {
-        let listed = self.listed_off.get(e as usize..e as usize + 2);
-        listed
-            .map_or(&[][..], |w| &self.listed[w[0]..w[1]])
-            .iter()
-            .chain(&self.edges[e as usize].added)
-            .copied()
-            .filter(|&p| path_layer[p as usize] == layer)
-            .collect()
     }
 
     /// Kill edge `e` outright (count to zero), regardless of how many
@@ -255,20 +210,13 @@ impl Cdg {
         false
     }
 
-    /// Would adding path `p` close a cycle? Checked *after* tentatively
-    /// adding it: any new cycle must traverse one of `p`'s edges
+    /// Would adding `path` close a cycle? Checked *after* tentatively
+    /// adding it: any new cycle must traverse one of its edges
     /// `(c_i, c_(i+1))`, i.e. `c_(i+1)` must reach `c_i`. `seen`/`epoch`
     /// implement O(1) visited-set reset across calls (caller increments
     /// `epoch` per query).
-    pub fn path_closes_cycle(
-        &self,
-        ps: &PathSet,
-        p: PathId,
-        seen: &mut [u32],
-        epoch: &mut u32,
-    ) -> bool {
-        let chans = ps.channels(p);
-        for w in chans.windows(2) {
+    pub fn path_closes_cycle(&self, path: &[ChannelId], seen: &mut [u32], epoch: &mut u32) -> bool {
+        for w in path.windows(2) {
             *epoch += 1;
             if self.reaches(w[1].0, w[0].0, seen, *epoch) {
                 return true;
@@ -484,49 +432,57 @@ mod tests {
         assert!(cdg.is_acyclic());
     }
 
-    #[test]
-    fn path_bookkeeping_counts() {
-        // Fake a PathSet via Routes on a ring.
+    /// SSSP routes on the 5-ring and their layer-0 CDG.
+    fn ring_layer0(check: impl Fn(crate::paths::TreePaths, Cdg)) {
         use crate::engine::RoutingEngine;
-        use crate::paths::PathSet;
         let net = fabric::topo::ring(5, 1);
         let routes = crate::sssp::Sssp::new()
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut cdg = Cdg::of_paths(&ps);
-        assert_eq!(cdg.num_paths(), ps.len());
-        assert!(cdg.num_edges() > 0);
-        // Removing everything empties the graph.
-        for p in ps.ids() {
-            cdg.remove_path(&ps, p);
-        }
-        assert_eq!(cdg.num_paths(), 0);
-        assert_eq!(cdg.num_edges(), 0);
-        assert!(cdg.is_acyclic());
+        let paths = crate::paths::TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        let cdg = paths.layer0(&DepSlots::of(&net)).unwrap().0;
+        check(paths, cdg);
+    }
+
+    #[test]
+    fn path_bookkeeping_counts() {
+        ring_layer0(|paths, mut cdg| {
+            assert_eq!(cdg.num_paths(), paths.num_paths());
+            assert!(cdg.num_edges() > 0);
+            // Removing everything empties the graph.
+            let mut channels = Vec::new();
+            for p in 0..paths.num_paths() as u32 {
+                paths.walk(p, &mut channels);
+                cdg.remove_path(&channels);
+            }
+            assert_eq!(cdg.num_paths(), 0);
+            assert_eq!(cdg.num_edges(), 0);
+            assert!(cdg.is_acyclic());
+        });
     }
 
     #[test]
     fn live_paths_filter_stale_entries() {
-        use crate::engine::RoutingEngine;
-        use crate::paths::PathSet;
-        let net = fabric::topo::ring(5, 1);
-        let routes = crate::sssp::Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut cdg = Cdg::of_paths(&ps);
-        let mut path_layer = vec![0u8; ps.len()];
-        // Take any edge; move one of its paths "away".
-        let e = 0;
-        let all = cdg.live_paths_of(e, &path_layer, 0);
-        assert_eq!(all.len(), cdg.edge(e).count as usize);
-        let victim = all[0];
-        cdg.remove_path(&ps, victim);
-        path_layer[victim as usize] = 1;
-        let remaining = cdg.live_paths_of(e, &path_layer, 0);
-        assert_eq!(remaining.len(), all.len() - 1);
-        assert!(!remaining.contains(&victim));
+        ring_layer0(|paths, mut cdg| {
+            let mut path_layer = vec![0u8; paths.num_paths()];
+            // Take any edge; move one of its paths "away".
+            let (from, to, count) = (cdg.edge(0).from, cdg.edge(0).to, cdg.edge(0).count);
+            let all = paths.paths_over(from, to, &path_layer, 0);
+            assert_eq!(all.len(), count as usize);
+            let victim = all[0];
+            let mut channels = Vec::new();
+            paths.walk(victim, &mut channels);
+            cdg.remove_path(&channels);
+            path_layer[victim as usize] = 1;
+            let remaining = paths.paths_over(from, to, &path_layer, 0);
+            assert_eq!(remaining.len(), cdg.edge(0).count as usize);
+            assert_eq!(remaining.len(), all.len() - 1);
+            assert!(!remaining.contains(&victim));
+            assert_eq!(paths.paths_over(from, to, &path_layer, 1), [victim]);
+        });
     }
 
     #[test]
@@ -548,14 +504,6 @@ mod tests {
     #[test]
     fn ring_sssp_dependencies_are_cyclic() {
         // The paper's Fig 2: SSSP on a 5-ring creates a cyclic CDG.
-        use crate::engine::RoutingEngine;
-        use crate::paths::PathSet;
-        let net = fabric::topo::ring(5, 1);
-        let routes = crate::sssp::Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let cdg = Cdg::of_paths(&ps);
-        assert!(!cdg.is_acyclic(), "5-ring SSSP must have a cyclic CDG");
+        ring_layer0(|_, cdg| assert!(!cdg.is_acyclic(), "5-ring SSSP must have a cyclic CDG"));
     }
 }

@@ -27,9 +27,9 @@ use crate::budget::{record_trip, Budget, BudgetGuard};
 use crate::cdg::{Cdg, CycleSearch};
 use crate::engine::{ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
-use crate::paths::{PathId, PathSet};
+use crate::paths::{PathId, PathSet, TreePaths};
 use crate::sssp::Sssp;
-use fabric::{Network, Routes};
+use fabric::{DepSlots, Network, Routes};
 use telemetry::{counters, phases, Acc, Noop, Recorder, RecorderHandle};
 
 /// How paths are assigned to virtual layers.
@@ -132,6 +132,17 @@ impl DfSssp {
         net: &Network,
         cx: &ComputeCtx,
     ) -> Result<(Routes, DfStats), RouteError> {
+        self.route_with_counts_in(net, cx).map(|(r, s, _)| (r, s))
+    }
+
+    /// [`DfSssp::route_with_stats_in`], plus what the layer-0 pass of an
+    /// offline run that broke no cycle counted: the paths over each
+    /// dependency slot of `net` (the all-paths CDG, known acyclic).
+    pub fn route_with_counts_in(
+        &self,
+        net: &Network,
+        cx: &ComputeCtx,
+    ) -> Result<Observed, RouteError> {
         record_trip(&*self.recorder, self.route_with_stats_inner(net, cx))
     }
 
@@ -139,7 +150,7 @@ impl DfSssp {
         &self,
         net: &Network,
         cx: &ComputeCtx,
-    ) -> Result<(Routes, DfStats), RouteError> {
+    ) -> Result<Observed, RouteError> {
         let rec: &dyn Recorder = &*self.recorder;
         let guard = self.budget.start();
         guard.admit(net)?;
@@ -165,6 +176,10 @@ impl DfSssp {
     }
 }
 
+/// A layered routing, its statistics, and the layer-0 path counts per
+/// dependency slot if the all-paths CDG was found acyclic.
+pub type Observed = (Routes, DfStats, Option<Vec<u32>>);
+
 /// The layer-assignment half of a deadlock-free engine's configuration,
 /// shared by [`DfSssp`] and [`crate::DeadlockFree`].
 pub(crate) struct Layering {
@@ -177,9 +192,9 @@ pub(crate) struct Layering {
 }
 
 impl Layering {
-    /// Algorithm 2 over whatever computed `routes`: extract the paths,
-    /// assign and balance layers, report the counters, and write the
-    /// layers back under the label `engine`.
+    /// Algorithm 2 over whatever computed `routes`: assign and balance
+    /// layers, report the counters, and write the layers back under the
+    /// label `engine`.
     pub(crate) fn apply(
         &self,
         net: &Network,
@@ -187,11 +202,11 @@ impl Layering {
         engine: impl Into<String>,
         rec: &dyn Recorder,
         guard: &BudgetGuard,
-    ) -> Result<(Routes, DfStats), RouteError> {
-        let ps = telemetry::timed(rec, phases::CDG_BUILD, || PathSet::extract(net, &routes))?;
-        let (mut path_layer, mut stats) = match self.mode {
+    ) -> Result<Observed, RouteError> {
+        let (mut path_layer, mut stats, counts) = match self.mode {
             LayerAssignMode::Offline => assign_layers_budgeted(
-                &ps,
+                net,
+                &routes,
                 self.heuristic,
                 self.max_layers,
                 self.compact,
@@ -199,7 +214,11 @@ impl Layering {
                 guard,
             )?,
             LayerAssignMode::Online => {
-                assign_layers_online_budgeted(&ps, self.max_layers, rec, guard)?
+                let ps =
+                    telemetry::timed(rec, phases::CDG_BUILD, || PathSet::extract(net, &routes))?;
+                let (layers, stats) =
+                    assign_layers_online_budgeted(&ps, self.max_layers, rec, guard)?;
+                (layers, stats, Vec::new())
             }
         };
         stats.layers_final = telemetry::timed(rec, phases::BALANCE, || {
@@ -213,13 +232,10 @@ impl Layering {
             rec.add(counters::CYCLES_BROKEN, stats.cycles_broken as u64);
             rec.add(counters::PATHS_MOVED, stats.paths_moved as u64);
         }
-        for p in ps.ids() {
-            let (s, d) = ps.pair(p);
-            routes.set_layer(s as usize, d as usize, path_layer[p as usize]);
-        }
-        routes.recompute_num_layers();
+        routes.set_path_layers(&path_layer);
         routes.set_engine(engine);
-        Ok((routes, stats))
+        let acyclic = self.mode == LayerAssignMode::Offline && stats.cycles_broken == 0;
+        Ok((routes, stats, acyclic.then_some(counts)))
     }
 }
 
@@ -259,60 +275,88 @@ impl RoutingEngine for DfSssp {
     }
 }
 
-/// Offline layer assignment (Algorithm 2). Returns the per-path layer and
-/// run statistics. Fails with [`RouteError::NeedMoreLayers`] if a cycle
-/// remains in the last allowed layer.
+/// Offline layer assignment (Algorithm 2) of the paths of `routes` over
+/// `net`. Returns the layer per path (indexed by
+/// [`crate::paths::PathId`]) and run statistics. Fails with
+/// [`RouteError::NeedMoreLayers`] if a cycle remains in the last allowed
+/// layer, with [`RouteError::Disconnected`] if some pair's walk of the
+/// tables does not arrive.
 ///
 /// With `compact = true`, the assignment may temporarily exceed
 /// `max_layers`; a compaction pass then sinks every moved path to the
 /// lowest layer where it closes no cycle, and only the compacted layer
 /// count is held against the budget.
 pub fn assign_layers_offline(
-    ps: &PathSet,
+    net: &Network,
+    routes: &Routes,
     heuristic: CycleBreakHeuristic,
     max_layers: usize,
     compact: bool,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assign_layers_budgeted(
-        ps,
-        heuristic,
-        max_layers,
-        compact,
-        &Noop,
-        &BudgetGuard::unlimited(),
+    let (paths, unlimited) = (TreePaths { net, routes }, BudgetGuard::unlimited());
+    assign(
+        paths, heuristic, max_layers, compact, true, &Noop, &unlimited,
     )
+    .map(|(layers, stats, _)| (layers, stats))
 }
 
 /// [`assign_layers_offline`] with phase telemetry, under a
-/// [`BudgetGuard`].
+/// [`BudgetGuard`]; also returns what the layer-0 pass counted, the
+/// paths over each dependency slot of `net`.
 ///
-/// Telemetry: initial CDG population reports as `cdg_build`, the
-/// resumable search as `cycle_search`, victim moves and compaction as
-/// `layer_assign`. The loop phases report once per call (via
-/// [`telemetry::Acc`]) even when zero cycles were found, so manifests
-/// always carry all phases.
+/// Telemetry: table validation and the layer-0 CDG report as
+/// `cdg_build`, the resumable search as `cycle_search`, victim moves and
+/// compaction as `layer_assign`. The loop phases report once per call
+/// (via [`telemetry::Acc`]) even when zero cycles were found, so
+/// manifests always carry all phases.
 ///
-/// Budget: the initial CDG population is held against the edge cap, and
-/// the deadline is checked before every cycle break, so degenerate
+/// Budget: the layer-0 CDG is held against the edge cap, and the
+/// deadline is checked before every cycle break, so degenerate
 /// instances (adversarially dense dependency graphs) abort promptly with
 /// [`RouteError::BudgetExceeded`] instead of grinding.
 pub fn assign_layers_budgeted(
-    ps: &PathSet,
+    net: &Network,
+    routes: &Routes,
     heuristic: CycleBreakHeuristic,
     max_layers: usize,
     compact: bool,
     rec: &dyn Recorder,
     guard: &BudgetGuard,
-) -> Result<(Vec<u8>, DfStats), RouteError> {
+) -> Result<(Vec<u8>, DfStats, Vec<u32>), RouteError> {
+    let paths = TreePaths { net, routes };
+    assign(paths, heuristic, max_layers, compact, true, rec, guard)
+}
+
+/// The one offline loop. No path is materialised: layer 0 is built from
+/// the destination trees, a cycle break reads its victims off them, and
+/// a path's channels are walked (into one scratch vector) only when it
+/// moves. With `resume = false` the cycle search starts afresh after
+/// every break ([`assign_layers_offline_restart`]).
+fn assign(
+    paths: TreePaths,
+    heuristic: CycleBreakHeuristic,
+    max_layers: usize,
+    compact: bool,
+    resume: bool,
+    rec: &dyn Recorder,
+    guard: &BudgetGuard,
+) -> Result<(Vec<u8>, DfStats, Vec<u32>), RouteError> {
     assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
     let work_budget = if compact {
         (max_layers * 4).clamp(max_layers, u8::MAX as usize + 1)
     } else {
         max_layers
     };
-    let mut path_layer = vec![0u8; ps.len()];
-    let mut layers = telemetry::timed(rec, phases::CDG_BUILD, || vec![Cdg::of_paths(ps)]);
+    let slots = DepSlots::of(paths.net);
+    let (layer0, counts) = telemetry::timed(rec, phases::CDG_BUILD, || paths.layer0(&slots))?;
+    let mut layers = vec![layer0];
     guard.check_cdg_edges(layers[0].num_edges())?;
+    let mut path_layer = vec![0u8; paths.num_paths()];
+    // When each path last moved. A layer above 0 hands its victims out in
+    // the order they arrived, which is the order their edges first
+    // appeared there; layer 0 (all zero) in path-id order.
+    let mut moved_at = vec![0u32; path_layer.len()];
+    let mut channels = Vec::new();
     let mut stats = DfStats::default();
     let mut search_acc = Acc::new(rec, phases::CYCLE_SEARCH);
     let mut assign_acc = Acc::new(rec, phases::LAYER_ASSIGN);
@@ -323,34 +367,41 @@ pub fn assign_layers_budgeted(
             guard.check_deadline()?;
             guard.check_cdg_edges_lazy(|| layers.iter().map(|l| l.num_edges()).sum())?;
             stats.cycles_broken += 1;
-            let edge = heuristic.pick_counted(&layers[i], &cycle, stats.cycles_broken as u64);
-            let victims = layers[i].live_paths_of(edge, &path_layer, i as u8);
-            debug_assert!(!victims.is_empty(), "live cycle edge without live paths");
             if i + 1 >= work_budget {
                 return Err(RouteError::NeedMoreLayers {
                     required: work_budget + 1,
                     allowed: max_layers,
                 });
             }
+            let edge = heuristic.pick_counted(&layers[i], &cycle, stats.cycles_broken as u64);
+            let edge = layers[i].edge(edge);
+            let mut victims = paths.paths_over(edge.from, edge.to, &path_layer, i as u8);
+            debug_assert_eq!(victims.len(), edge.count as usize);
+            victims.sort_by_key(|&p| moved_at[p as usize]);
             if i + 1 >= layers.len() {
-                layers.push(Cdg::over(ps.slots().clone()));
+                layers.push(Cdg::over(slots.clone()));
             }
             assign_acc.measure(|| {
                 let (head, tail) = layers.split_at_mut(i + 1);
-                let (cur, next) = (&mut head[i], &mut tail[0]);
                 for p in victims {
-                    cur.remove_path(ps, p);
-                    next.add_path(ps, p);
+                    paths.walk(p, &mut channels);
+                    head[i].remove_path(&channels);
+                    tail[0].add_path(&channels);
                     path_layer[p as usize] = (i + 1) as u8;
                     stats.paths_moved += 1;
+                    moved_at[p as usize] = stats.paths_moved as u32;
                 }
             });
+            if !resume {
+                search = CycleSearch::new(layers[i].num_channels());
+            }
         }
         i += 1;
     }
     if compact {
-        assign_acc
-            .measure(|| compact_layers(ps, &mut path_layer, &mut layers, &mut stats, max_layers));
+        assign_acc.measure(|| {
+            compact_layers(paths, &mut path_layer, &mut layers, &mut stats, max_layers)
+        });
     }
     stats.layers_used = layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
     if stats.layers_used > max_layers {
@@ -359,7 +410,7 @@ pub fn assign_layers_budgeted(
             allowed: max_layers,
         });
     }
-    Ok((path_layer, stats))
+    Ok((path_layer, stats, counts))
 }
 
 /// Compaction: sink paths to the lowest layer where they close no cycle
@@ -369,7 +420,7 @@ pub fn assign_layers_budgeted(
 /// touches the overflow paths. Empty layers left behind are squeezed out
 /// so the numbering stays dense.
 fn compact_layers(
-    ps: &PathSet,
+    paths: TreePaths,
     path_layer: &mut [u8],
     layers: &mut Vec<Cdg>,
     stats: &mut DfStats,
@@ -381,24 +432,26 @@ fn compact_layers(
     let non_empty = |layers: &Vec<Cdg>| layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
     // Paths grouped by their current layer, highest layer first.
     let mut by_layer: Vec<Vec<PathId>> = vec![Vec::new(); layers.len()];
-    for p in ps.ids() {
-        by_layer[path_layer[p as usize] as usize].push(p);
+    for (p, &layer) in path_layer.iter().enumerate() {
+        by_layer[layer as usize].push(p as PathId);
     }
+    let mut channels = Vec::new();
     for cur in (1..layers.len()).rev() {
         if non_empty(layers) <= budget {
             break;
         }
         for &p in &by_layer[cur] {
             debug_assert_eq!(path_layer[p as usize] as usize, cur);
+            paths.walk(p, &mut channels);
             for l in 0..cur {
-                layers[l].add_path(ps, p);
-                if !layers[l].path_closes_cycle(ps, p, &mut seen, &mut epoch) {
-                    layers[cur].remove_path(ps, p);
+                layers[l].add_path(&channels);
+                if !layers[l].path_closes_cycle(&channels, &mut seen, &mut epoch) {
+                    layers[cur].remove_path(&channels);
                     path_layer[p as usize] = l as u8;
                     stats.paths_moved += 1;
                     break;
                 }
-                layers[l].remove_path(ps, p);
+                layers[l].remove_path(&channels);
             }
         }
     }
@@ -419,46 +472,20 @@ fn compact_layers(
 /// breaking, but the cycle search restarts from scratch after every
 /// break instead of resuming in place. Exists to measure what the
 /// paper's "resumed on the same place where the search aborted" buys;
-/// see the `cycle_search` bench. Results (layers, moves) are NOT
+/// see `repro sec4_online_offline`. Results (layers, moves) are NOT
 /// guaranteed identical to the resumable version — a fresh search may
 /// discover cycles in a different order.
 pub fn assign_layers_offline_restart(
-    ps: &PathSet,
+    net: &Network,
+    routes: &Routes,
     heuristic: CycleBreakHeuristic,
     max_layers: usize,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
-    let mut path_layer = vec![0u8; ps.len()];
-    let mut layers = vec![Cdg::of_paths(ps)];
-    let mut stats = DfStats::default();
-    let mut i = 0usize;
-    while i < layers.len() {
-        while let Some(cycle) = layers[i].find_cycle() {
-            stats.cycles_broken += 1;
-            let edge = heuristic.pick_counted(&layers[i], &cycle, stats.cycles_broken as u64);
-            let victims = layers[i].live_paths_of(edge, &path_layer, i as u8);
-            if i + 1 >= max_layers {
-                return Err(RouteError::NeedMoreLayers {
-                    required: max_layers + 1,
-                    allowed: max_layers,
-                });
-            }
-            if i + 1 >= layers.len() {
-                layers.push(Cdg::over(ps.slots().clone()));
-            }
-            let (head, tail) = layers.split_at_mut(i + 1);
-            let (cur, next) = (&mut head[i], &mut tail[0]);
-            for p in victims {
-                cur.remove_path(ps, p);
-                next.add_path(ps, p);
-                path_layer[p as usize] = (i + 1) as u8;
-                stats.paths_moved += 1;
-            }
-        }
-        i += 1;
-    }
-    stats.layers_used = layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
-    Ok((path_layer, stats))
+    let (paths, unlimited) = (TreePaths { net, routes }, BudgetGuard::unlimited());
+    assign(
+        paths, heuristic, max_layers, false, false, &Noop, &unlimited,
+    )
+    .map(|(layers, stats, _)| (layers, stats))
 }
 
 /// Online layer assignment: greedily place each path into the first layer
@@ -491,10 +518,11 @@ pub fn assign_layers_online_budgeted(
             if l >= layers.len() {
                 layers.push(Cdg::over(ps.slots().clone()));
             }
-            assign_acc.measure(|| layers[l].add_path(ps, p));
+            assign_acc.measure(|| layers[l].add_path(ps.channels(p)));
             // Incremental check: the layer was acyclic before, so any
             // new cycle runs through one of p's edges.
-            if !search_acc.measure(|| layers[l].path_closes_cycle(ps, p, &mut seen, &mut epoch)) {
+            let path = ps.channels(p);
+            if !search_acc.measure(|| layers[l].path_closes_cycle(path, &mut seen, &mut epoch)) {
                 path_layer[p as usize] = l as u8;
                 placed = true;
                 if l > 0 {
@@ -502,7 +530,7 @@ pub fn assign_layers_online_budgeted(
                 }
                 break;
             }
-            assign_acc.measure(|| layers[l].remove_path(ps, p));
+            assign_acc.measure(|| layers[l].remove_path(path));
         }
         if !placed {
             return Err(RouteError::NeedMoreLayers {
@@ -627,25 +655,18 @@ mod tests {
         // The restart variant must produce a valid assignment; since both
         // break the same first cycles, layer counts are close (identical
         // on these small nets).
-        use crate::paths::PathSet;
         for net in [topo::ring(8, 1), topo::torus(&[4, 4], 1)] {
             let routes = crate::Sssp::new()
                 .route_in(&net, &ComputeCtx::seq())
                 .unwrap();
-            let ps = PathSet::extract(&net, &routes).unwrap();
-            let (a, sa) =
-                assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, 16, false).unwrap();
-            let (b, sb) =
-                assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 16).unwrap();
+            let weakest = CycleBreakHeuristic::WeakestEdge;
+            let (a, sa) = assign_layers_offline(&net, &routes, weakest, 16, false).unwrap();
+            let (b, sb) = assign_layers_offline_restart(&net, &routes, weakest, 16).unwrap();
             assert_eq!(sa.layers_used, sb.layers_used, "{}", net.label());
             // Both are covers: every layer's CDG acyclic.
             for assignment in [&a, &b] {
                 let mut routes2 = routes.clone();
-                for p in ps.ids() {
-                    let (s, d) = ps.pair(p);
-                    routes2.set_layer(s as usize, d as usize, assignment[p as usize]);
-                }
-                routes2.recompute_num_layers();
+                routes2.set_path_layers(assignment);
                 crate::verify::verify_deadlock_free(&net, &routes2).unwrap();
             }
         }
@@ -659,20 +680,15 @@ mod tests {
         let routes = crate::Sssp::new()
             .route_in(&net, &ComputeCtx::seq())
             .unwrap();
-        let ps = crate::paths::PathSet::extract(&net, &routes).unwrap();
-        let (_, raw) =
-            assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, 64, false).unwrap();
+        let weakest = CycleBreakHeuristic::WeakestEdge;
+        let (_, raw) = assign_layers_offline(&net, &routes, weakest, 64, false).unwrap();
         let budget = raw.layers_used.saturating_sub(1).max(2);
-        match assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, budget, true) {
+        match assign_layers_offline(&net, &routes, weakest, budget, true) {
             Ok((layers, stats)) => {
                 assert!(stats.layers_used <= budget);
                 // Compacted assignment is still a cover.
                 let mut routes2 = routes.clone();
-                for p in ps.ids() {
-                    let (s, d) = ps.pair(p);
-                    routes2.set_layer(s as usize, d as usize, layers[p as usize]);
-                }
-                routes2.recompute_num_layers();
+                routes2.set_path_layers(&layers);
                 crate::verify::verify_deadlock_free(&net, &routes2).unwrap();
             }
             Err(RouteError::NeedMoreLayers { .. }) => {
@@ -681,6 +697,23 @@ mod tests {
             }
             Err(e) => panic!("unexpected {e}"),
         }
+    }
+
+    #[test]
+    fn a_cold_route_passes_over_each_tree_once() {
+        // Cyclic, and tight enough that compaction runs: validation,
+        // layer 0, every victim list and every move come out of one
+        // kernel pass per destination tree.
+        use crate::paths::TREE_PASSES;
+        let net = topo::torus(&[5, 5], 1);
+        let engine = DfSssp {
+            max_layers: 3,
+            ..DfSssp::with_heuristic(CycleBreakHeuristic::FirstEdge)
+        };
+        let before = TREE_PASSES.get();
+        let (_, stats) = engine.route_with_stats(&net).unwrap();
+        assert!(stats.cycles_broken > 0 && stats.paths_moved > 0);
+        assert_eq!(TREE_PASSES.get() - before, net.num_terminals());
     }
 
     #[test]

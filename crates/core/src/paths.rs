@@ -1,18 +1,212 @@
-//! Compact storage of all terminal-to-terminal routes.
+//! The terminal-to-terminal paths of a routing, as what they are stored
+//! as: |T| destination in-trees.
 //!
 //! The offline DFSSSP algorithm (Algorithm 2) must know, for every edge of
 //! the channel dependency graph, which paths induce it, and must be able
-//! to move whole paths between layers. That requires materializing all
-//! `|T|·(|T|-1)` paths; this module stores them in one flat channel array
-//! with offsets (the paper reports ~340 MB for a 4096-node network — this
-//! layout is what keeps that figure practical).
+//! to move whole paths between layers. The paper materializes all
+//! `|T|·(|T|-1)` paths plus per-edge path lists for that (~340 MB for a
+//! 4096-node network). [`TreePaths`] answers the same questions from the
+//! forwarding tables themselves: how many paths take a dependency and
+//! which one does first fall out of one leaves-first pass per destination
+//! tree ([`TreePaths::windows`]), the paths behind an edge are the
+//! terminals in a subtree ([`TreePaths::paths_over`]), and a path's
+//! channels are walked only when it moves ([`TreePaths::walk`]).
+//! Algorithm 2's state per path is its layer and a move stamp.
+//!
+//! [`PathSet`] — every path flattened into one channel array — is kept
+//! for the callers that place paths one at a time and so touch every hop
+//! anyway: the online assignment, LASH's switch-pair paths, the APP
+//! solver.
 
+use crate::cdg::Cdg;
 use crate::engine::RouteError;
 use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
 use std::sync::Arc;
 
-/// Identifier of one terminal-to-terminal path in a [`PathSet`].
+/// Identifier of one terminal-to-terminal path: the `p`-th ordered pair
+/// `(src_t, dst_t)`, `src_t != dst_t`, in lexicographic order.
 pub type PathId = u32;
+
+/// The paths of `routes` over `net`, read off the tables.
+#[derive(Clone, Copy)]
+pub struct TreePaths<'a> {
+    /// The network the tables route.
+    pub net: &'a Network,
+    /// Destination-based tables: column `d` is `d`'s in-tree.
+    pub routes: &'a Routes,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Destination trees [`TreePaths::windows`] passed over on this
+    /// thread — the deterministic cost pin of a cold route.
+    pub(crate) static TREE_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl TreePaths<'_> {
+    /// Number of paths: every ordered terminal pair.
+    pub fn num_paths(&self) -> usize {
+        self.net.num_terminals() * self.net.num_terminals().saturating_sub(1)
+    }
+
+    /// The path `src_t → dst_t` (distinct terminal indices).
+    pub fn id(&self, src_t: usize, dst_t: usize) -> PathId {
+        (src_t * (self.net.num_terminals() - 1) + dst_t - usize::from(dst_t > src_t)) as PathId
+    }
+
+    /// `(src_t, dst_t)` terminal indices of path `p`.
+    pub fn pair(&self, p: PathId) -> (u32, u32) {
+        let row = self.net.num_terminals() as u32 - 1;
+        (p / row, p % row + u32::from(p % row >= p / row))
+    }
+
+    /// The channel sequence of path `p`, walked into `out`. The tables
+    /// must have passed [`TreePaths::windows`].
+    pub fn walk(&self, p: PathId, out: &mut Vec<ChannelId>) {
+        let (src_t, dst_t) = self.pair(p);
+        let terminals = self.net.terminals();
+        let (mut at, dst) = (terminals[src_t as usize], terminals[dst_t as usize]);
+        out.clear();
+        while at != dst {
+            let c = self.routes.next_hop(at, dst_t as usize);
+            let c = c.expect("validated tables");
+            out.push(c);
+            at = self.net.channel(c).dst;
+        }
+    }
+
+    /// The window kernel: one validated pass per destination tree of
+    /// `dests`, reporting every dependency the tree's paths take as
+    /// `(c1, c2, paths, first)` — `paths` of them take `c2` directly
+    /// after `c1`, and the first of those in path-id order does so at
+    /// `first = (src_t·|T| + dst_t) << 32 | hop position`, so the minimum
+    /// of `first` over a dependency's reports orders dependencies as a
+    /// scan of every path in id order would first meet them.
+    ///
+    /// Terminals in ascending index walk toward the destination until a
+    /// node of known depth, so every table entry a route uses is checked
+    /// once — a missing entry, a channel the network does not have or
+    /// that leaves another node, and a loop are all
+    /// [`RouteError::Disconnected`], as are tables of another network's
+    /// shape; entries no terminal's route uses are not judged — and the
+    /// first walk to reach a node is the lowest source behind it. Running
+    /// the order depths were assigned in backwards visits children before
+    /// parents and sums the terminal sources below each node: a node with
+    /// `k` of them, next hop `c` into a node forwarding over `c'`, puts
+    /// `k` paths on `(c, c')`. O(|N|) per tree; no path is scanned.
+    pub fn windows(
+        &self,
+        dests: impl Iterator<Item = usize>,
+        mut report: impl FnMut(u32, u32, u32, u64),
+    ) -> Result<(), RouteError> {
+        let (net, routes) = (self.net, self.routes);
+        let (n, nt) = (net.num_nodes(), net.num_terminals());
+        if routes.num_nodes() != n || routes.num_terminals() != nt {
+            return Err(RouteError::Disconnected);
+        }
+        const UNKNOWN: u32 = u32::MAX;
+        let in_range = |c: &ChannelId| c.idx() < net.num_channels();
+        let mut depth = vec![UNKNOWN; n];
+        // Per node of the tree at hand: next-hop channel, the node it
+        // leads to, terminal sources at or below, `first` of its window.
+        let (mut hop, mut up) = (vec![0u32; n], vec![0usize; n]);
+        let (mut below, mut first) = (vec![0u32; n], vec![0u64; n]);
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        for d in dests {
+            #[cfg(test)]
+            TREE_PASSES.set(TREE_PASSES.get() + 1);
+            let dst = net.terminals()[d];
+            depth.fill(UNKNOWN);
+            depth[dst.idx()] = 0;
+            for (src_t, &src) in net.terminals().iter().enumerate() {
+                let mut at = src;
+                while depth[at.idx()] == UNKNOWN {
+                    let c = routes.next_hop(at, d).filter(in_range);
+                    let c = c.ok_or(RouteError::Disconnected)?;
+                    let ch = net.channel(c);
+                    // A walk longer than the node count has closed a loop.
+                    if ch.src != at || stack.len() == n {
+                        return Err(RouteError::Disconnected);
+                    }
+                    (hop[at.idx()], up[at.idx()]) = (c.0, ch.dst.idx());
+                    stack.push(at);
+                    at = ch.dst;
+                }
+                let mut hops = depth[at.idx()];
+                for (i, v) in stack.drain(..).enumerate().rev() {
+                    hops += 1;
+                    depth[v.idx()] = hops;
+                    below[v.idx()] = u32::from(net.is_terminal(v));
+                    first[v.idx()] = ((src_t * nt + d) as u64) << 32 | i as u64;
+                    order.push(v.idx());
+                }
+            }
+            for v in order.drain(..).rev() {
+                let parent = up[v];
+                if parent != dst.idx() {
+                    report(hop[v], hop[parent], below[v], first[v]);
+                    below[parent] += below[v];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Layer 0 of Algorithm 2 — the CDG of every path, over `slots` —
+    /// and its path count per slot, from one [`TreePaths::windows`] pass:
+    /// counts summed per slot, edges numbered by ascending minimum
+    /// `first`. Identical to [`Cdg::add_path`] for every path in id order
+    /// (edge ids, `out` order, counts).
+    pub fn layer0(&self, slots: &Arc<DepSlots>) -> Result<(Cdg, Vec<u32>), RouteError> {
+        let mut counts = vec![0u32; slots.num_slots()];
+        let mut first = vec![u64::MAX; slots.num_slots()];
+        self.windows(0..self.net.num_terminals(), |c1, c2, paths, at| {
+            let slot = slots.slot(c1, c2);
+            counts[slot] += paths;
+            first[slot] = first[slot].min(at);
+        })?;
+        let mut order: Vec<usize> = (0..counts.len()).filter(|&s| counts[s] > 0).collect();
+        order.sort_unstable_by_key(|&slot| first[slot]);
+        let cdg = Cdg::of_counts(slots.clone(), &order, &counts, self.num_paths());
+        Ok((cdg, counts))
+    }
+
+    /// The paths currently in `layer` that take channel `to` directly
+    /// after `from`, ascending. The two table rows of `from`'s ends name
+    /// the trees that hold the dependency; in each, the paths over it
+    /// start at the terminals in the subtree behind `from`'s tail, found
+    /// by descending incoming channels that are their source's next hop.
+    /// The descent never enters the destination, whose own entry accepted
+    /// tables leave unjudged, nor re-enters the tail over `from` (an
+    /// unjudged loop through it, in a tree no terminal reaches it in).
+    pub fn paths_over(&self, from: u32, to: u32, path_layer: &[u8], layer: u8) -> Vec<PathId> {
+        let (net, routes) = (self.net, self.routes);
+        let (from, to) = (ChannelId(from), ChannelId(to));
+        let (tail, head) = (net.channel(from).src, net.channel(from).dst);
+        let (mut found, mut stack) = (Vec::new(), Vec::new());
+        for (d, &dst) in net.terminals().iter().enumerate() {
+            let held =
+                routes.next_hop(tail, d) == Some(from) && routes.next_hop(head, d) == Some(to);
+            if !held || tail == dst || head == dst {
+                continue;
+            }
+            stack.push(tail);
+            while let Some(v) = stack.pop() {
+                let p = net.terminal_index(v).map(|src_t| self.id(src_t, d));
+                found.extend(p.filter(|&p| path_layer[p as usize] == layer));
+                for &c in net.in_channels(v) {
+                    let u = net.channel(c).src;
+                    if u != dst && c != from && routes.next_hop(u, d) == Some(c) {
+                        stack.push(u);
+                    }
+                }
+            }
+        }
+        found.sort_unstable();
+        found
+    }
+}
 
 /// All terminal-pair routes of a [`Routes`] table, flattened.
 pub struct PathSet {
@@ -29,81 +223,21 @@ pub struct PathSet {
 
 impl PathSet {
     /// Extract every ordered terminal pair's route from `routes`, in
-    /// `(src_t, dst_t)` lexicographic order.
-    ///
-    /// One validated pass per destination walks each terminal toward it
-    /// until a node of known depth, so every table entry a route uses is
-    /// checked once — a missing entry, a channel the network does not
-    /// have or that leaves another node, and a loop are all
-    /// [`RouteError::Disconnected`] — and every path's length is known
-    /// before a channel is stored. The flat arrays are then allocated
-    /// exactly and filled without re-checking.
+    /// `(src_t, dst_t)` lexicographic order: the validation of
+    /// [`TreePaths::windows`] (its errors are this function's), then one
+    /// unchecked walk per pair.
     pub fn extract(net: &Network, routes: &Routes) -> Result<PathSet, RouteError> {
-        let (n, nt) = (net.num_nodes(), net.num_terminals());
-        if routes.num_nodes() != n || routes.num_terminals() != nt {
-            return Err(RouteError::Disconnected);
+        let trees = TreePaths { net, routes };
+        trees.windows(0..net.num_terminals(), |_, _, _, _| {})?;
+        let (mut channels, mut offsets, mut pairs) = (Vec::new(), vec![0u64], Vec::new());
+        let mut path = Vec::new();
+        for p in 0..trees.num_paths() as PathId {
+            trees.walk(p, &mut path);
+            channels.extend_from_slice(&path);
+            offsets.push(channels.len() as u64);
+            pairs.push(trees.pair(p));
         }
-        let terminals = net.terminals();
-        let num_paths = nt * nt.saturating_sub(1);
-        // Path lengths first (path `p`'s at `offsets[p + 1]`), summed in
-        // place after.
-        let mut offsets = vec![0u64; num_paths + 1];
-        const UNKNOWN: u32 = u32::MAX;
-        let mut depth = vec![UNKNOWN; n];
-        let mut stack: Vec<NodeId> = Vec::new();
-        for (dst_t, &dst) in terminals.iter().enumerate() {
-            depth.fill(UNKNOWN);
-            depth[dst.idx()] = 0;
-            for (src_t, &src) in terminals.iter().enumerate() {
-                let mut at = src;
-                while depth[at.idx()] == UNKNOWN {
-                    let c = routes
-                        .next_hop(at, dst_t)
-                        .filter(|c| c.idx() < net.num_channels());
-                    let ch = net.channel(c.ok_or(RouteError::Disconnected)?);
-                    // A walk longer than the node count has closed a loop.
-                    if ch.src != at || stack.len() == n {
-                        return Err(RouteError::Disconnected);
-                    }
-                    stack.push(at);
-                    at = ch.dst;
-                }
-                let mut hops = depth[at.idx()];
-                for v in stack.drain(..).rev() {
-                    hops += 1;
-                    depth[v.idx()] = hops;
-                }
-                if src != dst {
-                    let p = src_t * (nt - 1) + dst_t - usize::from(dst_t > src_t);
-                    offsets[p + 1] = u64::from(hops);
-                }
-            }
-        }
-        for p in 0..num_paths {
-            offsets[p + 1] += offsets[p];
-        }
-        let mut channels = Vec::with_capacity(offsets[num_paths] as usize);
-        let mut pairs = Vec::with_capacity(num_paths);
-        for (src_t, &src) in terminals.iter().enumerate() {
-            for (dst_t, &dst) in terminals.iter().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                let mut at = src;
-                while at != dst {
-                    let c = routes.next_hop(at, dst_t).expect("validated above");
-                    channels.push(c);
-                    at = net.channel(c).dst;
-                }
-                pairs.push((src_t as u32, dst_t as u32));
-            }
-        }
-        Ok(PathSet {
-            channels,
-            offsets,
-            pairs,
-            slots: DepSlots::of(net),
-        })
+        Ok(PathSet::from_parts(net, channels, offsets, pairs))
     }
 
     /// Assemble a path set over `net` from raw parts — for engines whose
@@ -221,5 +355,54 @@ mod tests {
         let ps = PathSet::extract(&net, &routes).unwrap();
         let loads = routes.channel_loads(&net).unwrap();
         assert_eq!(ps.total_hops() as u32, loads.iter().sum::<u32>());
+    }
+
+    #[test]
+    fn paths_over_stays_out_of_unjudged_entries() {
+        // t0 - s0 - a - b - x - s1 - t1 with a triangle a - b - x - a, a
+        // shortcut s0 - s1 and a second uplink t1 - s0. Toward t1 the
+        // route is programmed the long way, over the window (a→b, b→x);
+        // toward t0 it takes the shortcut, so no terminal reaches a, b or
+        // x in that tree and their entries are free to chase each other
+        // around the triangle — over the very same window. And t1's own
+        // entry toward itself points back into its tree, behind a.
+        let mut nb = fabric::NetworkBuilder::new();
+        let [s0, a, b, x, s1] = ["s0", "a", "b", "x", "s1"].map(|name| nb.add_switch(name, 8));
+        let (t0, t1) = (nb.add_terminal("t0"), nb.add_terminal("t1"));
+        for (u, v) in [
+            (t0, s0),
+            (s0, a),
+            (a, b),
+            (b, x),
+            (x, s1),
+            (s1, t1),
+            (x, a),
+            (s0, s1),
+            (t1, s0),
+        ] {
+            nb.link(u, v).unwrap();
+        }
+        let net = nb.build();
+        let chan = |u, v| net.channel_between(u, v).unwrap();
+        let mut routes = Routes::new(&net, "hand-built");
+        for hops in [[t0, s0, a, b, x, s1, t1], [t1, s1, s0, t0, t0, t0, t0]] {
+            let d = net.terminal_index(hops[6]).unwrap();
+            for w in hops.windows(2).filter(|w| w[0] != w[1]) {
+                routes.set_next(w[0], d, chan(w[0], w[1]));
+            }
+        }
+        for (u, v) in [(a, b), (b, x), (x, a)] {
+            routes.set_next(u, 0, chan(u, v));
+        }
+        routes.set_next(t1, 1, chan(t1, s0));
+        let trees = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        let (cdg, counts) = trees.layer0(&DepSlots::of(&net)).unwrap();
+        assert_eq!((cdg.num_paths(), counts.iter().sum::<u32>()), (2, 5 + 2));
+        let (from, to) = (chan(a, b).0, chan(b, x).0);
+        assert_eq!(trees.paths_over(from, to, &[0, 0], 0), [trees.id(0, 1)]);
+        assert_eq!(trees.paths_over(from, to, &[1, 0], 0), []);
     }
 }

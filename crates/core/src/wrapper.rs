@@ -104,6 +104,7 @@ impl<E: RoutingEngine> DeadlockFree<E> {
             rec,
             &guard,
         )
+        .map(|(routes, stats, _)| (routes, stats))
     }
 }
 

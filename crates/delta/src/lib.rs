@@ -47,8 +47,8 @@
 //! A patch costs a cold route minus the clean trees' sweeps, so the
 //! engine runs the full pipeline only when there is nothing to reuse:
 //! no cached epoch, a changed node roster, or **every** destination
-//! dirty. A fallback costs that cold route, two clones and — on an
-//! acyclic fabric — one O(|N|)-per-tree pass for the counts.
+//! dirty. A fallback costs that cold route and two clones: the counts
+//! of an acyclic fabric are the ones the route's own layer-0 pass made.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -56,7 +56,7 @@ use dfsssp_core::balance::balance_layers;
 use dfsssp_core::budget::{record_trip, Budget};
 use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
 use dfsssp_core::dijkstra::spt_to;
-use dfsssp_core::paths::PathSet;
+use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{
     ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine,
 };
@@ -111,11 +111,15 @@ pub trait DeltaCapable: RoutingEngine {
     /// The parameters of the replicable pipeline, if any.
     fn delta_params(&self) -> Option<DeltaParams>;
 
-    /// A full route that also says whether the all-paths CDG came out
-    /// acyclic — what the engine itself observed (it broke no cycle),
-    /// so the cache never re-derives it from the tables.
-    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<(Routes, bool), RouteError>;
+    /// A full route, with what the engine itself observed of the
+    /// all-paths CDG when it came out acyclic (it broke no cycle): the
+    /// paths over each dependency slot of `net`, as its layer-0 pass
+    /// counted them, so the cache never re-derives them from the tables.
+    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Cold, RouteError>;
 }
+
+/// Routes and, if their all-paths CDG is acyclic, its window counts.
+pub type Cold = (Routes, Option<Vec<u32>>);
 
 impl DeltaCapable for DfSssp {
     fn delta_params(&self) -> Option<DeltaParams> {
@@ -135,9 +139,9 @@ impl DeltaCapable for DfSssp {
         })
     }
 
-    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<(Routes, bool), RouteError> {
-        let (routes, stats) = self.route_with_stats_in(net, cx)?;
-        Ok((routes, stats.cycles_broken == 0))
+    fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Cold, RouteError> {
+        let (routes, _, counts) = self.route_with_counts_in(net, cx)?;
+        Ok((routes, counts))
     }
 }
 
@@ -291,10 +295,11 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
     }
 
     /// Full recompute through the inner engine, then rebuild the cache
-    /// from the result: two clones, plus the window counts when the
-    /// engine broke no cycle. Tables the kernel cannot walk leave the
-    /// cache empty rather than poisoned. An engine error leaves the
-    /// cache (and the caller's reset outcome) as they were.
+    /// from the result: two clones, and the window counts the engine
+    /// hands back when it broke no cycle. Counts that are not this
+    /// network's leave the cache empty rather than poisoned. An engine
+    /// error leaves the cache (and the caller's reset outcome) as they
+    /// were.
     fn full_recompute(
         &self,
         g: &mut Shared,
@@ -303,15 +308,10 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         cx: &ComputeCtx,
         dirty_dests: Vec<usize>,
     ) -> Result<Routes, RouteError> {
-        let (routes, acyclic) = self.inner.route_cold_in(net, cx)?;
+        let (routes, l0) = self.inner.route_cold_in(net, cx)?;
+        let ours = |l0: &Vec<u32>| l0.len() == DepSlots::of(net).num_slots();
         g.state = telemetry::timed(&*params.recorder, phases::DELTA_REBUILD, || {
-            let l0 = if acyclic {
-                let all = 0..net.num_terminals();
-                Some(tree_windows(net, &DepSlots::of(net), &routes, all)?)
-            } else {
-                None
-            };
-            Some(DeltaState {
+            l0.as_ref().is_none_or(ours).then(|| DeltaState {
                 net: net.clone(),
                 routes: routes.clone(),
                 l0,
@@ -496,41 +496,30 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         // balancing spread remains — a pure function of the pair index
         // and the (budget, balance) regime, so in the cached epoch's
         // regime its matrix is bit-identical and one memcpy replaces the
-        // assignment. Otherwise run the real thing on the real path set.
-        let broke_none = telemetry::timed(rec, phases::DELTA_LAYERS, || {
+        // assignment. Otherwise run the real thing on the new trees; if it
+        // breaks no cycle, the fabric just became acyclic and starts
+        // holding the counts of its layer-0 pass.
+        telemetry::timed(rec, phases::DELTA_LAYERS, || {
             if l0.is_some() && prev.layer_cfg == (max_layers, params.balance) {
                 routes.copy_layers_from(&prev.routes);
-                return Ok(true);
+                return Ok(());
             }
-            let ps = PathSet::extract(net, &routes)?;
-            let (mut layers, stats) = assign_layers_budgeted(
-                &ps,
-                params.heuristic,
-                max_layers,
-                params.compact,
-                rec,
-                guard,
-            )?;
+            let (heuristic, compact) = (params.heuristic, params.compact);
+            let (mut layers, stats, counts) =
+                assign_layers_budgeted(net, &routes, heuristic, max_layers, compact, rec, guard)?;
             telemetry::timed(rec, phases::BALANCE, || {
                 if params.balance {
                     balance_layers(&mut layers, stats.layers_used, max_layers);
                 }
             });
-            for p in ps.ids() {
-                let (s, d) = ps.pair(p);
-                routes.set_layer(s as usize, d as usize, layers[p as usize]);
-            }
-            routes.recompute_num_layers();
+            routes.set_path_layers(&layers);
             // The DFS and the budgeted assignment agree on acyclicity.
             debug_assert!(prev.l0.is_none() || (stats.cycles_broken == 0) == l0.is_some());
-            Ok::<_, RouteError>(stats.cycles_broken == 0)
+            if stats.cycles_broken == 0 {
+                l0 = Some(counts);
+            }
+            Ok::<_, RouteError>(())
         })?;
-        // A fabric that just became acyclic starts holding counts.
-        if broke_none && l0.is_none() {
-            l0 = telemetry::timed(rec, phases::DELTA_COUNTS, || {
-                tree_windows(net, &DepSlots::of(net), &routes, 0..net.num_terminals())
-            });
-        }
         Ok(Some(Patched {
             routes,
             l0,
@@ -702,13 +691,10 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
     }
 }
 
-/// The window kernel: the all-paths CDG windows the trees of `dests`
-/// contribute, as a path count per dependency slot of `net`, in O(|N|)
-/// per tree. A destination's in-tree is peeled leaves-first
-/// carrying the number of terminal sources at or below each node; a
-/// node `v` peeled with `k` sources below it and next hop `c` into `p`
-/// puts `k` paths on the window `(c, next[p][d])`. `None` when a source
-/// cannot reach the destination — a missing entry, a channel the
+/// The all-paths CDG windows the trees of `dests` contribute, as a path
+/// count per dependency slot of `net`: [`TreePaths::windows`], the kernel
+/// the cold route builds layer 0 with, in O(|N|) per tree. `None` when a
+/// source cannot reach the destination — a missing entry, a channel the
 /// network does not have or that does not leave the node it is
 /// programmed at, a forwarding loop — or the tables have another
 /// network's shape.
@@ -718,62 +704,19 @@ fn tree_windows(
     routes: &Routes,
     dests: impl Iterator<Item = usize>,
 ) -> Option<Vec<u32>> {
-    let n = net.num_nodes();
-    if routes.num_nodes() != n || routes.num_terminals() != net.num_terminals() {
-        return None;
-    }
     let mut counts = vec![0u32; slots.num_slots()];
-
-    let mut hop = vec![u32::MAX; n]; // this tree's column: next-hop channel…
-    let mut up = vec![0usize; n]; // …and the node it leads to
-    let mut unpeeled = vec![0u32; n]; // children still to peel
-    let mut below = vec![0u32; n]; // terminal sources at or below
-    let mut ready: Vec<usize> = Vec::with_capacity(n);
-    for d in dests {
-        let dst = net.terminals()[d];
-        unpeeled.fill(0);
-        for (v, _) in net.nodes() {
-            below[v.idx()] = u32::from(net.is_terminal(v));
-            hop[v.idx()] = u32::MAX;
-            if let Some(c) = routes.next_hop(v, d).filter(|_| v != dst) {
-                let ch = (c.idx() < net.num_channels()).then(|| net.channel(c))?;
-                if ch.src != v {
-                    return None;
-                }
-                hop[v.idx()] = c.0;
-                up[v.idx()] = ch.dst.idx();
-                unpeeled[ch.dst.idx()] += 1;
-            }
-        }
-        ready.extend((0..n).filter(|&v| unpeeled[v] == 0));
-        let mut peeled = 0;
-        while let Some(v) = ready.pop() {
-            peeled += 1;
-            if v == dst.idx() {
-                continue;
-            }
-            let (sources, c, p) = (below[v], hop[v], up[v]);
-            if c == u32::MAX {
-                if sources > 0 {
-                    return None; // their walks dead-end here
-                }
-                continue;
-            }
-            // A missing entry at `p` is reported when `p` is peeled.
-            if sources > 0 && hop[p] != u32::MAX {
-                counts[slots.slot(c, hop[p])] += sources;
-            }
-            below[p] += sources;
-            unpeeled[p] -= 1;
-            if unpeeled[p] == 0 {
-                ready.push(p);
-            }
-        }
-        if peeled != n {
-            return None; // a loop's nodes never become leaves
-        }
-    }
+    #[cfg(test)]
+    let dests = dests.inspect(|_| TREES_COUNTED.set(TREES_COUNTED.get() + 1));
+    let count = |c1, c2, paths, _| counts[slots.slot(c1, c2)] += paths;
+    TreePaths { net, routes }.windows(dests, count).ok()?;
     Some(counts)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Trees [`tree_windows`] counted on this thread: what this crate
+    /// ran the kernel for beside the cold route's own pass.
+    static TREES_COUNTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Re-address window counts from the cached network's dependency slots
@@ -995,7 +938,7 @@ mod tests {
     }
 
     /// A delta-capable engine that serves tables broken by `corrupt`,
-    /// claiming it broke no cycle.
+    /// claiming it broke no cycle with counts that are no network's.
     struct Broken(Corrupt);
 
     impl RoutingEngine for Broken {
@@ -1014,14 +957,10 @@ mod tests {
         fn delta_params(&self) -> Option<DeltaParams> {
             DfSssp::new().delta_params()
         }
-        fn route_cold_in(
-            &self,
-            net: &Network,
-            cx: &ComputeCtx,
-        ) -> Result<(Routes, bool), RouteError> {
+        fn route_cold_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Cold, RouteError> {
             let mut routes = DfSssp::new().route_in(net, cx)?;
             (self.0)(&mut routes);
-            Ok((routes, true))
+            Ok((routes, Some(Vec::new())))
         }
     }
 
@@ -1040,6 +979,32 @@ mod tests {
         // With nothing cached every request is the inner engine's own.
         assert_eq!(engine.route_in(&net, &cx).unwrap(), first);
         assert!(!engine.last_outcome().unwrap().delta);
+    }
+
+    #[test]
+    fn a_fallback_runs_the_kernel_once_per_tree() {
+        let net = topo::kary_ntree(4, 2);
+        let (cx, nt) = (snap_cx(&net), net.num_terminals());
+        let rec = Arc::new(Collector::new());
+        let engine =
+            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone())));
+        let before = TREES_COUNTED.get();
+        let passes = || rec.snapshot().phases[phases::CDG_BUILD].count;
+        // Boot, a patch, then the cable back up: every tree dirty.
+        engine.route_in(&net, &cx).unwrap();
+        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        let patched = TREES_COUNTED.get();
+        assert!(engine.last_outcome().unwrap().delta && patched > before);
+        let cold = engine.route_in(&net, &cx).unwrap();
+        let outcome = engine.last_outcome().unwrap();
+        assert!(!outcome.delta && outcome.layer0_acyclic);
+        // Each cold route built layer 0 once, and only the patch in
+        // between ran the kernel on this crate's account...
+        assert_eq!((passes(), TREES_COUNTED.get()), (2, patched));
+        // ...yet the cache holds the counts of a pass over every tree.
+        let held = engine.lock().state.as_ref().unwrap().l0.clone();
+        assert_eq!(held, tree_windows(&net, &DepSlots::of(&net), &cold, 0..nt));
+        assert_eq!(TREES_COUNTED.get(), patched + nt);
     }
 
     #[test]

@@ -190,6 +190,21 @@ impl Routes {
         self.num_layers = self.vl.iter().copied().max().unwrap_or(0) + 1;
     }
 
+    /// Assign every path's virtual layer at once: `layers[p]` is the
+    /// layer of the `p`-th ordered terminal pair `(src_t, dst_t)`,
+    /// `src_t != dst_t`, in lexicographic order — one row copy around the
+    /// diagonal per source, then [`Routes::recompute_num_layers`].
+    pub fn set_path_layers(&mut self, layers: &[u8]) {
+        let nt = self.num_terminals;
+        assert_eq!(layers.len(), nt * nt.saturating_sub(1), "a layer per pair");
+        for s in 0..nt {
+            let (row, vl) = (&layers[s * (nt - 1)..][..nt - 1], &mut self.vl[s * nt..]);
+            vl[..s].copy_from_slice(&row[..s]);
+            vl[s + 1..nt].copy_from_slice(&row[s..]);
+        }
+        self.recompute_num_layers();
+    }
+
     /// Bulk-copy the whole virtual-layer matrix from `other` (tables for
     /// the same terminal roster). Incremental reroute uses this when the
     /// layer assignment is provably unchanged between epochs: one memcpy
@@ -532,6 +547,20 @@ mod tests {
         out.copy_layers_from(&src);
         assert_eq!(out.vl, src.vl);
         assert_eq!(out.num_layers(), src.num_layers());
+
+        // Layers by path id are the per-pair writes, diagonal untouched.
+        let nt = net.num_terminals();
+        let pairs =
+            || (0..nt).flat_map(|s| (0..nt).map(move |d| (s, d)).filter(move |&(_, d)| d != s));
+        let by_path: Vec<u8> = (0..pairs().count()).map(|p| (p % 3) as u8).collect();
+        let (mut bulk, mut looped) = (src.clone(), src.clone());
+        bulk.set_path_layers(&by_path);
+        for ((s, d), &layer) in pairs().zip(&by_path) {
+            looped.set_layer(s, d, layer);
+        }
+        looped.recompute_num_layers();
+        assert_eq!(bulk, looped);
+        assert_eq!(bulk.num_layers(), 3);
 
         // Dirty columns are left untouched.
         let mut masked = Routes::new(&net, "masked");

@@ -37,7 +37,7 @@ pub fn main() {
             exact,
         ];
         for h in CycleBreakHeuristic::ALL {
-            let layers = assign_layers_offline(&ps, h, 64, false)
+            let layers = assign_layers_offline(&net, &routes, h, 64, false)
                 .map(|(_, s)| s.layers_used.to_string())
                 .unwrap_or_else(|_| ">64".into());
             row.push(layers);

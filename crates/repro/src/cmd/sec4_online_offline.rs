@@ -1,12 +1,11 @@
 //! Sec IV: online vs offline DFSSSP layer-assignment runtime (the paper:
 //! ~170 s offline vs ~2 h online at 4096 nodes; we sweep smaller sizes).
 //! A third column times the restart-search ablation — the same SSSP
-//! sweep and path extraction, then the offline algorithm with its cycle
-//! search restarted from scratch after every break — which is what the
-//! paper's resumable search saves.
+//! sweep, then the offline algorithm with its cycle search restarted
+//! from scratch after every break — which is what the paper's resumable
+//! search saves.
 
 use dfsssp_core::dfsssp::{assign_layers_offline_restart, DfStats};
-use dfsssp_core::paths::PathSet;
 use dfsssp_core::{
     ComputeCtx, CycleBreakHeuristic, DfSssp, LayerAssignMode, RouteError, RoutingEngine, Sssp,
 };
@@ -49,8 +48,7 @@ pub fn main() {
         }
         cell(&|| {
             let routes = Sssp::new().route_in(&net, &ComputeCtx::seq())?;
-            let ps = PathSet::extract(&net, &routes)?;
-            assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 16)
+            assign_layers_offline_restart(&net, &routes, CycleBreakHeuristic::WeakestEdge, 16)
                 .map(|(_, stats)| stats)
         });
         rows.push(row);

@@ -7,7 +7,6 @@ mod common;
 use common::{sweep, Case};
 use dfsssp::core::cdg::{Cdg, CycleSearch};
 use dfsssp::core::dfsssp::{assign_layers_offline, assign_layers_offline_restart};
-use dfsssp::core::paths::PathSet;
 use dfsssp::prelude::*;
 
 /// Random digraph as an edge list over `n` nodes, without self-loops.
@@ -76,21 +75,16 @@ fn offline_variants_both_produce_covers() {
         };
         let net = dfsssp::topo::random_topology(&spec, seed);
         let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
         for assignment in [
-            assign_layers_offline(&ps, CycleBreakHeuristic::WeakestEdge, 32, false)
+            assign_layers_offline(&net, &routes, CycleBreakHeuristic::WeakestEdge, 32, false)
                 .unwrap()
                 .0,
-            assign_layers_offline_restart(&ps, CycleBreakHeuristic::WeakestEdge, 32)
+            assign_layers_offline_restart(&net, &routes, CycleBreakHeuristic::WeakestEdge, 32)
                 .unwrap()
                 .0,
         ] {
             let mut r = routes.clone();
-            for p in ps.ids() {
-                let (s, d) = ps.pair(p);
-                r.set_layer(s as usize, d as usize, assignment[p as usize]);
-            }
-            r.recompute_num_layers();
+            r.set_path_layers(&assignment);
             assert!(dfsssp::verify::verify_deadlock_free(&net, &r).is_ok());
         }
     });

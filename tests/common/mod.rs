@@ -8,9 +8,12 @@
 #![allow(dead_code)]
 
 use fabric::rng::{Rng, UniformInt};
+use fabric::topo::{self, RandomTopoSpec};
+use fabric::{degrade, ChannelId, Network};
 use std::fmt::{Debug, Write as _};
 use std::ops::{Range, RangeBounds};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use telemetry::fx::FxHashSet;
 
 /// One case of a sweep: its generator and a log of what it drew.
 pub struct Case {
@@ -50,4 +53,44 @@ pub fn sweep(seeds: Range<u64>, property: impl Fn(&mut Case)) {
             panic!("case seed {seed} failed with{}: {message}", case.drawn);
         }
     }
+}
+
+/// One fabric of the generator zoo; two cases in three lose up to three
+/// redundant cables through `degrade::remove`.
+pub fn zoo_net(c: &mut Case) -> Network {
+    let net = match c.draw("generator", 0..12) {
+        0 => topo::ring(
+            c.draw("switches", 3usize..8),
+            c.draw("terminals", 1usize..3),
+        ),
+        1 => topo::star(c.draw("terminals", 2usize..8)),
+        2 => topo::fully_connected(c.draw("switches", 3usize..6), 2),
+        3 => topo::mesh(&[c.draw("x", 2u16..5), c.draw("y", 2u16..4)], 1),
+        4 => topo::torus(&[c.draw("x", 3u16..5), c.draw("y", 3u16..5)], 1),
+        5 => topo::hypercube(c.draw("dim", 2u32..5), 1),
+        6 => topo::kary_ntree(c.draw("k", 2usize..5), 2),
+        7 => topo::xgft(2, &[4, 3], &[2, 2]),
+        8 => topo::clos2(16, 4, 4, 2, 2),
+        9 => topo::kautz(2, 2, 12, c.draw("bidirectional", 0..2) == 1),
+        10 => topo::dragonfly(c.draw("a", 2usize..4), 1, 1),
+        _ => {
+            let switches = c.draw("switches", 6usize..12);
+            let spec = RandomTopoSpec {
+                switches,
+                radix: 12,
+                terminals_per_switch: 2,
+                interswitch_links: switches + c.draw("extra_links", 0usize..8),
+            };
+            topo::random_topology(&spec, c.draw("seed", 0u64..1000))
+        }
+    };
+    let spare = degrade::redundant_cables(&net);
+    let cut = c.draw("cut", 0usize..4).min(spare.len());
+    let dead: FxHashSet<ChannelId> = (0..cut)
+        .map(|_| spare[c.rng.range(0..spare.len())])
+        .flat_map(|cable| [Some(cable), net.channel(cable).rev])
+        .flatten()
+        .collect();
+    c.note("dead", &dead);
+    degrade::remove(&net, &FxHashSet::default(), &dead)
 }

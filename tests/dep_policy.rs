@@ -273,7 +273,7 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// `CEILING` to its own result, one that must raise it says why here.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 20_160;
+    const CEILING: usize = 20_146;
     let root = repo_root();
     let mut total = 0;
     println!("| crate | code lines |\n|---|---|");

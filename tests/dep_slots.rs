@@ -1,62 +1,23 @@
-//! The dependency-slot index (`fabric::DepSlots`) and the three things
-//! rebuilt on it, each against an oracle that shares none of its code:
-//! the index against the network's own adjacency, the two-pass CDG
-//! population against the `add_path` loop it replaced, `vet`'s table
-//! walk against a per-pair walk collected into hash sets, and
-//! `PathSet::extract` against the per-pair `PathIter` it used to be. One
-//! sweep over the generator zoo, degraded views included.
+//! The dependency-slot index (`fabric::DepSlots`) and the things built on
+//! it, each against an oracle that shares none of its code: the index
+//! against the network's own adjacency, the tree-built layer 0 and the
+//! victims read off the trees against the `add_path` loop over per-pair
+//! walks with explicit path lists, `vet`'s table walk against a per-pair
+//! walk collected into hash sets, and the window kernel's validation
+//! (under `PathSet::extract` and under the layer-0 constructor) against
+//! the per-pair `PathIter`. One sweep over the generator zoo, degraded
+//! views included.
 
 mod common;
 
-use common::{sweep, Case};
+use common::{sweep, zoo_net, Case};
 use dfsssp::core::cdg::{Cdg, CycleSearch};
-use dfsssp::core::paths::PathSet;
+use dfsssp::core::paths::{PathSet, TreePaths};
 use dfsssp::prelude::*;
-use dfsssp::telemetry::fx::FxHashSet;
-use fabric::topo::{self, RandomTopoSpec};
-use fabric::{degrade, ChannelId, DepSlots};
+use fabric::topo;
+use fabric::{ChannelId, DepSlots};
 use std::cell::Cell;
-use std::collections::HashSet;
-
-/// One fabric of the generator zoo; two cases in three lose up to three
-/// redundant cables through `degrade::remove`.
-fn zoo_net(c: &mut Case) -> Network {
-    let net = match c.draw("generator", 0..12) {
-        0 => topo::ring(
-            c.draw("switches", 3usize..8),
-            c.draw("terminals", 1usize..3),
-        ),
-        1 => topo::star(c.draw("terminals", 2usize..8)),
-        2 => topo::fully_connected(c.draw("switches", 3usize..6), 2),
-        3 => topo::mesh(&[c.draw("x", 2u16..5), c.draw("y", 2u16..4)], 1),
-        4 => topo::torus(&[c.draw("x", 3u16..5), c.draw("y", 3u16..5)], 1),
-        5 => topo::hypercube(c.draw("dim", 2u32..5), 1),
-        6 => topo::kary_ntree(c.draw("k", 2usize..5), 2),
-        7 => topo::xgft(2, &[4, 3], &[2, 2]),
-        8 => topo::clos2(16, 4, 4, 2, 2),
-        9 => topo::kautz(2, 2, 12, c.draw("bidirectional", 0..2) == 1),
-        10 => topo::dragonfly(c.draw("a", 2usize..4), 1, 1),
-        _ => {
-            let switches = c.draw("switches", 6usize..12);
-            let spec = RandomTopoSpec {
-                switches,
-                radix: 12,
-                terminals_per_switch: 2,
-                interswitch_links: switches + c.draw("extra_links", 0usize..8),
-            };
-            topo::random_topology(&spec, c.draw("seed", 0u64..1000))
-        }
-    };
-    let spare = degrade::redundant_cables(&net);
-    let cut = c.draw("cut", 0usize..4).min(spare.len());
-    let dead: FxHashSet<ChannelId> = (0..cut)
-        .map(|_| spare[c.rng.range(0..spare.len())])
-        .flat_map(|cable| [Some(cable), net.channel(cable).rev])
-        .flatten()
-        .collect();
-    c.note("dead", &dead);
-    degrade::remove(&net, &FxHashSet::default(), &dead)
-}
+use std::collections::{HashMap, HashSet};
 
 /// `DepSlots::of` numbers the adjacent channel pairs — `c2` leaves the
 /// node `c1` enters — in ascending order, each exactly once, and nothing
@@ -100,59 +61,105 @@ fn route(net: &Network, engine: &dyn RoutingEngine) -> Option<Routes> {
         .then(|| engine.route_in(net, &ComputeCtx::seq()).expect("routes"))
 }
 
-/// `Cdg::of_paths` is the `add_path` loop: same edge ids (handed out in
-/// first-appearance order), counts and path lists — and, because
-/// `out[from]` is pushed to exactly when an id is handed out, the same
-/// `out` order, which the resumable search then shows by reporting the
-/// same cycles step by step while Algorithm 2's moves drain both graphs.
+/// The layer 0 `TreePaths::layer0` builds from the destination trees is
+/// the `add_path` loop over every pair's `path_channels` walk in id
+/// order: same edge ids (handed out in first-appearance order) and
+/// counts — and, because `out[from]` is pushed to exactly when an id is
+/// handed out, the same `out` order, which the resumable search then
+/// shows by reporting the same cycles step by step while Algorithm 2's
+/// moves drain both graphs. The paths `paths_over` reads off the trees
+/// are the ones the loop listed per window, filtered by layer, before
+/// and after moves; `id`/`pair`/`walk` are the enumeration.
 #[test]
 fn bulk_cdg_population_equals_the_add_path_loop() {
     let (routed, cyclic) = (Cell::new(0), Cell::new(0));
     sweep(0..64, |c| {
         let net = zoo_net(c);
-        let Some(routes) = route(&net, &Sssp::new()) else {
+        let engines: [&dyn RoutingEngine; 2] = [&Sssp::new(), &MinHop::new()];
+        let Some(mut routes) = route(&net, engines[c.draw("engine", 0..2)]) else {
             return;
         };
         routed.set(routed.get() + 1);
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let mut bulk = Cdg::of_paths(&ps);
-        let mut looped = Cdg::over(ps.slots().clone());
-        for p in ps.ids() {
-            looped.add_path(&ps, p);
+        let ts = net.terminals();
+        // Accepted tables may hold anything at the destination itself.
+        for (d, &dst) in ts.iter().enumerate() {
+            let out = net.out_channels(dst);
+            routes.set_next(dst, d, out[c.rng.range(0..out.len())]);
         }
+        let slots = DepSlots::of(&net);
+        let trees = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        let (mut bulk, counts) = trees.layer0(&slots).unwrap();
+
+        let mut looped = Cdg::over(slots.clone());
+        let mut listed: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        let (mut walks, mut scratch) = (Vec::new(), Vec::new());
+        for (s, d) in (0..ts.len()).flat_map(|s| (0..ts.len()).map(move |d| (s, d))) {
+            if s == d {
+                continue;
+            }
+            let p = walks.len() as u32;
+            let walk = routes.path_channels(&net, ts[s], ts[d]).unwrap();
+            assert_eq!((trees.id(s, d), trees.pair(p)), (p, (s as u32, d as u32)));
+            trees.walk(p, &mut scratch);
+            assert_eq!(scratch, walk, "path {p}");
+            looped.add_path(&walk);
+            for w in walk.windows(2) {
+                listed.entry((w[0].0, w[1].0)).or_default().push(p);
+            }
+            walks.push(walk);
+        }
+        assert_eq!(trees.num_paths(), walks.len());
         assert_eq!(bulk.num_paths(), looped.num_paths());
         assert_eq!(bulk.num_edges(), looped.num_edges());
-        let mut layer = vec![0u8; ps.len()];
-        for e in 0..bulk.num_edges() as u32 {
+        assert_eq!(counts.iter().filter(|&&n| n > 0).count(), bulk.num_edges());
+
+        let mut layer = vec![0u8; walks.len()];
+        // Edge `e` of `cdg` holds exactly the listed paths now in layer `l`.
+        let check = |cdg: &Cdg, e: u32, layer: &[u8], l: u8| {
+            let edge = cdg.edge(e);
+            let paths = trees.paths_over(edge.from, edge.to, layer, l);
+            let want = listed[&(edge.from, edge.to)].iter().copied();
+            let want: Vec<u32> = want.filter(|&p| layer[p as usize] == l).collect();
+            assert_eq!(paths, want, "edge {e} in layer {l}");
+            assert_eq!(paths.len(), edge.count as usize, "edge {e} in layer {l}");
+            paths
+        };
+        let edges = bulk.num_edges() as u32;
+        for e in 0..edges {
             let (a, b) = (bulk.edge(e), looped.edge(e));
             assert_eq!((a.from, a.to, a.count), (b.from, b.to, b.count), "edge {e}");
-            let paths = bulk.live_paths_of(e, &layer, 0);
-            assert_eq!(paths, looped.live_paths_of(e, &layer, 0), "edge {e}");
-            assert_eq!(paths.len(), a.count as usize, "edge {e}");
-            assert!(paths.windows(2).all(|w| w[0] < w[1]), "edge {e} ascends");
+            assert_eq!(counts[slots.slot(a.from, a.to)], a.count, "edge {e}");
+            check(&bulk, e, &layer, 0);
         }
         let mut searches = [bulk.num_channels(), looped.num_channels()].map(CycleSearch::new);
-        let mut next = Cdg::over(ps.slots().clone());
+        let mut next = Cdg::over(slots.clone());
         loop {
             let cycle = searches[0].next_cycle(&bulk);
             assert_eq!(cycle, searches[1].next_cycle(&looped));
             let Some(cycle) = cycle else { break };
             cyclic.set(cyclic.get() + 1);
-            let victims = bulk.live_paths_of(cycle[0], &layer, 0);
-            assert_eq!(victims, looped.live_paths_of(cycle[0], &layer, 0));
-            for p in victims {
-                bulk.remove_path(&ps, p);
-                looped.remove_path(&ps, p);
-                // A moved path is listed where it went and filtered where it was.
-                next.add_path(&ps, p);
+            for p in check(&bulk, cycle[0], &layer, 0) {
+                bulk.remove_path(&walks[p as usize]);
+                looped.remove_path(&walks[p as usize]);
+                next.add_path(&walks[p as usize]);
                 layer[p as usize] = 1;
             }
             assert_eq!(bulk.num_edges(), looped.num_edges());
         }
+        // A moved path is found where it went and filtered where it was.
+        for e in 0..edges {
+            check(&bulk, e, &layer, 0);
+        }
+        for e in 0..next.num_edges() as u32 {
+            check(&next, e, &layer, 1);
+        }
         let moved = layer.iter().filter(|&&l| l == 1).count();
         assert_eq!(
             (next.num_paths(), bulk.num_paths()),
-            (moved, ps.len() - moved)
+            (moved, walks.len() - moved)
         );
     });
     assert!(routed.get() >= 32, "only {} cases routed", routed.get());
@@ -259,9 +266,10 @@ fn dependency_edges_equal_a_per_pair_walk() {
     );
 }
 
-/// `PathSet::extract` — one validated tree pass, then an unchecked fill
-/// — accepts and rejects exactly what the per-pair `PathIter` walk it
-/// used to be does, and stores the same channels in the same order.
+/// `PathSet::extract` — the window kernel's validated tree pass, then an
+/// unchecked walk per pair — accepts and rejects exactly what the
+/// per-pair `PathIter` walk it used to be does, and stores the same
+/// channels in the same order.
 #[test]
 fn extract_rejects_corrupt_tables_where_the_per_pair_walk_did() {
     let rejected = Cell::new(0);
@@ -297,6 +305,53 @@ fn extract_rejects_corrupt_tables_where_the_per_pair_walk_did() {
             PathSet::extract(&other, &routes),
             Err(RouteError::Disconnected)
         ));
+    });
+    assert!(
+        rejected.get() >= 16,
+        "only {} corrupt cases",
+        rejected.get()
+    );
+}
+
+/// The layer-0 constructor stands on the same validated tree pass, so it
+/// accepts and rejects the same tables — and what it accepts it counts
+/// window for window.
+#[test]
+fn layer0_rejects_corrupt_tables_where_the_per_pair_walk_did() {
+    let rejected = Cell::new(0);
+    sweep(0..96, |c| {
+        let net = zoo_net(c);
+        let Some(mut routes) = route(&net, &Sssp::new()) else {
+            return;
+        };
+        corrupt(c, &net, &mut routes);
+        let ts = net.terminals();
+        let pairs = (0..ts.len()).flat_map(|s| (0..ts.len()).map(move |d| (s, d)));
+        let per_pair: Result<Vec<_>, _> = pairs
+            .filter(|(s, d)| s != d)
+            .map(|(s, d)| routes.path_channels(&net, ts[s], ts[d]))
+            .collect();
+        let layer0 = |on: &Network| {
+            let trees = TreePaths {
+                net: on,
+                routes: &routes,
+            };
+            trees.layer0(&DepSlots::of(on))
+        };
+        match (layer0(&net), per_pair) {
+            (Ok((cdg, counts)), Ok(paths)) => {
+                let windows: usize = paths.iter().map(|p| p.len().saturating_sub(1)).sum();
+                assert_eq!(counts.iter().sum::<u32>() as usize, windows);
+                assert_eq!(cdg.num_paths(), paths.len());
+            }
+            (Err(RouteError::Disconnected), Err(_)) => rejected.set(rejected.get() + 1),
+            (got, want) => panic!(
+                "layer 0 {:?}, per-pair walk {want:?}",
+                got.map(|(cdg, _)| cdg.num_paths())
+            ),
+        }
+        let other = topo::ring(net.num_nodes() + 1, 1);
+        assert!(matches!(layer0(&other), Err(RouteError::Disconnected)));
     });
     assert!(
         rejected.get() >= 16,

@@ -6,7 +6,15 @@
 //! generated at the commit before the in-engine thread fan-out was
 //! deleted. A mismatch means the change redrew routes — a change of
 //! algorithm, not a refactor.
+//!
+//! A second table, generated at the commit before Algorithm 2 moved onto
+//! in-trees, pins what the first never reaches: `DfSssp` under the other
+//! three cycle-break heuristics (tie-breaks, the `RandomEdge` counter,
+//! the order victims arrive in the next layer) and at layer budgets the
+//! uncompacted assignment overflows and compaction then fits (its order
+//! of moves), each with the run's `DfStats`.
 
+use dfsssp::core::dfsssp::DfStats;
 use dfsssp::fabric::format::routes_to_json;
 use dfsssp::prelude::*;
 use dfsssp::topo::{self, RandomTopoSpec};
@@ -77,4 +85,144 @@ fn cold_routes_match_the_pinned_fingerprints() {
         .map(|[a, b, c, d]| format!("    [{a:#018x}, {b:#018x}, {c:#018x}, {d:#018x}],\n"))
         .collect();
     assert!(got == GOLDEN, "route fingerprints moved:\n{rows}");
+}
+
+/// `(fingerprint, cycles_broken, paths_moved, layers_used)` per run of
+/// `heuristic_runs()` then `compaction_runs()`, in their order.
+#[rustfmt::skip]
+const GOLDEN_ASSIGNMENT: [(u64, usize, usize, usize); 38] = [
+    (0x8dde3dec841d6baf, 23, 72, 2),
+    (0x99af7b01a2004ae9, 0, 0, 1),
+    (0x73c7a19c559618de, 19, 37, 2),
+    (0x99af7b01a2004ae9, 0, 0, 1),
+    (0xcd6d5bda8c12fcb6, 19, 37, 2),
+    (0x99af7b01a2004ae9, 0, 0, 1),
+    (0xb9c1f2611959834d, 0, 0, 1),
+    (0xc8c87f868513cf65, 0, 0, 1),
+    (0xb9c1f2611959834d, 0, 0, 1),
+    (0xc8c87f868513cf65, 0, 0, 1),
+    (0xb9c1f2611959834d, 0, 0, 1),
+    (0xc8c87f868513cf65, 0, 0, 1),
+    (0x8d11b898cd2464bd, 8, 31, 2),
+    (0x4f112cc40c8202ce, 10, 40, 3),
+    (0xd04b4c5c81ed0bf0, 9, 26, 2),
+    (0x079dcc989b37bd26, 9, 33, 2),
+    (0xedfe208d2ec805ed, 11, 35, 2),
+    (0xfbccff7a6511ad67, 11, 34, 2),
+    (0x30863b2c8d16419f, 259, 864, 4),
+    (0xbeffe6610df393cc, 145, 612, 4),
+    (0x7dde7a4b49dbddb4, 221, 481, 3),
+    (0xde1c171dcc1faf47, 157, 478, 3),
+    (0x201c95f76835006b, 295, 643, 3),
+    (0x655b12b518b019c2, 156, 427, 3),
+    (0xf133f78d32255e7e, 35, 624, 3),
+    (0x83771f484992fe2e, 8, 224, 2),
+    (0x5f8f27a89dc6dfce, 33, 404, 2),
+    (0xbd44172b5d9ee48e, 7, 112, 2),
+    (0x6548cf0da9aec58c, 47, 624, 3),
+    (0xaf34f43b4aa7c38e, 10, 208, 2),
+    (0x26abf9f6de547a52, 240, 2289, 7),
+    (0x681a9aee624286d8, 240, 2336, 6),
+    (0x11cdb36606fcd8f1, 240, 2450, 5),
+    (0xb95458fcffe63341, 191, 13916, 6),
+    (0xefe632442221b308, 191, 14316, 5),
+    (0xae33dadb12e93d5f, 191, 15024, 4),
+    (0xaaeb506ef84f83fb, 89, 263, 3),
+    (0x41658d0dffa5038b, 22, 50, 2),
+];
+
+const OTHER_HEURISTICS: [CycleBreakHeuristic; 3] = [
+    CycleBreakHeuristic::HeaviestEdge,
+    CycleBreakHeuristic::FirstEdge,
+    CycleBreakHeuristic::RandomEdge(7),
+];
+
+/// Every golden fabric under each of `OTHER_HEURISTICS`, at chunk 1 and
+/// at |T| (the schedule the delta engine patches under).
+fn heuristic_runs() -> Vec<(Network, DfSssp, usize)> {
+    let mut runs = Vec::new();
+    for net in fabrics() {
+        for heuristic in OTHER_HEURISTICS {
+            for chunk in [1, net.num_terminals()] {
+                runs.push((net.clone(), DfSssp::with_heuristic(heuristic), chunk));
+            }
+        }
+    }
+    runs
+}
+
+/// Budgets below what the uncompacted assignment uses on a fabric, which
+/// compaction fits by sinking paths (on the golden fabrics a tighter
+/// budget only errors, hence four denser ones).
+fn compaction_runs() -> Vec<(Network, DfSssp, usize)> {
+    let heaviest = CycleBreakHeuristic::HeaviestEdge;
+    let first = CycleBreakHeuristic::FirstEdge;
+    let cases = [
+        (topo::torus(&[6, 6], 1), heaviest, [7, 6, 5].as_slice()),
+        (topo::kautz(2, 3, 96, true), heaviest, &[6, 5, 4]),
+        (topo::torus(&[5, 5], 1), first, &[3]),
+        (topo::hypercube(4, 1), first, &[2]),
+    ];
+    let mut runs = Vec::new();
+    for (net, heuristic, budgets) in cases {
+        for &max_layers in budgets {
+            let engine = DfSssp {
+                max_layers,
+                ..DfSssp::with_heuristic(heuristic)
+            };
+            runs.push((net.clone(), engine, 1));
+        }
+    }
+    runs
+}
+
+fn assignment_row(net: &Network, engine: &DfSssp, chunk: usize) -> (u64, DfStats) {
+    let cx = ComputeOpts::new().chunk(chunk).resolve();
+    let (routes, stats) = engine
+        .route_with_stats_in(net, &cx)
+        .unwrap_or_else(|e| panic!("{} {:?}: {e}", net.label(), engine.heuristic));
+    (fingerprint(&routes), stats)
+}
+
+#[test]
+fn layer_assignments_match_the_pinned_table() {
+    // The compaction rows pin compaction only if it ran and moved paths:
+    // the same engine without it needs more layers than the budget and
+    // moves a different number of paths.
+    for (net, engine, chunk) in compaction_runs() {
+        let raw = DfSssp {
+            max_layers: 64,
+            compact: false,
+            ..engine.clone()
+        };
+        let (raw, fit) = (
+            assignment_row(&net, &raw, chunk).1,
+            assignment_row(&net, &engine, chunk).1,
+        );
+        let what = format!("{} at {} layers", net.label(), engine.max_layers);
+        assert!(
+            raw.layers_used > engine.max_layers,
+            "{what}: fits uncompacted"
+        );
+        assert!(fit.layers_used <= engine.max_layers, "{what}");
+        assert!(fit.paths_moved > raw.paths_moved, "{what}: nothing sank");
+    }
+    let got: Vec<_> = heuristic_runs()
+        .iter()
+        .chain(&compaction_runs())
+        .map(|(net, engine, chunk)| {
+            let (print, stats) = assignment_row(net, engine, *chunk);
+            (
+                print,
+                stats.cycles_broken,
+                stats.paths_moved,
+                stats.layers_used,
+            )
+        })
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(p, c, m, l)| format!("    ({p:#018x}, {c}, {m}, {l}),\n"))
+        .collect();
+    assert!(got == GOLDEN_ASSIGNMENT, "layer assignments moved:\n{rows}");
 }
