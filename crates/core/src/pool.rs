@@ -19,6 +19,9 @@
 //! The deques live behind the [`crate::sync`] shim: under
 //! `--features loom-tests` the exact steal/pop protocol runs inside the
 //! [`weave`] model checker (`src/models.rs`).
+//!
+//! [`join`] is the other shape: two different computations, one beside
+//! the other, for the subnet manager's event path (DESIGN.md §15).
 
 use crate::sync::Mutex;
 use std::collections::VecDeque;
@@ -123,9 +126,83 @@ where
         .collect()
 }
 
+/// Run `a` on the calling thread and `b` beside it on a scoped helper;
+/// return both results once both are done. A panic in `b` resumes on the
+/// caller after `a` returned. On a one-core host `a` runs, then `b`,
+/// inline. Either way each result is what its closure alone returns.
+pub fn join<RA, RB: Send>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB) {
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    join_on(width, a, b)
+}
+
+/// [`join`] at an explicit width.
+fn join_on<RA, RB: Send>(
+    width: usize,
+    a: impl FnOnce() -> RA,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB) {
+    if width <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(b);
+        let ra = a();
+        let rb = helper.join();
+        (ra, rb.unwrap_or_else(|p| std::panic::resume_unwind(p)))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn join_runs_each_arm_once_and_keeps_results_in_place() {
+        for width in [1, 2, 4] {
+            let (runs_a, runs_b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let (a, b) = join_on(
+                width,
+                || (runs_a.fetch_add(1, Ordering::SeqCst), "a"),
+                || (runs_b.fetch_add(1, Ordering::SeqCst), 7u64),
+            );
+            assert_eq!((a, b), ((0, "a"), (0, 7)), "width {width}");
+            assert_eq!(runs_a.load(Ordering::SeqCst), 1);
+            assert_eq!(runs_b.load(Ordering::SeqCst), 1);
+        }
+        assert_eq!(join(|| 1, || 2), (1, 2));
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_caller_after_the_inline_arm() {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for width in [1, 2] {
+            let inline_done = AtomicUsize::new(0);
+            let (panicking, helper_panics) = std::sync::mpsc::channel();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                join_on(
+                    width,
+                    || {
+                        // Beside a helper, finish only once it is
+                        // panicking; inline, the helper runs after.
+                        if width > 1 {
+                            helper_panics.recv().expect("the helper reports first");
+                        }
+                        inline_done.fetch_add(1, Ordering::SeqCst)
+                    },
+                    move || -> u8 {
+                        panicking.send(()).expect("the inline arm listens");
+                        panic!("helper arm")
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the helper's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper arm"));
+            assert_eq!(inline_done.load(Ordering::SeqCst), 1, "width {width}");
+        }
+        std::panic::set_hook(hook);
+    }
 
     #[test]
     fn sequential_fast_path_is_in_order() {

@@ -7,12 +7,13 @@
 //!
 //! * Fabric events go through the SM's full machinery — coalescing,
 //!   the escalation ladder, staged update planning — *contained*: the
-//!   whole recompute runs under [`subnet::armor::contain`], so even a
-//!   panic that escapes the SM's own engine containment (a bug in
-//!   planning, diffing, remapping …) becomes a typed error instead of
-//!   unwinding through the serving thread.
+//!   SM runs every batch under [`subnet::armor::contain`], so even a
+//!   panic that escapes its own engine containment (a bug in planning,
+//!   diffing, remapping …) becomes a typed error and rolls the batch
+//!   back instead of unwinding through the serving thread.
 //! * Only a reroute that produced new tables is offered to the store,
-//!   and the store's vet gate decides whether it becomes an epoch.
+//!   and the vet gate — `vet::check` of exactly those tables, run
+//!   beside the SM's planner — decides whether it becomes an epoch.
 //!   Every failure mode — SM error, contained panic, vet rejection —
 //!   leaves the last-good snapshot serving.
 //!
@@ -26,8 +27,8 @@ use crate::snapshot::{PublishError, Snapshot, SnapshotStore};
 use crate::sync::Arc;
 use dfsssp_core::RoutingEngine;
 use fabric::{Network, NodeId};
-use subnet::{armor, EventOutcome, FabricEvent, Rung, SmError, SmLoop};
-use telemetry::{counters, RecorderHandle};
+use subnet::{EventOutcome, FabricEvent, Rung, SmError, SmLoop};
+use telemetry::{counters, phases, RecorderHandle};
 
 /// Why the server could not apply a batch of events.
 #[derive(Debug)]
@@ -144,25 +145,31 @@ impl<E: RoutingEngine> RouteServer<E> {
     }
 
     /// Apply a batch of fabric events: coalesce + reroute in the SM
-    /// (contained), then offer the new tables to the store's vet gate.
-    /// On any error the last-good epoch keeps serving.
+    /// (contained there: any panic is an [`SmError`] and rolls the
+    /// batch back), then install the new tables. The store's vet gate
+    /// runs inside the reroute, on this thread, while the SM's update
+    /// planner runs beside it; its report is what admits the epoch. On
+    /// any error the last-good epoch keeps serving.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<ServedOutcome, ServerError> {
-        // Belt and braces over the SM's own engine containment: a panic
-        // anywhere in the recompute (planning, diffing, remapping) must
-        // not unwind through the serving thread.
-        let mut outcome =
-            armor::contain(|| self.sm.handle_batch(events)).map_err(ServerError::Sm)?;
-        if !outcome.rerouted {
+        let rec = &*self.recorder;
+        let (mut outcome, report) = self
+            .sm
+            .handle_batch_with(events, |net, routes| {
+                telemetry::timed(rec, phases::SERVE_PUBLISH, || vet::check(net, routes))
+            })
+            .map_err(ServerError::Sm)?;
+        let Some(report) = report else {
             return Ok(ServedOutcome {
                 outcome,
                 epoch: None,
             });
-        }
+        };
         let snap = self
             .store
-            .publish(
+            .publish_vetted(
                 self.sm.network().clone(),
                 self.sm.programmed().routes.clone(),
+                report,
                 "event",
                 &outcome.plan.describe(),
                 Some(self.sm.reference()),
@@ -203,7 +210,7 @@ impl<E> std::fmt::Debug for RouteServer<E> {
 mod tests {
     use super::*;
     use crate::query::PathQuery;
-    use dfsssp_core::{DfSssp, EngineConfig};
+    use dfsssp_core::{DfSssp, EngineConfig, Sssp};
     use fabric::topo;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -364,6 +371,88 @@ mod tests {
         assert_eq!(snap.epoch, 0);
         let (a, b) = (net.terminals()[0], net.terminals()[1]);
         assert!(snap.answer(a, b).is_ok());
+    }
+
+    /// A plan provider with a bug past the engine's containment.
+    struct PanickingPlanner;
+
+    impl subnet::DiffPlanProvider for PanickingPlanner {
+        fn diff_plan(
+            &self,
+            _: &Network,
+            _: &fabric::Routes,
+            _: &fabric::Routes,
+            _: usize,
+        ) -> Option<subnet::UpdatePlan> {
+            panic!("planner bug")
+        }
+    }
+
+    #[test]
+    fn a_contained_planner_panic_leaves_the_event_retryable() {
+        let net = fat_tree();
+        let mut server =
+            RouteServer::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
+        server
+            .sm()
+            .set_plan_provider(Some(Box::new(PanickingPlanner)));
+        let c = net.switch_cables()[0];
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = server.handle(FabricEvent::CableDown(c));
+        std::panic::set_hook(hook);
+        assert!(matches!(
+            err,
+            Err(ServerError::Sm(SmError::EnginePanicked(_)))
+        ));
+        assert_eq!(server.snapshot().epoch, 0);
+        // The retried event reroutes and publishes the view without the
+        // cable; nothing keeps routing over it.
+        server.sm().set_plan_provider(None);
+        let served = server.handle(FabricEvent::CableDown(c)).unwrap();
+        assert!(served.outcome.rerouted);
+        assert_eq!(served.epoch, Some(1));
+        assert_eq!(server.snapshot().net.num_cables(), net.num_cables() - 1);
+    }
+
+    /// Cable down/up events through a server on `engine`; every epoch's
+    /// report must be the gate's verdict on exactly what it installed.
+    /// Returns the rung that resolved each event.
+    fn published_reports_are_of_the_published_tables<E: RoutingEngine>(
+        engine: E,
+        net: Network,
+    ) -> Vec<Rung> {
+        let mut server = RouteServer::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
+        let cables = net.switch_cables();
+        let events = cables[..3]
+            .iter()
+            .map(|&c| FabricEvent::CableDown(c))
+            .chain(cables[..3].iter().map(|&c| FabricEvent::CableUp(c)));
+        let mut resolved = Vec::new();
+        for (i, event) in events.enumerate() {
+            let served = server.handle(event).unwrap();
+            assert_eq!(served.epoch, Some(i as u64 + 1));
+            let snap = server.snapshot();
+            let vetted = vet::check(&snap.net, &snap.routes);
+            assert_eq!(snap.vet.to_json(), vetted.to_json(), "epoch {}", snap.epoch);
+            resolved.push(served.outcome.resolved_by());
+        }
+        resolved
+    }
+
+    #[test]
+    fn every_epoch_is_vetted_on_what_it_installed() {
+        let torus = || topo::torus(&[4, 4], 1);
+        for net in [torus(), fat_tree()] {
+            let resolved = published_reports_are_of_the_published_tables(DfSssp::new(), net);
+            assert!(
+                resolved.iter().all(|r| *r == Rung::Baseline),
+                "{resolved:?}"
+            );
+        }
+        // Plain SSSP wedges the torus: every epoch is the fallback's.
+        let resolved = published_reports_are_of_the_published_tables(Sssp::new(), torus());
+        assert!(resolved.iter().all(|r| matches!(r, Rung::Fallback { .. })));
     }
 
     #[test]

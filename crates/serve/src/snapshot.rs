@@ -14,8 +14,9 @@
 //! [`crate::swap::Swap`]. Its publishing gate is the subsystem's core
 //! invariant: **a snapshot becomes visible only after `vet::check`
 //! passes** ([`SnapshotStore::publish`] refuses artifacts with
-//! error-severity findings), so a bad reroute can never reach a reader —
-//! the last-good epoch simply keeps serving.
+//! error-severity findings; [`SnapshotStore::publish_vetted`] takes the
+//! report of a gate its caller ran), so a bad reroute can never reach a
+//! reader — the last-good epoch simply keeps serving.
 
 use crate::swap::Swap;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -169,8 +170,8 @@ pub struct SnapshotStore {
     /// Epoch of the current snapshot (for stale-read accounting;
     /// updated after the swap, so it trails by at most one swap).
     epoch: AtomicU64,
-    /// Serializes publishers across the whole vet+swap sequence so
-    /// epoch numbers and swap order agree.
+    /// Serializes publishers across the whole number → gate → swap
+    /// sequence so epoch numbers and swap order agree.
     publish_lock: Mutex<()>,
     recorder: RecorderHandle,
 }
@@ -184,7 +185,8 @@ impl SnapshotStore {
         routes: Routes,
         reference: Option<&Network>,
     ) -> Result<Arc<Self>, PublishError> {
-        let snap = Self::gate(0, net, routes, "bring-up", "direct", reference)?;
+        let report = vet::check(&net, &routes);
+        let snap = Self::admit(0, net, routes, "bring-up", "direct", reference, report)?;
         Ok(Arc::new(SnapshotStore {
             cell: Swap::new(Arc::new(snap)),
             epoch: AtomicU64::new(0),
@@ -223,7 +225,7 @@ impl SnapshotStore {
         plan: &str,
         reference: Option<&Network>,
     ) -> Result<Arc<Snapshot>, PublishError> {
-        self.publish_gated(net, routes, source, plan, reference, None)
+        self.publish_scoped(net, routes, source, plan, reference, None)
     }
 
     /// [`SnapshotStore::publish`] with an incremental-vet scope: when
@@ -242,10 +244,31 @@ impl SnapshotStore {
         reference: Option<&Network>,
         scope: &DiffScope,
     ) -> Result<Arc<Snapshot>, PublishError> {
-        self.publish_gated(net, routes, source, plan, reference, Some(scope))
+        self.publish_scoped(net, routes, source, plan, reference, Some(scope))
     }
 
-    fn publish_gated(
+    /// [`SnapshotStore::publish`] of an artifact the caller already ran
+    /// the gate on: `report` must be `vet::check(&net, &routes)` (the
+    /// route server computes it beside the update planner). The report
+    /// is a value the install consumes, so nothing can be installed
+    /// before the gate that produced it returned; admission and
+    /// rejection are `publish`'s.
+    pub fn publish_vetted(
+        &self,
+        net: Network,
+        routes: Routes,
+        report: vet::Report,
+        source: &str,
+        plan: &str,
+        reference: Option<&Network>,
+    ) -> Result<Arc<Snapshot>, PublishError> {
+        self.install(net, routes, source, plan, reference, |_, _, _| report)
+    }
+
+    /// The store's own gate, timed as `serve_publish`: the full
+    /// `vet::check`, or with a `scope` that is certified and current,
+    /// `vet::analyze_scoped` over its changed columns.
+    fn publish_scoped(
         &self,
         net: Network,
         routes: Routes,
@@ -254,16 +277,34 @@ impl SnapshotStore {
         reference: Option<&Network>,
         scope: Option<&DiffScope>,
     ) -> Result<Arc<Snapshot>, PublishError> {
-        let rec = self.recorder.clone();
+        let gate = |net: &Network, routes: &Routes, current: u64| {
+            let scope = scope.filter(|s| s.layer0_acyclic && s.base_epoch == current);
+            telemetry::timed(&*self.recorder, phases::SERVE_PUBLISH, || match scope {
+                Some(s) => {
+                    vet::analyze_scoped(net, routes, &s.changed_dests, &vet::Config::default())
+                }
+                None => vet::check(net, routes),
+            })
+        };
+        self.install(net, routes, source, plan, reference, gate)
+    }
+
+    /// The one install path: under the publish lock, number the epoch,
+    /// run `gate(net, routes, current epoch)`, admit on its report, swap.
+    fn install(
+        &self,
+        net: Network,
+        routes: Routes,
+        source: &str,
+        plan: &str,
+        reference: Option<&Network>,
+        gate: impl FnOnce(&Network, &Routes, u64) -> vet::Report,
+    ) -> Result<Arc<Snapshot>, PublishError> {
+        let rec = &*self.recorder;
         let _guard = self.publish_lock.lock().unwrap();
         let current = self.epoch.load(Ordering::SeqCst);
-        let epoch = current + 1;
-        let scope = scope.filter(|s| s.layer0_acyclic && s.base_epoch == current);
-        let gated = telemetry::timed(&*rec, phases::SERVE_PUBLISH, || match scope {
-            Some(s) => Self::gate_scoped(epoch, net, routes, source, plan, reference, s),
-            None => Self::gate(epoch, net, routes, source, plan, reference),
-        });
-        let snap = match gated {
+        let report = gate(&net, &routes, current);
+        let snap = match Self::admit(current + 1, net, routes, source, plan, reference, report) {
             Ok(snap) => Arc::new(snap),
             Err(e) => {
                 rec.add(counters::PUBLISH_REJECTED, 1);
@@ -272,7 +313,7 @@ impl SnapshotStore {
         };
         let swap_started = Instant::now();
         self.cell.publish(snap.clone());
-        self.epoch.store(epoch, Ordering::SeqCst);
+        self.epoch.store(current + 1, Ordering::SeqCst);
         let pause = swap_started.elapsed();
         if rec.enabled() {
             rec.phase(phases::EPOCH_SWAP, pause.as_nanos() as u64);
@@ -282,37 +323,8 @@ impl SnapshotStore {
         Ok(snap)
     }
 
-    /// The gate: analyze the artifact, refuse on any error finding.
-    fn gate(
-        epoch: u64,
-        net: Network,
-        routes: Routes,
-        source: &str,
-        plan: &str,
-        reference: Option<&Network>,
-    ) -> Result<Snapshot, PublishError> {
-        let report = vet::check(&net, &routes);
-        Self::admit(epoch, net, routes, source, plan, reference, report)
-    }
-
-    /// The scoped gate: analyze only the changed destination columns
-    /// (the scope's certificate covers the global cycle condition).
-    #[allow(clippy::too_many_arguments)]
-    fn gate_scoped(
-        epoch: u64,
-        net: Network,
-        routes: Routes,
-        source: &str,
-        plan: &str,
-        reference: Option<&Network>,
-        scope: &DiffScope,
-    ) -> Result<Snapshot, PublishError> {
-        let report =
-            vet::analyze_scoped(&net, &routes, &scope.changed_dests, &vet::Config::default());
-        Self::admit(epoch, net, routes, source, plan, reference, report)
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Refuse an artifact whose `report` holds an error finding; otherwise
+    /// build its snapshot as `epoch`.
     fn admit(
         epoch: u64,
         net: Network,

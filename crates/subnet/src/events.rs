@@ -33,7 +33,8 @@
 //! and retried a bounded number of times with deterministic jittered
 //! backoff before the fallback rung fires, and a [`CircuitBreaker`]
 //! skips a repeatedly crashing primary entirely until a cooldown probe
-//! succeeds. The loop itself never unwinds.
+//! succeeds. The loop itself never unwinds: a handled batch runs
+//! contained as a whole, and any error rolls its down-set change back.
 //!
 //! Every successful reroute also emits a [`UpdatePlan`] describing how
 //! to push the new tables without a deadlock-capable update window (see
@@ -42,10 +43,10 @@
 use crate::armor::{contain, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::lft::LftDiff;
 use crate::manager::{ProgrammedFabric, SmError, SubnetManager};
-use crate::transition::{self, UpdatePlan};
+use crate::transition::{self, UpdatePlan, Walked};
 use baselines::UpDown;
-use dfsssp_core::{RouteError, RoutingEngine};
-use fabric::{degrade, ChannelId, Network, NodeId};
+use dfsssp_core::{pool, RouteError, RoutingEngine};
+use fabric::{degrade, ChannelId, Network, NodeId, Routes};
 use std::time::{Duration, Instant};
 use telemetry::fx::FxHashSet;
 use telemetry::{counters, hists, phases, RecorderHandle};
@@ -121,7 +122,7 @@ impl std::fmt::Display for Rung {
 }
 
 /// What handling one event (or coalesced batch) did to the fabric.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EventOutcome {
     /// Escalation rungs that fired, in order. Empty = baseline reroute.
     pub rungs: Vec<Rung>,
@@ -156,6 +157,9 @@ impl EventOutcome {
     }
 }
 
+/// A reroute with no gate: its planner runs inline.
+const NO_GATE: Option<fn(&Network, &Routes)> = None;
+
 /// A running subnet manager with its current view of the fabric.
 pub struct SmLoop<E> {
     sm: SubnetManager<E>,
@@ -176,7 +180,7 @@ pub struct SmLoop<E> {
     /// engine that knows exactly which columns it changed). Consulted
     /// before [`transition::plan_update`]; `None` answers fall through
     /// to the full planner.
-    plan_provider: Option<Box<dyn transition::DiffPlanProvider + Send>>,
+    plan_provider: Option<Box<dyn transition::DiffPlanProvider + Send + Sync>>,
     /// Quarantined terminals (reference ids, sorted).
     quarantined: Vec<NodeId>,
     /// Outcome of the most recent bring-up or event.
@@ -225,24 +229,12 @@ impl<E: RoutingEngine> SmLoop<E> {
                 pairs_validated: 0,
             },
             quarantined: Vec::new(),
-            last: EventOutcome {
-                rungs: Vec::new(),
-                diff: LftDiff::default(),
-                plan: UpdatePlan::noop(),
-                quarantined: Vec::new(),
-                coalesced: 0,
-                rerouted: false,
-                retries: 0,
-                vls: 0,
-                existence: None,
-                elapsed: Duration::ZERO,
-            },
+            last: EventOutcome::default(),
             breaker: CircuitBreaker::default(),
             retry: RetryPolicy::default(),
             recorder,
         };
-        let outcome = looped.reroute(0, Some(sm_node))?;
-        looped.last = outcome;
+        looped.last = looped.reroute(0, Some(sm_node), NO_GATE)?.0;
         Ok(looped)
     }
 
@@ -256,7 +248,7 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// [`transition::DiffPlanProvider`]). `None` detaches it.
     pub fn set_plan_provider(
         &mut self,
-        provider: Option<Box<dyn transition::DiffPlanProvider + Send>>,
+        provider: Option<Box<dyn transition::DiffPlanProvider + Send + Sync>>,
     ) {
         self.plan_provider = provider;
     }
@@ -333,46 +325,60 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// A batch whose net change is empty (a link flapping down and back
     /// up) is a no-op — `rerouted` is false in the outcome.
     ///
-    /// On error (e.g. an invalid event id, or every ladder rung
-    /// exhausted) the loop's state — down-sets included — is rolled
-    /// back, so a follow-up repair event can be handled.
+    /// The batch runs contained ([`contain`]): a panic anywhere in it —
+    /// planning, diffing, remapping — is an [`SmError::EnginePanicked`].
+    /// On any error (e.g. an invalid event id, a contained panic, or
+    /// every ladder rung exhausted) the loop's state — down-sets
+    /// included — is rolled back, so a follow-up event can be handled.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<EventOutcome, SmError> {
+        self.handle_gated(events, NO_GATE)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`Self::handle_batch`] with a `gate` over the new `(view, routes)`:
+    /// once the ladder has settled, `gate` runs on the calling thread
+    /// while the update planner runs beside it ([`pool::join`]). Its
+    /// result comes back beside the outcome, `None` when nothing was
+    /// rerouted. The outcome is the one `handle_batch` returns.
+    pub fn handle_batch_with<R>(
+        &mut self,
+        events: &[FabricEvent],
+        gate: impl FnOnce(&Network, &Routes) -> R,
+    ) -> Result<(EventOutcome, Option<R>), SmError> {
+        self.handle_gated(events, Some(gate))
+    }
+
+    fn handle_gated<R>(
+        &mut self,
+        events: &[FabricEvent],
+        gate: Option<impl FnOnce(&Network, &Routes) -> R>,
+    ) -> Result<(EventOutcome, Option<R>), SmError> {
         let cables_before = self.down_cables.clone();
         let switches_before = self.down_switches.clone();
-        for &e in events {
-            if let Err(err) = self.apply(e) {
-                self.down_cables = cables_before;
-                self.down_switches = switches_before;
-                return Err(err);
+        let handled = contain(|| {
+            for &e in events {
+                self.apply(e)?;
             }
-        }
-        if self.down_cables == cables_before && self.down_switches == switches_before {
-            let outcome = EventOutcome {
-                rungs: Vec::new(),
-                diff: LftDiff::default(),
-                plan: UpdatePlan::noop(),
-                quarantined: self.quarantined.clone(),
-                coalesced: events.len(),
-                rerouted: false,
-                retries: 0,
-                vls: self.current.routes.num_layers() as usize,
-                existence: self.last.existence.clone(),
-                elapsed: Duration::ZERO,
-            };
-            self.last = outcome.clone();
-            return Ok(outcome);
-        }
-        match self.reroute(events.len(), None) {
-            Ok(outcome) => {
-                self.last = outcome.clone();
-                Ok(outcome)
+            if self.down_cables == cables_before && self.down_switches == switches_before {
+                let outcome = EventOutcome {
+                    plan: UpdatePlan::noop(),
+                    quarantined: self.quarantined.clone(),
+                    coalesced: events.len(),
+                    vls: self.current.routes.num_layers() as usize,
+                    existence: self.last.existence.clone(),
+                    ..EventOutcome::default()
+                };
+                return Ok((outcome, None));
             }
-            Err(e) => {
-                self.down_cables = cables_before;
-                self.down_switches = switches_before;
-                Err(e)
-            }
+            self.reroute(events.len(), None, gate)
+        });
+        if handled.is_err() {
+            self.down_cables = cables_before;
+            self.down_switches = switches_before;
         }
+        let (outcome, gated) = handled?;
+        self.last = outcome.clone();
+        Ok((outcome, gated))
     }
 
     /// Update the down-sets for one event (no reroute).
@@ -424,11 +430,17 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// Rebuild the serving view from the reference and the down-sets,
     /// route it through the escalation ladder, plan the transition, and
     /// commit. `preferred_sm` pins the SM node on bring-up.
-    fn reroute(
+    ///
+    /// Two links of the chain read only what they are handed and run
+    /// beside the link that does not read them ([`pool::join`]): V007
+    /// `existence` beside the ladder, and the planner beside `gate`. The
+    /// outcome is assembled after each join, in the sequential order.
+    fn reroute<R>(
         &mut self,
         coalesced: usize,
         preferred_sm: Option<NodeId>,
-    ) -> Result<EventOutcome, SmError> {
+        gate: Option<impl FnOnce(&Network, &Routes) -> R>,
+    ) -> Result<(EventOutcome, Option<R>), SmError> {
         let start = Instant::now();
         let mut rungs = Vec::new();
 
@@ -472,14 +484,19 @@ impl<E: RoutingEngine> SmLoop<E> {
                 total: view.num_nodes(),
             })?;
 
-        // V007: decide what the degraded view still *admits* before
-        // spending engine budget on it. The quarantine rung left the
-        // view strongly connected, so the verdict here is either a
+        // V007: decide what the degraded view still *admits*, beside
+        // the engine (neither reads the other). The quarantine rung left
+        // the view strongly connected, so the verdict here is either a
         // certificate (cited in the outcome), a proof that one layer
-        // cannot possibly suffice (recorded as its own rung), or
-        // undecided (the engine settles it empirically).
+        // cannot possibly suffice (recorded as its own rung, ahead of
+        // the ladder's), or undecided (the engine settles it
+        // empirically).
         let rec = self.recorder.clone();
-        let verdict = telemetry::timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view));
+        let (ladder, verdict) = pool::join(
+            || self.ladder(&view, sm_node),
+            || telemetry::timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view)),
+        );
+        let (fabric, new_walk, ladder_rungs, retries) = ladder?;
         let existence = match verdict {
             vet::Existence::Exists { roots, pairs } => format!(
                 "certified: up*/down* from {} root(s) covers {pairs} pair(s)",
@@ -505,8 +522,80 @@ impl<E: RoutingEngine> SmLoop<E> {
             }
         };
 
-        // Rungs 2 and 3: widen the VL budget, then fall back. The
-        // primary engine runs contained (panics become typed errors,
+        rungs.extend(ladder_rungs);
+
+        // Transition safety: remap the serving tables onto the new view
+        // and plan an update window that cannot deadlock. On first boot
+        // there is no prior programming: no in-flight traffic, no diff.
+        // The planner reads the old epoch and the gate only the new one,
+        // so with a gate the planner runs beside it.
+        let first_boot = self.current.discovery.nodes.is_empty();
+        let hw_vls = self.sm.hardware_vls;
+        let planner = || {
+            telemetry::timed(&*rec, phases::SM_PLAN, || {
+                if first_boot {
+                    let plan = transition::plan_update(&view, None, &fabric.routes, hw_vls);
+                    return (plan, LftDiff::default());
+                }
+                let old = transition::remap_routes(&self.net, &self.current.routes, &view);
+                // A plan provider holding a valid certificate for exactly
+                // this (old, new) pair answers in O(change); otherwise the
+                // full planner re-derives safety from one walk of `old` and
+                // the guard's walk of the new routing.
+                let plan = self
+                    .plan_provider
+                    .as_deref()
+                    .and_then(|p| p.diff_plan(&view, &old, &fabric.routes, hw_vls))
+                    .unwrap_or_else(|| {
+                        transition::plan_update_walked(
+                            &view,
+                            Some(&old),
+                            &fabric.routes,
+                            new_walk.as_ref(),
+                            hw_vls,
+                        )
+                    });
+                (
+                    plan,
+                    fabric.tables.diff(&view, &self.current.tables, &self.net),
+                )
+            })
+        };
+        let (gated, (plan, diff)) = match gate {
+            Some(gate) => pool::join(|| Some(gate(&view, &fabric.routes)), planner),
+            None => (None, planner()),
+        };
+        let outcome = EventOutcome {
+            rungs,
+            diff,
+            plan,
+            quarantined: quarantined.clone(),
+            coalesced,
+            rerouted: true,
+            retries,
+            vls: fabric.routes.num_layers() as usize,
+            existence: Some(existence),
+            elapsed: start.elapsed(),
+        };
+        self.net = view;
+        self.current = fabric;
+        self.quarantined = quarantined;
+        self.record(&outcome);
+        Ok((outcome, gated))
+    }
+
+    /// Rungs 2 and 3 of the ladder on `view`: widen the VL budget, then
+    /// fall back. Returns the deployed fabric, the guard's walk of its
+    /// routing (none with the guard off; the planner reads it), the
+    /// rungs that fired and the retries spent.
+    fn ladder(
+        &mut self,
+        view: &Network,
+        sm_node: NodeId,
+    ) -> Result<(ProgrammedFabric, Option<Walked>, Vec<Rung>, usize), SmError> {
+        let rec = self.recorder.clone();
+        let mut rungs = Vec::new();
+        // The primary engine runs contained (panics become typed errors,
         // retried with bounded backoff) and behind the circuit breaker:
         // while it is open, the loop serves straight from the fallback.
         let mut on_fallback = false;
@@ -523,21 +612,19 @@ impl<E: RoutingEngine> SmLoop<E> {
                 rec.add(counters::BREAKER_PROBES, 1);
             }
         }
-        // A run hands back the guard's walk of the routing it deployed
-        // (none with the guard off); the planner below reads it.
-        let (fabric, new_walk) = loop {
+        loop {
             let result = if on_fallback {
                 let fb = self.fallback.as_deref().expect("fallback engaged");
-                contain(|| self.sm.run_walked(fb, &view, sm_node, &*rec))
+                contain(|| self.sm.run_walked(fb, view, sm_node, &*rec))
             } else {
-                contain(|| self.sm.run_walked(&self.sm.engine, &view, sm_node, &*rec))
+                contain(|| self.sm.run_walked(&self.sm.engine, view, sm_node, &*rec))
             };
             match result {
-                Ok(f) => {
+                Ok((fabric, walk)) => {
                     if !on_fallback {
                         self.breaker.record_success();
                     }
-                    break f;
+                    return Ok((fabric, walk, rungs, retries));
                 }
                 Err(SmError::EnginePanicked(msg)) if !on_fallback => {
                     rec.add(counters::ENGINE_PANICS, 1);
@@ -576,58 +663,7 @@ impl<E: RoutingEngine> SmLoop<E> {
                 }
                 Err(e) => return Err(e),
             }
-        };
-
-        // Transition safety: remap the serving tables onto the new view
-        // and plan an update window that cannot deadlock. On first boot
-        // there is no prior programming: no in-flight traffic, no diff.
-        let first_boot = self.current.discovery.nodes.is_empty();
-        let hw_vls = self.sm.hardware_vls;
-        let (plan, diff) = telemetry::timed(&*rec, phases::SM_PLAN, || {
-            if first_boot {
-                let plan = transition::plan_update(&view, None, &fabric.routes, hw_vls);
-                return (plan, LftDiff::default());
-            }
-            let old = transition::remap_routes(&self.net, &self.current.routes, &view);
-            // A plan provider holding a valid certificate for exactly
-            // this (old, new) pair answers in O(change); otherwise the
-            // full planner re-derives safety from one walk of `old` and
-            // the guard's walk of the new routing.
-            let plan = self
-                .plan_provider
-                .as_deref()
-                .and_then(|p| p.diff_plan(&view, &old, &fabric.routes, hw_vls))
-                .unwrap_or_else(|| {
-                    transition::plan_update_walked(
-                        &view,
-                        Some(&old),
-                        &fabric.routes,
-                        new_walk.as_ref(),
-                        hw_vls,
-                    )
-                });
-            (
-                plan,
-                fabric.tables.diff(&view, &self.current.tables, &self.net),
-            )
-        });
-        let outcome = EventOutcome {
-            rungs,
-            diff,
-            plan,
-            quarantined: quarantined.clone(),
-            coalesced,
-            rerouted: true,
-            retries,
-            vls: fabric.routes.num_layers() as usize,
-            existence: Some(existence),
-            elapsed: start.elapsed(),
-        };
-        self.net = view;
-        self.current = fabric;
-        self.quarantined = quarantined;
-        self.record(&outcome);
-        Ok(outcome)
+        }
     }
 
     /// Report one reroute to the attached recorder.
@@ -733,6 +769,67 @@ mod tests {
         assert!(proof.starts_with("refuted"), "{proof}");
         // And the engine indeed needed more than one layer to serve it.
         assert!(outcome.vls > 1, "vls: {}", outcome.vls);
+    }
+
+    #[test]
+    fn existence_rungs_precede_the_ladders() {
+        // The one-way ring again, with the engine starved to one layer:
+        // V007's rung comes first, then the widening the engine needed —
+        // the sequential order, whichever side of the join finished
+        // first.
+        let mut b = fabric::NetworkBuilder::new();
+        let s: Vec<_> = (0..4).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        for i in 0..4 {
+            b.add_channel(s[i], s[(i + 1) % 4]).unwrap();
+            let t = b.add_terminal(format!("t{i}"));
+            b.link(t, s[i]).unwrap();
+        }
+        let net = b.build();
+        let engine = DfSssp {
+            max_layers: 1,
+            ..DfSssp::new()
+        };
+        let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
+        assert_eq!(
+            sm.outcome().rungs,
+            [
+                Rung::MultiLayerForced { witness: 4 },
+                Rung::WidenedVls { budget: 2 }
+            ]
+        );
+    }
+
+    /// A plan provider with a bug: it panics where the engine's own
+    /// containment does not reach.
+    struct PanickingPlanner;
+
+    impl transition::DiffPlanProvider for PanickingPlanner {
+        fn diff_plan(&self, _: &Network, _: &Routes, _: &Routes, _: usize) -> Option<UpdatePlan> {
+            panic!("planner bug")
+        }
+    }
+
+    #[test]
+    fn a_contained_panic_rolls_the_down_sets_back() {
+        let net = fat_tree();
+        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
+        sm.set_plan_provider(Some(Box::new(PanickingPlanner)));
+        let c = net.switch_cables()[0];
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = sm.handle(FabricEvent::CableDown(c));
+        std::panic::set_hook(hook);
+        assert!(
+            matches!(&err, Err(SmError::EnginePanicked(msg)) if msg == "planner bug"),
+            "{:?}",
+            err.map(|o| o.rungs)
+        );
+        assert_eq!(sm.network().num_cables(), net.num_cables());
+        // The cable is not remembered as down: the retried event reroutes.
+        sm.set_plan_provider(None);
+        let outcome = sm.handle(FabricEvent::CableDown(c)).unwrap();
+        assert!(outcome.rerouted);
+        assert_eq!(sm.network().num_cables(), net.num_cables() - 1);
     }
 
     #[test]
@@ -973,8 +1070,9 @@ mod tests {
     #[test]
     fn a_coalesced_reroute_is_timed_once_and_says_where_the_time_went() {
         // Three events coalesce into one reroute: one `reroute_us`
-        // observation, each inner block timed once, and together they
-        // fit inside the reroute.
+        // observation and each inner block timed once. Existence runs
+        // beside the ladder (guard, validation), so only what is
+        // sequential by construction must fit inside the reroute.
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
@@ -996,9 +1094,11 @@ mod tests {
         for name in inner {
             assert_eq!(snap.phases[name].count, 1, "{name}");
         }
-        let inner_ns: u64 = inner.iter().map(|&name| snap.phases[name].nanos).sum();
+        let ns = |names: &[&str]| -> u64 { names.iter().map(|&n| snap.phases[n].nanos).sum() };
         assert_eq!(snap.phases[phases::REROUTE].count, 1);
-        assert!(inner_ns <= snap.phases[phases::REROUTE].nanos);
+        let reroute = snap.phases[phases::REROUTE].nanos;
+        assert!(ns(&[phases::SM_EXISTENCE, phases::SM_PLAN]) <= reroute);
+        assert!(ns(&[phases::SM_GUARD, phases::SM_VALIDATE, phases::SM_PLAN]) <= reroute);
         let outcome = sm.handle_batch(&[FabricEvent::CableUp(ups[0])]).unwrap();
         assert!(outcome.rerouted);
         let snap = collector.snapshot();

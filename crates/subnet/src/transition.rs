@@ -50,7 +50,9 @@ pub struct UpdateStage {
 }
 
 /// A plan for moving the fabric from one programmed state to another.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The default is empty, like [`UpdatePlan::noop`], but not marked
+/// direct.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdatePlan {
     /// The union CDG was acyclic: all entries can be pushed in one
     /// unsynchronized sweep.
@@ -197,7 +199,7 @@ pub(crate) enum Artifact {
 /// both ask it of the new routing's walk.
 pub(crate) struct Walked {
     pub(crate) table: TableWalk,
-    cyclic: std::cell::OnceCell<Vec<u8>>,
+    cyclic: std::sync::OnceLock<Vec<u8>>,
 }
 
 impl Walked {
@@ -231,7 +233,7 @@ pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> 
     };
     Walked {
         table: vet::walk_tables(net, routes, &cfg),
-        cyclic: std::cell::OnceCell::new(),
+        cyclic: std::sync::OnceLock::new(),
     }
 }
 

@@ -74,7 +74,8 @@ pub mod phases {
     pub const FLITSIM: &str = "flitsim";
     /// Whole-binary wall clock (recorded by the repro CLI harness).
     pub const TOTAL: &str = "total";
-    /// One snapshot publish: vet gate + snapshot construction.
+    /// One snapshot publish's vet gate: the store's own, or the route
+    /// server's, run beside the SM's update planner.
     pub const SERVE_PUBLISH: &str = "serve_publish";
     /// The atomic swap installing a published snapshot (the only part
     /// of a publish concurrent readers can even theoretically notice).

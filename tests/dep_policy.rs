@@ -162,7 +162,8 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Route compute is sequential. `ComputeOpts::threads` survives as a
 /// no-op only because `crates/perf/src/stack.rs` spells it, so nothing
 /// first-party may call it; and `crates/core` may not reach for the pool
-/// again, which exists for the sweeps *around* routing.
+/// again — neither `map_stealing` nor `join` — which exists for the
+/// sweeps *around* routing and the event path's two overlapped links.
 #[test]
 fn compute_fan_out_stays_deleted() {
     let root = repo_root();
@@ -181,7 +182,7 @@ fn compute_fan_out_stays_deleted() {
         {
             violations.push(format!("{}: calls the `threads` no-op", rel.display()));
         }
-        if text.contains("map_stealing")
+        if (text.contains("map_stealing") || text.contains("pool::join"))
             && rel.starts_with("crates/core/src")
             && !rel.ends_with("pool.rs")
             && !rel.ends_with("models.rs")
@@ -271,9 +272,15 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// [`without_test_modules`] defines it. Run with `--nocapture` for the
 /// table. The total only goes down: a PR that lowers it lowers
 /// `CEILING` to its own result, one that must raise it says why here.
+///
+/// PR 25 raised it 20 146 → 20 186: `core::pool::join`, and an event
+/// path whose existence check and planner run beside the links that do
+/// not read them (`SmLoop::handle_batch_with`, the ladder as its own
+/// method, `SnapshotStore::publish_vetted`), less the store's folded
+/// install tail and the loop's one rollback.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 20_146;
+    const CEILING: usize = 20_186;
     let root = repo_root();
     let mut total = 0;
     println!("| crate | code lines |\n|---|---|");
