@@ -326,8 +326,9 @@ pub fn record_route_metrics(net: &Network, routes: &Routes, rec: &dyn Recorder) 
     let mut layer_channels = vec![vec![false; net.num_channels()]; num_layers];
     let mut loads = vec![0u64; net.num_channels()];
     let mut paths = 0u64;
-    for (src_t, &src) in net.terminals().iter().enumerate() {
-        for (dst_t, &dst) in net.terminals().iter().enumerate() {
+    // Destination-major, as the tables are stored.
+    for (dst_t, &dst) in net.terminals().iter().enumerate() {
+        for (src_t, &src) in net.terminals().iter().enumerate() {
             if src == dst {
                 continue;
             }

@@ -173,10 +173,11 @@ impl TreePaths<'_> {
     }
 
     /// The paths currently in `layer` that take channel `to` directly
-    /// after `from`, ascending. The two table rows of `from`'s ends name
-    /// the trees that hold the dependency; in each, the paths over it
-    /// start at the terminals in the subtree behind `from`'s tail, found
-    /// by descending incoming channels that are their source's next hop.
+    /// after `from`, ascending. The entries of `from`'s two ends in each
+    /// destination column name the trees that hold the dependency; in
+    /// each, the paths over it start at the terminals in the subtree
+    /// behind `from`'s tail, found by descending incoming channels that
+    /// are their source's next hop.
     /// The descent never enters the destination, whose own entry accepted
     /// tables leave unjudged, nor re-enters the tail over `from` (an
     /// unjudged loop through it, in a tree no terminal reaches it in).

@@ -9,8 +9,8 @@
 //! * [`DeltaEngine`] caches the last epoch it routed — the network, the
 //!   routes, the layer regime they were assigned under and, **only while
 //!   the all-paths CDG is acyclic**, its layer-0 window counts. Nothing
-//!   else: the cached tables *are* the channel → tree reverse index (a
-//!   row scan), and hop distances are two BFSs on the cached network
+//!   else: the cached tables *are* the channel → tree reverse index (one
+//!   entry per destination column), and hop distances are two BFSs on the cached network
 //!   when an event needs them. On the next route request it diffs the
 //!   networks, extracts the *affected set* of destinations, re-sweeps
 //!   only those trees, and patches the counts instead of rebuilding them.
@@ -431,9 +431,9 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         let rec: &dyn Recorder = &*params.recorder;
         let dirty_dests = || diff.dirty_dests.iter().copied();
 
-        // New tables: clean columns translate in one row-major bulk
-        // pass, dirty columns re-sweep. Any uniform weight reproduces
-        // the snapshot-chunk trees bit for bit (the comparisons are
+        // New tables: clean columns are copied whole and translated,
+        // dirty columns re-sweep. Any uniform weight reproduces the
+        // snapshot-chunk trees bit for bit (the comparisons are
         // scale-invariant), so sweep with 1s and skip the diameter-sized
         // base weight entirely.
         let mut routes = Routes::new(net, self.inner.name());
@@ -654,8 +654,8 @@ impl DiffPlanProvider for DeltaPlanner {
 /// Diff `net` against the cached epoch: match channels by (source node,
 /// source port, destination node), then apply the two dirty rules of the
 /// module docs. The cached tables are the reverse index — a removed
-/// channel's users are one scan of its source node's row — and an added
-/// channel is judged from two forward BFSs on the cached network.
+/// channel's users are its source node's entry in every column — and an
+/// added channel is judged from two forward BFSs on the cached network.
 fn diff(prev: &DeltaState, net: &Network) -> Diff {
     let mut new_by_key: FxHashMap<(u32, u16), ChannelId> = FxHashMap::default();
     for (cid, ch) in net.channels() {

@@ -54,17 +54,22 @@ impl std::fmt::Display for RoutesError {
 
 impl std::error::Error for RoutesError {}
 
-/// Destination-based forwarding tables plus per-path virtual layers.
+/// Destination-based forwarding tables plus per-path virtual layers,
+/// stored destination-major: everything about one destination — its
+/// in-tree and the layers of the paths into it — is one contiguous
+/// column ([`Routes::column`]), the order in which routing, vetting,
+/// planning and programming all walk the tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Routes {
-    /// `next[node][t]` = channel to take at `node` toward terminal index
-    /// `t`, or `u32::MAX` when unset (at the destination itself, or for
-    /// unreachable pairs).
-    next: Vec<Vec<u32>>,
-    /// `vl[src_t * num_terminals + dst_t]` = virtual layer of that path.
+    /// `next[dst_t * num_nodes + node]` = channel to take at `node`
+    /// toward terminal index `dst_t`, or `u32::MAX` when unset (at the
+    /// destination itself, or for unreachable pairs).
+    next: Vec<u32>,
+    /// `vl[dst_t * num_terminals + src_t]` = virtual layer of that path.
     vl: Vec<u8>,
     /// Number of virtual layers in use (`max(vl) + 1`).
     num_layers: u8,
+    num_nodes: usize,
     num_terminals: usize,
     /// Engine name that produced these tables (for reports).
     engine: String,
@@ -73,17 +78,23 @@ pub struct Routes {
 impl Routes {
     /// Fresh tables for `net` with no entries and a single virtual layer.
     pub fn new(net: &Network, engine: impl Into<String>) -> Self {
-        let nt = net.num_terminals();
+        Self::blank(net.num_nodes(), net.num_terminals(), engine.into())
+    }
+
+    /// Tables of the given shape with no entries and a single layer.
+    fn blank(num_nodes: usize, num_terminals: usize, engine: String) -> Self {
         Routes {
-            next: vec![vec![NONE_U32; nt]; net.num_nodes()],
-            vl: vec![0; nt * nt],
+            next: vec![NONE_U32; num_nodes * num_terminals],
+            vl: vec![0; num_terminals * num_terminals],
             num_layers: 1,
-            num_terminals: nt,
-            engine: engine.into(),
+            num_nodes,
+            num_terminals,
+            engine,
         }
     }
 
-    /// Rebuild tables from their raw parts (the JSON reader). Shapes are
+    /// Rebuild tables from their raw parts (the JSON reader): `next` one
+    /// row per node, `vl` source-major, the artifact's order. Shapes are
     /// validated — uniform `next` rows, a square `vl` matrix, layers in
     /// the representable range — and `num_layers` is recomputed, so no
     /// corrupt artifact can construct tables that panic later.
@@ -110,14 +121,16 @@ impl Routes {
         if vl.contains(&u8::MAX) {
             return Err(format!("virtual layer {} is not representable", u8::MAX));
         }
-        let num_layers = vl.iter().copied().max().unwrap_or(0) + 1;
-        Ok(Routes {
-            next,
-            vl,
-            num_layers,
-            num_terminals,
-            engine,
-        })
+        let mut routes = Routes::blank(next.len(), num_terminals, engine);
+        for (node, row) in next.iter().enumerate() {
+            for (dst_t, &c) in row.iter().enumerate() {
+                routes.set_next(NodeId(node as u32), dst_t, ChannelId(c));
+            }
+        }
+        for (i, &layer) in vl.iter().enumerate() {
+            routes.set_layer(i / num_terminals, i % num_terminals, layer);
+        }
+        Ok(routes)
     }
 
     /// Name of the engine that produced these tables.
@@ -145,19 +158,27 @@ impl Routes {
     /// this against the network before indexing, so stale tables are
     /// reported instead of panicking.
     pub fn num_nodes(&self) -> usize {
-        self.next.len()
+        self.num_nodes
+    }
+
+    /// Where the entry of `node` toward `dst_t` is stored.
+    #[inline]
+    fn slot(&self, node: NodeId, dst_t: usize) -> usize {
+        assert!(node.idx() < self.num_nodes, "{node:?} is not a table row");
+        dst_t * self.num_nodes + node.idx()
     }
 
     /// Program the next hop at `node` toward terminal index `dst_t`.
     #[inline]
     pub fn set_next(&mut self, node: NodeId, dst_t: usize, channel: ChannelId) {
-        self.next[node.idx()][dst_t] = channel.0;
+        let at = self.slot(node, dst_t);
+        self.next[at] = channel.0;
     }
 
     /// Next-hop channel at `node` toward terminal index `dst_t`.
     #[inline]
     pub fn next_hop(&self, node: NodeId, dst_t: usize) -> Option<ChannelId> {
-        match self.next[node.idx()][dst_t] {
+        match self.next[self.slot(node, dst_t)] {
             NONE_U32 => None,
             c => Some(ChannelId(c)),
         }
@@ -167,21 +188,40 @@ impl Routes {
     /// fault-injection tests and table scrubbing).
     #[inline]
     pub fn clear_next(&mut self, node: NodeId, dst_t: usize) {
-        self.next[node.idx()][dst_t] = NONE_U32;
+        let at = self.slot(node, dst_t);
+        self.next[at] = NONE_U32;
     }
 
     /// Assign the virtual layer for the path `src_t → dst_t`
     /// (terminal indices).
     #[inline]
     pub fn set_layer(&mut self, src_t: usize, dst_t: usize, layer: u8) {
-        self.vl[src_t * self.num_terminals + dst_t] = layer;
+        self.vl[dst_t * self.num_terminals + src_t] = layer;
         self.num_layers = self.num_layers.max(layer.saturating_add(1));
     }
 
     /// Virtual layer of the path `src_t → dst_t` (terminal indices).
     #[inline]
     pub fn layer(&self, src_t: usize, dst_t: usize) -> u8 {
-        self.vl[src_t * self.num_terminals + dst_t]
+        self.vl[dst_t * self.num_terminals + src_t]
+    }
+
+    /// Destination column `dst_t` as stored: the raw next-hop entry of
+    /// every node toward it (channel ids, `u32::MAX` where unset) and the
+    /// virtual layer of every source's path to it.
+    pub fn column(&self, dst_t: usize) -> (&[u32], &[u8]) {
+        let (nn, nt) = (self.num_nodes, self.num_terminals);
+        (&self.next[dst_t * nn..][..nn], &self.vl[dst_t * nt..][..nt])
+    }
+
+    /// Overwrite destination column `dst_t` with entries and layers shaped
+    /// as [`Routes::column`] returns them.
+    pub fn set_column(&mut self, dst_t: usize, next: &[u32], layers: &[u8]) {
+        let (nn, nt) = (self.num_nodes, self.num_terminals);
+        self.next[dst_t * nn..][..nn].copy_from_slice(next);
+        self.vl[dst_t * nt..][..nt].copy_from_slice(layers);
+        let top = layers.iter().map(|l| l.saturating_add(1)).max();
+        self.num_layers = self.num_layers.max(top.unwrap_or(0));
     }
 
     /// Recompute `num_layers` from the stored assignment (used after bulk
@@ -192,15 +232,21 @@ impl Routes {
 
     /// Assign every path's virtual layer at once: `layers[p]` is the
     /// layer of the `p`-th ordered terminal pair `(src_t, dst_t)`,
-    /// `src_t != dst_t`, in lexicographic order — one row copy around the
-    /// diagonal per source, then [`Routes::recompute_num_layers`].
+    /// `src_t != dst_t`, in lexicographic order — a transpose around the
+    /// diagonal into the destination-major matrix, one column at a time
+    /// (the rows it gathers from stay in cache from one column to the
+    /// next), then [`Routes::recompute_num_layers`].
     pub fn set_path_layers(&mut self, layers: &[u8]) {
         let nt = self.num_terminals;
         assert_eq!(layers.len(), nt * nt.saturating_sub(1), "a layer per pair");
-        for s in 0..nt {
-            let (row, vl) = (&layers[s * (nt - 1)..][..nt - 1], &mut self.vl[s * nt..]);
-            vl[..s].copy_from_slice(&row[..s]);
-            vl[s + 1..nt].copy_from_slice(&row[s..]);
+        for (d, column) in self.vl.chunks_exact_mut(nt.max(1)).enumerate() {
+            let (below, above) = column.split_at_mut(d);
+            for (s, slot) in below.iter_mut().enumerate() {
+                *slot = layers[s * (nt - 1) + d - 1];
+            }
+            for (s, slot) in (d + 1..).zip(&mut above[1..]) {
+                *slot = layers[s * (nt - 1) + d];
+            }
         }
         self.recompute_num_layers();
     }
@@ -221,25 +267,21 @@ impl Routes {
 
     /// Copy every destination column *not* flagged in `dirty` from
     /// `other`, renaming each channel through `translate` (`None` = the
-    /// channel no longer exists). One row-major pass over the tables —
-    /// the cache-friendly direction. Returns `false` (tables partially
-    /// written — discard them) when a populated clean entry fails to
-    /// translate, which callers treat as a stale-cache signal.
+    /// channel no longer exists); a dirty column is skipped whole. Returns
+    /// `false` (tables partially written — discard them) when a populated
+    /// clean entry fails to translate, which callers treat as a
+    /// stale-cache signal.
     pub fn copy_clean_columns_translated(
         &mut self,
         other: &Routes,
         dirty: &[bool],
         translate: &[Option<ChannelId>],
     ) -> bool {
-        for (row, orow) in self.next.iter_mut().zip(&other.next) {
-            for (d, slot) in row.iter_mut().enumerate() {
-                if dirty[d] {
-                    continue;
-                }
-                let v = orow[d];
-                if v == NONE_U32 {
-                    continue;
-                }
+        let (nn, on) = (self.num_nodes, other.num_nodes);
+        for d in (0..self.num_terminals).filter(|&d| !dirty[d]) {
+            let column = &mut self.next[d * nn..][..nn];
+            let populated = column.iter_mut().zip(&other.next[d * on..][..on]);
+            for (slot, &v) in populated.filter(|&(_, &v)| v != NONE_U32) {
                 match translate.get(v as usize).copied().flatten() {
                     Some(nc) => *slot = nc.0,
                     None => return false,
@@ -576,5 +618,217 @@ mod tests {
         let none: Vec<Option<ChannelId>> = vec![None; net.num_channels()];
         let mut broken = Routes::new(&net, "broken");
         assert!(!broken.copy_clean_columns_translated(&src, &dirty, &none));
+    }
+
+    /// The tables as the artifact lays them out, kept as the oracle of
+    /// the stored layout: one `next` row per node, a source-major layer
+    /// matrix, every operation written entry by entry.
+    struct RowMajor {
+        next: Vec<Vec<u32>>,
+        vl: Vec<Vec<u8>>,
+        num_layers: u8,
+    }
+
+    impl RowMajor {
+        fn new(nn: usize, nt: usize) -> Self {
+            RowMajor {
+                next: vec![vec![NONE_U32; nt]; nn],
+                vl: vec![vec![0; nt]; nt],
+                num_layers: 1,
+            }
+        }
+
+        fn raise(&mut self, layer: u8) {
+            self.num_layers = self.num_layers.max(layer + 1);
+        }
+
+        fn recompute(&mut self) {
+            self.num_layers = self.vl.iter().flatten().copied().max().unwrap_or(0) + 1;
+        }
+
+        /// What `routes_to_json` must write for these tables.
+        fn json(&self, engine: &str) -> String {
+            let entry = |&c: &u32| match c {
+                NONE_U32 => "null".to_string(),
+                c => c.to_string(),
+            };
+            let rows: Vec<String> = self
+                .next
+                .iter()
+                .map(|row| format!("[{}]", row.iter().map(entry).collect::<Vec<_>>().join(",")))
+                .collect();
+            let vl: Vec<String> = self.vl.iter().flatten().map(u8::to_string).collect();
+            format!(
+                "{{\"engine\":\"{engine}\",\"num_terminals\":{},\"num_layers\":{},\
+                 \"next\":[{}],\"vl\":[{}]}}",
+                self.vl.len(),
+                self.num_layers,
+                rows.join(","),
+                vl.join(",")
+            )
+        }
+
+        /// `routes` holds exactly this state, read through the public API.
+        fn assert_is(&self, routes: &Routes, what: &str) {
+            let shape = (self.next.len(), self.vl.len(), self.num_layers);
+            let got = (
+                routes.num_nodes(),
+                routes.num_terminals(),
+                routes.num_layers(),
+            );
+            assert_eq!(got, shape, "{what}: nodes, terminals, layers");
+            for (node, row) in self.next.iter().enumerate() {
+                for (d, &c) in row.iter().enumerate() {
+                    let want = (c != NONE_U32).then_some(ChannelId(c));
+                    let got = routes.next_hop(NodeId(node as u32), d);
+                    assert_eq!(got, want, "{what}: next[{node}][{d}]");
+                }
+            }
+            for (s, row) in self.vl.iter().enumerate() {
+                for (d, &layer) in row.iter().enumerate() {
+                    assert_eq!(routes.layer(s, d), layer, "{what}: vl[{s}][{d}]");
+                }
+            }
+        }
+    }
+
+    /// Seeded random writes through every public operation, each checked
+    /// against the row-major model: the layout is pinned, not just the
+    /// bytes one artifact happens to produce.
+    #[test]
+    fn every_operation_matches_a_row_major_model() {
+        use crate::format::{routes_from_json, routes_to_json};
+        use crate::rng::Rng;
+        use crate::topo;
+        let switches_only = {
+            let mut b = NetworkBuilder::new();
+            let (s0, s1) = (b.add_switch("s0", 4), b.add_switch("s1", 4));
+            b.link(s0, s1).unwrap();
+            b.build()
+        };
+        let nets = [
+            line(),
+            topo::torus(&[3, 3], 2),
+            topo::kary_ntree(3, 2),
+            switches_only,
+        ];
+        for (seed, net) in nets.iter().enumerate() {
+            let (nn, nt) = (net.num_nodes(), net.num_terminals());
+            let mut rng = Rng::seed_from_u64(seed as u64);
+            let (mut routes, mut model) = (Routes::new(net, "model"), RowMajor::new(nn, nt));
+            let (mut other, mut other_model) = (Routes::new(net, "other"), RowMajor::new(nn, nt));
+            model.assert_is(&routes, "fresh");
+            if nt == 0 {
+                // Nodes without terminals: no entries, yet every node
+                // still counts, and the bulk operations have nothing to do.
+                routes.set_path_layers(&[]);
+                routes.copy_layers_from(&other);
+                assert!(routes.copy_clean_columns_translated(&other, &[], &[]));
+                model.assert_is(&routes, "no terminals");
+                continue;
+            }
+            let channel = |rng: &mut Rng| ChannelId(rng.range(0..net.num_channels() as u32 + 2));
+            for step in 0..600 {
+                let what = format!("{} step {step}", net.label());
+                let (node, d, s) = (rng.range(0..nn), rng.range(0..nt), rng.range(0..nt));
+                let id = NodeId(node as u32);
+                match rng.range(0..9u32) {
+                    0 => {
+                        let c = channel(&mut rng);
+                        routes.set_next(id, d, c);
+                        model.next[node][d] = c.0;
+                    }
+                    1 => {
+                        routes.clear_next(id, d);
+                        model.next[node][d] = NONE_U32;
+                    }
+                    2 => {
+                        let layer = rng.range(0..6u8);
+                        routes.set_layer(s, d, layer);
+                        model.vl[s][d] = layer;
+                        model.raise(layer);
+                    }
+                    3 => {
+                        routes.recompute_num_layers();
+                        model.recompute();
+                    }
+                    4 => {
+                        let layers: Vec<u8> =
+                            (0..nt * (nt - 1)).map(|_| rng.range(0..5u8)).collect();
+                        routes.set_path_layers(&layers);
+                        let pairs = (0..nt)
+                            .flat_map(|s| (0..nt).filter(move |&d| d != s).map(move |d| (s, d)));
+                        for ((s, d), &layer) in pairs.zip(&layers) {
+                            model.vl[s][d] = layer;
+                        }
+                        model.recompute();
+                    }
+                    5 => {
+                        routes.copy_layers_from(&other);
+                        (model.vl, model.num_layers) =
+                            (other_model.vl.clone(), other_model.num_layers);
+                    }
+                    6 => {
+                        let dirty: Vec<bool> = (0..nt).map(|_| rng.chance(0.3)).collect();
+                        let translate: Vec<Option<ChannelId>> = (0..net.num_channels())
+                            .map(|_| (!rng.chance(0.05)).then(|| channel(&mut rng)))
+                            .collect();
+                        let renamed = |c: u32| translate.get(c as usize).copied().flatten();
+                        let clean = (0..nt).filter(|&d| !dirty[d]);
+                        let untranslatable =
+                            clean.flat_map(|d| other_model.next.iter().map(move |row| row[d]));
+                        let ok = untranslatable
+                            .filter(|&c| c != NONE_U32)
+                            .all(|c| renamed(c).is_some());
+                        let before = routes.clone();
+                        assert_eq!(
+                            routes.copy_clean_columns_translated(&other, &dirty, &translate),
+                            ok,
+                            "{what}"
+                        );
+                        if !ok {
+                            // Partially written: the caller discards it.
+                            routes = before;
+                        } else {
+                            for (row, orow) in model.next.iter_mut().zip(&other_model.next) {
+                                for d in (0..nt).filter(|&d| !dirty[d] && orow[d] != NONE_U32) {
+                                    row[d] = renamed(orow[d]).expect("checked above").0;
+                                }
+                            }
+                        }
+                    }
+                    7 => {
+                        let (next, layers) = other.column(d);
+                        routes.set_column(d, next, layers);
+                        for (row, orow) in model.next.iter_mut().zip(&other_model.next) {
+                            row[d] = orow[d];
+                        }
+                        for s in 0..nt {
+                            model.vl[s][d] = other_model.vl[s][d];
+                            model.raise(model.vl[s][d]);
+                        }
+                    }
+                    _ => {
+                        // Give the copy source something to carry.
+                        let (c, layer) = (channel(&mut rng), rng.range(0..7u8));
+                        other.set_next(id, d, c);
+                        other.set_layer(s, d, layer);
+                        other_model.next[node][d] = c.0;
+                        other_model.vl[s][d] = layer;
+                        other_model.raise(layer);
+                    }
+                }
+                model.assert_is(&routes, &what);
+            }
+
+            // The artifact round trip: raw rows in, the same bytes out.
+            routes.recompute_num_layers();
+            model.recompute();
+            let raw = Routes::from_raw(model.next.clone(), model.vl.concat(), nt, "model".into());
+            assert_eq!(raw.as_ref(), Ok(&routes), "{}", net.label());
+            let json = routes_to_json(&routes);
+            assert_eq!(json, model.json("model"), "{}", net.label());
+            assert_eq!(routes_from_json(&json).unwrap(), routes, "{}", net.label());
+        }
     }
 }

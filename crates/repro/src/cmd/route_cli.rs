@@ -3,7 +3,7 @@
 //! export tables and a metrics manifest.
 //!
 //! ```text
-//! repro route_cli --topo fabric.topo [--format text|ibnetdiscover|json]
+//! repro route_cli --topo fabric.topo [--format text|ibnetdiscover|json] | --gen <spec>
 //!                 [--engine dfsssp]     minhop|updown|dor|lash|fattree|sssp|dfsssp
 //!                 [--max-vls 8] [--heuristic weakest|heaviest|first|random:<seed>]
 //!                 [--no-balance] [--no-compact] [--ebb <patterns>]
@@ -78,7 +78,7 @@ pub fn main() -> Result<ExitCode, String> {
         }
         _ => false,
     });
-    if bad || cli.topo.is_none() {
+    if bad {
         return Err("route_cli: bad or missing arguments (see --help)".into());
     }
 

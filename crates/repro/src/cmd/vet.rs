@@ -6,7 +6,7 @@
 //! CI can gate on it.
 //!
 //! ```text
-//! repro vet --topo fabric.topo [--format text|ibnetdiscover|json]
+//! repro vet --topo fabric.topo [--format text|ibnetdiscover|json] | --gen <spec>
 //!           --routes routes.json [--hw-vls 8] [--allow-cycles] [--no-minimal]
 //!           [--max-diags N] [--json] [--metrics metrics.json]
 //! ```
@@ -50,8 +50,8 @@ pub fn main() -> Result<ExitCode, String> {
         }
         _ => false,
     });
-    if bad || cli.topo.is_none() || routes_path.is_empty() {
-        eprintln!("vet: bad or missing arguments (need --topo and --routes; see --help)");
+    if bad || routes_path.is_empty() {
+        eprintln!("vet: bad or missing arguments (need --routes; see --help)");
         return Ok(ExitCode::from(2));
     }
 

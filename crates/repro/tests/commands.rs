@@ -94,6 +94,21 @@ fn flags_after_the_command_name_reach_the_command() {
     assert!(text.contains("--routes"), "{text}");
 }
 
+/// `--gen` serves wherever `--topo` does, as the usage line offers: an
+/// artifact routed on a generated fabric vets against the same spec.
+#[test]
+fn route_cli_and_vet_take_a_generated_fabric() {
+    let routes = concat!(env!("CARGO_TARGET_TMPDIR"), "/kary-4-2.routes.json");
+    for args in [
+        ["route_cli", "--gen", "kary:4,2", "--out-routes", routes],
+        ["vet", "--gen", "kary:4,2", "--routes", routes],
+    ] {
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+}
+
 /// An out-of-range `--gen` is a one-line diagnostic and exit 1, like a
 /// malformed `--topo` file — not a generator's `assert!`.
 #[test]

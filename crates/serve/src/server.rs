@@ -13,7 +13,8 @@
 //!   back instead of unwinding through the serving thread.
 //! * Only a reroute that produced new tables is offered to the store,
 //!   and the vet gate — `vet::check` of exactly those tables, run
-//!   beside the SM's planner — decides whether it becomes an epoch.
+//!   beside the SM's planner, with the V007 verdict the SM decided for
+//!   the same view — decides whether it becomes an epoch.
 //!   Every failure mode — SM error, contained panic, vet rejection —
 //!   leaves the last-good snapshot serving.
 //!
@@ -148,14 +149,17 @@ impl<E: RoutingEngine> RouteServer<E> {
     /// (contained there: any panic is an [`SmError`] and rolls the
     /// batch back), then install the new tables. The store's vet gate
     /// runs inside the reroute, on this thread, while the SM's update
-    /// planner runs beside it; its report is what admits the epoch. On
-    /// any error the last-good epoch keeps serving.
+    /// planner runs beside it; its report is what admits the epoch. The
+    /// gate reads the V007 verdict the SM decided for the same view and
+    /// judges the tables itself. On any error the last-good epoch keeps
+    /// serving.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<ServedOutcome, ServerError> {
         let rec = &*self.recorder;
         let (mut outcome, report) = self
             .sm
-            .handle_batch_with(events, |net, routes| {
-                telemetry::timed(rec, phases::SERVE_PUBLISH, || vet::check(net, routes))
+            .handle_batch_with(events, |net, routes, verdict| {
+                let gate = || vet::check_with_verdict(net, routes, verdict);
+                telemetry::timed(rec, phases::SERVE_PUBLISH, gate)
             })
             .map_err(ServerError::Sm)?;
         let Some(report) = report else {

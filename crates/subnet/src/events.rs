@@ -158,7 +158,7 @@ impl EventOutcome {
 }
 
 /// A reroute with no gate: its planner runs inline.
-const NO_GATE: Option<fn(&Network, &Routes)> = None;
+const NO_GATE: Option<fn(&Network, &Routes, &vet::Existence)> = None;
 
 /// A running subnet manager with its current view of the fabric.
 pub struct SmLoop<E> {
@@ -335,15 +335,17 @@ impl<E: RoutingEngine> SmLoop<E> {
             .map(|(outcome, _)| outcome)
     }
 
-    /// [`Self::handle_batch`] with a `gate` over the new `(view, routes)`:
-    /// once the ladder has settled, `gate` runs on the calling thread
-    /// while the update planner runs beside it ([`pool::join`]). Its
-    /// result comes back beside the outcome, `None` when nothing was
-    /// rerouted. The outcome is the one `handle_batch` returns.
+    /// [`Self::handle_batch`] with a `gate` over the new `(view, routes)`
+    /// and the view's V007 verdict (`vet::existence(view)`, decided once
+    /// per reroute): once the ladder has settled, `gate` runs on the
+    /// calling thread while the update planner runs beside it
+    /// ([`pool::join`]). Its result comes back beside the outcome, `None`
+    /// when nothing was rerouted. The outcome is the one `handle_batch`
+    /// returns.
     pub fn handle_batch_with<R>(
         &mut self,
         events: &[FabricEvent],
-        gate: impl FnOnce(&Network, &Routes) -> R,
+        gate: impl FnOnce(&Network, &Routes, &vet::Existence) -> R,
     ) -> Result<(EventOutcome, Option<R>), SmError> {
         self.handle_gated(events, Some(gate))
     }
@@ -351,7 +353,7 @@ impl<E: RoutingEngine> SmLoop<E> {
     fn handle_gated<R>(
         &mut self,
         events: &[FabricEvent],
-        gate: Option<impl FnOnce(&Network, &Routes) -> R>,
+        gate: Option<impl FnOnce(&Network, &Routes, &vet::Existence) -> R>,
     ) -> Result<(EventOutcome, Option<R>), SmError> {
         let cables_before = self.down_cables.clone();
         let switches_before = self.down_switches.clone();
@@ -435,11 +437,13 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// beside the link that does not read them ([`pool::join`]): V007
     /// `existence` beside the ladder, and the planner beside `gate`. The
     /// outcome is assembled after each join, in the sequential order.
+    /// `view` is bound once here, so the verdict `gate` is handed is the
+    /// one of exactly the network it is handed.
     fn reroute<R>(
         &mut self,
         coalesced: usize,
         preferred_sm: Option<NodeId>,
-        gate: Option<impl FnOnce(&Network, &Routes) -> R>,
+        gate: Option<impl FnOnce(&Network, &Routes, &vet::Existence) -> R>,
     ) -> Result<(EventOutcome, Option<R>), SmError> {
         let start = Instant::now();
         let mut rungs = Vec::new();
@@ -497,7 +501,7 @@ impl<E: RoutingEngine> SmLoop<E> {
             || telemetry::timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view)),
         );
         let (fabric, new_walk, ladder_rungs, retries) = ladder?;
-        let existence = match verdict {
+        let existence = match &verdict {
             vet::Existence::Exists { roots, pairs } => format!(
                 "certified: up*/down* from {} root(s) covers {pairs} pair(s)",
                 roots.len()
@@ -562,7 +566,7 @@ impl<E: RoutingEngine> SmLoop<E> {
             })
         };
         let (gated, (plan, diff)) = match gate {
-            Some(gate) => pool::join(|| Some(gate(&view, &fabric.routes)), planner),
+            Some(gate) => pool::join(|| Some(gate(&view, &fabric.routes, &verdict)), planner),
             None => (None, planner()),
         };
         let outcome = EventOutcome {

@@ -75,40 +75,41 @@ pub struct FabricTables {
     lfts: Vec<Vec<u8>>,
     /// `sl2vl[switch_index][sl]` = VL (identity here, length = #VLs).
     sl2vl: Vec<Vec<u8>>,
-    /// `sl[src_t * T + dst_t]` = service level of the pair.
+    /// `sl[dst_t * T + src_t]` = service level of the pair, laid out as
+    /// the routes hold their layers.
     sl: Vec<u8>,
     num_terminals: usize,
 }
 
 impl FabricTables {
-    /// Compile routes into per-switch LFTs and SL tables.
+    /// Compile routes into per-switch LFTs and SL tables, one destination
+    /// column at a time.
     pub fn program(net: &Network, routes: &Routes, lids: &LidMap) -> FabricTables {
         let nt = net.num_terminals();
         let max_lid = lids.max_lid().0 as usize;
         let mut lfts = vec![vec![0u8; max_lid + 1]; net.num_switches()];
-        for (si, &s) in net.switches().iter().enumerate() {
-            for (dst_t, &dst) in net.terminals().iter().enumerate() {
-                if let Some(c) = routes.next_hop(s, dst_t) {
-                    let port = net.channel(c).src_port;
-                    if port > u8::MAX as u16 {
-                        // No real switch has >255 ports; a hostile input
-                        // might. Leave the slot empty (0) rather than
-                        // truncate — the validation walk reports it as a
-                        // typed NoEntry instead of silently misrouting.
-                        continue;
-                    }
-                    lfts[si][lids.lid(dst).0 as usize] = port as u8;
+        let mut sl = Vec::with_capacity(nt * nt);
+        for (dst_t, &dst) in net.terminals().iter().enumerate() {
+            let (next, layers) = routes.column(dst_t);
+            let lid = lids.lid(dst).0 as usize;
+            for (lft, s) in lfts.iter_mut().zip(net.switches()) {
+                let port = match next[s.idx()] {
+                    u32::MAX => continue,
+                    c => net.channel(ChannelId(c)).src_port,
+                };
+                if port > u8::MAX as u16 {
+                    // No real switch has >255 ports; a hostile input
+                    // might. Leave the slot empty (0) rather than
+                    // truncate — the validation walk reports it as a
+                    // typed NoEntry instead of silently misrouting.
+                    continue;
                 }
+                lft[lid] = port as u8;
             }
+            sl.extend_from_slice(layers);
         }
         let vls = routes.num_layers();
         let sl2vl = vec![(0..vls).collect::<Vec<u8>>(); net.num_switches()];
-        let mut sl = vec![0u8; nt * nt];
-        for src_t in 0..nt {
-            for dst_t in 0..nt {
-                sl[src_t * nt + dst_t] = routes.layer(src_t, dst_t);
-            }
-        }
         FabricTables {
             lfts,
             sl2vl,
@@ -128,9 +129,8 @@ impl FabricTables {
         dst_t: usize,
     ) -> Option<PathRecord> {
         let dst = net.terminals().get(dst_t)?;
-        let sl = self
-            .sl
-            .get(src_t.checked_mul(self.num_terminals)? + dst_t)?;
+        let nt = self.num_terminals;
+        let sl = self.sl.get(dst_t * nt + src_t).filter(|_| src_t < nt)?;
         Some(PathRecord {
             dlid: lids.lid(*dst),
             sl: *sl,

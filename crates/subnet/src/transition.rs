@@ -27,7 +27,7 @@
 //! cycle search through the [`Walked`] it returns, which runs it at most
 //! once however many callers ask — so a test can count both.
 
-use fabric::{Network, NodeId, Routes};
+use fabric::{ChannelId, Network, NodeId, Routes};
 use telemetry::fx::{FxHashMap, FxHashSet};
 use vet::TableWalk;
 
@@ -133,48 +133,73 @@ pub trait DiffPlanProvider {
 /// of surviving terminal pairs are carried over. The result always has
 /// `new_net`'s shape, so it can be compared and vetted against the new
 /// network (expect broken pairs where hardware vanished).
+///
+/// The matching is done once per node and once per channel; the entries
+/// are then copied one destination column at a time, each translated
+/// through the channel table.
 pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
     let mut routes = Routes::new(new_net, old.engine());
-    // Old node id per new node, matched by name.
+    // Old node id per new node, matched by name (the first old node of
+    // that name), and per old node the last new node matched to it.
+    let mut by_name: FxHashMap<&str, NodeId> = FxHashMap::default();
+    for (id, n) in old_net.nodes() {
+        by_name.entry(&n.name).or_insert(id);
+    }
     let old_node: Vec<Option<NodeId>> = new_net
         .nodes()
-        .map(|(_, n)| old_net.node_by_name(&n.name))
+        .map(|(_, n)| by_name.get(n.name.as_str()).copied())
         .collect();
-    // Old terminal index per new terminal index.
+    let mut twin = vec![None; old_net.num_nodes()];
+    for ((n, _), o) in new_net.nodes().zip(&old_node) {
+        if let Some(o) = o {
+            twin[o.idx()] = Some(n);
+        }
+    }
+    // Old terminal index per new terminal index, if the old tables have it.
     let old_t: Vec<Option<usize>> = new_net
         .terminals()
         .iter()
         .map(|&t| old_node[t.idx()].and_then(|o| old_net.terminal_index(o)))
+        .map(|o| o.filter(|&o| o < old.num_terminals()))
         .collect();
-    // (src node, src port) -> channel in the new network.
-    let mut by_port: FxHashMap<(u32, u16), u32> = FxHashMap::default();
-    for (id, ch) in new_net.channels() {
-        by_port.insert((ch.src.0, ch.src_port), id.0);
-    }
-    for (new_id, _) in new_net.nodes() {
-        let Some(o) = old_node[new_id.idx()] else {
-            continue;
-        };
-        for (new_dst, old_dst) in old_t.iter().enumerate() {
-            let Some(od) = *old_dst else { continue };
-            if od >= old.num_terminals() {
+    // The channel leaving new node `n` over `port` (ports are unique per
+    // node), and per old channel its source and that channel at the
+    // source's twin. An entry at `n` translates through the table when
+    // it leaves `n`'s old node and `n` is that node's twin; any other
+    // entry is looked up at `n` by port, as it always was.
+    let port_at = |n: NodeId, port: u16| {
+        let mut out = new_net.out_channels(n).iter().copied();
+        out.find(|&c| new_net.channel(c).src_port == port)
+    };
+    let via: Vec<(NodeId, Option<ChannelId>)> = old_net
+        .channels()
+        .map(|(_, ch)| {
+            (
+                ch.src,
+                twin[ch.src.idx()].and_then(|n| port_at(n, ch.src_port)),
+            )
+        })
+        .collect();
+    for (new_dst, od) in old_t.iter().enumerate() {
+        let Some(od) = *od else { continue };
+        let (next, layers) = old.column(od);
+        for ((n, _), o) in new_net.nodes().zip(&old_node) {
+            let Some(o) = *o else { continue };
+            let ch = next[o.idx()];
+            if ch == u32::MAX {
                 continue;
             }
-            let Some(ch) = old.next_hop(o, od) else {
-                continue;
+            let c = match via[ch as usize] {
+                (src, c) if src == o && twin[o.idx()] == Some(n) => c,
+                _ => port_at(n, old_net.channel(ChannelId(ch)).src_port),
             };
-            let port = old_net.channel(ch).src_port;
-            if let Some(&c) = by_port.get(&(new_id.0, port)) {
-                routes.set_next(new_id, new_dst, fabric::ChannelId(c));
+            if let Some(c) = c {
+                routes.set_next(n, new_dst, c);
             }
         }
-    }
-    for (new_src, old_src) in old_t.iter().enumerate() {
-        let Some(os) = *old_src else { continue };
-        for (new_dst, old_dst) in old_t.iter().enumerate() {
-            let Some(od) = *old_dst else { continue };
-            if os < old.num_terminals() && od < old.num_terminals() {
-                routes.set_layer(new_src, new_dst, old.layer(os, od));
+        for (new_src, os) in old_t.iter().enumerate() {
+            if let Some(os) = *os {
+                routes.set_layer(new_src, new_dst, layers[os]);
             }
         }
     }
@@ -278,18 +303,8 @@ pub(crate) fn plan_update_walked(
     let old = old.filter(|o| o.num_nodes() == net.num_nodes() && o.num_terminals() == nt);
     let Some(old) = old else {
         // Nothing programmed yet: no in-flight traffic, direct is safe.
-        let dests: Vec<usize> = (0..nt).collect();
-        let entries = dests.iter().map(|&d| column_entries(net, new, d)).sum();
-        return UpdatePlan {
-            direct: true,
-            stages: vec![UpdateStage {
-                dests,
-                entries,
-                drained: false,
-                vetted: true,
-            }],
-            hazard_layers: Vec::new(),
-        };
+        let entries = |d| column_entries(net, new, d);
+        return direct(stage((0..nt).collect(), entries, false, true));
     };
 
     let changed: Vec<usize> = (0..nt)
@@ -299,13 +314,10 @@ pub(crate) fn plan_update_walked(
         return UpdatePlan::noop();
     }
 
-    let walked_here;
+    let mut walked_here = None;
     let new_walk = match new_walk {
         Some(walk) => walk,
-        None => {
-            walked_here = walk_artifact(net, new, Artifact::New);
-            &walked_here
-        }
+        None => walked_here.insert(walk_artifact(net, new, Artifact::New)),
     };
     // The old walk's edge sets are dead weight once the union is
     // searched; only its per-destination verdicts live on.
@@ -314,21 +326,9 @@ pub(crate) fn plan_update_walked(
         let hazards = vet::union_cycles_of(&[&old_walk.table, &new_walk.table]);
         (hazards, old_walk.table.broken)
     };
+    let swap = |d| column_swap_entries(net, old, new, d);
     if hazards.is_empty() {
-        let entries = changed
-            .iter()
-            .map(|&d| column_swap_entries(net, old, new, d))
-            .sum();
-        return UpdatePlan {
-            direct: true,
-            stages: vec![UpdateStage {
-                dests: changed,
-                entries,
-                drained: false,
-                vetted: true,
-            }],
-            hazard_layers: Vec::new(),
-        };
+        return direct(stage(changed, swap, false, true));
     }
     let hazard_layers: Vec<u8> = hazards.iter().map(|(l, _)| *l).collect();
 
@@ -342,19 +342,11 @@ pub(crate) fn plan_update_walked(
     let mut stalled = false;
     if !broken.is_empty() {
         for &d in &broken {
-            apply_column(net, &mut hybrid, new, d);
+            apply_column(&mut hybrid, new, d);
         }
         if vet_ok(net, &mut hybrid, hw_vls) {
             swapped.extend(broken.iter().copied());
-            stages.push(UpdateStage {
-                entries: broken
-                    .iter()
-                    .map(|&d| column_swap_entries(net, old, new, d))
-                    .sum(),
-                dests: broken,
-                drained: true,
-                vetted: true,
-            });
+            stages.push(stage(broken, swap, true, true));
         } else {
             // Swapping only the broken columns still leaves a hazardous
             // mix; fold them into the bulk drain below instead.
@@ -375,12 +367,12 @@ pub(crate) fn plan_update_walked(
         let mut batch = Vec::new();
         let mut deferred = Vec::new();
         for &d in &remaining {
-            let before = snapshot_column(net, &hybrid, d);
-            apply_column(net, &mut hybrid, new, d);
+            let before = snapshot_column(&hybrid, d);
+            apply_column(&mut hybrid, new, d);
             if vet_ok(net, &mut hybrid, hw_vls) {
                 batch.push(d);
             } else {
-                rollback_column(net, &mut hybrid, &before, d);
+                rollback_column(&mut hybrid, &before, d);
                 deferred.push(d);
             }
         }
@@ -388,30 +380,14 @@ pub(crate) fn plan_update_walked(
             stalled = true;
             break;
         }
-        stages.push(UpdateStage {
-            entries: batch
-                .iter()
-                .map(|&d| column_swap_entries(net, old, new, d))
-                .sum(),
-            dests: batch,
-            drained: true,
-            vetted: true,
-        });
+        stages.push(stage(batch, swap, true, true));
         remaining = deferred;
     }
     if stalled && !remaining.is_empty() {
         // Bulk drain: with traffic toward every remaining destination
         // drained, only the post-state's edges are active — and the
         // post-state is the full new routing, whose walk is in hand.
-        stages.push(UpdateStage {
-            entries: remaining
-                .iter()
-                .map(|&d| column_swap_entries(net, old, new, d))
-                .sum(),
-            dests: remaining,
-            drained: true,
-            vetted: deployable(new_walk, hw_vls),
-        });
+        stages.push(stage(remaining, swap, true, deployable(new_walk, hw_vls)));
     }
     UpdatePlan {
         direct: false,
@@ -420,67 +396,72 @@ pub(crate) fn plan_update_walked(
     }
 }
 
-/// Whether any table entry or layer of destination column `d` differs.
-pub fn column_differs(net: &Network, old: &Routes, new: &Routes, d: usize) -> bool {
-    for (id, _) in net.nodes() {
-        if old.next_hop(id, d) != new.next_hop(id, d) {
-            return true;
-        }
+/// A one-stage plan, pushed in one unsynchronized sweep.
+fn direct(stage: UpdateStage) -> UpdatePlan {
+    UpdatePlan {
+        direct: true,
+        stages: vec![stage],
+        hazard_layers: Vec::new(),
     }
-    (0..net.num_terminals()).any(|s| old.layer(s, d) != new.layer(s, d))
+}
+
+/// The stage swapping the columns of `dests`, at `entries(d)` switch-table
+/// writes per column.
+fn stage(
+    dests: Vec<usize>,
+    entries: impl Fn(usize) -> usize,
+    drained: bool,
+    vetted: bool,
+) -> UpdateStage {
+    UpdateStage {
+        entries: dests.iter().map(|&d| entries(d)).sum(),
+        dests,
+        drained,
+        vetted,
+    }
+}
+
+/// Whether any table entry of `net`'s nodes or layer of its terminals
+/// differs in destination column `d`.
+pub fn column_differs(net: &Network, old: &Routes, new: &Routes, d: usize) -> bool {
+    let ((old_next, old_layers), (new_next, new_layers)) = (old.column(d), new.column(d));
+    let (nn, nt) = (net.num_nodes(), net.num_terminals());
+    old_next[..nn] != new_next[..nn] || old_layers[..nt] != new_layers[..nt]
 }
 
 /// Switch-table entries set in `new`'s column `d` (bring-up cost).
 fn column_entries(net: &Network, new: &Routes, d: usize) -> usize {
+    let (next, _) = new.column(d);
     net.switches()
         .iter()
-        .filter(|&&s| new.next_hop(s, d).is_some())
+        .filter(|s| next[s.idx()] != u32::MAX)
         .count()
 }
 
 /// Switch-table entries that differ between the two columns (SMP cost).
 pub fn column_swap_entries(net: &Network, old: &Routes, new: &Routes, d: usize) -> usize {
+    let ((old_next, _), (new_next, _)) = (old.column(d), new.column(d));
     net.switches()
         .iter()
-        .filter(|&&s| old.next_hop(s, d) != new.next_hop(s, d))
+        .filter(|s| old_next[s.idx()] != new_next[s.idx()])
         .count()
 }
 
-/// One destination column of `r`: next hops per node + layers per source.
-struct Column {
-    next: Vec<Option<fabric::ChannelId>>,
-    layers: Vec<u8>,
+/// One destination column of a routing, as [`Routes::column`] reads it.
+type Column = (Vec<u32>, Vec<u8>);
+
+fn snapshot_column(r: &Routes, d: usize) -> Column {
+    let (next, layers) = r.column(d);
+    (next.to_vec(), layers.to_vec())
 }
 
-fn snapshot_column(net: &Network, r: &Routes, d: usize) -> Column {
-    Column {
-        next: net.nodes().map(|(id, _)| r.next_hop(id, d)).collect(),
-        layers: (0..net.num_terminals()).map(|s| r.layer(s, d)).collect(),
-    }
+fn apply_column(r: &mut Routes, from: &Routes, d: usize) {
+    let (next, layers) = from.column(d);
+    r.set_column(d, next, layers);
 }
 
-fn apply_column(net: &Network, r: &mut Routes, from: &Routes, d: usize) {
-    for (id, _) in net.nodes() {
-        match from.next_hop(id, d) {
-            Some(c) => r.set_next(id, d, c),
-            None => r.clear_next(id, d),
-        }
-    }
-    for s in 0..net.num_terminals() {
-        r.set_layer(s, d, from.layer(s, d));
-    }
-}
-
-fn rollback_column(net: &Network, r: &mut Routes, col: &Column, d: usize) {
-    for (id, _) in net.nodes() {
-        match col.next[id.idx()] {
-            Some(c) => r.set_next(id, d, c),
-            None => r.clear_next(id, d),
-        }
-    }
-    for s in 0..net.num_terminals() {
-        r.set_layer(s, d, col.layers[s]);
-    }
+fn rollback_column(r: &mut Routes, (next, layers): &Column, d: usize) {
+    r.set_column(d, next, layers);
 }
 
 /// Vet one intermediate (hybrid) state with a walk of its own. The
@@ -496,7 +477,7 @@ pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
-    use super::reference::dest_broken;
+    use super::reference::{dest_broken, route, without, zoo};
     use super::*;
     use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
     use fabric::{degrade, topo, ChannelId};
@@ -552,6 +533,142 @@ mod tests {
                     assert_eq!(degraded.channel(c).src, id);
                 }
             }
+        }
+    }
+
+    /// [`remap_routes`] as it stood before it translated through a channel
+    /// table: every node matched by a linear name search, every entry by a
+    /// hash look-up of its port at its new node, row by row.
+    fn remap_routes_reference(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
+        let mut routes = Routes::new(new_net, old.engine());
+        // Old node id per new node, matched by name.
+        let old_node: Vec<Option<NodeId>> = new_net
+            .nodes()
+            .map(|(_, n)| old_net.node_by_name(&n.name))
+            .collect();
+        // Old terminal index per new terminal index.
+        let old_t: Vec<Option<usize>> = new_net
+            .terminals()
+            .iter()
+            .map(|&t| old_node[t.idx()].and_then(|o| old_net.terminal_index(o)))
+            .collect();
+        // (src node, src port) -> channel in the new network.
+        let mut by_port: FxHashMap<(u32, u16), u32> = FxHashMap::default();
+        for (id, ch) in new_net.channels() {
+            by_port.insert((ch.src.0, ch.src_port), id.0);
+        }
+        for (new_id, _) in new_net.nodes() {
+            let Some(o) = old_node[new_id.idx()] else {
+                continue;
+            };
+            for (new_dst, old_dst) in old_t.iter().enumerate() {
+                let Some(od) = *old_dst else { continue };
+                if od >= old.num_terminals() {
+                    continue;
+                }
+                let Some(ch) = old.next_hop(o, od) else {
+                    continue;
+                };
+                let port = old_net.channel(ch).src_port;
+                if let Some(&c) = by_port.get(&(new_id.0, port)) {
+                    routes.set_next(new_id, new_dst, ChannelId(c));
+                }
+            }
+        }
+        for (new_src, old_src) in old_t.iter().enumerate() {
+            let Some(os) = *old_src else { continue };
+            for (new_dst, old_dst) in old_t.iter().enumerate() {
+                let Some(od) = *old_dst else { continue };
+                if os < old.num_terminals() && od < old.num_terminals() {
+                    routes.set_layer(new_src, new_dst, old.layer(os, od));
+                }
+            }
+        }
+        routes.recompute_num_layers();
+        routes
+    }
+
+    /// Both remaps of `old` (tables for `from`) onto `onto`, whole tables
+    /// compared.
+    fn assert_remap_matches(from: &Network, old: &Routes, onto: &Network, what: &str) -> Routes {
+        let want = remap_routes_reference(from, old, onto);
+        assert_eq!(remap_routes(from, old, onto), want, "{what}");
+        want
+    }
+
+    #[test]
+    fn remap_equals_the_reference_across_the_zoo() {
+        for net in zoo() {
+            let pristine = route(&net);
+            let label = net.label().to_string();
+            assert_remap_matches(&net, &pristine, &net, &format!("{label} onto itself"));
+            // Cables down, and back up from the remapped tables: every cable,
+            // or 64 spread evenly over a larger fabric's (host links too).
+            let cables: Vec<ChannelId> = net
+                .channels()
+                .filter(|(id, ch)| ch.rev.is_none_or(|r| r.0 > id.0))
+                .map(|(id, _)| id)
+                .collect();
+            for &c in cables.iter().step_by(cables.len().div_ceil(64)) {
+                let degraded = without(&net, c);
+                let what = format!("{label} cable {} down", c.0);
+                let down = assert_remap_matches(&net, &pristine, &degraded, &what);
+                let what = format!("{label} cable {} up", c.0);
+                assert_remap_matches(&degraded, &down, &net, &what);
+            }
+            // A switch down, and the core a stranding one leaves.
+            for sw in [net.switches()[0], *net.switches().last().unwrap()] {
+                let dead = std::iter::once(sw).collect();
+                let view = degrade::remove(&net, &dead, &FxHashSet::default());
+                let what = format!("{label} switch {} down", sw.0);
+                let down = assert_remap_matches(&net, &pristine, &view, &what);
+                assert_remap_matches(&view, &down, &net, &format!("{what}, back up"));
+                let (core, _) = degrade::extract_core(&view);
+                assert_remap_matches(&net, &pristine, &core, &format!("{what}, its core"));
+            }
+        }
+    }
+
+    #[test]
+    fn remap_of_hand_built_oddities_equals_the_reference() {
+        // t0 - s0 - s1 - t1, and a second t2 on s1.
+        let line = |extra_s0: bool| {
+            let mut b = fabric::NetworkBuilder::new();
+            let (s0, s1) = (b.add_switch("s0", 8), b.add_switch("s1", 8));
+            let (t0, t1, t2) = (
+                b.add_terminal("t0"),
+                b.add_terminal("t1"),
+                b.add_terminal("t2"),
+            );
+            for (u, v) in [(s0, s1), (t0, s0), (t1, s1), (t2, s1)] {
+                b.link(u, v).unwrap();
+            }
+            if extra_s0 {
+                // A second node named `s0`: both new `s0`s match the old one.
+                let twin = b.add_switch("s0", 8);
+                b.link(twin, s1).unwrap();
+            }
+            b.build()
+        };
+        let net = line(false);
+        let mut old = route(&net);
+        let node = |name| net.node_by_name(name).unwrap();
+        // An entry naming a channel that leaves another node: the port it
+        // names is looked up at the entry's own node.
+        let foreign = net.channel_between(node("s1"), node("t2")).unwrap();
+        old.set_next(node("s0"), 1, foreign);
+        old.set_next(
+            node("t0"),
+            2,
+            net.channel_between(node("s0"), node("s1")).unwrap(),
+        );
+        let cut = without(&net, net.channel_between(node("s0"), node("s1")).unwrap());
+        for (onto, what) in [
+            (&net, "same net"),
+            (&line(true), "twin names"),
+            (&cut, "cut"),
+        ] {
+            assert_remap_matches(&net, &old, onto, what);
         }
     }
 

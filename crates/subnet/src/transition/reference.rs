@@ -71,7 +71,7 @@ pub(crate) fn plan_update_reference(
     let mut stalled = false;
     if !broken.is_empty() {
         for &d in &broken {
-            apply_column(net, &mut hybrid, new, d);
+            apply_column(&mut hybrid, new, d);
         }
         if vet_ok(net, &mut hybrid, hw_vls) {
             swapped.extend(broken.iter().copied());
@@ -104,12 +104,12 @@ pub(crate) fn plan_update_reference(
         let mut batch = Vec::new();
         let mut deferred = Vec::new();
         for &d in &remaining {
-            let before = snapshot_column(net, &hybrid, d);
-            apply_column(net, &mut hybrid, new, d);
+            let before = snapshot_column(&hybrid, d);
+            apply_column(&mut hybrid, new, d);
             if vet_ok(net, &mut hybrid, hw_vls) {
                 batch.push(d);
             } else {
-                rollback_column(net, &mut hybrid, &before, d);
+                rollback_column(&mut hybrid, &before, d);
                 deferred.push(d);
             }
         }
@@ -216,7 +216,7 @@ pub(crate) fn route(net: &Network) -> Routes {
 }
 
 /// `net` without cable `c` (both directions).
-fn without(net: &Network, c: ChannelId) -> Network {
+pub(crate) fn without(net: &Network, c: ChannelId) -> Network {
     let dead = [Some(c), net.channel(c).rev]
         .into_iter()
         .flatten()

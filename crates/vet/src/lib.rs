@@ -83,14 +83,25 @@ pub fn analyze(net: &Network, routes: &Routes) -> Report {
 }
 
 /// [`analyze`] under the name the workspace prelude exports (`use
-/// dfsssp::prelude::*; vet::check(&net, &routes)`).
+/// dfsssp::prelude::*; vet::check(&net, &routes)`): [`check_with_verdict`]
+/// with the verdict decided here.
 pub fn check(net: &Network, routes: &Routes) -> Report {
-    analyze(net, routes)
+    check_with_verdict(net, routes, &existence(net))
+}
+
+/// [`check`] with V007's verdict supplied: `verdict` must be
+/// `existence(net)`, decided by a caller that already judged this very
+/// network. The verdict reads the network alone, so everything the
+/// artifact is judged on — the walk, the cycle search, the severity of
+/// a refutation for its layer count — is still decided here.
+pub fn check_with_verdict(net: &Network, routes: &Routes, verdict: &Existence) -> Report {
+    analyze_inner(net, routes, &Config::default(), None, Some(verdict))
 }
 
 /// Analyze `routes` against `net` with explicit settings.
 pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
-    analyze_inner(net, routes, cfg, None)
+    let verdict = cfg.check_existence.then(|| existence(net));
+    analyze_inner(net, routes, cfg, None, verdict.as_ref())
 }
 
 /// [`analyze_with`] restricted to a destination subset — the scoped
@@ -106,7 +117,8 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
 /// population stats cover only the scope, so the layer-imbalance
 /// heuristic is skipped (its denominators would be misleading).
 pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> Report {
-    analyze_inner(net, routes, cfg, Some(dests))
+    let verdict = cfg.check_existence.then(|| existence(net));
+    analyze_inner(net, routes, cfg, Some(dests), verdict.as_ref())
 }
 
 /// Walk `routes`' tables on `net` once and return everything the walk
@@ -132,7 +144,14 @@ fn shape_matches(net: &Network, routes: &Routes) -> bool {
     routes.num_nodes() == net.num_nodes() && routes.num_terminals() == net.num_terminals()
 }
 
-fn analyze_inner(net: &Network, routes: &Routes, cfg: &Config, scope: Option<&[usize]>) -> Report {
+/// The one analysis; V007 is reported on `verdict` when there is one.
+fn analyze_inner(
+    net: &Network,
+    routes: &Routes,
+    cfg: &Config,
+    scope: Option<&[usize]>,
+    verdict: Option<&Existence>,
+) -> Report {
     let walked = walk::walk(net, routes, cfg, scope);
     let cycles = walked.cyclic_layers();
     let mut stats = Stats {
@@ -215,8 +234,8 @@ fn analyze_inner(net: &Network, routes: &Routes, cfg: &Config, scope: Option<&[u
         }
     }
 
-    if cfg.check_existence {
-        report_existence(net, routes, &mut em, &mut stats);
+    if let Some(verdict) = verdict {
+        report_existence(verdict, routes, &mut em, &mut stats);
     }
 
     finish(net, routes, em, stats)
@@ -229,14 +248,15 @@ fn analyze_inner(net: &Network, routes: &Routes, cfg: &Config, scope: Option<&[u
 /// *single-layer* artifacts outright; an artifact already on multiple
 /// layers took the one escape hatch the theorem leaves open, so for it
 /// the refutation is a (citable) warning that the extra layers are
-/// provably necessary, not optional.
-fn report_existence(net: &Network, routes: &Routes, em: &mut diag::Emitter, stats: &mut Stats) {
+/// provably necessary, not optional. The verdict `v007` is the
+/// network's; the severity is decided here, from the artifact.
+fn report_existence(v007: &Existence, routes: &Routes, em: &mut diag::Emitter, stats: &mut Stats) {
     let refuted_sev = if routes.num_layers() <= 1 {
         Severity::Error
     } else {
         Severity::Warning
     };
-    match existence::existence(net) {
+    match v007.clone() {
         Existence::Exists { roots, pairs } => {
             stats.existence = Some(format!(
                 "certified: up*/down* orientation from {} root(s) covers all {pairs} \

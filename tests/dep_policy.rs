@@ -278,6 +278,11 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// not read them (`SmLoop::handle_batch_with`, the ladder as its own
 /// method, `SnapshotStore::publish_vetted`), less the store's folded
 /// install tail and the loop's one rollback.
+///
+/// The destination-major `Routes` (column accessors, the artifact's row
+/// order transposed on the way in) and `vet::check_with_verdict` held it
+/// at 20 186: the planner's slice-based column helpers and one stage
+/// constructor in `subnet::transition` paid for them.
 #[test]
 fn code_lines_ratchet() {
     const CEILING: usize = 20_186;

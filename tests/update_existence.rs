@@ -9,11 +9,98 @@
 //! escape hatch the theorem leaves open) while single-layer artifacts are
 //! condemned outright.
 
+mod common;
+
 use dfsssp::prelude::*;
 use fabric::degrade::fail_random_cables;
 use fabric::topo;
 use subnet::{plan_update, remap_routes};
 use vet::{Existence, LintCode, Severity};
+
+/// The publish gate's report with V007 handed in, as the route server
+/// runs it, against the report that decides V007 itself — through
+/// `vet::check` and through `vet::analyze` — byte for byte. Returns the
+/// shared report's V007 findings.
+fn assert_the_verdict_shares(net: &Network, routes: &Routes, what: &str) -> Vec<Severity> {
+    let shared = vet::check_with_verdict(net, routes, &vet::existence(net));
+    assert_eq!(
+        shared.to_json(),
+        vet::check(net, routes).to_json(),
+        "{what}"
+    );
+    assert_eq!(
+        shared.to_json(),
+        vet::analyze(net, routes).to_json(),
+        "{what}"
+    );
+    let v007 = shared.diagnostics_for(LintCode::DeadlockExistence);
+    v007.map(|d| d.severity).collect()
+}
+
+#[test]
+fn a_supplied_verdict_reports_what_a_decided_one_does() {
+    common::sweep(0..48, |c| {
+        let net = common::zoo_net(c);
+        // Up*/Down* detours: the report carries V006 findings too.
+        let engines: [&dyn RoutingEngine; 3] = [&Sssp::new(), &DfSssp::new(), &UpDown::new()];
+        let engine = engines[c.draw("engine", 0..3)];
+        if let Ok(routes) = engine.route_in(&net, &ComputeCtx::seq()) {
+            assert_the_verdict_shares(&net, &routes, "zoo");
+        }
+    });
+
+    // Refuted views, each with a single-layer and a multi-layer artifact:
+    // the severity of a refutation is the artifact's, decided by the gate.
+    let ring = unidirectional_ring(4);
+    let flat = Sssp::new().route_in(&ring, &ComputeCtx::seq()).unwrap();
+    let layered = DfSssp::new().route_in(&ring, &ComputeCtx::seq()).unwrap();
+    assert_eq!(
+        assert_the_verdict_shares(&ring, &flat, "forced cycle, one layer"),
+        [Severity::Error]
+    );
+    assert_eq!(
+        assert_the_verdict_shares(&ring, &layered, "forced cycle, layered"),
+        [Severity::Warning]
+    );
+    // t0 - s0 - s1 - t1 with the s1 -> s0 direction dead: a one-way pair
+    // is an error at any layer count.
+    let mut b = NetworkBuilder::new();
+    let (s0, s1) = (b.add_switch("s0", 4), b.add_switch("s1", 4));
+    let (t0, t1) = (b.add_terminal("t0"), b.add_terminal("t1"));
+    b.add_channel(s0, s1).unwrap();
+    b.link(t0, s0).unwrap();
+    b.link(t1, s1).unwrap();
+    let one_way = b.build();
+    let mut routes = Routes::new(&one_way, "hand-built");
+    for (at, to) in [(t0, s0), (s0, s1), (s1, t1)] {
+        routes.set_next(at, 1, one_way.channel_between(at, to).unwrap());
+    }
+    let what = "one-way pair, one layer";
+    assert_eq!(
+        assert_the_verdict_shares(&one_way, &routes, what),
+        [Severity::Error]
+    );
+    routes.set_layer(0, 1, 1);
+    let what = "one-way pair, two layers";
+    assert_eq!(
+        assert_the_verdict_shares(&one_way, &routes, what),
+        [Severity::Error]
+    );
+
+    // Undecided: the directed Kautz graph.
+    let kautz = topo::kautz(2, 3, 24, false);
+    assert!(matches!(
+        vet::existence(&kautz),
+        Existence::Undecided { .. }
+    ));
+    let routes = DfSssp::new()
+        .route_in(&kautz, &ComputeCtx::seq())
+        .unwrap_or_else(|_| Routes::new(&kautz, "unrouted"));
+    assert_eq!(
+        assert_the_verdict_shares(&kautz, &routes, "undecided"),
+        [Severity::Warning]
+    );
+}
 
 /// Switches cabled clockwise-only: strongly connected, but every
 /// switch-to-switch pair has exactly one path and the forced dependencies
