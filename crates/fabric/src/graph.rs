@@ -670,6 +670,46 @@ impl Network {
     }
 }
 
+/// [`Network::hops_to`] of every switch, one reverse BFS apiece, from
+/// which any node's row is derived. Terminals never relay, so for
+/// `v != dst` a shortest routable path into `dst` is a last channel
+/// `u → dst` after nothing (`v == u`) or after a path into the switch
+/// `u`: `hops_to(dst)[v]` is the least `hops_to(u)[v] + 1` over the
+/// channels into `dst` (`hops_to(u)[u] = 0`; a terminal `u` counts only
+/// for itself). Where terminals outnumber switches this costs a fraction
+/// of a BFS per destination.
+pub struct HopTable<'a> {
+    net: &'a Network,
+    /// `hops_to` of each switch, in [`Network::switches`] order.
+    to_switch: Vec<Vec<u32>>,
+}
+
+impl<'a> HopTable<'a> {
+    /// One reverse BFS per switch of `net`.
+    pub fn of(net: &'a Network) -> Self {
+        let to_switch = net.switches().iter().map(|&s| net.hops_to(s)).collect();
+        HopTable { net, to_switch }
+    }
+
+    /// `hops_to(dst)`, derived.
+    pub fn row(&self, dst: NodeId) -> Vec<u32> {
+        let net = self.net;
+        let mut row = vec![u32::MAX; net.num_nodes()];
+        for &c in net.in_channels(dst) {
+            let u = net.channel(c).src;
+            let Some(k) = net.switch_index(u) else {
+                row[u.idx()] = 1;
+                continue;
+            };
+            for (hops, &via) in row.iter_mut().zip(&self.to_switch[k]) {
+                *hops = (*hops).min(via.saturating_add(1));
+            }
+        }
+        row[dst.idx()] = 0;
+        row
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,6 @@ pub mod tables;
 pub mod topo;
 
 pub use builder::NetworkBuilder;
-pub use graph::{Channel, ChannelId, DepSlots, Network, Node, NodeId, NodeKind};
+pub use graph::{Channel, ChannelId, DepSlots, HopTable, Network, Node, NodeId, NodeKind};
 pub use stats::TopologyStats;
 pub use tables::{PathIter, Routes, RoutesError};

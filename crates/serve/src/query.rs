@@ -837,6 +837,9 @@ mod tests {
                 });
             }
         });
+        // A worker counts its batch after fulfilling it: join the workers
+        // before reading the counters.
+        drop(engine);
         let snap = collector.snapshot();
         assert_eq!(
             snap.counters["queries_served"],

@@ -79,7 +79,8 @@ pub struct RouteServer<E> {
 impl<E: RoutingEngine> RouteServer<E> {
     /// Bring up the fabric and open the store on the resulting tables
     /// (epoch 0). Fails if bring-up fails or its artifact cannot pass
-    /// the vet gate.
+    /// the vet gate, which runs as an event's does: inside the reroute,
+    /// on the SM's V007 verdict.
     pub fn bring_up(engine: E, net: Network, sm_node: NodeId) -> Result<Self, ServerError> {
         Self::bring_up_recorded(engine, net, sm_node, telemetry::noop())
     }
@@ -92,11 +93,13 @@ impl<E: RoutingEngine> RouteServer<E> {
         sm_node: NodeId,
         recorder: RecorderHandle,
     ) -> Result<Self, ServerError> {
-        let sm = SmLoop::bring_up_recorded(engine, net, sm_node, recorder.clone())
+        let gate = vet::check_with_verdict;
+        let (sm, report) = SmLoop::bring_up_with(engine, net, sm_node, recorder.clone(), gate)
             .map_err(ServerError::Sm)?;
-        let mut store = SnapshotStore::open(
+        let mut store = SnapshotStore::open_vetted(
             sm.network().clone(),
             sm.programmed().routes.clone(),
+            report,
             Some(sm.reference()),
         )
         .map_err(ServerError::Publish)?;
@@ -417,6 +420,34 @@ mod tests {
         assert!(served.outcome.rerouted);
         assert_eq!(served.epoch, Some(1));
         assert_eq!(server.snapshot().net.num_cables(), net.num_cables() - 1);
+    }
+
+    #[test]
+    fn bring_up_is_vetted_on_what_it_installed() {
+        // A one-way ring: V007 refutes one layer, DFSSSP takes two.
+        let mut b = fabric::NetworkBuilder::new();
+        let s: Vec<_> = (0..4).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        for i in 0..4 {
+            b.add_channel(s[i], s[(i + 1) % 4]).unwrap();
+            let t = b.add_terminal(format!("t{i}"));
+            b.link(t, s[i]).unwrap();
+        }
+        let nets = [
+            (topo::torus(&[4, 4], 1), "certified"),
+            (fat_tree(), "certified"),
+        ];
+        for (net, proof) in nets.into_iter().chain([(b.build(), "refuted")]) {
+            let server = RouteServer::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]);
+            let snap = server.unwrap().snapshot();
+            let vetted = vet::check(&snap.net, &snap.routes);
+            assert_eq!(
+                snap.vet.to_json(),
+                vetted.to_json(),
+                "{proof} {}",
+                net.label()
+            );
+            assert!(snap.existence_proof().unwrap().starts_with(proof));
+        }
     }
 
     /// Cable down/up events through a server on `engine`; every epoch's

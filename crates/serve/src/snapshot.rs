@@ -186,6 +186,19 @@ impl SnapshotStore {
         reference: Option<&Network>,
     ) -> Result<Arc<Self>, PublishError> {
         let report = vet::check(&net, &routes);
+        Self::open_vetted(net, routes, report, reference)
+    }
+
+    /// [`SnapshotStore::open`] on an artifact the caller already ran the
+    /// gate on: `report` must be `vet::check(&net, &routes)`, as for
+    /// [`SnapshotStore::publish_vetted`] (the route server's bring-up runs
+    /// it beside the SM's first plan, on the SM's V007 verdict).
+    pub fn open_vetted(
+        net: Network,
+        routes: Routes,
+        report: vet::Report,
+        reference: Option<&Network>,
+    ) -> Result<Arc<Self>, PublishError> {
         let snap = Self::admit(0, net, routes, "bring-up", "direct", reference, report)?;
         Ok(Arc::new(SnapshotStore {
             cell: Swap::new(Arc::new(snap)),

@@ -43,13 +43,13 @@
 use crate::armor::{contain, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::lft::LftDiff;
 use crate::manager::{ProgrammedFabric, SmError, SubnetManager};
-use crate::transition::{self, UpdatePlan, Walked};
+use crate::transition::{self, Artifact, UpdatePlan, Walked};
 use baselines::UpDown;
 use dfsssp_core::{pool, RouteError, RoutingEngine};
 use fabric::{degrade, ChannelId, Network, NodeId, Routes};
 use std::time::{Duration, Instant};
 use telemetry::fx::FxHashSet;
-use telemetry::{counters, hists, phases, RecorderHandle};
+use telemetry::{counters, hists, phases, timed, Recorder, RecorderHandle};
 
 /// A fabric event the SM reacts to. Channel and node ids refer to the
 /// *reference* network the loop was brought up with, not the (renumbered)
@@ -157,16 +157,25 @@ impl EventOutcome {
     }
 }
 
-/// A reroute with no gate: its planner runs inline.
-const NO_GATE: Option<fn(&Network, &Routes, &vet::Existence)> = None;
-
-/// A running subnet manager with its current view of the fabric.
-pub struct SmLoop<E> {
+/// What rungs 2 and 3 of the ladder read and change: the SM, whose
+/// engine a widening reconfigures, the fallback, the panic breaker and
+/// the retry policy. A field of its own, so that a reroute climbs it
+/// while the previous epoch is read beside it.
+struct Ladder<E> {
     sm: SubnetManager<E>,
     /// Deadlock-free engine of last resort (`None` disables the rung).
     /// `Send` so the whole loop can serve from a background writer
     /// thread (the route server's deployment shape).
     fallback: Option<Box<dyn RoutingEngine + Send>>,
+    /// Panic breaker over the primary engine.
+    breaker: CircuitBreaker,
+    /// Retry policy for contained primary-engine panics.
+    retry: RetryPolicy,
+}
+
+/// A running subnet manager with its current view of the fabric.
+pub struct SmLoop<E> {
+    ladder: Ladder<E>,
     /// The pristine fabric all event ids refer to.
     reference: Network,
     /// Canonical ids (lower id of each direction pair) of failed cables.
@@ -185,10 +194,6 @@ pub struct SmLoop<E> {
     quarantined: Vec<NodeId>,
     /// Outcome of the most recent bring-up or event.
     last: EventOutcome,
-    /// Panic breaker over the primary engine.
-    breaker: CircuitBreaker,
-    /// Retry policy for contained primary-engine panics.
-    retry: RetryPolicy,
     /// Telemetry sink: reroute latency (`reroute` phase, `reroute_us`
     /// histogram) and the `reroutes`/`events_coalesced`/`rung_*`
     /// counters.
@@ -211,10 +216,27 @@ impl<E: RoutingEngine> SmLoop<E> {
         sm_node: NodeId,
         recorder: RecorderHandle,
     ) -> Result<Self, SmError> {
-        let sm = SubnetManager::new(engine);
+        Self::bring_up_with(engine, net, sm_node, recorder, |_, _, _| ()).map(|(looped, ())| looped)
+    }
+
+    /// [`SmLoop::bring_up_recorded`] with a `gate` over the boot's `(view,
+    /// routes)` and the view's V007 verdict, run as
+    /// [`Self::handle_batch_with`] runs one; its result comes back beside
+    /// the loop.
+    pub fn bring_up_with<R>(
+        engine: E,
+        net: Network,
+        sm_node: NodeId,
+        recorder: RecorderHandle,
+        gate: impl FnOnce(&Network, &Routes, &vet::Existence) -> R,
+    ) -> Result<(Self, R), SmError> {
         let mut looped = SmLoop {
-            sm,
-            fallback: Some(Box::new(UpDown::new())),
+            ladder: Ladder {
+                sm: SubnetManager::new(engine),
+                fallback: Some(Box::new(UpDown::new())),
+                breaker: CircuitBreaker::default(),
+                retry: RetryPolicy::default(),
+            },
             reference: net.clone(),
             down_cables: FxHashSet::default(),
             down_switches: FxHashSet::default(),
@@ -230,17 +252,16 @@ impl<E: RoutingEngine> SmLoop<E> {
             },
             quarantined: Vec::new(),
             last: EventOutcome::default(),
-            breaker: CircuitBreaker::default(),
-            retry: RetryPolicy::default(),
             recorder,
         };
-        looped.last = looped.reroute(0, Some(sm_node), NO_GATE)?.0;
-        Ok(looped)
+        let (outcome, gated) = looped.reroute(0, Some(sm_node), gate)?;
+        looped.last = outcome;
+        Ok((looped, gated))
     }
 
     /// Replace the fallback engine (`None` disables the fallback rung).
     pub fn set_fallback(&mut self, fallback: Option<Box<dyn RoutingEngine + Send>>) {
-        self.fallback = fallback;
+        self.ladder.fallback = fallback;
     }
 
     /// Attach a transition-plan provider, consulted before the full
@@ -255,22 +276,22 @@ impl<E: RoutingEngine> SmLoop<E> {
 
     /// Replace the panic circuit breaker (state resets with it).
     pub fn set_breaker(&mut self, breaker: CircuitBreaker) {
-        self.breaker = breaker;
+        self.ladder.breaker = breaker;
     }
 
     /// The panic circuit breaker guarding the primary engine.
     pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
+        &self.ladder.breaker
     }
 
     /// Replace the retry policy for contained engine panics.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
+        self.ladder.retry = retry;
     }
 
     /// The retry policy for contained engine panics.
     pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
+        &self.ladder.retry
     }
 
     /// Attach a telemetry sink. The loop reports per-reroute latency and
@@ -331,7 +352,7 @@ impl<E: RoutingEngine> SmLoop<E> {
     /// every ladder rung exhausted) the loop's state — down-sets
     /// included — is rolled back, so a follow-up event can be handled.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<EventOutcome, SmError> {
-        self.handle_gated(events, NO_GATE)
+        self.handle_batch_with(events, |_, _, _| ())
             .map(|(outcome, _)| outcome)
     }
 
@@ -346,14 +367,6 @@ impl<E: RoutingEngine> SmLoop<E> {
         &mut self,
         events: &[FabricEvent],
         gate: impl FnOnce(&Network, &Routes, &vet::Existence) -> R,
-    ) -> Result<(EventOutcome, Option<R>), SmError> {
-        self.handle_gated(events, Some(gate))
-    }
-
-    fn handle_gated<R>(
-        &mut self,
-        events: &[FabricEvent],
-        gate: Option<impl FnOnce(&Network, &Routes, &vet::Existence) -> R>,
     ) -> Result<(EventOutcome, Option<R>), SmError> {
         let cables_before = self.down_cables.clone();
         let switches_before = self.down_switches.clone();
@@ -372,7 +385,8 @@ impl<E: RoutingEngine> SmLoop<E> {
                 };
                 return Ok((outcome, None));
             }
-            self.reroute(events.len(), None, gate)
+            let (outcome, gated) = self.reroute(events.len(), None, gate)?;
+            Ok((outcome, Some(gated)))
         });
         if handled.is_err() {
             self.down_cables = cables_before;
@@ -443,8 +457,8 @@ impl<E: RoutingEngine> SmLoop<E> {
         &mut self,
         coalesced: usize,
         preferred_sm: Option<NodeId>,
-        gate: Option<impl FnOnce(&Network, &Routes, &vet::Existence) -> R>,
-    ) -> Result<(EventOutcome, Option<R>), SmError> {
+        gate: impl FnOnce(&Network, &Routes, &vet::Existence) -> R,
+    ) -> Result<(EventOutcome, R), SmError> {
         let start = Instant::now();
         let mut rungs = Vec::new();
 
@@ -494,11 +508,26 @@ impl<E: RoutingEngine> SmLoop<E> {
         // certificate (cited in the outcome), a proof that one layer
         // cannot possibly suffice (recorded as its own rung, ahead of
         // the ladder's), or undecided (the engine settles it
-        // empirically).
+        // empirically). The old end of the transition — the serving
+        // tables remapped onto the view, and their walk — reads only the
+        // previous epoch and the view, so it is made there too. On first
+        // boot there is no old end: no prior programming, no in-flight
+        // traffic, no diff.
         let rec = self.recorder.clone();
-        let (ladder, verdict) = pool::join(
-            || self.ladder(&view, sm_node),
-            || telemetry::timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view)),
+        let first_boot = self.current.discovery.nodes.is_empty();
+        let (ladder, (verdict, old)) = join(
+            || self.ladder.climb(&view, sm_node, &*rec),
+            || {
+                let verdict = timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view));
+                let old = (!first_boot).then(|| {
+                    timed(&*rec, phases::SM_PLAN_OLD, || {
+                        let old = transition::remap_routes(&self.net, &self.current.routes, &view);
+                        let walk = transition::walk_artifact(&view, &old, Artifact::Old);
+                        (old, walk)
+                    })
+                });
+                (verdict, old)
+            },
         );
         let (fabric, new_walk, ladder_rungs, retries) = ladder?;
         let existence = match &verdict {
@@ -528,36 +557,27 @@ impl<E: RoutingEngine> SmLoop<E> {
 
         rungs.extend(ladder_rungs);
 
-        // Transition safety: remap the serving tables onto the new view
-        // and plan an update window that cannot deadlock. On first boot
-        // there is no prior programming: no in-flight traffic, no diff.
+        // Transition safety: plan an update window that cannot deadlock.
         // The planner reads the old epoch and the gate only the new one,
-        // so with a gate the planner runs beside it.
-        let first_boot = self.current.discovery.nodes.is_empty();
-        let hw_vls = self.sm.hardware_vls;
+        // so the planner runs beside it (`handle_batch`'s gate is empty).
+        let hw_vls = self.ladder.sm.hardware_vls;
         let planner = || {
-            telemetry::timed(&*rec, phases::SM_PLAN, || {
-                if first_boot {
+            timed(&*rec, phases::SM_PLAN, || {
+                let Some((old, old_walk)) = &old else {
                     let plan = transition::plan_update(&view, None, &fabric.routes, hw_vls);
                     return (plan, LftDiff::default());
-                }
-                let old = transition::remap_routes(&self.net, &self.current.routes, &view);
+                };
                 // A plan provider holding a valid certificate for exactly
                 // this (old, new) pair answers in O(change); otherwise the
-                // full planner re-derives safety from one walk of `old` and
+                // full planner re-derives safety from the walk of `old` and
                 // the guard's walk of the new routing.
                 let plan = self
                     .plan_provider
                     .as_deref()
-                    .and_then(|p| p.diff_plan(&view, &old, &fabric.routes, hw_vls))
+                    .and_then(|p| p.diff_plan(&view, old, &fabric.routes, hw_vls))
                     .unwrap_or_else(|| {
-                        transition::plan_update_walked(
-                            &view,
-                            Some(&old),
-                            &fabric.routes,
-                            new_walk.as_ref(),
-                            hw_vls,
-                        )
+                        let walks = (Some(old_walk), new_walk.as_ref());
+                        transition::plan_walked(&view, Some(old), &fabric.routes, walks, hw_vls)
                     });
                 (
                     plan,
@@ -565,10 +585,7 @@ impl<E: RoutingEngine> SmLoop<E> {
                 )
             })
         };
-        let (gated, (plan, diff)) = match gate {
-            Some(gate) => pool::join(|| Some(gate(&view, &fabric.routes, &verdict)), planner),
-            None => (None, planner()),
-        };
+        let (gated, (plan, diff)) = join(|| gate(&view, &fabric.routes, &verdict), planner);
         let outcome = EventOutcome {
             rungs,
             diff,
@@ -588,16 +605,45 @@ impl<E: RoutingEngine> SmLoop<E> {
         Ok((outcome, gated))
     }
 
+    /// Report one reroute to the attached recorder.
+    fn record(&self, outcome: &EventOutcome) {
+        let rec = &*self.recorder;
+        if !rec.enabled() {
+            return;
+        }
+        let nanos = outcome.elapsed.as_nanos() as u64;
+        rec.phase(phases::REROUTE, nanos);
+        rec.observe(hists::REROUTE_US, nanos / 1_000);
+        rec.add(counters::REROUTES, 1);
+        rec.add(counters::EVENTS_COALESCED, outcome.coalesced as u64);
+        for rung in &outcome.rungs {
+            let counter = match rung {
+                Rung::Baseline => continue,
+                Rung::Quarantine { .. } => counters::RUNG_QUARANTINE,
+                Rung::WidenedVls { .. } => counters::RUNG_WIDENED_VLS,
+                Rung::Fallback { .. } => counters::RUNG_FALLBACK,
+                Rung::MultiLayerForced { .. } => counters::RUNG_MULTI_LAYER_FORCED,
+                // Appended downstream by the route server (the SM never
+                // sees it), which records it itself; counted here too in
+                // case an outcome is replayed through record().
+                Rung::OverloadShed { .. } => counters::RUNG_OVERLOAD_SHED,
+            };
+            rec.add(counter, 1);
+        }
+    }
+}
+
+impl<E: RoutingEngine> Ladder<E> {
     /// Rungs 2 and 3 of the ladder on `view`: widen the VL budget, then
     /// fall back. Returns the deployed fabric, the guard's walk of its
     /// routing (none with the guard off; the planner reads it), the
     /// rungs that fired and the retries spent.
-    fn ladder(
+    fn climb(
         &mut self,
         view: &Network,
         sm_node: NodeId,
+        rec: &dyn Recorder,
     ) -> Result<(ProgrammedFabric, Option<Walked>, Vec<Rung>, usize), SmError> {
-        let rec = self.recorder.clone();
         let mut rungs = Vec::new();
         // The primary engine runs contained (panics become typed errors,
         // retried with bounded backoff) and behind the circuit breaker:
@@ -619,9 +665,9 @@ impl<E: RoutingEngine> SmLoop<E> {
         loop {
             let result = if on_fallback {
                 let fb = self.fallback.as_deref().expect("fallback engaged");
-                contain(|| self.sm.run_walked(fb, view, sm_node, &*rec))
+                contain(|| self.sm.run_walked(fb, view, sm_node, rec))
             } else {
-                contain(|| self.sm.run_walked(&self.sm.engine, view, sm_node, &*rec))
+                contain(|| self.sm.run_walked(&self.sm.engine, view, sm_node, rec))
             };
             match result {
                 Ok((fabric, walk)) => {
@@ -670,39 +716,20 @@ impl<E: RoutingEngine> SmLoop<E> {
         }
     }
 
-    /// Report one reroute to the attached recorder.
-    fn record(&self, outcome: &EventOutcome) {
-        let rec = &*self.recorder;
-        if !rec.enabled() {
-            return;
-        }
-        let nanos = outcome.elapsed.as_nanos() as u64;
-        rec.phase(phases::REROUTE, nanos);
-        rec.observe(hists::REROUTE_US, nanos / 1_000);
-        rec.add(counters::REROUTES, 1);
-        rec.add(counters::EVENTS_COALESCED, outcome.coalesced as u64);
-        for rung in &outcome.rungs {
-            let counter = match rung {
-                Rung::Baseline => continue,
-                Rung::Quarantine { .. } => counters::RUNG_QUARANTINE,
-                Rung::WidenedVls { .. } => counters::RUNG_WIDENED_VLS,
-                Rung::Fallback { .. } => counters::RUNG_FALLBACK,
-                Rung::MultiLayerForced { .. } => counters::RUNG_MULTI_LAYER_FORCED,
-                // Appended downstream by the route server (the SM never
-                // sees it), which records it itself; counted here too in
-                // case an outcome is replayed through record().
-                Rung::OverloadShed { .. } => counters::RUNG_OVERLOAD_SHED,
-            };
-            rec.add(counter, 1);
-        }
-    }
-
     fn widenable(&self) -> bool {
         // `config()` is total, so gate on `tunables()`: an engine that
         // ignores `set_config` must not consume a ladder rung on a
         // widen that cannot take effect.
         self.sm.engine.tunables() && self.sm.engine.config().max_layers < self.sm.hardware_vls
     }
+}
+
+/// [`pool::join`]; under test, `b` counts walks on the helper when the
+/// caller counts them ([`transition::counts`]).
+fn join<RA, RB: Send>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB) {
+    #[cfg(test)]
+    let b = transition::counts::inherit(b);
+    pool::join(a, b)
 }
 
 /// Errors the fallback engine can plausibly fix: the engine could not
@@ -722,6 +749,7 @@ fn engine_failure(e: &SmError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::counts::{self, Counts};
     use dfsssp_core::{DfSssp, Sssp};
     use fabric::topo;
 
@@ -834,6 +862,69 @@ mod tests {
         let outcome = sm.handle(FabricEvent::CableDown(c)).unwrap();
         assert!(outcome.rerouted);
         assert_eq!(sm.network().num_cables(), net.num_cables() - 1);
+    }
+
+    /// `DfSssp` that, once armed, names a channel the fabric does not have
+    /// in terminal 0's own entry toward terminal 1: a row no LFT holds
+    /// (only switches have one), so with the guard off it deploys.
+    struct Garbling(DfSssp, std::sync::atomic::AtomicBool);
+
+    impl RoutingEngine for Garbling {
+        fn name(&self) -> &'static str {
+            "garbling"
+        }
+        fn route_in(
+            &self,
+            net: &Network,
+            cx: &dfsssp_core::ComputeCtx,
+        ) -> Result<fabric::Routes, RouteError> {
+            let mut routes = self.0.route_in(net, cx)?;
+            if self.1.load(std::sync::atomic::Ordering::SeqCst) {
+                routes.set_next(net.terminals()[0], 1, ChannelId(u32::MAX - 1));
+            }
+            Ok(routes)
+        }
+        fn deadlock_free(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_remap_panic_beside_the_ladder_rolls_the_down_sets_back() {
+        let net = fat_tree();
+        let engine = Garbling(DfSssp::new(), Default::default());
+        let mut sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
+        sm.ladder.sm.require_deadlock_free = false;
+        sm.ladder
+            .sm
+            .engine
+            .1
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let c = net.switch_cables()[0];
+        sm.handle(FabricEvent::CableDown(c)).unwrap();
+        // The next event remaps those tables on the helper, beside the
+        // ladder: the panic resumes on the caller and is contained.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = sm.handle(FabricEvent::CableUp(c));
+        std::panic::set_hook(hook);
+        assert!(
+            matches!(&err, Err(SmError::EnginePanicked(msg)) if msg.contains("out of bounds")),
+            "{:?}",
+            err.map(|o| o.rungs)
+        );
+        assert_eq!(sm.network().num_cables(), net.num_cables() - 1);
+        let nt = net.num_terminals();
+        assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
+        // Without the bad entry the same event goes through.
+        sm.current.routes.clear_next(net.terminals()[0], 1);
+        sm.ladder
+            .sm
+            .engine
+            .1
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(sm.handle(FabricEvent::CableUp(c)).unwrap().rerouted);
+        assert_eq!(sm.network().num_cables(), net.num_cables());
     }
 
     #[test]
@@ -1074,9 +1165,10 @@ mod tests {
     #[test]
     fn a_coalesced_reroute_is_timed_once_and_says_where_the_time_went() {
         // Three events coalesce into one reroute: one `reroute_us`
-        // observation and each inner block timed once. Existence runs
-        // beside the ladder (guard, validation), so only what is
-        // sequential by construction must fit inside the reroute.
+        // observation and each inner block timed once. Existence and the
+        // old end of the plan run beside the ladder (guard, validation),
+        // so only what is sequential by construction must fit inside the
+        // reroute.
         let net = fat_tree();
         let sm_node = net.terminals()[0];
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), sm_node).unwrap();
@@ -1091,6 +1183,7 @@ mod tests {
         assert_eq!(snap.histograms[hists::REROUTE_US].count, 1);
         let inner = [
             phases::SM_EXISTENCE,
+            phases::SM_PLAN_OLD,
             phases::SM_GUARD,
             phases::SM_VALIDATE,
             phases::SM_PLAN,
@@ -1101,7 +1194,8 @@ mod tests {
         let ns = |names: &[&str]| -> u64 { names.iter().map(|&n| snap.phases[n].nanos).sum() };
         assert_eq!(snap.phases[phases::REROUTE].count, 1);
         let reroute = snap.phases[phases::REROUTE].nanos;
-        assert!(ns(&[phases::SM_EXISTENCE, phases::SM_PLAN]) <= reroute);
+        let helper = [phases::SM_EXISTENCE, phases::SM_PLAN_OLD, phases::SM_PLAN];
+        assert!(ns(&helper) <= reroute);
         assert!(ns(&[phases::SM_GUARD, phases::SM_VALIDATE, phases::SM_PLAN]) <= reroute);
         let outcome = sm.handle_batch(&[FabricEvent::CableUp(ups[0])]).unwrap();
         assert!(outcome.rerouted);
@@ -1163,49 +1257,46 @@ mod tests {
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
     }
 
-    /// What one handled `event` costs: `[new, old, hybrid]` full-table
-    /// walks, per-layer cycle searches of walked artifacts, and per-pair
-    /// LFT walks.
-    fn walks_of(
-        sm: &mut SmLoop<DfSssp>,
-        event: FabricEvent,
-    ) -> ([usize; 3], usize, usize, UpdatePlan) {
-        use crate::lft::PAIR_WALKS;
-        use crate::transition::{SEARCHES, WALKS};
-        let before = (WALKS.get(), SEARCHES.get(), PAIR_WALKS.get());
-        let plan = sm.handle(event).unwrap().plan;
-        let walks = WALKS.get();
-        (
-            [0, 1, 2].map(|i| walks[i] - before.0[i]),
-            SEARCHES.get() - before.1,
-            PAIR_WALKS.get() - before.2,
-            plan,
-        )
+    /// What one handled `event` costs, on both threads it runs on.
+    fn walks_of(sm: &mut SmLoop<DfSssp>, event: FabricEvent) -> (Counts, UpdatePlan) {
+        let (outcome, counts) = counts::counted(|| sm.handle(event).unwrap());
+        (counts, outcome.plan)
     }
 
     #[test]
     fn an_event_walks_each_artifact_once() {
-        // Staged + bulk drain: the torus changes every column, so the
-        // only hybrid vetted is the broken-columns stage. The guard and
-        // the bulk-drain stage both ask which layers of the new routing
-        // are cyclic: its walk is searched once for the two of them, the
-        // old walk (which only feeds the union) never, a hybrid once.
+        // Staged + bulk drain: the torus changes every column. The old
+        // end is walked beside the ladder, the broken-columns stage is
+        // judged from that walk and a walk of the new routing scoped to
+        // the broken columns, and no hybrid is walked in full. The guard
+        // and the bulk-drain stage both ask which layers of the new
+        // routing are cyclic: its walk is searched once for the two of
+        // them, the old walk (which only feeds the union) never, the
+        // composed stage once.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, searched, pair, plan) =
-            walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
+        let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert!(plan.describe().ends_with("+drain"), "{}", plan.describe());
-        assert_eq!((full[0], full[1], pair), (1, 1, 0), "new, old, per-pair");
-        assert!(full[2] <= 1, "{} hybrid walks", full[2]);
-        assert_eq!(searched, 1 + full[2], "searches");
+        let staged = Counts {
+            walks: [1, 1, 0],
+            scoped: 1,
+            searches: 2,
+            pair_walks: 0,
+        };
+        assert_eq!(counts, staged);
 
         // Direct: the union is acyclic, no hybrid exists.
         let net = topo::kary_ntree(16, 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (full, searched, pair, plan) =
-            walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
+        let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert_eq!(plan.describe(), "direct");
-        assert_eq!((full, searched, pair), ([1, 1, 0], 1, 0));
+        let direct = Counts {
+            walks: [1, 1, 0],
+            scoped: 0,
+            searches: 1,
+            pair_walks: 0,
+        };
+        assert_eq!(counts, direct);
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl FabricTables {
         dlid: Lid,
     ) -> Result<Vec<ChannelId>, WalkError> {
         #[cfg(test)]
-        PAIR_WALKS.with(|n| n.set(n.get() + 1));
+        crate::transition::counts::add(&crate::transition::counts::PAIR_WALKS);
         let dst = lids.node(dlid).ok_or(WalkError::BadLid(dlid))?;
         let mut at = src;
         let mut out = Vec::new();
@@ -311,13 +311,6 @@ impl FabricTables {
         }
         Some(pairs)
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Per-pair [`FabricTables::walk`] calls on this thread — the
-    /// deterministic pin that a handled event makes none.
-    pub(crate) static PAIR_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -19,16 +19,19 @@
 //! The planner reads two table walks ([`vet::TableWalk`]), one per end
 //! of the transition: the union hazards come from both walks' edge
 //! sets, the already-broken destinations from the old walk, and the
-//! bulk-drain stage's verdict from the new walk — which, inside
-//! [`crate::events::SmLoop`], is the walk the deploy guard already made
-//! of the same tables. Only the hybrid states in between are distinct
-//! artifacts, and each of those is walked once by [`vet_ok`]. Every full
-//! walk in this crate goes through [`walk_artifact`], and every per-layer
-//! cycle search through the [`Walked`] it returns, which runs it at most
-//! once however many callers ask — so a test can count both.
+//! bulk-drain stage's verdict from the new walk. Inside
+//! [`crate::events::SmLoop`] both are in hand before the planner starts:
+//! the deploy guard walked the new tables, and the old ones were walked
+//! beside the ladder. The broken-columns stage's post-state is judged
+//! from the old walk's unbroken part and a walk of `new` scoped to the
+//! broken columns ([`broken_stage_ok`]); only the greedy stages' hybrid
+//! states are walked whole, each once by [`vet_ok`]. Every full walk in
+//! this crate goes through [`walk_artifact`], and every per-layer cycle
+//! search through the [`Walked`] it returns, which runs it at most once
+//! however many callers ask — so a test can count both.
 
 use fabric::{ChannelId, Network, NodeId, Routes};
-use telemetry::fx::{FxHashMap, FxHashSet};
+use telemetry::fx::FxHashMap;
 use vet::TableWalk;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
@@ -233,42 +236,108 @@ impl Walked {
     pub(crate) fn cyclic_layers(&self) -> &[u8] {
         self.cyclic.get_or_init(|| {
             #[cfg(test)]
-            SEARCHES.set(SEARCHES.get() + 1);
+            counts::add(&counts::SEARCHES);
             let cyclic = self.table.cyclic_layers();
             cyclic.into_iter().map(|(layer, _)| layer).collect()
         })
     }
 }
 
-/// The one full-table walk of this crate: the deploy guard, the planner
-/// and every hybrid vetting call it, so the walks of an event can be
-/// counted. Minimality is nobody's question here, which also keeps the
-/// per-destination hop distances unread on clean tables.
+/// The one full-table walk of this crate: the deploy guard, the old end
+/// of an event and every hybrid vetting call it, so the walks of an
+/// event can be counted.
 #[cfg_attr(not(test), allow(unused_variables))]
 pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> Walked {
     #[cfg(test)]
-    WALKS.with(|w| {
-        let mut counts = w.get();
-        counts[which as usize] += 1;
-        w.set(counts);
-    });
-    let cfg = vet::Config {
-        check_minimal: false,
-        ..vet::Config::default()
-    };
+    counts::add(&counts::WALKS[which as usize]);
     Walked {
-        table: vet::walk_tables(net, routes, &cfg),
+        table: vet::walk_tables(net, routes, &quiet()),
         cyclic: std::sync::OnceLock::new(),
     }
 }
 
+/// How this crate walks: minimality is nobody's question here, which
+/// also keeps the hop distances unread on clean tables.
+fn quiet() -> vet::Config {
+    vet::Config {
+        check_minimal: false,
+        ..vet::Config::default()
+    }
+}
+
+/// What this crate's tests count: full-table walks by [`Artifact`],
+/// walks scoped to some destinations, per-layer cycle searches of what
+/// was walked, and per-pair LFT walks. Process-wide, because an event
+/// walks on two threads ([`dfsssp_core::pool::join`]); only the thread
+/// inside [`counts::counted`], and the helpers it lends work to through
+/// [`counts::inherit`], add to them, and one `counted` runs at a time.
 #[cfg(test)]
-thread_local! {
-    /// Full-table walks on this thread, indexed by [`Artifact`] — the
-    /// deterministic cost pin of a handled event.
-    pub(crate) static WALKS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
-    /// Per-layer cycle searches of walked artifacts on this thread.
-    pub(crate) static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+pub(crate) mod counts {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Mutex;
+
+    pub(crate) static WALKS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+    pub(crate) static SCOPED: AtomicUsize = AtomicUsize::new(0);
+    pub(crate) static SEARCHES: AtomicUsize = AtomicUsize::new(0);
+    pub(crate) static PAIR_WALKS: AtomicUsize = AtomicUsize::new(0);
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    thread_local! {
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// What one [`counted`] run did.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) struct Counts {
+        /// Full-table walks, `[new, old, hybrid]`.
+        pub(crate) walks: [usize; 3],
+        pub(crate) scoped: usize,
+        pub(crate) searches: usize,
+        pub(crate) pair_walks: usize,
+    }
+
+    pub(crate) fn add(counter: &AtomicUsize) {
+        if COUNTING.get() {
+            counter.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// Run `f` and count what it does.
+    pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
+        let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        let all = [
+            &WALKS[0],
+            &WALKS[1],
+            &WALKS[2],
+            &SCOPED,
+            &SEARCHES,
+            &PAIR_WALKS,
+        ];
+        all.iter().for_each(|c| c.store(0, Relaxed));
+        COUNTING.set(true);
+        let out = f();
+        COUNTING.set(false);
+        let [new, old, hybrid, scoped, searches, pair_walks] = all.map(|c| c.load(Relaxed));
+        let walks = [new, old, hybrid];
+        let counts = Counts {
+            walks,
+            scoped,
+            searches,
+            pair_walks,
+        };
+        (out, counts)
+    }
+
+    /// `f`, counting on whichever thread runs it iff this one counts.
+    pub(crate) fn inherit<R>(f: impl FnOnce() -> R + Send) -> impl FnOnce() -> R + Send {
+        let counting = COUNTING.get();
+        move || {
+            let was = COUNTING.replace(counting);
+            let out = f();
+            COUNTING.set(was);
+            out
+        }
+    }
 }
 
 /// Whether a walked artifact is deployable: walkable, within the VL
@@ -286,17 +355,19 @@ fn deployable(walk: &Walked, hw_vls: usize) -> bool {
 /// [`remap_routes`]); pass `None` for an initial bring-up. `hw_vls` is
 /// the hardware VL budget the per-stage vetting enforces.
 pub fn plan_update(net: &Network, old: Option<&Routes>, new: &Routes, hw_vls: usize) -> UpdatePlan {
-    plan_update_walked(net, old, new, None, hw_vls)
+    plan_walked(net, old, new, (None, None), hw_vls)
 }
 
-/// [`plan_update`] for a caller that has already walked `new` on `net`
-/// (the deploy guard): `new_walk` is read instead of walking the same
-/// tables again. `None` walks them here, if the plan needs a walk at all.
-pub(crate) fn plan_update_walked(
+/// [`plan_update`] for a caller that has already walked `old` or `new`
+/// on `net` — the event path, whose helper walks `old` beside the ladder
+/// and whose deploy guard walks `new`: `walks` (old, new) are read
+/// instead of walking the same tables again. A walk not handed in is made
+/// here, if the plan needs it at all.
+pub(crate) fn plan_walked(
     net: &Network,
     old: Option<&Routes>,
     new: &Routes,
-    new_walk: Option<&Walked>,
+    walks: (Option<&Walked>, Option<&Walked>),
     hw_vls: usize,
 ) -> UpdatePlan {
     let nt = net.num_terminals();
@@ -314,18 +385,16 @@ pub(crate) fn plan_update_walked(
         return UpdatePlan::noop();
     }
 
-    let mut walked_here = None;
-    let new_walk = match new_walk {
+    let (mut old_here, mut new_here) = (None, None);
+    let old_walk = match walks.0 {
         Some(walk) => walk,
-        None => walked_here.insert(walk_artifact(net, new, Artifact::New)),
+        None => old_here.insert(walk_artifact(net, old, Artifact::Old)),
     };
-    // The old walk's edge sets are dead weight once the union is
-    // searched; only its per-destination verdicts live on.
-    let (hazards, old_broken) = {
-        let old_walk = walk_artifact(net, old, Artifact::Old);
-        let hazards = vet::union_cycles_of(&[&old_walk.table, &new_walk.table]);
-        (hazards, old_walk.table.broken)
+    let new_walk = match walks.1 {
+        Some(walk) => walk,
+        None => new_here.insert(walk_artifact(net, new, Artifact::New)),
     };
+    let hazards = vet::union_cycles_of(&[&old_walk.table, &new_walk.table]);
     let swap = |d| column_swap_entries(net, old, new, d);
     if hazards.is_empty() {
         return direct(stage(changed, swap, false, true));
@@ -336,43 +405,35 @@ pub(crate) fn plan_update_walked(
     // already broken — no working traffic toward them exists, so their
     // columns swap first (drained trivially).
     let mut stages = Vec::new();
-    let mut swapped: FxHashSet<usize> = FxHashSet::default();
     let mut hybrid = old.clone();
-    let broken: Vec<usize> = changed.iter().copied().filter(|&d| old_broken[d]).collect();
+    let (broken, mut remaining): (Vec<usize>, Vec<usize>) =
+        (changed.iter().copied()).partition(|&d| old_walk.table.broken[d]);
     let mut stalled = false;
     if !broken.is_empty() {
         for &d in &broken {
             apply_column(&mut hybrid, new, d);
         }
-        if vet_ok(net, &mut hybrid, hw_vls) {
-            swapped.extend(broken.iter().copied());
+        hybrid.recompute_num_layers();
+        if broken_stage_ok(net, new, &old_walk.table, hybrid.num_layers(), hw_vls) {
             stages.push(stage(broken, swap, true, true));
         } else {
             // Swapping only the broken columns still leaves a hazardous
             // mix; fold them into the bulk drain below instead.
-            hybrid = old.clone();
-            stalled = true;
+            (remaining, stalled) = (changed, true);
         }
     }
 
-    let mut remaining: Vec<usize> = changed
-        .iter()
-        .copied()
-        .filter(|d| !swapped.contains(d))
-        .collect();
-    if remaining.len() > MAX_GREEDY_DESTS {
-        stalled = true;
-    }
+    stalled |= remaining.len() > MAX_GREEDY_DESTS;
     while !stalled && !remaining.is_empty() {
         let mut batch = Vec::new();
         let mut deferred = Vec::new();
         for &d in &remaining {
-            let before = snapshot_column(&hybrid, d);
+            // Not swapped yet: the hybrid's column is still `old`'s.
             apply_column(&mut hybrid, new, d);
             if vet_ok(net, &mut hybrid, hw_vls) {
                 batch.push(d);
             } else {
-                rollback_column(&mut hybrid, &before, d);
+                apply_column(&mut hybrid, old, d);
                 deferred.push(d);
             }
         }
@@ -447,21 +508,42 @@ pub fn column_swap_entries(net: &Network, old: &Routes, new: &Routes, d: usize) 
         .count()
 }
 
-/// One destination column of a routing, as [`Routes::column`] reads it.
-type Column = (Vec<u32>, Vec<u8>);
-
-fn snapshot_column(r: &Routes, d: usize) -> Column {
-    let (next, layers) = r.column(d);
-    (next.to_vec(), layers.to_vec())
-}
-
 fn apply_column(r: &mut Routes, from: &Routes, d: usize) {
     let (next, layers) = from.column(d);
     r.set_column(d, next, layers);
 }
 
-fn rollback_column(r: &mut Routes, (next, layers): &Column, d: usize) {
-    r.set_column(d, next, layers);
+/// [`deployable`] of the broken-columns stage's post-state — `old` with
+/// the columns its walk found broken taken from `new` — without walking
+/// it. The walk starts over at every destination and reads only that
+/// destination's column (and the layer count, which bounds every layer
+/// of each of the three tables alike), so the post-state's walk is
+/// `old_walk` at its unbroken destinations plus a walk of `new` at the
+/// broken ones: the errors add up and the edge sets unite. A broken
+/// column that did not change is `new`'s as much as `old`'s. `layers` is
+/// the post-state's layer count.
+fn broken_stage_ok(
+    net: &Network,
+    new: &Routes,
+    old_walk: &TableWalk,
+    layers: u8,
+    hw_vls: usize,
+) -> bool {
+    if layers as usize > hw_vls || old_walk.unbroken_errors > 0 {
+        return false;
+    }
+    let broken: Vec<usize> = (0..net.num_terminals())
+        .filter(|&d| old_walk.broken[d])
+        .collect();
+    #[cfg(test)]
+    counts::add(&counts::SCOPED);
+    let walk = vet::walk_scoped(net, new, &broken, &quiet());
+    if walk.num_errors() > 0 {
+        return false;
+    }
+    #[cfg(test)]
+    counts::add(&counts::SEARCHES);
+    vet::union_cycles_in(&[&old_walk.unbroken_edges, &walk.edges]).is_empty()
 }
 
 /// Vet one intermediate (hybrid) state with a walk of its own. The
@@ -474,14 +556,42 @@ fn vet_ok(net: &Network, r: &mut Routes, hw_vls: usize) -> bool {
 
 #[cfg(test)]
 pub(crate) mod reference;
+/// What the reference planner, kept verbatim, still calls.
+#[cfg(test)]
+use tests::{plan_update_walked, rollback_column, snapshot_column, FxHashSet};
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{dest_broken, route, without, zoo};
+    use super::reference::{
+        assert_matches_reference, dest_broken, route, transitions, without, zoo,
+    };
     use super::*;
     use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
     use fabric::{degrade, topo, ChannelId};
-    use telemetry::fx::FxHashSet;
+    pub(super) use telemetry::fx::FxHashSet;
+
+    /// [`plan_update`] for a caller that has already walked `new` on `net`.
+    pub(super) fn plan_update_walked(
+        net: &Network,
+        old: Option<&Routes>,
+        new: &Routes,
+        new_walk: Option<&Walked>,
+        hw_vls: usize,
+    ) -> UpdatePlan {
+        plan_walked(net, old, new, (None, new_walk), hw_vls)
+    }
+
+    /// One destination column of a routing, as [`Routes::column`] reads it.
+    type Column = (Vec<u32>, Vec<u8>);
+
+    pub(super) fn snapshot_column(r: &Routes, d: usize) -> Column {
+        let (next, layers) = r.column(d);
+        (next.to_vec(), layers.to_vec())
+    }
+
+    pub(super) fn rollback_column(r: &mut Routes, (next, layers): &Column, d: usize) {
+        r.set_column(d, next, layers);
+    }
 
     #[test]
     fn remap_onto_the_same_network_is_identity() {
@@ -780,5 +890,140 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), net.num_terminals());
+    }
+
+    /// The broken-columns stage of `old -> new` judged as the planner judges
+    /// it, from the walk of `old` and a scoped walk of `new`, and by a walk of
+    /// its post-state; the two must agree. Returns the verdict, `None` when
+    /// no broken column changes (the planner forms no such stage then).
+    fn assert_composed_matches(
+        net: &Network,
+        old: &Routes,
+        new: &Routes,
+        hw_vls: usize,
+        what: &str,
+    ) -> Option<bool> {
+        let old_walk = walk_artifact(net, old, Artifact::Old);
+        let mut hybrid = old.clone();
+        let mut swapped = 0;
+        for d in 0..net.num_terminals() {
+            if old_walk.table.broken[d] && column_differs(net, old, new, d) {
+                apply_column(&mut hybrid, new, d);
+                swapped += 1;
+            }
+        }
+        hybrid.recompute_num_layers();
+        let composed = broken_stage_ok(net, new, &old_walk.table, hybrid.num_layers(), hw_vls);
+        let walked = walk_artifact(net, &hybrid, Artifact::Hybrid);
+        assert_eq!(composed, deployable(&walked, hw_vls), "{what}");
+        (swapped > 0).then_some(composed)
+    }
+
+    #[test]
+    fn composed_broken_stages_equal_a_walk_of_the_post_state() {
+        let (mut admitted, mut refused) = (0, 0);
+        for net in zoo() {
+            for (i, (view, old, new)) in transitions(&net).iter().enumerate() {
+                for hw_vls in [1, 2, 8] {
+                    let what = format!("{} transition {i} on {hw_vls} VL(s)", net.label());
+                    match assert_composed_matches(view, old, new, hw_vls, &what) {
+                        Some(true) => admitted += 1,
+                        Some(false) => refused += 1,
+                        None => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            admitted > 0 && refused > 0,
+            "{admitted} admitted, {refused} refused"
+        );
+    }
+
+    /// `s0 … s3` cabled in a ring with `t_i` on `s_i`, plus a spur switch `x`
+    /// on `s0` that no path crosses. Every switch forwards clockwise (`x` to
+    /// `s0`), and every path into `t_d` rides layer `dest_layer[d]`: the
+    /// layer-split ring of `hand_built_cyclic_union_equals_the_reference`
+    /// with one switch whose entries only the switch pass reads.
+    fn spurred(dest_layer: &[u8]) -> (Network, Routes) {
+        let mut b = fabric::NetworkBuilder::new();
+        let s: Vec<_> = (0..4).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        let t: Vec<_> = (0..4).map(|i| b.add_terminal(format!("t{i}"))).collect();
+        for i in 0..4 {
+            b.link(s[i], s[(i + 1) % 4]).unwrap();
+            b.link(t[i], s[i]).unwrap();
+        }
+        let x = b.add_switch("x", 4);
+        b.link(x, s[0]).unwrap();
+        let net = b.build();
+        let hop = |a, b| net.channel_between(a, b).unwrap();
+        let mut r = Routes::new(&net, "spurred");
+        for d in 0..4 {
+            r.set_next(x, d, hop(x, s[0]));
+            for i in 0..4 {
+                r.set_next(
+                    s[i],
+                    d,
+                    if i == d {
+                        hop(s[i], t[d])
+                    } else {
+                        hop(s[i], s[(i + 1) % 4])
+                    },
+                );
+                if i != d {
+                    r.set_next(t[i], d, hop(t[i], s[i]));
+                    r.set_layer(i, d, dest_layer[d]);
+                }
+            }
+        }
+        (net, r)
+    }
+
+    #[test]
+    fn hand_built_broken_stages_equal_the_reference() {
+        // The layer split of the two ends closes the ring on layer 0 in the
+        // window, and `old` has lost `s1`'s entry toward `t0`. Swapping that
+        // broken column first is safe, and the rest follows in one batch.
+        let (net, new) = spurred(&[2, 2, 0, 0]);
+        let (_, mut old) = spurred(&[0, 0, 1, 1]);
+        let node = |name| net.node_by_name(name).unwrap();
+        old.clear_next(node("s1"), 0);
+        let what = "broken column swapped first";
+        assert_eq!(
+            assert_composed_matches(&net, &old, &new, 8, what),
+            Some(true)
+        );
+        let plan = assert_matches_reference(&net, &old, &new, 8, what);
+        assert_eq!(plan.stages.len(), 2, "{plan:?}");
+        assert_eq!(
+            (&plan.stages[0].dests[..], plan.all_vetted()),
+            (&[0][..], true)
+        );
+
+        // A column that walks clean from every terminal but names a channel
+        // `x` cannot use (V003, from the switch pass) stays in the post-state.
+        let mut v003 = old.clone();
+        v003.set_next(
+            node("x"),
+            1,
+            net.channel_between(node("s1"), node("s2")).unwrap(),
+        );
+        // A path of a clean column on a layer the hardware does not have
+        // (V005): three VLs, four layers once the broken column is swapped.
+        let mut v005 = old.clone();
+        v005.set_layer(3, 2, 3);
+        let on_8 = assert_composed_matches(&net, &v005, &new, 8, "layer 3 on 8 VLs");
+        assert_eq!(on_8, Some(true));
+        for (old, hw_vls, what) in [
+            (&v003, 8, "V003 in a clean column"),
+            (&v005, 3, "layer 3 on 3 VLs"),
+        ] {
+            assert_eq!(
+                assert_composed_matches(&net, old, &new, hw_vls, what),
+                Some(false)
+            );
+            let plan = assert_matches_reference(&net, old, &new, hw_vls, what);
+            assert_eq!(plan.stages.len(), 1, "{what}: {plan:?}");
+        }
     }
 }

@@ -264,7 +264,7 @@ pub(crate) fn transitions(net: &Network) -> Vec<(Network, Routes, Routes)> {
 
 /// Both entry points against the reference on one transition; returns
 /// the plan.
-fn assert_matches_reference(
+pub(crate) fn assert_matches_reference(
     net: &Network,
     old: &Routes,
     new: &Routes,

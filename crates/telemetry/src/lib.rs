@@ -65,8 +65,12 @@ pub mod phases {
     pub const SM_GUARD: &str = "sm_guard";
     /// Inside a reroute: port-by-port validation of the compiled LFTs.
     pub const SM_VALIDATE: &str = "sm_validate";
-    /// Inside a reroute: remapping the serving tables onto the new view
-    /// and planning the update window.
+    /// Inside a reroute, beside the ladder: remapping the serving tables
+    /// onto the new view and walking them (the old end of the update
+    /// window).
+    pub const SM_PLAN_OLD: &str = "sm_plan_old";
+    /// Inside a reroute, beside the publish gate: planning the update
+    /// window and diffing the LFTs.
     pub const SM_PLAN: &str = "sm_plan";
     /// One effective-bisection-bandwidth simulation.
     pub const EBB: &str = "ebb";

@@ -39,12 +39,13 @@
 //! required: they are latent fabric facts in V002's jurisdiction, and a
 //! fabric split in two still deserves an existence verdict per half.
 //!
-//! Cost: one reverse BFS per destination plus forced walks that almost
-//! never search (see [`ForcedWalks`]) — `O(T · E)` on fabrics with path
-//! diversity, which a publish gate that runs on every epoch needs.
+//! Cost: one reverse BFS per switch, a hop-distance row per destination
+//! read off them ([`HopTable`]), and forced walks that almost never
+//! search (see [`ForcedWalks`]) — `O(S · E + T · V)` on fabrics with
+//! path diversity, which a publish gate that runs on every epoch needs.
 
 use crate::cdg_lint::EdgeSet;
-use fabric::{ChannelId, DepSlots, Network, NodeId};
+use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId};
 
 /// The V007 verdict for a fabric. See the module docs for semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,13 +87,14 @@ const FORCED_WALK_BUDGET: u64 = 50_000_000;
 /// Decide whether `net` admits a deadlock-free routing on a single
 /// virtual layer.
 ///
-/// One reverse BFS per destination (`O(T · E)` in all) gives every
-/// node's hop distance to it; unreachable sources of a cabled pair are
-/// the one-way refutation. The forced-path walks (budget-capped by
-/// [`FORCED_WALK_BUDGET`]) reuse those distances: see [`ForcedWalks`]
-/// for why most steps need no further search, which leaves the whole
-/// procedure `O(T · E)` unless the fabric really has long unique paths —
-/// each step of those still costs one exact `O(E)` search.
+/// Every node's hop distance to each destination (`Network::hops_to`,
+/// read off a [`HopTable`]: `O(S · E)` for the table, `O(V)` a row);
+/// unreachable sources of a cabled pair are the one-way refutation. The
+/// forced-path walks (budget-capped by [`FORCED_WALK_BUDGET`]) reuse
+/// those distances: see [`ForcedWalks`] for why most steps need no
+/// further search, which leaves the whole procedure that cheap unless
+/// the fabric really has long unique paths — each step of those still
+/// costs one exact `O(E)` search.
 pub fn existence(net: &Network) -> Existence {
     let terms = net.terminals();
     if terms.len() < 2 {
@@ -113,9 +115,10 @@ pub fn existence(net: &Network) -> Existence {
     let mut forced = EdgeSet::over(DepSlots::of(net));
     let mut uncertified: Option<(NodeId, NodeId)> = None;
     let mut required_pairs = 0usize;
+    let hops = HopTable::of(net);
 
     for &d in terms {
-        let dist = net.hops_to(d);
+        let dist = hops.row(d);
         cabling.mark(net, d);
         for &s in terms {
             if s == d || !cabling.has(s, d) {

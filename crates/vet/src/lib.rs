@@ -131,11 +131,19 @@ pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Con
 /// plans an update window, say — walks once and reads them all (see
 /// [`union_cycles_of`], [`TableWalk::cyclic_layers`]).
 ///
-/// Minimal hop distances (one reverse BFS per destination) are computed
-/// only when a check reads them: with `check_minimal` off, a clean
-/// artifact never pays for them.
+/// Minimal hop distances (a row per destination, read off one
+/// [`fabric::HopTable`] per walk) are computed only when a check reads
+/// them: with `check_minimal` off, a clean artifact never pays for them.
 pub fn walk_tables(net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
     walk::walk(net, routes, cfg, None)
+}
+
+/// [`walk_tables`] toward the listed destination terminal indices only
+/// (out-of-range ones are ignored), each still from every source: what
+/// the full walk learns about exactly those destinations, in
+/// O(|dests| · V).
+pub fn walk_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> TableWalk {
+    walk::walk(net, routes, cfg, Some(dests))
 }
 
 /// Whether `routes` is sized for `net` (tables for a different network
@@ -357,10 +365,17 @@ pub fn union_cycles(net: &Network, artifacts: &[&Routes]) -> Vec<(u8, Vec<Channe
 /// [`walk_tables`], all on one network): the cycle search alone, no
 /// table is touched.
 pub fn union_cycles_of(walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
-    let layers = walks.iter().map(|w| w.edges.len()).max().unwrap_or(0);
+    union_cycles_in(&walks.iter().map(|w| &w.edges[..]).collect::<Vec<_>>())
+}
+
+/// [`union_cycles_of`] over per-layer edge sets of one network however
+/// they were gathered — a part of a walk, say
+/// ([`TableWalk::unbroken_edges`]).
+pub fn union_cycles_in(edges: &[&[EdgeSet]]) -> Vec<(u8, Vec<ChannelId>)> {
+    let layers = edges.iter().map(|e| e.len()).max().unwrap_or(0);
     (0..layers)
         .filter_map(|layer| {
-            let mut sets = walks.iter().filter_map(|w| w.edges.get(layer));
+            let mut sets = edges.iter().filter_map(|e| e.get(layer));
             let mut union = sets.next()?.clone();
             sets.for_each(|set| union.absorb(set));
             union.find_cycle().map(|c| (layer as u8, c))

@@ -14,7 +14,7 @@
 //! broken, the findings), so a caller that needs several answers walks
 //! once and reads them all.
 
-use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
+use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId, Routes};
 
 use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
 use crate::{Config, EdgeSet};
@@ -46,6 +46,15 @@ pub struct TableWalk {
     /// Per destination terminal index: whether some terminal's walk
     /// toward it failed (loop, missing entry, unusable next hop).
     pub broken: Vec<bool>,
+    /// The part of `edges` the destinations that are not `broken`
+    /// contributed, per layer. The walk starts over at every
+    /// destination, so this and `unbroken_errors` are what the walk of an
+    /// artifact keeps of this one when only the broken destinations'
+    /// columns differ.
+    pub unbroken_edges: Vec<EdgeSet>,
+    /// Error-severity findings toward destinations that are not `broken`
+    /// (V003 entries of the switch pass, V005 layers out of range).
+    pub unbroken_errors: usize,
     /// The walk's findings (V001–V003, V005 per-pair, V006).
     pub(crate) em: Emitter,
 }
@@ -69,29 +78,32 @@ impl TableWalk {
     }
 }
 
-/// `hops_to(dst)` on first use: one reverse BFS per destination is a
+/// The current destination's `hops_to` row on first use, derived from a
+/// [`HopTable`] the walk builds on its first use: hop distances are a
 /// large share of a walk, and a clean artifact walked without
-/// `check_minimal` never reads it.
+/// `check_minimal` never reads them.
 struct LazyHops<'a> {
     net: &'a Network,
+    table: Option<HopTable<'a>>,
     dst: NodeId,
-    hops: Option<Vec<u32>>,
+    row: Option<Vec<u32>>,
 }
 
 impl LazyHops<'_> {
     fn get(&mut self) -> &[u32] {
-        self.hops.get_or_insert_with(|| {
+        self.row.get_or_insert_with(|| {
             #[cfg(test)]
             HOP_SEARCHES.with(|n| n.set(n.get() + 1));
-            self.net.hops_to(self.dst)
+            let table = self.table.get_or_insert_with(|| HopTable::of(self.net));
+            table.row(self.dst)
         })
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Reverse BFS runs on this thread — the pin that a clean walk
-    /// without `check_minimal` makes none.
+    /// Destination rows of hop distances derived on this thread — the
+    /// pin that a clean walk without `check_minimal` reads none.
     pub(crate) static HOP_SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -132,6 +144,8 @@ pub(crate) fn walk(
         edges: Vec::new(),
         broken_pairs: Vec::new(),
         broken: Vec::new(),
+        unbroken_edges: Vec::new(),
+        unbroken_errors: 0,
         em: Emitter::new(cfg.max_diagnostics_per_code),
     };
     if !crate::shape_matches(net, routes) {
@@ -156,9 +170,17 @@ pub(crate) fn walk(
         return res;
     }
     res.paths_per_layer = vec![0; nl];
+    // Broken destinations' edges until the last one is walked, then all.
     res.edges = vec![EdgeSet::over(DepSlots::of(net)); nl];
+    res.unbroken_edges = res.edges.clone();
     res.broken = vec![false; net.num_terminals()];
     let em = &mut res.em;
+    let mut hops = LazyHops {
+        net,
+        table: None,
+        dst: NodeId(0),
+        row: None,
+    };
 
     // Reused across destinations.
     let mut state = vec![UNVISITED; n];
@@ -183,11 +205,8 @@ pub(crate) fn walk(
         srcs_by_layer.iter_mut().for_each(Vec::clear);
         state[dst.idx()] = OK;
         tdist[dst.idx()] = 0;
-        let mut hops = LazyHops {
-            net,
-            dst,
-            hops: None,
-        };
+        (hops.dst, hops.row) = (dst, None);
+        let errors_before = em.severity_counts[Severity::Error.index()];
 
         // Terminal sources first (broken walks here are reachable-pair
         // errors), then leftover switches (latent findings, warnings).
@@ -265,6 +284,12 @@ pub(crate) fn walk(
             }
         }
 
+        let edges = if res.broken[dst_t] {
+            &mut res.edges
+        } else {
+            res.unbroken_errors += em.severity_counts[Severity::Error.index()] - errors_before;
+            &mut res.unbroken_edges
+        };
         // Dependency edges: per (destination, layer), each node's entry is
         // followed at most once — chains shared by many sources are
         // traversed a single time.
@@ -281,7 +306,7 @@ pub(crate) fn walk(
                         .next_hop(at, dst_t)
                         .expect("entry exists on a routed path");
                     if let Some(p) = prev {
-                        res.edges[layer].insert(p.0, c.0);
+                        edges[layer].insert(p.0, c.0);
                     }
                     if mark[at.idx()] == generation {
                         break;
@@ -292,6 +317,9 @@ pub(crate) fn walk(
                 }
             }
         }
+    }
+    for (all, unbroken) in res.edges.iter_mut().zip(&res.unbroken_edges) {
+        all.absorb(unbroken);
     }
     res
 }

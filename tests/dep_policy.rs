@@ -283,9 +283,17 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// order transposed on the way in) and `vet::check_with_verdict` held it
 /// at 20 186: the planner's slice-based column helpers and one stage
 /// constructor in `subnet::transition` paid for them.
+///
+/// Taking the planner off the event's critical path raised it 20 186 →
+/// 20 259: `fabric::HopTable`, the walk's
+/// unbroken share and `vet::walk_scoped` behind the composed
+/// broken-columns stage, the ladder's fields as a struct of their own so
+/// the old end runs beside it, and bring-up through the gated path
+/// (`SmLoop::bring_up_with`, `SnapshotStore::open_vetted`), less the
+/// planner's snapshot/rollback helpers and the no-gate branch.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 20_186;
+    const CEILING: usize = 20_259;
     let root = repo_root();
     let mut total = 0;
     println!("| crate | code lines |\n|---|---|");

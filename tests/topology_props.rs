@@ -161,3 +161,62 @@ fn text_format_round_trips_random_networks() {
         assert_eq!(back2.num_cables(), net.num_cables());
     });
 }
+
+/// Every node's row of `HopTable::of(net)` is `net.hops_to` of it.
+fn assert_hop_rows(net: &Network, what: &str) {
+    let table = dfsssp::fabric::HopTable::of(net);
+    for (dst, _) in net.nodes() {
+        assert_eq!(table.row(dst), net.hops_to(dst), "{what}: row of {dst:?}");
+    }
+}
+
+/// `HopTable` derives each row from the switches' rows, which holds
+/// because terminals never relay: over the generator zoo as drawn, with a
+/// switch cable down and with a switch down (views that may strand
+/// nodes), and on one hand-built fabric with a multi-homed terminal, a
+/// terminal–terminal cable, a one-way switch channel, a switch only
+/// that channel reaches, and an unreachable island.
+#[test]
+fn hop_table_rows_are_hops_to() {
+    use dfsssp::fabric::degrade::remove;
+    use telemetry::fx::FxHashSet;
+    sweep(0..96, |c| {
+        let net = common::zoo_net(c);
+        assert_hop_rows(&net, "as drawn");
+        let cables = net.switch_cables();
+        if !cables.is_empty() {
+            let cable = cables[c.draw("cable", 0..cables.len())];
+            let dead = [Some(cable), net.channel(cable).rev];
+            let view = remove(
+                &net,
+                &FxHashSet::default(),
+                &dead.into_iter().flatten().collect(),
+            );
+            assert_hop_rows(&view, "one cable down");
+        }
+        let switch = net.switches()[c.draw("switch", 0..net.num_switches())];
+        let view = remove(&net, &[switch].into_iter().collect(), &FxHashSet::default());
+        assert_hop_rows(&view, "one switch down");
+    });
+
+    let mut b = dfsssp::fabric::NetworkBuilder::new();
+    let s: Vec<_> = (0..4).map(|i| b.add_switch(format!("s{i}"), 8)).collect();
+    let t: Vec<_> = (0..5).map(|i| b.add_terminal(format!("t{i}"))).collect();
+    for (u, v) in [
+        (s[0], s[1]),
+        (t[0], s[0]),
+        (t[0], s[1]),
+        (t[1], t[2]),
+        (t[2], s[0]),
+    ] {
+        b.link(u, v).unwrap();
+    }
+    b.add_channel(s[1], s[2]).unwrap();
+    b.link(t[3], s[2]).unwrap();
+    b.link(t[4], s[3]).unwrap();
+    let net = b.build();
+    let t3 = net.hops_to(t[3]);
+    assert_eq!((t3[t[0].idx()], t3[t[1].idx()]), (3, u32::MAX));
+    assert_eq!(net.hops_to(t[0])[t[3].idx()], u32::MAX);
+    assert_hop_rows(&net, "hand-built");
+}
