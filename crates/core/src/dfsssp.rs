@@ -155,12 +155,10 @@ impl DfSssp {
         let guard = self.budget.start();
         guard.admit(net)?;
         let max_layers = guard.clamp_layers(self.max_layers);
-        let sssp = Sssp::new();
         let routes = telemetry::timed(rec, phases::SSSP, || {
-            let (routes, weights) = sssp.route_with_weights_in(net, &guard, cx)?;
+            let (routes, load) = Sssp::new().route_with_loads_in(net, &guard, cx)?;
             if rec.enabled() {
-                let w0 = sssp.base_weight(net);
-                let grown = weights.iter().filter(|&&w| w > w0).count() as u64;
+                let grown = load.iter().filter(|&&l| l > 0).count() as u64;
                 rec.add(counters::EDGES_WEIGHTED, grown);
             }
             Ok(routes)
@@ -714,6 +712,32 @@ mod tests {
         let (_, stats) = engine.route_with_stats(&net).unwrap();
         assert!(stats.cycles_broken > 0 && stats.paths_moved > 0);
         assert_eq!(TREE_PASSES.get() - before, net.num_terminals());
+    }
+
+    #[test]
+    fn edges_weighted_counts_the_loaded_channels() {
+        // The counter reads the sweep's own loads: recording sizes no
+        // second base weight, and a snapshot-chunk route sizes none.
+        use crate::sssp::BASE_WEIGHTS;
+        for net in [topo::torus(&[4, 4], 1), topo::kary_ntree(4, 2)] {
+            for chunk in [1, net.num_terminals()] {
+                let rec = std::sync::Arc::new(telemetry::Collector::new());
+                let engine = DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone()));
+                let before = BASE_WEIGHTS.get();
+                let routes = engine.route_in(&net, &ComputeCtx { chunk }).unwrap();
+                let sized = BASE_WEIGHTS.get() - before;
+                assert_eq!(
+                    sized,
+                    usize::from(chunk == 1),
+                    "{} chunk {chunk}",
+                    net.label()
+                );
+                let loads = routes.channel_loads(&net).unwrap();
+                let loaded = loads.iter().filter(|&&l| l > 0).count() as u64;
+                let counted = rec.snapshot().counters[counters::EDGES_WEIGHTED];
+                assert_eq!(counted, loaded, "{} chunk {chunk}", net.label());
+            }
+        }
     }
 
     #[test]

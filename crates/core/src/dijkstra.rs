@@ -6,7 +6,9 @@
 //! we run Dijkstra from each *destination* over the reversed graph: the
 //! relaxation follows in-channels, and the recorded parent channel at node
 //! `v` is the forward channel a packet at `v` takes toward the
-//! destination.
+//! destination. Two kernels: [`spt_to`] for weighted sweeps, and
+//! [`bfs_to`], which builds the same tree without a heap when every
+//! channel weighs the same.
 
 use fabric::{ChannelId, Network, NodeId};
 use std::cmp::Reverse;
@@ -71,28 +73,41 @@ pub fn spt_to(net: &Network, root: NodeId, weights: &[u64]) -> Spt {
     }
 }
 
-/// Unweighted hop-count BFS toward `root` (all weights 1); same contract
-/// as [`spt_to`] but O(V + E). Used by MinHop-style engines and tests.
+/// Shortest-hop tree toward `root`: [`spt_to`] under any uniform weight
+/// `w >= 1`, bit for bit — the same `parent` and `pop_order`, `dist` in
+/// hops (`spt_to`'s divided by `w`) — in O(|N| + |C|) plus a sort per
+/// level. The heap settles each level in ascending node id and a node
+/// keeps the first in-channel that reached it, so the levels are
+/// expanded in that order; a FIFO queue would expand them in discovery
+/// order and hand ties to other parents. This is the sweep of the
+/// snapshot schedule (`chunk >= |T|`), and its tie rule is the one
+/// the served tables have.
 pub fn bfs_to(net: &Network, root: NodeId) -> Spt {
     let n = net.num_nodes();
-    let mut dist = vec![u64::MAX; n];
-    let mut parent: Vec<Option<ChannelId>> = vec![None; n];
+    let (mut dist, mut parent) = (vec![u64::MAX; n], vec![None; n]);
+    // The settle order doubles as the queue: `pop_order[i..end]` is what
+    // is left of the level being expanded, what it discovers lands
+    // behind it and is sorted once the level is done.
     let mut pop_order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
+    pop_order.push(root);
     dist[root.idx()] = 0;
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        pop_order.push(u);
-        if u != root && net.is_terminal(u) {
-            continue; // terminals never forward
-        }
-        for &c in net.in_channels(u) {
-            let v = net.channel(c).src;
-            if dist[v.idx()] == u64::MAX {
-                dist[v.idx()] = dist[u.idx()] + 1;
-                parent[v.idx()] = Some(c);
-                queue.push_back(v);
+    let (mut i, mut end) = (0, 1);
+    while let Some(&u) = pop_order.get(i) {
+        i += 1;
+        // Terminals never forward: only the root and switches expand.
+        if u == root || !net.is_terminal(u) {
+            for &c in net.in_channels(u) {
+                let v = net.channel(c).src;
+                if dist[v.idx()] == u64::MAX {
+                    dist[v.idx()] = dist[u.idx()] + 1;
+                    parent[v.idx()] = Some(c);
+                    pop_order.push(v);
+                }
             }
+        }
+        if i == end {
+            pop_order[end..].sort_unstable();
+            end = pop_order.len();
         }
     }
     Spt {
@@ -107,15 +122,66 @@ mod tests {
     use super::*;
     use fabric::topo;
 
-    #[test]
-    fn unit_weights_match_bfs() {
-        let net = topo::torus(&[4, 4], 1);
-        let weights = vec![1u64; net.num_channels()];
-        for &t in net.terminals() {
-            let spt = spt_to(&net, t, &weights);
-            let bfs = bfs_to(&net, t);
-            assert_eq!(spt.dist, bfs.dist);
+    /// `bfs_to` is `spt_to` at uniform weight `w`: parents, settle order,
+    /// and distances scaled by `w` (unreachable stays `u64::MAX`).
+    fn assert_bfs_is_the_heap(net: &Network, w: u64) {
+        let weights = vec![w; net.num_channels()];
+        for &root in net.terminals() {
+            let (heap, bfs) = (spt_to(net, root, &weights), bfs_to(net, root));
+            let scaled: Vec<u64> = bfs.dist.iter().map(|&d| d.saturating_mul(w)).collect();
+            assert_eq!(heap.parent, bfs.parent, "{} root {root:?}", net.label());
+            assert_eq!(
+                heap.pop_order,
+                bfs.pop_order,
+                "{} root {root:?}",
+                net.label()
+            );
+            assert_eq!(heap.dist, scaled, "{} root {root:?}", net.label());
         }
+    }
+
+    #[test]
+    fn level_bfs_is_the_heap_at_any_uniform_weight() {
+        // Where a FIFO queue hands ties to other parents.
+        for net in [
+            topo::torus(&[4, 4], 1),
+            topo::torus(&[8, 8], 2),
+            topo::ring(5, 1),
+            topo::kautz(2, 2, 12, false),
+            topo::dragonfly(3, 2, 2),
+        ] {
+            for w in [1, 7] {
+                assert_bfs_is_the_heap(&net, w);
+            }
+        }
+        let mut b = fabric::NetworkBuilder::new();
+        let s: Vec<NodeId> = (0..4).map(|i| b.add_switch(format!("s{i}"), 8)).collect();
+        let t: Vec<NodeId> = (0..5).map(|i| b.add_terminal(format!("t{i}"))).collect();
+        b.link(s[0], s[1]).unwrap();
+        b.link(s[0], s[1]).unwrap(); // parallel cables: the first in-channel wins
+        b.link(s[1], s[2]).unwrap();
+        b.add_channel(s[2], s[0]).unwrap(); // one way
+        b.link(t[0], s[0]).unwrap();
+        b.link(t[1], s[1]).unwrap();
+        b.link(t[1], s[2]).unwrap(); // multi-homed
+        b.link(t[2], s[2]).unwrap();
+        b.link(t[3], t[2]).unwrap(); // terminal to terminal
+        b.add_channel(s[3], s[1]).unwrap(); // only t4 reaches s3 ...
+        b.link(t[4], s[3]).unwrap(); // ... so toward t4 the rest is unreachable
+        let net = b.build();
+        assert_bfs_is_the_heap(&net, 1);
+        assert_bfs_is_the_heap(&net, 1 << 40);
+        let to_t0 = bfs_to(&net, t[0]);
+        let cables = net
+            .out_channels(s[1])
+            .iter()
+            .filter(|&&c| net.channel(c).dst == s[0]);
+        assert_eq!(to_t0.parent[s[1].idx()], cables.min().copied());
+        // t3 hangs off a terminal, which never forwards.
+        assert_eq!(to_t0.dist[t[3].idx()], u64::MAX);
+        let to_t4 = bfs_to(&net, t[4]);
+        assert_eq!(to_t4.dist[s[0].idx()], u64::MAX);
+        assert!(to_t4.parent[s[0].idx()].is_none());
     }
 
     #[test]

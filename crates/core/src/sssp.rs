@@ -25,12 +25,20 @@
 //! updates are applied in destination order. The output is a function of
 //! the network and the chunk width alone; `chunk = 1` is the paper's
 //! algorithm byte for byte, `chunk = |T|` the snapshot schedule
-//! `delta` patches under (DESIGN.md §15).
+//! `delta` patches under (DESIGN.md §15): there every tree is the
+//! shortest-hop tree of [`bfs_to`] and no base weight is sized.
 
 use crate::budget::BudgetGuard;
-use crate::dijkstra::spt_to;
-use crate::engine::{ComputeCtx, RouteError, RoutingEngine};
+use crate::dijkstra::{bfs_to, spt_to};
+use crate::engine::{ComputeCtx, ComputeOpts, RouteError, RoutingEngine};
 use fabric::{Network, Routes};
+
+#[cfg(test)]
+thread_local! {
+    /// Base weights sized on this thread, each an all-pairs diameter —
+    /// the pin that a snapshot-chunk route sizes none.
+    pub(crate) static BASE_WEIGHTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// The SSSP routing engine (not deadlock-free; see [`crate::DfSssp`]).
 #[derive(Clone, Debug)]
@@ -56,6 +64,8 @@ impl Sssp {
         if !self.minimal {
             return 1;
         }
+        #[cfg(test)]
+        BASE_WEIGHTS.with(|n| n.set(n.get() + 1));
         let n = net.num_nodes() as u64;
         let d = net.diameter().unwrap_or(net.num_nodes()) as u64;
         n * n * (d + 2)
@@ -64,15 +74,25 @@ impl Sssp {
     /// Run Algorithm 1, returning the tables and the final channel
     /// weights (the weights are exposed for tests and diagnostics).
     pub fn route_with_weights(&self, net: &Network) -> Result<(Routes, Vec<u64>), RouteError> {
-        self.route_with_weights_in(net, &BudgetGuard::unlimited(), &ComputeCtx::seq())
+        let (unlimited, w0) = (BudgetGuard::unlimited(), self.base_weight(net));
+        let (routes, load) = self.route_with_loads_in(net, &unlimited, &ComputeCtx::seq())?;
+        Ok((routes, load.iter().map(|l| w0 + l).collect()))
     }
 
-    /// [`Sssp::route_with_weights`] under a [`BudgetGuard`] and the chunk
-    /// schedule of `cx` (see the module docs). The deadline is checked
-    /// before every destination's shortest-path tree (the expensive unit
-    /// of Algorithm 1), so a run over a hostile or oversized network
-    /// stops within one tree of its deadline.
-    pub fn route_with_weights_in(
+    /// Algorithm 1 under a [`BudgetGuard`] and the chunk schedule of
+    /// `cx` (see the module docs), returning the tables and what the
+    /// trees added to each channel's weight (its *load*: the number of
+    /// terminal-to-terminal paths over it). The deadline is checked
+    /// before every destination's tree (the expensive unit of Algorithm
+    /// 1), so a run over a hostile or oversized network stops within one
+    /// tree of its deadline.
+    ///
+    /// A chunk reads the weights `W0 + load` as they stood when it
+    /// began. Under one chunk (`chunk >= |T|`) that is `W0` everywhere:
+    /// every tree is the shortest-hop tree [`bfs_to`] builds, whatever
+    /// `W0` is, so the base weight (an all-pairs diameter) is never
+    /// computed.
+    pub fn route_with_loads_in(
         &self,
         net: &Network,
         guard: &BudgetGuard,
@@ -82,27 +102,31 @@ impl Sssp {
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
-        let w0 = self.base_weight(net);
-        let mut weights = vec![w0; net.num_channels()];
-        // What the trees of the current chunk see: `weights` as they
-        // stood when the chunk began.
-        let mut chunk_start = Vec::new();
+        let chunk = cx.chunk.max(1);
+        let snapshot = chunk >= net.num_terminals();
+        let w0 = if snapshot { 0 } else { self.base_weight(net) };
+        let mut load = vec![0u64; net.num_channels()];
+        // What the trees of the current chunk see (weighted chunks only).
+        let mut weights = Vec::new();
         let mut routes = Routes::new(net, self.name());
         let mut subtree = vec![0u64; net.num_nodes()];
-        let chunk = cx.chunk.max(1);
         for (dst_t, &dst) in net.terminals().iter().enumerate() {
             guard.check_deadline()?;
-            if dst_t % chunk == 0 {
-                chunk_start.clone_from(&weights);
-            }
-            let spt = spt_to(net, dst, &chunk_start);
+            let spt = if snapshot {
+                bfs_to(net, dst)
+            } else {
+                if dst_t % chunk == 0 {
+                    weights = load.iter().map(|l| w0 + l).collect();
+                }
+                spt_to(net, dst, &weights)
+            };
             // Program tables along the tree.
             for (id, _) in net.nodes() {
                 if let Some(c) = spt.parent[id.idx()] {
                     routes.set_next(id, dst_t, c);
                 }
             }
-            // Weight update: each channel gains the number of
+            // Load update: each channel gains the number of
             // terminal-to-dst paths crossing it. Accumulate subtree
             // sizes in reverse settle order (children strictly after
             // parents in pop order, so reverse order sees children
@@ -116,11 +140,11 @@ impl Sssp {
                     let u = net.channel(c).dst;
                     let count = subtree[v.idx()];
                     subtree[u.idx()] += count;
-                    weights[c.idx()] += count;
+                    load[c.idx()] += count;
                 }
             }
         }
-        Ok((routes, weights))
+        Ok((routes, load))
     }
 }
 
@@ -130,7 +154,7 @@ impl RoutingEngine for Sssp {
     }
 
     fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        self.route_with_weights_in(net, &BudgetGuard::unlimited(), cx)
+        self.route_with_loads_in(net, &BudgetGuard::unlimited(), cx)
             .map(|(r, _)| r)
     }
 
@@ -139,23 +163,14 @@ impl RoutingEngine for Sssp {
     }
 }
 
-/// Per-destination loads under plain (unbalanced, unit-weight) shortest
-/// paths, used as a comparison point in tests and ablations: runs the same
-/// table construction with constant weights and no updates.
+/// Plain shortest paths, used as a comparison point in tests and
+/// ablations: [`Sssp`] under one chunk (every tree against the uniform
+/// start weights, no balancing), labelled `ShortestPath`. These are the
+/// tables the serving schedule routes.
 pub fn unbalanced_shortest_paths(net: &Network) -> Result<Routes, RouteError> {
-    if !net.is_strongly_connected() {
-        return Err(RouteError::Disconnected);
-    }
-    let weights = vec![1u64; net.num_channels()];
-    let mut routes = Routes::new(net, "ShortestPath");
-    for (dst_t, &dst) in net.terminals().iter().enumerate() {
-        let parents = spt_to(net, dst, &weights).parent;
-        for (id, _) in net.nodes() {
-            if let Some(c) = parents[id.idx()] {
-                routes.set_next(id, dst_t, c);
-            }
-        }
-    }
+    let cx = ComputeOpts::new().chunk(net.num_terminals()).resolve();
+    let mut routes = Sssp::new().route_in(net, &cx)?;
+    routes.set_engine("ShortestPath");
     Ok(routes)
 }
 

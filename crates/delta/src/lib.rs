@@ -17,9 +17,10 @@
 //! * The result is **bit-identical** to a full recompute under a
 //!   snapshot-chunk compute context (`cx.chunk >= |T|`): clean trees are
 //!   provably unchanged (see the dirty rules below), dirty trees are
-//!   recomputed with the same deterministic Dijkstra, and the layer
-//!   assignment either provably produces all-zeros (patched layer-0 CDG
-//!   still acyclic) or re-runs the real budgeted assignment.
+//!   recomputed with the same level-ordered BFS (`dijkstra::bfs_to`),
+//!   and the layer assignment either provably produces all-zeros
+//!   (patched layer-0 CDG still acyclic) or re-runs the real budgeted
+//!   assignment.
 //! * [`DeltaEngine::planner`] hands out a [`DeltaPlanner`], a
 //!   [`DiffPlanProvider`] that certifies *direct* table transitions in
 //!   O(change): the union of the old and new all-paths CDGs is acyclic,
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use dfsssp_core::balance::balance_layers;
 use dfsssp_core::budget::{record_trip, Budget};
 use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
-use dfsssp_core::dijkstra::spt_to;
+use dfsssp_core::dijkstra::bfs_to;
 use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{
     ComputeCtx, CycleBreakHeuristic, DfSssp, EngineConfig, RouteError, RoutingEngine,
@@ -432,10 +433,9 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         let dirty_dests = || diff.dirty_dests.iter().copied();
 
         // New tables: clean columns are copied whole and translated,
-        // dirty columns re-sweep. Any uniform weight reproduces the
-        // snapshot-chunk trees bit for bit (the comparisons are
-        // scale-invariant), so sweep with 1s and skip the diameter-sized
-        // base weight entirely.
+        // dirty columns re-sweep with the snapshot chunk's own kernel,
+        // the level-ordered `bfs_to` (any uniform weight gives its trees
+        // bit for bit, so none is sized).
         let mut routes = Routes::new(net, self.inner.name());
         if !telemetry::timed(rec, phases::DELTA_DIFF, || {
             routes.copy_clean_columns_translated(&prev.routes, &diff.dirty, &diff.translate)
@@ -443,9 +443,8 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
             return Ok(None); // clean tree through a removed channel
         }
         telemetry::timed(rec, phases::DELTA_SWEEP, || {
-            let ones = vec![1u64; net.num_channels()];
             for d in dirty_dests() {
-                let spt = spt_to(net, net.terminals()[d], &ones);
+                let spt = bfs_to(net, net.terminals()[d]);
                 for (id, _) in net.nodes() {
                     if let Some(c) = spt.parent[id.idx()] {
                         routes.set_next(id, d, c);

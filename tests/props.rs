@@ -2,11 +2,16 @@
 
 mod common;
 
-use common::{sweep, Case};
+use common::{sweep, zoo_net, Case};
 use dfsssp::core::app::{coloring_to_app, is_k_colorable};
 use dfsssp::core::balance::balance_layers;
+use dfsssp::core::dijkstra::{bfs_to, spt_to};
 use dfsssp::core::paths::PathSet;
+use dfsssp::core::sssp::unbalanced_shortest_paths;
+use dfsssp::fabric::degrade::remove;
+use dfsssp::fabric::ChannelId;
 use dfsssp::prelude::*;
+use dfsssp::telemetry::fx::FxHashSet;
 use dfsssp::verify::{deadlock_report, verify_minimal};
 
 /// Random connected topology specs small enough for exhaustive checks.
@@ -179,5 +184,68 @@ fn app_reduction_matches_chromatic_number() {
         let (k, assignment) = g.min_cover(5).unwrap();
         assert_eq!(k, chromatic);
         assert!(g.is_cover(&assignment, k));
+    });
+}
+
+/// `bfs_to` is `spt_to` at a uniform weight: the same parents and settle
+/// order, distances scaled, unreachable nodes kept — for every terminal
+/// root of every zoo fabric, pristine, with one cable down and with one
+/// switch down (which may strand terminals).
+#[test]
+fn bfs_kernel_is_the_heap_at_a_uniform_weight() {
+    sweep(0..64, |c| {
+        let net = zoo_net(c);
+        let w = c.draw("weight", 1u64..1_000);
+        let cable = ChannelId(c.draw("cable", 0..net.num_channels() as u32));
+        let switch = net.switches()[c.draw("switch", 0..net.switches().len())];
+        let cut: FxHashSet<_> = [Some(cable), net.channel(cable).rev]
+            .into_iter()
+            .flatten()
+            .collect();
+        let views = [
+            remove(&net, &FxHashSet::default(), &cut),
+            remove(&net, &[switch].into_iter().collect(), &FxHashSet::default()),
+            net,
+        ];
+        for view in &views {
+            let weights = vec![w; view.num_channels()];
+            for &root in view.terminals() {
+                let (heap, bfs) = (spt_to(view, root, &weights), bfs_to(view, root));
+                let scaled: Vec<u64> = bfs.dist.iter().map(|&d| d.saturating_mul(w)).collect();
+                assert_eq!(heap.parent, bfs.parent, "parents toward {root:?}");
+                assert_eq!(
+                    heap.pop_order, bfs.pop_order,
+                    "settle order toward {root:?}"
+                );
+                assert_eq!(heap.dist, scaled, "distances toward {root:?}");
+            }
+        }
+    });
+}
+
+/// Under one chunk the balanced engines route plain shortest paths:
+/// `unbalanced_shortest_paths`, `Sssp` and `DfSssp` program the same
+/// next hops (the tie rule lives in `bfs_to` alone).
+#[test]
+fn snapshot_chunk_routes_are_the_unbalanced_shortest_paths() {
+    sweep(0..48, |c| {
+        let net = zoo_net(c);
+        let (nt, cx) = (
+            net.num_terminals(),
+            ComputeCtx {
+                chunk: net.num_terminals(),
+            },
+        );
+        let sssp = Sssp::new().route_in(&net, &cx);
+        let Ok(plain) = unbalanced_shortest_paths(&net) else {
+            // Cuts may split the zoo fabric; then both refuse it.
+            return assert_eq!(sssp.unwrap_err(), RouteError::Disconnected);
+        };
+        let sssp = sssp.unwrap();
+        let dfsssp = DfSssp::new().route_in(&net, &cx).unwrap();
+        for d in 0..nt {
+            assert_eq!(plain.column(d).0, sssp.column(d).0, "Sssp toward {d}");
+            assert_eq!(plain.column(d).0, dfsssp.column(d).0, "DfSssp toward {d}");
+        }
     });
 }
