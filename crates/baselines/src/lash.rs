@@ -14,9 +14,9 @@
 
 use dfsssp_core::budget::record_trip;
 use dfsssp_core::dfsssp::assign_layers_online_budgeted;
-use dfsssp_core::paths::PathSet;
+use dfsssp_core::paths::PathId;
 use dfsssp_core::{Budget, ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
-use fabric::{ChannelId, Network, NodeId, Routes};
+use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
 use telemetry::fx::FxHashMap;
 use telemetry::{phases, Recorder, RecorderHandle};
 
@@ -26,7 +26,8 @@ pub struct Lash {
     /// Virtual-layer budget (InfiniBand: 8 in hardware).
     pub max_layers: usize,
     /// Telemetry sink (`cycle_search`/`layer_assign` phases of the
-    /// online assignment; `cdg_build` covers tree + path extraction).
+    /// online assignment, which walks the paths; `cdg_build` covers tree
+    /// building only).
     pub recorder: RecorderHandle,
     /// Resource bounds for each run (see [`Budget`]).
     pub budget: Budget,
@@ -111,56 +112,46 @@ impl Lash {
     fn route_with_layers_inner(&self, net: &Network) -> Result<(Routes, usize), RouteError> {
         let guard = self.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(self.max_layers);
+        let max_layers = guard.clamp_layers(self.max_layers)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
         let rec: &dyn Recorder = &*self.recorder;
-        let (trees, terminal_tree, index_of, ps) =
-            telemetry::timed(rec, phases::CDG_BUILD, || {
-                // One tree per distinct attachment set.
-                let mut tree_of_key: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-                let mut trees: Vec<Tree> = Vec::new();
-                let mut terminal_tree: Vec<u32> = Vec::with_capacity(net.num_terminals());
-                for &t in net.terminals() {
-                    guard.check_deadline()?;
-                    let key = Self::attachments(net, t);
-                    let id = *tree_of_key.entry(key.clone()).or_insert_with(|| {
-                        trees.push(Self::build_tree(net, &key));
-                        (trees.len() - 1) as u32
-                    });
-                    terminal_tree.push(id);
-                }
-
-                // Switch-pair paths for the layer assignment: for every
-                // tree and every switch, the channel walk to the nearest
-                // attachment.
-                let mut channels: Vec<ChannelId> = Vec::new();
-                let mut offsets = vec![0u64];
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                for (tid, tree) in trees.iter().enumerate() {
-                    for &s in net.switches() {
-                        if tree.dist[s.idx()] == u32::MAX {
-                            return Err(RouteError::Disconnected);
-                        }
-                        if tree.dist[s.idx()] == 0 {
-                            continue;
-                        }
-                        let mut at = s;
-                        while let Some(c) = tree.parent[at.idx()] {
-                            channels.push(c);
-                            at = net.channel(c).dst;
-                        }
-                        offsets.push(channels.len() as u64);
-                        pairs.push((s.0, tid as u32));
-                    }
-                }
-                let index_of: FxHashMap<(u32, u32), usize> =
-                    pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-                let ps = PathSet::from_parts(net, channels, offsets, pairs);
-                Ok((trees, terminal_tree, index_of, ps))
-            })?;
-        let (path_layer, stats) = assign_layers_online_budgeted(&ps, max_layers, rec, &guard)?;
+        let (trees, terminal_tree) = telemetry::timed(rec, phases::CDG_BUILD, || {
+            // One tree per distinct attachment set.
+            let mut tree_of_key: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+            let mut trees: Vec<Tree> = Vec::new();
+            let mut terminal_tree: Vec<u32> = Vec::with_capacity(net.num_terminals());
+            for &t in net.terminals() {
+                guard.check_deadline()?;
+                let key = Self::attachments(net, t);
+                let id = *tree_of_key.entry(key.clone()).or_insert_with(|| {
+                    trees.push(Self::build_tree(net, &key));
+                    (trees.len() - 1) as u32
+                });
+                terminal_tree.push(id);
+            }
+            let unreached = |s: &NodeId| trees.iter().any(|t| t.dist[s.idx()] == u32::MAX);
+            if net.switches().iter().any(unreached) {
+                return Err(RouteError::Disconnected);
+            }
+            Ok((trees, terminal_tree))
+        })?;
+        // Switch-pair paths for the layer assignment: path `tree · |N| +
+        // node` is the node's walk to the tree's nearest attachment, empty
+        // at attachment switches and terminals (layer 0, no dependency).
+        let n = net.num_nodes();
+        let walk = |p: PathId, out: &mut Vec<ChannelId>| {
+            let (tree, mut at) = (&trees[p as usize / n], NodeId(p % n as u32));
+            out.clear();
+            while let Some(c) = tree.parent[at.idx()] {
+                out.push(c);
+                at = net.channel(c).dst;
+            }
+        };
+        let slots = DepSlots::of(net);
+        let (path_layer, stats) =
+            assign_layers_online_budgeted(&slots, trees.len() * n, walk, max_layers, rec, &guard)?;
 
         // Compile destination-based tables.
         let mut routes = Routes::new(net, self.name());
@@ -201,10 +192,8 @@ impl Lash {
                 routes.set_next(src, dst_t, inj);
                 // The pair's layer is the layer of its switch path.
                 let src_sw = net.channel(inj).dst;
-                let layer = index_of
-                    .get(&(src_sw.0, terminal_tree[dst_t]))
-                    .map_or(0, |&i| path_layer[i]);
-                routes.set_layer(src_t, dst_t, layer);
+                let path = terminal_tree[dst_t] as usize * n + src_sw.idx();
+                routes.set_layer(src_t, dst_t, path_layer[path]);
             }
         }
         routes.recompute_num_layers();

@@ -13,6 +13,8 @@
 //!   correctness argument as executable checks.
 
 use crate::cdg::Cdg;
+use crate::engine::RouteError;
+use crate::paths::{PathId, TreePaths};
 use telemetry::fx::{FxHashMap, FxHashSet};
 
 /// A path in the channel dependency graph: a sequence of distinct nodes.
@@ -141,22 +143,22 @@ impl Generator {
     }
 }
 
-/// Bridge from the engine world: the APP instance of a routing's path
-/// set. Only paths with at least two channels matter (shorter ones can
-/// never lie on a dependency cycle and are dropped); the returned map
-/// gives the [`crate::paths::PathId`] of each generator path.
-pub fn from_pathset(ps: &crate::paths::PathSet) -> (Generator, Vec<crate::paths::PathId>) {
-    let mut paths = Vec::new();
-    let mut ids = Vec::new();
-    for p in ps.ids() {
-        let chans = ps.channels(p);
-        if chans.len() < 2 {
-            continue;
+/// Bridge from the engine world: the APP instance of a routing's paths,
+/// walked off its tables in id order once they validate (a walk through
+/// a loop would never end). Only paths with at least two channels matter
+/// (shorter ones can never lie on a dependency cycle and are dropped);
+/// the returned map gives the [`PathId`] of each generator path.
+pub fn from_tree_paths(paths: TreePaths) -> Result<(Generator, Vec<PathId>), RouteError> {
+    paths.validate()?;
+    let (mut found, mut ids, mut chans) = (Vec::new(), Vec::new(), Vec::new());
+    for p in 0..paths.num_paths() as PathId {
+        paths.walk(p, &mut chans);
+        if chans.len() >= 2 {
+            found.push(AppPath::new(chans.iter().map(|c| c.0).collect()));
+            ids.push(p);
         }
-        paths.push(AppPath::new(chans.iter().map(|c| c.0).collect()));
-        ids.push(p);
     }
-    (Generator::new(paths), ids)
+    Ok((Generator::new(found), ids))
 }
 
 /// A cheap lower bound on the minimum number of virtual layers: paths
@@ -297,7 +299,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pathset_bridge_and_bounds_agree_on_ring() {
+    fn tree_paths_bridge_and_bounds_agree_on_ring() {
         // 5-ring SSSP: the APP instance's exact minimum must equal what
         // the offline heuristic finds (2), and the lower bound must not
         // exceed it.
@@ -306,10 +308,13 @@ mod tests {
         let routes = crate::sssp::Sssp::new()
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
-        let ps = crate::paths::PathSet::extract(&net, &routes).unwrap();
-        let (g, ids) = from_pathset(&ps);
+        let paths = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        let (g, ids) = from_tree_paths(paths).unwrap();
         assert_eq!(ids.len(), g.len());
-        assert!(g.len() <= ps.len());
+        assert!(g.len() <= paths.num_paths());
         let lb = lower_bound_layers(&g);
         let (exact, assignment) = g.min_cover(4).expect("solvable");
         assert!(lb <= exact, "lower bound {lb} > exact {exact}");

@@ -174,12 +174,19 @@ impl BudgetGuard {
     }
 
     /// Clamp a configured virtual-layer budget to this budget's cap
-    /// (never below 1, so the assignment asserts stay satisfied).
-    pub fn clamp_layers(&self, configured: usize) -> usize {
-        match self.max_layers {
-            Some(cap) => configured.min(cap).max(1),
-            None => configured,
+    /// (never below 1) and to the 256 layers a `u8` layer id can name.
+    /// Every deadlock-free engine checks its budget here, once: a
+    /// configured budget of 0 can place no path, so it is
+    /// [`RouteError::NeedMoreLayers`] before any work.
+    pub fn clamp_layers(&self, configured: usize) -> Result<usize, RouteError> {
+        if configured == 0 {
+            return Err(RouteError::NeedMoreLayers {
+                required: 1,
+                allowed: 0,
+            });
         }
+        let cap = self.max_layers.map_or(usize::MAX, |cap| cap.max(1));
+        Ok(configured.min(cap).min(u8::MAX as usize + 1))
     }
 }
 
@@ -207,7 +214,7 @@ mod tests {
         g.admit(&net).unwrap();
         g.check_deadline().unwrap();
         g.check_cdg_edges(usize::MAX).unwrap();
-        assert_eq!(g.clamp_layers(8), 8);
+        assert_eq!(g.clamp_layers(8), Ok(8));
         assert!(Budget::default().is_unlimited());
     }
 
@@ -249,9 +256,25 @@ mod tests {
     #[test]
     fn layer_cap_clamps_instead_of_failing() {
         let g = Budget::new().max_layers(2).start();
-        assert_eq!(g.clamp_layers(8), 2);
-        assert_eq!(g.clamp_layers(1), 1);
+        assert_eq!(g.clamp_layers(8), Ok(2));
+        assert_eq!(g.clamp_layers(1), Ok(1));
         let g = Budget::new().max_layers(0).start();
-        assert_eq!(g.clamp_layers(8), 1, "cap never drops below 1");
+        assert_eq!(g.clamp_layers(8), Ok(1), "cap never drops below 1");
+    }
+
+    #[test]
+    fn layer_budgets_outside_a_u8_are_typed_or_clamped() {
+        let zero = RouteError::NeedMoreLayers {
+            required: 1,
+            allowed: 0,
+        };
+        for g in [
+            BudgetGuard::unlimited(),
+            Budget::new().max_layers(300).start(),
+        ] {
+            assert_eq!(g.clamp_layers(0), Err(zero.clone()));
+            assert_eq!(g.clamp_layers(300), Ok(256));
+            assert_eq!(g.clamp_layers(256), Ok(256));
+        }
     }
 }

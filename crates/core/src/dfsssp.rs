@@ -27,9 +27,10 @@ use crate::budget::{record_trip, Budget, BudgetGuard};
 use crate::cdg::{Cdg, CycleSearch};
 use crate::engine::{ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
-use crate::paths::{PathId, PathSet, TreePaths};
+use crate::paths::{PathId, TreePaths};
 use crate::sssp::Sssp;
-use fabric::{DepSlots, Network, Routes};
+use fabric::{ChannelId, DepSlots, Network, Routes};
+use std::sync::Arc;
 use telemetry::{counters, phases, Acc, Noop, Recorder, RecorderHandle};
 
 /// How paths are assigned to virtual layers.
@@ -154,7 +155,7 @@ impl DfSssp {
         let rec: &dyn Recorder = &*self.recorder;
         let guard = self.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(self.max_layers);
+        let max_layers = guard.clamp_layers(self.max_layers)?;
         let routes = telemetry::timed(rec, phases::SSSP, || {
             let (routes, load) = Sssp::new().route_with_loads_in(net, &guard, cx)?;
             if rec.enabled() {
@@ -212,10 +213,19 @@ impl Layering {
                 guard,
             )?,
             LayerAssignMode::Online => {
-                let ps =
-                    telemetry::timed(rec, phases::CDG_BUILD, || PathSet::extract(net, &routes))?;
-                let (layers, stats) =
-                    assign_layers_online_budgeted(&ps, self.max_layers, rec, guard)?;
+                let paths = TreePaths {
+                    net,
+                    routes: &routes,
+                };
+                telemetry::timed(rec, phases::CDG_BUILD, || paths.validate())?;
+                let (layers, stats) = assign_layers_online_budgeted(
+                    &DepSlots::of(net),
+                    paths.num_paths(),
+                    |p, out| paths.walk(p, out),
+                    self.max_layers,
+                    rec,
+                    guard,
+                )?;
                 (layers, stats, Vec::new())
             }
         };
@@ -339,7 +349,8 @@ fn assign(
     rec: &dyn Recorder,
     guard: &BudgetGuard,
 ) -> Result<(Vec<u8>, DfStats, Vec<u32>), RouteError> {
-    assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
+    // Idempotent, so a budget the engine already clamped passes as is.
+    let max_layers = guard.clamp_layers(max_layers)?;
     let work_budget = if compact {
         (max_layers * 4).clamp(max_layers, u8::MAX as usize + 1)
     } else {
@@ -486,41 +497,47 @@ pub fn assign_layers_offline_restart(
     .map(|(layers, stats, _)| (layers, stats))
 }
 
-/// Online layer assignment: greedily place each path into the first layer
-/// whose CDG stays acyclic. One full cycle check per placement attempt —
-/// the `O(|N|² · (|C| + |E|))` cost the paper's offline algorithm avoids.
-/// The per-placement acyclicity checks report as `cycle_search`, the
-/// add/remove traffic as `layer_assign`; under the [`BudgetGuard`] the
-/// deadline is checked before each path placement (the unit of work
-/// whose count makes the online mode quadratic), and the growing CDGs
-/// are held against the edge cap.
+/// Online layer assignment: greedily place each path, in id order, into
+/// the first layer whose CDG stays acyclic. One full cycle check per
+/// placement attempt — the `O(|N|² · (|C| + |E|))` cost the paper's
+/// offline algorithm avoids. No path is stored: `walk(p, out)` writes
+/// path `p`'s channels (over the network `slots` indexes) into `out`,
+/// once per path. `max_layers` is what [`BudgetGuard::clamp_layers`]
+/// returned. The walks and the add/remove traffic report as
+/// `layer_assign`, the per-placement acyclicity checks as
+/// `cycle_search`; under the [`BudgetGuard`] the deadline is checked
+/// before each path placement (the unit of work whose count makes the
+/// online mode quadratic), and the growing CDGs are held against the
+/// edge cap.
 pub fn assign_layers_online_budgeted(
-    ps: &PathSet,
+    slots: &Arc<DepSlots>,
+    num_paths: usize,
+    mut walk: impl FnMut(PathId, &mut Vec<ChannelId>),
     max_layers: usize,
     rec: &dyn Recorder,
     guard: &BudgetGuard,
 ) -> Result<(Vec<u8>, DfStats), RouteError> {
-    assert!(max_layers >= 1 && max_layers <= u8::MAX as usize + 1);
-    let mut path_layer = vec![0u8; ps.len()];
-    let mut layers = vec![Cdg::over(ps.slots().clone())];
+    let mut path_layer = vec![0u8; num_paths];
+    let mut layers = vec![Cdg::over(slots.clone())];
     let mut stats = DfStats::default();
-    let mut seen = vec![0u32; ps.slots().num_channels()];
+    let mut seen = vec![0u32; slots.num_channels()];
     let mut epoch = 0u32;
+    let mut path = Vec::new();
     let mut search_acc = Acc::new(rec, phases::CYCLE_SEARCH);
     let mut assign_acc = Acc::new(rec, phases::LAYER_ASSIGN);
-    for p in ps.ids() {
+    for p in 0..num_paths as PathId {
         guard.check_deadline()?;
         guard.check_cdg_edges_lazy(|| layers.iter().map(|l| l.num_edges()).sum())?;
+        assign_acc.measure(|| walk(p, &mut path));
         let mut placed = false;
         for l in 0..max_layers {
             if l >= layers.len() {
-                layers.push(Cdg::over(ps.slots().clone()));
+                layers.push(Cdg::over(slots.clone()));
             }
-            assign_acc.measure(|| layers[l].add_path(ps.channels(p)));
+            assign_acc.measure(|| layers[l].add_path(&path));
             // Incremental check: the layer was acyclic before, so any
             // new cycle runs through one of p's edges.
-            let path = ps.channels(p);
-            if !search_acc.measure(|| layers[l].path_closes_cycle(path, &mut seen, &mut epoch)) {
+            if !search_acc.measure(|| layers[l].path_closes_cycle(&path, &mut seen, &mut epoch)) {
                 path_layer[p as usize] = l as u8;
                 placed = true;
                 if l > 0 {
@@ -528,7 +545,7 @@ pub fn assign_layers_online_budgeted(
                 }
                 break;
             }
-            assign_acc.measure(|| layers[l].remove_path(path));
+            assign_acc.measure(|| layers[l].remove_path(&path));
         }
         if !placed {
             return Err(RouteError::NeedMoreLayers {

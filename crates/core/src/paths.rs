@@ -13,10 +13,9 @@
 //! channels are walked only when it moves ([`TreePaths::walk`]).
 //! Algorithm 2's state per path is its layer and a move stamp.
 //!
-//! [`PathSet`] — every path flattened into one channel array — is kept
-//! for the callers that place paths one at a time and so touch every hop
-//! anyway: the online assignment, LASH's switch-pair paths, the APP
-//! solver.
+//! No caller stores a path. The online assignment and the APP bridge
+//! place paths one at a time, so they [`TreePaths::validate`] the tables
+//! once and then walk each path when they reach it.
 
 use crate::cdg::Cdg;
 use crate::engine::RouteError;
@@ -60,8 +59,16 @@ impl TreePaths<'_> {
         (p / row, p % row + u32::from(p % row >= p / row))
     }
 
+    /// The window kernel's checks with nothing reported: the tables every
+    /// route walks through are well formed and loop-free, else
+    /// [`RouteError::Disconnected`].
+    pub fn validate(&self) -> Result<(), RouteError> {
+        self.windows(0..self.net.num_terminals(), |_, _, _, _| {})
+    }
+
     /// The channel sequence of path `p`, walked into `out`. The tables
-    /// must have passed [`TreePaths::windows`].
+    /// must have passed [`TreePaths::validate`] (or [`TreePaths::windows`]
+    /// over every destination); a loop would never end.
     pub fn walk(&self, p: PathId, out: &mut Vec<ChannelId>) {
         let (src_t, dst_t) = self.pair(p);
         let terminals = self.net.terminals();
@@ -209,101 +216,6 @@ impl TreePaths<'_> {
     }
 }
 
-/// All terminal-pair routes of a [`Routes`] table, flattened.
-pub struct PathSet {
-    /// Concatenated channel sequences.
-    channels: Vec<ChannelId>,
-    /// `offsets[p]..offsets[p+1]` indexes `channels` for path `p`.
-    offsets: Vec<u64>,
-    /// `(src_t, dst_t)` terminal indices per path.
-    pairs: Vec<(u32, u32)>,
-    /// Where the network the paths run on can hold a dependency: what
-    /// every layer's [`crate::cdg::Cdg`] over these paths is indexed by.
-    slots: Arc<DepSlots>,
-}
-
-impl PathSet {
-    /// Extract every ordered terminal pair's route from `routes`, in
-    /// `(src_t, dst_t)` lexicographic order: the validation of
-    /// [`TreePaths::windows`] (its errors are this function's), then one
-    /// unchecked walk per pair.
-    pub fn extract(net: &Network, routes: &Routes) -> Result<PathSet, RouteError> {
-        let trees = TreePaths { net, routes };
-        trees.windows(0..net.num_terminals(), |_, _, _, _| {})?;
-        let (mut channels, mut offsets, mut pairs) = (Vec::new(), vec![0u64], Vec::new());
-        let mut path = Vec::new();
-        for p in 0..trees.num_paths() as PathId {
-            trees.walk(p, &mut path);
-            channels.extend_from_slice(&path);
-            offsets.push(channels.len() as u64);
-            pairs.push(trees.pair(p));
-        }
-        Ok(PathSet::from_parts(net, channels, offsets, pairs))
-    }
-
-    /// Assemble a path set over `net` from raw parts — for engines whose
-    /// layer assignment granularity is not terminal pairs (e.g. LASH
-    /// works on switch pairs). `offsets` must have `pairs.len() + 1`
-    /// monotone entries ending at `channels.len()`; each path's channels
-    /// must chain head-to-tail in `net`.
-    pub fn from_parts(
-        net: &Network,
-        channels: Vec<ChannelId>,
-        offsets: Vec<u64>,
-        pairs: Vec<(u32, u32)>,
-    ) -> PathSet {
-        assert_eq!(offsets.len(), pairs.len() + 1, "offsets/pairs mismatch");
-        assert_eq!(*offsets.last().unwrap_or(&0), channels.len() as u64);
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        PathSet {
-            channels,
-            offsets,
-            pairs,
-            slots: DepSlots::of(net),
-        }
-    }
-
-    /// The dependency-slot index of the network these paths run on.
-    pub fn slots(&self) -> &Arc<DepSlots> {
-        &self.slots
-    }
-
-    /// Number of stored paths.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Channel sequence of path `p`.
-    #[inline]
-    pub fn channels(&self, p: PathId) -> &[ChannelId] {
-        let s = self.offsets[p as usize] as usize;
-        let e = self.offsets[p as usize + 1] as usize;
-        &self.channels[s..e]
-    }
-
-    /// `(src_t, dst_t)` terminal indices of path `p`.
-    #[inline]
-    pub fn pair(&self, p: PathId) -> (u32, u32) {
-        self.pairs[p as usize]
-    }
-
-    /// Iterate all path ids.
-    pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
-        0..self.pairs.len() as u32
-    }
-
-    /// Total stored channel hops (diagnostic; drives the paper's memory
-    /// complexity term `O(d(I) · |N|²)`).
-    pub fn total_hops(&self) -> usize {
-        self.channels.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,31 +223,24 @@ mod tests {
     use crate::sssp::Sssp;
     use fabric::topo;
 
-    #[test]
-    fn extracts_every_ordered_pair() {
-        let net = topo::ring(4, 2);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        assert_eq!(ps.len(), 8 * 7);
-        // Pairs are unique and ordered.
-        let mut seen = std::collections::HashSet::new();
-        for p in ps.ids() {
-            assert!(seen.insert(ps.pair(p)));
-        }
-    }
+    // `tests/dep_slots.rs` pins `id` and `pair` as the enumeration of
+    // ordered terminal pairs, over the generator zoo.
 
     #[test]
-    fn channel_sequences_chain() {
+    fn walks_chain_from_source_to_destination() {
         let net = topo::kary_ntree(2, 2);
         let routes = Sssp::new()
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        for p in ps.ids() {
-            let (src_t, dst_t) = ps.pair(p);
-            let chans = ps.channels(p);
+        let trees = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        trees.validate().unwrap();
+        let mut chans = Vec::new();
+        for p in 0..trees.num_paths() as PathId {
+            let (src_t, dst_t) = trees.pair(p);
+            trees.walk(p, &mut chans);
             assert!(!chans.is_empty());
             let src = net.terminals()[src_t as usize];
             let dst = net.terminals()[dst_t as usize];
@@ -348,14 +253,25 @@ mod tests {
     }
 
     #[test]
-    fn total_hops_matches_load_sum() {
+    fn walk_lengths_sum_to_channel_loads() {
         let net = topo::torus(&[3, 3], 1);
         let routes = Sssp::new()
             .route_in(&net, &crate::ComputeCtx::seq())
             .unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
+        let trees = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        trees.validate().unwrap();
+        let mut chans = Vec::new();
+        let hops: usize = (0..trees.num_paths() as PathId)
+            .map(|p| {
+                trees.walk(p, &mut chans);
+                chans.len()
+            })
+            .sum();
         let loads = routes.channel_loads(&net).unwrap();
-        assert_eq!(ps.total_hops() as u32, loads.iter().sum::<u32>());
+        assert_eq!(hops as u32, loads.iter().sum::<u32>());
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl<E: RoutingEngine> DeadlockFree<E> {
         let rec: &dyn Recorder = &*self.recorder;
         let guard = self.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(self.max_layers);
+        let max_layers = guard.clamp_layers(self.max_layers)?;
         let routes = telemetry::timed(rec, phases::INNER_ROUTE, || self.inner.route_in(net, cx))?;
         guard.check_deadline()?;
         Layering {

@@ -310,16 +310,17 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         dirty_dests: Vec<usize>,
     ) -> Result<Routes, RouteError> {
         let (routes, l0) = self.inner.route_cold_in(net, cx)?;
+        let layer_cfg = (
+            params.budget.start().clamp_layers(params.max_layers)?,
+            params.balance,
+        );
         let ours = |l0: &Vec<u32>| l0.len() == DepSlots::of(net).num_slots();
         g.state = telemetry::timed(&*params.recorder, phases::DELTA_REBUILD, || {
             l0.as_ref().is_none_or(ours).then(|| DeltaState {
                 net: net.clone(),
                 routes: routes.clone(),
                 l0,
-                layer_cfg: (
-                    params.budget.start().clamp_layers(params.max_layers),
-                    params.balance,
-                ),
+                layer_cfg,
                 cert: Cert::None,
             })
         });
@@ -360,11 +361,11 @@ impl<E: RoutingEngine + DeltaCapable> DeltaEngine<E> {
         let rec: &dyn Recorder = &*params.recorder;
         let guard = params.budget.start();
         guard.admit(net)?;
+        let max_layers = guard.clamp_layers(params.max_layers)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
         guard.check_deadline()?;
-        let max_layers = guard.clamp_layers(params.max_layers);
 
         let diff = telemetry::timed(rec, phases::DELTA_DIRTY, || diff(prev, net));
         let fall_back = |dirty_dests| {

@@ -4,9 +4,9 @@
 //! heuristics; this command quantifies how far the heuristics land from
 //! optimal on tractable instances).
 
-use dfsssp_core::app::{from_pathset, lower_bound_layers};
+use dfsssp_core::app::{from_tree_paths, lower_bound_layers};
 use dfsssp_core::dfsssp::assign_layers_offline;
-use dfsssp_core::paths::PathSet;
+use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{CycleBreakHeuristic, RoutingEngine, Sssp};
 
 pub fn main() {
@@ -23,8 +23,11 @@ pub fn main() {
     let mut rows = Vec::new();
     for net in nets {
         let routes = Sssp::new().route_in(&net, &cx).unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let (generator, _) = from_pathset(&ps);
+        let paths = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        let (generator, _) = from_tree_paths(paths).unwrap();
         let lb = lower_bound_layers(&generator);
         let exact = generator
             .min_cover(8)

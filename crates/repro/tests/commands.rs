@@ -120,3 +120,66 @@ fn out_of_range_gen_spec_is_a_diagnostic() {
     assert!(text.contains("ring:<N> (N >= 3)"), "{text}");
     assert!(!text.contains("panicked"), "{text}");
 }
+
+/// No layer budget panics. A budget of 0 is a one-line routing
+/// diagnostic; LASH at 257 routes as at 256, the most a `u8` layer id
+/// names; and `chaos` widens a zero budget from one instead of spinning.
+#[test]
+fn out_of_range_layer_budgets_are_diagnostics_not_panics() {
+    let out = repro(&["route_cli", "--gen", "torus:4x4", "--max-vls", "0"]);
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+    for args in [
+        &[
+            "route_cli",
+            "--gen",
+            "torus:4x4",
+            "--engine",
+            "lash",
+            "--max-vls",
+            "257",
+        ][..],
+        &[
+            "chaos",
+            "--gen",
+            "torus:4x4",
+            "--hw-vls",
+            "0",
+            "--events",
+            "2",
+        ],
+    ] {
+        let out = repro(args);
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {text}");
+    }
+}
+
+/// §IV's exact column as a predicate over `sec4_exact --json`: on every
+/// network the conflict-clique lower bound ≤ the exact APP minimum ≤ each
+/// heuristic's layer count, at the path counts and optima pinned here.
+#[test]
+fn sec4_exact_bounds_every_heuristic() {
+    let out = repro(&["sec4_exact", "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let start = text.find("\n[\n").expect("a JSON table");
+    let end = start + text[start..].find("\n]\n").expect("closed");
+    let rows = telemetry::json::parse(&text[start..end + 2]).unwrap();
+    let num = |row: &telemetry::json::Value, key| -> u32 {
+        let cell = row.get(key).and_then(|v| v.as_str());
+        cell.and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("{key}"))
+    };
+    let mut pinned = Vec::new();
+    for row in rows.as_arr().unwrap() {
+        let (lower, exact) = (num(row, "lower bound"), num(row, "exact"));
+        for heuristic in ["weakest", "heaviest", "first"] {
+            assert!(lower <= exact && exact <= num(row, heuristic), "{row:?}");
+        }
+        pinned.push((num(row, "paths"), exact));
+    }
+    assert_eq!(pinned, [(12, 1), (20, 2), (30, 2), (72, 1), (30, 1)]);
+}

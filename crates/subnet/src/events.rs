@@ -698,9 +698,11 @@ impl<E: RoutingEngine> Ladder<E> {
                     if !on_fallback && self.widenable() =>
                 {
                     let config = self.sm.engine.config();
+                    // From a budget of 0 doubling alone would never widen.
                     let budget = config
                         .max_layers
                         .saturating_mul(2)
+                        .max(1)
                         .min(self.sm.hardware_vls);
                     self.sm.engine.set_config(config.max_layers(budget));
                     rungs.push(Rung::WidenedVls { budget });
@@ -826,6 +828,24 @@ mod tests {
             sm.outcome().rungs,
             [
                 Rung::MultiLayerForced { witness: 4 },
+                Rung::WidenedVls { budget: 2 }
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_layer_budget_widens_instead_of_spinning() {
+        // Doubling a budget of 0 gives 0: the first widening takes it to 1.
+        let net = topo::torus(&[4, 4], 1);
+        let engine = DfSssp {
+            max_layers: 0,
+            ..DfSssp::new()
+        };
+        let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
+        assert_eq!(
+            sm.outcome().rungs,
+            [
+                Rung::WidenedVls { budget: 1 },
                 Rung::WidenedVls { budget: 2 }
             ]
         );

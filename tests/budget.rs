@@ -3,6 +3,7 @@
 //! that accepts a budget — and never as a hang or a panic.
 
 use dfsssp::core::Budget;
+use dfsssp::fabric::format::routes_to_json;
 use dfsssp::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,6 +83,37 @@ fn layer_cap_clamps_and_surfaces_as_need_more_layers() {
         matches!(err, RouteError::NeedMoreLayers { .. }),
         "got {err}"
     );
+}
+
+#[test]
+fn out_of_range_layer_budgets_are_typed_or_clamped() {
+    // No layer budget panics: 0 places no path, and layer ids are `u8`,
+    // so anything above 256 routes exactly as 256 does.
+    let net = dfsssp::topo::ring(5, 1);
+    let layers = |max_layers| EngineConfig::new().max_layers(max_layers);
+    let engines: [fn(EngineConfig) -> Box<dyn RoutingEngine>; 4] = [
+        |config| Box::new(DfSssp::new().with_config(config)),
+        |config| {
+            let online = DfSssp {
+                mode: LayerAssignMode::Online,
+                ..DfSssp::new()
+            };
+            Box::new(online.with_config(config))
+        },
+        |config| Box::new(DeadlockFree::new(Sssp::new()).with_config(config)),
+        |config| Box::new(Lash::new().with_config(config)),
+    ];
+    let zero = RouteError::NeedMoreLayers {
+        required: 1,
+        allowed: 0,
+    };
+    for (i, engine) in engines.into_iter().enumerate() {
+        let at = |max_layers| engine(layers(max_layers)).route_in(&net, &ComputeCtx::seq());
+        assert_eq!(at(0).unwrap_err(), zero, "engine {i}");
+        let (over, max) = (at(300).unwrap(), at(256).unwrap());
+        assert_eq!(routes_to_json(&over), routes_to_json(&max), "engine {i}");
+        dfsssp::verify::verify_deadlock_free(&net, &over).unwrap();
+    }
 }
 
 #[test]

@@ -291,9 +291,12 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// the old end runs beside it, and bring-up through the gated path
 /// (`SmLoop::bring_up_with`, `SnapshotStore::open_vetted`), less the
 /// planner's snapshot/rollback helpers and the no-gate branch.
+///
+/// Deleting `PathSet` lowered it 20 259 → 20 211: the online assignment,
+/// LASH and the APP bridge walk their paths on demand.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 20_259;
+    const CEILING: usize = 20_211;
     let root = repo_root();
     let mut total = 0;
     println!("| crate | code lines |\n|---|---|");

@@ -4,15 +4,16 @@
 //! victims read off the trees against the `add_path` loop over per-pair
 //! walks with explicit path lists, `vet`'s table walk against a per-pair
 //! walk collected into hash sets, and the window kernel's validation
-//! (under `PathSet::extract` and under the layer-0 constructor) against
-//! the per-pair `PathIter`. One sweep over the generator zoo, degraded
-//! views included.
+//! (under `TreePaths::validate` with the walks it admits, under the APP
+//! bridge, and under the layer-0 constructor) against the per-pair
+//! `PathIter`. One sweep over the generator zoo, degraded views included.
 
 mod common;
 
 use common::{sweep, zoo_net, Case};
+use dfsssp::core::app::from_tree_paths;
 use dfsssp::core::cdg::{Cdg, CycleSearch};
-use dfsssp::core::paths::{PathSet, TreePaths};
+use dfsssp::core::paths::TreePaths;
 use dfsssp::prelude::*;
 use fabric::topo;
 use fabric::{ChannelId, DepSlots};
@@ -266,12 +267,11 @@ fn dependency_edges_equal_a_per_pair_walk() {
     );
 }
 
-/// `PathSet::extract` — the window kernel's validated tree pass, then an
-/// unchecked walk per pair — accepts and rejects exactly what the
-/// per-pair `PathIter` walk it used to be does, and stores the same
-/// channels in the same order.
+/// `TreePaths::validate` — the window kernel's tree pass with nothing
+/// reported — accepts and rejects exactly what the per-pair `PathIter`
+/// walk does, and on what it accepts `walk` yields that walk's channels.
 #[test]
-fn extract_rejects_corrupt_tables_where_the_per_pair_walk_did() {
+fn validate_rejects_corrupt_tables_where_the_per_pair_walk_did() {
     let rejected = Cell::new(0);
     sweep(0..96, |c| {
         let net = zoo_net(c);
@@ -280,36 +280,84 @@ fn extract_rejects_corrupt_tables_where_the_per_pair_walk_did() {
         };
         corrupt(c, &net, &mut routes);
         let ts = net.terminals();
-        let pairs = || (0..ts.len()).flat_map(|s| (0..ts.len()).map(move |d| (s, d)));
-        let per_pair: Result<Vec<_>, _> = pairs()
+        let pairs = (0..ts.len()).flat_map(|s| (0..ts.len()).map(move |d| (s, d)));
+        let per_pair: Result<Vec<_>, _> = pairs
             .filter(|(s, d)| s != d)
             .map(|(s, d)| routes.path_channels(&net, ts[s], ts[d]))
             .collect();
-        match (PathSet::extract(&net, &routes), per_pair) {
-            (Ok(ps), Ok(paths)) => {
-                assert_eq!(ps.len(), paths.len());
-                assert_eq!(ps.total_hops(), paths.iter().map(Vec::len).sum::<usize>());
-                for (p, ((s, d), path)) in pairs().filter(|(s, d)| s != d).zip(&paths).enumerate() {
-                    assert_eq!(ps.pair(p as u32), (s as u32, d as u32));
-                    assert_eq!(ps.channels(p as u32), &path[..], "path {p}");
+        let trees = |on| TreePaths {
+            net: on,
+            routes: &routes,
+        };
+        match (trees(&net).validate(), per_pair) {
+            (Ok(()), Ok(paths)) => {
+                let mut walk = Vec::new();
+                for (p, path) in paths.iter().enumerate() {
+                    trees(&net).walk(p as u32, &mut walk);
+                    assert_eq!(&walk, path, "path {p}");
                 }
             }
             (Err(RouteError::Disconnected), Err(_)) => rejected.set(rejected.get() + 1),
-            (got, want) => panic!(
-                "extract {:?}, per-pair walk {want:?}",
-                got.map(|ps| ps.len())
-            ),
+            (got, want) => panic!("validate {got:?}, per-pair walk {want:?}"),
         }
         let other = topo::ring(net.num_nodes() + 1, 1);
-        assert!(matches!(
-            PathSet::extract(&other, &routes),
-            Err(RouteError::Disconnected)
-        ));
+        assert_eq!(trees(&other).validate(), Err(RouteError::Disconnected));
     });
     assert!(
         rejected.get() >= 16,
         "only {} corrupt cases",
         rejected.get()
+    );
+}
+
+/// The APP bridge is the per-pair walk: on the tables the walk accepts
+/// (half the cases go through `corrupt` first),
+/// the same paths in the same order under the same ids, those under two
+/// channels dropped; on the ones it rejects, `Disconnected` — returned,
+/// not walked forever around a loop.
+#[test]
+fn app_bridge_is_the_per_pair_walk() {
+    let (bridged, rejected) = (Cell::new(0), Cell::new(0));
+    sweep(0..96, |c| {
+        let net = zoo_net(c);
+        let Some(mut routes) = route(&net, &Sssp::new()) else {
+            return;
+        };
+        if c.draw("corrupt", 0..2) == 1 {
+            corrupt(c, &net, &mut routes);
+        }
+        let ts = net.terminals();
+        let pairs = (0..ts.len()).flat_map(|s| (0..ts.len()).map(move |d| (s, d)));
+        let per_pair: Result<Vec<_>, _> = pairs
+            .filter(|(s, d)| s != d)
+            .map(|(s, d)| routes.path_channels(&net, ts[s], ts[d]))
+            .collect();
+        let trees = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        match (from_tree_paths(trees), per_pair) {
+            (Ok((generator, ids)), Ok(paths)) => {
+                let kept = paths.iter().enumerate().filter(|(_, path)| path.len() >= 2);
+                let (want_ids, want): (Vec<u32>, Vec<Vec<u32>>) = kept
+                    .map(|(p, path)| (p as u32, path.iter().map(|c| c.0).collect()))
+                    .unzip();
+                let got: Vec<&[u32]> = generator.paths().iter().map(|p| p.nodes()).collect();
+                assert_eq!(ids, want_ids);
+                assert_eq!(got, want);
+                bridged.set(bridged.get() + 1);
+            }
+            (Err(RouteError::Disconnected), Err(_)) => rejected.set(rejected.get() + 1),
+            (got, want) => panic!(
+                "bridge {:?}, per-pair walk {want:?}",
+                got.map(|(g, _)| g.len())
+            ),
+        }
+    });
+    let (bridged, rejected) = (bridged.get(), rejected.get());
+    assert!(
+        bridged >= 16 && rejected >= 16,
+        "{bridged} bridged, {rejected} rejected"
     );
 }
 

@@ -6,7 +6,7 @@ use common::{sweep, zoo_net, Case};
 use dfsssp::core::app::{coloring_to_app, is_k_colorable};
 use dfsssp::core::balance::balance_layers;
 use dfsssp::core::dijkstra::{bfs_to, spt_to};
-use dfsssp::core::paths::PathSet;
+use dfsssp::core::paths::TreePaths;
 use dfsssp::core::sssp::unbalanced_shortest_paths;
 use dfsssp::fabric::degrade::remove;
 use dfsssp::fabric::ChannelId;
@@ -90,17 +90,29 @@ fn balancing_preserves_safety() {
     });
 }
 
-/// PathSet extraction is consistent with per-channel load counting.
+/// Walking every path off the trees is consistent with per-channel load
+/// counting.
 #[test]
-fn pathset_matches_loads() {
+fn tree_path_walks_match_loads() {
     sweep(0..48, |c| {
         let net = random_net(c);
         let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let ps = PathSet::extract(&net, &routes).unwrap();
-        let loads = routes.channel_loads(&net).unwrap();
-        assert_eq!(ps.total_hops() as u32, loads.iter().sum::<u32>());
+        let paths = TreePaths {
+            net: &net,
+            routes: &routes,
+        };
+        paths.validate().unwrap();
         let nt = net.num_terminals();
-        assert_eq!(ps.len(), nt * (nt - 1));
+        assert_eq!(paths.num_paths(), nt * (nt - 1));
+        let mut walk = Vec::new();
+        let hops: usize = (0..paths.num_paths() as u32)
+            .map(|p| {
+                paths.walk(p, &mut walk);
+                walk.len()
+            })
+            .sum();
+        let loads = routes.channel_loads(&net).unwrap();
+        assert_eq!(hops as u32, loads.iter().sum::<u32>());
     });
 }
 

@@ -13,6 +13,11 @@
 //! the order victims arrive in the next layer) and at layer budgets the
 //! uncompacted assignment overflows and compaction then fits (its order
 //! of moves), each with the run's `DfStats`.
+//!
+//! A third table, generated at the commit before the online assignment
+//! stopped reading a flattened path set, pins the online placement loop
+//! through both of its callers: `Lash` and `DfSssp` in
+//! `LayerAssignMode::Online`.
 
 use dfsssp::core::dfsssp::DfStats;
 use dfsssp::fabric::format::routes_to_json;
@@ -225,4 +230,54 @@ fn layer_assignments_match_the_pinned_table() {
         .map(|(p, c, m, l)| format!("    ({p:#018x}, {c}, {m}, {l}),\n"))
         .collect();
     assert!(got == GOLDEN_ASSIGNMENT, "layer assignments moved:\n{rows}");
+}
+
+/// `(fingerprint, layers_used, paths_moved)` per golden fabric, in
+/// `fabrics()` order: `Lash` at its budget of 8, then online `DfSssp` at
+/// chunk 1 and at |T|. LASH reports no moves; its third column counts
+/// the terminal pairs it placed above layer 0.
+#[rustfmt::skip]
+const GOLDEN_ONLINE: [(u64, usize, usize); 15] = [
+    (0xd39cf0e8d9e8a05e, 1, 0),
+    (0xa8a703f8c2ac445e, 2, 21),
+    (0x99af7b01a2004ae9, 1, 0),
+    (0x8518981978561b87, 1, 0),
+    (0xb9c1f2611959834d, 1, 0),
+    (0xc8c87f868513cf65, 1, 0),
+    (0x05c7e74734da61a2, 2, 22),
+    (0x81d6e385d4d08810, 2, 24),
+    (0x972e321f2bad7fbe, 2, 17),
+    (0x35fa7dc590f25194, 3, 307),
+    (0x818617104e36bbbf, 3, 257),
+    (0x0e1ead69ce1647ac, 2, 216),
+    (0x3f543ea7b786299f, 2, 16),
+    (0x4ce811eaaea3f81e, 2, 396),
+    (0xa289ac03b7dbd5ee, 2, 96),
+];
+
+#[test]
+fn online_assignments_match_the_pinned_table() {
+    let online = DfSssp {
+        mode: LayerAssignMode::Online,
+        ..DfSssp::new()
+    };
+    let mut got = Vec::new();
+    for net in fabrics() {
+        let (routes, layers) = Lash::new()
+            .route_with_layers(&net)
+            .unwrap_or_else(|e| panic!("{} LASH: {e}", net.label()));
+        let nt = net.num_terminals();
+        let pairs = (0..nt).flat_map(|s| (0..nt).map(move |d| (s, d)));
+        let above = pairs.filter(|&(s, d)| routes.layer(s, d) > 0).count();
+        got.push((fingerprint(&routes), layers, above));
+        for chunk in [1, nt] {
+            let (print, stats) = assignment_row(&net, &online, chunk);
+            got.push((print, stats.layers_used, stats.paths_moved));
+        }
+    }
+    let rows: String = got
+        .iter()
+        .map(|(p, l, m)| format!("    ({p:#018x}, {l}, {m}),\n"))
+        .collect();
+    assert!(got == GOLDEN_ONLINE, "online assignments moved:\n{rows}");
 }
