@@ -15,6 +15,7 @@
 use dfsssp::prelude::*;
 use fabric::{degrade, topo, Network, Routes};
 use std::collections::HashSet;
+use subnet::transition;
 
 /// The snapshot compute context the delta path requires: a single chunk
 /// spanning every terminal, i.e. all destination trees swept against one
@@ -290,4 +291,61 @@ fn events_that_leave_any_tree_clean_are_patched_at_the_default_config() {
             base.label()
         );
     }
+}
+
+/// Every plan is the loop's own: with the engine's planner installed, a
+/// `SmLoop` over `DeltaEngine` at chunk |T| publishes, for every cable
+/// event, exactly the plan `transition::plan_update` derives from scratch
+/// for the remapped previous epoch and the new one.
+#[test]
+fn every_plan_is_the_planners_own() {
+    let tiny = topo::RandomTopoSpec {
+        switches: 8,
+        radix: 12,
+        terminals_per_switch: 3,
+        interswitch_links: 14,
+    };
+    let fabrics = [
+        topo::kary_ntree(4, 2),
+        topo::kary_ntree(8, 2),
+        topo::kary_ntree(16, 2),
+        topo::torus(&[4, 4], 1),
+        topo::torus(&[8, 8], 2),
+        topo::hypercube(4, 1),
+        topo::random_topology(&tiny, 1),
+        topo::random_topology(&tiny, 2),
+    ];
+    let (mut direct, mut staged) = (0, 0);
+    for base in fabrics {
+        let label = base.label().to_string();
+        let compute = ComputeOpts::new().chunk(base.num_terminals());
+        let engine =
+            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().compute(compute)));
+        let planner = engine.planner();
+        let mut sm = SmLoop::bring_up(engine, base.clone(), base.terminals()[0]).expect(&label);
+        sm.set_plan_provider(Some(Box::new(planner)));
+        let bridges = degrade::cable_bridges(&base);
+        let cables = base
+            .switch_cables()
+            .into_iter()
+            .filter(|c| !bridges.contains(c));
+        for c in cables.take(12) {
+            for event in [FabricEvent::CableDown(c), FabricEvent::CableUp(c)] {
+                let (prev_net, prev_routes) =
+                    (sm.network().clone(), sm.programmed().routes.clone());
+                let outcome = sm.handle(event).expect(&label);
+                let view = sm.network();
+                let old = transition::remap_routes(&prev_net, &prev_routes, view);
+                let expected =
+                    transition::plan_update(view, Some(&old), &sm.programmed().routes, 8);
+                assert_eq!(outcome.plan, expected, "{label}: {event:?}");
+                if outcome.plan.direct {
+                    direct += 1;
+                } else {
+                    staged += 1;
+                }
+            }
+        }
+    }
+    assert!(direct > 0 && staged > 0, "{direct} direct, {staged} staged");
 }
