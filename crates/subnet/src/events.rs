@@ -185,10 +185,9 @@ pub struct SmLoop<E> {
     /// The serving view (reference minus down hardware and quarantine).
     net: Network,
     current: ProgrammedFabric,
-    /// Optional source of pre-certified update plans (an incremental
-    /// engine that knows exactly which columns it changed). Consulted
-    /// before [`transition::plan_update`]; `None` answers fall through
-    /// to the full planner.
+    /// Optional hook consulted before the loop's own planner (see
+    /// [`transition::DiffPlanProvider`]); `None` answers fall through to
+    /// it.
     plan_provider: Option<Box<dyn transition::DiffPlanProvider + Send + Sync>>,
     /// Quarantined terminals (reference ids, sorted).
     quarantined: Vec<NodeId>,
@@ -567,10 +566,9 @@ impl<E: RoutingEngine> SmLoop<E> {
                     let plan = transition::plan_update(&view, None, &fabric.routes, hw_vls);
                     return (plan, LftDiff::default());
                 };
-                // A plan provider holding a valid certificate for exactly
-                // this (old, new) pair answers in O(change); otherwise the
-                // full planner re-derives safety from the walk of `old` and
-                // the guard's walk of the new routing.
+                // An attached provider may answer first; otherwise the
+                // planner derives safety from the walk of `old` and the
+                // guard's walk of the new routing.
                 let plan = self
                     .plan_provider
                     .as_deref()

@@ -105,20 +105,16 @@ impl UpdatePlan {
     }
 }
 
-/// A source of cheaper, already-certified update plans.
-///
-/// An incremental routing engine that just computed `new` from `old`
-/// knows *which* destination columns it touched and whether the mixed
-/// old∪new state is acyclic — evidence [`plan_update`] would have to
-/// re-derive from scratch. Implementors return `Some(plan)` when they
-/// hold a valid safety certificate for this exact `(old, new)` pair and
-/// `None` otherwise; callers fall back to [`plan_update`] on `None`, so
-/// a provider never has to be conservative about *planning*, only about
-/// *certifying*.
+/// A hook [`crate::events::SmLoop`] consults before `plan_walked` on
+/// every post-bring-up reroute: `Some(plan)` is published as the
+/// transition's plan, `None` falls through to the loop's own planner.
+/// No production implementor answers it (`delta::DeltaPlanner` returns
+/// `None`); it is the seam the loop's panic-containment tests inject a
+/// failing planner through.
 pub trait DiffPlanProvider {
-    /// A transition plan for `old -> new` on `net`, or `None` if no
-    /// certificate covering this pair is held. `hw_vls` is the hardware
-    /// VL budget any staged vetting must respect.
+    /// A transition plan for `old -> new` on `net`, or `None` to leave
+    /// the plan to the loop. `hw_vls` is the hardware VL budget any
+    /// staged vetting must respect.
     fn diff_plan(
         &self,
         net: &Network,
@@ -484,7 +480,7 @@ fn stage(
 
 /// Whether any table entry of `net`'s nodes or layer of its terminals
 /// differs in destination column `d`.
-pub fn column_differs(net: &Network, old: &Routes, new: &Routes, d: usize) -> bool {
+pub(crate) fn column_differs(net: &Network, old: &Routes, new: &Routes, d: usize) -> bool {
     let ((old_next, old_layers), (new_next, new_layers)) = (old.column(d), new.column(d));
     let (nn, nt) = (net.num_nodes(), net.num_terminals());
     old_next[..nn] != new_next[..nn] || old_layers[..nt] != new_layers[..nt]
@@ -500,7 +496,7 @@ fn column_entries(net: &Network, new: &Routes, d: usize) -> usize {
 }
 
 /// Switch-table entries that differ between the two columns (SMP cost).
-pub fn column_swap_entries(net: &Network, old: &Routes, new: &Routes, d: usize) -> usize {
+pub(crate) fn column_swap_entries(net: &Network, old: &Routes, new: &Routes, d: usize) -> usize {
     let ((old_next, _), (new_next, _)) = (old.column(d), new.column(d));
     net.switches()
         .iter()

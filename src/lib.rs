@@ -43,7 +43,7 @@
 //! | [`vet`] | static analyzer for routing artifacts (lints V001–V006) |
 //! | [`telemetry`] | phase timers, counters, histograms, run manifests |
 //! | [`serve`] | epoch-versioned snapshots, batched concurrent query engine |
-//! | [`delta`] | incremental rerouting: O(change) epoch recompute + transition certificates |
+//! | [`delta`] | incremental rerouting: O(change) epoch recompute |
 //!
 //! ## Measuring a run
 //!
