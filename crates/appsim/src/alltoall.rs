@@ -36,13 +36,13 @@ pub fn alltoall_time(
 mod tests {
     use super::*;
     use baselines::MinHop;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
 
     #[test]
     fn time_scales_linearly_with_message_size() {
         let net = topo::kary_ntree(2, 3);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let t1 = alltoall_time(&net, &routes, 8, Allocation::Packed, 1 << 10, 946.0).unwrap();
         let t2 = alltoall_time(&net, &routes, 8, Allocation::Packed, 1 << 12, 946.0).unwrap();
         assert!((t2 / t1 - 4.0).abs() < 1e-9);
@@ -51,7 +51,7 @@ mod tests {
     #[test]
     fn more_cores_take_longer() {
         let net = topo::kary_ntree(4, 2);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let t8 = alltoall_time(&net, &routes, 8, Allocation::Spread, 1 << 14, 946.0).unwrap();
         let t16 = alltoall_time(&net, &routes, 16, Allocation::Spread, 1 << 14, 946.0).unwrap();
         assert!(t16 > t8);
@@ -61,7 +61,7 @@ mod tests {
     fn congestion_free_bound_matches_analytic() {
         // 2 ranks: one phase, full bandwidth both ways.
         let net = topo::kary_ntree(2, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let bytes = 1 << 20; // 1 MiB
         let t = alltoall_time(&net, &routes, 2, Allocation::Spread, bytes, 1000.0).unwrap();
         assert!((t - 0.001).abs() < 1e-9, "t = {t}");

@@ -226,7 +226,7 @@ fn xor_pairs(cores: usize, k: usize) -> Pattern {
 mod tests {
     use super::*;
     use baselines::MinHop;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
 
     #[test]
@@ -251,7 +251,7 @@ mod tests {
         // Strong scaling on an oversubscribed tree: communication share
         // must grow (the Fig 14/15 divergence mechanism).
         let net = topo::xgft(2, &[8, 8], &[2, 2]);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let small = NasBenchmark::SP
             .run(&net, &routes, 16, Allocation::Spread)
             .unwrap();
@@ -266,8 +266,8 @@ mod tests {
         // FT's all-to-all hits congestion immediately: DFSSSP must not
         // lose to MinHop on an oversubscribed fabric.
         let net = topo::xgft(2, &[8, 8], &[2, 2]);
-        let minhop = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let dfsssp = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let minhop = MinHop::new().route(&net).unwrap();
+        let dfsssp = DfSssp::new().route(&net).unwrap();
         let a = NasBenchmark::FT
             .run(&net, &minhop, 32, Allocation::Spread)
             .unwrap();
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn all_benchmarks_produce_finite_results() {
         let net = topo::kary_ntree(4, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         for bench in NasBenchmark::ALL {
             let r = bench.run(&net, &routes, 16, Allocation::Packed).unwrap();
             assert!(r.gflops_total.is_finite() && r.gflops_total > 0.0);
@@ -300,7 +300,7 @@ mod tests {
         let a = NasBenchmark::BT
             .run(
                 &net,
-                &MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
+                &MinHop::new().route(&net).unwrap(),
                 8,
                 Allocation::Packed,
             )
@@ -308,7 +308,7 @@ mod tests {
         let b = NasBenchmark::BT
             .run(
                 &net,
-                &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
+                &DfSssp::new().route(&net).unwrap(),
                 8,
                 Allocation::Packed,
             )

@@ -72,14 +72,14 @@ pub fn point_to_point_reference(
 mod tests {
     use super::*;
     use baselines::MinHop;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
 
     #[test]
     fn small_runs_get_full_bandwidth_on_big_tree() {
         // 4 ranks spread over a 64-terminal full fat tree barely contend.
         let net = topo::kary_ntree(4, 3);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let s = netgauge_ebb(&net, &routes, 4, Allocation::Spread, 20, 946.0, 1).unwrap();
         assert!(s.mean > 0.8 * 946.0, "{s}");
     }
@@ -88,7 +88,7 @@ mod tests {
     fn ebb_decreases_with_scale_like_fig12() {
         // On an oversubscribed topology, more cores = more congestion.
         let net = topo::xgft(2, &[8, 8], &[2, 2]);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let small = netgauge_ebb(&net, &routes, 16, Allocation::Spread, 50, 946.0, 1).unwrap();
         let large = netgauge_ebb(&net, &routes, 64, Allocation::Spread, 50, 946.0, 1).unwrap();
         assert!(
@@ -105,7 +105,7 @@ mod tests {
         let net = topo::torus(&[4, 4], 1);
         let a = point_to_point_reference(
             &net,
-            &MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
+            &MinHop::new().route(&net).unwrap(),
             0,
             2.5,
             946.0,
@@ -114,7 +114,7 @@ mod tests {
         .unwrap();
         let b = point_to_point_reference(
             &net,
-            &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
+            &DfSssp::new().route(&net).unwrap(),
             0,
             2.5,
             946.0,
@@ -133,8 +133,8 @@ mod tests {
         // Tiny messages expose per-hop latency differences; average the
         // per-source averages so sources far from the Up*/Down* root
         // (whose legal paths detour) are represented.
-        let df = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let ud = UpDown::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let df = DfSssp::new().route(&net).unwrap();
+        let ud = UpDown::new().route(&net).unwrap();
         let mean_over_sources = |routes: &fabric::Routes| {
             let nt = net.num_terminals();
             (0..nt)
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let net = topo::kary_ntree(2, 3);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let a = netgauge_ebb(&net, &routes, 8, Allocation::Packed, 10, 1.0, 7).unwrap();
         let b = netgauge_ebb(&net, &routes, 8, Allocation::Packed, 10, 1.0, 7).unwrap();
         assert_eq!(a.mean, b.mean);

@@ -9,7 +9,7 @@
 //! DOR is deadlock-free on meshes but **not** on tori (wraparound links
 //! close dependency cycles) — LASH is its cycle-free derivative.
 
-use dfsssp_core::{ComputeCtx, RouteError, RoutingEngine};
+use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{ChannelId, Network, NodeId, Routes};
 
 /// The DOR engine.
@@ -127,7 +127,7 @@ impl RoutingEngine for Dor {
         "DOR"
     }
 
-    fn route_in(&self, net: &Network, _cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn routes_mesh_minimally_and_deadlock_free() {
         let net = topo::mesh(&[4, 3], 1);
-        let routes = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Dor::new().route(&net).unwrap();
         let nt = net.num_terminals();
         assert_eq!(routes.validate_connectivity(&net).unwrap(), nt * (nt - 1));
         verify_minimal(&net, &routes).unwrap();
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn routes_torus_minimally_but_cyclically() {
         let net = topo::torus(&[4, 4], 1);
-        let routes = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Dor::new().route(&net).unwrap();
         verify_minimal(&net, &routes).unwrap();
         // Wraparound closes dependency cycles: the classical result.
         assert!(!deadlock_report(&net, &routes).unwrap().is_deadlock_free());
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn dimension_zero_corrected_first() {
         let net = topo::mesh(&[3, 3], 1);
-        let routes = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Dor::new().route(&net).unwrap();
         // From (0,0) to (2,2): path must go through (1,0), (2,0), (2,1).
         let src = net.terminals()[0]; // attached to s0 = (0,0)
         let dst = net.terminals()[8]; // attached to s8 = (2,2)
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn torus_wrap_direction_is_shorter_side() {
         let net = topo::torus(&[5], 1);
-        let routes = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Dor::new().route(&net).unwrap();
         // s0 to s4 is one wrap hop, not four forward hops.
         let src = net.terminals()[0];
         let dst = net.terminals()[4];
@@ -231,14 +231,14 @@ mod tests {
     #[test]
     fn fails_without_coordinates() {
         let net = topo::kary_ntree(2, 2);
-        let err = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap_err();
+        let err = Dor::new().route(&net).unwrap_err();
         assert!(matches!(err, RouteError::UnsupportedTopology(_)));
     }
 
     #[test]
     fn hypercube_supported() {
         let net = topo::hypercube(3, 1);
-        let routes = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Dor::new().route(&net).unwrap();
         verify_minimal(&net, &routes).unwrap();
     }
 }

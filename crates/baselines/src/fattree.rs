@@ -7,7 +7,7 @@
 //! tree topology — on anything else the engine refuses, matching
 //! OpenSM's ftree engine failing on the paper's irregular systems.
 
-use dfsssp_core::{ComputeCtx, RouteError, RoutingEngine};
+use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{Network, Routes};
 
 /// The fat-tree engine.
@@ -26,7 +26,7 @@ impl RoutingEngine for FatTree {
         "FatTree"
     }
 
-    fn route_in(&self, net: &Network, _cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn routes_kary_ntree() {
         let net = topo::kary_ntree(4, 2);
-        let routes = FatTree::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = FatTree::new().route(&net).unwrap();
         let nt = net.num_terminals();
         assert_eq!(routes.validate_connectivity(&net).unwrap(), nt * (nt - 1));
         verify_minimal(&net, &routes).unwrap();
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn routes_xgft() {
         let net = topo::xgft(2, &[4, 4], &[2, 2]);
-        let routes = FatTree::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = FatTree::new().route(&net).unwrap();
         verify_minimal(&net, &routes).unwrap();
         verify_deadlock_free(&net, &routes).unwrap();
     }
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn spreads_destinations_over_roots() {
         let net = topo::kary_ntree(4, 2);
-        let routes = FatTree::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = FatTree::new().route(&net).unwrap();
         let loads = routes.channel_loads(&net).unwrap();
         let up_loads: Vec<u32> = net
             .channels()
@@ -151,17 +151,13 @@ mod tests {
 
     #[test]
     fn refuses_ring() {
-        let err = FatTree::new()
-            .route_in(&topo::ring(5, 1), &ComputeCtx::seq())
-            .unwrap_err();
+        let err = FatTree::new().route(&topo::ring(5, 1)).unwrap_err();
         assert!(matches!(err, RouteError::UnsupportedTopology(_)));
     }
 
     #[test]
     fn refuses_torus() {
-        let err = FatTree::new()
-            .route_in(&topo::torus(&[3, 3], 1), &ComputeCtx::seq())
-            .unwrap_err();
+        let err = FatTree::new().route(&topo::torus(&[3, 3], 1)).unwrap_err();
         assert!(matches!(err, RouteError::UnsupportedTopology(_)));
     }
 }

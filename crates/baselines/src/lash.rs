@@ -12,40 +12,23 @@
 //! SSSP-based routing on fat trees (Fig 5) while matching it on Kautz
 //! graphs (Fig 6).
 
-use dfsssp_core::budget::record_trip;
+use dfsssp_core::budget::{clamp_layers, record_trip};
 use dfsssp_core::dfsssp::assign_layers_online_budgeted;
 use dfsssp_core::paths::PathId;
-use dfsssp_core::{Budget, ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
+use dfsssp_core::{EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
 use telemetry::fx::FxHashMap;
-use telemetry::{phases, Recorder, RecorderHandle};
+use telemetry::{phases, Recorder};
 
 /// The LASH engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Lash {
-    /// Virtual-layer budget (InfiniBand: 8 in hardware).
-    pub max_layers: usize,
-    /// Telemetry sink (`cycle_search`/`layer_assign` phases of the
-    /// online assignment, which walks the paths; `cdg_build` covers tree
-    /// building only).
-    pub recorder: RecorderHandle,
-    /// Resource bounds for each run (see [`Budget`]).
-    pub budget: Budget,
-    /// The config's chunk width, kept so configs round-trip through
-    /// [`RoutingEngine::set_config`]; LASH has no balanced sweep and
-    /// ignores it.
-    pub compute: ComputeOpts,
-}
-
-impl Default for Lash {
-    fn default() -> Self {
-        Lash {
-            max_layers: 8,
-            recorder: telemetry::noop(),
-            budget: Budget::default(),
-            compute: ComputeOpts::default(),
-        }
-    }
+    /// Virtual-layer budget (InfiniBand: 8 in hardware), telemetry sink
+    /// (`cycle_search`/`layer_assign` phases of the online assignment,
+    /// which walks the paths; `cdg_build` covers tree building only) and
+    /// resource bounds. LASH has no balancing step and no balanced
+    /// sweep, so it ignores `balance` and `compute`.
+    pub config: EngineConfig,
 }
 
 /// A delivery tree: multi-source BFS over the switch graph from a
@@ -106,17 +89,17 @@ impl Lash {
 
     /// Route and also return the number of layers used (Fig 9/10 data).
     pub fn route_with_layers(&self, net: &Network) -> Result<(Routes, usize), RouteError> {
-        record_trip(&*self.recorder, self.route_with_layers_inner(net))
+        record_trip(&*self.config.recorder, self.route_with_layers_inner(net))
     }
 
     fn route_with_layers_inner(&self, net: &Network) -> Result<(Routes, usize), RouteError> {
-        let guard = self.budget.start();
+        let guard = self.config.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(self.max_layers)?;
+        let max_layers = clamp_layers(self.config.max_layers)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
-        let rec: &dyn Recorder = &*self.recorder;
+        let rec: &dyn Recorder = &*self.config.recorder;
         let (trees, terminal_tree) = telemetry::timed(rec, phases::CDG_BUILD, || {
             // One tree per distinct attachment set.
             let mut tree_of_key: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
@@ -206,8 +189,7 @@ impl RoutingEngine for Lash {
         "LASH"
     }
 
-    fn route_in(&self, net: &Network, _cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        // Online assignment is order-dependent; LASH ignores the context.
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         self.route_with_layers(net).map(|(r, _)| r)
     }
 
@@ -220,21 +202,11 @@ impl RoutingEngine for Lash {
     }
 
     fn config(&self) -> EngineConfig {
-        EngineConfig {
-            max_layers: self.max_layers,
-            // LASH has no balancing step; report the config default.
-            balance: true,
-            recorder: self.recorder.clone(),
-            budget: self.budget.clone(),
-            compute: self.compute,
-        }
+        self.config.clone()
     }
 
     fn set_config(&mut self, config: EngineConfig) {
-        self.max_layers = config.max_layers;
-        self.recorder = config.recorder;
-        self.budget = config.budget;
-        self.compute = config.compute;
+        self.config = config;
     }
 }
 
@@ -275,13 +247,8 @@ mod tests {
 
     #[test]
     fn layer_budget_enforced() {
-        let engine = Lash {
-            max_layers: 1,
-            ..Lash::new()
-        };
-        let err = engine
-            .route_in(&topo::ring(5, 1), &ComputeCtx::seq())
-            .unwrap_err();
+        let engine = Lash::new().with_config(EngineConfig::new().max_layers(1));
+        let err = engine.route(&topo::ring(5, 1)).unwrap_err();
         assert!(matches!(err, RouteError::NeedMoreLayers { .. }));
     }
 

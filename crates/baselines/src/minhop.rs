@@ -6,7 +6,7 @@
 //! after SSSP/DFSSSP in the paper's measurements, but is **not**
 //! deadlock-free (its CDG can be cyclic, e.g. on rings and tori).
 
-use dfsssp_core::{ComputeCtx, RouteError, RoutingEngine};
+use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{Network, Routes};
 
 /// The MinHop engine.
@@ -25,7 +25,7 @@ impl RoutingEngine for MinHop {
         "MinHop"
     }
 
-    fn route_in(&self, net: &Network, _cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn connects_all_pairs_minimally() {
         let net = topo::kary_ntree(3, 2);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let nt = net.num_terminals();
         assert_eq!(routes.validate_connectivity(&net).unwrap(), nt * (nt - 1));
         verify_minimal(&net, &routes).unwrap();
@@ -84,7 +84,7 @@ mod tests {
     fn balances_across_parallel_uplinks() {
         // Two leaves connected via two spines: loads must split.
         let net = topo::clos2(8, 2, 4, 2, 2);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let loads = routes.channel_loads(&net).unwrap();
         let spine_loads: Vec<u32> = net
             .channels()
@@ -100,7 +100,7 @@ mod tests {
     fn cyclic_on_ring() {
         // MinHop is not deadlock-free: the 5-ring CDG must be cyclic.
         let net = topo::ring(5, 1);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
         assert!(!report.is_deadlock_free());
     }
@@ -115,9 +115,7 @@ mod tests {
         let t1 = b.add_terminal("t1");
         b.link(t1, s1).unwrap();
         assert_eq!(
-            MinHop::new()
-                .route_in(&b.build(), &ComputeCtx::seq())
-                .unwrap_err(),
+            MinHop::new().route(&b.build()).unwrap_err(),
             RouteError::Disconnected
         );
     }

@@ -13,7 +13,7 @@
 //! more down options open for predecessors), then the lesser channel
 //! load (balancing like MinHop).
 
-use dfsssp_core::{ComputeCtx, RouteError, RoutingEngine};
+use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{ChannelId, Network, NodeId, Routes};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -164,7 +164,7 @@ impl RoutingEngine for UpDown {
         "Up*/Down*"
     }
 
-    fn route_in(&self, net: &Network, _cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
@@ -255,7 +255,7 @@ mod tests {
     use fabric::topo;
 
     fn assert_valid(net: &Network) -> Routes {
-        let routes = UpDown::new().route_in(net, &ComputeCtx::seq()).unwrap();
+        let routes = UpDown::new().route(net).unwrap();
         let nt = net.num_terminals();
         assert_eq!(routes.validate_connectivity(net).unwrap(), nt * (nt - 1));
         verify_deadlock_free(net, &routes).unwrap();
@@ -318,7 +318,7 @@ mod tests {
         let net = topo::ring(5, 1);
         let root = net.node_by_name("s3").unwrap();
         let engine = UpDown { root: Some(root) };
-        let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = engine.route(&net).unwrap();
         verify_deadlock_free(&net, &routes).unwrap();
     }
 

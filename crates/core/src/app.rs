@@ -305,9 +305,7 @@ mod tests {
         // exceed it.
         use crate::engine::RoutingEngine;
         let net = fabric::topo::ring(5, 1);
-        let routes = crate::sssp::Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = crate::sssp::Sssp::new().route(&net).unwrap();
         let paths = TreePaths {
             net: &net,
             routes: &routes,

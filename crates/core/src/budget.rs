@@ -3,8 +3,8 @@
 //! A subnet manager reroutes *inline* with fabric recovery — a routing
 //! run that walks a hostile or degenerate topology for minutes is as bad
 //! as one that panics. [`Budget`] bounds a single `route()` call along
-//! four axes (wall-clock deadline, admitted network size, CDG edge
-//! count, virtual layers) and is threaded through
+//! three axes (wall-clock deadline, admitted network size, CDG edge
+//! count) and is threaded through
 //! [`crate::EngineConfig`] so the escalation ladder, CLIs and benches
 //! all configure it the same way.
 //!
@@ -13,11 +13,8 @@
 //! SSSP destination, per cycle broken, per online path placement).
 //! An exhausted budget surfaces as [`RouteError::BudgetExceeded`] —
 //! promptly, instead of hanging — and is counted on the engine's
-//! recorder under `budget_trips`.
-//!
-//! The `max_layers` axis works by clamping, not by aborting: the
-//! engine's configured layer budget is reduced to the cap, so a binding
-//! clamp surfaces as the familiar [`RouteError::NeedMoreLayers`].
+//! recorder under `budget_trips`. The layer budget is the engine's own
+//! [`crate::EngineConfig::max_layers`], checked by [`clamp_layers`].
 
 use crate::engine::RouteError;
 use fabric::Network;
@@ -35,9 +32,6 @@ pub struct Budget {
     pub max_nodes: Option<usize>,
     /// Maximum live edges across the layers' channel dependency graphs.
     pub max_cdg_edges: Option<usize>,
-    /// Cap on the virtual-layer budget (clamps the engine's
-    /// `max_layers`; a binding clamp surfaces as `NeedMoreLayers`).
-    pub max_layers: Option<usize>,
 }
 
 impl Budget {
@@ -64,18 +58,9 @@ impl Budget {
         self
     }
 
-    /// Set the virtual-layer cap.
-    pub fn max_layers(mut self, n: usize) -> Self {
-        self.max_layers = Some(n);
-        self
-    }
-
     /// Whether every axis is unlimited (checkpoints are free to skip).
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_nodes.is_none()
-            && self.max_cdg_edges.is_none()
-            && self.max_layers.is_none()
+        self.deadline.is_none() && self.max_nodes.is_none() && self.max_cdg_edges.is_none()
     }
 
     /// Arm the budget for one run (the deadline clock starts now).
@@ -84,7 +69,6 @@ impl Budget {
             deadline: self.deadline.map(|d| (Instant::now() + d, d)),
             max_nodes: self.max_nodes,
             max_cdg_edges: self.max_cdg_edges,
-            max_layers: self.max_layers,
         }
     }
 }
@@ -96,7 +80,6 @@ pub struct BudgetGuard {
     deadline: Option<(Instant, Duration)>,
     max_nodes: Option<usize>,
     max_cdg_edges: Option<usize>,
-    max_layers: Option<usize>,
 }
 
 #[cfg(test)]
@@ -113,7 +96,6 @@ impl BudgetGuard {
             deadline: None,
             max_nodes: None,
             max_cdg_edges: None,
-            max_layers: None,
         }
     }
 
@@ -172,22 +154,20 @@ impl BudgetGuard {
         }
         Ok(())
     }
+}
 
-    /// Clamp a configured virtual-layer budget to this budget's cap
-    /// (never below 1) and to the 256 layers a `u8` layer id can name.
-    /// Every deadlock-free engine checks its budget here, once: a
-    /// configured budget of 0 can place no path, so it is
-    /// [`RouteError::NeedMoreLayers`] before any work.
-    pub fn clamp_layers(&self, configured: usize) -> Result<usize, RouteError> {
-        if configured == 0 {
-            return Err(RouteError::NeedMoreLayers {
-                required: 1,
-                allowed: 0,
-            });
-        }
-        let cap = self.max_layers.map_or(usize::MAX, |cap| cap.max(1));
-        Ok(configured.min(cap).min(u8::MAX as usize + 1))
+/// Check a configured virtual-layer budget and clamp it to the 256
+/// layers a `u8` layer id can name. Every deadlock-free engine checks
+/// its budget here, once: a budget of 0 can place no path, so it is
+/// [`RouteError::NeedMoreLayers`] before any work.
+pub fn clamp_layers(configured: usize) -> Result<usize, RouteError> {
+    if configured == 0 {
+        return Err(RouteError::NeedMoreLayers {
+            required: 1,
+            allowed: 0,
+        });
     }
+    Ok(configured.min(u8::MAX as usize + 1))
 }
 
 /// Count budget trips on the engine's recorder: passes `res` through,
@@ -214,7 +194,6 @@ mod tests {
         g.admit(&net).unwrap();
         g.check_deadline().unwrap();
         g.check_cdg_edges(usize::MAX).unwrap();
-        assert_eq!(g.clamp_layers(8), Ok(8));
         assert!(Budget::default().is_unlimited());
     }
 
@@ -254,27 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn layer_cap_clamps_instead_of_failing() {
-        let g = Budget::new().max_layers(2).start();
-        assert_eq!(g.clamp_layers(8), Ok(2));
-        assert_eq!(g.clamp_layers(1), Ok(1));
-        let g = Budget::new().max_layers(0).start();
-        assert_eq!(g.clamp_layers(8), Ok(1), "cap never drops below 1");
-    }
-
-    #[test]
     fn layer_budgets_outside_a_u8_are_typed_or_clamped() {
         let zero = RouteError::NeedMoreLayers {
             required: 1,
             allowed: 0,
         };
-        for g in [
-            BudgetGuard::unlimited(),
-            Budget::new().max_layers(300).start(),
-        ] {
-            assert_eq!(g.clamp_layers(0), Err(zero.clone()));
-            assert_eq!(g.clamp_layers(300), Ok(256));
-            assert_eq!(g.clamp_layers(256), Ok(256));
-        }
+        assert_eq!(clamp_layers(0), Err(zero));
+        assert_eq!(clamp_layers(8), Ok(8));
+        assert_eq!(clamp_layers(300), Ok(256));
+        assert_eq!(clamp_layers(256), Ok(256));
     }
 }

@@ -436,9 +436,7 @@ mod tests {
     fn ring_layer0(check: impl Fn(crate::paths::TreePaths, Cdg)) {
         use crate::engine::RoutingEngine;
         let net = fabric::topo::ring(5, 1);
-        let routes = crate::sssp::Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = crate::sssp::Sssp::new().route(&net).unwrap();
         let paths = crate::paths::TreePaths {
             net: &net,
             routes: &routes,

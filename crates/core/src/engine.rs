@@ -53,8 +53,7 @@ impl std::error::Error for RouteError {}
 
 /// The compute request an engine carries in its [`EngineConfig`]: the
 /// balanced sweep's chunk width. Route computation is sequential; the
-/// chunk is the one schedule parameter, and [`ComputeOpts::resolve`]
-/// turns the request into the [`ComputeCtx`] handed to `route_in`.
+/// chunk is the one schedule parameter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComputeOpts {
     /// Destinations per chunk of the balanced SSSP sweep (DESIGN.md
@@ -81,7 +80,9 @@ impl ComputeOpts {
         self
     }
 
-    /// The context this request asks for (`chunk` 0 read as 1).
+    /// The context this request asks for (`chunk` 0 read as 1). Kept
+    /// only because `crates/perf` spells it (`stack.rs:161`); delete it
+    /// with that call and [`RoutingEngine::route_in`].
     pub fn resolve(&self) -> ComputeCtx {
         ComputeCtx {
             chunk: self.chunk.max(1),
@@ -89,22 +90,13 @@ impl ComputeOpts {
     }
 }
 
-/// Compute context handed down the routing call tree. Routes are a
-/// function of the network and `chunk` alone, so reproducing a run on
-/// any machine takes only the chunk value.
+/// A resolved [`ComputeOpts`]. Kept only because `crates/perf` spells
+/// it (`stack.rs:10,160`, `shadow.rs:13,75`); delete it with those
+/// calls and [`RoutingEngine::route_in`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ComputeCtx {
-    /// Chunk width of the balanced sweep (≥ 1): every tree of a chunk
-    /// is computed against the chunk-start weights. `1` is the paper's
-    /// schedule, the terminal count the serving one.
+    /// Chunk width of the balanced sweep (≥ 1).
     pub chunk: usize,
-}
-
-impl ComputeCtx {
-    /// Chunk 1 — the paper's algorithm byte for byte.
-    pub fn seq() -> Self {
-        ComputeCtx { chunk: 1 }
-    }
 }
 
 /// Uniform configuration for configurable routing engines: the
@@ -183,42 +175,48 @@ impl EngineConfig {
 /// A routing algorithm: consumes a network, produces forwarding tables
 /// plus a virtual-layer assignment.
 ///
-/// The entry point is [`RoutingEngine::route_in`], which takes a
-/// [`ComputeCtx`]; engines without a balanced sweep ignore it. Resolve
-/// the engine's own request with `engine.config().compute.resolve()`
-/// when no explicit context is at hand.
+/// An engine is configured once ([`RoutingEngine::set_config`]) and
+/// then routes with [`RoutingEngine::route`]: every schedule, budget and
+/// telemetry choice is read from the [`EngineConfig`] it holds.
 pub trait RoutingEngine {
     /// Engine name, as reported in tables/figures (e.g. `"DFSSSP"`).
     fn name(&self) -> &'static str;
 
-    /// Compute routes for `net` under the given compute context.
+    /// Compute routes for `net`.
     ///
-    /// Determinism contract: the routes are a function of `net` and
-    /// `cx.chunk` (a declared algorithm parameter) and nothing else.
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError>;
+    /// Determinism contract: the routes are a function of `net` and the
+    /// engine's configuration and nothing else.
+    fn route(&self, net: &Network) -> Result<Routes, RouteError>;
+
+    /// [`RoutingEngine::route`], given the context the engine's own
+    /// configuration resolves to (anything else panics). Kept only
+    /// because `crates/perf` spells it (`stack.rs:297`,
+    /// `shadow.rs:169,310`); delete it with those calls.
+    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
+        assert_eq!(*cx, self.config().compute.resolve());
+        self.route(net)
+    }
 
     /// Whether the routes this engine produces are guaranteed
     /// deadlock-free on arbitrary topologies.
     fn deadlock_free(&self) -> bool;
 
-    /// Whether this engine acts on [`RoutingEngine::set_config`].
-    /// Engines without tunables (MinHop, plain SSSP, DOR) report
-    /// `false`; the subnet manager's escalation ladder then skips the
-    /// widen-VLs rung *intentionally* instead of silently.
+    /// Whether this engine has a layer budget the widen-VLs rung can
+    /// raise. Engines without one (MinHop, plain SSSP, DOR) report
+    /// `false`; the subnet manager's escalation ladder then skips that
+    /// rung *intentionally* instead of silently.
     fn tunables(&self) -> bool {
         false
     }
 
-    /// The engine's current configuration. Total: engines without
-    /// tunables report the defaults they effectively run with. Check
-    /// [`RoutingEngine::tunables`] to learn whether `set_config` would
-    /// change anything.
+    /// The engine's current configuration. Total: engines without a
+    /// configuration report the defaults they effectively run with.
     fn config(&self) -> EngineConfig {
         EngineConfig::default()
     }
 
-    /// Apply a configuration. Total: engines without tunables
-    /// ([`RoutingEngine::tunables`] `== false`) accept and ignore it.
+    /// Apply a configuration. Total: engines accept it and ignore the
+    /// fields they have no use for.
     fn set_config(&mut self, _config: EngineConfig) {}
 
     /// Builder form of [`RoutingEngine::set_config`].
@@ -238,8 +236,8 @@ impl<T: RoutingEngine + ?Sized> RoutingEngine for Box<T> {
         (**self).name()
     }
 
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        (**self).route_in(net, cx)
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
+        (**self).route(net)
     }
 
     fn deadlock_free(&self) -> bool {
@@ -288,9 +286,9 @@ impl<E: RoutingEngine> RoutingEngine for Recorded<E> {
         self.inner.name()
     }
 
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         let routes = telemetry::timed(&*self.recorder, phases::ROUTE_TOTAL, || {
-            self.inner.route_in(net, cx)
+            self.inner.route(net)
         })?;
         record_route_metrics(net, &routes, &*self.recorder);
         Ok(routes)
@@ -377,7 +375,7 @@ mod tests {
     #[test]
     fn compute_opts_resolve_to_the_chunk_alone() {
         // The default is the paper's schedule, and 0 reads as 1.
-        assert_eq!(EngineConfig::default().compute.resolve(), ComputeCtx::seq());
+        assert_eq!(EngineConfig::default().compute.resolve().chunk, 1);
         assert_eq!(ComputeOpts::new().chunk(0).resolve().chunk, 1);
         assert_eq!(ComputeOpts::new().chunk(5).resolve().chunk, 5);
         // `threads` is the pinned no-op: it changes nothing.
@@ -385,6 +383,17 @@ mod tests {
             ComputeOpts::new().threads(4).chunk(5),
             ComputeOpts::new().chunk(5)
         );
+    }
+
+    #[test]
+    fn route_in_is_route_under_the_engines_own_context() {
+        let net = fabric::topo::torus(&[3, 3], 1);
+        let compute = ComputeOpts::new().chunk(4);
+        let engine = crate::Sssp::new().with_config(EngineConfig::new().compute(compute));
+        let own = compute.resolve();
+        assert_eq!(engine.route_in(&net, &own), engine.route(&net));
+        let foreign = std::panic::catch_unwind(|| engine.route_in(&net, &ComputeCtx { chunk: 1 }));
+        assert!(foreign.is_err(), "a foreign context must panic");
     }
 
     #[test]

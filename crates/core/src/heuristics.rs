@@ -141,7 +141,7 @@ mod tests {
         use crate::engine::RoutingEngine;
         let net = fabric::topo::torus(&[4, 3], 1);
         let engine = crate::DfSssp::with_heuristic(CycleBreakHeuristic::RandomEdge(7));
-        let routes = engine.route_in(&net, &crate::ComputeCtx::seq()).unwrap();
+        let routes = engine.route(&net).unwrap();
         crate::verify::verify_deadlock_free(&net, &routes).unwrap();
     }
 

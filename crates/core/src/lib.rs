@@ -45,10 +45,7 @@ pub mod wrapper;
 
 pub use budget::{Budget, BudgetGuard};
 pub use dfsssp::{DfSssp, LayerAssignMode};
-pub use engine::{
-    record_route_metrics, ComputeCtx, ComputeOpts, EngineConfig, Recorded, RouteError,
-    RoutingEngine,
-};
+pub use engine::*;
 pub use heuristics::CycleBreakHeuristic;
 pub use quality::{route_quality, RouteQuality};
 pub use sssp::Sssp;

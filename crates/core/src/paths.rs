@@ -229,9 +229,7 @@ mod tests {
     #[test]
     fn walks_chain_from_source_to_destination() {
         let net = topo::kary_ntree(2, 2);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let trees = TreePaths {
             net: &net,
             routes: &routes,
@@ -255,9 +253,7 @@ mod tests {
     #[test]
     fn walk_lengths_sum_to_channel_loads() {
         let net = topo::torus(&[3, 3], 1);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let trees = TreePaths {
             net: &net,
             routes: &routes,

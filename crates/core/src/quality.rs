@@ -108,13 +108,7 @@ mod tests {
     #[test]
     fn minimal_engines_report_full_minimality() {
         let net = topo::torus(&[4, 4], 1);
-        let q = route_quality(
-            &net,
-            &Sssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap(),
-        )
-        .unwrap();
+        let q = route_quality(&net, &Sssp::new().route(&net).unwrap()).unwrap();
         assert_eq!(q.minimal_fraction, 1.0);
         assert!(q.avg_path_len >= 2.0);
         assert_eq!(q.layers, 1);
@@ -123,13 +117,7 @@ mod tests {
     #[test]
     fn balancing_shows_in_the_imbalance_figure() {
         let net = topo::kary_ntree(4, 2);
-        let balanced = route_quality(
-            &net,
-            &Sssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap(),
-        )
-        .unwrap();
+        let balanced = route_quality(&net, &Sssp::new().route(&net).unwrap()).unwrap();
         let plain = route_quality(&net, &unbalanced_shortest_paths(&net).unwrap()).unwrap();
         assert!(
             balanced.load_imbalance < plain.load_imbalance,
@@ -144,20 +132,8 @@ mod tests {
     #[test]
     fn dfsssp_matches_sssp_quality_plus_layers() {
         let net = topo::torus(&[3, 3], 1);
-        let s = route_quality(
-            &net,
-            &Sssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap(),
-        )
-        .unwrap();
-        let d = route_quality(
-            &net,
-            &DfSssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap(),
-        )
-        .unwrap();
+        let s = route_quality(&net, &Sssp::new().route(&net).unwrap()).unwrap();
+        let d = route_quality(&net, &DfSssp::new().route(&net).unwrap()).unwrap();
         assert_eq!(s.avg_path_len, d.avg_path_len);
         assert_eq!(s.max_interswitch_load, d.max_interswitch_load);
         assert!(d.layers >= s.layers);
@@ -166,13 +142,7 @@ mod tests {
     #[test]
     fn display_is_compact() {
         let net = topo::ring(4, 1);
-        let q = route_quality(
-            &net,
-            &Sssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap(),
-        )
-        .unwrap();
+        let q = route_quality(&net, &Sssp::new().route(&net).unwrap()).unwrap();
         let s = q.to_string();
         assert!(s.contains("minimal"));
         assert!(s.contains("VLs"));

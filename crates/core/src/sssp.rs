@@ -19,18 +19,20 @@
 //! paths (switch-sourced traffic does not exist in operation).
 //!
 //! **Chunk schedule.** Each destination's tree depends on the weights
-//! left by all previous destinations; [`ComputeCtx::chunk`] coarsens that
-//! feedback: the trees of one `chunk`-wide run of destinations are all
-//! computed against the weights at the run's start, and tables and weight
-//! updates are applied in destination order. The output is a function of
-//! the network and the chunk width alone; `chunk = 1` is the paper's
-//! algorithm byte for byte, `chunk = |T|` the snapshot schedule
-//! `delta` patches under (DESIGN.md §15): there every tree is the
-//! shortest-hop tree of [`bfs_to`] and no base weight is sized.
+//! left by all previous destinations; the engine's chunk width
+//! ([`Sssp::compute`], the `compute` of its [`crate::EngineConfig`])
+//! coarsens that feedback: the trees of one `chunk`-wide run of
+//! destinations are all computed against the weights at the run's start,
+//! and tables and weight updates are applied in destination order. The
+//! output is a function of the network and the chunk width alone;
+//! `chunk = 1` is the paper's algorithm byte for byte, `chunk = |T|` the
+//! snapshot schedule `delta` patches under (DESIGN.md §15): there every
+//! tree is the shortest-hop tree of [`bfs_to`] and no base weight is
+//! sized.
 
 use crate::budget::BudgetGuard;
 use crate::dijkstra::{bfs_to, spt_to};
-use crate::engine::{ComputeCtx, ComputeOpts, RouteError, RoutingEngine};
+use crate::engine::{ComputeOpts, EngineConfig, RouteError, RoutingEngine};
 use fabric::{Network, Routes};
 
 #[cfg(test)]
@@ -45,11 +47,17 @@ thread_local! {
 pub struct Sssp {
     /// Force minimal (shortest-hop) paths via a large base weight.
     pub minimal: bool,
+    /// Chunk width of the sweep (see the module docs); the paper's `1`
+    /// by default.
+    pub compute: ComputeOpts,
 }
 
 impl Default for Sssp {
     fn default() -> Self {
-        Sssp { minimal: true }
+        Sssp {
+            minimal: true,
+            compute: ComputeOpts::default(),
+        }
     }
 }
 
@@ -75,12 +83,12 @@ impl Sssp {
     /// weights (the weights are exposed for tests and diagnostics).
     pub fn route_with_weights(&self, net: &Network) -> Result<(Routes, Vec<u64>), RouteError> {
         let (unlimited, w0) = (BudgetGuard::unlimited(), self.base_weight(net));
-        let (routes, load) = self.route_with_loads_in(net, &unlimited, &ComputeCtx::seq())?;
+        let (routes, load) = self.route_with_loads(net, &unlimited)?;
         Ok((routes, load.iter().map(|l| w0 + l).collect()))
     }
 
-    /// Algorithm 1 under a [`BudgetGuard`] and the chunk schedule of
-    /// `cx` (see the module docs), returning the tables and what the
+    /// Algorithm 1 under a [`BudgetGuard`] and the engine's chunk
+    /// schedule (see the module docs), returning the tables and what the
     /// trees added to each channel's weight (its *load*: the number of
     /// terminal-to-terminal paths over it). The deadline is checked
     /// before every destination's tree (the expensive unit of Algorithm
@@ -92,17 +100,16 @@ impl Sssp {
     /// every tree is the shortest-hop tree [`bfs_to`] builds, whatever
     /// `W0` is, so the base weight (an all-pairs diameter) is never
     /// computed.
-    pub fn route_with_loads_in(
+    pub fn route_with_loads(
         &self,
         net: &Network,
         guard: &BudgetGuard,
-        cx: &ComputeCtx,
     ) -> Result<(Routes, Vec<u64>), RouteError> {
         guard.admit(net)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
-        let chunk = cx.chunk.max(1);
+        let chunk = self.compute.chunk.max(1);
         let snapshot = chunk >= net.num_terminals();
         let w0 = if snapshot { 0 } else { self.base_weight(net) };
         let mut load = vec![0u64; net.num_channels()];
@@ -153,13 +160,21 @@ impl RoutingEngine for Sssp {
         "SSSP"
     }
 
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        self.route_with_loads_in(net, &BudgetGuard::unlimited(), cx)
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
+        self.route_with_loads(net, &BudgetGuard::unlimited())
             .map(|(r, _)| r)
     }
 
     fn deadlock_free(&self) -> bool {
         false
+    }
+
+    fn config(&self) -> EngineConfig {
+        EngineConfig::new().compute(self.compute)
+    }
+
+    fn set_config(&mut self, config: EngineConfig) {
+        self.compute = config.compute;
     }
 }
 
@@ -168,8 +183,10 @@ impl RoutingEngine for Sssp {
 /// start weights, no balancing), labelled `ShortestPath`. These are the
 /// tables the serving schedule routes.
 pub fn unbalanced_shortest_paths(net: &Network) -> Result<Routes, RouteError> {
-    let cx = ComputeOpts::new().chunk(net.num_terminals()).resolve();
-    let mut routes = Sssp::new().route_in(net, &cx)?;
+    let snapshot = ComputeOpts::new().chunk(net.num_terminals());
+    let mut routes = Sssp::new()
+        .with_config(EngineConfig::new().compute(snapshot))
+        .route(net)?;
     routes.set_engine("ShortestPath");
     Ok(routes)
 }
@@ -183,18 +200,14 @@ mod tests {
     #[test]
     fn routes_all_pairs_on_torus() {
         let net = topo::torus(&[3, 3], 1);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         assert_eq!(routes.validate_connectivity(&net).unwrap(), 9 * 8);
     }
 
     #[test]
     fn paths_are_minimal() {
         let net = topo::kautz(2, 2, 12, true);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         for &dst in net.terminals() {
             let hops = net.hops_to(dst);
             for &src in net.terminals() {
@@ -212,9 +225,7 @@ mod tests {
         // On a fat tree the unbalanced variant funnels everything through
         // the first-found root; SSSP must spread the load.
         let net = topo::kary_ntree(4, 2);
-        let balanced = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let balanced = Sssp::new().route(&net).unwrap();
         let unbalanced = unbalanced_shortest_paths(&net).unwrap();
         let max_b = *balanced.channel_loads(&net).unwrap().iter().max().unwrap();
         let max_u = *unbalanced
@@ -259,9 +270,12 @@ mod tests {
         let net = b.build();
 
         // Non-minimal configuration can produce non-shortest paths.
-        let routes = Sssp { minimal: false }
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp {
+            minimal: false,
+            ..Sssp::new()
+        }
+        .route(&net)
+        .unwrap();
         let mut any_detour = false;
         for &dst in net.terminals() {
             let hops = net.hops_to(dst);
@@ -278,9 +292,7 @@ mod tests {
         assert!(any_detour, "unit initial weights must allow detours");
 
         // Minimal configuration never does.
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         for &dst in net.terminals() {
             let hops = net.hops_to(dst);
             for &src in net.terminals() {
@@ -329,7 +341,8 @@ mod tests {
         let terminals = net.num_terminals();
         let before = DEADLINE_CHECKS.with(|n| n.get());
         Sssp::new()
-            .route_in(&net, &ComputeCtx { chunk: terminals })
+            .with_config(EngineConfig::new().compute(ComputeOpts::new().chunk(terminals)))
+            .route(&net)
             .unwrap();
         let checks = DEADLINE_CHECKS.with(|n| n.get()) - before;
         assert!(checks >= terminals, "{checks} checks for {terminals} trees");
@@ -346,9 +359,7 @@ mod tests {
         b.link(t1, s1).unwrap();
         let net = b.build();
         assert_eq!(
-            Sssp::new()
-                .route_in(&net, &crate::ComputeCtx::seq())
-                .unwrap_err(),
+            Sssp::new().route(&net).unwrap_err(),
             RouteError::Disconnected
         );
         assert!(unbalanced_shortest_paths(&net).is_err());

@@ -150,9 +150,7 @@ mod tests {
     #[test]
     fn sssp_on_ring_is_flagged() {
         let net = topo::ring(5, 1);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
         assert!(!report.is_deadlock_free());
         assert_eq!(report.cyclic_layers, vec![0]);
@@ -172,9 +170,7 @@ mod tests {
     #[test]
     fn dfsssp_on_ring_passes() {
         let net = topo::ring(5, 1);
-        let routes = DfSssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
         assert!(report.is_deadlock_free());
         assert!(report.cycles.is_empty());
@@ -186,31 +182,23 @@ mod tests {
     #[test]
     fn sssp_on_tree_passes_without_layers() {
         let net = topo::kary_ntree(2, 2);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         assert!(verify_deadlock_free(&net, &routes).is_ok());
     }
 
     #[test]
     fn minimality_verified() {
         let net = topo::torus(&[4, 4], 1);
-        let routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         verify_minimal(&net, &routes).unwrap();
-        let routes = DfSssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         verify_minimal(&net, &routes).unwrap();
     }
 
     #[test]
     fn report_counts_edges() {
         let net = topo::ring(4, 1);
-        let routes = DfSssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
         assert_eq!(report.edges_per_layer.len(), routes.num_layers() as usize);
         assert!(report.edges_per_layer.iter().sum::<usize>() > 0);
@@ -219,9 +207,7 @@ mod tests {
     #[test]
     fn broken_tables_are_an_error_not_a_pass() {
         let net = topo::ring(5, 1);
-        let mut routes = DfSssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let mut routes = DfSssp::new().route(&net).unwrap();
         // Scrub one switch's entry toward terminal 0: the walk breaks.
         let sw = net.switches()[0];
         routes.clear_next(sw, 0);
@@ -231,9 +217,7 @@ mod tests {
             "table corruption must not report as deadlock-free: {err}"
         );
         // And a cyclic CDG is the *other* variant.
-        let sssp = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let sssp = Sssp::new().route(&net).unwrap();
         let err = verify_deadlock_free(&net, &sssp).unwrap_err();
         assert!(matches!(
             err,
@@ -244,9 +228,7 @@ mod tests {
     #[test]
     fn minimality_failure_names_the_pair() {
         let net = topo::ring(5, 1);
-        let mut routes = Sssp::new()
-            .route_in(&net, &crate::ComputeCtx::seq())
-            .unwrap();
+        let mut routes = Sssp::new().route(&net).unwrap();
         let sw = net.switches()[0];
         routes.clear_next(sw, 0);
         let (src, dst) = verify_minimal(&net, &routes).unwrap_err();

@@ -12,12 +12,12 @@
 //! with path-level layers); `DeadlockFree<MinHop>` upgrades OpenSM's
 //! default engine.
 
-use crate::budget::{record_trip, Budget};
+use crate::budget::{clamp_layers, record_trip};
 use crate::dfsssp::{DfStats, LayerAssignMode, Layering};
-use crate::engine::{ComputeCtx, ComputeOpts, EngineConfig, RouteError, RoutingEngine};
+use crate::engine::{EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
 use fabric::{Network, Routes};
-use telemetry::{phases, Recorder, RecorderHandle};
+use telemetry::{phases, Recorder};
 
 /// A deadlock-freedom wrapper around any routing engine.
 #[derive(Clone, Debug)]
@@ -26,76 +26,53 @@ pub struct DeadlockFree<E> {
     pub inner: E,
     /// Cycle-break heuristic (offline mode).
     pub heuristic: CycleBreakHeuristic,
-    /// Virtual-layer budget.
-    pub max_layers: usize,
     /// Offline (Algorithm 2) or online assignment.
     pub mode: LayerAssignMode,
-    /// Spread paths over unused layers afterwards.
-    pub balance: bool,
     /// Compact layers after offline assignment (see [`crate::DfSssp`]).
     pub compact: bool,
-    /// Telemetry sink (phases as in [`crate::DfSssp`], plus the inner
-    /// engine's share of the run as `inner_route`).
-    pub recorder: RecorderHandle,
-    /// Resource bounds for each run (see [`crate::Budget`]). The inner
+    /// Layer budget, balancing, telemetry sink (phases as in
+    /// [`crate::DfSssp`], plus the inner engine's share of the run as
+    /// `inner_route`), resource bounds and chunk width. The inner
     /// engine is not interrupted mid-call, but the deadline is checked
     /// when it returns and throughout the layer assignment.
-    pub budget: Budget,
-    /// Chunk width forwarded to the inner engine's `route_in` by
-    /// [`DeadlockFree::route_with_stats`]; engines without a balanced
-    /// sweep ignore it.
-    pub compute: ComputeOpts,
+    /// [`RoutingEngine::set_config`] passes `compute` on to the inner
+    /// engine.
+    pub config: EngineConfig,
 }
 
 impl<E: RoutingEngine> DeadlockFree<E> {
-    /// Wrap `inner` with the paper's default configuration.
+    /// Wrap `inner` with the paper's default configuration and the inner
+    /// engine's chunk width.
     pub fn new(inner: E) -> Self {
+        let config = EngineConfig::new().compute(inner.config().compute);
         DeadlockFree {
             inner,
             heuristic: CycleBreakHeuristic::WeakestEdge,
-            max_layers: 8,
             mode: LayerAssignMode::Offline,
-            balance: true,
             compact: true,
-            recorder: telemetry::noop(),
-            budget: Budget::default(),
-            compute: ComputeOpts::default(),
+            config,
         }
     }
 
     /// Route and return assignment statistics.
     pub fn route_with_stats(&self, net: &Network) -> Result<(Routes, DfStats), RouteError> {
-        self.route_with_stats_in(net, &self.compute.resolve())
+        record_trip(&*self.config.recorder, self.route_with_stats_inner(net))
     }
 
-    /// [`DeadlockFree::route_with_stats`] under an explicit compute
-    /// context, overriding the wrapper's own request. The context is
-    /// forwarded to the inner engine.
-    pub fn route_with_stats_in(
-        &self,
-        net: &Network,
-        cx: &ComputeCtx,
-    ) -> Result<(Routes, DfStats), RouteError> {
-        record_trip(&*self.recorder, self.route_with_stats_inner(net, cx))
-    }
-
-    fn route_with_stats_inner(
-        &self,
-        net: &Network,
-        cx: &ComputeCtx,
-    ) -> Result<(Routes, DfStats), RouteError> {
-        let rec: &dyn Recorder = &*self.recorder;
-        let guard = self.budget.start();
+    fn route_with_stats_inner(&self, net: &Network) -> Result<(Routes, DfStats), RouteError> {
+        let cfg = &self.config;
+        let rec: &dyn Recorder = &*cfg.recorder;
+        let guard = cfg.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(self.max_layers)?;
-        let routes = telemetry::timed(rec, phases::INNER_ROUTE, || self.inner.route_in(net, cx))?;
+        let max_layers = clamp_layers(cfg.max_layers)?;
+        let routes = telemetry::timed(rec, phases::INNER_ROUTE, || self.inner.route(net))?;
         guard.check_deadline()?;
         Layering {
             heuristic: self.heuristic,
             mode: self.mode,
             max_layers,
             compact: self.compact,
-            balance: self.balance,
+            balance: cfg.balance,
         }
         .apply(
             net,
@@ -113,8 +90,8 @@ impl<E: RoutingEngine> RoutingEngine for DeadlockFree<E> {
         "DF-wrapped"
     }
 
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
-        self.route_with_stats_in(net, cx).map(|(r, _)| r)
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
+        self.route_with_stats(net).map(|(r, _)| r)
     }
 
     fn deadlock_free(&self) -> bool {
@@ -126,21 +103,13 @@ impl<E: RoutingEngine> RoutingEngine for DeadlockFree<E> {
     }
 
     fn config(&self) -> EngineConfig {
-        EngineConfig {
-            max_layers: self.max_layers,
-            balance: self.balance,
-            recorder: self.recorder.clone(),
-            budget: self.budget.clone(),
-            compute: self.compute,
-        }
+        self.config.clone()
     }
 
     fn set_config(&mut self, config: EngineConfig) {
-        self.max_layers = config.max_layers;
-        self.balance = config.balance;
-        self.recorder = config.recorder;
-        self.budget = config.budget;
-        self.compute = config.compute;
+        let inner = self.inner.config().compute(config.compute);
+        self.inner.set_config(inner);
+        self.config = config;
     }
 }
 
@@ -179,9 +148,7 @@ mod tests {
         let t1 = b.add_terminal("t1");
         b.link(t1, s1).unwrap();
         let net = b.build();
-        let err = DeadlockFree::new(Sssp::new())
-            .route_in(&net, &ComputeCtx::seq())
-            .unwrap_err();
+        let err = DeadlockFree::new(Sssp::new()).route(&net).unwrap_err();
         assert_eq!(err, RouteError::Disconnected);
     }
 }

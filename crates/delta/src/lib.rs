@@ -14,9 +14,10 @@
 //!   when an event needs them. On the next route request it diffs the
 //!   networks, extracts the *affected set* of destinations, re-sweeps
 //!   only those trees, and patches the counts instead of rebuilding them.
-//! * The result is **bit-identical** to a full recompute under a
-//!   snapshot-chunk compute context (`cx.chunk >= |T|`): clean trees are
-//!   provably unchanged (see the dirty rules below), dirty trees are
+//! * The result is **bit-identical** to a full recompute under the
+//!   snapshot schedule the wrapped engine is configured with
+//!   (`compute.chunk >= |T|`; narrower chunks pass through): clean trees
+//!   are provably unchanged (see the dirty rules below), dirty trees are
 //!   recomputed with the same level-ordered BFS (`dijkstra::bfs_to`),
 //!   and the layer assignment either provably produces all-zeros
 //!   (patched layer-0 CDG still acyclic) or re-runs the real budgeted
@@ -54,11 +55,11 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dfsssp_core::balance::balance_layers;
-use dfsssp_core::budget::record_trip;
+use dfsssp_core::budget::{clamp_layers, record_trip};
 use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
 use dfsssp_core::dijkstra::bfs_to;
 use dfsssp_core::paths::TreePaths;
-use dfsssp_core::{ComputeCtx, DfSssp, EngineConfig, RouteError, RoutingEngine};
+use dfsssp_core::{DfSssp, EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, DepSlots, Network, Routes};
 use subnet::transition::{DiffPlanProvider, UpdatePlan};
 use telemetry::fx::FxHashMap;
@@ -212,15 +213,14 @@ impl DeltaEngine {
         &self,
         g: &mut Shared,
         net: &Network,
-        cx: &ComputeCtx,
         dirty_dests: Vec<usize>,
     ) -> Result<Routes, RouteError> {
-        let e = &self.inner;
-        let (routes, _, l0) = e.route_with_counts_in(net, cx)?;
+        let cfg = &self.inner.config;
+        let (routes, _, l0) = self.inner.route_with_counts(net)?;
         debug_assert!(l0
             .as_ref()
             .is_none_or(|l0| l0.len() == DepSlots::of(net).num_slots()));
-        let layer_cfg = (e.budget.start().clamp_layers(e.max_layers)?, e.balance);
+        let layer_cfg = (clamp_layers(cfg.max_layers)?, cfg.balance);
         g.last = Some(DeltaOutcome {
             delta: false,
             dirty_dests,
@@ -228,7 +228,7 @@ impl DeltaEngine {
             union_acyclic: false,
         });
         g.state = Some(telemetry::timed(
-            &*e.recorder,
+            &*cfg.recorder,
             phases::DELTA_REBUILD,
             || DeltaState {
                 net: net.clone(),
@@ -260,11 +260,11 @@ impl DeltaEngine {
             return Ok(Attempt::Fallback(Vec::new()));
         }
 
-        let e = &self.inner;
-        let rec: &dyn Recorder = &*e.recorder;
-        let guard = e.budget.start();
+        let cfg = &self.inner.config;
+        let rec: &dyn Recorder = &*cfg.recorder;
+        let guard = cfg.budget.start();
         guard.admit(net)?;
-        let max_layers = guard.clamp_layers(e.max_layers)?;
+        let max_layers = clamp_layers(cfg.max_layers)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
         }
@@ -307,7 +307,7 @@ impl DeltaEngine {
             net: net.clone(),
             routes: patched.routes.clone(),
             l0: patched.l0,
-            layer_cfg: (max_layers, e.balance),
+            layer_cfg: (max_layers, cfg.balance),
         });
         Ok(Attempt::Patched(patched.routes))
     }
@@ -322,8 +322,8 @@ impl DeltaEngine {
         max_layers: usize,
         diff: &Diff,
     ) -> Result<Option<Patched>, RouteError> {
-        let e = &self.inner;
-        let rec: &dyn Recorder = &*e.recorder;
+        let (e, balance) = (&self.inner, self.inner.config.balance);
+        let rec: &dyn Recorder = &*e.config.recorder;
         let dirty_dests = || diff.dirty_dests.iter().copied();
 
         // New tables: clean columns are copied whole and translated,
@@ -392,7 +392,7 @@ impl DeltaEngine {
         // breaks no cycle, the fabric just became acyclic and starts
         // holding the counts of its layer-0 pass.
         telemetry::timed(rec, phases::DELTA_LAYERS, || {
-            if l0.is_some() && prev.layer_cfg == (max_layers, e.balance) {
+            if l0.is_some() && prev.layer_cfg == (max_layers, balance) {
                 routes.copy_layers_from(&prev.routes);
                 return Ok(());
             }
@@ -406,7 +406,7 @@ impl DeltaEngine {
                 guard,
             )?;
             telemetry::timed(rec, phases::BALANCE, || {
-                if e.balance {
+                if balance {
                     balance_layers(&mut layers, stats.layers_used, max_layers);
                 }
             });
@@ -431,7 +431,7 @@ impl RoutingEngine for DeltaEngine {
         self.inner.name()
     }
 
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, RouteError> {
         let mut g = self.lock();
         // Whatever this request comes to — passthrough and every error
         // path included — the previous request's outcome is not its own.
@@ -443,18 +443,18 @@ impl RoutingEngine for DeltaEngine {
             // engine produces.
             g.state = None;
             drop(g);
-            return self.inner.route_in(net, cx);
+            return self.inner.route(net);
         }
-        if cx.chunk.max(1) < net.num_terminals() {
+        if self.inner.config.compute.chunk.max(1) < net.num_terminals() {
             // Narrower chunks use balanced weights; the dirty rules
             // only hold for the single-snapshot schedule.
             drop(g);
-            return self.inner.route_in(net, cx);
+            return self.inner.route(net);
         }
         let attempt = self.try_delta(&mut g, net);
-        match record_trip(&*self.inner.recorder, attempt)? {
+        match record_trip(&*self.inner.config.recorder, attempt)? {
             Attempt::Patched(routes) => Ok(routes),
-            Attempt::Fallback(dirty_dests) => self.full_recompute(&mut g, net, cx, dirty_dests),
+            Attempt::Fallback(dirty_dests) => self.full_recompute(&mut g, net, dirty_dests),
         }
     }
 
@@ -591,14 +591,19 @@ fn acyclic(slots: &Arc<DepSlots>, counts: impl Iterator<Item = u32>) -> bool {
 mod tests {
     use super::*;
     use dfsssp_core::verify::verify_deadlock_free;
-    use dfsssp_core::{Budget, Sssp};
+    use dfsssp_core::{Budget, ComputeOpts, Sssp};
     use fabric::{degrade, topo};
     use telemetry::Collector;
 
-    fn snap_cx(net: &Network) -> ComputeCtx {
-        ComputeCtx {
-            chunk: net.num_terminals().max(1),
-        }
+    /// The snapshot schedule for `net` and every fabric an event
+    /// leaves of it: one chunk of all its terminals.
+    fn snap(net: &Network) -> EngineConfig {
+        EngineConfig::new().compute(ComputeOpts::new().chunk(net.num_terminals()))
+    }
+
+    /// A cold `DfSssp` under [`snap`].
+    fn cold(net: &Network) -> DfSssp {
+        DfSssp::new().with_config(snap(net))
     }
 
     fn fail_one_cable(net: &Network, seed: u64) -> Network {
@@ -607,8 +612,8 @@ mod tests {
         degraded
     }
 
-    fn delta_engine() -> DeltaEngine {
-        DeltaEngine::new(DfSssp::new())
+    fn delta_engine(net: &Network) -> DeltaEngine {
+        DeltaEngine::new(cold(net))
     }
 
     /// The code [`tree_windows`] replaced, kept as its oracle: walk every
@@ -682,7 +687,10 @@ mod tests {
                     net = degraded;
                 }
                 let label = format!("{} after {step} failures", net.label());
-                let routes = Sssp::new().route_in(&net, &snap_cx(&net)).expect(&label);
+                let routes = Sssp::new()
+                    .with_config(snap(&net))
+                    .route(&net)
+                    .expect(&label);
                 let nt = net.num_terminals();
                 let all = kernel_windows(&net, &routes, 0..nt).expect(&label);
                 assert_eq!(Some(all), path_windows(&net, &routes, 0..nt), "{label}");
@@ -734,18 +742,17 @@ mod tests {
     #[test]
     fn corrupt_tables_fail_the_kernel_and_never_poison_the_engine() {
         let net = topo::kary_ntree(4, 2);
-        let cx = snap_cx(&net);
         let degraded = fail_one_cable(&net, 3);
         // Which trees that failure dirties, from an untouched engine.
-        let probe = delta_engine();
-        probe.route_in(&net, &cx).unwrap();
-        probe.route_in(&degraded, &cx).unwrap();
+        let probe = delta_engine(&net);
+        probe.route(&net).unwrap();
+        probe.route(&degraded).unwrap();
         let outcome = probe.last_outcome().unwrap();
         assert!(outcome.delta && outcome.layer0_acyclic);
         let d = outcome.dirty_dests[0];
 
         for (what, corrupt) in corruptions(&net, d) {
-            let mut routes = DfSssp::new().route_in(&net, &cx).unwrap();
+            let mut routes = cold(&net).route(&net).unwrap();
             corrupt(&mut routes);
             let nt = net.num_terminals();
             assert_eq!(
@@ -758,17 +765,17 @@ mod tests {
             // The same damage inside a warm engine's cache: the patch
             // notices, the cache is dropped for the full pipeline's,
             // and the answers stay the cold ones.
-            let engine = delta_engine();
-            engine.route_in(&net, &cx).unwrap();
+            let engine = delta_engine(&net);
+            engine.route(&net).unwrap();
             corrupt(&mut engine.lock().state.as_mut().unwrap().routes);
-            let served = engine.route_in(&degraded, &cx).unwrap();
+            let served = engine.route(&degraded).unwrap();
             assert!(!engine.last_outcome().unwrap().delta, "{what}: patched");
-            assert_eq!(served, DfSssp::new().route_in(&degraded, &cx).unwrap());
+            assert_eq!(served, cold(&net).route(&degraded).unwrap());
             let cache_ok = engine.lock().state.as_ref().map(|s| s.routes == served);
             assert_eq!(cache_ok, Some(true), "{what}: cache not rebuilt");
             assert_eq!(
-                engine.route_in(&net, &cx).unwrap(),
-                DfSssp::new().route_in(&net, &cx).unwrap(),
+                engine.route(&net).unwrap(),
+                cold(&net).route(&net).unwrap(),
                 "{what}: the event after"
             );
         }
@@ -777,18 +784,17 @@ mod tests {
     #[test]
     fn a_fallback_runs_the_kernel_once_per_tree() {
         let net = topo::kary_ntree(4, 2);
-        let (cx, nt) = (snap_cx(&net), net.num_terminals());
+        let nt = net.num_terminals();
         let rec = Arc::new(Collector::new());
-        let engine =
-            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone())));
+        let engine = DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(rec.clone())));
         let before = TREES_COUNTED.get();
         let passes = || rec.snapshot().phases[phases::CDG_BUILD].count;
         // Boot, a patch, then the cable back up: every tree dirty.
-        engine.route_in(&net, &cx).unwrap();
-        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        engine.route(&net).unwrap();
+        engine.route(&fail_one_cable(&net, 3)).unwrap();
         let patched = TREES_COUNTED.get();
         assert!(engine.last_outcome().unwrap().delta && patched > before);
-        let cold = engine.route_in(&net, &cx).unwrap();
+        let cold = engine.route(&net).unwrap();
         let outcome = engine.last_outcome().unwrap();
         assert!(!outcome.delta && outcome.layer0_acyclic);
         // Each cold route built layer 0 once, and only the patch in
@@ -803,14 +809,13 @@ mod tests {
     #[test]
     fn delta_matches_full_recompute_on_cable_failure() {
         let net = topo::torus(&[4, 4], 1);
-        let cx = snap_cx(&net);
-        let engine = delta_engine();
-        let warm = engine.route_in(&net, &cx).unwrap();
-        assert_eq!(warm, DfSssp::new().route_in(&net, &cx).unwrap());
+        let engine = delta_engine(&net);
+        let warm = engine.route(&net).unwrap();
+        assert_eq!(warm, cold(&net).route(&net).unwrap());
         assert!(!engine.last_outcome().unwrap().delta);
 
         let degraded = fail_one_cable(&net, 7);
-        let fast = engine.route_in(&degraded, &cx).unwrap();
+        let fast = engine.route(&degraded).unwrap();
         let outcome = engine.last_outcome().unwrap();
         assert!(
             outcome.delta,
@@ -821,7 +826,7 @@ mod tests {
             outcome.dirty_dests.len() < net.num_terminals(),
             "a single cable must not dirty every destination"
         );
-        let full = DfSssp::new().route_in(&degraded, &cx).unwrap();
+        let full = cold(&net).route(&degraded).unwrap();
         assert_eq!(fast, full, "delta must be bit-identical to full recompute");
         verify_deadlock_free(&degraded, &fast).unwrap();
     }
@@ -829,17 +834,16 @@ mod tests {
     #[test]
     fn delta_chains_across_consecutive_failures() {
         let net = topo::dragonfly(3, 1, 1);
-        let cx = snap_cx(&net);
-        let engine = delta_engine();
-        engine.route_in(&net, &cx).unwrap();
+        let engine = delta_engine(&net);
+        engine.route(&net).unwrap();
         let mut current = net;
         for seed in 1..4u64 {
             let (next, n) = degrade::fail_random_cables(&current, 1, seed);
             if n == 0 {
                 break;
             }
-            let fast = engine.route_in(&next, &cx).unwrap();
-            let full = DfSssp::new().route_in(&next, &cx).unwrap();
+            let fast = engine.route(&next).unwrap();
+            let full = cold(&next).route(&next).unwrap();
             assert_eq!(fast, full, "epoch after seed {seed}");
             current = next;
         }
@@ -848,43 +852,37 @@ mod tests {
     #[test]
     fn zero_threshold_forces_full_recompute() {
         let net = topo::torus(&[4, 4], 1);
-        let cx = snap_cx(&net);
         let engine = DeltaEngine::with_delta_config(
-            DfSssp::new(),
+            cold(&net),
             DeltaConfig {
                 max_dirty_fraction: 0.0,
             },
         );
-        engine.route_in(&net, &cx).unwrap();
+        engine.route(&net).unwrap();
         let degraded = fail_one_cable(&net, 7);
-        let routes = engine.route_in(&degraded, &cx).unwrap();
+        let routes = engine.route(&degraded).unwrap();
         assert!(!engine.last_outcome().unwrap().delta);
-        assert_eq!(routes, DfSssp::new().route_in(&degraded, &cx).unwrap());
+        assert_eq!(routes, cold(&net).route(&degraded).unwrap());
     }
 
     #[test]
     fn chunked_context_passes_through() {
         let net = topo::torus(&[3, 3], 1);
-        let engine = delta_engine();
-        let cx = ComputeCtx::seq();
-        let routes = engine.route_in(&net, &cx).unwrap();
-        assert_eq!(routes, DfSssp::new().route_in(&net, &cx).unwrap());
+        let engine = DeltaEngine::new(DfSssp::new());
+        let routes = engine.route(&net).unwrap();
+        assert_eq!(routes, DfSssp::new().route(&net).unwrap());
         assert!(!engine.last_outcome().unwrap().delta);
     }
 
     #[test]
     fn online_mode_is_not_delta_capable() {
+        let net = topo::ring(5, 1);
         let engine = DfSssp {
             mode: LayerAssignMode::Online,
-            ..DfSssp::new()
+            ..cold(&net)
         };
-        let net = topo::ring(5, 1);
         let wrapped = DeltaEngine::new(engine.clone());
-        let cx = snap_cx(&net);
-        assert_eq!(
-            wrapped.route_in(&net, &cx).unwrap(),
-            engine.route_in(&net, &cx).unwrap()
-        );
+        assert_eq!(wrapped.route(&net).unwrap(), engine.route(&net).unwrap());
         assert!(!wrapped.last_outcome().unwrap().delta);
         assert!(wrapped.lock().state.is_none(), "online routes were cached");
     }
@@ -896,10 +894,9 @@ mod tests {
             (topo::torus(&[5, 5], 1), false),
             (topo::kary_ntree(2, 3), true),
         ] {
-            let cx = snap_cx(&net);
-            let engine = delta_engine();
-            engine.route_in(&net, &cx).unwrap();
-            engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+            let engine = delta_engine(&net);
+            engine.route(&net).unwrap();
+            engine.route(&fail_one_cable(&net, 3)).unwrap();
             let outcome = engine.last_outcome().unwrap();
             assert_eq!(
                 (outcome.delta, outcome.union_acyclic),
@@ -914,9 +911,8 @@ mod tests {
     fn the_planner_answers_no_transition() {
         // Every update plan is the subnet manager loop's own.
         let net = topo::torus(&[4, 4], 1);
-        let cx = snap_cx(&net);
-        let engine = delta_engine();
-        let routes = engine.route_in(&net, &cx).unwrap();
+        let engine = delta_engine(&net);
+        let routes = engine.route(&net).unwrap();
         let plan = engine.planner().diff_plan(&net, &routes, &routes, 8);
         assert!(plan.is_none());
     }
@@ -928,49 +924,44 @@ mod tests {
         // full mesh the re-added cable leaves most trees clean; on a
         // small torus it dirties every one, which is a fallback.)
         let net = topo::fully_connected(8, 2);
-        let cx = snap_cx(&net);
-        let engine = delta_engine();
-        engine.route_in(&net, &cx).unwrap();
+        let engine = delta_engine(&net);
+        engine.route(&net).unwrap();
         let degraded = fail_one_cable(&net, 7);
-        engine.route_in(&degraded, &cx).unwrap();
-        let fast = engine.route_in(&net, &cx).unwrap();
+        engine.route(&degraded).unwrap();
+        let fast = engine.route(&net).unwrap();
         let outcome = engine.last_outcome().unwrap();
         assert!(outcome.delta, "re-add must take the delta path");
-        assert_eq!(fast, DfSssp::new().route_in(&net, &cx).unwrap());
+        assert_eq!(fast, cold(&net).route(&net).unwrap());
     }
 
     #[test]
     fn a_failed_full_recompute_resets_the_outcome() {
         let net = topo::kary_ntree(4, 2);
-        let cx = snap_cx(&net);
-        let mut engine = delta_engine();
-        engine.route_in(&net, &cx).unwrap();
-        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        let mut engine = delta_engine(&net);
+        engine.route(&net).unwrap();
+        engine.route(&fail_one_cable(&net, 3)).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
 
         // A roster change goes straight to the full pipeline, which
         // trips the edge cap while building layer 0.
         let smaller = degrade::fail_random_switch(&net, 7).expect("a removable switch");
         let unlimited = engine.config();
-        engine.set_config(EngineConfig::new().budget(Budget::new().max_cdg_edges(1)));
-        let err = engine.route_in(&smaller, &snap_cx(&smaller)).unwrap_err();
+        engine.set_config(snap(&net).budget(Budget::new().max_cdg_edges(1)));
+        let err = engine.route(&smaller).unwrap_err();
         assert!(matches!(err, RouteError::BudgetExceeded { .. }), "{err}");
         assert_eq!(engine.last_outcome(), Some(DeltaOutcome::default()));
 
         engine.set_config(unlimited);
-        let cx = snap_cx(&smaller);
-        let good = engine.route_in(&smaller, &cx).unwrap();
-        assert_eq!(good, DfSssp::new().route_in(&smaller, &cx).unwrap());
+        let good = engine.route(&smaller).unwrap();
+        assert_eq!(good, cold(&net).route(&smaller).unwrap());
     }
 
     #[test]
     fn each_stage_reports_its_phase_once() {
         let net = topo::kary_ntree(4, 2);
-        let cx = snap_cx(&net);
         let rec = Arc::new(Collector::new());
-        let engine =
-            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone())));
-        engine.route_in(&net, &cx).unwrap();
+        let engine = DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(rec.clone())));
+        engine.route(&net).unwrap();
         const STAGES: [&str; 4] = [
             phases::DELTA_DIFF,
             phases::DELTA_SWEEP,
@@ -989,7 +980,7 @@ mod tests {
         );
 
         // A leaf cable down: patched, with counts held (acyclic fabric).
-        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        engine.route(&fail_one_cable(&net, 3)).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
         assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
         let outer = [
@@ -1002,7 +993,7 @@ mod tests {
         assert!(nested <= spans(&[phases::DELTA_PATCH])[0].1);
 
         // The cable back up dirties every tree: fallback, cache rebuilt.
-        engine.route_in(&net, &cx).unwrap();
+        engine.route(&net).unwrap();
         assert!(!engine.last_outcome().unwrap().delta);
         assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
         assert_eq!(counts(&outer), [2, 1, 2]);
@@ -1030,14 +1021,12 @@ mod tests {
     #[test]
     fn a_disabled_recorder_is_never_timed_for() {
         let net = topo::kary_ntree(4, 2);
-        let cx = snap_cx(&net);
-        let engine = DeltaEngine::new(
-            DfSssp::new().with_config(EngineConfig::new().recorder(Arc::new(Deaf))),
-        );
-        engine.route_in(&net, &cx).unwrap();
-        engine.route_in(&fail_one_cable(&net, 3), &cx).unwrap();
+        let engine =
+            DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(Arc::new(Deaf))));
+        engine.route(&net).unwrap();
+        engine.route(&fail_one_cable(&net, 3)).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
-        engine.route_in(&net, &cx).unwrap();
+        engine.route(&net).unwrap();
         assert!(!engine.last_outcome().unwrap().delta);
     }
 }

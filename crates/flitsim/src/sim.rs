@@ -346,13 +346,13 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use baselines::MinHop;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine, Sssp};
+    use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine, Sssp};
     use fabric::topo;
 
     #[test]
     fn single_packet_traverses_cleanly() {
         let net = topo::kary_ntree(2, 2);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let mut w = Workload::new(net.num_terminals());
         w.queues[0] = vec![3];
         let out = simulate(&net, &routes, &w, &SimConfig::default());
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn fig2_ring_deadlocks_under_sssp() {
         let net = topo::ring(5, 1);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let w = Workload::shift(5, 2, 8);
         let config = SimConfig {
             buffer_capacity: 1,
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn fig2_ring_completes_under_dfsssp() {
         let net = topo::ring(5, 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         assert!(routes.num_layers() >= 2);
         let w = Workload::shift(5, 2, 8);
         let config = SimConfig {
@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn heavy_torus_traffic_completes_under_dfsssp() {
         let net = topo::torus(&[3, 3], 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let w = Workload::uniform_random(9, 20, 7);
         let out = simulate(&net, &routes, &w, &SimConfig::default());
         assert!(out.completed(), "got {out:?}");
@@ -416,7 +416,7 @@ mod tests {
     fn minhop_can_wedge_on_odd_torus() {
         // MinHop is not deadlock-free; saturating an odd ring wedges it.
         let net = topo::ring(7, 1);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let w = Workload::shift(7, 3, 16);
         let config = SimConfig {
             buffer_capacity: 1,
@@ -434,7 +434,7 @@ mod tests {
         // wedge: buffer size changes *when* cyclic CDGs bite, never
         // *whether* they can.
         let net = topo::ring(8, 1);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         for cap in [2, 3] {
             let config = SimConfig {
                 buffer_capacity: cap,
@@ -449,7 +449,7 @@ mod tests {
         }
         // Control: the same buffers with the 5-ring 2-hop pattern drain.
         let net5 = topo::ring(5, 1);
-        let routes5 = Sssp::new().route_in(&net5, &ComputeCtx::seq()).unwrap();
+        let routes5 = Sssp::new().route(&net5).unwrap();
         let config = SimConfig {
             buffer_capacity: 2,
             max_cycles: 100_000,
@@ -464,7 +464,7 @@ mod tests {
         // A single 8-flit packet: latency = hops * flits (store-and-
         // forward at packet granularity with 1 flit/cycle links).
         let net = topo::kary_ntree(2, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let mut w = Workload::new(net.num_terminals());
         w.queues[0] = vec![3];
         let hops = routes
@@ -486,7 +486,7 @@ mod tests {
     #[test]
     fn multi_flit_ring_still_deadlocks_under_sssp() {
         let net = topo::ring(5, 1);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let config = SimConfig {
             buffer_capacity: 1,
             packet_flits: 4,
@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn multi_flit_dfsssp_still_drains() {
         let net = topo::ring(5, 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let config = SimConfig {
             buffer_capacity: 1,
             packet_flits: 4,
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn bigger_packets_take_longer_under_contention() {
         let net = topo::kary_ntree(2, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let w = Workload::uniform_random(net.num_terminals(), 10, 4);
         let run = |flits| {
             let config = SimConfig {
@@ -542,10 +542,10 @@ mod tests {
         let w = Workload::uniform_random(net.num_terminals(), 20, 9);
         let run = |balance: bool| {
             let routes = DfSssp {
-                balance,
+                config: EngineConfig::new().balance(balance),
                 ..DfSssp::new()
             }
-            .route_in(&net, &ComputeCtx::seq())
+            .route(&net)
             .unwrap();
             let (out, occ) = simulate_detailed(&net, &routes, &w, &SimConfig::default());
             assert!(out.completed(), "{out:?}");
@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn occupancy_is_bounded_by_capacity() {
         let net = topo::torus(&[3, 3], 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let w = Workload::uniform_random(9, 30, 2);
         let config = SimConfig {
             buffer_capacity: 3,
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn empty_workload_completes_instantly() {
         let net = topo::ring(4, 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let out = simulate(&net, &routes, &Workload::new(4), &SimConfig::default());
         let Outcome::Completed(stats) = out else {
             panic!()
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn cycle_limit_reported() {
         let net = topo::ring(5, 1);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let w = Workload::shift(5, 2, 100);
         let config = SimConfig {
             buffer_capacity: 1,
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn latency_grows_with_congestion() {
         let net = topo::kary_ntree(2, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let light = Workload::uniform_random(4, 1, 3);
         let heavy = Workload::uniform_random(4, 50, 3);
         let Outcome::Completed(a) = simulate(&net, &routes, &light, &SimConfig::default()) else {

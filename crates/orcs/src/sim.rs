@@ -108,13 +108,13 @@ pub fn effective_bisection_bandwidth_recorded(
 mod tests {
     use super::*;
     use baselines::MinHop;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine, Sssp};
+    use dfsssp_core::{DfSssp, RoutingEngine, Sssp};
     use fabric::topo;
 
     #[test]
     fn lone_pair_gets_full_bandwidth() {
         let net = topo::kary_ntree(2, 2);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let pattern = Pattern {
             flows: vec![(0, 3)],
         };
@@ -136,7 +136,7 @@ mod tests {
             ts.push(t);
         }
         let net = b.build();
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let pattern = Pattern {
             flows: vec![(0, 2), (1, 3)],
         };
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn ebb_is_deterministic_and_bounded() {
         let net = topo::kary_ntree(2, 3);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let opts = EbbOptions {
             patterns: 50,
             ..Default::default()
@@ -164,7 +164,7 @@ mod tests {
         // A non-oversubscribed 2-level tree should give most flows full
         // bandwidth under balanced minimal routing.
         let net = topo::kary_ntree(4, 2);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let opts = EbbOptions {
             patterns: 100,
             ..Default::default()
@@ -180,7 +180,7 @@ mod tests {
             patterns: 100,
             ..Default::default()
         };
-        let sssp = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let sssp = Sssp::new().route(&net).unwrap();
         let plain = dfsssp_core::sssp::unbalanced_shortest_paths(&net).unwrap();
         let a = effective_bisection_bandwidth(&net, &sssp, &opts).unwrap();
         let b = effective_bisection_bandwidth(&net, &plain, &opts).unwrap();
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn link_bandwidth_scales_result() {
         let net = topo::kary_ntree(2, 2);
-        let routes = MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = MinHop::new().route(&net).unwrap();
         let rel = effective_bisection_bandwidth(
             &net,
             &routes,

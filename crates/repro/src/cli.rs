@@ -22,7 +22,7 @@
 //!   whole-command `total` phase and the command's name as `binary`.
 
 use baselines::{Dor, FatTree, Lash, MinHop, UpDown};
-use dfsssp_core::{ComputeCtx, ComputeOpts, DfSssp, EngineConfig, Recorded, RoutingEngine, Sssp};
+use dfsssp_core::{ComputeOpts, DfSssp, EngineConfig, Recorded, RoutingEngine, Sssp};
 use fabric::{format, topo, Network};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,11 +133,6 @@ impl Cli {
         ComputeOpts::new().chunk(self.chunk)
     }
 
-    /// The context that request resolves to ([`ComputeOpts::resolve`]).
-    pub fn ctx(&self) -> ComputeCtx {
-        self.compute().resolve()
-    }
-
     /// The telemetry sink of this run: the `--metrics` collector, or the
     /// shared no-op when metrics are off.
     pub fn recorder(&self) -> RecorderHandle {
@@ -205,7 +200,7 @@ impl Cli {
             "dor" => Box::new(Dor::new()),
             "lash" => Box::new(Lash::new().with_config(config)),
             "fattree" => Box::new(FatTree::new()),
-            "sssp" => Box::new(Sssp::new()),
+            "sssp" => Box::new(Sssp::new().with_config(config)),
             "dfsssp" => Box::new(tune_dfsssp(DfSssp::new()).with_config(config)),
             other => return Err(format!("unknown engine {other}")),
         };
@@ -217,18 +212,16 @@ impl Cli {
         })
     }
 
-    /// The Fig 4/8 engine lineup with this run's recorder attached to
-    /// every configurable engine.
+    /// The Fig 4/8 engine lineup, each engine configured with this
+    /// run's recorder and `--chunk`.
     pub fn engines(&self) -> Vec<Box<dyn RoutingEngine + Send + Sync>> {
         let mut lineup = crate::engines();
         for engine in &mut lineup {
-            if engine.tunables() {
-                let config = engine
-                    .config()
-                    .recorder(self.recorder())
-                    .compute(self.compute());
-                engine.set_config(config);
-            }
+            let config = engine
+                .config()
+                .recorder(self.recorder())
+                .compute(self.compute());
+            engine.set_config(config);
         }
         lineup
     }

@@ -7,7 +7,7 @@ use flitsim::{simulate_recorded, SimConfig, Workload};
 
 pub fn main() {
     let mut cli = repro::Cli::parse();
-    let cx = cli.ctx();
+    let compute = cli.compute();
     let rec = cli.recorder();
     let net = fabric::topo::ring(5, 1);
     cli.note_topology(&net);
@@ -20,10 +20,13 @@ pub fn main() {
     println!("Figure 2: ring(5), every node sends 8 packets 2 hops clockwise");
     println!("buffers: 1 packet per (channel, VL)\n");
     for engine in [
-        Box::new(Sssp::new()) as Box<dyn RoutingEngine>,
-        Box::new(DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone()))),
+        Box::new(Sssp::new().with_config(EngineConfig::new().compute(compute)))
+            as Box<dyn RoutingEngine>,
+        Box::new(
+            DfSssp::new().with_config(EngineConfig::new().recorder(rec.clone()).compute(compute)),
+        ),
     ] {
-        let routes = engine.route_in(&net, &cx).expect("ring routes");
+        let routes = engine.route(&net).expect("ring routes");
         let report = dfsssp_core::verify::deadlock_report(&net, &routes).unwrap();
         let outcome = simulate_recorded(&net, &routes, &workload, &config, &*rec);
         println!(

@@ -4,7 +4,7 @@
 
 use baselines::Lash;
 use dfsssp_core::pool::map_stealing;
-use dfsssp_core::DfSssp;
+use dfsssp_core::{DfSssp, EngineConfig};
 use fabric::topo::{random_topology, RandomTopoSpec};
 
 pub fn main() {
@@ -17,8 +17,7 @@ pub fn main() {
         let results = map_stealing(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let dfsssp = DfSssp {
-                max_layers: 64,
-                balance: false,
+                config: EngineConfig::new().max_layers(64).balance(false),
                 compact: false, // measure the unmodified Algorithm 2
                 ..DfSssp::new()
             };
@@ -27,8 +26,7 @@ pub fn main() {
                 .map(|(_, s)| s.layers_used)
                 .unwrap_or(64);
             let lash = Lash {
-                max_layers: 64,
-                ..Lash::new()
+                config: EngineConfig::new().max_layers(64),
             }
             .route_with_layers(&net)
             .map(|(_, l)| l)

@@ -2,7 +2,7 @@
 //! deadlock-free, LASH vs DFSSSP.
 
 use baselines::Lash;
-use dfsssp_core::DfSssp;
+use dfsssp_core::{DfSssp, EngineConfig};
 use fabric::topo::realworld::RealSystem;
 
 pub fn main() {
@@ -13,8 +13,7 @@ pub fn main() {
     for sys in RealSystem::ALL {
         let net = sys.build(scale);
         let dfsssp = DfSssp {
-            max_layers: 64,
-            balance: false,
+            config: EngineConfig::new().max_layers(64).balance(false),
             compact: false, // measure the unmodified Algorithm 2
             ..DfSssp::new()
         };
@@ -23,8 +22,7 @@ pub fn main() {
             .map(|(_, s)| s.layers_used.to_string())
             .unwrap_or_else(|e| repro::failure_label(&e));
         let lash = Lash {
-            max_layers: 64,
-            ..Lash::new()
+            config: EngineConfig::new().max_layers(64),
         }
         .route_with_layers(&net)
         .map(|(_, l)| l.to_string())

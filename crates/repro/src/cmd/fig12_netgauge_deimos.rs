@@ -8,7 +8,6 @@ use fabric::topo::realworld::RealSystem;
 
 pub fn main() {
     let mut cli = repro::Cli::parse();
-    let cx = cli.ctx();
     let rec = cli.recorder();
     let scale = repro::scale();
     let partitions = repro::patterns();
@@ -18,7 +17,11 @@ pub fn main() {
         "Figure 12: Netgauge eBB on Deimos (scale={scale}, {nt} endpoints, {partitions} partitions, MiB/s)\n"
     );
     cli.note_topology(&net);
-    let config = || dfsssp_core::EngineConfig::new().recorder(rec.clone());
+    let config = || {
+        dfsssp_core::EngineConfig::new()
+            .recorder(rec.clone())
+            .compute(cli.compute())
+    };
     let engines: Vec<Box<dyn RoutingEngine>> = vec![
         Box::new(MinHop::new()),
         Box::new(Lash::new().with_config(config())),
@@ -26,7 +29,7 @@ pub fn main() {
     ];
     let routed: Vec<(String, Option<fabric::Routes>)> = engines
         .iter()
-        .map(|e| (e.name().to_string(), e.route_in(&net, &cx).ok()))
+        .map(|e| (e.name().to_string(), e.route(&net).ok()))
         .collect();
     let mut rows = Vec::new();
     for cores in [128usize, 256, 512, 1024] {

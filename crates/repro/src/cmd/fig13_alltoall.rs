@@ -3,19 +3,19 @@
 
 use appsim::{alltoall_time, Allocation};
 use baselines::MinHop;
-use dfsssp_core::{DfSssp, RoutingEngine};
+use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine};
 use fabric::topo::realworld::RealSystem;
 
 pub fn main() {
     let mut cli = repro::Cli::parse();
-    let cx = cli.ctx();
     let scale = repro::scale();
     let net = RealSystem::Deimos.build(scale);
     cli.note_topology(&net);
     let cores = 128.min(net.num_terminals());
     println!("Figure 13: all-to-all runtime on Deimos, {cores} cores (milliseconds)\n");
-    let minhop = MinHop::new().route_in(&net, &cx).unwrap();
-    let dfsssp = DfSssp::new().route_in(&net, &cx).unwrap();
+    let minhop = MinHop::new().route(&net).unwrap();
+    let config = EngineConfig::new().compute(cli.compute());
+    let dfsssp = DfSssp::new().with_config(config).route(&net).unwrap();
     let mut rows = Vec::new();
     for floats in [4usize, 16, 64, 256, 1024, 4096] {
         let bytes = floats * 4 * cores; // send buffer per rank -> per pair

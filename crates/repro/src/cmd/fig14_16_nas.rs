@@ -3,19 +3,19 @@
 
 use appsim::{Allocation, NasBenchmark};
 use baselines::MinHop;
-use dfsssp_core::{DfSssp, RoutingEngine};
+use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine};
 use fabric::topo::realworld::RealSystem;
 
 pub fn main() {
     let mut cli = repro::Cli::parse();
-    let cx = cli.ctx();
     let scale = repro::scale();
     let net = RealSystem::Deimos.build(scale);
     cli.note_topology(&net);
     let nt = net.num_terminals();
     println!("Figures 14-16: NAS models on Deimos (scale={scale}, Gflop/s total)\n");
-    let minhop = MinHop::new().route_in(&net, &cx).unwrap();
-    let dfsssp = DfSssp::new().route_in(&net, &cx).unwrap();
+    let minhop = MinHop::new().route(&net).unwrap();
+    let config = EngineConfig::new().compute(cli.compute());
+    let dfsssp = DfSssp::new().with_config(config).route(&net).unwrap();
     for bench in [NasBenchmark::BT, NasBenchmark::SP, NasBenchmark::FT] {
         println!("{}:", bench.name());
         let mut rows = Vec::new();

@@ -96,7 +96,7 @@ pub fn main() -> Result<ExitCode, String> {
         .map_err(|e| format!("error: {e}"))?;
     let t = std::time::Instant::now();
     let routes = engine
-        .route_in(&net, &cli.ctx())
+        .route(&net)
         .map_err(|e| format!("routing failed: {e}"))?;
     println!(
         "routed by {} in {:.3}s: {} virtual layer(s)",

@@ -7,11 +7,11 @@
 use dfsssp_core::app::{from_tree_paths, lower_bound_layers};
 use dfsssp_core::dfsssp::assign_layers_offline;
 use dfsssp_core::paths::TreePaths;
-use dfsssp_core::{CycleBreakHeuristic, RoutingEngine, Sssp};
+use dfsssp_core::{CycleBreakHeuristic, EngineConfig, RoutingEngine, Sssp};
 
 pub fn main() {
     let cli = repro::Cli::parse();
-    let cx = cli.ctx();
+    let sssp = Sssp::new().with_config(EngineConfig::new().compute(cli.compute()));
     println!("Sec III/IV: heuristic layers vs exact APP minimum (tiny networks)\n");
     let nets = vec![
         fabric::topo::ring(4, 1),
@@ -22,7 +22,7 @@ pub fn main() {
     ];
     let mut rows = Vec::new();
     for net in nets {
-        let routes = Sssp::new().route_in(&net, &cx).unwrap();
+        let routes = sssp.route(&net).unwrap();
         let paths = TreePaths {
             net: &net,
             routes: &routes,

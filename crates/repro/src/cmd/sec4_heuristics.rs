@@ -3,7 +3,7 @@
 //! per heuristic (paper: weakest 3-5, first-edge 4-8, heaviest 4-16).
 
 use dfsssp_core::pool::map_stealing;
-use dfsssp_core::{CycleBreakHeuristic, DfSssp};
+use dfsssp_core::{CycleBreakHeuristic, DfSssp, EngineConfig};
 use fabric::topo::{random_topology, RandomTopoSpec};
 
 pub fn main() {
@@ -16,9 +16,8 @@ pub fn main() {
         let layers = map_stealing(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let engine = DfSssp {
+                config: EngineConfig::new().max_layers(64).balance(false),
                 heuristic: h,
-                max_layers: 64,
-                balance: false,
                 compact: false, // raw heuristic quality
                 ..DfSssp::new()
             };

@@ -7,7 +7,7 @@
 
 use dfsssp_core::dfsssp::{assign_layers_offline_restart, DfStats};
 use dfsssp_core::{
-    ComputeCtx, CycleBreakHeuristic, DfSssp, LayerAssignMode, RouteError, RoutingEngine, Sssp,
+    CycleBreakHeuristic, DfSssp, EngineConfig, LayerAssignMode, RouteError, RoutingEngine, Sssp,
 };
 use std::time::Instant;
 
@@ -40,14 +40,14 @@ pub fn main() {
         for mode in [LayerAssignMode::Offline, LayerAssignMode::Online] {
             let engine = DfSssp {
                 mode,
-                max_layers: 16, // the IB spec limit, so both modes fit
-                recorder: rec.clone(),
+                // 16 is the IB spec limit, so both modes fit.
+                config: EngineConfig::new().max_layers(16).recorder(rec.clone()),
                 ..DfSssp::new()
             };
             cell(&|| engine.route_with_stats(&net).map(|(_, stats)| stats));
         }
         cell(&|| {
-            let routes = Sssp::new().route_in(&net, &ComputeCtx::seq())?;
+            let routes = Sssp::new().route(&net)?;
             assign_layers_offline_restart(&net, &routes, CycleBreakHeuristic::WeakestEdge, 16)
                 .map(|(_, stats)| stats)
         });

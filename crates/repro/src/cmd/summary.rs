@@ -5,15 +5,17 @@
 
 use appsim::{netgauge_ebb, Allocation};
 use baselines::{Lash, MinHop};
-use dfsssp_core::{DfSssp, RoutingEngine, Sssp};
+use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine, Sssp};
 use fabric::topo::realworld::RealSystem;
 use flitsim::{simulate_recorded, SimConfig, Workload};
 use orcs::{effective_bisection_bandwidth_recorded, EbbOptions};
 
 pub fn main() {
     let cli = repro::Cli::parse();
-    let cx = cli.ctx();
     let rec = cli.recorder();
+    let chunked = EngineConfig::new().compute(cli.compute());
+    let sssp_engine = Sssp::new().with_config(chunked.clone());
+    let dfsssp_engine = DfSssp::new().with_config(chunked);
     println!("DFSSSP reproduction summary\n===========================\n");
 
     // 1. Fig 2: the ring deadlock, live.
@@ -24,8 +26,8 @@ pub fn main() {
         ..SimConfig::default()
     };
     let w = Workload::shift(5, 2, 8);
-    let sssp = Sssp::new().route_in(&ring, &cx).unwrap();
-    let dfsssp = DfSssp::new().route_in(&ring, &cx).unwrap();
+    let sssp = sssp_engine.route(&ring).unwrap();
+    let dfsssp = dfsssp_engine.route(&ring).unwrap();
     println!(
         "[Fig 2] 5-ring shift pattern: SSSP {} | DFSSSP ({} VLs) {}",
         if simulate_recorded(&ring, &sssp, &w, &config, &*rec).deadlocked() {
@@ -47,9 +49,9 @@ pub fn main() {
         patterns: 100,
         ..Default::default()
     };
-    let mh = MinHop::new().route_in(&xgft, &cx).unwrap();
-    let df = DfSssp::new().route_in(&xgft, &cx).unwrap();
-    let lash = Lash::new().route_in(&xgft, &cx).unwrap();
+    let mh = MinHop::new().route(&xgft).unwrap();
+    let df = dfsssp_engine.route(&xgft).unwrap();
+    let lash = Lash::new().route(&xgft).unwrap();
     let e = |r| {
         effective_bisection_bandwidth_recorded(&xgft, r, &opts, &*rec)
             .unwrap()
@@ -65,26 +67,23 @@ pub fn main() {
     // 3. Fig 10 flavor: VLs on the Deimos reconstruction.
     let deimos = RealSystem::Deimos.build(0.1);
     let vls = DfSssp {
-        balance: false,
+        config: EngineConfig::new().max_layers(64).balance(false),
         compact: false,
-        max_layers: 64,
         ..DfSssp::new()
     };
     let (_, stats) = vls.route_with_stats(&deimos).unwrap();
-    let (_, lash_vls) = Lash {
-        max_layers: 64,
-        ..Lash::new()
-    }
-    .route_with_layers(&deimos)
-    .unwrap();
+    let (_, lash_vls) = Lash::new()
+        .with_config(EngineConfig::new().max_layers(64))
+        .route_with_layers(&deimos)
+        .unwrap();
     println!(
         "[Fig 10] Deimos(x0.1) virtual layers: DFSSSP {} | LASH {}",
         stats.layers_used, lash_vls
     );
 
     // 4. Fig 12 flavor: Netgauge eBB on Deimos.
-    let dmh = MinHop::new().route_in(&deimos, &cx).unwrap();
-    let ddf = DfSssp::new().route_in(&deimos, &cx).unwrap();
+    let dmh = MinHop::new().route(&deimos).unwrap();
+    let ddf = dfsssp_engine.route(&deimos).unwrap();
     let cores = 64.min(deimos.num_terminals());
     let a = netgauge_ebb(&deimos, &dmh, cores, Allocation::Spread, 100, 946.0, 1).unwrap();
     let b = netgauge_ebb(&deimos, &ddf, cores, Allocation::Spread, 100, 946.0, 1).unwrap();

@@ -58,10 +58,9 @@ fn ebb(cli: &repro::Cli, engine: &dyn RoutingEngine, net: &Network) -> String {
     repro::ebb_cell(engine, net, &*cli.recorder())
 }
 
-fn runtime(cli: &repro::Cli, engine: &dyn RoutingEngine, net: &Network) -> String {
-    let cx = cli.ctx();
+fn runtime(_: &repro::Cli, engine: &dyn RoutingEngine, net: &Network) -> String {
     let t = Instant::now();
-    let res = engine.route_in(net, &cx);
+    let res = engine.route(net);
     let dt = t.elapsed().as_secs_f64();
     match res {
         Ok(_) => format!("{dt:.3}"),

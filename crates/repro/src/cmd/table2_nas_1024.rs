@@ -3,19 +3,19 @@
 
 use appsim::{Allocation, NasBenchmark};
 use baselines::MinHop;
-use dfsssp_core::{DfSssp, RoutingEngine};
+use dfsssp_core::{DfSssp, EngineConfig, RoutingEngine};
 use fabric::topo::realworld::RealSystem;
 
 pub fn main() {
     let mut cli = repro::Cli::parse();
-    let cx = cli.ctx();
     let scale = repro::scale();
     let net = RealSystem::Deimos.build(scale);
     cli.note_topology(&net);
     let cores = 1024.min(net.num_terminals() / 4 * 4);
     println!("Table II: NAS models at {cores} cores on Deimos (scale={scale})\n");
-    let minhop = MinHop::new().route_in(&net, &cx).unwrap();
-    let dfsssp = DfSssp::new().route_in(&net, &cx).unwrap();
+    let minhop = MinHop::new().route(&net).unwrap();
+    let config = EngineConfig::new().compute(cli.compute());
+    let dfsssp = DfSssp::new().with_config(config).route(&net).unwrap();
     let mut rows = Vec::new();
     for bench in NasBenchmark::ALL {
         let a = bench.run(&net, &minhop, cores, Allocation::Spread).unwrap();

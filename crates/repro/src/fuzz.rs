@@ -14,7 +14,7 @@
 //! The driver (`repro fuzz`) replays `tests/corpus/regressions/`
 //! before fuzzing, so every crasher ever found stays fixed.
 
-use dfsssp_core::{Budget, DfSssp, RouteError, RoutingEngine};
+use dfsssp_core::{Budget, DfSssp, EngineConfig, RouteError, RoutingEngine};
 use fabric::format::{self, ParseError};
 use fabric::rng::Rng;
 use fabric::Network;
@@ -307,16 +307,8 @@ fn parse_contained(kind: Kind, input: &str) -> Outcome {
 
 /// Route a parsed (hence valid) network under `budget`; `None` = panic.
 fn route_contained(net: &Network, budget: &Budget) -> Option<Result<(), RouteError>> {
-    let engine = DfSssp {
-        budget: budget.clone(),
-        ..DfSssp::new()
-    };
-    catch_unwind(AssertUnwindSafe(|| {
-        engine
-            .route_in(net, &dfsssp_core::ComputeCtx::seq())
-            .map(|_| ())
-    }))
-    .ok()
+    let engine = DfSssp::new().with_config(EngineConfig::new().budget(budget.clone()));
+    catch_unwind(AssertUnwindSafe(|| engine.route(net).map(|_| ()))).ok()
 }
 
 fn save_crasher(cfg: &FuzzConfig, kind: Kind, iter: usize, data: &[u8], report: &mut FuzzReport) {

@@ -121,7 +121,7 @@ pub fn tree_series() -> Vec<(usize, Network)> {
 /// (the paper's "missing bar"). The eBB sweep reports to `rec`; the
 /// engine's own phases go to whatever recorder the engine carries.
 pub fn ebb_cell(engine: &dyn RoutingEngine, net: &Network, rec: &dyn Recorder) -> String {
-    match engine.route_in(net, &engine.config().compute.resolve()) {
+    match engine.route(net) {
         Err(e) => failure_label(&e),
         Ok(routes) => {
             let opts = orcs::EbbOptions {

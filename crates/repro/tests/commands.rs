@@ -183,3 +183,28 @@ fn sec4_exact_bounds_every_heuristic() {
     }
     assert_eq!(pinned, [(12, 1), (20, 2), (30, 2), (72, 1), (30, 1)]);
 }
+
+/// `--chunk` configures every engine of the lineup: SSSP and DFSSSP
+/// route the same paths at every chunk width (DFSSSP only adds layers),
+/// so their eBB cells agree at the paper's chunk and the snapshot one.
+#[test]
+fn chunk_reaches_every_engine_of_the_lineup() {
+    for chunk in ["1", "64"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["fig05_xgft_ebb", "--json", "--chunk", chunk])
+            .env("REPRO_MAX_ENDPOINTS", "64")
+            .env("REPRO_PATTERNS", "20")
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(0));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let start = text.find("\n[\n").expect("a JSON table");
+        let rows = telemetry::json::parse(&text[start..]).unwrap();
+        let rows = rows.as_arr().unwrap();
+        assert!(!rows.is_empty(), "chunk {chunk}: no fabric under the cap");
+        for row in rows {
+            let cell = |engine| row.get(engine).and_then(|v| v.as_str());
+            assert_eq!(cell("SSSP"), cell("DFSSSP"), "chunk {chunk}: {row:?}");
+        }
+    }
+}

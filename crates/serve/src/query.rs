@@ -765,11 +765,11 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
 
     fn engine_over(net: &fabric::Network, opts: QueryOpts) -> (Arc<SnapshotStore>, QueryEngine) {
-        let routes = DfSssp::new().route_in(net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(net).unwrap();
         let store = SnapshotStore::open(net.clone(), routes, None).unwrap();
         let engine = QueryEngine::new(store.clone(), opts);
         (store, engine)

@@ -337,15 +337,11 @@ mod tests {
         fn deadlock_free(&self) -> bool {
             true
         }
-        fn route_in(
-            &self,
-            net: &Network,
-            cx: &dfsssp_core::ComputeCtx,
-        ) -> Result<fabric::Routes, dfsssp_core::RouteError> {
+        fn route(&self, net: &Network) -> Result<fabric::Routes, dfsssp_core::RouteError> {
             if self.calls.fetch_add(1, Ordering::SeqCst) > 0 {
                 panic!("chaos monkey");
             }
-            self.inner.route_in(net, cx)
+            self.inner.route(net)
         }
         fn tunables(&self) -> bool {
             true

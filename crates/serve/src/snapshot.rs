@@ -390,11 +390,11 @@ impl std::fmt::Debug for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine, Sssp};
+    use dfsssp_core::{DfSssp, RoutingEngine, Sssp};
     use fabric::topo;
 
     fn routed(net: &Network) -> Routes {
-        DfSssp::new().route_in(net, &ComputeCtx::seq()).unwrap()
+        DfSssp::new().route(net).unwrap()
     }
 
     #[test]
@@ -430,7 +430,7 @@ mod tests {
     fn vet_gate_refuses_bad_artifacts() {
         // Plain SSSP on a ring has a cyclic CDG: V004, error severity.
         let net = topo::ring(5, 1);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         match SnapshotStore::open(net.clone(), routes.clone(), None) {
             Err(PublishError::VetRejected { errors, report }) => {
                 assert!(errors > 0);
@@ -471,7 +471,7 @@ mod tests {
         // through a scoped walk; a stale base_epoch must force the full
         // gate, which rejects it.
         let net = topo::ring(5, 1);
-        let bad = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let bad = Sssp::new().route(&net).unwrap();
         let store = SnapshotStore::open(net.clone(), routed(&net), None).unwrap();
         let stale = DiffScope {
             changed_dests: vec![],
@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn scoped_gate_still_rejects_cycles_inside_the_scope() {
         let net = topo::ring(5, 1);
-        let bad = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let bad = Sssp::new().route(&net).unwrap();
         let store = SnapshotStore::open(net.clone(), routed(&net), None).unwrap();
         let all: Vec<usize> = (0..net.num_terminals()).collect();
         let scope = DiffScope {

@@ -750,7 +750,7 @@ fn engine_failure(e: &SmError) -> bool {
 mod tests {
     use super::*;
     use crate::transition::counts::{self, Counts};
-    use dfsssp_core::{DfSssp, Sssp};
+    use dfsssp_core::{DfSssp, EngineConfig, Sssp};
     use fabric::topo;
 
     /// A redundant fabric where any single uplink can fail.
@@ -818,7 +818,7 @@ mod tests {
         }
         let net = b.build();
         let engine = DfSssp {
-            max_layers: 1,
+            config: EngineConfig::new().max_layers(1),
             ..DfSssp::new()
         };
         let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
@@ -836,7 +836,7 @@ mod tests {
         // Doubling a budget of 0 gives 0: the first widening takes it to 1.
         let net = topo::torus(&[4, 4], 1);
         let engine = DfSssp {
-            max_layers: 0,
+            config: EngineConfig::new().max_layers(0),
             ..DfSssp::new()
         };
         let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
@@ -891,12 +891,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "garbling"
         }
-        fn route_in(
-            &self,
-            net: &Network,
-            cx: &dfsssp_core::ComputeCtx,
-        ) -> Result<fabric::Routes, RouteError> {
-            let mut routes = self.0.route_in(net, cx)?;
+        fn route(&self, net: &Network) -> Result<fabric::Routes, RouteError> {
+            let mut routes = self.0.route(net)?;
             if self.1.load(std::sync::atomic::Ordering::SeqCst) {
                 routes.set_next(net.terminals()[0], 1, ChannelId(u32::MAX - 1));
             }
@@ -1114,7 +1110,7 @@ mod tests {
         // the widening rung on bring-up.
         let net = topo::torus(&[4, 4], 1);
         let engine = DfSssp {
-            max_layers: 1,
+            config: EngineConfig::new().max_layers(1),
             ..DfSssp::new()
         };
         let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
@@ -1232,12 +1228,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "scrubbing"
         }
-        fn route_in(
-            &self,
-            net: &Network,
-            cx: &dfsssp_core::ComputeCtx,
-        ) -> Result<fabric::Routes, RouteError> {
-            let mut routes = self.0.route_in(net, cx)?;
+        fn route(&self, net: &Network) -> Result<fabric::Routes, RouteError> {
+            let mut routes = self.0.route(net)?;
             let leaf = net.channel(net.out_channels(net.terminals()[0])[0]).dst;
             routes.clear_next(leaf, net.num_terminals() - 1);
             Ok(routes)

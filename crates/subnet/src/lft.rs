@@ -316,11 +316,11 @@ impl FabricTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
 
     fn programmed(net: &Network) -> (Routes, LidMap, FabricTables) {
-        let routes = DfSssp::new().route_in(net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(net).unwrap();
         let lids = LidMap::assign(net);
         let tables = FabricTables::program(net, &routes, &lids);
         (routes, lids, tables)

@@ -147,9 +147,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
                 total: net.num_nodes(),
             });
         }
-        // Honor the engine's own chunk schedule (the config is total,
-        // so untunable engines just report the default).
-        let routes = engine.route_in(net, &engine.config().compute.resolve())?;
+        let routes = engine.route(net)?;
         if routes.num_layers() as usize > self.hardware_vls {
             return Err(SmError::TooManyVls {
                 required: routes.num_layers() as usize,

@@ -562,7 +562,7 @@ mod tests {
         assert_matches_reference, dest_broken, route, transitions, without, zoo,
     };
     use super::*;
-    use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+    use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::{degrade, topo, ChannelId};
     pub(super) use telemetry::fx::FxHashSet;
 
@@ -592,7 +592,7 @@ mod tests {
     #[test]
     fn remap_onto_the_same_network_is_identity() {
         let net = topo::torus(&[3, 3], 1);
-        let r = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let r = DfSssp::new().route(&net).unwrap();
         let m = remap_routes(&net, &r, &net);
         for (id, _) in net.nodes() {
             for d in 0..net.num_terminals() {
@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn remap_drops_entries_through_vanished_hardware() {
         let net = topo::torus(&[3, 3], 1);
-        let r = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let r = DfSssp::new().route(&net).unwrap();
         // Kill one switch-switch cable.
         let cable = net
             .channels()
@@ -781,7 +781,7 @@ mod tests {
     #[test]
     fn unchanged_routing_plans_a_noop() {
         let net = topo::torus(&[3, 3], 1);
-        let r = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let r = DfSssp::new().route(&net).unwrap();
         let plan = plan_update(&net, Some(&r), &r, 8);
         assert!(plan.direct);
         assert!(plan.stages.is_empty());
@@ -792,7 +792,7 @@ mod tests {
     #[test]
     fn bring_up_plans_direct() {
         let net = topo::torus(&[3, 3], 1);
-        let r = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let r = DfSssp::new().route(&net).unwrap();
         let plan = plan_update(&net, None, &r, 8);
         assert!(plan.direct);
         assert_eq!(plan.stages.len(), 1);
@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn acyclic_union_goes_direct() {
         let net = topo::torus(&[3, 3], 1);
-        let r = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let r = DfSssp::new().route(&net).unwrap();
         // Move one pair to a fresh (empty) layer: its new edges are a
         // subset of a single acyclic path, the union stays clean.
         let mut r2 = r.clone();

@@ -4,7 +4,7 @@
 //! the fabric × event matrix both planners are compared over.
 
 use super::*;
-use dfsssp_core::{ComputeCtx, DfSssp, RoutingEngine};
+use dfsssp_core::{ComputeOpts, DfSssp, EngineConfig, RoutingEngine};
 use fabric::{degrade, topo, ChannelId};
 
 pub(crate) fn plan_update_reference(
@@ -209,9 +209,10 @@ pub(crate) fn zoo() -> Vec<Network> {
 /// `DfSssp` as the benchmark stack runs it: one snapshot chunk spanning
 /// every destination.
 pub(crate) fn route(net: &Network) -> Routes {
-    let chunk = net.num_terminals();
+    let snapshot = ComputeOpts::new().chunk(net.num_terminals());
     DfSssp::new()
-        .route_in(net, &ComputeCtx { chunk })
+        .with_config(EngineConfig::new().compute(snapshot))
+        .route(net)
         .expect("DfSssp routes every zoo fabric within 8 layers")
 }
 

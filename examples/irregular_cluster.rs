@@ -36,7 +36,7 @@ fn main() {
         "engine", "pristine", "degraded", "deadlock-free?"
     );
     for engine in engines {
-        let cell = |net: &Network| match engine.route_in(net, &ComputeCtx::seq()) {
+        let cell = |net: &Network| match engine.route(net) {
             Err(_) => "n/a".to_string(),
             Ok(routes) => {
                 let ok = dfsssp::verify::verify_deadlock_free(net, &routes).is_ok();

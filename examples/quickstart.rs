@@ -22,9 +22,7 @@ fn main() {
     // 2. Route it with DFSSSP (offline layer assignment, weakest-edge
     //    heuristic, 8 virtual lanes — the paper's configuration).
     let engine = DfSssp::new();
-    let routes = engine
-        .route_in(&net, &ComputeCtx::seq())
-        .expect("torus is routable");
+    let routes = engine.route(&net).expect("torus is routable");
     println!(
         "routed by {}: {} virtual layers",
         routes.engine(),
@@ -41,9 +39,7 @@ fn main() {
         patterns: 200,
         ..Default::default()
     };
-    let minhop = MinHop::new()
-        .route_in(&net, &ComputeCtx::seq())
-        .expect("routable");
+    let minhop = MinHop::new().route(&net).expect("routable");
     let ebb_df = effective_bisection_bandwidth(&net, &routes, &opts).unwrap();
     let ebb_mh = effective_bisection_bandwidth(&net, &minhop, &opts).unwrap();
     println!("eBB DFSSSP: {ebb_df}");

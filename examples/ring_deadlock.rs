@@ -20,7 +20,7 @@ fn main() {
     };
 
     // Plain SSSP: the channel dependency graph is one big cycle.
-    let sssp = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let sssp = Sssp::new().route(&net).unwrap();
     let report = dfsssp::verify::deadlock_report(&net, &sssp).unwrap();
     println!(
         "SSSP   : {} layer(s), cyclic layers {:?}",
@@ -40,7 +40,7 @@ fn main() {
 
     // DFSSSP: same paths, but split over virtual layers with acyclic
     // dependency graphs.
-    let dfsssp = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let dfsssp = DfSssp::new().route(&net).unwrap();
     let report = dfsssp::verify::deadlock_report(&net, &dfsssp).unwrap();
     println!(
         "DFSSSP : {} layer(s), cyclic layers {:?}",

@@ -15,9 +15,9 @@
 //! let net = dfsssp::topo::torus(&[4, 4], 1);
 //!
 //! // Route it deadlock-free under the paper's schedule (chunk 1; the
-//! // serving stack uses `ComputeCtx { chunk: net.num_terminals() }`).
+//! // serving stack configures `ComputeOpts::new().chunk(net.num_terminals())`).
 //! let engine = DfSssp::new();
-//! let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+//! let routes = engine.route(&net).unwrap();
 //! assert!(routes.num_layers() >= 2);
 //!
 //! // Verify the Dally & Seitz condition holds per layer.
@@ -58,9 +58,7 @@
 //! // timed, and run.
 //! let config = EngineConfig::new().recorder(collector.clone());
 //! let engine = Recorded::new(DfSssp::new().with_config(config), collector.clone());
-//! let routes = engine
-//!     .route_in(&net, &engine.config().compute.resolve())
-//!     .unwrap();
+//! let routes = engine.route(&net).unwrap();
 //! assert!(routes.num_layers() >= 2);
 //!
 //! // All five DFSSSP phases plus the whole-route span were measured.
@@ -102,7 +100,7 @@ pub mod prelude {
     pub use baselines::{Dor, FatTree, Lash, MinHop, UpDown};
     pub use delta::{DeltaConfig, DeltaEngine, DeltaOutcome};
     pub use dfsssp_core::{
-        Budget, ComputeCtx, ComputeOpts, CycleBreakHeuristic, DeadlockFree, DfSssp, EngineConfig,
+        Budget, ComputeOpts, CycleBreakHeuristic, DeadlockFree, DfSssp, EngineConfig,
         LayerAssignMode, Recorded, RouteError, RoutingEngine, Sssp,
     };
     pub use fabric::{Network, NetworkBuilder, Routes};

@@ -25,11 +25,7 @@ impl RoutingEngine for PanickingEngine {
     fn name(&self) -> &'static str {
         "Panicky"
     }
-    fn route_in(
-        &self,
-        _net: &Network,
-        _cx: &ComputeCtx,
-    ) -> Result<Routes, dfsssp::core::RouteError> {
+    fn route(&self, _net: &Network) -> Result<Routes, dfsssp::core::RouteError> {
         panic!("injected engine bug")
     }
     fn deadlock_free(&self) -> bool {
@@ -62,13 +58,13 @@ impl RoutingEngine for FlakyEngine {
     fn name(&self) -> &'static str {
         "Flaky"
     }
-    fn route_in(&self, net: &Network, cx: &ComputeCtx) -> Result<Routes, dfsssp::core::RouteError> {
+    fn route(&self, net: &Network) -> Result<Routes, dfsssp::core::RouteError> {
         let left = self.fails.get();
         if left > 0 {
             self.fails.set(left - 1);
             panic!("flaky engine crash ({left} left)");
         }
-        self.inner.route_in(net, cx)
+        self.inner.route(net)
     }
     fn deadlock_free(&self) -> bool {
         true

@@ -25,7 +25,7 @@ fn elapsed_deadline_returns_budget_exceeded_promptly() {
     let engine = DfSssp::new()
         .with_config(EngineConfig::new().budget(Budget::new().deadline(Duration::ZERO)));
     let start = Instant::now();
-    let err = engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
+    let err = engine.route(&net).unwrap_err();
     assert!(
         matches!(
             err,
@@ -45,7 +45,7 @@ fn elapsed_deadline_returns_budget_exceeded_promptly() {
 fn node_admission_is_checked_before_any_work() {
     let net = big_random();
     let engine = DfSssp::new().with_config(EngineConfig::new().budget(Budget::new().max_nodes(10)));
-    match engine.route_in(&net, &ComputeCtx::seq()).unwrap_err() {
+    match engine.route(&net).unwrap_err() {
         RouteError::BudgetExceeded {
             resource: "nodes",
             limit,
@@ -59,7 +59,7 @@ fn cdg_edge_cap_trips_during_layer_assignment() {
     let net = dfsssp::topo::torus(&[4, 4], 1);
     let engine =
         DfSssp::new().with_config(EngineConfig::new().budget(Budget::new().max_cdg_edges(1)));
-    let err = engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
+    let err = engine.route(&net).unwrap_err();
     assert!(
         matches!(
             err,
@@ -68,19 +68,6 @@ fn cdg_edge_cap_trips_during_layer_assignment() {
                 limit: 1,
             }
         ),
-        "got {err}"
-    );
-}
-
-#[test]
-fn layer_cap_clamps_and_surfaces_as_need_more_layers() {
-    // A ring needs 2 layers; a budget capping layers at 1 clamps the
-    // engine's own allowance and the shortfall keeps its usual type.
-    let net = dfsssp::topo::ring(5, 1);
-    let engine = DfSssp::new().with_config(EngineConfig::new().budget(Budget::new().max_layers(1)));
-    let err = engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
-    assert!(
-        matches!(err, RouteError::NeedMoreLayers { .. }),
         "got {err}"
     );
 }
@@ -108,7 +95,7 @@ fn out_of_range_layer_budgets_are_typed_or_clamped() {
         allowed: 0,
     };
     for (i, engine) in engines.into_iter().enumerate() {
-        let at = |max_layers| engine(layers(max_layers)).route_in(&net, &ComputeCtx::seq());
+        let at = |max_layers| engine(layers(max_layers)).route(&net);
         assert_eq!(at(0).unwrap_err(), zero, "engine {i}");
         let (over, max) = (at(300).unwrap(), at(256).unwrap());
         assert_eq!(routes_to_json(&over), routes_to_json(&max), "engine {i}");
@@ -121,7 +108,7 @@ fn lash_honors_the_same_budget() {
     let net = big_random();
     let engine =
         Lash::new().with_config(EngineConfig::new().budget(Budget::new().deadline(Duration::ZERO)));
-    let err = engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
+    let err = engine.route(&net).unwrap_err();
     assert!(
         matches!(err, RouteError::BudgetExceeded { .. }),
         "got {err}"
@@ -133,7 +120,7 @@ fn wrapped_engines_honor_the_budget() {
     let net = big_random();
     let engine = DeadlockFree::new(Sssp::new())
         .with_config(EngineConfig::new().budget(Budget::new().deadline(Duration::ZERO)));
-    let err = engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
+    let err = engine.route(&net).unwrap_err();
     assert!(
         matches!(err, RouteError::BudgetExceeded { .. }),
         "got {err}"
@@ -149,8 +136,8 @@ fn budget_trips_are_counted() {
             .recorder(collector.clone())
             .budget(Budget::new().max_nodes(10)),
     );
-    engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
-    engine.route_in(&net, &ComputeCtx::seq()).unwrap_err();
+    engine.route(&net).unwrap_err();
+    engine.route(&net).unwrap_err();
     let snapshot = collector.snapshot();
     assert_eq!(snapshot.counters.get("budget_trips"), Some(&2));
 }
@@ -158,7 +145,7 @@ fn budget_trips_are_counted() {
 #[test]
 fn unlimited_budget_changes_nothing() {
     let net = dfsssp::topo::torus(&[4, 4], 1);
-    let plain = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let plain = DfSssp::new().route(&net).unwrap();
     let budgeted = DfSssp::new()
         .with_config(
             EngineConfig::new().budget(
@@ -168,7 +155,7 @@ fn unlimited_budget_changes_nothing() {
                     .max_cdg_edges(1 << 30),
             ),
         )
-        .route_in(&net, &ComputeCtx::seq())
+        .route(&net)
         .unwrap();
     assert_eq!(plain.num_layers(), budgeted.num_layers());
     dfsssp::verify::verify_deadlock_free(&net, &budgeted).unwrap();

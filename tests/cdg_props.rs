@@ -74,7 +74,7 @@ fn offline_variants_both_produce_covers() {
             interswitch_links: (switches * 3 / 2).min(switches * (switches - 1) / 2),
         };
         let net = dfsssp::topo::random_topology(&spec, seed);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         for assignment in [
             assign_layers_offline(&net, &routes, CycleBreakHeuristic::WeakestEdge, 32, false)
                 .unwrap()
@@ -112,8 +112,8 @@ fn ibnetdiscover_round_trips() {
         assert_eq!(back.num_cables(), net.num_cables());
         back.validate().unwrap();
         // Routing the reparsed fabric behaves identically.
-        let a = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let b = DfSssp::new().route_in(&back, &ComputeCtx::seq()).unwrap();
+        let a = DfSssp::new().route(&net).unwrap();
+        let b = DfSssp::new().route(&back).unwrap();
         assert_eq!(a.num_layers(), b.num_layers());
     });
 }

@@ -88,7 +88,7 @@ fn vl_starved_bring_up_escalates_on_a_torus() {
     // the budget rather than fail.
     let net = topo::torus(&[4, 4], 1);
     let engine = DfSssp {
-        max_layers: 1,
+        config: EngineConfig::new().max_layers(1),
         ..DfSssp::new()
     };
     let sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();

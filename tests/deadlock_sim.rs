@@ -27,16 +27,19 @@ fn drains(net: &Network, engine: &DfSssp, seed: u64) -> bool {
         "{} {:?} at {}",
         net.label(),
         engine.heuristic,
-        engine.max_layers
+        engine.config.max_layers
     );
-    let routes = match engine.route_in(net, &ComputeCtx::seq()) {
+    let routes = match engine.route(net) {
         Ok(routes) => routes,
         Err(RouteError::NeedMoreLayers { .. }) => return false,
         Err(e) => panic!("{what}: {e}"),
     };
     let report = vet::check(net, &routes);
     assert!(report.clean(), "{what}: {:?}", report.diagnostics);
-    assert!(routes.num_layers() as usize <= engine.max_layers, "{what}");
+    assert!(
+        routes.num_layers() as usize <= engine.config.max_layers,
+        "{what}"
+    );
     let out = uniform_traffic(net, &routes, 1, seed);
     assert!(out.completed(), "{what}: {out:?}");
     true
@@ -61,13 +64,13 @@ fn acyclic_routings_never_wedge() {
         let seed = c.draw("traffic", 0u64..1000);
         for heuristic in CycleBreakHeuristic::ALL {
             let raw = DfSssp {
-                max_layers: 64,
+                config: EngineConfig::new().max_layers(64),
                 compact: false,
                 ..DfSssp::with_heuristic(heuristic)
             };
             let needed = raw.route_with_stats(&net).unwrap().1.layers_used;
             let at = |max_layers| DfSssp {
-                max_layers,
+                config: EngineConfig::new().max_layers(max_layers),
                 ..DfSssp::with_heuristic(heuristic)
             };
             assert!(drains(&net, &at(needed), seed), "{}", net.label());
@@ -92,7 +95,7 @@ fn acyclic_routings_never_wedge() {
         (dfsssp::topo::hypercube(4, 1), first, 2),
     ] {
         let engine = DfSssp {
-            max_layers,
+            config: EngineConfig::new().max_layers(max_layers),
             ..DfSssp::with_heuristic(heuristic)
         };
         assert!(drains(&net, &engine, 1), "{}", net.label());
@@ -113,7 +116,7 @@ fn acyclic_routings_never_wedge() {
             Box::new(Lash::new()),
             Box::new(UpDown::new()),
         ] {
-            let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+            let routes = engine.route(&net).unwrap();
             assert!(deadlock_report(&net, &routes).unwrap().is_deadlock_free());
             for (cap, seed) in [(1, 1u64), (2, 2), (4, 3)] {
                 let out = uniform_traffic(&net, &routes, cap, seed);
@@ -138,7 +141,7 @@ fn cyclic_routings_wedge_under_adversarial_load() {
         (dfsssp::topo::ring(11, 1), 4),
     ];
     for (net, hops) in cases {
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         assert!(!deadlock_report(&net, &routes).unwrap().is_deadlock_free());
         let w = Workload::shift(net.num_terminals(), hops, 32);
         let config = SimConfig {
@@ -158,7 +161,7 @@ fn cyclic_routings_wedge_under_adversarial_load() {
 #[test]
 fn cyclic_routings_survive_light_traffic() {
     let net = dfsssp::topo::ring(5, 1);
-    let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = Sssp::new().route(&net).unwrap();
     let mut w = Workload::new(5);
     w.queues[0] = vec![2]; // one packet, no contention
     let out = simulate(&net, &routes, &w, &SimConfig::default());
@@ -172,10 +175,10 @@ fn balanced_layers_still_safe_dynamically() {
     let net = dfsssp::topo::torus(&[4, 4], 1);
     for balance in [false, true] {
         let engine = DfSssp {
-            balance,
+            config: EngineConfig::new().balance(balance),
             ..DfSssp::new()
         };
-        let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = engine.route(&net).unwrap();
         let w = Workload::uniform_random(net.num_terminals(), 25, 5);
         let out = simulate(&net, &routes, &w, &SimConfig::default());
         assert!(out.completed(), "balance={balance}: {out:?}");

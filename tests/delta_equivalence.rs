@@ -4,7 +4,7 @@
 //! The delta engine's contract is exact: for any event sequence, routing
 //! the degraded fabric through a warm [`DeltaEngine`] must produce the
 //! *identical* `Routes` artifact — next-hops, layers, engine tag — that a
-//! cold `DfSssp` full sweep produces at the same snapshot context. These
+//! cold `DfSssp` full sweep produces under the same snapshot schedule. These
 //! tests sweep that claim over torus / fat-tree / dragonfly fabrics,
 //! chained cable failures, whole-switch failures (which change the node
 //! roster and must fall back), and both sides of the dirty-fraction
@@ -17,13 +17,13 @@ use fabric::{degrade, topo, Network, Routes};
 use std::collections::HashSet;
 use subnet::transition;
 
-/// The snapshot compute context the delta path requires: a single chunk
-/// spanning every terminal, i.e. all destination trees swept against one
-/// uniform weight snapshot.
-fn snap_cx(net: &Network) -> ComputeCtx {
-    ComputeCtx {
-        chunk: net.num_terminals().max(1),
-    }
+/// A cold `DfSssp` under the snapshot schedule the delta path requires:
+/// a single chunk spanning every terminal of `net` (and so of every
+/// fabric an event leaves of it), i.e. all destination trees swept
+/// against one uniform weight snapshot.
+fn cold(net: &Network) -> DfSssp {
+    let snapshot = ComputeOpts::new().chunk(net.num_terminals());
+    DfSssp::new().with_config(EngineConfig::new().compute(snapshot))
 }
 
 fn families() -> Vec<(&'static str, Network)> {
@@ -34,11 +34,12 @@ fn families() -> Vec<(&'static str, Network)> {
     ]
 }
 
-/// An eager delta engine: never trips the dirty-fraction fallback, so
-/// every eligible event exercises the incremental path.
-fn eager() -> DeltaEngine {
+/// An eager delta engine for `base` and the fabrics an event leaves of
+/// it: never trips the dirty-fraction fallback, so every eligible event
+/// exercises the incremental path.
+fn eager(base: &Network) -> DeltaEngine {
     DeltaEngine::with_delta_config(
-        DfSssp::new(),
+        cold(base),
         DeltaConfig {
             max_dirty_fraction: 1.0,
         },
@@ -46,13 +47,12 @@ fn eager() -> DeltaEngine {
 }
 
 /// Route `net` through the warm delta engine and a cold full recompute
-/// at the same snapshot context; assert bit-for-bit agreement. Returns
+/// under the same snapshot schedule; assert bit-for-bit agreement. Returns
 /// `false` when both paths refused (e.g. the fabric disconnected) —
 /// refusal must also agree.
 fn assert_equivalent(warm: &DeltaEngine, net: &Network, label: &str) -> bool {
-    let cx = snap_cx(net);
-    let incremental = warm.route_in(net, &cx);
-    let full = DfSssp::new().route_in(net, &cx);
+    let incremental = warm.route(net);
+    let full = cold(net).route(net);
     match (incremental, full) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a, b, "{label}: delta and full recompute disagree");
@@ -103,7 +103,7 @@ fn dirty_by_the_rule(
     new: &Network,
     label: &str,
 ) -> DeltaOutcome {
-    let old_routes = DfSssp::new().route_in(old, &snap_cx(old)).expect(label);
+    let old_routes = cold(old).route(old).expect(label);
     let outcome = warm.last_outcome().expect("route recorded an outcome");
     assert_eq!(
         outcome.dirty_dests,
@@ -118,7 +118,7 @@ fn delta_matches_full_across_families_and_failure_chains() {
     let mut delta_hits = 0usize;
     for (name, base) in families() {
         for seed in 0..4u64 {
-            let engine = eager();
+            let engine = eager(&base);
             let mut net = base.clone();
             assert!(
                 assert_equivalent(&engine, &net, name),
@@ -158,10 +158,8 @@ fn full_mesh_cable_failures_dirty_eight_trees_of_384() {
     let base = topo::fully_connected(96, 4);
     assert_eq!(base.num_terminals(), 384);
     for k in 0..4u64 {
-        let engine = DeltaEngine::new(DfSssp::new());
-        engine
-            .route_in(&base, &snap_cx(&base))
-            .expect("the pristine mesh routes");
+        let engine = DeltaEngine::new(cold(&base));
+        engine.route(&base).expect("the pristine mesh routes");
         let (net, removed) = degrade::fail_random_cables(&base, 1, 7 * 97 + k);
         assert_eq!(removed, 1);
         let label = format!("full(96,4) cable#{k}");
@@ -175,7 +173,7 @@ fn full_mesh_cable_failures_dirty_eight_trees_of_384() {
 #[test]
 fn switch_failures_change_the_roster_and_fall_back_identically() {
     for (name, base) in families() {
-        let engine = eager();
+        let engine = eager(&base);
         assert!(assert_equivalent(&engine, &base, name));
         let Some(degraded) = degrade::fail_random_switch(&base, 7) else {
             continue;
@@ -199,7 +197,7 @@ fn dirty_fraction_boundary_forces_fallback_yet_stays_identical() {
     let base = topo::torus(&[3, 3], 1);
     for (threshold, expect_delta) in [(0.0, false), (1.0, true)] {
         let engine = DeltaEngine::with_delta_config(
-            DfSssp::new(),
+            cold(&base),
             DeltaConfig {
                 max_dirty_fraction: threshold,
             },
@@ -222,7 +220,7 @@ fn cable_recovery_is_equivalent_too() {
     // Degrade then restore: the re-added cable exercises the
     // added-channel dirty rule rather than the removal rule.
     let base = topo::kary_ntree(2, 3);
-    let engine = eager();
+    let engine = eager(&base);
     assert!(assert_equivalent(&engine, &base, "base"));
     let (degraded, removed) = degrade::fail_random_cables(&base, 1, 11);
     assert_eq!(removed, 1);
@@ -235,7 +233,7 @@ fn cable_recovery_is_equivalent_too() {
 
 /// One cable down, then back up, on a warm production-default engine.
 fn down_then_up(base: &Network, seed: u64) -> [DeltaOutcome; 2] {
-    let engine = DeltaEngine::new(DfSssp::new());
+    let engine = DeltaEngine::new(cold(base));
     assert!(assert_equivalent(&engine, base, "warmup"));
     let (down, removed) = degrade::fail_random_cables(base, 1, seed);
     assert_eq!(removed, 1, "seed {seed} must fail exactly one cable");
@@ -318,9 +316,7 @@ fn every_plan_is_the_planners_own() {
     let (mut direct, mut staged) = (0, 0);
     for base in fabrics {
         let label = base.label().to_string();
-        let compute = ComputeOpts::new().chunk(base.num_terminals());
-        let engine =
-            DeltaEngine::new(DfSssp::new().with_config(EngineConfig::new().compute(compute)));
+        let engine = DeltaEngine::new(cold(&base));
         let planner = engine.planner();
         let mut sm = SmLoop::bring_up(engine, base.clone(), base.terminals()[0]).expect(&label);
         sm.set_plan_provider(Some(Box::new(planner)));

@@ -197,6 +197,41 @@ fn compute_fan_out_stays_deleted() {
     );
 }
 
+/// An engine is configured once and routes with `route(net)`: the
+/// per-call context, the shim that still takes it and the `_in` twins
+/// are spelled only by `crates/perf` and by `crates/core/src/engine.rs`,
+/// which keeps the shim for it.
+#[test]
+fn route_in_is_perfs_alone() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    rust_sources(&root, &mut sources);
+    // Spelled in halves so this file does not match itself.
+    let names = [
+        concat!("route", "_in("),
+        concat!("Compute", "Ctx"),
+        concat!("route_with_stats", "_in("),
+        concat!("route_with_counts", "_in("),
+        concat!("route_with_loads", "_in("),
+    ];
+    let mut violations = Vec::new();
+    for path in sources {
+        let rel = path.strip_prefix(&root).unwrap_or(&path);
+        if rel.starts_with("crates/perf") || rel == Path::new("crates/core/src/engine.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(&path).expect("source is readable");
+        for name in names.iter().filter(|name| text.contains(*name)) {
+            violations.push(format!("{}: spells `{name}`", rel.display()));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "engines route with `route(net)` under the config they hold:\n  {}",
+        violations.join("\n  ")
+    );
+}
+
 /// `path` relative to the repository root, `/`-separated.
 fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
@@ -334,9 +369,14 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// 20 097 → 19 299 without deleting a line: the 798 lines of the loom
 /// models (`serve`, `core`) and the planner's reference oracle
 /// (`subnet::transition::reference`) had been read as production code.
+///
+/// One engine configuration lowered it 19 299 → 19 203: engines route
+/// with `route(net)` under the `EngineConfig` they hold, so the per-call
+/// context, the `_in` twins, the mirrored config fields and the second
+/// layer cap (`Budget::max_layers`) went.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_299;
+    const CEILING: usize = 19_203;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

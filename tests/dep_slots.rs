@@ -59,7 +59,7 @@ fn slots_are_a_bijection_onto_adjacent_channel_pairs() {
 /// connects every pair.
 fn route(net: &Network, engine: &dyn RoutingEngine) -> Option<Routes> {
     net.is_strongly_connected()
-        .then(|| engine.route_in(net, &ComputeCtx::seq()).expect("routes"))
+        .then(|| engine.route(net).expect("routes"))
 }
 
 /// The layer 0 `TreePaths::layer0` builds from the destination trees is

@@ -43,7 +43,7 @@ fn universal_engines_connect_every_pair_everywhere() {
     for net in topologies() {
         for engine in universal_engines() {
             let routes = engine
-                .route_in(&net, &ComputeCtx::seq())
+                .route(&net)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", engine.name(), net.label()));
             let nt = net.num_terminals();
             assert_eq!(
@@ -72,7 +72,7 @@ fn every_artifact_passes_vet() {
     };
     for net in topologies() {
         for engine in universal_engines() {
-            let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+            let routes = engine.route(&net).unwrap();
             let report = vet::analyze_with(&net, &routes, &lenient);
             assert_eq!(
                 report.num_errors(),
@@ -103,7 +103,7 @@ fn deadlock_free_claims_hold() {
             if !engine.deadlock_free() {
                 continue;
             }
-            let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+            let routes = engine.route(&net).unwrap();
             let report = deadlock_report(&net, &routes).unwrap();
             assert!(
                 report.is_deadlock_free(),
@@ -125,7 +125,7 @@ fn minimal_engines_are_minimal() {
             Box::new(DfSssp::new()),
             Box::new(Lash::new()),
         ] {
-            let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+            let routes = engine.route(&net).unwrap();
             verify_minimal(&net, &routes).unwrap_or_else(|(s, d)| {
                 panic!(
                     "{} non-minimal on {} for {s:?}->{d:?}",
@@ -141,8 +141,8 @@ fn minimal_engines_are_minimal() {
 fn dfsssp_matches_sssp_paths_exactly() {
     // DFSSSP only adds layers; the forwarding tables are SSSP's.
     for net in topologies() {
-        let sssp = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let dfsssp = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let sssp = Sssp::new().route(&net).unwrap();
+        let dfsssp = DfSssp::new().route(&net).unwrap();
         for &src in net.terminals() {
             for &dst in net.terminals() {
                 if src == dst {
@@ -162,7 +162,7 @@ fn dfsssp_matches_sssp_paths_exactly() {
 #[test]
 fn dfsssp_respects_hardware_layer_budget() {
     for net in topologies() {
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         assert!(routes.num_layers() <= 8, "{}", net.label());
     }
 }
@@ -170,7 +170,7 @@ fn dfsssp_respects_hardware_layer_budget() {
 #[test]
 fn dor_agrees_with_dfsssp_on_mesh_connectivity() {
     let net = dfsssp::topo::mesh(&[4, 4], 1);
-    let dor = Dor::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let dor = Dor::new().route(&net).unwrap();
     let nt = net.num_terminals();
     assert_eq!(dor.validate_connectivity(&net).unwrap(), nt * (nt - 1));
     // DOR on a mesh is deadlock-free even though the engine cannot
@@ -184,11 +184,9 @@ fn deadlock_free_wrapper_upgrades_any_engine() {
     // wrapping it with the APP machinery fixes it. Same for MinHop on a
     // ring.
     let torus = dfsssp::topo::torus(&[4, 4], 1);
-    let plain = Dor::new().route_in(&torus, &ComputeCtx::seq()).unwrap();
+    let plain = Dor::new().route(&torus).unwrap();
     assert!(!deadlock_report(&torus, &plain).unwrap().is_deadlock_free());
-    let wrapped = DeadlockFree::new(Dor::new())
-        .route_in(&torus, &ComputeCtx::seq())
-        .unwrap();
+    let wrapped = DeadlockFree::new(Dor::new()).route(&torus).unwrap();
     assert!(deadlock_report(&torus, &wrapped)
         .unwrap()
         .is_deadlock_free());
@@ -206,9 +204,7 @@ fn deadlock_free_wrapper_upgrades_any_engine() {
     }
 
     let ring = dfsssp::topo::ring(7, 1);
-    let wrapped = DeadlockFree::new(MinHop::new())
-        .route_in(&ring, &ComputeCtx::seq())
-        .unwrap();
+    let wrapped = DeadlockFree::new(MinHop::new()).route(&ring).unwrap();
     assert!(deadlock_report(&ring, &wrapped).unwrap().is_deadlock_free());
     assert_eq!(wrapped.engine(), "DF-MinHop");
 }
@@ -216,7 +212,7 @@ fn deadlock_free_wrapper_upgrades_any_engine() {
 #[test]
 fn fattree_engine_matches_tree_claims() {
     let net = dfsssp::topo::kary_ntree(4, 3);
-    let routes = FatTree::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = FatTree::new().route(&net).unwrap();
     verify_minimal(&net, &routes).unwrap();
     assert!(deadlock_report(&net, &routes).unwrap().is_deadlock_free());
 }

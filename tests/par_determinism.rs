@@ -17,10 +17,11 @@ use std::sync::Barrier;
 /// share the engine and start together, and require every table
 /// identical to the lone call's (and deadlock-free).
 fn assert_thread_invariant(net: &Network, chunk: usize) {
-    let engine = DfSssp::new();
+    let compute = ComputeOpts::new().chunk(chunk);
+    let engine = DfSssp::new().with_config(EngineConfig::new().compute(compute));
     let route = || {
         engine
-            .route_in(net, &ComputeCtx { chunk })
+            .route(net)
             .unwrap_or_else(|e| panic!("{}: {e}", net.label()))
     };
     let baseline = route();

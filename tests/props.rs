@@ -36,7 +36,7 @@ fn random_net(c: &mut Case) -> Network {
 fn sssp_is_minimal() {
     sweep(0..48, |c| {
         let net = random_net(c);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         assert!(verify_minimal(&net, &routes).is_ok());
     });
 }
@@ -46,7 +46,7 @@ fn sssp_is_minimal() {
 fn dfsssp_is_deadlock_free_and_connected() {
     sweep(0..48, |c| {
         let net = random_net(c);
-        let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = DfSssp::new().route(&net).unwrap();
         let report = deadlock_report(&net, &routes).unwrap();
         assert!(report.is_deadlock_free());
         let nt = net.num_terminals();
@@ -65,7 +65,7 @@ fn online_assignment_is_also_safe() {
             mode: LayerAssignMode::Online,
             ..DfSssp::new()
         };
-        let routes = engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = engine.route(&net).unwrap();
         assert!(deadlock_report(&net, &routes).unwrap().is_deadlock_free());
     });
 }
@@ -78,10 +78,10 @@ fn balancing_preserves_safety() {
         let net = random_net(c);
         let route = |balance| {
             DfSssp {
-                balance,
+                config: EngineConfig::new().balance(balance),
                 ..DfSssp::new()
             }
-            .route_in(&net, &ComputeCtx::seq())
+            .route(&net)
             .unwrap()
         };
         let balanced = route(true);
@@ -96,7 +96,7 @@ fn balancing_preserves_safety() {
 fn tree_path_walks_match_loads() {
     sweep(0..48, |c| {
         let net = random_net(c);
-        let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+        let routes = Sssp::new().route(&net).unwrap();
         let paths = TreePaths {
             net: &net,
             routes: &routes,
@@ -242,19 +242,15 @@ fn bfs_kernel_is_the_heap_at_a_uniform_weight() {
 fn snapshot_chunk_routes_are_the_unbalanced_shortest_paths() {
     sweep(0..48, |c| {
         let net = zoo_net(c);
-        let (nt, cx) = (
-            net.num_terminals(),
-            ComputeCtx {
-                chunk: net.num_terminals(),
-            },
-        );
-        let sssp = Sssp::new().route_in(&net, &cx);
+        let nt = net.num_terminals();
+        let snapshot = EngineConfig::new().compute(ComputeOpts::new().chunk(nt));
+        let sssp = Sssp::new().with_config(snapshot.clone()).route(&net);
         let Ok(plain) = unbalanced_shortest_paths(&net) else {
             // Cuts may split the zoo fabric; then both refuse it.
             return assert_eq!(sssp.unwrap_err(), RouteError::Disconnected);
         };
         let sssp = sssp.unwrap();
-        let dfsssp = DfSssp::new().route_in(&net, &cx).unwrap();
+        let dfsssp = DfSssp::new().with_config(snapshot).route(&net).unwrap();
         for d in 0..nt {
             assert_eq!(plain.column(d).0, sssp.column(d).0, "Sssp toward {d}");
             assert_eq!(plain.column(d).0, dfsssp.column(d).0, "DfSssp toward {d}");

@@ -70,14 +70,14 @@ fn fingerprint(routes: &Routes) -> u64 {
 
 #[test]
 fn cold_routes_match_the_pinned_fingerprints() {
-    let engines: [Box<dyn RoutingEngine>; 2] = [Box::new(Sssp::new()), Box::new(DfSssp::new())];
+    let mut engines: [Box<dyn RoutingEngine>; 2] = [Box::new(Sssp::new()), Box::new(DfSssp::new())];
     let mut got = Vec::new();
     for net in fabrics() {
-        for engine in &engines {
+        for engine in &mut engines {
             got.push(chunks(&net).map(|chunk| {
-                let cx = ComputeOpts::new().chunk(chunk).resolve();
+                engine.set_config(EngineConfig::new().compute(ComputeOpts::new().chunk(chunk)));
                 let routes = engine
-                    .route_in(&net, &cx)
+                    .route(&net)
                     .unwrap_or_else(|e| panic!("{} {}: {e}", net.label(), engine.name()));
                 fingerprint(&routes)
             }));
@@ -172,7 +172,7 @@ fn compaction_runs() -> Vec<(Network, DfSssp, usize)> {
     for (net, heuristic, budgets) in cases {
         for &max_layers in budgets {
             let engine = DfSssp {
-                max_layers,
+                config: EngineConfig::new().max_layers(max_layers),
                 ..DfSssp::with_heuristic(heuristic)
             };
             runs.push((net.clone(), engine, 1));
@@ -182,9 +182,10 @@ fn compaction_runs() -> Vec<(Network, DfSssp, usize)> {
 }
 
 fn assignment_row(net: &Network, engine: &DfSssp, chunk: usize) -> (u64, DfStats) {
-    let cx = ComputeOpts::new().chunk(chunk).resolve();
+    let compute = ComputeOpts::new().chunk(chunk);
+    let engine = engine.clone().with_config(engine.config().compute(compute));
     let (routes, stats) = engine
-        .route_with_stats_in(net, &cx)
+        .route_with_stats(net)
         .unwrap_or_else(|e| panic!("{} {:?}: {e}", net.label(), engine.heuristic));
     (fingerprint(&routes), stats)
 }
@@ -196,7 +197,7 @@ fn layer_assignments_match_the_pinned_table() {
     // moves a different number of paths.
     for (net, engine, chunk) in compaction_runs() {
         let raw = DfSssp {
-            max_layers: 64,
+            config: EngineConfig::new().max_layers(64),
             compact: false,
             ..engine.clone()
         };
@@ -204,12 +205,10 @@ fn layer_assignments_match_the_pinned_table() {
             assignment_row(&net, &raw, chunk).1,
             assignment_row(&net, &engine, chunk).1,
         );
-        let what = format!("{} at {} layers", net.label(), engine.max_layers);
-        assert!(
-            raw.layers_used > engine.max_layers,
-            "{what}: fits uncompacted"
-        );
-        assert!(fit.layers_used <= engine.max_layers, "{what}");
+        let max_layers = engine.config.max_layers;
+        let what = format!("{} at {max_layers} layers", net.label());
+        assert!(raw.layers_used > max_layers, "{what}: fits uncompacted");
+        assert!(fit.layers_used <= max_layers, "{what}");
         assert!(fit.paths_moved > raw.paths_moved, "{what}: nothing sank");
     }
     let got: Vec<_> = heuristic_runs()

@@ -38,18 +38,9 @@ fn ebb(net: &Network, routes: &fabric::Routes) -> f64 {
 #[test]
 fn dfsssp_dominates_on_oversubscribed_xgft() {
     let net = dfsssp::topo::xgft(2, &[16, 16], &[8, 8]);
-    let df = ebb(
-        &net,
-        &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let mh = ebb(
-        &net,
-        &MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let lash = ebb(
-        &net,
-        &Lash::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
+    let df = ebb(&net, &DfSssp::new().route(&net).unwrap());
+    let mh = ebb(&net, &MinHop::new().route(&net).unwrap());
+    let lash = ebb(&net, &Lash::new().route(&net).unwrap());
     assert!(df > 1.3 * mh, "DFSSSP {df:.3} vs MinHop {mh:.3}");
     assert!(df > 2.0 * lash, "DFSSSP {df:.3} vs LASH {lash:.3}");
 }
@@ -59,14 +50,8 @@ fn dfsssp_dominates_on_oversubscribed_xgft() {
 #[test]
 fn engines_tie_on_odin_class_fabric() {
     let net = dfsssp::topo::realworld::RealSystem::Odin.build(0.5);
-    let df = ebb(
-        &net,
-        &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let mh = ebb(
-        &net,
-        &MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
+    let df = ebb(&net, &DfSssp::new().route(&net).unwrap());
+    let mh = ebb(&net, &MinHop::new().route(&net).unwrap());
     let ratio = df / mh;
     assert!(
         (0.85..=1.25).contains(&ratio),
@@ -78,18 +63,9 @@ fn engines_tie_on_odin_class_fabric() {
 #[test]
 fn engines_tie_on_kautz() {
     let net = dfsssp::topo::kautz(2, 2, 48, true);
-    let df = ebb(
-        &net,
-        &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let mh = ebb(
-        &net,
-        &MinHop::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let lash = ebb(
-        &net,
-        &Lash::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
+    let df = ebb(&net, &DfSssp::new().route(&net).unwrap());
+    let mh = ebb(&net, &MinHop::new().route(&net).unwrap());
+    let lash = ebb(&net, &Lash::new().route(&net).unwrap());
     for (name, x) in [("MinHop", mh), ("LASH", lash)] {
         let ratio = df / x;
         assert!(
@@ -104,8 +80,8 @@ fn engines_tie_on_kautz() {
 #[test]
 fn layers_are_free_for_bandwidth() {
     let net = dfsssp::topo::torus(&[4, 4], 2);
-    let sssp = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-    let dfsssp = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let sssp = Sssp::new().route(&net).unwrap();
+    let dfsssp = DfSssp::new().route(&net).unwrap();
     assert_eq!(ebb(&net, &sssp), ebb(&net, &dfsssp));
 }
 
@@ -114,14 +90,8 @@ fn layers_are_free_for_bandwidth() {
 #[test]
 fn updown_bottlenecks_on_torus() {
     let net = dfsssp::topo::torus(&[5, 5], 1);
-    let df = ebb(
-        &net,
-        &DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
-    let ud = ebb(
-        &net,
-        &UpDown::new().route_in(&net, &ComputeCtx::seq()).unwrap(),
-    );
+    let df = ebb(&net, &DfSssp::new().route(&net).unwrap());
+    let ud = ebb(&net, &UpDown::new().route(&net).unwrap());
     assert!(df > ud, "DFSSSP {df:.3} must beat Up*/Down* {ud:.3}");
 }
 
@@ -132,27 +102,15 @@ fn dfsssp_degrades_gracefully() {
     let pristine = dfsssp::topo::kary_ntree(4, 3);
     let (degraded, removed) = dfsssp::fabric::degrade::fail_random_cables(&pristine, 16, 4);
     assert!(removed >= 8);
-    let before = ebb(
-        &pristine,
-        &DfSssp::new()
-            .route_in(&pristine, &ComputeCtx::seq())
-            .unwrap(),
-    );
-    let after = ebb(
-        &degraded,
-        &DfSssp::new()
-            .route_in(&degraded, &ComputeCtx::seq())
-            .unwrap(),
-    );
+    let before = ebb(&pristine, &DfSssp::new().route(&pristine).unwrap());
+    let after = ebb(&degraded, &DfSssp::new().route(&degraded).unwrap());
     assert!(
         after > 0.5 * before,
         "DFSSSP lost too much: {before:.3} -> {after:.3}"
     );
     // And it still guarantees deadlock freedom there — vet-clean under
     // the strict default configuration.
-    let routes = DfSssp::new()
-        .route_in(&degraded, &ComputeCtx::seq())
-        .unwrap();
+    let routes = DfSssp::new().route(&degraded).unwrap();
     dfsssp::verify::verify_deadlock_free(&degraded, &routes).unwrap();
     assert!(vet::analyze(&degraded, &routes).clean());
 }

@@ -42,7 +42,7 @@ fn lft_walks_agree_with_routes_on_single_homed_fabrics() {
 #[test]
 fn programmed_fabric_round_trips_through_json() {
     let net = dfsssp::topo::kary_ntree(2, 3);
-    let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = DfSssp::new().route(&net).unwrap();
     let njson = format::network_to_json(&net);
     let rjson = format::routes_to_json(&routes);
     let net2 = format::network_from_json(&njson).unwrap();
@@ -70,8 +70,8 @@ fn text_format_round_trips_all_generators() {
         assert_eq!(back.num_channels(), net.num_channels(), "{}", net.label());
         back.validate().unwrap();
         // And the reparsed network routes identically in shape.
-        let a = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
-        let b = DfSssp::new().route_in(&back, &ComputeCtx::seq()).unwrap();
+        let a = DfSssp::new().route(&net).unwrap();
+        let b = DfSssp::new().route(&back).unwrap();
         assert_eq!(a.num_layers(), b.num_layers(), "{}", net.label());
     }
 }

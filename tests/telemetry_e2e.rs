@@ -11,11 +11,11 @@ use std::sync::Arc;
 #[test]
 fn recording_does_not_change_routes() {
     let net = dfsssp::topo::torus(&[4, 4], 1);
-    let plain = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let plain = DfSssp::new().route(&net).unwrap();
     let collector = Arc::new(Collector::new());
     let config = EngineConfig::new().recorder(collector.clone());
     let recorded = Recorded::new(DfSssp::new().with_config(config), collector.clone())
-        .route_in(&net, &ComputeCtx::seq())
+        .route(&net)
         .unwrap();
     assert_eq!(plain, recorded);
     assert!(!collector.snapshot().phases.is_empty());
@@ -29,7 +29,7 @@ fn dfsssp_run_covers_all_phases_and_histograms() {
     let collector = Arc::new(Collector::new());
     let config = EngineConfig::new().recorder(collector.clone());
     let engine = Recorded::new(DfSssp::new().with_config(config), collector.clone());
-    engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+    engine.route(&net).unwrap();
     let snap = collector.snapshot();
     for phase in [
         phases::SSSP,
@@ -58,9 +58,9 @@ fn collector_aggregates_across_runs() {
     let net = dfsssp::topo::kary_ntree(2, 2);
     let collector = Arc::new(Collector::new());
     let engine = Recorded::new(Sssp::new(), collector.clone());
-    engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+    engine.route(&net).unwrap();
     let once = collector.snapshot().counters["paths_routed"];
-    engine.route_in(&net, &ComputeCtx::seq()).unwrap();
+    engine.route(&net).unwrap();
     assert_eq!(collector.snapshot().counters["paths_routed"], 2 * once);
     assert_eq!(collector.snapshot().phases[phases::ROUTE_TOTAL].count, 2);
 }
@@ -73,7 +73,7 @@ fn manifest_round_trips_from_a_real_run() {
     let collector = Arc::new(Collector::new());
     let config = EngineConfig::new().recorder(collector.clone());
     Recorded::new(DfSssp::new().with_config(config), collector.clone())
-        .route_in(&net, &ComputeCtx::seq())
+        .route(&net)
         .unwrap();
     let manifest = RunManifest::new("telemetry_e2e")
         .engine("DFSSSP")
@@ -91,7 +91,7 @@ fn manifest_round_trips_from_a_real_run() {
 #[test]
 fn recorded_ebb_matches_plain_ebb() {
     let net = dfsssp::topo::kary_ntree(4, 2);
-    let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = DfSssp::new().route(&net).unwrap();
     let opts = EbbOptions {
         patterns: 50,
         ..Default::default()

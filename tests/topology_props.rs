@@ -130,9 +130,7 @@ fn degradation_preserves_what_it_claims() {
         assert_eq!(degraded.num_cables(), net.num_cables() - removed);
         degraded.validate().unwrap();
         // The degraded network is still routable deadlock-free.
-        let routes = DfSssp::new()
-            .route_in(&degraded, &ComputeCtx::seq())
-            .unwrap();
+        let routes = DfSssp::new().route(&degraded).unwrap();
         dfsssp::verify::verify_deadlock_free(&degraded, &routes).unwrap();
     });
 }

@@ -44,7 +44,7 @@ fn a_supplied_verdict_reports_what_a_decided_one_does() {
         // Up*/Down* detours: the report carries V006 findings too.
         let engines: [&dyn RoutingEngine; 3] = [&Sssp::new(), &DfSssp::new(), &UpDown::new()];
         let engine = engines[c.draw("engine", 0..3)];
-        if let Ok(routes) = engine.route_in(&net, &ComputeCtx::seq()) {
+        if let Ok(routes) = engine.route(&net) {
             assert_the_verdict_shares(&net, &routes, "zoo");
         }
     });
@@ -52,8 +52,8 @@ fn a_supplied_verdict_reports_what_a_decided_one_does() {
     // Refuted views, each with a single-layer and a multi-layer artifact:
     // the severity of a refutation is the artifact's, decided by the gate.
     let ring = unidirectional_ring(4);
-    let flat = Sssp::new().route_in(&ring, &ComputeCtx::seq()).unwrap();
-    let layered = DfSssp::new().route_in(&ring, &ComputeCtx::seq()).unwrap();
+    let flat = Sssp::new().route(&ring).unwrap();
+    let layered = DfSssp::new().route(&ring).unwrap();
     assert_eq!(
         assert_the_verdict_shares(&ring, &flat, "forced cycle, one layer"),
         [Severity::Error]
@@ -94,7 +94,7 @@ fn a_supplied_verdict_reports_what_a_decided_one_does() {
         Existence::Undecided { .. }
     ));
     let routes = DfSssp::new()
-        .route_in(&kautz, &ComputeCtx::seq())
+        .route(&kautz)
         .unwrap_or_else(|_| Routes::new(&kautz, "unrouted"));
     assert_eq!(
         assert_the_verdict_shares(&kautz, &routes, "undecided"),
@@ -119,16 +119,14 @@ fn unidirectional_ring(n: usize) -> Network {
 #[test]
 fn staged_update_on_a_certified_fabric_is_clean_at_every_stage() {
     let net = topo::torus(&[4, 4], 1);
-    let old = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let old = DfSssp::new().route(&net).unwrap();
 
     // Lose some cables, re-express the stale tables against the survivor
     // fabric, and re-route. The degraded fabric still certifies.
     let (degraded, removed) = fail_random_cables(&net, 4, 11);
     assert!(removed > 0);
     let stale = remap_routes(&net, &old, &degraded);
-    let fresh = DfSssp::new()
-        .route_in(&degraded, &ComputeCtx::seq())
-        .unwrap();
+    let fresh = DfSssp::new().route(&degraded).unwrap();
     assert!(
         matches!(vet::existence(&degraded), Existence::Exists { .. }),
         "losing {removed} cables must not refute existence on a torus"
@@ -193,7 +191,7 @@ fn refuted_fabric_condemns_single_layer_but_not_layered_artifacts() {
 
     // A single-layer routing on this fabric is impossible to make
     // deadlock-free — V007 is an *error* for it.
-    let flat = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let flat = Sssp::new().route(&net).unwrap();
     let report = vet::analyze(&net, &flat);
     let diag = report
         .diagnostics_for(LintCode::DeadlockExistence)
@@ -203,7 +201,7 @@ fn refuted_fabric_condemns_single_layer_but_not_layered_artifacts() {
 
     // A layered routing took the only escape hatch: V007 downgrades to a
     // warning citing that the layers are provably necessary.
-    let layered = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let layered = DfSssp::new().route(&net).unwrap();
     assert!(layered.num_layers() > 1, "the ring needs layers");
     let report = vet::analyze(&net, &layered);
     let diag = report

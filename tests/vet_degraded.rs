@@ -14,9 +14,7 @@ fn rerouting_after_cable_failures_is_vet_clean() {
     let (degraded, removed) = fail_random_cables(&net, 4, 7);
     assert!(removed > 0, "a torus has removable cables");
     assert!(degraded.is_strongly_connected());
-    let routes = DfSssp::new()
-        .route_in(&degraded, &ComputeCtx::seq())
-        .unwrap();
+    let routes = DfSssp::new().route(&degraded).unwrap();
     let report = vet::analyze(&degraded, &routes);
     assert_eq!(
         report.num_errors(),
@@ -36,9 +34,7 @@ fn rerouting_after_switch_failure_is_vet_clean() {
     let degraded = fail_random_switch(&net, 3).expect("a spine switch can fail");
     assert!(degraded.num_switches() < net.num_switches());
     assert!(degraded.is_strongly_connected());
-    let routes = DfSssp::new()
-        .route_in(&degraded, &ComputeCtx::seq())
-        .unwrap();
+    let routes = DfSssp::new().route(&degraded).unwrap();
     let report = vet::analyze(&degraded, &routes);
     assert_eq!(report.num_errors(), 0, "{:?}", report.diagnostics);
 }
@@ -49,7 +45,7 @@ fn stale_tables_after_cable_failure_are_flagged() {
     // (only channels were renumbered), so this is exactly the trap a
     // structural shape check cannot catch — the walk has to.
     let net = topo::torus(&[4, 4], 2);
-    let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = DfSssp::new().route(&net).unwrap();
     let (degraded, removed) = fail_random_cables(&net, 4, 7);
     assert!(removed > 0);
     assert_eq!(degraded.num_nodes(), net.num_nodes());
@@ -69,7 +65,7 @@ fn stale_tables_after_cable_failure_are_flagged() {
 #[test]
 fn stale_tables_after_switch_failure_are_a_shape_mismatch() {
     let net = topo::kary_ntree(4, 2);
-    let routes = DfSssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = DfSssp::new().route(&net).unwrap();
     let degraded = fail_random_switch(&net, 3).expect("a spine switch can fail");
     let report = vet::analyze(&degraded, &routes);
     assert_eq!(report.count(LintCode::InvalidNextHop), 1);

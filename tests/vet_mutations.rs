@@ -16,9 +16,7 @@ use fabric::{ChannelId, Network, NodeId};
 use vet::{LintCode, Severity, Witness};
 
 fn df(net: &Network) -> fabric::Routes {
-    DfSssp::new()
-        .route_in(net, &ComputeCtx::seq())
-        .expect("DFSSSP routes")
+    DfSssp::new().route(net).expect("DFSSSP routes")
 }
 
 /// The channels of the routed path `src -> dst`, plus dst's terminal index.
@@ -92,7 +90,7 @@ fn dfsssp_is_vet_clean_on_every_generator() {
 #[test]
 fn sssp_on_ring_yields_nonempty_chained_cycle_witness() {
     let net = topo::ring(5, 1);
-    let routes = Sssp::new().route_in(&net, &ComputeCtx::seq()).unwrap();
+    let routes = Sssp::new().route(&net).unwrap();
     let report = vet::analyze(&net, &routes);
     assert!(report.has(LintCode::CdgCycle));
     assert!(!report.clean(), "a cyclic CDG is an error by default");
@@ -234,7 +232,7 @@ fn layer_overflow_and_imbalance_are_v005() {
     // Bumping one pair onto layer 7 of an otherwise single-layer artifact
     // leaves layers 1..=6 empty: gross imbalance, flagged as a warning.
     let tree = topo::kary_ntree(2, 2);
-    let mut routes = Sssp::new().route_in(&tree, &ComputeCtx::seq()).unwrap();
+    let mut routes = Sssp::new().route(&tree).unwrap();
     assert_eq!(routes.num_layers(), 1, "SSSP never adds layers");
     routes.set_layer(0, 1, 7);
     let report = vet::analyze(&tree, &routes);
