@@ -691,10 +691,12 @@ impl<'a> HopTable<'a> {
         HopTable { net, to_switch }
     }
 
-    /// `hops_to(dst)`, derived.
-    pub fn row(&self, dst: NodeId) -> Vec<u32> {
+    /// `hops_to(dst)`, derived, written over `row`: a caller deriving one
+    /// row per destination reuses its allocation.
+    pub fn row_into(&self, dst: NodeId, row: &mut Vec<u32>) {
         let net = self.net;
-        let mut row = vec![u32::MAX; net.num_nodes()];
+        row.clear();
+        row.resize(net.num_nodes(), u32::MAX);
         for &c in net.in_channels(dst) {
             let u = net.channel(c).src;
             let Some(k) = net.switch_index(u) else {
@@ -706,7 +708,6 @@ impl<'a> HopTable<'a> {
             }
         }
         row[dst.idx()] = 0;
-        row
     }
 }
 

@@ -277,8 +277,22 @@ impl FabricTables {
     }
 
     /// The colored pass of [`Self::validate`]: the pair count, or `None`
-    /// as soon as any pair's walk would fail.
+    /// as soon as any pair's walk would fail. It takes [`Self::hop`]'s
+    /// hops from tables built once per call — the node behind each switch
+    /// port and each terminal's injection hop — instead of scanning a
+    /// node's channels at every hop.
     fn validate_by_destination(&self, net: &Network, lids: &LidMap) -> Option<usize> {
+        let out = |v: NodeId| net.out_channels(v).iter().map(|&c| net.channel(c));
+        // Backwards, so the first channel out on a port wins as in `hop`;
+        // ports past 255 cannot be named by an LFT entry.
+        let mut behind = vec![[None; 256]; net.num_switches()];
+        for (row, &s) in behind.iter_mut().zip(net.switches()) {
+            for ch in out(s).rev().filter(|ch| ch.src_port <= 255) {
+                row[ch.src_port as usize] = Some(ch.dst);
+            }
+        }
+        let injection = |v| out(v).min_by_key(|ch| ch.src_port).map(|ch| ch.dst);
+        let inject: Vec<Option<NodeId>> = net.nodes().map(|(v, _)| injection(v)).collect();
         // `state[v]` is `2·g` while `v` is on the current walk's stack
         // and `2·g + 1` once it is known to reach destination number `g`
         // (1-based, so stale stamps of earlier destinations never match).
@@ -301,7 +315,14 @@ impl FabricTables {
                     }
                     state[at.idx()] = on_stack;
                     stack.push(at);
-                    at = net.channel(self.hop(net, at, dlid).ok()?).dst;
+                    at = match net.switch_index(at) {
+                        Some(si) => {
+                            let lft = self.lfts.get(si)?;
+                            let port = *lft.get(dlid.0 as usize).filter(|&&p| p != 0)?;
+                            behind[si][port as usize]?
+                        }
+                        None => inject[at.idx()]?,
+                    };
                 }
                 for v in stack.drain(..) {
                     state[v.idx()] = ok;
@@ -312,6 +333,10 @@ impl FabricTables {
         Some(pairs)
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
@@ -548,6 +573,90 @@ mod tests {
         assert!(
             no_entry > 0 && dead > 0 && looped > 0,
             "{no_entry} {dead} {looped}"
+        );
+    }
+
+    /// The same, over the seeded generator zoo with its degraded fabrics:
+    /// pristine tables and one corrupt slot per shape the table walk's
+    /// oracle mutates (cleared, a port with no cable, another switch's
+    /// port, a port into a terminal that is not the destination, a
+    /// ping-pong, the destination's last switch turned back into the
+    /// fabric so every terminal behind it loops).
+    #[test]
+    fn validate_equals_the_per_pair_loop_over_the_generator_zoo() {
+        let seen = std::cell::RefCell::new(std::collections::HashSet::new());
+        super::common::sweep(0..96, |c| {
+            let net = super::common::zoo_net(c);
+            // Cuts can disconnect a fabric, which no engine routes.
+            let Ok(routes) = DfSssp::new().route(&net) else {
+                return;
+            };
+            let lids = LidMap::assign(&net);
+            let pristine = FabricTables::program(&net, &routes, &lids);
+            let nt = net.num_terminals();
+            assert_eq!(pristine.validate(&net, &lids), Ok(nt * (nt - 1)));
+            let switch_neighbour = |s: NodeId, pick: usize| {
+                let n: Vec<NodeId> = net
+                    .out_channels(s)
+                    .iter()
+                    .map(|&ch| net.channel(ch))
+                    .filter(|ch| net.is_switch(ch.dst) && ch.rev.is_some())
+                    .map(|ch| ch.dst)
+                    .collect();
+                (!n.is_empty()).then(|| n[pick % n.len()])
+            };
+            for kind in 0..6 {
+                let dst = net.terminals()[c.rng.range(0..nt)];
+                let lid = lids.lid(dst).0 as usize;
+                let si = c.rng.range(0..net.num_switches());
+                let sw = net.switches()[si];
+                let mut tables = pristine.clone();
+                let mut set = |at: NodeId, port: u8| {
+                    tables.lfts[net.switch_index(at).unwrap()][lid] = port;
+                };
+                match kind {
+                    0 => set(sw, 0),
+                    1 => set(sw, u8::MAX),
+                    2 => set(sw, c.rng.range(1..=64u8)),
+                    3 => {
+                        let other = net.terminals()[c.rng.range(0..nt)];
+                        let mut into = net.in_channels(other).iter().map(|&ch| net.channel(ch));
+                        match into.find(|ch| net.is_switch(ch.src)) {
+                            Some(ch) if other != dst => set(ch.src, ch.src_port as u8),
+                            _ => set(sw, 0),
+                        }
+                    }
+                    4 => {
+                        if let Some(n) = switch_neighbour(sw, c.rng.range(0..8)) {
+                            set(sw, port_toward(&net, sw, n));
+                            set(n, port_toward(&net, n, sw));
+                        }
+                    }
+                    _ => {
+                        let mut into = net.in_channels(dst).iter().map(|&ch| net.channel(ch).src);
+                        if let Some(last) = into.find(|&v| net.is_switch(v)) {
+                            if let Some(n) = switch_neighbour(last, c.rng.range(0..8)) {
+                                set(last, port_toward(&net, last, n));
+                            }
+                        }
+                    }
+                }
+                let want = validate_per_pair(&tables, &net, &lids);
+                assert_eq!(
+                    tables.validate(&net, &lids),
+                    want,
+                    "{} shape {kind} at {sw:?} lid {lid}",
+                    net.label()
+                );
+                if let Err(e) = want {
+                    seen.borrow_mut().insert(std::mem::discriminant(&e));
+                }
+            }
+        });
+        assert_eq!(
+            seen.into_inner().len(),
+            3,
+            "NoEntry, DeadPort and Loop all met"
         );
     }
 }

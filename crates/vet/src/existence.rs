@@ -116,9 +116,10 @@ pub fn existence(net: &Network) -> Existence {
     let mut uncertified: Option<(NodeId, NodeId)> = None;
     let mut required_pairs = 0usize;
     let hops = HopTable::of(net);
+    let mut dist = Vec::new();
 
     for &d in terms {
-        let dist = hops.row(d);
+        hops.row_into(d, &mut dist);
         cabling.mark(net, d);
         for &s in terms {
             if s == d || !cabling.has(s, d) {

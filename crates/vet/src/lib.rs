@@ -95,13 +95,13 @@ pub fn check(net: &Network, routes: &Routes) -> Report {
 /// artifact is judged on — the walk, the cycle search, the severity of
 /// a refutation for its layer count — is still decided here.
 pub fn check_with_verdict(net: &Network, routes: &Routes, verdict: &Existence) -> Report {
-    analyze_inner(net, routes, &Config::default(), None, Some(verdict))
+    analyze_inner(net, routes, &Config::default(), None, Some(verdict), None)
 }
 
 /// Analyze `routes` against `net` with explicit settings.
 pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
     let verdict = cfg.check_existence.then(|| existence(net));
-    analyze_inner(net, routes, cfg, None, verdict.as_ref())
+    analyze_inner(net, routes, cfg, None, verdict.as_ref(), None)
 }
 
 /// [`analyze_with`] restricted to a destination subset — the scoped
@@ -118,7 +118,7 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
 /// heuristic is skipped (its denominators would be misleading).
 pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> Report {
     let verdict = cfg.check_existence.then(|| existence(net));
-    analyze_inner(net, routes, cfg, Some(dests), verdict.as_ref())
+    analyze_inner(net, routes, cfg, Some(dests), verdict.as_ref(), None)
 }
 
 /// Walk `routes`' tables on `net` once and return everything the walk
@@ -153,14 +153,16 @@ fn shape_matches(net: &Network, routes: &Routes) -> bool {
 }
 
 /// The one analysis; V007 is reported on `verdict` when there is one.
+/// `walked` is the walk of `routes` to judge, taken here when `None`.
 fn analyze_inner(
     net: &Network,
     routes: &Routes,
     cfg: &Config,
     scope: Option<&[usize]>,
     verdict: Option<&Existence>,
+    walked: Option<TableWalk>,
 ) -> Report {
-    let walked = walk::walk(net, routes, cfg, scope);
+    let walked = walked.unwrap_or_else(|| walk::walk(net, routes, cfg, scope));
     let cycles = walked.cyclic_layers();
     let mut stats = Stats {
         num_nodes: net.num_nodes(),
@@ -776,6 +778,43 @@ mod tests {
         assert_eq!(walked.num_errors(), 1);
         assert_eq!(walked.diagnostics()[0].code, LintCode::MissingEntry);
         assert_eq!(walked.pairs_broken, 1);
+
+        // s0 - s1 - s2 with t0, t1, t2 on them in turn; toward t2, s0 and
+        // s1 ping-pong (both t0 and t1 enter the loop) and s2, which no
+        // terminal's walk reaches, has no entry: one V001 error, then one
+        // latent V002 warning, off one row of hop distances.
+        let mut b = NetworkBuilder::new();
+        let s: Vec<_> = (0..3).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        for (i, &sw) in s.iter().enumerate() {
+            let t = b.add_terminal(format!("t{i}"));
+            b.link(t, sw).unwrap();
+        }
+        b.link(s[0], s[1]).unwrap();
+        b.link(s[1], s[2]).unwrap();
+        let chain = b.build();
+        let mut r = bfs_routes(&chain);
+        r.set_next(s[1], 2, chain.channel_between(s[1], s[0]).unwrap());
+        r.clear_next(s[2], 2);
+        let before = searches();
+        let walked = walk_tables(&chain, &r, &quiet);
+        assert_eq!(searches(), before + 1);
+        let found: Vec<_> = walked
+            .diagnostics()
+            .iter()
+            .map(|d| (d.code, d.severity))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (LintCode::ForwardingLoop, Severity::Error),
+                (LintCode::MissingEntry, Severity::Warning)
+            ]
+        );
+        assert!(
+            matches!(walked.diagnostics()[1].witness, Witness::Entry { node, .. } if node == s[2])
+        );
+        assert_eq!(walked.broken, vec![false, false, true]);
+        assert_eq!((walked.pairs_broken, walked.pairs_routed), (2, 4));
 
         // A walk of foreign tables is one V003 and nothing else.
         let other = {

@@ -1,12 +1,13 @@
 //! Destination-based table walk.
 //!
 //! For each destination terminal the forwarding tables induce a next-hop
-//! function over nodes. One colored walk per destination classifies every
-//! node as reaching the destination, looping, or broken — O(V) work per
+//! function over nodes. One pass over a destination's column classifies
+//! every node as reaching the destination or not — O(V) work per
 //! destination instead of the O(pairs · hops) of walking every
-//! source/destination pair separately. Dependency-graph edges are also
-//! collected here, memoized per (destination, layer) so shared path
-//! suffixes are traversed once.
+//! source/destination pair separately — and only the sources that fail
+//! are walked again to report why. Dependency-graph edges are also
+//! collected here, marked per (node, layer) so shared path suffixes are
+//! traversed once.
 //!
 //! The walk's product is a value, [`TableWalk`]: one pass over an
 //! artifact answers every question later checks ask of it (pair
@@ -21,7 +22,6 @@ use crate::{Config, EdgeSet};
 
 const UNVISITED: u8 = 0;
 const ON_STACK: u8 = 1;
-const OK: u8 = 2;
 const BROKEN: u8 = 3;
 
 /// Everything one destination-colored walk of an artifact learned (see
@@ -86,17 +86,19 @@ struct LazyHops<'a> {
     net: &'a Network,
     table: Option<HopTable<'a>>,
     dst: NodeId,
-    row: Option<Vec<u32>>,
+    /// `dst`'s row, empty until derived; the allocation is reused.
+    row: Vec<u32>,
 }
 
 impl LazyHops<'_> {
     fn get(&mut self) -> &[u32] {
-        self.row.get_or_insert_with(|| {
+        if self.row.is_empty() {
             #[cfg(test)]
             HOP_SEARCHES.with(|n| n.set(n.get() + 1));
             let table = self.table.get_or_insert_with(|| HopTable::of(self.net));
-            table.row(self.dst)
-        })
+            table.row_into(self.dst, &mut self.row);
+        }
+        &self.row
     }
 }
 
@@ -107,20 +109,22 @@ thread_local! {
     pub(crate) static HOP_SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Why one walk stopped.
-enum Stop {
-    /// Reached a node already known to route to the destination.
-    Reached,
-    /// Hit a loop, a broken node, or an unusable entry.
-    Failed,
-}
-
-/// Walk `routes`' tables on `net`, one colored pass per destination.
+/// Walk `routes`' tables on `net`, one destination column at a time.
 /// With `scope = Some(dests)` only the listed destination terminal
 /// indices are walked (each still against every source), so
 /// re-verifying an incrementally patched artifact costs O(scope · V)
 /// instead of O(T · V); out-of-range indices are ignored. `None` walks
 /// everything.
+///
+/// A column is classified first and reported second. [`settle`] gives
+/// every switch its table distance to the destination or marks it
+/// failing, emitting nothing. A terminal whose first hop is usable and
+/// lands on a settled node is then a routed pair, read off inline; every
+/// other source fails, and [`walk_one`] reports it against a state only
+/// failing nodes enter. A failing walk never touches a settled node, so
+/// it meets exactly the states it met when every source was walked in
+/// turn: each finding keeps its order, severity and witness. Leftover
+/// failing switches are reported the same way.
 ///
 /// Tables sized for a different network cannot be indexed safely
 /// (degraded fabrics renumber everything): that is one V003 and an
@@ -131,8 +135,6 @@ pub(crate) fn walk(
     cfg: &Config,
     scope: Option<&[usize]>,
 ) -> TableWalk {
-    let n = net.num_nodes();
-    let nl = routes.num_layers() as usize;
     let mut res = TableWalk {
         num_layers: routes.num_layers(),
         pairs: 0,
@@ -169,6 +171,8 @@ pub(crate) fn walk(
         );
         return res;
     }
+    let (n, nl) = (net.num_nodes(), routes.num_layers() as usize);
+    let words = nl.div_ceil(64);
     res.paths_per_layer = vec![0; nl];
     // Broken destinations' edges until the last one is walked, then all.
     res.edges = vec![EdgeSet::over(DepSlots::of(net)); nl];
@@ -179,16 +183,17 @@ pub(crate) fn walk(
         net,
         table: None,
         dst: NodeId(0),
-        row: None,
+        row: Vec::new(),
     };
 
-    // Reused across destinations.
+    // Reused across destinations: `dist` is the classification, `state`
+    // the report state, `mask` a layer bit set per node (in `words`
+    // words), `firsts` each routed source's first channel and layer.
+    let mut dist = vec![UNSEEN; n];
     let mut state = vec![UNVISITED; n];
-    let mut tdist = vec![u32::MAX; n];
+    let mut mask = vec![0u64; n * words];
     let mut stack: Vec<NodeId> = Vec::new();
-    let mut srcs_by_layer: Vec<Vec<NodeId>> = vec![Vec::new(); nl];
-    let mut mark = vec![0u32; n];
-    let mut generation = 0u32;
+    let mut firsts: Vec<(u32, u8)> = Vec::new();
 
     let dest_list: Vec<usize> = match scope {
         None => (0..net.num_terminals()).collect(),
@@ -200,87 +205,80 @@ pub(crate) fn walk(
     };
     for dst_t in dest_list {
         let dst = net.terminals()[dst_t];
-        state.iter_mut().for_each(|s| *s = UNVISITED);
-        tdist.iter_mut().for_each(|d| *d = u32::MAX);
-        srcs_by_layer.iter_mut().for_each(Vec::clear);
-        state[dst.idx()] = OK;
-        tdist[dst.idx()] = 0;
-        (hops.dst, hops.row) = (dst, None);
+        let (next, layers) = routes.column(dst_t);
+        settle(net, next, dst, &mut dist, &mut stack);
+        mask.fill(0);
+        state.fill(UNVISITED);
+        hops.dst = dst;
+        hops.row.clear();
         let errors_before = em.severity_counts[Severity::Error.index()];
 
         // Terminal sources first (broken walks here are reachable-pair
         // errors), then leftover switches (latent findings, warnings).
-        for &src in net.terminals() {
+        for (src_t, &src) in net.terminals().iter().enumerate() {
             if src == dst {
                 continue;
             }
             res.pairs += 1;
-            let src_t = net.terminal_index(src).expect("terminal list entry");
-            match walk_one(
-                net, routes, dst, dst_t, src, true, &mut hops, &mut state, &mut stack, em,
-            ) {
-                Stop::Reached => {
-                    unwind(net, routes, dst_t, &stack, &mut state, &mut tdist);
-                    res.pairs_routed += 1;
-                    let routed = tdist[src.idx()];
-                    res.max_hops = res.max_hops.max(routed);
-                    let minimal = cfg.check_minimal.then(|| hops.get()[src.idx()]);
-                    if let Some(minimal) = minimal.filter(|&m| m != u32::MAX && routed > m) {
-                        em.emit(
-                            LintCode::NonMinimalPath,
-                            Severity::Warning,
-                            format!(
-                                "route {src:?} -> {dst:?} takes {routed} hops, minimum is \
-                                 {minimal} (stretch {:.2})",
-                                routed as f64 / minimal as f64
-                            ),
-                            Witness::Stretch {
-                                src,
-                                dst,
-                                hops: routed,
-                                minimal,
-                            },
-                        );
-                    }
-                    let layer = routes.layer(src_t, dst_t);
-                    if (layer as usize) < nl {
-                        res.paths_per_layer[layer as usize] += 1;
-                        srcs_by_layer[layer as usize].push(src);
-                    } else {
-                        em.emit(
-                            LintCode::VlOutOfRange,
-                            Severity::Error,
-                            format!(
-                                "path {src:?} -> {dst:?} assigned layer {layer}, but only \
-                                 {nl} layer(s) exist"
-                            ),
-                            Witness::Layer { src, dst, layer },
-                        );
-                    }
+            let landed = hop(net, next[src.idx()], src, dst).map(|to| dist[to.idx()]);
+            let Some(routed) = landed.filter(|&d| d < FAILS).map(|d| d + 1) else {
+                walk_one(
+                    net, routes, dst, dst_t, src, true, &mut hops, &mut state, &mut stack, em,
+                );
+                fail(&stack, &mut state);
+                res.broken[dst_t] = true;
+                if hops.get()[src.idx()] == u32::MAX {
+                    res.pairs_unreachable += 1;
+                } else {
+                    res.pairs_broken += 1;
                 }
-                Stop::Failed => {
-                    fail(&stack, &mut state);
-                    res.broken[dst_t] = true;
-                    if hops.get()[src.idx()] == u32::MAX {
-                        res.pairs_unreachable += 1;
-                    } else {
-                        res.pairs_broken += 1;
-                    }
-                    if res.broken_pairs.len() < crate::Stats::BROKEN_PAIR_SAMPLE {
-                        res.broken_pairs.push((src, dst));
-                    }
+                if res.broken_pairs.len() < crate::Stats::BROKEN_PAIR_SAMPLE {
+                    res.broken_pairs.push((src, dst));
                 }
+                continue;
+            };
+            res.pairs_routed += 1;
+            res.max_hops = res.max_hops.max(routed);
+            let minimal = cfg.check_minimal.then(|| hops.get()[src.idx()]);
+            if let Some(minimal) = minimal.filter(|&m| m != u32::MAX && routed > m) {
+                em.emit(
+                    LintCode::NonMinimalPath,
+                    Severity::Warning,
+                    format!(
+                        "route {src:?} -> {dst:?} takes {routed} hops, minimum is \
+                         {minimal} (stretch {:.2})",
+                        routed as f64 / minimal as f64
+                    ),
+                    Witness::Stretch {
+                        src,
+                        dst,
+                        hops: routed,
+                        minimal,
+                    },
+                );
+            }
+            let layer = layers[src_t];
+            if (layer as usize) < nl {
+                res.paths_per_layer[layer as usize] += 1;
+                firsts.push((next[src.idx()], layer));
+            } else {
+                em.emit(
+                    LintCode::VlOutOfRange,
+                    Severity::Error,
+                    format!(
+                        "path {src:?} -> {dst:?} assigned layer {layer}, but only \
+                         {nl} layer(s) exist"
+                    ),
+                    Witness::Layer { src, dst, layer },
+                );
             }
         }
         for &sw in net.switches() {
-            if state[sw.idx()] != UNVISITED {
-                continue;
-            }
-            match walk_one(
-                net, routes, dst, dst_t, sw, false, &mut hops, &mut state, &mut stack, em,
-            ) {
-                Stop::Reached => unwind(net, routes, dst_t, &stack, &mut state, &mut tdist),
-                Stop::Failed => fail(&stack, &mut state),
+            if dist[sw.idx()] == FAILS && state[sw.idx()] == UNVISITED {
+                walk_one(
+                    net, routes, dst, dst_t, sw, false, &mut hops, &mut state, &mut stack, em,
+                );
+                fail(&stack, &mut state);
             }
         }
 
@@ -290,31 +288,23 @@ pub(crate) fn walk(
             res.unbroken_errors += em.severity_counts[Severity::Error.index()] - errors_before;
             &mut res.unbroken_edges
         };
-        // Dependency edges: per (destination, layer), each node's entry is
-        // followed at most once — chains shared by many sources are
-        // traversed a single time.
-        for (layer, srcs) in srcs_by_layer.iter().enumerate() {
-            if srcs.is_empty() {
-                continue;
-            }
-            generation += 1;
-            for &src in srcs {
-                let mut at = src;
-                let mut prev: Option<ChannelId> = None;
-                while at != dst {
-                    let c = routes
-                        .next_hop(at, dst_t)
-                        .expect("entry exists on a routed path");
-                    if let Some(p) = prev {
-                        edges[layer].insert(p.0, c.0);
-                    }
-                    if mark[at.idx()] == generation {
-                        break;
-                    }
-                    mark[at.idx()] = generation;
-                    prev = Some(c);
-                    at = net.channel(c).dst;
+        // Dependency edges: each routed source's path is followed from
+        // its first channel until a node already carrying its layer's bit
+        // — a chain shared by many sources of one layer is traversed a
+        // single time.
+        for (mut prev, layer) in firsts.drain(..) {
+            let (layer, word, bit) = (layer as usize, layer as usize / 64, 1 << (layer % 64));
+            let mut at = net.channel(ChannelId(prev)).dst;
+            while at != dst {
+                let c = next[at.idx()];
+                edges[layer].insert(prev, c);
+                let seen = &mut mask[at.idx() * words + word];
+                if *seen & bit != 0 {
+                    break;
                 }
+                *seen |= bit;
+                prev = c;
+                at = net.channel(ChannelId(c)).dst;
             }
         }
     }
@@ -324,9 +314,53 @@ pub(crate) fn walk(
     res
 }
 
-/// Follow the next-hop function from `start` toward `dst` until a node of
-/// known state, a loop, or an unusable entry. Pushes the newly visited
-/// nodes (all left `ON_STACK`) onto `stack` for the caller to resolve.
+/// `dist` sentinels above every table distance.
+const UNSEEN: u32 = u32::MAX;
+const PENDING: u32 = u32::MAX - 1;
+const FAILS: u32 = u32::MAX - 2;
+
+/// The classification pass of a destination column: every switch's
+/// table distance to `dst`, or [`FAILS`] where following the entries
+/// from it loops or meets an unusable one. Emits nothing.
+fn settle(net: &Network, next: &[u32], dst: NodeId, dist: &mut [u32], stack: &mut Vec<NodeId>) {
+    dist.fill(UNSEEN);
+    dist[dst.idx()] = 0;
+    stack.clear();
+    for &sw in net.switches() {
+        let mut at = sw;
+        let end = loop {
+            match dist[at.idx()] {
+                UNSEEN => {}
+                PENDING => break FAILS,
+                d => break d,
+            }
+            dist[at.idx()] = PENDING;
+            stack.push(at);
+            match hop(net, next[at.idx()], at, dst) {
+                Some(to) => at = to,
+                None => break FAILS,
+            }
+        };
+        let mut d = end;
+        for v in stack.drain(..).rev() {
+            d += u32::from(d != FAILS);
+            dist[v.idx()] = d;
+        }
+    }
+}
+
+/// Where the entry `c` at `at` leads toward `dst`, if it is usable: a
+/// channel of the network, leaving `at`, into `dst` or a switch.
+#[inline]
+fn hop(net: &Network, c: u32, at: NodeId, dst: NodeId) -> Option<NodeId> {
+    let ch = ((c as usize) < net.num_channels()).then(|| net.channel(ChannelId(c)))?;
+    (ch.src == at && (ch.dst == dst || !net.is_terminal(ch.dst))).then_some(ch.dst)
+}
+
+/// Follow the next-hop function from a failing `start` toward `dst` until
+/// a node already known broken, a loop, or an unusable entry, and report
+/// what stopped it. Pushes the newly visited nodes (all left `ON_STACK`)
+/// onto `stack` for the caller to resolve.
 #[allow(clippy::too_many_arguments)]
 fn walk_one(
     net: &Network,
@@ -339,7 +373,7 @@ fn walk_one(
     state: &mut [u8],
     stack: &mut Vec<NodeId>,
     em: &mut Emitter,
-) -> Stop {
+) {
     // Broken walks from a terminal are errors a packet would hit; walks
     // only reachable from unrouted switches are latent — warnings.
     let broken_sev = if terminal_pass {
@@ -351,8 +385,7 @@ fn walk_one(
     let mut at = start;
     loop {
         match state[at.idx()] {
-            OK => return Stop::Reached,
-            BROKEN => return Stop::Failed,
+            BROKEN => return,
             ON_STACK => {
                 // `at` closes a cycle: the stack suffix from its first
                 // occurrence is the loop body.
@@ -374,7 +407,7 @@ fn walk_one(
                     ),
                     Witness::TableLoop { dst, channels },
                 );
-                return Stop::Failed;
+                return;
             }
             _ => {}
         }
@@ -392,7 +425,7 @@ fn walk_one(
                 Witness::Entry { node: at, dst },
             );
             state[at.idx()] = BROKEN;
-            return Stop::Failed;
+            return;
         };
         if c.idx() >= net.num_channels() {
             em.emit(
@@ -411,7 +444,7 @@ fn walk_one(
                 },
             );
             state[at.idx()] = BROKEN;
-            return Stop::Failed;
+            return;
         }
         let ch = net.channel(c);
         if ch.src != at {
@@ -430,7 +463,7 @@ fn walk_one(
                 },
             );
             state[at.idx()] = BROKEN;
-            return Stop::Failed;
+            return;
         }
         if ch.dst != dst && net.is_terminal(ch.dst) {
             em.emit(
@@ -448,37 +481,11 @@ fn walk_one(
                 },
             );
             state[at.idx()] = BROKEN;
-            return Stop::Failed;
+            return;
         }
         state[at.idx()] = ON_STACK;
         stack.push(at);
         at = ch.dst;
-    }
-}
-
-/// Successful walk: every stacked node routes to the destination. The
-/// stack top's entry points at the junction node whose table distance is
-/// already known; distances accumulate backward from there.
-fn unwind(
-    net: &Network,
-    routes: &Routes,
-    dst_t: usize,
-    stack: &[NodeId],
-    state: &mut [u8],
-    tdist: &mut [u32],
-) {
-    let Some(&top) = stack.last() else {
-        return;
-    };
-    let junction = net
-        .channel(routes.next_hop(top, dst_t).expect("stacked entry is valid"))
-        .dst;
-    let mut d = tdist[junction.idx()];
-    debug_assert_ne!(d, u32::MAX, "junction distance must be resolved");
-    for &v in stack.iter().rev() {
-        d += 1;
-        tdist[v.idx()] = d;
-        state[v.idx()] = OK;
     }
 }
 
@@ -488,3 +495,6 @@ fn fail(stack: &[NodeId], state: &mut [u8]) {
         state[v.idx()] = BROKEN;
     }
 }
+
+#[cfg(test)]
+mod reference;

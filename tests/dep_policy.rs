@@ -374,9 +374,16 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// with `route(net)` under the `EngineConfig` they hold, so the per-call
 /// context, the `_in` twins, the mirrored config fields and the second
 /// layer cap (`Budget::max_layers`) went.
+///
+/// The column kernels raised it 19 203 → 19 211. `vet`'s walk paid for
+/// its classification pass and 8 lines more (the per-layer re-walk and
+/// the per-source unwinding went; the walk it replaced is test code now,
+/// as the oracle), and `fabric` for `HopTable::row_into` (`row` went).
+/// `FabricTables::validate`'s port tables, built once per call so no
+/// hop scans a node's channels, cost the 16 left.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_203;
+    const CEILING: usize = 19_211;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

@@ -160,11 +160,14 @@ fn text_format_round_trips_random_networks() {
     });
 }
 
-/// Every node's row of `HopTable::of(net)` is `net.hops_to` of it.
+/// Every node's row of `HopTable::of(net)` is `net.hops_to` of it, each
+/// written over the one before it.
 fn assert_hop_rows(net: &Network, what: &str) {
     let table = dfsssp::fabric::HopTable::of(net);
+    let mut row = vec![7; 3];
     for (dst, _) in net.nodes() {
-        assert_eq!(table.row(dst), net.hops_to(dst), "{what}: row of {dst:?}");
+        table.row_into(dst, &mut row);
+        assert_eq!(row, net.hops_to(dst), "{what}: row of {dst:?}");
     }
 }
 
