@@ -8,7 +8,7 @@
 //! `v` is the forward channel a packet at `v` takes toward the
 //! destination. Two kernels: [`spt_to`] for weighted sweeps, and
 //! [`bfs_to`], which builds the same tree without a heap when every
-//! channel weighs the same.
+//! channel weighs the same and settles ties by [`bfs_prefers`].
 
 use fabric::{ChannelId, Network, NodeId};
 use std::cmp::Reverse;
@@ -80,8 +80,8 @@ pub fn spt_to(net: &Network, root: NodeId, weights: &[u64]) -> Spt {
 /// keeps the first in-channel that reached it, so the levels are
 /// expanded in that order; a FIFO queue would expand them in discovery
 /// order and hand ties to other parents. This is the sweep of the
-/// snapshot schedule (`chunk >= |T|`), and its tie rule is the one
-/// the served tables have.
+/// snapshot schedule (`chunk >= |T|`), and its tie rule, stated by
+/// [`bfs_prefers`], is the one the served tables have.
 pub fn bfs_to(net: &Network, root: NodeId) -> Spt {
     let n = net.num_nodes();
     let (mut dist, mut parent) = (vec![u64::MAX; n], vec![None; n]);
@@ -115,6 +115,17 @@ pub fn bfs_to(net: &Network, root: NodeId) -> Spt {
         dist,
         pop_order,
     }
+}
+
+/// The tie rule of [`bfs_to`]: of two tight channels out of one node
+/// whose heads forward toward the root, whether `bfs_to` takes `c`
+/// rather than `other`. A level expands in ascending node id and each
+/// node's `in_channels` in order (ascending channel id), so the lower
+/// head wins, and between parallel cables into one head the one listed
+/// first. `delta` judges a restored channel against a tree's incumbent
+/// with it; a different tie rule changes `bfs_to` and this together.
+pub fn bfs_prefers(net: &Network, c: ChannelId, other: ChannelId) -> bool {
+    (net.channel(c).dst, c) < (net.channel(other).dst, other)
 }
 
 #[cfg(test)]

@@ -29,35 +29,43 @@
 //!
 //! # Dirty rules
 //!
-//! With uniform weights (what a snapshot chunk uses), destination `d`'s
-//! tree can only change if
+//! With uniform weights (what a snapshot chunk uses), a node's parent in
+//! destination `d`'s tree is a local choice: among its tight channels
+//! (one hop shorter) whose head forwards (a switch, or `d`), the one
+//! `dijkstra::bfs_prefers` ranks first. So the tree changes exactly when
 //!
 //! * a **removed** channel `c` was a tree edge of `d`, i.e.
 //!   `next[c.src][d] == c` in the cached tables, or
-//! * an **added** channel `a → b` satisfies `hop(a,d) >= hop(b,d) + 1`
-//!   on the *old* network — i.e. the edge offers a path at least as short
-//!   as the incumbent. Equality is included because a tie can flip the
-//!   deterministic parent choice. Edges into a node that could not reach
-//!   `d` are inert: if the additions connect it, some later added edge on
-//!   the new path triggers the rule for `d` anyway.
+//! * an **added** channel `a → b` whose head forwards toward `d` and
+//!   reaches it on the *old* network either shortens the path,
+//!   `hop(a,d) > hop(b,d) + 1`, or ties it and wins the parent from the
+//!   incumbent `next[a][d]` under `bfs_prefers`. A tie that loses, an
+//!   edge into a terminal other than `d` and an edge into a node that
+//!   could not reach `d` change nothing (if the additions connect that
+//!   node, some other added edge on the new path fires for `d`).
 //!
 //! Both rules compose across multi-event diffs because clean
-//! destinations' hop distances remain valid by the same argument.
+//! destinations' hop distances and parents remain valid by the same
+//! argument. On a single cable event the dirty set is the set of trees
+//! whose column changes (`tests/delta_equivalence.rs` checks it against
+//! cold routes).
 //!
 //! # When the engine falls back
 //!
 //! A patch costs a cold route minus the clean trees' sweeps, so the
 //! engine runs the full pipeline only when there is nothing to reuse:
 //! no cached epoch, a changed node roster, or **every** destination
-//! dirty. A fallback costs that cold route and two clones: the counts
-//! of an acyclic fabric are the ones the route's own layer-0 pass made.
+//! dirty — an event that changes every tree, such as a fat-tree leaf's
+//! cable to its lowest-id spine. A fallback costs that cold route and
+//! two clones: the counts of an acyclic fabric are the ones the route's
+//! own layer-0 pass made.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dfsssp_core::balance::balance_layers;
 use dfsssp_core::budget::{clamp_layers, record_trip};
 use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
-use dfsssp_core::dijkstra::bfs_to;
+use dfsssp_core::dijkstra::{bfs_prefers, bfs_to};
 use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{DfSssp, EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, DepSlots, Network, Routes};
@@ -250,7 +258,6 @@ impl DeltaEngine {
         // The diff assumes an identical node roster (degrade preserves
         // it); anything else is a different fabric, not an event.
         if prev.net.num_nodes() != net.num_nodes()
-            || prev.net.num_terminals() != nt
             || prev.net.terminals() != net.terminals()
             || net
                 .nodes()
@@ -492,18 +499,17 @@ impl DiffPlanProvider for DeltaPlanner {
 /// source port, destination node), then apply the two dirty rules of the
 /// module docs. The cached tables are the reverse index — a removed
 /// channel's users are its source node's entry in every column — and an
-/// added channel is judged from two forward BFSs on the cached network.
+/// added channel is judged from two forward BFSs on the cached network
+/// and, on a tie, against its source's cached entry.
 fn diff(prev: &DeltaState, net: &Network) -> Diff {
-    let mut new_by_key: FxHashMap<(u32, u16), ChannelId> = FxHashMap::default();
-    for (cid, ch) in net.channels() {
-        new_by_key.insert((ch.src.0, ch.src_port), cid);
-    }
+    let key = |ch: &fabric::Channel| (ch.src.0, ch.src_port);
+    let new_by_key: FxHashMap<_, _> = net.channels().map(|(cid, ch)| (key(ch), cid)).collect();
     let nt = net.num_terminals();
     let mut translate: Vec<Option<ChannelId>> = vec![None; prev.net.num_channels()];
     let mut matched = vec![false; net.num_channels()];
     let mut dirty = vec![false; nt];
     for (cid, ch) in prev.net.channels() {
-        match new_by_key.get(&(ch.src.0, ch.src_port)) {
+        match new_by_key.get(&key(ch)) {
             Some(&nc) if net.channel(nc).dst == ch.dst => {
                 translate[cid.idx()] = Some(nc);
                 matched[nc.idx()] = true;
@@ -515,10 +521,16 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
             }
         }
     }
-    for (_, ch) in net.channels().filter(|&(c, _)| !matched[c.idx()]) {
+    for (c, ch) in net.channels().filter(|&(c, _)| !matched[c.idx()]) {
         let (from_a, from_b) = (prev.net.hops_from(ch.src), prev.net.hops_from(ch.dst));
-        for (flag, t) in dirty.iter_mut().zip(net.terminals()) {
-            *flag |= from_b[t.idx()] != u32::MAX && from_a[t.idx()] > from_b[t.idx()];
+        let wins = |i: ChannelId| translate[i.idx()].is_none_or(|i| bfs_prefers(net, c, i));
+        for (d, (flag, &t)) in dirty.iter_mut().zip(net.terminals()).enumerate() {
+            // A head that does not forward toward `t`, or cannot reach it,
+            // is inert; a tie is judged against the cached parent.
+            let forwards = ch.dst == t || !net.is_terminal(ch.dst);
+            let (hops, via_c) = (from_a[t.idx()], from_b[t.idx()].saturating_add(1));
+            let tie = || prev.routes.next_hop(ch.src, d).is_none_or(wins);
+            *flag |= forwards && via_c != u32::MAX && (hops > via_c || hops == via_c && tie());
         }
     }
     Diff {
@@ -610,6 +622,16 @@ mod tests {
         let (degraded, n) = degrade::fail_random_cables(net, 1, seed);
         assert_eq!(n, 1, "seed must find a removable cable");
         degraded
+    }
+
+    /// `net` without its first switch cable. On `kary_ntree(k,2)` that
+    /// joins the lowest-id spine to the lowest-id leaf, whose trees it
+    /// carries down and every other tree up: all their columns change,
+    /// so the event falls back.
+    fn first_cable_down(net: &Network) -> Network {
+        let cable = net.switch_cables()[0];
+        let dead = [Some(cable), net.channel(cable).rev].into_iter().flatten();
+        degrade::remove(net, &Default::default(), &dead.collect())
     }
 
     fn delta_engine(net: &Network) -> DeltaEngine {
@@ -789,11 +811,13 @@ mod tests {
         let engine = DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(rec.clone())));
         let before = TREES_COUNTED.get();
         let passes = || rec.snapshot().phases[phases::CDG_BUILD].count;
-        // Boot, a patch, then the cable back up: every tree dirty.
+        // Boot, a patch, then the first cable down too: every tree dirty.
         engine.route(&net).unwrap();
-        engine.route(&fail_one_cable(&net, 3)).unwrap();
+        let degraded = fail_one_cable(&net, 3);
+        engine.route(&degraded).unwrap();
         let patched = TREES_COUNTED.get();
         assert!(engine.last_outcome().unwrap().delta && patched > before);
+        let net = first_cable_down(&degraded);
         let cold = engine.route(&net).unwrap();
         let outcome = engine.last_outcome().unwrap();
         assert!(!outcome.delta && outcome.layer0_acyclic);
@@ -921,8 +945,7 @@ mod tests {
     fn recovery_readd_is_handled() {
         // Remove a cable, then restore it: the second delta must match a
         // fresh full recompute on the restored (original) network. (On a
-        // full mesh the re-added cable leaves most trees clean; on a
-        // small torus it dirties every one, which is a fallback.)
+        // full mesh the re-added cable changes, and dirties, a few trees.)
         let net = topo::fully_connected(8, 2);
         let engine = delta_engine(&net);
         engine.route(&net).unwrap();
@@ -980,7 +1003,8 @@ mod tests {
         );
 
         // A leaf cable down: patched, with counts held (acyclic fabric).
-        engine.route(&fail_one_cable(&net, 3)).unwrap();
+        let degraded = fail_one_cable(&net, 3);
+        engine.route(&degraded).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
         assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
         let outer = [
@@ -992,8 +1016,9 @@ mod tests {
         let nested: u64 = spans(&STAGES).iter().map(|s| s.1).sum();
         assert!(nested <= spans(&[phases::DELTA_PATCH])[0].1);
 
-        // The cable back up dirties every tree: fallback, cache rebuilt.
-        engine.route(&net).unwrap();
+        // The first cable down too dirties every tree: fallback, cache
+        // rebuilt.
+        engine.route(&first_cable_down(&degraded)).unwrap();
         assert!(!engine.last_outcome().unwrap().delta);
         assert_eq!(counts(&STAGES), [1, 1, 1, 1]);
         assert_eq!(counts(&outer), [2, 1, 2]);
@@ -1024,9 +1049,10 @@ mod tests {
         let engine =
             DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(Arc::new(Deaf))));
         engine.route(&net).unwrap();
-        engine.route(&fail_one_cable(&net, 3)).unwrap();
+        let degraded = fail_one_cable(&net, 3);
+        engine.route(&degraded).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
-        engine.route(&net).unwrap();
+        engine.route(&first_cable_down(&degraded)).unwrap();
         assert!(!engine.last_outcome().unwrap().delta);
     }
 }

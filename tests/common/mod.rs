@@ -9,7 +9,7 @@
 
 use fabric::rng::{Rng, UniformInt};
 use fabric::topo::{self, RandomTopoSpec};
-use fabric::{degrade, ChannelId, Network};
+use fabric::{degrade, ChannelId, Network, NetworkBuilder, NodeId};
 use std::fmt::{Debug, Write as _};
 use std::ops::{Range, RangeBounds};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -93,4 +93,22 @@ pub fn zoo_net(c: &mut Case) -> Network {
         .collect();
     c.note("dead", &dead);
     degrade::remove(&net, &FxHashSet::default(), &dead)
+}
+
+/// Four switches in a ring with parallel cables where a tie must pick
+/// one of them: three `s0–s1` cables (opened from either end) and two
+/// `s1–s2`, plus one terminal per switch homed on it and its
+/// successor.
+pub fn parallel_cables() -> Network {
+    let mut b = NetworkBuilder::new();
+    let s: Vec<NodeId> = (0..4).map(|i| b.add_switch(format!("s{i}"), 8)).collect();
+    for (x, y) in [(0, 1), (1, 0), (0, 1), (1, 2), (2, 3), (3, 0), (2, 1)] {
+        b.link(s[x], s[y]).expect("ports to spare");
+    }
+    for (i, &sw) in s.iter().enumerate() {
+        let t = b.add_terminal(format!("t{i}"));
+        b.link(t, sw).expect("ports to spare");
+        b.link(t, s[(i + 1) % 4]).expect("ports to spare");
+    }
+    b.build()
 }

@@ -10,10 +10,16 @@
 //! roster and must fall back), and both sides of the dirty-fraction
 //! fallback boundary. The dirty set itself is pinned too — without a
 //! clock, and re-derived here from the documented rule with no code of
-//! `delta`'s ([`expected_dirty`]).
+//! `delta`'s ([`expected_dirty`]) — and on single cable events it must
+//! be exactly the trees whose cold-route column changed
+//! ([`changed_trees`]).
 
+mod common;
+
+use common::{parallel_cables, sweep, zoo_net};
 use dfsssp::prelude::*;
-use fabric::{degrade, topo, Network, Routes};
+use fabric::{degrade, topo, ChannelId, Network, NodeId, Routes};
+use std::cell::Cell;
 use std::collections::HashSet;
 use subnet::transition;
 
@@ -67,14 +73,21 @@ fn assert_equivalent(warm: &DeltaEngine, net: &Network, label: &str) -> bool {
     }
 }
 
+/// A channel is "the same" across fabrics when it leaves the same port of
+/// the same node for the same node.
+fn key(ch: &fabric::Channel) -> (u32, u16, u32) {
+    (ch.src.0, ch.src_port, ch.dst.0)
+}
+
 /// The documented dirty rule, recomputed from public API only: a
-/// destination is dirty when any `(node, destination)` entry of the old
-/// tables names a channel the new fabric lacks, or when a channel
-/// `a → b` the old fabric lacks has `hop(a,d) > hop(b,d)` in the old
-/// fabric's `hops_to(d)` row. A channel is "the same" when it leaves the
-/// same port of the same node for the same node.
+/// destination `d` is dirty when any `(node, d)` entry of the old tables
+/// names a channel the new fabric lacks, or when a channel `a → b` the
+/// old fabric lacks, into a node that forwards (a switch, or `d`), is
+/// shorter than the old route by the old fabric's `hops_to(d)` row —
+/// `hop(a,d) > hop(b,d) + 1` — or ties it and wins the parent: `b` has a
+/// lower node id than the old `next(a, d)`'s head, or is that head and
+/// lists the new channel first among its in-channels.
 fn expected_dirty(old: &Network, old_routes: &Routes, new: &Network) -> Vec<usize> {
-    let key = |ch: &fabric::Channel| (ch.src.0, ch.src_port, ch.dst.0);
     let keys = |net: &Network| -> HashSet<_> { net.channels().map(|(_, ch)| key(ch)).collect() };
     let (old_keys, new_keys) = (keys(old), keys(new));
     (0..old.num_terminals())
@@ -84,14 +97,42 @@ fn expected_dirty(old: &Network, old_routes: &Routes, new: &Network) -> Vec<usiz
                     .next_hop(v, d)
                     .is_some_and(|c| !new_keys.contains(&key(old.channel(c))))
             });
-            let hops = old.hops_to(old.terminals()[d]);
+            let dst = old.terminals()[d];
+            let hops = old.hops_to(dst);
+            let wins = |a: NodeId, b: NodeId, ch: &fabric::Channel| {
+                let Some(incumbent) = old_routes.next_hop(a, d).map(|c| old.channel(c)) else {
+                    return true;
+                };
+                let rank = |k| {
+                    new.in_channels(b)
+                        .iter()
+                        .position(|&c| key(new.channel(c)) == k)
+                };
+                b.0 < incumbent.dst.0 || b == incumbent.dst && rank(key(ch)) < rank(key(incumbent))
+            };
             let shortcut = new.channels().any(|(_, ch)| {
+                let (a, b) = (ch.src, ch.dst);
+                let (hop_a, hop_b) = (hops[a.idx()], hops[b.idx()]);
                 !old_keys.contains(&key(ch))
-                    && hops[ch.dst.idx()] != u32::MAX
-                    && hops[ch.src.idx()] > hops[ch.dst.idx()]
+                    && (b == dst || !new.is_terminal(b))
+                    && hop_b != u32::MAX
+                    && (hop_a > hop_b + 1 || hop_a == hop_b + 1 && wins(a, b, ch))
             });
             lost_edge || shortcut
         })
+        .collect()
+}
+
+/// The trees whose cold-route column differs between `old` and `new`,
+/// entries compared by [`key`].
+fn changed_trees(old: &Network, new: &Network) -> Vec<usize> {
+    let column = |net: &Network, routes: &Routes, d| -> Vec<_> {
+        let entry = |v| routes.next_hop(v, d).map(|c| key(net.channel(c)));
+        net.nodes().map(|(v, _)| entry(v)).collect()
+    };
+    let (a, b) = (cold(old).route(old).unwrap(), cold(new).route(new).unwrap());
+    (0..old.num_terminals())
+        .filter(|&d| column(old, &a, d) != column(new, &b, d))
         .collect()
 }
 
@@ -231,6 +272,25 @@ fn cable_recovery_is_equivalent_too() {
     }
 }
 
+/// `cable` down, then back up, on a warm production-default engine; each
+/// time the dirty set is the rule's and is the set of trees whose
+/// cold-route column changed.
+fn cable_down_then_up(base: &Network, cable: ChannelId) -> [DeltaOutcome; 2] {
+    let dead = [Some(cable), base.channel(cable).rev].into_iter().flatten();
+    let down = degrade::remove(base, &Default::default(), &dead.collect());
+    let engine = DeltaEngine::new(cold(base));
+    assert!(assert_equivalent(&engine, base, "warmup"));
+    [(base, &down, "down"), (&down, base, "up")].map(|(old, new, event)| {
+        assert!(
+            assert_equivalent(&engine, new, event),
+            "{event}: must route"
+        );
+        let outcome = dirty_by_the_rule(&engine, old, new, event);
+        assert_eq!(outcome.dirty_dests, changed_trees(old, new), "{event}");
+        outcome
+    })
+}
+
 /// One cable down, then back up, on a warm production-default engine.
 fn down_then_up(base: &Network, seed: u64) -> [DeltaOutcome; 2] {
     let engine = DeltaEngine::new(cold(base));
@@ -249,15 +309,23 @@ fn down_then_up(base: &Network, seed: u64) -> [DeltaOutcome; 2] {
 }
 
 #[test]
-fn fat_tree_leaf_cable_dirties_sixteen_trees_down_and_every_tree_up() {
+fn fat_tree_leaf_cable_dirties_sixteen_trees_down_and_up() {
     // The benchmark's fat tree. Down: the 16 trees rooted under the leaf
     // switch lose a downlink, nothing else moves. Up: the restored link
-    // ties an incumbent in every tree, so there is nothing to reuse.
-    let [down, up] = down_then_up(&topo::kary_ntree(16, 2), 1);
-    assert!(down.delta, "16 of 256 dirty must patch");
-    assert_eq!(down.dirty_dests.len(), 16);
-    assert!(!up.delta, "every tree dirty must fall back");
-    assert_eq!(up.dirty_dests.len(), 256);
+    // gives those 16 their downlink back and loses every other tie to
+    // the leaf's lower-id spine, so the same 16 are patched.
+    let base = topo::kary_ntree(16, 2);
+    for outcome in down_then_up(&base, 1) {
+        assert!(outcome.delta, "16 of 256 dirty must patch");
+        assert_eq!(outcome.dirty_dests.len(), 16);
+    }
+    // The cable to the lowest-id spine (the first one built) is every
+    // other tree's uplink from its leaf too: both ways, every tree
+    // changes and there is nothing to reuse.
+    for outcome in cable_down_then_up(&base, base.switch_cables()[0]) {
+        assert!(!outcome.delta, "every tree dirty must fall back");
+        assert_eq!(outcome.dirty_dests.len(), 256);
+    }
 }
 
 #[test]
@@ -275,20 +343,21 @@ fn events_that_leave_any_tree_clean_are_patched_at_the_default_config() {
         topo::torus(&[8, 8], 2),
         topo::random_topology(&irregular, 7),
     ];
+    let mut patched_above_half = 0;
     for base in fabrics {
         let nt = base.num_terminals();
-        let outcomes = down_then_up(&base, 0);
-        for o in &outcomes {
+        for o in down_then_up(&base, 0) {
             let dirty = o.dirty_dests.len();
             assert_eq!(o.delta, dirty < nt, "{}: {dirty} of {nt}", base.label());
+            patched_above_half += usize::from(o.delta && 2 * dirty > nt);
         }
-        let patched_above_half = |o: &DeltaOutcome| o.delta && 2 * o.dirty_dests.len() > nt;
-        assert!(
-            outcomes.iter().any(patched_above_half),
-            "{}: seed 0 no longer dirties more than half the trees",
-            base.label()
-        );
     }
+    // The torus's cable dirties 72 of 128 trees down and up; the
+    // irregular fabric's 240 of 512 both ways.
+    assert!(
+        patched_above_half > 0,
+        "seed 0 no longer dirties more than half the trees"
+    );
 }
 
 /// Every plan is the loop's own: with the engine's planner installed, a
@@ -344,4 +413,31 @@ fn every_plan_is_the_planners_own() {
         }
     }
     assert!(direct > 0 && staged > 0, "{direct} direct, {staged} staged");
+}
+
+/// An oracle for the dirty rules that shares no code with `delta`: one
+/// redundant cable down and back up through a warm engine, over the
+/// generator zoo and a fabric with parallel cables, and each time the
+/// trees it reports dirty are exactly the trees whose cold-route column
+/// changed.
+#[test]
+fn the_dirty_set_is_the_set_of_trees_that_change() {
+    let events = Cell::new(0);
+    let down_then_up = |base: &Network, cable: ChannelId| {
+        cable_down_then_up(base, cable);
+        events.set(events.get() + 2);
+    };
+    sweep(0..400, |c| {
+        let base = zoo_net(c);
+        let spare = degrade::redundant_cables(&base);
+        if !spare.is_empty() && cold(&base).route(&base).is_ok() {
+            down_then_up(&base, spare[c.draw("cable", 0..spare.len())]);
+        }
+    });
+    let parallel = parallel_cables();
+    for cable in degrade::redundant_cables(&parallel) {
+        down_then_up(&parallel, cable);
+    }
+    println!("{} events, dirty == changed in each", events.get());
+    assert!(events.get() > 500, "only {} events", events.get());
 }

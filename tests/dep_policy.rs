@@ -381,9 +381,15 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// as the oracle), and `fabric` for `HopTable::row_into` (`row` went).
 /// `FabricTables::validate`'s port tables, built once per call so no
 /// hop scans a node's channels, cost the 16 left.
+///
+/// The exact dirty set raised it 19 211 → 19 215: three lines in `core`
+/// for `dijkstra::bfs_prefers`, the tie rule stated beside `bfs_to`, and
+/// one in `delta`, which judges a restored channel's tie against the
+/// tree's cached parent (a shorter channel index and a redundant roster
+/// comparison paid for the rest of that check).
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_211;
+    const CEILING: usize = 19_215;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

@@ -2,10 +2,10 @@
 
 mod common;
 
-use common::{sweep, zoo_net, Case};
+use common::{parallel_cables, sweep, zoo_net, Case};
 use dfsssp::core::app::{coloring_to_app, is_k_colorable};
 use dfsssp::core::balance::balance_layers;
-use dfsssp::core::dijkstra::{bfs_to, spt_to};
+use dfsssp::core::dijkstra::{bfs_prefers, bfs_to, spt_to};
 use dfsssp::core::paths::TreePaths;
 use dfsssp::core::sssp::unbalanced_shortest_paths;
 use dfsssp::fabric::degrade::remove;
@@ -233,6 +233,30 @@ fn bfs_kernel_is_the_heap_at_a_uniform_weight() {
             }
         }
     });
+}
+
+/// `bfs_to` hands every node the tight channel `bfs_prefers` ranks
+/// first among those whose head forwards (a switch, or the root), and
+/// leaves the root and unreachable nodes without one — for every
+/// terminal root of the zoo and of a fabric with parallel cables.
+#[test]
+fn bfs_parents_are_the_preferred_tight_channels() {
+    let check = |net: &Network| {
+        for &root in net.terminals() {
+            let spt = bfs_to(net, root);
+            for (v, _) in net.nodes() {
+                let tight = net.out_channels(v).iter().copied().filter(|&c| {
+                    let head = net.channel(c).dst;
+                    let forwards = head == root || !net.is_terminal(head);
+                    forwards && spt.dist[head.idx()].checked_add(1) == Some(spt.dist[v.idx()])
+                });
+                let preferred = tight.reduce(|a, b| if bfs_prefers(net, b, a) { b } else { a });
+                assert_eq!(spt.parent[v.idx()], preferred, "{v:?} toward {root:?}");
+            }
+        }
+    };
+    sweep(0..160, |c| check(&zoo_net(c)));
+    check(&parallel_cables());
 }
 
 /// Under one chunk the balanced engines route plain shortest paths:
