@@ -66,6 +66,57 @@ pub fn remove(
     b.build()
 }
 
+/// How one view of a fabric corresponds to another — say the views
+/// [`remove`] builds before and after an event: nodes by name (the first
+/// old node of each name), channels by their source's twin and port, the
+/// identity [`remove`] preserves.
+#[derive(Clone, Debug)]
+pub struct ViewMap {
+    /// Per node of the new view: the first old node of its name.
+    pub old_node: Vec<Option<NodeId>>,
+    /// Per old node: the last new node matched to it.
+    pub twin: Vec<Option<NodeId>>,
+    /// Per old channel: the channel leaving its source's twin over the
+    /// same port.
+    pub channel: Vec<Option<ChannelId>>,
+}
+
+impl ViewMap {
+    /// Match `new`'s nodes and channels to `old`'s.
+    pub fn between(old: &Network, new: &Network) -> ViewMap {
+        let mut by_name: telemetry::fx::FxHashMap<&str, NodeId> = Default::default();
+        for (id, n) in old.nodes() {
+            by_name.entry(&n.name).or_insert(id);
+        }
+        let old_node: Vec<Option<NodeId>> = new
+            .nodes()
+            .map(|(_, n)| by_name.get(n.name.as_str()).copied())
+            .collect();
+        let mut twin = vec![None; old.num_nodes()];
+        for ((n, _), o) in new.nodes().zip(&old_node) {
+            if let Some(o) = o {
+                twin[o.idx()] = Some(n);
+            }
+        }
+        let channel = old
+            .channels()
+            .map(|(_, ch)| twin[ch.src.idx()].and_then(|n| port_at(new, n, ch.src_port)))
+            .collect();
+        ViewMap {
+            old_node,
+            twin,
+            channel,
+        }
+    }
+}
+
+/// The channel leaving `n` over `port`, if any (ports are unique per
+/// node).
+pub fn port_at(net: &Network, n: NodeId, port: u16) -> Option<ChannelId> {
+    let mut out = net.out_channels(n).iter().copied();
+    out.find(|&c| net.channel(c).src_port == port)
+}
+
 /// Carve the largest serving core out of a (possibly disconnected)
 /// network: the mutually-reachable node set of the undirected component
 /// holding the most terminals (ties: most nodes, then lowest node id).

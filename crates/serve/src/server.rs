@@ -14,7 +14,10 @@
 //! * Only a reroute that produced new tables is offered to the store,
 //!   and the vet gate — `vet::check` of exactly those tables, run
 //!   beside the SM's planner, with the V007 verdict the SM decided for
-//!   the same view — decides whether it becomes an epoch.
+//!   the same view — decides whether it becomes an epoch. The gate walks
+//!   from its own walk of the epoch it last installed
+//!   ([`vet::recheck`]), so it walks only the columns the event
+//!   changed; nothing of the SM's walks reaches it.
 //!   Every failure mode — SM error, contained panic, vet rejection —
 //!   leaves the last-good snapshot serving.
 //!
@@ -74,6 +77,9 @@ pub struct RouteServer<E> {
     /// lets epoch publication see overload state (and vice versa).
     sheds: Vec<Arc<ShedController>>,
     recorder: RecorderHandle,
+    /// The epoch the gate last admitted and the gate's walk of it: the
+    /// base the next gate walks from.
+    gated: Option<(Arc<Snapshot>, vet::TableWalk)>,
 }
 
 impl<E: RoutingEngine> RouteServer<E> {
@@ -93,9 +99,11 @@ impl<E: RoutingEngine> RouteServer<E> {
         sm_node: NodeId,
         recorder: RecorderHandle,
     ) -> Result<Self, ServerError> {
-        let gate = vet::check_with_verdict;
-        let (sm, report) = SmLoop::bring_up_with(engine, net, sm_node, recorder.clone(), gate)
-            .map_err(ServerError::Sm)?;
+        let gate =
+            |net: &Network, routes: &_, verdict: &_| vet::recheck(None, net, routes, verdict);
+        let (sm, (report, walk)) =
+            SmLoop::bring_up_with(engine, net, sm_node, recorder.clone(), gate)
+                .map_err(ServerError::Sm)?;
         let mut store = SnapshotStore::open_vetted(
             sm.network().clone(),
             sm.programmed().routes.clone(),
@@ -108,6 +116,7 @@ impl<E: RoutingEngine> RouteServer<E> {
             .set_recorder(recorder.clone());
         Ok(RouteServer {
             sm,
+            gated: Some((store.read(), walk)),
             store,
             sheds: Vec::new(),
             recorder,
@@ -154,18 +163,19 @@ impl<E: RoutingEngine> RouteServer<E> {
     /// runs inside the reroute, on this thread, while the SM's update
     /// planner runs beside it; its report is what admits the epoch. The
     /// gate reads the V007 verdict the SM decided for the same view and
-    /// judges the tables itself. On any error the last-good epoch keeps
-    /// serving.
+    /// judges the tables itself, walking from its own walk of the last
+    /// epoch it admitted. On any error the last-good epoch keeps serving.
     pub fn handle_batch(&mut self, events: &[FabricEvent]) -> Result<ServedOutcome, ServerError> {
         let rec = &*self.recorder;
-        let (mut outcome, report) = self
+        let base = (self.gated.as_ref()).map(|(snap, walk)| (&snap.net, &snap.routes, walk));
+        let (mut outcome, gated) = self
             .sm
             .handle_batch_with(events, |net, routes, verdict| {
-                let gate = || vet::check_with_verdict(net, routes, verdict);
+                let gate = || vet::recheck(base, net, routes, verdict);
                 telemetry::timed(rec, phases::SERVE_PUBLISH, gate)
             })
             .map_err(ServerError::Sm)?;
-        let Some(report) = report else {
+        let Some((report, walk)) = gated else {
             return Ok(ServedOutcome {
                 outcome,
                 epoch: None,
@@ -182,6 +192,7 @@ impl<E: RoutingEngine> RouteServer<E> {
                 Some(self.sm.reference()),
             )
             .map_err(ServerError::Publish)?;
+        self.gated = Some((snap.clone(), walk));
         // Fold serving-side overload into the escalation record: an
         // epoch published while an attached engine is thinning load is
         // a reroute storm meeting a flash crowd — the ladder should say

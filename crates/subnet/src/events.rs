@@ -43,7 +43,7 @@
 use crate::armor::{contain, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::lft::LftDiff;
 use crate::manager::{ProgrammedFabric, SmError, SubnetManager};
-use crate::transition::{self, Artifact, UpdatePlan, Walked};
+use crate::transition::{self, Artifact, UpdatePlan};
 use baselines::UpDown;
 use dfsssp_core::{pool, RouteError, RoutingEngine};
 use fabric::{degrade, ChannelId, Network, NodeId, Routes};
@@ -185,6 +185,10 @@ pub struct SmLoop<E> {
     /// The serving view (reference minus down hardware and quarantine).
     net: Network,
     current: ProgrammedFabric,
+    /// The deploy guard's walk of `current`'s routing on `net` (`None`
+    /// with the guard off): the next event's guard and old end walk from
+    /// it, so only the columns an event changes are walked.
+    walk: Option<vet::TableWalk>,
     /// Optional hook consulted before the loop's own planner (see
     /// [`transition::DiffPlanProvider`]); `None` answers fall through to
     /// it.
@@ -249,6 +253,7 @@ impl<E: RoutingEngine> SmLoop<E> {
                 tables: crate::lft::FabricTables::default(),
                 pairs_validated: 0,
             },
+            walk: None,
             quarantined: Vec::new(),
             last: EventOutcome::default(),
             recorder,
@@ -511,23 +516,34 @@ impl<E: RoutingEngine> SmLoop<E> {
         // tables remapped onto the view, and their walk — reads only the
         // previous epoch and the view, so it is made there too. On first
         // boot there is no old end: no prior programming, no in-flight
-        // traffic, no diff.
+        // traffic, no diff. The guard and the old end both walk from the
+        // guard's walk of the previous epoch, each only the columns that
+        // differ from it. The old end does so only when that walk was
+        // itself made from a base: one that walked every column (most of
+        // its columns had changed) has yet to count its dependencies,
+        // which costs more than walking the old end whole. The kept walk
+        // is dropped once both are made (a failed event leaves the next
+        // one walking every column).
         let rec = self.recorder.clone();
         let first_boot = self.current.discovery.nodes.is_empty();
+        let kept = self.walk.take();
+        let base = (kept.as_ref()).map(|walk| (&self.net, &self.current.routes, walk));
+        let old_base = base.filter(|(_, _, walk)| walk.rewalked.is_some());
         let (ladder, (verdict, old)) = join(
-            || self.ladder.climb(&view, sm_node, &*rec),
+            || self.ladder.climb(&view, sm_node, base, &*rec),
             || {
                 let verdict = timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view));
                 let old = (!first_boot).then(|| {
                     timed(&*rec, phases::SM_PLAN_OLD, || {
                         let old = transition::remap_routes(&self.net, &self.current.routes, &view);
-                        let walk = transition::walk_artifact(&view, &old, Artifact::Old);
+                        let walk = transition::walk_artifact(old_base, &view, &old, Artifact::Old);
                         (old, walk)
                     })
                 });
                 (verdict, old)
             },
         );
+        drop(kept);
         let (fabric, new_walk, ladder_rungs, retries) = ladder?;
         let existence = match &verdict {
             vet::Existence::Exists { roots, pairs } => format!(
@@ -598,6 +614,7 @@ impl<E: RoutingEngine> SmLoop<E> {
         };
         self.net = view;
         self.current = fabric;
+        self.walk = new_walk;
         self.quarantined = quarantined;
         self.record(&outcome);
         Ok((outcome, gated))
@@ -635,13 +652,15 @@ impl<E: RoutingEngine> Ladder<E> {
     /// Rungs 2 and 3 of the ladder on `view`: widen the VL budget, then
     /// fall back. Returns the deployed fabric, the guard's walk of its
     /// routing (none with the guard off; the planner reads it), the
-    /// rungs that fired and the retries spent.
+    /// rungs that fired and the retries spent. Every guard walks from
+    /// `base`.
     fn climb(
         &mut self,
         view: &Network,
         sm_node: NodeId,
+        base: Option<vet::Base>,
         rec: &dyn Recorder,
-    ) -> Result<(ProgrammedFabric, Option<Walked>, Vec<Rung>, usize), SmError> {
+    ) -> Result<(ProgrammedFabric, Option<vet::TableWalk>, Vec<Rung>, usize), SmError> {
         let mut rungs = Vec::new();
         // The primary engine runs contained (panics become typed errors,
         // retried with bounded backoff) and behind the circuit breaker:
@@ -663,9 +682,12 @@ impl<E: RoutingEngine> Ladder<E> {
         loop {
             let result = if on_fallback {
                 let fb = self.fallback.as_deref().expect("fallback engaged");
-                contain(|| self.sm.run_walked(fb, view, sm_node, rec))
+                contain(|| self.sm.run_walked(fb, view, sm_node, base, rec))
             } else {
-                contain(|| self.sm.run_walked(&self.sm.engine, view, sm_node, rec))
+                contain(|| {
+                    self.sm
+                        .run_walked(&self.sm.engine, view, sm_node, base, rec)
+                })
             };
             match result {
                 Ok((fabric, walk)) => {
@@ -750,7 +772,7 @@ fn engine_failure(e: &SmError) -> bool {
 mod tests {
     use super::*;
     use crate::transition::counts::{self, Counts};
-    use dfsssp_core::{DfSssp, EngineConfig, Sssp};
+    use dfsssp_core::{ComputeOpts, DfSssp, EngineConfig, Sssp};
     use fabric::topo;
 
     /// A redundant fabric where any single uplink can fail.
@@ -1275,38 +1297,68 @@ mod tests {
 
     #[test]
     fn an_event_walks_each_artifact_once() {
-        // Staged + bulk drain: the torus changes every column. The old
-        // end is walked beside the ladder, the broken-columns stage is
-        // judged from that walk and a walk of the new routing scoped to
-        // the broken columns, and no hybrid is walked in full. The guard
-        // and the bulk-drain stage both ask which layers of the new
-        // routing are cyclic: its walk is searched once for the two of
-        // them, the old walk (which only feeds the union) never, the
-        // composed stage once.
+        // Staged + bulk drain: the torus changes every column. The guard
+        // walks the new routing whole (most of its columns differ, in
+        // their layers); the old end, whose base would be the
+        // guard's previous walk, a walk of every column, walks whole too.
+        // The broken-columns stage is judged from the old end's walk and
+        // a walk of the new routing scoped to the broken columns, and no
+        // hybrid is walked in full. The guard and the bulk-drain stage
+        // both ask which layers of the new routing are cyclic: its walk is
+        // searched once for the two of them, the old walk (which only
+        // feeds the union) never, the composed stage once.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
         assert!(plan.describe().ends_with("+drain"), "{}", plan.describe());
         let staged = Counts {
             walks: [1, 1, 0],
+            columns: [[0; 2]; 3],
             scoped: 1,
             searches: 2,
+            gained_searches: 0,
             pair_walks: 0,
         };
         assert_eq!(counts, staged);
 
-        // Direct: the union is acyclic, no hybrid exists.
+        // Direct: the union is acyclic, no hybrid exists. Under the
+        // serving schedule (chunk |T|, the routes `DeltaEngine` serves) a
+        // leaf cable to a spine other than the lowest-id one moves 16 of
+        // the 256 trees, down and back up. The guard walks those columns
+        // out of its previous walk and into the new one and searches
+        // only from the dependencies they gained; the old end walks out
+        // at most the columns the dead cable broke, and on the way back
+        // up none. (Right after bring-up, whose walk is of every column,
+        // the old end walks whole once.)
         let net = topo::kary_ntree(16, 2);
-        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
-        let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
-        assert_eq!(plan.describe(), "direct");
-        let direct = Counts {
-            walks: [1, 1, 0],
-            scoped: 0,
-            searches: 1,
-            pair_walks: 0,
-        };
-        assert_eq!(counts, direct);
+        let chunk = ComputeOpts::new().chunk(net.num_terminals());
+        let engine = DfSssp::new().with_config(EngineConfig::new().compute(chunk));
+        let mut sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
+        let spine = net.node_by_name("s0_0").unwrap();
+        let mut cables = net.switch_cables().into_iter();
+        let cable = cables
+            .find(|&c| net.channel(c).src != spine && net.channel(c).dst != spine)
+            .unwrap();
+        let (down, up) = (FabricEvent::CableDown(cable), FabricEvent::CableUp(cable));
+        for event in [down, up] {
+            sm.handle(event).unwrap();
+        }
+        for event in [down, up] {
+            let (counts, plan) = walks_of(&mut sm, event);
+            assert_eq!(plan.describe(), "direct", "{event:?}");
+            let [guard, old, hybrid] = counts.columns;
+            assert_eq!((guard, hybrid), ([16, 16], [0, 0]), "{event:?}: {counts:?}");
+            assert!(old[0] <= 16 && old[1] <= 16, "{event:?}: {counts:?}");
+            let rewalked = Counts {
+                walks: [0; 3],
+                columns: counts.columns,
+                scoped: 0,
+                searches: 0,
+                gained_searches: 1,
+                pair_walks: 0,
+            };
+            assert_eq!(counts, rewalked, "{event:?}");
+        }
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl FabricTables {
         dlid: Lid,
     ) -> Result<Vec<ChannelId>, WalkError> {
         #[cfg(test)]
-        crate::transition::counts::add(&crate::transition::counts::PAIR_WALKS);
+        crate::transition::counts::add(&crate::transition::counts::PAIR_WALKS, 1);
         let dst = lids.node(dlid).ok_or(WalkError::BadLid(dlid))?;
         let mut at = src;
         let mut out = Vec::new();

@@ -8,15 +8,17 @@
 //! semantics, the check that programming lost nothing. The guard's walk
 //! is handed back to [`crate::events::SmLoop`], whose transition planner
 //! reads the new routing's dependency edges from it instead of walking
-//! the same tables again.
+//! the same tables again, and which keeps it as the base the next
+//! event's guard walks from.
 
 use crate::discovery::{discover, DiscoveredFabric};
 use crate::lft::{FabricTables, WalkError};
 use crate::lid::LidMap;
-use crate::transition::{walk_artifact, Artifact, Walked};
+use crate::transition::{cyclic_layers, walk_artifact, Artifact};
 use dfsssp_core::{RouteError, RoutingEngine};
 use fabric::{Network, NodeId, Routes};
 use telemetry::{phases, timed, Recorder};
+use vet::TableWalk;
 
 /// Errors of a subnet-manager run.
 #[derive(Debug)]
@@ -124,7 +126,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
     /// program tables, validate by walking the LFTs for every ordered
     /// terminal pair.
     pub fn run(&self, net: &Network, sm_node: NodeId) -> Result<ProgrammedFabric, SmError> {
-        self.run_walked(&self.engine, net, sm_node, &telemetry::Noop)
+        self.run_walked(&self.engine, net, sm_node, None, &telemetry::Noop)
             .map(|(fabric, _)| fabric)
     }
 
@@ -132,14 +134,17 @@ impl<E: RoutingEngine> SubnetManager<E> {
     /// fallback engine goes through the same sweep/program/validate
     /// cycle), also returning the guard's walk of the new routing
     /// (`None` when the guard is off) and timing the guard and the LFT
-    /// validation as `sm_guard` / `sm_validate` on `rec`.
+    /// validation as `sm_guard` / `sm_validate` on `rec`. The guard walks
+    /// from `base`, the guard's walk of the routing programmed before,
+    /// when there is one.
     pub(crate) fn run_walked(
         &self,
         engine: &dyn RoutingEngine,
         net: &Network,
         sm_node: NodeId,
+        base: Option<vet::Base>,
         rec: &dyn Recorder,
-    ) -> Result<(ProgrammedFabric, Option<Walked>), SmError> {
+    ) -> Result<(ProgrammedFabric, Option<TableWalk>), SmError> {
         let discovery = discover(net, sm_node);
         if !discovery.complete(net) {
             return Err(SmError::PartialDiscovery {
@@ -155,7 +160,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
             });
         }
         let walk = if self.require_deadlock_free {
-            Some(timed(rec, phases::SM_GUARD, || guard(net, &routes))?)
+            Some(timed(rec, phases::SM_GUARD, || guard(base, net, &routes))?)
         } else {
             None
         };
@@ -176,18 +181,20 @@ impl<E: RoutingEngine> SubnetManager<E> {
 
 /// The deploy guard: walk the engine's tables once; refuse broken tables
 /// (with the analyzer's first error finding) and cyclic layers.
-fn guard(net: &Network, routes: &Routes) -> Result<Walked, SmError> {
-    let walk = walk_artifact(net, routes, Artifact::New);
+fn guard(base: Option<vet::Base>, net: &Network, routes: &Routes) -> Result<TableWalk, SmError> {
+    let walk = walk_artifact(base, net, routes, Artifact::New);
     if let Some(d) = walk
-        .table
         .diagnostics()
         .iter()
         .find(|d| d.severity == vet::Severity::Error)
     {
         return Err(SmError::BrokenTables(d.clone()));
     }
-    if !walk.cyclic_layers().is_empty() {
-        return Err(SmError::CyclicLayers(walk.cyclic_layers().to_vec()));
+    let cyclic = cyclic_layers(&walk);
+    if !cyclic.is_empty() {
+        return Err(SmError::CyclicLayers(
+            cyclic.iter().map(|&(l, _)| l).collect(),
+        ));
     }
     Ok(walk)
 }

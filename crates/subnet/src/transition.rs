@@ -25,13 +25,15 @@
 //! beside the ladder. The broken-columns stage's post-state is judged
 //! from the old walk's unbroken part and a walk of `new` scoped to the
 //! broken columns ([`broken_stage_ok`]); only the greedy stages' hybrid
-//! states are walked whole, each once by [`vet_ok`]. Every full walk in
-//! this crate goes through [`walk_artifact`], and every per-layer cycle
-//! search through the [`Walked`] it returns, which runs it at most once
-//! however many callers ask — so a test can count both.
+//! states are walked whole, each once by [`vet_ok`]. Every table walk in
+//! this crate goes through [`walk_artifact`] — the guard's and the old
+//! end's from the guard's walk of the previous epoch, when the loop has
+//! one ([`vet::rewalk_tables`]) — and every per-layer cycle search
+//! through [`cyclic_layers`]; a walk searches at most once however many
+//! callers ask, so a test can count both.
 
-use fabric::{ChannelId, Network, NodeId, Routes};
-use telemetry::fx::FxHashMap;
+use fabric::degrade::{self, ViewMap};
+use fabric::{ChannelId, Network, Routes};
 use vet::TableWalk;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
@@ -138,22 +140,11 @@ pub trait DiffPlanProvider {
 /// through the channel table.
 pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
     let mut routes = Routes::new(new_net, old.engine());
-    // Old node id per new node, matched by name (the first old node of
-    // that name), and per old node the last new node matched to it.
-    let mut by_name: FxHashMap<&str, NodeId> = FxHashMap::default();
-    for (id, n) in old_net.nodes() {
-        by_name.entry(&n.name).or_insert(id);
-    }
-    let old_node: Vec<Option<NodeId>> = new_net
-        .nodes()
-        .map(|(_, n)| by_name.get(n.name.as_str()).copied())
-        .collect();
-    let mut twin = vec![None; old_net.num_nodes()];
-    for ((n, _), o) in new_net.nodes().zip(&old_node) {
-        if let Some(o) = o {
-            twin[o.idx()] = Some(n);
-        }
-    }
+    let ViewMap {
+        old_node,
+        twin,
+        channel,
+    } = ViewMap::between(old_net, new_net);
     // Old terminal index per new terminal index, if the old tables have it.
     let old_t: Vec<Option<usize>> = new_net
         .terminals()
@@ -161,24 +152,9 @@ pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Route
         .map(|&t| old_node[t.idx()].and_then(|o| old_net.terminal_index(o)))
         .map(|o| o.filter(|&o| o < old.num_terminals()))
         .collect();
-    // The channel leaving new node `n` over `port` (ports are unique per
-    // node), and per old channel its source and that channel at the
-    // source's twin. An entry at `n` translates through the table when
-    // it leaves `n`'s old node and `n` is that node's twin; any other
+    // An entry at `n` translates through the view map's channel table
+    // when it leaves `n`'s old node and `n` is that node's twin; any other
     // entry is looked up at `n` by port, as it always was.
-    let port_at = |n: NodeId, port: u16| {
-        let mut out = new_net.out_channels(n).iter().copied();
-        out.find(|&c| new_net.channel(c).src_port == port)
-    };
-    let via: Vec<(NodeId, Option<ChannelId>)> = old_net
-        .channels()
-        .map(|(_, ch)| {
-            (
-                ch.src,
-                twin[ch.src.idx()].and_then(|n| port_at(n, ch.src_port)),
-            )
-        })
-        .collect();
     for (new_dst, od) in old_t.iter().enumerate() {
         let Some(od) = *od else { continue };
         let (next, layers) = old.column(od);
@@ -188,9 +164,10 @@ pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Route
             if ch == u32::MAX {
                 continue;
             }
-            let c = match via[ch as usize] {
-                (src, c) if src == o && twin[o.idx()] == Some(n) => c,
-                _ => port_at(n, old_net.channel(ChannelId(ch)).src_port),
+            let old_ch = old_net.channel(ChannelId(ch));
+            let c = match channel[ch as usize] {
+                c if old_ch.src == o && twin[o.idx()] == Some(n) => c,
+                _ => degrade::port_at(new_net, n, old_ch.src_port),
             };
             if let Some(c) = c {
                 routes.set_next(n, new_dst, c);
@@ -218,38 +195,41 @@ pub(crate) enum Artifact {
     Hybrid,
 }
 
-/// A walked artifact that remembers which of its layers are cyclic once
-/// somebody asked: the deploy guard and the planner's bulk-drain stage
-/// both ask it of the new routing's walk.
-pub(crate) struct Walked {
-    pub(crate) table: TableWalk,
-    cyclic: std::sync::OnceLock<Vec<u8>>,
-}
-
-impl Walked {
-    /// The layers whose dependency edges close a cycle (the V004 search,
-    /// run on first use).
-    pub(crate) fn cyclic_layers(&self) -> &[u8] {
-        self.cyclic.get_or_init(|| {
-            #[cfg(test)]
-            counts::add(&counts::SEARCHES);
-            let cyclic = self.table.cyclic_layers();
-            cyclic.into_iter().map(|(layer, _)| layer).collect()
-        })
-    }
-}
-
-/// The one full-table walk of this crate: the deploy guard, the old end
-/// of an event and every hybrid vetting call it, so the walks of an
-/// event can be counted.
+/// The walk of `routes` on `net` every table walk of this crate goes
+/// through: from `base` (the walk of an earlier artifact) when there is
+/// one, only the columns that differ from it are walked.
 #[cfg_attr(not(test), allow(unused_variables))]
-pub(crate) fn walk_artifact(net: &Network, routes: &Routes, which: Artifact) -> Walked {
+pub(crate) fn walk_artifact(
+    base: Option<vet::Base>,
+    net: &Network,
+    routes: &Routes,
+    which: Artifact,
+) -> TableWalk {
+    let walk = match base {
+        Some(base) => vet::rewalk_tables(base, net, routes, &quiet()),
+        None => vet::walk_tables(net, routes, &quiet()),
+    };
     #[cfg(test)]
-    counts::add(&counts::WALKS[which as usize]);
-    Walked {
-        table: vet::walk_tables(net, routes, &quiet()),
-        cyclic: std::sync::OnceLock::new(),
+    match walk.rewalked {
+        None => counts::add(&counts::WALKS[which as usize], 1),
+        Some((out, walked_in)) => {
+            counts::add(&counts::COLUMNS[which as usize][0], out);
+            counts::add(&counts::COLUMNS[which as usize][1], walked_in);
+        }
     }
+    walk
+}
+
+/// The layers of `walk` whose dependencies close a cycle, each with its
+/// witness: the search runs on the first ask (counted under test).
+pub(crate) fn cyclic_layers(walk: &TableWalk) -> &[(u8, Vec<ChannelId>)] {
+    #[cfg(test)]
+    match walk.pending_search() {
+        Some(false) => counts::add(&counts::SEARCHES, 1),
+        Some(true) => counts::add(&counts::GAINED_SEARCHES, 1),
+        None => {}
+    }
+    walk.cyclic_layers()
 }
 
 /// How this crate walks: minimality is nobody's question here, which
@@ -261,9 +241,10 @@ fn quiet() -> vet::Config {
     }
 }
 
-/// What this crate's tests count: full-table walks by [`Artifact`],
-/// walks scoped to some destinations, per-layer cycle searches of what
-/// was walked, and per-pair LFT walks. Process-wide, because an event
+/// What this crate's tests count: full-table walks by [`Artifact`], the
+/// columns re-walks walked out and in, walks scoped to some destinations,
+/// per-layer cycle searches of what was walked (from every channel, or
+/// from gained heads only), and per-pair LFT walks. Process-wide, because an event
 /// walks on two threads ([`dfsssp_core::pool::join`]); only the thread
 /// inside [`counts::counted`], and the helpers it lends work to through
 /// [`counts::inherit`], add to them, and one `counted` runs at a time.
@@ -274,8 +255,11 @@ pub(crate) mod counts {
     use std::sync::Mutex;
 
     pub(crate) static WALKS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+    pub(crate) static COLUMNS: [[AtomicUsize; 2]; 3] =
+        [const { [const { AtomicUsize::new(0) }; 2] }; 3];
     pub(crate) static SCOPED: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static SEARCHES: AtomicUsize = AtomicUsize::new(0);
+    pub(crate) static GAINED_SEARCHES: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static PAIR_WALKS: AtomicUsize = AtomicUsize::new(0);
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     thread_local! {
@@ -285,40 +269,55 @@ pub(crate) mod counts {
     /// What one [`counted`] run did.
     #[derive(Debug, PartialEq, Eq)]
     pub(crate) struct Counts {
-        /// Full-table walks, `[new, old, hybrid]`.
+        /// Walks of every column, `[new, old, hybrid]`.
         pub(crate) walks: [usize; 3],
+        /// Columns re-walks walked `[out, in]`, per artifact as `walks`.
+        pub(crate) columns: [[usize; 2]; 3],
         pub(crate) scoped: usize,
+        /// Cycle searches from every channel.
         pub(crate) searches: usize,
+        /// Cycle searches from the heads of gained dependencies only.
+        pub(crate) gained_searches: usize,
         pub(crate) pair_walks: usize,
     }
 
-    pub(crate) fn add(counter: &AtomicUsize) {
+    pub(crate) fn add(counter: &AtomicUsize, n: usize) {
         if COUNTING.get() {
-            counter.fetch_add(1, Relaxed);
+            counter.fetch_add(n, Relaxed);
         }
     }
 
     /// Run `f` and count what it does.
     pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
         let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        let [[new_out, new_in], [old_out, old_in], [hybrid_out, hybrid_in]] = &COLUMNS;
         let all = [
             &WALKS[0],
             &WALKS[1],
             &WALKS[2],
+            new_out,
+            new_in,
+            old_out,
+            old_in,
+            hybrid_out,
+            hybrid_in,
             &SCOPED,
             &SEARCHES,
+            &GAINED_SEARCHES,
             &PAIR_WALKS,
         ];
         all.iter().for_each(|c| c.store(0, Relaxed));
         COUNTING.set(true);
         let out = f();
         COUNTING.set(false);
-        let [new, old, hybrid, scoped, searches, pair_walks] = all.map(|c| c.load(Relaxed));
-        let walks = [new, old, hybrid];
+        let [new, old, hybrid, n_out, n_in, o_out, o_in, h_out, h_in, scoped, searches, gained_searches, pair_walks] =
+            all.map(|c| c.load(Relaxed));
         let counts = Counts {
-            walks,
+            walks: [new, old, hybrid],
+            columns: [[n_out, n_in], [o_out, o_in], [h_out, h_in]],
             scoped,
             searches,
+            gained_searches,
             pair_walks,
         };
         (out, counts)
@@ -338,11 +337,8 @@ pub(crate) mod counts {
 
 /// Whether a walked artifact is deployable: walkable, within the VL
 /// budget, and — the point of the exercise — acyclic per layer.
-fn deployable(walk: &Walked, hw_vls: usize) -> bool {
-    let table = &walk.table;
-    table.num_layers as usize <= hw_vls
-        && table.num_errors() == 0
-        && walk.cyclic_layers().is_empty()
+fn deployable(walk: &TableWalk, hw_vls: usize) -> bool {
+    walk.num_layers as usize <= hw_vls && walk.num_errors() == 0 && cyclic_layers(walk).is_empty()
 }
 
 /// Plan the transition from `old` to `new` on `net`.
@@ -363,7 +359,7 @@ pub(crate) fn plan_walked(
     net: &Network,
     old: Option<&Routes>,
     new: &Routes,
-    walks: (Option<&Walked>, Option<&Walked>),
+    walks: (Option<&TableWalk>, Option<&TableWalk>),
     hw_vls: usize,
 ) -> UpdatePlan {
     let nt = net.num_terminals();
@@ -384,13 +380,13 @@ pub(crate) fn plan_walked(
     let (mut old_here, mut new_here) = (None, None);
     let old_walk = match walks.0 {
         Some(walk) => walk,
-        None => old_here.insert(walk_artifact(net, old, Artifact::Old)),
+        None => old_here.insert(walk_artifact(None, net, old, Artifact::Old)),
     };
     let new_walk = match walks.1 {
         Some(walk) => walk,
-        None => new_here.insert(walk_artifact(net, new, Artifact::New)),
+        None => new_here.insert(walk_artifact(None, net, new, Artifact::New)),
     };
-    let hazards = vet::union_cycles_of(&[&old_walk.table, &new_walk.table]);
+    let hazards = vet::union_cycles_of(&[old_walk, new_walk]);
     let swap = |d| column_swap_entries(net, old, new, d);
     if hazards.is_empty() {
         return direct(stage(changed, swap, false, true));
@@ -403,14 +399,14 @@ pub(crate) fn plan_walked(
     let mut stages = Vec::new();
     let mut hybrid = old.clone();
     let (broken, mut remaining): (Vec<usize>, Vec<usize>) =
-        (changed.iter().copied()).partition(|&d| old_walk.table.broken[d]);
+        (changed.iter().copied()).partition(|&d| old_walk.broken[d]);
     let mut stalled = false;
     if !broken.is_empty() {
         for &d in &broken {
             apply_column(&mut hybrid, new, d);
         }
         hybrid.recompute_num_layers();
-        if broken_stage_ok(net, new, &old_walk.table, hybrid.num_layers(), hw_vls) {
+        if broken_stage_ok(net, new, old_walk, hybrid.num_layers(), hw_vls) {
             stages.push(stage(broken, swap, true, true));
         } else {
             // Swapping only the broken columns still leaves a hazardous
@@ -532,13 +528,13 @@ fn broken_stage_ok(
         .filter(|&d| old_walk.broken[d])
         .collect();
     #[cfg(test)]
-    counts::add(&counts::SCOPED);
+    counts::add(&counts::SCOPED, 1);
     let walk = vet::walk_scoped(net, new, &broken, &quiet());
     if walk.num_errors() > 0 {
         return false;
     }
     #[cfg(test)]
-    counts::add(&counts::SEARCHES);
+    counts::add(&counts::SEARCHES, 1);
     vet::union_cycles_in(&[&old_walk.unbroken_edges, &walk.edges]).is_empty()
 }
 
@@ -547,7 +543,7 @@ fn broken_stage_ok(
 /// decided once by the ladder and the publish gate, not per stage.
 fn vet_ok(net: &Network, r: &mut Routes, hw_vls: usize) -> bool {
     r.recompute_num_layers();
-    deployable(&walk_artifact(net, r, Artifact::Hybrid), hw_vls)
+    deployable(&walk_artifact(None, net, r, Artifact::Hybrid), hw_vls)
 }
 
 #[cfg(test)]
@@ -563,7 +559,8 @@ mod tests {
     };
     use super::*;
     use dfsssp_core::{DfSssp, RoutingEngine};
-    use fabric::{degrade, topo, ChannelId};
+    use fabric::{topo, NodeId};
+    use telemetry::fx::FxHashMap;
     pub(super) use telemetry::fx::FxHashSet;
 
     /// [`plan_update`] for a caller that has already walked `new` on `net`.
@@ -571,7 +568,7 @@ mod tests {
         net: &Network,
         old: Option<&Routes>,
         new: &Routes,
-        new_walk: Option<&Walked>,
+        new_walk: Option<&TableWalk>,
         hw_vls: usize,
     ) -> UpdatePlan {
         plan_walked(net, old, new, (None, new_walk), hw_vls)
@@ -899,18 +896,18 @@ mod tests {
         hw_vls: usize,
         what: &str,
     ) -> Option<bool> {
-        let old_walk = walk_artifact(net, old, Artifact::Old);
+        let old_walk = walk_artifact(None, net, old, Artifact::Old);
         let mut hybrid = old.clone();
         let mut swapped = 0;
         for d in 0..net.num_terminals() {
-            if old_walk.table.broken[d] && column_differs(net, old, new, d) {
+            if old_walk.broken[d] && column_differs(net, old, new, d) {
                 apply_column(&mut hybrid, new, d);
                 swapped += 1;
             }
         }
         hybrid.recompute_num_layers();
-        let composed = broken_stage_ok(net, new, &old_walk.table, hybrid.num_layers(), hw_vls);
-        let walked = walk_artifact(net, &hybrid, Artifact::Hybrid);
+        let composed = broken_stage_ok(net, new, &old_walk, hybrid.num_layers(), hw_vls);
+        let walked = walk_artifact(None, net, &hybrid, Artifact::Hybrid);
         assert_eq!(composed, deployable(&walked, hw_vls), "{what}");
         (swapped > 0).then_some(composed)
     }

@@ -274,7 +274,7 @@ pub(crate) fn assert_matches_reference(
 ) -> UpdatePlan {
     let want = plan_update_reference(net, Some(old), new, hw_vls);
     assert_eq!(plan_update(net, Some(old), new, hw_vls), want, "{what}");
-    let guard_walk = walk_artifact(net, new, Artifact::New);
+    let guard_walk = walk_artifact(None, net, new, Artifact::New);
     assert_eq!(
         plan_update_walked(net, Some(old), new, Some(&guard_walk), hw_vls),
         want,
@@ -292,10 +292,10 @@ fn plans_equal_the_reference_planner_across_the_zoo() {
             // The one place the walk-derived `broken` could differ from
             // the per-pair definition is a foreign channel or terminal
             // transit in `old`, which `remap_routes` cannot produce.
-            let old_walk = walk_artifact(view, old, Artifact::Old);
+            let old_walk = walk_artifact(None, view, old, Artifact::Old);
             for d in 0..view.num_terminals() {
                 assert_eq!(
-                    old_walk.table.broken[d],
+                    old_walk.broken[d],
                     dest_broken(view, old, d),
                     "{what} dest {d}"
                 );

@@ -29,8 +29,7 @@ impl EdgeSet {
     /// validated walk).
     #[inline]
     pub fn insert(&mut self, c1: u32, c2: u32) {
-        let slot = self.slots.slot(c1, c2);
-        self.bits[slot / 64] |= 1 << (slot % 64);
+        self.insert_slot(self.slots.slot(c1, c2));
     }
 
     fn has(&self, slot: usize) -> bool {
@@ -56,9 +55,7 @@ impl EdgeSet {
 
     /// The edges, ascending by `(c1, c2)`.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.slots.num_slots())
-            .filter(|&slot| self.has(slot))
-            .map(|slot| self.slots.ends(slot))
+        self.slots_held().map(|slot| self.slots.ends(slot))
     }
 
     /// Add every edge of `other`, a set over the same network.
@@ -69,12 +66,77 @@ impl EdgeSet {
         }
     }
 
+    /// Add the dependency of `slot`.
+    #[inline]
+    pub(crate) fn insert_slot(&mut self, slot: usize) {
+        self.bits[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Remove the dependency of `slot`.
+    pub(crate) fn remove_slot(&mut self, slot: usize) {
+        self.bits[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// The slots of the set's edges, ascending.
+    pub(crate) fn slots_held(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots_where(|word, _| word)
+    }
+
+    /// The slots of the edges of this set that `other`, a set over the
+    /// same network, does not hold, ascending.
+    pub(crate) fn slots_not_in<'a>(
+        &'a self,
+        other: &'a EdgeSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.slots_where(move |word, i| word & !other.bits[i])
+    }
+
+    /// The set bits of `pick(word, i)` over the words of the set.
+    fn slots_where<'a>(
+        &'a self,
+        pick: impl Fn(u64, usize) -> u64 + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let words = self
+            .bits
+            .iter()
+            .enumerate()
+            .map(move |(i, &w)| (i, pick(w, i)));
+        words.flat_map(|(i, word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(i * 64 + bit)
+            })
+        })
+    }
+
+    /// The slots the set is over.
+    pub(crate) fn slots(&self) -> &Arc<DepSlots> {
+        &self.slots
+    }
+
     /// Find a cycle among the edges, if any: the channel sequence
     /// `c_0 → c_1 → … → c_k → c_0` (without repeating `c_0` at the end).
     /// Roots and successors are tried in ascending channel order — a
     /// slot row is its channel's successors, sorted — so the witness is
     /// a function of the edge set alone.
     pub fn find_cycle(&self) -> Option<Vec<ChannelId>> {
+        self.search(0..self.slots.num_channels() as u32)
+    }
+
+    /// [`Self::find_cycle`] for a set whose every cycle runs through one
+    /// of `heads` — the heads of the edges it gained over an acyclic set:
+    /// only what they reach is searched, and a cycle found there is
+    /// reported with `find_cycle`'s witness.
+    pub(crate) fn find_cycle_from(&self, heads: &[u32]) -> Option<Vec<ChannelId>> {
+        self.search(heads.iter().copied())?;
+        self.find_cycle()
+    }
+
+    /// Depth-first search from each of `roots` in turn, sharing colors: a
+    /// cycle reachable from a root is found.
+    fn search(&self, roots: impl Iterator<Item = u32>) -> Option<Vec<ChannelId>> {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
         const BLACK: u8 = 2;
@@ -83,7 +145,7 @@ impl EdgeSet {
         // DFS stack of (channel, next slot of its row); the grey path is
         // the stack itself, so a back edge yields the cycle as a suffix.
         let mut stack: Vec<(u32, usize)> = Vec::new();
-        for start in 0..slots.num_channels() as u32 {
+        for start in roots {
             if color[start as usize] != WHITE {
                 continue;
             }
@@ -163,6 +225,45 @@ mod tests {
     #[test]
     fn empty_is_acyclic() {
         assert!(set(8, &[]).find_cycle().is_none());
+    }
+
+    /// A search from the heads of the edges added to an acyclic set finds
+    /// a cycle exactly when the full search does, and reports the full
+    /// search's witness: random acyclic bases (edges forward in a random
+    /// order of the channels) plus random edges in any direction.
+    #[test]
+    fn a_search_from_gained_heads_is_the_full_search() {
+        let mut rng = fabric::rng::Rng::seed_from_u64(37);
+        let (mut cyclic, mut acyclic) = (0, 0);
+        for _ in 0..2000 {
+            let n = rng.range(2usize..24);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut order);
+            let mut edges = EdgeSet::over(DepSlots::complete(n));
+            for _ in 0..rng.range(0..3 * n) {
+                let (i, j) = (rng.range(0..n), rng.range(0..n));
+                if i < j {
+                    edges.insert(order[i], order[j]);
+                }
+            }
+            assert!(edges.find_cycle().is_none(), "the base is acyclic");
+            let mut heads = Vec::new();
+            for _ in 0..rng.range(0..4usize) {
+                let (a, b) = (rng.range(0..n as u32), rng.range(0..n as u32));
+                edges.insert(a, b);
+                heads.push(b);
+            }
+            let full = edges.find_cycle();
+            assert_eq!(edges.find_cycle_from(&heads), full, "heads {heads:?}");
+            match full {
+                Some(_) => cyclic += 1,
+                None => acyclic += 1,
+            }
+        }
+        assert!(
+            cyclic > 200 && acyclic > 200,
+            "{cyclic} cyclic, {acyclic} acyclic"
+        );
     }
 
     #[test]

@@ -461,6 +461,7 @@ fn counts(items: &[usize]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// Collects diagnostics during analysis, enforcing the per-code cap.
+#[derive(Clone, Default)]
 pub(crate) struct Emitter {
     pub diagnostics: Vec<Diagnostic>,
     pub counts: [usize; 7],

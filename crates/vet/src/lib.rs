@@ -33,7 +33,7 @@ mod walk;
 pub use cdg_lint::EdgeSet;
 pub use diag::{Diagnostic, LintCode, Report, Severity, Stats, Witness};
 pub use existence::{existence, Existence, ExistenceWitness};
-pub use walk::TableWalk;
+pub use walk::{Base, TableWalk};
 
 use fabric::{ChannelId, Network, Routes};
 
@@ -95,13 +95,30 @@ pub fn check(net: &Network, routes: &Routes) -> Report {
 /// artifact is judged on — the walk, the cycle search, the severity of
 /// a refutation for its layer count — is still decided here.
 pub fn check_with_verdict(net: &Network, routes: &Routes, verdict: &Existence) -> Report {
-    analyze_inner(net, routes, &Config::default(), None, Some(verdict), None)
+    recheck(None, net, routes, verdict).0
+}
+
+/// [`check_with_verdict`], walking from `base` (see [`rewalk_tables`])
+/// when there is one, and returning the walk beside the report: the
+/// base of the next check. The report is the one `check_with_verdict`
+/// makes.
+pub fn recheck(
+    base: Option<Base>,
+    net: &Network,
+    routes: &Routes,
+    verdict: &Existence,
+) -> (Report, TableWalk) {
+    let cfg = Config::default();
+    let walked = walk::walk(net, routes, &cfg, None, base);
+    let report = analyze_inner(net, routes, &cfg, None, Some(verdict), &walked);
+    (report, walked)
 }
 
 /// Analyze `routes` against `net` with explicit settings.
 pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
     let verdict = cfg.check_existence.then(|| existence(net));
-    analyze_inner(net, routes, cfg, None, verdict.as_ref(), None)
+    let walked = walk::walk(net, routes, cfg, None, None);
+    analyze_inner(net, routes, cfg, None, verdict.as_ref(), &walked)
 }
 
 /// [`analyze_with`] restricted to a destination subset — the scoped
@@ -118,7 +135,8 @@ pub fn analyze_with(net: &Network, routes: &Routes, cfg: &Config) -> Report {
 /// heuristic is skipped (its denominators would be misleading).
 pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> Report {
     let verdict = cfg.check_existence.then(|| existence(net));
-    analyze_inner(net, routes, cfg, Some(dests), verdict.as_ref(), None)
+    let walked = walk::walk(net, routes, cfg, Some(dests), None);
+    analyze_inner(net, routes, cfg, Some(dests), verdict.as_ref(), &walked)
 }
 
 /// Walk `routes`' tables on `net` once and return everything the walk
@@ -135,7 +153,20 @@ pub fn analyze_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Con
 /// [`fabric::HopTable`] per walk) are computed only when a check reads
 /// them: with `check_minimal` off, a clean artifact never pays for them.
 pub fn walk_tables(net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
-    walk::walk(net, routes, cfg, None)
+    walk::walk(net, routes, cfg, None, None)
+}
+
+/// [`walk_tables`] of `routes` on `net`, made from `base` — the walk of
+/// an earlier artifact, say the one this artifact replaces on a view
+/// before an event. The result is what `walk_tables(net, routes, cfg)`
+/// returns, field for field, but only the columns that differ from the
+/// base's under the [`fabric::degrade::ViewMap`] between the two
+/// networks are walked (out of the base on its network, into this walk
+/// on `net`); the others are carried over. When the base cannot be read
+/// on `net`, or more than half the columns differ, every column is
+/// walked, as `walk_tables` walks them. See DESIGN §8.
+pub fn rewalk_tables(base: Base, net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
+    walk::walk(net, routes, cfg, None, Some(base))
 }
 
 /// [`walk_tables`] toward the listed destination terminal indices only
@@ -143,7 +174,7 @@ pub fn walk_tables(net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
 /// the full walk learns about exactly those destinations, in
 /// O(|dests| · V).
 pub fn walk_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config) -> TableWalk {
-    walk::walk(net, routes, cfg, Some(dests))
+    walk::walk(net, routes, cfg, Some(dests), None)
 }
 
 /// Whether `routes` is sized for `net` (tables for a different network
@@ -152,18 +183,16 @@ fn shape_matches(net: &Network, routes: &Routes) -> bool {
     routes.num_nodes() == net.num_nodes() && routes.num_terminals() == net.num_terminals()
 }
 
-/// The one analysis; V007 is reported on `verdict` when there is one.
-/// `walked` is the walk of `routes` to judge, taken here when `None`.
+/// The one analysis of `walked`, the walk of `routes` on `net`; V007 is
+/// reported on `verdict` when there is one.
 fn analyze_inner(
     net: &Network,
     routes: &Routes,
     cfg: &Config,
     scope: Option<&[usize]>,
     verdict: Option<&Existence>,
-    walked: Option<TableWalk>,
+    walked: &TableWalk,
 ) -> Report {
-    let walked = walked.unwrap_or_else(|| walk::walk(net, routes, cfg, scope));
-    let cycles = walked.cyclic_layers();
     let mut stats = Stats {
         num_nodes: net.num_nodes(),
         num_switches: net.num_switches(),
@@ -175,12 +204,12 @@ fn analyze_inner(
         pairs_broken: walked.pairs_broken,
         pairs_unreachable: walked.pairs_unreachable,
         max_hops: walked.max_hops,
-        paths_per_layer: walked.paths_per_layer,
+        paths_per_layer: walked.paths_per_layer.clone(),
         edges_per_layer: walked.edges.iter().map(|e| e.len()).collect(),
-        broken_pairs: walked.broken_pairs,
+        broken_pairs: walked.broken_pairs.clone(),
         ..Stats::default()
     };
-    let mut em = walked.em;
+    let mut em = walked.em.clone();
     if !shape_matches(net, routes) {
         // The walk's one V003 says it all.
         return finish(net, routes, em, stats);
@@ -195,7 +224,7 @@ fn analyze_inner(
     let scoped = scope.map_or(String::new(), |dests| {
         format!(" (scoped to {} destination(s))", dests.len())
     });
-    for (layer, channels) in cycles {
+    for (layer, channels) in walked.cyclic_layers().iter().cloned() {
         stats.cyclic_layers.push(layer);
         em.emit(
             LintCode::CdgCycle,
@@ -333,7 +362,7 @@ fn report_existence(v007: &Existence, routes: &Routes, em: &mut diag::Emitter, s
 /// Pairs that do not walk cleanly contribute no edges; an artifact sized
 /// for a different network yields an empty vector.
 pub fn dependency_edges(net: &Network, routes: &Routes) -> Vec<EdgeSet> {
-    walk::walk(net, routes, &edges_only(), None).edges
+    walk::walk(net, routes, &edges_only(), None, None).edges
 }
 
 /// The walk behind [`dependency_edges`]: no minimality check (so no hop
@@ -358,7 +387,7 @@ fn edges_only() -> Config {
 pub fn union_cycles(net: &Network, artifacts: &[&Routes]) -> Vec<(u8, Vec<ChannelId>)> {
     let walks: Vec<TableWalk> = artifacts
         .iter()
-        .map(|r| walk::walk(net, r, &edges_only(), None))
+        .map(|r| walk::walk(net, r, &edges_only(), None, None))
         .collect();
     union_cycles_of(&walks.iter().collect::<Vec<_>>())
 }
@@ -827,6 +856,49 @@ mod tests {
         let walked = walk_tables(&other, &r, &quiet);
         assert_eq!((walked.num_errors(), walked.pairs), (1, 0));
         assert!(walked.edges.is_empty() && walked.broken.is_empty());
+    }
+
+    #[test]
+    fn a_rewalk_keeps_exact_counts() {
+        // t0 on s0, 300 terminals on s1: every path from t0 into s1 turns
+        // through (t0 → s0, s0 → s1), a count of 300. Moving 60 of those
+        // columns to layer 1 and back moves 60 of that count between the
+        // layers; each re-walk counts what a count of every column does.
+        let mut b = NetworkBuilder::new();
+        let (s0, s1) = (b.add_switch("s0", 2), b.add_switch("s1", 301));
+        b.link(s0, s1).unwrap();
+        let t0 = b.add_terminal("t0");
+        b.link(t0, s0).unwrap();
+        for i in 0..300 {
+            let t = b.add_terminal(format!("t{}", i + 1));
+            b.link(t, s1).unwrap();
+        }
+        let net = b.build();
+        // Both ends on two layers: one path into t0 rides layer 1.
+        let mut flat = bfs_routes(&net);
+        flat.set_layer(1, 0, 1);
+        flat.recompute_num_layers();
+        let mut moved = flat.clone();
+        for d in 1..=60 {
+            (0..net.num_terminals()).for_each(|s| moved.set_layer(s, d, 1));
+        }
+        let cfg = Config::default();
+        let mut base = walk_tables(&net, &flat, &cfg);
+        for (step, (from, to)) in [(&flat, &moved), (&moved, &flat), (&flat, &moved)]
+            .into_iter()
+            .enumerate()
+        {
+            let walked = rewalk_tables((&net, from, &base), &net, to, &cfg);
+            let fresh = walk_tables(&net, to, &cfg);
+            assert_eq!(walked.rewalked, Some((60, 60)), "step {step}");
+            assert!(walked.unbroken_edges == fresh.unbroken_edges, "step {step}");
+            assert_eq!(
+                walked.counts(&net, to),
+                fresh.counts(&net, to),
+                "step {step}"
+            );
+            base = walked;
+        }
     }
 
     #[test]

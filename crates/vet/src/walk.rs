@@ -14,7 +14,17 @@
 //! statistics, per-layer dependency edges, which destinations are
 //! broken, the findings), so a caller that needs several answers walks
 //! once and reads them all.
+//!
+//! A walk keeps each column's share of what it learned in a form it can
+//! subtract: how many unbroken columns depend on each dependency slot,
+//! and each clean column's tally. A later artifact on a changed view is
+//! then walked from it ([`crate::rewalk_tables`]): the columns that
+//! differ are walked out of the counts on the old network and into them
+//! on the new one, and every other column is carried over.
 
+use std::sync::OnceLock;
+
+use fabric::degrade::ViewMap;
 use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId, Routes};
 
 use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
@@ -27,6 +37,7 @@ const BROKEN: u8 = 3;
 /// Everything one destination-colored walk of an artifact learned (see
 /// [`crate::walk_tables`]). The pair counters mean what the fields of
 /// the same name in [`crate::Stats`] mean.
+#[derive(Default)]
 pub struct TableWalk {
     /// Virtual layers the artifact declares (`Routes::num_layers`).
     pub num_layers: u8,
@@ -55,11 +66,57 @@ pub struct TableWalk {
     /// Error-severity findings toward destinations that are not `broken`
     /// (V003 entries of the switch pass, V005 layers out of range).
     pub unbroken_errors: usize,
+    /// `None` for a walk of every column; `Some((out, in))` for a walk
+    /// made from a base ([`crate::rewalk_tables`]) that walked `out`
+    /// columns out of the base on its network and `in` into this walk.
+    pub rewalked: Option<(usize, usize)>,
     /// The walk's findings (V001–V003, V005 per-pair, V006).
     pub(crate) em: Emitter,
+    /// Whether V006 was checked: the one setting a clean column's
+    /// verdict depends on.
+    check_minimal: bool,
+    /// How many unbroken columns depend on each edge of `unbroken_edges`,
+    /// layer by layer in ascending slot order. A column's walk adds each
+    /// edge at most once, so its share subtracts exactly. A re-walk
+    /// counts as it goes; a walk of every column only adds edges, and is
+    /// counted on its first use as a base ([`Self::counts`]).
+    counts: OnceLock<Vec<u32>>,
+    /// Per destination terminal index: what a later walk can carry of it.
+    cols: Vec<Col>,
+    /// Per destination terminal index and layer (`dst_t * layers +
+    /// layer`): the column's routed paths on the layer.
+    col_paths: Vec<u32>,
+    /// Per layer: `Some(channels)` when every cycle of the layer's edges
+    /// runs through one of them (the heads of what the walk gained over
+    /// an acyclic base), `None` to search from every channel.
+    heads: Vec<Option<Vec<u32>>>,
+    /// [`Self::cyclic_layers`], searched on first use.
+    cyclic: OnceLock<Vec<(u8, Vec<ChannelId>)>>,
+}
+
+/// What a walk knows of one destination column.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Col {
+    /// Not in the counts: broken, or outside the walk's scope.
+    Uncounted,
+    /// In the counts, with findings: walked again by every re-walk.
+    Counted,
+    /// In the counts, no findings, every source routed; its longest path.
+    Clean(u32),
 }
 
 impl TableWalk {
+    /// A walk of nothing yet, sized for `routes`' layers under `cfg`.
+    pub(crate) fn empty(routes: &Routes, cfg: &Config) -> TableWalk {
+        TableWalk {
+            num_layers: routes.num_layers(),
+            em: Emitter::new(cfg.max_diagnostics_per_code),
+            check_minimal: cfg.check_minimal,
+            heads: vec![None; routes.num_layers() as usize],
+            ..TableWalk::default()
+        }
+    }
+
     /// Retained findings of the walk, in emission order (capped per code
     /// by [`Config::max_diagnostics_per_code`]).
     pub fn diagnostics(&self) -> &[Diagnostic] {
@@ -72,9 +129,29 @@ impl TableWalk {
     }
 
     /// Each layer whose dependency edges close a cycle, with a witness
-    /// (the V004 search, run on demand).
-    pub fn cyclic_layers(&self) -> Vec<(u8, Vec<ChannelId>)> {
-        crate::union_cycles_of(&[self])
+    /// (the V004 search, run on first use and kept). A re-walk from a
+    /// base whose layer was searched acyclic searches only from the heads
+    /// of the dependencies it gained; the witness is still the full
+    /// search's.
+    pub fn cyclic_layers(&self) -> &[(u8, Vec<ChannelId>)] {
+        self.cyclic.get_or_init(|| {
+            let layers = self.edges.iter().zip(&self.heads).enumerate();
+            let cycles = layers.filter_map(|(layer, (set, heads))| {
+                let cycle = match heads {
+                    Some(heads) => set.find_cycle_from(heads),
+                    None => set.find_cycle(),
+                };
+                cycle.map(|c| (layer as u8, c))
+            });
+            cycles.collect()
+        })
+    }
+
+    /// How [`Self::cyclic_layers`] will search: `None` once it has,
+    /// `Some(true)` when some layer is searched only from gained heads.
+    pub fn pending_search(&self) -> Option<bool> {
+        let gained = self.heads.iter().any(Option::is_some);
+        self.cyclic.get().is_none().then_some(gained)
     }
 }
 
@@ -109,12 +186,19 @@ thread_local! {
     pub(crate) static HOP_SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+/// An artifact already walked: its network, its tables and their walk.
+pub type Base<'a> = (&'a Network, &'a Routes, &'a TableWalk);
+
 /// Walk `routes`' tables on `net`, one destination column at a time.
 /// With `scope = Some(dests)` only the listed destination terminal
 /// indices are walked (each still against every source), so
 /// re-verifying an incrementally patched artifact costs O(scope · V)
 /// instead of O(T · V); out-of-range indices are ignored. `None` walks
 /// everything.
+///
+/// From a `base` (unscoped), the columns [`carry`] finds unchanged are
+/// carried over and only the others are walked; the result is the walk
+/// of every column.
 ///
 /// A column is classified first and reported second. [`settle`] gives
 /// every switch its table distance to the destination or marks it
@@ -134,22 +218,10 @@ pub(crate) fn walk(
     routes: &Routes,
     cfg: &Config,
     scope: Option<&[usize]>,
+    base: Option<Base>,
 ) -> TableWalk {
-    let mut res = TableWalk {
-        num_layers: routes.num_layers(),
-        pairs: 0,
-        pairs_routed: 0,
-        pairs_broken: 0,
-        pairs_unreachable: 0,
-        max_hops: 0,
-        paths_per_layer: Vec::new(),
-        edges: Vec::new(),
-        broken_pairs: Vec::new(),
-        broken: Vec::new(),
-        unbroken_edges: Vec::new(),
-        unbroken_errors: 0,
-        em: Emitter::new(cfg.max_diagnostics_per_code),
-    };
+    let nl = routes.num_layers() as usize;
+    let mut res = TableWalk::empty(routes, cfg);
     if !crate::shape_matches(net, routes) {
         res.em.emit(
             LintCode::InvalidNextHop,
@@ -171,13 +243,407 @@ pub(crate) fn walk(
         );
         return res;
     }
-    let (n, nl) = (net.num_nodes(), routes.num_layers() as usize);
-    let words = nl.div_ceil(64);
+    let nt = net.num_terminals();
+    let slots = DepSlots::of(net);
+    let mut counter = Counter::over(&slots, nl, false);
+    res.cols = vec![Col::Uncounted; nt];
+    res.col_paths = vec![0; nt * nl];
+    res.broken = vec![false; nt];
+    let changed = base.and_then(|base| carry(base, net, routes, &mut counter, &mut res));
+    // What a re-walk starts from: the base's edges it carried.
+    let carried = res.rewalked.map(|_| counter.sets.clone());
+    let dests: Vec<usize> = match (changed, scope) {
+        (Some(changed), _) => changed,
+        (None, None) => (0..nt).collect(),
+        (None, Some(dests)) => dests.iter().copied().filter(|&d| d < nt).collect(),
+    };
+    if let Some((_, walked_in)) = &mut res.rewalked {
+        *walked_in = dests.len();
+    }
+    let mut edges = vec![EdgeSet::over(slots.clone()); nl];
+    walk_in(net, routes, cfg, &dests, &mut counter, &mut res, &mut edges);
+    for (all, unbroken) in edges.iter_mut().zip(&counter.sets) {
+        all.absorb(unbroken);
+    }
+    // Every cycle the base's acyclic layer did not have runs through a
+    // dependency it did not carry over.
+    let layers = res
+        .heads
+        .iter_mut()
+        .zip(&edges)
+        .zip(carried.iter().flatten());
+    for ((heads, all), carried) in layers {
+        if let Some(heads) = heads {
+            heads.extend(all.slots_not_in(carried).map(|s| slots.ends(s).1));
+            heads.sort_unstable();
+            heads.dedup();
+        }
+    }
+    res.edges = edges;
+    if !counter.counts.is_empty() {
+        res.counts = OnceLock::from(counter.compact());
+    }
+    res.unbroken_edges = counter.sets;
     res.paths_per_layer = vec![0; nl];
-    // Broken destinations' edges until the last one is walked, then all.
-    res.edges = vec![EdgeSet::over(DepSlots::of(net)); nl];
-    res.unbroken_edges = res.edges.clone();
-    res.broken = vec![false; net.num_terminals()];
+    for column in res.col_paths.chunks(nl.max(1)) {
+        for (total, &n) in res.paths_per_layer.iter_mut().zip(column) {
+            *total += n as usize;
+        }
+    }
+    res
+}
+
+impl TableWalk {
+    /// The `counts` field, made on first use by a pass
+    /// over the dependencies of every counted column of `routes` on
+    /// `net`, the artifact this is the walk of.
+    pub(crate) fn counts(&self, net: &Network, routes: &Routes) -> &[u32] {
+        self.counts.get_or_init(|| {
+            let nl = self.num_layers as usize;
+            let mut counter = Counter::over(self.edges[0].slots(), nl, true);
+            let slots = counter.slots.clone();
+            let mut mask = vec![0u64; net.num_nodes() * nl.div_ceil(64)];
+            for d in (0..self.cols.len()).filter(|&d| self.cols[d] != Col::Uncounted) {
+                let ((next, layers), dst) = (routes.column(d), net.terminals()[d]);
+                let firsts = sources(net, next, layers, dst, nl);
+                chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
+                    counter.up(layer, slots.slot(c1, c2));
+                });
+            }
+            counter.compact()
+        })
+    }
+}
+
+/// The dependencies of a walk in the making: each layer's edge set and,
+/// when the walk counts, per layer and slot of its network (`layer *
+/// slots + slot`) how many columns depend on it — a byte each, the few
+/// counts past [`MANY`] kept aside, since a dense array of them is what a
+/// re-walk holds while it works.
+struct Counter {
+    slots: std::sync::Arc<DepSlots>,
+    /// Empty when the walk does not count.
+    counts: Vec<u8>,
+    /// The counts of the slots whose byte reads [`MANY`].
+    many: telemetry::fx::FxHashMap<usize, u32>,
+    sets: Vec<EdgeSet>,
+}
+
+/// A count byte that says "look in `many`".
+const MANY: u8 = u8::MAX;
+
+impl Counter {
+    fn over(slots: &std::sync::Arc<DepSlots>, layers: usize, counting: bool) -> Counter {
+        let mut counter = Counter {
+            slots: slots.clone(),
+            counts: Vec::new(),
+            many: Default::default(),
+            sets: vec![EdgeSet::over(slots.clone()); layers],
+        };
+        if counting {
+            counter.counts = vec![0; layers * slots.num_slots()];
+        }
+        counter
+    }
+
+    /// The count of flat index `at`.
+    fn get(&self, at: usize) -> u32 {
+        match self.counts[at] {
+            MANY => self.many[&at],
+            n => u32::from(n),
+        }
+    }
+
+    /// Set the count of `slot` of `layer`, which holds none, to `n > 0`.
+    fn set(&mut self, layer: usize, slot: usize, n: u32) {
+        let at = layer * self.slots.num_slots() + slot;
+        self.counts[at] = u8::try_from(n).unwrap_or(MANY);
+        if self.counts[at] == MANY {
+            self.many.insert(at, n);
+        }
+        self.sets[layer].insert_slot(slot);
+    }
+
+    /// One more on `slot` of `layer`.
+    #[inline(always)]
+    fn up(&mut self, layer: usize, slot: usize) {
+        let at = layer * self.slots.num_slots() + slot;
+        match self.counts[at] {
+            0 => {
+                self.counts[at] = 1;
+                self.sets[layer].insert_slot(slot);
+            }
+            MANY => *self.many.get_mut(&at).expect("kept aside") += 1,
+            n if n == MANY - 1 => {
+                self.counts[at] = MANY;
+                self.many.insert(at, u32::from(MANY));
+            }
+            n => self.counts[at] = n + 1,
+        }
+    }
+
+    /// One fewer on `slot` of `layer`.
+    fn down(&mut self, layer: usize, slot: usize) {
+        let at = layer * self.slots.num_slots() + slot;
+        let n = self.get(at) - 1;
+        if self.counts[at] == MANY {
+            self.many.remove(&at);
+        }
+        self.counts[at] = u8::try_from(n).unwrap_or(MANY);
+        match self.counts[at] {
+            MANY => drop(self.many.insert(at, n)),
+            0 => self.sets[layer].remove_slot(slot),
+            _ => {}
+        }
+    }
+
+    /// The counts of the held slots, layer by layer in slot order.
+    fn compact(&self) -> Vec<u32> {
+        let ns = self.slots.num_slots();
+        let held = self.sets.iter().enumerate();
+        held.flat_map(|(l, set)| set.slots_held().map(move |s| self.get(l * ns + s)))
+            .collect()
+    }
+}
+
+/// Start `res` — sized for `routes` on `net` — from `base`: compare
+/// every column of `routes` with the base's, read through the
+/// [`ViewMap`] between the two networks; move the base's counts onto
+/// `net`'s dependency slots through the channel map; walk the columns
+/// that differ out of them, on the base's network; and carry every other
+/// column's tally. Returns the columns left to walk, or `None` — nothing
+/// carried, the walk starts from nothing — when the base cannot be read on `net` or so many columns
+/// differ that walking them all is cheaper: more than half, or a quarter
+/// when the base has yet to be counted.
+///
+/// A column is carried only if the base walked it clean (routed from
+/// every source, no finding), the two rosters and layer counts agree,
+/// and its layers and its entries, translated, are equal: then every
+/// source follows the same path on the new view as on the old one, so
+/// its walk finds nothing and adds the same dependencies. With V006 on,
+/// one more thing can change: a distance to the destination can shrink.
+/// It cannot unless some added channel `a → b` has `hop(a) > hop(b) + 1`
+/// on the old view (removals only lengthen), so such a column is walked.
+fn carry(
+    (old_net, old, prev): Base,
+    net: &Network,
+    routes: &Routes,
+    counter: &mut Counter,
+    res: &mut TableWalk,
+) -> Option<Vec<usize>> {
+    let (nt, nl) = (net.num_terminals(), res.num_layers as usize);
+    let old_slots = prev.edges.first()?.slots().clone();
+    let agree = prev.cols.len() == nt
+        && prev.num_layers == res.num_layers
+        && prev.check_minimal == res.check_minimal
+        && crate::shape_matches(old_net, old)
+        && old_slots.num_channels() == old_net.num_channels();
+    if !agree {
+        return None;
+    }
+    // The cost model, in walks of every column: walking `c` columns out
+    // and in costs `2c / nt`, and counting a base that only added its
+    // edges costs about half a walk more. Past that, walk fresh.
+    let too_many = |c: usize| c * if prev.counts.get().is_some() { 2 } else { 4 } > nt;
+    // Layers first: where the paths were re-layered most columns differ
+    // there, and the compare ends before the view map is built.
+    let relayered: Vec<bool> = (0..nt)
+        .map(|d| old.column(d).1 != routes.column(d).1)
+        .collect();
+    if too_many(relayered.iter().filter(|&&r| r).count()) {
+        return None;
+    }
+    let map = ViewMap::between(old_net, net);
+    // Every node has an old twin of its own, and terminal `t` is the old
+    // terminal `t`.
+    let mut nodes = net.nodes().map(|(n, _)| n);
+    let twins = nodes.all(|n| map.old_node[n.idx()].is_some_and(|o| map.twin[o.idx()] == Some(n)));
+    let mut roster = net.terminals().iter().zip(old_net.terminals());
+    if !twins || !roster.all(|(&t, &o)| map.old_node[t.idx()] == Some(o)) {
+        return None;
+    }
+    // Old channel id to new, where the head corresponds too.
+    let trans: Vec<u32> = (old_net.channels().zip(&map.channel))
+        .map(|((_, ch), c)| match c {
+            Some(c) if map.old_node[net.channel(*c).dst.idx()] == Some(ch.dst) => c.0,
+            _ => NONE,
+        })
+        .collect();
+    let mut kept = vec![false; net.num_channels()];
+    for &c in trans.iter().filter(|&&c| c != NONE) {
+        kept[c as usize] = true;
+    }
+    let old_of = |n: NodeId| map.old_node[n.idx()].expect("every node has a twin");
+    let hops_from = |n| old_net.hops_from(old_of(n));
+    let added = net
+        .channels()
+        .filter(|(c, _)| res.check_minimal && !kept[c.idx()]);
+    let shortcuts: Vec<_> = added
+        .map(|(_, ch)| (hops_from(ch.src), hops_from(ch.dst)))
+        .collect();
+
+    let old_nodes: Vec<usize> = net.nodes().map(|(n, _)| old_of(n).idx()).collect();
+    let same = |d: usize| {
+        let ((old_next, _), (next, _)) = (old.column(d), routes.column(d));
+        !relayered[d]
+            && old_nodes
+                .iter()
+                .zip(next)
+                .all(|(&o, &c)| match old_next[o] {
+                    NONE => c == NONE,
+                    oc => trans.get(oc as usize).is_some_and(|&t| t == c && t != NONE),
+                })
+    };
+    let mut changed = Vec::new();
+    for d in 0..nt {
+        let od = old_net.terminals()[d].idx();
+        let shorter = || {
+            shortcuts
+                .iter()
+                .any(|(a, b)| a[od] > b[od].saturating_add(1))
+        };
+        if !matches!(prev.cols[d], Col::Clean(_)) || !same(d) || shorter() {
+            changed.push(d);
+            if too_many(changed.len()) {
+                return None;
+            }
+        }
+    }
+
+    // Across: the base's counts onto `net`'s slots. A dependency through
+    // a channel that is gone is the changed columns' alone, and so is
+    // left behind; every other stays two adjacent channels.
+    let slots = counter.slots.clone();
+    counter.counts = vec![0; nl * slots.num_slots()];
+    let slot_of = |old_slot: usize| {
+        let (c1, c2) = old_slots.ends(old_slot);
+        let (c1, c2) = (trans[c1 as usize], trans[c2 as usize]);
+        (c1 != NONE && c2 != NONE).then(|| slots.slot(c1, c2))
+    };
+    let mut counts = prev.counts(old_net, old).iter();
+    for (layer, set) in prev.unbroken_edges.iter().enumerate() {
+        for (old_slot, &n) in set.slots_held().zip(&mut counts) {
+            if let Some(slot) = slot_of(old_slot) {
+                counter.set(layer, slot, n);
+            }
+        }
+    }
+    // Out: the changed columns' share, walked on the base's network.
+    let mut mask = vec![0u64; old_net.num_nodes() * nl.div_ceil(64)];
+    let mut out = 0;
+    for &d in changed.iter().filter(|&&d| prev.cols[d] != Col::Uncounted) {
+        let (next, layers) = old.column(d);
+        let dst = old_net.terminals()[d];
+        let firsts = sources(old_net, next, layers, dst, nl);
+        chain(
+            old_net,
+            next,
+            dst,
+            firsts,
+            &mut mask,
+            nl,
+            |layer, c1, c2| {
+                if let Some(slot) = slot_of(old_slots.slot(c1, c2)) {
+                    counter.down(layer, slot);
+                }
+            },
+        );
+        out += 1;
+    }
+    // The carried columns' tallies: every source routed, nothing found.
+    let mut walk = changed.iter().copied().peekable();
+    for d in 0..nt {
+        if walk.next_if_eq(&d).is_some() {
+            continue;
+        }
+        let Col::Clean(max_hops) = prev.cols[d] else {
+            unreachable!("a carried column is clean")
+        };
+        res.cols[d] = prev.cols[d];
+        res.col_paths[d * nl..][..nl].copy_from_slice(&prev.col_paths[d * nl..][..nl]);
+        res.pairs += nt - 1;
+        res.pairs_routed += nt - 1;
+        res.max_hops = res.max_hops.max(max_hops);
+    }
+    // Layers the base searched and found acyclic search from gained heads.
+    if let Some(cyclic) = prev.cyclic.get() {
+        for (layer, heads) in res.heads.iter_mut().enumerate() {
+            if !cyclic.iter().any(|&(l, _)| l as usize == layer) {
+                *heads = Some(Vec::new());
+            }
+        }
+    }
+    res.rewalked = Some((out, 0));
+    Some(changed)
+}
+
+/// Unset entry.
+const NONE: u32 = u32::MAX;
+
+/// Each terminal source's first channel and layer toward `dst`, for the
+/// sources whose layer exists: what [`chain`] starts from in a column
+/// every source walks cleanly.
+fn sources<'a>(
+    net: &'a Network,
+    next: &'a [u32],
+    layers: &'a [u8],
+    dst: NodeId,
+    nl: usize,
+) -> impl Iterator<Item = (u32, u8)> + 'a {
+    let terminals = net.terminals().iter().zip(layers);
+    terminals
+        .filter(move |&(&src, &layer)| src != dst && (layer as usize) < nl)
+        .map(|(&src, &layer)| (next[src.idx()], layer))
+}
+
+/// Dependency edges of one column: each routed source's path is followed
+/// from its first channel until a node already carrying its layer's bit
+/// in `mask` (cleared here) — a chain shared by many sources of one layer
+/// is traversed a single time, so `dep(layer, c1, c2)` sees each
+/// dependency of the column at most once.
+#[inline(always)]
+fn chain(
+    net: &Network,
+    next: &[u32],
+    dst: NodeId,
+    firsts: impl Iterator<Item = (u32, u8)>,
+    mask: &mut [u64],
+    nl: usize,
+    mut dep: impl FnMut(usize, u32, u32),
+) {
+    let words = nl.div_ceil(64);
+    mask.fill(0);
+    for (mut prev, layer) in firsts {
+        let (layer, word, bit) = (layer as usize, layer as usize / 64, 1 << (layer % 64));
+        let mut at = net.channel(ChannelId(prev)).dst;
+        while at != dst {
+            let c = next[at.idx()];
+            dep(layer, prev, c);
+            let seen = &mut mask[at.idx() * words + word];
+            if *seen & bit != 0 {
+                break;
+            }
+            *seen |= bit;
+            prev = c;
+            at = net.channel(ChannelId(c)).dst;
+        }
+    }
+}
+
+/// The column kernel over `dests`, ascending: classify and report each
+/// column, tally it into `res`, and add its dependencies — a broken
+/// column's to `broken_edges`, any other's to `counter`.
+fn walk_in(
+    net: &Network,
+    routes: &Routes,
+    cfg: &Config,
+    dests: &[usize],
+    counter: &mut Counter,
+    res: &mut TableWalk,
+    broken_edges: &mut [EdgeSet],
+) {
+    let (n, nl) = (net.num_nodes(), res.num_layers as usize);
+    let slots = counter.slots.clone();
     let em = &mut res.em;
     let mut hops = LazyHops {
         net,
@@ -187,31 +653,25 @@ pub(crate) fn walk(
     };
 
     // Reused across destinations: `dist` is the classification, `state`
-    // the report state, `mask` a layer bit set per node (in `words`
-    // words), `firsts` each routed source's first channel and layer.
+    // the report state, `mask` a layer bit set per node, `firsts` each
+    // routed source's first channel and layer.
     let mut dist = vec![UNSEEN; n];
     let mut state = vec![UNVISITED; n];
-    let mut mask = vec![0u64; n * words];
+    let mut mask = vec![0u64; n * nl.div_ceil(64)];
     let mut stack: Vec<NodeId> = Vec::new();
     let mut firsts: Vec<(u32, u8)> = Vec::new();
 
-    let dest_list: Vec<usize> = match scope {
-        None => (0..net.num_terminals()).collect(),
-        Some(dests) => dests
-            .iter()
-            .copied()
-            .filter(|&d| d < net.num_terminals())
-            .collect(),
-    };
-    for dst_t in dest_list {
+    for &dst_t in dests {
         let dst = net.terminals()[dst_t];
         let (next, layers) = routes.column(dst_t);
         settle(net, next, dst, &mut dist, &mut stack);
-        mask.fill(0);
         state.fill(UNVISITED);
         hops.dst = dst;
         hops.row.clear();
         let errors_before = em.severity_counts[Severity::Error.index()];
+        let found_before: usize = em.severity_counts.iter().sum();
+        let mut max_hops = 0;
+        let paths = &mut res.col_paths[dst_t * nl..][..nl];
 
         // Terminal sources first (broken walks here are reachable-pair
         // errors), then leftover switches (latent findings, warnings).
@@ -238,7 +698,7 @@ pub(crate) fn walk(
                 continue;
             };
             res.pairs_routed += 1;
-            res.max_hops = res.max_hops.max(routed);
+            max_hops = max_hops.max(routed);
             let minimal = cfg.check_minimal.then(|| hops.get()[src.idx()]);
             if let Some(minimal) = minimal.filter(|&m| m != u32::MAX && routed > m) {
                 em.emit(
@@ -259,7 +719,7 @@ pub(crate) fn walk(
             }
             let layer = layers[src_t];
             if (layer as usize) < nl {
-                res.paths_per_layer[layer as usize] += 1;
+                paths[layer as usize] += 1;
                 firsts.push((next[src.idx()], layer));
             } else {
                 em.emit(
@@ -281,37 +741,34 @@ pub(crate) fn walk(
                 fail(&stack, &mut state);
             }
         }
+        res.max_hops = res.max_hops.max(max_hops);
 
-        let edges = if res.broken[dst_t] {
-            &mut res.edges
+        let firsts = firsts.drain(..);
+        if res.broken[dst_t] {
+            res.cols[dst_t] = Col::Uncounted;
+            chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
+                broken_edges[layer].insert(c1, c2);
+            });
+            continue;
+        }
+        res.unbroken_errors += em.severity_counts[Severity::Error.index()] - errors_before;
+        let found = em.severity_counts.iter().sum::<usize>() > found_before;
+        res.cols[dst_t] = if found {
+            Col::Counted
         } else {
-            res.unbroken_errors += em.severity_counts[Severity::Error.index()] - errors_before;
-            &mut res.unbroken_edges
+            Col::Clean(max_hops)
         };
-        // Dependency edges: each routed source's path is followed from
-        // its first channel until a node already carrying its layer's bit
-        // — a chain shared by many sources of one layer is traversed a
-        // single time.
-        for (mut prev, layer) in firsts.drain(..) {
-            let (layer, word, bit) = (layer as usize, layer as usize / 64, 1 << (layer % 64));
-            let mut at = net.channel(ChannelId(prev)).dst;
-            while at != dst {
-                let c = next[at.idx()];
-                edges[layer].insert(prev, c);
-                let seen = &mut mask[at.idx() * words + word];
-                if *seen & bit != 0 {
-                    break;
-                }
-                *seen |= bit;
-                prev = c;
-                at = net.channel(ChannelId(c)).dst;
-            }
+        if counter.counts.is_empty() {
+            let sets = &mut counter.sets;
+            chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
+                sets[layer].insert_slot(slots.slot(c1, c2));
+            });
+        } else {
+            chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
+                counter.up(layer, slots.slot(c1, c2));
+            });
         }
     }
-    for (all, unbroken) in res.edges.iter_mut().zip(&res.unbroken_edges) {
-        all.absorb(unbroken);
-    }
-    res
 }
 
 /// `dist` sentinels above every table distance.

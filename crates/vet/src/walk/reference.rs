@@ -22,21 +22,7 @@ pub(crate) fn walk(
 ) -> TableWalk {
     let n = net.num_nodes();
     let nl = routes.num_layers() as usize;
-    let mut res = TableWalk {
-        num_layers: routes.num_layers(),
-        pairs: 0,
-        pairs_routed: 0,
-        pairs_broken: 0,
-        pairs_unreachable: 0,
-        max_hops: 0,
-        paths_per_layer: Vec::new(),
-        edges: Vec::new(),
-        broken_pairs: Vec::new(),
-        broken: Vec::new(),
-        unbroken_edges: Vec::new(),
-        unbroken_errors: 0,
-        em: Emitter::new(cfg.max_diagnostics_per_code),
-    };
+    let mut res = TableWalk::empty(routes, cfg);
     if !crate::shape_matches(net, routes) {
         res.em.emit(
             LintCode::InvalidNextHop,
@@ -551,11 +537,11 @@ fn assert_walks_agree(
     let start = searches();
     let want = walk(net, r, cfg, scope);
     let mid = searches();
-    let got = super::walk(net, r, cfg, scope);
+    let got = super::walk(net, r, cfg, scope, None);
     assert_eq!(searches() - mid, mid - start, "{what}: hop rows derived");
     assert_same(&got, &want, what);
-    let report = crate::analyze_inner(net, r, cfg, scope, None, Some(want));
-    let analysed = crate::analyze_inner(net, r, cfg, scope, None, None);
+    let report = crate::analyze_inner(net, r, cfg, scope, None, &want);
+    let analysed = crate::analyze_inner(net, r, cfg, scope, None, &got);
     assert_eq!(
         format!("{analysed:?}"),
         format!("{report:?}"),

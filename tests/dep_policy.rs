@@ -387,9 +387,21 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// one in `delta`, which judges a restored channel's tie against the
 /// tree's cached parent (a shorter channel index and a redundant roster
 /// comparison paid for the rest of that check).
+///
+/// Walking only what changed raised it 19 215 → 19 651, almost all in
+/// `vet` (+395). A walk now keeps what a later walk needs to carry a
+/// column over: per-edge counts, each column's tally and the cycle
+/// verdict. `vet::rewalk_tables` compares two artifacts under a view
+/// map, moves the counts across, walks the changed columns out and in,
+/// and counts a base on first use. The cycle search runs from gained
+/// heads. `fabric::degrade::ViewMap` (+37) is the node and channel
+/// matching `remap_routes` did inline, now shared. `subnet` (−2) and
+/// `serve` (+6) keep their walks: the deleted `transition::Walked` paid
+/// for the loop's kept walk and the old end's base. ROADMAP item 2's
+/// deletions are where this is paid back.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_215;
+    const CEILING: usize = 19_651;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");
