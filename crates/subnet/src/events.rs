@@ -30,17 +30,17 @@
 //!
 //! The primary engine additionally runs inside the [`crate::armor`]
 //! containment: a panicking engine is caught ([`SmError::EnginePanicked`])
-//! and retried a bounded number of times with deterministic jittered
-//! backoff before the fallback rung fires, and a [`CircuitBreaker`]
-//! skips a repeatedly crashing primary entirely until a cooldown probe
-//! succeeds. The loop itself never unwinds: a handled batch runs
-//! contained as a whole, and any error rolls its down-set change back.
+//! and retried at once, a bounded number of times, before the fallback
+//! rung fires, and a [`CircuitBreaker`] skips a repeatedly crashing
+//! primary entirely until a cooldown probe succeeds. The loop itself
+//! never unwinds: a handled batch runs contained as a whole, and any
+//! error rolls its down-set change back.
 //!
 //! Every successful reroute also emits a [`UpdatePlan`] describing how
 //! to push the new tables without a deadlock-capable update window (see
 //! [`crate::transition`]).
 
-use crate::armor::{contain, BreakerState, CircuitBreaker, RetryPolicy};
+use crate::armor::{contain, BreakerState, CircuitBreaker};
 use crate::lft::LftDiff;
 use crate::manager::{ProgrammedFabric, SmError, SubnetManager};
 use crate::transition::{self, Artifact, UpdatePlan};
@@ -159,7 +159,7 @@ impl EventOutcome {
 
 /// What rungs 2 and 3 of the ladder read and change: the SM, whose
 /// engine a widening reconfigures, the fallback, the panic breaker and
-/// the retry policy. A field of its own, so that a reroute climbs it
+/// the retry count. A field of its own, so that a reroute climbs it
 /// while the previous epoch is read beside it.
 struct Ladder<E> {
     sm: SubnetManager<E>,
@@ -169,8 +169,9 @@ struct Ladder<E> {
     fallback: Option<Box<dyn RoutingEngine + Send>>,
     /// Panic breaker over the primary engine.
     breaker: CircuitBreaker,
-    /// Retry policy for contained primary-engine panics.
-    retry: RetryPolicy,
+    /// Retries of a contained primary-engine panic before the fallback
+    /// rung fires.
+    max_retries: usize,
 }
 
 /// A running subnet manager with its current view of the fabric.
@@ -186,8 +187,9 @@ pub struct SmLoop<E> {
     net: Network,
     current: ProgrammedFabric,
     /// The deploy guard's walk of `current`'s routing on `net` (`None`
-    /// with the guard off): the next event's guard and old end walk from
-    /// it, so only the columns an event changes are walked.
+    /// before bring-up and after a failed event): the next event's guard
+    /// and old end walk from it, so only the columns an event changes
+    /// are walked.
     walk: Option<vet::TableWalk>,
     /// Optional hook consulted before the loop's own planner (see
     /// [`transition::DiffPlanProvider`]); `None` answers fall through to
@@ -238,7 +240,7 @@ impl<E: RoutingEngine> SmLoop<E> {
                 sm: SubnetManager::new(engine),
                 fallback: Some(Box::new(UpDown::new())),
                 breaker: CircuitBreaker::default(),
-                retry: RetryPolicy::default(),
+                max_retries: 2,
             },
             reference: net.clone(),
             down_cables: FxHashSet::default(),
@@ -288,14 +290,15 @@ impl<E: RoutingEngine> SmLoop<E> {
         &self.ladder.breaker
     }
 
-    /// Replace the retry policy for contained engine panics.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.ladder.retry = retry;
+    /// Set how many times a contained engine panic is retried before
+    /// the fallback rung fires (0 disables retrying).
+    pub fn set_max_retries(&mut self, max_retries: usize) {
+        self.ladder.max_retries = max_retries;
     }
 
-    /// The retry policy for contained engine panics.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.ladder.retry
+    /// How many times a contained engine panic is retried (default 2).
+    pub fn max_retries(&self) -> usize {
+        self.ladder.max_retries
     }
 
     /// Attach a telemetry sink. The loop reports per-reroute latency and
@@ -590,7 +593,7 @@ impl<E: RoutingEngine> SmLoop<E> {
                     .as_deref()
                     .and_then(|p| p.diff_plan(&view, old, &fabric.routes, hw_vls))
                     .unwrap_or_else(|| {
-                        let walks = (Some(old_walk), new_walk.as_ref());
+                        let walks = (Some(old_walk), Some(&new_walk));
                         transition::plan_walked(&view, Some(old), &fabric.routes, walks, hw_vls)
                     });
                 (
@@ -614,7 +617,7 @@ impl<E: RoutingEngine> SmLoop<E> {
         };
         self.net = view;
         self.current = fabric;
-        self.walk = new_walk;
+        self.walk = Some(new_walk);
         self.quarantined = quarantined;
         self.record(&outcome);
         Ok((outcome, gated))
@@ -633,15 +636,12 @@ impl<E: RoutingEngine> SmLoop<E> {
         rec.add(counters::EVENTS_COALESCED, outcome.coalesced as u64);
         for rung in &outcome.rungs {
             let counter = match rung {
-                Rung::Baseline => continue,
+                // `OverloadShed` is appended and counted by `serve::RouteServer`.
+                Rung::Baseline | Rung::OverloadShed { .. } => continue,
                 Rung::Quarantine { .. } => counters::RUNG_QUARANTINE,
                 Rung::WidenedVls { .. } => counters::RUNG_WIDENED_VLS,
                 Rung::Fallback { .. } => counters::RUNG_FALLBACK,
                 Rung::MultiLayerForced { .. } => counters::RUNG_MULTI_LAYER_FORCED,
-                // Appended downstream by the route server (the SM never
-                // sees it), which records it itself; counted here too in
-                // case an outcome is replayed through record().
-                Rung::OverloadShed { .. } => counters::RUNG_OVERLOAD_SHED,
             };
             rec.add(counter, 1);
         }
@@ -651,20 +651,20 @@ impl<E: RoutingEngine> SmLoop<E> {
 impl<E: RoutingEngine> Ladder<E> {
     /// Rungs 2 and 3 of the ladder on `view`: widen the VL budget, then
     /// fall back. Returns the deployed fabric, the guard's walk of its
-    /// routing (none with the guard off; the planner reads it), the
-    /// rungs that fired and the retries spent. Every guard walks from
-    /// `base`.
+    /// routing (the planner reads it), the rungs that fired and the
+    /// retries spent. Every guard walks from `base`.
     fn climb(
         &mut self,
         view: &Network,
         sm_node: NodeId,
         base: Option<vet::Base>,
         rec: &dyn Recorder,
-    ) -> Result<(ProgrammedFabric, Option<vet::TableWalk>, Vec<Rung>, usize), SmError> {
+    ) -> Result<(ProgrammedFabric, vet::TableWalk, Vec<Rung>, usize), SmError> {
         let mut rungs = Vec::new();
         // The primary engine runs contained (panics become typed errors,
-        // retried with bounded backoff) and behind the circuit breaker:
-        // while it is open, the loop serves straight from the fallback.
+        // retried up to `max_retries` times) and behind the circuit
+        // breaker: while it is open, the loop serves straight from the
+        // fallback.
         let mut on_fallback = false;
         let mut retries = 0usize;
         if self.fallback.is_some() {
@@ -701,10 +701,9 @@ impl<E: RoutingEngine> Ladder<E> {
                     if self.breaker.record_failure() {
                         rec.add(counters::BREAKER_OPENS, 1);
                     }
-                    if retries < self.retry.max_retries {
+                    if retries < self.max_retries {
                         retries += 1;
                         rec.add(counters::ENGINE_RETRIES, 1);
-                        self.retry.pause(retries);
                     } else if self.fallback.is_some() {
                         on_fallback = true;
                         rungs.push(Rung::Fallback {
@@ -904,42 +903,18 @@ mod tests {
         assert_eq!(sm.network().num_cables(), net.num_cables() - 1);
     }
 
-    /// `DfSssp` that, once armed, names a channel the fabric does not have
-    /// in terminal 0's own entry toward terminal 1: a row no LFT holds
-    /// (only switches have one), so with the guard off it deploys.
-    struct Garbling(DfSssp, std::sync::atomic::AtomicBool);
-
-    impl RoutingEngine for Garbling {
-        fn name(&self) -> &'static str {
-            "garbling"
-        }
-        fn route(&self, net: &Network) -> Result<fabric::Routes, RouteError> {
-            let mut routes = self.0.route(net)?;
-            if self.1.load(std::sync::atomic::Ordering::SeqCst) {
-                routes.set_next(net.terminals()[0], 1, ChannelId(u32::MAX - 1));
-            }
-            Ok(routes)
-        }
-        fn deadlock_free(&self) -> bool {
-            true
-        }
-    }
-
     #[test]
     fn a_remap_panic_beside_the_ladder_rolls_the_down_sets_back() {
         let net = fat_tree();
-        let engine = Garbling(DfSssp::new(), Default::default());
-        let mut sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).unwrap();
-        sm.ladder.sm.require_deadlock_free = false;
-        sm.ladder
-            .sm
-            .engine
-            .1
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let c = net.switch_cables()[0];
         sm.handle(FabricEvent::CableDown(c)).unwrap();
-        // The next event remaps those tables on the helper, beside the
-        // ladder: the panic resumes on the caller and is contained.
+        // Terminal 0's own entry toward terminal 1 names a channel the
+        // fabric does not have: a row no LFT holds (only switches have
+        // one). The next event remaps those tables on the helper, beside
+        // the ladder: the panic resumes on the caller and is contained.
+        let bad = ChannelId(u32::MAX - 1);
+        sm.current.routes.set_next(net.terminals()[0], 1, bad);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let err = sm.handle(FabricEvent::CableUp(c));
@@ -954,11 +929,6 @@ mod tests {
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
         // Without the bad entry the same event goes through.
         sm.current.routes.clear_next(net.terminals()[0], 1);
-        sm.ladder
-            .sm
-            .engine
-            .1
-            .store(false, std::sync::atomic::Ordering::SeqCst);
         assert!(sm.handle(FabricEvent::CableUp(c)).unwrap().rerouted);
         assert_eq!(sm.network().num_cables(), net.num_cables());
     }

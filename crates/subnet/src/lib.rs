@@ -21,8 +21,8 @@
 //! * [`chaos`] — a failure-campaign harness: seeded schedules of faults
 //!   and recoveries with per-event repair-cost accounting.
 //! * [`armor`] — panic containment for the serving path: `catch_unwind`
-//!   around every engine call, a circuit breaker over a crashing
-//!   primary, and deterministic bounded retry backoff.
+//!   around every engine call (a panic is retried a bounded number of
+//!   times) and a circuit breaker over a crashing primary.
 
 pub mod armor;
 pub mod chaos;
@@ -31,11 +31,9 @@ pub mod events;
 pub mod lft;
 pub mod lid;
 pub mod manager;
-/// The workspace's one `std`-or-model-checker switch over sync primitives.
-pub use weave::shim as sync;
 pub mod transition;
 
-pub use armor::{BreakerState, CircuitBreaker, RetryPolicy};
+pub use armor::{BreakerState, CircuitBreaker};
 pub use chaos::{
     run_campaign, run_campaign_recorded, schedule, Batch, CampaignReport, CampaignSpec, EventRecord,
 };

@@ -106,25 +106,21 @@ pub struct SubnetManager<E> {
     pub engine: E,
     /// Data VLs the hardware supports (8 on the paper's clusters).
     pub hardware_vls: usize,
-    /// Refuse to deploy a routing whose CDG has cycles (the guard rail
-    /// the paper argues every production fabric needs). Disable to
-    /// reproduce running plain SSSP/MinHop like Deimos did.
-    pub require_deadlock_free: bool,
 }
 
 impl<E: RoutingEngine> SubnetManager<E> {
-    /// A production-configured SM: 8 VLs, deadlock guard on.
+    /// A production-configured SM: 8 VLs.
     pub fn new(engine: E) -> Self {
         SubnetManager {
             engine,
             hardware_vls: 8,
-            require_deadlock_free: true,
         }
     }
 
     /// Full cycle: sweep from `sm_node`, assign LIDs, run the engine,
-    /// program tables, validate by walking the LFTs for every ordered
-    /// terminal pair.
+    /// refuse broken tables and cyclic layers (the guard rail the paper
+    /// argues every production fabric needs), program tables, validate by
+    /// walking the LFTs for every ordered terminal pair.
     pub fn run(&self, net: &Network, sm_node: NodeId) -> Result<ProgrammedFabric, SmError> {
         self.run_walked(&self.engine, net, sm_node, None, &telemetry::Noop)
             .map(|(fabric, _)| fabric)
@@ -132,11 +128,10 @@ impl<E: RoutingEngine> SubnetManager<E> {
 
     /// [`Self::run`] deploying `engine` instead of the configured one (a
     /// fallback engine goes through the same sweep/program/validate
-    /// cycle), also returning the guard's walk of the new routing
-    /// (`None` when the guard is off) and timing the guard and the LFT
-    /// validation as `sm_guard` / `sm_validate` on `rec`. The guard walks
-    /// from `base`, the guard's walk of the routing programmed before,
-    /// when there is one.
+    /// cycle), also returning the guard's walk of the new routing and
+    /// timing the guard and the LFT validation as `sm_guard` /
+    /// `sm_validate` on `rec`. The guard walks from `base`, the guard's
+    /// walk of the routing programmed before, when there is one.
     pub(crate) fn run_walked(
         &self,
         engine: &dyn RoutingEngine,
@@ -144,7 +139,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
         sm_node: NodeId,
         base: Option<vet::Base>,
         rec: &dyn Recorder,
-    ) -> Result<(ProgrammedFabric, Option<TableWalk>), SmError> {
+    ) -> Result<(ProgrammedFabric, TableWalk), SmError> {
         let discovery = discover(net, sm_node);
         if !discovery.complete(net) {
             return Err(SmError::PartialDiscovery {
@@ -159,11 +154,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
                 available: self.hardware_vls,
             });
         }
-        let walk = if self.require_deadlock_free {
-            Some(timed(rec, phases::SM_GUARD, || guard(base, net, &routes))?)
-        } else {
-            None
-        };
+        let walk = timed(rec, phases::SM_GUARD, || guard(base, net, &routes))?;
         let lids = LidMap::assign(net);
         let tables = FabricTables::program(net, &routes, &lids);
         let pairs_validated = timed(rec, phases::SM_VALIDATE, || tables.validate(net, &lids))
@@ -202,7 +193,6 @@ fn guard(base: Option<vet::Base>, net: &Network, routes: &Routes) -> Result<Tabl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baselines::MinHop;
     use dfsssp_core::{DfSssp, Sssp};
     use fabric::topo;
 
@@ -224,14 +214,6 @@ mod tests {
             Err(SmError::CyclicLayers(layers)) => assert_eq!(layers, vec![0]),
             other => panic!("expected cyclic-layer refusal, got {:?}", other.err()),
         }
-    }
-
-    #[test]
-    fn guard_can_be_disabled_like_real_deployments() {
-        let net = topo::ring(5, 1);
-        let mut sm = SubnetManager::new(MinHop::new());
-        sm.require_deadlock_free = false;
-        assert!(sm.run(&net, net.terminals()[0]).is_ok());
     }
 
     #[test]

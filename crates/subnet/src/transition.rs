@@ -864,8 +864,8 @@ mod tests {
         // split makes each layer's union close the cycle.
         let old = clockwise(&net, &[0, 0, 1, 1]);
         let new = clockwise(&net, &[1, 1, 0, 0]);
-        assert!(vet::analyze(&net, &old).clean());
-        assert!(vet::analyze(&net, &new).clean());
+        assert!(vet::check(&net, &old).clean());
+        assert!(vet::check(&net, &new).clean());
         assert!(!vet::union_cycles(&net, &[&old, &new]).is_empty());
 
         let plan = plan_update(&net, Some(&old), &new, 8);

@@ -1,5 +1,5 @@
 //! Diagnostic model: lint codes, severities, witnesses, and the report a
-//! [`crate::analyze`] run produces.
+//! [`crate::check`] run produces.
 
 use fabric::{ChannelId, NodeId};
 use telemetry::json;
@@ -304,7 +304,7 @@ impl Stats {
     pub const BROKEN_PAIR_SAMPLE: usize = 16;
 }
 
-/// The outcome of one [`crate::analyze`] run.
+/// The outcome of one [`crate::check`] run.
 #[derive(Clone, Debug)]
 pub struct Report {
     /// Engine name recorded in the routes artifact.

@@ -17,7 +17,7 @@
 //!
 //! The analysis is destination-centric: one colored walk of the next-hop
 //! function per destination classifies every node in O(V), instead of
-//! re-walking each of the O(V²) pairs. See [`analyze`] and [`Report`].
+//! re-walking each of the O(V²) pairs. See [`check`] and [`Report`].
 //!
 //! V001–V006 judge the artifact; V007 judges the *network* (see
 //! [`existence`] and the [`existence()`][fn@existence] decision
@@ -50,9 +50,6 @@ pub struct Config {
     /// Whether to emit V006 for non-minimal routes. Engines that are
     /// non-minimal by design (Up*/Down*) can switch it off.
     pub check_minimal: bool,
-    /// V005 imbalance warning threshold: fires when the most-populated
-    /// layer holds more than `imbalance_factor` times the mean.
-    pub imbalance_factor: f64,
     /// Retain at most this many diagnostics per lint code; the rest are
     /// counted but dropped (see [`Report::suppressed`]).
     pub max_diagnostics_per_code: usize,
@@ -70,19 +67,13 @@ impl Default for Config {
             hw_vls: None,
             deadlock_error: true,
             check_minimal: true,
-            imbalance_factor: 4.0,
             max_diagnostics_per_code: 25,
             check_existence: true,
         }
     }
 }
 
-/// Analyze `routes` against `net` with default settings.
-pub fn analyze(net: &Network, routes: &Routes) -> Report {
-    analyze_with(net, routes, &Config::default())
-}
-
-/// [`analyze`] under the name the workspace prelude exports (`use
+/// Analyze `routes` against `net` with default settings (`use
 /// dfsssp::prelude::*; vet::check(&net, &routes)`): [`check_with_verdict`]
 /// with the verdict decided here.
 pub fn check(net: &Network, routes: &Routes) -> Report {
@@ -254,10 +245,13 @@ fn analyze_inner(
             );
         }
     }
+    /// The imbalance warning fires when the most-populated layer holds
+    /// more than this many times the mean.
+    const IMBALANCE_FACTOR: f64 = 4.0;
     if scope.is_none() && stats.num_layers > 1 && stats.pairs_routed > 0 {
         let max = *stats.paths_per_layer.iter().max().unwrap_or(&0);
         let mean = stats.pairs_routed as f64 / stats.num_layers as f64;
-        if max as f64 > cfg.imbalance_factor * mean {
+        if max as f64 > IMBALANCE_FACTOR * mean {
             em.emit(
                 LintCode::VlOutOfRange,
                 Severity::Warning,
@@ -469,7 +463,7 @@ mod tests {
     #[test]
     fn clean_tables_produce_clean_report() {
         let net = line();
-        let report = analyze(&net, &bfs_routes(&net));
+        let report = check(&net, &bfs_routes(&net));
         assert!(
             report.clean(),
             "unexpected findings: {:?}",
@@ -490,7 +484,7 @@ mod tests {
         let mut r = bfs_routes(&net);
         let s0 = net.node_by_name("s0").unwrap();
         r.clear_next(s0, 1); // s0 no longer knows about t1
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert!(report.has(LintCode::MissingEntry));
         assert!(!report.clean());
         // t0 -> t1 is the broken pair; t2 -> t1 does not cross s0.
@@ -516,7 +510,7 @@ mod tests {
         b.link(t0, s0).unwrap();
         b.link(t1, s1).unwrap();
         let net = b.build();
-        let report = analyze(&net, &bfs_routes(&net));
+        let report = check(&net, &bfs_routes(&net));
         assert!(report.has(LintCode::MissingEntry));
         assert!(report.clean(), "{:?}", report.diagnostics);
         assert!(report.num_warnings() > 0);
@@ -532,7 +526,7 @@ mod tests {
         let s1 = net.node_by_name("s1").unwrap();
         // Route s1's traffic for t1 back to s0: s0 <-> s1 ping-pong.
         r.set_next(s1, 1, net.channel_between(s1, s0).unwrap());
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert!(report.has(LintCode::ForwardingLoop));
         let d = report
             .diagnostics_for(LintCode::ForwardingLoop)
@@ -558,7 +552,7 @@ mod tests {
         let mut r = bfs_routes(&net);
         let s0 = net.node_by_name("s0").unwrap();
         r.set_next(s0, 1, ChannelId(9999));
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert!(report.has(LintCode::InvalidNextHop));
         assert!(!report.clean());
     }
@@ -572,7 +566,7 @@ mod tests {
         let t1 = net.node_by_name("t1").unwrap();
         // A real channel, but it leaves s1, not s0.
         r.set_next(s0, 1, net.channel_between(s1, t1).unwrap());
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         let d = report
             .diagnostics_for(LintCode::InvalidNextHop)
             .next()
@@ -592,7 +586,7 @@ mod tests {
         b.link(t0, s0).unwrap();
         b.link(t1, s0).unwrap();
         let other = b.build();
-        let report = analyze(&other, &routes);
+        let report = check(&other, &routes);
         assert_eq!(report.count(LintCode::InvalidNextHop), 1);
         assert!(!report.clean());
         assert!(matches!(
@@ -635,7 +629,7 @@ mod tests {
         // ta -> a -> d -> c -> tc (4 hops) instead of ta -> a -> c -> tc.
         let tc_t = net.terminal_index(tc).unwrap();
         r.set_next(a, tc_t, net.channel_between(a, d).unwrap());
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert!(report.has(LintCode::NonMinimalPath));
         let diag = report
             .diagnostics_for(LintCode::NonMinimalPath)
@@ -689,7 +683,7 @@ mod tests {
                 }
             }
         }
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert!(report.has(LintCode::CdgCycle));
         assert!(!report.clean());
         assert_eq!(report.stats.cyclic_layers, vec![0]);
@@ -791,7 +785,7 @@ mod tests {
         assert_eq!(walked.broken, vec![false; 3]);
         assert_eq!((walked.num_errors(), walked.diagnostics().len()), (0, 0));
         assert!(walked.cyclic_layers().is_empty());
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         assert_eq!(searches(), before + 3, "V006 reads one BFS per destination");
         assert_eq!(walked.pairs_routed, report.stats.pairs_routed);
         assert_eq!(walked.edges, dependency_edges(&net, &r));
@@ -906,7 +900,7 @@ mod tests {
         let net = line();
         let mut r = bfs_routes(&net);
         r.clear_next(net.node_by_name("s0").unwrap(), 1);
-        let report = analyze(&net, &r);
+        let report = check(&net, &r);
         let human = report.render_human();
         assert!(human.contains("V002"));
         assert!(human.contains("summary:"));

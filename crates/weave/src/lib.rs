@@ -1,6 +1,7 @@
 //! `weave`: a first-party exhaustive model checker for the small lock-free
 //! cores in this workspace (`serve::Swap`, the query engine's coalescing
-//! cell, the worker park/wake handshake, `subnet`'s circuit breaker).
+//! cell, the worker park/wake handshake, the compute pool's steal/pop
+//! race).
 //!
 //! # Why not loom?
 //!

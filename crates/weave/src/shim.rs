@@ -1,6 +1,6 @@
 //! The synchronisation shim the workspace's concurrent cores import their
-//! primitives from (`dfsssp_core::sync`, `serve::sync` and `subnet::sync`
-//! are re-exports of this module).
+//! primitives from (`dfsssp_core::sync` and `serve::sync` are re-exports
+//! of this module).
 //!
 //! * Default build: straight re-exports of `std::sync` / `std::thread` /
 //!   `std::hint` — zero cost, identical semantics.

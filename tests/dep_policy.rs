@@ -399,9 +399,17 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// `serve` (+6) keep their walks: the deleted `transition::Walked` paid
 /// for the loop's kept walk and the old end's base. ROADMAP item 2's
 /// deletions are where this is paid back.
+///
+/// Cutting the subnet manager's armour to what runs lowered it 19 651 →
+/// 19 542. `subnet` (−105): the breaker is a plain `&mut self` state
+/// machine (the packed atomic word, its CAS loops and the `weave` shim
+/// went), the retry policy is a count (its backoff was computed and
+/// thrown away), and the deploy guard has no off switch. `vet` (−4):
+/// `analyze` was `check` under a second name, and the imbalance factor
+/// nobody set is a constant.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_651;
+    const CEILING: usize = 19_542;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");
@@ -454,7 +462,7 @@ fn names(text: &str, word: &str) -> bool {
 fn no_orphan_modules() {
     const USED_OTHERWISE: &[(&str, &str)] = &[(
         "weave::shim",
-        "re-exports only; serve, subnet and core import it as their `sync`",
+        "re-exports only; serve and core import it as their `sync`",
     )];
     let root = repo_root();
     let mut all = Vec::new();

@@ -253,7 +253,7 @@ fn dependency_edges_equal_a_per_pair_walk() {
             }
         }
         assert!(vet::dependency_edges(&other, &routes).is_empty());
-        let stats = vet::analyze(&net, &routes).stats;
+        let stats = vet::check(&net, &routes).stats;
         let sizes: Vec<usize> = per_pair_edges(&net, &routes)
             .iter()
             .map(|e| e.len())

@@ -83,7 +83,7 @@ fn every_artifact_passes_vet() {
                 report.diagnostics
             );
             if engine.deadlock_free() {
-                let strict = vet::analyze(&net, &routes);
+                let strict = vet::check(&net, &routes);
                 assert!(
                     strict.clean(),
                     "{} on {}: {:?}",

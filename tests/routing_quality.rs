@@ -112,5 +112,5 @@ fn dfsssp_degrades_gracefully() {
     // the strict default configuration.
     let routes = DfSssp::new().route(&degraded).unwrap();
     dfsssp::verify::verify_deadlock_free(&degraded, &routes).unwrap();
-    assert!(vet::analyze(&degraded, &routes).clean());
+    assert!(vet::check(&degraded, &routes).clean());
 }

@@ -19,8 +19,8 @@ use vet::{Existence, LintCode, Severity};
 
 /// The publish gate's report with V007 handed in, as the route server
 /// runs it, against the report that decides V007 itself — through
-/// `vet::check` and through `vet::analyze` — byte for byte. Returns the
-/// shared report's V007 findings.
+/// `vet::check` and through `vet::analyze_with` under the default
+/// `Config` — byte for byte. Returns the shared report's V007 findings.
 fn assert_the_verdict_shares(net: &Network, routes: &Routes, what: &str) -> Vec<Severity> {
     let shared = vet::check_with_verdict(net, routes, &vet::existence(net));
     assert_eq!(
@@ -30,7 +30,7 @@ fn assert_the_verdict_shares(net: &Network, routes: &Routes, what: &str) -> Vec<
     );
     assert_eq!(
         shared.to_json(),
-        vet::analyze(net, routes).to_json(),
+        vet::analyze_with(net, routes, &vet::Config::default()).to_json(),
         "{what}"
     );
     let v007 = shared.diagnostics_for(LintCode::DeadlockExistence);
@@ -170,7 +170,7 @@ fn staged_update_on_a_certified_fabric_is_clean_at_every_stage() {
 
     // Both endpoints of the window carry the certificate in their report.
     for artifact in [&stale, &fresh] {
-        let report = vet::analyze(&degraded, artifact);
+        let report = vet::check(&degraded, artifact);
         assert!(!report.has(LintCode::DeadlockExistence));
         assert!(
             report
@@ -192,7 +192,7 @@ fn refuted_fabric_condemns_single_layer_but_not_layered_artifacts() {
     // A single-layer routing on this fabric is impossible to make
     // deadlock-free — V007 is an *error* for it.
     let flat = Sssp::new().route(&net).unwrap();
-    let report = vet::analyze(&net, &flat);
+    let report = vet::check(&net, &flat);
     let diag = report
         .diagnostics_for(LintCode::DeadlockExistence)
         .next()
@@ -203,7 +203,7 @@ fn refuted_fabric_condemns_single_layer_but_not_layered_artifacts() {
     // warning citing that the layers are provably necessary.
     let layered = DfSssp::new().route(&net).unwrap();
     assert!(layered.num_layers() > 1, "the ring needs layers");
-    let report = vet::analyze(&net, &layered);
+    let report = vet::check(&net, &layered);
     let diag = report
         .diagnostics_for(LintCode::DeadlockExistence)
         .next()

@@ -15,7 +15,7 @@ fn rerouting_after_cable_failures_is_vet_clean() {
     assert!(removed > 0, "a torus has removable cables");
     assert!(degraded.is_strongly_connected());
     let routes = DfSssp::new().route(&degraded).unwrap();
-    let report = vet::analyze(&degraded, &routes);
+    let report = vet::check(&degraded, &routes);
     assert_eq!(
         report.num_errors(),
         0,
@@ -35,7 +35,7 @@ fn rerouting_after_switch_failure_is_vet_clean() {
     assert!(degraded.num_switches() < net.num_switches());
     assert!(degraded.is_strongly_connected());
     let routes = DfSssp::new().route(&degraded).unwrap();
-    let report = vet::analyze(&degraded, &routes);
+    let report = vet::check(&degraded, &routes);
     assert_eq!(report.num_errors(), 0, "{:?}", report.diagnostics);
 }
 
@@ -49,7 +49,7 @@ fn stale_tables_after_cable_failure_are_flagged() {
     let (degraded, removed) = fail_random_cables(&net, 4, 7);
     assert!(removed > 0);
     assert_eq!(degraded.num_nodes(), net.num_nodes());
-    let report = vet::analyze(&degraded, &routes);
+    let report = vet::check(&degraded, &routes);
     assert!(
         report.num_errors() > 0,
         "stale tables must not pass vet: {:?}",
@@ -67,7 +67,7 @@ fn stale_tables_after_switch_failure_are_a_shape_mismatch() {
     let net = topo::kary_ntree(4, 2);
     let routes = DfSssp::new().route(&net).unwrap();
     let degraded = fail_random_switch(&net, 3).expect("a spine switch can fail");
-    let report = vet::analyze(&degraded, &routes);
+    let report = vet::check(&degraded, &routes);
     assert_eq!(report.count(LintCode::InvalidNextHop), 1);
     assert!(report.num_errors() > 0);
     assert!(matches!(

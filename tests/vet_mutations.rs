@@ -65,7 +65,7 @@ fn dfsssp_is_vet_clean_on_every_generator() {
         nets.push((format!("realworld/{}", sys.name()), sys.build(0.1)));
     }
     for (name, net) in &nets {
-        let report = vet::analyze(net, &df(net));
+        let report = vet::check(net, &df(net));
         assert_eq!(
             report.num_errors(),
             0,
@@ -91,7 +91,7 @@ fn dfsssp_is_vet_clean_on_every_generator() {
 fn sssp_on_ring_yields_nonempty_chained_cycle_witness() {
     let net = topo::ring(5, 1);
     let routes = Sssp::new().route(&net).unwrap();
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     assert!(report.has(LintCode::CdgCycle));
     assert!(!report.clean(), "a cyclic CDG is an error by default");
     let d = report.diagnostics_for(LintCode::CdgCycle).next().unwrap();
@@ -123,7 +123,7 @@ fn dropping_a_used_entry_is_v002() {
     let (path, dst_t) = routed_path(&net, &routes, src, dst);
     let first_switch = net.channel(path[0]).dst;
     routes.clear_next(first_switch, dst_t);
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     assert!(report.has(LintCode::MissingEntry));
     assert!(report.num_errors() > 0, "a used entry is missing: error");
     assert!(report.stats.pairs_broken >= 1);
@@ -146,7 +146,7 @@ fn redirecting_into_a_ping_pong_is_v001() {
     let hop = net.channel(path[1]);
     let back = net.channel_between(hop.dst, hop.src).unwrap();
     routes.set_next(hop.dst, dst_t, back);
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     assert!(report.has(LintCode::ForwardingLoop));
     assert!(report.num_errors() > 0);
     let d = report
@@ -171,7 +171,7 @@ fn out_of_range_channel_is_v003() {
         dst_t,
         ChannelId(net.num_channels() as u32 + 7),
     );
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     assert!(report.has(LintCode::InvalidNextHop));
     assert!(report.num_errors() > 0);
 }
@@ -186,7 +186,7 @@ fn foreign_origin_channel_is_v003() {
     // A perfectly valid channel — that leaves the source terminal, not
     // this switch.
     routes.set_next(first_switch, dst_t, path[0]);
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     let d = report
         .diagnostics_for(LintCode::InvalidNextHop)
         .next()
@@ -200,7 +200,7 @@ fn stale_tables_for_another_network_are_a_single_v003() {
     let small = topo::ring(5, 1);
     let routes = df(&small);
     let big = topo::ring(6, 1);
-    let report = vet::analyze(&big, &routes);
+    let report = vet::check(&big, &routes);
     assert_eq!(report.count(LintCode::InvalidNextHop), 1);
     assert!(report.num_errors() > 0);
     assert!(matches!(
@@ -235,7 +235,7 @@ fn layer_overflow_and_imbalance_are_v005() {
     let mut routes = Sssp::new().route(&tree).unwrap();
     assert_eq!(routes.num_layers(), 1, "SSSP never adds layers");
     routes.set_layer(0, 1, 7);
-    let report = vet::analyze(&tree, &routes);
+    let report = vet::check(&tree, &routes);
     assert!(report.has(LintCode::VlOutOfRange));
     assert!(report.num_warnings() > 0);
     let d = report
@@ -254,7 +254,7 @@ fn detour_is_v006_with_stretch() {
     let (s, t) = (net.switches(), net.terminals());
     let long_way = net.channel_between(s[0], s[4]).unwrap();
     routes.set_next(s[0], 2, long_way);
-    let report = vet::analyze(&net, &routes);
+    let report = vet::check(&net, &routes);
     assert!(report.has(LintCode::NonMinimalPath));
     let d = report
         .diagnostics_for(LintCode::NonMinimalPath)
@@ -332,7 +332,7 @@ mod random_mutations {
     fn dfsssp_on_random_topologies_is_clean() {
         sweep(0..24, |c| {
             let net = small_random(c.draw("seed", 0u64..64));
-            let report = vet::analyze(&net, &df(&net));
+            let report = vet::check(&net, &df(&net));
             assert_eq!(report.num_errors(), 0);
             assert!(!report.has(LintCode::CdgCycle));
         });
@@ -346,7 +346,7 @@ mod random_mutations {
             let (src, dst) = pick_pair(&net, c.draw("pick", 0usize..10_000));
             let (path, dst_t) = routed_path(&net, &routes, src, dst);
             routes.clear_next(net.channel(path[0]).dst, dst_t);
-            let report = vet::analyze(&net, &routes);
+            let report = vet::check(&net, &routes);
             assert!(report.has(LintCode::MissingEntry));
             assert!(report.num_errors() > 0);
             assert!(report.stats.pairs_broken >= 1);
@@ -363,7 +363,7 @@ mod random_mutations {
             let (path, dst_t) = routed_path(&net, &routes, src, dst);
             let garbage = ChannelId((net.num_channels() + 1 + pick % 100) as u32);
             routes.set_next(net.channel(path[0]).dst, dst_t, garbage);
-            let report = vet::analyze(&net, &routes);
+            let report = vet::check(&net, &routes);
             assert!(report.has(LintCode::InvalidNextHop));
             assert!(report.num_errors() > 0);
         });
@@ -383,7 +383,7 @@ mod random_mutations {
             let hop = net.channel(path[1]);
             let back = net.channel_between(hop.dst, hop.src).unwrap();
             routes.set_next(hop.dst, dst_t, back);
-            let report = vet::analyze(&net, &routes);
+            let report = vet::check(&net, &routes);
             assert!(report.has(LintCode::ForwardingLoop));
             assert!(report.num_errors() > 0);
         });
@@ -438,7 +438,7 @@ mod random_mutations {
                 Some((net, routes, found))
             });
             routes.set_next(first_switch, dst_t, detour);
-            let report = vet::analyze(&net, &routes);
+            let report = vet::check(&net, &routes);
             assert!(report.has(LintCode::NonMinimalPath));
             assert_eq!(
                 report
