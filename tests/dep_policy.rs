@@ -407,9 +407,19 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// thrown away), and the deploy guard has no off switch. `vet` (−4):
 /// `analyze` was `check` under a second name, and the imbalance factor
 /// nobody set is a constant.
+///
+/// V007 at sweep cost raised it 19 542 → 19 657, all in `vet` (+115).
+/// The existence procedure now certifies a head two hops out in the
+/// same pass as one hop out, builds no forced-edge set past the walk
+/// budget, decides the one-way test off the cabling islands there
+/// (their strong connectivity, each terminal's two directions) and
+/// counts and covers pairs per island, and checks the up*/down* order
+/// turn by turn; the cycle search that check replaced moved into the
+/// test-gated reference module. ROADMAP item 2's deletions are where
+/// this is paid back.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_542;
+    const CEILING: usize = 19_657;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

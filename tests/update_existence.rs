@@ -14,8 +14,9 @@ mod common;
 use dfsssp::prelude::*;
 use fabric::degrade::fail_random_cables;
 use fabric::topo;
+use std::cell::Cell;
 use subnet::{plan_update, remap_routes};
-use vet::{Existence, LintCode, Severity};
+use vet::{Existence, ExistenceWitness, LintCode, Severity};
 
 /// The publish gate's report with V007 handed in, as the route server
 /// runs it, against the report that decides V007 itself — through
@@ -220,4 +221,29 @@ fn refuted_fabric_condemns_single_layer_but_not_layered_artifacts() {
     // bring-up (no old tables) plans direct and fully vetted.
     let plan = plan_update(&net, None, &layered, 8);
     assert!(plan.direct && plan.all_vetted());
+}
+
+/// V007's verdict census over the generator zoo: how many of 400 seeded
+/// `zoo_net` fabrics (pristine and degraded alike) V007 certifies,
+/// refutes by a one-way pair, refutes by a forced cycle, or leaves
+/// undecided. A change to the decision procedure's cost must leave every
+/// count where it is; EXPERIMENTS.md quotes the `Undecided` rate.
+#[test]
+fn the_verdict_census_over_the_zoo_is_pinned() {
+    let counts: [Cell<usize>; 4] = Default::default();
+    common::sweep(0..400, |c| {
+        let kind = match vet::existence(&common::zoo_net(c)) {
+            Existence::Exists { .. } => 0,
+            Existence::NotExists(ExistenceWitness::OneWayPair { .. }) => 1,
+            Existence::NotExists(ExistenceWitness::ForcedCycle { .. }) => 2,
+            Existence::Undecided { .. } => 3,
+        };
+        counts[kind].set(counts[kind].get() + 1);
+    });
+    let [exists, one_way, forced_cycle, undecided] = counts.map(Cell::into_inner);
+    assert_eq!(
+        (exists, one_way, forced_cycle, undecided),
+        (341, 0, 0, 59),
+        "Exists / OneWayPair / ForcedCycle / Undecided"
+    );
 }
