@@ -6,7 +6,7 @@
 //! charge each pair the congestion-shared bandwidth the fabric gives it.
 
 use crate::alloc::Allocation;
-use dfsssp_core::pool::map_stealing;
+use dfsssp_core::pool;
 use fabric::{Network, Routes};
 use orcs::report::Summary;
 use orcs::Pattern;
@@ -23,7 +23,7 @@ pub fn netgauge_ebb(
     link_mibs: f64,
     seed: u64,
 ) -> Result<Summary, fabric::RoutesError> {
-    let samples = map_stealing(partitions, |i| {
+    let samples = pool::map(partitions, |i| {
         let pattern = Pattern::random_bisection(cores, seed.wrapping_add(i as u64));
         let mapped = alloc.map_pattern(net, cores, &pattern);
         let bws = orcs::flow_bandwidths(net, routes, &mapped)?;

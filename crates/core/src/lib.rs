@@ -32,14 +32,10 @@ pub mod dfsssp;
 pub mod dijkstra;
 pub mod engine;
 pub mod heuristics;
-#[cfg(all(test, feature = "loom-tests"))]
-mod models;
 pub mod paths;
 pub mod pool;
 pub mod quality;
 pub mod sssp;
-/// The workspace's one `std`-or-model-checker switch over sync primitives.
-pub use weave::shim as sync;
 pub mod verify;
 pub mod wrapper;
 

@@ -1,80 +1,23 @@
-//! A small work-stealing pool for deterministic parallel sweeps.
+//! A small pool for deterministic parallel sweeps.
 //!
 //! Route computation itself is sequential (DESIGN.md §15). What fans out
 //! are the embarrassingly parallel sweeps around it — eBB patterns,
-//! Netgauge partitions, per-seed figure runs — with [`map_stealing`]:
-//! item `i`'s result lands in output slot `i`, so the merged output is
-//! *identical to the sequential map whatever the host's core count or
-//! the schedule* — determinism comes from the slot discipline, not from
-//! the schedule.
+//! Netgauge partitions, per-seed figure runs — with [`map`]: item `i`'s
+//! result lands in output slot `i`, so the merged output is *identical to
+//! the sequential map whatever the host's core count or the schedule* —
+//! determinism comes from the slot discipline, not from the schedule.
 //!
-//! Work distribution is deque-based: every worker is pre-loaded with a
-//! contiguous block of indices and walks it front-to-back (streaming
-//! through memory in index order); a worker whose own deque runs dry
-//! steals from the *back* of a victim's deque, taking the work farthest
-//! from where the victim is currently reading. Items are only ever
-//! removed after construction, so a full empty scan is a proof of
-//! completion — no condvar, no termination protocol.
-//!
-//! The deques live behind the [`crate::sync`] shim: under
-//! `--features loom-tests` the exact steal/pop protocol runs inside the
-//! [`weave`] model checker (`src/models.rs`).
+//! Every item is a whole simulation, so work is handed out one index at
+//! a time: the workers, the caller among them, claim the next index off
+//! one shared atomic cursor and keep their `(index, result)` pairs. A
+//! worker that drew cheap items simply claims more; items this coarse
+//! need no stealing to balance. The pairs go to their slots once the
+//! scope has joined every worker.
 //!
 //! [`join`] is the other shape: two different computations, one beside
 //! the other, for the subnet manager's event path (DESIGN.md §15).
 
-use crate::sync::Mutex;
-use std::collections::VecDeque;
-
-/// The index deques of one work-stealing run: worker `w` owns deque `w`,
-/// pre-filled with a contiguous block of `0..n` in ascending order.
-///
-/// Shared by reference across the workers of [`map_stealing`]; the
-/// interleaving models drive it directly. Every claim happens under one
-/// deque mutex, so each index is handed out exactly once.
-pub struct StealQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Split `0..n` into `workers` contiguous blocks, one deque each.
-    /// Block sizes differ by at most one.
-    pub fn new(n: usize, workers: usize) -> StealQueues {
-        let workers = workers.max(1);
-        let mut deques = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        for w in 0..workers {
-            // Even split: the first `n % workers` blocks get one extra.
-            let len = n / workers + usize::from(w < n % workers);
-            deques.push(Mutex::new((start..start + len).collect()));
-            start += len;
-        }
-        debug_assert_eq!(start, n);
-        StealQueues { deques }
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// Claim the next index for worker `w`: the front of its own deque,
-    /// else one stolen from the back of the first non-empty victim.
-    /// `None` means every deque was empty — and since indices are never
-    /// re-added, none will ever appear again: the run is complete.
-    pub fn next(&self, w: usize) -> Option<usize> {
-        if let Some(i) = self.deques[w].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-        for k in 1..self.deques.len() {
-            let victim = (w + k) % self.deques.len();
-            if let Some(i) = self.deques[victim].lock().unwrap().pop_back() {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Map `f` over `0..n` on one worker per available core; `f(i)`'s result
 /// is placed in output slot `i`, so the returned vector equals the
@@ -85,7 +28,7 @@ impl StealQueues {
 /// caller's stack (networks, route tables) without `'static` bounds. On
 /// a one-core host or with `n <= 1` no threads are spawned at all and `f`
 /// runs inline, in order.
-pub fn map_stealing<O, F>(n: usize, f: F) -> Vec<O>
+pub fn map<O, F>(n: usize, f: F) -> Vec<O>
 where
     O: Send,
     F: Fn(usize) -> O + Sync,
@@ -94,7 +37,7 @@ where
     map_on(n, workers, f)
 }
 
-/// [`map_stealing`] at an explicit width.
+/// [`map`] at an explicit width: the caller and `workers - 1` helpers.
 fn map_on<O, F>(n: usize, workers: usize, f: F) -> Vec<O>
 where
     O: Send,
@@ -103,26 +46,30 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let queues = StealQueues::new(n, workers.min(n));
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..queues.workers() {
-            let (queues, slots, f) = (&queues, &slots, &f);
-            scope.spawn(move || {
-                while let Some(i) = queues.next(w) {
-                    let out = f(i);
-                    *slots[i].lock().unwrap() = Some(out);
-                }
-            });
+    let cursor = AtomicUsize::new(0);
+    // `fetch_add` hands each index to exactly one worker; the results
+    // travel back through `join`, so no ordering beyond the RMW is needed.
+    let claim = || {
+        std::iter::from_fn(|| Some(cursor.fetch_add(1, Ordering::Relaxed)))
+            .take_while(|&i| i < n)
+            .map(|i| (i, f(i)))
+            .collect::<Vec<_>>()
+    };
+    let parts = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(claim)).collect();
+        let mut parts = vec![claim()];
+        for helper in helpers {
+            parts.push(helper.join().expect("a sweep worker panicked"));
         }
+        parts
     });
+    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
+    for (i, out) in parts.into_iter().flatten() {
+        slots[i] = Some(out);
+    }
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every index claimed exactly once")
-        })
+        .map(|slot| slot.expect("every index claimed exactly once"))
         .collect()
 }
 
@@ -155,7 +102,6 @@ fn join_on<RA, RB: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn join_runs_each_arm_once_and_keeps_results_in_place() {
@@ -215,7 +161,7 @@ mod tests {
         for workers in [2, 3, 4, 7] {
             assert_eq!(map_on(100, workers, |i| i * i + 1), seq, "{workers}");
         }
-        assert_eq!(map_stealing(100, |i| i * i + 1), seq);
+        assert_eq!(map(100, |i| i * i + 1), seq);
     }
 
     #[test]
@@ -229,9 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_skewed_work() {
-        // Worker 0 owns the heavy front half; with 2 workers the other
-        // must steal to finish. The output stays slot-ordered.
+    fn skewed_work_keeps_slot_order() {
+        // The heavy items are the front half; whichever worker claims
+        // them, the output stays slot-ordered.
         let n = 64;
         let out = map_on(n, 2, |i| {
             if i < n / 2 {
@@ -243,16 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn queues_split_contiguously() {
-        let q = StealQueues::new(10, 3);
-        assert_eq!(q.workers(), 3);
-        // Blocks: [0..4), [4..7), [7..10).
-        let mut seen = Vec::new();
-        while let Some(i) = q.next(0) {
-            seen.push(i);
+    fn each_index_runs_exactly_once() {
+        let n = 10_000;
+        for workers in [2, 3, 8] {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = map_on(n, workers, |i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                i
+            });
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "width {workers}");
+            for (i, r) in runs.iter().enumerate() {
+                assert_eq!(r.load(Ordering::SeqCst), 1, "index {i} at width {workers}");
+            }
         }
-        assert_eq!(seen.len(), 10, "worker 0 drains everything when alone");
-        // Own block front-to-back first, then steals from victims' backs.
-        assert_eq!(&seen[..4], &[0, 1, 2, 3]);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::patterns::Pattern;
 use crate::report::Summary;
-use dfsssp_core::pool::map_stealing;
+use dfsssp_core::pool;
 use fabric::{Network, Routes, RoutesError};
 
 /// Per-flow relative bandwidths under `pattern`: every channel's
@@ -86,7 +86,7 @@ pub fn effective_bisection_bandwidth_recorded(
 ) -> Result<Summary, RoutesError> {
     let nt = net.num_terminals();
     let per_pattern = telemetry::timed(rec, telemetry::phases::EBB, || {
-        map_stealing(opts.patterns, |i| {
+        pool::map(opts.patterns, |i| {
             let pattern = Pattern::random_bisection(nt, opts.seed.wrapping_add(i as u64));
             let bws = flow_bandwidths(net, routes, &pattern)?;
             let mean = bws.iter().sum::<f64>() / bws.len().max(1) as f64;

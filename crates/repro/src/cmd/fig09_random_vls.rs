@@ -3,8 +3,7 @@
 //! LASH vs DFSSSP, min/avg/max over seeds.
 
 use baselines::Lash;
-use dfsssp_core::pool::map_stealing;
-use dfsssp_core::{DfSssp, EngineConfig};
+use dfsssp_core::{pool, DfSssp, EngineConfig};
 use fabric::topo::{random_topology, RandomTopoSpec};
 
 pub fn main() {
@@ -14,7 +13,7 @@ pub fn main() {
     let mut rows = Vec::new();
     for links in [130usize, 140, 150, 175, 200, 225, 250, 275, 300] {
         let spec = RandomTopoSpec::fig9(links);
-        let results = map_stealing(seeds, |seed| {
+        let results = pool::map(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let dfsssp = DfSssp {
                 config: EngineConfig::new().max_layers(64).balance(false),

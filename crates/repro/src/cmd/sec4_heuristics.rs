@@ -2,8 +2,7 @@
 //! (64 switches, 1024 terminals, 128 inter-switch links): layer counts
 //! per heuristic (paper: weakest 3-5, first-edge 4-8, heaviest 4-16).
 
-use dfsssp_core::pool::map_stealing;
-use dfsssp_core::{CycleBreakHeuristic, DfSssp, EngineConfig};
+use dfsssp_core::{pool, CycleBreakHeuristic, DfSssp, EngineConfig};
 use fabric::topo::{random_topology, RandomTopoSpec};
 
 pub fn main() {
@@ -13,7 +12,7 @@ pub fn main() {
     let spec = RandomTopoSpec::heuristic_study();
     let mut rows = Vec::new();
     for h in CycleBreakHeuristic::ALL {
-        let layers = map_stealing(seeds, |seed| {
+        let layers = pool::map(seeds, |seed| {
             let net = random_topology(&spec, seed as u64);
             let engine = DfSssp {
                 config: EngineConfig::new().max_layers(64).balance(false),

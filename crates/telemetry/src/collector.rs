@@ -51,12 +51,6 @@ impl Collector {
                 .collect::<BTreeMap<_, _>>(),
         }
     }
-
-    /// Drop everything recorded so far.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner = Inner::default();
-    }
 }
 
 impl Recorder for Collector {
@@ -127,13 +121,5 @@ mod tests {
             }
         });
         assert_eq!(c.snapshot().counters["n"], 4000);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let c = Collector::new();
-        c.add("n", 1);
-        c.reset();
-        assert!(c.snapshot().counters.is_empty());
     }
 }

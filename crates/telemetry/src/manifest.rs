@@ -7,11 +7,12 @@
 //! instrumentation evolves. Consumers must key on names, not positions
 //! (maps serialize ordered — `BTreeMap` — so diffs stay readable).
 //!
-//! Written with [`json::Writer`] and read back with [`json::parse`],
-//! the workspace's one JSON module.
+//! Written with [`json::Writer`], the workspace's one JSON module, and
+//! never read back by this workspace: the document is pinned by its
+//! golden test instead.
 
 use crate::hist::Hist;
-use crate::json::{self, Value};
+use crate::json;
 use std::collections::BTreeMap;
 
 /// Manifest schema identifier; bump only on breaking shape changes.
@@ -161,105 +162,6 @@ impl RunManifest {
         w.finish() + "\n"
     }
 
-    /// Parse a manifest back, verifying the schema version.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// [`RunManifest::from_json`] for an already-parsed [`Value`] (e.g.
-    /// a manifest embedded inside a larger document).
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("manifest: missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "schema mismatch: file says {schema:?}, this build expects {SCHEMA:?}"
-            ));
-        }
-        let binary = v
-            .get("binary")
-            .and_then(Value::as_str)
-            .ok_or("manifest: missing binary")?
-            .to_string();
-        let topology = match v.get("topology") {
-            None | Some(Value::Null) => None,
-            Some(t) => {
-                let dim = |name: &str| -> Result<usize, String> {
-                    t.get(name)
-                        .and_then(Value::as_u64)
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("manifest: bad topology.{name}"))
-                };
-                Some(TopologySummary {
-                    label: t
-                        .get("label")
-                        .and_then(Value::as_str)
-                        .ok_or("manifest: bad topology.label")?
-                        .to_string(),
-                    nodes: dim("nodes")?,
-                    switches: dim("switches")?,
-                    terminals: dim("terminals")?,
-                    channels: dim("channels")?,
-                })
-            }
-        };
-        let engine = match v.get("engine") {
-            None | Some(Value::Null) => None,
-            Some(e) => Some(e.as_str().ok_or("manifest: bad engine")?.to_string()),
-        };
-        let seed = match v.get("seed") {
-            None | Some(Value::Null) => None,
-            Some(s) => Some(s.as_u64().ok_or("manifest: bad seed")?),
-        };
-        let metrics = v.get("metrics").ok_or("manifest: missing metrics")?;
-        let mut snap = Snapshot::default();
-        if let Some(phases) = metrics.get("phases").and_then(Value::as_obj) {
-            for (name, p) in phases {
-                let stat = PhaseStat {
-                    nanos: p
-                        .get("nanos")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("manifest: bad phases.{name}.nanos"))?,
-                    count: p
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("manifest: bad phases.{name}.count"))?,
-                };
-                snap.phases.insert(name.clone(), stat);
-            }
-        } else {
-            return Err("manifest: missing metrics.phases".into());
-        }
-        if let Some(counters) = metrics.get("counters").and_then(Value::as_obj) {
-            for (name, c) in counters {
-                let n = c
-                    .as_u64()
-                    .ok_or_else(|| format!("manifest: bad counters.{name}"))?;
-                snap.counters.insert(name.clone(), n);
-            }
-        } else {
-            return Err("manifest: missing metrics.counters".into());
-        }
-        if let Some(hists) = metrics.get("histograms").and_then(Value::as_obj) {
-            for (name, h) in hists {
-                let hist = Hist::from_value(h).map_err(|e| format!("{name}: {e}"))?;
-                snap.histograms.insert(name.clone(), hist);
-            }
-        } else {
-            return Err("manifest: missing metrics.histograms".into());
-        }
-        Ok(RunManifest {
-            schema: schema.to_string(),
-            binary,
-            topology,
-            engine,
-            seed,
-            metrics: snap,
-        })
-    }
-
     /// Write to `path` as JSON.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
@@ -269,6 +171,7 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use crate::{Collector, Recorder};
 
     fn sample() -> RunManifest {
@@ -289,15 +192,69 @@ mod tests {
             .metrics(c.snapshot())
     }
 
+    /// `v`'s `key` as a string, or a panic naming the key.
+    fn str_at<'a>(v: &'a Value, key: &str) -> &'a str {
+        v.get(key)
+            .and_then(Value::as_str)
+            .unwrap_or_else(|| panic!("{key}"))
+    }
+
+    /// `v`'s `key` as a `u64`, or a panic naming the key.
+    fn u64_at(v: &Value, key: &str) -> u64 {
+        v.get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("{key}"))
+    }
+
     #[test]
     fn round_trips_through_json() {
         // Whatever the label says, and a seed no `f64` holds exactly.
+        let label = "a\tb\u{1}\"c\\";
         let mut m = sample().seed(u64::MAX);
-        m.topology.as_mut().unwrap().label = "a\tb\u{1}\"c\\".into();
+        m.topology.as_mut().unwrap().label = label.into();
         let text = m.to_json();
         assert!(text.contains("18446744073709551615"), "{text}");
-        let back = RunManifest::from_json(&text).unwrap();
-        assert_eq!(m, back);
+        let v = json::parse(&text).unwrap();
+        assert_eq!(str_at(&v, "schema"), SCHEMA);
+        assert_eq!(str_at(&v, "binary"), "test");
+        assert_eq!(str_at(&v, "engine"), "DFSSSP");
+        assert_eq!(u64_at(&v, "seed"), u64::MAX);
+        let t = v.get("topology").unwrap();
+        assert_eq!(str_at(t, "label"), label);
+        for (key, n) in [
+            ("nodes", 32),
+            ("switches", 16),
+            ("terminals", 16),
+            ("channels", 96),
+        ] {
+            assert_eq!(u64_at(t, key), n, "{key}");
+        }
+        let metrics = v.get("metrics").unwrap();
+        let sssp = metrics.get("phases").and_then(|p| p.get("sssp")).unwrap();
+        assert_eq!((u64_at(sssp, "nanos"), u64_at(sssp, "count")), (1_000, 1));
+        let counters = metrics.get("counters").unwrap();
+        assert_eq!(u64_at(counters, "paths_routed"), 72);
+        let hist = &m.metrics.histograms["path_length"];
+        let h = metrics
+            .get("histograms")
+            .and_then(|h| h.get("path_length"))
+            .unwrap();
+        for (key, n) in [
+            ("count", hist.count),
+            ("sum", hist.sum),
+            ("min", hist.min),
+            ("max", hist.max),
+        ] {
+            assert_eq!(u64_at(h, key), n, "{key}");
+        }
+        let buckets: Vec<u64> = h
+            .get("log2_buckets")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .map(|b| b.as_u64().unwrap())
+            .collect();
+        assert_eq!(buckets, hist.log2_buckets);
     }
 
     /// What `sample().to_json()` printed before the shared writer
@@ -340,16 +297,16 @@ mod tests {
         let text = m.to_json();
         assert!(text.contains("\"topology\": null"), "{text}");
         assert!(text.contains("\"seed\": null"), "{text}");
-        let back = RunManifest::from_json(&text).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let mut m = sample();
-        m.schema = "dfsssp-metrics/v0".into();
-        let err = RunManifest::from_json(&m.to_json()).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
+        let v = json::parse(&text).unwrap();
+        assert_eq!(str_at(&v, "binary"), "bare");
+        for key in ["topology", "engine", "seed"] {
+            assert_eq!(v.get(key), Some(&Value::Null), "{key}");
+        }
+        let metrics = v.get("metrics").unwrap();
+        for key in ["phases", "counters", "histograms"] {
+            let map = metrics.get(key).and_then(Value::as_obj);
+            assert!(map.is_some_and(|m| m.is_empty()), "{key}");
+        }
     }
 
     #[test]

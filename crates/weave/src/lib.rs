@@ -1,7 +1,6 @@
 //! `weave`: a first-party exhaustive model checker for the small lock-free
 //! cores in this workspace (`serve::Swap`, the query engine's coalescing
-//! cell, the worker park/wake handshake, the compute pool's steal/pop
-//! race).
+//! cell, the worker park/wake handshake).
 //!
 //! # Why not loom?
 //!

@@ -69,7 +69,10 @@
 //!
 //! // Snapshot -> versioned artifact (what `--metrics out.json` writes).
 //! let manifest = RunManifest::new("doc-test").engine("DFSSSP").metrics(snapshot);
-//! assert!(RunManifest::from_json(&manifest.to_json()).is_ok());
+//! let doc = dfsssp::telemetry::json::parse(&manifest.to_json()).unwrap();
+//! assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some(dfsssp::telemetry::SCHEMA));
+//! let phases = doc.get("metrics").and_then(|m| m.get("phases")).unwrap();
+//! assert!(phases.get("route_total").is_some());
 //! ```
 //!
 //! See `DESIGN.md` for the paper-to-module inventory and `EXPERIMENTS.md`

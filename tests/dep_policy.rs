@@ -162,8 +162,9 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Route compute is sequential. `ComputeOpts::threads` survives as a
 /// no-op only because `crates/perf/src/stack.rs` spells it, so nothing
 /// first-party may call it; and `crates/core` may not reach for the pool
-/// again — neither `map_stealing` nor `join` — which exists for the
-/// sweeps *around* routing and the event path's two overlapped links.
+/// again — no `pool::` path outside `pool.rs`, neither `map` nor `join` —
+/// which exists for the sweeps *around* routing and the event path's two
+/// overlapped links.
 #[test]
 fn compute_fan_out_stays_deleted() {
     let root = repo_root();
@@ -182,10 +183,9 @@ fn compute_fan_out_stays_deleted() {
         {
             violations.push(format!("{}: calls the `threads` no-op", rel.display()));
         }
-        if (text.contains("map_stealing") || text.contains("pool::join"))
+        if text.contains("pool::")
             && rel.starts_with("crates/core/src")
             && !rel.ends_with("pool.rs")
-            && !rel.ends_with("models.rs")
         {
             violations.push(format!("{}: core fans work over the pool", rel.display()));
         }
@@ -417,9 +417,18 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// turn by turn; the cycle search that check replaced moved into the
 /// test-gated reference module. ROADMAP item 2's deletions are where
 /// this is paid back.
+///
+/// Deleting what nothing in production raced or read lowered it 19 657 →
+/// 19 516. `core` (−32): the sweep pool's workers claim indices off one
+/// atomic cursor, so the per-worker stealing deques and the `weave` shim
+/// re-export went with their models. `telemetry` (−128): the run
+/// manifest is written and never read, so its reader and the
+/// histogram's went, and `Collector::reset` had no caller. `repro`
+/// (+19): `summary` computes the four comparisons it prints instead of
+/// claiming them.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_657;
+    const CEILING: usize = 19_516;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");
@@ -472,7 +481,7 @@ fn names(text: &str, word: &str) -> bool {
 fn no_orphan_modules() {
     const USED_OTHERWISE: &[(&str, &str)] = &[(
         "weave::shim",
-        "re-exports only; serve and core import it as their `sync`",
+        "re-exports only; serve imports it as its `sync`",
     )];
     let root = repo_root();
     let mut all = Vec::new();

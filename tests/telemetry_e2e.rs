@@ -65,8 +65,8 @@ fn collector_aggregates_across_runs() {
     assert_eq!(collector.snapshot().phases[phases::ROUTE_TOTAL].count, 2);
 }
 
-/// A manifest built from a real run survives the JSON round trip and
-/// keeps its v1 shape.
+/// A manifest built from a real run parses as JSON and carries every
+/// phase, counter and histogram of the snapshot it was built from.
 #[test]
 fn manifest_round_trips_from_a_real_run() {
     let net = dfsssp::topo::ring(6, 1);
@@ -75,15 +75,49 @@ fn manifest_round_trips_from_a_real_run() {
     Recorded::new(DfSssp::new().with_config(config), collector.clone())
         .route(&net)
         .unwrap();
+    let snap = collector.snapshot();
     let manifest = RunManifest::new("telemetry_e2e")
         .engine("DFSSSP")
         .seed(42)
-        .metrics(collector.snapshot());
-    let text = manifest.to_json();
-    let back = RunManifest::from_json(&text).unwrap();
-    assert_eq!(manifest, back);
-    assert_eq!(back.schema, telemetry::SCHEMA);
-    assert_eq!(back.seed, Some(42));
+        .metrics(snap.clone());
+    let v = telemetry::json::parse(&manifest.to_json()).unwrap();
+    let at = |path: &[&str]| {
+        path.iter()
+            .try_fold(&v, |v, key| v.get(key))
+            .unwrap_or_else(|| panic!("missing {path:?}"))
+    };
+    assert_eq!(at(&["schema"]).as_str(), Some(telemetry::SCHEMA));
+    assert_eq!(at(&["engine"]).as_str(), Some("DFSSSP"));
+    assert_eq!(at(&["seed"]).as_u64(), Some(42));
+    assert!(!snap.phases.is_empty() && !snap.counters.is_empty() && !snap.histograms.is_empty());
+    let metrics = |key| at(&["metrics", key]).as_obj().map(|m| m.len());
+    assert_eq!(metrics("phases"), Some(snap.phases.len()));
+    assert_eq!(metrics("counters"), Some(snap.counters.len()));
+    assert_eq!(metrics("histograms"), Some(snap.histograms.len()));
+    for (name, p) in &snap.phases {
+        let phase = at(&["metrics", "phases", name]);
+        assert_eq!(
+            phase.get("nanos").and_then(|n| n.as_u64()),
+            Some(p.nanos),
+            "{name}"
+        );
+        assert_eq!(
+            phase.get("count").and_then(|n| n.as_u64()),
+            Some(p.count),
+            "{name}"
+        );
+    }
+    for (name, &n) in &snap.counters {
+        assert_eq!(
+            at(&["metrics", "counters", name]).as_u64(),
+            Some(n),
+            "{name}"
+        );
+    }
+    for (name, h) in &snap.histograms {
+        let count = at(&["metrics", "histograms", name, "count"]).as_u64();
+        assert_eq!(count, Some(h.count), "{name}");
+    }
 }
 
 /// The recorded eBB sweep reports the same summary as the plain one and
