@@ -29,15 +29,18 @@ pub fn balance_layers(path_layer: &mut [u8], used: usize, available: usize) -> u
         group_base[i + 1] = group_base[i] + size;
     }
     debug_assert_eq!(group_base[used], available);
-    // Round-robin within each group.
-    let mut rr = vec![0usize; used];
+    // Round-robin within each group: a cursor per layer that wraps.
+    let mut next = group_base[..used].to_vec();
     let mut max_layer = 0usize;
     for l in path_layer.iter_mut() {
         let i = *l as usize;
         assert!(i < used, "path layer {i} out of range (used = {used})");
-        let size = group_base[i + 1] - group_base[i];
-        let new = group_base[i] + rr[i] % size;
-        rr[i] += 1;
+        let new = next[i];
+        next[i] = if new + 1 == group_base[i + 1] {
+            group_base[i]
+        } else {
+            new + 1
+        };
         *l = new as u8;
         max_layer = max_layer.max(new);
     }

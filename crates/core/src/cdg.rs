@@ -12,9 +12,10 @@
 //! 1. **How many paths induce each edge** — an edge lives while its count
 //!    is positive, and the heuristics weigh edges by it. *Which* paths
 //!    they are is not kept here: a layer knows no path, only the channel
-//!    sequences added to and removed from it, and the paths behind an
-//!    edge are read off the routing's destination trees when a cycle
-//!    break asks ([`crate::paths::TreePaths::paths_over`]).
+//!    sequences added to and removed from it, or the per-slot counts a
+//!    cycle break moves in bulk (`take`, `number`, `put`); the paths
+//!    behind an edge are read off the routing's destination trees when a
+//!    break asks ([`crate::paths::TreePaths::move_victims`]).
 //! 2. **A resumable cycle search** — Algorithm 2's efficiency hinges on
 //!    "the cycle search is resumed on the same place where the search
 //!    aborted". [`CycleSearch`] keeps its DFS stack across edge removals:
@@ -32,7 +33,7 @@ pub type EdgeId = u32;
 const NO_EDGE: EdgeId = u32::MAX;
 
 /// A CDG edge `from → to` (both are channel indices).
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
     /// Source channel index.
     pub from: u32,
@@ -51,6 +52,7 @@ pub struct Edge {
 /// order and `out[from]` lists them in that order; the cycle search, the
 /// heuristics' tie-breaks and therefore every layer assignment depend on
 /// both, which is why [`Cdg::of_counts`] is handed the order to number in.
+#[derive(Clone, PartialEq)]
 pub struct Cdg {
     slots: Arc<DepSlots>,
     /// Edge id per dependency slot, [`NO_EDGE`] until first recorded.
@@ -91,8 +93,8 @@ impl Cdg {
     pub fn of_counts(slots: Arc<DepSlots>, order: &[usize], counts: &[u32], paths: usize) -> Cdg {
         let mut cdg = Cdg::over(slots);
         for &slot in order {
-            let (from, to) = cdg.slots.ends(slot);
-            cdg.bump(from, to).count = counts[slot];
+            cdg.number(slot);
+            cdg.put(slot, counts[slot]);
         }
         cdg.live_paths = paths;
         cdg
@@ -124,19 +126,57 @@ impl Cdg {
         self.bump(from, to);
     }
 
-    /// One more live path on the edge `from → to`, created on first use.
-    fn bump(&mut self, from: u32, to: u32) -> &mut Edge {
-        debug_assert_ne!(from, to, "self-dependency");
-        let slot = self.slots.slot(from, to);
+    /// The dependency-slot index this layer's edges are addressed by.
+    pub(crate) fn slots(&self) -> &Arc<DepSlots> {
+        &self.slots
+    }
+
+    /// Whether dependency `slot` has an edge id, live or dead.
+    pub(crate) fn numbered(&self, slot: usize) -> bool {
+        self.edge_of_slot[slot] != NO_EDGE
+    }
+
+    /// Give dependency `slot` the next edge id, with no path on it, unless
+    /// it has one: the id order, and the `out` order, are the order of
+    /// the calls that number.
+    pub(crate) fn number(&mut self, slot: usize) {
         if self.edge_of_slot[slot] == NO_EDGE {
+            let (from, to) = self.slots.ends(slot);
+            debug_assert_ne!(from, to, "self-dependency");
             self.edge_of_slot[slot] = self.edges.len() as EdgeId;
             self.out[from as usize].push(self.edge_of_slot[slot]);
             self.edges.push(Edge { from, to, count: 0 });
         }
+    }
+
+    /// `n` more live paths on the (numbered) edge at `slot`.
+    pub(crate) fn put(&mut self, slot: usize, n: u32) {
         let edge = &mut self.edges[self.edge_of_slot[slot] as usize];
-        self.live_edges += usize::from(edge.count == 0);
-        edge.count += 1;
-        edge
+        self.live_edges += usize::from(edge.count == 0 && n > 0);
+        edge.count += n;
+    }
+
+    /// `n` fewer live paths on the edge at `slot`, which must hold them
+    /// (counts underflow otherwise, caught in debug).
+    pub(crate) fn take(&mut self, slot: usize, n: u32) {
+        let edge = &mut self.edges[self.edge_of_slot[slot] as usize];
+        debug_assert!(edge.count >= n, "removing paths not present");
+        edge.count -= n;
+        self.live_edges -= usize::from(edge.count == 0 && n > 0);
+    }
+
+    /// `n` of this layer's paths move to `upper`. Only the path counts:
+    /// the counts of their edges move through `take` and `put`.
+    pub(crate) fn pass_paths(&mut self, upper: &mut Cdg, n: usize) {
+        self.live_paths -= n;
+        upper.live_paths += n;
+    }
+
+    /// One more live path on the edge `from → to`, created on first use.
+    fn bump(&mut self, from: u32, to: u32) {
+        let slot = self.slots.slot(from, to);
+        self.number(slot);
+        self.put(slot, 1);
     }
 
     /// Add a path, given as its channel sequence (all consecutive pairs),
@@ -153,11 +193,7 @@ impl Cdg {
     /// been added before (counts underflow otherwise, caught in debug).
     pub fn remove_path(&mut self, path: &[ChannelId]) {
         for w in path.windows(2) {
-            let e = self.edge_of_slot[self.slots.slot(w[0].0, w[1].0)];
-            let edge = &mut self.edges[e as usize];
-            debug_assert!(edge.count > 0, "removing path not present");
-            edge.count -= 1;
-            self.live_edges -= usize::from(edge.count == 0);
+            self.take(self.slots.slot(w[0].0, w[1].0), 1);
         }
         self.live_paths -= 1;
     }
@@ -464,6 +500,8 @@ mod tests {
 
     #[test]
     fn live_paths_filter_stale_entries() {
+        // The reference's victim lists filter by layer: a moved path is
+        // found where it went and not where it was.
         ring_layer0(|paths, mut cdg| {
             let mut path_layer = vec![0u8; paths.num_paths()];
             // Take any edge; move one of its paths "away".

@@ -27,7 +27,7 @@ use crate::budget::{clamp_layers, record_trip, BudgetGuard};
 use crate::cdg::{Cdg, CycleSearch};
 use crate::engine::{EngineConfig, RouteError, RoutingEngine};
 use crate::heuristics::CycleBreakHeuristic;
-use crate::paths::{PathId, TreePaths};
+use crate::paths::{PathId, Placement, TreePaths, Victims};
 use crate::sssp::Sssp;
 use fabric::{ChannelId, DepSlots, Network, Routes};
 use std::sync::Arc;
@@ -197,6 +197,7 @@ impl Layering {
                     rec,
                     guard,
                 )?;
+                record_moves(rec, &stats);
                 (layers, stats, Vec::new())
             }
         };
@@ -207,10 +208,6 @@ impl Layering {
                 stats.layers_used
             }
         });
-        if rec.enabled() {
-            rec.add(counters::CYCLES_BROKEN, stats.cycles_broken as u64);
-            rec.add(counters::PATHS_MOVED, stats.paths_moved as u64);
-        }
         routes.set_path_layers(&path_layer);
         routes.set_engine(engine);
         let acyclic = self.mode == LayerAssignMode::Offline && stats.cycles_broken == 0;
@@ -274,10 +271,12 @@ pub fn assign_layers_offline(
 /// paths over each dependency slot of `net`.
 ///
 /// Telemetry: table validation and the layer-0 CDG report as
-/// `cdg_build`, the resumable search as `cycle_search`, victim moves and
-/// compaction as `layer_assign`. The loop phases report once per call
-/// (via [`telemetry::Acc`]) even when zero cycles were found, so
-/// manifests always carry all phases.
+/// `cdg_build`, the resumable search as `cycle_search`, each break's
+/// victim search and move and the compaction as `layer_assign`. The loop
+/// phases report once per call (via [`telemetry::Acc`]) even when zero
+/// cycles were found, so manifests always carry all phases; so do the
+/// `cycles_broken` and `paths_moved` counters, whichever engine or
+/// patch entered the loop.
 ///
 /// Budget: the layer-0 CDG is held against the edge cap, and the
 /// deadline is checked before every cycle break, so degenerate
@@ -297,10 +296,11 @@ pub fn assign_layers_budgeted(
 }
 
 /// The one offline loop. No path is materialised: layer 0 is built from
-/// the destination trees, a cycle break reads its victims off them, and
-/// a path's channels are walked (into one scratch vector) only when it
-/// moves. With `resume = false` the cycle search starts afresh after
-/// every break ([`assign_layers_offline_restart`]).
+/// the destination trees, a cycle break moves its victims off them a
+/// subtree at a time ([`TreePaths::move_victims`]), and a path's
+/// channels are walked (into one scratch vector) only when compaction
+/// tries it lower. With `resume = false` the cycle search starts afresh
+/// after every break ([`assign_layers_offline_restart`]).
 fn assign(
     paths: TreePaths,
     heuristic: CycleBreakHeuristic,
@@ -321,12 +321,8 @@ fn assign(
     let (layer0, counts) = telemetry::timed(rec, phases::CDG_BUILD, || paths.layer0(&slots))?;
     let mut layers = vec![layer0];
     guard.check_cdg_edges(layers[0].num_edges())?;
-    let mut path_layer = vec![0u8; paths.num_paths()];
-    // When each path last moved. A layer above 0 hands its victims out in
-    // the order they arrived, which is the order their edges first
-    // appeared there; layer 0 (all zero) in path-id order.
-    let mut moved_at = vec![0u32; path_layer.len()];
-    let mut channels = Vec::new();
+    let mut place = Placement::new(paths.num_paths());
+    let mut victims = Victims::default();
     let mut stats = DfStats::default();
     let mut search_acc = Acc::new(rec, phases::CYCLE_SEARCH);
     let mut assign_acc = Acc::new(rec, phases::LAYER_ASSIGN);
@@ -344,30 +340,19 @@ fn assign(
                 });
             }
             let edge = heuristic.pick_counted(&layers[i], &cycle, stats.cycles_broken as u64);
-            let edge = layers[i].edge(edge);
-            let mut victims = paths.paths_over(edge.from, edge.to, &path_layer, i as u8);
-            debug_assert_eq!(victims.len(), edge.count as usize);
-            victims.sort_by_key(|&p| moved_at[p as usize]);
             if i + 1 >= layers.len() {
                 layers.push(Cdg::over(slots.clone()));
             }
-            assign_acc.measure(|| {
-                let (head, tail) = layers.split_at_mut(i + 1);
-                for p in victims {
-                    paths.walk(p, &mut channels);
-                    head[i].remove_path(&channels);
-                    tail[0].add_path(&channels);
-                    path_layer[p as usize] = (i + 1) as u8;
-                    stats.paths_moved += 1;
-                    moved_at[p as usize] = stats.paths_moved as u32;
-                }
-            });
+            assign_acc
+                .measure(|| paths.move_victims(edge, &mut layers, i, &mut place, &mut victims));
             if !resume {
                 search = CycleSearch::new(layers[i].num_channels());
             }
         }
         i += 1;
     }
+    let mut path_layer = place.layer;
+    stats.paths_moved = place.moves;
     if compact {
         assign_acc.measure(|| {
             compact_layers(paths, &mut path_layer, &mut layers, &mut stats, max_layers)
@@ -380,7 +365,18 @@ fn assign(
             allowed: max_layers,
         });
     }
+    record_moves(rec, &stats);
     Ok((path_layer, stats, counts))
+}
+
+/// Report an assignment's `cycles_broken` and `paths_moved`, once per
+/// run: from the offline loop itself, so a patch that enters it reports
+/// them as a cold route does.
+fn record_moves(rec: &dyn Recorder, stats: &DfStats) {
+    if rec.enabled() {
+        rec.add(counters::CYCLES_BROKEN, stats.cycles_broken as u64);
+        rec.add(counters::PATHS_MOVED, stats.paths_moved as u64);
+    }
 }
 
 /// Compaction: sink paths to the lowest layer where they close no cycle
@@ -396,10 +392,13 @@ fn compact_layers(
     stats: &mut DfStats,
     budget: usize,
 ) {
+    let non_empty = |layers: &Vec<Cdg>| layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
+    if non_empty(layers) <= budget && layers.iter().all(|l| l.num_paths() > 0) {
+        return; // nothing to sink, nothing to renumber
+    }
     let num_channels = layers.first().map_or(0, |l| l.num_channels());
     let mut seen = vec![0u32; num_channels];
     let mut epoch = 0u32;
-    let non_empty = |layers: &Vec<Cdg>| layers.iter().filter(|l| l.num_paths() > 0).count().max(1);
     // Paths grouped by their current layer, highest layer first.
     let mut by_layer: Vec<Vec<PathId>> = vec![Vec::new(); layers.len()];
     for (p, &layer) in path_layer.iter().enumerate() {
@@ -678,6 +677,94 @@ mod tests {
         let (_, stats) = engine.route_with_stats(&net).unwrap();
         assert!(stats.cycles_broken > 0 && stats.paths_moved > 0);
         assert_eq!(TREE_PASSES.get() - before, net.num_terminals());
+    }
+
+    #[test]
+    fn every_break_moves_what_the_per_path_loop_moves() {
+        // After every cycle break the bulk step checks both touched
+        // layers (edge ids, `out` order, counts, live counts) and the
+        // placement (layers, stamps, move count) against the per-path
+        // loop run from the same state.
+        use crate::paths::reference::{CHECKED_MOVES, CHECK_MOVES};
+        use fabric::degrade::fail_random_cables;
+        use fabric::topo::{random_topology, RandomTopoSpec};
+        let mut zoo = vec![
+            topo::ring(5, 1),
+            topo::ring(7, 2),
+            topo::torus(&[4, 4], 1),
+            topo::torus(&[3, 4], 2),
+            topo::kautz(2, 2, 12, false),
+            topo::kautz(2, 3, 24, false),
+            topo::dragonfly(3, 1, 1),
+            topo::dragonfly(2, 2, 1),
+        ];
+        for seed in 0..4 {
+            let spec = RandomTopoSpec {
+                switches: 10,
+                radix: 12,
+                terminals_per_switch: 2,
+                interswitch_links: 16,
+            };
+            zoo.push(random_topology(&spec, seed));
+        }
+        let cut: Vec<_> = (0..zoo.len() as u64)
+            .filter_map(|seed| {
+                let (net, removed) = fail_random_cables(&zoo[seed as usize], 2, seed);
+                (removed > 0).then_some(net)
+            })
+            .collect();
+        assert!(cut.len() >= 8, "only {} cable-kill variants", cut.len());
+        zoo.extend(cut);
+        let heuristics = [
+            CycleBreakHeuristic::WeakestEdge,
+            CycleBreakHeuristic::HeaviestEdge,
+            CycleBreakHeuristic::FirstEdge,
+            CycleBreakHeuristic::RandomEdge(7),
+        ];
+        let unlimited = BudgetGuard::unlimited();
+        CHECK_MOVES.set(true);
+        let before = CHECKED_MOVES.get();
+        for net in &zoo {
+            let routes = crate::Sssp::new().route(net).unwrap();
+            let paths = TreePaths {
+                net,
+                routes: &routes,
+            };
+            for h in heuristics {
+                for (budget, compact, resume) in
+                    [(16, false, true), (16, false, false), (2, true, true)]
+                {
+                    let run = assign(paths, h, budget, compact, resume, &Noop, &unlimited);
+                    match run {
+                        Ok(_) | Err(RouteError::NeedMoreLayers { .. }) => {}
+                        Err(e) => panic!("{}: {e}", net.label()),
+                    }
+                }
+            }
+        }
+        CHECK_MOVES.set(false);
+        let [low, high] = CHECKED_MOVES.get();
+        // Breaks in layer 0 and, stamps deciding the order, above it.
+        assert!(
+            low - before[0] >= 2000 && high - before[1] >= 800,
+            "{low} / {high}"
+        );
+    }
+
+    #[test]
+    fn an_uncompacted_cold_route_walks_no_path() {
+        // Victims move a subtree at a time: only compaction walks paths.
+        use crate::paths::WALKS;
+        for net in [topo::ring(6, 1), topo::torus(&[4, 4], 1)] {
+            let engine = DfSssp {
+                compact: false,
+                ..DfSssp::new()
+            };
+            let before = WALKS.get();
+            let (_, stats) = engine.route_with_stats(&net).unwrap();
+            assert!(stats.cycles_broken > 0 && stats.paths_moved > 0);
+            assert_eq!(WALKS.get() - before, 0, "{}", net.label());
+        }
     }
 
     #[test]

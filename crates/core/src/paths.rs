@@ -8,16 +8,19 @@
 //! 4096-node network). [`TreePaths`] answers the same questions from the
 //! forwarding tables themselves: how many paths take a dependency and
 //! which one does first fall out of one leaves-first pass per destination
-//! tree ([`TreePaths::windows`]), the paths behind an edge are the
-//! terminals in a subtree ([`TreePaths::paths_over`]), and a path's
-//! channels are walked only when it moves ([`TreePaths::walk`]).
-//! Algorithm 2's state per path is its layer and a move stamp.
+//! tree ([`TreePaths::windows`]), and the paths behind an edge are the
+//! terminals in a subtree, which a cycle break moves to the next layer a
+//! subtree at a time ([`TreePaths::move_victims`]): each subtree node's
+//! victim count goes to its parent's window, and no path is walked.
+//! Algorithm 2's state per path is its layer and a move stamp
+//! ([`Placement`]).
 //!
-//! No caller stores a path. The online assignment and the APP bridge
-//! place paths one at a time, so they [`TreePaths::validate`] the tables
-//! once and then walk each path when they reach it.
+//! No caller stores a path. The online assignment, the compaction and the
+//! APP bridge place paths one at a time, so they [`TreePaths::validate`]
+//! the tables once (or build layer 0, which does) and then walk each path
+//! when they reach it ([`TreePaths::walk`]).
 
-use crate::cdg::Cdg;
+use crate::cdg::{Cdg, Edge, EdgeId};
 use crate::engine::RouteError;
 use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
 use std::sync::Arc;
@@ -36,10 +39,15 @@ pub struct TreePaths<'a> {
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 thread_local! {
     /// Destination trees [`TreePaths::windows`] passed over on this
     /// thread — the deterministic cost pin of a cold route.
     pub(crate) static TREE_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Paths [`TreePaths::walk`] walked on this thread.
+    pub(crate) static WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl TreePaths<'_> {
@@ -70,6 +78,8 @@ impl TreePaths<'_> {
     /// must have passed [`TreePaths::validate`] (or [`TreePaths::windows`]
     /// over every destination); a loop would never end.
     pub fn walk(&self, p: PathId, out: &mut Vec<ChannelId>) {
+        #[cfg(test)]
+        WALKS.set(WALKS.get() + 1);
         let (src_t, dst_t) = self.pair(p);
         let terminals = self.net.terminals();
         let (mut at, dst) = (terminals[src_t as usize], terminals[dst_t as usize]);
@@ -179,40 +189,221 @@ impl TreePaths<'_> {
         Ok((cdg, counts))
     }
 
-    /// The paths currently in `layer` that take channel `to` directly
-    /// after `from`, ascending. The entries of `from`'s two ends in each
-    /// destination column name the trees that hold the dependency; in
-    /// each, the paths over it start at the terminals in the subtree
-    /// behind `from`'s tail, found by descending incoming channels that
-    /// are their source's next hop.
-    /// The descent never enters the destination, whose own entry accepted
-    /// tables leave unjudged, nor re-enters the tail over `from` (an
-    /// unjudged loop through it, in a tree no terminal reaches it in).
-    pub fn paths_over(&self, from: u32, to: u32, path_layer: &[u8], layer: u8) -> Vec<PathId> {
+    /// One cycle break of Algorithm 2: move every path of layer `i` over
+    /// its edge `edge` to layer `i + 1`, exactly as removing and adding
+    /// them one by one would — in arrival order, `(moved_at, id)` — but a
+    /// subtree at a time, without walking a path.
+    ///
+    /// The trees that hold the window `(from, to)` are those in which
+    /// `from`'s tail forwards over `from` and its head over `to`; in each,
+    /// the paths over it start at the terminals of the subtree behind the
+    /// tail, found by descending incoming channels that are their
+    /// source's next hop. The descent never enters the destination, whose
+    /// own entry accepted tables leave unjudged, nor re-enters the tail
+    /// over `from` (an unjudged loop through it, in a tree no terminal
+    /// reaches it in). One leaves-first pass per tree then hands each
+    /// node's victim count to its parent: the window `(c_v, c_parent)`
+    /// loses and gains that many paths, the tail's window and the suffix
+    /// to the destination the tail's count. A dependency new to layer
+    /// `i + 1` is numbered first, in ascending `(rank of the first victim
+    /// at or below the node, hops from it)`, which is where the one-by-one
+    /// `add_path` calls in rank order would first have met it — so edge
+    /// ids, `out` order, counts, `place` and [`Placement::moves`] are
+    /// those of the per-path loop. The victims are sorted once; no path
+    /// is walked. `layers[i + 1]` must exist, and the tables must have
+    /// passed validation ([`TreePaths::layer0`] does).
+    pub fn move_victims(
+        &self,
+        edge: EdgeId,
+        layers: &mut [Cdg],
+        i: usize,
+        place: &mut Placement,
+        v: &mut Victims,
+    ) {
+        #[cfg(test)]
+        let before = reference::CHECK_MOVES
+            .get()
+            .then(|| (layers[i..=i + 1].to_vec(), place.clone()));
         let (net, routes) = (self.net, self.routes);
-        let (from, to) = (ChannelId(from), ChannelId(to));
-        let (tail, head) = (net.channel(from).src, net.channel(from).dst);
-        let (mut found, mut stack) = (Vec::new(), Vec::new());
+        let Edge { from, to, count } = *layers[i].edge(edge);
+        let (from_c, to_c) = (ChannelId(from), ChannelId(to));
+        let (tail, head) = (net.channel(from_c).src, net.channel(from_c).dst);
+        v.clear();
         for (d, &dst) in net.terminals().iter().enumerate() {
             let held =
-                routes.next_hop(tail, d) == Some(from) && routes.next_hop(head, d) == Some(to);
+                routes.next_hop(tail, d) == Some(from_c) && routes.next_hop(head, d) == Some(to_c);
             if !held || tail == dst || head == dst {
                 continue;
             }
-            stack.push(tail);
-            while let Some(v) = stack.pop() {
-                let p = net.terminal_index(v).map(|src_t| self.id(src_t, d));
-                found.extend(p.filter(|&p| path_layer[p as usize] == layer));
-                for &c in net.in_channels(v) {
+            // Breadth first over the growing list: parents come first.
+            let root = v.nodes.len();
+            v.trees.push((root, d));
+            v.nodes.push(Node::new(from, u32::MAX));
+            for at in root.. {
+                let Some(&Node { chan, .. }) = v.nodes.get(at) else {
+                    break;
+                };
+                let node = net.channel(ChannelId(chan)).src;
+                if let Some(src_t) = net.terminal_index(node) {
+                    let p = self.id(src_t, d);
+                    if place.layer[p as usize] as usize == i {
+                        v.nodes[at].path = p;
+                        let stamp = u64::from(place.moved_at[p as usize]);
+                        v.found.push(stamp << 32 | u64::from(p));
+                    }
+                }
+                for &c in net.in_channels(node) {
                     let u = net.channel(c).src;
-                    if u != dst && c != from && routes.next_hop(u, d) == Some(c) {
-                        stack.push(u);
+                    if u != dst && c != from_c && routes.next_hop(u, d) == Some(c) {
+                        v.nodes.push(Node::new(c.0, at as u32));
                     }
                 }
             }
         }
-        found.sort_unstable();
-        found
+        debug_assert_eq!(v.found.len(), count as usize);
+        // Arrival order: a layer above 0 hands its victims out in the
+        // order they came; layer 0 (all stamps zero) in path-id order.
+        v.found.sort_unstable();
+        for (rank, &order) in v.found.iter().enumerate() {
+            let p = order as u32 as usize;
+            place.layer[p] = (i + 1) as u8;
+            place.moved_at[p] = (place.moves + rank + 1) as u32;
+        }
+        place.moves += v.found.len();
+        let (lower, upper) = layers[i..].split_at_mut(1);
+        let (lower, upper) = (&mut lower[0], &mut upper[0]);
+        let slots = lower.slots().clone();
+        let mut window = |c1: u32, c2: u32, n: u32, first: u64| {
+            let slot = slots.slot(c1, c2);
+            lower.take(slot, n);
+            if upper.numbered(slot) {
+                upper.put(slot, n);
+            } else {
+                v.fresh.push((first, slot, n));
+            }
+        };
+        // Leaves first; a victim's new stamp stands in for its rank.
+        for (t, &(root, d)) in v.trees.iter().enumerate() {
+            let end = v.trees.get(t + 1).map_or(v.nodes.len(), |&(next, _)| next);
+            for at in (root..end).rev() {
+                let Node {
+                    chan,
+                    parent,
+                    path,
+                    mut below,
+                    mut first,
+                } = v.nodes[at];
+                if path != NO_PATH {
+                    below += 1;
+                    first = first.min(u64::from(place.moved_at[path as usize]) << 32);
+                }
+                if below == 0 {
+                    continue;
+                }
+                if at > root {
+                    let up = &mut v.nodes[parent as usize];
+                    window(chan, up.chan, below, first);
+                    (up.below, up.first) = (up.below + below, up.first.min(first + 1));
+                    continue;
+                }
+                // The tail's window and the suffix: a victim's walk
+                // arrives, so this one does.
+                let (mut c, mut node) = (from_c, head);
+                while node != net.terminals()[d] {
+                    let next = routes.next_hop(node, d).expect("validated tables");
+                    window(c.0, next.0, below, first);
+                    (c, node, first) = (next, net.channel(next).dst, first + 1);
+                }
+            }
+        }
+        // Ids for the new dependencies, in the order the per-path loop
+        // would first have met them (equal keys are one window: the same
+        // victim, the same hop).
+        v.fresh.sort_unstable_by_key(|&(first, ..)| first);
+        for &(_, slot, n) in &v.fresh {
+            upper.number(slot);
+            upper.put(slot, n);
+        }
+        lower.pass_paths(upper, count as usize);
+        #[cfg(test)]
+        if let Some(before) = before {
+            reference::check_move(self, edge, i, before, (lower, upper, place));
+        }
+    }
+}
+
+/// Algorithm 2's whole state per path: its layer, and when it last moved
+/// — the value [`Placement::moves`] took when it did (0: never moved).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Placement {
+    /// Layer per path, indexed by [`PathId`].
+    pub layer: Vec<u8>,
+    /// Move stamp per path, indexed by [`PathId`].
+    pub moved_at: Vec<u32>,
+    /// Paths moved so far.
+    pub moves: usize,
+}
+
+impl Placement {
+    /// Every one of `num_paths` paths in layer 0, none moved.
+    pub fn new(num_paths: usize) -> Placement {
+        Placement {
+            layer: vec![0; num_paths],
+            moved_at: vec![0; num_paths],
+            moves: 0,
+        }
+    }
+}
+
+/// Scratch of [`TreePaths::move_victims`], kept across the breaks of a
+/// run so that a break allocates nothing once it has grown.
+#[derive(Default)]
+pub struct Victims {
+    /// The subtrees behind the tail, tree after tree.
+    nodes: Vec<Node>,
+    /// `(index of its tail, destination)` per tree holding the window.
+    trees: Vec<(usize, usize)>,
+    /// `moved_at << 32 | path` per victim.
+    found: Vec<u64>,
+    /// `(first, slot, paths)` per window whose slot layer `i + 1` has not
+    /// numbered yet.
+    fresh: Vec<(u64, usize, u32)>,
+}
+
+impl Victims {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.trees.clear();
+        self.found.clear();
+        self.fresh.clear();
+    }
+}
+
+/// [`Node::path`] of a node that is no victim.
+const NO_PATH: PathId = PathId::MAX;
+
+/// A node of a subtree behind the tail: its next hop, its parent's index
+/// (`u32::MAX` at the tail), its own victim path, the victims below it,
+/// and `new stamp << 32 | hops` of the first of them (`u64::MAX` while
+/// there is none).
+#[derive(Clone, Copy)]
+struct Node {
+    chan: u32,
+    parent: u32,
+    path: PathId,
+    below: u32,
+    first: u64,
+}
+
+impl Node {
+    fn new(chan: u32, parent: u32) -> Node {
+        Node {
+            chan,
+            parent,
+            path: NO_PATH,
+            below: 0,
+            first: u64::MAX,
+        }
     }
 }
 
@@ -317,5 +508,22 @@ mod tests {
         let (from, to) = (chan(a, b).0, chan(b, x).0);
         assert_eq!(trees.paths_over(from, to, &[0, 0], 0), [trees.id(0, 1)]);
         assert_eq!(trees.paths_over(from, to, &[1, 0], 0), []);
+        // The bulk step descends the same way: one victim, and the
+        // windows of its walk alone move.
+        let edge = (0..cdg.num_edges() as EdgeId)
+            .find(|&e| (cdg.edge(e).from, cdg.edge(e).to) == (from, to));
+        let mut place = Placement::new(2);
+        let mut layers = [cdg, Cdg::over(DepSlots::of(&net))];
+        reference::CHECK_MOVES.set(true);
+        trees.move_victims(
+            edge.unwrap(),
+            &mut layers,
+            0,
+            &mut place,
+            &mut Victims::default(),
+        );
+        reference::CHECK_MOVES.set(false);
+        assert_eq!((place.layer, place.moved_at), (vec![1, 0], vec![1, 0]));
+        assert_eq!((layers[1].num_paths(), layers[1].num_edges()), (1, 5));
     }
 }

@@ -932,6 +932,30 @@ mod tests {
     }
 
     #[test]
+    fn a_patch_reports_the_cycles_it_broke() {
+        // The boot and the patch each report what a cold route of their
+        // fabric reports, once: the counters come from the loop itself.
+        let net = topo::torus(&[5, 5], 1);
+        let rec = Arc::new(Collector::new());
+        let engine = DeltaEngine::new(DfSssp::new().with_config(snap(&net).recorder(rec.clone())));
+        let reported = || {
+            let snap = rec.snapshot();
+            [counters::CYCLES_BROKEN, counters::PATHS_MOVED].map(|c| snap.counters[c] as usize)
+        };
+        let mut before = [0, 0];
+        for view in [net.clone(), fail_one_cable(&net, 3)] {
+            engine.route(&view).unwrap();
+            let (_, stats) = cold(&net).route_with_stats(&view).unwrap();
+            assert!(stats.cycles_broken > 0 && stats.paths_moved > 0);
+            let now = reported();
+            let got = [now[0] - before[0], now[1] - before[1]];
+            assert_eq!(got, [stats.cycles_broken, stats.paths_moved]);
+            before = now;
+        }
+        assert!(engine.last_outcome().unwrap().delta);
+    }
+
+    #[test]
     fn the_planner_answers_no_transition() {
         // Every update plan is the subnet manager loop's own.
         let net = topo::torus(&[4, 4], 1);

@@ -272,7 +272,7 @@ pub(crate) fn run_inner(
     let tallies: [ClassTally; 2] = Default::default();
     let malformed = AtomicU64::new(0);
     let samples: Mutex<Vec<(NodeId, NodeId, PathAnswer)>> = Mutex::new(Vec::new());
-    let history: Mutex<Vec<Arc<Snapshot>>> = Mutex::new(vec![store.read()]);
+    let history: Mutex<Vec<serve::sync::Arc<Snapshot>>> = Mutex::new(vec![store.read()]);
     let chaos_epochs = AtomicU64::new(0);
     let (tx, rx) = mpsc::channel::<InFlight>();
     let rx = Mutex::new(rx);

@@ -426,9 +426,20 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// histogram's went, and `Collector::reset` had no caller. `repro`
 /// (+19): `summary` computes the four comparisons it prints instead of
 /// claiming them.
+///
+/// Moving a cycle break's victims a subtree at a time raised it 19 516 →
+/// 19 666, all in `core` (+150). `TreePaths::move_victims` (the
+/// descent, the leaves-first pass, the ordered numbering of new
+/// dependencies), its scratch and the per-path `Placement`, and the bulk
+/// `Cdg` operations it stands on replace the victim list and the
+/// per-path move loop, which moved into the test-gated
+/// `paths/reference.rs` as its oracle. The gain is Algorithm 2's share of
+/// every cold route and every patch of a cyclic fabric (EXPERIMENTS.md,
+/// "Victims in bulk"); ROADMAP item 2's deletions are where this is
+/// paid back.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_516;
+    const CEILING: usize = 19_666;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

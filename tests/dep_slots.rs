@@ -1,19 +1,21 @@
 //! The dependency-slot index (`fabric::DepSlots`) and the things built on
 //! it, each against an oracle that shares none of its code: the index
 //! against the network's own adjacency, the tree-built layer 0 and the
-//! victims read off the trees against the `add_path` loop over per-pair
-//! walks with explicit path lists, `vet`'s table walk against a per-pair
-//! walk collected into hash sets, and the window kernel's validation
-//! (under `TreePaths::validate` with the walks it admits, under the APP
-//! bridge, and under the layer-0 constructor) against the per-pair
-//! `PathIter`. One sweep over the generator zoo, degraded views included.
+//! cycle breaks that move victims off the trees against the `add_path`
+//! loop over per-pair walks with explicit path lists, `vet`'s table walk
+//! against a per-pair walk collected into hash sets, and the window
+//! kernel's validation (under `TreePaths::validate` with the walks it
+//! admits, under the APP bridge, and under the layer-0 constructor)
+//! against the per-pair `PathIter`. One sweep over the generator zoo,
+//! degraded views included.
 
 mod common;
 
 use common::{sweep, zoo_net, Case};
 use dfsssp::core::app::from_tree_paths;
 use dfsssp::core::cdg::{Cdg, CycleSearch};
-use dfsssp::core::paths::TreePaths;
+use dfsssp::core::heuristics::CycleBreakHeuristic;
+use dfsssp::core::paths::{Placement, TreePaths, Victims};
 use dfsssp::prelude::*;
 use fabric::topo;
 use fabric::{ChannelId, DepSlots};
@@ -68,13 +70,16 @@ fn route(net: &Network, engine: &dyn RoutingEngine) -> Option<Routes> {
 /// counts — and, because `out[from]` is pushed to exactly when an id is
 /// handed out, the same `out` order, which the resumable search then
 /// shows by reporting the same cycles step by step while Algorithm 2's
-/// moves drain both graphs. The paths `paths_over` reads off the trees
-/// are the ones the loop listed per window, filtered by layer, before
-/// and after moves; `id`/`pair`/`walk` are the enumeration.
+/// breaks drain both graphs. Each break moves the victims of the edge a
+/// drawn heuristic picks up a layer: `TreePaths::move_victims` a subtree at
+/// a time, the loop path by path from the explicit lists per window,
+/// filtered by layer and taken in `(moved_at, id)` order; after every
+/// break every layer (ids, `out`, counts) and the placement (layers,
+/// stamps) agree. `id`/`pair`/`walk` are the enumeration.
 #[test]
 fn bulk_cdg_population_equals_the_add_path_loop() {
-    let (routed, cyclic) = (Cell::new(0), Cell::new(0));
-    sweep(0..64, |c| {
+    let (routed, cyclic, above) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    sweep(0..256, |c| {
         let net = zoo_net(c);
         let engines: [&dyn RoutingEngine; 2] = [&Sssp::new(), &MinHop::new()];
         let Some(mut routes) = route(&net, engines[c.draw("engine", 0..2)]) else {
@@ -92,7 +97,7 @@ fn bulk_cdg_population_equals_the_add_path_loop() {
             net: &net,
             routes: &routes,
         };
-        let (mut bulk, counts) = trees.layer0(&slots).unwrap();
+        let (layer0, counts) = trees.layer0(&slots).unwrap();
 
         let mut looped = Cdg::over(slots.clone());
         let mut listed: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
@@ -113,58 +118,77 @@ fn bulk_cdg_population_equals_the_add_path_loop() {
             walks.push(walk);
         }
         assert_eq!(trees.num_paths(), walks.len());
-        assert_eq!(bulk.num_paths(), looped.num_paths());
-        assert_eq!(bulk.num_edges(), looped.num_edges());
-        assert_eq!(counts.iter().filter(|&&n| n > 0).count(), bulk.num_edges());
-
-        let mut layer = vec![0u8; walks.len()];
-        // Edge `e` of `cdg` holds exactly the listed paths now in layer `l`.
-        let check = |cdg: &Cdg, e: u32, layer: &[u8], l: u8| {
-            let edge = cdg.edge(e);
-            let paths = trees.paths_over(edge.from, edge.to, layer, l);
-            let want = listed[&(edge.from, edge.to)].iter().copied();
-            let want: Vec<u32> = want.filter(|&p| layer[p as usize] == l).collect();
-            assert_eq!(paths, want, "edge {e} in layer {l}");
-            assert_eq!(paths.len(), edge.count as usize, "edge {e} in layer {l}");
-            paths
-        };
-        let edges = bulk.num_edges() as u32;
-        for e in 0..edges {
-            let (a, b) = (bulk.edge(e), looped.edge(e));
-            assert_eq!((a.from, a.to, a.count), (b.from, b.to, b.count), "edge {e}");
-            assert_eq!(counts[slots.slot(a.from, a.to)], a.count, "edge {e}");
-            check(&bulk, e, &layer, 0);
-        }
-        let mut searches = [bulk.num_channels(), looped.num_channels()].map(CycleSearch::new);
-        let mut next = Cdg::over(slots.clone());
-        loop {
-            let cycle = searches[0].next_cycle(&bulk);
-            assert_eq!(cycle, searches[1].next_cycle(&looped));
-            let Some(cycle) = cycle else { break };
-            cyclic.set(cyclic.get() + 1);
-            for p in check(&bulk, cycle[0], &layer, 0) {
-                bulk.remove_path(&walks[p as usize]);
-                looped.remove_path(&walks[p as usize]);
-                next.add_path(&walks[p as usize]);
-                layer[p as usize] = 1;
-            }
-            assert_eq!(bulk.num_edges(), looped.num_edges());
-        }
-        // A moved path is found where it went and filtered where it was.
-        for e in 0..edges {
-            check(&bulk, e, &layer, 0);
-        }
-        for e in 0..next.num_edges() as u32 {
-            check(&next, e, &layer, 1);
-        }
-        let moved = layer.iter().filter(|&&l| l == 1).count();
+        assert!(layer0 == looped, "layer 0");
         assert_eq!(
-            (next.num_paths(), bulk.num_paths()),
-            (moved, walks.len() - moved)
+            counts.iter().filter(|&&n| n > 0).count(),
+            layer0.num_edges()
         );
+        for e in 0..layer0.num_edges() as u32 {
+            let edge = layer0.edge(e);
+            assert_eq!(
+                counts[slots.slot(edge.from, edge.to)],
+                edge.count,
+                "edge {e}"
+            );
+        }
+
+        let (mut bulk, mut looped) = (vec![layer0], vec![looped]);
+        let (mut place, mut oracle) = (Placement::new(walks.len()), Placement::new(walks.len()));
+        let mut victims = Victims::default();
+        let heuristic = [
+            CycleBreakHeuristic::WeakestEdge,
+            CycleBreakHeuristic::HeaviestEdge,
+            CycleBreakHeuristic::FirstEdge,
+            CycleBreakHeuristic::RandomEdge(c.rng.range(0..u64::MAX)),
+        ][c.draw("heuristic", 0..4)];
+        let mut i = 0;
+        while i < bulk.len() {
+            let mut searches = [&bulk[i], &looped[i]].map(|l| CycleSearch::new(l.num_channels()));
+            loop {
+                let cycle = searches[0].next_cycle(&bulk[i]);
+                assert_eq!(cycle, searches[1].next_cycle(&looped[i]), "layer {i}");
+                let Some(cycle) = cycle else { break };
+                cyclic.set(cyclic.get() + 1);
+                above.set(above.get() + usize::from(i > 0));
+                if i + 1 == bulk.len() {
+                    bulk.push(Cdg::over(slots.clone()));
+                    looped.push(Cdg::over(slots.clone()));
+                }
+                let e = heuristic.pick_counted(&bulk[i], &cycle, cyclic.get() as u64);
+                trees.move_victims(e, &mut bulk, i, &mut place, &mut victims);
+                let edge = looped[i].edge(e);
+                let mut moving = listed[&(edge.from, edge.to)].clone();
+                moving.retain(|&p| oracle.layer[p as usize] as usize == i);
+                moving.sort_by_key(|&p| (oracle.moved_at[p as usize], p));
+                for p in moving {
+                    looped[i].remove_path(&walks[p as usize]);
+                    looped[i + 1].add_path(&walks[p as usize]);
+                    oracle.layer[p as usize] = i as u8 + 1;
+                    oracle.moves += 1;
+                    oracle.moved_at[p as usize] = oracle.moves as u32;
+                }
+                assert!(bulk == looped, "layers after a break in layer {i}");
+                assert_eq!(place, oracle, "placement after a break in layer {i}");
+            }
+            i += 1;
+        }
+        // Every edge of every layer holds exactly the listed paths now in
+        // that layer.
+        for (l, cdg) in bulk.iter().enumerate() {
+            for e in 0..cdg.num_edges() as u32 {
+                let edge = cdg.edge(e);
+                let there = listed[&(edge.from, edge.to)].iter();
+                let there = there.filter(|&&p| place.layer[p as usize] as usize == l);
+                assert_eq!(there.count(), edge.count as usize, "edge {e} in layer {l}");
+            }
+        }
+        let in_layers: usize = bulk.iter().map(Cdg::num_paths).sum();
+        assert_eq!(in_layers, walks.len());
     });
-    assert!(routed.get() >= 32, "only {} cases routed", routed.get());
+    assert!(routed.get() >= 128, "only {} cases routed", routed.get());
     assert!(cyclic.get() > 0, "no case had a cycle to break");
+    // Where the stamps decide the order.
+    assert!(above.get() >= 32, "{} breaks above layer 0", above.get());
 }
 
 /// Damage `routes` the four ways `tests/vet_mutations.rs` does, at a
