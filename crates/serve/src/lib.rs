@@ -6,12 +6,11 @@
 //! the fast, constant one. This crate is the fast side, built so the
 //! two never get in each other's way:
 //!
-//! * [`Swap`] — a lock-free publish/read cell. Readers clone the
-//!   current `Arc` in a handful of atomics; writers briefly wait for
-//!   stragglers, readers never wait for writers.
 //! * [`Snapshot`] / [`SnapshotStore`] — epoch-versioned, immutable
-//!   bundles of (network view, routes, VL assignment, vet report)
-//!   behind the swap. The store's invariant is the crate's reason to
+//!   bundles of (network view, routes, VL assignment, vet report). A
+//!   read clones the current `Arc` under a mutex a publish holds only
+//!   to replace that pointer, so readers never wait on a reroute or
+//!   its gate. The store's invariant is the crate's reason to
 //!   exist: **a snapshot becomes visible only after `vet::check`
 //!   passes**, so a bad reroute can never reach a reader — the
 //!   last-good epoch keeps serving through engine failures, contained
@@ -33,9 +32,11 @@
 //!   [`subnet::SmLoop`]'s escalation ladder under panic containment,
 //!   and each successful reroute is offered to the store's vet gate.
 //!
-//! The concurrent cores take their primitives from the [`sync`] shim, so
-//! `--features loom-tests` compiles the exact production protocols against
-//! the `weave` model checker (see `src/models.rs` and DESIGN.md §13).
+//! The crate is safe Rust throughout. Its concurrent cores take their
+//! primitives from the [`sync`] shim, so `--features loom-tests`
+//! compiles the exact production protocols (the query engine's
+//! coalescing cell and its parked/wake handshake) against the `weave`
+//! model checker (see `src/models.rs` and DESIGN.md §13).
 
 #![warn(missing_docs)]
 
@@ -46,7 +47,6 @@ pub mod server;
 pub mod shed;
 pub mod slo;
 pub mod snapshot;
-pub mod swap;
 /// The workspace's one `std`-or-model-checker switch over sync primitives.
 pub use weave::shim as sync;
 
@@ -58,4 +58,3 @@ pub use server::{RouteServer, ServedOutcome, ServerError};
 pub use shed::{ShedConfig, ShedController};
 pub use slo::{SloPolicy, SloVerdict};
 pub use snapshot::{DiffScope, PublishError, Snapshot, SnapshotStore};
-pub use swap::Swap;

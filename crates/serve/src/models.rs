@@ -5,26 +5,24 @@
 //! code paths readers and writers execute in a running server, compiled
 //! against the model checker through the [`crate::sync`] shim:
 //!
-//! 1. [`Swap`]'s slot-ring publish/read protocol (reader entry vs. slot
-//!    recycling, retired-slot drain, the raw-`Arc` round trip);
-//! 2. [`AnswerCell`]'s in-flight coalescing (exactly one fulfiller, every
+//! 1. [`AnswerCell`]'s in-flight coalescing (exactly one fulfiller, every
 //!    sleeper woken, first-write-wins stability);
-//! 3. the shard worker's parked/wake-elision handshake and its close
-//!    path (no lost wakeup, clean shutdown).
+//! 2. the shard worker's parked/wake-elision handshake and its close
+//!    path (no lost wakeup, clean shutdown);
+//! 3. the deficit-weighted pop under that handshake (no work stranded
+//!    on a class the cursor is not on).
 //!
 //! Each protocol is accompanied by *mutants*: minimally broken variants
-//! (a dropped reader-count decrement, a drop-before-drain, an elided
-//! notify) that the checker must refute. Those tests pin the checker's
-//! power — if a refactor ever weakens the models, the mutants fail first.
+//! (an elided notify, an unconditional wake elision, a cursor-only pop)
+//! that the checker must refute. Those tests pin the checker's power —
+//! if a refactor ever weakens the models, the mutants fail first.
 //!
-//! What weave does **not** cover — weaker-than-SeqCst orderings and raw
-//! pointer provenance — is covered by the Miri and TSan CI jobs; see
-//! DESIGN.md §13 for the full division of labour.
+//! What weave does **not** cover — weaker-than-SeqCst orderings and
+//! real-thread data races — is covered by the Miri and TSan CI jobs;
+//! see DESIGN.md §13 for the full division of labour.
 
 use crate::query::{AnswerCell, Key, QueryClass, QueueEntry, ServeError, Shard};
-use crate::swap::Swap;
-use crate::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use std::time::Duration;
 use weave::{thread, Builder};
 
@@ -45,247 +43,7 @@ fn bounded() -> Builder {
 }
 
 // ---------------------------------------------------------------------
-// 1. Swap slot-ring protocol
-// ---------------------------------------------------------------------
-
-#[test]
-fn swap_reader_vs_recycling_writer() {
-    // RING is 2 under this feature, so the second publish recycles the
-    // slot the reader may still be inside: the exact race the drain
-    // protocol exists for. weave's tracked Arc turns any
-    // use-after-free, double-free or leak into a model failure.
-    let report = bounded()
-        .check(|| {
-            let cell = Arc::new(Swap::new(Arc::new(0usize)));
-            let c2 = Arc::clone(&cell);
-            let reader = thread::spawn(move || *c2.read());
-            cell.publish(Arc::new(1));
-            cell.publish(Arc::new(2));
-            let seen = reader.join().unwrap();
-            assert!(seen <= 2, "reader saw unpublished value {seen}");
-        })
-        .expect("Swap reader/recycle protocol");
-    assert!(report.executions > 1);
-}
-
-#[test]
-fn swap_reader_observes_monotonic_generations() {
-    // Before the read-side `current` re-check this property was FALSE:
-    // the checker produced a schedule where the reader entered a slot
-    // mid-recycle, grabbed the *newer* value before `current` was
-    // redirected, and then read an older one. The re-check in
-    // `Swap::read` is what makes this test pass.
-    let report = bounded()
-        .check(|| {
-            let cell = Arc::new(Swap::new(Arc::new(0usize)));
-            let c2 = Arc::clone(&cell);
-            let reader = thread::spawn(move || {
-                let first = *c2.read();
-                let second = *c2.read();
-                (first, second)
-            });
-            cell.publish(Arc::new(1));
-            cell.publish(Arc::new(2));
-            let (first, second) = reader.join().unwrap();
-            assert!(
-                second >= first,
-                "reads went backwards: {first} then {second}"
-            );
-        })
-        .expect("Swap monotonic reads");
-    assert!(report.executions > 1);
-}
-
-#[test]
-fn swap_two_readers_one_recycling_writer() {
-    bounded()
-        .check(|| {
-            let cell = Arc::new(Swap::new(Arc::new(0usize)));
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let c = Arc::clone(&cell);
-                    thread::spawn(move || *c.read())
-                })
-                .collect();
-            cell.publish(Arc::new(1));
-            cell.publish(Arc::new(2));
-            for r in readers {
-                assert!(r.join().unwrap() <= 2);
-            }
-        })
-        .expect("Swap with two concurrent readers");
-}
-
-#[test]
-fn swap_concurrent_publishers_serialize() {
-    bounded()
-        .check(|| {
-            let cell = Arc::new(Swap::new(Arc::new(0usize)));
-            let c2 = Arc::clone(&cell);
-            let other = thread::spawn(move || {
-                c2.publish(Arc::new(1));
-            });
-            cell.publish(Arc::new(2));
-            other.join().unwrap();
-            assert_eq!(cell.generation(), 2);
-            let last = *cell.read();
-            assert!(last == 1 || last == 2);
-        })
-        .expect("Swap publisher serialization");
-}
-
-// ---------------------------------------------------------------------
-// Swap mutants: a 2-slot replica of the exact protocol with seeded
-// bugs. `Faithful` re-derives the protocol to prove the replica itself
-// is sound; each fault then differs in precisely one line.
-// ---------------------------------------------------------------------
-
-mod mini_swap {
-    use super::*;
-    use std::ptr;
-
-    pub const FAITHFUL: u8 = 0;
-    /// `read` forgets to decrement the slot's reader count.
-    pub const NO_DECREMENT: u8 = 1;
-    /// `publish` drops the old value *before* draining readers.
-    pub const DROP_BEFORE_DRAIN: u8 = 2;
-
-    pub struct MiniSwap<const FAULT: u8> {
-        current: AtomicUsize,
-        readers: [AtomicUsize; 2],
-        ptrs: [AtomicPtr<usize>; 2],
-        writer: Mutex<usize>,
-    }
-
-    impl<const FAULT: u8> MiniSwap<FAULT> {
-        pub fn new(initial: Arc<usize>) -> Self {
-            let s = MiniSwap {
-                current: AtomicUsize::new(0),
-                readers: [AtomicUsize::new(0), AtomicUsize::new(0)],
-                ptrs: [
-                    AtomicPtr::new(ptr::null_mut()),
-                    AtomicPtr::new(ptr::null_mut()),
-                ],
-                writer: Mutex::new(0),
-            };
-            s.ptrs[0].store(Arc::into_raw(initial) as *mut usize, SeqCst);
-            s
-        }
-
-        pub fn read(&self) -> Arc<usize> {
-            loop {
-                let gen = self.current.load(SeqCst);
-                let i = gen % 2;
-                self.readers[i].fetch_add(1, SeqCst);
-                let p = self.ptrs[i].load(SeqCst);
-                if !p.is_null() {
-                    // SAFETY(model): replica of `Swap::read`'s licensed
-                    // round trip; the faults under test break exactly the
-                    // invariants that license it, and weave catches that.
-                    let arc = unsafe {
-                        Arc::increment_strong_count(p);
-                        Arc::from_raw(p)
-                    };
-                    if FAULT != NO_DECREMENT {
-                        self.readers[i].fetch_sub(1, SeqCst);
-                    }
-                    if self.current.load(SeqCst) == gen {
-                        return arc;
-                    }
-                    drop(arc);
-                } else {
-                    self.readers[i].fetch_sub(1, SeqCst);
-                }
-                crate::sync::spin_loop();
-            }
-        }
-
-        pub fn publish(&self, value: Arc<usize>) -> usize {
-            let mut generation = self.writer.lock().unwrap();
-            *generation += 1;
-            let i = *generation % 2;
-            let old = self.ptrs[i].swap(ptr::null_mut(), SeqCst);
-            if FAULT == DROP_BEFORE_DRAIN {
-                if !old.is_null() {
-                    // SAFETY(model): the seeded bug — releasing before the
-                    // drain, exactly what the real protocol forbids.
-                    unsafe { drop(Arc::from_raw(old)) };
-                }
-            }
-            while self.readers[i].load(SeqCst) != 0 {
-                crate::sync::yield_now();
-            }
-            if FAULT != DROP_BEFORE_DRAIN {
-                if !old.is_null() {
-                    // SAFETY(model): replica of the real post-drain drop.
-                    unsafe { drop(Arc::from_raw(old)) };
-                }
-            }
-            self.ptrs[i].store(Arc::into_raw(value) as *mut usize, SeqCst);
-            self.current.store(*generation, SeqCst);
-            *generation
-        }
-    }
-
-    impl<const FAULT: u8> Drop for MiniSwap<FAULT> {
-        fn drop(&mut self) {
-            for p in &self.ptrs {
-                let p = p.swap(ptr::null_mut(), SeqCst);
-                if !p.is_null() {
-                    // SAFETY(model): replica of `Swap`'s `&mut self` drop.
-                    unsafe { drop(Arc::from_raw(p)) };
-                }
-            }
-        }
-    }
-
-    // SAFETY(model): same contract as the real `Swap`.
-    unsafe impl<const FAULT: u8> Send for MiniSwap<FAULT> {}
-    // SAFETY(model): same contract as the real `Swap`.
-    unsafe impl<const FAULT: u8> Sync for MiniSwap<FAULT> {}
-}
-
-fn run_mini_swap<const FAULT: u8>() -> Result<weave::Report, weave::Failure> {
-    use mini_swap::MiniSwap;
-    bounded().check(|| {
-        let cell = Arc::new(MiniSwap::<FAULT>::new(Arc::new(0usize)));
-        let c2 = Arc::clone(&cell);
-        let reader = thread::spawn(move || *c2.read());
-        cell.publish(Arc::new(1));
-        cell.publish(Arc::new(2));
-        assert!(reader.join().unwrap() <= 2);
-    })
-}
-
-#[test]
-fn mini_swap_faithful_replica_passes() {
-    // The replica must be exactly as sound as the real Swap, otherwise
-    // the mutant failures below prove nothing.
-    run_mini_swap::<{ mini_swap::FAITHFUL }>().expect("faithful replica");
-}
-
-#[test]
-fn mutant_dropped_reader_decrement_is_refuted() {
-    let failure = run_mini_swap::<{ mini_swap::NO_DECREMENT }>()
-        .expect_err("a never-drained reader count must hang the writer");
-    assert!(
-        failure.message.contains("livelock") || failure.message.contains("deadlock"),
-        "{failure}"
-    );
-}
-
-#[test]
-fn mutant_drop_before_drain_is_refuted() {
-    let failure = run_mini_swap::<{ mini_swap::DROP_BEFORE_DRAIN }>()
-        .expect_err("dropping before the drain must be a use-after-free");
-    assert!(
-        failure.message.contains("freed allocation") || failure.message.contains("leaked"),
-        "{failure}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// 2. AnswerCell coalescing
+// 1. AnswerCell coalescing
 // ---------------------------------------------------------------------
 
 #[test]
@@ -360,7 +118,7 @@ fn mutant_elided_notify_is_refuted() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Parked/wake-elision handshake (shard worker)
+// 2. Parked/wake-elision handshake (shard worker)
 // ---------------------------------------------------------------------
 
 /// The worker side of the handshake, verbatim from `Engine::worker`'s
@@ -476,7 +234,7 @@ fn mutant_unconditional_elision_is_refuted() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Fair-admission gate: the DWRR pop under the same parked/wake
+// 3. Fair-admission gate: the DWRR pop under the same parked/wake
 // handshake. The risk the models pin down is a *lost wakeup through the
 // scheduler*: a submitter refills a class's deficit (by making its
 // queue non-empty) while the worker is parked or mid-round on another

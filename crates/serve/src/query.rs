@@ -49,7 +49,6 @@
 
 use crate::shed::{ShedConfig, ShedController};
 use crate::snapshot::{Snapshot, SnapshotStore};
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use dfsssp_core::{Budget, BudgetGuard, RouteError};
 use fabric::{ChannelId, NodeId};
@@ -316,11 +315,6 @@ pub(crate) struct AnswerState {
 pub(crate) struct AnswerCell {
     pub(crate) state: Mutex<AnswerState>,
     pub(crate) ready: Condvar,
-    /// Tickets attached to this cell. Attach happens under the shard
-    /// lock; the worker reads the final count after unlinking the cell
-    /// from the pending map (under the same lock), so no attach races
-    /// the read.
-    pub(crate) waiters: AtomicUsize,
 }
 
 impl AnswerCell {
@@ -328,7 +322,6 @@ impl AnswerCell {
         Arc::new(AnswerCell {
             state: Mutex::new(AnswerState::default()),
             ready: Condvar::new(),
-            waiters: AtomicUsize::new(1),
         })
     }
 
@@ -402,7 +395,7 @@ pub(crate) struct QueueEntry {
 
 impl QueueEntry {
     /// An entry with no deadline, enqueued now (test/model helper).
-    #[cfg(any(test, feature = "loom-tests"))]
+    #[cfg(test)]
     pub(crate) fn immediate(key: Key) -> Self {
         QueueEntry {
             key,
@@ -421,7 +414,10 @@ pub(crate) struct ShardState {
     pub(crate) deficit: [u64; QueryClass::COUNT],
     /// The class the round robin is currently serving.
     pub(crate) cursor: usize,
-    pub(crate) pending: FxHashMap<Key, Arc<AnswerCell>>,
+    /// In-flight keys: the cell their tickets share and how many
+    /// tickets it has. Both change only under the shard lock, and the
+    /// worker takes the count when it unlinks the entry.
+    pub(crate) pending: FxHashMap<Key, (Arc<AnswerCell>, u64)>,
     /// The shard worker is parked on `work`; submitters only pay the
     /// wake syscall when this is set.
     pub(crate) parked: bool,
@@ -590,7 +586,7 @@ impl Drop for QueryEngine {
                 for q in &mut st.queues {
                     q.clear();
                 }
-                st.pending.drain().map(|(_, cell)| cell).collect()
+                st.pending.drain().map(|(_, (cell, _))| cell).collect()
             };
             for cell in leftovers {
                 cell.fulfill(Err(ServeError::ShuttingDown));
@@ -625,10 +621,10 @@ impl Engine {
         if st.closed {
             return Err(ServeError::ShuttingDown);
         }
-        if let Some(cell) = st.pending.get(&key) {
+        if let Some((cell, waiters)) = st.pending.get_mut(&key) {
             // Coalesce: ride the in-flight computation for this key.
             // Free for the fabric, so it bypasses the shed gates.
-            cell.waiters.fetch_add(1, Ordering::Relaxed);
+            *waiters += 1;
             let cell = cell.clone();
             drop(st);
             rec.add(counters::QUERIES_COALESCED, 1);
@@ -655,7 +651,7 @@ impl Engine {
             });
         }
         let cell = AnswerCell::new();
-        st.pending.insert(key, cell.clone());
+        st.pending.insert(key, (cell.clone(), 1));
         st.queues[class].push_back(QueueEntry {
             key,
             enqueued: now,
@@ -673,7 +669,7 @@ impl Engine {
         let rec = &*self.recorder;
         let quanta = self.admission.quanta();
         let shard = &self.shards[shard];
-        let mut drained: Vec<(Key, Arc<AnswerCell>)> = Vec::with_capacity(batch);
+        let mut drained: Vec<(Key, Arc<AnswerCell>, u64)> = Vec::with_capacity(batch);
         // Expired-in-queue queries: fulfilled with the budget trip
         // outside the shard lock, charged no batch slot.
         let mut expired: Vec<(Arc<AnswerCell>, u64)> = Vec::new();
@@ -690,7 +686,7 @@ impl Engine {
                         // Unlinking the cell here (under the shard
                         // lock) freezes its waiter count: later
                         // duplicates start a fresh entry.
-                        let Some(cell) = st.pending.remove(&entry.key) else {
+                        let Some((cell, waiters)) = st.pending.remove(&entry.key) else {
                             continue;
                         };
                         let waited = now.saturating_duration_since(entry.enqueued);
@@ -703,7 +699,7 @@ impl Engine {
                                 continue;
                             }
                         }
-                        drained.push((entry.key, cell));
+                        drained.push((entry.key, cell, waiters));
                         continue;
                     }
                     if !drained.is_empty() || !expired.is_empty() || st.closed {
@@ -738,14 +734,14 @@ impl Engine {
                 continue;
             }
             // One snapshot serves the whole batch: consistent answers,
-            // one lock-free read amortized over every query drained.
+            // one store read amortized over every query drained.
             let snap = self.store.read();
             let keys = drained.len();
             let mut served = 0u64;
             telemetry::timed(rec, phases::SERVE_BATCH, || {
-                for (key, cell) in drained.drain(..) {
+                for (key, cell, waiters) in drained.drain(..) {
                     let answer = snap.answer(NodeId(key.0), NodeId(key.1));
-                    served += cell.waiters.load(Ordering::Relaxed) as u64;
+                    served += waiters;
                     cell.fulfill(answer);
                 }
             });

@@ -10,20 +10,23 @@
 //! identity fabric events use) to the epoch's renumbered view, so a
 //! query keeps meaning the same pair of hosts across degradations.
 //!
-//! The [`SnapshotStore`] owns the current snapshot behind the lock-free
-//! [`crate::swap::Swap`]. Its publishing gate is the subsystem's core
-//! invariant: **a snapshot becomes visible only after `vet::check`
-//! passes** ([`SnapshotStore::publish`] refuses artifacts with
-//! error-severity findings; [`SnapshotStore::publish_vetted`] takes the
-//! report of a gate its caller ran), so a bad reroute can never reach a
-//! reader — the last-good epoch simply keeps serving.
+//! The [`SnapshotStore`] owns the current snapshot as an `Arc` behind a
+//! mutex held only to clone or replace the pointer. Its publishing gate
+//! is the subsystem's core invariant: **a snapshot becomes visible only
+//! after `vet::check` passes** ([`SnapshotStore::publish`] refuses
+//! artifacts with error-severity findings;
+//! [`SnapshotStore::publish_vetted`] takes the report of a gate its
+//! caller ran), so a bad reroute can never reach a reader — the
+//! last-good epoch simply keeps serving.
 
-use crate::swap::Swap;
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use fabric::{Network, NodeId, Routes};
 use std::time::Instant;
 use telemetry::{counters, hists, phases, RecorderHandle};
+
+/// Why the pointer lock is never poisoned: it is held only to clone or
+/// replace an `Arc`, neither of which panics.
+const HELD_BRIEFLY: &str = "the snapshot pointer lock is held only to clone or replace";
 
 /// One immutable epoch of the serving state.
 #[derive(Clone, Debug)]
@@ -163,15 +166,15 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// The store: one current [`Snapshot`] behind a lock-free swap, a
-/// vet-gated publish path, and swap telemetry.
+/// The store: one current [`Snapshot`], a vet-gated publish path, and
+/// swap telemetry.
 pub struct SnapshotStore {
-    cell: Swap<Snapshot>,
-    /// Epoch of the current snapshot (for stale-read accounting;
-    /// updated after the swap, so it trails by at most one swap).
-    epoch: AtomicU64,
+    /// The current epoch. Held only to clone the `Arc` (readers) or to
+    /// replace it (the install), never across a gate or a free.
+    current: Mutex<Arc<Snapshot>>,
     /// Serializes publishers across the whole number → gate → swap
-    /// sequence so epoch numbers and swap order agree.
+    /// sequence so epoch numbers and swap order agree. Readers never
+    /// take it, so they never wait on a gate.
     publish_lock: Mutex<()>,
     recorder: RecorderHandle,
 }
@@ -201,8 +204,7 @@ impl SnapshotStore {
     ) -> Result<Arc<Self>, PublishError> {
         let snap = Self::admit(0, net, routes, "bring-up", "direct", reference, report)?;
         Ok(Arc::new(SnapshotStore {
-            cell: Swap::new(Arc::new(snap)),
-            epoch: AtomicU64::new(0),
+            current: Mutex::new(Arc::new(snap)),
             publish_lock: Mutex::new(()),
             recorder: telemetry::noop(),
         }))
@@ -215,21 +217,21 @@ impl SnapshotStore {
         self.recorder = recorder;
     }
 
-    /// The current snapshot. Lock-free; the returned `Arc` stays
-    /// internally consistent no matter how many epochs are published
-    /// after this returns.
+    /// The current snapshot: the lock is held for one `Arc` clone. The
+    /// returned `Arc` stays internally consistent no matter how many
+    /// epochs are published after this returns.
     pub fn read(&self) -> Arc<Snapshot> {
-        self.cell.read()
+        self.current.lock().expect(HELD_BRIEFLY).clone()
     }
 
     /// Epoch of the current snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.current.lock().expect(HELD_BRIEFLY).epoch
     }
 
     /// Vet `(net, routes)` and, if clean, install it as the next epoch.
     /// Readers see the old epoch until the swap instant and the new one
-    /// after; no reader ever waits or observes a mix.
+    /// after; no reader waits on the gate or observes a mix.
     pub fn publish(
         &self,
         net: Network,
@@ -304,6 +306,8 @@ impl SnapshotStore {
 
     /// The one install path: under the publish lock, number the epoch,
     /// run `gate(net, routes, current epoch)`, admit on its report, swap.
+    /// The retired epoch is released after the swap's guard and its
+    /// timer, so a reader waits at most for a pointer store.
     fn install(
         &self,
         net: Network,
@@ -315,7 +319,7 @@ impl SnapshotStore {
     ) -> Result<Arc<Snapshot>, PublishError> {
         let rec = &*self.recorder;
         let _guard = self.publish_lock.lock().unwrap();
-        let current = self.epoch.load(Ordering::SeqCst);
+        let current = self.epoch();
         let report = gate(&net, &routes, current);
         let snap = match Self::admit(current + 1, net, routes, source, plan, reference, report) {
             Ok(snap) => Arc::new(snap),
@@ -325,9 +329,10 @@ impl SnapshotStore {
             }
         };
         let swap_started = Instant::now();
-        self.cell.publish(snap.clone());
-        self.epoch.store(current + 1, Ordering::SeqCst);
+        let retired =
+            std::mem::replace(&mut *self.current.lock().expect(HELD_BRIEFLY), snap.clone());
         let pause = swap_started.elapsed();
+        drop(retired);
         if rec.enabled() {
             rec.phase(phases::EPOCH_SWAP, pause.as_nanos() as u64);
             rec.observe(hists::SWAP_PAUSE_US, pause.as_micros() as u64);
@@ -424,6 +429,85 @@ mod tests {
             assert_eq!(store.epoch(), e);
             assert_eq!(store.read().epoch, e);
         }
+    }
+
+    /// A store over a small vetted artifact, and a publish of that
+    /// artifact that reuses its report instead of re-running the gate.
+    fn small_store() -> (Arc<SnapshotStore>, impl Fn(&SnapshotStore) -> Arc<Snapshot>) {
+        let net = topo::torus(&[3, 3], 1);
+        let routes = routed(&net);
+        let report = vet::check(&net, &routes);
+        let store = SnapshotStore::open(net.clone(), routes.clone(), None).unwrap();
+        let publish = move |store: &SnapshotStore| {
+            let (net, routes, report) = (net.clone(), routes.clone(), report.clone());
+            store
+                .publish_vetted(net, routes, report, "test", "direct", None)
+                .unwrap()
+        };
+        (store, publish)
+    }
+
+    #[test]
+    fn publishing_releases_the_previous_epoch() {
+        let (store, publish) = small_store();
+        let old = store.read();
+        publish(&store);
+        assert_eq!(Arc::strong_count(&old), 1, "the store still holds epoch 0");
+    }
+
+    #[test]
+    fn every_retired_snapshot_is_freed() {
+        let (store, publish) = small_store();
+        let mut held = vec![store.read()];
+        for _ in 0..20 {
+            held.push(publish(&store));
+        }
+        let (current, retired) = held.split_last().unwrap();
+        for snap in retired {
+            assert_eq!(Arc::strong_count(snap), 1, "epoch {} kept", snap.epoch);
+        }
+        assert_eq!(Arc::strong_count(current), 2);
+        drop(store);
+        assert_eq!(Arc::strong_count(current), 1);
+    }
+
+    #[test]
+    fn concurrent_readers_see_monotone_epochs() {
+        const PUBLISHES: u64 = 200;
+        let (store, publish) = small_store();
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut last = 0;
+                    while last < PUBLISHES {
+                        let epoch = store.read().epoch;
+                        assert!(epoch >= last, "reads went backwards: {epoch} after {last}");
+                        last = epoch;
+                    }
+                });
+            }
+            for _ in 0..PUBLISHES {
+                publish(&store);
+            }
+        });
+        assert_eq!(store.read().epoch, PUBLISHES);
+    }
+
+    #[test]
+    fn concurrent_publishers_get_gap_free_epochs() {
+        let (store, publish) = small_store();
+        let mut epochs: Vec<u64> = std::thread::scope(|s| {
+            let publishers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..50).map(|_| publish(&store).epoch).collect::<Vec<_>>()))
+                .collect();
+            publishers
+                .into_iter()
+                .flat_map(|p| p.join().unwrap())
+                .collect()
+        });
+        epochs.sort_unstable();
+        assert_eq!(epochs, (1..=200).collect::<Vec<_>>());
+        assert_eq!(store.epoch(), 200);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `weave`: a first-party exhaustive model checker for the small lock-free
-//! cores in this workspace (`serve::Swap`, the query engine's coalescing
-//! cell, the worker park/wake handshake).
+//! `weave`: a first-party exhaustive model checker for the small
+//! concurrent cores in this workspace (the query engine's coalescing cell,
+//! the worker park/wake handshake and its deficit-weighted pop).
 //!
 //! # Why not loom?
 //!
@@ -11,20 +11,21 @@
 //!
 //! * **Sequential consistency only.** Every modeled atomic step is explored
 //!   at SeqCst strength regardless of the `Ordering` argument. This is
-//!   *sound* for code that itself uses SeqCst everywhere (as `serve::Swap`
-//!   does) and *incomplete* for weaker orderings: weave will not find bugs
-//!   that require a relaxed reordering to surface. Miri and TSan in CI
-//!   cover that axis; see DESIGN.md §13.
+//!   *sound* for code that uses SeqCst everywhere or shares state only
+//!   under a mutex (as the modeled `serve` cores do) and *incomplete* for
+//!   weaker orderings: weave will not find bugs that require a relaxed
+//!   reordering to surface. Miri and TSan in CI cover that axis; see
+//!   DESIGN.md §13.
 //! * **Cooperative replay scheduling.** Model threads are real OS threads,
 //!   but exactly one runs at a time. At every modeled operation the active
 //!   thread consults a shared schedule and may hand the baton to another
 //!   runnable thread. A depth-first search over these decision points
 //!   enumerates every interleaving (optionally preemption-bounded).
-//! * **Lifecycle tracking, not borrow tracking.** The modeled
-//!   [`sync::Arc`] keeps a logical strong count per allocation and turns
-//!   use-after-free, double-free, resurrection via
-//!   `increment_strong_count`, and leaks into model failures. It does not
-//!   attempt Miri-grade provenance checking.
+//! * **Leak tracking, not borrow tracking.** The modeled [`sync::Arc`]
+//!   keeps a logical strong count per allocation and turns a handle still
+//!   alive at execution end into a model failure. It has no raw-pointer
+//!   API, so a freed allocation cannot be reached at all; provenance is
+//!   Miri's ground.
 //!
 //! # Detected failure classes
 //!
@@ -32,7 +33,7 @@
 //! * deadlock: no runnable thread while some thread is unfinished —
 //!   this is also how *lost wakeups* surface (a waiter sleeps forever);
 //! * livelock: a single execution exceeding its step budget;
-//! * `Arc` misuse: use-after-free, double-free, leak at execution end.
+//! * a leaked `Arc` at execution end.
 //!
 //! # Example
 //!
@@ -59,7 +60,6 @@
 //! [`shim`] is that switch, written once for the workspace: `std`'s
 //! primitives by default, this crate's under the `weave` feature.
 
-pub mod hint;
 mod sched;
 pub mod shim;
 pub mod sync;

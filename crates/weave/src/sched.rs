@@ -21,14 +21,6 @@ use std::sync::{Arc as StdArc, Condvar as StdCondvar, Mutex as StdMutex, MutexGu
 /// Never observed by user code: the explorer swallows it.
 struct Abort;
 
-/// Raw pointer wrapper so the registry (which lives inside a `Mutex` shared
-/// across model threads) can hold type-erased keep-alive pointers.
-struct SendPtr(*const ());
-// SAFETY: the pointer is only dereferenced via its paired dropper function,
-// exactly once, by the explorer thread during end-of-execution cleanup; the
-// pointee (a std `Arc` allocation) is itself Send + Sync.
-unsafe impl Send for SendPtr {}
-
 /// What a parked thread is waiting for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Block {
@@ -44,8 +36,8 @@ enum Block {
 enum Status {
     /// Eligible to be scheduled.
     Runnable,
-    /// Called `yield_now`/`spin_loop`: only scheduled when no non-yielded
-    /// thread is runnable. This is what bounds spin-wait loops.
+    /// Called `yield_now`: only scheduled when no non-yielded thread is
+    /// runnable. This is what bounds spin-wait loops.
     Yielded,
     Blocked(Block),
     Finished,
@@ -69,16 +61,9 @@ struct CondvarState {
 
 /// Logical lifecycle of one tracked `sync::Arc` allocation.
 struct Alloc {
-    /// Logical strong count: handles plus raw tokens from `into_raw` /
-    /// `increment_strong_count`. Reaching zero frees the allocation.
-    logical: usize,
-    alive: bool,
+    /// Live handles; anything but zero at execution end is a leak.
+    logical: isize,
     type_name: &'static str,
-    /// Keep-alive std `Arc` (leaked clone) so the underlying memory stays
-    /// valid for the whole execution even if the model frees it logically;
-    /// released by `dropper` during explorer cleanup.
-    keeper: SendPtr,
-    dropper: unsafe fn(*const ()),
 }
 
 struct State {
@@ -625,88 +610,27 @@ pub(crate) fn join_model(tid: usize) {
 // Tracked Arc registry
 // ---------------------------------------------------------------------------
 
-/// Register a fresh allocation (logical count 1). The caller attaches the
-/// keep-alive pointer with [`alloc_attach`] once the allocation exists.
+/// Register a fresh allocation (logical count 1).
 pub(crate) fn alloc_register(type_name: &'static str) -> usize {
     let (sh, me) = current().expect("alloc_register outside model");
     let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
     st.note(me, "arc.new");
     st.allocs.push(Alloc {
         logical: 1,
-        alive: true,
         type_name,
-        keeper: SendPtr(std::ptr::null()),
-        dropper: noop_dropper,
     });
     st.allocs.len() // 1-based; 0 = untracked
 }
 
-/// Pin the backing memory of allocation `id` for the rest of the execution;
-/// `dropper` releases `keeper` during explorer cleanup.
-pub(crate) fn alloc_attach(id: usize, keeper: *const (), dropper: unsafe fn(*const ())) {
-    let Some((sh, _)) = current() else { return };
-    let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-    let a = &mut st.allocs[id - 1];
-    a.keeper = SendPtr(keeper);
-    a.dropper = dropper;
-}
-
-// SAFETY: does nothing; placeholder dropper for allocations with no keeper.
-unsafe fn noop_dropper(_: *const ()) {}
-
-fn alloc_fail(sh: &Shared, st: StdGuard<'_, State>, id: usize, what: &str) -> ! {
-    let name = st.allocs[id].type_name;
-    fail(sh, st, format!("{what} of freed allocation #{id} ({name})"))
-}
-
-/// A lifecycle event on allocation `id`. `delta` adjusts the logical strong
-/// count; `must_be_alive` turns operations on a freed allocation into model
-/// failures (use-after-free / resurrection / double-free).
-/// Record a lifecycle event on allocation `id`. Returns `true` exactly
-/// when this event dropped the logical count to zero — the allocation's
-/// model-visible free point, at which the caller must run the value's
-/// destructor (so drops *it* performs are ordered into this execution).
-pub(crate) fn alloc_event(id: usize, label: &str, delta: isize, must_be_alive: bool) -> bool {
-    let Some((sh, me)) = current() else {
-        return false;
-    };
-    if std::thread::panicking() {
-        return false;
-    }
-    let idx = id - 1;
-    let mut st = op_prologue(&sh, me, label);
-    if must_be_alive && !st.allocs[idx].alive {
-        alloc_fail(&sh, st, idx, label);
-    }
-    let mut freed = false;
-    if delta > 0 {
-        st.allocs[idx].logical += delta as usize;
-    } else if delta < 0 {
-        let d = (-delta) as usize;
-        if st.allocs[idx].logical < d {
-            alloc_fail(&sh, st, idx, "extra drop");
-        }
-        st.allocs[idx].logical -= d;
-        if st.allocs[idx].logical == 0 && st.allocs[idx].alive {
-            st.allocs[idx].alive = false;
-            freed = true;
-        }
-    }
-    drop(st);
-    freed
-}
-
-/// Cheap aliveness check without a scheduling point (used by `Deref`).
-pub(crate) fn alloc_check_alive(id: usize, label: &str) {
-    let Some((sh, _)) = current() else { return };
+/// A clone (`delta` 1) or drop (`delta` -1) of allocation `id`: a
+/// scheduling point that moves its logical count.
+pub(crate) fn alloc_event(id: usize, label: &str, delta: isize) {
+    let Some((sh, me)) = current() else { return };
     if std::thread::panicking() {
         return;
     }
-    let idx = id - 1;
-    let st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-    if !st.allocs[idx].alive {
-        alloc_fail(&sh, st, idx, label);
-    }
+    let mut st = op_prologue(&sh, me, label);
+    st.allocs[id - 1].logical += delta;
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -738,7 +662,7 @@ pub struct Report {
 /// the failure deterministically.
 #[derive(Debug)]
 pub struct Failure {
-    /// Human-readable description (deadlock, panic, Arc misuse, …).
+    /// Human-readable description (deadlock, panic, leaked Arc, …).
     pub message: String,
     /// 1-based index of the failing execution.
     pub execution: usize,
@@ -871,10 +795,10 @@ impl Builder {
         }
     }
 
-    /// Leak check, keeper release, handle reaping. Returns the recorded
-    /// failure (if any) for this execution.
+    /// Leak check and handle reaping. Returns the recorded failure (if
+    /// any) for this execution.
     fn cleanup_execution(&self, shared: &StdArc<Shared>) -> Option<String> {
-        let (handles, allocs, failure) = {
+        let (handles, failure) = {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             if st.failure.is_none() {
                 let leaks: Vec<String> = st
@@ -892,20 +816,10 @@ impl Builder {
                     ));
                 }
             }
-            (
-                std::mem::take(&mut st.os_handles),
-                std::mem::take(&mut st.allocs),
-                st.failure.take(),
-            )
+            (std::mem::take(&mut st.os_handles), st.failure.take())
         };
         for h in handles {
             let _ = h.join();
-        }
-        for a in allocs {
-            // SAFETY: `keeper` was produced by `Arc::into_raw` on a clone
-            // held exclusively for the registry; `dropper` casts it back to
-            // its concrete type and drops it exactly once, here.
-            unsafe { (a.dropper)(a.keeper.0) };
         }
         failure
     }

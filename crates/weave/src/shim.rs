@@ -1,8 +1,8 @@
 //! The synchronisation shim `serve`'s concurrent cores import their
 //! primitives from (`serve::sync` is a re-export of this module).
 //!
-//! * Default build: straight re-exports of `std::sync` / `std::thread` /
-//!   `std::hint` — zero cost, identical semantics.
+//! * Default build: straight re-exports of `std::sync` — zero cost,
+//!   identical semantics.
 //! * `--features weave` (what `serve`'s `loom-tests` feature turns
 //!   on): this crate's model primitives. Outside a [`crate::model`] run
 //!   those pass through to `std`, so ordinary tests still behave
@@ -14,15 +14,7 @@
 //! under either configuration.
 
 #[cfg(feature = "weave")]
-pub use crate::{
-    hint::spin_loop,
-    sync::{atomic, Arc, Condvar, Mutex, MutexGuard},
-    thread::yield_now,
-};
+pub use crate::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};
 
 #[cfg(not(feature = "weave"))]
-pub use std::{
-    hint::spin_loop,
-    sync::{atomic, Arc, Condvar, Mutex, MutexGuard},
-    thread::yield_now,
-};
+pub use std::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};

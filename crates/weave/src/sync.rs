@@ -6,7 +6,6 @@
 
 use crate::sched;
 use std::cell::UnsafeCell;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::{LockResult, TryLockError, TryLockResult};
 
@@ -14,36 +13,19 @@ use std::sync::{LockResult, TryLockError, TryLockResult};
 // Arc
 // ---------------------------------------------------------------------------
 
-/// Layout-pinned payload so `into_raw` can hand out a pointer to the value
-/// that round-trips back to the allocation header (`ManuallyDrop` is
-/// `repr(transparent)`, so `value` stays at offset zero).
-#[repr(C)]
 struct Inner<T> {
-    value: ManuallyDrop<T>,
+    value: T,
     /// 1-based registry id inside a model execution; 0 when untracked.
     id: usize,
-    /// Whether `value` has been destroyed. Inside a model the registry's
-    /// keeper clone holds the allocation open until cleanup, so the value
-    /// is destroyed *early* — at the logical free point, mid-execution —
-    /// and this flag stops `Inner::drop` from doing it again.
-    dropped: std::sync::atomic::AtomicBool,
-}
-
-impl<T> Drop for Inner<T> {
-    fn drop(&mut self) {
-        if !*self.dropped.get_mut() {
-            // SAFETY: the flag proves `value` is still alive, and `&mut
-            // self` proves no other handle can reach it.
-            unsafe { ManuallyDrop::drop(&mut self.value) };
-        }
-    }
 }
 
 /// A reference-counted pointer with model-tracked lifecycle. Mirrors the
-/// `std::sync::Arc` API surface used by `serve` (including the raw-pointer
-/// escape hatches `into_raw` / `from_raw` / `increment_strong_count`).
+/// `std::sync::Arc` API surface used by `serve`. Inside a model every
+/// clone and drop is a scheduling point and moves the allocation's
+/// logical count, so a handle still alive when the execution ends is
+/// reported as a leak.
 pub struct Arc<T> {
-    inner: ManuallyDrop<std::sync::Arc<Inner<T>>>,
+    inner: std::sync::Arc<Inner<T>>,
 }
 
 impl<T> Arc<T> {
@@ -54,150 +36,44 @@ impl<T> Arc<T> {
         } else {
             0
         };
-        let inner = std::sync::Arc::new(Inner {
-            value: ManuallyDrop::new(value),
-            id,
-            dropped: std::sync::atomic::AtomicBool::new(false),
-        });
-        if id != 0 {
-            let keeper = std::sync::Arc::into_raw(std::sync::Arc::clone(&inner)) as *const ();
-            sched::alloc_attach(id, keeper, drop_keeper::<T>);
-        }
         Arc {
-            inner: ManuallyDrop::new(inner),
+            inner: std::sync::Arc::new(Inner { value, id }),
         }
     }
 
-    /// Consume the handle, returning a raw pointer to the value. The
-    /// logical strong count is unchanged: the pointer now owns it.
-    pub fn into_raw(this: Self) -> *const T {
-        let id = this.inner.id;
-        if id != 0 {
-            sched::alloc_event(id, "arc.into_raw", 0, true);
-        }
-        let mut md = ManuallyDrop::new(this);
-        // SAFETY: `md` is never used again; ownership of the std Arc moves
-        // into `inner` exactly once.
-        let inner = unsafe { ManuallyDrop::take(&mut md.inner) };
-        // `Inner<T>` is repr(C) with `value` first, so a pointer to the
-        // allocation is a pointer to the value.
-        std::sync::Arc::into_raw(inner) as *const T
-    }
-
-    /// Reconstruct a handle from [`Arc::into_raw`]. In a model this fails
-    /// the execution if the allocation was already logically freed.
-    ///
-    /// # Safety
-    /// `ptr` must come from `Arc::into_raw` (or have had its count raised
-    /// via [`Arc::increment_strong_count`]) and be consumed at most once.
-    pub unsafe fn from_raw(ptr: *const T) -> Self {
-        // SAFETY: caller contract — `ptr` originated from `into_raw`, so it
-        // points at the `value` field of a live `Inner<T>` allocation.
-        let inner = unsafe { std::sync::Arc::from_raw(ptr as *const Inner<T>) };
-        let id = inner.id;
-        if id != 0 {
-            sched::alloc_event(id, "arc.from_raw", 0, true);
-        }
-        Arc {
-            inner: ManuallyDrop::new(inner),
-        }
-    }
-
-    /// Raise the strong count through a raw pointer. In a model, raising
-    /// the count of a freed allocation (the classic TOCTOU resurrection
-    /// race) fails the execution.
-    ///
-    /// # Safety
-    /// `ptr` must point at a value handed out by `Arc::into_raw` whose
-    /// count is still at least one for the duration of this call.
-    pub unsafe fn increment_strong_count(ptr: *const T) {
-        let inner = ptr as *const Inner<T>;
-        // SAFETY: caller contract — the allocation is live, so reading the
-        // immutable `id` field is valid.
-        let id = unsafe { (*inner).id };
-        if id != 0 {
-            sched::alloc_event(id, "arc.increment_strong_count", 1, true);
-        }
-        // SAFETY: forwarded caller contract.
-        unsafe { std::sync::Arc::increment_strong_count(inner) };
-    }
-
-    /// Pointer identity, mirroring `std::sync::Arc::as_ptr`.
-    pub fn as_ptr(this: &Self) -> *const T {
-        std::sync::Arc::as_ptr(&this.inner) as *const T
-    }
-
-    /// Mutable access when this is the only handle. Inside a model the
-    /// registry holds a keep-alive clone of every tracked allocation, so
-    /// this returns `None` there; use it only on the pass-through path
-    /// (setup code before threads exist), as `serve` does.
+    /// Mutable access when this is the only handle, as `std`'s.
     pub fn get_mut(this: &mut Self) -> Option<&mut T> {
-        std::sync::Arc::get_mut(&mut this.inner).map(|inner| &mut *inner.value)
+        std::sync::Arc::get_mut(&mut this.inner).map(|inner| &mut inner.value)
     }
 
-    /// Physical strong count (std's, including the model keeper).
+    /// Strong count, as `std`'s.
     pub fn strong_count(this: &Self) -> usize {
         std::sync::Arc::strong_count(&this.inner)
     }
 }
 
-/// Registry cleanup callback: releases the keep-alive clone for `Inner<T>`.
-///
-/// # Safety
-/// `p` must be the `Arc::into_raw` result registered alongside this dropper,
-/// and must not be consumed again afterwards.
-unsafe fn drop_keeper<T>(p: *const ()) {
-    // SAFETY: `p` was produced by `Arc::into_raw` on the keeper clone in
-    // `Arc::new` and is dropped exactly once by the explorer.
-    unsafe { drop(std::sync::Arc::from_raw(p as *const Inner<T>)) };
-}
-
 impl<T> Clone for Arc<T> {
     fn clone(&self) -> Self {
-        let id = self.inner.id;
-        if id != 0 {
-            sched::alloc_event(id, "arc.clone", 1, true);
+        if self.inner.id != 0 {
+            sched::alloc_event(self.inner.id, "arc.clone", 1);
         }
         Arc {
-            inner: ManuallyDrop::new(std::sync::Arc::clone(&self.inner)),
+            inner: std::sync::Arc::clone(&self.inner),
         }
     }
 }
 
 impl<T> Drop for Arc<T> {
     fn drop(&mut self) {
-        let id = self.inner.id;
-        if id != 0 && sched::alloc_event(id, "arc.drop", -1, false) {
-            // The logical count just hit zero: destroy the value *now*,
-            // at the model-visible free point, so destructor side effects
-            // (a container releasing raw `Arc`s it holds, say) land in
-            // this execution rather than after the leak check. The keeper
-            // clone keeps the memory itself allocated until cleanup, which
-            // is what keeps dead-access *detection* memory-safe.
-            let inner = std::sync::Arc::as_ptr(&self.inner) as *mut Inner<T>;
-            // SAFETY: logical count zero means no live handle but ours and
-            // the keeper, which never touches `value`; any later raw-ptr
-            // resurrection is refuted by the registry before dereferencing.
-            unsafe {
-                use std::sync::atomic::Ordering::SeqCst;
-                if !(*inner).dropped.swap(true, SeqCst) {
-                    ManuallyDrop::drop(&mut (*inner).value);
-                }
-            }
+        if self.inner.id != 0 {
+            sched::alloc_event(self.inner.id, "arc.drop", -1);
         }
-        // SAFETY: `inner` is dropped exactly once, here; the wrapper is
-        // never used after drop.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
     }
 }
 
 impl<T> Deref for Arc<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        let id = self.inner.id;
-        if id != 0 {
-            sched::alloc_check_alive(id, "arc.deref");
-        }
         &self.inner.value
     }
 }
@@ -418,7 +294,7 @@ impl std::fmt::Debug for Condvar {
 // Atomics
 // ---------------------------------------------------------------------------
 
-/// Modeled atomic integers and pointers.
+/// Modeled atomic integers and booleans.
 ///
 /// Every operation inside a model is a scheduling point executed at SeqCst
 /// strength regardless of the requested `Ordering` (see the crate docs for
@@ -575,68 +451,6 @@ pub mod atomic {
                 self.inner.swap(val, Ordering::SeqCst)
             } else {
                 self.inner.swap(val, order)
-            }
-        }
-    }
-
-    /// Modeled atomic pointer; see [the module docs](self).
-    #[derive(Debug)]
-    pub struct AtomicPtr<T> {
-        inner: std::sync::atomic::AtomicPtr<T>,
-    }
-
-    impl<T> AtomicPtr<T> {
-        /// Create a new atomic pointer with `p` as its initial value.
-        pub const fn new(p: *mut T) -> Self {
-            Self {
-                inner: std::sync::atomic::AtomicPtr::new(p),
-            }
-        }
-
-        /// Atomic load (scheduling point in a model).
-        pub fn load(&self, order: Ordering) -> *mut T {
-            if sched::in_model() {
-                sched::sched_point("ptr.load");
-                self.inner.load(Ordering::SeqCst)
-            } else {
-                self.inner.load(order)
-            }
-        }
-
-        /// Atomic store (scheduling point in a model).
-        pub fn store(&self, val: *mut T, order: Ordering) {
-            if sched::in_model() {
-                sched::sched_point("ptr.store");
-                self.inner.store(val, Ordering::SeqCst)
-            } else {
-                self.inner.store(val, order)
-            }
-        }
-
-        /// Atomic swap (scheduling point in a model).
-        pub fn swap(&self, val: *mut T, order: Ordering) -> *mut T {
-            if sched::in_model() {
-                sched::sched_point("ptr.swap");
-                self.inner.swap(val, Ordering::SeqCst)
-            } else {
-                self.inner.swap(val, order)
-            }
-        }
-
-        /// Atomic compare-exchange.
-        pub fn compare_exchange(
-            &self,
-            current: *mut T,
-            new: *mut T,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<*mut T, *mut T> {
-            if sched::in_model() {
-                sched::sched_point("ptr.compare_exchange");
-                self.inner
-                    .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-            } else {
-                self.inner.compare_exchange(current, new, success, failure)
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Self-tests for the model checker: every detector (race-exposed
-//! assertion, deadlock, lost wakeup, lock-order inversion, Arc lifecycle,
-//! leak, livelock) must fire on a minimal known-bad program and stay silent
-//! on the corrected variant. The serve/subnet model suites lean on these
+//! assertion, deadlock, lost wakeup, lock-order inversion, leak,
+//! livelock) must fire on a minimal known-bad program and stay silent on
+//! the corrected variant. The serve model suite leans on these
 //! guarantees, so this file is the checker's own mutation test.
 
 use weave::sync::atomic::{AtomicUsize, Ordering};
@@ -116,30 +116,6 @@ fn detects_lock_order_inversion() {
 }
 
 #[test]
-fn detects_resurrection_of_freed_arc() {
-    // One raw token, two consumers: whoever runs second operates on a
-    // logically freed allocation. This is exactly the race a broken
-    // Swap::read opens (increment_strong_count after the writer dropped).
-    let failure = Builder::default()
-        .check(|| {
-            let addr = Arc::into_raw(Arc::new(7u32)) as usize;
-            let t = thread::spawn(move || {
-                // SAFETY(model): intentionally consumes the only token; the
-                // race with the main thread is the bug under test.
-                unsafe { drop(Arc::from_raw(addr as *const u32)) };
-            });
-            // SAFETY(model): intentionally races the spawned thread.
-            unsafe {
-                Arc::increment_strong_count(addr as *const u32);
-                drop(Arc::from_raw(addr as *const u32));
-            }
-            t.join().unwrap();
-        })
-        .expect_err("use-after-free schedule must be found");
-    assert!(failure.message.contains("freed allocation"), "{failure}");
-}
-
-#[test]
 fn detects_leaked_arc() {
     let failure = Builder::default()
         .check(|| {
@@ -152,9 +128,9 @@ fn detects_leaked_arc() {
 
 #[test]
 fn spin_drain_loop_terminates_and_passes() {
-    // The writer-drain idiom used by serve::Swap: spin (with yield) until
-    // the reader count hits zero. The yield deprioritisation must keep the
-    // schedule tree finite and the protocol must pass.
+    // A drain idiom: spin (with yield) until a reader count hits zero.
+    // The yield deprioritisation must keep the schedule tree finite and
+    // the protocol must pass.
     let report = weave::model(|| {
         let gate = Arc::new(AtomicUsize::new(1));
         let gate2 = Arc::clone(&gate);

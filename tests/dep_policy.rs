@@ -437,9 +437,17 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// every cold route and every patch of a cyclic fabric (EXPERIMENTS.md,
 /// "Victims in bulk"); ROADMAP item 2's deletions are where this is
 /// paid back.
+///
+/// Putting the serving epoch behind a mutex lowered it 19 666 → 19 381.
+/// `serve` (−95): `SnapshotStore` holds a `Mutex<Arc<Snapshot>>`, so the
+/// lock-free slot ring (`swap.rs`), the store's trailing epoch atomic and
+/// the coalescing cell's atomic waiter count went. `weave` (−190): the
+/// raw-pointer `Arc` API only the ring used, the keep-alive clone that
+/// made catching a revived pointer memory-safe, `AtomicPtr` and the
+/// modeled `spin_loop` went with it.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_666;
+    const CEILING: usize = 19_381;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

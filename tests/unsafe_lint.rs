@@ -21,28 +21,12 @@ use std::path::{Path, PathBuf};
 /// 100% safe Rust.
 const ALLOWLIST: &[(&str, &str)] = &[
     (
-        "crates/serve/src/swap.rs",
-        "Arc::into_raw/from_raw slot ring — the lock-free hot-swap core",
-    ),
-    (
-        "crates/serve/src/models.rs",
-        "seeded-fault replicas of Swap for the weave mutation tests",
-    ),
-    (
         "crates/perf/src/affinity.rs",
         "sched_getaffinity/sched_setaffinity FFI pinning the benchmark's query threads",
     ),
     (
         "crates/weave/src/sync.rs",
-        "tracked Arc: raw-pointer round trips mirroring std::sync::Arc's API",
-    ),
-    (
-        "crates/weave/src/sched.rs",
-        "type-erased keep-alive pointers released by the explorer",
-    ),
-    (
-        "crates/weave/tests/self_check.rs",
-        "deliberate use-after-free schedules the checker must detect",
+        "modeled Mutex: an UnsafeCell guarded by the scheduler or a real lock",
     ),
 ];
 
