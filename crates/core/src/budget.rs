@@ -102,15 +102,19 @@ impl BudgetGuard {
     /// Admission check, called once per run before any work: reject
     /// networks larger than the budget admits.
     pub fn admit(&self, net: &Network) -> Result<(), RouteError> {
-        if let Some(max) = self.max_nodes {
-            if net.num_nodes() > max {
-                return Err(RouteError::BudgetExceeded {
-                    resource: "nodes",
-                    limit: max as u64,
-                });
-            }
+        self.admit_with(|| net.num_nodes())
+    }
+
+    /// [`Self::admit`] for a caller that must fetch the network to size
+    /// it: `nodes` is called only when the budget caps the node count.
+    pub fn admit_with(&self, nodes: impl FnOnce() -> usize) -> Result<(), RouteError> {
+        match self.max_nodes {
+            Some(max) if nodes() > max => Err(RouteError::BudgetExceeded {
+                resource: "nodes",
+                limit: max as u64,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Deadline checkpoint; engines call this from every hot loop
@@ -192,6 +196,8 @@ mod tests {
         let g = BudgetGuard::unlimited();
         let net = topo::ring(4, 1);
         g.admit(&net).unwrap();
+        g.admit_with(|| unreachable!("no cap, so no view is sized"))
+            .unwrap();
         g.check_deadline().unwrap();
         g.check_cdg_edges(usize::MAX).unwrap();
         assert!(Budget::default().is_unlimited());

@@ -128,8 +128,8 @@ impl DfSssp {
             ..Sssp::new()
         };
         let routes = telemetry::timed(rec, phases::SSSP, || {
-            let (routes, load) = sweep.route_with_loads(net, &guard)?;
-            if rec.enabled() {
+            let (routes, load) = sweep.route_with_loads(net, &guard, rec.enabled())?;
+            if let Some(load) = load {
                 let grown = load.iter().filter(|&&l| l > 0).count() as u64;
                 rec.add(counters::EDGES_WEIGHTED, grown);
             }
@@ -795,6 +795,25 @@ mod tests {
                 assert_eq!(counted, loaded, "{} chunk {chunk}", net.label());
             }
         }
+    }
+
+    #[test]
+    fn a_snapshot_route_counts_loads_only_for_an_enabled_recorder() {
+        // Nobody reads a snapshot sweep's loads but the counter above.
+        use crate::sssp::LOAD_PASSES;
+        let net = topo::kary_ntree(4, 2);
+        let snapshot = ComputeOpts::new().chunk(net.num_terminals());
+        let quiet = DfSssp::new().with_config(EngineConfig::new().compute(snapshot));
+        let before = LOAD_PASSES.get();
+        quiet.route(&net).unwrap();
+        assert_eq!(LOAD_PASSES.get() - before, 0);
+        let traced = quiet.with_config(
+            EngineConfig::new()
+                .recorder(std::sync::Arc::new(telemetry::Collector::new()))
+                .compute(snapshot),
+        );
+        traced.route(&net).unwrap();
+        assert_eq!(LOAD_PASSES.get() - before, net.num_terminals());
     }
 
     #[test]

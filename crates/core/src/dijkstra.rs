@@ -7,8 +7,9 @@
 //! relaxation follows in-channels, and the recorded parent channel at node
 //! `v` is the forward channel a packet at `v` takes toward the
 //! destination. Two kernels: [`spt_to`] for weighted sweeps, and
-//! [`bfs_to`], which builds the same tree without a heap when every
-//! channel weighs the same and settles ties by [`bfs_prefers`].
+//! [`bfs_column`], which builds the same tree without a heap when every
+//! channel weighs the same, settles ties by [`bfs_prefers`] and writes
+//! it straight into its table column.
 
 use fabric::{ChannelId, Network, NodeId};
 use std::cmp::Reverse;
@@ -73,57 +74,59 @@ pub fn spt_to(net: &Network, root: NodeId, weights: &[u64]) -> Spt {
     }
 }
 
-/// Shortest-hop tree toward `root`: [`spt_to`] under any uniform weight
-/// `w >= 1`, bit for bit — the same `parent` and `pop_order`, `dist` in
-/// hops (`spt_to`'s divided by `w`) — in O(|N| + |C|) plus a sort per
-/// level. The heap settles each level in ascending node id and a node
-/// keeps the first in-channel that reached it, so the levels are
-/// expanded in that order; a FIFO queue would expand them in discovery
-/// order and hand ties to other parents. This is the sweep of the
-/// snapshot schedule (`chunk >= |T|`), and its tie rule, stated by
-/// [`bfs_prefers`], is the one the served tables have.
-pub fn bfs_to(net: &Network, root: NodeId) -> Spt {
-    let n = net.num_nodes();
-    let (mut dist, mut parent) = (vec![u64::MAX; n], vec![None; n]);
-    // The settle order doubles as the queue: `pop_order[i..end]` is what
-    // is left of the level being expanded, what it discovers lands
-    // behind it and is sorted once the level is done.
-    let mut pop_order = Vec::with_capacity(n);
-    pop_order.push(root);
-    dist[root.idx()] = 0;
+/// Shortest-hop tree toward `root`, written into its table column:
+/// `column[v]` becomes the raw id of `v`'s forward channel toward `root`
+/// (the parent [`spt_to`] picks under any uniform weight, bit for bit);
+/// the root's entry and those of unreachable nodes are left as they
+/// arrive, which must be unset (`u32::MAX`), so an unset non-root entry
+/// is an unvisited node. `order` is cleared and left holding the
+/// forwarding nodes the tree reached — the root, then the switches level
+/// by level, each level in ascending node id — in the order they were
+/// expanded, a node's parent head before it; a sweep reuses one `order`
+/// across its trees. O(|N| + |C|) plus a sort per level of switches. The
+/// heap settles each level in ascending node id and a node keeps the
+/// first in-channel that reached it, so the levels are expanded in that
+/// order; a FIFO queue would expand them in discovery order and hand ties
+/// to other parents. Terminals never forward, so only the root and
+/// switches enter the queue. This is the sweep of the snapshot schedule
+/// (`chunk >= |T|`), and its tie rule, stated by [`bfs_prefers`], is the
+/// one the served tables have.
+pub fn bfs_column(net: &Network, root: NodeId, column: &mut [u32], order: &mut Vec<NodeId>) {
+    debug_assert_eq!(column.len(), net.num_nodes());
+    debug_assert!(
+        column.iter().all(|&c| c == u32::MAX),
+        "column arrives unset"
+    );
+    order.clear();
+    order.push(root);
+    // `order[i..end]` is what is left of the level being expanded; what
+    // it discovers lands behind it and is sorted once the level is done.
     let (mut i, mut end) = (0, 1);
-    while let Some(&u) = pop_order.get(i) {
+    while let Some(&u) = order.get(i) {
         i += 1;
-        // Terminals never forward: only the root and switches expand.
-        if u == root || !net.is_terminal(u) {
-            for &c in net.in_channels(u) {
-                let v = net.channel(c).src;
-                if dist[v.idx()] == u64::MAX {
-                    dist[v.idx()] = dist[u.idx()] + 1;
-                    parent[v.idx()] = Some(c);
-                    pop_order.push(v);
+        for &c in net.in_channels(u) {
+            let v = net.channel(c).src;
+            if v != root && column[v.idx()] == u32::MAX {
+                column[v.idx()] = c.0;
+                if !net.is_terminal(v) {
+                    order.push(v);
                 }
             }
         }
         if i == end {
-            pop_order[end..].sort_unstable();
-            end = pop_order.len();
+            order[end..].sort_unstable();
+            end = order.len();
         }
-    }
-    Spt {
-        parent,
-        dist,
-        pop_order,
     }
 }
 
-/// The tie rule of [`bfs_to`]: of two tight channels out of one node
-/// whose heads forward toward the root, whether `bfs_to` takes `c`
-/// rather than `other`. A level expands in ascending node id and each
+/// The tie rule of [`bfs_column`]: of two tight channels out of one
+/// node whose heads forward toward the root, whether `bfs_column` takes
+/// `c` rather than `other`. A level expands in ascending node id and each
 /// node's `in_channels` in order (ascending channel id), so the lower
 /// head wins, and between parallel cables into one head the one listed
 /// first. `delta` judges a restored channel against a tree's incumbent
-/// with it; a different tie rule changes `bfs_to` and this together.
+/// with it; a different tie rule changes `bfs_column` and this together.
 pub fn bfs_prefers(net: &Network, c: ChannelId, other: ChannelId) -> bool {
     (net.channel(c).dst, c) < (net.channel(other).dst, other)
 }
@@ -133,21 +136,30 @@ mod tests {
     use super::*;
     use fabric::topo;
 
-    /// `bfs_to` is `spt_to` at uniform weight `w`: parents, settle order,
-    /// and distances scaled by `w` (unreachable stays `u64::MAX`).
+    /// The tree [`bfs_column`] writes toward `root`, as parents.
+    fn bfs_tree(net: &Network, root: NodeId, order: &mut Vec<NodeId>) -> Vec<Option<ChannelId>> {
+        let mut column = vec![u32::MAX; net.num_nodes()];
+        bfs_column(net, root, &mut column, order);
+        let parent = |&c: &u32| (c != u32::MAX).then_some(ChannelId(c));
+        column.iter().map(parent).collect()
+    }
+
+    /// The column kernel is `spt_to` at uniform weight `w`: the same
+    /// parents, unreachable nodes left unset, with one `order` across
+    /// every root; and it expands the forwarding nodes in `spt_to`'s
+    /// settle order.
     fn assert_bfs_is_the_heap(net: &Network, w: u64) {
         let weights = vec![w; net.num_channels()];
+        let mut order = Vec::new();
         for &root in net.terminals() {
-            let (heap, bfs) = (spt_to(net, root, &weights), bfs_to(net, root));
-            let scaled: Vec<u64> = bfs.dist.iter().map(|&d| d.saturating_mul(w)).collect();
-            assert_eq!(heap.parent, bfs.parent, "{} root {root:?}", net.label());
-            assert_eq!(
-                heap.pop_order,
-                bfs.pop_order,
-                "{} root {root:?}",
-                net.label()
-            );
-            assert_eq!(heap.dist, scaled, "{} root {root:?}", net.label());
+            let heap = spt_to(net, root, &weights);
+            let bfs = bfs_tree(net, root, &mut order);
+            assert_eq!(heap.parent, bfs, "{} root {root:?}", net.label());
+            let forwarding = heap.pop_order.iter().copied();
+            let forwarding: Vec<_> = forwarding
+                .filter(|&v| v == root || !net.is_terminal(v))
+                .collect();
+            assert_eq!(forwarding, order, "{} root {root:?}", net.label());
         }
     }
 
@@ -182,17 +194,17 @@ mod tests {
         let net = b.build();
         assert_bfs_is_the_heap(&net, 1);
         assert_bfs_is_the_heap(&net, 1 << 40);
-        let to_t0 = bfs_to(&net, t[0]);
+        let mut order = Vec::new();
+        let to_t0 = bfs_tree(&net, t[0], &mut order);
         let cables = net
             .out_channels(s[1])
             .iter()
             .filter(|&&c| net.channel(c).dst == s[0]);
-        assert_eq!(to_t0.parent[s[1].idx()], cables.min().copied());
+        assert_eq!(to_t0[s[1].idx()], cables.min().copied());
         // t3 hangs off a terminal, which never forwards.
-        assert_eq!(to_t0.dist[t[3].idx()], u64::MAX);
-        let to_t4 = bfs_to(&net, t[4]);
-        assert_eq!(to_t4.dist[s[0].idx()], u64::MAX);
-        assert!(to_t4.parent[s[0].idx()].is_none());
+        assert!(to_t0[t[3].idx()].is_none());
+        let to_t4 = bfs_tree(&net, t[4], &mut order);
+        assert!(to_t4[s[0].idx()].is_none());
     }
 
     #[test]

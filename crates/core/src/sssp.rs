@@ -27,19 +27,22 @@
 //! output is a function of the network and the chunk width alone;
 //! `chunk = 1` is the paper's algorithm byte for byte, `chunk = |T|` the
 //! snapshot schedule `delta` patches under (DESIGN.md §15): there every
-//! tree is the shortest-hop tree of [`bfs_to`] and no base weight is
-//! sized.
+//! tree is the shortest-hop tree [`bfs_column`] writes into its column,
+//! no base weight is sized and no load is counted that nobody reads.
 
 use crate::budget::BudgetGuard;
-use crate::dijkstra::{bfs_to, spt_to};
+use crate::dijkstra::{bfs_column, spt_to};
 use crate::engine::{ComputeOpts, EngineConfig, RouteError, RoutingEngine};
-use fabric::{Network, Routes};
+use fabric::{ChannelId, Network, NodeId, Routes};
 
 #[cfg(test)]
 thread_local! {
     /// Base weights sized on this thread, each an all-pairs diameter —
     /// the pin that a snapshot-chunk route sizes none.
     pub(crate) static BASE_WEIGHTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Trees whose loads were counted on this thread — the pin that a
+    /// snapshot route nobody reads the loads of counts none.
+    pub(crate) static LOAD_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The SSSP routing engine (not deadlock-free; see [`crate::DfSssp`]).
@@ -83,28 +86,31 @@ impl Sssp {
     /// weights (the weights are exposed for tests and diagnostics).
     pub fn route_with_weights(&self, net: &Network) -> Result<(Routes, Vec<u64>), RouteError> {
         let (unlimited, w0) = (BudgetGuard::unlimited(), self.base_weight(net));
-        let (routes, load) = self.route_with_loads(net, &unlimited)?;
+        let (routes, load) = self.route_with_loads(net, &unlimited, true)?;
+        let load = load.expect("loads asked for");
         Ok((routes, load.iter().map(|l| w0 + l).collect()))
     }
 
     /// Algorithm 1 under a [`BudgetGuard`] and the engine's chunk
-    /// schedule (see the module docs), returning the tables and what the
-    /// trees added to each channel's weight (its *load*: the number of
-    /// terminal-to-terminal paths over it). The deadline is checked
-    /// before every destination's tree (the expensive unit of Algorithm
-    /// 1), so a run over a hostile or oversized network stops within one
-    /// tree of its deadline.
+    /// schedule (see the module docs), returning the tables and, when
+    /// `loads` asks for them, what the trees added to each channel's
+    /// weight (its *load*: the number of terminal-to-terminal paths over
+    /// it). The deadline is checked before every destination's tree (the
+    /// expensive unit of Algorithm 1), so a run over a hostile or
+    /// oversized network stops within one tree of its deadline.
     ///
     /// A chunk reads the weights `W0 + load` as they stood when it
     /// began. Under one chunk (`chunk >= |T|`) that is `W0` everywhere:
-    /// every tree is the shortest-hop tree [`bfs_to`] builds, whatever
-    /// `W0` is, so the base weight (an all-pairs diameter) is never
-    /// computed.
+    /// every tree is the shortest-hop tree [`bfs_column`] writes straight
+    /// into its column, whatever `W0` is, so the base weight (an
+    /// all-pairs diameter) is never computed, and no load is counted
+    /// unless the caller reads it.
     pub fn route_with_loads(
         &self,
         net: &Network,
         guard: &BudgetGuard,
-    ) -> Result<(Routes, Vec<u64>), RouteError> {
+        loads: bool,
+    ) -> Result<(Routes, Option<Vec<u64>>), RouteError> {
         guard.admit(net)?;
         if !net.is_strongly_connected() {
             return Err(RouteError::Disconnected);
@@ -112,46 +118,63 @@ impl Sssp {
         let chunk = self.compute.chunk.max(1);
         let snapshot = chunk >= net.num_terminals();
         let w0 = if snapshot { 0 } else { self.base_weight(net) };
-        let mut load = vec![0u64; net.num_channels()];
+        let (mut load, mut subtree) = (vec![0u64; net.num_channels()], vec![0; net.num_nodes()]);
         // What the trees of the current chunk see (weighted chunks only).
         let mut weights = Vec::new();
         let mut routes = Routes::new(net, self.name());
-        let mut subtree = vec![0u64; net.num_nodes()];
+        let mut order = Vec::with_capacity(net.num_switches() + 1);
         for (dst_t, &dst) in net.terminals().iter().enumerate() {
             guard.check_deadline()?;
-            let spt = if snapshot {
-                bfs_to(net, dst)
-            } else {
-                if dst_t % chunk == 0 {
-                    weights = load.iter().map(|l| w0 + l).collect();
+            let column = routes.next_column_mut(dst_t);
+            if snapshot {
+                bfs_column(net, dst, column, &mut order);
+                // Only weighted chunks read the loads themselves.
+                if loads {
+                    add_loads(net, dst, column, &order, &mut subtree, &mut load);
                 }
-                spt_to(net, dst, &weights)
-            };
-            // Program tables along the tree.
-            for (id, _) in net.nodes() {
-                if let Some(c) = spt.parent[id.idx()] {
-                    routes.set_next(id, dst_t, c);
-                }
+                continue;
             }
-            // Load update: each channel gains the number of
-            // terminal-to-dst paths crossing it. Accumulate subtree
-            // sizes in reverse settle order (children strictly after
-            // parents in pop order, so reverse order sees children
-            // first).
-            subtree.iter_mut().for_each(|s| *s = 0);
-            for &v in spt.pop_order.iter().rev() {
-                if net.is_terminal(v) && v != dst {
-                    subtree[v.idx()] += 1;
-                }
-                if let Some(c) = spt.parent[v.idx()] {
-                    let u = net.channel(c).dst;
-                    let count = subtree[v.idx()];
-                    subtree[u.idx()] += count;
-                    load[c.idx()] += count;
-                }
+            if dst_t % chunk == 0 {
+                weights = load.iter().map(|l| w0 + l).collect();
             }
+            let spt = spt_to(net, dst, &weights);
+            let parents = column.iter_mut().zip(&spt.parent);
+            parents.for_each(|(slot, c)| *slot = c.map_or(u32::MAX, |c| c.0));
+            add_loads(net, dst, column, &spt.pop_order, &mut subtree, &mut load);
         }
-        Ok((routes, load))
+        Ok((routes, loads.then_some(load)))
+    }
+}
+
+/// Add the loads of the tree toward `root` held in `column`: each
+/// channel gains the number of terminal sources behind it. `order` holds
+/// the tree's forwarding nodes (it may hold its terminals too), each
+/// after its parent's head; `subtree` arrives zeroed and is left so.
+fn add_loads(
+    net: &Network,
+    root: NodeId,
+    column: &[u32],
+    order: &[NodeId],
+    subtree: &mut [u64],
+    load: &mut [u64],
+) {
+    #[cfg(test)]
+    LOAD_PASSES.set(LOAD_PASSES.get() + 1);
+    let parent = |v: NodeId| Some(ChannelId(column[v.idx()])).filter(|c| c.0 != u32::MAX);
+    // Terminals never forward, so each is a leaf with itself behind it.
+    for &t in net.terminals().iter().filter(|&&t| t != root) {
+        if let Some(c) = parent(t) {
+            load[c.idx()] += 1;
+            subtree[net.channel(c).dst.idx()] += 1;
+        }
+    }
+    // Reverse order sees every node after all of its children.
+    for &v in order.iter().rev() {
+        let behind = std::mem::take(&mut subtree[v.idx()]);
+        if let Some(c) = parent(v).filter(|_| behind > 0) {
+            load[c.idx()] += behind;
+            subtree[net.channel(c).dst.idx()] += behind;
+        }
     }
 }
 
@@ -161,7 +184,7 @@ impl RoutingEngine for Sssp {
     }
 
     fn route(&self, net: &Network) -> Result<Routes, RouteError> {
-        self.route_with_loads(net, &BudgetGuard::unlimited())
+        self.route_with_loads(net, &BudgetGuard::unlimited(), false)
             .map(|(r, _)| r)
     }
 

@@ -18,7 +18,8 @@
 //!   snapshot schedule the wrapped engine is configured with
 //!   (`compute.chunk >= |T|`; narrower chunks pass through): clean trees
 //!   are provably unchanged (see the dirty rules below), dirty trees are
-//!   recomputed with the same level-ordered BFS (`dijkstra::bfs_to`),
+//!   recomputed with the same level-ordered BFS column kernel
+//!   (`dijkstra::bfs_column`, straight into their table columns),
 //!   and the layer assignment either provably produces all-zeros
 //!   (patched layer-0 CDG still acyclic) or re-runs the real budgeted
 //!   assignment.
@@ -65,7 +66,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use dfsssp_core::balance::balance_layers;
 use dfsssp_core::budget::{clamp_layers, record_trip};
 use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
-use dfsssp_core::dijkstra::{bfs_prefers, bfs_to};
+use dfsssp_core::dijkstra::{bfs_column, bfs_prefers};
 use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{DfSssp, EngineConfig, RouteError, RoutingEngine};
 use fabric::{ChannelId, DepSlots, Network, Routes};
@@ -334,9 +335,9 @@ impl DeltaEngine {
         let dirty_dests = || diff.dirty_dests.iter().copied();
 
         // New tables: clean columns are copied whole and translated,
-        // dirty columns re-sweep with the snapshot chunk's own kernel,
-        // the level-ordered `bfs_to` (any uniform weight gives its trees
-        // bit for bit, so none is sized).
+        // dirty columns (left unset) re-sweep with the snapshot chunk's
+        // own kernel, the level-ordered `bfs_column` (any uniform weight
+        // gives its trees bit for bit, so none is sized).
         let mut routes = Routes::new(net, e.name());
         if !telemetry::timed(rec, phases::DELTA_DIFF, || {
             routes.copy_clean_columns_translated(&prev.routes, &diff.dirty, &diff.translate)
@@ -344,13 +345,10 @@ impl DeltaEngine {
             return Ok(None); // clean tree through a removed channel
         }
         telemetry::timed(rec, phases::DELTA_SWEEP, || {
+            let mut order = Vec::with_capacity(net.num_switches() + 1);
             for d in dirty_dests() {
-                let spt = bfs_to(net, net.terminals()[d]);
-                for (id, _) in net.nodes() {
-                    if let Some(c) = spt.parent[id.idx()] {
-                        routes.set_next(id, d, c);
-                    }
-                }
+                let column = routes.next_column_mut(d);
+                bfs_column(net, net.terminals()[d], column, &mut order);
             }
         });
 

@@ -214,6 +214,14 @@ impl Routes {
         (&self.next[dst_t * nn..][..nn], &self.vl[dst_t * nt..][..nt])
     }
 
+    /// The next-hop entries of destination column `dst_t`, one per node,
+    /// to write in place (channel ids, `u32::MAX` where unset): a sweep
+    /// kernel fills a tree's column without a per-entry call.
+    pub fn next_column_mut(&mut self, dst_t: usize) -> &mut [u32] {
+        let nn = self.num_nodes;
+        &mut self.next[dst_t * nn..][..nn]
+    }
+
     /// Overwrite destination column `dst_t` with entries and layers shaped
     /// as [`Routes::column`] returns them.
     pub fn set_column(&mut self, dst_t: usize, next: &[u32], layers: &[u8]) {

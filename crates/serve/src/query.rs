@@ -610,7 +610,8 @@ impl Engine {
         let policy = self.admission.policy(query.class);
         let guard = policy.budget.start();
         // Admission: is the serving view within this class's size cap?
-        if let Err(e) = guard.admit(&self.store.read().net) {
+        // The store is read only if the class has one.
+        if let Err(e) = guard.admit_with(|| self.store.read().net.num_nodes()) {
             rec.add(counters::QUERIES_REJECTED, 1);
             return Err(ServeError::Budget(e));
         }
@@ -896,6 +897,36 @@ mod tests {
             ..PathQuery::new(a, b)
         };
         assert!(engine.query(bulk).is_ok());
+    }
+
+    #[test]
+    fn only_a_node_cap_reads_the_store_at_admission() {
+        // Answers are walked on the workers' threads; this thread's
+        // reads are admission's.
+        use crate::snapshot::READS;
+        let net = topo::torus(&[4, 4], 1);
+        let capped = ClassPolicy {
+            budget: Budget::new().max_nodes(64),
+            ..ClassPolicy::default()
+        };
+        let opts = QueryOpts {
+            admission: Admission {
+                interactive: capped,
+                ..Admission::default()
+            },
+            ..QueryOpts::default()
+        };
+        let (_, engine) = engine_over(&net, opts);
+        let (a, b) = (net.terminals()[0], net.terminals()[1]);
+        let bulk = PathQuery {
+            class: QueryClass::Bulk,
+            ..PathQuery::new(a, b)
+        };
+        for (query, reads) in [(bulk, 0), (PathQuery::new(a, b), 1)] {
+            let before = READS.get();
+            engine.query(query).unwrap();
+            assert_eq!(READS.get() - before, reads, "{:?}", query.class);
+        }
     }
 
     #[test]

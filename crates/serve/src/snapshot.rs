@@ -179,6 +179,12 @@ pub struct SnapshotStore {
     recorder: RecorderHandle,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Snapshots [`SnapshotStore::read`] handed out on this thread.
+    pub(crate) static READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl SnapshotStore {
     /// Open a store serving `(net, routes)` as epoch 0. The same vet
     /// gate as [`SnapshotStore::publish`] applies: a store cannot even
@@ -221,6 +227,8 @@ impl SnapshotStore {
     /// returned `Arc` stays internally consistent no matter how many
     /// epochs are published after this returns.
     pub fn read(&self) -> Arc<Snapshot> {
+        #[cfg(test)]
+        READS.set(READS.get() + 1);
         self.current.lock().expect(HELD_BRIEFLY).clone()
     }
 

@@ -445,9 +445,19 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// raw-pointer `Arc` API only the ring used, the keep-alive clone that
 /// made catching a revived pointer memory-safe, `AtomicPtr` and the
 /// modeled `spin_loop` went with it.
+///
+/// Writing each snapshot tree straight into its column raised it 19 381
+/// → 19 400, almost all in `core` (+14). `dijkstra::bfs_column` uses
+/// the column it writes as its visited set and one queue reused across
+/// trees, where `bfs_to` allocated three vectors per tree; the load pass
+/// is its own function so the snapshot sweep runs it only when a caller
+/// reads the loads, and `BudgetGuard::admit_with` sizes a network only
+/// under a node cap. `fabric` (+4) has the column accessor the kernels
+/// write through; `serve` (+4) admits through `admit_with`, with a
+/// test-build store-read counter; `delta` (−3).
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_381;
+    const CEILING: usize = 19_400;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

@@ -5,11 +5,11 @@ mod common;
 use common::{parallel_cables, sweep, zoo_net, Case};
 use dfsssp::core::app::{coloring_to_app, is_k_colorable};
 use dfsssp::core::balance::balance_layers;
-use dfsssp::core::dijkstra::{bfs_prefers, bfs_to, spt_to};
+use dfsssp::core::dijkstra::{bfs_column, bfs_prefers, spt_to};
 use dfsssp::core::paths::TreePaths;
 use dfsssp::core::sssp::unbalanced_shortest_paths;
 use dfsssp::fabric::degrade::remove;
-use dfsssp::fabric::ChannelId;
+use dfsssp::fabric::{ChannelId, NodeId};
 use dfsssp::prelude::*;
 use dfsssp::telemetry::fx::FxHashSet;
 use dfsssp::verify::{deadlock_report, verify_minimal};
@@ -199,10 +199,19 @@ fn app_reduction_matches_chromatic_number() {
     });
 }
 
-/// `bfs_to` is `spt_to` at a uniform weight: the same parents and settle
-/// order, distances scaled, unreachable nodes kept — for every terminal
-/// root of every zoo fabric, pristine, with one cable down and with one
-/// switch down (which may strand terminals).
+/// The tree `bfs_column` writes toward `root`, as parents (`None` at the
+/// root and at nodes that cannot reach it).
+fn bfs_tree(net: &Network, root: NodeId, order: &mut Vec<NodeId>) -> Vec<Option<ChannelId>> {
+    let mut column = vec![u32::MAX; net.num_nodes()];
+    bfs_column(net, root, &mut column, order);
+    let parent = |&c: &u32| (c != u32::MAX).then_some(ChannelId(c));
+    column.iter().map(parent).collect()
+}
+
+/// The column kernel writes `spt_to`'s parents at a uniform weight,
+/// unreachable nodes left unset — for every terminal root of every zoo
+/// fabric, pristine, with one cable down and with one switch down (which
+/// may strand terminals), one `order` reused across the roots of a view.
 #[test]
 fn bfs_kernel_is_the_heap_at_a_uniform_weight() {
     sweep(0..64, |c| {
@@ -221,37 +230,35 @@ fn bfs_kernel_is_the_heap_at_a_uniform_weight() {
         ];
         for view in &views {
             let weights = vec![w; view.num_channels()];
+            let mut order = Vec::new();
             for &root in view.terminals() {
-                let (heap, bfs) = (spt_to(view, root, &weights), bfs_to(view, root));
-                let scaled: Vec<u64> = bfs.dist.iter().map(|&d| d.saturating_mul(w)).collect();
-                assert_eq!(heap.parent, bfs.parent, "parents toward {root:?}");
-                assert_eq!(
-                    heap.pop_order, bfs.pop_order,
-                    "settle order toward {root:?}"
-                );
-                assert_eq!(heap.dist, scaled, "distances toward {root:?}");
+                let heap = spt_to(view, root, &weights);
+                let bfs = bfs_tree(view, root, &mut order);
+                assert_eq!(heap.parent, bfs, "parents toward {root:?}");
             }
         }
     });
 }
 
-/// `bfs_to` hands every node the tight channel `bfs_prefers` ranks
+/// `bfs_column` hands every node the tight channel `bfs_prefers` ranks
 /// first among those whose head forwards (a switch, or the root), and
 /// leaves the root and unreachable nodes without one — for every
-/// terminal root of the zoo and of a fabric with parallel cables.
+/// terminal root of the zoo and of a fabric with parallel cables, hop
+/// distances from `Network::hops_to`.
 #[test]
 fn bfs_parents_are_the_preferred_tight_channels() {
     let check = |net: &Network| {
+        let mut order = Vec::new();
         for &root in net.terminals() {
-            let spt = bfs_to(net, root);
+            let (parent, hops) = (bfs_tree(net, root, &mut order), net.hops_to(root));
             for (v, _) in net.nodes() {
                 let tight = net.out_channels(v).iter().copied().filter(|&c| {
                     let head = net.channel(c).dst;
                     let forwards = head == root || !net.is_terminal(head);
-                    forwards && spt.dist[head.idx()].checked_add(1) == Some(spt.dist[v.idx()])
+                    forwards && hops[head.idx()].checked_add(1) == Some(hops[v.idx()])
                 });
                 let preferred = tight.reduce(|a, b| if bfs_prefers(net, b, a) { b } else { a });
-                assert_eq!(spt.parent[v.idx()], preferred, "{v:?} toward {root:?}");
+                assert_eq!(parent[v.idx()], preferred, "{v:?} toward {root:?}");
             }
         }
     };
@@ -261,7 +268,7 @@ fn bfs_parents_are_the_preferred_tight_channels() {
 
 /// Under one chunk the balanced engines route plain shortest paths:
 /// `unbalanced_shortest_paths`, `Sssp` and `DfSssp` program the same
-/// next hops (the tie rule lives in `bfs_to` alone).
+/// next hops (the tie rule lives in `bfs_column` alone).
 #[test]
 fn snapshot_chunk_routes_are_the_unbalanced_shortest_paths() {
     sweep(0..48, |c| {
