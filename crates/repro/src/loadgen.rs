@@ -171,13 +171,17 @@ fn shape_for(name: &str, duration_ms: u64) -> Shape {
 }
 
 /// Measure closed-loop capacity: one client, no deadline, interactive.
+/// It redeems tickets, the path the trace then drives: a synchronous
+/// `query` answers in the caller's thread and would size the trace for
+/// a capacity the shard workers do not have.
 fn calibrate(engine: &serve::QueryEngine, pairs: &[(NodeId, NodeId)]) -> u64 {
     let n = 1500u64;
     let started = Instant::now();
     for i in 0..n {
         let (src, dst) = pairs[i as usize % pairs.len()];
         engine
-            .query(PathQuery::new(src, dst))
+            .submit(PathQuery::new(src, dst))
+            .and_then(Ticket::wait)
             .expect("calibration query on a healthy fabric");
     }
     (n as f64 / started.elapsed().as_secs_f64()) as u64

@@ -15,16 +15,18 @@
 //!   passes**, so a bad reroute can never reach a reader — the
 //!   last-good epoch keeps serving through engine failures, contained
 //!   panics and rejected artifacts alike.
-//! * [`QueryEngine`] — a sharded thread pool answering
-//!   [`PathQuery`] → [`PathAnswer`] with per-batch snapshot reads
-//!   (every answer internally consistent by construction), coalescing
-//!   of duplicate in-flight queries, and weighted-fair admission per
-//!   [`QueryClass`]: each class runs under a [`ClassPolicy`] (a
-//!   [`dfsssp_core::Budget`] plus a deficit-weighted queue share), and
-//!   overload is met in order by DWRR fairness, expired-in-queue
-//!   shedding, the adaptive [`ShedController`] (AIMD on queue delay),
-//!   and finally queue caps — every refusal a typed
-//!   [`ServeError::Overloaded`] with a `retry_after` hint.
+//! * [`QueryEngine`] — answers [`PathQuery`] → [`PathAnswer`] from one
+//!   snapshot read (every answer internally consistent by
+//!   construction). A synchronous `query` walks the snapshot in the
+//!   caller's thread; a [`Ticket`] from `submit` is answered by a
+//!   sharded thread pool with batching, coalescing of duplicate
+//!   in-flight queries, and weighted-fair admission per [`QueryClass`]:
+//!   each class runs under a [`ClassPolicy`] (a [`dfsssp_core::Budget`]
+//!   plus a deficit-weighted queue share), and a ticket's overload is
+//!   met in order by DWRR fairness, expired-in-queue shedding, the
+//!   adaptive [`ShedController`] (AIMD on queue delay), and finally
+//!   queue caps — every refusal a typed [`ServeError::Overloaded`] with
+//!   a `retry_after` hint.
 //! * [`SloPolicy`] / [`SloVerdict`] — per-class latency objectives
 //!   judged from recorded histograms; what the overload bench and CI
 //!   gate on.

@@ -2,7 +2,8 @@
 //!
 //! The serving path records a submit-to-redeem latency histogram per
 //! [`QueryClass`] (`wait_us_interactive` / `wait_us_bulk`, observed by
-//! [`crate::Ticket::wait`] whenever a recorder is attached). An
+//! [`crate::Ticket::wait`] and by a synchronous
+//! [`crate::QueryEngine::query`] whenever a recorder is attached). An
 //! [`SloPolicy`] turns one of those histograms into a typed pass/fail
 //! [`SloVerdict`] — the contract the overload bench and CI's
 //! overload-smoke job gate on, instead of eyeballing percentiles.
