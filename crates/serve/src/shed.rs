@@ -4,10 +4,12 @@
 //! Queue caps alone shed load *late* — by the time a queue is full,
 //! every query already admitted is slow. The [`ShedController`] sheds
 //! *early* instead: shard workers report the worst in-queue wait of
-//! each drained batch, the controller folds those into an exponentially
-//! weighted moving average, and an AIMD loop (the TCP congestion shape:
-//! additive increase, multiplicative decrease) servos the fraction of
-//! best-effort submissions admitted:
+//! each drained batch (and, while the controller sheds, a synchronous
+//! query reports its queue delay of zero, so the rate recovers when
+//! only synchronous callers remain), the controller folds those into
+//! an exponentially weighted moving average, and an AIMD loop (the TCP
+//! congestion shape: additive increase, multiplicative decrease)
+//! servos the fraction of best-effort submissions admitted:
 //!
 //! * delay EWMA above [`ShedConfig::target_delay`] → halve the admitted
 //!   rate (a queue-cap rejection is treated the same way: both mean the
