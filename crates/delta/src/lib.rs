@@ -36,7 +36,9 @@
 //! `dijkstra::bfs_prefers` ranks first. So the tree changes exactly when
 //!
 //! * a **removed** channel `c` was a tree edge of `d`, i.e.
-//!   `next[c.src][d] == c` in the cached tables, or
+//!   `next[c.src][d] == c` in the cached tables, and `c.src` is still
+//!   live (a dead switch's row just goes: a tree through it also lost the
+//!   channel into it), or
 //! * an **added** channel `a → b` whose head forwards toward `d` and
 //!   reaches it on the *old* network either shortens the path,
 //!   `hop(a,d) > hop(b,d) + 1`, or ties it and wins the parent from the
@@ -47,17 +49,22 @@
 //!
 //! Both rules compose across multi-event diffs because clean
 //! destinations' hop distances and parents remain valid by the same
-//! argument. On a single cable event the dirty set is the set of trees
-//! whose column changes (`tests/delta_equivalence.rs` checks it against
-//! cold routes).
+//! argument. A switch event that strands no terminal is such a diff: the
+//! views keep every node at its id, so a dead switch is a node whose
+//! channels were removed and a returning one a node whose channels were
+//! added (which gives it a row in every tree, so every tree is dirty).
+//! On a single cable or switch event the dirty set is the set of trees
+//! whose column changes on the live nodes (`tests/delta_equivalence.rs`
+//! checks it against cold routes).
 //!
 //! # When the engine falls back
 //!
 //! A patch costs a cold route minus the clean trees' sweeps, so the
 //! engine runs the full pipeline only when there is nothing to reuse:
-//! no cached epoch, a changed node roster, or **every** destination
-//! dirty — an event that changes every tree, such as a fat-tree leaf's
-//! cable to its lowest-id spine. A fallback costs that cold route and
+//! no cached epoch, a changed set of live terminals (a quarantine or its
+//! end), or **every** destination dirty — an event that changes every
+//! tree, such as a fat-tree leaf's cable to its lowest-id spine, or a
+//! switch's return. A fallback costs that cold route and
 //! two clones: the counts of an acyclic fabric are the ones the route's
 //! own layer-0 pass made.
 
@@ -103,7 +110,7 @@ pub struct DeltaOutcome {
     /// Destination terminal indices the diff against the cached epoch
     /// dirtied: the trees a patch re-swept, or what made a diffable
     /// request fall back. Empty when there was nothing to diff (first
-    /// route, roster change, passthrough, error).
+    /// route, changed live terminals, passthrough, error).
     pub dirty_dests: Vec<usize>,
     /// Whether the all-paths (layer-0) CDG of the result is acyclic (all
     /// paths fit one layer before balancing).
@@ -256,15 +263,11 @@ impl DeltaEngine {
             return Ok(Attempt::Fallback(Vec::new()));
         };
         let nt = net.num_terminals();
-        // The diff assumes an identical node roster (degrade preserves
-        // it); anything else is a different fabric, not an event.
-        if prev.net.num_nodes() != net.num_nodes()
-            || prev.net.terminals() != net.terminals()
-            || net
-                .nodes()
-                .zip(prev.net.nodes())
-                .any(|((_, a), (_, b))| a.name != b.name)
-        {
+        // The diff reads node ids across the two views, which share them
+        // (degrade keeps the roster), and tables by terminal index, which
+        // a stranded or returning terminal moves: anything else is a
+        // different fabric, not an event.
+        if prev.net.num_nodes() != net.num_nodes() || prev.net.terminals() != net.terminals() {
             return Ok(Attempt::Fallback(Vec::new()));
         }
 
@@ -340,7 +343,7 @@ impl DeltaEngine {
         // gives its trees bit for bit, so none is sized).
         let mut routes = Routes::new(net, e.name());
         if !telemetry::timed(rec, phases::DELTA_DIFF, || {
-            routes.copy_clean_columns_translated(&prev.routes, &diff.dirty, &diff.translate)
+            routes.copy_clean_columns_translated(net, &prev.routes, &diff.dirty, &diff.translate)
         }) {
             return Ok(None); // clean tree through a removed channel
         }
@@ -495,7 +498,8 @@ impl DiffPlanProvider for DeltaPlanner {
 
 /// Diff `net` against the cached epoch: match channels by (source node,
 /// source port, destination node), then apply the two dirty rules of the
-/// module docs. The cached tables are the reverse index — a removed
+/// module docs (a channel out of a node `net` drops is no tree edge
+/// there). The cached tables are the reverse index — a removed
 /// channel's users are its source node's entry in every column — and an
 /// added channel is judged from two forward BFSs on the cached network
 /// and, on a tie, against its source's cached entry.
@@ -512,6 +516,8 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
                 translate[cid.idx()] = Some(nc);
                 matched[nc.idx()] = true;
             }
+            // A node the new view drops takes its own row with it.
+            _ if !net.is_live(ch.src) => {}
             _ => {
                 for (d, flag) in dirty.iter_mut().enumerate() {
                     *flag |= prev.routes.next_hop(ch.src, d) == Some(cid);
@@ -987,8 +993,8 @@ mod tests {
         engine.route(&fail_one_cable(&net, 3)).unwrap();
         assert!(engine.last_outcome().unwrap().delta);
 
-        // A roster change goes straight to the full pipeline, which
-        // trips the edge cap while building layer 0.
+        // A switch down: the patch (or the full pipeline) trips the edge
+        // cap on layer 0.
         let smaller = degrade::fail_random_switch(&net, 7).expect("a removable switch");
         let unlimited = engine.config();
         engine.set_config(snap(&net).budget(Budget::new().max_cdg_edges(1)));

@@ -287,12 +287,22 @@ impl NetworkBuilder {
 
     /// Finalize into an immutable [`Network`].
     pub fn build(self) -> Network {
+        self.build_without(|_| false)
+    }
+
+    /// [`Self::build`], with the nodes `dead` names kept in the roster
+    /// but in neither [`Network::terminals`] nor [`Network::switches`]:
+    /// the caller has cabled none of them.
+    pub(crate) fn build_without(self, dead: impl Fn(NodeId) -> bool) -> Network {
         let n = self.nodes.len();
         let mut switches = Vec::new();
         let mut terminals = Vec::new();
         let mut switch_index = vec![NONE_U32; n];
         let mut terminal_index = vec![NONE_U32; n];
         for (i, node) in self.nodes.iter().enumerate() {
+            if dead(NodeId(i as u32)) {
+                continue;
+            }
             match node.kind {
                 NodeKind::Switch => {
                     switch_index[i] = switches.len() as u32;

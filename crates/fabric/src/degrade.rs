@@ -6,21 +6,27 @@
 //! The paper's introduction motivates DFSSSP with networks that grew or
 //! degraded away from their ideal structure ("supercomputers are extended
 //! later and topologies grow with the machines"); these helpers create
-//! such networks from the regular generators. Node names and *port
-//! numbers* survive every rebuild, so a degraded network's hardware can
-//! be identified with its ancestor's — the property the subnet manager's
-//! fault-tolerance loop relies on to address events and diff tables
-//! across rebuilds.
+//! such networks from the regular generators. A degraded view keeps its
+//! ancestor's whole roster: every node keeps its [`NodeId`] (a dead switch
+//! or a stranded terminal stays, cabled to nothing and in neither
+//! [`Network::terminals`] nor [`Network::switches`]), and every surviving
+//! cable keeps its *port numbers*, as InfiniBand hardware keeps its LIDs
+//! and ports across sweeps. So the views of one fabric address a node by
+//! one id and a channel by its source and port — what the subnet
+//! manager's loop relies on to address events and diff tables across
+//! rebuilds. Channel ids are renumbered.
 
 use crate::graph::{ChannelId, NodeId, NodeKind};
 use crate::rng::Rng;
 use crate::{Network, NetworkBuilder};
 use telemetry::fx::FxHashSet;
 
-/// Rebuild `net` without the channels in `dead_channels` and without the
-/// nodes in `dead_nodes` (and all channels touching them). Names, kinds,
-/// coordinates, levels and port numbers are preserved: a surviving cable
-/// keeps the exact ports it was plugged into, like real hardware.
+/// Rebuild `net` without the channels in `dead_channels` and with the
+/// nodes in `dead_nodes` dead: kept at their ids, cabled to nothing, in
+/// neither [`Network::terminals`] nor [`Network::switches`] (as are the
+/// nodes already dead in `net`). Names, kinds, coordinates, levels and
+/// port numbers are preserved: a surviving cable keeps the exact ports it
+/// was plugged into, like real hardware.
 pub fn remove(
     net: &Network,
     dead_nodes: &FxHashSet<NodeId>,
@@ -28,11 +34,7 @@ pub fn remove(
 ) -> Network {
     let mut b = NetworkBuilder::new();
     b.label(format!("{}-degraded", net.label()));
-    let mut map = vec![None; net.num_nodes()];
-    for (id, node) in net.nodes() {
-        if dead_nodes.contains(&id) {
-            continue;
-        }
+    for (_, node) in net.nodes() {
         let new = b.add_node(node.kind, node.name.clone(), node.max_ports);
         if let Some(c) = &node.coord {
             b.set_coord(new, c.clone());
@@ -40,73 +42,50 @@ pub fn remove(
         if let Some(l) = node.level {
             b.set_level(new, l);
         }
-        map[id.idx()] = Some(new);
     }
+    let dead = |v: NodeId| dead_nodes.contains(&v) || !net.is_live(v);
     let mut done = vec![false; net.num_channels()];
     for (id, ch) in net.channels() {
-        if done[id.idx()] || dead_channels.contains(&id) {
+        if done[id.idx()] || dead_channels.contains(&id) || dead(ch.src) || dead(ch.dst) {
             continue;
         }
         done[id.idx()] = true;
-        let (Some(src), Some(dst)) = (map[ch.src.idx()], map[ch.dst.idx()]) else {
-            continue;
-        };
         match ch.rev {
             Some(r) if !dead_channels.contains(&r) => {
                 done[r.idx()] = true;
-                b.link_at(src, ch.src_port, dst, ch.dst_port)
+                b.link_at(ch.src, ch.src_port, ch.dst, ch.dst_port)
                     .expect("surviving ports cannot collide on removal");
             }
             _ => {
-                b.add_channel_at(src, ch.src_port, dst, ch.dst_port)
+                b.add_channel_at(ch.src, ch.src_port, ch.dst, ch.dst_port)
                     .expect("surviving ports cannot collide on removal");
             }
         }
     }
-    b.build()
+    b.build_without(dead)
 }
 
-/// How one view of a fabric corresponds to another — say the views
-/// [`remove`] builds before and after an event: nodes by name (the first
-/// old node of each name), channels by their source's twin and port, the
-/// identity [`remove`] preserves.
+/// How the channels of one view of a fabric correspond to another's —
+/// say the views [`remove`] builds before and after an event. Nodes need
+/// no map: the views share their ids.
 #[derive(Clone, Debug)]
 pub struct ViewMap {
-    /// Per node of the new view: the first old node of its name.
-    pub old_node: Vec<Option<NodeId>>,
-    /// Per old node: the last new node matched to it.
-    pub twin: Vec<Option<NodeId>>,
-    /// Per old channel: the channel leaving its source's twin over the
-    /// same port.
+    /// Per old channel: the channel leaving the same node over the same
+    /// port in the new view.
     pub channel: Vec<Option<ChannelId>>,
 }
 
 impl ViewMap {
-    /// Match `new`'s nodes and channels to `old`'s.
+    /// Match `new`'s channels to `old`'s (a node `new` does not have
+    /// matches nothing).
     pub fn between(old: &Network, new: &Network) -> ViewMap {
-        let mut by_name: telemetry::fx::FxHashMap<&str, NodeId> = Default::default();
-        for (id, n) in old.nodes() {
-            by_name.entry(&n.name).or_insert(id);
-        }
-        let old_node: Vec<Option<NodeId>> = new
-            .nodes()
-            .map(|(_, n)| by_name.get(n.name.as_str()).copied())
-            .collect();
-        let mut twin = vec![None; old.num_nodes()];
-        for ((n, _), o) in new.nodes().zip(&old_node) {
-            if let Some(o) = o {
-                twin[o.idx()] = Some(n);
-            }
-        }
+        let in_new = |n: NodeId| n.idx() < new.num_nodes();
         let channel = old
             .channels()
-            .map(|(_, ch)| twin[ch.src.idx()].and_then(|n| port_at(new, n, ch.src_port)))
+            .map(|(_, ch)| in_new(ch.src).then(|| port_at(new, ch.src, ch.src_port)))
+            .map(Option::flatten)
             .collect();
-        ViewMap {
-            old_node,
-            twin,
-            channel,
-        }
+        ViewMap { channel }
     }
 }
 
@@ -117,19 +96,19 @@ pub fn port_at(net: &Network, n: NodeId, port: u16) -> Option<ChannelId> {
     out.find(|&c| net.channel(c).src_port == port)
 }
 
-/// Carve the largest serving core out of a (possibly disconnected)
-/// network: the mutually-reachable node set of the undirected component
-/// holding the most terminals (ties: most nodes, then lowest node id).
-/// Returns the core as its own network plus the ids (of `net`) of the
-/// stranded nodes left outside it.
-pub fn extract_core(net: &Network) -> (Network, Vec<NodeId>) {
+/// The live nodes outside the largest serving core of a (possibly
+/// disconnected) network, ascending. The core is the mutually-reachable
+/// node set of the undirected component holding the most terminals (ties:
+/// most nodes, then lowest node id); [`remove`] of the returned nodes
+/// leaves exactly it.
+pub fn extract_core(net: &Network) -> Vec<NodeId> {
     let n = net.num_nodes();
-    // Undirected components over all channels.
+    // Undirected components of the live nodes over all channels.
     let mut comp = vec![usize::MAX; n];
     let mut ncomp = 0;
     let mut queue = Vec::new();
     for start in 0..n {
-        if comp[start] != usize::MAX {
+        if comp[start] != usize::MAX || !net.is_live(NodeId(start as u32)) {
             continue;
         }
         comp[start] = ncomp;
@@ -149,11 +128,9 @@ pub fn extract_core(net: &Network) -> (Network, Vec<NodeId>) {
     }
     let mut terminals = vec![0usize; ncomp];
     let mut sizes = vec![0usize; ncomp];
-    for (id, node) in net.nodes() {
+    for (id, _) in net.nodes().filter(|&(id, _)| net.is_live(id)) {
         sizes[comp[id.idx()]] += 1;
-        if node.kind == NodeKind::Terminal {
-            terminals[comp[id.idx()]] += 1;
-        }
+        terminals[comp[id.idx()]] += usize::from(net.is_terminal(id));
     }
     let best = (0..ncomp)
         .max_by_key(|&c| (terminals[c], sizes[c], std::cmp::Reverse(c)))
@@ -164,15 +141,10 @@ pub fn extract_core(net: &Network) -> (Network, Vec<NodeId>) {
     let pivot = NodeId((0..n).find(|&i| comp[i] == best).expect("non-empty") as u32);
     let fwd = reach(net, pivot, false);
     let bwd = reach(net, pivot, true);
-    let mut dead = FxHashSet::default();
-    let mut stranded = Vec::new();
-    for i in 0..n {
-        if !(fwd[i] && bwd[i]) {
-            dead.insert(NodeId(i as u32));
-            stranded.push(NodeId(i as u32));
-        }
-    }
-    (remove(net, &dead, &FxHashSet::default()), stranded)
+    (0..n)
+        .map(|i| NodeId(i as u32))
+        .filter(|&v| net.is_live(v) && !(fwd[v.idx()] && bwd[v.idx()]))
+        .collect()
 }
 
 /// Nodes reachable from `start` following channels forward (or backward).
@@ -385,16 +357,13 @@ mod tests {
         let degraded = remove(&net, &FxHashSet::default(), &dead);
         degraded.validate().unwrap();
         for (_, ch) in degraded.channels() {
-            let src = net
-                .node_by_name(&degraded.node(ch.src).name)
-                .expect("same nodes");
             let orig = net
-                .out_channels(src)
+                .out_channels(ch.src)
                 .iter()
                 .find(|&&c| net.channel(c).src_port == ch.src_port)
                 .map(|&c| net.channel(c))
                 .expect("cable existed at this port before degradation");
-            assert_eq!(net.node(orig.dst).name, degraded.node(ch.dst).name);
+            assert_eq!(orig.dst, ch.dst);
             assert_eq!(orig.dst_port, ch.dst_port);
         }
     }
@@ -414,15 +383,70 @@ mod tests {
         b.link(tl, lone).unwrap();
         let net = b.build();
         assert!(!net.is_strongly_connected());
-        let (core, stranded) = extract_core(&net);
+        let stranded = extract_core(&net);
+        assert_eq!(stranded, vec![lone, tl]);
+        let core = remove(&net, &stranded.into_iter().collect(), &FxHashSet::default());
+        core.validate().unwrap();
         assert!(core.is_strongly_connected());
         assert_eq!(core.num_terminals(), 3);
-        assert_eq!(stranded.len(), 2);
-        let names: Vec<&str> = stranded
+        // Nothing more is stranded, and a dead node is never stranded again.
+        assert!(extract_core(&core).is_empty());
+    }
+
+    /// A view keeps the whole roster: every node at its id with its name
+    /// and kind, the dead ones live in neither list and cabled to
+    /// nothing, and every surviving cable between the same two ids over
+    /// the same ports.
+    #[test]
+    fn a_view_keeps_every_node_at_its_id() {
+        let net = topo::kary_ntree(4, 2);
+        let leaf = *net
+            .switches()
             .iter()
-            .map(|&n| net.node(n).name.as_str())
+            .find(|&&s| net.node(s).level == Some(0))
+            .unwrap();
+        let cable = net.switch_cables()[5];
+        let dead_c = [cable, net.channel(cable).rev.unwrap()]
+            .into_iter()
             .collect();
-        assert!(names.contains(&"lone") && names.contains(&"tl"));
+        let view = remove(&net, &[leaf].into_iter().collect(), &dead_c);
+        view.validate().unwrap();
+        assert_eq!(view.num_nodes(), net.num_nodes());
+        for (id, node) in net.nodes() {
+            assert_eq!(view.node(id).name, node.name);
+            assert_eq!(view.node(id).kind, node.kind);
+        }
+        assert!(!view.is_live(leaf) && view.out_channels(leaf).is_empty());
+        assert_eq!(view.num_switches(), net.num_switches() - 1);
+        let stranded = net.out_channels(leaf).iter().map(|&c| net.channel(c).dst);
+        let stranded: Vec<NodeId> = stranded.filter(|&v| net.is_terminal(v)).collect();
+        assert_eq!(stranded.len(), 4);
+        // The leaf's terminals are cut off: live, and stranded outside the core.
+        assert!(stranded.iter().all(|&t| view.is_terminal(t)));
+        assert!(!view.is_strongly_connected());
+        let mut gone = stranded.clone();
+        gone.sort_unstable();
+        assert_eq!(extract_core(&view), gone);
+        let core = remove(
+            &view,
+            &gone.iter().copied().collect(),
+            &FxHashSet::default(),
+        );
+        assert!(core.is_strongly_connected());
+        assert_eq!(core.num_nodes(), net.num_nodes());
+        assert_eq!(core.num_terminals(), net.num_terminals() - 4);
+        assert!(gone.iter().all(|&t| !core.is_live(t)));
+        for (_, ch) in core.channels() {
+            let port = port_at(&net, ch.src, ch.src_port).expect("the cable existed");
+            assert_eq!(
+                (net.channel(port).dst, net.channel(port).dst_port),
+                (ch.dst, ch.dst_port)
+            );
+        }
+        assert_eq!(core.num_cables(), net.num_cables() - 1 - 4 * 2);
+        let map = ViewMap::between(&net, &core);
+        let mapped = map.channel.iter().flatten().count();
+        assert_eq!(mapped, core.num_channels());
     }
 
     #[test]

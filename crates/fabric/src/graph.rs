@@ -360,13 +360,13 @@ impl Network {
         self.in_csr.row(node.idx())
     }
 
-    /// All switch ids, ascending.
+    /// All live switch ids, ascending.
     #[inline]
     pub fn switches(&self) -> &[NodeId] {
         &self.switches
     }
 
-    /// All terminal ids, ascending.
+    /// All live terminal ids, ascending.
     #[inline]
     pub fn terminals(&self) -> &[NodeId] {
         &self.terminals
@@ -402,6 +402,15 @@ impl Network {
         self.switch_index[node.idx()] != NONE_U32
     }
 
+    /// Whether `node` is live: a terminal or a switch of this view. A
+    /// degraded view ([`crate::degrade::remove`]) keeps its reference's
+    /// whole roster, so a dead switch or a stranded terminal is still a
+    /// node, but one with no channels that is neither.
+    #[inline]
+    pub fn is_live(&self, node: NodeId) -> bool {
+        self.is_terminal(node) || self.is_switch(node)
+    }
+
     /// Free-form topology label, e.g. `"kautz(3,3)"`.
     #[inline]
     pub fn label(&self) -> &str {
@@ -413,7 +422,9 @@ impl Network {
         self.label = label.into();
     }
 
-    /// Find a node by name. O(n); intended for tests and file parsing.
+    /// Find a node by name. O(n); for tests and file parsing only: the
+    /// views of one fabric share its node ids, so nothing matches nodes
+    /// across views by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes
             .iter()
@@ -421,17 +432,18 @@ impl Network {
             .map(|i| NodeId(i as u32))
     }
 
-    /// Whether every node can reach every other node along directed
+    /// Whether every live node can reach every other along directed
     /// channels. Routing engines require this.
     pub fn is_strongly_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return true;
-        }
         let n = self.nodes.len();
+        let Some(&start) = self.switches.first().or(self.terminals.first()) else {
+            return true;
+        };
+        let live = self.terminals.len() + self.switches.len();
         let reach = |adj: &CsrAdj, forward: bool| -> usize {
             let mut seen = vec![false; n];
-            let mut stack = vec![NodeId(0)];
-            seen[0] = true;
+            let mut stack = vec![start];
+            seen[start.idx()] = true;
             let mut count = 1;
             while let Some(u) = stack.pop() {
                 for &c in adj.row(u.idx()) {
@@ -449,21 +461,22 @@ impl Network {
             }
             count
         };
-        reach(&self.out_csr, true) == n && reach(&self.in_csr, false) == n
+        reach(&self.out_csr, true) == live && reach(&self.in_csr, false) == live
     }
 
     /// Graph diameter `d(I)` in hops (over directed channels), computed by
-    /// BFS from every node. `None` for disconnected networks.
+    /// BFS from every live node. `None` for disconnected networks.
     pub fn diameter(&self) -> Option<usize> {
         let n = self.nodes.len();
         let mut diameter = 0;
         let mut dist = vec![u32::MAX; n];
         let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
+        let live = || self.switches.iter().chain(&self.terminals);
+        for &s in live() {
             dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[s] = 0;
+            dist[s.idx()] = 0;
             queue.clear();
-            queue.push_back(NodeId(s as u32));
+            queue.push_back(s);
             while let Some(u) = queue.pop_front() {
                 for &c in self.out_csr.row(u.idx()) {
                     let v = self.channels[c.idx()].dst;
@@ -473,7 +486,7 @@ impl Network {
                     }
                 }
             }
-            let max = *dist.iter().max().unwrap();
+            let max = live().map(|v| dist[v.idx()]).max().unwrap_or(0);
             if max == u32::MAX {
                 return None;
             }
@@ -551,8 +564,9 @@ impl Network {
     }
 
     /// Internal consistency check: adjacency rows, index maps and port
-    /// assignments all agree with the node and channel lists. Used by
-    /// tests and after file parsing.
+    /// assignments all agree with the node and channel lists, and a node
+    /// in neither index map (a dead node of a degraded view) has no
+    /// channels. Used by tests and after file parsing.
     ///
     /// This must never panic, whatever the contents (short index maps,
     /// dangling channel ids, foreign adjacency), so every array length
@@ -615,6 +629,14 @@ impl Network {
         for (i, node) in self.nodes.iter().enumerate() {
             let ti = self.terminal_index[i];
             let si = self.switch_index[i];
+            if ti == NONE_U32 && si == NONE_U32 {
+                // A dead node of a degraded view: in the roster, cabled to
+                // nothing.
+                if !self.out_csr.row(i).is_empty() || !self.in_csr.row(i).is_empty() {
+                    return Err(format!("dead node n{i} ({}) has channels", node.name));
+                }
+                continue;
+            }
             match node.kind {
                 NodeKind::Terminal => {
                     if ti == NONE_U32 || si != NONE_U32 {

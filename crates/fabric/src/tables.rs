@@ -275,12 +275,15 @@ impl Routes {
 
     /// Copy every destination column *not* flagged in `dirty` from
     /// `other`, renaming each channel through `translate` (`None` = the
-    /// channel no longer exists); a dirty column is skipped whole. Returns
-    /// `false` (tables partially written — discard them) when a populated
-    /// clean entry fails to translate, which callers treat as a
+    /// channel no longer exists); a dirty column is skipped whole, and an
+    /// entry that does not translate at a node not live in `net` (the
+    /// network these tables are for) is dropped. Returns `false` (tables
+    /// partially written — discard them) when a populated clean entry of
+    /// a live node fails to translate, which callers treat as a
     /// stale-cache signal.
     pub fn copy_clean_columns_translated(
         &mut self,
+        net: &Network,
         other: &Routes,
         dirty: &[bool],
         translate: &[Option<ChannelId>],
@@ -289,9 +292,10 @@ impl Routes {
         for d in (0..self.num_terminals).filter(|&d| !dirty[d]) {
             let column = &mut self.next[d * nn..][..nn];
             let populated = column.iter_mut().zip(&other.next[d * on..][..on]);
-            for (slot, &v) in populated.filter(|&(_, &v)| v != NONE_U32) {
-                match translate.get(v as usize).copied().flatten() {
+            for (v, (slot, &c)) in populated.enumerate().filter(|&(_, (_, &c))| c != NONE_U32) {
+                match translate.get(c as usize).copied().flatten() {
                     Some(nc) => *slot = nc.0,
+                    None if !net.is_live(NodeId(v as u32)) => {}
                     None => return false,
                 }
             }
@@ -592,7 +596,7 @@ mod tests {
             .collect();
         let dirty = vec![false; net.num_terminals()];
         let mut out = Routes::new(&net, "copy");
-        assert!(out.copy_clean_columns_translated(&src, &dirty, &ident));
+        assert!(out.copy_clean_columns_translated(&net, &src, &dirty, &ident));
         assert_eq!(out.next, src.next);
         out.copy_layers_from(&src);
         assert_eq!(out.vl, src.vl);
@@ -616,7 +620,7 @@ mod tests {
         let mut masked = Routes::new(&net, "masked");
         let mut dirty0 = dirty.clone();
         dirty0[0] = true;
-        assert!(masked.copy_clean_columns_translated(&src, &dirty0, &ident));
+        assert!(masked.copy_clean_columns_translated(&net, &src, &dirty0, &ident));
         for (id, _) in net.nodes() {
             assert_eq!(masked.next_hop(id, 0), None);
             assert_eq!(masked.next_hop(id, 1), src.next_hop(id, 1));
@@ -625,7 +629,7 @@ mod tests {
         // An untranslatable clean entry aborts the copy.
         let none: Vec<Option<ChannelId>> = vec![None; net.num_channels()];
         let mut broken = Routes::new(&net, "broken");
-        assert!(!broken.copy_clean_columns_translated(&src, &dirty, &none));
+        assert!(!broken.copy_clean_columns_translated(&net, &src, &dirty, &none));
     }
 
     /// The tables as the artifact lays them out, kept as the oracle of
@@ -731,7 +735,7 @@ mod tests {
                 // still counts, and the bulk operations have nothing to do.
                 routes.set_path_layers(&[]);
                 routes.copy_layers_from(&other);
-                assert!(routes.copy_clean_columns_translated(&other, &[], &[]));
+                assert!(routes.copy_clean_columns_translated(net, &other, &[], &[]));
                 model.assert_is(&routes, "no terminals");
                 continue;
             }
@@ -790,7 +794,7 @@ mod tests {
                             .all(|c| renamed(c).is_some());
                         let before = routes.clone();
                         assert_eq!(
-                            routes.copy_clean_columns_translated(&other, &dirty, &translate),
+                            routes.copy_clean_columns_translated(net, &other, &dirty, &translate),
                             ok,
                             "{what}"
                         );

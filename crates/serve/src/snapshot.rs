@@ -5,10 +5,10 @@
 //! path queries: the (possibly degraded) serving [`Network`], the
 //! [`Routes`] the engine produced for it, the VL assignment those routes
 //! carry, and the [`vet::Report`] that proves the artifact is safe to
-//! serve. Snapshots are immutable — readers share them by `Arc` — and
-//! carry a terminal map from *reference* node ids (the stable physical
-//! identity fabric events use) to the epoch's renumbered view, so a
-//! query keeps meaning the same pair of hosts across degradations.
+//! serve. Snapshots are immutable — readers share them by `Arc`. Every
+//! view of a fabric keeps the reference's node ids (the stable physical
+//! identity fabric events use), so a query keeps meaning the same pair
+//! of hosts across degradations.
 //!
 //! The [`SnapshotStore`] owns the current snapshot as an `Arc` behind a
 //! mutex held only to clone or replace the pointer. Its publishing gate
@@ -46,9 +46,6 @@ pub struct Snapshot {
     /// How the tables were pushed (`UpdatePlan::describe` of the
     /// transition that installed this epoch: `direct`, `staged(2)`, …).
     pub plan: String,
-    /// Reference node id → view node id, for the terminals of the
-    /// reference network (`None`: quarantined / not currently served).
-    ref_terminals: Vec<Option<NodeId>>,
 }
 
 impl Snapshot {
@@ -64,42 +61,12 @@ impl Snapshot {
         self.vet.stats.existence.as_deref()
     }
 
-    /// Resolve a reference terminal id to this epoch's view, `None`
-    /// when the terminal is quarantined (or `id` is out of range).
+    /// `id` when it is a live terminal of this epoch's view, `None` when
+    /// the terminal is quarantined (or `id` is out of range). The view
+    /// shares the reference's ids, so a served terminal resolves to
+    /// itself.
     pub fn resolve(&self, id: NodeId) -> Option<NodeId> {
-        self.ref_terminals.get(id.idx()).copied().flatten()
-    }
-
-    /// Reference terminal ids this epoch serves (resolvable ones).
-    pub fn served_terminals(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ref_terminals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-    }
-
-    /// Build the reference→view terminal map. With no reference the
-    /// view is its own reference (identity over its terminals).
-    fn terminal_map(net: &Network, reference: Option<&Network>) -> Vec<Option<NodeId>> {
-        match reference {
-            None => {
-                let mut map = vec![None; net.num_nodes()];
-                for &t in net.terminals() {
-                    map[t.idx()] = Some(t);
-                }
-                map
-            }
-            Some(reference) => reference
-                .nodes()
-                .map(|(id, node)| {
-                    if !reference.is_terminal(id) {
-                        return None;
-                    }
-                    net.node_by_name(&node.name).filter(|&v| net.is_terminal(v))
-                })
-                .collect(),
-        }
+        (id.idx() < self.net.num_nodes() && self.net.is_terminal(id)).then_some(id)
     }
 }
 
@@ -188,7 +155,9 @@ thread_local! {
 impl SnapshotStore {
     /// Open a store serving `(net, routes)` as epoch 0. The same vet
     /// gate as [`SnapshotStore::publish`] applies: a store cannot even
-    /// come up on a bad artifact.
+    /// come up on a bad artifact. A `reference` (here and on every
+    /// publish) is the network `net` is a view of, whose roster it shares
+    /// (checked in debug builds).
     pub fn open(
         net: Network,
         routes: Routes,
@@ -379,7 +348,10 @@ impl SnapshotStore {
                 report: Box::new(report),
             });
         }
-        let ref_terminals = Snapshot::terminal_map(&net, reference);
+        debug_assert!(
+            reference.is_none_or(|r| r.num_nodes() == net.num_nodes()),
+            "a view shares its reference's roster"
+        );
         Ok(Snapshot {
             epoch,
             net,
@@ -387,7 +359,6 @@ impl SnapshotStore {
             vet: report,
             source: source.to_string(),
             plan: plan.to_string(),
-            ref_terminals,
         })
     }
 }
@@ -648,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_map_tracks_degraded_views() {
+    fn degraded_views_resolve_the_reference_ids() {
         use telemetry::fx::FxHashSet;
         let reference = topo::kary_ntree(4, 2);
         // Kill one leaf switch: its terminals leave the view.
@@ -659,22 +630,23 @@ mod tests {
             .unwrap();
         let removed: FxHashSet<_> = [leaf].into_iter().collect();
         let view = fabric::degrade::remove(&reference, &removed, &FxHashSet::default());
-        let (core, _) = fabric::degrade::extract_core(&view);
+        let stranded = fabric::degrade::extract_core(&view).into_iter().collect();
+        let core = fabric::degrade::remove(&view, &stranded, &FxHashSet::default());
         let store = SnapshotStore::open(core.clone(), routed(&core), Some(&reference)).unwrap();
         let snap = store.read();
-        let mut served = 0;
-        let mut gone = 0;
-        for &t in reference.terminals() {
-            match snap.resolve(t) {
-                Some(v) => {
-                    assert_eq!(core.node(v).name, reference.node(t).name);
-                    served += 1;
-                }
-                None => gone += 1,
-            }
+        let served = reference
+            .terminals()
+            .iter()
+            .filter(|&&t| snap.resolve(t) == Some(t));
+        assert_eq!(served.count(), reference.num_terminals() - stranded.len());
+        for t in &stranded {
+            assert_eq!(
+                snap.resolve(*t),
+                None,
+                "the dead leaf's terminals do not resolve"
+            );
         }
-        assert!(gone > 0, "the dead leaf's terminals must be unresolvable");
-        assert_eq!(served + gone, reference.num_terminals());
-        assert_eq!(snap.served_terminals().count(), served);
+        assert_eq!(snap.resolve(leaf), None, "a switch is no terminal");
+        assert_eq!(snap.resolve(NodeId(reference.num_nodes() as u32)), None);
     }
 }

@@ -21,9 +21,10 @@ pub struct DiscoveredFabric {
 }
 
 impl DiscoveredFabric {
-    /// Whether the sweep saw the entire fabric.
+    /// Whether the sweep saw the entire fabric: every live node (a dead
+    /// node of a degraded view has no port to answer a probe).
     pub fn complete(&self, net: &Network) -> bool {
-        self.nodes.len() == net.num_nodes()
+        self.nodes.len() == net.num_terminals() + net.num_switches()
     }
 }
 

@@ -51,9 +51,10 @@ use std::time::{Duration, Instant};
 use telemetry::fx::FxHashSet;
 use telemetry::{counters, hists, phases, timed, Recorder, RecorderHandle};
 
-/// A fabric event the SM reacts to. Channel and node ids refer to the
-/// *reference* network the loop was brought up with, not the (renumbered)
-/// degraded view — physical identity, like a trap's port GUID.
+/// A fabric event the SM reacts to. Node ids are shared by the
+/// reference network the loop was brought up with and every view of it;
+/// channel ids refer to the reference, whose degraded views renumber
+/// them — physical identity, like a trap's port GUID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FabricEvent {
     /// A cable went down (both directions of the pair).
@@ -480,33 +481,32 @@ impl<E: RoutingEngine> SmLoop<E> {
         let mut view = degrade::remove(&self.reference, &self.down_switches, &dead_ch);
 
         // Rung 1: quarantine. If the view is not strongly connected,
-        // route the best core and quarantine the stranded terminals.
+        // route the best core and quarantine the stranded terminals: the
+        // view keeps every reference id, so they are the reference's.
         let mut quarantined: Vec<NodeId> = Vec::new();
         if !view.is_strongly_connected() {
-            let (core, stranded) = degrade::extract_core(&view);
-            for n in stranded {
-                if view.is_terminal(n) {
-                    let name = &view.node(n).name;
-                    let r = self.reference.node_by_name(name).ok_or_else(|| {
-                        SmError::InvalidEvent(format!("stranded node {name} not in reference"))
-                    })?;
-                    quarantined.push(r);
-                }
-            }
-            quarantined.sort_unstable_by_key(|n| n.0);
+            let stranded = degrade::extract_core(&view);
+            quarantined = (stranded.iter().copied())
+                .filter(|&n| view.is_terminal(n))
+                .collect();
             rungs.push(Rung::Quarantine {
                 stranded: quarantined.clone(),
             });
-            view = core;
+            let dead = self
+                .down_switches
+                .iter()
+                .chain(&stranded)
+                .copied()
+                .collect();
+            view = degrade::remove(&self.reference, &dead, &dead_ch);
         }
 
         let sm_node = preferred_sm
-            .filter(|&n| n.idx() < self.reference.num_nodes())
-            .and_then(|n| view.node_by_name(&self.reference.node(n).name))
+            .filter(|&n| n.idx() < view.num_nodes() && view.is_live(n))
             .or_else(|| view.terminals().first().copied())
             .ok_or(SmError::PartialDiscovery {
                 found: 0,
-                total: view.num_nodes(),
+                total: view.num_switches(),
             })?;
 
         // V007: decide what the degraded view still *admits*, beside
@@ -1010,7 +1010,7 @@ mod tests {
         let outcome = sm.handle(FabricEvent::SwitchDown(root)).unwrap();
         assert_eq!(
             outcome.diff.switches_missing, 0,
-            "survivors all matched by name"
+            "survivors all matched by id"
         );
         assert!(outcome.diff.entries_changed > 0);
         assert!(outcome.quarantined.is_empty());
@@ -1058,6 +1058,52 @@ mod tests {
         assert_eq!(sm.network().num_terminals(), net.num_terminals());
         let nt = net.num_terminals();
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
+    }
+
+    /// A leaf switch dies on the fat tree: every node keeps its LID, so
+    /// the LFT diff counts exactly the `(switch, dlid)` slots whose port
+    /// moved — here counted from the two routings, entry by entry.
+    #[test]
+    fn a_dead_leaf_moves_no_lid_and_the_diff_counts_moved_ports() {
+        let net = fat_tree();
+        let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
+        let before = (sm.network().clone(), sm.programmed().routes.clone());
+        let lids_before = sm.programmed().lids.clone();
+        let leaf = *net
+            .switches()
+            .iter()
+            .find(|&&s| net.node(s).level == Some(0))
+            .unwrap();
+        let outcome = sm.handle(FabricEvent::SwitchDown(leaf)).unwrap();
+        assert_eq!(outcome.quarantined.len(), 4);
+        let (view, routes) = (sm.network(), &sm.programmed().routes);
+        for (id, _) in net.nodes() {
+            assert_eq!(sm.programmed().lids.lid(id), lids_before.lid(id), "{id:?}");
+        }
+        // The port a switch's table holds toward terminal `t` in a view.
+        let port = |net: &Network, routes: &Routes, s: NodeId, t: NodeId| {
+            let d = net.terminal_index(t)?;
+            routes.next_hop(s, d).map(|c| net.channel(c).src_port)
+        };
+        let mut moved = 0;
+        let mut touched = 0;
+        for &s in view.switches() {
+            // Every terminal of the roster, quarantined ones included.
+            let ports = |(net, routes): (&Network, &Routes)| -> Vec<Option<u16>> {
+                let terminals = net
+                    .nodes()
+                    .filter(|(_, n)| n.kind == fabric::NodeKind::Terminal);
+                terminals.map(|(t, _)| port(net, routes, s, t)).collect()
+            };
+            let (was, now) = (ports((&before.0, &before.1)), ports((view, routes)));
+            let changed = was.iter().zip(&now).filter(|(a, b)| a != b).count();
+            moved += changed;
+            touched += usize::from(changed > 0);
+        }
+        assert!(moved > 0);
+        assert_eq!(outcome.diff.entries_changed, moved);
+        assert_eq!(outcome.diff.switches_touched, touched);
+        assert_eq!(outcome.diff.switches_missing, 0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct LftDiff {
     pub entries_changed: usize,
     /// Switches with at least one changed entry.
     pub switches_touched: usize,
-    /// Switches of `self` with no same-named peer in `other`.
+    /// Switches of `self` that are not live switches of `other`.
     pub switches_missing: usize,
 }
 
@@ -148,8 +148,8 @@ impl FabricTables {
         self.sl2vl.first().map_or(1, Vec::len)
     }
 
-    /// Compare two programmed fabrics, matching switches by *name* (so a
-    /// rebuilt/degraded network diffs against its ancestor) and table
+    /// Compare two programmed fabrics — two views of one roster, say
+    /// before and after an event — matching switches by node id and table
     /// slots by destination LID. Returns how many `(switch, dlid)`
     /// entries changed and how many switches were touched — the update
     /// cost of a transparent re-route, which OpenSM pushes as SMP writes.
@@ -158,12 +158,8 @@ impl FabricTables {
         let mut switches_touched = 0usize;
         let mut switches_missing = 0usize;
         for (si, &s) in self_net.switches().iter().enumerate() {
-            let name = &self_net.node(s).name;
-            let Some(os) = other_net.node_by_name(name) else {
-                switches_missing += 1;
-                continue;
-            };
-            let Some(osi) = other_net.switch_index(os) else {
+            let peer = (s.idx() < other_net.num_nodes()).then(|| other_net.switch_index(s));
+            let Some(osi) = peer.flatten() else {
                 switches_missing += 1;
                 continue;
             };

@@ -1,10 +1,13 @@
 //! Local identifier (LID) assignment.
 //!
 //! InfiniBand addresses ports by 16-bit LIDs assigned by the subnet
-//! manager. We assign one LID per node (base LID, LMC = 0), terminals
-//! first — so terminal LIDs are dense, which keeps the LFTs compact.
+//! manager. We assign one LID per node of the roster (base LID, LMC = 0),
+//! terminals first — so terminal LIDs are dense, which keeps the LFTs
+//! compact. The views of one fabric share its roster, dead nodes
+//! included, so a node keeps its LID across every sweep, as an
+//! InfiniBand port keeps its LID.
 
-use fabric::{Network, NodeId};
+use fabric::{Network, NodeId, NodeKind};
 
 /// A local identifier. Valid unicast LIDs are `1..=0xBFFF`; 0 means
 /// unassigned.
@@ -26,24 +29,20 @@ pub struct LidMap {
 }
 
 impl LidMap {
-    /// Assign LIDs: terminals get `1..=T`, switches follow.
+    /// Assign LIDs over the roster: its terminals get `1..=T` in node id
+    /// order, its switches follow, dead ones of a degraded view included.
     pub fn assign(net: &Network) -> LidMap {
         assert!(
             net.num_nodes() < 0xBFFF,
             "fabric exceeds the unicast LID space"
         );
+        let by_kind = |kind| net.nodes().filter(move |(_, n)| n.kind == kind);
+        let roster = by_kind(NodeKind::Terminal).chain(by_kind(NodeKind::Switch));
         let mut by_node = vec![0u16; net.num_nodes()];
-        let mut node_by_lid = vec![u32::MAX; net.num_nodes() + 1];
-        let mut next = 1u16;
-        for &t in net.terminals() {
-            by_node[t.idx()] = next;
-            node_by_lid[next as usize] = t.0;
-            next += 1;
-        }
-        for &s in net.switches() {
-            by_node[s.idx()] = next;
-            node_by_lid[next as usize] = s.0;
-            next += 1;
+        let mut node_by_lid = vec![u32::MAX];
+        for (id, _) in roster {
+            by_node[id.idx()] = node_by_lid.len() as u16;
+            node_by_lid.push(id.0);
         }
         LidMap {
             by_node,

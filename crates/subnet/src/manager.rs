@@ -27,7 +27,7 @@ pub enum SmError {
     PartialDiscovery {
         /// Nodes found.
         found: usize,
-        /// Nodes in the fabric.
+        /// Live nodes in the fabric.
         total: usize,
     },
     /// The routing engine failed.
@@ -144,7 +144,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
         if !discovery.complete(net) {
             return Err(SmError::PartialDiscovery {
                 found: discovery.nodes.len(),
-                total: net.num_nodes(),
+                total: net.num_terminals() + net.num_switches(),
             });
         }
         let routes = engine.route(net)?;

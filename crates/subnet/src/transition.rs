@@ -33,7 +33,7 @@
 //! callers ask, so a test can count both.
 
 use fabric::degrade::{self, ViewMap};
-use fabric::{ChannelId, Network, Routes};
+use fabric::{ChannelId, Network, NodeId, Routes};
 use vet::TableWalk;
 
 /// Beyond this many changed destinations the per-stage vetting cost of
@@ -126,47 +126,47 @@ pub trait DiffPlanProvider {
     ) -> Option<UpdatePlan>;
 }
 
-/// Re-express `old` (tables for `old_net`) against `new_net`.
+/// Re-express `old` (tables for `old_net`) against `new_net`, a view of
+/// the same roster.
 ///
-/// Nodes are matched by name and channels by `(source node, source
-/// port)` — the invariant `degrade` preserves. Entries whose node,
-/// channel, or destination no longer exists are dropped; virtual layers
-/// of surviving terminal pairs are carried over. The result always has
-/// `new_net`'s shape, so it can be compared and vetted against the new
-/// network (expect broken pairs where hardware vanished).
+/// Nodes are the same ids in both views, and channels are matched by
+/// `(source node, source port)` — the invariant `degrade` preserves.
+/// Entries whose node, channel, or destination no longer exists are
+/// dropped; virtual layers of surviving terminal pairs are carried over.
+/// The result always has `new_net`'s shape, so it can be compared and
+/// vetted against the new network (expect broken pairs where hardware
+/// vanished).
 ///
-/// The matching is done once per node and once per channel; the entries
-/// are then copied one destination column at a time, each translated
-/// through the channel table.
+/// The matching is done once per channel; the entries are then copied
+/// one destination column at a time, each translated through the
+/// channel table.
 pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
     let mut routes = Routes::new(new_net, old.engine());
-    let ViewMap {
-        old_node,
-        twin,
-        channel,
-    } = ViewMap::between(old_net, new_net);
+    let channel = ViewMap::between(old_net, new_net).channel;
+    let nodes = new_net.num_nodes().min(old_net.num_nodes());
     // Old terminal index per new terminal index, if the old tables have it.
     let old_t: Vec<Option<usize>> = new_net
         .terminals()
         .iter()
-        .map(|&t| old_node[t.idx()].and_then(|o| old_net.terminal_index(o)))
+        .map(|&t| {
+            (t.idx() < nodes)
+                .then(|| old_net.terminal_index(t))
+                .flatten()
+        })
         .map(|o| o.filter(|&o| o < old.num_terminals()))
         .collect();
-    // An entry at `n` translates through the view map's channel table
-    // when it leaves `n`'s old node and `n` is that node's twin; any other
-    // entry is looked up at `n` by port, as it always was.
+    // An entry at `n` translates through the channel table when it
+    // leaves `n`; any other entry is looked up at `n` by port.
     for (new_dst, od) in old_t.iter().enumerate() {
         let Some(od) = *od else { continue };
         let (next, layers) = old.column(od);
-        for ((n, _), o) in new_net.nodes().zip(&old_node) {
-            let Some(o) = *o else { continue };
-            let ch = next[o.idx()];
+        for (n, &ch) in (0..nodes).map(|n| NodeId(n as u32)).zip(next) {
             if ch == u32::MAX {
                 continue;
             }
             let old_ch = old_net.channel(ChannelId(ch));
             let c = match channel[ch as usize] {
-                c if old_ch.src == o && twin[o.idx()] == Some(n) => c,
+                c if old_ch.src == n => c,
                 _ => degrade::port_at(new_net, n, old_ch.src_port),
             };
             if let Some(c) = c {
@@ -640,14 +640,14 @@ mod tests {
     }
 
     /// [`remap_routes`] as it stood before it translated through a channel
-    /// table: every node matched by a linear name search, every entry by a
-    /// hash look-up of its port at its new node, row by row.
+    /// table: every entry by a hash look-up of its port at its node, row by
+    /// row (the views share their node ids).
     fn remap_routes_reference(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
         let mut routes = Routes::new(new_net, old.engine());
-        // Old node id per new node, matched by name.
+        // Old node id per new node: the same id.
         let old_node: Vec<Option<NodeId>> = new_net
             .nodes()
-            .map(|(_, n)| old_net.node_by_name(&n.name))
+            .map(|(id, _)| (id.idx() < old_net.num_nodes()).then_some(id))
             .collect();
         // Old terminal index per new terminal index.
         let old_t: Vec<Option<usize>> = new_net
@@ -726,7 +726,8 @@ mod tests {
                 let what = format!("{label} switch {} down", sw.0);
                 let down = assert_remap_matches(&net, &pristine, &view, &what);
                 assert_remap_matches(&view, &down, &net, &format!("{what}, back up"));
-                let (core, _) = degrade::extract_core(&view);
+                let stranded = degrade::extract_core(&view).into_iter().collect();
+                let core = degrade::remove(&view, &stranded, &FxHashSet::default());
                 assert_remap_matches(&net, &pristine, &core, &format!("{what}, its core"));
             }
         }
@@ -735,7 +736,7 @@ mod tests {
     #[test]
     fn remap_of_hand_built_oddities_equals_the_reference() {
         // t0 - s0 - s1 - t1, and a second t2 on s1.
-        let line = |extra_s0: bool| {
+        let net = {
             let mut b = fabric::NetworkBuilder::new();
             let (s0, s1) = (b.add_switch("s0", 8), b.add_switch("s1", 8));
             let (t0, t1, t2) = (
@@ -746,14 +747,8 @@ mod tests {
             for (u, v) in [(s0, s1), (t0, s0), (t1, s1), (t2, s1)] {
                 b.link(u, v).unwrap();
             }
-            if extra_s0 {
-                // A second node named `s0`: both new `s0`s match the old one.
-                let twin = b.add_switch("s0", 8);
-                b.link(twin, s1).unwrap();
-            }
             b.build()
         };
-        let net = line(false);
         let mut old = route(&net);
         let node = |name| net.node_by_name(name).unwrap();
         // An entry naming a channel that leaves another node: the port it
@@ -766,11 +761,7 @@ mod tests {
             net.channel_between(node("s0"), node("s1")).unwrap(),
         );
         let cut = without(&net, net.channel_between(node("s0"), node("s1")).unwrap());
-        for (onto, what) in [
-            (&net, "same net"),
-            (&line(true), "twin names"),
-            (&cut, "cut"),
-        ] {
+        for (onto, what) in [(&net, "same net"), (&cut, "cut")] {
             assert_remap_matches(&net, &old, onto, what);
         }
     }

@@ -168,10 +168,15 @@ pub fn walk_scoped(net: &Network, routes: &Routes, dests: &[usize], cfg: &Config
     walk::walk(net, routes, cfg, Some(dests), None)
 }
 
-/// Whether `routes` is sized for `net` (tables for a different network
-/// cannot be indexed safely).
+/// Whether `routes` is sized for `net` and programs no node `net` drops
+/// (tables for a different network cannot be indexed safely, and tables
+/// for the view before a switch died still route through it).
 fn shape_matches(net: &Network, routes: &Routes) -> bool {
-    routes.num_nodes() == net.num_nodes() && routes.num_terminals() == net.num_terminals()
+    let nt = net.num_terminals();
+    let unset = |v| (0..nt).all(|d| routes.next_hop(v, d).is_none());
+    routes.num_nodes() == net.num_nodes()
+        && routes.num_terminals() == nt
+        && (net.nodes()).all(|(v, _)| net.is_live(v) || unset(v))
 }
 
 /// The one analysis of `walked`, the walk of `routes` on `net`; V007 is

@@ -210,8 +210,9 @@ pub type Base<'a> = (&'a Network, &'a Routes, &'a TableWalk);
 /// turn: each finding keeps its order, severity and witness. Leftover
 /// failing switches are reported the same way.
 ///
-/// Tables sized for a different network cannot be indexed safely
-/// (degraded fabrics renumber everything): that is one V003 and an
+/// Tables sized for a different network cannot be indexed safely, and
+/// tables that program a node the network drops (a switch that died
+/// since) route through hardware that is gone: either is one V003 and an
 /// otherwise empty walk.
 pub(crate) fn walk(
     net: &Network,
@@ -227,11 +228,12 @@ pub(crate) fn walk(
             LintCode::InvalidNextHop,
             Severity::Error,
             format!(
-                "tables sized for {} node(s) / {} terminal(s), network has {} / {} — \
+                "tables sized for {} node(s) / {} terminal(s), network has {} ({} live) / {} — \
                  artifact does not match this network",
                 routes.num_nodes(),
                 routes.num_terminals(),
                 net.num_nodes(),
+                net.num_switches() + net.num_terminals(),
                 net.num_terminals()
             ),
             Witness::Shape {
@@ -407,7 +409,7 @@ impl Counter {
 }
 
 /// Start `res` — sized for `routes` on `net` — from `base`: compare
-/// every column of `routes` with the base's, read through the
+/// every column of `routes` with the base's, read through the channel
 /// [`ViewMap`] between the two networks; move the base's counts onto
 /// `net`'s dependency slots through the channel map; walk the columns
 /// that differ out of them, on the base's network; and carry every other
@@ -418,9 +420,11 @@ impl Counter {
 ///
 /// A column is carried only if the base walked it clean (routed from
 /// every source, no finding), the two rosters and layer counts agree,
-/// and its layers and its entries, translated, are equal: then every
-/// source follows the same path on the new view as on the old one, so
-/// its walk finds nothing and adds the same dependencies. With V006 on,
+/// and its layers and its entries, translated, are equal, but for the
+/// rows of nodes `net` drops: then every source follows the same path on
+/// the new view as on the old one (a path into a dropped node took a
+/// channel that is gone), so its walk finds nothing and adds the same
+/// dependencies. With V006 on,
 /// one more thing can change: a distance to the destination can shrink.
 /// It cannot unless some added channel `a → b` has `hop(a) > hop(b) + 1`
 /// on the old view (removals only lengthen), so such a column is walked.
@@ -433,11 +437,16 @@ fn carry(
 ) -> Option<Vec<usize>> {
     let (nt, nl) = (net.num_terminals(), res.num_layers as usize);
     let old_slots = prev.edges.first()?.slots().clone();
+    // Node `n` and terminal `t` are the old ones of their ids, and no node
+    // comes back: a returning switch owes every column a row.
     let agree = prev.cols.len() == nt
         && prev.num_layers == res.num_layers
         && prev.check_minimal == res.check_minimal
         && crate::shape_matches(old_net, old)
-        && old_slots.num_channels() == old_net.num_channels();
+        && old_slots.num_channels() == old_net.num_channels()
+        && old_net.num_nodes() == net.num_nodes()
+        && old_net.terminals() == net.terminals()
+        && (net.nodes()).all(|(v, _)| old_net.is_live(v) || !net.is_live(v));
     if !agree {
         return None;
     }
@@ -453,19 +462,11 @@ fn carry(
     if too_many(relayered.iter().filter(|&&r| r).count()) {
         return None;
     }
+    // Old channel id to new, where the head is the same node too.
     let map = ViewMap::between(old_net, net);
-    // Every node has an old twin of its own, and terminal `t` is the old
-    // terminal `t`.
-    let mut nodes = net.nodes().map(|(n, _)| n);
-    let twins = nodes.all(|n| map.old_node[n.idx()].is_some_and(|o| map.twin[o.idx()] == Some(n)));
-    let mut roster = net.terminals().iter().zip(old_net.terminals());
-    if !twins || !roster.all(|(&t, &o)| map.old_node[t.idx()] == Some(o)) {
-        return None;
-    }
-    // Old channel id to new, where the head corresponds too.
     let trans: Vec<u32> = (old_net.channels().zip(&map.channel))
         .map(|((_, ch), c)| match c {
-            Some(c) if map.old_node[net.channel(*c).dst.idx()] == Some(ch.dst) => c.0,
+            Some(c) if net.channel(*c).dst == ch.dst => c.0,
             _ => NONE,
         })
         .collect();
@@ -473,8 +474,7 @@ fn carry(
     for &c in trans.iter().filter(|&&c| c != NONE) {
         kept[c as usize] = true;
     }
-    let old_of = |n: NodeId| map.old_node[n.idx()].expect("every node has a twin");
-    let hops_from = |n| old_net.hops_from(old_of(n));
+    let hops_from = |n| old_net.hops_from(n);
     let added = net
         .channels()
         .filter(|(c, _)| res.check_minimal && !kept[c.idx()]);
@@ -482,17 +482,15 @@ fn carry(
         .map(|(_, ch)| (hops_from(ch.src), hops_from(ch.dst)))
         .collect();
 
-    let old_nodes: Vec<usize> = net.nodes().map(|(n, _)| old_of(n).idx()).collect();
     let same = |d: usize| {
         let ((old_next, _), (next, _)) = (old.column(d), routes.column(d));
         !relayered[d]
-            && old_nodes
-                .iter()
-                .zip(next)
-                .all(|(&o, &c)| match old_next[o] {
-                    NONE => c == NONE,
-                    oc => trans.get(oc as usize).is_some_and(|&t| t == c && t != NONE),
-                })
+            && (old_next.iter().zip(next).enumerate()).all(|(n, (&oc, &c))| match oc {
+                NONE => c == NONE,
+                // A node `net` drops: its row goes, and no path entered it.
+                _ if c == NONE && !net.is_live(NodeId(n as u32)) => true,
+                oc => trans.get(oc as usize).is_some_and(|&t| t == c && t != NONE),
+            })
     };
     let mut changed = Vec::new();
     for d in 0..nt {

@@ -11,8 +11,9 @@ use super::*;
 /// instead of O(T · V); out-of-range indices are ignored. `None` walks
 /// everything.
 ///
-/// Tables sized for a different network cannot be indexed safely
-/// (degraded fabrics renumber everything): that is one V003 and an
+/// Tables sized for a different network cannot be indexed safely, and
+/// tables that program a node the network drops (a switch that died
+/// since) route through hardware that is gone: either is one V003 and an
 /// otherwise empty walk.
 pub(crate) fn walk(
     net: &Network,
@@ -28,11 +29,12 @@ pub(crate) fn walk(
             LintCode::InvalidNextHop,
             Severity::Error,
             format!(
-                "tables sized for {} node(s) / {} terminal(s), network has {} / {} — \
+                "tables sized for {} node(s) / {} terminal(s), network has {} ({} live) / {} — \
                  artifact does not match this network",
                 routes.num_nodes(),
                 routes.num_terminals(),
                 net.num_nodes(),
+                net.num_switches() + net.num_terminals(),
                 net.num_terminals()
             ),
             Witness::Shape {

@@ -7,6 +7,7 @@ mod common;
 
 use dfsssp::prelude::*;
 use dfsssp::subnet::{run_campaign, schedule, CampaignSpec};
+use dfsssp::telemetry::{self, counters, phases};
 use dfsssp::topo;
 
 /// Run the default campaign and assert the acceptance conditions: every
@@ -120,4 +121,70 @@ fn campaigns_are_safe_for_any_seed() {
             report.render_human()
         );
     });
+}
+
+/// The campaigns of [`schedule`] (a flap, switch bursts, a heal tail)
+/// through `SmLoop<DeltaEngine<DfSssp>>` under the snapshot schedule:
+/// after every batch the served routes are a cold `DfSssp` route of the
+/// same view and vet-clean, and every batch with a switch event that
+/// keeps the live terminals and leaves some tree clean was patched, not
+/// routed cold.
+#[test]
+fn campaigns_through_delta_patch_switch_events() {
+    let mut switch_patches = 0;
+    for net in [
+        topo::kary_ntree(4, 2),
+        topo::kary_ntree(4, 3),
+        topo::torus(&[4, 4], 1),
+    ] {
+        let snapshot = ComputeOpts::new().chunk(net.num_terminals());
+        let config = || EngineConfig::new().compute(snapshot);
+        for seed in 0..16 {
+            let label = format!("{} seed {seed}", net.label());
+            let rec = std::sync::Arc::new(Collector::new());
+            let engine =
+                DeltaEngine::new(DfSssp::new().with_config(config().recorder(rec.clone())));
+            let mut sm = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]).expect(&label);
+            let spec = CampaignSpec {
+                seed,
+                ..CampaignSpec::default()
+            };
+            for batch in schedule(&net, &spec) {
+                let what = format!("{label} {}: {:?}", batch.label, batch.events);
+                let terminals = sm.network().terminals().to_vec();
+                let before = rec.snapshot();
+                let outcome = sm.handle_batch(&batch.events).expect(&what);
+                let after = rec.snapshot();
+                if !outcome.rerouted {
+                    continue;
+                }
+                let (view, routes) = (sm.network(), &sm.programmed().routes);
+                let cold = DfSssp::new()
+                    .with_config(config())
+                    .route(view)
+                    .expect(&what);
+                assert_eq!(routes, &cold, "{what}: not the cold route");
+                assert_eq!(check(view, routes).num_errors(), 0, "{what}: not vet-clean");
+                let phase = |s: &telemetry::Snapshot, n| s.phases.get(n).map_or(0, |p| p.count);
+                let counter = |s: &telemetry::Snapshot, n| s.counters.get(n).copied().unwrap_or(0);
+                let dirty = counter(&after, counters::DELTA_DIRTY_DSTS)
+                    - counter(&before, counters::DELTA_DIRTY_DSTS);
+                let diffed =
+                    phase(&after, phases::DELTA_DIRTY) - phase(&before, phases::DELTA_DIRTY);
+                let patched =
+                    phase(&after, phases::DELTA_PATCH) - phase(&before, phases::DELTA_PATCH);
+                let switch = batch
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, FabricEvent::SwitchDown(_) | FabricEvent::SwitchUp(_)));
+                if switch && view.terminals() == terminals {
+                    assert_eq!(diffed, 1, "{what}: a kept roster is diffed");
+                    let partial = (dirty as usize) < view.num_terminals();
+                    assert_eq!(patched == 1, partial, "{what}: {dirty} trees dirty");
+                    switch_patches += patched;
+                }
+            }
+        }
+    }
+    assert!(switch_patches > 0, "no switch batch was patched");
 }

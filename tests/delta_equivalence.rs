@@ -6,13 +6,13 @@
 //! *identical* `Routes` artifact — next-hops, layers, engine tag — that a
 //! cold `DfSssp` full sweep produces under the same snapshot schedule. These
 //! tests sweep that claim over torus / fat-tree / dragonfly fabrics,
-//! chained cable failures, whole-switch failures (which change the node
-//! roster and must fall back), and both sides of the dirty-fraction
-//! fallback boundary. The dirty set itself is pinned too — without a
-//! clock, and re-derived here from the documented rule with no code of
-//! `delta`'s ([`expected_dirty`]) — and on single cable events it must
-//! be exactly the trees whose cold-route column changed
-//! ([`changed_trees`]).
+//! chained cable failures, whole-switch failures (which keep the node
+//! roster and patch), and both sides of the dirty-fraction fallback
+//! boundary. The dirty set itself is pinned too — without a clock, and
+//! re-derived here from the documented rule with no code of `delta`'s
+//! ([`expected_dirty`]) — and on single cable and switch events it must
+//! be exactly the trees whose cold-route column changed on the live
+//! nodes ([`changed_trees`]).
 
 mod common;
 
@@ -124,11 +124,13 @@ fn expected_dirty(old: &Network, old_routes: &Routes, new: &Network) -> Vec<usiz
 }
 
 /// The trees whose cold-route column differs between `old` and `new`,
-/// entries compared by [`key`].
+/// entries compared by [`key`] at the nodes live in `new` (a dead
+/// switch's row is gone, not changed).
 fn changed_trees(old: &Network, new: &Network) -> Vec<usize> {
     let column = |net: &Network, routes: &Routes, d| -> Vec<_> {
         let entry = |v| routes.next_hop(v, d).map(|c| key(net.channel(c)));
-        net.nodes().map(|(v, _)| entry(v)).collect()
+        let live = new.nodes().filter(|&(v, _)| new.is_live(v));
+        live.map(|(v, _)| entry(v)).collect()
     };
     let (a, b) = (cold(old).route(old).unwrap(), cold(new).route(new).unwrap());
     (0..old.num_terminals())
@@ -212,18 +214,21 @@ fn full_mesh_cable_failures_dirty_eight_trees_of_384() {
 }
 
 #[test]
-fn switch_failures_change_the_roster_and_fall_back_identically() {
+fn switch_failures_keep_the_roster_and_patch_identically() {
     for (name, base) in families() {
         let engine = eager(&base);
         assert!(assert_equivalent(&engine, &base, name));
         let Some(degraded) = degrade::fail_random_switch(&base, 7) else {
             continue;
         };
+        assert_eq!(degraded.num_nodes(), base.num_nodes(), "{name}");
+        assert_eq!(degraded.terminals(), base.terminals(), "{name}");
         if assert_equivalent(&engine, &degraded, name) {
             let outcome = engine.last_outcome().expect("route recorded an outcome");
-            assert!(
-                !outcome.delta,
-                "{name}: a roster change can never take the delta path"
+            let all = outcome.dirty_dests.len() == base.num_terminals();
+            assert_eq!(
+                outcome.delta, !all,
+                "{name}: the delta path runs unless every tree is dirty"
             );
         }
     }
@@ -440,4 +445,61 @@ fn the_dirty_set_is_the_set_of_trees_that_change() {
     }
     println!("{} events, dirty == changed in each", events.get());
     assert!(events.get() > 500, "only {} events", events.get());
+}
+
+/// The same oracle over switch events: over the same `zoo_net` seeds, a
+/// switch whose loss strands no terminal goes down and comes back up
+/// through a warm engine, and each time the trees it reports dirty are
+/// exactly the trees whose cold-route column changed on the live nodes
+/// (a returning switch owes every tree a row). The delta path runs
+/// unless every tree is dirty.
+#[test]
+fn the_dirty_set_is_the_set_of_trees_a_switch_event_changes() {
+    let (events, patched) = (Cell::new(0), Cell::new(0));
+    sweep(0..400, |c| {
+        let base = zoo_net(c);
+        let strands_none = |&s: &NodeId| {
+            let dead = [s].into_iter().collect();
+            degrade::remove(&base, &dead, &Default::default()).is_strongly_connected()
+        };
+        let spare: Vec<NodeId> = base
+            .switches()
+            .iter()
+            .copied()
+            .filter(strands_none)
+            .collect();
+        if spare.is_empty() || cold(&base).route(&base).is_err() {
+            return;
+        }
+        let switch = spare[c.draw("switch", 0..spare.len())];
+        let down = degrade::remove(&base, &[switch].into_iter().collect(), &Default::default());
+        if cold(&down).route(&down).is_err() {
+            return; // past the layer budget without the switch
+        }
+        let engine = DeltaEngine::new(cold(&base));
+        assert!(assert_equivalent(&engine, &base, "warmup"));
+        for (old, new, event) in [(&base, &down, "down"), (&down, &base, "up")] {
+            let label = format!("{} switch {switch:?} {event}", base.label());
+            assert!(
+                assert_equivalent(&engine, new, &label),
+                "{label}: must route"
+            );
+            let outcome = engine.last_outcome().expect("route recorded an outcome");
+            assert_eq!(outcome.dirty_dests, changed_trees(old, new), "{label}");
+            let all = outcome.dirty_dests.len() == base.num_terminals();
+            assert_eq!(outcome.delta, !all, "{label}");
+            events.set(events.get() + 1);
+            patched.set(patched.get() + usize::from(outcome.delta));
+        }
+    });
+    println!(
+        "{} switch events, {} patched, dirty == changed in each",
+        events.get(),
+        patched.get()
+    );
+    assert!(
+        patched.get() > 0 && events.get() > 150,
+        "{} events",
+        events.get()
+    );
 }
