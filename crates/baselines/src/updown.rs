@@ -233,7 +233,9 @@ impl RoutingEngine for UpDown {
             // Consistency requires relaxing from settled nodes only; a
             // node settled via an up hop can still be entered by further
             // up hops, which the relaxation above already allows.
-            if settled.iter().any(|&s| !s) {
+            // A dead node of a degraded view is no node to reach.
+            let live = |v: usize| net.is_live(NodeId(v as u32));
+            if settled.iter().enumerate().any(|(v, &s)| !s && live(v)) {
                 return Err(RouteError::UnsupportedTopology(format!(
                     "up*/down* could not reach every node toward {}",
                     net.node(dst).name
@@ -272,6 +274,22 @@ mod tests {
     #[test]
     fn deadlock_free_on_torus() {
         assert_valid(&topo::torus(&[4, 4], 1));
+    }
+
+    /// The subnet manager's fallback serves degraded views, whose dead
+    /// switches stay in the roster uncabled.
+    #[test]
+    fn deadlock_free_beside_a_dead_switch() {
+        let net = topo::kary_ntree(4, 2);
+        let spine = *net
+            .switches()
+            .iter()
+            .find(|&&s| net.node(s).level == Some(1))
+            .unwrap();
+        let dead = [spine].into_iter().collect();
+        let view = fabric::degrade::remove(&net, &dead, &Default::default());
+        assert_eq!(view.num_nodes(), net.num_nodes());
+        assert_valid(&view);
     }
 
     #[test]
