@@ -16,7 +16,7 @@ use dfsssp_core::budget::{clamp_layers, record_trip};
 use dfsssp_core::dfsssp::assign_layers_online_budgeted;
 use dfsssp_core::paths::PathId;
 use dfsssp_core::{EngineConfig, RouteError, RoutingEngine};
-use fabric::{ChannelId, DepSlots, Network, NodeId, Routes};
+use fabric::{ChannelId, Network, NodeId, Routes};
 use telemetry::fx::FxHashMap;
 use telemetry::{phases, Recorder};
 
@@ -132,7 +132,7 @@ impl Lash {
                 at = net.channel(c).dst;
             }
         };
-        let slots = DepSlots::of(net);
+        let slots = net.dep_slots().clone();
         let (path_layer, stats) =
             assign_layers_online_budgeted(&slots, trees.len() * n, walk, max_layers, rec, &guard)?;
 

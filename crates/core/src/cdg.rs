@@ -477,7 +477,7 @@ mod tests {
             net: &net,
             routes: &routes,
         };
-        let cdg = paths.layer0(&DepSlots::of(&net)).unwrap().0;
+        let cdg = paths.layer0(net.dep_slots()).unwrap().0;
         check(paths, cdg);
     }
 

@@ -190,7 +190,7 @@ impl Layering {
                 };
                 telemetry::timed(rec, phases::CDG_BUILD, || paths.validate())?;
                 let (layers, stats) = assign_layers_online_budgeted(
-                    &DepSlots::of(net),
+                    net.dep_slots(),
                     paths.num_paths(),
                     |p, out| paths.walk(p, out),
                     self.max_layers,
@@ -317,7 +317,7 @@ fn assign(
     } else {
         max_layers
     };
-    let slots = DepSlots::of(paths.net);
+    let slots = paths.net.dep_slots().clone();
     let (layer0, counts) = telemetry::timed(rec, phases::CDG_BUILD, || paths.layer0(&slots))?;
     let mut layers = vec![layer0];
     guard.check_cdg_edges(layers[0].num_edges())?;

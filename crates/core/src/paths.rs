@@ -122,7 +122,7 @@ impl TreePaths<'_> {
             return Err(RouteError::Disconnected);
         }
         const UNKNOWN: u32 = u32::MAX;
-        let in_range = |c: &ChannelId| c.idx() < net.num_channels();
+        let live = |c: &ChannelId| net.is_live_channel(*c);
         let mut depth = vec![UNKNOWN; n];
         // Per node of the tree at hand: next-hop channel, the node it
         // leads to, terminal sources at or below, `first` of its window.
@@ -139,7 +139,7 @@ impl TreePaths<'_> {
             for (src_t, &src) in net.terminals().iter().enumerate() {
                 let mut at = src;
                 while depth[at.idx()] == UNKNOWN {
-                    let c = routes.next_hop(at, d).filter(in_range);
+                    let c = routes.next_hop(at, d).filter(live);
                     let c = c.ok_or(RouteError::Disconnected)?;
                     let ch = net.channel(c);
                     // A walk longer than the node count has closed a loop.
@@ -441,6 +441,36 @@ mod tests {
         }
     }
 
+    /// A table entry naming a dead cable's channel — it still leaves the
+    /// node and enters a switch, and its id is in range — fails the
+    /// window kernel on a degraded view: it is not a channel of the view.
+    #[test]
+    fn windows_refuse_a_dead_cable() {
+        let net = topo::torus(&[3, 3], 1);
+        let cable = net.switch_cables()[0];
+        let dead = [cable, net.channel(cable).rev.unwrap()];
+        let view = fabric::degrade::remove(&net, &Default::default(), &dead.into_iter().collect());
+        let mut routes = Sssp::new().route(&view).unwrap();
+        let net = &view;
+        (TreePaths {
+            net,
+            routes: &routes,
+        })
+        .validate()
+        .unwrap();
+        let at = view.channel(cable).src;
+        let d = (0..view.num_terminals())
+            .find(|&d| view.channel(routes.next_hop(at, d).unwrap()).dst != view.terminals()[d])
+            .unwrap();
+        routes.set_next(at, d, cable);
+        let trees = TreePaths {
+            net,
+            routes: &routes,
+        };
+        assert_eq!(trees.validate(), Err(RouteError::Disconnected));
+        assert!(trees.layer0(view.dep_slots()).is_err());
+    }
+
     #[test]
     fn walk_lengths_sum_to_channel_loads() {
         let net = topo::torus(&[3, 3], 1);
@@ -503,7 +533,7 @@ mod tests {
             net: &net,
             routes: &routes,
         };
-        let (cdg, counts) = trees.layer0(&DepSlots::of(&net)).unwrap();
+        let (cdg, counts) = trees.layer0(net.dep_slots()).unwrap();
         assert_eq!((cdg.num_paths(), counts.iter().sum::<u32>()), (2, 5 + 2));
         let (from, to) = (chan(a, b).0, chan(b, x).0);
         assert_eq!(trees.paths_over(from, to, &[0, 0], 0), [trees.id(0, 1)]);
@@ -513,7 +543,7 @@ mod tests {
         let edge = (0..cdg.num_edges() as EdgeId)
             .find(|&e| (cdg.edge(e).from, cdg.edge(e).to) == (from, to));
         let mut place = Placement::new(2);
-        let mut layers = [cdg, Cdg::over(DepSlots::of(&net))];
+        let mut layers = [cdg, Cdg::over(net.dep_slots().clone())];
         reference::CHECK_MOVES.set(true);
         trees.move_victims(
             edge.unwrap(),

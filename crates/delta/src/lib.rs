@@ -12,8 +12,12 @@
 //!   else: the cached tables *are* the channel → tree reverse index (one
 //!   entry per destination column), and hop distances are two BFSs on the cached network
 //!   when an event needs them. On the next route request it diffs the
-//!   networks, extracts the *affected set* of destinations, re-sweeps
-//!   only those trees, and patches the counts instead of rebuilding them.
+//!   networks by id (a degraded view keeps every node and channel of its
+//!   fabric at its id, a dead cable as a tombstone, and shares its
+//!   dependency slots, so nothing is translated), extracts the *affected
+//!   set* of destinations, re-sweeps only those trees, copies the clean
+//!   columns and patches the counts on the same slots instead of
+//!   rebuilding them.
 //! * The result is **bit-identical** to a full recompute under the
 //!   snapshot schedule the wrapped engine is configured with
 //!   (`compute.chunk >= |T|`; narrower chunks pass through): clean trees
@@ -50,9 +54,11 @@
 //! Both rules compose across multi-event diffs because clean
 //! destinations' hop distances and parents remain valid by the same
 //! argument. A switch event that strands no terminal is such a diff: the
-//! views keep every node at its id, so a dead switch is a node whose
-//! channels were removed and a returning one a node whose channels were
-//! added (which gives it a row in every tree, so every tree is dirty).
+//! views keep every node and channel at its id, so a removed or added
+//! channel is one whose liveness differs between the two, a dead switch
+//! is a node whose channels were removed and a returning one a node
+//! whose channels were added (which gives it a row in every tree, so
+//! every tree is dirty).
 //! On a single cable or switch event the dirty set is the set of trees
 //! whose column changes on the live nodes (`tests/delta_equivalence.rs`
 //! checks it against cold routes).
@@ -76,9 +82,8 @@ use dfsssp_core::dfsssp::{assign_layers_budgeted, LayerAssignMode};
 use dfsssp_core::dijkstra::{bfs_column, bfs_prefers};
 use dfsssp_core::paths::TreePaths;
 use dfsssp_core::{DfSssp, EngineConfig, RouteError, RoutingEngine};
-use fabric::{ChannelId, DepSlots, Network, Routes};
+use fabric::{degrade, ChannelId, DepSlots, Network, NodeId, Routes};
 use subnet::transition::{DiffPlanProvider, UpdatePlan};
-use telemetry::fx::FxHashMap;
 use telemetry::{counters, phases, Recorder};
 
 /// Tuning knobs for the delta engine.
@@ -149,8 +154,9 @@ struct Shared {
 
 /// What changed between the cached fabric and the requested one.
 struct Diff {
-    /// Old channel id → new channel id (`None` = removed).
-    translate: Vec<Option<ChannelId>>,
+    /// Nodes live in the cached view that the new one drops: their rows
+    /// go from every clean column.
+    dropped: Vec<NodeId>,
     /// Per destination terminal index: must its tree be re-swept?
     dirty: Vec<bool>,
     /// The indices flagged in `dirty`, ascending.
@@ -235,7 +241,7 @@ impl DeltaEngine {
         let (routes, _, l0) = self.inner.route_with_counts(net)?;
         debug_assert!(l0
             .as_ref()
-            .is_none_or(|l0| l0.len() == DepSlots::of(net).num_slots()));
+            .is_none_or(|l0| l0.len() == net.dep_slots().num_slots()));
         let layer_cfg = (clamp_layers(cfg.max_layers)?, cfg.balance);
         g.last = Some(DeltaOutcome {
             delta: false,
@@ -263,11 +269,11 @@ impl DeltaEngine {
             return Ok(Attempt::Fallback(Vec::new()));
         };
         let nt = net.num_terminals();
-        // The diff reads node ids across the two views, which share them
-        // (degrade keeps the roster), and tables by terminal index, which
-        // a stranded or returning terminal moves: anything else is a
-        // different fabric, not an event.
-        if prev.net.num_nodes() != net.num_nodes() || prev.net.terminals() != net.terminals() {
+        // The diff reads node and channel ids across the two views, which
+        // share them (degrade keeps the roster and the id space), and
+        // tables by terminal index, which a stranded or returning terminal
+        // moves: anything else is a different fabric, not an event.
+        if !prev.net.same_fabric(net) || prev.net.terminals() != net.terminals() {
             return Ok(Attempt::Fallback(Vec::new()));
         }
 
@@ -337,16 +343,19 @@ impl DeltaEngine {
         let rec: &dyn Recorder = &*e.config.recorder;
         let dirty_dests = || diff.dirty_dests.iter().copied();
 
-        // New tables: clean columns are copied whole and translated,
-        // dirty columns (left unset) re-sweep with the snapshot chunk's
-        // own kernel, the level-ordered `bfs_column` (any uniform weight
-        // gives its trees bit for bit, so none is sized).
+        // New tables: clean columns are copied whole (the views share
+        // their ids, and a clean tree takes no removed channel) but for
+        // the rows of dropped nodes; dirty columns (left unset) re-sweep
+        // with the snapshot chunk's own kernel, the level-ordered
+        // `bfs_column` (any uniform weight gives its trees bit for bit,
+        // so none is sized).
         let mut routes = Routes::new(net, e.name());
-        if !telemetry::timed(rec, phases::DELTA_DIFF, || {
-            routes.copy_clean_columns_translated(net, &prev.routes, &diff.dirty, &diff.translate)
-        }) {
-            return Ok(None); // clean tree through a removed channel
-        }
+        telemetry::timed(rec, phases::DELTA_DIFF, || {
+            routes.copy_clean_columns(&prev.routes, &diff.dirty);
+            for d in (0..net.num_terminals()).filter(|&d| !diff.dirty[d]) {
+                diff.dropped.iter().for_each(|&v| routes.clear_next(v, d));
+            }
+        });
         telemetry::timed(rec, phases::DELTA_SWEEP, || {
             let mut order = Vec::with_capacity(net.num_switches() + 1);
             for d in dirty_dests() {
@@ -355,31 +364,37 @@ impl DeltaEngine {
             }
         });
 
-        // Counts, only if the cached epoch holds them: re-address the
-        // survivors — windows through a removed channel drop out, which
-        // is exact because only dirty trees' paths used them — take the
-        // dirty trees' old windows out (re-addressed and dropped the same
-        // way) and put their new windows in; a decrement the old count
-        // does not cover means the cache disagrees with the diff. The
-        // old∪new union is a superset of the patched graph, so when it is
-        // acyclic — the common case for a cable event on a path-diverse
-        // fabric — one DFS settles it. (`base ∪ incs` covers the union:
-        // every patched window survives from `base` or was added by a
-        // dirty tree.)
+        // Counts, only if the cached epoch holds them. The views share
+        // their dependency slots, so the cached counts are read where
+        // they are: take the dirty trees' old windows out and put their
+        // new windows in; a decrement the old count does not cover means
+        // the cache disagrees with the diff. A window through a removed
+        // channel falls to zero, which is exact because only dirty trees'
+        // paths used it. The old∪new union (the old windows the new view
+        // can still take, and the new ones) is a superset of the patched
+        // graph, so when it is acyclic — the common case for a cable
+        // event on a path-diverse fabric — one DFS settles it.
         let (mut l0, mut union_acyclic) = (None, false);
         if let Some(old) = &prev.l0 {
             let counted = telemetry::timed(rec, phases::DELTA_COUNTS, || {
-                let (old_slots, slots) = (DepSlots::of(&prev.net), DepSlots::of(net));
-                let carry =
-                    |counts: &[u32]| carry_over(counts, &old_slots, &slots, &diff.translate);
-                let base = carry(old);
-                let decs = tree_windows(&prev.net, &old_slots, &prev.routes, dirty_dests())?;
-                let decs = carry(&decs);
-                let incs = tree_windows(net, &slots, &routes, dirty_dests())?;
-                let union = acyclic(&slots, base.iter().zip(&incs).map(|(b, i)| b | i));
-                let l0 = (0..base.len()).map(|s| Some(base[s].checked_sub(decs[s])? + incs[s]));
+                let slots = net.dep_slots();
+                let decs = tree_windows(&prev.net, slots, &prev.routes, dirty_dests())?;
+                let incs = tree_windows(net, slots, &routes, dirty_dests())?;
+                let live = |s: usize| {
+                    let (c1, c2) = slots.ends(s);
+                    net.is_live_channel(ChannelId(c1)) && net.is_live_channel(ChannelId(c2))
+                };
+                let union = (old.iter().zip(&incs).enumerate()).map(|(s, (&b, &i))| {
+                    if b > 0 && i == 0 && !live(s) {
+                        0
+                    } else {
+                        b | i
+                    }
+                });
+                let union = acyclic(slots, union);
+                let l0 = (0..old.len()).map(|s| Some(old[s].checked_sub(decs[s])? + incs[s]));
                 let l0 = l0.collect::<Option<Vec<u32>>>()?;
-                let acyclic = union || acyclic(&slots, l0.iter().copied());
+                let acyclic = union || acyclic(slots, l0.iter().copied());
                 Some((l0, acyclic, union))
             });
             let Some((counts, acyclic, union)) = counted else {
@@ -496,38 +511,31 @@ impl DiffPlanProvider for DeltaPlanner {
     }
 }
 
-/// Diff `net` against the cached epoch: match channels by (source node,
-/// source port, destination node), then apply the two dirty rules of the
-/// module docs (a channel out of a node `net` drops is no tree edge
-/// there). The cached tables are the reverse index — a removed
-/// channel's users are its source node's entry in every column — and an
-/// added channel is judged from two forward BFSs on the cached network
-/// and, on a tie, against its source's cached entry.
+/// Diff `net` against the cached epoch: the views share their ids, so
+/// the removed and added channels are the ones whose liveness differs
+/// between the two, and the two dirty rules of the module docs apply to
+/// them (a channel out of a node `net` drops is no tree edge there). The
+/// cached tables are the reverse index — a removed channel's users are
+/// its source node's entry in every column — and an added channel is
+/// judged from two forward BFSs on the cached network and, on a tie,
+/// against its source's cached entry.
 fn diff(prev: &DeltaState, net: &Network) -> Diff {
-    let key = |ch: &fabric::Channel| (ch.src.0, ch.src_port);
-    let new_by_key: FxHashMap<_, _> = net.channels().map(|(cid, ch)| (key(ch), cid)).collect();
     let nt = net.num_terminals();
-    let mut translate: Vec<Option<ChannelId>> = vec![None; prev.net.num_channels()];
-    let mut matched = vec![false; net.num_channels()];
+    let (removed, added) = degrade::changed_channels(&prev.net, net);
     let mut dirty = vec![false; nt];
-    for (cid, ch) in prev.net.channels() {
-        match new_by_key.get(&key(ch)) {
-            Some(&nc) if net.channel(nc).dst == ch.dst => {
-                translate[cid.idx()] = Some(nc);
-                matched[nc.idx()] = true;
-            }
-            // A node the new view drops takes its own row with it.
-            _ if !net.is_live(ch.src) => {}
-            _ => {
-                for (d, flag) in dirty.iter_mut().enumerate() {
-                    *flag |= prev.routes.next_hop(ch.src, d) == Some(cid);
-                }
+    for c in removed {
+        let src = prev.net.channel(c).src;
+        // A node the new view drops takes its own row with it.
+        if net.is_live(src) {
+            for (d, flag) in dirty.iter_mut().enumerate() {
+                *flag |= prev.routes.next_hop(src, d) == Some(c);
             }
         }
     }
-    for (c, ch) in net.channels().filter(|&(c, _)| !matched[c.idx()]) {
+    for c in added {
+        let ch = net.channel(c);
         let (from_a, from_b) = (prev.net.hops_from(ch.src), prev.net.hops_from(ch.dst));
-        let wins = |i: ChannelId| translate[i.idx()].is_none_or(|i| bfs_prefers(net, c, i));
+        let wins = |i: ChannelId| !net.is_live_channel(i) || bfs_prefers(net, c, i);
         for (d, (flag, &t)) in dirty.iter_mut().zip(net.terminals()).enumerate() {
             // A head that does not forward toward `t`, or cannot reach it,
             // is inert; a tie is judged against the cached parent.
@@ -537,8 +545,11 @@ fn diff(prev: &DeltaState, net: &Network) -> Diff {
             *flag |= forwards && via_c != u32::MAX && (hops > via_c || hops == via_c && tie());
         }
     }
+    let dropped = (prev.net.nodes().map(|(v, _)| v))
+        .filter(|&v| prev.net.is_live(v) && !net.is_live(v))
+        .collect();
     Diff {
-        translate,
+        dropped,
         dirty_dests: (0..nt).filter(|&d| dirty[d]).collect(),
         dirty,
     }
@@ -572,26 +583,6 @@ thread_local! {
     static TREES_COUNTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Re-address window counts from the cached network's dependency slots
-/// to the new one's; a window through a removed channel drops out. Both
-/// ends of a kept channel are the nodes they were, so a surviving window
-/// is still two adjacent channels.
-fn carry_over(
-    counts: &[u32],
-    from: &DepSlots,
-    to: &DepSlots,
-    translate: &[Option<ChannelId>],
-) -> Vec<u32> {
-    let mut out = vec![0; to.num_slots()];
-    for (slot, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
-        let (c1, c2) = from.ends(slot);
-        if let (Some(c1), Some(c2)) = (translate[c1 as usize], translate[c2 as usize]) {
-            out[to.slot(c1.0, c2.0)] += n;
-        }
-    }
-    out
-}
-
 /// Whether the dependency slots that hold a count, as CDG edges, close
 /// no cycle.
 fn acyclic(slots: &Arc<DepSlots>, counts: impl Iterator<Item = u32>) -> bool {
@@ -609,6 +600,7 @@ mod tests {
     use dfsssp_core::verify::verify_deadlock_free;
     use dfsssp_core::{Budget, ComputeOpts, Sssp};
     use fabric::{degrade, topo};
+    use telemetry::fx::FxHashMap;
     use telemetry::Collector;
 
     /// The snapshot schedule for `net` and every fabric an event
@@ -675,7 +667,7 @@ mod tests {
         routes: &Routes,
         dests: impl Iterator<Item = usize>,
     ) -> Option<Vec<((u32, u32), u32)>> {
-        let slots = DepSlots::of(net);
+        let slots = net.dep_slots().clone();
         let counts = tree_windows(net, &slots, routes, dests)?;
         assert_eq!(counts.len(), slots.num_slots());
         let counted = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
@@ -782,7 +774,7 @@ mod tests {
             corrupt(&mut routes);
             let nt = net.num_terminals();
             assert_eq!(
-                tree_windows(&net, &DepSlots::of(&net), &routes, 0..nt),
+                tree_windows(&net, net.dep_slots(), &routes, 0..nt),
                 None,
                 "{what}"
             );
@@ -830,7 +822,7 @@ mod tests {
         assert_eq!((passes(), TREES_COUNTED.get()), (2, patched));
         // ...yet the cache holds the counts of a pass over every tree.
         let held = engine.lock().state.as_ref().unwrap().l0.clone();
-        assert_eq!(held, tree_windows(&net, &DepSlots::of(&net), &cold, 0..nt));
+        assert_eq!(held, tree_windows(&net, net.dep_slots(), &cold, 0..nt));
         assert_eq!(TREES_COUNTED.get(), patched + nt);
     }
 

@@ -1,6 +1,6 @@
 //! Incremental network construction with port bookkeeping.
 
-use crate::graph::{Channel, ChannelId, CsrAdj, Network, Node, NodeId, NodeKind, NONE_U32};
+use crate::graph::{Channel, ChannelId, Network, Node, NodeId, NodeKind};
 use telemetry::fx::FxHashSet;
 
 /// Error raised while wiring a network.
@@ -171,6 +171,7 @@ impl NetworkBuilder {
             src_port: pa,
             dst_port: pb,
             rev: Some(ba),
+            live: true,
         });
         self.channels.push(Channel {
             src: b,
@@ -178,6 +179,7 @@ impl NetworkBuilder {
             src_port: pb,
             dst_port: pa,
             rev: Some(ab),
+            live: true,
         });
         Ok((ab, ba))
     }
@@ -214,6 +216,7 @@ impl NetworkBuilder {
             src_port: pa,
             dst_port: pb,
             rev: Some(ba),
+            live: true,
         });
         self.channels.push(Channel {
             src: b,
@@ -221,6 +224,7 @@ impl NetworkBuilder {
             src_port: pb,
             dst_port: pa,
             rev: Some(ab),
+            live: true,
         });
         Ok((ab, ba))
     }
@@ -254,6 +258,7 @@ impl NetworkBuilder {
             src_port: pa,
             dst_port: pb,
             rev: None,
+            live: true,
         });
         Ok(id)
     }
@@ -274,6 +279,7 @@ impl NetworkBuilder {
             src_port: pa,
             dst_port: pb,
             rev: None,
+            live: true,
         });
         Ok(id)
     }
@@ -287,44 +293,8 @@ impl NetworkBuilder {
 
     /// Finalize into an immutable [`Network`].
     pub fn build(self) -> Network {
-        self.build_without(|_| false)
-    }
-
-    /// [`Self::build`], with the nodes `dead` names kept in the roster
-    /// but in neither [`Network::terminals`] nor [`Network::switches`]:
-    /// the caller has cabled none of them.
-    pub(crate) fn build_without(self, dead: impl Fn(NodeId) -> bool) -> Network {
-        let n = self.nodes.len();
-        let mut switches = Vec::new();
-        let mut terminals = Vec::new();
-        let mut switch_index = vec![NONE_U32; n];
-        let mut terminal_index = vec![NONE_U32; n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if dead(NodeId(i as u32)) {
-                continue;
-            }
-            match node.kind {
-                NodeKind::Switch => {
-                    switch_index[i] = switches.len() as u32;
-                    switches.push(NodeId(i as u32));
-                }
-                NodeKind::Terminal => {
-                    terminal_index[i] = terminals.len() as u32;
-                    terminals.push(NodeId(i as u32));
-                }
-            }
-        }
-        Network {
-            out_csr: CsrAdj::from_channels(n, &self.channels, |ch| ch.src),
-            in_csr: CsrAdj::from_channels(n, &self.channels, |ch| ch.dst),
-            nodes: self.nodes,
-            channels: self.channels,
-            switches,
-            terminals,
-            terminal_index,
-            switch_index,
-            label: self.label,
-        }
+        let slots = Default::default();
+        Network::assemble(self.nodes, self.channels, |_| false, self.label, slots)
     }
 }
 

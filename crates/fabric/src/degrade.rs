@@ -7,93 +7,68 @@
 //! degraded away from their ideal structure ("supercomputers are extended
 //! later and topologies grow with the machines"); these helpers create
 //! such networks from the regular generators. A degraded view keeps its
-//! ancestor's whole roster: every node keeps its [`NodeId`] (a dead switch
-//! or a stranded terminal stays, cabled to nothing and in neither
-//! [`Network::terminals`] nor [`Network::switches`]), and every surviving
-//! cable keeps its *port numbers*, as InfiniBand hardware keeps its LIDs
-//! and ports across sweeps. So the views of one fabric address a node by
-//! one id and a channel by its source and port — what the subnet
-//! manager's loop relies on to address events and diff tables across
-//! rebuilds. Channel ids are renumbered.
+//! ancestor's whole roster and id space: every node keeps its [`NodeId`]
+//! (a dead switch or a stranded terminal stays, cabled to nothing and in
+//! neither [`Network::terminals`] nor [`Network::switches`]), and every
+//! channel keeps its [`ChannelId`] (a dead cable's two channels stay as
+//! tombstones, in no adjacency row: [`Network::is_live_channel`]), as
+//! InfiniBand hardware keeps its LIDs and port numbers across sweeps. So
+//! the views of one fabric address a node and a channel by one id, and
+//! share one numbering of dependencies ([`Network::dep_slots`]) — what the
+//! subnet manager's loop and the incremental engines rely on to address
+//! events and compare tables across rebuilds without translating them.
+
+use std::sync::OnceLock;
 
 use crate::graph::{ChannelId, NodeId, NodeKind};
 use crate::rng::Rng;
-use crate::{Network, NetworkBuilder};
+use crate::Network;
 use telemetry::fx::FxHashSet;
 
-/// Rebuild `net` without the channels in `dead_channels` and with the
-/// nodes in `dead_nodes` dead: kept at their ids, cabled to nothing, in
-/// neither [`Network::terminals`] nor [`Network::switches`] (as are the
-/// nodes already dead in `net`). Names, kinds, coordinates, levels and
-/// port numbers are preserved: a surviving cable keeps the exact ports it
-/// was plugged into, like real hardware.
+/// `net` without the channels in `dead_channels` and with the nodes in
+/// `dead_nodes` dead: kept at their ids, cabled to nothing, in neither
+/// [`Network::terminals`] nor [`Network::switches`] (as are the nodes
+/// already dead in `net`). Every channel keeps its id, ends and ports; a
+/// removed one, or one into or out of a dead node, is a tombstone. A
+/// cable that loses one direction leaves the other a one-way channel (no
+/// [`crate::Channel::rev`]). The view shares `net`'s dependency slots.
 pub fn remove(
     net: &Network,
     dead_nodes: &FxHashSet<NodeId>,
     dead_channels: &FxHashSet<ChannelId>,
 ) -> Network {
-    let mut b = NetworkBuilder::new();
-    b.label(format!("{}-degraded", net.label()));
-    for (_, node) in net.nodes() {
-        let new = b.add_node(node.kind, node.name.clone(), node.max_ports);
-        if let Some(c) = &node.coord {
-            b.set_coord(new, c.clone());
-        }
-        if let Some(l) = node.level {
-            b.set_level(new, l);
-        }
-    }
     let dead = |v: NodeId| dead_nodes.contains(&v) || !net.is_live(v);
-    let mut done = vec![false; net.num_channels()];
-    for (id, ch) in net.channels() {
-        if done[id.idx()] || dead_channels.contains(&id) || dead(ch.src) || dead(ch.dst) {
-            continue;
-        }
-        done[id.idx()] = true;
-        match ch.rev {
-            Some(r) if !dead_channels.contains(&r) => {
-                done[r.idx()] = true;
-                b.link_at(ch.src, ch.src_port, ch.dst, ch.dst_port)
-                    .expect("surviving ports cannot collide on removal");
-            }
-            _ => {
-                b.add_channel_at(ch.src, ch.src_port, ch.dst, ch.dst_port)
-                    .expect("surviving ports cannot collide on removal");
-            }
+    let mut channels = net.channels.clone();
+    for (i, ch) in channels.iter_mut().enumerate() {
+        ch.live &= !dead_channels.contains(&ChannelId(i as u32)) && !dead(ch.src) && !dead(ch.dst);
+    }
+    for i in 0..channels.len() {
+        if channels[i]
+            .rev
+            .is_some_and(|r| channels[r.idx()].live != channels[i].live)
+        {
+            channels[i].rev = None;
         }
     }
-    b.build_without(dead)
+    let slots = OnceLock::from(net.dep_slots().clone());
+    let label = format!("{}-degraded", net.label());
+    Network::assemble(net.nodes.clone(), channels, dead, label, slots)
 }
 
-/// How the channels of one view of a fabric correspond to another's —
-/// say the views [`remove`] builds before and after an event. Nodes need
-/// no map: the views share their ids.
-#[derive(Clone, Debug)]
-pub struct ViewMap {
-    /// Per old channel: the channel leaving the same node over the same
-    /// port in the new view.
-    pub channel: Vec<Option<ChannelId>>,
-}
-
-impl ViewMap {
-    /// Match `new`'s channels to `old`'s (a node `new` does not have
-    /// matches nothing).
-    pub fn between(old: &Network, new: &Network) -> ViewMap {
-        let in_new = |n: NodeId| n.idx() < new.num_nodes();
-        let channel = old
-            .channels()
-            .map(|(_, ch)| in_new(ch.src).then(|| port_at(new, ch.src, ch.src_port)))
-            .map(Option::flatten)
-            .collect();
-        ViewMap { channel }
+/// The channels live in exactly one of two views of one fabric, as
+/// `(removed, added)`: live in `old` only, and live in `new` only, each
+/// ascending. What an event changed, read off the shared id space.
+pub fn changed_channels(old: &Network, new: &Network) -> (Vec<ChannelId>, Vec<ChannelId>) {
+    debug_assert_eq!(old.num_channels(), new.num_channels(), "one id space");
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    for c in (0..old.num_channels().max(new.num_channels())).map(|c| ChannelId(c as u32)) {
+        match (old.is_live_channel(c), new.is_live_channel(c)) {
+            (true, false) => removed.push(c),
+            (false, true) => added.push(c),
+            _ => {}
+        }
     }
-}
-
-/// The channel leaving `n` over `port`, if any (ports are unique per
-/// node).
-pub fn port_at(net: &Network, n: NodeId, port: u16) -> Option<ChannelId> {
-    let mut out = net.out_channels(n).iter().copied();
-    out.find(|&c| net.channel(c).src_port == port)
+    (removed, added)
 }
 
 /// The live nodes outside the largest serving core of a (possibly
@@ -333,7 +308,7 @@ pub fn fail_random_switch(net: &Network, seed: u64) -> Option<Network> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topo;
+    use crate::{topo, NetworkBuilder};
 
     #[test]
     fn removing_nothing_preserves_structure() {
@@ -436,17 +411,25 @@ mod tests {
         assert_eq!(core.num_nodes(), net.num_nodes());
         assert_eq!(core.num_terminals(), net.num_terminals() - 4);
         assert!(gone.iter().all(|&t| !core.is_live(t)));
-        for (_, ch) in core.channels() {
-            let port = port_at(&net, ch.src, ch.src_port).expect("the cable existed");
+        // Every channel keeps its id, ends and ports; the dead ones are
+        // tombstones, and the view shares the reference's slots.
+        assert_eq!(core.num_channels(), net.num_channels());
+        for (c, ch) in net.channels() {
+            let kept = core.channel(c);
             assert_eq!(
-                (net.channel(port).dst, net.channel(port).dst_port),
-                (ch.dst, ch.dst_port)
+                (kept.src, kept.src_port, kept.dst, kept.dst_port),
+                (ch.src, ch.src_port, ch.dst, ch.dst_port)
             );
         }
+        assert!(!core.is_live_channel(cable) && core.channel(cable).rev.is_some());
         assert_eq!(core.num_cables(), net.num_cables() - 1 - 4 * 2);
-        let map = ViewMap::between(&net, &core);
-        let mapped = map.channel.iter().flatten().count();
-        assert_eq!(mapped, core.num_channels());
+        assert_eq!(core.num_live_channels(), core.channels().count());
+        assert_eq!(core.num_live_channels(), 2 * core.num_cables());
+        assert!(std::sync::Arc::ptr_eq(core.dep_slots(), net.dep_slots()));
+        let (removed, added) = changed_channels(&net, &core);
+        assert_eq!(removed.len(), 2 * (net.num_cables() - core.num_cables()));
+        assert!(added.is_empty() && removed.contains(&cable));
+        assert_eq!(changed_channels(&core, &net), (added, removed));
     }
 
     #[test]

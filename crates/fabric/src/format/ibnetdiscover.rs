@@ -212,12 +212,14 @@ pub fn parse_ibnetdiscover_with(input: &str, limits: &FormatLimits) -> Result<Ne
 }
 
 /// Write a network as an `ibnetdiscover`-style dump (inverse of
-/// [`parse_ibnetdiscover`] up to comments).
+/// [`parse_ibnetdiscover`] up to comments). A degraded view writes its
+/// live nodes and channels only: the format has no dead node or
+/// tombstone.
 pub fn write_ibnetdiscover(net: &Network) -> String {
     use std::fmt::Write as _;
     // Writes into a String cannot fail; results discarded explicitly.
     let mut out = String::new();
-    for (id, node) in net.nodes() {
+    for (id, node) in net.nodes().filter(|&(id, _)| net.is_live(id)) {
         let kw = match node.kind {
             NodeKind::Switch => "Switch",
             NodeKind::Terminal => "Ca",

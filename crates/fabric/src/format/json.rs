@@ -41,12 +41,17 @@ use telemetry::json::{write_str, Value};
 // ---------------------------------------------------------------------
 
 /// Serialize a network to a JSON string (inverse of
-/// [`network_from_json`]).
+/// [`network_from_json`]). A degraded view writes its live nodes, numbered
+/// in id order, and its live channels only: the format has no dead node
+/// or tombstone.
 pub fn network_to_json(net: &Network) -> String {
     let mut out = String::from("{\"label\":");
     write_str(&mut out, net.label());
     out.push_str(",\"nodes\":[");
-    for (i, (_, node)) in net.nodes().enumerate() {
+    let live = net.nodes().filter(|&(id, _)| net.is_live(id));
+    let mut at = vec![u32::MAX; net.num_nodes()];
+    for (i, (id, node)) in live.enumerate() {
+        at[id.idx()] = i as u32;
         if i > 0 {
             out.push(',');
         }
@@ -94,7 +99,10 @@ pub fn network_to_json(net: &Network) -> String {
         let _ = write!(
             out,
             "{{\"src\":{},\"src_port\":{},\"dst\":{},\"dst_port\":{},\"bidi\":{bidi}}}",
-            ch.src.0, ch.src_port, ch.dst.0, ch.dst_port
+            at[ch.src.idx()],
+            ch.src_port,
+            at[ch.dst.idx()],
+            ch.dst_port
         );
     }
     out.push_str("]}");

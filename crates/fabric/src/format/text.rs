@@ -201,7 +201,8 @@ pub fn parse_network_with(input: &str, limits: &FormatLimits) -> Result<Network,
 }
 
 /// Write a network in the text format (inverse of [`parse_network`] up to
-/// port renumbering).
+/// port renumbering). A degraded view writes its live nodes and channels
+/// only: the format has no dead node or tombstone.
 pub fn write_network(net: &Network) -> String {
     // Writes into a String cannot fail; the results are discarded
     // explicitly so this path stays free of unwrap.
@@ -209,7 +210,7 @@ pub fn write_network(net: &Network) -> String {
     if !net.label().is_empty() {
         let _ = writeln!(out, "label {}", net.label());
     }
-    for (_, node) in net.nodes() {
+    for (_, node) in net.nodes().filter(|&(id, _)| net.is_live(id)) {
         let kw = match node.kind {
             crate::NodeKind::Switch => "switch",
             crate::NodeKind::Terminal => "terminal",

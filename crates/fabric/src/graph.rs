@@ -8,7 +8,7 @@
 //! Kautz network) have `rev == None`.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a node (switch or terminal) in a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,16 +86,18 @@ pub struct Channel {
     pub dst_port: u16,
     /// The opposite-direction channel of the same cable, if bidirectional.
     pub rev: Option<ChannelId>,
+    /// Live, or a tombstone: a dead cable's channel, which a degraded
+    /// view keeps at its id (see [`Network::is_live_channel`]).
+    pub(crate) live: bool,
 }
 
 /// Flat compressed-sparse-row adjacency: one contiguous channel-id
 /// array plus per-node offsets. The routing hot loops (Dijkstra
 /// relaxation, BFS sweeps, reachability walks) iterate adjacency
 /// millions of times per run; a CSR row is one pointer-width slice into
-/// a single allocation. Built once by [`crate::NetworkBuilder::build`]
-/// straight from the channel list (`degrade` rebuilds the whole
-/// `Network` the same way); [`Network::validate`] re-checks it against
-/// `channels`.
+/// a single allocation. Built once per `Network` straight from the live
+/// channels (a tombstone of a degraded view is in no row);
+/// [`Network::validate`] re-checks it against `channels`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CsrAdj {
     /// `channel_offsets[v]..channel_offsets[v+1]` indexes
@@ -106,23 +108,24 @@ pub(crate) struct CsrAdj {
 }
 
 impl CsrAdj {
-    /// Group `channels` by `end(channel)` over `n` nodes with a counting
-    /// pass; every row lists its channels in ascending id order.
+    /// Group the live channels by `end(channel)` over `n` nodes with a
+    /// counting pass; every row lists its channels in ascending id order.
     pub(crate) fn from_channels(
         n: usize,
         channels: &[Channel],
         end: impl Fn(&Channel) -> NodeId,
     ) -> CsrAdj {
+        let live_channels = || channels.iter().enumerate().filter(|&(_, ch)| ch.live);
         let mut channel_offsets = vec![0u32; n + 1];
-        for ch in channels {
+        for (_, ch) in live_channels() {
             channel_offsets[end(ch).idx() + 1] += 1;
         }
         for v in 0..n {
             channel_offsets[v + 1] += channel_offsets[v];
         }
         let mut cursor = channel_offsets.clone();
-        let mut channel_ids = vec![ChannelId(0); channels.len()];
-        for (i, ch) in channels.iter().enumerate() {
+        let mut channel_ids = vec![ChannelId(0); channel_offsets[n] as usize];
+        for (i, ch) in live_channels() {
             let at = &mut cursor[end(ch).idx()];
             channel_ids[*at as usize] = ChannelId(i as u32);
             *at += 1;
@@ -142,10 +145,10 @@ impl CsrAdj {
     }
 
     /// Drift check against the channel list this CSR was built from:
-    /// offsets start at 0, are monotone and end at `channels.len()`;
-    /// every row is ascending and holds only channels whose `end` is the
-    /// row's node. With `channels.len()` slots in total that places every
-    /// channel exactly once. Bounds-checked throughout.
+    /// offsets start at 0, are monotone and end at the number of live
+    /// channels; every row is ascending and holds only live channels
+    /// whose `end` is the row's node. With one slot per live channel that
+    /// places every live channel exactly once. Bounds-checked throughout.
     fn check(
         &self,
         name: &str,
@@ -154,10 +157,11 @@ impl CsrAdj {
         end: impl Fn(&Channel) -> NodeId,
     ) -> Result<(), String> {
         let offs = &self.channel_offsets;
+        let total = channels.iter().filter(|ch| ch.live).count();
         if offs.len() != n + 1
             || offs.first() != Some(&0)
-            || offs.last().map(|&o| o as usize) != Some(channels.len())
-            || self.channel_ids.len() != channels.len()
+            || offs.last().map(|&o| o as usize) != Some(total)
+            || self.channel_ids.len() != total
         {
             return Err(format!("{name} offsets do not span the channel list"));
         }
@@ -171,7 +175,7 @@ impl CsrAdj {
                 return Err(format!("{name} row of n{v} is not ascending"));
             }
             for &c in row {
-                match channels.get(c.idx()) {
+                match channels.get(c.idx()).filter(|ch| ch.live) {
                     None => return Err(format!("{name} of n{v} lists missing channel c{}", c.0)),
                     Some(ch) if end(ch).idx() != v => {
                         return Err(format!("{name} of n{v} lists foreign channel c{}", c.0))
@@ -187,8 +191,11 @@ impl CsrAdj {
 /// Dense addressing of channel dependencies. A dependency `(c1, c2)` — a
 /// route takes `c2` directly after `c1` — can only exist where `c2`
 /// leaves the node `c1` enters, so a fabric has Σ_c outdeg(head(c))
-/// places one can be: a few per channel, not `|C|²`. [`DepSlots::of`]
-/// numbers them. Each `c1` owns one contiguous row holding its
+/// places one can be: a few per channel, not `|C|²`.
+/// [`Network::dep_slots`] numbers them, once per reference fabric: every
+/// degraded view shares its reference's slots, so a dependency has one
+/// slot in all of them (a view just never uses a tombstone's). Each `c1`
+/// owns one contiguous row holding its
 /// successors in ascending channel order, rows in channel order, so
 /// ascending slots are ascending `(c1, c2)` pairs. Whatever is kept per
 /// dependency (CDG edges, window counts, edge sets) is a flat array
@@ -204,9 +211,9 @@ pub struct DepSlots {
 }
 
 impl DepSlots {
-    /// The slots of `net`: one per adjacent channel pair. Shared: every
-    /// structure built over an index holds on to it.
-    pub fn of(net: &Network) -> Arc<DepSlots> {
+    /// The slots of `net`, a fabric with no tombstones: one per adjacent
+    /// channel pair.
+    fn of(net: &Network) -> Arc<DepSlots> {
         let n = net.num_channels();
         let (mut base, mut rank) = (Vec::with_capacity(n + 1), vec![0u32; n]);
         let mut ends = Vec::new();
@@ -276,6 +283,8 @@ impl DepSlots {
 #[derive(Clone, Debug)]
 pub struct Network {
     pub(crate) nodes: Vec<Node>,
+    /// Every channel id of the fabric, a degraded view's tombstones too
+    /// (in no adjacency row).
     pub(crate) channels: Vec<Channel>,
     /// Outgoing channels per node, grouped by `Channel::src`.
     pub(crate) out_csr: CsrAdj,
@@ -291,21 +300,117 @@ pub struct Network {
     pub(crate) switch_index: Vec<u32>,
     /// Free-form topology label, e.g. `"xgft(2;8,8;4,4)"`.
     pub(crate) label: String,
+    /// The reference fabric's dependency slots, built on first use and
+    /// shared by every view [`crate::degrade::remove`] makes of it.
+    pub(crate) dep_slots: OnceLock<Arc<DepSlots>>,
 }
 
 pub(crate) const NONE_U32: u32 = u32::MAX;
 
 impl Network {
+    /// Assemble a network from its roster and channel list: the nodes
+    /// `dead` names are kept but live in neither [`Network::terminals`]
+    /// nor [`Network::switches`], and the channels not marked live are
+    /// tombstones (the caller cabled no live channel to a dead node).
+    pub(crate) fn assemble(
+        nodes: Vec<Node>,
+        channels: Vec<Channel>,
+        dead: impl Fn(NodeId) -> bool,
+        label: String,
+        dep_slots: OnceLock<Arc<DepSlots>>,
+    ) -> Network {
+        let n = nodes.len();
+        let mut switches = Vec::new();
+        let mut terminals = Vec::new();
+        let mut switch_index = vec![NONE_U32; n];
+        let mut terminal_index = vec![NONE_U32; n];
+        for (i, node) in nodes.iter().enumerate() {
+            if dead(NodeId(i as u32)) {
+                continue;
+            }
+            match node.kind {
+                NodeKind::Switch => {
+                    switch_index[i] = switches.len() as u32;
+                    switches.push(NodeId(i as u32));
+                }
+                NodeKind::Terminal => {
+                    terminal_index[i] = terminals.len() as u32;
+                    terminals.push(NodeId(i as u32));
+                }
+            }
+        }
+        Network {
+            out_csr: CsrAdj::from_channels(n, &channels, |ch| ch.src),
+            in_csr: CsrAdj::from_channels(n, &channels, |ch| ch.dst),
+            nodes,
+            channels,
+            switches,
+            terminals,
+            terminal_index,
+            switch_index,
+            label,
+            dep_slots,
+        }
+    }
+
     /// Number of nodes `|N|` (switches + terminals).
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Number of unidirectional channels `|C|`.
+    /// Size of the channel id space: every channel of the fabric, the
+    /// tombstones of a degraded view included (per-channel arrays are
+    /// this long, and a channel keeps its id in every view).
     #[inline]
     pub fn num_channels(&self) -> usize {
         self.channels.len()
+    }
+
+    /// Number of live unidirectional channels `|C|` of this view.
+    #[inline]
+    pub fn num_live_channels(&self) -> usize {
+        self.out_csr.channel_ids.len()
+    }
+
+    /// Whether `c` is a live channel of this view: in the id space and
+    /// not a tombstone. A degraded view ([`crate::degrade::remove`])
+    /// keeps a dead cable's channels at their ids, with their ends and
+    /// ports, but in no adjacency row and not in [`Self::channels`].
+    #[inline]
+    pub fn is_live_channel(&self, c: ChannelId) -> bool {
+        self.live_channel(c).is_some()
+    }
+
+    /// The channel `c`, if it is live in this view (see
+    /// [`Self::is_live_channel`]): one look-up for a walk that checks an
+    /// entry and follows it.
+    #[inline]
+    pub fn live_channel(&self, c: ChannelId) -> Option<&Channel> {
+        self.channels.get(c.idx()).filter(|ch| ch.live)
+    }
+
+    /// Whether `self` and `other` are views of one fabric: one roster and
+    /// one channel id space, every channel with the same ends and ports,
+    /// so a node, a channel and a dependency slot mean the same in both.
+    /// O(1) for views [`crate::degrade::remove`] made of one reference.
+    pub fn same_fabric(&self, other: &Network) -> bool {
+        if let (Some(a), Some(b)) = (self.dep_slots.get(), other.dep_slots.get()) {
+            if Arc::ptr_eq(a, b) {
+                return true;
+            }
+        }
+        let ends = |ch: &Channel| (ch.src, ch.dst, ch.src_port, ch.dst_port);
+        self.nodes.len() == other.nodes.len()
+            && self.channels.len() == other.channels.len()
+            && (self.channels.iter().zip(&other.channels)).all(|(a, b)| ends(a) == ends(b))
+    }
+
+    /// The dependency slots of this network's reference fabric (see
+    /// [`DepSlots`]), built on first use: every view of one fabric
+    /// shares them, so a dependency has one slot in all of them.
+    pub fn dep_slots(&self) -> &Arc<DepSlots> {
+        self.dep_slots.get_or_init(|| DepSlots::of(self))
     }
 
     /// Number of terminals (endpoints).
@@ -326,7 +431,7 @@ impl Network {
         &self.nodes[id.idx()]
     }
 
-    /// The channel with the given id.
+    /// The channel with the given id, live or a tombstone.
     #[inline]
     pub fn channel(&self, id: ChannelId) -> &Channel {
         &self.channels[id.idx()]
@@ -340,11 +445,10 @@ impl Network {
             .map(|(i, n)| (NodeId(i as u32), n))
     }
 
-    /// All channels with their ids.
+    /// All live channels with their ids, ascending (tombstones skipped).
     pub fn channels(&self) -> impl Iterator<Item = (ChannelId, &Channel)> {
-        self.channels
-            .iter()
-            .enumerate()
+        let all = self.channels.iter().enumerate();
+        all.filter(|(_, c)| c.live)
             .map(|(i, c)| (ChannelId(i as u32), c))
     }
 
@@ -564,9 +668,10 @@ impl Network {
     }
 
     /// Internal consistency check: adjacency rows, index maps and port
-    /// assignments all agree with the node and channel lists, and a node
-    /// in neither index map (a dead node of a degraded view) has no
-    /// channels. Used by tests and after file parsing.
+    /// assignments all agree with the node and channel lists, a node in
+    /// neither index map (a dead node of a degraded view) has no
+    /// channels, and a cable's two directions are both live or both
+    /// tombstones. Used by tests and after file parsing.
     ///
     /// This must never panic, whatever the contents (short index maps,
     /// dangling channel ids, foreign adjacency), so every array length
@@ -594,6 +699,9 @@ impl Network {
                 if rc.src != ch.dst || rc.dst != ch.src || rc.rev != Some(ChannelId(i as u32)) {
                     return Err(format!("channel c{i} has inconsistent reverse"));
                 }
+                if ch.live != rc.live {
+                    return Err(format!("channel c{i} and its reverse differ in liveness"));
+                }
             }
         }
         // Hot loops read the CSR rows, so any drift from `channels`
@@ -606,7 +714,7 @@ impl Network {
         // direction pair (a bidirectional cable uses the same port number
         // for both of its channels).
         let mut used: Vec<Vec<u16>> = vec![Vec::new(); n];
-        for ch in &self.channels {
+        for (_, ch) in self.channels() {
             used[ch.src.idx()].push(ch.src_port);
         }
         for (u, ports) in used.iter_mut().enumerate() {
@@ -668,11 +776,11 @@ impl Network {
         Ok(())
     }
 
-    /// Total number of bidirectional cables (channel pairs) plus
-    /// unidirectional channels. Useful for reporting topology sizes.
+    /// Total number of live bidirectional cables (channel pairs) plus
+    /// live unidirectional channels. Useful for reporting topology sizes.
     pub fn num_cables(&self) -> usize {
-        let bidir = self.channels.iter().filter(|c| c.rev.is_some()).count();
-        let unidir = self.channels.len() - bidir;
+        let bidir = self.channels().filter(|(_, c)| c.rev.is_some()).count();
+        let unidir = self.num_live_channels() - bidir;
         bidir / 2 + unidir
     }
 

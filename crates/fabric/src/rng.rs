@@ -249,13 +249,13 @@ mod tests {
         assert!((2_000..3_000).contains(&hits), "chance(0.25) hit {hits}");
     }
 
-    /// Node count, channel count and FNV-1a of the text-format dump.
+    /// Node count, live channel count and FNV-1a of the text-format dump.
     fn fingerprint(net: &crate::Network) -> (usize, usize, u64) {
         let text = crate::format::write_network(net);
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        (net.num_nodes(), net.num_channels(), hash)
+        (net.num_nodes(), net.num_live_channels(), hash)
     }
 
     /// The fabrics the benchmark boots (`boot-irregular`'s spec) and

@@ -273,34 +273,16 @@ impl Routes {
         self.num_layers = other.num_layers;
     }
 
-    /// Copy every destination column *not* flagged in `dirty` from
-    /// `other`, renaming each channel through `translate` (`None` = the
-    /// channel no longer exists); a dirty column is skipped whole, and an
-    /// entry that does not translate at a node not live in `net` (the
-    /// network these tables are for) is dropped. Returns `false` (tables
-    /// partially written — discard them) when a populated clean entry of
-    /// a live node fails to translate, which callers treat as a
-    /// stale-cache signal.
-    pub fn copy_clean_columns_translated(
-        &mut self,
-        net: &Network,
-        other: &Routes,
-        dirty: &[bool],
-        translate: &[Option<ChannelId>],
-    ) -> bool {
-        let (nn, on) = (self.num_nodes, other.num_nodes);
+    /// Copy the next-hop entries of every destination column *not*
+    /// flagged in `dirty` from `other`, tables of the same shape (the
+    /// views of one fabric share node and channel ids, so a column that
+    /// did not change is the same bytes); a dirty column is left as it is.
+    pub fn copy_clean_columns(&mut self, other: &Routes, dirty: &[bool]) {
+        assert_eq!(self.next.len(), other.next.len(), "tables of one shape");
+        let nn = self.num_nodes;
         for d in (0..self.num_terminals).filter(|&d| !dirty[d]) {
-            let column = &mut self.next[d * nn..][..nn];
-            let populated = column.iter_mut().zip(&other.next[d * on..][..on]);
-            for (v, (slot, &c)) in populated.enumerate().filter(|&(_, (_, &c))| c != NONE_U32) {
-                match translate.get(c as usize).copied().flatten() {
-                    Some(nc) => *slot = nc.0,
-                    None if !net.is_live(NodeId(v as u32)) => {}
-                    None => return false,
-                }
-            }
+            self.next[d * nn..][..nn].copy_from_slice(&other.next[d * nn..][..nn]);
         }
-        true
     }
 
     /// Iterate over the channels of the path from terminal `src` to
@@ -418,15 +400,18 @@ impl<'a> Iterator for PathIter<'a> {
                 dst: self.dst,
             })),
             // Loaded artifacts can name channels this network does not
-            // have; report instead of indexing out of bounds.
-            Some(c) if c.idx() >= self.net.num_channels() => Some(Err(RoutesError::BadChannel {
-                node: self.at,
-                channel: c.0,
-            })),
-            Some(c) => {
-                self.at = self.net.channel(c).dst;
-                Some(Ok(c))
-            }
+            // have, and stale tables a dead cable's tombstone; report
+            // instead of indexing out of bounds or crossing it.
+            Some(c) => match self.net.live_channel(c) {
+                None => Some(Err(RoutesError::BadChannel {
+                    node: self.at,
+                    channel: c.0,
+                })),
+                Some(ch) => {
+                    self.at = ch.dst;
+                    Some(Ok(c))
+                }
+            },
         }
     }
 }
@@ -590,13 +575,10 @@ mod tests {
         src.set_layer(0, 1, 2);
         src.set_layer(2, 0, 1);
 
-        // Identity translation, nothing dirty: a verbatim copy.
-        let ident: Vec<Option<ChannelId>> = (0..net.num_channels() as u32)
-            .map(|c| Some(ChannelId(c)))
-            .collect();
+        // Nothing dirty: a verbatim copy.
         let dirty = vec![false; net.num_terminals()];
         let mut out = Routes::new(&net, "copy");
-        assert!(out.copy_clean_columns_translated(&net, &src, &dirty, &ident));
+        out.copy_clean_columns(&src, &dirty);
         assert_eq!(out.next, src.next);
         out.copy_layers_from(&src);
         assert_eq!(out.vl, src.vl);
@@ -620,16 +602,11 @@ mod tests {
         let mut masked = Routes::new(&net, "masked");
         let mut dirty0 = dirty.clone();
         dirty0[0] = true;
-        assert!(masked.copy_clean_columns_translated(&net, &src, &dirty0, &ident));
+        masked.copy_clean_columns(&src, &dirty0);
         for (id, _) in net.nodes() {
             assert_eq!(masked.next_hop(id, 0), None);
             assert_eq!(masked.next_hop(id, 1), src.next_hop(id, 1));
         }
-
-        // An untranslatable clean entry aborts the copy.
-        let none: Vec<Option<ChannelId>> = vec![None; net.num_channels()];
-        let mut broken = Routes::new(&net, "broken");
-        assert!(!broken.copy_clean_columns_translated(&net, &src, &dirty, &none));
     }
 
     /// The tables as the artifact lays them out, kept as the oracle of
@@ -735,7 +712,7 @@ mod tests {
                 // still counts, and the bulk operations have nothing to do.
                 routes.set_path_layers(&[]);
                 routes.copy_layers_from(&other);
-                assert!(routes.copy_clean_columns_translated(net, &other, &[], &[]));
+                routes.copy_clean_columns(&other, &[]);
                 model.assert_is(&routes, "no terminals");
                 continue;
             }
@@ -782,30 +759,10 @@ mod tests {
                     }
                     6 => {
                         let dirty: Vec<bool> = (0..nt).map(|_| rng.chance(0.3)).collect();
-                        let translate: Vec<Option<ChannelId>> = (0..net.num_channels())
-                            .map(|_| (!rng.chance(0.05)).then(|| channel(&mut rng)))
-                            .collect();
-                        let renamed = |c: u32| translate.get(c as usize).copied().flatten();
-                        let clean = (0..nt).filter(|&d| !dirty[d]);
-                        let untranslatable =
-                            clean.flat_map(|d| other_model.next.iter().map(move |row| row[d]));
-                        let ok = untranslatable
-                            .filter(|&c| c != NONE_U32)
-                            .all(|c| renamed(c).is_some());
-                        let before = routes.clone();
-                        assert_eq!(
-                            routes.copy_clean_columns_translated(net, &other, &dirty, &translate),
-                            ok,
-                            "{what}"
-                        );
-                        if !ok {
-                            // Partially written: the caller discards it.
-                            routes = before;
-                        } else {
-                            for (row, orow) in model.next.iter_mut().zip(&other_model.next) {
-                                for d in (0..nt).filter(|&d| !dirty[d] && orow[d] != NONE_U32) {
-                                    row[d] = renamed(orow[d]).expect("checked above").0;
-                                }
+                        routes.copy_clean_columns(&other, &dirty);
+                        for (row, orow) in model.next.iter_mut().zip(&other_model.next) {
+                            for d in (0..nt).filter(|&d| !dirty[d]) {
+                                row[d] = orow[d];
                             }
                         }
                     }

@@ -51,10 +51,10 @@ use std::time::{Duration, Instant};
 use telemetry::fx::FxHashSet;
 use telemetry::{counters, hists, phases, timed, Recorder, RecorderHandle};
 
-/// A fabric event the SM reacts to. Node ids are shared by the
-/// reference network the loop was brought up with and every view of it;
-/// channel ids refer to the reference, whose degraded views renumber
-/// them — physical identity, like a trap's port GUID.
+/// A fabric event the SM reacts to. Node and channel ids are shared by
+/// the reference network the loop was brought up with and every view of
+/// it (a dead cable stays a tombstone at its id) — physical identity,
+/// like a trap's port GUID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FabricEvent {
     /// A cable went down (both directions of the pair).
@@ -429,7 +429,7 @@ impl<E: RoutingEngine> SmLoop<E> {
 
     /// Canonical id of a cable: the lower channel id of the pair.
     fn canonical(&self, c: ChannelId) -> Result<ChannelId, SmError> {
-        if c.idx() >= self.reference.num_channels() {
+        if !self.reference.is_live_channel(c) {
             return Err(SmError::InvalidEvent(format!(
                 "channel {} does not exist in the reference fabric",
                 c.0
@@ -909,26 +909,26 @@ mod tests {
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let c = net.switch_cables()[0];
         sm.handle(FabricEvent::CableDown(c)).unwrap();
-        // Terminal 0's own entry toward terminal 1 names a channel the
-        // fabric does not have: a row no LFT holds (only switches have
-        // one). The next event remaps those tables on the helper, beside
-        // the ladder: the panic resumes on the caller and is contained.
-        let bad = ChannelId(u32::MAX - 1);
-        sm.current.routes.set_next(net.terminals()[0], 1, bad);
+        // The serving view swapped for another fabric's: the ladder reads
+        // it only as a base it cannot carry from, but the next event's
+        // remap of the serving tables, on the helper beside the ladder,
+        // refuses two fabrics: the panic resumes on the caller and is
+        // contained.
+        let serving = std::mem::replace(&mut sm.net, topo::torus(&[3, 3], 1));
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let err = sm.handle(FabricEvent::CableUp(c));
         std::panic::set_hook(hook);
         assert!(
-            matches!(&err, Err(SmError::EnginePanicked(msg)) if msg.contains("out of bounds")),
+            matches!(&err, Err(SmError::EnginePanicked(msg)) if msg.contains("one fabric")),
             "{:?}",
             err.map(|o| o.rungs)
         );
+        sm.net = serving;
         assert_eq!(sm.network().num_cables(), net.num_cables() - 1);
         let nt = net.num_terminals();
         assert_eq!(sm.light_sweep().unwrap(), nt * (nt - 1));
-        // Without the bad entry the same event goes through.
-        sm.current.routes.clear_next(net.terminals()[0], 1);
+        // With the serving view back the same event goes through.
         assert!(sm.handle(FabricEvent::CableUp(c)).unwrap().rerouted);
         assert_eq!(sm.network().num_cables(), net.num_cables());
     }

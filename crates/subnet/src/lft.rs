@@ -93,10 +93,13 @@ impl FabricTables {
             let (next, layers) = routes.column(dst_t);
             let lid = lids.lid(dst).0 as usize;
             for (lft, s) in lfts.iter_mut().zip(net.switches()) {
-                let port = match next[s.idx()] {
-                    u32::MAX => continue,
-                    c => net.channel(ChannelId(c)).src_port,
-                };
+                // An entry naming no live channel (a dead cable's, or
+                // none at all) programs nothing: the walk reports it.
+                let c = ChannelId(next[s.idx()]);
+                if !net.is_live_channel(c) {
+                    continue;
+                }
+                let port = net.channel(c).src_port;
                 if port > u8::MAX as u16 {
                     // No real switch has >255 ports; a hostile input
                     // might. Leave the slot empty (0) rather than
@@ -360,6 +363,31 @@ mod tests {
                 assert_eq!(net.channel(*walk.last().unwrap()).dst, dst);
             }
         }
+    }
+
+    /// An entry naming a dead cable's channel programs no port: its id
+    /// and its port are the cable's still, but a degraded view keeps the
+    /// cable as a tombstone, so the validation walk meets a typed
+    /// `NoEntry` at that switch, not the dead port.
+    #[test]
+    fn a_dead_cable_programs_no_port() {
+        let net = topo::torus(&[3, 3], 1);
+        let cable = net.switch_cables()[0];
+        let dead = [cable, net.channel(cable).rev.unwrap()];
+        let view = fabric::degrade::remove(&net, &Default::default(), &dead.into_iter().collect());
+        let (mut routes, lids, tables) = programmed(&view);
+        assert!(tables.validate(&view, &lids).is_ok());
+        let at = view.channel(cable).src;
+        let d = (0..view.num_terminals())
+            .find(|&d| view.channel(routes.next_hop(at, d).unwrap()).dst != view.terminals()[d])
+            .unwrap();
+        routes.set_next(at, d, cable);
+        let tables = FabricTables::program(&view, &routes, &lids);
+        let dlid = lids.lid(view.terminals()[d]);
+        assert_eq!(
+            tables.validate(&view, &lids),
+            Err(WalkError::NoEntry { switch: at, dlid })
+        );
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! through [`cyclic_layers`]; a walk searches at most once however many
 //! callers ask, so a test can count both.
 
-use fabric::degrade::{self, ViewMap};
 use fabric::{ChannelId, Network, NodeId, Routes};
 use vet::TableWalk;
 
@@ -127,51 +126,47 @@ pub trait DiffPlanProvider {
 }
 
 /// Re-express `old` (tables for `old_net`) against `new_net`, a view of
-/// the same roster.
+/// the same fabric.
 ///
-/// Nodes are the same ids in both views, and channels are matched by
-/// `(source node, source port)` — the invariant `degrade` preserves.
-/// Entries whose node, channel, or destination no longer exists are
-/// dropped; virtual layers of surviving terminal pairs are carried over.
-/// The result always has `new_net`'s shape, so it can be compared and
-/// vetted against the new network (expect broken pairs where hardware
-/// vanished).
-///
-/// The matching is done once per channel; the entries are then copied
-/// one destination column at a time, each translated through the
-/// channel table.
+/// The views share node and channel ids, so an entry carries over as it
+/// is: only entries at a node `new_net` drops or over a channel that is
+/// not live in it are dropped. Virtual layers of
+/// surviving terminal pairs are carried over. The result always has
+/// `new_net`'s shape, so it can be compared and vetted against the new
+/// network (expect broken pairs where hardware vanished).
 pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
+    assert!(
+        old_net.same_fabric(new_net),
+        "remap needs two views of one fabric"
+    );
     let mut routes = Routes::new(new_net, old.engine());
-    let channel = ViewMap::between(old_net, new_net).channel;
-    let nodes = new_net.num_nodes().min(old_net.num_nodes());
+    let nodes = new_net.num_nodes().min(old.num_nodes());
     // Old terminal index per new terminal index, if the old tables have it.
     let old_t: Vec<Option<usize>> = new_net
         .terminals()
         .iter()
         .map(|&t| {
-            (t.idx() < nodes)
+            (t.idx() < old_net.num_nodes())
                 .then(|| old_net.terminal_index(t))
                 .flatten()
         })
         .map(|o| o.filter(|&o| o < old.num_terminals()))
         .collect();
-    // An entry at `n` translates through the channel table when it
-    // leaves `n`; any other entry is looked up at `n` by port.
+    let dropped: Vec<usize> = (0..nodes)
+        .filter(|&n| !new_net.is_live(NodeId(n as u32)))
+        .collect();
     for (new_dst, od) in old_t.iter().enumerate() {
         let Some(od) = *od else { continue };
         let (next, layers) = old.column(od);
-        for (n, &ch) in (0..nodes).map(|n| NodeId(n as u32)).zip(next) {
-            if ch == u32::MAX {
-                continue;
+        let column = &mut routes.next_column_mut(new_dst)[..nodes];
+        column.copy_from_slice(&next[..nodes]);
+        for c in column.iter_mut() {
+            if *c != u32::MAX && !new_net.is_live_channel(ChannelId(*c)) {
+                *c = u32::MAX;
             }
-            let old_ch = old_net.channel(ChannelId(ch));
-            let c = match channel[ch as usize] {
-                c if old_ch.src == n => c,
-                _ => degrade::port_at(new_net, n, old_ch.src_port),
-            };
-            if let Some(c) = c {
-                routes.set_next(n, new_dst, c);
-            }
+        }
+        for &n in &dropped {
+            column[n] = u32::MAX;
         }
         for (new_src, os) in old_t.iter().enumerate() {
             if let Some(os) = *os {
@@ -559,8 +554,7 @@ mod tests {
     };
     use super::*;
     use dfsssp_core::{DfSssp, RoutingEngine};
-    use fabric::{topo, NodeId};
-    use telemetry::fx::FxHashMap;
+    use fabric::{degrade, topo, NodeId};
     pub(super) use telemetry::fx::FxHashSet;
 
     /// [`plan_update`] for a caller that has already walked `new` on `net`.
@@ -639,9 +633,9 @@ mod tests {
         }
     }
 
-    /// [`remap_routes`] as it stood before it translated through a channel
-    /// table: every entry by a hash look-up of its port at its node, row by
-    /// row (the views share their node ids).
+    /// [`remap_routes`] entry by entry, row by row: an entry survives iff
+    /// its node and its channel are live in the new view (the views share
+    /// their node and channel ids).
     fn remap_routes_reference(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
         let mut routes = Routes::new(new_net, old.engine());
         // Old node id per new node: the same id.
@@ -655,12 +649,7 @@ mod tests {
             .iter()
             .map(|&t| old_node[t.idx()].and_then(|o| old_net.terminal_index(o)))
             .collect();
-        // (src node, src port) -> channel in the new network.
-        let mut by_port: FxHashMap<(u32, u16), u32> = FxHashMap::default();
-        for (id, ch) in new_net.channels() {
-            by_port.insert((ch.src.0, ch.src_port), id.0);
-        }
-        for (new_id, _) in new_net.nodes() {
+        for (new_id, _) in new_net.nodes().filter(|&(id, _)| new_net.is_live(id)) {
             let Some(o) = old_node[new_id.idx()] else {
                 continue;
             };
@@ -672,9 +661,8 @@ mod tests {
                 let Some(ch) = old.next_hop(o, od) else {
                     continue;
                 };
-                let port = old_net.channel(ch).src_port;
-                if let Some(&c) = by_port.get(&(new_id.0, port)) {
-                    routes.set_next(new_id, new_dst, ChannelId(c));
+                if new_net.is_live_channel(ch) {
+                    routes.set_next(new_id, new_dst, ch);
                 }
             }
         }
@@ -751,8 +739,8 @@ mod tests {
         };
         let mut old = route(&net);
         let node = |name| net.node_by_name(name).unwrap();
-        // An entry naming a channel that leaves another node: the port it
-        // names is looked up at the entry's own node.
+        // An entry naming a channel that leaves another node is carried
+        // as it is (the walk of the remapped tables reports it).
         let foreign = net.channel_between(node("s1"), node("t2")).unwrap();
         old.set_next(node("s0"), 1, foreign);
         old.set_next(

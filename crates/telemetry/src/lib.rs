@@ -91,8 +91,8 @@ pub mod phases {
     pub const DELTA_DIRTY: &str = "delta_dirty";
     /// Delta reroute: the whole patch — the four `delta_*` stages below.
     pub const DELTA_PATCH: &str = "delta_patch";
-    /// Inside a patch: clean destination columns carried across the
-    /// channel diff (translated copy of the cached tables).
+    /// Inside a patch: the cached tables' clean destination columns
+    /// copied (the views share their ids).
     pub const DELTA_DIFF: &str = "delta_diff";
     /// Inside a patch: the dirty destinations' trees re-swept.
     pub const DELTA_SWEEP: &str = "delta_sweep";

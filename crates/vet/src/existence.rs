@@ -53,7 +53,7 @@
 //! that.
 
 use crate::cdg_lint::EdgeSet;
-use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId};
+use fabric::{ChannelId, HopTable, Network, NodeId};
 
 /// The V007 verdict for a fabric. See the module docs for semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,7 +118,7 @@ pub fn existence(net: &Network) -> Existence {
     let cert = Certificate::build(net);
     let walk_forced = (terms.len() as u64)
         .pow(2)
-        .saturating_mul(net.num_channels().max(1) as u64)
+        .saturating_mul(net.num_live_channels().max(1) as u64)
         <= FORCED_WALK_BUDGET;
     let mut cabling = Cabling::new(net);
     if !walk_forced && cabling.no_pair_is_one_way(net) {
@@ -127,7 +127,7 @@ pub fn existence(net: &Network) -> Existence {
     let mut forced = walk_forced.then(|| {
         (
             ForcedWalks::new(net.num_nodes()),
-            EdgeSet::over(DepSlots::of(net)),
+            EdgeSet::over(net.dep_slots().clone()),
         )
     });
     let mut uncertified: Option<(NodeId, NodeId)> = None;
@@ -724,7 +724,7 @@ mod reference {
         let cert = Certificate::build(net);
         let walk_forced = (terms.len() as u64)
             .pow(2)
-            .saturating_mul(net.num_channels().max(1) as u64)
+            .saturating_mul(net.num_live_channels().max(1) as u64)
             <= FORCED_WALK_BUDGET;
         let mut forced: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut uncertified: Option<(NodeId, NodeId)> = None;
@@ -750,7 +750,7 @@ mod reference {
             }
         }
 
-        let mut cdg = EdgeSet::over(DepSlots::of(net));
+        let mut cdg = EdgeSet::over(net.dep_slots().clone());
         forced.iter().for_each(|&(a, b)| cdg.insert(a, b));
         if let Some(channels) = cdg.find_cycle() {
             return Existence::NotExists(ExistenceWitness::ForcedCycle { channels });
@@ -768,7 +768,7 @@ mod reference {
     /// kept as its oracle: build the allowed dependency graph of `cert`'s
     /// orientation and look for a cycle.
     pub(super) fn allowed_graph_is_acyclic(cert: &Certificate, net: &Network) -> bool {
-        let mut allowed = EdgeSet::over(DepSlots::of(net));
+        let mut allowed = EdgeSet::over(net.dep_slots().clone());
         for &v in net.switches() {
             for &a in net.in_channels(v) {
                 let Some(a_up) = cert.is_up(net, a) else {
@@ -1116,7 +1116,7 @@ mod tests {
         s: NodeId,
         d: NodeId,
     ) -> FxHashSet<(u32, u32)> {
-        let mut forced = EdgeSet::over(DepSlots::of(net));
+        let mut forced = EdgeSet::over(net.dep_slots().clone());
         walks.collect(net, dist, s, d, &mut forced);
         forced.iter().collect()
     }
@@ -1256,7 +1256,7 @@ mod tests {
 
     /// Whether `existence(net)` runs no forced walk.
     fn past_the_budget(net: &Network) -> bool {
-        (net.num_terminals() as u64).pow(2) * net.num_channels() as u64 > FORCED_WALK_BUDGET
+        (net.num_terminals() as u64).pow(2) * net.num_live_channels() as u64 > FORCED_WALK_BUDGET
     }
 
     /// The benchmark's 512-terminal irregular fabric.

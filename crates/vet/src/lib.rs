@@ -151,9 +151,10 @@ pub fn walk_tables(net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
 /// an earlier artifact, say the one this artifact replaces on a view
 /// before an event. The result is what `walk_tables(net, routes, cfg)`
 /// returns, field for field, but only the columns that differ from the
-/// base's under the [`fabric::degrade::ViewMap`] between the two
-/// networks are walked (out of the base on its network, into this walk
-/// on `net`); the others are carried over. When the base cannot be read
+/// base's — the two views share their node and channel ids, so a column
+/// differs in its bytes or in taking a channel `net` killed — are walked
+/// (out of the base on its network, into this walk on `net`); the others
+/// are carried over. When the base cannot be read
 /// on `net`, or more than half the columns differ, every column is
 /// walked, as `walk_tables` walks them. See DESIGN §8.
 pub fn rewalk_tables(base: Base, net: &Network, routes: &Routes, cfg: &Config) -> TableWalk {
@@ -193,7 +194,7 @@ fn analyze_inner(
         num_nodes: net.num_nodes(),
         num_switches: net.num_switches(),
         num_terminals: net.num_terminals(),
-        num_channels: net.num_channels(),
+        num_channels: net.num_live_channels(),
         num_layers: routes.num_layers(),
         pairs: walked.pairs,
         pairs_routed: walked.pairs_routed,

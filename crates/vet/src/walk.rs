@@ -24,7 +24,6 @@
 
 use std::sync::OnceLock;
 
-use fabric::degrade::ViewMap;
 use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId, Routes};
 
 use crate::diag::{Diagnostic, Emitter, LintCode, Severity, Witness};
@@ -246,7 +245,7 @@ pub(crate) fn walk(
         return res;
     }
     let nt = net.num_terminals();
-    let slots = DepSlots::of(net);
+    let slots = net.dep_slots().clone();
     let mut counter = Counter::over(&slots, nl, false);
     res.cols = vec![Col::Uncounted; nt];
     res.col_paths = vec![0; nt * nl];
@@ -409,25 +408,27 @@ impl Counter {
 }
 
 /// Start `res` — sized for `routes` on `net` — from `base`: compare
-/// every column of `routes` with the base's, read through the channel
-/// [`ViewMap`] between the two networks; move the base's counts onto
-/// `net`'s dependency slots through the channel map; walk the columns
-/// that differ out of them, on the base's network; and carry every other
-/// column's tally. Returns the columns left to walk, or `None` — nothing
-/// carried, the walk starts from nothing — when the base cannot be read on `net` or so many columns
+/// every column of `routes` with the base's (the views of one fabric
+/// share node and channel ids and dependency slots, so a column that did
+/// not change is the same bytes); clone the base's counts onto the same
+/// slots; walk the columns that differ out of them, on the base's
+/// network; and carry every other column's tally. Returns the columns
+/// left to walk, or `None` — nothing carried, the walk starts from
+/// nothing — when the base cannot be read on `net` or so many columns
 /// differ that walking them all is cheaper: more than half, or a quarter
 /// when the base has yet to be counted.
 ///
 /// A column is carried only if the base walked it clean (routed from
-/// every source, no finding), the two rosters and layer counts agree,
-/// and its layers and its entries, translated, are equal, but for the
-/// rows of nodes `net` drops: then every source follows the same path on
-/// the new view as on the old one (a path into a dropped node took a
-/// channel that is gone), so its walk finds nothing and adds the same
-/// dependencies. With V006 on,
-/// one more thing can change: a distance to the destination can shrink.
-/// It cannot unless some added channel `a → b` has `hop(a) > hop(b) + 1`
-/// on the old view (removals only lengthen), so such a column is walked.
+/// every source, no finding), the two rosters, slots and layer counts
+/// agree, its layers and entries are equal but for the rows of nodes
+/// `net` drops, and no entry takes a channel `net` killed (O(removed)
+/// per column): then every source follows the same path on the new view
+/// as on the old one (a path into a dropped node took a channel that is
+/// gone), so its walk finds nothing and adds the same dependencies. With
+/// V006 on, one more thing can change: a distance to the destination can
+/// shrink. It cannot unless some added channel `a → b` has `hop(a) >
+/// hop(b) + 1` on the old view (removals only lengthen), so such a
+/// column is walked.
 fn carry(
     (old_net, old, prev): Base,
     net: &Network,
@@ -436,15 +437,15 @@ fn carry(
     res: &mut TableWalk,
 ) -> Option<Vec<usize>> {
     let (nt, nl) = (net.num_terminals(), res.num_layers as usize);
-    let old_slots = prev.edges.first()?.slots().clone();
+    let slots = counter.slots.clone();
     // Node `n` and terminal `t` are the old ones of their ids, and no node
     // comes back: a returning switch owes every column a row.
     let agree = prev.cols.len() == nt
         && prev.num_layers == res.num_layers
         && prev.check_minimal == res.check_minimal
         && crate::shape_matches(old_net, old)
-        && old_slots.num_channels() == old_net.num_channels()
-        && old_net.num_nodes() == net.num_nodes()
+        && !prev.edges.is_empty()
+        && old_net.same_fabric(net)
         && old_net.terminals() == net.terminals()
         && (net.nodes()).all(|(v, _)| old_net.is_live(v) || !net.is_live(v));
     if !agree {
@@ -455,42 +456,35 @@ fn carry(
     // edges costs about half a walk more. Past that, walk fresh.
     let too_many = |c: usize| c * if prev.counts.get().is_some() { 2 } else { 4 } > nt;
     // Layers first: where the paths were re-layered most columns differ
-    // there, and the compare ends before the view map is built.
+    // there, and the compare ends before any entry is read.
     let relayered: Vec<bool> = (0..nt)
         .map(|d| old.column(d).1 != routes.column(d).1)
         .collect();
     if too_many(relayered.iter().filter(|&&r| r).count()) {
         return None;
     }
-    // Old channel id to new, where the head is the same node too.
-    let map = ViewMap::between(old_net, net);
-    let trans: Vec<u32> = (old_net.channels().zip(&map.channel))
-        .map(|((_, ch), c)| match c {
-            Some(c) if net.channel(*c).dst == ch.dst => c.0,
-            _ => NONE,
-        })
+    let (removed, added) = fabric::degrade::changed_channels(old_net, net);
+    let killed: Vec<(usize, u32)> = (removed.iter())
+        .map(|&c| (old_net.channel(c).src.idx(), c.0))
         .collect();
-    let mut kept = vec![false; net.num_channels()];
-    for &c in trans.iter().filter(|&&c| c != NONE) {
-        kept[c as usize] = true;
-    }
     let hops_from = |n| old_net.hops_from(n);
-    let added = net
-        .channels()
-        .filter(|(c, _)| res.check_minimal && !kept[c.idx()]);
+    let added = added.iter().filter(|_| res.check_minimal);
     let shortcuts: Vec<_> = added
-        .map(|(_, ch)| (hops_from(ch.src), hops_from(ch.dst)))
+        .map(|&c| (hops_from(net.channel(c).src), hops_from(net.channel(c).dst)))
         .collect();
+    let drops = (net.nodes()).any(|(v, _)| old_net.is_live(v) && !net.is_live(v));
 
     let same = |d: usize| {
         let ((old_next, _), (next, _)) = (old.column(d), routes.column(d));
         !relayered[d]
-            && (old_next.iter().zip(next).enumerate()).all(|(n, (&oc, &c))| match oc {
-                NONE => c == NONE,
-                // A node `net` drops: its row goes, and no path entered it.
-                _ if c == NONE && !net.is_live(NodeId(n as u32)) => true,
-                oc => trans.get(oc as usize).is_some_and(|&t| t == c && t != NONE),
-            })
+            && (old_next == next
+                || drops
+                    && (old_next.iter().zip(next).enumerate())
+                        // A node `net` drops: its row goes, and no path entered it.
+                        .all(|(n, (&oc, &c))| {
+                            oc == c || c == NONE && !net.is_live(NodeId(n as u32))
+                        }))
+            && killed.iter().all(|&(src, c)| next[src] != c)
     };
     let mut changed = Vec::new();
     for d in 0..nt {
@@ -508,22 +502,14 @@ fn carry(
         }
     }
 
-    // Across: the base's counts onto `net`'s slots. A dependency through
-    // a channel that is gone is the changed columns' alone, and so is
-    // left behind; every other stays two adjacent channels.
-    let slots = counter.slots.clone();
+    // Across: the base's counts, on the same slots. A dependency through
+    // a channel that is gone is the changed columns' alone, and leaves
+    // with them.
     counter.counts = vec![0; nl * slots.num_slots()];
-    let slot_of = |old_slot: usize| {
-        let (c1, c2) = old_slots.ends(old_slot);
-        let (c1, c2) = (trans[c1 as usize], trans[c2 as usize]);
-        (c1 != NONE && c2 != NONE).then(|| slots.slot(c1, c2))
-    };
     let mut counts = prev.counts(old_net, old).iter();
     for (layer, set) in prev.unbroken_edges.iter().enumerate() {
-        for (old_slot, &n) in set.slots_held().zip(&mut counts) {
-            if let Some(slot) = slot_of(old_slot) {
-                counter.set(layer, slot, n);
-            }
+        for (slot, &n) in set.slots_held().zip(&mut counts) {
+            counter.set(layer, slot, n);
         }
     }
     // Out: the changed columns' share, walked on the base's network.
@@ -540,11 +526,7 @@ fn carry(
             firsts,
             &mut mask,
             nl,
-            |layer, c1, c2| {
-                if let Some(slot) = slot_of(old_slots.slot(c1, c2)) {
-                    counter.down(layer, slot);
-                }
-            },
+            |layer, c1, c2| counter.down(layer, slots.slot(c1, c2)),
         );
         out += 1;
     }
@@ -805,10 +787,10 @@ fn settle(net: &Network, next: &[u32], dst: NodeId, dist: &mut [u32], stack: &mu
 }
 
 /// Where the entry `c` at `at` leads toward `dst`, if it is usable: a
-/// channel of the network, leaving `at`, into `dst` or a switch.
+/// live channel of the network, leaving `at`, into `dst` or a switch.
 #[inline]
 fn hop(net: &Network, c: u32, at: NodeId, dst: NodeId) -> Option<NodeId> {
-    let ch = ((c as usize) < net.num_channels()).then(|| net.channel(ChannelId(c)))?;
+    let ch = net.live_channel(ChannelId(c))?;
     (ch.src == at && (ch.dst == dst || !net.is_terminal(ch.dst))).then_some(ch.dst)
 }
 
@@ -882,16 +864,19 @@ fn walk_one(
             state[at.idx()] = BROKEN;
             return;
         };
-        if c.idx() >= net.num_channels() {
-            em.emit(
-                LintCode::InvalidNextHop,
-                Severity::Error,
-                format!(
-                    "entry at {at:?} toward {dst:?} names channel {} but the network has \
-                     only {} (stale tables?)",
+        if !net.is_live_channel(c) {
+            let what = match c.idx() < net.num_channels() {
+                true => format!("channel {} of a dead cable", c.0),
+                false => format!(
+                    "channel {} but the network has only {}",
                     c.0,
                     net.num_channels()
                 ),
+            };
+            em.emit(
+                LintCode::InvalidNextHop,
+                Severity::Error,
+                format!("entry at {at:?} toward {dst:?} names {what} (stale tables?)"),
                 Witness::NextHop {
                     node: at,
                     dst,

@@ -48,7 +48,7 @@ pub(crate) fn walk(
     }
     res.paths_per_layer = vec![0; nl];
     // Broken destinations' edges until the last one is walked, then all.
-    res.edges = vec![EdgeSet::over(DepSlots::of(net)); nl];
+    res.edges = vec![EdgeSet::over(net.dep_slots().clone()); nl];
     res.unbroken_edges = res.edges.clone();
     res.broken = vec![false; net.num_terminals()];
     let em = &mut res.em;
@@ -307,16 +307,19 @@ fn walk_one(
             state[at.idx()] = BROKEN;
             return Stop::Failed;
         };
-        if c.idx() >= net.num_channels() {
-            em.emit(
-                LintCode::InvalidNextHop,
-                Severity::Error,
-                format!(
-                    "entry at {at:?} toward {dst:?} names channel {} but the network has \
-                     only {} (stale tables?)",
+        if !net.is_live_channel(c) {
+            let what = match c.idx() < net.num_channels() {
+                true => format!("channel {} of a dead cable", c.0),
+                false => format!(
+                    "channel {} but the network has only {}",
                     c.0,
                     net.num_channels()
                 ),
+            };
+            em.emit(
+                LintCode::InvalidNextHop,
+                Severity::Error,
+                format!("entry at {at:?} toward {dst:?} names {what} (stale tables?)"),
                 Witness::NextHop {
                     node: at,
                     dst,
@@ -402,7 +405,7 @@ fn shortest_routes(net: &Network, c: &mut Case, layers: u8) -> Routes {
 fn path_nodes(net: &Network, r: &Routes, src: NodeId, dst_t: usize) -> Vec<NodeId> {
     let dst = net.terminals()[dst_t];
     let mut out = vec![src];
-    let usable = |c: &ChannelId| c.idx() < net.num_channels();
+    let usable = |c: &ChannelId| net.is_live_channel(*c);
     while let Some(c) = r.next_hop(*out.last().unwrap(), dst_t).filter(usable) {
         match net.channel(c).dst {
             at if at == dst || out.len() > net.num_nodes() => break,

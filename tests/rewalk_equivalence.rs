@@ -2,18 +2,19 @@
 //! every column.
 //!
 //! `vet::rewalk_tables` walks only the columns of a new artifact that
-//! differ from a base's under the view map between the two networks, and
-//! carries the rest; `vet::recheck` is the publish gate through it. The
-//! oracle is `vet::walk_tables` of the same tables, every field compared
-//! (findings in order, the cycle search's verdict and witness), and
+//! differ from a base's (the two views share their node and channel
+//! ids), and carries the rest; `vet::recheck` is the publish gate through
+//! it. The oracle is `vet::walk_tables` of the same tables, every field
+//! compared (findings in order, the cycle search's verdict and witness), and
 //! `vet::check_with_verdict`'s report as JSON. The artifacts are the ones
 //! the subnet manager's loop deploys: chains of cable failures and
 //! repairs, switch failures with quarantine and coalesced batches
 //! through `SmLoop<DeltaEngine>` at chunk |T|, over the generator zoo and
 //! three fixed fabrics, with each re-walk the base of the next. Two hand
 //! built cases pin what a column's entries alone do not show: a restored
-//! cable that makes an unchanged column's path non-minimal, and a column
-//! whose warning every walk must report again.
+//! cable that makes an unchanged column's path non-minimal, a column
+//! whose bytes are unchanged but take the cable the event killed, and a
+//! column whose warning every walk must report again.
 
 mod common;
 
@@ -307,6 +308,31 @@ fn shortest(net: &Network) -> Routes {
         }
     }
     r
+}
+
+#[test]
+fn a_kept_column_over_the_killed_cable_is_walked() {
+    // Up: `a` reaches `tc`, and `c` reaches `ta`, over a – c. Down: the
+    // tables are kept byte for byte, so every column equals the base's,
+    // but those two take the cable the event killed. Only a walk of them
+    // reports the stale entries: both walk out and in, the other eight
+    // are carried, and each walk is the walk of every column.
+    let (full, without_ac) = triangle();
+    let up = shortest(&full);
+    let base = Link::first(&full, &up);
+    assert_eq!(base.default.diagnostics().len(), 0, "clean before");
+    let tally = Tally::default();
+    let link = base.next(&without_ac, &up, &tally, "cable a – c lost, tables kept");
+    assert_eq!(
+        (link.quiet.rewalked, link.default.rewalked),
+        (Some((2, 2)), Some((2, 2)))
+    );
+    let stale = link.quiet.diagnostics().iter();
+    let stale: Vec<_> = stale
+        .filter(|d| d.code == LintCode::InvalidNextHop)
+        .collect();
+    assert_eq!(stale.len(), 2, "{stale:?}");
+    assert!(stale.iter().all(|d| d.message.contains("dead cable")));
 }
 
 #[test]

@@ -41,9 +41,10 @@ fn rerouting_after_switch_failure_is_vet_clean() {
 
 #[test]
 fn stale_tables_after_cable_failure_are_flagged() {
-    // Route the healthy fabric, then lose cables. Node counts still match
-    // (only channels were renumbered), so this is exactly the trap a
-    // structural shape check cannot catch — the walk has to.
+    // Route the healthy fabric, then lose cables. Node and channel counts
+    // still match (a lost cable's channels are tombstones at their ids),
+    // so this is exactly the trap a structural shape check cannot catch —
+    // the walk has to.
     let net = topo::torus(&[4, 4], 2);
     let routes = DfSssp::new().route(&net).unwrap();
     let (degraded, removed) = fail_random_cables(&net, 4, 7);
@@ -57,7 +58,7 @@ fn stale_tables_after_cable_failure_are_flagged() {
     );
     assert!(
         report.has(LintCode::InvalidNextHop) || report.has(LintCode::ForwardingLoop),
-        "channel renumbering surfaces as V003 (or V001): {:?}",
+        "entries over dead cables surface as V003 (or V001): {:?}",
         report.diagnostics
     );
 }

@@ -176,6 +176,48 @@ fn out_of_range_channel_is_v003() {
     assert!(report.num_errors() > 0);
 }
 
+/// An entry naming a dead cable's channel — in the id space, leaving the
+/// node it is programmed at, into a switch — is V003: a degraded view
+/// keeps the cable's channels as tombstones, and only their liveness
+/// tells them apart. The remapped-route walk (`Routes::path`) refuses it
+/// too.
+#[test]
+fn dead_cable_channel_is_v003() {
+    let net = topo::torus(&[4, 4], 1);
+    let cable = net.switch_cables()[0];
+    let dead = [cable, net.channel(cable).rev.unwrap()];
+    let view = fabric::degrade::remove(&net, &Default::default(), &dead.into_iter().collect());
+    assert!(!view.is_live_channel(cable) && cable.idx() < view.num_channels());
+    let mut routes = df(&view);
+    let at = view.channel(cable).src;
+    let dst_t = (0..view.num_terminals())
+        .find(|&d| view.channel(routes.next_hop(at, d).unwrap()).dst != view.terminals()[d])
+        .unwrap();
+    routes.set_next(at, dst_t, cable);
+    let report = vet::check(&view, &routes);
+    let d = report
+        .diagnostics_for(LintCode::InvalidNextHop)
+        .next()
+        .unwrap();
+    assert_eq!(d.severity, Severity::Error);
+    assert!(
+        matches!(d.witness, Witness::NextHop { node, channel, .. } if node == at && channel == cable.0),
+        "{d}"
+    );
+    assert!(d.message.contains("dead cable"), "{d}");
+    let src = (view.terminals().iter().copied())
+        .find(|&s| {
+            routes
+                .path_channels(&view, s, view.terminals()[dst_t])
+                .is_err()
+        })
+        .expect("a source crosses the dead entry");
+    let err = routes.path_channels(&view, src, view.terminals()[dst_t]);
+    assert!(
+        matches!(err, Err(fabric::RoutesError::BadChannel { node, channel }) if node == at && channel == cable.0)
+    );
+}
+
 #[test]
 fn foreign_origin_channel_is_v003() {
     let net = topo::torus(&[4, 4], 1);
