@@ -18,6 +18,15 @@
 //! the other, for the subnet manager's event path (DESIGN.md §15).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The host's available parallelism, read once per process: each read
+/// goes to the scheduler affinity and cgroup files, which costs more than
+/// a small [`join`] saves.
+fn width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Map `f` over `0..n` on one worker per available core; `f(i)`'s result
 /// is placed in output slot `i`, so the returned vector equals the
@@ -33,8 +42,7 @@ where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    map_on(n, workers, f)
+    map_on(n, width(), f)
 }
 
 /// [`map`] at an explicit width: the caller and `workers - 1` helpers.
@@ -78,8 +86,7 @@ where
 /// caller after `a` returned. On a one-core host `a` runs, then `b`,
 /// inline. Either way each result is what its closure alone returns.
 pub fn join<RA, RB: Send>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB) {
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    join_on(width, a, b)
+    join_on(width(), a, b)
 }
 
 /// [`join`] at an explicit width.

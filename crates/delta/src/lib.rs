@@ -373,7 +373,9 @@ impl DeltaEngine {
         // paths used it. The old∪new union (the old windows the new view
         // can still take, and the new ones) is a superset of the patched
         // graph, so when it is acyclic — the common case for a cable
-        // event on a path-diverse fabric — one DFS settles it.
+        // event on a path-diverse fabric — one search settles it. The old
+        // windows close no cycle, so each search starts only from the
+        // windows the old count leaves empty ([`acyclic_over`]).
         let (mut l0, mut union_acyclic) = (None, false);
         if let Some(old) = &prev.l0 {
             let counted = telemetry::timed(rec, phases::DELTA_COUNTS, || {
@@ -391,10 +393,10 @@ impl DeltaEngine {
                         b | i
                     }
                 });
-                let union = acyclic(slots, union);
+                let union = acyclic_over(slots, old, union);
                 let l0 = (0..old.len()).map(|s| Some(old[s].checked_sub(decs[s])? + incs[s]));
                 let l0 = l0.collect::<Option<Vec<u32>>>()?;
-                let acyclic = union || acyclic(slots, l0.iter().copied());
+                let acyclic = union || acyclic_over(slots, old, l0.iter().copied());
                 Some((l0, acyclic, union))
             });
             let Some((counts, acyclic, union)) = counted else {
@@ -584,15 +586,30 @@ thread_local! {
 }
 
 /// Whether the dependency slots that hold a count, as CDG edges, close
-/// no cycle.
-fn acyclic(slots: &Arc<DepSlots>, counts: impl Iterator<Item = u32>) -> bool {
+/// no cycle, given that the slots `old` holds close none: every cycle
+/// then runs through a slot that holds a count and `old` leaves empty, so
+/// the search starts from those slots' heads alone
+/// ([`vet::EdgeSet::find_cycle_from`]), and there is none to run when no
+/// such slot exists.
+fn acyclic_over(slots: &Arc<DepSlots>, old: &[u32], counts: impl Iterator<Item = u32>) -> bool {
     let mut cdg = vet::EdgeSet::over(slots.clone());
+    let mut heads = Vec::new();
     for (slot, _) in counts.enumerate().filter(|&(_, n)| n > 0) {
         let (from, to) = slots.ends(slot);
         cdg.insert(from, to);
+        if old[slot] == 0 {
+            heads.push(to);
+        }
     }
-    cdg.find_cycle().is_none()
+    let acyclic = heads.is_empty() || cdg.find_cycle_from(&heads).is_none();
+    #[cfg(test)]
+    tests::SEARCHES.with_borrow_mut(|s| s.push((acyclic, cdg.find_cycle().is_none())));
+    acyclic
 }
+
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
@@ -925,6 +942,67 @@ mod tests {
                 net.label()
             );
         }
+    }
+
+    thread_local! {
+        /// Each [`acyclic_over`] verdict on this thread, beside the
+        /// verdict of a search from every channel of the same graph.
+        pub(super) static SEARCHES: std::cell::RefCell<Vec<(bool, bool)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Over cable and switch events down and back up on the generator
+    /// zoo, every search [`acyclic_over`] runs — on the old∪new union
+    /// and on the patched layer 0 — gives the verdict of a search from
+    /// every channel, and both verdicts occur.
+    #[test]
+    fn a_search_from_the_new_windows_is_the_whole_search() {
+        SEARCHES.take();
+        super::common::sweep(0..200, |c| {
+            let base = super::common::zoo_net(c);
+            let engine = delta_engine(&base);
+            if engine.route(&base).is_err() {
+                return;
+            }
+            let spare = degrade::redundant_cables(&base);
+            if !spare.is_empty() {
+                let cable = spare[c.draw("cable", 0..spare.len())];
+                let dead = [Some(cable), base.channel(cable).rev];
+                let down = degrade::remove(
+                    &base,
+                    &Default::default(),
+                    &dead.into_iter().flatten().collect(),
+                );
+                let _ = engine.route(&down);
+                let _ = engine.route(&base);
+            }
+            let switch = base.switches()[c.draw("switch", 0..base.num_switches())];
+            let down = degrade::remove(&base, &[switch].into_iter().collect(), &Default::default());
+            if down.is_strongly_connected() {
+                let _ = engine.route(&down);
+                let _ = engine.route(&base);
+            }
+        });
+        let searches = SEARCHES.take();
+        for (i, &(from_heads, whole)) in searches.iter().enumerate() {
+            assert_eq!(from_heads, whole, "search {i} of {}", searches.len());
+        }
+        let cyclic = searches.iter().filter(|&&(_, whole)| !whole).count();
+        println!("{} searches, {cyclic} cyclic", searches.len());
+        // A cycle of new windows alone, beside an old window elsewhere.
+        let ring = topo::ring(4, 1);
+        let (slots, sw) = (ring.dep_slots(), ring.switches());
+        let hop = |i: usize| ring.channel_between(sw[i % 4], sw[(i + 1) % 4]).unwrap().0;
+        let back = |i: usize| ring.channel_between(sw[(i + 1) % 4], sw[i % 4]).unwrap().0;
+        let (mut old, mut new) = (vec![0; slots.num_slots()], vec![0; slots.num_slots()]);
+        old[slots.slot(back(1), back(0))] = 1;
+        (0..4).for_each(|i| new[slots.slot(hop(i), hop(i + 1))] = 1);
+        assert!(!acyclic_over(slots, &old, new.into_iter()));
+        assert!(
+            cyclic > 0 && cyclic < searches.len(),
+            "{cyclic} of {}",
+            searches.len()
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! [`crate::transition`]).
 
 use crate::armor::{contain, BreakerState, CircuitBreaker};
-use crate::lft::LftDiff;
+use crate::lft::{FabricTables, LftDiff};
 use crate::manager::{ProgrammedFabric, SmError, SubnetManager};
 use crate::transition::{self, Artifact, UpdatePlan};
 use baselines::UpDown;
@@ -340,7 +340,7 @@ impl<E: RoutingEngine> SmLoop<E> {
     pub fn light_sweep(&self) -> Result<usize, SmError> {
         self.current
             .tables
-            .validate(&self.net, &self.current.lids)
+            .validate(&self.net, &self.current.lids, None)
             .map_err(SmError::Walk)
     }
 
@@ -532,8 +532,9 @@ impl<E: RoutingEngine> SmLoop<E> {
         let kept = self.walk.take();
         let base = (kept.as_ref()).map(|walk| (&self.net, &self.current.routes, walk));
         let old_base = base.filter(|(_, _, walk)| walk.rewalked.is_some());
+        let before = (!first_boot).then_some((&self.net, &self.current.tables));
         let (ladder, (verdict, old)) = join(
-            || self.ladder.climb(&view, sm_node, base, &*rec),
+            || self.ladder.climb(&view, sm_node, base, before, &*rec),
             || {
                 let verdict = timed(&*rec, phases::SM_EXISTENCE, || vet::existence(&view));
                 let old = (!first_boot).then(|| {
@@ -652,12 +653,14 @@ impl<E: RoutingEngine> Ladder<E> {
     /// Rungs 2 and 3 of the ladder on `view`: widen the VL budget, then
     /// fall back. Returns the deployed fabric, the guard's walk of its
     /// routing (the planner reads it), the rungs that fired and the
-    /// retries spent. Every guard walks from `base`.
+    /// retries spent. Every guard walks from `base`, and every LFT
+    /// validation from `before`, the serving tables on their view.
     fn climb(
         &mut self,
         view: &Network,
         sm_node: NodeId,
         base: Option<vet::Base>,
+        before: Option<(&Network, &FabricTables)>,
         rec: &dyn Recorder,
     ) -> Result<(ProgrammedFabric, vet::TableWalk, Vec<Rung>, usize), SmError> {
         let mut rungs = Vec::new();
@@ -682,11 +685,11 @@ impl<E: RoutingEngine> Ladder<E> {
         loop {
             let result = if on_fallback {
                 let fb = self.fallback.as_deref().expect("fallback engaged");
-                contain(|| self.sm.run_walked(fb, view, sm_node, base, rec))
+                contain(|| self.sm.run_walked(fb, view, sm_node, base, before, rec))
             } else {
                 contain(|| {
                     self.sm
-                        .run_walked(&self.sm.engine, view, sm_node, base, rec)
+                        .run_walked(&self.sm.engine, view, sm_node, base, before, rec)
                 })
             };
             match result {
@@ -1322,7 +1325,9 @@ mod tests {
         // hybrid is walked in full. The guard and the bulk-drain stage
         // both ask which layers of the new routing are cyclic: its walk is
         // searched once for the two of them, the old walk (which only
-        // feeds the union) never, the composed stage once.
+        // feeds the union) never, the composed stage once. Under the
+        // default chunks every LFT column moves too, and the validation
+        // walks all 128.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
@@ -1334,6 +1339,7 @@ mod tests {
             searches: 2,
             gained_searches: 0,
             pair_walks: 0,
+            lft_columns: 128,
         };
         assert_eq!(counts, staged);
 
@@ -1344,7 +1350,8 @@ mod tests {
         // out of its previous walk and into the new one and searches
         // only from the dependencies they gained; the old end walks out
         // at most the columns the dead cable broke, and on the way back
-        // up none. (Right after bring-up, whose walk is of every column,
+        // up none; the LFT validation walks the 16 columns whose entries
+        // moved. (Right after bring-up, whose walk is of every column,
         // the old end walks whole once.)
         let net = topo::kary_ntree(16, 2);
         let chunk = ComputeOpts::new().chunk(net.num_terminals());
@@ -1372,6 +1379,7 @@ mod tests {
                 searches: 0,
                 gained_searches: 1,
                 pair_walks: 0,
+                lft_columns: 16,
             };
             assert_eq!(counts, rewalked, "{event:?}");
         }

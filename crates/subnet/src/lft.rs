@@ -259,8 +259,19 @@ impl FabricTables {
     /// O(T²·hops), and nothing is allocated per pair. On failure the
     /// pairs are re-walked one by one in source-major order, so the
     /// error is the first one [`Self::walk`] reports in that order.
-    pub fn validate(&self, net: &Network, lids: &LidMap) -> Result<usize, WalkError> {
-        if let Some(pairs) = self.validate_by_destination(net, lids) {
+    ///
+    /// From a `base` — the tables of another view of the same fabric,
+    /// which `validate` accepted on that view (the subnet manager's last
+    /// programmed tables) — the colored pass skips the columns
+    /// [`Self::carried`] finds unchanged and counts their pairs.
+    pub fn validate(
+        &self,
+        net: &Network,
+        lids: &LidMap,
+        base: Option<(&Network, &FabricTables)>,
+    ) -> Result<usize, WalkError> {
+        let carried = base.map_or_else(Vec::new, |base| self.carried(net, lids, base));
+        if let Some(pairs) = self.validate_by_destination(net, lids, &carried) {
             return Ok(pairs);
         }
         let mut pairs = 0;
@@ -275,12 +286,57 @@ impl FabricTables {
         Ok(pairs)
     }
 
+    /// Per destination terminal index: whether every walk toward it is
+    /// the one it took on `base`'s network, so it reaches the
+    /// destination as it did there. That holds when the two views share
+    /// the fabric's ids (and so its LIDs), terminals and switches, the
+    /// column's entry is equal at every switch, and no entry names a
+    /// port whose channel the event killed or brought back (a port with
+    /// two channels may lead elsewhere when one returns). A changed
+    /// channel out of a terminal moves its injection, which every column
+    /// takes: then none is carried.
+    fn carried(
+        &self,
+        net: &Network,
+        lids: &LidMap,
+        (old_net, old): (&Network, &Self),
+    ) -> Vec<bool> {
+        let agree = old_net.same_fabric(net)
+            && old_net.terminals() == net.terminals()
+            && old_net.switches() == net.switches()
+            && old.lfts.len() == self.lfts.len();
+        let ports = agree.then(|| {
+            let (removed, added) = fabric::degrade::changed_channels(old_net, net);
+            let changed = removed.into_iter().chain(added).map(|c| net.channel(c));
+            changed
+                .map(|ch| Some((net.switch_index(ch.src)?, u8::try_from(ch.src_port).ok())))
+                .collect::<Option<Vec<_>>>()
+        });
+        let Some(ports) = ports.flatten() else {
+            return Vec::new();
+        };
+        let column = |t: &NodeId| {
+            let lid = lids.lid(*t).0 as usize;
+            (self.lfts.iter().zip(&old.lfts)).all(|(lft, old)| lft.get(lid) == old.get(lid))
+                && (ports.iter()).all(|&(si, port)| {
+                    self.lfts.get(si).and_then(|lft| lft.get(lid)).copied() != port
+                })
+        };
+        net.terminals().iter().map(column).collect()
+    }
+
     /// The colored pass of [`Self::validate`]: the pair count, or `None`
-    /// as soon as any pair's walk would fail. It takes [`Self::hop`]'s
+    /// as soon as any pair's walk would fail. A destination flagged in
+    /// `carried` counts its pairs unwalked. It takes [`Self::hop`]'s
     /// hops from tables built once per call — the node behind each switch
     /// port and each terminal's injection hop — instead of scanning a
     /// node's channels at every hop.
-    fn validate_by_destination(&self, net: &Network, lids: &LidMap) -> Option<usize> {
+    fn validate_by_destination(
+        &self,
+        net: &Network,
+        lids: &LidMap,
+        carried: &[bool],
+    ) -> Option<usize> {
         let out = |v: NodeId| net.out_channels(v).iter().map(|&c| net.channel(c));
         // Backwards, so the first channel out on a port wins as in `hop`;
         // ports past 255 cannot be named by an LFT entry.
@@ -299,6 +355,12 @@ impl FabricTables {
         let mut stack: Vec<NodeId> = Vec::new();
         let mut pairs = 0;
         for (g, &dst) in (1u32..).zip(net.terminals()) {
+            if carried.get(g as usize - 1) == Some(&true) {
+                pairs += net.num_terminals() - 1;
+                continue;
+            }
+            #[cfg(test)]
+            crate::transition::counts::add(&crate::transition::counts::LFT_COLUMNS, 1);
             let (on_stack, ok) = (2 * g, 2 * g + 1);
             let dlid = lids.lid(dst);
             let target = lids.node(dlid)?;
@@ -342,6 +404,7 @@ mod tests {
     use super::*;
     use dfsssp_core::{DfSssp, RoutingEngine};
     use fabric::topo;
+    use std::cell::Cell;
 
     fn programmed(net: &Network) -> (Routes, LidMap, FabricTables) {
         let routes = DfSssp::new().route(net).unwrap();
@@ -376,7 +439,7 @@ mod tests {
         let dead = [cable, net.channel(cable).rev.unwrap()];
         let view = fabric::degrade::remove(&net, &Default::default(), &dead.into_iter().collect());
         let (mut routes, lids, tables) = programmed(&view);
-        assert!(tables.validate(&view, &lids).is_ok());
+        assert!(tables.validate(&view, &lids, None).is_ok());
         let at = view.channel(cable).src;
         let d = (0..view.num_terminals())
             .find(|&d| view.channel(routes.next_hop(at, d).unwrap()).dst != view.terminals()[d])
@@ -385,9 +448,95 @@ mod tests {
         let tables = FabricTables::program(&view, &routes, &lids);
         let dlid = lids.lid(view.terminals()[d]);
         assert_eq!(
-            tables.validate(&view, &lids),
+            tables.validate(&view, &lids, None),
             Err(WalkError::NoEntry { switch: at, dlid })
         );
+    }
+
+    /// Tables validated on a view, walked on the view after one of their
+    /// cables died: every column keeps its bytes, and each one whose
+    /// entry names a port of the dead cable is walked and fails there,
+    /// as a full validation fails.
+    #[test]
+    fn a_kept_column_over_a_killed_port_is_walked() {
+        let net = topo::kary_ntree(4, 2);
+        let (_, lids, tables) = programmed(&net);
+        let cable = net.switch_cables()[3];
+        let dead = [cable, net.channel(cable).rev.unwrap()];
+        let view = fabric::degrade::remove(&net, &Default::default(), &dead.into_iter().collect());
+        let full = tables.validate(&view, &lids, None);
+        assert!(matches!(full, Err(WalkError::DeadPort { .. })), "{full:?}");
+        assert_eq!(tables.validate(&view, &lids, Some((&net, &tables))), full);
+    }
+
+    /// Chains of events through the subnet manager's loop over the
+    /// generator zoo and a fabric of multi-homed terminals — a cable down
+    /// and up, a switch down and up, a terminal's cable down (quarantine)
+    /// and up: on each, the new tables and corrupt copies of them
+    /// validate from the tables before as they validate alone, and some
+    /// columns are carried.
+    #[test]
+    fn validating_from_the_last_tables_equals_a_full_validate_over_event_chains() {
+        use crate::events::{FabricEvent, SmLoop};
+        use crate::transition::counts;
+        use dfsssp_core::{ComputeOpts, EngineConfig};
+        let (checked, failed) = (Cell::new(0), Cell::new(0));
+        let (walked, carried) = (Cell::new(0), Cell::new(0));
+        let chain = |net: Network, c: &mut super::common::Case| {
+            let chunk = ComputeOpts::new().chunk(net.num_terminals());
+            let engine = DfSssp::new().with_config(EngineConfig::new().compute(chunk));
+            let Ok(mut sm) = SmLoop::bring_up(engine, net.clone(), net.terminals()[0]) else {
+                return;
+            };
+            let mut events = Vec::new();
+            let spare = fabric::degrade::redundant_cables(&net);
+            if !spare.is_empty() {
+                let cable = spare[c.draw("cable", 0..spare.len())];
+                events.extend([FabricEvent::CableDown(cable), FabricEvent::CableUp(cable)]);
+            }
+            let s = net.switches()[c.draw("switch", 0..net.num_switches())];
+            events.extend([FabricEvent::SwitchDown(s), FabricEvent::SwitchUp(s)]);
+            let t = net.terminals()[c.draw("terminal", 0..net.num_terminals())];
+            let cable = net.out_channels(t)[0];
+            events.extend([FabricEvent::CableDown(cable), FabricEvent::CableUp(cable)]);
+            for event in events {
+                let (before, old) = (sm.network().clone(), sm.programmed().tables.clone());
+                if sm.handle(event).is_err() {
+                    continue;
+                }
+                let (view, now) = (sm.network(), sm.programmed());
+                let nt = view.num_terminals();
+                let mut corrupt = vec![now.tables.clone()];
+                for _ in (0..3).filter(|_| nt > 0 && view.num_switches() > 0) {
+                    let mut tables = now.tables.clone();
+                    let si = c.rng.range(0..tables.lfts.len());
+                    let lid = now.lids.lid(view.terminals()[c.rng.range(0..nt)]).0 as usize;
+                    tables.lfts[si][lid] = [0, u8::MAX, c.rng.range(1..=8u8)][c.rng.range(0..3)];
+                    corrupt.push(tables);
+                }
+                for tables in &corrupt {
+                    let full = tables.validate(view, &now.lids, None);
+                    let (from_base, n) =
+                        counts::counted(|| tables.validate(view, &now.lids, Some((&before, &old))));
+                    assert_eq!(from_base, full, "{} after {event:?}", view.label());
+                    checked.set(checked.get() + 1);
+                    failed.set(failed.get() + usize::from(full.is_err()));
+                    walked.set(walked.get() + n.lft_columns);
+                    carried.set(carried.get() + nt - n.lft_columns.min(nt));
+                }
+            }
+        };
+        super::common::sweep(0..60, |c| chain(super::common::zoo_net(c), c));
+        super::common::sweep(0..4, |c| chain(super::common::parallel_cables(), c));
+        println!(
+            "{} validations ({} failing), {} columns walked, {} carried",
+            checked.get(),
+            failed.get(),
+            walked.get(),
+            carried.get()
+        );
+        assert!(checked.get() > 500 && failed.get() > 100);
+        assert!(carried.get() > 0 && walked.get() > 0);
     }
 
     #[test]
@@ -540,7 +689,7 @@ mod tests {
                 FabricTables::program(&net, &crate::transition::reference::route(&net), &lids);
             let nt = net.num_terminals();
             assert_eq!(
-                pristine.validate(&net, &lids),
+                pristine.validate(&net, &lids, None),
                 Ok(nt * (nt - 1)),
                 "{}",
                 net.label()
@@ -577,7 +726,7 @@ mod tests {
                 ] {
                     let want = validate_per_pair(&tables, &net, &lids);
                     assert_eq!(
-                        tables.validate(&net, &lids),
+                        tables.validate(&net, &lids, None),
                         want,
                         "{} {what} at switch {si} lid {lid}",
                         net.label()
@@ -618,7 +767,7 @@ mod tests {
             let lids = LidMap::assign(&net);
             let pristine = FabricTables::program(&net, &routes, &lids);
             let nt = net.num_terminals();
-            assert_eq!(pristine.validate(&net, &lids), Ok(nt * (nt - 1)));
+            assert_eq!(pristine.validate(&net, &lids, None), Ok(nt * (nt - 1)));
             let switch_neighbour = |s: NodeId, pick: usize| {
                 let n: Vec<NodeId> = net
                     .out_channels(s)
@@ -667,7 +816,7 @@ mod tests {
                 }
                 let want = validate_per_pair(&tables, &net, &lids);
                 assert_eq!(
-                    tables.validate(&net, &lids),
+                    tables.validate(&net, &lids, None),
                     want,
                     "{} shape {kind} at {sw:?} lid {lid}",
                     net.label()

@@ -9,7 +9,8 @@
 //! is handed back to [`crate::events::SmLoop`], whose transition planner
 //! reads the new routing's dependency edges from it instead of walking
 //! the same tables again, and which keeps it as the base the next
-//! event's guard walks from.
+//! event's guard walks from, as it keeps the programmed tables the next
+//! validation carries unchanged columns from.
 
 use crate::discovery::{discover, DiscoveredFabric};
 use crate::lft::{FabricTables, WalkError};
@@ -122,7 +123,7 @@ impl<E: RoutingEngine> SubnetManager<E> {
     /// argues every production fabric needs), program tables, validate by
     /// walking the LFTs for every ordered terminal pair.
     pub fn run(&self, net: &Network, sm_node: NodeId) -> Result<ProgrammedFabric, SmError> {
-        self.run_walked(&self.engine, net, sm_node, None, &telemetry::Noop)
+        self.run_walked(&self.engine, net, sm_node, None, None, &telemetry::Noop)
             .map(|(fabric, _)| fabric)
     }
 
@@ -131,13 +132,16 @@ impl<E: RoutingEngine> SubnetManager<E> {
     /// cycle), also returning the guard's walk of the new routing and
     /// timing the guard and the LFT validation as `sm_guard` /
     /// `sm_validate` on `rec`. The guard walks from `base`, the guard's
-    /// walk of the routing programmed before, when there is one.
+    /// walk of the routing programmed before, and the validation from
+    /// `before`, the tables programmed before on their view, when there
+    /// are such.
     pub(crate) fn run_walked(
         &self,
         engine: &dyn RoutingEngine,
         net: &Network,
         sm_node: NodeId,
         base: Option<vet::Base>,
+        before: Option<(&Network, &FabricTables)>,
         rec: &dyn Recorder,
     ) -> Result<(ProgrammedFabric, TableWalk), SmError> {
         let discovery = discover(net, sm_node);
@@ -157,8 +161,10 @@ impl<E: RoutingEngine> SubnetManager<E> {
         let walk = timed(rec, phases::SM_GUARD, || guard(base, net, &routes))?;
         let lids = LidMap::assign(net);
         let tables = FabricTables::program(net, &routes, &lids);
-        let pairs_validated = timed(rec, phases::SM_VALIDATE, || tables.validate(net, &lids))
-            .map_err(SmError::Walk)?;
+        let pairs_validated = timed(rec, phases::SM_VALIDATE, || {
+            tables.validate(net, &lids, before)
+        })
+        .map_err(SmError::Walk)?;
         let fabric = ProgrammedFabric {
             discovery,
             lids,

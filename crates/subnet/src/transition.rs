@@ -239,7 +239,8 @@ fn quiet() -> vet::Config {
 /// What this crate's tests count: full-table walks by [`Artifact`], the
 /// columns re-walks walked out and in, walks scoped to some destinations,
 /// per-layer cycle searches of what was walked (from every channel, or
-/// from gained heads only), and per-pair LFT walks. Process-wide, because an event
+/// from gained heads only), per-pair LFT walks and the destination columns
+/// the LFT validation walked. Process-wide, because an event
 /// walks on two threads ([`dfsssp_core::pool::join`]); only the thread
 /// inside [`counts::counted`], and the helpers it lends work to through
 /// [`counts::inherit`], add to them, and one `counted` runs at a time.
@@ -256,6 +257,7 @@ pub(crate) mod counts {
     pub(crate) static SEARCHES: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static GAINED_SEARCHES: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static PAIR_WALKS: AtomicUsize = AtomicUsize::new(0);
+    pub(crate) static LFT_COLUMNS: AtomicUsize = AtomicUsize::new(0);
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     thread_local! {
         static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -274,6 +276,8 @@ pub(crate) mod counts {
         /// Cycle searches from the heads of gained dependencies only.
         pub(crate) gained_searches: usize,
         pub(crate) pair_walks: usize,
+        /// Destination columns the LFT validation's colored pass walked.
+        pub(crate) lft_columns: usize,
     }
 
     pub(crate) fn add(counter: &AtomicUsize, n: usize) {
@@ -300,12 +304,13 @@ pub(crate) mod counts {
             &SEARCHES,
             &GAINED_SEARCHES,
             &PAIR_WALKS,
+            &LFT_COLUMNS,
         ];
         all.iter().for_each(|c| c.store(0, Relaxed));
         COUNTING.set(true);
         let out = f();
         COUNTING.set(false);
-        let [new, old, hybrid, n_out, n_in, o_out, o_in, h_out, h_in, scoped, searches, gained_searches, pair_walks] =
+        let [new, old, hybrid, n_out, n_in, o_out, o_in, h_out, h_in, scoped, searches, gained_searches, pair_walks, lft_columns] =
             all.map(|c| c.load(Relaxed));
         let counts = Counts {
             walks: [new, old, hybrid],
@@ -314,6 +319,7 @@ pub(crate) mod counts {
             searches,
             gained_searches,
             pair_walks,
+            lft_columns,
         };
         (out, counts)
     }

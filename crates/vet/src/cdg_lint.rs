@@ -129,7 +129,7 @@ impl EdgeSet {
     /// of `heads` — the heads of the edges it gained over an acyclic set:
     /// only what they reach is searched, and a cycle found there is
     /// reported with `find_cycle`'s witness.
-    pub(crate) fn find_cycle_from(&self, heads: &[u32]) -> Option<Vec<ChannelId>> {
+    pub fn find_cycle_from(&self, heads: &[u32]) -> Option<Vec<ChannelId>> {
         self.search(heads.iter().copied())?;
         self.find_cycle()
     }

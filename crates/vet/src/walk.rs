@@ -75,11 +75,11 @@ pub struct TableWalk {
     /// verdict depends on.
     check_minimal: bool,
     /// How many unbroken columns depend on each edge of `unbroken_edges`,
-    /// layer by layer in ascending slot order. A column's walk adds each
-    /// edge at most once, so its share subtracts exactly. A re-walk
-    /// counts as it goes; a walk of every column only adds edges, and is
-    /// counted on its first use as a base ([`Self::counts`]).
-    counts: OnceLock<Vec<u32>>,
+    /// per layer and slot. A column's walk adds each edge at most once, so
+    /// its share subtracts exactly. A re-walk counts as it goes and keeps
+    /// its counter as it is; a walk of every column only adds edges, and
+    /// is counted on its first use as a base ([`Self::counts`]).
+    counts: OnceLock<Counter>,
     /// Per destination terminal index: what a later walk can carry of it.
     cols: Vec<Col>,
     /// Per destination terminal index and layer (`dst_t * layers +
@@ -281,10 +281,12 @@ pub(crate) fn walk(
         }
     }
     res.edges = edges;
-    if !counter.counts.is_empty() {
-        res.counts = OnceLock::from(counter.compact());
+    if counter.counts.is_empty() {
+        res.unbroken_edges = counter.sets;
+    } else {
+        res.unbroken_edges = counter.sets.clone();
+        res.counts = OnceLock::from(counter);
     }
-    res.unbroken_edges = counter.sets;
     res.paths_per_layer = vec![0; nl];
     for column in res.col_paths.chunks(nl.max(1)) {
         for (total, &n) in res.paths_per_layer.iter_mut().zip(column) {
@@ -298,7 +300,7 @@ impl TableWalk {
     /// The `counts` field, made on first use by a pass
     /// over the dependencies of every counted column of `routes` on
     /// `net`, the artifact this is the walk of.
-    pub(crate) fn counts(&self, net: &Network, routes: &Routes) -> &[u32] {
+    pub(crate) fn counts(&self, net: &Network, routes: &Routes) -> &Counter {
         self.counts.get_or_init(|| {
             let nl = self.num_layers as usize;
             let mut counter = Counter::over(self.edges[0].slots(), nl, true);
@@ -311,7 +313,7 @@ impl TableWalk {
                     counter.up(layer, slots.slot(c1, c2));
                 });
             }
-            counter.compact()
+            counter
         })
     }
 }
@@ -320,8 +322,9 @@ impl TableWalk {
 /// when the walk counts, per layer and slot of its network (`layer *
 /// slots + slot`) how many columns depend on it — a byte each, the few
 /// counts past [`MANY`] kept aside, since a dense array of them is what a
-/// re-walk holds while it works.
-struct Counter {
+/// re-walk holds while it works, and what it keeps for the next one.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Counter {
     slots: std::sync::Arc<DepSlots>,
     /// Empty when the walk does not count.
     counts: Vec<u8>,
@@ -355,16 +358,6 @@ impl Counter {
         }
     }
 
-    /// Set the count of `slot` of `layer`, which holds none, to `n > 0`.
-    fn set(&mut self, layer: usize, slot: usize, n: u32) {
-        let at = layer * self.slots.num_slots() + slot;
-        self.counts[at] = u8::try_from(n).unwrap_or(MANY);
-        if self.counts[at] == MANY {
-            self.many.insert(at, n);
-        }
-        self.sets[layer].insert_slot(slot);
-    }
-
     /// One more on `slot` of `layer`.
     #[inline(always)]
     fn up(&mut self, layer: usize, slot: usize) {
@@ -396,14 +389,6 @@ impl Counter {
             0 => self.sets[layer].remove_slot(slot),
             _ => {}
         }
-    }
-
-    /// The counts of the held slots, layer by layer in slot order.
-    fn compact(&self) -> Vec<u32> {
-        let ns = self.slots.num_slots();
-        let held = self.sets.iter().enumerate();
-        held.flat_map(|(l, set)| set.slots_held().map(move |s| self.get(l * ns + s)))
-            .collect()
     }
 }
 
@@ -502,16 +487,10 @@ fn carry(
         }
     }
 
-    // Across: the base's counts, on the same slots. A dependency through
+    // Across: the base's counter, on the same slots. A dependency through
     // a channel that is gone is the changed columns' alone, and leaves
     // with them.
-    counter.counts = vec![0; nl * slots.num_slots()];
-    let mut counts = prev.counts(old_net, old).iter();
-    for (layer, set) in prev.unbroken_edges.iter().enumerate() {
-        for (slot, &n) in set.slots_held().zip(&mut counts) {
-            counter.set(layer, slot, n);
-        }
-    }
+    *counter = prev.counts(old_net, old).clone();
     // Out: the changed columns' share, walked on the base's network.
     let mut mask = vec![0u64; old_net.num_nodes() * nl.div_ceil(64)];
     let mut out = 0;

@@ -499,9 +499,19 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// renumbering in the JSON writer. `subnet` 1 738 → 1 741 (+3):
 /// `remap_routes` copies columns and drops entries by liveness, and
 /// refuses two fabrics; `FabricTables::program` skips dead channels.
+///
+/// Carrying the last epoch's results into an event raised it 19 381 →
+/// 19 423 (+42). `subnet` 1 741 → 1 791 (+50): `FabricTables::validate`
+/// takes the last programmed tables and carries every column whose bytes
+/// are unchanged and take no port of a changed channel, and the loop
+/// hands those tables through the ladder. `delta` 346 → 352 (+6): the
+/// acyclicity searches start from the heads of the new windows. `core`
+/// 2 028 → 2 031 (+3): the pool reads the host's parallelism once. `vet`
+/// 1 941 → 1 924 (−17): a walk keeps its dense counter, so a re-walk
+/// clones it and `Counter::{set, compact}` and the rebuild loop went.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_381;
+    const CEILING: usize = 19_423;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");
