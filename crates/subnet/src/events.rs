@@ -1325,9 +1325,10 @@ mod tests {
         // hybrid is walked in full. The guard and the bulk-drain stage
         // both ask which layers of the new routing are cyclic: its walk is
         // searched once for the two of them, the old walk (which only
-        // feeds the union) never, the composed stage once. Under the
-        // default chunks every LFT column moves too, and the validation
-        // walks all 128.
+        // feeds the union) never, the composed stage once. Neither walk
+        // was carried, so the planner searches the union from every
+        // channel. Under the default chunks every LFT column moves too,
+        // and the validation walks all 128.
         let net = topo::torus(&[8, 8], 2);
         let mut sm = SmLoop::bring_up(DfSssp::new(), net.clone(), net.terminals()[0]).unwrap();
         let (counts, plan) = walks_of(&mut sm, FabricEvent::CableDown(net.switch_cables()[0]));
@@ -1338,6 +1339,7 @@ mod tests {
             scoped: 1,
             searches: 2,
             gained_searches: 0,
+            union_searches: [1, 0],
             pair_walks: 0,
             lft_columns: 128,
         };
@@ -1350,8 +1352,9 @@ mod tests {
         // out of its previous walk and into the new one and searches
         // only from the dependencies they gained; the old end walks out
         // at most the columns the dead cable broke, and on the way back
-        // up none; the LFT validation walks the 16 columns whose entries
-        // moved. (Right after bring-up, whose walk is of every column,
+        // up none. Both were carried from the guard's previous walk, so
+        // the planner searches their union from the heads the two gained.
+        // The LFT validation walks the 16 columns whose entries moved. (Right after bring-up, whose walk is of every column,
         // the old end walks whole once.)
         let net = topo::kary_ntree(16, 2);
         let chunk = ComputeOpts::new().chunk(net.num_terminals());
@@ -1378,6 +1381,7 @@ mod tests {
                 scoped: 0,
                 searches: 0,
                 gained_searches: 1,
+                union_searches: [0, 1],
                 pair_walks: 0,
                 lft_columns: 16,
             };

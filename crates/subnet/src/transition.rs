@@ -28,9 +28,15 @@
 //! states are walked whole, each once by [`vet_ok`]. Every table walk in
 //! this crate goes through [`walk_artifact`] — the guard's and the old
 //! end's from the guard's walk of the previous epoch, when the loop has
-//! one ([`vet::rewalk_tables`]) — and every per-layer cycle search
-//! through [`cyclic_layers`]; a walk searches at most once however many
-//! callers ask, so a test can count both.
+//! one ([`vet::rewalk_tables`]) — every per-layer cycle search of a walk
+//! through [`cyclic_layers`], and the union's through [`union_cycles`];
+//! a walk searches at most once however many callers ask, so a test can
+//! count each kind. When both ends were walked from that one base, the
+//! union is searched only from the heads of the dependencies the two
+//! gained over it ([`vet::union_heads`]): on a fat-tree cable event that
+//! is a few channels, not the whole layer. The old end itself is the
+//! serving tables copied whole ([`remap_routes`]) when the event keeps
+//! the terminal roster.
 
 use fabric::{ChannelId, Network, NodeId, Routes};
 use vet::TableWalk;
@@ -133,14 +139,38 @@ pub trait DiffPlanProvider {
 /// not live in it are dropped. Virtual layers of
 /// surviving terminal pairs are carried over. The result always has
 /// `new_net`'s shape, so it can be compared and vetted against the new
-/// network (expect broken pairs where hardware vanished).
+/// network (expect broken pairs where hardware vanished). When the two
+/// views have one terminal roster and `old` has `new_net`'s shape — every
+/// cable event — the tables are copied whole and only then scrubbed.
 pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Routes {
     assert!(
         old_net.same_fabric(new_net),
         "remap needs two views of one fabric"
     );
-    let mut routes = Routes::new(new_net, old.engine());
     let nodes = new_net.num_nodes().min(old.num_nodes());
+    let dropped: Vec<usize> = (0..nodes)
+        .filter(|&n| !new_net.is_live(NodeId(n as u32)))
+        .collect();
+    let scrub = |column: &mut [u32]| {
+        for c in column.iter_mut() {
+            if *c != u32::MAX && !new_net.is_live_channel(ChannelId(*c)) {
+                *c = u32::MAX;
+            }
+        }
+        for &n in &dropped {
+            column[n] = u32::MAX;
+        }
+    };
+    let nt = new_net.num_terminals();
+    if old_net.terminals() == new_net.terminals()
+        && (old.num_nodes(), old.num_terminals()) == (new_net.num_nodes(), nt)
+    {
+        let mut routes = old.clone();
+        (0..nt).for_each(|d| scrub(routes.next_column_mut(d)));
+        routes.recompute_num_layers();
+        return routes;
+    }
+    let mut routes = Routes::new(new_net, old.engine());
     // Old terminal index per new terminal index, if the old tables have it.
     let old_t: Vec<Option<usize>> = new_net
         .terminals()
@@ -152,22 +182,12 @@ pub fn remap_routes(old_net: &Network, old: &Routes, new_net: &Network) -> Route
         })
         .map(|o| o.filter(|&o| o < old.num_terminals()))
         .collect();
-    let dropped: Vec<usize> = (0..nodes)
-        .filter(|&n| !new_net.is_live(NodeId(n as u32)))
-        .collect();
     for (new_dst, od) in old_t.iter().enumerate() {
         let Some(od) = *od else { continue };
         let (next, layers) = old.column(od);
         let column = &mut routes.next_column_mut(new_dst)[..nodes];
         column.copy_from_slice(&next[..nodes]);
-        for c in column.iter_mut() {
-            if *c != u32::MAX && !new_net.is_live_channel(ChannelId(*c)) {
-                *c = u32::MAX;
-            }
-        }
-        for &n in &dropped {
-            column[n] = u32::MAX;
-        }
+        scrub(column);
         for (new_src, os) in old_t.iter().enumerate() {
             if let Some(os) = *os {
                 routes.set_layer(new_src, new_dst, layers[os]);
@@ -227,6 +247,18 @@ pub(crate) fn cyclic_layers(walk: &TableWalk) -> &[(u8, Vec<ChannelId>)] {
     walk.cyclic_layers()
 }
 
+/// The layers of the union of `walks` whose dependencies close a cycle,
+/// each with its witness (the search counted under test, by where it
+/// starts: see [`vet::union_heads`]).
+fn union_cycles(walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
+    #[cfg(test)]
+    {
+        let gained = vet::union_heads(walks).iter().any(Option::is_some);
+        counts::add(&counts::UNION_SEARCHES[gained as usize], 1);
+    }
+    vet::union_cycles_of(walks)
+}
+
 /// How this crate walks: minimality is nobody's question here, which
 /// also keeps the hop distances unread on clean tables.
 fn quiet() -> vet::Config {
@@ -238,9 +270,10 @@ fn quiet() -> vet::Config {
 
 /// What this crate's tests count: full-table walks by [`Artifact`], the
 /// columns re-walks walked out and in, walks scoped to some destinations,
-/// per-layer cycle searches of what was walked (from every channel, or
-/// from gained heads only), per-pair LFT walks and the destination columns
-/// the LFT validation walked. Process-wide, because an event
+/// per-layer cycle searches of what was walked and the planner's searches
+/// of the old∪new union (each from every channel, or from gained heads
+/// only), per-pair LFT walks and the destination columns the LFT
+/// validation walked. Process-wide, because an event
 /// walks on two threads ([`dfsssp_core::pool::join`]); only the thread
 /// inside [`counts::counted`], and the helpers it lends work to through
 /// [`counts::inherit`], add to them, and one `counted` runs at a time.
@@ -256,6 +289,7 @@ pub(crate) mod counts {
     pub(crate) static SCOPED: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static SEARCHES: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static GAINED_SEARCHES: AtomicUsize = AtomicUsize::new(0);
+    pub(crate) static UNION_SEARCHES: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
     pub(crate) static PAIR_WALKS: AtomicUsize = AtomicUsize::new(0);
     pub(crate) static LFT_COLUMNS: AtomicUsize = AtomicUsize::new(0);
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
@@ -275,6 +309,9 @@ pub(crate) mod counts {
         pub(crate) searches: usize,
         /// Cycle searches from the heads of gained dependencies only.
         pub(crate) gained_searches: usize,
+        /// The planner's searches of the old∪new union, `[from every
+        /// channel, from gained heads]`.
+        pub(crate) union_searches: [usize; 2],
         pub(crate) pair_walks: usize,
         /// Destination columns the LFT validation's colored pass walked.
         pub(crate) lft_columns: usize,
@@ -303,6 +340,8 @@ pub(crate) mod counts {
             &SCOPED,
             &SEARCHES,
             &GAINED_SEARCHES,
+            &UNION_SEARCHES[0],
+            &UNION_SEARCHES[1],
             &PAIR_WALKS,
             &LFT_COLUMNS,
         ];
@@ -310,7 +349,7 @@ pub(crate) mod counts {
         COUNTING.set(true);
         let out = f();
         COUNTING.set(false);
-        let [new, old, hybrid, n_out, n_in, o_out, o_in, h_out, h_in, scoped, searches, gained_searches, pair_walks, lft_columns] =
+        let [new, old, hybrid, n_out, n_in, o_out, o_in, h_out, h_in, scoped, searches, gained_searches, union_all, union_gained, pair_walks, lft_columns] =
             all.map(|c| c.load(Relaxed));
         let counts = Counts {
             walks: [new, old, hybrid],
@@ -318,6 +357,7 @@ pub(crate) mod counts {
             scoped,
             searches,
             gained_searches,
+            union_searches: [union_all, union_gained],
             pair_walks,
             lft_columns,
         };
@@ -387,7 +427,7 @@ pub(crate) fn plan_walked(
         Some(walk) => walk,
         None => new_here.insert(walk_artifact(None, net, new, Artifact::New)),
     };
-    let hazards = vet::union_cycles_of(&[old_walk, new_walk]);
+    let hazards = union_cycles(&[old_walk, new_walk]);
     let swap = |d| column_swap_entries(net, old, new, d);
     if hazards.is_empty() {
         return direct(stage(changed, swap, false, true));

@@ -394,22 +394,56 @@ pub fn union_cycles(net: &Network, artifacts: &[&Routes]) -> Vec<(u8, Vec<Channe
 
 /// [`union_cycles`] over artifacts that have already been walked (see
 /// [`walk_tables`], all on one network): the cycle search alone, no
-/// table is touched.
+/// table is touched. A layer [`union_heads`] gives heads for is searched
+/// only from them, every other layer from every channel; the witness is
+/// the search from every channel's either way.
 pub fn union_cycles_of(walks: &[&TableWalk]) -> Vec<(u8, Vec<ChannelId>)> {
-    union_cycles_in(&walks.iter().map(|w| &w.edges[..]).collect::<Vec<_>>())
+    let edges: Vec<&[EdgeSet]> = walks.iter().map(|w| &w.edges[..]).collect();
+    union_search(&edges, &union_heads(walks))
+}
+
+/// Per layer of the union of `walks`, the channels [`union_cycles_of`]
+/// searches it from: the heads of the dependencies each walk gained over
+/// its base (those the base does not hold), concatenated, when every walk
+/// was carried from one base ([`rewalk_tables`]) and that base searched
+/// the layer and found it acyclic; `None` — search from every channel —
+/// otherwise. A dependency no walk gained is in the base's acyclic layer,
+/// so every cycle of the union runs through a gained one.
+pub fn union_heads(walks: &[&TableWalk]) -> Vec<Option<Vec<u32>>> {
+    let base = walks.first().and_then(|w| w.carried_from);
+    let one_base = base.is_some() && walks.iter().all(|w| w.carried_from == base);
+    let layers = walks.iter().map(|w| w.edges.len()).max().unwrap_or(0);
+    let heads = |layer: usize| {
+        let each = walks.iter().map(|w| w.heads.get(layer)?.as_deref());
+        Some(each.collect::<Option<Vec<_>>>()?.concat())
+    };
+    (0..layers)
+        .map(|layer| one_base.then(|| heads(layer)).flatten())
+        .collect()
 }
 
 /// [`union_cycles_of`] over per-layer edge sets of one network however
 /// they were gathered — a part of a walk, say
-/// ([`TableWalk::unbroken_edges`]).
+/// ([`TableWalk::unbroken_edges`]): every layer searched from every
+/// channel.
 pub fn union_cycles_in(edges: &[&[EdgeSet]]) -> Vec<(u8, Vec<ChannelId>)> {
+    union_search(edges, &[])
+}
+
+/// The union of `edges` per layer, searched for a cycle from the layer's
+/// `heads` when it has some and from every channel when not.
+fn union_search(edges: &[&[EdgeSet]], heads: &[Option<Vec<u32>>]) -> Vec<(u8, Vec<ChannelId>)> {
     let layers = edges.iter().map(|e| e.len()).max().unwrap_or(0);
     (0..layers)
         .filter_map(|layer| {
             let mut sets = edges.iter().filter_map(|e| e.get(layer));
             let mut union = sets.next()?.clone();
             sets.for_each(|set| union.absorb(set));
-            union.find_cycle().map(|c| (layer as u8, c))
+            let cycle = match heads.get(layer) {
+                Some(Some(heads)) => union.find_cycle_from(heads),
+                _ => union.find_cycle(),
+            };
+            cycle.map(|c| (layer as u8, c))
         })
         .collect()
 }
@@ -771,6 +805,92 @@ mod tests {
         let (wa, wb) = (walk_tables(&ring, &a, &cfg), walk_tables(&ring, &b, &cfg));
         assert_eq!(union_cycles_of(&[&wa, &wb]), hazards);
         assert!(union_cycles_of(&[&wa]).is_empty());
+    }
+
+    /// `s0 … s3` cabled in a ring with `t_i` on `s_i`, and shortest tables
+    /// on it: toward `t_d` the neighbours of `s_d` take their one hop, and
+    /// the opposite switch goes clockwise iff `cw[d]`, adding the one
+    /// ring dependency of the column. Returns the ring, the tables and the
+    /// clockwise channel out of each switch.
+    fn opposite(cw: [bool; 4]) -> (Network, fabric::Routes, Vec<u32>) {
+        let mut b = NetworkBuilder::new();
+        let s: Vec<_> = (0..4).map(|i| b.add_switch(format!("s{i}"), 4)).collect();
+        let t: Vec<_> = (0..4).map(|i| b.add_terminal(format!("t{i}"))).collect();
+        for i in 0..4 {
+            b.link(s[i], s[(i + 1) % 4]).unwrap();
+            b.link(t[i], s[i]).unwrap();
+        }
+        let ring = b.build();
+        let hop = |a, b| ring.channel_between(a, b).unwrap();
+        let mut r = fabric::Routes::new(&ring, "opposite");
+        for d in 0..4 {
+            let (next, prev, far) = (s[(d + 1) % 4], s[(d + 3) % 4], s[(d + 2) % 4]);
+            r.set_next(s[d], d, hop(s[d], t[d]));
+            r.set_next(next, d, hop(next, s[d]));
+            r.set_next(prev, d, hop(prev, s[d]));
+            r.set_next(far, d, hop(far, if cw[d] { prev } else { next }));
+            for i in (0..4).filter(|&i| i != d) {
+                r.set_next(t[i], d, hop(t[i], s[i]));
+            }
+        }
+        let clockwise = (0..4).map(|i| hop(s[i], s[(i + 1) % 4]).0).collect();
+        (ring, r, clockwise)
+    }
+
+    /// A walk of `r` whose layers have been searched, and a walk of each
+    /// of `to` carried from it.
+    fn carried<const N: usize>(
+        net: &Network,
+        r: &fabric::Routes,
+        to: [&fabric::Routes; N],
+    ) -> [TableWalk; N] {
+        let base = walk_tables(net, r, &Config::default());
+        assert!(base.cyclic_layers().is_empty());
+        to.map(|to| {
+            let walked = rewalk_tables((net, r, &base), net, to, &Config::default());
+            assert!(walked.rewalked.is_some());
+            walked
+        })
+    }
+
+    #[test]
+    fn a_union_cycle_through_both_walks_gains_is_found_from_their_heads() {
+        // The base's clockwise dependencies run c0 → c1 → c2 (toward t2 and
+        // t3). One walk turns toward t1 at s3 clockwise and gains c3 → c0,
+        // the other toward t0 at s2 and gains c2 → c3: each alone is
+        // acyclic, and the ring closes only through both gains.
+        let (ring, base, c) = opposite([false, false, true, true]);
+        let (_, via_c3, _) = opposite([false, true, true, true]);
+        let (_, via_c2, _) = opposite([true, false, true, true]);
+        let [a, b] = carried(&ring, &base, [&via_c3, &via_c2]);
+        assert!(a.cyclic_layers().is_empty() && b.cyclic_layers().is_empty());
+        let heads = union_heads(&[&a, &b]);
+        let [Some(heads)] = &heads[..] else {
+            panic!("one layer, searched from heads: {heads:?}")
+        };
+        assert!(heads.contains(&c[0]) && heads.contains(&c[3]), "{heads:?}");
+        let hazards = union_cycles_of(&[&a, &b]);
+        assert_eq!(hazards, union_cycles_in(&[&a.edges, &b.edges]));
+        let mut cycle: Vec<u32> = hazards[0].1.iter().map(|c| c.0).collect();
+        let mut ring = c;
+        cycle.sort_unstable();
+        ring.sort_unstable();
+        assert_eq!(cycle, ring, "the witness is the ring");
+    }
+
+    #[test]
+    fn walks_carried_from_two_bases_search_the_union_from_every_channel() {
+        // Each walk carries its own tables unchanged, so neither gains a
+        // dependency; the union of what the two bases hold closes the ring.
+        let (ring, via_c3, _) = opposite([false, true, true, true]);
+        let (_, via_c2, _) = opposite([true, false, true, true]);
+        let [a] = carried(&ring, &via_c3, [&via_c3]);
+        let [b] = carried(&ring, &via_c2, [&via_c2]);
+        assert_eq!(union_heads(&[&a, &b]), vec![None]);
+        assert_eq!(union_heads(&[&a, &a]), vec![Some(Vec::new())]);
+        let hazards = union_cycles_of(&[&a, &b]);
+        assert_eq!(hazards.len(), 1);
+        assert_eq!(hazards, union_cycles_in(&[&a.edges, &b.edges]));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! differ are walked out of the counts on the old network and into them
 //! on the new one, and every other column is carried over.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 use fabric::{ChannelId, DepSlots, HopTable, Network, NodeId, Routes};
 
@@ -77,20 +78,27 @@ pub struct TableWalk {
     /// How many unbroken columns depend on each edge of `unbroken_edges`,
     /// per layer and slot. A column's walk adds each edge at most once, so
     /// its share subtracts exactly. A re-walk counts as it goes and keeps
-    /// its counter as it is; a walk of every column only adds edges, and
+    /// its tally as it is; a walk of every column only adds edges, and
     /// is counted on its first use as a base ([`Self::counts`]).
-    counts: OnceLock<Counter>,
+    counts: OnceLock<Tally>,
     /// Per destination terminal index: what a later walk can carry of it.
     cols: Vec<Col>,
     /// Per destination terminal index and layer (`dst_t * layers +
     /// layer`): the column's routed paths on the layer.
     col_paths: Vec<u32>,
     /// Per layer: `Some(channels)` when every cycle of the layer's edges
-    /// runs through one of them (the heads of what the walk gained over
-    /// an acyclic base), `None` to search from every channel.
-    heads: Vec<Option<Vec<u32>>>,
+    /// runs through one of them (the heads of the dependencies the walk
+    /// gained: those its base, searched acyclic there, does not hold),
+    /// `None` to search from every channel.
+    pub(crate) heads: Vec<Option<Vec<u32>>>,
     /// [`Self::cyclic_layers`], searched on first use.
     cyclic: OnceLock<Vec<(u8, Vec<ChannelId>)>>,
+    /// This walk, among every walk of the process: what a walk carried
+    /// from it records.
+    id: u64,
+    /// The [`Self::id`] of the base this walk carried its clean columns
+    /// from ([`crate::rewalk_tables`]), if it carried any.
+    pub(crate) carried_from: Option<u64>,
 }
 
 /// What a walk knows of one destination column.
@@ -107,7 +115,9 @@ enum Col {
 impl TableWalk {
     /// A walk of nothing yet, sized for `routes`' layers under `cfg`.
     pub(crate) fn empty(routes: &Routes, cfg: &Config) -> TableWalk {
+        static WALKS: AtomicU64 = AtomicU64::new(1);
         TableWalk {
+            id: WALKS.fetch_add(1, Relaxed),
             num_layers: routes.num_layers(),
             em: Emitter::new(cfg.max_diagnostics_per_code),
             check_minimal: cfg.check_minimal,
@@ -246,17 +256,16 @@ pub(crate) fn walk(
     }
     let nt = net.num_terminals();
     let slots = net.dep_slots().clone();
-    let mut counter = Counter::over(&slots, nl, false);
     res.cols = vec![Col::Uncounted; nt];
     res.col_paths = vec![0; nt * nl];
     res.broken = vec![false; nt];
-    let changed = base.and_then(|base| carry(base, net, routes, &mut counter, &mut res));
-    // What a re-walk starts from: the base's edges it carried.
-    let carried = res.rewalked.map(|_| counter.sets.clone());
-    let dests: Vec<usize> = match (changed, scope) {
-        (Some(changed), _) => changed,
-        (None, None) => (0..nt).collect(),
-        (None, Some(dests)) => dests.iter().copied().filter(|&d| d < nt).collect(),
+    let (mut counter, dests) = match (base.and_then(|b| carry(b, net, routes, &mut res)), scope) {
+        (Some(carried), _) => carried,
+        (None, None) => (Counter::over(&slots, nl), (0..nt).collect()),
+        (None, Some(dests)) => {
+            let dests = dests.iter().copied().filter(|&d| d < nt).collect();
+            (Counter::over(&slots, nl), dests)
+        }
     };
     if let Some((_, walked_in)) = &mut res.rewalked {
         *walked_in = dests.len();
@@ -267,26 +276,20 @@ pub(crate) fn walk(
         all.absorb(unbroken);
     }
     // Every cycle the base's acyclic layer did not have runs through a
-    // dependency it did not carry over.
-    let layers = res
-        .heads
-        .iter_mut()
-        .zip(&edges)
-        .zip(carried.iter().flatten());
-    for ((heads, all), carried) in layers {
+    // dependency the base did not hold.
+    let held = base.map_or(&[][..], |(_, _, prev)| &prev.edges[..]);
+    for ((heads, all), held) in res.heads.iter_mut().zip(&edges).zip(held) {
         if let Some(heads) = heads {
-            heads.extend(all.slots_not_in(carried).map(|s| slots.ends(s).1));
+            heads.extend(all.slots_not_in(held).map(|s| slots.ends(s).1));
             heads.sort_unstable();
             heads.dedup();
         }
     }
     res.edges = edges;
-    if counter.counts.is_empty() {
-        res.unbroken_edges = counter.sets;
-    } else {
-        res.unbroken_edges = counter.sets.clone();
-        res.counts = OnceLock::from(counter);
+    if counter.counting() {
+        res.counts = OnceLock::from(counter.tally);
     }
+    res.unbroken_edges = counter.sets;
     res.paths_per_layer = vec![0; nl];
     for column in res.col_paths.chunks(nl.max(1)) {
         for (total, &n) in res.paths_per_layer.iter_mut().zip(column) {
@@ -300,57 +303,49 @@ impl TableWalk {
     /// The `counts` field, made on first use by a pass
     /// over the dependencies of every counted column of `routes` on
     /// `net`, the artifact this is the walk of.
-    pub(crate) fn counts(&self, net: &Network, routes: &Routes) -> &Counter {
+    pub(crate) fn counts(&self, net: &Network, routes: &Routes) -> &Tally {
         self.counts.get_or_init(|| {
             let nl = self.num_layers as usize;
-            let mut counter = Counter::over(self.edges[0].slots(), nl, true);
-            let slots = counter.slots.clone();
+            let slots = self.edges[0].slots();
+            let ns = slots.num_slots();
+            let mut tally = Tally::zeros(nl * ns);
             let mut mask = vec![0u64; net.num_nodes() * nl.div_ceil(64)];
             for d in (0..self.cols.len()).filter(|&d| self.cols[d] != Col::Uncounted) {
                 let ((next, layers), dst) = (routes.column(d), net.terminals()[d]);
                 let firsts = sources(net, next, layers, dst, nl);
                 chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
-                    counter.up(layer, slots.slot(c1, c2));
+                    tally.up(layer * ns + slots.slot(c1, c2));
                 });
             }
-            counter
+            tally
         })
     }
 }
 
-/// The dependencies of a walk in the making: each layer's edge set and,
-/// when the walk counts, per layer and slot of its network (`layer *
-/// slots + slot`) how many columns depend on it — a byte each, the few
-/// counts past [`MANY`] kept aside, since a dense array of them is what a
+/// How many columns depend on each dependency slot of a network, per
+/// layer and slot (`layer * slots + slot`): a byte each, the few counts
+/// past [`MANY`] kept aside, since a dense array of them is what a
 /// re-walk holds while it works, and what it keeps for the next one.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Counter {
-    slots: std::sync::Arc<DepSlots>,
-    /// Empty when the walk does not count.
+pub(crate) struct Tally {
     counts: Vec<u8>,
     /// The counts of the slots whose byte reads [`MANY`].
     many: telemetry::fx::FxHashMap<usize, u32>,
-    sets: Vec<EdgeSet>,
 }
 
 /// A count byte that says "look in `many`".
 const MANY: u8 = u8::MAX;
 
-impl Counter {
-    fn over(slots: &std::sync::Arc<DepSlots>, layers: usize, counting: bool) -> Counter {
-        let mut counter = Counter {
-            slots: slots.clone(),
-            counts: Vec::new(),
+impl Tally {
+    /// `len` counts of zero.
+    fn zeros(len: usize) -> Tally {
+        Tally {
+            counts: vec![0; len],
             many: Default::default(),
-            sets: vec![EdgeSet::over(slots.clone()); layers],
-        };
-        if counting {
-            counter.counts = vec![0; layers * slots.num_slots()];
         }
-        counter
     }
 
-    /// The count of flat index `at`.
+    /// The count at `at`.
     fn get(&self, at: usize) -> u32 {
         match self.counts[at] {
             MANY => self.many[&at],
@@ -358,14 +353,13 @@ impl Counter {
         }
     }
 
-    /// One more on `slot` of `layer`.
+    /// One more at `at`; whether it was zero.
     #[inline(always)]
-    fn up(&mut self, layer: usize, slot: usize) {
-        let at = layer * self.slots.num_slots() + slot;
+    fn up(&mut self, at: usize) -> bool {
         match self.counts[at] {
             0 => {
                 self.counts[at] = 1;
-                self.sets[layer].insert_slot(slot);
+                return true;
             }
             MANY => *self.many.get_mut(&at).expect("kept aside") += 1,
             n if n == MANY - 1 => {
@@ -374,20 +368,59 @@ impl Counter {
             }
             n => self.counts[at] = n + 1,
         }
+        false
     }
 
-    /// One fewer on `slot` of `layer`.
-    fn down(&mut self, layer: usize, slot: usize) {
-        let at = layer * self.slots.num_slots() + slot;
+    /// One fewer at `at`; whether it is zero now.
+    fn down(&mut self, at: usize) -> bool {
         let n = self.get(at) - 1;
         if self.counts[at] == MANY {
             self.many.remove(&at);
         }
         self.counts[at] = u8::try_from(n).unwrap_or(MANY);
-        match self.counts[at] {
-            MANY => drop(self.many.insert(at, n)),
-            0 => self.sets[layer].remove_slot(slot),
-            _ => {}
+        if self.counts[at] == MANY {
+            self.many.insert(at, n);
+        }
+        n == 0
+    }
+}
+
+/// The dependencies of a walk in the making: each layer's edge set and,
+/// when the walk counts, its [`Tally`].
+struct Counter {
+    slots: Arc<DepSlots>,
+    /// Empty when the walk does not count.
+    tally: Tally,
+    sets: Vec<EdgeSet>,
+}
+
+impl Counter {
+    /// Empty sets over `slots` on `layers` layers, not counting.
+    fn over(slots: &Arc<DepSlots>, layers: usize) -> Counter {
+        Counter {
+            slots: slots.clone(),
+            tally: Tally::zeros(0),
+            sets: vec![EdgeSet::over(slots.clone()); layers],
+        }
+    }
+
+    /// Whether the walk counts.
+    fn counting(&self) -> bool {
+        !self.tally.counts.is_empty()
+    }
+
+    /// One more on `slot` of `layer`.
+    #[inline(always)]
+    fn up(&mut self, layer: usize, slot: usize) {
+        if self.tally.up(layer * self.slots.num_slots() + slot) {
+            self.sets[layer].insert_slot(slot);
+        }
+    }
+
+    /// One fewer on `slot` of `layer`.
+    fn down(&mut self, layer: usize, slot: usize) {
+        if self.tally.down(layer * self.slots.num_slots() + slot) {
+            self.sets[layer].remove_slot(slot);
         }
     }
 }
@@ -397,11 +430,11 @@ impl Counter {
 /// share node and channel ids and dependency slots, so a column that did
 /// not change is the same bytes); clone the base's counts onto the same
 /// slots; walk the columns that differ out of them, on the base's
-/// network; and carry every other column's tally. Returns the columns
-/// left to walk, or `None` — nothing carried, the walk starts from
-/// nothing — when the base cannot be read on `net` or so many columns
-/// differ that walking them all is cheaper: more than half, or a quarter
-/// when the base has yet to be counted.
+/// network; and carry every other column's tally. Returns the counter
+/// and the columns left to walk, or `None` — nothing carried, the walk
+/// starts from nothing — when the base cannot be read on `net` or so
+/// many columns differ that walking them all is cheaper: more than half,
+/// or a quarter when the base has yet to be counted.
 ///
 /// A column is carried only if the base walked it clean (routed from
 /// every source, no finding), the two rosters, slots and layer counts
@@ -418,11 +451,10 @@ fn carry(
     (old_net, old, prev): Base,
     net: &Network,
     routes: &Routes,
-    counter: &mut Counter,
     res: &mut TableWalk,
-) -> Option<Vec<usize>> {
+) -> Option<(Counter, Vec<usize>)> {
     let (nt, nl) = (net.num_terminals(), res.num_layers as usize);
-    let slots = counter.slots.clone();
+    let slots = net.dep_slots().clone();
     // Node `n` and terminal `t` are the old ones of their ids, and no node
     // comes back: a returning switch owes every column a row.
     let agree = prev.cols.len() == nt
@@ -487,10 +519,14 @@ fn carry(
         }
     }
 
-    // Across: the base's counter, on the same slots. A dependency through
-    // a channel that is gone is the changed columns' alone, and leaves
-    // with them.
-    *counter = prev.counts(old_net, old).clone();
+    // Across: the base's tally and edge sets, on the same slots. A
+    // dependency through a channel that is gone is the changed columns'
+    // alone, and leaves with them.
+    let mut counter = Counter {
+        slots: slots.clone(),
+        tally: prev.counts(old_net, old).clone(),
+        sets: prev.unbroken_edges.clone(),
+    };
     // Out: the changed columns' share, walked on the base's network.
     let mut mask = vec![0u64; old_net.num_nodes() * nl.div_ceil(64)];
     let mut out = 0;
@@ -533,7 +569,8 @@ fn carry(
         }
     }
     res.rewalked = Some((out, 0));
-    Some(changed)
+    res.carried_from = Some(prev.id);
+    Some((counter, changed))
 }
 
 /// Unset entry.
@@ -717,7 +754,7 @@ fn walk_in(
         } else {
             Col::Clean(max_hops)
         };
-        if counter.counts.is_empty() {
+        if !counter.counting() {
             let sets = &mut counter.sets;
             chain(net, next, dst, firsts, &mut mask, nl, |layer, c1, c2| {
                 sets[layer].insert_slot(slots.slot(c1, c2));

@@ -509,9 +509,20 @@ fn crate_sources(root: &Path) -> Vec<(String, PathBuf)> {
 /// 2 028 → 2 031 (+3): the pool reads the host's parallelism once. `vet`
 /// 1 941 → 1 924 (−17): a walk keeps its dense counter, so a re-walk
 /// clones it and `Counter::{set, compact}` and the rebuild loop went.
+///
+/// Planning a transition from what the event changed raised it 19 423 →
+/// 19 484 (+61). `vet` 1 924 → 1 966 (+42): a walk records the walk it
+/// was carried from, `union_heads` finds the heads a union of walks
+/// carried from one base is searched from, and the union search takes
+/// them; the count bytes are a `Tally` of their own, so a kept walk holds
+/// its unbroken edge sets once and a walk allocates a counter only when
+/// nothing was carried. `subnet` 1 791 → 1 810 (+19): `remap_routes`
+/// copies the tables whole when the roster is unchanged, beside the
+/// per-column path every other case keeps, and the planner's union
+/// search is counted under test by where it starts.
 #[test]
 fn code_lines_ratchet() {
-    const CEILING: usize = 19_423;
+    const CEILING: usize = 19_484;
     let root = repo_root();
     let code_lines = |path: &PathBuf| {
         let text = fs::read_to_string(path).expect("source is readable");

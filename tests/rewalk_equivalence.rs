@@ -6,7 +6,9 @@
 //! ids), and carries the rest; `vet::recheck` is the publish gate through
 //! it. The oracle is `vet::walk_tables` of the same tables, every field
 //! compared (findings in order, the cycle search's verdict and witness), and
-//! `vet::check_with_verdict`'s report as JSON. The artifacts are the ones
+//! `vet::check_with_verdict`'s report as JSON; the union of the old end's
+//! and the new tables' re-walks, searched from the heads the two gained,
+//! against `vet::union_cycles_in` over the same edges. The artifacts are the ones
 //! the subnet manager's loop deploys: chains of cable failures and
 //! repairs, switch failures with quarantine and coalesced batches
 //! through `SmLoop<DeltaEngine>` at chunk |T|, over the generator zoo and
@@ -40,6 +42,10 @@ struct Tally {
     fresh: Cell<usize>,
     carried: Cell<usize>,
     gained_searches: Cell<usize>,
+    /// Unions of the old end and the guard's walk searched from gained
+    /// heads, and how many of them were cyclic.
+    unions_from_heads: Cell<usize>,
+    cyclic_unions: Cell<usize>,
 }
 
 impl Tally {
@@ -93,6 +99,22 @@ fn assert_same(got: &TableWalk, want: &TableWalk, tally: &Tally, what: &str) {
     );
 }
 
+/// The planner's search of the old end's and the guard's union against
+/// the search from every channel over the same edges: the same layers,
+/// the same witnesses.
+fn assert_union_matches(old: &TableWalk, new: &TableWalk, tally: &Tally, what: &str) {
+    let got = vet::union_cycles_of(&[old, new]);
+    let want = vet::union_cycles_in(&[&old.edges, &new.edges]);
+    assert_eq!(
+        got, want,
+        "{what}: union of the old end and the guard's walk"
+    );
+    if vet::union_heads(&[old, new]).iter().any(Option::is_some) {
+        Tally::bump(&tally.unions_from_heads, 1);
+        Tally::bump(&tally.cyclic_unions, usize::from(!got.is_empty()));
+    }
+}
+
 /// One deployed artifact and its walks: the base of the next link.
 struct Link {
     net: Network,
@@ -127,6 +149,7 @@ impl Link {
         let quiet_walk = vet::rewalk_tables(base(&self.quiet), net, routes, &quiet());
         let want = vet::walk_tables(net, routes, &quiet());
         assert_same(&quiet_walk, &want, tally, &format!("{what}: quiet"));
+        assert_union_matches(&old_walk, &quiet_walk, tally, what);
 
         let default_walk = vet::rewalk_tables(base(&self.default), net, routes, &Config::default());
         let want = vet::walk_tables(net, routes, &Config::default());
@@ -259,10 +282,13 @@ fn a_rewalk_is_a_walk_of_every_column() {
 
     let (rewalks, fresh) = (tally.rewalks.get(), tally.fresh.get());
     let (carried, gained) = (tally.carried.get(), tally.gained_searches.get());
+    let (unions, cyclic) = (tally.unions_from_heads.get(), tally.cyclic_unions.get());
     println!(
-        "{rewalks} re-walks carrying {carried} columns, {fresh} fresh, {gained} gained searches"
+        "{rewalks} re-walks carrying {carried} columns, {fresh} fresh, {gained} gained searches, \
+         {unions} unions searched from gained heads ({cyclic} cyclic)"
     );
     assert!(rewalks > 500 && fresh > 100 && carried > 5_000 && gained > 200);
+    assert!(unions > 100, "the loop's unions searched from gained heads");
 }
 
 /// Triangle `a – b – c` plus the cable `a – c`, `ta` on `a`, `tc` on `c`,
@@ -395,4 +421,89 @@ fn a_column_with_a_warning_is_walked_every_time() {
         assert_eq!(warned(&link.default), 1, "round {round}");
         assert_eq!(link.default.rewalked, Some((1, 1)), "round {round}");
     }
+}
+
+/// `routes` with the columns toward `dests` replaced by shortest ones on
+/// `view` — over the highest-id tight channel, another tree than the
+/// lowest-id one — each column keeping its layers.
+fn rerouted(view: &Network, routes: &Routes, dests: &[usize]) -> Routes {
+    let mut r = routes.clone();
+    for &d in dests {
+        let dst = view.terminals()[d];
+        let hops = view.hops_to(dst);
+        let live = view
+            .nodes()
+            .filter(|&(id, _)| id != dst && view.is_live(id));
+        for (id, _) in live {
+            let tight = |&c: &ChannelId| {
+                hops[view.channel(c).dst.idx()].saturating_add(1) == hops[id.idx()]
+            };
+            match view.out_channels(id).iter().rev().copied().find(tight) {
+                Some(c) => r.set_next(id, d, c),
+                None => r.clear_next(id, d),
+            }
+        }
+    }
+    r
+}
+
+#[test]
+fn a_union_searched_from_gained_heads_is_the_whole_search() {
+    // Multi-layer DFSSSP tables, then a cable or a switch down and back
+    // up. Down: the old end is the tables remapped onto the view, the new
+    // tables reroute its broken columns and one more on another tree,
+    // layers kept; both are walked from a searched walk of the tables
+    // before. Up: the old end is the new tables remapped back, and the
+    // new ones are the tables before, both walked from the new tables'
+    // searched walk. Each union, searched from the heads the two walks
+    // gained, must be the search from every channel.
+    let tally = Tally::default();
+    sweep(0..600, |c| {
+        let net = zoo_net(c);
+        let Ok(before) = DfSssp::new().route(&net) else {
+            return;
+        };
+        let base = vet::walk_tables(&net, &before, &quiet());
+        base.cyclic_layers();
+        let cables: Vec<ChannelId> = net.switch_cables();
+        if cables.is_empty() {
+            return;
+        }
+        let cable = cables[c.rng.range(0..cables.len())];
+        let dead: FxHashSet<ChannelId> = std::iter::once(cable)
+            .chain(net.channel(cable).rev)
+            .collect();
+        let switch = net.switches()[c.rng.range(0..net.num_switches())];
+        let views = [
+            degrade::remove(&net, &FxHashSet::default(), &dead),
+            degrade::remove(&net, &[switch].into_iter().collect(), &FxHashSet::default()),
+        ];
+        for view in views.iter().filter(|v| v.terminals() == net.terminals()) {
+            if !view.is_strongly_connected() {
+                continue;
+            }
+            let what = format!("{} without {cable:?} or {switch:?}", net.label());
+            let old = subnet::remap_routes(&net, &before, view);
+            let old_walk = vet::rewalk_tables((&net, &before, &base), view, &old, &quiet());
+            let nt = net.num_terminals();
+            let mut dests: Vec<usize> = (0..nt).filter(|&d| old_walk.broken[d]).collect();
+            dests.push(c.rng.range(0..nt));
+            let after = rerouted(view, &old, &dests);
+            let new_walk = vet::rewalk_tables((&net, &before, &base), view, &after, &quiet());
+            assert_union_matches(&old_walk, &new_walk, &tally, &format!("{what}: down"));
+
+            new_walk.cyclic_layers();
+            let old = subnet::remap_routes(view, &after, &net);
+            let up = (view, &after, &new_walk);
+            let old_walk = vet::rewalk_tables(up, &net, &old, &quiet());
+            let back_walk = vet::rewalk_tables(up, &net, &before, &quiet());
+            assert_union_matches(&old_walk, &back_walk, &tally, &format!("{what}: up"));
+        }
+    });
+    let (unions, cyclic) = (tally.unions_from_heads.get(), tally.cyclic_unions.get());
+    println!("{unions} unions searched from gained heads, {cyclic} cyclic");
+    assert!(
+        unions > 100 && cyclic > 30,
+        "{unions} unions, {cyclic} cyclic"
+    );
 }
