@@ -9,7 +9,7 @@
 
 use fabric::rng::{Rng, UniformInt};
 use fabric::topo::{self, RandomTopoSpec};
-use fabric::{degrade, ChannelId, Network, NetworkBuilder, NodeId};
+use fabric::{degrade, ChannelId, Network, NetworkBuilder, NodeId, Routes};
 use std::fmt::{Debug, Write as _};
 use std::ops::{Range, RangeBounds};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -111,4 +111,34 @@ pub fn parallel_cables() -> Network {
         b.link(t, s[(i + 1) % 4]).expect("ports to spare");
     }
     b.build()
+}
+
+/// Two switches and four terminals, `t1` homed on `s1` and on `s0`, with
+/// tables whose walks transit a terminal: toward `t2`, `s0` forwards into
+/// `t1`, which forwards on over its other uplink (its lowest port) to
+/// `s1`. So `t0`'s walk passes `t1` before `t1`'s own turn as a source,
+/// and `t3`'s first hop lands on `s0`, reached by then. Every other
+/// column is routed the short way; every path is on layer 0.
+pub fn terminal_transit() -> (Network, Routes) {
+    let mut b = NetworkBuilder::new();
+    let [s0, s1] = ["s0", "s1"].map(|name| b.add_switch(name, 8));
+    let [t0, t1, t2, t3] = ["t0", "t1", "t2", "t3"].map(|name| b.add_terminal(name));
+    for (u, v) in [(t0, s0), (t1, s1), (t1, s0), (t2, s1), (t3, s0), (s0, s1)] {
+        b.link(u, v).expect("ports to spare");
+    }
+    let net = b.build();
+    let mut routes = Routes::new(&net, "hand-built");
+    let columns = [
+        [(t1, s0), (t2, s1), (t3, s0), (s0, t0), (s1, s0)],
+        [(t0, s0), (t2, s1), (t3, s0), (s0, t1), (s1, t1)],
+        [(t0, s0), (t1, s1), (t3, s0), (s0, t1), (s1, t2)],
+        [(t0, s0), (t1, s0), (t2, s1), (s0, t3), (s1, s0)],
+    ];
+    for (d, hops) in columns.iter().enumerate() {
+        for &(u, v) in hops {
+            let c = net.channel_between(u, v).expect("a cable");
+            routes.set_next(u, d, c);
+        }
+    }
+    (net, routes)
 }
